@@ -242,6 +242,50 @@ func TestPropertyOptimizerPreservesSemantics(t *testing.T) {
 				t.Fatalf("iter %d: join algo %v changed result of %s", iter, algo, q)
 			}
 		}
+		// Statistics are advisory: the representation-level plan returns
+		// the same bag unoptimized and optimized with the partitions'
+		// statistics, with none, and with adversarial ones.
+		regimes := map[string]func(*engine.ValuesPlan){
+			"real": func(*engine.ValuesPlan) {},
+			"none": func(v *engine.ValuesPlan) { v.Stats = nil },
+			"adversarial": func(v *engine.ValuesPlan) {
+				ts := &engine.TableStats{Rows: 1e9, Cols: map[string]engine.ColStats{}}
+				for _, c := range v.Rel.Sch.Cols {
+					ts.Cols[c.Name] = engine.ColStats{NDV: 1}
+				}
+				v.Stats = func() *engine.TableStats { return ts }
+			},
+		}
+		var want *engine.Relation
+		for name, regime := range regimes {
+			plan, _, err := db.Translate(StripPoss(q))
+			if err != nil {
+				t.Fatalf("iter %d: %v", iter, err)
+			}
+			if want == nil {
+				if want, err = engine.Run(plan, engine.NewCatalog(), engine.ExecConfig{DisableOptimizer: true}); err != nil {
+					t.Fatalf("iter %d: %v", iter, err)
+				}
+			}
+			eachValuesLeaf(plan, regime)
+			got, err := engine.Run(plan, engine.NewCatalog(), engine.ExecConfig{})
+			if err != nil {
+				t.Fatalf("iter %d: %s statistics: %v", iter, name, err)
+			}
+			if !want.EqualAsBag(got) {
+				t.Fatalf("iter %d: %s statistics changed the result bag of %s (%d vs %d rows)", iter, name, q, got.Len(), want.Len())
+			}
+		}
+	}
+}
+
+// eachValuesLeaf applies f to every in-memory leaf of a translated plan.
+func eachValuesLeaf(p engine.Plan, f func(*engine.ValuesPlan)) {
+	if v, ok := p.(*engine.ValuesPlan); ok {
+		f(v)
+	}
+	for _, c := range p.Children() {
+		eachValuesLeaf(c, f)
 	}
 }
 

@@ -316,20 +316,46 @@ func (tr *translator) encodePartition(u *URelation, alias string, pidx int, cont
 		// materializing; cold data feeds the engine batch-by-batch.
 		return u.Back.ScanPlan(engine.Schema{Cols: cols}, width, attrIdx, name), lay
 	}
-	rel := engine.NewRelation(engine.Schema{Cols: cols})
-	for _, r := range u.Rows {
-		row := make(engine.Tuple, 0, len(cols))
-		d := r.D.Pad(width)
-		for _, a := range d {
-			row = append(row, engine.Int(int64(a.Var)), engine.Int(int64(a.Val)))
+	sch := engine.Schema{Cols: cols}
+	leaf := engine.Values(u.encode(sch, width, attrIdx), name)
+	leaf.Stats = u.leafStats(sch, width, attrIdx)
+	return leaf, lay
+}
+
+// encode lays the partition's rows out under sch — width (var, rng)
+// descriptor pairs, the tuple id, then the attributes attrIdx selects —
+// as one flat value arena the row slices point into, not a slice per
+// row: a partition is encoded again for every query that touches it.
+// A leaf's width is the partition's widest descriptor; a narrower one
+// (statistics asked for through a leaf older than the rows) cuts the
+// longer descriptors short, which statistics can bear.
+func (u *URelation) encode(sch engine.Schema, width int, attrIdx []int) *engine.Relation {
+	ncols := sch.Len()
+	arena := make([]engine.Value, len(u.Rows)*ncols)
+	rows := make([]engine.Tuple, len(u.Rows))
+	for i, r := range u.Rows {
+		row := arena[i*ncols : (i+1)*ncols : (i+1)*ncols]
+		// Short descriptors are padded by repeating their first
+		// assignment (ws.Descriptor.Pad), the trivial one when empty.
+		fill := ws.Assignment{Var: ws.TrivialVar}
+		if len(r.D) > 0 {
+			fill = r.D[0]
 		}
-		row = append(row, engine.Int(r.TID))
-		for _, ai := range attrIdx {
-			row = append(row, r.Vals[ai])
+		for k := 0; k < width; k++ {
+			a := fill
+			if k < len(r.D) {
+				a = r.D[k]
+			}
+			row[2*k] = engine.Int(int64(a.Var))
+			row[2*k+1] = engine.Int(int64(a.Val))
 		}
-		rel.Append(row)
+		row[2*width] = engine.Int(r.TID)
+		for j, ai := range attrIdx {
+			row[2*width+1+j] = r.Vals[ai]
+		}
+		rows[i] = row
 	}
-	return engine.Values(rel, name), lay
+	return &engine.Relation{Sch: sch, Rows: rows}
 }
 
 func kindsOf(u *URelation) []engine.Kind {

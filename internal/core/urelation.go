@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"urel/internal/engine"
 	"urel/internal/ws"
@@ -51,6 +52,10 @@ type URelation struct {
 	// Back, when non-nil, backs this partition with lazily scanned
 	// storage; Rows stays empty until Materialize is called.
 	Back Backing
+
+	// stats caches the optimizer's statistics over Rows (see partStats).
+	statsMu sync.Mutex
+	stats   *partStats
 }
 
 // Add appends a tuple (descriptor, tuple id, attribute values).

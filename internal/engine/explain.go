@@ -18,7 +18,7 @@ func Explain(p Plan, cat *Catalog, optimize bool) (string, error) {
 		}
 	}
 	var b strings.Builder
-	explainNode(&b, p, cat, 0, true)
+	explainNode(&b, p, newEstimator(cat), 0, true)
 	return b.String(), nil
 }
 
@@ -51,13 +51,16 @@ func execMode(p Plan) string {
 	}
 }
 
-func explainNode(b *strings.Builder, p Plan, cat *Catalog, depth int, root bool) {
+// explainNode prints p and its subtree; the one estimator of the Explain
+// call supplies every node's rows= figure, each computed once.
+func explainNode(b *strings.Builder, p Plan, est *estimator, depth int, root bool) {
+	cat := est.cat
 	indent := strings.Repeat("  ", depth)
 	head := indent
 	if !root {
 		head = indent + "->  "
 	}
-	st := EstimateStats(p, cat)
+	st := est.stats(p)
 	mode := execMode(p)
 	switch n := p.(type) {
 	case *JoinPlan:
@@ -101,8 +104,8 @@ func explainNode(b *strings.Builder, p Plan, cat *Catalog, depth int, root bool)
 		if residual != nil {
 			fmt.Fprintf(b, "%s      Join Filter: %s\n", indent, residual)
 		}
-		explainNode(b, n.L, cat, depth+1, false)
-		explainNode(b, n.R, cat, depth+1, false)
+		explainNode(b, n.L, est, depth+1, false)
+		explainNode(b, n.R, est, depth+1, false)
 	case *FilterPlan:
 		// Fuse Filter into the node beneath, PostgreSQL-style, when the
 		// child is a scan.
@@ -119,22 +122,22 @@ func explainNode(b *strings.Builder, p Plan, cat *Catalog, depth int, root bool)
 		default:
 			fmt.Fprintf(b, "%sFilter  (rows=%.0f exec=%s)\n", head, st.Rows, mode)
 			fmt.Fprintf(b, "%s      Cond: %s\n", indent, n.Cond)
-			explainNode(b, n.Child, cat, depth+1, false)
+			explainNode(b, n.Child, est, depth+1, false)
 		}
 	case *ProjectPlan:
 		fmt.Fprintf(b, "%sProject %s  (rows=%.0f exec=%s)\n", head, joinStrings(n.Names), st.Rows, mode)
-		explainNode(b, n.Child, cat, depth+1, false)
+		explainNode(b, n.Child, est, depth+1, false)
 	case *DistinctPlan:
 		fmt.Fprintf(b, "%sHashAggregate (distinct)  (rows=%.0f exec=%s)\n", head, st.Rows, mode)
-		explainNode(b, n.Child, cat, depth+1, false)
+		explainNode(b, n.Child, est, depth+1, false)
 	case *SortPlan:
 		fmt.Fprintf(b, "%sSort  (rows=%.0f exec=%s)\n", head, st.Rows, mode)
 		fmt.Fprintf(b, "%s      Sort Key: %s\n", indent, joinStrings(n.Keys))
-		explainNode(b, n.Child, cat, depth+1, false)
+		explainNode(b, n.Child, est, depth+1, false)
 	default:
 		fmt.Fprintf(b, "%s%s  (rows=%.0f exec=%s)\n", head, p.Label(), st.Rows, mode)
 		for _, c := range p.Children() {
-			explainNode(b, c, cat, depth+1, false)
+			explainNode(b, c, est, depth+1, false)
 		}
 	}
 }

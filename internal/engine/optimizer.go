@@ -18,7 +18,7 @@ import (
 // evaluating translated U-relation queries.
 func Optimize(p Plan, cat *Catalog) (Plan, error) {
 	p = pushFilters(p, cat)
-	p, err := orderJoins(p, cat)
+	p, err := orderJoins(p, newEstimator(cat))
 	if err != nil {
 		return nil, err
 	}
@@ -237,14 +237,16 @@ type joinLeaf struct {
 }
 
 // orderJoins flattens trees of inner joins and reassembles them greedily
-// by estimated output cardinality.
-func orderJoins(p Plan, cat *Catalog) (Plan, error) {
+// by estimated output cardinality. One estimator serves the whole pass,
+// so each leaf and each candidate join is estimated once.
+func orderJoins(p Plan, est *estimator) (Plan, error) {
+	cat := est.cat
 	// Recurse first.
 	ch := p.Children()
 	if len(ch) > 0 {
 		newCh := make([]Plan, len(ch))
 		for i, c := range ch {
-			nc, err := orderJoins(c, cat)
+			nc, err := orderJoins(c, est)
 			if err != nil {
 				return nil, err
 			}
@@ -287,7 +289,7 @@ func orderJoins(p Plan, cat *Catalog) (Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := greedyJoin(leaves, preds, cat)
+	out, err := greedyJoin(leaves, preds, est)
 	if err != nil {
 		return nil, err
 	}
@@ -330,8 +332,12 @@ func uniqueStrings(a []string) bool {
 
 // greedyJoin picks the smallest leaf, then repeatedly joins in the leaf
 // that minimizes the estimated result size, preferring connected leaves
-// (those sharing an applicable predicate) over cross products.
-func greedyJoin(leaves []joinLeaf, preds []Expr, cat *Catalog) (Plan, error) {
+// over cross products. Only an equi conjunct connects two inputs: the ψ
+// descriptor-consistency disjuncts span every pair of uncertain inputs
+// and filter almost nothing, so a join they alone "connect" is a cross
+// product with a residual. They still ride on the first join that
+// covers them.
+func greedyJoin(leaves []joinLeaf, preds []Expr, est *estimator) (Plan, error) {
 	used := make([]bool, len(leaves))
 	applied := make([]bool, len(preds))
 
@@ -339,7 +345,7 @@ func greedyJoin(leaves []joinLeaf, preds []Expr, cat *Catalog) (Plan, error) {
 	best := 0
 	bestRows := math.Inf(1)
 	for i, lf := range leaves {
-		r := EstimateStats(lf.plan, cat).Rows
+		r := est.stats(lf.plan).Rows
 		if r < bestRows {
 			bestRows = r
 			best = i
@@ -371,11 +377,13 @@ func greedyJoin(leaves []joinLeaf, preds []Expr, cat *Catalog) (Plan, error) {
 				}
 				if CoveredBy(pr, joined) && !CoveredBy(pr, curSch) && !CoveredBy(pr, lf.sch) {
 					conds = append(conds, pr)
-					connected = true
+					if pairs, _ := ExtractEquiJoin(pr, curSch, lf.sch); len(pairs) > 0 {
+						connected = true
+					}
 				}
 			}
 			jp := &JoinPlan{Kind: InnerJoin, L: cur, R: lf.plan, Cond: And(conds...)}
-			rows := EstimateStats(jp, cat).Rows
+			rows := est.stats(jp).Rows
 			c := &cand{idx: i, plan: jp, rows: rows, connected: connected}
 			if bestCand == nil ||
 				(c.connected && !bestCand.connected) ||
@@ -466,19 +474,12 @@ func pruneNeeding(p Plan, cat *Catalog, needed []string) (Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := n.R
-		if n.Kind == InnerJoin {
-			if r, err = pruneNeeding(n.R, cat, rNeed); err != nil {
-				return nil, err
-			}
-		} else {
-			// Semi/anti joins keep the right side as-is except pruning
-			// to the columns its predicates need.
-			if r, err = pruneNeeding(n.R, cat, rNeed); err != nil {
-				return nil, err
-			}
+		r, err := pruneNeeding(n.R, cat, rNeed)
+		if err != nil {
+			return nil, err
 		}
-		// Insert projections if we can actually drop columns.
+		// Insert projections if we can actually drop columns. A semi/anti
+		// join's right side only prunes below, to what its predicates need.
 		l = maybeProject(l, ls, lNeed)
 		if n.Kind == InnerJoin {
 			r = maybeProject(r, rs, rNeed)

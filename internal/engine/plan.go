@@ -80,6 +80,12 @@ func (p *ScanPlan) Label() string            { return "Seq Scan on " + p.Name }
 type ValuesPlan struct {
 	Rel  *Relation
 	Name string // display name for EXPLAIN
+	// Stats, when non-nil, returns Rel's statistics (never nil) keyed by
+	// Rel's column names. A producer that already keeps statistics for the
+	// data behind Rel sets it so they travel with the plan; it is only
+	// called when an estimate is asked for. Without it the estimator
+	// scans Rel (ComputeStats), once per planning pass.
+	Stats func() *TableStats
 }
 
 // Values builds a scan over an unregistered relation.

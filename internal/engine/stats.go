@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // ColStats holds per-column statistics used by the cost model.
@@ -30,8 +31,18 @@ type TableStats struct {
 // real system samples, and so do we.
 const statsSampleCap = 50000
 
+// statsScans counts ComputeStats calls. Who scans what, and how often,
+// is a contract of its callers (once per partition, once per ad-hoc
+// leaf and planning pass); their tests pin it on this counter.
+var statsScans atomic.Int64
+
+// StatsScans returns the number of ComputeStats scans the process has
+// run so far.
+func StatsScans() int64 { return statsScans.Load() }
+
 // ComputeStats scans (a sample of) the relation and derives statistics.
 func ComputeStats(r *Relation) *TableStats {
+	statsScans.Add(1)
 	ts := &TableStats{Rows: float64(len(r.Rows)), Cols: map[string]ColStats{}}
 	n := len(r.Rows)
 	step := 1
@@ -141,36 +152,102 @@ const (
 	defaultNDV      = 100.0
 )
 
+// StatsSource is the optional statistics hook of a SourcePlan: a
+// storage leaf that knows something about its columns for free (row
+// counts, key columns) reports it here, keyed by its output column
+// names (never nil), with Rows the same post-pruning count
+// EstimateRowCount gives. Sources without it are estimated by row count
+// alone.
+type StatsSource interface {
+	SourceStats() *TableStats
+}
+
+// estimator answers the cost model's questions for one planning pass
+// (one Optimize, Explain or EstimateCost call): every plan node is
+// estimated once and every leaf's table statistics are fetched once,
+// however often the join orderer revisits a subtree. Plan nodes are
+// immutable while a pass runs, so node identity is a sound memo key.
+type estimator struct {
+	cat    *Catalog
+	plans  map[Plan]PlanStats
+	tables map[Plan]*TableStats
+}
+
+func newEstimator(cat *Catalog) *estimator {
+	return &estimator{cat: cat, plans: map[Plan]PlanStats{}, tables: map[Plan]*TableStats{}}
+}
+
 // EstimateStats computes cardinality and NDV estimates bottom-up. It is
 // intentionally simple — the same selectivity heuristics classic
 // System-R-style optimizers use — because the paper's observation is
 // that standard selectivity-based cost measures work well on translated
-// U-relation queries.
+// U-relation queries. Callers estimating many nodes of one plan share
+// an estimator instead (Optimize, Explain); this is the one-shot form.
 func EstimateStats(p Plan, cat *Catalog) PlanStats {
+	return newEstimator(cat).stats(p)
+}
+
+// tableStats returns the statistics a leaf carries or can look up: the
+// catalog's for a named scan, the handle's for a Values leaf that
+// travels with its statistics (ad-hoc ones are scanned, once per pass),
+// a storage source's own. Nil for a scan of no catalog relation and for
+// any other node.
+func (est *estimator) tableStats(p Plan) *TableStats {
+	if ts, ok := est.tables[p]; ok {
+		return ts
+	}
+	var ts *TableStats
 	switch n := p.(type) {
 	case *ScanPlan:
-		ts := cat.Stats(n.Name)
-		if ts == nil {
-			return PlanStats{Rows: 1000, NDV: map[string]float64{}}
-		}
-		ndv := make(map[string]float64, len(ts.Cols))
-		for c, cs := range ts.Cols {
-			ndv[c] = cs.NDV
-		}
-		return PlanStats{Rows: ts.Rows, NDV: ndv}
+		ts = est.cat.Stats(n.Name)
 	case *ValuesPlan:
-		ts := ComputeStats(n.Rel)
-		ndv := make(map[string]float64, len(ts.Cols))
-		for c, cs := range ts.Cols {
-			ndv[c] = cs.NDV
+		if n.Stats != nil {
+			ts = n.Stats()
+		} else {
+			ts = ComputeStats(n.Rel)
 		}
-		return PlanStats{Rows: ts.Rows, NDV: ndv}
+	case StatsSource:
+		ts = n.SourceStats()
+	}
+	est.tables[p] = ts
+	return ts
+}
+
+// stats is the memoized estimate of one plan node. The returned NDV map
+// is shared between callers and must not be modified.
+func (est *estimator) stats(p Plan) PlanStats {
+	if st, ok := est.plans[p]; ok {
+		return st
+	}
+	st := est.estimate(p)
+	est.plans[p] = st
+	return st
+}
+
+func leafPlanStats(ts *TableStats) PlanStats {
+	ndv := make(map[string]float64, len(ts.Cols))
+	for c, cs := range ts.Cols {
+		ndv[c] = cs.NDV
+	}
+	return PlanStats{Rows: ts.Rows, NDV: ndv}
+}
+
+func (est *estimator) estimate(p Plan) PlanStats {
+	cat := est.cat
+	switch n := p.(type) {
+	case *ScanPlan:
+		if ts := est.tableStats(n); ts != nil {
+			return leafPlanStats(ts)
+		}
+		return PlanStats{Rows: 1000, NDV: map[string]float64{}}
+	case *ValuesPlan:
+		return leafPlanStats(est.tableStats(n))
 	case *FilterPlan:
-		in := EstimateStats(n.Child, cat)
-		sel := estimateSelectivity(n.Cond, n.Child, cat, in)
+		in := est.stats(n.Child)
+		sel := est.selectivity(n.Cond, n.Child, in)
 		return scaleStats(in, sel)
 	case *ProjectPlan:
-		in := EstimateStats(n.Child, cat)
+		in := est.stats(n.Child)
 		ndv := make(map[string]float64, len(n.Names))
 		for _, c := range n.Names {
 			if v, ok := in.NDV[c]; ok {
@@ -181,7 +258,7 @@ func EstimateStats(p Plan, cat *Catalog) PlanStats {
 		}
 		return PlanStats{Rows: in.Rows, NDV: ndv}
 	case *RenamePlan:
-		in := EstimateStats(n.Child, cat)
+		in := est.stats(n.Child)
 		sch, err := n.Child.Schema(cat)
 		if err != nil {
 			return in
@@ -198,8 +275,8 @@ func EstimateStats(p Plan, cat *Catalog) PlanStats {
 		}
 		return PlanStats{Rows: in.Rows, NDV: ndv}
 	case *JoinPlan:
-		l := EstimateStats(n.L, cat)
-		r := EstimateStats(n.R, cat)
+		l := est.stats(n.L)
+		r := est.stats(n.R)
 		ls, _ := n.L.Schema(cat)
 		rs, _ := n.R.Schema(cat)
 		pairs, residual := ExtractEquiJoin(n.Cond, ls, rs)
@@ -232,8 +309,8 @@ func EstimateStats(p Plan, cat *Catalog) PlanStats {
 		}
 		return PlanStats{Rows: rows, NDV: ndv}
 	case *UnionPlan:
-		l := EstimateStats(n.L, cat)
-		r := EstimateStats(n.R, cat)
+		l := est.stats(n.L)
+		r := est.stats(n.R)
 		rows := l.Rows + r.Rows
 		ndv := make(map[string]float64, len(l.NDV))
 		for c, v := range l.NDV {
@@ -241,16 +318,16 @@ func EstimateStats(p Plan, cat *Catalog) PlanStats {
 		}
 		return PlanStats{Rows: rows, NDV: ndv}
 	case *DiffPlan:
-		l := EstimateStats(n.L, cat)
+		l := est.stats(n.L)
 		out := math.Max(1, l.Rows*0.5)
 		return PlanStats{Rows: out, NDV: capNDV(l.NDV, out)}
 	case *IntersectPlan:
-		l := EstimateStats(n.L, cat)
-		r := EstimateStats(n.R, cat)
+		l := est.stats(n.L)
+		r := est.stats(n.R)
 		out := math.Max(1, math.Min(l.Rows, r.Rows)*0.5)
 		return PlanStats{Rows: out, NDV: capNDV(l.NDV, out)}
 	case *DistinctPlan:
-		in := EstimateStats(n.Child, cat)
+		in := est.stats(n.Child)
 		prod := 1.0
 		for _, v := range in.NDV {
 			prod *= math.Max(1, v)
@@ -262,9 +339,9 @@ func EstimateStats(p Plan, cat *Catalog) PlanStats {
 		out := math.Max(1, math.Min(in.Rows, prod))
 		return PlanStats{Rows: out, NDV: capNDV(in.NDV, out)}
 	case *SortPlan:
-		return EstimateStats(n.Child, cat)
+		return est.stats(n.Child)
 	case *ExtendPlan:
-		in := EstimateStats(n.Child, cat)
+		in := est.stats(n.Child)
 		ndv := make(map[string]float64, len(in.NDV)+len(n.Exprs))
 		for c, v := range in.NDV {
 			ndv[c] = v
@@ -274,11 +351,11 @@ func EstimateStats(p Plan, cat *Catalog) PlanStats {
 		}
 		return PlanStats{Rows: in.Rows, NDV: ndv}
 	case *LimitPlan:
-		in := EstimateStats(n.Child, cat)
+		in := est.stats(n.Child)
 		out := math.Min(in.Rows, float64(n.N))
 		return PlanStats{Rows: out, NDV: capNDV(in.NDV, out)}
 	case *AggPlan:
-		in := EstimateStats(n.Child, cat)
+		in := est.stats(n.Child)
 		groups := 1.0
 		for _, g := range n.GroupBy {
 			groups *= math.Max(1, ndvOr(in.NDV, g, defaultNDV))
@@ -286,23 +363,26 @@ func EstimateStats(p Plan, cat *Catalog) PlanStats {
 		out := math.Max(1, math.Min(in.Rows, groups))
 		return PlanStats{Rows: out, NDV: capNDV(in.NDV, out)}
 	default:
+		if _, ok := p.(StatsSource); ok {
+			return leafPlanStats(est.tableStats(p))
+		}
 		if sp, ok := p.(SourcePlan); ok {
 			return PlanStats{Rows: sp.EstimateRowCount(), NDV: map[string]float64{}}
 		}
 		// Unknown unary wrappers pass their child's estimate through
 		// rather than degrading to a constant.
 		if ch := p.Children(); len(ch) == 1 {
-			return EstimateStats(ch[0], cat)
+			return est.stats(ch[0])
 		}
 		return PlanStats{Rows: 1000, NDV: map[string]float64{}}
 	}
 }
 
 // EstimateRows returns only the estimated output cardinality of a plan.
-// Unlike EstimateStats it never computes per-column statistics (no
-// ComputeStats on anonymous ValuesPlan inputs), so it is cheap enough to
-// call during physical lowering, where it gates the serial-vs-parallel
-// operator choice.
+// Unlike EstimateStats it consults no per-column statistics and builds
+// no NDV maps — leaf row counts and fixed factors only — so it needs no
+// estimator and physical lowering calls it freely, where it gates the
+// serial-vs-parallel operator choice and the join algorithm.
 func EstimateRows(p Plan, cat *Catalog) float64 {
 	switch n := p.(type) {
 	case *ScanPlan:
@@ -376,11 +456,11 @@ func scaleStats(in PlanStats, sel float64) PlanStats {
 	return PlanStats{Rows: rows, NDV: capNDV(in.NDV, rows)}
 }
 
-// estimateSelectivity estimates the fraction of rows satisfying cond.
-func estimateSelectivity(cond Expr, child Plan, cat *Catalog, in PlanStats) float64 {
+// selectivity estimates the fraction of rows satisfying cond.
+func (est *estimator) selectivity(cond Expr, child Plan, in PlanStats) float64 {
 	sel := 1.0
 	for _, c := range SplitConjuncts(cond) {
-		sel *= conjunctSelectivity(c, child, cat, in)
+		sel *= est.conjunctSelectivity(c, child, in)
 	}
 	if sel > 1 {
 		sel = 1
@@ -388,7 +468,7 @@ func estimateSelectivity(cond Expr, child Plan, cat *Catalog, in PlanStats) floa
 	return sel
 }
 
-func conjunctSelectivity(c Expr, child Plan, cat *Catalog, in PlanStats) float64 {
+func (est *estimator) conjunctSelectivity(c Expr, child Plan, in PlanStats) float64 {
 	switch e := c.(type) {
 	case *CmpExpr:
 		col, cst, op, ok := normalizeCmp(e)
@@ -403,7 +483,7 @@ func conjunctSelectivity(c Expr, child Plan, cat *Catalog, in PlanStats) float64
 			ndv := ndvOr(in.NDV, col, 1/defaultEqSel)
 			return 1 - 1/math.Max(1, ndv)
 		default:
-			if cs, ok2 := baseColStats(child, cat, col); ok2 && cs.HasRange {
+			if cs, ok2 := est.baseColStats(child, col); ok2 && cs.HasRange {
 				return rangeSelectivity(op, cst, cs)
 			}
 			return defaultRangeSel
@@ -413,20 +493,20 @@ func conjunctSelectivity(c Expr, child Plan, cat *Catalog, in PlanStats) float64
 		case AndOp:
 			s := 1.0
 			for _, a := range e.Args {
-				s *= conjunctSelectivity(a, child, cat, in)
+				s *= est.conjunctSelectivity(a, child, in)
 			}
 			return s
 		case OrOp:
 			s := 0.0
 			for _, a := range e.Args {
-				s += conjunctSelectivity(a, child, cat, in)
+				s += est.conjunctSelectivity(a, child, in)
 			}
 			if s > 1 {
 				s = 1
 			}
 			return s
 		default:
-			return 1 - conjunctSelectivity(e.Args[0], child, cat, in)
+			return 1 - est.conjunctSelectivity(e.Args[0], child, in)
 		}
 	case *InExpr:
 		cols := ExprColumns(e)
@@ -535,54 +615,46 @@ func residualSelectivity(residual Expr) float64 {
 }
 
 // baseColStats traces a column through simple plan shapes down to a
-// base relation to find range stats.
-func baseColStats(p Plan, cat *Catalog, col string) (ColStats, bool) {
+// leaf's table statistics to find range stats.
+func (est *estimator) baseColStats(p Plan, col string) (ColStats, bool) {
 	switch n := p.(type) {
-	case *ScanPlan:
-		ts := cat.Stats(n.Name)
-		if ts == nil {
-			return ColStats{}, false
-		}
-		cs, ok := ts.Cols[col]
-		if !ok {
-			// Suffix resolution, mirroring Schema.IndexOf.
-			for name, c := range ts.Cols {
-				if suffixAfterDot(name) == col {
-					return c, true
-				}
-			}
-		}
-		return cs, ok
-	case *ValuesPlan:
-		ts := ComputeStats(n.Rel)
-		cs, ok := ts.Cols[col]
-		return cs, ok
 	case *FilterPlan:
-		return baseColStats(n.Child, cat, col)
+		return est.baseColStats(n.Child, col)
 	case *ProjectPlan:
-		return baseColStats(n.Child, cat, col)
+		return est.baseColStats(n.Child, col)
 	case *JoinPlan:
-		if cs, ok := baseColStats(n.L, cat, col); ok {
+		if cs, ok := est.baseColStats(n.L, col); ok {
 			return cs, ok
 		}
-		return baseColStats(n.R, cat, col)
-	default:
+		return est.baseColStats(n.R, col)
+	}
+	ts := est.tableStats(p)
+	if ts == nil {
 		return ColStats{}, false
 	}
+	if cs, ok := ts.Cols[col]; ok {
+		return cs, true
+	}
+	// Suffix resolution, mirroring Schema.IndexOf.
+	for name, c := range ts.Cols {
+		if suffixAfterDot(name) == col {
+			return c, true
+		}
+	}
+	return ColStats{}, false
 }
 
 // EstimateCost computes a coarse total cost (rows processed) for a
-// physical-agnostic plan; used by the greedy join orderer.
+// physical-agnostic plan: the sum of every node's estimated output.
 func EstimateCost(p Plan, cat *Catalog) float64 {
+	est := newEstimator(cat)
 	cost := 0.0
-	var walk func(Plan) float64
-	walk = func(q Plan) float64 {
-		st := EstimateStats(q, cat)
+	var walk func(Plan)
+	walk = func(q Plan) {
 		for _, c := range q.Children() {
-			cost += walk(c)
+			walk(c)
 		}
-		cost += st.Rows
-		return st.Rows
+		cost += est.stats(q).Rows
 	}
 	walk(p)
 	return cost

@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -203,5 +204,156 @@ func TestEstimateRowsSourcePropagation(t *testing.T) {
 	// The gate itself: estimated rows clear the default threshold.
 	if !parallelWorthwhile(ExecConfig{}, EstimateRows(Project(src, "a"), cat)) {
 		t.Fatal("parallel gate should fire on a 50k-row stored scan")
+	}
+}
+
+// statsLeaf is a keyed Values leaf of n rows: k is a key, j = k mod
+// 10, v a ψ-style descriptor column.
+func statsLeaf(alias string, n int64) *ValuesPlan {
+	r := NewRelation(NewSchema(
+		Column{Name: alias + ".k", Kind: KindInt},
+		Column{Name: alias + ".j", Kind: KindInt},
+		Column{Name: alias + ".v", Kind: KindInt},
+	))
+	for i := int64(0); i < n; i++ {
+		r.Append(Tuple{Int(i), Int(i % 10), Int(i % 3)})
+	}
+	return Values(r, alias)
+}
+
+// TestPlanningPassScansEachAdHocLeafOnce: however often the join
+// orderer and the selectivity code revisit a leaf, one planning pass
+// runs ComputeStats at most once per distinct ad-hoc Values leaf, and
+// never for a leaf that carries its statistics.
+func TestPlanningPassScansEachAdHocLeafOnce(t *testing.T) {
+	cat := NewCatalog()
+	build := func() (Plan, []*ValuesPlan) {
+		leaves := []*ValuesPlan{statsLeaf("a", 40), statsLeaf("b", 400), statsLeaf("c", 90), statsLeaf("d", 15)}
+		var p Plan = leaves[0]
+		for i := 1; i < len(leaves); i++ {
+			l, r := leaves[i-1].Name, leaves[i].Name
+			p = Join(p, leaves[i], EqCols(l+".k", r+".k"))
+		}
+		// Range predicates send the estimator to the leaves' histograms
+		// (baseColStats) on top of the per-candidate join estimates.
+		return Filter(p, And(Cmp(LT, Col("a.k"), ConstInt(30)), Cmp(GT, Col("c.j"), ConstInt(2)))), leaves
+	}
+	p, leaves := build()
+	before := StatsScans()
+	if _, err := Optimize(p, cat); err != nil {
+		t.Fatal(err)
+	}
+	if got := StatsScans() - before; got < 1 || got > int64(len(leaves)) {
+		t.Fatalf("Optimize ran %d statistics scans over %d ad-hoc leaves", got, len(leaves))
+	}
+	before = StatsScans()
+	if _, err := Explain(p, cat, false); err != nil {
+		t.Fatal(err)
+	}
+	if got := StatsScans() - before; got > int64(len(leaves)) {
+		t.Fatalf("Explain ran %d statistics scans over %d ad-hoc leaves", got, len(leaves))
+	}
+	before = StatsScans()
+	EstimateCost(p, cat)
+	if got := StatsScans() - before; got > int64(len(leaves)) {
+		t.Fatalf("EstimateCost ran %d statistics scans over %d ad-hoc leaves", got, len(leaves))
+	}
+
+	// Leaves that travel with their statistics are never scanned.
+	p, leaves = build()
+	asked := 0
+	for _, lf := range leaves {
+		ts := ComputeStats(lf.Rel)
+		lf.Stats = func() *TableStats { asked++; return ts }
+	}
+	before = StatsScans()
+	if _, err := Optimize(p, cat); err != nil {
+		t.Fatal(err)
+	}
+	if got := StatsScans() - before; got != 0 {
+		t.Fatalf("Optimize ran %d statistics scans over leaves that carry statistics", got)
+	}
+	if asked < 1 || asked > len(leaves) {
+		t.Fatalf("statistics handles asked %d times for %d leaves", asked, len(leaves))
+	}
+}
+
+// TestPsiIsNotAJoinEdge: a ψ-style disjunct covers two inputs without
+// relating them, so the join orderer must not take it for a connection
+// and prefer the cross product it "connects" over a real equi join —
+// the stored-source cliff (ISSUE 16). The ψ conjunct still lands on
+// the join that first covers both its sides.
+func TestPsiIsNotAJoinEdge(t *testing.T) {
+	cat := NewCatalog()
+	a, b, c := statsLeaf("a", 30), statsLeaf("b", 300), statsLeaf("c", 20)
+	psi := Or(Cmp(NE, Col("a.v"), Col("c.v")), Cmp(EQ, Col("a.k"), Col("c.k")))
+	// a ⋈ b and b ⋈ c join on j (10 values), so each is estimated well
+	// above |a|·|c|; a and c share only ψ, and c is where greedy starts.
+	p := Join(Join(a, b, EqCols("a.j", "b.j")), c, And(EqCols("b.j", "c.j"), psi))
+	opt, err := Optimize(p, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joins, psiSeen := 0, false
+	var walk func(Plan)
+	walk = func(q Plan) {
+		if j, ok := q.(*JoinPlan); ok {
+			joins++
+			ls, _ := j.L.Schema(cat)
+			rs, _ := j.R.Schema(cat)
+			pairs, residual := ExtractEquiJoin(j.Cond, ls, rs)
+			if len(pairs) == 0 {
+				t.Errorf("join without an equi pair (a ψ-only cross product): %v", j.Cond)
+			}
+			if residual != nil && strings.Contains(residual.String(), "a.v") {
+				psiSeen = true
+			}
+		}
+		for _, ch := range q.Children() {
+			walk(ch)
+		}
+	}
+	walk(opt)
+	if joins != 2 || !psiSeen {
+		t.Fatalf("want 2 joins with ψ attached to one of them, got %d joins, ψ attached: %v", joins, psiSeen)
+	}
+	want, err := Run(p, cat, ExecConfig{DisableOptimizer: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(opt, cat, ExecConfig{DisableOptimizer: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.EqualAsBag(got) {
+		t.Fatalf("reordering changed the result: %d vs %d rows", got.Len(), want.Len())
+	}
+}
+
+// statsStub is a stubSource that knows its key column (StatsSource).
+type statsStub struct {
+	stubSource
+	key string
+}
+
+func (s *statsStub) SourceStats() *TableStats {
+	return &TableStats{Rows: s.rows, Cols: map[string]ColStats{s.key: {NDV: s.rows}}}
+}
+
+// TestSourceStatsMakeKeyJoinsKeyJoins: two storage leaves joined on
+// columns they report as keys estimate at the size of an input, not at
+// |L|·|R| over the default NDV; leaves that report nothing keep the
+// default.
+func TestSourceStatsMakeKeyJoinsKeyJoins(t *testing.T) {
+	cat := NewCatalog()
+	mk := func(alias string, rows float64) *statsStub {
+		return &statsStub{stubSource: stubSource{rows: rows, sch: NewSchema(Column{Name: alias + ".tid", Kind: KindInt})}, key: alias + ".tid"}
+	}
+	l, r := mk("l", 6000), mk("r", 6300)
+	if got := EstimateStats(Join(l, r, EqCols("l.tid", "r.tid")), cat).Rows; got < 600 || got > 63000 {
+		t.Fatalf("key join of 6000 and 6300 rows estimated at %g", got)
+	}
+	if got := EstimateStats(Join(&l.stubSource, &r.stubSource, EqCols("l.tid", "r.tid")), cat).Rows; got != 6000*6300/defaultNDV {
+		t.Fatalf("join of statistics-free sources estimated at %g, want the default-NDV estimate", got)
 	}
 }

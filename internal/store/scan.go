@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 
 	"urel/internal/engine"
 )
@@ -84,6 +85,17 @@ func (p *StoreScanPlan) EstimateRowCount() float64 {
 		}
 	}
 	return float64(rows)
+}
+
+// SourceStats reports what the scan knows without reading a segment
+// (engine.StatsSource): its row count, and that the tuple-id column is
+// close to a key — one row per tuple and alternative — so a tid-merge of
+// two partitions of one relation is estimated as the key join it is,
+// not divided by a default NDV.
+func (p *StoreScanPlan) SourceStats() *engine.TableStats {
+	rows := p.EstimateRowCount()
+	tid := p.Sch.Cols[2*p.Width].Name
+	return &engine.TableStats{Rows: rows, Cols: map[string]engine.ColStats{tid: {NDV: math.Max(1, rows)}}}
 }
 
 // BuildIter lowers the scan to its physical iterator.
