@@ -1,28 +1,27 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (Section 6), plus the ablations DESIGN.md calls out. Run
+// Micro-benchmarks (ungated) for the measurements the gated benchmark in
+// benchmark/ has no metric for: Algorithm 1 normalization, the two
+// reductions, the optimizer and join-algorithm ablations the knob audit
+// needs, and the serial-vs-parallel operators on synthetic input. Run
 // with:
 //
-//	go test -bench=. -benchmem
+//	go test -run=NONE -bench=. -benchmem
 //
-// Figure-faithful sweeps (the paper's full grid) live in cmd/urbench;
-// the testing.B benchmarks here pin representative parameter points so
-// they finish in laptop minutes while preserving every comparison the
-// paper makes. Custom metrics report answer sizes and representation
-// sizes alongside ns/op.
+// Performance claims are made with `go run -C benchmark .`, not here;
+// cmd/urbench regenerates the paper's figures.
 package urel_test
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
 	"urel/internal/bench"
+	"urel/internal/bench/wsd"
 	"urel/internal/core"
 	"urel/internal/engine"
 	"urel/internal/tpch"
-	"urel/internal/uldb"
-	"urel/internal/wsd"
 )
 
 // dbPool caches generated databases across benchmarks.
@@ -40,203 +39,6 @@ func benchDB(b *testing.B, s, x, z float64) *core.UDB {
 	}
 	dbPool.Store(key, db)
 	return db
-}
-
-// BenchmarkFigure9_Generate measures dataset generation and reports the
-// Figure 9 characteristics (log10 worlds, max local worlds, MB) as
-// custom metrics.
-func BenchmarkFigure9_Generate(b *testing.B) {
-	b.ReportAllocs()
-	for _, cfg := range []struct{ s, x, z float64 }{
-		{0.01, 0.01, 0.25},
-		{0.05, 0.01, 0.25},
-		{0.05, 0.1, 0.5},
-	} {
-		name := fmt.Sprintf("s=%g/x=%g/z=%g", cfg.s, cfg.x, cfg.z)
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var st tpch.Stats
-			for i := 0; i < b.N; i++ {
-				var err error
-				_, st, err = tpch.Generate(tpch.DefaultParams(cfg.s, cfg.x, cfg.z))
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(st.Log10Worlds, "log10worlds")
-			b.ReportMetric(float64(st.MaxLocalWorlds), "lworlds")
-			b.ReportMetric(float64(st.SizeBytes)/(1<<20), "MB")
-		})
-	}
-}
-
-// BenchmarkFigure11_AnswerSizes evaluates the three queries and reports
-// the representation-level and distinct answer sizes (Figure 11's
-// y-axis) as custom metrics.
-func BenchmarkFigure11_AnswerSizes(b *testing.B) {
-	b.ReportAllocs()
-	for _, qn := range []string{"Q1", "Q2", "Q3"} {
-		for _, x := range []float64{0.01, 0.1} {
-			name := fmt.Sprintf("%s/x=%g", qn, x)
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				db := benchDB(b, 0.05, x, 0.25)
-				q := tpch.Queries()[qn]
-				var m bench.QueryMeasurement
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var err error
-					m, err = bench.RunQuery(db, qn, q, engine.ExecConfig{})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(m.ReprRows), "repr_rows")
-				b.ReportMetric(float64(m.Distinct), "distinct")
-			})
-		}
-	}
-}
-
-// BenchmarkFigure12 times the three queries across a scale/x/z subset —
-// the log-log panels of Figure 12 as ns/op series.
-func BenchmarkFigure12(b *testing.B) {
-	b.ReportAllocs()
-	for _, qn := range []string{"Q1", "Q2", "Q3"} {
-		for _, s := range []float64{0.01, 0.05, 0.1} {
-			for _, x := range []float64{0.001, 0.01, 0.1} {
-				name := fmt.Sprintf("%s/s=%g/x=%g/z=0.25", qn, s, x)
-				b.Run(name, func(b *testing.B) {
-					b.ReportAllocs()
-					db := benchDB(b, s, x, 0.25)
-					q := tpch.Queries()[qn]
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := bench.RunQuery(db, qn, q, engine.ExecConfig{}); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFigure12_Correlation sweeps z at fixed scale/x (the paper's
-// per-panel z variation).
-func BenchmarkFigure12_Correlation(b *testing.B) {
-	b.ReportAllocs()
-	for _, qn := range []string{"Q1", "Q2", "Q3"} {
-		for _, z := range []float64{0.1, 0.25, 0.5} {
-			name := fmt.Sprintf("%s/z=%g", qn, z)
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				db := benchDB(b, 0.05, 0.01, z)
-				q := tpch.Queries()[qn]
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := bench.RunQuery(db, qn, q, engine.ExecConfig{}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFigure14 compares attribute-level U-relations, tuple-level
-// U-relations, and ULDBs on Q3 without poss (the paper's Figure 14
-// regime).
-func BenchmarkFigure14(b *testing.B) {
-	b.ReportAllocs()
-	const s, x, z = 0.01, 0.01, 0.1
-	db := benchDB(b, s, x, z)
-	q := tpch.Q3NoPoss()
-
-	b.Run("attribute-level", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			plan, _, err := db.Translate(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := engine.Run(plan, engine.NewCatalog(), engine.ExecConfig{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	tl, err := tpch.TupleLevelDB(db)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("tuple-level", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			plan, _, err := tl.Translate(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := engine.Run(plan, engine.NewCatalog(), engine.ExecConfig{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkSuccinctness_Chain measures the Figure 7 separation: the
-// σ_{A=B} answer on the chain world-set stays linear as a U-relation
-// while its normalization (= WSD) explodes; reported as metrics.
-func BenchmarkSuccinctness_Chain(b *testing.B) {
-	b.ReportAllocs()
-	for _, n := range []int{4, 8, 12} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			var rows, local int
-			for i := 0; i < b.N; i++ {
-				res, err := wsd.ChainSelectResult(n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows = res.Len()
-				local, err = wsd.NormalizedLocalWorlds(res)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(rows), "urel_rows")
-			b.ReportMetric(float64(local), "wsd_local")
-		})
-	}
-}
-
-// BenchmarkSuccinctness_OrSet measures the Theorem 5.6 separation
-// between attribute-level U-relations and ULDBs on or-set relations.
-func BenchmarkSuccinctness_OrSet(b *testing.B) {
-	b.ReportAllocs()
-	const n, arity, k = 10, 4, 3
-	b.Run("u-relations", func(b *testing.B) {
-		b.ReportAllocs()
-		var rows int
-		for i := 0; i < b.N; i++ {
-			db := uldb.OrSetUDB(n, arity, k)
-			rows = 0
-			for _, name := range db.RelNames() {
-				for _, p := range db.Rels[name].Parts {
-					rows += len(p.Rows)
-				}
-			}
-		}
-		b.ReportMetric(float64(rows), "rows")
-	})
-	b.Run("uldb", func(b *testing.B) {
-		b.ReportAllocs()
-		var alts int
-		for i := 0; i < b.N; i++ {
-			db := uldb.OrSetULDB(n, arity, k)
-			alts = db.Rels["r"].NumAlternatives()
-		}
-		b.ReportMetric(float64(alts), "alternatives")
-	})
 }
 
 // BenchmarkNormalize measures Algorithm 1 on query results of growing
@@ -258,44 +60,6 @@ func BenchmarkNormalize(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkCertainAnswers measures the normalize + Lemma 4.3 pipeline.
-func BenchmarkCertainAnswers(b *testing.B) {
-	b.ReportAllocs()
-	db := benchDB(b, 0.01, 0.01, 0.25)
-	q := core.Project(core.Rel("customer"), "c_custkey", "c_mktsegment")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.CertainAnswers(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkConfidence measures exact and Monte-Carlo confidence
-// computation on a query result (the Section 7 extension).
-func BenchmarkConfidence(b *testing.B) {
-	b.ReportAllocs()
-	db := benchDB(b, 0.01, 0.05, 0.25)
-	res, err := db.Eval(core.Project(core.Rel("customer"), "c_mktsegment"), engine.ExecConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("exact", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := res.Confidences(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("monte-carlo-10k", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res.ConfidencesMC(10000, int64(i))
-		}
-	})
 }
 
 // Ablation: merge placement / optimizer on-off (the paper's Figure 3
@@ -346,17 +110,37 @@ func BenchmarkAblation_JoinPhysical(b *testing.B) {
 	}
 }
 
+// syntheticJoinInput builds a deterministic relation (k int, s string,
+// v float) with n rows and keys distinct join keys, for controlled
+// serial-vs-parallel measurements.
+func syntheticJoinInput(n, keys int, prefix string, seed int64) *engine.Relation {
+	r := rand.New(rand.NewSource(seed))
+	rel := engine.NewRelation(engine.NewSchema(
+		engine.Column{Name: prefix + ".k", Kind: engine.KindInt},
+		engine.Column{Name: prefix + ".s", Kind: engine.KindString},
+		engine.Column{Name: prefix + ".v", Kind: engine.KindFloat},
+	))
+	names := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
+	for i := 0; i < n; i++ {
+		rel.Append(engine.Tuple{
+			engine.Int(int64(r.Intn(keys))),
+			engine.Str(names[r.Intn(len(names))]),
+			engine.Float(r.Float64()),
+		})
+	}
+	return rel
+}
+
 // BenchmarkParallelHashJoin compares the serial hash join against the
 // partitioned parallel hash join on synthetic equi joins with a
-// residual filter — the first entries of the engine's own perf
-// trajectory (not a paper figure). Run with GOMAXPROCS >= 4 to see the
-// partitioned speedup; on one core the parallel operator degrades
+// residual filter (not a paper figure). Run with GOMAXPROCS >= 4 to see
+// the partitioned speedup; on one core the parallel operator degrades
 // gracefully to near-serial cost.
 func BenchmarkParallelHashJoin(b *testing.B) {
 	b.ReportAllocs()
 	for _, n := range []int{20000, 100000} {
-		l := bench.SyntheticJoinInput(n, n/8+1, "l", 1)
-		r := bench.SyntheticJoinInput(n, n/8+1, "r", 2)
+		l := syntheticJoinInput(n, n/8+1, "l", 1)
+		r := syntheticJoinInput(n, n/8+1, "r", 2)
 		plan := engine.Join(
 			engine.Values(l, "l"), engine.Values(r, "r"),
 			engine.And(
@@ -393,7 +177,7 @@ func BenchmarkParallelHashJoin(b *testing.B) {
 func BenchmarkParallelFilter(b *testing.B) {
 	b.ReportAllocs()
 	const n = 400000
-	rel := bench.SyntheticJoinInput(n, 1000, "t", 3)
+	rel := syntheticJoinInput(n, 1000, "t", 3)
 	plan := engine.Filter(engine.Values(rel, "t"),
 		engine.Cmp(engine.LT, engine.Col("t.k"), engine.ConstInt(100)))
 	cat := engine.NewCatalog()
@@ -408,30 +192,6 @@ func BenchmarkParallelFilter(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := engine.Run(plan, cat, mode.cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFigure12_Parallel re-times the paper's Q1/Q2/Q3 with the
-// parallel operators enabled, against the serial ns/op of
-// BenchmarkFigure12.
-func BenchmarkFigure12_Parallel(b *testing.B) {
-	b.ReportAllocs()
-	// Threshold lowered below the default so the translated plans'
-	// partition inputs (a few thousand rows at s=0.05) actually choose
-	// the parallel operators.
-	cfg := engine.ExecConfig{Parallelism: -1, ParallelThreshold: 2048}
-	for _, qn := range []string{"Q1", "Q2", "Q3"} {
-		b.Run(qn+"/s=0.05/x=0.01/z=0.25", func(b *testing.B) {
-			b.ReportAllocs()
-			db := benchDB(b, 0.05, 0.01, 0.25)
-			q := tpch.Queries()[qn]
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunQuery(db, qn, q, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,5 +1,6 @@
 // Command urbench regenerates the tables and figures of the paper's
-// evaluation section on the Go substrate.
+// evaluation section on the Go substrate. It reproduces the paper; it
+// does not gate performance (that is `go run -C benchmark .`).
 //
 // Usage:
 //
@@ -10,82 +11,90 @@
 //	urbench -figure 13           # optimized plan for Q2
 //	urbench -figure 14           # attr vs tuple-level vs ULDB
 //	urbench -figure 6            # succinctness separations (Figs 6/7)
-//	urbench -figure parallel     # serial vs parallel join speedup
 //	urbench -figure all          # everything
 //	urbench -grid paper|quick|smoke  # sweep size (default quick)
-//	urbench -workers 8           # worker count for -figure parallel
 //	urbench -seed 7              # generator seed for every dataset
-//	urbench -save /tmp/snap      # persist the grid's datasets, then exit
-//	urbench -load /tmp/snap      # run figures from the stored databases
-//	urbench -json BENCH.json     # run the machine-readable trajectory
-//	                             # suite, write it, and exit
-//	urbench -compare a.json b.json  # compare two trajectory files,
-//	                             # exit 1 on a >25% regression
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"urel/internal/bench"
 )
 
+// figures lists what -figure accepts, in the order -figure all prints
+// them. paper is true under -grid paper, for the figures whose sweep is
+// not taken from the grid.
+var figures = []struct {
+	name string
+	run  func(g bench.Grid, paper bool) error
+}{
+	{"9", func(g bench.Grid, _ bool) error {
+		_, err := bench.Figure9(g, os.Stdout)
+		return err
+	}},
+	{"10", func(bench.Grid, bool) error {
+		_, err := bench.Figure10(0.01, 0.01, 0.25, os.Stdout)
+		return err
+	}},
+	{"11", func(g bench.Grid, _ bool) error {
+		_, err := bench.Figure11(g.Scales[len(g.Scales)-1], g, os.Stdout)
+		return err
+	}},
+	{"12", func(g bench.Grid, _ bool) error {
+		_, err := bench.Figure12(g, os.Stdout)
+		return err
+	}},
+	{"13", func(bench.Grid, bool) error {
+		_, err := bench.Figure13(0.1, 0.1, 0.1, os.Stdout)
+		return err
+	}},
+	{"14", func(_ bench.Grid, paper bool) error {
+		scales := []float64{0.01, 0.02, 0.05}
+		if paper {
+			scales = []float64{0.01, 0.05, 0.1}
+		}
+		_, err := bench.Figure14(scales, []float64{0.001, 0.01}, 0.1, os.Stdout)
+		return err
+	}},
+	{"6", func(bench.Grid, bool) error {
+		_, err := bench.Succinctness([]int{2, 4, 6, 8, 10, 12, 14, 16}, os.Stdout)
+		return err
+	}},
+}
+
+// figureNames is every value -figure accepts.
+func figureNames() []string {
+	names := []string{"all"}
+	for _, f := range figures {
+		names = append(names, f.name)
+	}
+	return names
+}
+
+// checkFigure rejects a -figure value that names no figure, so a typo
+// fails instead of printing nothing.
+func checkFigure(name string) error {
+	if slices.Contains(figureNames(), name) {
+		return nil
+	}
+	return fmt.Errorf("unknown figure %q (valid: %s)", name, strings.Join(figureNames(), ", "))
+}
+
 func main() {
-	figure := flag.String("figure", "all", "figure to regenerate: 6, 9, 10, 11, 12, 13, 14, parallel, all")
+	figure := flag.String("figure", "all", "figure to regenerate: "+strings.Join(figureNames(), ", "))
 	gridName := flag.String("grid", "quick", "parameter sweep: quick, paper, or smoke")
-	scale := flag.Float64("scale", 0, "override: single scale for figures 11/13/14")
-	workers := flag.Int("workers", 0, "worker goroutines for -figure parallel (0 = GOMAXPROCS)")
 	seed := flag.Int64("seed", 0, "generator seed for every dataset of the sweep (0 = tpch default)")
-	saveDir := flag.String("save", "", "generate the grid's datasets, persist them under this directory, and exit")
-	loadDir := flag.String("load", "", "run figures against databases previously saved with -save (cold, segment-backed scans)")
-	jsonPath := flag.String("json", "", "run the machine-readable benchmark suite, write it to this file, and exit")
-	compare := flag.Bool("compare", false, "compare two benchmark JSON files (old new); exit 1 on regression")
-	tolerance := flag.Float64("tolerance", 0.25, "fractional regression tolerance for -compare")
 	flag.Parse()
 
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "urbench: -compare needs two files: old.json new.json")
-			os.Exit(2)
-		}
-		old, err := bench.ReadReport(flag.Arg(0))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "urbench:", err)
-			os.Exit(1)
-		}
-		cur, err := bench.ReadReport(flag.Arg(1))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "urbench:", err)
-			os.Exit(1)
-		}
-		regressions := bench.CompareReports(old, cur, *tolerance, os.Stdout)
-		if len(regressions) > 0 {
-			fmt.Fprintf(os.Stderr, "urbench: %d regression(s):\n", len(regressions))
-			for _, r := range regressions {
-				fmt.Fprintln(os.Stderr, "  "+r)
-			}
-			os.Exit(1)
-		}
-		fmt.Println("no regressions past tolerance")
-		return
+	if err := checkFigure(*figure); err != nil {
+		fmt.Fprintln(os.Stderr, "urbench:", err)
+		os.Exit(2)
 	}
-
-	if *jsonPath != "" {
-		rep, err := bench.JSONSuite(os.Stdout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "urbench: json suite:", err)
-			os.Exit(1)
-		}
-		if err := bench.WriteReport(rep, *jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "urbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d metrics, %s %s/%s)\n",
-			*jsonPath, len(rep.Results), rep.GoVersion, rep.GOOS, rep.GOARCH)
-		return
-	}
-
 	grid := bench.QuickGrid()
 	switch *gridName {
 	case "paper":
@@ -94,72 +103,15 @@ func main() {
 		grid = bench.SmokeGrid()
 	}
 	grid.Seed = *seed
-	grid.Dir = *loadDir
 
-	if *saveDir != "" {
-		if err := bench.SaveGrid(grid, *saveDir, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "urbench: save: %v\n", err)
-			os.Exit(1)
+	for _, f := range figures {
+		if *figure != "all" && *figure != f.name {
+			continue
 		}
-		return
-	}
-	fig11Scale := grid.Scales[len(grid.Scales)-1]
-	if *scale > 0 {
-		fig11Scale = *scale
-	}
-
-	run := func(name string, f func() error) {
-		if *figure != "all" && *figure != name {
-			return
-		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "urbench: figure %s: %v\n", name, err)
+		if err := f.run(grid, *gridName == "paper"); err != nil {
+			fmt.Fprintf(os.Stderr, "urbench: figure %s: %v\n", f.name, err)
 			os.Exit(1)
 		}
 		fmt.Println()
 	}
-
-	run("9", func() error {
-		_, err := bench.Figure9(grid, os.Stdout)
-		return err
-	})
-	run("10", func() error {
-		_, err := bench.Figure10(0.01, 0.01, 0.25, os.Stdout)
-		return err
-	})
-	run("11", func() error {
-		_, err := bench.Figure11(fig11Scale, grid, os.Stdout)
-		return err
-	})
-	run("12", func() error {
-		_, err := bench.Figure12(grid, os.Stdout)
-		return err
-	})
-	run("13", func() error {
-		_, err := bench.Figure13(0.1, 0.1, 0.1, os.Stdout)
-		return err
-	})
-	run("14", func() error {
-		scales := []float64{0.01, 0.02, 0.05}
-		xs := []float64{0.001, 0.01}
-		if *gridName == "paper" {
-			scales = []float64{0.01, 0.05, 0.1}
-		}
-		_, err := bench.Figure14(scales, xs, 0.1, os.Stdout)
-		return err
-	})
-	run("6", func() error {
-		_, err := bench.Succinctness([]int{2, 4, 6, 8, 10, 12, 14, 16}, os.Stdout)
-		return err
-	})
-	run("parallel", func() error {
-		sizes := []int{20000, 100000}
-		reps := 3
-		if *gridName == "paper" {
-			sizes = []int{20000, 100000, 400000}
-			reps = 5
-		}
-		_, err := bench.ParallelJoinSweep(sizes, *workers, reps, os.Stdout)
-		return err
-	})
 }

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	urquery -q Q2 -scale 0.1 -x 0.01 -z 0.25 [-explain] [-limit 20] [-workers N]
-//	urquery -db /tmp/snap/s0.1_x0.01_z0.25_m8_p0.25_seed42 -q Q2
+//	urquery -db /data/db -q Q2
 //	urquery -sql "possible select l_extendedprice from lineitem where l_quantity < 24"
 //	urquery -sql "certain select c_mktsegment from customer where c_custkey < 5"
 //	urquery -sql "conf select o_shippriority from orders where o_orderkey < 8"
@@ -14,7 +14,7 @@
 //	urquery -db /data/db -sql "insert into nation values (25, 'ATLANTIS', 1)"
 //	urquery -db /data/db -sql "delete from lineitem where l_quantity <= 5"
 //
-// With -db the query runs against a database stored by urbench -save
+// With -db the query runs against a database stored by urgen -save
 // (or urel.Save): partitions stay on disk and are scanned segment by
 // segment, so nothing is regenerated. DML statements (INSERT, DELETE,
 // UPDATE) require -db: the directory opens through the transactional
@@ -44,7 +44,7 @@ func main() {
 	x := flag.Float64("x", 0.01, "uncertainty ratio")
 	z := flag.Float64("z", 0.25, "correlation ratio")
 	seed := flag.Int64("seed", 42, "generator seed")
-	dbdir := flag.String("db", "", "query a stored database directory (urbench -save) instead of generating")
+	dbdir := flag.String("db", "", "query a stored database directory (urgen -save) instead of generating")
 	explain := flag.Bool("explain", false, "print the optimized physical plan instead of running")
 	analyze := flag.Bool("analyze", false, "execute with operator tracing and print the plan annotated with actual rows, timings, and store statistics (EXPLAIN ANALYZE)")
 	noopt := flag.Bool("no-optimizer", false, "disable the engine optimizer")
@@ -216,7 +216,7 @@ func main() {
 // commit did.
 func runDML(dbdir string, st sqlparse.Statement, workers int) {
 	if dbdir == "" {
-		fmt.Fprintln(os.Stderr, "urquery: DML needs a stored database: pass -db <dir> (urbench -save)")
+		fmt.Fprintln(os.Stderr, "urquery: DML needs a stored database: pass -db <dir> (urgen -save)")
 		os.Exit(2)
 	}
 	d, err := txn.Open(dbdir, txn.Options{Parallelism: workers})

@@ -1,6 +1,6 @@
 // Command urserved serves U-relational databases over HTTP/JSON: the
 // sqlparse dialect ([POSSIBLE|CERTAIN|CONF] SELECT ...) against one or
-// more catalogs saved with urel.Save / urbench -save, with a shared
+// more catalogs saved with urel.Save / urgen -save, with a shared
 // decoded-segment cache, a plan cache, and admission control. With
 // -rw the catalogs open through the transactional write path: DML
 // statements (INSERT/DELETE/UPDATE) execute on POST /exec, reads serve
@@ -14,7 +14,7 @@
 // Usage:
 //
 //	urserved -addr :8080 -db /path/to/saved/db
-//	urserved -db tpch=/snap/s0.1_x0.01_... -db vehicles=/data/vehicles
+//	urserved -db tpch=/data/tpch -db vehicles=/data/vehicles
 //	urserved -db /data/db -max-concurrent 16 -row-limit 1000000 -timeout 30s
 //	urserved -db /data/db -rw
 //	urserved -coordinator topology.json

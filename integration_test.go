@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"urel"
+	"urel/internal/bench"
+	"urel/internal/bench/uldb"
+	"urel/internal/bench/wsd"
 	"urel/internal/core"
 	"urel/internal/engine"
 	"urel/internal/sqlparse"
 	"urel/internal/tpch"
-	"urel/internal/uldb"
-	"urel/internal/wsd"
 )
 
 // TestIntegrationFullPipeline drives the complete stack end to end on a
@@ -143,7 +144,7 @@ func TestIntegrationTupleLevelAndULDB(t *testing.T) {
 	if err := copyRelation(cdb, tl, "customer"); err != nil {
 		t.Fatal(err)
 	}
-	udb, err := tpch.ULDBFromTupleLevel(cdb)
+	udb, err := bench.ULDBFromTupleLevel(cdb)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
-// Package bench is the experiment harness: it regenerates every table
-// and figure of the paper's evaluation (Section 6) on the Go substrate.
-// The drivers are shared by cmd/urbench, the repository's testing.B
-// benchmarks, and EXPERIMENTS.md.
+// Package bench regenerates the tables and figures of the paper's
+// evaluation (Section 6: Fig. 6/7, 9, 10, 11, 12, 13, 14) on the Go
+// substrate; cmd/urbench prints them. The paper's baselines live below
+// it (bench/uldb, bench/wsd). It is not where performance is measured:
+// the gated benchmark in benchmark/ is, and links none of this.
 package bench
 
 import (
@@ -54,56 +55,25 @@ func RunQuery(db *core.UDB, name string, q core.Query, cfg engine.ExecConfig) (Q
 	}, nil
 }
 
-// dbCache avoids regenerating identical datasets across figures within
-// one harness run. When the grid names a snapshot directory, stored
-// databases are opened from disk instead of being regenerated.
-type dbCache struct {
-	dir string
-	m   map[string]cached
-}
+// dbCache avoids regenerating identical datasets within one figure.
+type dbCache map[string]cached
 
 type cached struct {
 	db *core.UDB
 	st tpch.Stats
 }
 
-func newCache(g Grid) *dbCache { return &dbCache{dir: g.Dir, m: map[string]cached{}} }
-
-func (c *dbCache) get(p tpch.Params) (*core.UDB, tpch.Stats, error) {
+func (c dbCache) get(p tpch.Params) (*core.UDB, tpch.Stats, error) {
 	k := p.String() + fmt.Sprintf(" seed=%d", p.Seed)
-	if e, ok := c.m[k]; ok {
+	if e, ok := c[k]; ok {
 		return e.db, e.st, nil
-	}
-	if c.dir != "" {
-		// A named snapshot directory is a promise that the figures run
-		// from disk: a missing or unreadable snapshot is an error, not a
-		// silent fall-back to freshly generated in-memory data.
-		dir := SnapshotDir(c.dir, p)
-		db, st, err := LoadSnapshot(dir)
-		if err != nil {
-			return nil, tpch.Stats{}, fmt.Errorf(
-				"bench: snapshot %s: %w (create it with urbench -save and the same -seed, or drop -load)", dir, err)
-		}
-		c.m[k] = cached{db: db, st: st}
-		return db, st, nil
 	}
 	db, st, err := tpch.Generate(p)
 	if err != nil {
 		return nil, tpch.Stats{}, err
 	}
-	c.m[k] = cached{db: db, st: st}
+	c[k] = cached{db: db, st: st}
 	return db, st, nil
-}
-
-// Close releases the storage backings of every cached database (a
-// no-op for generated in-memory ones). Figures close their cache when
-// they finish so a multi-figure run does not accumulate open segment
-// files across the whole sweep.
-func (c *dbCache) Close() {
-	for _, e := range c.m {
-		e.db.Close()
-	}
-	c.m = map[string]cached{}
 }
 
 // Grid bundles the parameter sweep of the paper's Section 6. The
@@ -114,14 +84,8 @@ type Grid struct {
 	Xs     []float64 // excluding the x=0 baseline where not applicable
 	Reps   int       // repetitions per point (paper: 4, median)
 	// Seed overrides the generator seed for every dataset of the sweep
-	// (0 keeps the tpch default), so snapshots are reproducible
-	// run-to-run.
+	// (0 keeps the tpch default).
 	Seed int64
-	// Dir, when non-empty, is a snapshot directory written by SaveGrid:
-	// the harness opens stored databases from it (cold, segment-backed)
-	// instead of regenerating, falling back to generation for datasets
-	// that are not present.
-	Dir string
 }
 
 // params builds the tpch parameters for one sweep point, honoring the
@@ -155,8 +119,6 @@ func QuickGrid() Grid {
 }
 
 // SmokeGrid returns a single-point grid: one small dataset, one rep.
-// CI uses it to snapshot a dataset for the server stress job in
-// seconds.
 func SmokeGrid() Grid {
 	return Grid{
 		Scales: []float64{0.01},

@@ -1,13 +1,15 @@
 package bench
 
 import (
+	"fmt"
 	"io"
 	"time"
 
+	"urel/internal/bench/uldb"
+	"urel/internal/bench/wsd"
+	"urel/internal/core"
 	"urel/internal/engine"
 	"urel/internal/tpch"
-	"urel/internal/uldb"
-	"urel/internal/wsd"
 )
 
 // Fig9Cell is one (scale, z, x) measurement of Figure 9: world count,
@@ -24,8 +26,7 @@ type Fig9Cell struct {
 // total number of worlds (as 10^k), the maximum number of local worlds
 // of a variable, and the representation size.
 func Figure9(g Grid, w io.Writer) ([]Fig9Cell, error) {
-	cache := newCache(g)
-	defer cache.Close()
+	cache := dbCache{}
 	var out []Fig9Cell
 	fprintf(w, "Figure 9: world counts and database sizes\n")
 	fprintf(w, "%-6s %-5s | %-8s | %s\n", "scale", "z", "x=0 MB",
@@ -70,8 +71,7 @@ type Fig11Cell struct {
 // sizes as a function of the uncertainty ratio, one series per
 // correlation ratio, at the given scale.
 func Figure11(scale float64, g Grid, w io.Writer) ([]Fig11Cell, error) {
-	cache := newCache(g)
-	defer cache.Close()
+	cache := dbCache{}
 	var out []Fig11Cell
 	fprintf(w, "Figure 11: query answer sizes at scale %g\n", scale)
 	fprintf(w, "%-5s %-5s %-7s %12s %12s\n", "query", "z", "x", "repr rows", "distinct")
@@ -108,8 +108,7 @@ type Fig12Cell struct {
 // time of each query as a function of scale, one panel per (query, z),
 // one series per x.
 func Figure12(g Grid, w io.Writer) ([]Fig12Cell, error) {
-	cache := newCache(g)
-	defer cache.Close()
+	cache := dbCache{}
 	var out []Fig12Cell
 	fprintf(w, "Figure 12: query evaluation times (median of %d runs)\n", g.Reps)
 	fprintf(w, "%-5s %-5s %-7s %-6s %12s\n", "query", "z", "x", "scale", "median")
@@ -248,7 +247,7 @@ func figure14Cell(s, x, z float64) (Fig14Cell, error) {
 	cell.TupleTime = time.Since(start)
 
 	// ULDB evaluation (lineage propagation, no minimization).
-	udb, err := tpch.ULDBFromTupleLevel(tl)
+	udb, err := ULDBFromTupleLevel(tl)
 	if err != nil {
 		return Fig14Cell{}, err
 	}
@@ -259,6 +258,36 @@ func figure14Cell(s, x, z float64) (Fig14Cell, error) {
 	}
 	cell.ULDBTime = time.Since(start)
 	return cell, nil
+}
+
+// ULDBFromTupleLevel maps a tuple-level database into a ULDB (the
+// paper's "rather direct mapping"): one x-tuple per tuple id with one
+// alternative per tuple-level row, plus auxiliary x-tuples standing for
+// the world-set variables, referenced through lineage.
+func ULDBFromTupleLevel(db *core.UDB) (*uldb.DB, error) {
+	out := uldb.NewDB()
+	ids := uldb.NewIDGen(1 << 40)
+	for _, rel := range db.RelNames() {
+		rs := db.Rels[rel]
+		if len(rs.Parts) != 1 {
+			return nil, fmt.Errorf("bench: relation %q is not tuple-level", rel)
+		}
+		res, err := db.Eval(core.Rel(rel), engine.ExecConfig{})
+		if err != nil {
+			return nil, err
+		}
+		main, aux, err := uldb.FromTupleLevelResult(res, rel, ids)
+		if err != nil {
+			return nil, err
+		}
+		// Register under the database (AddRelation keeps declaration
+		// order); attribute names drop the alias qualification.
+		mr := out.AddRelation(rel, rs.Attrs...)
+		mr.XTs = main.XTs
+		ar := out.AddRelation(rel+"_vars", "var", "rng")
+		ar.XTs = aux.XTs
+	}
+	return out, nil
 }
 
 // runQ3ULDB evaluates Q3's join tree with lineage propagation over the

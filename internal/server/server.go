@@ -32,7 +32,7 @@ func ListenAndServe(addr string, s *Server) error {
 // back to the documented defaults at New.
 type Config struct {
 	// Catalogs maps catalog names to saved database directories
-	// (urel.Save / urbench -save); each is opened at New with the
+	// (urel.Save / urgen -save); each is opened at New with the
 	// shared segment cache attached.
 	Catalogs map[string]string
 

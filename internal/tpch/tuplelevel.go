@@ -1,11 +1,8 @@
 package tpch
 
 import (
-	"fmt"
-
 	"urel/internal/core"
 	"urel/internal/engine"
-	"urel/internal/uldb"
 )
 
 // TupleLevel reconstructs one relation of the attribute-level database
@@ -56,36 +53,6 @@ func TupleLevelDB(db *core.UDB) (*core.UDB, error) {
 		for _, row := range res.Rows {
 			part.Add(row.D, row.TIDs[0].AsInt(), row.Vals...)
 		}
-	}
-	return out, nil
-}
-
-// ULDBFromTupleLevel maps a tuple-level database into a ULDB (the
-// paper's "rather direct mapping"): one x-tuple per tuple id with one
-// alternative per tuple-level row, plus auxiliary x-tuples standing for
-// the world-set variables, referenced through lineage.
-func ULDBFromTupleLevel(db *core.UDB) (*uldb.DB, error) {
-	out := uldb.NewDB()
-	ids := uldb.NewIDGen(1 << 40)
-	for _, rel := range db.RelNames() {
-		rs := db.Rels[rel]
-		if len(rs.Parts) != 1 {
-			return nil, fmt.Errorf("tpch: relation %q is not tuple-level", rel)
-		}
-		res, err := db.Eval(core.Rel(rel), engine.ExecConfig{})
-		if err != nil {
-			return nil, err
-		}
-		main, aux, err := uldb.FromTupleLevelResult(res, rel, ids)
-		if err != nil {
-			return nil, err
-		}
-		// Register under the database (AddRelation keeps declaration
-		// order); attribute names drop the alias qualification.
-		mr := out.AddRelation(rel, rs.Attrs...)
-		mr.XTs = main.XTs
-		ar := out.AddRelation(rel+"_vars", "var", "rng")
-		ar.XTs = aux.XTs
 	}
 	return out, nil
 }
