@@ -89,60 +89,62 @@ func (h *HashAggIter) Open() error {
 	scratch := make(Tuple, len(gidx))
 	var kbuf []byte
 	for {
-		row, ok, err := h.In.Next()
+		batch, ok, err := h.In.NextBatch()
 		if err != nil {
 			return err
 		}
 		if !ok {
 			break
 		}
-		for i, j := range gidx {
-			scratch[i] = row[j]
-		}
-		// Non-allocating lookup on the common (existing group) path; a
-		// fresh group copies the key tuple once.
-		kbuf = AppendKey(kbuf[:0], scratch)
-		st, ok2 := groups[string(kbuf)]
-		if !ok2 {
-			n := len(h.Aggs)
-			st = &aggState{
-				key: scratch.Clone(), count: make([]int64, n), sum: make([]float64, n),
-				sumInt: make([]int64, n), isInt: make([]bool, n),
-				min: make([]Value, n), max: make([]Value, n), seen: make([]bool, n),
+		for _, row := range batch {
+			for i, j := range gidx {
+				scratch[i] = row[j]
 			}
-			for i := range st.isInt {
-				st.isInt[i] = true
-			}
-			groups[string(kbuf)] = st
-		}
-		for i, a := range h.Aggs {
-			var v Value
-			if aidx[i] >= 0 {
-				v = row[aidx[i]]
-			} else {
-				v = Int(1)
-			}
-			if v.IsNull() && a.Fn != AggCount {
-				continue
-			}
-			st.count[i]++
-			switch a.Fn {
-			case AggSum, AggAvg:
-				if v.K == KindFloat {
-					st.isInt[i] = false
+			// Non-allocating lookup on the common (existing group) path; a
+			// fresh group copies the key tuple once.
+			kbuf = AppendKey(kbuf[:0], scratch)
+			st, ok2 := groups[string(kbuf)]
+			if !ok2 {
+				n := len(h.Aggs)
+				st = &aggState{
+					key: scratch.Clone(), count: make([]int64, n), sum: make([]float64, n),
+					sumInt: make([]int64, n), isInt: make([]bool, n),
+					min: make([]Value, n), max: make([]Value, n), seen: make([]bool, n),
 				}
-				st.sum[i] += v.AsFloat()
-				st.sumInt[i] += v.AsInt()
-			case AggMin:
-				if !st.seen[i] || Compare(v, st.min[i]) < 0 {
-					st.min[i] = v
+				for i := range st.isInt {
+					st.isInt[i] = true
 				}
-			case AggMax:
-				if !st.seen[i] || Compare(v, st.max[i]) > 0 {
-					st.max[i] = v
-				}
+				groups[string(kbuf)] = st
 			}
-			st.seen[i] = true
+			for i, a := range h.Aggs {
+				var v Value
+				if aidx[i] >= 0 {
+					v = row[aidx[i]]
+				} else {
+					v = Int(1)
+				}
+				if v.IsNull() && a.Fn != AggCount {
+					continue
+				}
+				st.count[i]++
+				switch a.Fn {
+				case AggSum, AggAvg:
+					if v.K == KindFloat {
+						st.isInt[i] = false
+					}
+					st.sum[i] += v.AsFloat()
+					st.sumInt[i] += v.AsInt()
+				case AggMin:
+					if !st.seen[i] || Compare(v, st.min[i]) < 0 {
+						st.min[i] = v
+					}
+				case AggMax:
+					if !st.seen[i] || Compare(v, st.max[i]) > 0 {
+						st.max[i] = v
+					}
+				}
+				st.seen[i] = true
+			}
 		}
 	}
 	// Build output schema and rows.
@@ -228,13 +230,11 @@ func (h *HashAggIter) Open() error {
 	return nil
 }
 
-func (h *HashAggIter) Next() (Tuple, bool, error) {
-	if h.out == nil || h.pos >= len(h.out.Rows) {
+func (h *HashAggIter) NextBatch() ([]Tuple, bool, error) {
+	if h.out == nil {
 		return nil, false, nil
 	}
-	t := h.out.Rows[h.pos]
-	h.pos++
-	return t, true, nil
+	return Window(h.out.Rows, &h.pos)
 }
 
 func (h *HashAggIter) Close() error { h.out = nil; return h.In.Close() }

@@ -1,16 +1,16 @@
 package engine
 
 // This file is the columnar half of the execution engine: a
-// struct-of-arrays batch representation (ColBatch / ColVec), the
-// iterator protocol that moves it (ColBatchIterator), and the two-way
-// adapters between columnar and row execution. The representation
-// mirrors what modern vectorized engines use: one typed vector per
-// column, a null marker array, and a selection vector so filters
-// narrow batches without moving any data. The storage layer's segments
-// are already columnar, so a columnar scan hands its vectors upward
-// with no transposition at all; row-major sources are adapted by a
-// per-batch transpose, and any row consumer above a columnar subtree
-// materializes tuples only at the boundary.
+// struct-of-arrays batch representation (ColBatch / ColVec) and the
+// optional capability that moves it (ColBatchIterator). The
+// representation mirrors what modern vectorized engines use: one typed
+// vector per column, a null marker array, and a selection vector so
+// filters narrow batches without moving any data. The storage layer's
+// segments are already columnar, so a columnar scan hands its vectors
+// upward with no transposition at all, and the filters and projections
+// directly above it work on those vectors; the topmost of them
+// materializes tuples once, in its NextBatch, for whichever row
+// operator sits above.
 
 // ColVec is one column of a ColBatch. It has two layouts:
 //
@@ -132,7 +132,7 @@ func (b *ColBatch) ReadRow(k int, dst Tuple) Tuple {
 // Materialize converts the live rows to tuples. The returned []Tuple
 // reuses rowsBuf's backing array, but the tuple cells are freshly
 // allocated (one arena per call), so the tuples themselves remain
-// valid indefinitely — matching the BatchIterator contract, under
+// valid indefinitely — matching the Iterator.NextBatch contract, under
 // which consumers may retain tuples but not the batch slice.
 func (b *ColBatch) Materialize(rowsBuf []Tuple) []Tuple {
 	n := b.Rows()
@@ -150,99 +150,30 @@ func (b *ColBatch) Materialize(rowsBuf []Tuple) []Tuple {
 	return rows
 }
 
-// ColBatchIterator is the columnar fast path of the iterator protocol.
-// Operators that can produce column batches implement it; Columnar
-// adapts everything else. As with NextBatch, the returned batch (its
-// Sel and Cols headers) is owned by the caller only until the next
-// NextColBatch call; column payloads are immutable. A consumer must
-// drive an iterator through exactly one of Next, NextBatch, or
-// NextColBatch.
+// ColBatchIterator is the optional columnar capability of an Iterator:
+// a natively columnar source, and the filters, projections and trace
+// wrappers stacked directly on one, can hand their rows upward as
+// column batches instead of tuples. A parent finds it with
+// NativeColumnar at Open and then pulls either NextColBatch or
+// NextBatch for the whole stream, never both.
 type ColBatchIterator interface {
 	Iterator
 	// NextColBatch returns the next non-empty column batch, or ok=false
-	// at end of stream.
+	// at end of stream. The batch (its Sel and Cols headers) is borrowed
+	// until the next call; column payloads are immutable. It may only be
+	// called on an opened iterator whose ColumnarNative reports true.
 	NextColBatch() (*ColBatch, bool, error)
-	// ColumnarNative reports whether driving NextColBatch avoids a
-	// row-to-column transpose — i.e. the operator (and, for unary
-	// operators, its input chain) produces columns natively. Consumers
-	// use it to pick the cheaper representation; NextColBatch works
-	// either way.
+	// ColumnarNative reports whether the operator's input chain is
+	// columnar all the way down to a columnar source.
 	ColumnarNative() bool
 }
 
-// NativeColumnar returns the columnar fast path of it when driving it
-// is genuinely columnar end-to-end (no hidden transpose), else nil and
-// false.
+// NativeColumnar returns the columnar capability of it, or nil and
+// false when it (or something beneath it) produces rows.
 func NativeColumnar(it Iterator) (ColBatchIterator, bool) {
 	c, ok := it.(ColBatchIterator)
 	if !ok || !c.ColumnarNative() {
 		return nil, false
 	}
 	return c, true
-}
-
-// Columnar adapts any Iterator to a ColBatchIterator: native columnar
-// implementations are returned unchanged; everything else gets a
-// transposing adapter over its (row) batches.
-func Columnar(it Iterator) ColBatchIterator {
-	if c, ok := it.(ColBatchIterator); ok {
-		return c
-	}
-	return &rowColAdapter{in: it}
-}
-
-// rowColAdapter transposes row batches into generic column vectors.
-type rowColAdapter struct {
-	in  Iterator
-	bin BatchIterator
-	cb  ColBatch
-}
-
-func (a *rowColAdapter) Open() error                { a.bin = nil; return a.in.Open() }
-func (a *rowColAdapter) Close() error               { return a.in.Close() }
-func (a *rowColAdapter) Schema() Schema             { return a.in.Schema() }
-func (a *rowColAdapter) ColumnarNative() bool       { return false }
-func (a *rowColAdapter) Next() (Tuple, bool, error) { return a.in.Next() }
-
-func (a *rowColAdapter) NextBatch() ([]Tuple, bool, error) {
-	if a.bin == nil {
-		a.bin = Batched(a.in)
-	}
-	return a.bin.NextBatch()
-}
-
-func (a *rowColAdapter) NextColBatch() (*ColBatch, bool, error) {
-	if a.bin == nil {
-		a.bin = Batched(a.in)
-	}
-	rows, ok, err := a.bin.NextBatch()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	transposeInto(&a.cb, a.in.Schema(), rows)
-	return &a.cb, true, nil
-}
-
-// transposeInto fills cb with the columns of rows. The cell arena is
-// freshly allocated per batch because upstream row cells are stable
-// but the adapter's output vectors must survive until its next call
-// even if the upstream reuses its batch slice.
-func transposeInto(cb *ColBatch, sch Schema, rows []Tuple) {
-	nc := sch.Len()
-	n := len(rows)
-	if cap(cb.Cols) < nc {
-		cb.Cols = make([]ColVec, nc)
-	}
-	cb.Cols = cb.Cols[:nc]
-	arena := make([]Value, n*nc)
-	for c := 0; c < nc; c++ {
-		vals := arena[c*n : (c+1)*n : (c+1)*n]
-		for r, row := range rows {
-			vals[r] = row[c]
-		}
-		cb.Cols[c] = GenericVec(vals)
-	}
-	cb.Sch = sch
-	cb.N = n
-	cb.Sel = nil
 }

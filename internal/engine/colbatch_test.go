@@ -10,12 +10,16 @@ import (
 // serves typed column vectors (with null markers) built once from the
 // relation's rows, standing in for a columnar storage layer so engine
 // tests can exercise the columnar operator paths without importing the
-// store package.
+// store package. It counts how it was pulled, so a test can tell which
+// representation the operators above it asked for.
 type colSource struct {
-	rel   *Relation
-	chunk int // rows per batch
-	pos   int
-	cb    ColBatch
+	rel     *Relation
+	chunk   int  // rows per batch
+	generic bool // serve every column as a generic (tagged-value) vector
+	pos     int
+	cb      ColBatch
+
+	rowCalls, colCalls int // NextBatch / NextColBatch calls received
 }
 
 func newColSource(rel *Relation, chunk int) *colSource {
@@ -30,26 +34,24 @@ func (c *colSource) Close() error         { return nil }
 func (c *colSource) Schema() Schema       { return c.rel.Sch }
 func (c *colSource) ColumnarNative() bool { return true }
 
-func (c *colSource) Next() (Tuple, bool, error) {
-	if c.pos >= len(c.rel.Rows) {
-		return nil, false, nil
-	}
-	t := c.rel.Rows[c.pos]
-	c.pos++
-	return t, true, nil
-}
-
 func (c *colSource) NextBatch() ([]Tuple, bool, error) {
-	cb, ok, err := c.NextColBatch()
-	if err != nil || !ok {
-		return nil, false, err
+	c.rowCalls++
+	cb, ok := c.nextCols()
+	if !ok {
+		return nil, false, nil
 	}
 	return cb.Materialize(nil), true, nil
 }
 
 func (c *colSource) NextColBatch() (*ColBatch, bool, error) {
+	c.colCalls++
+	cb, ok := c.nextCols()
+	return cb, ok, nil
+}
+
+func (c *colSource) nextCols() (*ColBatch, bool) {
 	if c.pos >= len(c.rel.Rows) {
-		return nil, false, nil
+		return nil, false
 	}
 	end := c.pos + c.chunk
 	if end > len(c.rel.Rows) {
@@ -62,7 +64,7 @@ func (c *colSource) NextColBatch() (*ColBatch, bool, error) {
 	for ci, col := range c.rel.Sch.Cols {
 		// Build a typed vector when every non-null cell matches the
 		// declared kind; otherwise fall back to a generic vector.
-		typed := true
+		typed := !c.generic
 		for _, row := range rows {
 			if !row[ci].IsNull() && row[ci].K != col.Kind {
 				typed = false
@@ -118,7 +120,7 @@ func (c *colSource) NextColBatch() (*ColBatch, bool, error) {
 		}
 	}
 	c.cb = ColBatch{Sch: c.rel.Sch, Cols: cols, N: n}
-	return &c.cb, true, nil
+	return &c.cb, true
 }
 
 // randPredicates returns the predicate menu the property tests draw
@@ -173,9 +175,10 @@ func randColInput(r *rand.Rand, n int, prefix string) *Relation {
 }
 
 // TestFilterColumnarRowEquivalence runs every predicate shape through
-// the row filter path, the columnar filter path (vectorized kernels
-// over typed vectors), and the transposing adapter, asserting
-// identical result multisets.
+// the row filter path and the columnar filter path — vectorized
+// kernels over typed vectors, and over generic vectors (the layout the
+// store's in-memory delta arrives in) — asserting identical result
+// multisets.
 func TestFilterColumnarRowEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -188,27 +191,14 @@ func TestFilterColumnarRowEquivalence(t *testing.T) {
 				if !want.EqualAsBag(got) {
 					t.Fatalf("columnar filter diverged (%d vs %d rows)", want.Len(), got.Len())
 				}
-				// Row source driven through NextColBatch explicitly: the
-				// transposing adapter feeds generic vectors to the kernels.
-				f := NewFilter(NewScan(rel), pred)
-				if err := f.Open(); err != nil {
-					t.Fatal(err)
-				}
-				adapted := NewRelation(f.Schema())
-				for {
-					cb, ok, err := f.NextColBatch()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !ok {
-						break
-					}
-					adapted.Rows = append(adapted.Rows, cb.Materialize(nil)...)
-				}
-				f.Close()
-				if !want.EqualAsBag(adapted) {
-					t.Fatalf("adapted columnar filter diverged (%d vs %d rows)",
-						want.Len(), adapted.Len())
+				// Columnar source of generic vectors: the kernels' tagged-value
+				// fallback.
+				gsrc := newColSource(rel, 64)
+				gsrc.generic = true
+				generic := mustDrain(t, NewFilter(gsrc, pred))
+				if !want.EqualAsBag(generic) {
+					t.Fatalf("generic-vector columnar filter diverged (%d vs %d rows)",
+						want.Len(), generic.Len())
 				}
 			})
 		}
@@ -256,6 +246,12 @@ func TestRandomPlanColumnarRowEquivalence(t *testing.T) {
 					parGot := mustDrain(t, build(newColSource(l, 128), newColSource(r, 77), 4))
 					if !want.EqualAsBag(parGot) {
 						t.Fatalf("parallel columnar plan diverged (%d vs %d rows)", want.Len(), parGot.Len())
+					}
+					// The shape poss(q) produces: the same plan under a Distinct root.
+					wantSet := mustDrain(t, NewDistinct(build(NewScan(l), NewScan(r), 1)))
+					colSet := mustDrain(t, NewDistinct(build(newColSource(l, 128), newColSource(r, 77), 1)))
+					if !wantSet.EqualAsBag(colSet) {
+						t.Fatalf("columnar plan under Distinct diverged (%d vs %d rows)", wantSet.Len(), colSet.Len())
 					}
 					// Semi and anti joins share the hashed-key table.
 					for _, anti := range []bool{false, true} {
@@ -337,4 +333,47 @@ func TestFilterProjectColumnarChain(t *testing.T) {
 		t.Fatal("chain over a row scan must not be ColumnarNative")
 	}
 	rowIt.Close()
+}
+
+// TestColumnarPrefixUnderRowOperators pins that what a scan→filter→
+// project prefix pulls from its columnar source does not depend on the
+// row operator above it: under the root of a poss plan (Distinct), a
+// sort, a limit, an aggregate, a union, the left side of a difference
+// and the build side of a hash join, the source is asked for column
+// batches only, and the answer is the row plan's.
+func TestColumnarPrefixUnderRowOperators(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	rel := randColInput(rng, 700, "t")
+	other := randColInput(rng, 300, "u")
+	prefix := func(src Iterator) Iterator {
+		return NewProject(NewFilter(src, Cmp(GE, Col("t.k"), ConstInt(1))), []string{"t.k", "t.s"})
+	}
+	otherKS := func() Iterator { return NewProject(NewScan(other), []string{"u.k", "u.s"}) }
+	parents := map[string]func(in Iterator) Iterator{
+		"Distinct": func(in Iterator) Iterator { return NewDistinct(in) },
+		"Sort":     func(in Iterator) Iterator { return NewSort(in, []string{"t.s"}) },
+		"Limit":    func(in Iterator) Iterator { return NewLimit(in, 200) },
+		"HashAgg": func(in Iterator) Iterator {
+			return NewHashAgg(in, []string{"t.k"}, []AggSpec{{Fn: AggCount, As: "n"}})
+		},
+		"Union":    func(in Iterator) Iterator { return NewUnion(in, otherKS()) },
+		"DiffLeft": func(in Iterator) Iterator { return NewDiff(in, otherKS()) },
+		"HashJoinBuild": func(in Iterator) Iterator {
+			return NewHashJoin(in, NewScan(other), []EquiPair{{L: "t.k", R: "u.k"}}, nil)
+		},
+	}
+	for name, parent := range parents {
+		t.Run(name, func(t *testing.T) {
+			want := mustDrain(t, parent(prefix(NewScan(rel))))
+			src := newColSource(rel, 64)
+			got := mustDrain(t, parent(prefix(src)))
+			if !want.EqualAsBag(got) {
+				t.Fatalf("columnar prefix diverged (%d vs %d rows)", want.Len(), got.Len())
+			}
+			if src.rowCalls != 0 || src.colCalls == 0 {
+				t.Fatalf("source saw %d NextBatch and %d NextColBatch calls; the prefix must stay columnar",
+					src.rowCalls, src.colCalls)
+			}
+		})
+	}
 }

@@ -1,0 +1,197 @@
+package engine
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"math/rand"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// poisonSource serves rel's rows through a private buffer that it
+// overwrites with all-NULL rows at the start of every call, end of
+// stream included: the harshest producer the NextBatch contract allows.
+// A consumer that kept the borrowed slice instead of the tuples reads
+// the poison.
+type poisonSource struct {
+	rel *Relation
+	pos int
+	buf []Tuple
+}
+
+func (p *poisonSource) Open() error    { p.pos = 0; return nil }
+func (p *poisonSource) Close() error   { return nil }
+func (p *poisonSource) Schema() Schema { return p.rel.Sch }
+
+func (p *poisonSource) NextBatch() ([]Tuple, bool, error) {
+	poison := make(Tuple, p.rel.Sch.Len())
+	for i := range p.buf {
+		p.buf[i] = poison
+	}
+	end := p.pos + 100
+	if end > len(p.rel.Rows) {
+		end = len(p.rel.Rows)
+	}
+	p.buf = append(p.buf[:0], p.rel.Rows[p.pos:end]...)
+	p.pos = end
+	return p.buf, len(p.buf) > 0, nil
+}
+
+// indexedRel is an IndexedSource over an in-memory relation whose
+// "index" is a filtered scan, enough to drive IndexJoinIter.
+type indexedRel struct{ rel *Relation }
+
+func (x *indexedRel) Schema(*Catalog) (Schema, error)        { return x.rel.Sch, nil }
+func (x *indexedRel) Children() []Plan                       { return nil }
+func (x *indexedRel) WithChildren([]Plan) Plan               { return x }
+func (x *indexedRel) Label() string                          { return "indexed rel" }
+func (x *indexedRel) EstimateRowCount() float64              { return float64(x.rel.Len()) }
+func (x *indexedRel) BuildIter(ExecConfig) (Iterator, error) { return NewScan(x.rel), nil }
+func (x *indexedRel) SourceName() string                     { return "rel" }
+func (x *indexedRel) IndexedCols() []string                  { return x.rel.Sch.Names() }
+func (x *indexedRel) LookupEstimate(string) float64          { return 1 }
+func (x *indexedRel) LookupEq(col string, key Value) (Iterator, error) {
+	return NewFilter(NewScan(x.rel), Cmp(EQ, Col(col), Const(key))), nil
+}
+
+// drainChecked is Drain that also holds the producer to its side of
+// the contract: ok=true comes with at least one row.
+func drainChecked(t *testing.T, it Iterator) *Relation {
+	t.Helper()
+	if err := it.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	out := NewRelation(it.Schema())
+	for {
+		batch, ok, err := it.NextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return out
+		}
+		if len(batch) == 0 {
+			t.Fatal("NextBatch returned ok=true with an empty batch")
+		}
+		out.Rows = append(out.Rows, batch...)
+	}
+}
+
+// TestBatchContract holds every operator to the NextBatch contract
+// from the consumer's side. Batches are borrowed read-only, so (a) an
+// operator over NewScan, which hands out windows of Relation.Rows
+// itself, leaves the base relations exactly as they were, and (b) over
+// a source that recycles its batch slice on every call the result is
+// still the plain one — an operator may keep the tuples, never the
+// slice. Inputs span several batches, so every cursor is resumed.
+func TestBatchContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	lrel := randJoinInput(rng, 2600, 40, "l")
+	rrel := randJoinInput(rng, 1500, 40, "r")
+	lrel.Rows = append(lrel.Rows[:300:300], lrel.Rows...) // early duplicates for the set operators
+	rrel.Rows = append(rrel.Rows, lrel.Rows[:1700]...)    // overlap for difference and intersection
+	pairs := []EquiPair{{L: "l.k", R: "r.k"}}
+	ne := Cmp(NE, Col("l.s"), Col("r.s"))
+	cases := map[string]func(l, r Iterator) Iterator{
+		"NewScan":     func(l, r Iterator) Iterator { return l },
+		"NewFilter":   func(l, r Iterator) Iterator { return NewFilter(l, Cmp(LT, Col("l.k"), ConstInt(30))) },
+		"NewProject":  func(l, r Iterator) Iterator { return NewProject(l, []string{"l.v", "l.k"}) },
+		"NewRename":   func(l, r Iterator) Iterator { return NewRename(l, []string{"a", "b", "c"}) },
+		"NewDistinct": func(l, r Iterator) Iterator { return NewDistinct(l) },
+		"NewSort":     func(l, r Iterator) Iterator { return NewSort(l, []string{"l.s", "l.k"}) },
+		"NewLimit":    func(l, r Iterator) Iterator { return NewLimit(l, 1500) },
+		"NewHashJoin": func(l, r Iterator) Iterator { return NewHashJoin(l, r, pairs, ne) },
+		"NewNestedLoopJoin": func(l, r Iterator) Iterator {
+			return NewNestedLoopJoin(NewLimit(l, 120), r, Cmp(LT, Col("l.v"), Col("r.v")))
+		},
+		"NewMergeJoin": func(l, r Iterator) Iterator { return NewMergeJoin(l, r, pairs, ne) },
+		"NewSemiJoin":  func(l, r Iterator) Iterator { return NewSemiJoin(l, r, pairs, ne, false) },
+		"NewUnion":     func(l, r Iterator) Iterator { return NewUnion(l, r) },
+		"NewDiff":      func(l, r Iterator) Iterator { return NewDiff(l, r) },
+		"NewIntersect": func(l, r Iterator) Iterator { return NewIntersect(l, r) },
+		"NewHashAgg": func(l, r Iterator) Iterator {
+			return NewHashAgg(l, []string{"l.v"}, []AggSpec{{Fn: AggCount, As: "n"}})
+		},
+		"NewExtend": func(l, r Iterator) Iterator {
+			return NewExtend(l, []NamedExpr{{Name: "k2", E: Arith(AddOp, Col("l.k"), ConstInt(1)), Kind: KindInt}})
+		},
+		"NewIndexJoin": func(l, r Iterator) Iterator {
+			return NewIndexJoin(NewLimit(l, 150), &indexedRel{rel: rrel}, rrel.Sch, []string{"r.s", "r.k"}, "l.k", "r.k", ne)
+		},
+		"NewParallelHashJoin": func(l, r Iterator) Iterator { return NewParallelHashJoin(l, r, pairs, ne, 3) },
+		"NewParallelFilter": func(l, r Iterator) Iterator {
+			return NewParallelFilter(l, Cmp(LT, Col("l.k"), ConstInt(30)), 3)
+		},
+	}
+	for _, ctor := range operatorConstructors(t) {
+		if cases[ctor] == nil {
+			t.Errorf("operator constructor %s has no case in the batch-contract table", ctor)
+		}
+	}
+	for name, mk := range cases {
+		t.Run(name, func(t *testing.T) {
+			lbefore := append([]Tuple(nil), lrel.Rows...)
+			rbefore := append([]Tuple(nil), rrel.Rows...)
+			want := drainChecked(t, mk(NewScan(lrel), NewScan(rrel)))
+			if want.Len() <= DefaultBatchSize {
+				t.Fatalf("fixture yields %d rows; the case must span several output batches", want.Len())
+			}
+			sameHeaders(t, "left", lbefore, lrel.Rows)
+			sameHeaders(t, "right", rbefore, rrel.Rows)
+			got := drainChecked(t, mk(&poisonSource{rel: lrel}, &poisonSource{rel: rrel}))
+			if !want.EqualAsBag(got) {
+				t.Fatalf("over a slice-recycling source the result changed: %d rows, want %d", got.Len(), want.Len())
+			}
+		})
+	}
+}
+
+// sameHeaders fails unless after holds exactly the tuples before held,
+// in the same order (same backing cells, not merely equal values).
+func sameHeaders(t *testing.T, side string, before, after []Tuple) {
+	t.Helper()
+	if len(before) != len(after) {
+		t.Fatalf("%s base relation went from %d rows to %d", side, len(before), len(after))
+	}
+	for i := range before {
+		if &before[i][0] != &after[i][0] {
+			t.Fatalf("%s base relation: row %d was overwritten through a borrowed batch", side, i)
+		}
+	}
+}
+
+// operatorConstructors parses the package's non-test files for the
+// New* functions that return an *…Iter.
+func operatorConstructors(t *testing.T) []string {
+	t.Helper()
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "New") ||
+				fn.Type.Results == nil || len(fn.Type.Results.List) != 1 {
+				continue
+			}
+			if star, ok := fn.Type.Results.List[0].Type.(*ast.StarExpr); ok {
+				if id, ok := star.X.(*ast.Ident); ok && strings.HasSuffix(id.Name, "Iter") {
+					out = append(out, fn.Name.Name)
+				}
+			}
+		}
+	}
+	return out
+}

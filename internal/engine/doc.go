@@ -1,7 +1,7 @@
 // Package engine implements a small but complete in-memory relational
 // database engine: typed values, schemas, relations, an expression
-// language, Volcano-style physical operators with a vectorized batch
-// fast path, parallel partitioned operators, logical plans, a rule- and
+// language, batch-at-a-time physical operators with a columnar scan
+// prefix, parallel partitioned operators, logical plans, a rule- and
 // cost-based optimizer with table statistics, and an EXPLAIN facility.
 //
 // The engine plays the role PostgreSQL plays in the U-relations paper
@@ -14,19 +14,26 @@
 //
 // # Execution model
 //
-// Physical operators implement the single-tuple Iterator protocol
-// (Open/Next/Close). Two vectorized fast paths sit on top. Operators
-// that can produce whole row batches implement BatchIterator; Batched
-// adapts any Iterator, so consumers like Drain always drive the
-// vectorized path. Operators that can produce struct-of-arrays column
-// batches (ColBatch: typed per-column vectors, null markers, and a
-// selection vector) implement ColBatchIterator; Columnar and
-// ColBatch.Materialize are the two-way adapters, and NativeColumnar is
-// the negotiation by which filters and projections run columnar
-// (vectorized predicate kernels over the selection vector, zero-copy
-// column re-slicing) exactly when their input chain is columnar
-// without a transpose — the storage layer's segment scans being the
-// canonical such source. Joins use the hashed-key joinTable: an
+// Rows move between physical operators one way: Iterator.NextBatch,
+// which hands the parent up to DefaultBatchSize tuples per call (Open
+// and Close bracket the stream; Drain, the server's row-capped loop and
+// every join build pull it directly). The batch slice is borrowed
+// read-only until the next call; tuples are immutable and may be kept.
+// Operators that hold their whole output (scans, sort, aggregation)
+// serve it with Window; 1:N joins keep a cursor and resume mid-row.
+//
+// Below that sits one optional level. A natively columnar source — the
+// storage layer's segment scan — also implements ColBatchIterator, and
+// so do the filters, projections and trace wrappers stacked directly on
+// it: inside such a scan→filter→project prefix, rows travel as
+// struct-of-arrays column batches (ColBatch: typed per-column vectors,
+// null markers, and a selection vector), predicates run as vectorized
+// kernels that only shrink the selection vector, and projection
+// re-slices column headers. Each of these operators looks for the
+// capability once, at Open (NativeColumnar), and the prefix's topmost
+// operator materializes tuples once (ColBatch.Materialize) in its
+// NextBatch, whatever row operator sits above — a Distinct, a sort, a
+// join build. Joins use the hashed-key joinTable: an
 // open-addressing table over a flat build-row arena keyed by 64-bit
 // hashes, probed without per-row key or map allocations. Parallel
 // operators — ParallelHashJoinIter (build side hash-partitioned across
@@ -42,8 +49,8 @@
 // Filter split (ExtractEquiJoin); stats.go — the selectivity-based cost
 // measures of a System-R-style optimizer; explain.go — the Figure 10/13
 // plan views, annotated with each operator's execution mode (columnar
-// vs row); join.go, hashtable.go, iter.go, batch.go, colbatch.go,
-// vecfilter.go, parallel.go — the physical operator layer, whose raw
+// vs row); join.go, hashtable.go, iter.go, colbatch.go, vecfilter.go,
+// parallel.go — the physical operator layer, whose raw
 // speed is what the paper's "fast" rests on (Section 6's evaluation
 // reduces uncertain-query processing to exactly these plain relational
 // operators).

@@ -23,14 +23,17 @@ func Explain(p Plan, cat *Catalog, optimize bool) (string, error) {
 }
 
 // execMode computes the execution mode EXPLAIN annotates a node with:
-// "columnar" for chains of filters and projections over a columnar
-// leaf (ColumnarLeaf sources, e.g. the store's segment scans), "row"
-// for everything else — mirroring how the physical operators negotiate
-// the batch representation at run time (NativeColumnar) under the
-// default serial lowering. Explain sees only the logical plan, so the
-// annotation does not account for ExecConfig: a filter that Build
-// lowers to the parallel operator (Parallelism set and the input past
-// ParallelThreshold) runs on row batches even when annotated columnar.
+// "columnar" for the filters and projections of a scan→filter→project
+// prefix over a columnar leaf (ColumnarLeaf sources, e.g. the store's
+// segment scans), which exchange column batches; "row" for everything
+// else, which exchanges row batches. The prefix's topmost node is
+// where tuples are materialized, once, whatever operator is above it —
+// the same answer the physical operators reach at Open
+// (NativeColumnar) under the default serial lowering. Explain sees
+// only the logical plan, so the annotation does not account for
+// ExecConfig: a filter that Build lowers to the parallel operator
+// (Parallelism set and the input past ParallelThreshold) pulls row
+// batches from its child even when annotated columnar.
 func execMode(p Plan) string {
 	for {
 		switch n := p.(type) {

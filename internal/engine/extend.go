@@ -16,6 +16,8 @@ type ExtendIter struct {
 
 	bound []Expr
 	sch   Schema
+	out   []Tuple  // reused output batch headers
+	arena outArena // output cells (write-once)
 }
 
 // NewExtend builds an extend operator.
@@ -43,20 +45,28 @@ func (e *ExtendIter) Open() error {
 	return nil
 }
 
-func (e *ExtendIter) Next() (Tuple, bool, error) {
-	row, ok, err := e.In.Next()
+func (e *ExtendIter) NextBatch() ([]Tuple, bool, error) {
+	in, ok, err := e.In.NextBatch()
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	out := make(Tuple, 0, len(row)+len(e.bound))
-	out = append(out, row...)
-	for _, b := range e.bound {
-		out = append(out, b.Eval(row))
+	out := e.out[:0]
+	for _, row := range in {
+		t := e.arena.carve(e.sch.Len())
+		n := copy(t, row)
+		for i, b := range e.bound {
+			t[n+i] = b.Eval(row)
+		}
+		out = append(out, t)
 	}
+	e.out = out
 	return out, true, nil
 }
 
-func (e *ExtendIter) Close() error { return e.In.Close() }
+func (e *ExtendIter) Close() error {
+	e.out, e.arena = nil, outArena{}
+	return e.In.Close()
+}
 
 func (e *ExtendIter) Schema() Schema {
 	if e.sch.Len() > 0 {

@@ -77,6 +77,25 @@ func (t *joinTable) insert(row Tuple, h uint64) {
 	t.link(r, h)
 }
 
+// build inserts every remaining row of the opened iterator it; rows
+// with a NULL key never join and are left out.
+func (t *joinTable) build(it Iterator) error {
+	for {
+		batch, ok, err := it.NextBatch()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return nil
+		}
+		for _, row := range batch {
+			if h, keyed := t.hashRow(row); keyed {
+				t.insert(row, h)
+			}
+		}
+	}
+}
+
 // link walks the probe sequence for h and attaches row r: to the tail
 // of an existing equal-key chain, or to a claimed empty slot.
 func (t *joinTable) link(r int32, h uint64) {
@@ -159,8 +178,8 @@ func (t *joinTable) nextMatch(i int32) int32 { return t.next[i] }
 
 // outArena carves write-once output tuples from chunked allocations,
 // so emitting a join result row costs a copy, not an allocation. The
-// carved tuples are never reused, which keeps the BatchIterator
-// contract: consumers may retain them indefinitely.
+// carved tuples are never reused, which keeps the NextBatch contract:
+// consumers may retain them indefinitely.
 type outArena struct {
 	buf   []Value
 	chunk int // last chunk size; doubles up to arenaChunk

@@ -249,9 +249,12 @@ type IndexJoinIter struct {
 	li      int
 	projIdx []int // source column index per output column (nil = identity)
 	bound   Expr
+	lbatch  []Tuple // current batch of the left input
+	lpos    int
 	cur     Tuple // left row whose matches are being drained
 	matches []Tuple
 	mpos    int
+	out     []Tuple // reused output batch headers
 
 	lookups int64
 	stats   map[string]int64 // aggregated from probe iterators
@@ -293,6 +296,7 @@ func (j *IndexJoinIter) Open() error {
 		}
 		j.bound = b
 	}
+	j.lbatch, j.lpos = nil, 0
 	j.matches, j.mpos = nil, 0
 	j.lookups = 0
 	j.stats = map[string]int64{}
@@ -312,7 +316,7 @@ func (j *IndexJoinIter) probe(key Value) error {
 	}
 	j.matches = j.matches[:0]
 	for {
-		row, ok, nerr := it.Next()
+		batch, ok, nerr := it.NextBatch()
 		if nerr != nil {
 			it.Close()
 			return nerr
@@ -320,14 +324,16 @@ func (j *IndexJoinIter) probe(key Value) error {
 		if !ok {
 			break
 		}
-		if j.projIdx != nil {
-			out := make(Tuple, len(j.projIdx))
-			for i, si := range j.projIdx {
-				out[i] = row[si]
+		for _, row := range batch {
+			if j.projIdx != nil {
+				out := make(Tuple, len(j.projIdx))
+				for i, si := range j.projIdx {
+					out[i] = row[si]
+				}
+				row = out
 			}
-			row = out
+			j.matches = append(j.matches, row)
 		}
-		j.matches = append(j.matches, row)
 	}
 	err = it.Close()
 	if os, ok := it.(OperatorStats); ok {
@@ -336,20 +342,34 @@ func (j *IndexJoinIter) probe(key Value) error {
 	return err
 }
 
-func (j *IndexJoinIter) Next() (Tuple, bool, error) {
+// NextBatch emits up to DefaultBatchSize joined rows, resuming from the
+// (left row, match position) cursor the previous call stopped at.
+func (j *IndexJoinIter) NextBatch() ([]Tuple, bool, error) {
+	out := j.out[:0]
 	for {
 		for j.mpos < len(j.matches) {
-			r := j.matches[j.mpos]
+			t := j.cur.Concat(j.matches[j.mpos])
 			j.mpos++
-			out := j.cur.Concat(r)
-			if j.bound == nil || j.bound.Eval(out).Truth() {
-				return out, true, nil
+			if j.bound == nil || j.bound.Eval(t).Truth() {
+				if out = append(out, t); len(out) >= DefaultBatchSize {
+					j.out = out
+					return out, true, nil
+				}
 			}
 		}
-		row, ok, err := j.L.Next()
-		if err != nil || !ok {
-			return nil, false, err
+		for j.lpos >= len(j.lbatch) {
+			batch, ok, err := j.L.NextBatch()
+			if err != nil {
+				return nil, false, err
+			}
+			if !ok {
+				j.out = out
+				return out, len(out) > 0, nil
+			}
+			j.lbatch, j.lpos = batch, 0
 		}
+		row := j.lbatch[j.lpos]
+		j.lpos++
 		key := row[j.li]
 		if key.IsNull() {
 			continue // NULL keys never join
@@ -363,7 +383,7 @@ func (j *IndexJoinIter) Next() (Tuple, bool, error) {
 }
 
 func (j *IndexJoinIter) Close() error {
-	j.matches = nil
+	j.matches, j.lbatch, j.out = nil, nil, nil
 	return j.L.Close()
 }
 

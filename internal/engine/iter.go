@@ -5,98 +5,107 @@ import (
 	"sort"
 )
 
-// Iterator is the Volcano-style physical operator interface. Open must
-// be called before Next; Next returns (row, true, nil) per row and
-// (nil, false, nil) at end of stream. Implementations are single-use.
+// DefaultBatchSize is the number of tuples moved per NextBatch call. The
+// value trades per-call overhead against cache residency of a batch;
+// 1024 rows of a handful of Values fit comfortably in L2.
+const DefaultBatchSize = 1024
+
+// Iterator is the physical operator interface: a pull pipeline that
+// moves rows a batch at a time. Open must be called before NextBatch.
+// Implementations are single-use.
 type Iterator interface {
 	Open() error
-	Next() (Tuple, bool, error)
+	// NextBatch returns the next batch of rows, or ok=false at end of
+	// stream. A batch returned with ok=true is non-empty. The slice is
+	// borrowed read-only until the next NextBatch call: the producer may
+	// reuse its backing array, and it may be a window of storage the
+	// producer does not own (ScanIter hands out Relation.Rows itself), so
+	// a consumer never writes to it and copies the row headers it wants
+	// to keep. The tuples are immutable and may be retained indefinitely.
+	NextBatch() ([]Tuple, bool, error)
 	Close() error
 	Schema() Schema
 }
 
-// Drain runs an iterator to completion and materializes the result. It
-// drives the batch fast path (see BatchIterator); single-tuple operators
-// are adapted transparently.
+// Drain runs an iterator to completion and materializes the result.
 func Drain(it Iterator) (*Relation, error) {
 	if err := it.Open(); err != nil {
 		return nil, err
 	}
 	defer it.Close()
+	rows, err := drainAll(it)
+	if err != nil {
+		return nil, err
+	}
 	out := NewRelation(it.Schema())
-	bit := Batched(it)
+	out.Rows = rows
+	return out, nil
+}
+
+// drainAll collects the remaining rows of an opened iterator, copying
+// the row headers out of each borrowed batch.
+func drainAll(it Iterator) ([]Tuple, error) {
+	var rows []Tuple
 	for {
-		batch, ok, err := bit.NextBatch()
+		batch, ok, err := it.NextBatch()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			return out, nil
+			return rows, nil
 		}
-		out.Rows = append(out.Rows, batch...)
+		rows = append(rows, batch...)
 	}
 }
 
-// Count runs an iterator to completion and returns the row count
-// without materializing.
-func Count(it Iterator) (int64, error) {
-	if err := it.Open(); err != nil {
-		return 0, err
+// Window serves a materialized row slice a batch at a time: it returns
+// the next at most DefaultBatchSize rows from *pos and advances *pos,
+// or ok=false once rows is exhausted. It is the NextBatch of every
+// operator that holds its whole output (scans, sort, aggregation, the
+// store's index lookups).
+func Window(rows []Tuple, pos *int) ([]Tuple, bool, error) {
+	if *pos >= len(rows) {
+		return nil, false, nil
 	}
-	defer it.Close()
-	var n int64
-	for {
-		_, ok, err := it.Next()
-		if err != nil {
-			return n, err
-		}
-		if !ok {
-			return n, nil
-		}
-		n++
+	end := *pos + DefaultBatchSize
+	if end > len(rows) {
+		end = len(rows)
 	}
+	batch := rows[*pos:end]
+	*pos = end
+	return batch, true, nil
 }
 
-// ScanIter scans a materialized relation.
+// ScanIter scans a materialized relation, handing out windows of
+// Rel.Rows without copying row headers.
 type ScanIter struct {
 	Rel *Relation
 	pos int
-	cb  ColBatch // reused by the (transposing) columnar path
 }
 
 // NewScan builds a scan over r.
 func NewScan(r *Relation) *ScanIter { return &ScanIter{Rel: r} }
 
-func (s *ScanIter) Open() error { s.pos = 0; return nil }
-
-func (s *ScanIter) Next() (Tuple, bool, error) {
-	if s.pos >= len(s.Rel.Rows) {
-		return nil, false, nil
-	}
-	t := s.Rel.Rows[s.pos]
-	s.pos++
-	return t, true, nil
-}
-
-func (s *ScanIter) Close() error   { return nil }
-func (s *ScanIter) Schema() Schema { return s.Rel.Sch }
+func (s *ScanIter) Open() error                       { s.pos = 0; return nil }
+func (s *ScanIter) NextBatch() ([]Tuple, bool, error) { return Window(s.Rel.Rows, &s.pos) }
+func (s *ScanIter) Close() error                      { return nil }
+func (s *ScanIter) Schema() Schema                    { return s.Rel.Sch }
 
 // FilterIter applies a predicate. Above a natively columnar input it
 // evaluates the predicate vectorized over selection vectors (see
-// NextColBatch); otherwise it runs the row paths below.
+// NextColBatch) and materializes only the survivors; otherwise it
+// evaluates row by row over the input's batches.
 type FilterIter struct {
 	In   Iterator
 	Pred Expr // unbound
 
 	bound Expr
-	bin   BatchIterator // lazily set by NextBatch
-	out   []Tuple       // reused output buffer for the batch path
+	out   []Tuple // reused output buffer
 
-	colNative bool             // input is columnar end-to-end
-	colIn     ColBatchIterator // lazily set by NextColBatch
-	vp        *vecPred         // compiled predicate for the columnar path
-	sel       []int32          // reused selection buffer
-	cb        ColBatch         // reused output batch header
+	colIn ColBatchIterator // the input's columnar path; nil when it has none
+	vp    *vecPred         // compiled predicate for the columnar path
+	sel   []int32          // reused selection buffer
+	cb    ColBatch         // reused output batch header
 }
 
 // NewFilter builds a filter; pred is bound at Open time.
@@ -113,23 +122,64 @@ func (f *FilterIter) Open() error {
 		return err
 	}
 	f.bound = b
-	f.bin = nil
-	f.colIn = nil
 	f.vp = nil
-	_, f.colNative = NativeColumnar(f.In)
+	if f.colIn, _ = NativeColumnar(f.In); f.colIn != nil {
+		f.vp = compileVecPred(f.bound, f.In.Schema())
+	}
 	return nil
 }
 
-func (f *FilterIter) Next() (Tuple, bool, error) {
-	for {
-		row, ok, err := f.In.Next()
+func (f *FilterIter) NextBatch() ([]Tuple, bool, error) {
+	if f.colIn != nil {
+		cb, ok, err := f.NextColBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		if f.bound.Eval(row).Truth() {
-			return row, true, nil
+		f.out = cb.Materialize(f.out)
+		return f.out, true, nil
+	}
+	for {
+		in, ok, err := f.In.NextBatch()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		out := f.out[:0]
+		for _, row := range in {
+			if f.bound.Eval(row).Truth() {
+				out = append(out, row)
+			}
+		}
+		f.out = out
+		if len(out) > 0 {
+			return out, true, nil
 		}
 	}
+}
+
+// NextColBatch narrows input batches through the compiled vectorized
+// predicate: typed comparisons run as tight loops over the column
+// payloads and only the selection vector shrinks — no tuple is built
+// and no column data moves.
+func (f *FilterIter) NextColBatch() (*ColBatch, bool, error) {
+	for {
+		in, ok, err := f.colIn.NextColBatch()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		f.sel = f.vp.filter(in, f.sel)
+		if len(f.sel) == 0 {
+			continue
+		}
+		f.cb = ColBatch{Sch: in.Sch, Cols: in.Cols, N: in.N, Sel: f.sel}
+		return &f.cb, true, nil
+	}
+}
+
+// ColumnarNative reports whether the filter's whole input chain is
+// columnar.
+func (f *FilterIter) ColumnarNative() bool {
+	_, ok := NativeColumnar(f.In)
+	return ok
 }
 
 func (f *FilterIter) Close() error   { return f.In.Close() }
@@ -137,20 +187,19 @@ func (f *FilterIter) Schema() Schema { return f.In.Schema() }
 
 // ProjectIter projects to named columns (and may rename via "src AS dst"
 // entries handled by the logical layer; physically it is index-based).
+// Above a natively columnar input the projection re-slices column
+// vectors (see NextColBatch).
 type ProjectIter struct {
 	In    Iterator
 	Names []string
 
-	idx   []int
-	sch   Schema
-	bin   BatchIterator // lazily set by NextBatch
-	out   []Tuple       // reused output buffer for the batch path
-	arena outArena      // output cells for the row path (write-once)
+	idx []int
+	sch Schema
+	out []Tuple // reused output buffer
 
-	colNative bool             // input is columnar end-to-end
-	colIn     ColBatchIterator // lazily set by NextColBatch
-	cols      []ColVec         // reused projected column headers
-	cb        ColBatch         // reused output batch header
+	colIn ColBatchIterator // the input's columnar path; nil when it has none
+	cols  []ColVec         // reused projected column headers
+	cb    ColBatch         // reused output batch header
 }
 
 // NewProject builds a projection onto the named columns.
@@ -174,22 +223,60 @@ func (p *ProjectIter) Open() error {
 		cols[i] = Column{Name: n, Kind: insch.Cols[j].Kind}
 	}
 	p.sch = Schema{Cols: cols}
-	p.bin = nil
-	p.colIn = nil
-	_, p.colNative = NativeColumnar(p.In)
+	p.colIn, _ = NativeColumnar(p.In)
 	return nil
 }
 
-func (p *ProjectIter) Next() (Tuple, bool, error) {
-	row, ok, err := p.In.Next()
+// NextBatch rebuilds whole batches of narrowed rows.
+func (p *ProjectIter) NextBatch() ([]Tuple, bool, error) {
+	if p.colIn != nil {
+		cb, ok, err := p.NextColBatch()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		p.out = cb.Materialize(p.out)
+		return p.out, true, nil
+	}
+	in, ok, err := p.In.NextBatch()
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	out := p.arena.carve(len(p.idx))
-	for i, j := range p.idx {
-		out[i] = row[j]
+	out := p.out[:0]
+	// One backing allocation for the whole batch's cells.
+	w := len(p.idx)
+	cells := make([]Value, len(in)*w)
+	for r, row := range in {
+		t := cells[r*w : (r+1)*w : (r+1)*w]
+		for i, j := range p.idx {
+			t[i] = row[j]
+		}
+		out = append(out, t)
 	}
+	p.out = out
 	return out, true, nil
+}
+
+// NextColBatch re-slices the input batch's column vectors: projection
+// over columns is free.
+func (p *ProjectIter) NextColBatch() (*ColBatch, bool, error) {
+	in, ok, err := p.colIn.NextColBatch()
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	cols := p.cols[:0]
+	for _, j := range p.idx {
+		cols = append(cols, in.Cols[j])
+	}
+	p.cols = cols
+	p.cb = ColBatch{Sch: p.sch, Cols: cols, N: in.N, Sel: in.Sel}
+	return &p.cb, true, nil
+}
+
+// ColumnarNative reports whether the projection's whole input chain is
+// columnar.
+func (p *ProjectIter) ColumnarNative() bool {
+	_, ok := NativeColumnar(p.In)
+	return ok
 }
 
 func (p *ProjectIter) Close() error { return p.In.Close() }
@@ -231,8 +318,8 @@ func (r *RenameIter) Open() error {
 	return r.In.Open()
 }
 
-func (r *RenameIter) Next() (Tuple, bool, error) { return r.In.Next() }
-func (r *RenameIter) Close() error               { return r.In.Close() }
+func (r *RenameIter) NextBatch() ([]Tuple, bool, error) { return r.In.NextBatch() }
+func (r *RenameIter) Close() error                      { return r.In.Close() }
 
 func (r *RenameIter) Schema() Schema {
 	in := r.In.Schema()
@@ -251,7 +338,8 @@ func (r *RenameIter) Schema() Schema {
 type DistinctIter struct {
 	In   Iterator
 	seen map[string]struct{}
-	buf  []byte // reused key-encoding buffer
+	buf  []byte  // reused key-encoding buffer
+	out  []Tuple // reused output buffer
 }
 
 // NewDistinct builds a duplicate-eliminating operator.
@@ -262,24 +350,31 @@ func (d *DistinctIter) Open() error {
 	return d.In.Open()
 }
 
-func (d *DistinctIter) Next() (Tuple, bool, error) {
+func (d *DistinctIter) NextBatch() ([]Tuple, bool, error) {
 	for {
-		row, ok, err := d.In.Next()
+		in, ok, err := d.In.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		// The map[string(bytes)] lookup does not allocate; only fresh
-		// keys pay a string conversion on insert.
-		d.buf = AppendKey(d.buf[:0], row)
-		if _, dup := d.seen[string(d.buf)]; dup {
-			continue
+		out := d.out[:0]
+		for _, row := range in {
+			// The map[string(bytes)] lookup does not allocate; only fresh
+			// keys pay a string conversion on insert.
+			d.buf = AppendKey(d.buf[:0], row)
+			if _, dup := d.seen[string(d.buf)]; dup {
+				continue
+			}
+			d.seen[string(d.buf)] = struct{}{}
+			out = append(out, row)
 		}
-		d.seen[string(d.buf)] = struct{}{}
-		return row, true, nil
+		d.out = out
+		if len(out) > 0 {
+			return out, true, nil
+		}
 	}
 }
 
-func (d *DistinctIter) Close() error   { d.seen = nil; return d.In.Close() }
+func (d *DistinctIter) Close() error   { d.seen, d.out = nil, nil; return d.In.Close() }
 func (d *DistinctIter) Schema() Schema { return d.In.Schema() }
 
 // SortIter materializes and sorts its input by the named key columns
@@ -310,40 +405,30 @@ func (s *SortIter) Open() error {
 		}
 		idx[i] = j
 	}
-	for {
-		row, ok, err := s.In.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		s.rows = append(s.rows, row)
+	var err error
+	if s.rows, err = drainAll(s.In); err != nil {
+		return err
 	}
-	sort.SliceStable(s.rows, func(a, b int) bool {
-		ra, rb := s.rows[a], s.rows[b]
-		for _, j := range idx {
-			if c := Compare(ra[j], rb[j]); c != 0 {
+	sortByKeys(s.rows, idx)
+	s.pos = 0
+	return nil
+}
+
+func (s *SortIter) NextBatch() ([]Tuple, bool, error) { return Window(s.rows, &s.pos) }
+func (s *SortIter) Close() error                      { s.rows = nil; return s.In.Close() }
+func (s *SortIter) Schema() Schema                    { return s.In.Schema() }
+
+// sortByKeys stably sorts rows ascending on the key columns idx.
+func sortByKeys(rows []Tuple, idx []int) {
+	sort.SliceStable(rows, func(a, b int) bool {
+		for _, i := range idx {
+			if c := Compare(rows[a][i], rows[b][i]); c != 0 {
 				return c < 0
 			}
 		}
 		return false
 	})
-	s.pos = 0
-	return nil
 }
-
-func (s *SortIter) Next() (Tuple, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	t := s.rows[s.pos]
-	s.pos++
-	return t, true, nil
-}
-
-func (s *SortIter) Close() error   { s.rows = nil; return s.In.Close() }
-func (s *SortIter) Schema() Schema { return s.In.Schema() }
 
 // LimitIter passes through at most N rows.
 type LimitIter struct {
@@ -358,16 +443,19 @@ func NewLimit(in Iterator, n int64) *LimitIter { return &LimitIter{In: in, N: n}
 
 func (l *LimitIter) Open() error { l.seen = 0; return l.In.Open() }
 
-func (l *LimitIter) Next() (Tuple, bool, error) {
+func (l *LimitIter) NextBatch() ([]Tuple, bool, error) {
 	if l.seen >= l.N {
 		return nil, false, nil
 	}
-	row, ok, err := l.In.Next()
+	in, ok, err := l.In.NextBatch()
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	l.seen++
-	return row, true, nil
+	if left := l.N - l.seen; int64(len(in)) > left {
+		in = in[:left]
+	}
+	l.seen += int64(len(in))
+	return in, true, nil
 }
 
 func (l *LimitIter) Close() error   { return l.In.Close() }

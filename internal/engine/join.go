@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // HashJoinIter is an equi-join on extracted key pairs with an optional
 // residual predicate evaluated on the concatenated row. This mirrors
@@ -28,8 +25,7 @@ type HashJoinIter struct {
 	bound Expr
 	sch   Schema
 
-	bin        BatchIterator // probe-side batches
-	probeBatch []Tuple
+	probeBatch []Tuple // current batch of the probe side R
 	probePos   int
 	cur        Tuple // current probe row
 	match      int32 // next build row in the current chain, -1 = none
@@ -37,8 +33,6 @@ type HashJoinIter struct {
 	out     []Tuple  // reused output batch headers
 	arena   outArena // output cells (write-once)
 	scratch Tuple    // residual evaluation buffer
-	pending []Tuple  // batch being served by Next
-	ppos    int
 }
 
 // NewHashJoin builds a hash join; pairs must be non-empty.
@@ -77,43 +71,15 @@ func (j *HashJoinIter) Open() error {
 		}
 		j.bound = b
 	}
-	// Build phase on the left input, batch-driven.
+	// Build phase on the left input.
 	j.table = newJoinTable(lsch.Len(), j.lidx)
-	bl := Batched(j.L)
-	for {
-		batch, ok, err := bl.NextBatch()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		for _, row := range batch {
-			if h, keyed := j.table.hashRow(row); keyed {
-				j.table.insert(row, h) // NULL keys never join
-			}
-		}
+	if err := j.table.build(j.L); err != nil {
+		return err
 	}
-	j.bin = Batched(j.R)
 	j.probeBatch, j.probePos = nil, 0
 	j.match = -1
-	j.pending, j.ppos = nil, 0
 	j.scratch = make(Tuple, j.sch.Len())
 	return nil
-}
-
-func (j *HashJoinIter) Next() (Tuple, bool, error) {
-	for j.ppos >= len(j.pending) {
-		batch, ok, err := j.NextBatch()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		j.pending = batch
-		j.ppos = 0
-	}
-	t := j.pending[j.ppos]
-	j.ppos++
-	return t, true, nil
 }
 
 // NextBatch probes batches of right rows against the build table and
@@ -143,7 +109,7 @@ func (j *HashJoinIter) NextBatch() ([]Tuple, bool, error) {
 		}
 		// Advance the probe side.
 		for j.probePos >= len(j.probeBatch) {
-			batch, ok, err := j.bin.NextBatch()
+			batch, ok, err := j.R.NextBatch()
 			if err != nil {
 				return nil, false, err
 			}
@@ -172,7 +138,7 @@ func (j *HashJoinIter) NextBatch() ([]Tuple, bool, error) {
 
 func (j *HashJoinIter) Close() error {
 	j.table = nil
-	j.out, j.pending, j.probeBatch = nil, nil, nil
+	j.out, j.probeBatch = nil, nil
 	j.arena = outArena{}
 	err1 := j.L.Close()
 	err2 := j.R.Close()
@@ -196,12 +162,14 @@ type NestedLoopJoinIter struct {
 	L, R Iterator
 	Cond Expr
 
-	right []Tuple
-	cur   Tuple
-	rpos  int
-	bound Expr
-	sch   Schema
-	done  bool
+	right  []Tuple
+	lbatch []Tuple // current batch of the left input
+	lpos   int
+	cur    Tuple // left row being joined against right[rpos:]
+	rpos   int
+	bound  Expr
+	sch    Schema
+	out    []Tuple // reused output batch headers
 }
 
 // NewNestedLoopJoin builds a nested-loop join (cond may be nil for a
@@ -225,46 +193,49 @@ func (j *NestedLoopJoinIter) Open() error {
 		}
 		j.bound = b
 	}
-	for {
-		row, ok, err := j.R.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		j.right = append(j.right, row)
+	var err error
+	if j.right, err = drainAll(j.R); err != nil {
+		return err
 	}
-	j.cur = nil
-	j.rpos = 0
-	j.done = false
+	j.lbatch, j.lpos = nil, 0
+	j.rpos = len(j.right) // no current left row yet
 	return nil
 }
 
-func (j *NestedLoopJoinIter) Next() (Tuple, bool, error) {
+// NextBatch emits up to DefaultBatchSize joined rows, resuming from the
+// (left row, right position) cursor the previous call stopped at.
+func (j *NestedLoopJoinIter) NextBatch() ([]Tuple, bool, error) {
+	out := j.out[:0]
 	for {
-		if j.cur == nil {
-			row, ok, err := j.L.Next()
-			if err != nil || !ok {
+		for j.rpos < len(j.right) {
+			t := j.cur.Concat(j.right[j.rpos])
+			j.rpos++
+			if j.bound == nil || j.bound.Eval(t).Truth() {
+				if out = append(out, t); len(out) >= DefaultBatchSize {
+					j.out = out
+					return out, true, nil
+				}
+			}
+		}
+		for j.lpos >= len(j.lbatch) {
+			batch, ok, err := j.L.NextBatch()
+			if err != nil {
 				return nil, false, err
 			}
-			j.cur = row
-			j.rpos = 0
-		}
-		for j.rpos < len(j.right) {
-			r := j.right[j.rpos]
-			j.rpos++
-			out := j.cur.Concat(r)
-			if j.bound == nil || j.bound.Eval(out).Truth() {
-				return out, true, nil
+			if !ok {
+				j.out = out
+				return out, len(out) > 0, nil
 			}
+			j.lbatch, j.lpos = batch, 0
 		}
-		j.cur = nil
+		j.cur = j.lbatch[j.lpos]
+		j.lpos++
+		j.rpos = 0
 	}
 }
 
 func (j *NestedLoopJoinIter) Close() error {
-	j.right = nil
+	j.right, j.lbatch, j.out = nil, nil, nil
 	err1 := j.L.Close()
 	err2 := j.R.Close()
 	if err1 != nil {
@@ -301,6 +272,7 @@ type MergeJoinIter struct {
 	bound         Expr
 	sch           Schema
 	groupsPending bool
+	out           []Tuple // reused output batch headers
 }
 
 // NewMergeJoin builds a sort-merge join; pairs must be non-empty.
@@ -356,31 +328,6 @@ func (j *MergeJoinIter) Open() error {
 	return nil
 }
 
-func drainAll(it Iterator) ([]Tuple, error) {
-	var rows []Tuple
-	for {
-		row, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return rows, nil
-		}
-		rows = append(rows, row)
-	}
-}
-
-func sortByKeys(rows []Tuple, idx []int) {
-	sort.SliceStable(rows, func(a, b int) bool {
-		for _, i := range idx {
-			if c := Compare(rows[a][i], rows[b][i]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-}
-
 func keyCompare(a Tuple, ai []int, b Tuple, bi []int) int {
 	for k := range ai {
 		if c := Compare(a[ai[k]], b[bi[k]]); c != 0 {
@@ -399,15 +346,21 @@ func hasNullKey(t Tuple, idx []int) bool {
 	return false
 }
 
-func (j *MergeJoinIter) Next() (Tuple, bool, error) {
+// NextBatch emits up to DefaultBatchSize joined rows, resuming inside
+// the pending key group's cross product where the previous call stopped.
+func (j *MergeJoinIter) NextBatch() ([]Tuple, bool, error) {
+	out := j.out[:0]
 	for {
 		if j.groupsPending {
 			for j.gi < len(j.groupL) {
 				for j.gj < len(j.groupR) {
-					out := j.groupL[j.gi].Concat(j.groupR[j.gj])
+					t := j.groupL[j.gi].Concat(j.groupR[j.gj])
 					j.gj++
-					if j.bound == nil || j.bound.Eval(out).Truth() {
-						return out, true, nil
+					if j.bound == nil || j.bound.Eval(t).Truth() {
+						if out = append(out, t); len(out) >= DefaultBatchSize {
+							j.out = out
+							return out, true, nil
+						}
 					}
 				}
 				j.gj = 0
@@ -418,7 +371,8 @@ func (j *MergeJoinIter) Next() (Tuple, bool, error) {
 		// Advance to the next matching key group.
 		for {
 			if j.li >= len(j.left) || j.ri >= len(j.right) {
-				return nil, false, nil
+				j.out = out
+				return out, len(out) > 0, nil
 			}
 			if hasNullKey(j.left[j.li], j.lidx) {
 				j.li++
@@ -454,7 +408,7 @@ func (j *MergeJoinIter) Next() (Tuple, bool, error) {
 }
 
 func (j *MergeJoinIter) Close() error {
-	j.left, j.right = nil, nil
+	j.left, j.right, j.out = nil, nil, nil
 	err1 := j.L.Close()
 	err2 := j.R.Close()
 	if err1 != nil {
@@ -489,8 +443,7 @@ type SemiJoinIter struct {
 	sch     Schema
 	scratch Tuple // residual evaluation buffer
 
-	bin BatchIterator // left-side batches
-	out []Tuple       // reused output batch headers
+	out []Tuple // reused output batch headers
 }
 
 // NewSemiJoin builds a (anti-)semi-join.
@@ -530,23 +483,7 @@ func (j *SemiJoinIter) Open() error {
 	// empty, so all right rows share one chain and every left row
 	// probes the full right side, as the keyless semantics require.
 	j.table = newJoinTable(rsch.Len(), ridx)
-	br := Batched(j.R)
-	for {
-		batch, ok, err := br.NextBatch()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		for _, row := range batch {
-			if h, keyed := j.table.hashRow(row); keyed {
-				j.table.insert(row, h)
-			}
-		}
-	}
-	j.bin = nil
-	return nil
+	return j.table.build(j.R)
 }
 
 // matched reports whether a left row has a qualifying right match.
@@ -572,27 +509,12 @@ func (j *SemiJoinIter) matched(row Tuple) bool {
 	return false
 }
 
-func (j *SemiJoinIter) Next() (Tuple, bool, error) {
-	for {
-		row, ok, err := j.L.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if j.matched(row) != j.Anti {
-			return row, true, nil
-		}
-	}
-}
-
 // NextBatch filters whole left batches, passing surviving row headers
-// through unchanged (the semi join emits its input rows, so the batch
-// path allocates nothing).
+// through unchanged (the semi join emits its input rows, so it
+// allocates nothing).
 func (j *SemiJoinIter) NextBatch() ([]Tuple, bool, error) {
-	if j.bin == nil {
-		j.bin = Batched(j.L)
-	}
 	for {
-		in, ok, err := j.bin.NextBatch()
+		in, ok, err := j.L.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}

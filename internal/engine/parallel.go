@@ -52,7 +52,6 @@ type ParallelHashJoinIter struct {
 	lidx      []int
 	ridx      []int
 	bounds    []Expr // per-partition bound residual copies
-	bin       BatchIterator
 	sch       Schema
 	probe     []Tuple    // gathered probe rows (reused)
 	buckets   [][]Tuple  // per-partition probe buckets (reused)
@@ -60,8 +59,6 @@ type ParallelHashJoinIter struct {
 	arenas    []outArena // per-partition output cells (write-once)
 	scratches []Tuple    // per-partition residual buffers
 	result    []Tuple    // concatenated output batch (reused)
-	pending   []Tuple
-	ppos      int
 }
 
 // NewParallelHashJoin builds a partitioned parallel hash join; pairs
@@ -108,7 +105,6 @@ func (j *ParallelHashJoinIter) Open() error {
 	if err := j.build(); err != nil {
 		return err
 	}
-	j.bin = Batched(j.R)
 	j.buckets = make([][]Tuple, j.nw)
 	j.outs = make([][]Tuple, j.nw)
 	j.arenas = make([]outArena, j.nw)
@@ -116,8 +112,6 @@ func (j *ParallelHashJoinIter) Open() error {
 	for w := 0; w < j.nw; w++ {
 		j.scratches[w] = make(Tuple, j.sch.Len())
 	}
-	j.pending = nil
-	j.ppos = 0
 	return nil
 }
 
@@ -152,10 +146,9 @@ func (j *ParallelHashJoinIter) build() error {
 		}
 	}
 	buf := make([][]Tuple, j.nw)
-	bl := Batched(j.L)
 	var err error
 	for {
-		batch, ok, e := bl.NextBatch()
+		batch, ok, e := j.L.NextBatch()
 		if e != nil {
 			err = e
 			break
@@ -186,20 +179,6 @@ func (j *ParallelHashJoinIter) build() error {
 	return err
 }
 
-func (j *ParallelHashJoinIter) Next() (Tuple, bool, error) {
-	for j.ppos >= len(j.pending) {
-		batch, ok, err := j.NextBatch()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		j.pending = batch
-		j.ppos = 0
-	}
-	t := j.pending[j.ppos]
-	j.ppos++
-	return t, true, nil
-}
-
 // NextBatch gathers a chunk of probe rows, scatters it across the
 // build partitions, and probes all partitions in parallel.
 func (j *ParallelHashJoinIter) NextBatch() ([]Tuple, bool, error) {
@@ -209,7 +188,7 @@ func (j *ParallelHashJoinIter) NextBatch() ([]Tuple, bool, error) {
 		// may be reused by the producer).
 		probe := j.probe[:0]
 		for len(probe) < target {
-			batch, ok, err := j.bin.NextBatch()
+			batch, ok, err := j.R.NextBatch()
 			if err != nil {
 				return nil, false, err
 			}
@@ -285,7 +264,7 @@ func (j *ParallelHashJoinIter) NextBatch() ([]Tuple, bool, error) {
 
 func (j *ParallelHashJoinIter) Close() error {
 	j.parts = nil
-	j.probe, j.buckets, j.outs, j.result, j.pending = nil, nil, nil, nil, nil
+	j.probe, j.buckets, j.outs, j.result = nil, nil, nil, nil
 	j.arenas, j.scratches = nil, nil
 	err1 := j.L.Close()
 	err2 := j.R.Close()
@@ -311,14 +290,11 @@ type ParallelFilterIter struct {
 	Pred    Expr
 	Workers int // <= 0 means GOMAXPROCS
 
-	nw      int
-	bounds  []Expr
-	bin     BatchIterator
-	chunk   []Tuple   // gathered input rows (reused)
-	outs    [][]Tuple // per-worker outputs (reused)
-	result  []Tuple   // concatenated output batch (reused)
-	pending []Tuple
-	ppos    int
+	nw     int
+	bounds []Expr
+	chunk  []Tuple   // gathered input rows (reused)
+	outs   [][]Tuple // per-worker outputs (reused)
+	result []Tuple   // concatenated output batch (reused)
 }
 
 // NewParallelFilter builds a parallel filter; workers <= 0 selects
@@ -340,25 +316,8 @@ func (f *ParallelFilterIter) Open() error {
 		}
 		f.bounds[w] = b
 	}
-	f.bin = Batched(f.In)
 	f.outs = make([][]Tuple, f.nw)
-	f.pending = nil
-	f.ppos = 0
 	return nil
-}
-
-func (f *ParallelFilterIter) Next() (Tuple, bool, error) {
-	for f.ppos >= len(f.pending) {
-		batch, ok, err := f.NextBatch()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		f.pending = batch
-		f.ppos = 0
-	}
-	t := f.pending[f.ppos]
-	f.ppos++
-	return t, true, nil
 }
 
 // NextBatch gathers a multi-batch chunk and filters it with all workers.
@@ -367,7 +326,7 @@ func (f *ParallelFilterIter) NextBatch() ([]Tuple, bool, error) {
 	for {
 		chunk := f.chunk[:0]
 		for len(chunk) < target {
-			batch, ok, err := f.bin.NextBatch()
+			batch, ok, err := f.In.NextBatch()
 			if err != nil {
 				return nil, false, err
 			}
@@ -419,7 +378,7 @@ func (f *ParallelFilterIter) NextBatch() ([]Tuple, bool, error) {
 }
 
 func (f *ParallelFilterIter) Close() error {
-	f.chunk, f.outs, f.result, f.pending = nil, nil, nil, nil
+	f.chunk, f.outs, f.result = nil, nil, nil
 	return f.In.Close()
 }
 

@@ -75,40 +75,6 @@ func TestParallelHashJoinEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelHashJoinTupleAtATime drives the parallel join through the
-// single-tuple Next protocol (not NextBatch) and checks the same
-// equivalence, since downstream operators may consume either way.
-func TestParallelHashJoinTupleAtATime(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	l := randJoinInput(rng, 500, 20, "l")
-	r := randJoinInput(rng, 700, 20, "r")
-	pairs := []EquiPair{{L: "l.k", R: "r.k"}}
-
-	want, err := Drain(NewHashJoin(NewScan(l), NewScan(r), pairs, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := NewParallelHashJoin(NewScan(l), NewScan(r), pairs, nil, 4)
-	if err := j.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	got := NewRelation(j.Schema())
-	for {
-		row, ok, err := j.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got.Append(row)
-	}
-	if !want.EqualAsBag(got) {
-		t.Fatalf("Next-protocol parallel join differs: want %d rows, got %d", want.Len(), got.Len())
-	}
-}
-
 // TestParallelFilterEquivalence asserts the parallel filter matches the
 // serial filter, including row order (chunks are recombined in input
 // order).
@@ -139,48 +105,6 @@ func TestParallelFilterEquivalence(t *testing.T) {
 					}
 				})
 			}
-		}
-	}
-}
-
-// TestBatchedAdapterEquivalence asserts the generic NextBatch adapter
-// and the native batch paths yield the same rows as the Next protocol.
-func TestBatchedAdapterEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	rel := randJoinInput(rng, 2500, 6, "t")
-	mk := func() Iterator {
-		return NewProject(NewFilter(NewScan(rel), Cmp(GE, Col("t.k"), ConstInt(2))), []string{"t.k", "t.s"})
-	}
-
-	// Next protocol.
-	it := mk()
-	if err := it.Open(); err != nil {
-		t.Fatal(err)
-	}
-	want := NewRelation(it.Schema())
-	for {
-		row, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		want.Append(row)
-	}
-	it.Close()
-
-	// Batch protocol (Drain uses it).
-	got, err := Drain(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Len() != got.Len() {
-		t.Fatalf("row count differs: next=%d, batch=%d", want.Len(), got.Len())
-	}
-	for i := range want.Rows {
-		if !TupleEqual(want.Rows[i], got.Rows[i]) {
-			t.Fatalf("row %d differs: %v vs %v", i, want.Rows[i], got.Rows[i])
 		}
 	}
 }

@@ -36,11 +36,10 @@ type SourcePlan interface {
 }
 
 // ColumnarLeaf is implemented by source plans whose physical iterator
-// serves column batches natively (ColumnarNative). EXPLAIN consults it
-// to annotate each operator with its execution mode: a chain of
-// filters and projections above a columnar leaf runs columnar
-// (selection vectors, typed predicate loops) up to the first operator
-// that needs rows.
+// is a ColBatchIterator. EXPLAIN consults it to annotate each operator
+// with its execution mode: a chain of filters and projections above a
+// columnar leaf runs columnar (selection vectors, typed predicate
+// loops) up to the first operator that needs rows.
 type ColumnarLeaf interface {
 	ColumnarScan() bool
 }

@@ -27,18 +27,15 @@ func (u *UnionIter) Open() error {
 	return nil
 }
 
-func (u *UnionIter) Next() (Tuple, bool, error) {
+func (u *UnionIter) NextBatch() ([]Tuple, bool, error) {
 	if !u.onRight {
-		row, ok, err := u.L.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return row, true, nil
+		batch, ok, err := u.L.NextBatch()
+		if err != nil || ok {
+			return batch, ok, err
 		}
 		u.onRight = true
 	}
-	return u.R.Next()
+	return u.R.NextBatch()
 }
 
 func (u *UnionIter) Close() error {
@@ -52,6 +49,42 @@ func (u *UnionIter) Close() error {
 
 func (u *UnionIter) Schema() Schema { return u.L.Schema() }
 
+// keySet drains the opened iterator it into the set of its rows' keys.
+func keySet(it Iterator) (map[string]struct{}, error) {
+	set := make(map[string]struct{})
+	for {
+		batch, ok, err := it.NextBatch()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return set, nil
+		}
+		for _, row := range batch {
+			set[KeyString(row)] = struct{}{}
+		}
+	}
+}
+
+// appendNewMembers appends to out the rows of in whose membership in
+// right equals member and that seen does not hold yet, recording them
+// in seen: one batch of a deduplicated difference (member=false) or
+// intersection (member=true).
+func appendNewMembers(out, in []Tuple, right map[string]struct{}, member bool, seen map[string]struct{}) []Tuple {
+	for _, row := range in {
+		k := KeyString(row)
+		if _, has := right[k]; has != member {
+			continue
+		}
+		if _, dup := seen[k]; dup {
+			continue
+		}
+		seen[k] = struct{}{}
+		out = append(out, row)
+	}
+	return out
+}
+
 // DiffIter computes set difference L − R (set semantics: output is
 // deduplicated). Used by the Lemma 4.3 certain-answer RA query.
 type DiffIter struct {
@@ -59,6 +92,7 @@ type DiffIter struct {
 
 	right map[string]struct{}
 	seen  map[string]struct{}
+	out   []Tuple // reused output batch headers
 }
 
 // NewDiff builds a set difference.
@@ -75,41 +109,27 @@ func (d *DiffIter) Open() error {
 		return fmt.Errorf("engine: difference width mismatch: %d vs %d",
 			d.L.Schema().Len(), d.R.Schema().Len())
 	}
-	d.right = make(map[string]struct{})
 	d.seen = make(map[string]struct{})
-	for {
-		row, ok, err := d.R.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		d.right[KeyString(row)] = struct{}{}
-	}
-	return nil
+	var err error
+	d.right, err = keySet(d.R)
+	return err
 }
 
-func (d *DiffIter) Next() (Tuple, bool, error) {
+func (d *DiffIter) NextBatch() ([]Tuple, bool, error) {
 	for {
-		row, ok, err := d.L.Next()
+		in, ok, err := d.L.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		k := KeyString(row)
-		if _, drop := d.right[k]; drop {
-			continue
+		d.out = appendNewMembers(d.out[:0], in, d.right, false, d.seen)
+		if len(d.out) > 0 {
+			return d.out, true, nil
 		}
-		if _, dup := d.seen[k]; dup {
-			continue
-		}
-		d.seen[k] = struct{}{}
-		return row, true, nil
 	}
 }
 
 func (d *DiffIter) Close() error {
-	d.right, d.seen = nil, nil
+	d.right, d.seen, d.out = nil, nil, nil
 	err1 := d.L.Close()
 	err2 := d.R.Close()
 	if err1 != nil {
@@ -126,6 +146,7 @@ type IntersectIter struct {
 
 	right map[string]struct{}
 	seen  map[string]struct{}
+	out   []Tuple // reused output batch headers
 }
 
 // NewIntersect builds a set intersection.
@@ -142,41 +163,27 @@ func (d *IntersectIter) Open() error {
 		return fmt.Errorf("engine: intersect width mismatch: %d vs %d",
 			d.L.Schema().Len(), d.R.Schema().Len())
 	}
-	d.right = make(map[string]struct{})
 	d.seen = make(map[string]struct{})
-	for {
-		row, ok, err := d.R.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		d.right[KeyString(row)] = struct{}{}
-	}
-	return nil
+	var err error
+	d.right, err = keySet(d.R)
+	return err
 }
 
-func (d *IntersectIter) Next() (Tuple, bool, error) {
+func (d *IntersectIter) NextBatch() ([]Tuple, bool, error) {
 	for {
-		row, ok, err := d.L.Next()
+		in, ok, err := d.L.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		k := KeyString(row)
-		if _, keep := d.right[k]; !keep {
-			continue
+		d.out = appendNewMembers(d.out[:0], in, d.right, true, d.seen)
+		if len(d.out) > 0 {
+			return d.out, true, nil
 		}
-		if _, dup := d.seen[k]; dup {
-			continue
-		}
-		d.seen[k] = struct{}{}
-		return row, true, nil
 	}
 }
 
 func (d *IntersectIter) Close() error {
-	d.right, d.seen = nil, nil
+	d.right, d.seen, d.out = nil, nil, nil
 	err1 := d.L.Close()
 	err2 := d.R.Close()
 	if err1 != nil {

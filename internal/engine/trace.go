@@ -17,18 +17,15 @@ type OperatorStats interface {
 
 // traceIter wraps a physical operator and records its actual row and
 // batch counts plus inclusive wall time (children included, as in
-// EXPLAIN ANALYZE) into a span. It implements all three drive
-// protocols and delegates the columnar-native negotiation to the
-// wrapped operator, so inserting it never changes which execution
-// path (row, batch, columnar) the plan takes — only adds a counter
-// update per batch. It is only ever constructed when tracing is on;
-// the untraced hot path never sees it.
+// EXPLAIN ANALYZE) into a span. It forwards the wrapped operator's
+// columnar capability along with its row batches, so inserting it
+// never changes which representation the parent pulls — it only adds a
+// counter update per batch. It is only ever constructed when tracing
+// is on; the untraced hot path never sees it.
 type traceIter struct {
-	in Iterator
-	sp *obs.Span
-
-	bin BatchIterator
-	cin ColBatchIterator
+	in  Iterator
+	sp  *obs.Span
+	cin ColBatchIterator // the wrapped operator's columnar path, nil when it has none
 }
 
 func newTraceIter(in Iterator, sp *obs.Span) *traceIter {
@@ -38,26 +35,14 @@ func newTraceIter(in Iterator, sp *obs.Span) *traceIter {
 func (t *traceIter) Open() error {
 	start := time.Now()
 	err := t.in.Open()
+	t.cin, _ = NativeColumnar(t.in)
 	t.sp.AddNanos(int64(time.Since(start)))
 	return err
 }
 
-func (t *traceIter) Next() (Tuple, bool, error) {
-	start := time.Now()
-	tup, ok, err := t.in.Next()
-	t.sp.AddNanos(int64(time.Since(start)))
-	if ok {
-		t.sp.AddRows(1)
-	}
-	return tup, ok, err
-}
-
 func (t *traceIter) NextBatch() ([]Tuple, bool, error) {
-	if t.bin == nil {
-		t.bin = Batched(t.in)
-	}
 	start := time.Now()
-	b, ok, err := t.bin.NextBatch()
+	b, ok, err := t.in.NextBatch()
 	t.sp.AddNanos(int64(time.Since(start)))
 	if ok {
 		t.sp.AddRows(int64(len(b)))
@@ -67,9 +52,6 @@ func (t *traceIter) NextBatch() ([]Tuple, bool, error) {
 }
 
 func (t *traceIter) NextColBatch() (*ColBatch, bool, error) {
-	if t.cin == nil {
-		t.cin = Columnar(t.in)
-	}
 	start := time.Now()
 	cb, ok, err := t.cin.NextColBatch()
 	t.sp.AddNanos(int64(time.Since(start)))
@@ -83,8 +65,8 @@ func (t *traceIter) NextColBatch() (*ColBatch, bool, error) {
 // ColumnarNative reports the wrapped operator's answer, so the parent
 // negotiates the same representation it would without tracing.
 func (t *traceIter) ColumnarNative() bool {
-	c, ok := t.in.(ColBatchIterator)
-	return ok && c.ColumnarNative()
+	_, ok := NativeColumnar(t.in)
+	return ok
 }
 
 func (t *traceIter) Close() error {

@@ -6,9 +6,9 @@ import (
 	"urel/internal/obs"
 )
 
-// traceRun builds p with tracing rooted at a fresh span, drains it
-// through the requested protocol, and returns the result with the root.
-func traceRun(t *testing.T, p Plan, cat *Catalog, cfg ExecConfig, columnar bool) (*Relation, *obs.Span) {
+// traceRun builds p with tracing rooted at a fresh span, drains it,
+// and returns the result with the root.
+func traceRun(t *testing.T, p Plan, cat *Catalog, cfg ExecConfig) (*Relation, *obs.Span) {
 	t.Helper()
 	root := obs.NewSpan("query")
 	cfg.Trace = root
@@ -16,29 +16,30 @@ func traceRun(t *testing.T, p Plan, cat *Catalog, cfg ExecConfig, columnar bool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !columnar {
-		out, err := Drain(it)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out, root
-	}
-	if err := it.Open(); err != nil {
+	out, err := Drain(it)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer it.Close()
-	out := NewRelation(it.Schema())
-	cit := Columnar(it)
-	for {
-		cb, ok, err := cit.NextColBatch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return out, root
-		}
-		out.Rows = append(out.Rows, cb.Materialize(nil)...)
-	}
+	return out, root
+}
+
+// colLeaf is a SourcePlan over a colSource, so plan-level tests can put
+// a natively columnar scan under the operators Build produces. src is
+// the source of the latest BuildIter.
+type colLeaf struct {
+	rel  *Relation
+	name string
+	src  *colSource
+}
+
+func (l *colLeaf) Schema(*Catalog) (Schema, error) { return l.rel.Sch, nil }
+func (l *colLeaf) Children() []Plan                { return nil }
+func (l *colLeaf) WithChildren([]Plan) Plan        { return l }
+func (l *colLeaf) Label() string                   { return "Seq Scan on " + l.name }
+func (l *colLeaf) EstimateRowCount() float64       { return float64(l.rel.Len()) }
+func (l *colLeaf) BuildIter(ExecConfig) (Iterator, error) {
+	l.src = newColSource(l.rel, 64)
+	return l.src, nil
 }
 
 // spanRows walks the trace tree and returns the recorded row count of
@@ -65,14 +66,19 @@ func countSpans(sp *obs.Span) int {
 
 // TestTraceRowCountsMatchResult asserts the invariant EXPLAIN ANALYZE
 // rests on: the root operator's traced row count equals the rows the
-// query actually produced — across the serial, parallel, and columnar
-// drive protocols (the three ways a consumer can pull the same plan).
+// query actually produced — under the serial and the parallel
+// operators, and with a filter pulling column batches through the
+// trace wrapper of a columnar leaf.
 func TestTraceRowCountsMatchResult(t *testing.T) {
 	cat := planCatalog()
-	p := Project(
-		Filter(
-			Join(Scan("customer"), Scan("orders"), EqCols("c.custkey", "o.custkey")),
-			Cmp(GT, Col("o.total"), ConstInt(500))),
+	big := Cmp(GT, Col("o.total"), ConstInt(500))
+	onKey := EqCols("c.custkey", "o.custkey")
+	p := Project(Filter(Join(Scan("customer"), Scan("orders"), onKey), big),
+		"o.orderkey", "c.name")
+	cust, _ := cat.Get("customer")
+	ord, _ := cat.Get("orders")
+	ordLeaf := &colLeaf{rel: ord, name: "orders"}
+	colP := Project(Join(&colLeaf{rel: cust, name: "customer"}, Filter(ordLeaf, big), onKey),
 		"o.orderkey", "c.name")
 	want, err := RunDefault(p, cat)
 	if err != nil {
@@ -82,16 +88,16 @@ func TestTraceRowCountsMatchResult(t *testing.T) {
 		t.Fatal("fixture query must produce rows")
 	}
 	for _, tc := range []struct {
-		name     string
-		cfg      ExecConfig
-		columnar bool
+		name string
+		plan Plan
+		cfg  ExecConfig
 	}{
-		{"serial", ExecConfig{}, false},
-		{"parallel", ExecConfig{Parallelism: 4}, false},
-		{"columnar", ExecConfig{}, true},
+		{"serial", p, ExecConfig{}},
+		{"parallel", p, ExecConfig{Parallelism: 4}},
+		{"columnar", colP, ExecConfig{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			out, root := traceRun(t, p, cat, tc.cfg, tc.columnar)
+			out, root := traceRun(t, tc.plan, cat, tc.cfg)
 			if !want.EqualAsBag(out) {
 				t.Fatalf("traced run changed the result: want %d rows, got %d", want.Len(), out.Len())
 			}
@@ -122,6 +128,11 @@ func TestTraceRowCountsMatchResult(t *testing.T) {
 					t.Fatalf("%s traced %d rows, want %d", sc.label, sp.Rows(), sc.rows)
 				}
 			}
+			// Tracing must not change what the filter pulls from its leaf.
+			if src := ordLeaf.src; tc.name == "columnar" && (src.rowCalls != 0 || src.colCalls == 0) {
+				t.Fatalf("traced filter pulled %d row batches and %d column batches from its columnar leaf",
+					src.rowCalls, src.colCalls)
+			}
 		})
 	}
 }
@@ -140,12 +151,12 @@ func TestTraceDisabledIsUnwrapped(t *testing.T) {
 	}
 }
 
-// TestTraceBatchCounts asserts batch accounting: batches recorded only
-// on the batch protocol, and batch row sums equal Next-protocol rows.
+// TestTraceBatchCounts asserts batch accounting: every pull is recorded
+// as a batch and the batch row sums equal the result.
 func TestTraceBatchCounts(t *testing.T) {
 	cat := planCatalog()
 	p := Filter(Scan("orders"), Cmp(GT, Col("o.total"), ConstInt(990)))
-	out, root := traceRun(t, p, cat, ExecConfig{}, false)
+	out, root := traceRun(t, p, cat, ExecConfig{})
 	top := root.Children()[0]
 	if top.Rows() != int64(out.Len()) {
 		t.Fatalf("traced %d rows, result has %d", top.Rows(), out.Len())

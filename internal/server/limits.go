@@ -37,12 +37,11 @@ func runLimited(p engine.Plan, cat *engine.Catalog, cfg engine.ExecConfig,
 	}
 	defer it.Close()
 	out := engine.NewRelation(it.Schema())
-	bit := engine.Batched(it)
 	for {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return nil, false, errTimeout
 		}
-		batch, ok, err := bit.NextBatch()
+		batch, ok, err := it.NextBatch()
 		if err != nil {
 			return nil, false, err
 		}
@@ -61,10 +60,11 @@ func runLimited(p engine.Plan, cat *engine.Catalog, cfg engine.ExecConfig,
 			}
 			// Exactly at the cap: truncation is only real if more rows
 			// were coming.
-			if _, more, err := bit.NextBatch(); err == nil && more {
-				return out, true, nil
+			_, more, err := it.NextBatch()
+			if err != nil {
+				return nil, false, err
 			}
-			return out, false, nil
+			return out, more, nil
 		}
 	}
 }

@@ -32,9 +32,13 @@
 //     typed engine.ColVec vectors, so NextColBatch hands the engine
 //     one zero-transpose column batch per segment (descriptor and tid
 //     columns as int vectors, value columns as their decoded typed
-//     vectors) — a filter or projection above the scan runs vectorized
-//     on the stored columns, and tuples are materialized only where an
-//     operator needs rows. Its planning half, StoreScanPlan,
+//     vectors). The filters and projections directly above the scan
+//     pull those column batches and run vectorized on the stored
+//     columns; the topmost of them materializes tuples once, for the
+//     row operator above. A row operator directly on the scan (a join
+//     build) pulls NextBatch, which materializes a tuple block per
+//     segment. The index operators (lookup.go) hold their few rows and
+//     serve them as row batches. Its planning half, StoreScanPlan,
 //     implements engine.SourcePlan, engine.ColumnarLeaf, and
 //     engine.FilterAdvisor: selection predicates evaluated directly
 //     above a scan (the σ of the paper's Figure 4 translation) prune

@@ -353,13 +353,8 @@ func (s *IndexLookupIter) scanLayer(h *PartHandle, tf TombFilter) error {
 	return nil
 }
 
-func (s *IndexLookupIter) Next() (engine.Tuple, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	t := s.rows[s.pos]
-	s.pos++
-	return t, true, nil
+func (s *IndexLookupIter) NextBatch() ([]engine.Tuple, bool, error) {
+	return engine.Window(s.rows, &s.pos)
 }
 
 // Close releases the materialized rows; counters survive for tracing.
@@ -541,13 +536,8 @@ func (s *SortedRunIter) layerStream(h *PartHandle, tf TombFilter) ([]sortedRow, 
 	return out, nil
 }
 
-func (s *SortedRunIter) Next() (engine.Tuple, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	t := s.rows[s.pos]
-	s.pos++
-	return t, true, nil
+func (s *SortedRunIter) NextBatch() ([]engine.Tuple, bool, error) {
+	return engine.Window(s.rows, &s.pos)
 }
 
 // Close releases the materialized rows; counters survive for tracing.

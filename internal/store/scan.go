@@ -197,10 +197,10 @@ func segmentRefutes(st colStats, op engine.CmpOp, cst engine.Value) bool {
 // delta rows come out as a final batch. Tombstones narrow file
 // batches through the selection vector (the decoded vectors stay
 // zero-copy and shared; only live row indices are listed), so a
-// partition without deletes pays nothing. The row paths
-// (Next/NextBatch) materialize a tuple block per segment for consumers
-// that want rows; a columnar consumer (a filter or projection directly
-// above the scan) never pays that cost.
+// partition without deletes pays nothing. NextBatch materializes a
+// tuple block per segment for a parent that wants rows (a join build
+// directly above the scan); a filter or projection above the scan
+// pulls NextColBatch and never pays that cost.
 type StoreScanIter struct {
 	Src     *PartSource
 	Sch     engine.Schema
@@ -514,7 +514,8 @@ func (s *StoreScanIter) zeroPad(n int) []int64 {
 	return s.pad[:n]
 }
 
-// NextBatch returns up to engine.DefaultBatchSize tuples per call.
+// NextBatch returns up to engine.DefaultBatchSize tuples per call,
+// windows of the current segment's tuple block.
 func (s *StoreScanIter) NextBatch() ([]engine.Tuple, bool, error) {
 	for s.pos >= len(s.rows) {
 		ok, err := s.advance()
@@ -522,27 +523,7 @@ func (s *StoreScanIter) NextBatch() ([]engine.Tuple, bool, error) {
 			return nil, false, err
 		}
 	}
-	end := s.pos + engine.DefaultBatchSize
-	if end > len(s.rows) {
-		end = len(s.rows)
-	}
-	batch := s.rows[s.pos:end]
-	s.pos = end
-	return batch, true, nil
-}
-
-// Next serves the single-tuple Volcano interface from the same
-// segment block.
-func (s *StoreScanIter) Next() (engine.Tuple, bool, error) {
-	for s.pos >= len(s.rows) {
-		ok, err := s.advance()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-	}
-	t := s.rows[s.pos]
-	s.pos++
-	return t, true, nil
+	return engine.Window(s.rows, &s.pos)
 }
 
 // Close releases the scan's references (the shared handles stay open).

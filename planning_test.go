@@ -8,6 +8,7 @@ import (
 	"urel/internal/core"
 	"urel/internal/engine"
 	"urel/internal/obs"
+	"urel/internal/sqlparse"
 	"urel/internal/store"
 	"urel/internal/tpch"
 )
@@ -246,4 +247,36 @@ func adjacentLines(text, first, second string) bool {
 		}
 	}
 	return false
+}
+
+// TestStoredPossibleRunsInBatches runs a `possible select … where …`
+// over a stored catalog under EXPLAIN ANALYZE and checks that every
+// operator of the plan, from the Distinct root poss(q) adds down to the
+// segment scans, reports the batches it moved: no node under a row
+// operator is driven any other way.
+func TestStoredPossibleRunsInBatches(t *testing.T) {
+	_, stored := planningData(t, 0.05)
+	parsed, err := sqlparse.Parse("possible select c_mktsegment from customer where c_custkey < 10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := stored.ExplainAnalyze(parsed.Query, false, engine.ExecConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows == 0 {
+		t.Fatal("fixture query must produce rows")
+	}
+	var walk func(*obs.Span)
+	walk = func(s *obs.Span) {
+		if s.Rows() > 0 && s.Batches() == 0 {
+			t.Errorf("%q emitted %d rows in no batch:\n%s", s.Op(), s.Rows(), res.Text)
+		}
+		for _, c := range s.Children() {
+			walk(c)
+		}
+	}
+	for _, c := range res.Trace.Children() {
+		walk(c)
+	}
 }
