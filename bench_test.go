@@ -1,8 +1,8 @@
 // Micro-benchmarks (ungated) for the measurements the gated benchmark in
 // benchmark/ has no metric for: Algorithm 1 normalization, the two
-// reductions, the optimizer and join-algorithm ablations the knob audit
-// needs, and the serial-vs-parallel operators on synthetic input. Run
-// with:
+// reductions, the optimizer ablation and the hash-vs-index join crossover
+// the knob audit needs, and the serial-vs-parallel operators on synthetic
+// input. Run with:
 //
 //	go test -run=NONE -bench=. -benchmem
 //
@@ -21,7 +21,9 @@ import (
 	"urel/internal/bench/wsd"
 	"urel/internal/core"
 	"urel/internal/engine"
+	"urel/internal/store"
 	"urel/internal/tpch"
+	"urel/internal/txn"
 )
 
 // dbPool caches generated databases across benchmarks.
@@ -87,26 +89,77 @@ func BenchmarkAblation_Optimizer(b *testing.B) {
 	}
 }
 
-// Ablation: physical join algorithm for the translated queries.
-func BenchmarkAblation_JoinPhysical(b *testing.B) {
-	b.ReportAllocs()
-	db := benchDB(b, 0.05, 0.01, 0.25)
-	for _, algo := range []struct {
-		name string
-		a    engine.JoinAlgo
-	}{
-		{"hash", engine.JoinHash},
-		{"sort-merge", engine.JoinMerge},
-	} {
-		b.Run(algo.name, func(b *testing.B) {
-			b.ReportAllocs()
-			q := tpch.Queries()["Q1"]
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunQuery(db, "Q1", q, engine.ExecConfig{Join: algo.a}); err != nil {
-					b.Fatal(err)
-				}
+// BenchmarkJoinStrategy regenerates the crossover table of
+// docs/ARCHITECTURE.md ("Join strategies"): a 20 000-row stored inner
+// side with an index on the join column, an outer side of m rows, the
+// join forced to hash and to index-nested-loop — cold (no segment cache:
+// every probe decodes the segment its key is in) and warm (segments stay
+// decoded). chooseJoin picks the index join below the crossover the
+// source's ProbeCost implies: m < n/1024 cold, m < n/8 warm.
+//
+//	go test -run=NONE -bench=BenchmarkJoinStrategy -benchtime=15x -count=3 .
+func BenchmarkJoinStrategy(b *testing.B) {
+	const n = 20000
+	outers := []int{10, 20, 100, 1000, n/8 - 1}
+	db := core.NewUDB()
+	db.MustAddRelation("big", "k", "v")
+	ub := db.MustAddPartition("big", "u_big", "k", "v")
+	for i := 0; i < n; i++ {
+		ub.Add(nil, int64(i+1), engine.Int(int64((i*2654435761)%n)), engine.Int(int64(i)))
+	}
+	for _, m := range outers {
+		name := fmt.Sprintf("o%d", m)
+		db.MustAddRelation(name, "k", "w")
+		uo := db.MustAddPartition(name, "u_"+name, "k", "w")
+		for i := 0; i < m; i++ {
+			uo.Add(nil, int64(i+1), engine.Int(int64((i*37*2654435761)%n)), engine.Int(int64(i)))
+		}
+	}
+	dir := b.TempDir()
+	if err := store.Save(db, dir); err != nil {
+		b.Fatal(err)
+	}
+	d, err := txn.Open(dir, txn.Options{DisableAutoFlush: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := d.Exec("create index on big(k)"); err != nil {
+		b.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name  string
+		cache *store.SegCache
+	}{{"cold", nil}, {"warm", store.NewSegCache(64 << 20)}} {
+		d, err := txn.Open(dir, txn.Options{DisableAutoFlush: true, Cache: mode.cache})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range outers {
+			q := core.Project(core.Join(core.RelAs(fmt.Sprintf("o%d", m), "s"), core.RelAs("big", "b"),
+				engine.Eq(engine.Col("s.k"), engine.Col("b.k"))), "s.k", "b.v")
+			for _, algo := range []struct {
+				name string
+				a    engine.JoinAlgo
+			}{{"hash", engine.JoinHash}, {"index", engine.JoinIndex}} {
+				b.Run(fmt.Sprintf("%s/m=%d/%s", mode.name, m, algo.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						rel, err := d.Snapshot().EvalPoss(q, engine.ExecConfig{Join: algo.a})
+						if err != nil {
+							b.Fatal(err)
+						}
+						if rel.Len() != m {
+							b.Fatalf("%d answers, want %d", rel.Len(), m)
+						}
+					}
+				})
 			}
-		})
+		}
+		if err := d.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -55,22 +55,6 @@ func (r *UResult) Confidences() ([]TupleConfidence, error) {
 	return out, nil
 }
 
-// ConfidencesAuto computes exact confidences, falling back to
-// Monte-Carlo sampling (n samples, seeded) when exact enumeration
-// would exceed its cap. The returned estimator is "exact" or
-// "monte-carlo"; both query front-ends (urquery, the server) share
-// this fallback policy.
-func (r *UResult) ConfidencesAuto(n int, seed int64) ([]TupleConfidence, string, error) {
-	out, err := r.Confidences()
-	if errors.Is(err, ErrConfidenceCap) {
-		return r.ConfidencesMC(n, seed), "monte-carlo", nil
-	}
-	if err != nil {
-		return nil, "", err
-	}
-	return out, "exact", nil
-}
-
 // ConfidencesMC estimates confidences by Monte-Carlo sampling of worlds
 // (n samples with the given seed). The standard error of each estimate
 // is ≤ 0.5/sqrt(n).

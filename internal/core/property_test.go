@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"urel/internal/engine"
+	"urel/internal/obs"
 	"urel/internal/ws"
 )
 
@@ -232,15 +235,13 @@ func TestPropertyOptimizerPreservesSemantics(t *testing.T) {
 		if !a.EqualAsSet(b) {
 			t.Fatalf("iter %d: optimizer changed result of %s", iter, q)
 		}
-		// Physical join ablation.
-		for _, algo := range []engine.JoinAlgo{engine.JoinMerge, engine.JoinNestedLoop} {
-			c, err := db.EvalPoss(q, engine.ExecConfig{Join: algo})
-			if err != nil {
-				t.Fatalf("iter %d: algo %v: %v", iter, algo, err)
-			}
-			if !a.EqualAsSet(c) {
-				t.Fatalf("iter %d: join algo %v changed result of %s", iter, algo, q)
-			}
+		// The nested loop is the hash join's cross-check.
+		c, err := db.EvalPoss(q, engine.ExecConfig{Join: engine.JoinNestedLoop})
+		if err != nil {
+			t.Fatalf("iter %d: nested loop: %v", iter, err)
+		}
+		if !a.EqualAsSet(c) {
+			t.Fatalf("iter %d: forcing the nested loop changed result of %s", iter, q)
 		}
 		// Statistics are advisory: the representation-level plan returns
 		// the same bag unoptimized and optimized with the partitions'
@@ -286,6 +287,65 @@ func eachValuesLeaf(p engine.Plan, f func(*engine.ValuesPlan)) {
 	}
 	for _, c := range p.Children() {
 		eachValuesLeaf(c, f)
+	}
+}
+
+// TestPropertyTraceEstimatesAreTheOptimizers: for random translated
+// queries, serial and parallel, every span of a traced Build carries the
+// estimate the optimizer's estimator gives the node it wraps — the rows=
+// EXPLAIN prints for that node — and a join span is named after the
+// strategy EXPLAIN prints, so EXPLAIN ANALYZE's est-drift is about the
+// numbers the plan was chosen on.
+func TestPropertyTraceEstimatesAreTheOptimizers(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cat := engine.NewCatalog()
+	spans := 0
+	var check func(p engine.Plan, sp *obs.Span)
+	check = func(p engine.Plan, sp *obs.Span) {
+		spans++
+		want := engine.EstimateStats(p, cat).Rows
+		if d := math.Abs(sp.Est() - want); d > 1e-9*want {
+			t.Fatalf("span %q has est=%g, the estimator gives its node %g rows", sp.Op(), sp.Est(), want)
+		}
+		text, err := engine.Explain(p, cat, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head := strings.SplitN(text, "\n", 2)[0]
+		if !strings.Contains(head, fmt.Sprintf("(rows=%.0f ", sp.Est())) {
+			t.Fatalf("span %q has est=%.0f, EXPLAIN prints its node as %q", sp.Op(), sp.Est(), head)
+		}
+		if _, ok := p.(*engine.JoinPlan); ok && !strings.HasPrefix(head, sp.Op()+"  (") {
+			t.Fatalf("join ran as %q, EXPLAIN prints %q", sp.Op(), head)
+		}
+		kids := sp.Children()
+		if len(kids) != len(p.Children()) {
+			t.Fatalf("span %q has %d children, its node %d", sp.Op(), len(kids), len(p.Children()))
+		}
+		for i, c := range p.Children() {
+			check(c, kids[i])
+		}
+	}
+	for iter := 0; iter < 40; iter++ {
+		db := randUDB(rng).Reduce()
+		plan, _, err := db.Translate(Poss(randQuery(rng, db, 2)))
+		if err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		if plan, err = engine.Optimize(plan, cat); err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		for _, cfg := range []engine.ExecConfig{{}, {Parallelism: 2, ParallelThreshold: 1}} {
+			root := obs.NewSpan("query")
+			cfg.Trace = root
+			if _, err := engine.Build(plan, cat, cfg); err != nil {
+				t.Fatalf("iter %d: %v", iter, err)
+			}
+			check(plan, root.Children()[0])
+		}
+	}
+	if spans < 400 {
+		t.Fatalf("only %d spans checked", spans)
 	}
 }
 

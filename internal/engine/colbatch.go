@@ -119,16 +119,6 @@ func (b *ColBatch) RowID(k int) int {
 	return k
 }
 
-// ReadRow materializes live row k into dst (len(dst) must equal the
-// column count). dst is returned for convenience.
-func (b *ColBatch) ReadRow(k int, dst Tuple) Tuple {
-	i := b.RowID(k)
-	for c := range b.Cols {
-		dst[c] = b.Cols[c].Value(i)
-	}
-	return dst
-}
-
 // Materialize converts the live rows to tuples. The returned []Tuple
 // reuses rowsBuf's backing array, but the tuple cells are freshly
 // allocated (one arena per call), so the tuples themselves remain

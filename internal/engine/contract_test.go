@@ -52,6 +52,7 @@ func (x *indexedRel) BuildIter(ExecConfig) (Iterator, error) { return NewScan(x.
 func (x *indexedRel) SourceName() string                     { return "rel" }
 func (x *indexedRel) IndexedCols() []string                  { return x.rel.Sch.Names() }
 func (x *indexedRel) LookupEstimate(string) float64          { return 1 }
+func (x *indexedRel) ProbeCost(string) float64               { return 8 }
 func (x *indexedRel) LookupEq(col string, key Value) (Iterator, error) {
 	return NewFilter(NewScan(x.rel), Cmp(EQ, Col(col), Const(key))), nil
 }
@@ -107,7 +108,6 @@ func TestBatchContract(t *testing.T) {
 		"NewNestedLoopJoin": func(l, r Iterator) Iterator {
 			return NewNestedLoopJoin(NewLimit(l, 120), r, Cmp(LT, Col("l.v"), Col("r.v")))
 		},
-		"NewMergeJoin": func(l, r Iterator) Iterator { return NewMergeJoin(l, r, pairs, ne) },
 		"NewSemiJoin":  func(l, r Iterator) Iterator { return NewSemiJoin(l, r, pairs, ne, false) },
 		"NewUnion":     func(l, r Iterator) Iterator { return NewUnion(l, r) },
 		"NewDiff":      func(l, r Iterator) Iterator { return NewDiff(l, r) },
@@ -163,15 +163,16 @@ func sameHeaders(t *testing.T, side string, before, after []Tuple) {
 	}
 }
 
-// operatorConstructors parses the package's non-test files for the
-// New* functions that return an *…Iter.
-func operatorConstructors(t *testing.T) []string {
+// packageFuncs parses the package's non-test files and returns their
+// function declarations, for the tests that hold the source itself to a
+// rule.
+func packageFuncs(t *testing.T) []*ast.FuncDecl {
 	t.Helper()
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []string
+	var out []*ast.FuncDecl
 	for _, file := range files {
 		if strings.HasSuffix(file, "_test.go") {
 			continue
@@ -181,15 +182,27 @@ func operatorConstructors(t *testing.T) []string {
 			t.Fatal(err)
 		}
 		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "New") ||
-				fn.Type.Results == nil || len(fn.Type.Results.List) != 1 {
-				continue
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				out = append(out, fn)
 			}
-			if star, ok := fn.Type.Results.List[0].Type.(*ast.StarExpr); ok {
-				if id, ok := star.X.(*ast.Ident); ok && strings.HasSuffix(id.Name, "Iter") {
-					out = append(out, fn.Name.Name)
-				}
+		}
+	}
+	return out
+}
+
+// operatorConstructors lists the package's New* functions that return
+// an *…Iter.
+func operatorConstructors(t *testing.T) []string {
+	t.Helper()
+	var out []string
+	for _, fn := range packageFuncs(t) {
+		if fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "New") ||
+			fn.Type.Results == nil || len(fn.Type.Results.List) != 1 {
+			continue
+		}
+		if star, ok := fn.Type.Results.List[0].Type.(*ast.StarExpr); ok {
+			if id, ok := star.X.(*ast.Ident); ok && strings.HasSuffix(id.Name, "Iter") {
+				out = append(out, fn.Name.Name)
 			}
 		}
 	}

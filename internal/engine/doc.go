@@ -40,8 +40,16 @@
 // workers, probe batches scattered through per-partition private
 // joinTables) and ParallelFilterIter (chunked predicate evaluation) —
 // are selected during physical lowering when ExecConfig.Parallelism
-// allows and the estimated input cardinality (EstimateRows) clears the
-// threshold, so small inputs keep the cheaper serial operators.
+// allows and the estimated input cardinality clears the threshold, so
+// small inputs keep the cheaper serial operators. There are three join
+// strategies: the hash join (serial or partitioned), index-nested-loop
+// when a small outer side meets an indexed storage leaf (chooseJoin;
+// the leaf prices its own probes, IndexedSource.ProbeCost), and the
+// nested loop for joins without an equi pair, which the property tests
+// also force as the hash join's cross-check. Lowering, EXPLAIN and the
+// est= of every EXPLAIN ANALYZE span read one estimator — the
+// optimizer's (stats.go) — so est-drift is a statement about the
+// numbers the plan was actually chosen on.
 //
 // Paper-section map: plan.go/optimizer.go — the "standard techniques
 // employed in off-the-shelf relational DBMS" (Sections 3 and 6) that

@@ -17,6 +17,7 @@ func Explain(p Plan, cat *Catalog, optimize bool) (string, error) {
 			return "", err
 		}
 	}
+	adviseFilters(p)
 	var b strings.Builder
 	explainNode(&b, p, newEstimator(cat), 0, true)
 	return b.String(), nil
@@ -57,7 +58,6 @@ func execMode(p Plan) string {
 // explainNode prints p and its subtree; the one estimator of the Explain
 // call supplies every node's rows= figure, each computed once.
 func explainNode(b *strings.Builder, p Plan, est *estimator, depth int, root bool) {
-	cat := est.cat
 	indent := strings.Repeat("  ", depth)
 	head := indent
 	if !root {
@@ -67,45 +67,23 @@ func explainNode(b *strings.Builder, p Plan, est *estimator, depth int, root boo
 	mode := execMode(p)
 	switch n := p.(type) {
 	case *JoinPlan:
-		ls, _ := n.L.Schema(cat)
-		rs, _ := n.R.Schema(cat)
-		pairs, residual := ExtractEquiJoin(n.Cond, ls, rs)
-		// Mirror Build's JoinAuto decision so the plan printed is the
-		// plan executed.
-		choice := joinChoice{algo: JoinNestedLoop}
-		if n.Kind == InnerJoin {
-			choice = chooseJoinAlgo(n, pairs, cat)
-		} else if len(pairs) > 0 {
-			choice = joinChoice{algo: JoinHash}
-		}
-		algo, condLabel := "Nested Loop", "Join Cond"
-		switch choice.algo {
-		case JoinHash:
-			algo, condLabel = "Hash Join", "Hash Cond"
-		case JoinIndex:
-			algo, condLabel = "Index Join", "Index Cond"
-		case JoinMerge:
-			algo, condLabel = "Merge Join", "Merge Cond"
-		}
-		switch n.Kind {
-		case SemiJoin:
-			algo += " (semi)"
-		case AntiJoin:
-			algo += " (anti)"
-		}
-		fmt.Fprintf(b, "%s%s  (rows=%.0f exec=%s)\n", head, algo, st.Rows, mode)
-		if choice.algo == JoinIndex {
-			fmt.Fprintf(b, "%s      Index Cond: (%s = %s) on %s\n", indent,
-				choice.lcol, choice.rcol, choice.src.SourceName())
-		} else if len(pairs) > 0 {
-			conds := make([]string, len(pairs))
-			for i, pr := range pairs {
+		// The decision Build makes under the default configuration, on
+		// this call's estimator: the rows= printed around the join are the
+		// rows it was chosen on. (A join whose input schemas do not
+		// resolve prints as a bare nested loop; Build reports the error.)
+		c, _ := chooseJoin(n, est, JoinAuto)
+		fmt.Fprintf(b, "%s%s  (rows=%.0f exec=%s)\n", head, c.label(n.Kind), st.Rows, mode)
+		if c.algo == JoinIndex {
+			fmt.Fprintf(b, "%s      Index Cond: (%s = %s) on %s\n", indent, c.lcol, c.rcol, c.src.SourceName())
+		} else if len(c.pairs) > 0 {
+			conds := make([]string, len(c.pairs))
+			for i, pr := range c.pairs {
 				conds[i] = fmt.Sprintf("(%s = %s)", pr.L, pr.R)
 			}
-			fmt.Fprintf(b, "%s      %s: %s\n", indent, condLabel, strings.Join(conds, " AND "))
+			fmt.Fprintf(b, "%s      Hash Cond: %s\n", indent, strings.Join(conds, " AND "))
 		}
-		if residual != nil {
-			fmt.Fprintf(b, "%s      Join Filter: %s\n", indent, residual)
+		if c.residual != nil {
+			fmt.Fprintf(b, "%s      Join Filter: %s\n", indent, c.residual)
 		}
 		explainNode(b, n.L, est, depth+1, false)
 		explainNode(b, n.R, est, depth+1, false)

@@ -515,8 +515,9 @@ type EquiPair struct {
 }
 
 // ExtractEquiJoin splits a join predicate into equi-join column pairs
-// usable for hash/merge joins plus a residual expression evaluated on
-// the concatenated row. left and right are the input schemas.
+// usable as hash keys or an index probe plus a residual expression
+// evaluated on the concatenated row. left and right are the input
+// schemas.
 func ExtractEquiJoin(cond Expr, left, right Schema) (pairs []EquiPair, residual Expr) {
 	var rest []Expr
 	for _, c := range SplitConjuncts(cond) {

@@ -115,10 +115,6 @@ func TestFilterBindError(t *testing.T) {
 	if err := hj.Open(); err == nil {
 		t.Fatal("hash join without pairs must fail")
 	}
-	mj := NewMergeJoin(NewScan(r), NewScan(r), nil, nil)
-	if err := mj.Open(); err == nil {
-		t.Fatal("merge join without pairs must fail")
-	}
 	ag := NewHashAgg(NewScan(r), []string{"zzz"}, nil)
 	if err := ag.Open(); err == nil {
 		t.Fatal("bad group-by must fail")

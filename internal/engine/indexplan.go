@@ -7,10 +7,10 @@ import (
 // IndexedSource is a SourcePlan backed by persistent secondary indexes
 // (internal/index sorted runs over the store's segment files). The
 // engine stays storage-agnostic: it only asks which output columns
-// have an equality index, what one probe is expected to return, and
-// for an iterator over the rows matching a key — the storage layer
-// answers from its runs, bloom filters, tombstones, and memtable, so
-// an index hit is never stale.
+// have an equality index, what one probe is expected to return and to
+// cost, and for an iterator over the rows matching a key — the storage
+// layer answers from its runs, bloom filters, tombstones, and memtable,
+// so an index hit is never stale.
 type IndexedSource interface {
 	SourcePlan
 	// SourceName names the underlying relation/partition for EXPLAIN.
@@ -23,26 +23,19 @@ type IndexedSource interface {
 	LookupEq(col string, key Value) (Iterator, error)
 	// LookupEstimate estimates the rows one equality probe returns.
 	LookupEstimate(col string) float64
-}
-
-// SortedSource is an IndexedSource that can additionally stream its
-// live rows in ascending key order straight off the sorted runs — the
-// feed a sort-merge join consumes without sorting. Rows whose key is
-// NULL are omitted (an equi-join never matches them), so the iterator
-// is only correct as a merge-join input, not as a general scan.
-type SortedSource interface {
-	IndexedSource
-	// SortedCols returns the columns BuildSortedIter supports.
-	SortedCols() []string
-	// BuildSortedIter returns the live non-NULL-key rows in ascending
-	// order of col under Compare.
-	BuildSortedIter(col string, cfg ExecConfig) (Iterator, error)
+	// ProbeCost is what one equality probe on col costs, in rows of a
+	// full scan of the source: index-nested-loop beats scanning the
+	// source once when outer rows × ProbeCost is below the source's row
+	// count. Only the source can tell — it is a handful of rows when the
+	// probed data is decoded and cached, a good part of a segment when
+	// every probe decodes one.
+	ProbeCost(col string) float64
 }
 
 // IndexScanPlan is the leaf produced by the optimizer's index rewrite:
 // an equality filter over an IndexedSource leaf becomes one probe of
 // the source's sorted-run indexes. It is itself a SourcePlan, so the
-// generic lowering and estimators handle it like any storage leaf.
+// generic lowering and the estimator handle it like any storage leaf.
 type IndexScanPlan struct {
 	Src IndexedSource
 	Col string // canonical column name in the source's schema
@@ -65,20 +58,12 @@ func (p *IndexScanPlan) BuildIter(ExecConfig) (Iterator, error) {
 // EstimateRowCount reports the expected probe result size.
 func (p *IndexScanPlan) EstimateRowCount() float64 { return p.Src.LookupEstimate(p.Col) }
 
-// IndexJoinCostFactor is the cost model's per-probe overhead of an
-// index lookup relative to scanning one row: index-nested-loop wins
-// when probing the index once per outer row (outer × factor) is
-// cheaper than scanning the inner side in full.
-const IndexJoinCostFactor = 8
-
-// MergeJoinMinRows gates the sorted-run merge join: below it the hash
-// join's table easily fits in cache and wins on constants.
-const MergeJoinMinRows = 4096
-
-// joinChoice is the physical join decision shared by Build and
-// EXPLAIN, so the plan printed is the plan executed.
+// joinChoice is the physical join decision shared by Build, its trace
+// spans and EXPLAIN, so the plan printed is the plan executed.
 type joinChoice struct {
-	algo JoinAlgo
+	algo     JoinAlgo   // JoinHash, JoinNestedLoop or JoinIndex
+	pairs    []EquiPair // the condition's equi pairs…
+	residual Expr       // …and what is left of it
 
 	// Index-nested-loop: probe src on rcol with the left row's lcol.
 	src  IndexedSource
@@ -86,12 +71,24 @@ type joinChoice struct {
 	lcol string
 	rcol string
 	rest []EquiPair // equi pairs not used as the probe (→ residual)
+}
 
-	// Sorted-run merge: both sides stream presorted on these columns.
-	lSorted  SortedSource
-	rSorted  SortedSource
-	lSortCol string
-	rSortCol string
+// label names the join operator the choice lowers to.
+func (c joinChoice) label(kind JoinKind) string {
+	s := "Nested Loop"
+	switch c.algo {
+	case JoinHash:
+		s = "Hash Join"
+	case JoinIndex:
+		s = "Index Join"
+	}
+	switch kind {
+	case SemiJoin:
+		s += " (semi)"
+	case AntiJoin:
+		s += " (anti)"
+	}
+	return s
 }
 
 // indexedLeaf unwraps a join input down to an IndexedSource leaf,
@@ -119,65 +116,53 @@ func containsStr(ss []string, s string) bool {
 	return false
 }
 
-// chooseJoinAlgo picks the physical algorithm for an inner join under
-// JoinAuto, instantiating the uncertain-join strategy suite on
-// U-relations: index-nested-loop when the outer side is estimated far
-// smaller than an indexed inner side, sort-merge over sorted runs when
-// both sides can stream presorted on the (single) join column, and the
-// partitioned hash join otherwise. Estimates come from EstimateRows —
-// the same standard cardinality machinery the paper leans on.
-func chooseJoinAlgo(n *JoinPlan, pairs []EquiPair, cat *Catalog) joinChoice {
-	if len(pairs) == 0 {
-		return joinChoice{algo: JoinNestedLoop}
+// chooseJoin picks the physical strategy for a join: nested loop when
+// the condition has no equi pair, index-nested-loop when the right side
+// is an indexed leaf and probing it once per estimated left row costs
+// less than scanning it, and the hash join otherwise. Semi and anti
+// joins have one operator, which hashes on whatever pairs there are;
+// for them the choice only names it. forced is ExecConfig.Join:
+// JoinHash and JoinNestedLoop override the choice for an inner join,
+// JoinIndex skips the cost gate. Whether an index exists is asked first
+// because it is free; the estimates — the optimizer's own, est — are
+// read only when one does.
+func chooseJoin(n *JoinPlan, est *estimator, forced JoinAlgo) (joinChoice, error) {
+	ls, err := n.L.Schema(est.cat)
+	if err != nil {
+		return joinChoice{}, err
 	}
-	estL := EstimateRows(n.L, cat)
-	estR := EstimateRows(n.R, cat)
-
-	// Index-nested-loop: the right side is an indexed leaf and probing
-	// it once per left row beats scanning it.
-	if estL*IndexJoinCostFactor < estR {
-		if c, ok := pickIndexJoin(n, pairs, cat); ok {
-			return c
-		}
+	rs, err := n.R.Schema(est.cat)
+	if err != nil {
+		return joinChoice{}, err
 	}
-
-	// Sort-merge over sorted runs: both sides stream presorted on the
-	// single join column, so the merge needs no sort and no hash table.
-	if len(pairs) == 1 && estL >= MergeJoinMinRows && estR >= MergeJoinMinRows {
-		if ls, lok := n.L.(SortedSource); lok {
-			if rsrc, rok := n.R.(SortedSource); rok {
-				lsch, errL := n.L.Schema(cat)
-				rsch, errR := n.R.Schema(cat)
-				if errL == nil && errR == nil {
-					li, ri := lsch.IndexOf(pairs[0].L), rsch.IndexOf(pairs[0].R)
-					if li >= 0 && ri >= 0 &&
-						containsStr(ls.SortedCols(), lsch.Cols[li].Name) &&
-						containsStr(rsrc.SortedCols(), rsch.Cols[ri].Name) {
-						return joinChoice{algo: JoinMerge, lSorted: ls, rSorted: rsrc,
-							lSortCol: lsch.Cols[li].Name, rSortCol: rsch.Cols[ri].Name}
-					}
-				}
-			}
-		}
+	c := joinChoice{algo: JoinHash}
+	c.pairs, c.residual = ExtractEquiJoin(n.Cond, ls, rs)
+	if len(c.pairs) == 0 || (forced == JoinNestedLoop && n.Kind == InnerJoin) {
+		c.algo = JoinNestedLoop
+		return c, nil
 	}
-	return joinChoice{algo: JoinHash}
+	if n.Kind != InnerJoin || forced == JoinHash {
+		return c, nil
+	}
+	ic, ok := pickIndexJoin(c, n.R, rs)
+	if ok && (forced == JoinIndex ||
+		est.stats(n.L).Rows*ic.src.ProbeCost(ic.rcol) < est.stats(n.R).Rows) {
+		return ic, nil
+	}
+	return c, nil
 }
 
-// pickIndexJoin finds an equi pair whose right column carries a usable
-// index on a right-side indexed leaf. It encodes availability only —
-// the cost gate lives in chooseJoinAlgo, so a forced cfg.Join =
-// JoinIndex can bypass it for ablation runs.
-func pickIndexJoin(n *JoinPlan, pairs []EquiPair, cat *Catalog) (joinChoice, bool) {
-	src, proj := indexedLeaf(n.R)
+// pickIndexJoin turns c into an index join if one of its equi pairs has
+// a right column carrying a usable index on r, a right-side indexed leaf
+// of schema rs. It encodes availability only — the cost gate lives in
+// chooseJoin.
+func pickIndexJoin(c joinChoice, r Plan, rs Schema) (joinChoice, bool) {
+	src, proj := indexedLeaf(r)
 	if src == nil {
-		return joinChoice{}, false
-	}
-	rs, err := n.R.Schema(cat)
-	if err != nil {
-		return joinChoice{}, false
+		return c, false
 	}
 	idxCols := src.IndexedCols()
-	for i, pr := range pairs {
+	for i, pr := range c.pairs {
 		ri := rs.IndexOf(pr.R)
 		if ri < 0 {
 			continue
@@ -186,28 +171,13 @@ func pickIndexJoin(n *JoinPlan, pairs []EquiPair, cat *Catalog) (joinChoice, boo
 		if !containsStr(idxCols, canon) {
 			continue
 		}
-		rest := make([]EquiPair, 0, len(pairs)-1)
-		rest = append(rest, pairs[:i]...)
-		rest = append(rest, pairs[i+1:]...)
-		return joinChoice{algo: JoinIndex, src: src, proj: proj,
-			lcol: pr.L, rcol: canon, rest: rest}, true
+		rest := make([]EquiPair, 0, len(c.pairs)-1)
+		rest = append(rest, c.pairs[:i]...)
+		rest = append(rest, c.pairs[i+1:]...)
+		c.algo, c.src, c.proj, c.lcol, c.rcol, c.rest = JoinIndex, src, proj, pr.L, canon, rest
+		return c, true
 	}
-	return joinChoice{}, false
-}
-
-// buildSortedLeaf lowers a merge-join input to the source's presorted
-// run feed, wiring the same trace span Build would have attached.
-func buildSortedLeaf(p Plan, src SortedSource, col string, cat *Catalog, cfg ExecConfig) (Iterator, error) {
-	if cfg.Trace == nil {
-		return src.BuildSortedIter(col, cfg)
-	}
-	sp := cfg.Trace.Child(fmt.Sprintf("Sorted Index Scan on %s (%s)", src.SourceName(), col), EstimateRows(p, cat))
-	cfg.Trace = sp
-	it, err := src.BuildSortedIter(col, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return newTraceIter(it, sp), nil
+	return c, false
 }
 
 // indexJoinResidual folds the unused equi pairs back into the residual

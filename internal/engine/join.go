@@ -251,179 +251,6 @@ func (j *NestedLoopJoinIter) Schema() Schema {
 	return j.L.Schema().Concat(j.R.Schema())
 }
 
-// MergeJoinIter sorts both inputs on the key pairs and merges,
-// evaluating an optional residual predicate on concatenated rows. This
-// is the physical operator PostgreSQL chose in Figure 13.
-type MergeJoinIter struct {
-	L, R     Iterator
-	Pairs    []EquiPair
-	Residual Expr
-	// LSorted/RSorted declare an input already sorted on the key pairs
-	// (a sorted-run index feed), skipping the in-memory sort.
-	LSorted bool
-	RSorted bool
-
-	left, right   []Tuple
-	lidx, ridx    []int
-	li, ri        int
-	groupL        []Tuple
-	groupR        []Tuple
-	gi, gj        int
-	bound         Expr
-	sch           Schema
-	groupsPending bool
-	out           []Tuple // reused output batch headers
-}
-
-// NewMergeJoin builds a sort-merge join; pairs must be non-empty.
-func NewMergeJoin(l, r Iterator, pairs []EquiPair, residual Expr) *MergeJoinIter {
-	return &MergeJoinIter{L: l, R: r, Pairs: pairs, Residual: residual}
-}
-
-func (j *MergeJoinIter) Open() error {
-	if len(j.Pairs) == 0 {
-		return fmt.Errorf("engine: merge join requires at least one equi pair")
-	}
-	if err := j.L.Open(); err != nil {
-		return err
-	}
-	if err := j.R.Open(); err != nil {
-		return err
-	}
-	lsch, rsch := j.L.Schema(), j.R.Schema()
-	j.sch = lsch.Concat(rsch)
-	j.lidx = make([]int, len(j.Pairs))
-	j.ridx = make([]int, len(j.Pairs))
-	for i, p := range j.Pairs {
-		li := lsch.IndexOf(p.L)
-		ri := rsch.IndexOf(p.R)
-		if li < 0 || ri < 0 {
-			return fmt.Errorf("engine: merge join: pair %v not resolvable", p)
-		}
-		j.lidx[i] = li
-		j.ridx[i] = ri
-	}
-	if j.Residual != nil {
-		b, err := j.Residual.Bind(j.sch)
-		if err != nil {
-			return err
-		}
-		j.bound = b
-	}
-	var err error
-	if j.left, err = drainAll(j.L); err != nil {
-		return err
-	}
-	if j.right, err = drainAll(j.R); err != nil {
-		return err
-	}
-	if !j.LSorted {
-		sortByKeys(j.left, j.lidx)
-	}
-	if !j.RSorted {
-		sortByKeys(j.right, j.ridx)
-	}
-	j.li, j.ri = 0, 0
-	j.groupsPending = false
-	return nil
-}
-
-func keyCompare(a Tuple, ai []int, b Tuple, bi []int) int {
-	for k := range ai {
-		if c := Compare(a[ai[k]], b[bi[k]]); c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
-func hasNullKey(t Tuple, idx []int) bool {
-	for _, i := range idx {
-		if t[i].IsNull() {
-			return true
-		}
-	}
-	return false
-}
-
-// NextBatch emits up to DefaultBatchSize joined rows, resuming inside
-// the pending key group's cross product where the previous call stopped.
-func (j *MergeJoinIter) NextBatch() ([]Tuple, bool, error) {
-	out := j.out[:0]
-	for {
-		if j.groupsPending {
-			for j.gi < len(j.groupL) {
-				for j.gj < len(j.groupR) {
-					t := j.groupL[j.gi].Concat(j.groupR[j.gj])
-					j.gj++
-					if j.bound == nil || j.bound.Eval(t).Truth() {
-						if out = append(out, t); len(out) >= DefaultBatchSize {
-							j.out = out
-							return out, true, nil
-						}
-					}
-				}
-				j.gj = 0
-				j.gi++
-			}
-			j.groupsPending = false
-		}
-		// Advance to the next matching key group.
-		for {
-			if j.li >= len(j.left) || j.ri >= len(j.right) {
-				j.out = out
-				return out, len(out) > 0, nil
-			}
-			if hasNullKey(j.left[j.li], j.lidx) {
-				j.li++
-				continue
-			}
-			if hasNullKey(j.right[j.ri], j.ridx) {
-				j.ri++
-				continue
-			}
-			c := keyCompare(j.left[j.li], j.lidx, j.right[j.ri], j.ridx)
-			if c < 0 {
-				j.li++
-			} else if c > 0 {
-				j.ri++
-			} else {
-				break
-			}
-		}
-		// Collect equal-key groups on both sides.
-		ls := j.li
-		for j.li < len(j.left) && keyCompare(j.left[j.li], j.lidx, j.left[ls], j.lidx) == 0 {
-			j.li++
-		}
-		rs := j.ri
-		for j.ri < len(j.right) && keyCompare(j.right[j.ri], j.ridx, j.right[rs], j.ridx) == 0 {
-			j.ri++
-		}
-		j.groupL = j.left[ls:j.li]
-		j.groupR = j.right[rs:j.ri]
-		j.gi, j.gj = 0, 0
-		j.groupsPending = true
-	}
-}
-
-func (j *MergeJoinIter) Close() error {
-	j.left, j.right, j.out = nil, nil, nil
-	err1 := j.L.Close()
-	err2 := j.R.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-func (j *MergeJoinIter) Schema() Schema {
-	if j.sch.Len() > 0 {
-		return j.sch
-	}
-	return j.L.Schema().Concat(j.R.Schema())
-}
-
 // SemiJoinIter emits left rows that have at least one match on the
 // right under pairs + residual; with Anti=true it emits left rows with
 // no match. Used by U-relation reduction (Proposition 3.3). It shares

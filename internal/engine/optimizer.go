@@ -106,17 +106,6 @@ func parallelWorthwhile(cfg ExecConfig, rows float64) bool {
 	return rows >= thr
 }
 
-// joinInputRows estimates the dominating input cardinality of a join:
-// parallelism pays off when either side is large.
-func joinInputRows(n *JoinPlan, cat *Catalog) float64 {
-	l := EstimateRows(n.L, cat)
-	r := EstimateRows(n.R, cat)
-	if r > l {
-		return r
-	}
-	return l
-}
-
 // pushFilters recursively pushes selection predicates downwards.
 func pushFilters(p Plan, cat *Catalog) Plan {
 	switch n := p.(type) {

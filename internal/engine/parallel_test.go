@@ -157,6 +157,23 @@ func TestBuildChoosesParallelOperators(t *testing.T) {
 		t.Fatalf("small join with low threshold: got %T, want *ParallelHashJoinIter", it)
 	}
 
+	// The gate reads the optimizer's estimate, selectivities included:
+	// two point selections leave a handful of rows of each 20 000-row
+	// input (a fixed factor per filter would leave 5 000, past this
+	// threshold), so the join above them stays serial.
+	point := func(v *ValuesPlan, col string) Plan { return Filter(v, Cmp(EQ, Col(col), ConstInt(7))) }
+	sel := Join(point(Values(big, "l"), "l.k"), point(Values(bigR, "r"), "r.k"), EqCols("l.k", "r.k"))
+	if rows := EstimateStats(sel.L, cat).Rows; rows > 100 {
+		t.Fatalf("point selection on 4000 keys estimated at %g rows", rows)
+	}
+	it, err = Build(sel, cat, ExecConfig{Parallelism: 4, ParallelThreshold: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := it.(*HashJoinIter); !ok {
+		t.Fatalf("join of two point selections with threshold 1000: got %T, want *HashJoinIter", it)
+	}
+
 	// Filters gate the same way.
 	fit, err := Build(Filter(Values(big, "l"), Cmp(LT, Col("l.k"), ConstInt(50))), cat, ExecConfig{Parallelism: 4})
 	if err != nil {

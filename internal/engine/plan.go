@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"urel/internal/obs"
 )
@@ -23,7 +24,7 @@ type Plan interface {
 
 // SourcePlan is a leaf plan backed by an external storage layer (e.g.
 // internal/store's segment files). The engine treats it opaquely:
-// Build lowers it via BuildIter, and the cardinality estimators consult
+// Build lowers it via BuildIter, and the estimator consults
 // EstimateRowCount, so storage formats can plug into planning without
 // the engine importing them.
 type SourcePlan interface {
@@ -345,12 +346,12 @@ func joinStrings(ss []string) string {
 // JoinAlgo selects the physical join algorithm.
 type JoinAlgo uint8
 
-// Physical join algorithm choices. JoinAuto picks hash for equi-joins
-// and nested loop otherwise.
+// Physical join algorithm choices. JoinAuto lets chooseJoin decide
+// from the estimates; nested loop is the only strategy for a join
+// without an equi pair whatever is forced.
 const (
 	JoinAuto JoinAlgo = iota
 	JoinHash
-	JoinMerge
 	JoinNestedLoop
 	// JoinIndex forces index-nested-loop; it degrades to hash when the
 	// right side has no usable index on a join column.
@@ -392,27 +393,64 @@ func (c ExecConfig) workers() int {
 	return effectiveWorkers(c.Parallelism)
 }
 
-// Build lowers a logical plan to a physical iterator tree. With
-// cfg.Trace set, every node also gets a span recording its actuals —
-// the recursion threads each node's span through cfg so children
-// attach beneath their parent.
+// Build lowers a logical plan to a physical iterator tree. Every
+// physical choice on the way — the join strategy, serial or parallel
+// operators — reads one estimator, the type Optimize and Explain use,
+// and reads it only where a choice is open: a serial, untraced plan
+// without an index-join candidate takes no estimate. With cfg.Trace
+// set, every node also gets a span recording its actuals next to that
+// same estimate — the recursion threads each node's span through cfg so
+// children attach beneath their parent.
 func Build(p Plan, cat *Catalog, cfg ExecConfig) (Iterator, error) {
-	if cfg.Trace == nil {
-		return build(p, cat, cfg)
+	adviseFilters(p)
+	return lower(p, newEstimator(cat), cfg)
+}
+
+// adviseFilters hands every selection that sits directly on a
+// FilterAdvisor leaf to that leaf. It is one walk, made before the first
+// estimate of the plan is read, so every node above a pruned scan —
+// the join as much as the filter — is estimated on the rows that
+// survive.
+func adviseFilters(p Plan) {
+	if f, ok := p.(*FilterPlan); ok {
+		if adv, ok := f.Child.(FilterAdvisor); ok {
+			adv.AdviseFilter(f.Cond)
+		}
 	}
-	sp := cfg.Trace.Child(p.Label(), EstimateRows(p, cat))
+	for _, c := range p.Children() {
+		adviseFilters(c)
+	}
+}
+
+// lower is build plus, when tracing, the node's span: labelled with the
+// operator actually chosen and carrying the estimate the choice read.
+// (chooseJoin depends only on the plan and the memoized estimates, so
+// build reaches the same choice the label was taken from.)
+func lower(p Plan, est *estimator, cfg ExecConfig) (Iterator, error) {
+	if cfg.Trace == nil {
+		return build(p, est, cfg)
+	}
+	label := p.Label()
+	if j, ok := p.(*JoinPlan); ok {
+		c, err := chooseJoin(j, est, cfg.Join)
+		if err != nil {
+			return nil, err
+		}
+		label = c.label(j.Kind)
+	}
+	sp := cfg.Trace.Child(label, est.stats(p).Rows)
 	cfg.Trace = sp
-	it, err := build(p, cat, cfg)
+	it, err := build(p, est, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return newTraceIter(it, sp), nil
 }
 
-func build(p Plan, cat *Catalog, cfg ExecConfig) (Iterator, error) {
+func build(p Plan, est *estimator, cfg ExecConfig) (Iterator, error) {
 	switch n := p.(type) {
 	case *ScanPlan:
-		r, err := cat.Get(n.Name)
+		r, err := est.cat.Get(n.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -420,181 +458,119 @@ func build(p Plan, cat *Catalog, cfg ExecConfig) (Iterator, error) {
 	case *ValuesPlan:
 		return NewScan(n.Rel), nil
 	case *FilterPlan:
-		// Let a storage-backed child use the predicate to skip segments
-		// before it is built (and before its cardinality is estimated).
-		if adv, ok := n.Child.(FilterAdvisor); ok {
-			adv.AdviseFilter(n.Cond)
-		}
-		in, err := Build(n.Child, cat, cfg)
+		in, err := lower(n.Child, est, cfg)
 		if err != nil {
 			return nil, err
 		}
-		if w := cfg.workers(); w > 1 && parallelWorthwhile(cfg, EstimateRows(n.Child, cat)) {
+		if w := cfg.workers(); w > 1 && parallelWorthwhile(cfg, est.stats(n.Child).Rows) {
 			return NewParallelFilter(in, n.Cond, w), nil
 		}
 		return NewFilter(in, n.Cond), nil
 	case *ProjectPlan:
-		in, err := Build(n.Child, cat, cfg)
+		in, err := lower(n.Child, est, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewProject(in, n.Names), nil
 	case *RenamePlan:
-		in, err := Build(n.Child, cat, cfg)
+		in, err := lower(n.Child, est, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewRename(in, n.Names), nil
 	case *JoinPlan:
-		ls, err := n.L.Schema(cat)
+		// The strategy is chosen before the inputs are lowered: an index
+		// join probes its right side instead of building it.
+		c, err := chooseJoin(n, est, cfg.Join)
 		if err != nil {
 			return nil, err
 		}
-		rs, err := n.R.Schema(cat)
+		l, err := lower(n.L, est, cfg)
 		if err != nil {
 			return nil, err
 		}
-		pairs, residual := ExtractEquiJoin(n.Cond, ls, rs)
-		// The algorithm is chosen before the children are lowered: the
-		// index and sorted-run strategies build their inputs differently
-		// (probes instead of a right scan, presorted feeds instead of
-		// Build), so the decision must precede construction.
-		choice := joinChoice{algo: cfg.Join}
-		if n.Kind != InnerJoin {
-			choice = joinChoice{algo: JoinHash}
-		} else {
-			switch cfg.Join {
-			case JoinAuto:
-				choice = chooseJoinAlgo(n, pairs, cat)
-			case JoinIndex:
-				if c, ok := pickIndexJoin(n, pairs, cat); ok {
-					choice = c
-				} else {
-					choice = joinChoice{algo: JoinHash}
-				}
+		if c.algo == JoinIndex {
+			srcSch, err := c.src.Schema(est.cat)
+			if err != nil {
+				return nil, err
 			}
+			return NewIndexJoin(l, c.src, srcSch, c.proj, c.lcol, c.rcol,
+				indexJoinResidual(c.rest, c.residual)), nil
 		}
-		if choice.algo == JoinIndex {
-			l, err := Build(n.L, cat, cfg)
-			if err != nil {
-				return nil, err
-			}
-			srcSch, err := choice.src.Schema(cat)
-			if err != nil {
-				return nil, err
-			}
-			res := indexJoinResidual(choice.rest, residual)
-			return NewIndexJoin(l, choice.src, srcSch, choice.proj,
-				choice.lcol, choice.rcol, res), nil
-		}
-		if choice.algo == JoinMerge && choice.lSorted != nil {
-			l, err := buildSortedLeaf(n.L, choice.lSorted, choice.lSortCol, cat, cfg)
-			if err != nil {
-				return nil, err
-			}
-			r, err := buildSortedLeaf(n.R, choice.rSorted, choice.rSortCol, cat, cfg)
-			if err != nil {
-				return nil, err
-			}
-			mj := NewMergeJoin(l, r, pairs, residual)
-			mj.LSorted, mj.RSorted = true, true
-			return mj, nil
-		}
-		l, err := Build(n.L, cat, cfg)
+		r, err := lower(n.R, est, cfg)
 		if err != nil {
 			return nil, err
 		}
-		r, err := Build(n.R, cat, cfg)
-		if err != nil {
-			return nil, err
-		}
-		switch n.Kind {
-		case SemiJoin:
-			return NewSemiJoin(l, r, pairs, residual, false), nil
-		case AntiJoin:
-			return NewSemiJoin(l, r, pairs, residual, true), nil
-		}
-		algo := choice.algo
-		if algo == JoinAuto {
-			if len(pairs) > 0 {
-				algo = JoinHash
-			} else {
-				algo = JoinNestedLoop
-			}
-		}
-		switch algo {
-		case JoinHash:
-			if len(pairs) == 0 {
-				return NewNestedLoopJoin(l, r, n.Cond), nil
-			}
-			if w := cfg.workers(); w > 1 && parallelWorthwhile(cfg, joinInputRows(n, cat)) {
-				return NewParallelHashJoin(l, r, pairs, residual, w), nil
-			}
-			return NewHashJoin(l, r, pairs, residual), nil
-		case JoinMerge:
-			if len(pairs) == 0 {
-				return NewNestedLoopJoin(l, r, n.Cond), nil
-			}
-			return NewMergeJoin(l, r, pairs, residual), nil
-		default:
+		switch {
+		case n.Kind == SemiJoin:
+			return NewSemiJoin(l, r, c.pairs, c.residual, false), nil
+		case n.Kind == AntiJoin:
+			return NewSemiJoin(l, r, c.pairs, c.residual, true), nil
+		case c.algo == JoinNestedLoop:
 			return NewNestedLoopJoin(l, r, n.Cond), nil
 		}
+		// Parallelism pays off when either side is large.
+		if w := cfg.workers(); w > 1 &&
+			parallelWorthwhile(cfg, math.Max(est.stats(n.L).Rows, est.stats(n.R).Rows)) {
+			return NewParallelHashJoin(l, r, c.pairs, c.residual, w), nil
+		}
+		return NewHashJoin(l, r, c.pairs, c.residual), nil
 	case *UnionPlan:
-		l, err := Build(n.L, cat, cfg)
+		l, err := lower(n.L, est, cfg)
 		if err != nil {
 			return nil, err
 		}
-		r, err := Build(n.R, cat, cfg)
+		r, err := lower(n.R, est, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewUnion(l, r), nil
 	case *DiffPlan:
-		l, err := Build(n.L, cat, cfg)
+		l, err := lower(n.L, est, cfg)
 		if err != nil {
 			return nil, err
 		}
-		r, err := Build(n.R, cat, cfg)
+		r, err := lower(n.R, est, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewDiff(l, r), nil
 	case *IntersectPlan:
-		l, err := Build(n.L, cat, cfg)
+		l, err := lower(n.L, est, cfg)
 		if err != nil {
 			return nil, err
 		}
-		r, err := Build(n.R, cat, cfg)
+		r, err := lower(n.R, est, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewIntersect(l, r), nil
 	case *DistinctPlan:
-		in, err := Build(n.Child, cat, cfg)
+		in, err := lower(n.Child, est, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewDistinct(in), nil
 	case *SortPlan:
-		in, err := Build(n.Child, cat, cfg)
+		in, err := lower(n.Child, est, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewSort(in, n.Keys), nil
 	case *LimitPlan:
-		in, err := Build(n.Child, cat, cfg)
+		in, err := lower(n.Child, est, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewLimit(in, n.N), nil
 	case *AggPlan:
-		in, err := Build(n.Child, cat, cfg)
+		in, err := lower(n.Child, est, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewHashAgg(in, n.GroupBy, n.Aggs), nil
 	case *ExtendPlan:
-		in, err := Build(n.Child, cat, cfg)
+		in, err := lower(n.Child, est, cfg)
 		if err != nil {
 			return nil, err
 		}

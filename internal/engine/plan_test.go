@@ -79,14 +79,14 @@ func TestJoinPhysicalConfigsAgree(t *testing.T) {
 	cat := planCatalog()
 	p := Join(Scan("customer"), Scan("orders"), EqCols("c.custkey", "o.custkey"))
 	var results []*Relation
-	for _, algo := range []JoinAlgo{JoinHash, JoinMerge, JoinNestedLoop} {
+	for _, algo := range []JoinAlgo{JoinHash, JoinNestedLoop} {
 		out, err := Run(p, cat, ExecConfig{Join: algo})
 		if err != nil {
 			t.Fatal(err)
 		}
 		results = append(results, out)
 	}
-	if !results[0].EqualAsBag(results[1]) || !results[0].EqualAsBag(results[2]) {
+	if !results[0].EqualAsBag(results[1]) {
 		t.Fatal("physical join algorithms disagree")
 	}
 	if results[0].Len() != 200 {
@@ -275,10 +275,6 @@ func TestEstimateStatsSanity(t *testing.T) {
 	join := EstimateStats(Join(Scan("customer"), Scan("orders"), EqCols("c.custkey", "o.custkey")), cat)
 	if join.Rows < 100 || join.Rows > 1000 {
 		t.Fatalf("join estimate implausible: %v", join.Rows)
-	}
-	cost := EstimateCost(Join(Scan("customer"), Scan("orders"), EqCols("c.custkey", "o.custkey")), cat)
-	if cost <= 0 {
-		t.Fatal("cost must be positive")
 	}
 }
 

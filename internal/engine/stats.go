@@ -162,11 +162,12 @@ type StatsSource interface {
 	SourceStats() *TableStats
 }
 
-// estimator answers the cost model's questions for one planning pass
-// (one Optimize, Explain or EstimateCost call): every plan node is
-// estimated once and every leaf's table statistics are fetched once,
-// however often the join orderer revisits a subtree. Plan nodes are
-// immutable while a pass runs, so node identity is a sound memo key.
+// estimator answers the cost model's questions for one pass over a plan
+// (one Optimize, Explain or Build call — there is no other source of
+// row counts in this package): every plan node is estimated once and
+// every leaf's table statistics are fetched once, however often the
+// join orderer revisits a subtree. Plan nodes are immutable while a
+// pass runs, so node identity is a sound memo key.
 type estimator struct {
 	cat    *Catalog
 	plans  map[Plan]PlanStats
@@ -182,7 +183,8 @@ func newEstimator(cat *Catalog) *estimator {
 // System-R-style optimizers use — because the paper's observation is
 // that standard selectivity-based cost measures work well on translated
 // U-relation queries. Callers estimating many nodes of one plan share
-// an estimator instead (Optimize, Explain); this is the one-shot form.
+// an estimator instead (Optimize, Explain, Build); this is the one-shot
+// form.
 func EstimateStats(p Plan, cat *Catalog) PlanStats {
 	return newEstimator(cat).stats(p)
 }
@@ -375,64 +377,6 @@ func (est *estimator) estimate(p Plan) PlanStats {
 			return est.stats(ch[0])
 		}
 		return PlanStats{Rows: 1000, NDV: map[string]float64{}}
-	}
-}
-
-// EstimateRows returns only the estimated output cardinality of a plan.
-// Unlike EstimateStats it consults no per-column statistics and builds
-// no NDV maps — leaf row counts and fixed factors only — so it needs no
-// estimator and physical lowering calls it freely, where it gates the
-// serial-vs-parallel operator choice and the join algorithm.
-func EstimateRows(p Plan, cat *Catalog) float64 {
-	switch n := p.(type) {
-	case *ScanPlan:
-		if ts := cat.Stats(n.Name); ts != nil {
-			return ts.Rows
-		}
-		return 1000
-	case *ValuesPlan:
-		return float64(len(n.Rel.Rows))
-	case *FilterPlan:
-		return math.Max(1, EstimateRows(n.Child, cat)*defaultSel)
-	case *ProjectPlan:
-		return EstimateRows(n.Child, cat)
-	case *RenamePlan:
-		return EstimateRows(n.Child, cat)
-	case *ExtendPlan:
-		return EstimateRows(n.Child, cat)
-	case *SortPlan:
-		return EstimateRows(n.Child, cat)
-	case *DistinctPlan:
-		return EstimateRows(n.Child, cat)
-	case *LimitPlan:
-		return math.Min(EstimateRows(n.Child, cat), float64(n.N))
-	case *JoinPlan:
-		l := EstimateRows(n.L, cat)
-		if n.Kind != InnerJoin {
-			return l
-		}
-		// Equi joins typically produce on the order of the larger input.
-		return math.Max(l, EstimateRows(n.R, cat))
-	case *UnionPlan:
-		return EstimateRows(n.L, cat) + EstimateRows(n.R, cat)
-	case *DiffPlan:
-		return math.Max(1, EstimateRows(n.L, cat)*0.5)
-	case *IntersectPlan:
-		return math.Max(1, math.Min(EstimateRows(n.L, cat), EstimateRows(n.R, cat))*0.5)
-	case *AggPlan:
-		return EstimateRows(n.Child, cat)
-	default:
-		if sp, ok := p.(SourcePlan); ok {
-			return sp.EstimateRowCount()
-		}
-		// Propagate through unknown unary nodes (projection-/rename-like
-		// wrappers over storage-backed leaves) instead of falling back to
-		// a constant, so the parallelism gate still sees the leaf's
-		// cardinality.
-		if ch := p.Children(); len(ch) == 1 {
-			return EstimateRows(ch[0], cat)
-		}
-		return 1000
 	}
 }
 
@@ -642,20 +586,4 @@ func (est *estimator) baseColStats(p Plan, col string) (ColStats, bool) {
 		}
 	}
 	return ColStats{}, false
-}
-
-// EstimateCost computes a coarse total cost (rows processed) for a
-// physical-agnostic plan: the sum of every node's estimated output.
-func EstimateCost(p Plan, cat *Catalog) float64 {
-	est := newEstimator(cat)
-	cost := 0.0
-	var walk func(Plan)
-	walk = func(q Plan) {
-		for _, c := range q.Children() {
-			walk(c)
-		}
-		cost += est.stats(q).Rows
-	}
-	walk(p)
-	return cost
 }

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"go/ast"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"urel/internal/obs"
 )
 
 func TestComputeStatsBasics(t *testing.T) {
@@ -178,32 +181,35 @@ func (o *opaqueUnary) Children() []Plan                    { return []Plan{o.chi
 func (o *opaqueUnary) WithChildren(ch []Plan) Plan         { return &opaqueUnary{child: ch[0]} }
 func (o *opaqueUnary) Label() string                       { return "opaque" }
 
-// TestEstimateRowsSourcePropagation checks that cardinality estimates
-// flow from storage-backed leaves up through projections, unions, and
-// even unknown unary wrappers — so the parallelism gate fires on
-// stored scans instead of seeing the unknown-node constant.
-func TestEstimateRowsSourcePropagation(t *testing.T) {
+// TestEstimateSourcePropagation checks that cardinality estimates flow
+// from storage-backed leaves up through projections, unions, and even
+// unknown unary wrappers — so the parallelism gate fires on stored
+// scans instead of seeing the unknown-node constant.
+func TestEstimateSourcePropagation(t *testing.T) {
 	cat := NewCatalog()
 	src := &stubSource{rows: 50000, sch: NewSchema(Column{Name: "a", Kind: KindInt})}
-	if got := EstimateRows(src, cat); got != 50000 {
-		t.Fatalf("source estimate = %g, want 50000", got)
+	for _, tc := range []struct {
+		what string
+		plan Plan
+		want float64
+	}{
+		{"source", src, 50000},
+		{"projection over source", Project(src, "a"), 50000},
+		{"union over sources", Union(Project(src, "a"), src), 100000},
+		{"opaque unary over source", &opaqueUnary{child: src}, 50000},
+	} {
+		if got := EstimateStats(tc.plan, cat).Rows; got != tc.want {
+			t.Fatalf("%s estimated at %g rows, want %g", tc.what, got, tc.want)
+		}
 	}
-	if got := EstimateRows(Project(src, "a"), cat); got != 50000 {
-		t.Fatalf("projection over source = %g, want 50000", got)
+	// The gate itself, through Build: the filter over a 50k-row stored
+	// scan lowers to the parallel operator once the config allows one.
+	it, err := Build(Filter(Project(src, "a"), Cmp(GE, Col("a"), ConstInt(0))), cat, ExecConfig{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	u := Union(Project(src, "a"), src)
-	if got := EstimateRows(u, cat); got != 100000 {
-		t.Fatalf("union over sources = %g, want 100000", got)
-	}
-	if got := EstimateRows(&opaqueUnary{child: src}, cat); got != 50000 {
-		t.Fatalf("opaque unary over source = %g, want 50000", got)
-	}
-	if st := EstimateStats(&opaqueUnary{child: src}, cat); st.Rows != 50000 {
-		t.Fatalf("EstimateStats opaque unary = %g, want 50000", st.Rows)
-	}
-	// The gate itself: estimated rows clear the default threshold.
-	if !parallelWorthwhile(ExecConfig{}, EstimateRows(Project(src, "a"), cat)) {
-		t.Fatal("parallel gate should fire on a 50k-row stored scan")
+	if _, ok := it.(*ParallelFilterIter); !ok {
+		t.Fatalf("filter over a 50k-row stored scan lowered to %T, want *ParallelFilterIter", it)
 	}
 }
 
@@ -253,10 +259,21 @@ func TestPlanningPassScansEachAdHocLeafOnce(t *testing.T) {
 	if got := StatsScans() - before; got > int64(len(leaves)) {
 		t.Fatalf("Explain ran %d statistics scans over %d ad-hoc leaves", got, len(leaves))
 	}
+	// A traced Build estimates every node for its span, an untraced
+	// serial one none.
 	before = StatsScans()
-	EstimateCost(p, cat)
-	if got := StatsScans() - before; got > int64(len(leaves)) {
-		t.Fatalf("EstimateCost ran %d statistics scans over %d ad-hoc leaves", got, len(leaves))
+	if _, err := Build(p, cat, ExecConfig{Trace: obs.NewSpan("query")}); err != nil {
+		t.Fatal(err)
+	}
+	if got := StatsScans() - before; got < 1 || got > int64(len(leaves)) {
+		t.Fatalf("traced Build ran %d statistics scans over %d ad-hoc leaves", got, len(leaves))
+	}
+	before = StatsScans()
+	if _, err := Build(p, cat, ExecConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := StatsScans() - before; got != 0 {
+		t.Fatalf("serial untraced Build ran %d statistics scans", got)
 	}
 
 	// Leaves that travel with their statistics are never scanned.
@@ -356,4 +373,54 @@ func TestSourceStatsMakeKeyJoinsKeyJoins(t *testing.T) {
 	if got := EstimateStats(Join(&l.stubSource, &r.stubSource, EqCols("l.tid", "r.tid")), cat).Rows; got != 6000*6300/defaultNDV {
 		t.Fatalf("join of statistics-free sources estimated at %g, want the default-NDV estimate", got)
 	}
+}
+
+// TestOneCardinalityEstimator pins that row counts have one source in
+// this package: it parses the non-test files and fails if any function
+// but estimator.estimate both returns a cardinality (float64 or
+// PlanStats) and type-switches over plan node types — the shape of the
+// second, cruder estimator physical lowering used to keep, whose
+// numbers EXPLAIN ANALYZE printed against plans chosen on the first.
+func TestOneCardinalityEstimator(t *testing.T) {
+	var found []string
+	for _, fn := range packageFuncs(t) {
+		if fn.Body == nil || fn.Type.Results == nil {
+			continue
+		}
+		returnsRows := false
+		for _, r := range fn.Type.Results.List {
+			if id, ok := r.Type.(*ast.Ident); ok && (id.Name == "float64" || id.Name == "PlanStats") {
+				returnsRows = true
+			}
+		}
+		if returnsRows && planTypeCases(fn.Body) >= 2 {
+			found = append(found, fn.Name.Name)
+		}
+	}
+	if len(found) != 1 || found[0] != "estimate" {
+		t.Fatalf("functions deriving a row count from a switch over plan node types: %v, want exactly [estimate]", found)
+	}
+}
+
+// planTypeCases counts the *…Plan types named by the case clauses of
+// the type switches in body.
+func planTypeCases(body *ast.BlockStmt) int {
+	n := 0
+	ast.Inspect(body, func(node ast.Node) bool {
+		ts, ok := node.(*ast.TypeSwitchStmt)
+		if !ok {
+			return true
+		}
+		for _, stmt := range ts.Body.List {
+			for _, e := range stmt.(*ast.CaseClause).List {
+				if star, ok := e.(*ast.StarExpr); ok {
+					if id, ok := star.X.(*ast.Ident); ok && strings.HasSuffix(id.Name, "Plan") {
+						n++
+					}
+				}
+			}
+		}
+		return true
+	})
+	return n
 }

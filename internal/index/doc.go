@@ -14,11 +14,12 @@
 // stays where the representation puts it — in the descriptor columns
 // the lookup path carries along untouched — which is why an index hit
 // composes with tombstone layers, the memtable, and confidence
-// computation for free. The alternative uncertain-join strategies the
-// runs enable (index-nested-loop beside the partitioned hash join,
-// sort-merge over sorted runs) instantiate Magnani & Montesi's
-// "Joining relations under discrete uncertainty" strategy suite on
-// U-relations, picked by the optimizer from estimated cardinalities.
+// computation for free. The alternative uncertain-join strategy the
+// runs enable — index-nested-loop beside the partitioned hash join —
+// is kept for the region where it wins, as Magnani & Montesi's
+// "Joining relations under discrete uncertainty" keeps a strategy, and
+// picked by the optimizer from estimated cardinalities and the store's
+// own price for a probe (docs/ARCHITECTURE.md, "Join strategies").
 //
 // A Run is immutable, built beside a segment file at flush,
 // compaction, save, or CREATE INDEX time, and recorded implicitly in

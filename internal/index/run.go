@@ -153,10 +153,6 @@ func (s runSorter) Swap(i, j int) {
 // Len returns the number of indexed (non-null) keys.
 func (r *Run) Len() int { return len(r.keys) }
 
-// Entry returns the i-th entry in key order (the sorted-run order a
-// merge join streams).
-func (r *Run) Entry(i int) (engine.Value, Loc) { return r.keys[i], r.locs[i] }
-
 // Segments returns the number of per-segment bloom filters.
 func (r *Run) Segments() int { return len(r.blooms) }
 
@@ -207,16 +203,6 @@ func (r *Run) Lookup(key engine.Value, st *LookupStats) []Loc {
 		st.Hits += int64(len(out))
 	}
 	return out
-}
-
-// SegmentMayContain reports whether the segment's bloom filter admits
-// the key — the per-segment gate a scan fallback can use even when it
-// will not consult the sorted entries.
-func (r *Run) SegmentMayContain(seg int, key engine.Value) bool {
-	if seg < 0 || seg >= len(r.blooms) {
-		return false
-	}
-	return r.blooms[seg].has(hashKey(key))
 }
 
 // Marshal encodes the run into its file format.

@@ -333,11 +333,6 @@ func (r *Registry) GaugeFuncWith(name, help string, labels []string, values []st
 	r.family(name, help, kindGauge, labels, nil).get(values).g.fn = fn
 }
 
-// GaugeWith returns the gauge for one label combination.
-func (r *Registry) GaugeWith(name, help string, labels []string, values ...string) *Gauge {
-	return r.family(name, help, kindGauge, labels, nil).get(values).g
-}
-
 // Histogram returns the unlabeled histogram name with the given
 // buckets (nil selects DefLatencyBuckets). Buckets are fixed at first
 // registration.

@@ -95,13 +95,17 @@ func (c *SegCache) Stats() CacheStats {
 	}
 }
 
+// disabled reports whether the cache retains nothing (nil, or created
+// with no capacity): every read through it decodes.
+func (c *SegCache) disabled() bool { return c == nil || c.capBytes <= 0 }
+
 // getOrLoad returns the cached segment for key, or runs load (at most
 // once per key across concurrent callers) and caches its result.
 // The returned hit flag reports whether this caller avoided the
 // fetch+decode — a cache hit proper, or a ride on another goroutine's
 // in-flight load.
 func (c *SegCache) getOrLoad(key segKey, load func() (*segment, error)) (seg *segment, hit bool, err error) {
-	if c == nil || c.capBytes <= 0 {
+	if c.disabled() {
 		seg, err = load()
 		return seg, false, err
 	}

@@ -43,8 +43,12 @@
 //     engine.FilterAdvisor: selection predicates evaluated directly
 //     above a scan (the σ of the paper's Figure 4 translation) prune
 //     segments whose min/max statistics refute them, and the surviving
-//     row count feeds engine.EstimateRows so the serial-vs-parallel
-//     gate works on stored data.
+//     row count is what the engine's estimator sees, so the join
+//     strategy and the serial-vs-parallel gate work on stored data. As
+//     an engine.IndexedSource (lookup.go) the plan also prices its own
+//     index probes: ProbeCost is a few rows behind a SegCache and a
+//     quarter of a segment without one, where every probe decodes the
+//     segment its key is in.
 //
 //   - Layered sources and deltas (source.go, walops.go, wal.go). A
 //     partition is a PartSource: one or more immutable file layers

@@ -283,38 +283,3 @@ func TestIndexLookupSpeedup(t *testing.T) {
 	t.Logf("point lookup speedup: %.0fx (scan %v, lookup %v, %d probes)",
 		float64(scanTime)/float64(lookupTime), scanTime, lookupTime, probes)
 }
-
-// TestSortedRunIter checks the merge-feed iterator: rows stream out in
-// key order across layers and the memtable without an in-memory sort
-// when runs are present, and identically (via the sort fallback) when
-// they are not.
-func TestSortedRunIter(t *testing.T) {
-	dir := t.TempDir()
-	h1 := indexedLayer(t, dir, "l1.useg", intRows(shuffledKeys(400), 0), 64)
-	h2 := indexedLayer(t, dir, "l2.useg", intRows([]int64{-5, 1000, 3}, 400), 64)
-	src := &PartSource{
-		Layers:  []*PartHandle{h1, h2},
-		Mem:     intRows([]int64{17, -9}, 500),
-		IdxCols: []int{0},
-	}
-	p := src.ScanPlan(scanSchema(), 0, []int{0}, "u_r_a").(*StoreScanPlan)
-	if cols := p.SortedCols(); len(cols) == 0 {
-		t.Fatal("SortedCols empty with runs on every layer")
-	}
-	it, err := p.BuildSortedIter("r.a", engine.ExecConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := engine.Drain(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Len() != 405 {
-		t.Fatalf("sorted stream has %d rows, want 405", rel.Len())
-	}
-	for i := 1; i < rel.Len(); i++ {
-		if rel.Rows[i][1].I < rel.Rows[i-1][1].I {
-			t.Fatalf("row %d out of order: %d after %d", i, rel.Rows[i][1].I, rel.Rows[i-1][1].I)
-		}
-	}
-}

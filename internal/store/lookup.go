@@ -2,22 +2,18 @@ package store
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"urel/internal/core"
 	"urel/internal/engine"
 	"urel/internal/index"
 )
 
-// StoreScanPlan also implements engine.IndexedSource and
-// engine.SortedSource: the optimizer rewrites selective equality
-// filters into index probes and picks the index-nested-loop and
-// sorted-run merge join strategies through these methods, still
-// without the engine importing this package.
-var (
-	_ engine.IndexedSource = (*StoreScanPlan)(nil)
-	_ engine.SortedSource  = (*StoreScanPlan)(nil)
-)
+// StoreScanPlan also implements engine.IndexedSource: the optimizer
+// rewrites selective equality filters into index probes and picks the
+// index-nested-loop join through these methods, still without the
+// engine importing this package.
+var _ engine.IndexedSource = (*StoreScanPlan)(nil)
 
 // SourceName names the partition for EXPLAIN.
 func (p *StoreScanPlan) SourceName() string { return p.Name }
@@ -117,21 +113,30 @@ func (p *StoreScanPlan) LookupEq(col string, key engine.Value) (engine.Iterator,
 		Ai: ai, IdxKey: k, Key: key}, nil
 }
 
-// SortedCols returns the columns BuildSortedIter can stream presorted
-// — exactly the indexed ones (runs are sorted by key).
-func (p *StoreScanPlan) SortedCols() []string { return p.IndexedCols() }
+// One probe's cost in rows of a full scan (engine.IndexedSource), per
+// where the probed segment comes from. With a segment cache the
+// segment is already decoded and a probe is a binary search plus a row
+// fetch. Without one, every probe reads, checksums and decodes the
+// whole segment its key lives in, which costs about a quarter of what
+// scanning, materializing and hashing that segment's rows does — for a
+// 4096-row segment about 1000 rows, the crossover BenchmarkJoinStrategy
+// measures (docs/ARCHITECTURE.md, "Join strategies").
+const (
+	cachedProbeRows     = 8
+	uncachedDecodeShare = 0.25
+)
 
-// BuildSortedIter returns the partition's live rows in ascending col
-// order, streamed off the sorted runs (per-layer fallback to scan+sort
-// when a run is unusable). NULL keys are omitted, as the merge-join
-// contract requires.
-func (p *StoreScanPlan) BuildSortedIter(col string, _ engine.ExecConfig) (engine.Iterator, error) {
-	k, ai, ok := p.idxTarget(col)
-	if !ok {
-		return nil, fmt.Errorf("store: no index target for column %q on %s", col, p.Name)
+// ProbeCost prices one equality probe from what the scan can observe:
+// whether its file layers decode through a cache, and how many rows the
+// segment a probe decodes holds.
+func (p *StoreScanPlan) ProbeCost(string) float64 {
+	cost := float64(cachedProbeRows)
+	for _, h := range p.Src.Layers {
+		if h.cache.disabled() && h.NumSegments() > 0 {
+			cost = math.Max(cost, uncachedDecodeShare*float64(h.SegmentRows(0)))
+		}
 	}
-	return &SortedRunIter{Src: p.Src, Sch: p.Sch, Width: p.Width, AttrIdx: p.AttrIdx,
-		Ai: ai, IdxKey: k}, nil
+	return cost
 }
 
 // materializeStoredRow builds one output tuple from a decoded segment
@@ -379,180 +384,5 @@ func (s *IndexLookupIter) OperatorStats(emit func(key string, v int64)) {
 	}
 	if s.StaleRuns > 0 {
 		emit("index_stale_runs", s.StaleRuns)
-	}
-}
-
-// SortedRunIter streams the partition's live rows in ascending key
-// order for a merge join: each file layer is emitted in its run's
-// entry order (no comparison sort — the runs are the sort), the
-// in-memory delta is sorted, and a k-way merge interleaves the
-// streams. NULL keys are omitted. A layer whose run is unusable or
-// stale falls back to scan+sort, so the stream is always correct.
-type SortedRunIter struct {
-	Src     *PartSource
-	Sch     engine.Schema
-	Width   int
-	AttrIdx []int
-	Ai      int
-	IdxKey  string
-
-	rows []engine.Tuple
-	pos  int
-
-	SegmentsRead   int64
-	FallbackLayers int64
-}
-
-type sortedRow struct {
-	key engine.Value
-	row engine.Tuple
-}
-
-func (s *SortedRunIter) Open() error {
-	s.rows, s.pos = nil, 0
-	tomb := s.Src.tomb()
-	streams := make([][]sortedRow, 0, len(s.Src.Layers)+1)
-	for li, h := range s.Src.Layers {
-		var tf TombFilter
-		if tomb != nil {
-			tf = tomb.Layer(li)
-		}
-		stream, err := s.layerStream(h, tf)
-		if err != nil {
-			return err
-		}
-		streams = append(streams, stream)
-	}
-	if len(s.Src.Mem) > 0 {
-		mem := make([]sortedRow, 0, len(s.Src.Mem))
-		for _, r := range s.Src.Mem {
-			k := memKeyValue(r, s.Ai)
-			if k.IsNull() {
-				continue
-			}
-			mem = append(mem, sortedRow{key: k, row: materializeMemRow(s.Sch, s.Width, s.AttrIdx, r)})
-		}
-		sort.SliceStable(mem, func(i, j int) bool { return engine.Compare(mem[i].key, mem[j].key) < 0 })
-		streams = append(streams, mem)
-	}
-	// K-way merge. Stream counts are tiny (base + a few deltas + mem),
-	// so a linear min per pop beats heap bookkeeping.
-	total := 0
-	for _, st := range streams {
-		total += len(st)
-	}
-	s.rows = make([]engine.Tuple, 0, total)
-	idx := make([]int, len(streams))
-	for {
-		best := -1
-		for si := range streams {
-			if idx[si] >= len(streams[si]) {
-				continue
-			}
-			if best < 0 || engine.Compare(streams[si][idx[si]].key, streams[best][idx[best]].key) < 0 {
-				best = si
-			}
-		}
-		if best < 0 {
-			break
-		}
-		s.rows = append(s.rows, streams[best][idx[best]].row)
-		idx[best]++
-	}
-	return nil
-}
-
-// layerStream emits one layer's live non-NULL-key rows in key order,
-// via the run when usable, else by scanning and sorting.
-func (s *SortedRunIter) layerStream(h *PartHandle, tf TombFilter) ([]sortedRow, error) {
-	// All segments are needed either way; decode each once up front.
-	segs := make([]*segment, h.NumSegments())
-	getSeg := func(i int) (*segment, error) {
-		if segs[i] == nil {
-			seg, _, err := h.ReadSegmentStats(i)
-			if err != nil {
-				return nil, err
-			}
-			s.SegmentsRead++
-			segs[i] = seg
-		}
-		return segs[i], nil
-	}
-	if run := h.indexRun(s.IdxKey); run != nil {
-		out := make([]sortedRow, 0, run.Len())
-		stale := false
-		for i := 0; i < run.Len(); i++ {
-			k, loc := run.Entry(i)
-			if int(loc.Seg) >= h.NumSegments() {
-				stale = true
-				break
-			}
-			seg, err := getSeg(int(loc.Seg))
-			if err != nil {
-				return nil, err
-			}
-			r := int(loc.Row)
-			if r >= seg.n || engine.Compare(segKeyValue(seg, s.Ai, r), k) != 0 {
-				stale = true
-				break
-			}
-			dead, err := rowDead(tf, seg, h.Width(), r)
-			if err != nil {
-				return nil, err
-			}
-			if dead {
-				continue
-			}
-			out = append(out, sortedRow{key: k, row: materializeStoredRow(s.Sch, s.Width, h.Width(), s.AttrIdx, seg, r)})
-		}
-		if !stale {
-			return out, nil
-		}
-		idxStaleTotal.Inc()
-	}
-	s.FallbackLayers++
-	var out []sortedRow
-	for i := 0; i < h.NumSegments(); i++ {
-		seg, err := getSeg(i)
-		if err != nil {
-			return nil, err
-		}
-		for r := 0; r < seg.n; r++ {
-			k := segKeyValue(seg, s.Ai, r)
-			if k.IsNull() {
-				continue
-			}
-			dead, err := rowDead(tf, seg, h.Width(), r)
-			if err != nil {
-				return nil, err
-			}
-			if dead {
-				continue
-			}
-			out = append(out, sortedRow{key: k, row: materializeStoredRow(s.Sch, s.Width, h.Width(), s.AttrIdx, seg, r)})
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return engine.Compare(out[i].key, out[j].key) < 0 })
-	return out, nil
-}
-
-func (s *SortedRunIter) NextBatch() ([]engine.Tuple, bool, error) {
-	return engine.Window(s.rows, &s.pos)
-}
-
-// Close releases the materialized rows; counters survive for tracing.
-func (s *SortedRunIter) Close() error {
-	s.rows = nil
-	return nil
-}
-
-// Schema returns the scan's output schema.
-func (s *SortedRunIter) Schema() engine.Schema { return s.Sch }
-
-// OperatorStats reports the stream's store-side effects.
-func (s *SortedRunIter) OperatorStats(emit func(key string, v int64)) {
-	emit("segments_read", s.SegmentsRead)
-	if s.FallbackLayers > 0 {
-		emit("index_fallback_layers", s.FallbackLayers)
 	}
 }

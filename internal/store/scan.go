@@ -9,12 +9,12 @@ import (
 
 // StoreScanPlan is the leaf plan over one stored partition (all of its
 // file layers plus the source's in-memory delta). It implements
-// engine.SourcePlan (so Build lowers it and the estimators cost it
+// engine.SourcePlan (so Build lowers it and the estimator costs it
 // without the engine importing this package) and engine.FilterAdvisor:
 // a selection evaluated directly above the scan prunes file segments
 // whose footer min/max statistics refute it, and the surviving row
-// count is what EstimateRowCount reports — so the parallelism gate
-// sees post-pruning cardinality. In-memory delta rows carry no
+// count is what EstimateRowCount reports — so every choice made above
+// the scan sees post-pruning cardinality. In-memory delta rows carry no
 // statistics and are never pruned (they flow through the filter
 // above), and tombstones are orthogonal to pruning: a pruned segment
 // only loses rows the filter would reject anyway.

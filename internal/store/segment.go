@@ -99,8 +99,8 @@ type PartHandle struct {
 
 	// pruneMemo caches, per canonical predicate, which segments the
 	// footer statistics refute — so a repeated selection re-uses the
-	// pruning decision (and its surviving-row count for EstimateRows)
-	// instead of recomputing it per query.
+	// pruning decision (and its surviving-row count, which the engine's
+	// estimator reads) instead of recomputing it per query.
 	pruneMu     sync.Mutex
 	pruneMemo   map[string]pruneResult
 	pruneHits   atomic.Uint64

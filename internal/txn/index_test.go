@@ -227,25 +227,58 @@ func explainText(t *testing.T, db *core.UDB, q core.Query) string {
 	return text
 }
 
+// planEstimates lists, top down, what each node line of an EXPLAIN
+// (rows=) or EXPLAIN ANALYZE (est=) text says the node yields.
+func planEstimates(text, key string) []string {
+	var out []string
+	for _, line := range strings.Split(text, "\n") {
+		if i := strings.Index(line, key); i >= 0 {
+			out = append(out, strings.FieldsFunc(line[i+len(key):], func(r rune) bool { return r == ' ' || r == ')' })[0])
+		}
+	}
+	return out
+}
+
+// joinLabel returns the operator name on the text's first join line.
+func joinLabel(t *testing.T, text string) string {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		for _, name := range []string{"Hash Join", "Index Join", "Nested Loop"} {
+			if strings.Contains(line, name+"  (") {
+				return name
+			}
+		}
+	}
+	t.Fatalf("no join line in:\n%s", text)
+	return ""
+}
+
 // TestJoinChoiceSelectivity is the optimizer acceptance criterion for
-// the strategy suite: a selective join (tiny probe side into a large
-// indexed relation) must pick index-nested-loop; a non-selective join
-// of two large relations on an indexed column must use the sort-merge
-// join over the sorted runs; the same join on an unindexed column must
-// keep the partitioned hash join — and every strategy produces the
-// same answers as the scan-based plans.
+// the join strategies, asserted on plan text: an indexed 20 000-row
+// inner side is probed (index-nested-loop) only while probing is
+// cheaper than scanning it once — up to an outer of a few rows when
+// every probe decodes a segment (no segment cache), up to an eighth of
+// the inner side when segments stay decoded (cache attached) — and
+// hash-joined otherwise, as are two large inputs and any join on an
+// unindexed column. The plan EXPLAIN prints is the plan EXPLAIN ANALYZE
+// ran, node for node on the same estimates, and every strategy returns
+// the scan-based plans' answers.
 func TestJoinChoiceSelectivity(t *testing.T) {
+	const n = 20000
 	db := core.NewUDB()
 	db.MustAddRelation("big", "k", "v")
 	ub := db.MustAddPartition("big", "u_big", "k", "v")
-	const n = 20000
 	for i := 0; i < n; i++ {
 		ub.Add(nil, int64(i+1), engine.Int(int64((i*2654435761)%n)), engine.Int(int64(i)))
 	}
-	db.MustAddRelation("small", "k", "w")
-	us := db.MustAddPartition("small", "u_small", "k", "w")
-	for i := 0; i < 10; i++ {
-		us.Add(nil, int64(i+1), engine.Int(int64((i*37*2654435761)%n)), engine.Int(int64(i)))
+	outers := []int{10, 1000, n/8 - 1}
+	for _, m := range outers {
+		name := fmt.Sprintf("o%d", m)
+		db.MustAddRelation(name, "k", "w")
+		uo := db.MustAddPartition(name, "u_"+name, "k", "w")
+		for i := 0; i < m; i++ {
+			uo.Add(nil, int64(i+1), engine.Int(int64((i*37*2654435761)%n)), engine.Int(int64(i)))
+		}
 	}
 	dir := t.TempDir()
 	if err := store.Save(db, dir); err != nil {
@@ -255,39 +288,52 @@ func TestJoinChoiceSelectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
+	defer func() { d.Close() }()
 
-	selective := core.Project(core.Join(core.RelAs("small", "s"), core.RelAs("big", "b"),
-		engine.Eq(engine.Col("s.k"), engine.Col("b.k"))), "s.k", "b.v")
-	nonSelective := core.Project(core.Join(core.RelAs("big", "b1"), core.RelAs("big", "b2"),
+	outerJoin := func(m int) core.Query {
+		return core.Project(core.Join(core.RelAs(fmt.Sprintf("o%d", m), "s"), core.RelAs("big", "b"),
+			engine.Eq(engine.Col("s.k"), engine.Col("b.k"))), "s.k", "b.v")
+	}
+	largeLarge := core.Project(core.Join(core.RelAs("big", "b1"), core.RelAs("big", "b2"),
 		engine.Eq(engine.Col("b1.k"), engine.Col("b2.k"))), "b1.k", "b2.v")
 	unindexed := core.Join(core.RelAs("big", "b1"), core.RelAs("big", "b2"),
 		engine.Eq(engine.Col("b1.v"), engine.Col("b2.v")))
 
 	// Reference answers before any index exists (pure scan plans).
-	wantSel := possRows(t, d.Snapshot(), selective)
-	wantNonSel := possRows(t, d.Snapshot(), nonSelective)
-
+	want := map[int][]string{}
+	for _, m := range outers {
+		want[m] = possRows(t, d.Snapshot(), outerJoin(m))
+	}
 	if _, err := d.Exec("create index on big(k)"); err != nil {
 		t.Fatal(err)
 	}
 
-	selPlan := explainText(t, d.Snapshot(), selective)
-	if !strings.Contains(selPlan, "Index Join") {
-		t.Fatalf("selective join did not choose index-nested-loop:\n%s", selPlan)
-	}
-	nonSelPlan := explainText(t, d.Snapshot(), nonSelective)
-	if !strings.Contains(nonSelPlan, "Merge Join") {
-		t.Fatalf("non-selective indexed join did not choose sort-merge:\n%s", nonSelPlan)
-	}
-	hashPlan := explainText(t, d.Snapshot(), unindexed)
-	if strings.Contains(hashPlan, "Index Join") || strings.Contains(hashPlan, "Merge Join") ||
-		!strings.Contains(hashPlan, "Hash Join") {
-		t.Fatalf("unindexed join did not keep the hash join:\n%s", hashPlan)
-	}
-
-	requireRows := func(q core.Query, want []string, what string) {
+	// check asserts the strategy EXPLAIN names for q, that EXPLAIN ANALYZE
+	// ran that strategy on the same per-node estimates, and the answers.
+	check := func(what string, q core.Query, strategy string, want []string) {
 		t.Helper()
+		plan := explainText(t, d.Snapshot(), q)
+		if got := joinLabel(t, plan); got != strategy {
+			t.Fatalf("%s: EXPLAIN chose %s, want %s:\n%s", what, got, strategy, plan)
+		}
+		res, err := d.Snapshot().ExplainAnalyze(q, false, engine.ExecConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := joinLabel(t, res.Text); got != strategy {
+			t.Fatalf("%s: EXPLAIN says %s, EXPLAIN ANALYZE ran %s:\n%s", what, strategy, got, res.Text)
+		}
+		rows, ests := planEstimates(plan, "(rows="), planEstimates(res.Text, " est=")
+		if strategy == "Index Join" {
+			// The probed side is printed but never lowered: no span.
+			rows = rows[:len(ests)]
+		}
+		if len(rows) == 0 || strings.Join(rows, " ") != strings.Join(ests, " ") {
+			t.Fatalf("%s: EXPLAIN rows= %v, EXPLAIN ANALYZE est= %v:\n%s\n%s", what, rows, ests, plan, res.Text)
+		}
+		if want == nil {
+			return
+		}
 		got := possRows(t, d.Snapshot(), q)
 		if len(got) != len(want) {
 			t.Fatalf("%s answers diverge: %d vs %d rows", what, len(got), len(want))
@@ -298,14 +344,32 @@ func TestJoinChoiceSelectivity(t *testing.T) {
 			}
 		}
 	}
-	requireRows(selective, wantSel, "index join")
-	requireRows(nonSelective, wantNonSel, "merge join")
+
+	// No segment cache: every probe decodes the segment its key is in.
+	check("uncached, 10-row outer", outerJoin(10), "Index Join", want[10])
+	check("uncached, 1000-row outer", outerJoin(1000), "Hash Join", want[1000])
+	check("uncached, 2499-row outer", outerJoin(n/8-1), "Hash Join", want[n/8-1])
+	check("large ⋈ large on the indexed column", largeLarge, "Hash Join", nil)
+	check("large ⋈ large on an unindexed column", unindexed, "Hash Join", nil)
 
 	// A point query routes through the index scan.
 	pointPlan := explainText(t, d.Snapshot(), lookupBigQuery(5))
 	if !strings.Contains(pointPlan, "Index Scan") || !strings.Contains(pointPlan, "exec=index") {
 		t.Fatalf("point query did not route through the index:\n%s", pointPlan)
 	}
+
+	// The same directory behind a segment cache: a probe is a handful of
+	// rows' work, and the index join holds up to an eighth of the inner.
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = Open(dir, Options{DisableAutoFlush: true, Cache: store.NewSegCache(64 << 20)}); err != nil {
+		t.Fatal(err)
+	}
+	check("cached, 10-row outer", outerJoin(10), "Index Join", want[10])
+	check("cached, 1000-row outer", outerJoin(1000), "Index Join", want[1000])
+	check("cached, 2499-row outer", outerJoin(n/8-1), "Index Join", want[n/8-1])
+	check("cached, large ⋈ large", largeLarge, "Hash Join", nil)
 }
 
 func lookupBigQuery(k int) core.Query {
