@@ -95,7 +95,10 @@ func BenchmarkAblation_Optimizer(b *testing.B) {
 // join forced to hash and to index-nested-loop — cold (no segment cache:
 // every probe decodes the segment its key is in) and warm (segments stay
 // decoded). chooseJoin picks the index join below the crossover the
-// source's ProbeCost implies: m < n/1024 cold, m < n/8 warm.
+// source's ProbeCost implies: m < n/1024 cold, m < n/8 warm. Each case
+// runs as the table has it, the join emitting the two answer columns,
+// and again emitting three (/out=3): with -benchmem the B/op of the two
+// differ by the one column, since the join is the only copy of its row.
 //
 //	go test -run=NONE -bench=BenchmarkJoinStrategy -benchtime=15x -count=3 .
 func BenchmarkJoinStrategy(b *testing.B) {
@@ -138,23 +141,28 @@ func BenchmarkJoinStrategy(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, m := range outers {
-			q := core.Project(core.Join(core.RelAs(fmt.Sprintf("o%d", m), "s"), core.RelAs("big", "b"),
-				engine.Eq(engine.Col("s.k"), engine.Col("b.k"))), "s.k", "b.v")
+			join := core.Join(core.RelAs(fmt.Sprintf("o%d", m), "s"), core.RelAs("big", "b"),
+				engine.Eq(engine.Col("s.k"), engine.Col("b.k")))
 			for _, algo := range []struct {
 				name string
 				a    engine.JoinAlgo
 			}{{"hash", engine.JoinHash}, {"index", engine.JoinIndex}} {
-				b.Run(fmt.Sprintf("%s/m=%d/%s", mode.name, m, algo.name), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						rel, err := d.Snapshot().EvalPoss(q, engine.ExecConfig{Join: algo.a})
-						if err != nil {
-							b.Fatal(err)
+				for _, out := range []struct {
+					name string
+					q    core.Query
+				}{{"", core.Project(join, "s.k", "b.v")}, {"/out=3", core.Project(join, "s.k", "s.w", "b.v")}} {
+					b.Run(fmt.Sprintf("%s/m=%d/%s%s", mode.name, m, algo.name, out.name), func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							rel, err := d.Snapshot().EvalPoss(out.q, engine.ExecConfig{Join: algo.a})
+							if err != nil {
+								b.Fatal(err)
+							}
+							if rel.Len() != m {
+								b.Fatalf("%d answers, want %d", rel.Len(), m)
+							}
 						}
-						if rel.Len() != m {
-							b.Fatalf("%d answers, want %d", rel.Len(), m)
-						}
-					}
-				})
+					})
+				}
 			}
 		}
 		if err := d.Close(); err != nil {
@@ -188,13 +196,14 @@ func syntheticJoinInput(n, keys int, prefix string, seed int64) *engine.Relation
 // partitioned parallel hash join on synthetic equi joins with a
 // residual filter (not a paper figure). Run with GOMAXPROCS >= 4 to see
 // the partitioned speedup; on one core the parallel operator degrades
-// gracefully to near-serial cost.
+// gracefully to near-serial cost. Each case runs with the join emitting
+// its full six-column row and, as /out=3, through a projection to three.
 func BenchmarkParallelHashJoin(b *testing.B) {
 	b.ReportAllocs()
 	for _, n := range []int{20000, 100000} {
 		l := syntheticJoinInput(n, n/8+1, "l", 1)
 		r := syntheticJoinInput(n, n/8+1, "r", 2)
-		plan := engine.Join(
+		join := engine.Join(
 			engine.Values(l, "l"), engine.Values(r, "r"),
 			engine.And(
 				engine.EqCols("l.k", "r.k"),
@@ -208,19 +217,24 @@ func BenchmarkParallelHashJoin(b *testing.B) {
 			{"serial", engine.ExecConfig{}},
 			{"parallel", engine.ExecConfig{Parallelism: -1, ParallelThreshold: 1}},
 		} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, mode.name), func(b *testing.B) {
-				b.ReportAllocs()
-				var rows int
-				for i := 0; i < b.N; i++ {
-					rel, err := engine.Run(plan, cat, mode.cfg)
-					if err != nil {
-						b.Fatal(err)
+			for _, out := range []struct {
+				name string
+				plan engine.Plan
+			}{{"", join}, {"/out=3", engine.Project(join, "l.k", "r.s", "l.v")}} {
+				b.Run(fmt.Sprintf("n=%d/%s%s", n, mode.name, out.name), func(b *testing.B) {
+					b.ReportAllocs()
+					var rows int
+					for i := 0; i < b.N; i++ {
+						rel, err := engine.Run(out.plan, cat, mode.cfg)
+						if err != nil {
+							b.Fatal(err)
+						}
+						rows = rel.Len()
 					}
-					rows = rel.Len()
-				}
-				b.ReportMetric(float64(rows), "out_rows")
-				b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
-			})
+					b.ReportMetric(float64(rows), "out_rows")
+					b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
+				})
+			}
 		}
 	}
 }

@@ -1,0 +1,106 @@
+package urel_test
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"urel/internal/core"
+	"urel/internal/engine"
+	"urel/internal/obs"
+	"urel/internal/tpch"
+)
+
+// TestTranslatedPlansProjectOnce: in the optimized plans of the paper's
+// Q1–Q3, by the lazy and by the full translation, no projection sits on
+// another projection or on an inner join — the join emits through it —
+// and what EXPLAIN ANALYZE ran is that plan node for node: the same
+// operators, each on the estimate EXPLAIN prints for it. (The fold is a
+// plan rewrite; done while lowering it would see trace wrappers under
+// EXPLAIN ANALYZE and quietly not happen.)
+func TestTranslatedPlansProjectOnce(t *testing.T) {
+	p := tpch.DefaultParams(0.02, 0.05, 0.25)
+	p.Seed = 1
+	db, _, err := tpch.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := engine.NewCatalog()
+	var checkShape func(what string, p engine.Plan) (joins int)
+	checkShape = func(what string, p engine.Plan) (joins int) {
+		if pr, ok := p.(*engine.ProjectPlan); ok {
+			switch c := pr.Child.(type) {
+			case *engine.ProjectPlan:
+				t.Errorf("%s: Project %v sits on Project %v", what, pr.Names, c.Names)
+			case *engine.JoinPlan:
+				if c.Kind == engine.InnerJoin {
+					t.Errorf("%s: Project %v sits on an inner join instead of being its Out", what, pr.Names)
+				}
+			}
+		}
+		if j, ok := p.(*engine.JoinPlan); ok && j.Out != nil {
+			joins++
+		}
+		for _, c := range p.Children() {
+			joins += checkShape(what, c)
+		}
+		return joins
+	}
+	var sameNodes func(what string, p engine.Plan, sp *obs.Span)
+	sameNodes = func(what string, p engine.Plan, sp *obs.Span) {
+		text, err := engine.Explain(p, cat, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head := strings.SplitN(text, "\n", 2)[0]
+		if !strings.Contains(head, fmt.Sprintf("(rows=%.0f ", sp.Est())) {
+			t.Fatalf("%s: %q ran on est=%.0f, EXPLAIN prints its node as %q", what, sp.Op(), sp.Est(), head)
+		}
+		if want := engine.EstimateStats(p, cat).Rows; math.Abs(sp.Est()-want) > 1e-9*want {
+			t.Fatalf("%s: %q ran on est=%g, the plan node is estimated at %g", what, sp.Op(), sp.Est(), want)
+		}
+		label := p.Label()
+		if _, ok := p.(*engine.JoinPlan); ok {
+			label = strings.TrimSpace(strings.SplitN(head, "  (", 2)[0])
+		}
+		if sp.Op() != label {
+			t.Fatalf("%s: EXPLAIN ANALYZE ran %q where the plan has %q", what, sp.Op(), label)
+		}
+		kids := sp.Children()
+		if len(kids) != len(p.Children()) {
+			t.Fatalf("%s: %q ran with %d inputs, the plan node has %d", what, sp.Op(), len(kids), len(p.Children()))
+		}
+		for i, c := range p.Children() {
+			sameNodes(what, c, kids[i])
+		}
+	}
+	for name, q := range map[string]core.Query{"Q1": tpch.Q1(), "Q2": tpch.Q2(), "Q3": tpch.Q3()} {
+		for _, full := range []bool{false, true} {
+			what := fmt.Sprintf("%s full=%v", name, full)
+			translate := db.Translate
+			if full {
+				q, translate = core.StripPoss(q), db.TranslateFull
+			}
+			plan, _, err := translate(q)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if plan, err = engine.Optimize(plan, cat); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if checkShape(what, plan) == 0 {
+				t.Errorf("%s: no join of the plan emits through a projection", what)
+			}
+			root := obs.NewSpan("query")
+			it, err := engine.Build(plan, cat, engine.ExecConfig{Trace: root})
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if _, err := engine.Drain(it); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			sameNodes(what, plan, root.Children()[0])
+		}
+	}
+}

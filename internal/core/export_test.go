@@ -1,0 +1,56 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"os"
+	"testing"
+)
+
+// TestMain turns the image audit on for every test of the package and of
+// core_test: each time a query is about to reuse a partition's image the
+// partition is encoded again, and any difference — a change of Rows that
+// did not say RowsChanged, a consumer that wrote into a shared row —
+// stops the run.
+func TestMain(m *testing.M) {
+	auditImage = func(u *URelation, img *image) {
+		fresh := u.buildImage()
+		if err := sameImage(img, fresh); err != nil {
+			panic(fmt.Sprintf("core: %s: the kept image is not what encoding the rows now gives: %v", u.Name, err))
+		}
+	}
+	os.Exit(m.Run())
+}
+
+func sameImage(kept, fresh *image) error {
+	if kept.width != fresh.width || len(kept.rows) != len(fresh.rows) {
+		return fmt.Errorf("width %d with %d rows, now width %d with %d rows", kept.width, len(kept.rows), fresh.width, len(fresh.rows))
+	}
+	for ai, k := range fresh.kinds {
+		if kept.kinds[ai] != k {
+			return fmt.Errorf("attribute %d of kind %v, now %v", ai, kept.kinds[ai], k)
+		}
+	}
+	for i, row := range fresh.rows {
+		for c, v := range row {
+			if kept.rows[i][c] != v {
+				return fmt.Errorf("row %d column %d holds %v, now %v", i, c, kept.rows[i][c], v)
+			}
+		}
+	}
+	return nil
+}
+
+// RandUDB and RandQuery hand the property suite's generators to the
+// tests of core_test, which can import what imports core (txn, store).
+func RandUDB(rng *rand.Rand) *UDB { return randUDB(rng) }
+
+func RandQuery(rng *rand.Rand, db *UDB, depth int) Query { return randQuery(rng, db, depth) }
+
+// HasImage reports whether the partition holds an image of its current
+// rows.
+func (u *URelation) HasImage() bool {
+	u.imgMu.Lock()
+	defer u.imgMu.Unlock()
+	return u.img != nil && u.img.describes(u.Rows)
+}

@@ -60,8 +60,8 @@ func scansDuring(t *testing.T, f func() error) int64 {
 // in-memory partitions' statistics on the ComputeStats counter: one
 // scan per touched partition on the first query that optimizes, none
 // afterwards, none on paths that never optimize, a refresh of exactly
-// the partitions whose row count a DML statement changed, and nothing
-// shared with a clone.
+// the partitions whose rows a DML statement changed, and nothing shared
+// with a clone.
 func TestPartitionStatisticsAreTakenOnce(t *testing.T) {
 	db := genTPCH(t, 0.02)
 	q3 := tpch.Q3()
@@ -160,5 +160,60 @@ func TestConcurrentEvalPossSharesStatistics(t *testing.T) {
 	// the sum of the two is an upper bound.
 	if n := engine.StatsScans() - before; n < 1 || n > touched {
 		t.Fatalf("two concurrent readers took statistics %d times over at most %d partitions", n, touched)
+	}
+}
+
+// TestStatisticsFollowAnEqualCountUpdate: an UPDATE through txn.Apply
+// deletes k rows and appends k to the same backing array, so neither the
+// partition's length nor its address shows the change. The statistics a
+// leaf carries are the image's, and the image goes when the rows change:
+// after an update that moves a column's maximum, the leaf reports the new
+// bound and a range selection above the old one is estimated on it.
+func TestStatisticsFollowAnEqualCountUpdate(t *testing.T) {
+	db := core.NewUDB()
+	db.MustAddRelation("t", "k", "v")
+	u := db.MustAddPartition("t", "u_t", "k", "v")
+	const n = 100
+	for i := int64(1); i <= n; i++ {
+		u.Add(nil, i, engine.Int(i), engine.Int(i))
+	}
+	above := core.Select(core.Rel("t"), engine.Cmp(engine.GT, engine.Col("t.v"), engine.ConstInt(500)))
+	vStats := func() (max float64, estimate float64) {
+		t.Helper()
+		plan, _, err := db.Translate(above)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var leaf *engine.ValuesPlan
+		var walk func(engine.Plan)
+		walk = func(p engine.Plan) {
+			if v, ok := p.(*engine.ValuesPlan); ok {
+				leaf = v
+			}
+			for _, c := range p.Children() {
+				walk(c)
+			}
+		}
+		walk(plan)
+		if leaf == nil || leaf.Stats == nil {
+			t.Fatal("the translated selection has no in-memory leaf with statistics")
+		}
+		return leaf.Stats().Cols["t.v"].Max.AsFloat(), engine.EstimateStats(plan, engine.NewCatalog()).Rows
+	}
+	if max, est := vStats(); max != n || est > 1 {
+		t.Fatalf("before the update: max(v) = %g, %g rows estimated above 500; want %d and at most 1", max, est, n)
+	}
+	st, err := sqlparse.ParseStatement("update t set v = 1000 where k <= 50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := txn.Apply(db, st); err != nil {
+		t.Fatal(err)
+	}
+	if len(u.Rows) != n {
+		t.Fatalf("the update left %d rows, want the %d it started with", len(u.Rows), n)
+	}
+	if max, est := vStats(); max != 1000 || est < 25 {
+		t.Fatalf("after the update: max(v) = %g, %g rows estimated above 500; want 1000 and about 50", max, est)
 	}
 }

@@ -51,6 +51,7 @@ func (db *UDB) Reduce() *UDB {
 				}
 			}
 			p.Rows = kept
+			p.RowsChanged()
 		}
 	}
 	return out
@@ -182,6 +183,7 @@ func (db *UDB) ReduceSemijoinOnce() (*UDB, error) {
 		}
 		for i, p := range rs.Parts {
 			p.Rows = newRows[i]
+			p.RowsChanged()
 		}
 	}
 	return out, nil

@@ -274,12 +274,22 @@ func (tr *translator) translateRel(n *RelQ, need []string) (engine.Plan, *ULayou
 	return plan, lay, nil
 }
 
-// encodePartition materializes one partition as an engine relation with
-// unique column names: descriptor pairs "<alias>.p<j>.d<k>v/r", tuple id
+// encodePartition plans one partition as an engine relation with unique
+// column names: descriptor pairs "<alias>.p<j>.d<k>v/r", tuple id
 // "tid:<alias>.p<j>", and the contributed attributes under their
-// qualified logical names.
+// qualified logical names. An in-memory partition is a scan of its
+// image — the rows every query shares — under these names, narrowed by
+// a projection when the query wants only some of its attributes.
 func (tr *translator) encodePartition(u *URelation, alias string, pidx int, contrib []string) (engine.Plan, *ULayout) {
-	width := u.MaxDescriptorWidth()
+	var img *image
+	var width int
+	var kinds []engine.Kind
+	if u.Back != nil {
+		width, kinds = u.Back.DescriptorWidth(), u.Back.AttrKinds()
+	} else {
+		img = u.image()
+		width, kinds = img.width, img.kinds
+	}
 	lay := &ULayout{}
 	var cols []engine.Column
 	for k := 0; k < width; k++ {
@@ -295,13 +305,10 @@ func (tr *translator) encodePartition(u *URelation, alias string, pidx int, cont
 	cols = append(cols, engine.Column{Name: tidCol, Kind: engine.KindInt})
 	// Column indexes of the contributed attributes.
 	var attrIdx []int
-	kinds := kindsOf(u)
 	for _, a := range contrib {
 		for ai, pa := range u.Attrs {
 			if pa == a {
-				q := alias + "." + a
-				lay.Attrs = append(lay.Attrs, q)
-				cols = append(cols, engine.Column{Name: q, Kind: kinds[ai]})
+				lay.Attrs = append(lay.Attrs, alias+"."+a)
 				attrIdx = append(attrIdx, ai)
 				break
 			}
@@ -314,23 +321,30 @@ func (tr *translator) encodePartition(u *URelation, alias string, pidx int, cont
 	if u.Back != nil {
 		// Storage-backed partition: plan a lazy segment scan instead of
 		// materializing; cold data feeds the engine batch-by-batch.
+		for i, ai := range attrIdx {
+			cols = append(cols, engine.Column{Name: lay.Attrs[i], Kind: kinds[ai]})
+		}
 		return u.Back.ScanPlan(engine.Schema{Cols: cols}, width, attrIdx, name), lay
 	}
+	whole := len(attrIdx) == len(u.Attrs)
+	for ai, a := range u.Attrs {
+		cols = append(cols, engine.Column{Name: alias + "." + a, Kind: kinds[ai]})
+		whole = whole && attrIdx[ai] == ai
+	}
 	sch := engine.Schema{Cols: cols}
-	leaf := engine.Values(u.encode(sch, width, attrIdx), name)
-	leaf.Stats = u.leafStats(sch, width, attrIdx)
-	return leaf, lay
+	leaf := engine.Values(&engine.Relation{Sch: sch, Rows: img.rows}, name)
+	leaf.Stats = img.leafStats(sch)
+	if whole {
+		return leaf, lay
+	}
+	return engine.Project(leaf, lay.Columns()...), lay
 }
 
-// encode lays the partition's rows out under sch — width (var, rng)
-// descriptor pairs, the tuple id, then the attributes attrIdx selects —
-// as one flat value arena the row slices point into, not a slice per
-// row: a partition is encoded again for every query that touches it.
-// A leaf's width is the partition's widest descriptor; a narrower one
-// (statistics asked for through a leaf older than the rows) cuts the
-// longer descriptors short, which statistics can bear.
-func (u *URelation) encode(sch engine.Schema, width int, attrIdx []int) *engine.Relation {
-	ncols := sch.Len()
+// encode lays the partition's rows out in the image's layout — width
+// (var, rng) descriptor pairs, the tuple id, then every attribute — as
+// one flat value arena the row slices point into, not a slice per row.
+func (u *URelation) encode(width int) []engine.Tuple {
+	ncols := 2*width + 1 + len(u.Attrs)
 	arena := make([]engine.Value, len(u.Rows)*ncols)
 	rows := make([]engine.Tuple, len(u.Rows))
 	for i, r := range u.Rows {
@@ -350,28 +364,10 @@ func (u *URelation) encode(sch engine.Schema, width int, attrIdx []int) *engine.
 			row[2*k+1] = engine.Int(int64(a.Val))
 		}
 		row[2*width] = engine.Int(r.TID)
-		for j, ai := range attrIdx {
-			row[2*width+1+j] = r.Vals[ai]
-		}
+		copy(row[2*width+1:], r.Vals)
 		rows[i] = row
 	}
-	return &engine.Relation{Sch: sch, Rows: rows}
-}
-
-func kindsOf(u *URelation) []engine.Kind {
-	if u.Back != nil {
-		return u.Back.AttrKinds()
-	}
-	kinds := make([]engine.Kind, len(u.Attrs))
-	for ai := range u.Attrs {
-		for _, r := range u.Rows {
-			if !r.Vals[ai].IsNull() {
-				kinds[ai] = r.Vals[ai].K
-				break
-			}
-		}
-	}
-	return kinds
+	return rows
 }
 
 // translateUnion implements the union of Figure 4's discussion: both

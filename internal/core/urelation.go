@@ -48,14 +48,97 @@ type URelation struct {
 	Name    string   // representation-level name, e.g. "u_r_type"
 	RelName string   // logical relation this partitions
 	Attrs   []string // value attributes B (unqualified logical names)
-	Rows    []URow
+	// Rows are the partition's tuples. Queries read them through an
+	// encoded copy that is kept from one query to the next, so code that
+	// changes them any other way than through Add — assigns the slice,
+	// rewrites a row in place — calls RowsChanged afterwards.
+	Rows []URow
 	// Back, when non-nil, backs this partition with lazily scanned
 	// storage; Rows stays empty until Materialize is called.
 	Back Backing
 
-	// stats caches the optimizer's statistics over Rows (see partStats).
-	statsMu sync.Mutex
-	stats   *partStats
+	// img is Rows encoded for the engine, and what planning derives from
+	// them; see image. The lock makes concurrent queries share one build.
+	imgMu sync.Mutex
+	img   *image
+}
+
+// image is an in-memory partition encoded for the engine, once and not
+// once per query: its rows in the positional U-layout — 2·width
+// descriptor columns, the tuple id, every attribute — which every leaf
+// over the partition scans as they are, under its own column names,
+// together with what else a leaf asks of them. It belongs to the Rows it
+// was built from: RowsChanged drops it, and so does a slice header that
+// no longer matches, for the outside `u.Rows = …` that forgot to say so.
+type image struct {
+	n     int           // len(Rows) at the build …
+	first *URow         // … and where they started
+	width int           // widest descriptor, the encoding width
+	kinds []engine.Kind // per attribute: its first non-null value's
+
+	// rows are shared by every query between two changes of the
+	// partition; like all tuples the engine moves they are read-only.
+	rows []engine.Tuple
+
+	statsOnce sync.Once
+	stats     []engine.ColStats // per column of rows; see colStats
+}
+
+// describes reports whether the image was built from rows as they are
+// now, as far as the slice header can tell.
+func (img *image) describes(rows []URow) bool {
+	if img.n != len(rows) {
+		return false
+	}
+	return img.n == 0 || img.first == &rows[0]
+}
+
+// auditImage, when set, sees every image a query is about to reuse. Only
+// tests set it: theirs encodes the partition again and fails on any
+// difference, which is what a missed RowsChanged or a consumer writing
+// into a shared row looks like.
+var auditImage func(u *URelation, img *image)
+
+// image returns the partition's current image, building it on the first
+// use after a change.
+func (u *URelation) image() *image {
+	u.imgMu.Lock()
+	defer u.imgMu.Unlock()
+	if u.img != nil && u.img.describes(u.Rows) {
+		if auditImage != nil {
+			auditImage(u, u.img)
+		}
+		return u.img
+	}
+	u.img = u.buildImage()
+	return u.img
+}
+
+func (u *URelation) buildImage() *image {
+	img := &image{n: len(u.Rows), width: descriptorWidth(u.Rows), kinds: make([]engine.Kind, len(u.Attrs))}
+	if img.n > 0 {
+		img.first = &u.Rows[0]
+	}
+	for ai := range u.Attrs {
+		for _, r := range u.Rows {
+			if !r.Vals[ai].IsNull() {
+				img.kinds[ai] = r.Vals[ai].K
+				break
+			}
+		}
+	}
+	img.rows = u.encode(img.width)
+	return img
+}
+
+// RowsChanged tells the partition that Rows were changed behind its
+// back — assigned, or rewritten in place, where neither length nor
+// address need show it (an UPDATE deletes k rows and appends k). The
+// next query encodes them afresh and takes fresh statistics.
+func (u *URelation) RowsChanged() {
+	u.imgMu.Lock()
+	u.img = nil
+	u.imgMu.Unlock()
 }
 
 // Add appends a tuple (descriptor, tuple id, attribute values).
@@ -67,6 +150,7 @@ func (u *URelation) Add(d ws.Descriptor, tid int64, vals ...engine.Value) {
 		panic(fmt.Sprintf("core: %s: %d values for attrs %v", u.Name, len(vals), u.Attrs))
 	}
 	u.Rows = append(u.Rows, URow{D: d, TID: tid, Vals: vals})
+	u.RowsChanged()
 }
 
 // NumRows returns the row count, consulting the backing for lazy
@@ -84,8 +168,18 @@ func (u *URelation) MaxDescriptorWidth() int {
 	if u.Back != nil {
 		return u.Back.DescriptorWidth()
 	}
+	u.imgMu.Lock()
+	img := u.img
+	u.imgMu.Unlock()
+	if img != nil && img.describes(u.Rows) {
+		return img.width
+	}
+	return descriptorWidth(u.Rows)
+}
+
+func descriptorWidth(rows []URow) int {
 	w := 0
-	for _, r := range u.Rows {
+	for _, r := range rows {
 		if len(r.D) > w {
 			w = len(r.D)
 		}
@@ -123,12 +217,14 @@ func (u *URelation) Materialize() error {
 	}
 	u.Rows = rows
 	u.Back = nil
+	u.RowsChanged()
 	return nil
 }
 
 // Clone deep-copies the partition. A backed partition shares its
 // read-only storage backing instead of duplicating it — so closing the
-// backing (UDB.Close) on any one clone releases it for all of them.
+// backing (UDB.Close) on any one clone releases it for all of them. The
+// copy starts without an image and takes its own statistics.
 func (u *URelation) Clone() *URelation {
 	out := &URelation{Name: u.Name, RelName: u.RelName, Attrs: append([]string(nil), u.Attrs...), Back: u.Back}
 	out.Rows = make([]URow, len(u.Rows))

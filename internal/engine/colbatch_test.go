@@ -209,8 +209,11 @@ func TestFilterColumnarRowEquivalence(t *testing.T) {
 // test: randomized plans (filters, projections, equi-joins with
 // residuals, NULL keys, semi/anti joins) evaluated through the row
 // path, the columnar path, and the parallel operators must produce the
-// same result multiset. Run under -race this also proves the parallel
-// path race-clean over the shared columnar inputs.
+// same result multiset. The reference projects the join's full row; the
+// plans compared with it have the join emit through a random Out (the
+// reference's projection, a subset, a permutation or nothing) with a
+// projection to the same columns above. Run under -race this also
+// proves the parallel path race-clean over the shared columnar inputs.
 func TestRandomPlanColumnarRowEquivalence(t *testing.T) {
 	pairs := []EquiPair{{L: "l.k", R: "r.k"}}
 	for seed := int64(0); seed < 4; seed++ {
@@ -228,17 +231,32 @@ func TestRandomPlanColumnarRowEquivalence(t *testing.T) {
 			for rname, residual := range residuals {
 				name := fmt.Sprintf("seed=%d/pred=%s/res=%s", seed, pname, rname)
 				t.Run(name, func(t *testing.T) {
+					var out []string
 					build := func(lsrc, rsrc Iterator, workers int) Iterator {
 						fl := NewFilter(lsrc, pred)
 						var jn Iterator
 						if workers > 1 {
-							jn = NewParallelHashJoin(fl, rsrc, pairs, residual, workers)
+							jn = NewParallelHashJoin(fl, rsrc, pairs, residual, out, workers)
 						} else {
-							jn = NewHashJoin(fl, rsrc, pairs, residual)
+							jn = NewHashJoin(fl, rsrc, pairs, residual, out)
+						}
+						if sameStrings(out, proj) {
+							return jn
 						}
 						return NewProject(jn, proj)
 					}
 					want := mustDrain(t, build(NewScan(l), NewScan(r), 1))
+					// Drawn from the case's name: the cases run in map order.
+					orng := rand.New(rand.NewSource(int64(HashValue(Str(name)))))
+					if out = proj; orng.Intn(3) > 0 {
+						// Any Out that keeps proj's columns.
+						out = randOut(orng, l.Sch.Concat(r.Sch).Names())
+						for _, c := range proj {
+							if out != nil && !containsStr(out, c) {
+								out = append(out, c)
+							}
+						}
+					}
 					colGot := mustDrain(t, build(newColSource(l, 128), newColSource(r, 77), 1))
 					if !want.EqualAsBag(colGot) {
 						t.Fatalf("columnar plan diverged (%d vs %d rows)", want.Len(), colGot.Len())
@@ -359,7 +377,7 @@ func TestColumnarPrefixUnderRowOperators(t *testing.T) {
 		"Union":    func(in Iterator) Iterator { return NewUnion(in, otherKS()) },
 		"DiffLeft": func(in Iterator) Iterator { return NewDiff(in, otherKS()) },
 		"HashJoinBuild": func(in Iterator) Iterator {
-			return NewHashJoin(in, NewScan(other), []EquiPair{{L: "t.k", R: "u.k"}}, nil)
+			return NewHashJoin(in, NewScan(other), []EquiPair{{L: "t.k", R: "u.k"}}, nil, nil)
 		},
 	}
 	for name, parent := range parents {

@@ -104,9 +104,9 @@ func TestBatchContract(t *testing.T) {
 		"NewDistinct": func(l, r Iterator) Iterator { return NewDistinct(l) },
 		"NewSort":     func(l, r Iterator) Iterator { return NewSort(l, []string{"l.s", "l.k"}) },
 		"NewLimit":    func(l, r Iterator) Iterator { return NewLimit(l, 1500) },
-		"NewHashJoin": func(l, r Iterator) Iterator { return NewHashJoin(l, r, pairs, ne) },
+		"NewHashJoin": func(l, r Iterator) Iterator { return NewHashJoin(l, r, pairs, ne, []string{"r.v", "l.k"}) },
 		"NewNestedLoopJoin": func(l, r Iterator) Iterator {
-			return NewNestedLoopJoin(NewLimit(l, 120), r, Cmp(LT, Col("l.v"), Col("r.v")))
+			return NewNestedLoopJoin(NewLimit(l, 120), r, Cmp(LT, Col("l.v"), Col("r.v")), nil)
 		},
 		"NewSemiJoin":  func(l, r Iterator) Iterator { return NewSemiJoin(l, r, pairs, ne, false) },
 		"NewUnion":     func(l, r Iterator) Iterator { return NewUnion(l, r) },
@@ -119,9 +119,9 @@ func TestBatchContract(t *testing.T) {
 			return NewExtend(l, []NamedExpr{{Name: "k2", E: Arith(AddOp, Col("l.k"), ConstInt(1)), Kind: KindInt}})
 		},
 		"NewIndexJoin": func(l, r Iterator) Iterator {
-			return NewIndexJoin(NewLimit(l, 150), &indexedRel{rel: rrel}, rrel.Sch, []string{"r.s", "r.k"}, "l.k", "r.k", ne)
+			return NewIndexJoin(NewLimit(l, 150), &indexedRel{rel: rrel}, rrel.Sch, []string{"r.s", "r.k"}, "l.k", "r.k", ne, []string{"r.k", "l.s", "l.v"})
 		},
-		"NewParallelHashJoin": func(l, r Iterator) Iterator { return NewParallelHashJoin(l, r, pairs, ne, 3) },
+		"NewParallelHashJoin": func(l, r Iterator) Iterator { return NewParallelHashJoin(l, r, pairs, ne, nil, 3) },
 		"NewParallelFilter": func(l, r Iterator) Iterator {
 			return NewParallelFilter(l, Cmp(LT, Col("l.k"), ConstInt(30)), 3)
 		},
@@ -146,6 +146,90 @@ func TestBatchContract(t *testing.T) {
 				t.Fatalf("over a slice-recycling source the result changed: %d rows, want %d", got.Len(), want.Len())
 			}
 		})
+	}
+}
+
+// randOut draws an output projection over names: nil (every column) one
+// time in four, otherwise a random permutation cut to a random length,
+// so subsets, reorderings and the full row all come up.
+func randOut(rng *rand.Rand, names []string) []string {
+	if rng.Intn(4) == 0 {
+		return nil
+	}
+	out := append([]string(nil), names...)
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out[:1+rng.Intn(len(out))]
+}
+
+// projected is the reference for a join that emits through out: the
+// plain projection over the join's full-width output.
+func projected(join Iterator, out []string) Iterator {
+	if out == nil {
+		return join
+	}
+	return NewProject(join, out)
+}
+
+// TestJoinOutIsProjection: every inner join strategy, emitting through
+// a random Out, produces the rows, in the order (the parallel join
+// aside) and under the schema that a Project over the same join
+// emitting its full row does — with and without a residual, which must
+// keep seeing the columns Out drops.
+func TestJoinOutIsProjection(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	lrel := randJoinInput(rng, 700, 25, "l")
+	rrel := randJoinInput(rng, 500, 25, "r")
+	pairs := []EquiPair{{L: "l.k", R: "r.k"}}
+	full := lrel.Sch.Concat(rrel.Sch).Names()
+	idxProj := []string{"r.s", "r.k"}
+	joins := map[string]func(res Expr, out []string) Iterator{
+		"hash": func(res Expr, out []string) Iterator {
+			return NewHashJoin(NewScan(lrel), NewScan(rrel), pairs, res, out)
+		},
+		"parallel": func(res Expr, out []string) Iterator {
+			return NewParallelHashJoin(NewScan(lrel), NewScan(rrel), pairs, res, out, 3)
+		},
+		"nested loop": func(res Expr, out []string) Iterator {
+			return NewNestedLoopJoin(NewLimit(NewScan(lrel), 60), NewScan(rrel), And(EqCols("l.k", "r.k"), res), out)
+		},
+		"index": func(res Expr, out []string) Iterator {
+			return NewIndexJoin(NewLimit(NewScan(lrel), 90), &indexedRel{rel: rrel}, rrel.Sch, idxProj, "l.k", "r.k", res, out)
+		},
+	}
+	for name, mk := range joins {
+		names := full
+		if name == "index" {
+			names = append(lrel.Sch.Names(), idxProj...)
+		}
+		for iter := 0; iter < 12; iter++ {
+			out := randOut(rng, names)
+			var res Expr
+			if iter%2 == 1 {
+				res = Cmp(NE, Col("l.s"), Col("r.s"))
+			}
+			want := mustDrain(t, projected(mk(res, nil), out))
+			got := mustDrain(t, mk(res, out))
+			if want.Len() == 0 {
+				t.Fatalf("%s: the fixture joins to nothing", name)
+			}
+			if !want.Sch.Equal(got.Sch) {
+				t.Fatalf("%s out=%v: schema %v, a projection gives %v", name, out, got.Sch, want.Sch)
+			}
+			if name == "parallel" {
+				if !want.EqualAsBag(got) {
+					t.Fatalf("%s out=%v: %d rows, a projection gives %d", name, out, got.Len(), want.Len())
+				}
+				continue
+			}
+			if want.Len() != got.Len() {
+				t.Fatalf("%s out=%v: %d rows, a projection gives %d", name, out, got.Len(), want.Len())
+			}
+			for i := range want.Rows {
+				if !TupleEqual(want.Rows[i], got.Rows[i]) {
+					t.Fatalf("%s out=%v: row %d is %v, a projection gives %v", name, out, i, got.Rows[i], want.Rows[i])
+				}
+			}
+		}
 	}
 }
 

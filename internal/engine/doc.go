@@ -34,8 +34,10 @@
 // operator materializes tuples once (ColBatch.Materialize) in its
 // NextBatch, whatever row operator sits above — a Distinct, a sort, a
 // join build. Joins use the hashed-key joinTable: an
-// open-addressing table over a flat build-row arena keyed by 64-bit
-// hashes, probed without per-row key or map allocations. Parallel
+// open-addressing table over the build rows' headers keyed by 64-bit
+// hashes, probed without per-row key or map allocations, and every
+// inner join writes its output row once, through the projection
+// Optimize folded into it (JoinPlan.Out). Parallel
 // operators — ParallelHashJoinIter (build side hash-partitioned across
 // workers, probe batches scattered through per-partition private
 // joinTables) and ParallelFilterIter (chunked predicate evaluation) —

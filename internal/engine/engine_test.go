@@ -111,14 +111,14 @@ func TestNullComparisons(t *testing.T) {
 func TestHashJoinBasic(t *testing.T) {
 	l := testRel([]string{"l.k", "l.v"}, [][]int64{{1, 100}, {2, 200}, {2, 201}, {3, 300}})
 	r := testRel([]string{"r.k", "r.w"}, [][]int64{{2, 9}, {3, 8}, {4, 7}})
-	it := NewHashJoin(NewScan(l), NewScan(r), []EquiPair{{L: "l.k", R: "r.k"}}, nil)
+	it := NewHashJoin(NewScan(l), NewScan(r), []EquiPair{{L: "l.k", R: "r.k"}}, nil, nil)
 	out := mustDrain(t, it)
 	if out.Len() != 3 {
 		t.Fatalf("want 3 join rows, got %d: %v", out.Len(), out.Rows)
 	}
 	// Residual filter.
 	it2 := NewHashJoin(NewScan(l), NewScan(r),
-		[]EquiPair{{L: "l.k", R: "r.k"}}, Cmp(GT, Col("l.v"), ConstInt(200)))
+		[]EquiPair{{L: "l.k", R: "r.k"}}, Cmp(GT, Col("l.v"), ConstInt(200)), nil)
 	out2 := mustDrain(t, it2)
 	if out2.Len() != 2 {
 		t.Fatalf("residual: want 2, got %d", out2.Len())
@@ -134,9 +134,9 @@ func TestJoinAlgorithmsAgree(t *testing.T) {
 	})
 	pairs := []EquiPair{{L: "l.k", R: "r.k"}}
 	res := Cmp(NE, Col("l.v"), Col("r.w"))
-	hj := mustDrain(t, NewHashJoin(NewScan(l), NewScan(r), pairs, res))
+	hj := mustDrain(t, NewHashJoin(NewScan(l), NewScan(r), pairs, res, nil))
 	cond := And(EqCols("l.k", "r.k"), res)
-	nl := mustDrain(t, NewNestedLoopJoin(NewScan(l), NewScan(r), cond))
+	nl := mustDrain(t, NewNestedLoopJoin(NewScan(l), NewScan(r), cond, nil))
 	if !hj.EqualAsBag(nl) {
 		t.Errorf("hash vs nested loop disagree: %d vs %d", hj.Len(), nl.Len())
 	}
@@ -150,7 +150,7 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	r := NewRelation(NewSchema(Column{Name: "k2", Kind: KindInt}))
 	r.Append(Tuple{Null()})
 	r.Append(Tuple{Int(1)})
-	out := mustDrain(t, NewHashJoin(NewScan(l), NewScan(r), []EquiPair{{L: "k", R: "k2"}}, nil))
+	out := mustDrain(t, NewHashJoin(NewScan(l), NewScan(r), []EquiPair{{L: "k", R: "k2"}}, nil, nil))
 	if out.Len() != 1 {
 		t.Fatalf("null keys must not join: got %d rows", out.Len())
 	}

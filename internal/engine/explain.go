@@ -85,6 +85,9 @@ func explainNode(b *strings.Builder, p Plan, est *estimator, depth int, root boo
 		if c.residual != nil {
 			fmt.Fprintf(b, "%s      Join Filter: %s\n", indent, c.residual)
 		}
+		if n.Out != nil {
+			fmt.Fprintf(b, "%s      Output: %s\n", indent, joinStrings(n.Out))
+		}
 		explainNode(b, n.L, est, depth+1, false)
 		explainNode(b, n.R, est, depth+1, false)
 	case *FilterPlan:

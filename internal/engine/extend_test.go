@@ -111,7 +111,7 @@ func TestFilterBindError(t *testing.T) {
 	if err := s.Open(); err == nil {
 		t.Fatal("bad sort key must fail at Open")
 	}
-	hj := NewHashJoin(NewScan(r), NewScan(r), nil, nil)
+	hj := NewHashJoin(NewScan(r), NewScan(r), nil, nil, nil)
 	if err := hj.Open(); err == nil {
 		t.Fatal("hash join without pairs must fail")
 	}

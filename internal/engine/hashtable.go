@@ -2,12 +2,11 @@ package engine
 
 // joinTable is the hashed-key machinery shared by the hash join family
 // (HashJoinIter, SemiJoinIter, and the per-partition tables of
-// ParallelHashJoinIter). It replaces the former map[string][]Tuple
-// design, which materialized a KeyString per build and probe row: here
-// keys are 64-bit hashes of the key columns, collisions resolve by
-// direct value comparison, and build rows live in one flat Value arena
-// — so neither build nor probe performs any per-row string or map
-// allocation.
+// ParallelHashJoinIter). Keys are 64-bit hashes of the key columns,
+// collisions resolve by direct value comparison, and a build row is
+// kept as its header: the Iterator contract makes the tuple immutable
+// and retainable, so the table never copies a cell — neither build nor
+// probe performs any per-row string, map or row allocation.
 //
 // Layout: open addressing with linear probing. Each occupied slot owns
 // the chain of all stored rows whose key columns are equal (chains are
@@ -15,10 +14,9 @@ package engine
 // row-at-a-time evaluation exactly). slotHash short-circuits most
 // collision checks before any value comparison happens.
 type joinTable struct {
-	ncols  int
 	keyIdx []int // key column positions within stored rows
 
-	cells  []Value  // flat row arena, ncols stride
+	rows   []Tuple  // stored row headers, in insertion order
 	hashes []uint64 // per stored row
 	next   []int32  // per stored row: next row with equal key, -1 ends
 
@@ -28,11 +26,11 @@ type joinTable struct {
 	mask     uint64
 }
 
-// newJoinTable builds an empty table for rows of ncols columns keyed
-// by the keyIdx columns. keyIdx may be empty, in which case every row
-// shares one key (used by key-less semi joins).
-func newJoinTable(ncols int, keyIdx []int) *joinTable {
-	t := &joinTable{ncols: ncols, keyIdx: keyIdx}
+// newJoinTable builds an empty table for rows keyed by the keyIdx
+// columns. keyIdx may be empty, in which case every row shares one key
+// (used by key-less semi joins).
+func newJoinTable(keyIdx []int) *joinTable {
+	t := &joinTable{keyIdx: keyIdx}
 	t.resetSlots(64)
 	return t
 }
@@ -47,13 +45,8 @@ func (t *joinTable) resetSlots(n int) {
 // len returns the stored row count.
 func (t *joinTable) len() int { return len(t.hashes) }
 
-// row returns stored row i as a full-capacity tuple slice into the
-// arena. The slice is only valid until the next insert (the arena may
-// be reallocated), so callers copy out of it before inserting again.
-func (t *joinTable) row(i int32) Tuple {
-	lo := int(i) * t.ncols
-	return Tuple(t.cells[lo : lo+t.ncols : lo+t.ncols])
-}
+// row returns stored row i: the tuple that was inserted, not a copy.
+func (t *joinTable) row(i int32) Tuple { return t.rows[i] }
 
 // hashRow hashes the keyIdx columns of a prospective row; ok=false
 // signals a NULL key, which never joins and must not be inserted.
@@ -61,11 +54,11 @@ func (t *joinTable) hashRow(row Tuple) (uint64, bool) {
 	return hashKeyAt(row, t.keyIdx)
 }
 
-// insert copies row into the arena and links it under hash h (which
-// must be hashRow's output for it).
+// insert keeps row's header and links it under hash h (which must be
+// hashRow's output for it).
 func (t *joinTable) insert(row Tuple, h uint64) {
 	r := int32(len(t.hashes))
-	t.cells = append(t.cells, row...)
+	t.rows = append(t.rows, row)
 	t.hashes = append(t.hashes, h)
 	t.next = append(t.next, -1)
 	// Grow at 3/4 load. Row count bounds occupied slots from above
@@ -132,7 +125,7 @@ func (t *joinTable) rehash() {
 
 // sameKey reports whether two stored rows agree on the key columns.
 func (t *joinTable) sameKey(a, b int32) bool {
-	ra, rb := t.row(a), t.row(b)
+	ra, rb := t.rows[a], t.rows[b]
 	for _, ki := range t.keyIdx {
 		if Compare(ra[ki], rb[ki]) != 0 {
 			return false
@@ -144,7 +137,7 @@ func (t *joinTable) sameKey(a, b int32) bool {
 // keysEqual reports whether stored row i agrees with the probeIdx
 // columns of probe on the key columns.
 func (t *joinTable) keysEqual(i int32, probe Tuple, probeIdx []int) bool {
-	r := t.row(i)
+	r := t.rows[i]
 	for k, ki := range t.keyIdx {
 		if Compare(r[ki], probe[probeIdx[k]]) != 0 {
 			return false
@@ -177,9 +170,9 @@ func (t *joinTable) lookup(h uint64, probe Tuple, probeIdx []int) int32 {
 func (t *joinTable) nextMatch(i int32) int32 { return t.next[i] }
 
 // outArena carves write-once output tuples from chunked allocations,
-// so emitting a join result row costs a copy, not an allocation. The
-// carved tuples are never reused, which keeps the NextBatch contract:
-// consumers may retain them indefinitely.
+// so emitting a join result row costs a copy — the one copy a join
+// makes — not an allocation. The carved tuples are never reused, which
+// keeps the NextBatch contract: consumers may retain them indefinitely.
 type outArena struct {
 	buf   []Value
 	chunk int // last chunk size; doubles up to arenaChunk
@@ -195,12 +188,48 @@ const (
 	arenaFirstChunk = 64
 )
 
+// emit returns a stable copy of the join row l ++ r narrowed to the
+// columns pick selects from it, in pick's order; a nil pick keeps the
+// whole row. Every inner join writes its output through here.
+func (a *outArena) emit(l, r Tuple, pick []int) Tuple {
+	if pick == nil {
+		return a.concat(l, r)
+	}
+	t := a.carve(len(pick))
+	for i, c := range pick {
+		if c < len(l) {
+			t[i] = l[c]
+		} else {
+			t[i] = r[c-len(l)]
+		}
+	}
+	return t
+}
+
 // concat returns a stable copy of l ++ r.
 func (a *outArena) concat(l, r Tuple) Tuple {
 	t := a.carve(len(l) + len(r))
 	copy(t, l)
 	copy(t[len(l):], r)
 	return t
+}
+
+// bindOut resolves a join's output projection out against full, the
+// schema of its concatenated row: the schema the join reports and the
+// pick its emit takes. A nil out is the whole row.
+func bindOut(full Schema, out []string) (Schema, []int, error) {
+	if out == nil {
+		return full, nil, nil
+	}
+	sch, err := full.Project(out)
+	if err != nil {
+		return Schema{}, nil, err
+	}
+	pick := make([]int, len(out))
+	for i, name := range out {
+		pick[i] = full.IndexOf(name)
+	}
+	return sch, pick, nil
 }
 
 func (a *outArena) carve(n int) Tuple {

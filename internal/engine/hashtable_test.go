@@ -7,16 +7,19 @@ import (
 )
 
 // TestJoinTableChains checks insertion, chain order, growth across
-// rehashes, and lookups against a map-based oracle.
+// rehashes, and lookups against a map-based oracle — and that the table
+// hands back the tuples it was given, not copies of them.
 func TestJoinTableChains(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	keyIdx := []int{0}
-	tbl := newJoinTable(2, keyIdx)
+	tbl := newJoinTable(keyIdx)
 	oracle := map[int64][]int64{}
 	const n = 5000 // forces several rehashes from the initial 64 slots
+	inserted := make([]Tuple, 0, n)
 	for i := 0; i < n; i++ {
 		k := int64(rng.Intn(97))
 		row := Tuple{Int(k), Int(int64(i))}
+		inserted = append(inserted, row)
 		h, ok := tbl.hashRow(row)
 		if !ok {
 			t.Fatal("non-null key must hash")
@@ -26,6 +29,11 @@ func TestJoinTableChains(t *testing.T) {
 	}
 	if tbl.len() != n {
 		t.Fatalf("len=%d want %d", tbl.len(), n)
+	}
+	for i, row := range inserted {
+		if &tbl.row(int32(i))[0] != &row[0] {
+			t.Fatalf("stored row %d is a copy of the inserted tuple", i)
+		}
 	}
 	for k, want := range oracle {
 		probe := Tuple{Int(k)}
@@ -54,7 +62,7 @@ func TestJoinTableChains(t *testing.T) {
 // TestJoinTableNullKeys checks hashRow refuses NULL keys (they never
 // join).
 func TestJoinTableNullKeys(t *testing.T) {
-	tbl := newJoinTable(2, []int{0, 1})
+	tbl := newJoinTable([]int{0, 1})
 	if _, ok := tbl.hashRow(Tuple{Int(1), Null()}); ok {
 		t.Fatal("NULL key must not hash")
 	}
@@ -66,7 +74,7 @@ func TestJoinTableNullKeys(t *testing.T) {
 // TestJoinTableNumericKeyNormalization checks int and integral float
 // keys meet in one chain, mirroring Compare/KeyString semantics.
 func TestJoinTableNumericKeyNormalization(t *testing.T) {
-	tbl := newJoinTable(1, []int{0})
+	tbl := newJoinTable([]int{0})
 	for _, v := range []Value{Int(5), Float(5.0), Int(5)} {
 		row := Tuple{v}
 		h, _ := tbl.hashRow(row)
@@ -189,7 +197,7 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	build := randJoinInput(rng, 20000, 5000, "l")
 	probe := randJoinInput(rng, 8192, 5000, "r")
-	j := NewHashJoin(NewScan(build), &repeatIter{rel: probe}, []EquiPair{{L: "l.k", R: "r.k"}}, nil)
+	j := NewHashJoin(NewScan(build), &repeatIter{rel: probe}, []EquiPair{{L: "l.k", R: "r.k"}}, nil, nil)
 	if err := j.Open(); err != nil {
 		b.Fatal(err)
 	}
@@ -206,7 +214,7 @@ func BenchmarkHashJoinProbeResidual(b *testing.B) {
 	build := randJoinInput(rng, 20000, 5000, "l")
 	probe := randJoinInput(rng, 8192, 5000, "r")
 	res := Cmp(NE, Col("l.s"), Col("r.s"))
-	j := NewHashJoin(NewScan(build), &repeatIter{rel: probe}, []EquiPair{{L: "l.k", R: "r.k"}}, res)
+	j := NewHashJoin(NewScan(build), &repeatIter{rel: probe}, []EquiPair{{L: "l.k", R: "r.k"}}, res, nil)
 	if err := j.Open(); err != nil {
 		b.Fatal(err)
 	}
@@ -241,7 +249,7 @@ func BenchmarkHashJoinBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl := newJoinTable(build.Sch.Len(), []int{0})
+		tbl := newJoinTable([]int{0})
 		for _, row := range build.Rows {
 			if h, ok := tbl.hashRow(row); ok {
 				tbl.insert(row, h)

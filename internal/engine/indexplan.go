@@ -214,25 +214,31 @@ type IndexJoinIter struct {
 	RCol     string   // canonical indexed column in the source
 	Residual Expr     // evaluated on the concatenated row (nil = none)
 
+	outCols []string // output projection of the concatenated row (nil = all)
+	pick    []int
+
 	sch     Schema
-	rsch    Schema // right-side output schema (post-projection)
+	rsch    Schema // right-side schema of the concatenated row (post-Proj)
 	li      int
-	projIdx []int // source column index per output column (nil = identity)
+	projIdx []int // source column index per right-side column (nil = identity)
 	bound   Expr
 	lbatch  []Tuple // current batch of the left input
 	lpos    int
-	cur     Tuple // left row whose matches are being drained
-	matches []Tuple
+	cur     Tuple   // left row whose matches are being drained
+	matches []Tuple // the probe's rows, as the source returned them
 	mpos    int
-	out     []Tuple // reused output batch headers
+	out     []Tuple  // reused output batch headers
+	arena   outArena // output cells (write-once)
+	scratch Tuple    // the concatenated row: residual buffer, Proj target
 
 	lookups int64
 	stats   map[string]int64 // aggregated from probe iterators
 }
 
-// NewIndexJoin builds an index-nested-loop join.
-func NewIndexJoin(l Iterator, src IndexedSource, srcSch Schema, proj []string, lcol, rcol string, residual Expr) *IndexJoinIter {
-	return &IndexJoinIter{L: l, Src: src, SrcSch: srcSch, Proj: proj, LCol: lcol, RCol: rcol, Residual: residual}
+// NewIndexJoin builds an index-nested-loop join; out is NewHashJoin's,
+// over the left columns followed by proj's.
+func NewIndexJoin(l Iterator, src IndexedSource, srcSch Schema, proj []string, lcol, rcol string, residual Expr, out []string) *IndexJoinIter {
+	return &IndexJoinIter{L: l, Src: src, SrcSch: srcSch, Proj: proj, LCol: lcol, RCol: rcol, Residual: residual, outCols: out}
 }
 
 func (j *IndexJoinIter) Open() error {
@@ -257,15 +263,20 @@ func (j *IndexJoinIter) Open() error {
 			j.projIdx[i] = j.SrcSch.MustIndexOf(name)
 		}
 	}
-	j.sch = lsch.Concat(j.rsch)
+	full := lsch.Concat(j.rsch)
+	var err error
+	if j.sch, j.pick, err = bindOut(full, j.outCols); err != nil {
+		return err
+	}
 	j.bound = nil
 	if j.Residual != nil {
-		b, err := j.Residual.Bind(j.sch)
+		b, err := j.Residual.Bind(full)
 		if err != nil {
 			return err
 		}
 		j.bound = b
 	}
+	j.scratch = make(Tuple, full.Len())
 	j.lbatch, j.lpos = nil, 0
 	j.matches, j.mpos = nil, 0
 	j.lookups = 0
@@ -273,8 +284,8 @@ func (j *IndexJoinIter) Open() error {
 	return nil
 }
 
-// probe drains one index lookup for key into j.matches, applying the
-// projection and collecting the lookup iterator's operator stats.
+// probe drains one index lookup for key into j.matches and collects
+// the lookup iterator's operator stats.
 func (j *IndexJoinIter) probe(key Value) error {
 	j.lookups++
 	it, err := j.Src.LookupEq(j.RCol, key)
@@ -294,16 +305,7 @@ func (j *IndexJoinIter) probe(key Value) error {
 		if !ok {
 			break
 		}
-		for _, row := range batch {
-			if j.projIdx != nil {
-				out := make(Tuple, len(j.projIdx))
-				for i, si := range j.projIdx {
-					out[i] = row[si]
-				}
-				row = out
-			}
-			j.matches = append(j.matches, row)
-		}
+		j.matches = append(j.matches, batch...)
 	}
 	err = it.Close()
 	if os, ok := it.(OperatorStats); ok {
@@ -318,13 +320,24 @@ func (j *IndexJoinIter) NextBatch() ([]Tuple, bool, error) {
 	out := j.out[:0]
 	for {
 		for j.mpos < len(j.matches) {
-			t := j.cur.Concat(j.matches[j.mpos])
+			r := j.matches[j.mpos]
 			j.mpos++
-			if j.bound == nil || j.bound.Eval(t).Truth() {
-				if out = append(out, t); len(out) >= DefaultBatchSize {
-					j.out = out
-					return out, true, nil
+			s := j.scratch
+			if j.projIdx != nil {
+				// The source's row narrowed to Proj, in place in the scratch.
+				narrowed := s[len(j.cur):]
+				for i, si := range j.projIdx {
+					narrowed[i] = r[si]
 				}
+				r = narrowed
+			}
+			if !residualHolds(j.bound, s, j.cur, r) {
+				continue
+			}
+			out = append(out, j.arena.emit(j.cur, r, j.pick))
+			if len(out) >= DefaultBatchSize {
+				j.out = out
+				return out, true, nil
 			}
 		}
 		for j.lpos >= len(j.lbatch) {
@@ -354,6 +367,7 @@ func (j *IndexJoinIter) NextBatch() ([]Tuple, bool, error) {
 
 func (j *IndexJoinIter) Close() error {
 	j.matches, j.lbatch, j.out = nil, nil, nil
+	j.arena = outArena{}
 	return j.L.Close()
 }
 
@@ -361,7 +375,7 @@ func (j *IndexJoinIter) Schema() Schema {
 	if j.sch.Len() > 0 {
 		return j.sch
 	}
-	return j.L.Schema().Concat(j.rsch)
+	return joinSchema(j.L.Schema(), j.rsch, j.outCols)
 }
 
 // OperatorStats reports the probe count plus the aggregated store-side

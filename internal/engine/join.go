@@ -9,15 +9,19 @@ import "fmt"
 // consistency) conditions become the residual filter.
 //
 // The build side goes into an open-addressing joinTable keyed by a
-// 64-bit hash of the key columns, with build rows stored in a flat
-// arena; the probe side is driven in batches, each probe row hashed
-// directly from its key columns. Neither phase allocates per row: the
-// only allocations are the amortized arena chunks that output rows are
-// carved from.
+// 64-bit hash of the key columns, which keeps the build rows' headers;
+// the probe side is driven in batches, each probe row hashed directly
+// from its key columns. Neither phase allocates per row: the only
+// allocations are the amortized arena chunks that output rows are
+// carved from, and an output row is written once, already narrowed to
+// the join's output columns.
 type HashJoinIter struct {
 	L, R     Iterator
 	Pairs    []EquiPair
 	Residual Expr
+
+	outCols []string // output projection of the concatenated row (nil = all)
+	pick    []int    // outCols as positions in the concatenated row
 
 	table *joinTable
 	lidx  []int
@@ -35,9 +39,11 @@ type HashJoinIter struct {
 	scratch Tuple    // residual evaluation buffer
 }
 
-// NewHashJoin builds a hash join; pairs must be non-empty.
-func NewHashJoin(l, r Iterator, pairs []EquiPair, residual Expr) *HashJoinIter {
-	return &HashJoinIter{L: l, R: r, Pairs: pairs, Residual: residual}
+// NewHashJoin builds a hash join; pairs must be non-empty. out names the
+// columns of the concatenated row to emit, in order (nil = all of them);
+// the residual still sees the whole row.
+func NewHashJoin(l, r Iterator, pairs []EquiPair, residual Expr, out []string) *HashJoinIter {
+	return &HashJoinIter{L: l, R: r, Pairs: pairs, Residual: residual, outCols: out}
 }
 
 func (j *HashJoinIter) Open() error {
@@ -51,7 +57,11 @@ func (j *HashJoinIter) Open() error {
 		return err
 	}
 	lsch, rsch := j.L.Schema(), j.R.Schema()
-	j.sch = lsch.Concat(rsch)
+	full := lsch.Concat(rsch)
+	var err error
+	if j.sch, j.pick, err = bindOut(full, j.outCols); err != nil {
+		return err
+	}
 	j.lidx = make([]int, len(j.Pairs))
 	j.ridx = make([]int, len(j.Pairs))
 	for i, p := range j.Pairs {
@@ -65,27 +75,27 @@ func (j *HashJoinIter) Open() error {
 		j.ridx[i] = ri
 	}
 	if j.Residual != nil {
-		b, err := j.Residual.Bind(j.sch)
+		b, err := j.Residual.Bind(full)
 		if err != nil {
 			return err
 		}
 		j.bound = b
 	}
 	// Build phase on the left input.
-	j.table = newJoinTable(lsch.Len(), j.lidx)
+	j.table = newJoinTable(j.lidx)
 	if err := j.table.build(j.L); err != nil {
 		return err
 	}
 	j.probeBatch, j.probePos = nil, 0
 	j.match = -1
-	j.scratch = make(Tuple, j.sch.Len())
+	j.scratch = make(Tuple, full.Len())
 	return nil
 }
 
 // NextBatch probes batches of right rows against the build table and
-// emits up to DefaultBatchSize concatenated rows, carved from the
-// output arena. The residual is evaluated on a reused scratch buffer,
-// so rejected candidates cost no allocation at all.
+// emits up to DefaultBatchSize joined rows, carved from the output
+// arena. The residual is evaluated on a reused full-width scratch
+// buffer, so rejected candidates cost no allocation at all.
 func (j *HashJoinIter) NextBatch() ([]Tuple, bool, error) {
 	out := j.out[:0]
 	for {
@@ -93,15 +103,10 @@ func (j *HashJoinIter) NextBatch() ([]Tuple, bool, error) {
 		for j.match >= 0 {
 			l := j.table.row(j.match)
 			j.match = j.table.nextMatch(j.match)
-			if j.bound != nil {
-				s := j.scratch
-				copy(s, l)
-				copy(s[len(l):], j.cur)
-				if !j.bound.Eval(s).Truth() {
-					continue
-				}
+			if !residualHolds(j.bound, j.scratch, l, j.cur) {
+				continue
 			}
-			out = append(out, j.arena.concat(l, j.cur))
+			out = append(out, j.arena.emit(l, j.cur, j.pick))
 			if len(out) >= DefaultBatchSize {
 				j.out = out
 				return out, true, nil
@@ -152,7 +157,29 @@ func (j *HashJoinIter) Schema() Schema {
 	if j.sch.Len() > 0 {
 		return j.sch
 	}
-	return j.L.Schema().Concat(j.R.Schema())
+	return joinSchema(j.L.Schema(), j.R.Schema(), j.outCols)
+}
+
+// residualHolds evaluates a join's bound residual predicate (nil = none)
+// on the concatenated row l ++ r, assembled in the reused full-width
+// buffer scratch: a rejected candidate costs no allocation.
+func residualHolds(bound Expr, scratch, l, r Tuple) bool {
+	if bound == nil {
+		return true
+	}
+	copy(scratch, l)
+	copy(scratch[len(l):], r)
+	return bound.Eval(scratch).Truth()
+}
+
+// joinSchema is the schema an inner join of l and r reports before it
+// is opened: best effort, like ProjectIter's.
+func joinSchema(l, r Schema, out []string) Schema {
+	full := l.Concat(r)
+	if sch, _, err := bindOut(full, out); err == nil {
+		return sch
+	}
+	return full
 }
 
 // NestedLoopJoinIter evaluates an arbitrary (possibly empty = cross
@@ -162,20 +189,25 @@ type NestedLoopJoinIter struct {
 	L, R Iterator
 	Cond Expr
 
-	right  []Tuple
-	lbatch []Tuple // current batch of the left input
-	lpos   int
-	cur    Tuple // left row being joined against right[rpos:]
-	rpos   int
-	bound  Expr
-	sch    Schema
-	out    []Tuple // reused output batch headers
+	outCols []string // output projection of the concatenated row (nil = all)
+	pick    []int
+
+	right   []Tuple
+	lbatch  []Tuple // current batch of the left input
+	lpos    int
+	cur     Tuple // left row being joined against right[rpos:]
+	rpos    int
+	bound   Expr
+	sch     Schema
+	out     []Tuple  // reused output batch headers
+	arena   outArena // output cells (write-once)
+	scratch Tuple    // predicate evaluation buffer
 }
 
 // NewNestedLoopJoin builds a nested-loop join (cond may be nil for a
-// cross product).
-func NewNestedLoopJoin(l, r Iterator, cond Expr) *NestedLoopJoinIter {
-	return &NestedLoopJoinIter{L: l, R: r, Cond: cond}
+// cross product); out is NewHashJoin's.
+func NewNestedLoopJoin(l, r Iterator, cond Expr, out []string) *NestedLoopJoinIter {
+	return &NestedLoopJoinIter{L: l, R: r, Cond: cond, outCols: out}
 }
 
 func (j *NestedLoopJoinIter) Open() error {
@@ -185,18 +217,22 @@ func (j *NestedLoopJoinIter) Open() error {
 	if err := j.R.Open(); err != nil {
 		return err
 	}
-	j.sch = j.L.Schema().Concat(j.R.Schema())
+	full := j.L.Schema().Concat(j.R.Schema())
+	var err error
+	if j.sch, j.pick, err = bindOut(full, j.outCols); err != nil {
+		return err
+	}
 	if j.Cond != nil {
-		b, err := j.Cond.Bind(j.sch)
+		b, err := j.Cond.Bind(full)
 		if err != nil {
 			return err
 		}
 		j.bound = b
 	}
-	var err error
 	if j.right, err = drainAll(j.R); err != nil {
 		return err
 	}
+	j.scratch = make(Tuple, full.Len())
 	j.lbatch, j.lpos = nil, 0
 	j.rpos = len(j.right) // no current left row yet
 	return nil
@@ -208,13 +244,15 @@ func (j *NestedLoopJoinIter) NextBatch() ([]Tuple, bool, error) {
 	out := j.out[:0]
 	for {
 		for j.rpos < len(j.right) {
-			t := j.cur.Concat(j.right[j.rpos])
+			r := j.right[j.rpos]
 			j.rpos++
-			if j.bound == nil || j.bound.Eval(t).Truth() {
-				if out = append(out, t); len(out) >= DefaultBatchSize {
-					j.out = out
-					return out, true, nil
-				}
+			if !residualHolds(j.bound, j.scratch, j.cur, r) {
+				continue
+			}
+			out = append(out, j.arena.emit(j.cur, r, j.pick))
+			if len(out) >= DefaultBatchSize {
+				j.out = out
+				return out, true, nil
 			}
 		}
 		for j.lpos >= len(j.lbatch) {
@@ -236,6 +274,7 @@ func (j *NestedLoopJoinIter) NextBatch() ([]Tuple, bool, error) {
 
 func (j *NestedLoopJoinIter) Close() error {
 	j.right, j.lbatch, j.out = nil, nil, nil
+	j.arena = outArena{}
 	err1 := j.L.Close()
 	err2 := j.R.Close()
 	if err1 != nil {
@@ -248,7 +287,7 @@ func (j *NestedLoopJoinIter) Schema() Schema {
 	if j.sch.Len() > 0 {
 		return j.sch
 	}
-	return j.L.Schema().Concat(j.R.Schema())
+	return joinSchema(j.L.Schema(), j.R.Schema(), j.outCols)
 }
 
 // SemiJoinIter emits left rows that have at least one match on the
@@ -309,7 +348,7 @@ func (j *SemiJoinIter) Open() error {
 	// Build phase on the right input. With no equi pairs the key is
 	// empty, so all right rows share one chain and every left row
 	// probes the full right side, as the keyless semantics require.
-	j.table = newJoinTable(rsch.Len(), ridx)
+	j.table = newJoinTable(ridx)
 	return j.table.build(j.R)
 }
 
@@ -319,19 +358,10 @@ func (j *SemiJoinIter) matched(row Tuple) bool {
 	if !keyed {
 		return false // NULL keys never match
 	}
-	m := j.table.lookup(h, row, j.lidx)
-	for m >= 0 {
-		if j.bound == nil {
+	for m := j.table.lookup(h, row, j.lidx); m >= 0; m = j.table.nextMatch(m) {
+		if residualHolds(j.bound, j.scratch, row, j.table.row(m)) {
 			return true
 		}
-		r := j.table.row(m)
-		s := j.scratch
-		copy(s, row)
-		copy(s[len(row):], r)
-		if j.bound.Eval(s).Truth() {
-			return true
-		}
-		m = j.table.nextMatch(m)
 	}
 	return false
 }

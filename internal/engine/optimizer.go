@@ -11,7 +11,9 @@ import (
 //     renames, unions, and into join inputs),
 //  3. reorder chains of inner joins greedily by estimated cardinality
 //     (System-R-style, avoiding cross products when possible),
-//  4. prune unused columns by inserting projections above leaves.
+//  4. prune unused columns by inserting projections above leaves,
+//  5. fold each projection into the projection or inner join beneath
+//     it, so a row is written once, at its final width.
 //
 // These are exactly the "standard techniques employed in off-the-shelf
 // relational database management systems" the paper relies on for
@@ -28,7 +30,74 @@ func Optimize(p Plan, cat *Catalog) (Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	return foldProjections(p, cat), nil
+}
+
+// foldProjections removes the projections that only re-copy what the
+// node beneath has just written: Project∘Project becomes one Project,
+// and Project over an inner join becomes the join's Out, which every
+// join strategy emits through. The translation puts a projection on
+// every merge join (Figure 4's π(U1 ⋈ U2)) and pruneColumns another on
+// every join input, so without this each join row is copied once per
+// level above it. It is a rewrite of the plan, not of the iterators, so
+// EXPLAIN, EXPLAIN ANALYZE and the untraced run see the same tree.
+func foldProjections(p Plan, cat *Catalog) Plan {
+	ch := p.Children()
+	if len(ch) == 0 {
+		return p
+	}
+	out := make([]Plan, len(ch))
+	changed := false
+	for i, c := range ch {
+		out[i] = foldProjections(c, cat)
+		changed = changed || out[i] != c
+	}
+	if changed {
+		p = p.WithChildren(out)
+	}
+	top, ok := p.(*ProjectPlan)
+	if !ok || len(top.Names) == 0 {
+		return p
+	}
+	switch c := top.Child.(type) {
+	case *ProjectPlan:
+		if throughProjection(top.Names, c.Names, c.Child, cat) {
+			return &ProjectPlan{Child: c.Child, Names: top.Names}
+		}
+	case *JoinPlan:
+		if c.Kind != InnerJoin {
+			break
+		}
+		full := &JoinPlan{Kind: InnerJoin, L: c.L, R: c.R, Cond: c.Cond}
+		if c.Out == nil || throughProjection(top.Names, c.Out, full, cat) {
+			full.Out = top.Names
+			return full
+		}
+	}
+	return p
+}
+
+// throughProjection reports whether projecting base to outer directly
+// picks the columns that projecting it to mid and then to outer picks.
+// A projection keeps names as written and references resolve by suffix,
+// so a name can be unique among mid's columns and ambiguous — or someone
+// else's — among base's; then the two projections stay apart.
+func throughProjection(outer, mid []string, base Plan, cat *Catalog) bool {
+	bsch, err := base.Schema(cat)
+	if err != nil {
+		return false
+	}
+	msch, err := bsch.Project(mid)
+	if err != nil {
+		return false
+	}
+	for _, name := range outer {
+		mi, bi := msch.IndexOf(name), bsch.IndexOf(name)
+		if mi < 0 || bi < 0 || bi != bsch.IndexOf(mid[mi]) {
+			return false
+		}
+	}
+	return true
 }
 
 // applyIndexScans rewrites an equality filter sitting directly on an
@@ -166,7 +235,9 @@ func pushConjuncts(child Plan, conjs []Expr, cat *Catalog) Plan {
 			return out
 		}
 	case *JoinPlan:
-		if n.Kind == InnerJoin {
+		// A join that already emits through Out (a plan optimized before)
+		// keeps the filter above it: its conjuncts name Out's columns.
+		if n.Kind == InnerJoin && n.Out == nil {
 			ls, errL := n.L.Schema(cat)
 			rs, errR := n.R.Schema(cat)
 			if errL == nil && errR == nil {
@@ -244,14 +315,14 @@ func orderJoins(p Plan, est *estimator) (Plan, error) {
 		p = p.WithChildren(newCh)
 	}
 	n, ok := p.(*JoinPlan)
-	if !ok || n.Kind != InnerJoin {
+	if !ok || n.Kind != InnerJoin || n.Out != nil {
 		return p, nil
 	}
 	var leaves []joinLeaf
 	var preds []Expr
 	var collect func(q Plan) error
 	collect = func(q Plan) error {
-		if j, okj := q.(*JoinPlan); okj && j.Kind == InnerJoin {
+		if j, okj := q.(*JoinPlan); okj && j.Kind == InnerJoin && j.Out == nil {
 			if err := collect(j.L); err != nil {
 				return err
 			}
@@ -456,6 +527,9 @@ func pruneNeeding(p Plan, cat *Catalog, needed []string) (Plan, error) {
 		if err != nil {
 			return nil, err
 		}
+		if n.Out != nil {
+			needed = resolveAll(ls.Concat(rs), n.Out)
+		}
 		req := union(needed, resolveAll(ls.Concat(rs), ExprColumns(n.Cond)))
 		lNeed := intersectSchema(req, ls)
 		rNeed := intersectSchema(req, rs)
@@ -473,7 +547,7 @@ func pruneNeeding(p Plan, cat *Catalog, needed []string) (Plan, error) {
 		if n.Kind == InnerJoin {
 			r = maybeProject(r, rs, rNeed)
 		}
-		return &JoinPlan{Kind: n.Kind, L: l, R: r, Cond: n.Cond}, nil
+		return &JoinPlan{Kind: n.Kind, L: l, R: r, Cond: n.Cond, Out: n.Out}, nil
 	case *ScanPlan, *ValuesPlan:
 		return p, nil
 	default:

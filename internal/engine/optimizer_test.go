@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -161,6 +162,65 @@ func TestOptimizeIsSchemaPreserving(t *testing.T) {
 		}
 		if !before.Equal(after) {
 			t.Fatalf("plan %d: schema changed: %v -> %v", i, before.Names(), after.Names())
+		}
+	}
+}
+
+// TestFoldProjections pins the last rewrite of Optimize case by case:
+// what folds (a projection into the projection or the inner join under
+// it, transitively), what must not (a name that resolves by suffix among
+// the inner projection's columns but not among the columns beneath it; a
+// projection to no columns, whose nil names would read as "all" on a
+// join; a semi join, which has no output of its own), and that a folded
+// plan survives being optimized again. Every case returns the rows of
+// the plan as written.
+func TestFoldProjections(t *testing.T) {
+	cat := planCatalog()
+	join := func() *JoinPlan {
+		return Join(Scan("customer"), Scan("orders"), Eq(Col("c.custkey"), Col("o.custkey")))
+	}
+	cases := []struct {
+		name string
+		plan Plan
+		want string // the root after folding
+	}{
+		{"project over project", Project(Project(Scan("orders"), "o.total", "o.custkey", "o.orderkey"), "o.custkey", "o.total"),
+			"Project: o.custkey, o.total"},
+		{"project over inner join", Project(join(), "o.total", "c.name"), "Join out=[o.total c.name]"},
+		{"two projections over an inner join", Project(Project(join(), "c.name", "o.total", "o.orderkey"), "total", "c.name"),
+			"Join out=[total c.name]"},
+		{"suffix that is ambiguous beneath", Project(Project(join(), "c.custkey", "o.total"), "custkey"), "Project: custkey"},
+		{"projection to no columns", Project(join()), "Project: "},
+		{"project over semi join", Project(Semi(Scan("customer"), Scan("orders"), Eq(Col("c.custkey"), Col("o.custkey"))), "c.name"),
+			"Project: c.name"},
+	}
+	root := func(p Plan) string {
+		if j, ok := p.(*JoinPlan); ok && j.Out != nil {
+			return fmt.Sprintf("%s out=%v", j.Label(), j.Out)
+		}
+		return p.Label()
+	}
+	for _, c := range cases {
+		want, err := Run(c.plan, cat, ExecConfig{DisableOptimizer: true})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		folded := foldProjections(c.plan, cat)
+		if got := root(folded); got != c.want {
+			t.Errorf("%s: folds to %q, want %q", c.name, got, c.want)
+		}
+		again, err := Optimize(folded, cat)
+		if err != nil {
+			t.Fatalf("%s: optimizing the folded plan: %v", c.name, err)
+		}
+		for what, p := range map[string]Plan{"folded": folded, "folded and optimized again": again} {
+			got, err := Run(p, cat, ExecConfig{DisableOptimizer: true})
+			if err != nil {
+				t.Fatalf("%s, %s: %v", c.name, what, err)
+			}
+			if !got.Sch.Equal(want.Sch) || !got.EqualAsBag(want) {
+				t.Errorf("%s, %s: %v with %d rows, the plan as written gives %v with %d", c.name, what, got.Sch, got.Len(), want.Sch, want.Len())
+			}
 		}
 	}
 }

@@ -47,6 +47,9 @@ type ParallelHashJoinIter struct {
 	Residual Expr
 	Workers  int // <= 0 means GOMAXPROCS
 
+	outCols []string // output projection of the concatenated row (nil = all)
+	pick    []int
+
 	nw        int
 	parts     []*joinTable
 	lidx      []int
@@ -62,9 +65,10 @@ type ParallelHashJoinIter struct {
 }
 
 // NewParallelHashJoin builds a partitioned parallel hash join; pairs
-// must be non-empty. workers <= 0 selects GOMAXPROCS.
-func NewParallelHashJoin(l, r Iterator, pairs []EquiPair, residual Expr, workers int) *ParallelHashJoinIter {
-	return &ParallelHashJoinIter{L: l, R: r, Pairs: pairs, Residual: residual, Workers: workers}
+// must be non-empty and out is NewHashJoin's. workers <= 0 selects
+// GOMAXPROCS.
+func NewParallelHashJoin(l, r Iterator, pairs []EquiPair, residual Expr, out []string, workers int) *ParallelHashJoinIter {
+	return &ParallelHashJoinIter{L: l, R: r, Pairs: pairs, Residual: residual, outCols: out, Workers: workers}
 }
 
 func (j *ParallelHashJoinIter) Open() error {
@@ -78,7 +82,11 @@ func (j *ParallelHashJoinIter) Open() error {
 		return err
 	}
 	lsch, rsch := j.L.Schema(), j.R.Schema()
-	j.sch = lsch.Concat(rsch)
+	full := lsch.Concat(rsch)
+	var err error
+	if j.sch, j.pick, err = bindOut(full, j.outCols); err != nil {
+		return err
+	}
 	j.lidx = make([]int, len(j.Pairs))
 	j.ridx = make([]int, len(j.Pairs))
 	for i, p := range j.Pairs {
@@ -95,7 +103,7 @@ func (j *ParallelHashJoinIter) Open() error {
 	j.bounds = make([]Expr, j.nw)
 	for w := 0; w < j.nw; w++ {
 		if j.Residual != nil {
-			b, err := j.Residual.Bind(j.sch)
+			b, err := j.Residual.Bind(full)
 			if err != nil {
 				return err
 			}
@@ -110,7 +118,7 @@ func (j *ParallelHashJoinIter) Open() error {
 	j.arenas = make([]outArena, j.nw)
 	j.scratches = make([]Tuple, j.nw)
 	for w := 0; w < j.nw; w++ {
-		j.scratches[w] = make(Tuple, j.sch.Len())
+		j.scratches[w] = make(Tuple, full.Len())
 	}
 	return nil
 }
@@ -119,13 +127,12 @@ func (j *ParallelHashJoinIter) Open() error {
 // goroutines that each construct a private hash table.
 func (j *ParallelHashJoinIter) build() error {
 	j.parts = make([]*joinTable, j.nw)
-	lw := j.L.Schema().Len()
 	chans := make([]chan []Tuple, j.nw)
 	var wg sync.WaitGroup
 	for w := 0; w < j.nw; w++ {
 		w := w
 		chans[w] = make(chan []Tuple, 4)
-		j.parts[w] = newJoinTable(lw, j.lidx)
+		j.parts[w] = newJoinTable(j.lidx)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -236,14 +243,9 @@ func (j *ParallelHashJoinIter) NextBatch() ([]Tuple, bool, error) {
 					}
 					for m := tbl.lookup(h, row, j.ridx); m >= 0; m = tbl.nextMatch(m) {
 						l := tbl.row(m)
-						if bound != nil {
-							copy(scratch, l)
-							copy(scratch[len(l):], row)
-							if !bound.Eval(scratch).Truth() {
-								continue
-							}
+						if residualHolds(bound, scratch, l, row) {
+							out = append(out, arena.emit(l, row, j.pick))
 						}
-						out = append(out, arena.concat(l, row))
 					}
 				}
 				j.outs[p] = out
@@ -278,7 +280,7 @@ func (j *ParallelHashJoinIter) Schema() Schema {
 	if j.sch.Len() > 0 {
 		return j.sch
 	}
-	return j.L.Schema().Concat(j.R.Schema())
+	return joinSchema(j.L.Schema(), j.R.Schema(), j.outCols)
 }
 
 // ParallelFilterIter is the parallel scan/drain operator: it pulls

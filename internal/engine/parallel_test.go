@@ -56,11 +56,11 @@ func TestParallelHashJoinEquivalence(t *testing.T) {
 						l := randJoinInput(rng, sz.ln, sz.keys, "l")
 						r := randJoinInput(rng, sz.rn, sz.keys, "r")
 
-						want, err := Drain(NewHashJoin(NewScan(l), NewScan(r), pairs, residual))
+						want, err := Drain(NewHashJoin(NewScan(l), NewScan(r), pairs, residual, nil))
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, err := Drain(NewParallelHashJoin(NewScan(l), NewScan(r), pairs, residual, workers))
+						got, err := Drain(NewParallelHashJoin(NewScan(l), NewScan(r), pairs, residual, nil, workers))
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -195,6 +195,11 @@ type JoinPlan struct {
 	Kind JoinKind
 	L, R Plan
 	Cond Expr
+	// Out, when non-nil, is the projection an inner join emits through:
+	// the columns of L ++ R it produces, in order, named as written (as a
+	// ProjectPlan's are). Cond still sees every column. Optimize sets it
+	// when it folds a projection into the join below; nil is all columns.
+	Out []string
 }
 
 // Join builds an inner join.
@@ -218,12 +223,13 @@ func (p *JoinPlan) Schema(cat *Catalog) (Schema, error) {
 	if err != nil {
 		return Schema{}, err
 	}
-	return ls.Concat(rs), nil
+	sch, _, err := bindOut(ls.Concat(rs), p.Out)
+	return sch, err
 }
 
 func (p *JoinPlan) Children() []Plan { return []Plan{p.L, p.R} }
 func (p *JoinPlan) WithChildren(ch []Plan) Plan {
-	return &JoinPlan{Kind: p.Kind, L: ch[0], R: ch[1], Cond: p.Cond}
+	return &JoinPlan{Kind: p.Kind, L: ch[0], R: ch[1], Cond: p.Cond, Out: p.Out}
 }
 
 func (p *JoinPlan) Label() string {
@@ -495,7 +501,7 @@ func build(p Plan, est *estimator, cfg ExecConfig) (Iterator, error) {
 				return nil, err
 			}
 			return NewIndexJoin(l, c.src, srcSch, c.proj, c.lcol, c.rcol,
-				indexJoinResidual(c.rest, c.residual)), nil
+				indexJoinResidual(c.rest, c.residual), n.Out), nil
 		}
 		r, err := lower(n.R, est, cfg)
 		if err != nil {
@@ -507,14 +513,14 @@ func build(p Plan, est *estimator, cfg ExecConfig) (Iterator, error) {
 		case n.Kind == AntiJoin:
 			return NewSemiJoin(l, r, c.pairs, c.residual, true), nil
 		case c.algo == JoinNestedLoop:
-			return NewNestedLoopJoin(l, r, n.Cond), nil
+			return NewNestedLoopJoin(l, r, n.Cond, n.Out), nil
 		}
 		// Parallelism pays off when either side is large.
 		if w := cfg.workers(); w > 1 &&
 			parallelWorthwhile(cfg, math.Max(est.stats(n.L).Rows, est.stats(n.R).Rows)) {
-			return NewParallelHashJoin(l, r, c.pairs, c.residual, w), nil
+			return NewParallelHashJoin(l, r, c.pairs, c.residual, n.Out, w), nil
 		}
-		return NewHashJoin(l, r, c.pairs, c.residual), nil
+		return NewHashJoin(l, r, c.pairs, c.residual, n.Out), nil
 	case *UnionPlan:
 		l, err := lower(n.L, est, cfg)
 		if err != nil {

@@ -249,16 +249,7 @@ func (est *estimator) estimate(p Plan) PlanStats {
 		sel := est.selectivity(n.Cond, n.Child, in)
 		return scaleStats(in, sel)
 	case *ProjectPlan:
-		in := est.stats(n.Child)
-		ndv := make(map[string]float64, len(n.Names))
-		for _, c := range n.Names {
-			if v, ok := in.NDV[c]; ok {
-				ndv[c] = v
-			} else {
-				ndv[c] = math.Min(in.Rows, defaultNDV)
-			}
-		}
-		return PlanStats{Rows: in.Rows, NDV: ndv}
+		return projectStats(est.stats(n.Child), n.Names)
 	case *RenamePlan:
 		in := est.stats(n.Child)
 		sch, err := n.Child.Schema(cat)
@@ -308,6 +299,11 @@ func (est *estimator) estimate(p Plan) PlanStats {
 		}
 		for c, v := range r.NDV {
 			ndv[c] = math.Min(v, rows)
+		}
+		if n.Out != nil {
+			// A join that emits through Out is estimated as the projection
+			// folded into it was.
+			return projectStats(PlanStats{Rows: rows, NDV: ndv}, n.Out)
 		}
 		return PlanStats{Rows: rows, NDV: ndv}
 	case *UnionPlan:
@@ -378,6 +374,19 @@ func (est *estimator) estimate(p Plan) PlanStats {
 		}
 		return PlanStats{Rows: 1000, NDV: map[string]float64{}}
 	}
+}
+
+// projectStats narrows an estimate to the named columns.
+func projectStats(in PlanStats, names []string) PlanStats {
+	ndv := make(map[string]float64, len(names))
+	for _, c := range names {
+		if v, ok := in.NDV[c]; ok {
+			ndv[c] = v
+		} else {
+			ndv[c] = math.Min(in.Rows, defaultNDV)
+		}
+	}
+	return PlanStats{Rows: in.Rows, NDV: ndv}
 }
 
 func ndvOr(m map[string]float64, k string, def float64) float64 {

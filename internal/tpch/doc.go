@@ -11,7 +11,7 @@
 //
 // One scale unit here equals 1/100 of a TPC-H scale factor, so the
 // paper's scale sweep 0.01..1 maps onto laptop-sized in-memory data
-// while preserving all relative proportions (see EXPERIMENTS.md).
+// while preserving all relative proportions.
 //
 // Paper-section map: gen.go/params.go/dict.go — the Section 6 uncertain
 // dbgen and the Figure 9 dataset characteristics; queries.go — the

@@ -570,6 +570,7 @@ func (a *Applier) Apply(st sqlparse.Statement) (*Result, error) {
 			u.Rows = kept
 		}
 		u.Rows = append(u.Rows, o.Rows...)
+		u.RowsChanged() // kept + appended can be as many rows at the same address
 		for _, r := range o.Rows {
 			if r.TID > a.maxTID[o.Rel] {
 				a.maxTID[o.Rel] = r.TID
