@@ -95,10 +95,19 @@ func BenchmarkAblation_Optimizer(b *testing.B) {
 // join forced to hash and to index-nested-loop — cold (no segment cache:
 // every probe decodes the segment its key is in) and warm (segments stay
 // decoded). chooseJoin picks the index join below the crossover the
-// source's ProbeCost implies: m < n/1024 cold, m < n/8 warm. Each case
+// source's ProbeCost implies: m < n/2662 cold, m < n/8 warm. Each case
 // runs as the table has it, the join emitting the two answer columns,
 // and again emitting three (/out=3): with -benchmem the B/op of the two
 // differ by the one column, since the join is the only copy of its row.
+//
+// The warm/probe=… cases take the hash join alone, over the decoded
+// inner side: the probe pulled as column batches and narrowed before it
+// is materialized (columnar, what a plan runs) against the same scan
+// materialized whole (rows, what it ran before the join probed
+// columns), at a build side holding 0.1 %, 10 % and all of the inner
+// keys. At 100 % every probe row is materialized either way, so that
+// pair is the witness that narrowing first costs nothing when it
+// cannot help.
 //
 //	go test -run=NONE -bench=BenchmarkJoinStrategy -benchtime=15x -count=3 .
 func BenchmarkJoinStrategy(b *testing.B) {
@@ -165,8 +174,56 @@ func BenchmarkJoinStrategy(b *testing.B) {
 				}
 			}
 		}
+		if mode.cache != nil {
+			benchProbeCurrency(b, d.Snapshot(), n)
+		}
 		if err := d.Close(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// benchProbeCurrency runs BenchmarkJoinStrategy's probe=… cases: the
+// serial hash join of an in-memory build side with the stored relation
+// big (n rows, keys 0…n-1) as its probe side.
+func benchProbeCurrency(b *testing.B, stored *core.UDB, n int) {
+	inner, lay, err := stored.Translate(core.RelAs("big", "b"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cat := engine.NewCatalog()
+	for _, match := range []struct {
+		name string
+		m    int
+	}{{"0.1%", n / 1000}, {"10%", n / 10}, {"100%", n}} {
+		build := engine.NewRelation(engine.NewSchema(
+			engine.Column{Name: "s.k", Kind: engine.KindInt}, engine.Column{Name: "s.w", Kind: engine.KindInt}))
+		for i := 0; i < match.m; i++ {
+			build.Append(engine.Tuple{engine.Int(int64((i * 37 * 2654435761) % n)), engine.Int(int64(i))})
+		}
+		for _, probe := range []string{"columnar", "rows"} {
+			b.Run(fmt.Sprintf("warm/probe=%s/match=%s", probe, match.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					r, err := engine.Build(inner, cat, engine.ExecConfig{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if probe == "rows" {
+						// A rename is no part of a columnar prefix: it pulls the
+						// scan's row batches, every row of every segment a tuple.
+						r = engine.NewRename(r, lay.Columns())
+					}
+					rel, err := engine.Drain(engine.NewHashJoin(engine.NewScan(build), r,
+						[]engine.EquiPair{{L: "s.k", R: "b.k"}}, nil, []string{"s.k", "b.v"}))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if rel.Len() != match.m {
+						b.Fatalf("%d rows, want %d", rel.Len(), match.m)
+					}
+				}
+			})
 		}
 	}
 }
@@ -197,7 +254,9 @@ func syntheticJoinInput(n, keys int, prefix string, seed int64) *engine.Relation
 // residual filter (not a paper figure). Run with GOMAXPROCS >= 4 to see
 // the partitioned speedup; on one core the parallel operator degrades
 // gracefully to near-serial cost. Each case runs with the join emitting
-// its full six-column row and, as /out=3, through a projection to three.
+// its full six-column row and, as /out=3, through a projection to three;
+// the smaller input also runs with its probe side r saved and reopened,
+// so both operators probe column batches (/probe=columnar).
 func BenchmarkParallelHashJoin(b *testing.B) {
 	b.ReportAllocs()
 	for _, n := range []int{20000, 100000} {
@@ -217,10 +276,16 @@ func BenchmarkParallelHashJoin(b *testing.B) {
 			{"serial", engine.ExecConfig{}},
 			{"parallel", engine.ExecConfig{Parallelism: -1, ParallelThreshold: 1}},
 		} {
-			for _, out := range []struct {
+			outs := []struct {
 				name string
 				plan engine.Plan
-			}{{"", join}, {"/out=3", engine.Project(join, "l.k", "r.s", "l.v")}} {
+			}{{"", join}, {"/out=3", engine.Project(join, "l.k", "r.s", "l.v")}}
+			if n == 20000 {
+				stored := engine.Join(engine.Values(l, "l"), storedScan(b, r, "r"), join.Cond)
+				outs = append(outs, outs[1])
+				outs[2].name, outs[2].plan = "/probe=columnar", engine.Project(stored, "l.k", "r.s", "l.v")
+			}
+			for _, out := range outs {
 				b.Run(fmt.Sprintf("n=%d/%s%s", n, mode.name, out.name), func(b *testing.B) {
 					b.ReportAllocs()
 					var rows int
@@ -237,6 +302,37 @@ func BenchmarkParallelHashJoin(b *testing.B) {
 			}
 		}
 	}
+}
+
+// storedScan saves rel — whose columns are named alias.attr — as a
+// certain relation, reopens it without a segment cache and returns the
+// plan of its segment scan under the same column names.
+func storedScan(b *testing.B, rel *engine.Relation, alias string) engine.Plan {
+	b.Helper()
+	attrs := make([]string, rel.Sch.Len())
+	for i, c := range rel.Sch.Cols {
+		attrs[i] = c.Name[len(alias)+1:]
+	}
+	db := core.NewUDB()
+	db.MustAddRelation(alias, attrs...)
+	u := db.MustAddPartition(alias, "u_"+alias, attrs...)
+	for i, row := range rel.Rows {
+		u.Add(nil, int64(i+1), row...)
+	}
+	dir := b.TempDir()
+	if err := store.Save(db, dir); err != nil {
+		b.Fatal(err)
+	}
+	stored, err := store.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { stored.Close() })
+	plan, _, err := stored.Translate(core.Rel(alias))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return plan
 }
 
 // BenchmarkParallelFilter compares the serial and parallel scan+filter

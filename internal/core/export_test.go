@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"os"
 	"testing"
+
+	"urel/internal/engine"
 )
 
 // TestMain turns the image audit on for every test of the package and of
@@ -53,4 +55,10 @@ func (u *URelation) HasImage() bool {
 	u.imgMu.Lock()
 	defer u.imgMu.Unlock()
 	return u.img != nil && u.img.describes(u.Rows)
+}
+
+// ClassicalPlan is the plan of q over one world's ordinary relations,
+// for tests that check a result world by world.
+func ClassicalPlan(q Query, world map[string]*engine.Relation) (engine.Plan, error) {
+	return classicalPlan(q, world)
 }

@@ -190,7 +190,9 @@ func (tr *translator) translate(q Query, need []string) (engine.Plan, *ULayout, 
 
 // translateRel merges the necessary vertical partitions of a logical
 // relation (the merge operator of Figure 4: U1 ⋈_{α∧ψ} U2 projected to
-// a single tuple-id set).
+// a single tuple-id set). The partitions are joined in declaration
+// order and projected once, above the last join; the order they are
+// merged in is the optimizer's to choose.
 func (tr *translator) translateRel(n *RelQ, need []string) (engine.Plan, *ULayout, error) {
 	rs, ok := tr.db.Rels[n.Name]
 	if !ok {
@@ -261,15 +263,22 @@ func (tr *translator) translateRel(n *RelQ, need []string) (engine.Plan, *ULayou
 		// descriptor combinations.
 		alpha := engine.EqCols(lay.TIDs[0], slay.TIDs[0])
 		cond := engine.And(alpha, psiCond(lay.DPairs, slay.DPairs))
-		joined := engine.Join(plan, scan, cond)
-		merged := &ULayout{
+		plan = engine.Join(plan, scan, cond)
+		lay = &ULayout{
 			DPairs: append(append([][2]string{}, lay.DPairs...), slay.DPairs...),
 			TIDs:   lay.TIDs, // T1 ∪ T2 = T1 for partitions of one relation
 			Attrs:  append(append([]string{}, lay.Attrs...), slay.Attrs...),
 			Picks:  append(append([]PartPick{}, lay.Picks...), slay.Picks...),
 		}
-		plan = engine.Project(joined, merged.Columns()...)
-		lay = merged
+	}
+	if len(picks) > 1 {
+		// One projection for the whole chain, not one per merge step:
+		// π(π(U1 ⋈ U2) ⋈ U3) = π(U1 ⋈ U2 ⋈ U3), and a projection between
+		// two steps would hide the chain from the optimizer, which orders
+		// an unbroken tree of joins by what each partition's selection
+		// leaves (engine.Optimize). The other partitions' tid columns
+		// travel only as far as column pruning lets them.
+		plan = engine.Project(plan, lay.Columns()...)
 	}
 	return plan, lay, nil
 }

@@ -9,8 +9,9 @@ package engine
 // segments are already columnar, so a columnar scan hands its vectors
 // upward with no transposition at all, and the filters and projections
 // directly above it work on those vectors; the topmost of them
-// materializes tuples once, in its NextBatch, for whichever row
-// operator sits above.
+// materializes tuples once, in its NextBatch, for the row operator
+// above — except under the probe side of a hash join, which takes the
+// column batches and materializes the rows that join.
 
 // ColVec is one column of a ColBatch. It has two layouts:
 //

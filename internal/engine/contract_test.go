@@ -149,6 +149,37 @@ func TestBatchContract(t *testing.T) {
 	}
 }
 
+// TestEmptyBuildSideLeavesProbeUnread: a hash join whose build side
+// holds no joinable row — no rows, or NULL keys only — ends its stream
+// without pulling its probe side once, serial and parallel: nothing R
+// could deliver would join, and over stored data every pull is a
+// segment read and decoded.
+func TestEmptyBuildSideLeavesProbeUnread(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	rrel := randColInput(rng, 900, "r")
+	none := randColInput(rng, 0, "l")
+	nulls := NewRelation(none.Sch)
+	for i := 0; i < 40; i++ {
+		nulls.Append(Tuple{Null(), Int(int64(i)), Str("s"), Float(1)})
+	}
+	pairs := []EquiPair{{L: "l.k", R: "r.k"}}
+	for name, l := range map[string]*Relation{"no rows": none, "NULL keys": nulls} {
+		for _, workers := range []int{1, 3} {
+			src := newColSource(rrel, 64)
+			var join Iterator = NewHashJoin(NewScan(l), src, pairs, nil, nil)
+			if workers > 1 {
+				join = NewParallelHashJoin(NewScan(l), src, pairs, nil, nil, workers)
+			}
+			if got := mustDrain(t, join); got.Len() != 0 {
+				t.Fatalf("%s, %d workers: %d rows from an empty build side", name, workers, got.Len())
+			}
+			if src.rowCalls+src.colCalls != 0 {
+				t.Fatalf("%s, %d workers: the probe side was pulled %d times", name, workers, src.rowCalls+src.colCalls)
+			}
+		}
+	}
+}
+
 // randOut draws an output projection over names: nil (every column) one
 // time in four, otherwise a random permutation cut to a random length,
 // so subsets, reorderings and the full row all come up.

@@ -32,12 +32,18 @@
 // re-slices column headers. Each of these operators looks for the
 // capability once, at Open (NativeColumnar), and the prefix's topmost
 // operator materializes tuples once (ColBatch.Materialize) in its
-// NextBatch, whatever row operator sits above — a Distinct, a sort, a
-// join build. Joins use the hashed-key joinTable: an
+// NextBatch for the row operator above — a Distinct, a sort, a join
+// build. One row operator asks for the columns instead: a hash join
+// pulls a columnar probe side as column batches, looks the key columns
+// up in its build table and materializes only the rows that find a
+// partner (narrowProbe). Joins use the hashed-key joinTable: an
 // open-addressing table over the build rows' headers keyed by 64-bit
 // hashes, probed without per-row key or map allocations, and every
 // inner join writes its output row once, through the projection
-// Optimize folded into it (JoinPlan.Out). Parallel
+// Optimize folded into it (JoinPlan.Out). Optimize orders every tree of
+// inner joins from its smallest estimated input outward, so a hash join
+// builds on its smaller side and a relation's partitions are merged
+// starting at the one the selection cut. Parallel
 // operators — ParallelHashJoinIter (build side hash-partitioned across
 // workers, probe batches scattered through per-partition private
 // joinTables) and ParallelFilterIter (chunked predicate evaluation) —

@@ -27,9 +27,11 @@ func Explain(p Plan, cat *Catalog, optimize bool) (string, error) {
 // "columnar" for the filters and projections of a scan→filter→project
 // prefix over a columnar leaf (ColumnarLeaf sources, e.g. the store's
 // segment scans), which exchange column batches; "row" for everything
-// else, which exchanges row batches. The prefix's topmost node is
-// where tuples are materialized, once, whatever operator is above it —
-// the same answer the physical operators reach at Open
+// else, which exchanges row batches. The prefix's topmost node hands
+// its rows to a row operator: as tuples, materialized there once — or,
+// when it is the probe side of a hash join, as the column batches
+// themselves, of which the join materializes the rows that find a
+// partner. It is the same answer the physical operators reach at Open
 // (NativeColumnar) under the default serial lowering. Explain sees
 // only the logical plan, so the annotation does not account for
 // ExecConfig: a filter that Build lowers to the parallel operator

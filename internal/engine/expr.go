@@ -496,10 +496,12 @@ func ExprColumns(e Expr) []string {
 // CoveredBy reports whether every column referenced by e resolves in
 // sch (nil expressions are trivially covered).
 func CoveredBy(e Expr, sch Schema) bool {
-	if e == nil {
-		return true
-	}
-	for _, c := range ExprColumns(e) {
+	return e == nil || hasAll(sch, ExprColumns(e))
+}
+
+// hasAll reports whether every one of the column names resolves in sch.
+func hasAll(sch Schema, names []string) bool {
+	for _, c := range names {
 		if !sch.Has(c) {
 			return false
 		}

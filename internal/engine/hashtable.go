@@ -169,6 +169,70 @@ func (t *joinTable) lookup(h uint64, probe Tuple, probeIdx []int) int32 {
 // nextMatch follows the equal-key chain started by lookup.
 func (t *joinTable) nextMatch(i int32) int32 { return t.next[i] }
 
+// probeHits is what narrowProbe leaves of one probe column batch for
+// one build table: the physical ids of the rows whose key the table
+// holds, ascending, and beside each the head of its match chain.
+type probeHits struct {
+	sel   []int32
+	heads []int32
+}
+
+// narrowProbe looks every live row of a probe column batch up in the
+// build table its key hashes to — parts[h mod len(parts)], the
+// partition rule of the parallel join's build and trivially the one
+// table of the serial join — and fills hits[p] with the rows that found
+// a partner in parts[p]. The key is read from the column vectors, so a
+// probe row is hashed and looked up once, before it exists as a tuple,
+// and only the rows in hits are worth materializing: the join resumes
+// each from its remembered chain head. NULL keys never join.
+//
+// The hash is hashKeyAt's on the boxed key, whatever the vector layout,
+// so an int key meets the float it equals.
+func narrowProbe(parts []*joinTable, cb *ColBatch, probeIdx []int, hits []probeHits) {
+	for p := range hits {
+		hits[p].sel, hits[p].heads = hits[p].sel[:0], hits[p].heads[:0]
+	}
+	// A tid merge, and most other joins, have one int key: it is hashed
+	// without building its Value.
+	var ints *ColVec
+	if len(probeIdx) == 1 {
+		if col := &cb.Cols[probeIdx[0]]; col.Vals == nil && col.Kind == KindInt {
+			ints = col
+		}
+	}
+	np := uint64(len(parts))
+	key := make(Tuple, len(cb.Cols)) // only the key columns are ever filled in
+rows:
+	for k, n := 0, cb.Rows(); k < n; k++ {
+		i := cb.RowID(k)
+		var h uint64
+		if ints != nil {
+			if ints.Nulls != nil && ints.Nulls[i] {
+				continue
+			}
+			key[probeIdx[0]] = Int(ints.Ints[i])
+			h = hashIntKey(ints.Ints[i])
+		} else {
+			for _, c := range probeIdx {
+				if key[c] = cb.Cols[c].Value(i); key[c].IsNull() {
+					continue rows
+				}
+			}
+			h, _ = hashKeyAt(key, probeIdx)
+		}
+		p := h % np
+		if head := parts[p].lookup(h, key, probeIdx); head >= 0 {
+			hits[p].sel = append(hits[p].sel, int32(i))
+			hits[p].heads = append(hits[p].heads, head)
+		}
+	}
+}
+
+// hashIntKey is hashKeyAt of a key that is the single int x.
+func hashIntKey(x int64) uint64 {
+	return (fnvOffset64 ^ fnvUint64(fnvByte(fnvOffset64, 1), uint64(x))) * fnvPrime64
+}
+
 // outArena carves write-once output tuples from chunked allocations,
 // so emitting a join result row costs a copy — the one copy a join
 // makes — not an allocation. The carved tuples are never reused, which

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -88,6 +89,65 @@ func TestJoinTableNumericKeyNormalization(t *testing.T) {
 	}
 	if count != 3 {
 		t.Fatalf("int/float key chain has %d rows, want 3", count)
+	}
+}
+
+// TestNarrowProbeHashIsHashKeyAt: narrowProbe files a probe row under
+// the hash hashKeyAt gives its boxed key — so it finds the partition
+// and the slot the build side used — whatever layout the key column
+// arrives in: typed ints (hashed from the payload, hashIntKey), bools,
+// floats, strings, and generic vectors, with NULL keys left out.
+func TestNarrowProbeHashIsHashKeyAt(t *testing.T) {
+	for _, x := range []int64{0, 1, -1, 42, 1 << 40, -(1 << 53), math.MaxInt64, math.MinInt64} {
+		want, _ := hashKeyAt(Tuple{Int(x)}, []int{0})
+		if got := hashIntKey(x); got != want {
+			t.Errorf("hashIntKey(%d) = %#x, hashKeyAt of the boxed key = %#x", x, got, want)
+		}
+		if f := float64(x); int64(f) == x && f < math.MaxInt64 {
+			if asFloat, _ := hashKeyAt(Tuple{Float(f)}, []int{0}); asFloat != want {
+				t.Errorf("the float %v hashes to %#x, the int it equals to %#x", f, asFloat, want)
+			}
+		}
+	}
+	nulls := []bool{false, true, false, false, false, false}
+	vecs := map[string]ColVec{
+		"int":     IntVec([]int64{3, 0, -7, 3, 1 << 40, 0}, nulls),
+		"bool":    BoolVec([]int64{1, 0, 0, 1, 1, 0}, nulls),
+		"float":   FloatVec([]float64{3, 0, 2.5, -7, 3, math.Inf(1)}, nulls),
+		"string":  StrVec([]string{"a", "", "b", "a", "", "c"}, nulls),
+		"generic": GenericVec([]Value{Int(3), Null(), Str("a"), Float(3), Bool(true), Int(-7)}),
+	}
+	const np = 3
+	for name, vec := range vecs {
+		cb := &ColBatch{Sch: NewSchema(Column{Name: "pad"}, Column{Name: "k", Kind: vec.Kind}),
+			Cols: []ColVec{IntVec(make([]int64, 6), nil), vec}, N: 6, Sel: []int32{5, 0, 1, 2, 3, 4}}
+		// The build side is the batch's own rows, partitioned as the
+		// parallel join partitions them: every non-NULL probe row must then
+		// find itself, in the partition its boxed key hashes to.
+		rows := cb.Materialize(nil)
+		parts := make([]*joinTable, np)
+		for p := range parts {
+			parts[p] = newJoinTable([]int{1})
+		}
+		want := make([][]int32, np)
+		for k, row := range rows {
+			if h, keyed := hashKeyAt(row, []int{1}); keyed {
+				parts[h%np].insert(row, h)
+				want[h%np] = append(want[h%np], cb.Sel[k])
+			}
+		}
+		hits := make([]probeHits, np)
+		narrowProbe(parts, cb, []int{1}, hits)
+		for p := range hits {
+			if fmt.Sprint(hits[p].sel) != fmt.Sprint(want[p]) {
+				t.Errorf("%s keys: partition %d holds rows %v, hashKeyAt sends it %v", name, p, hits[p].sel, want[p])
+			}
+			for i, head := range hits[p].heads {
+				if key := parts[p].row(head)[1]; Compare(key, vec.Value(int(hits[p].sel[i]))) != 0 {
+					t.Errorf("%s keys: row %d was given the chain of key %v", name, hits[p].sel[i], key)
+				}
+			}
+		}
 	}
 }
 

@@ -8,13 +8,18 @@ import "fmt"
 // plan: the α (tuple-id) conditions become keys, and the ψ (descriptor
 // consistency) conditions become the residual filter.
 //
-// The build side goes into an open-addressing joinTable keyed by a
+// The build side L goes into an open-addressing joinTable keyed by a
 // 64-bit hash of the key columns, which keeps the build rows' headers;
-// the probe side is driven in batches, each probe row hashed directly
-// from its key columns. Neither phase allocates per row: the only
-// allocations are the amortized arena chunks that output rows are
-// carved from, and an output row is written once, already narrowed to
-// the join's output columns.
+// the probe side R is driven in batches, each probe row hashed directly
+// from its key columns and looked up once. A probe side that is a
+// columnar prefix (a store scan, or filters and projections over one)
+// is pulled as column batches and narrowed before it is materialized
+// (narrowProbe): a probe row becomes a tuple when, and only when, its
+// key is in the build table. An empty build side ends the stream
+// without pulling R at all. Neither phase allocates per row: the only
+// allocations are the surviving probe rows' cells, the amortized arena
+// chunks that output rows are carved from, and an output row is written
+// once, already narrowed to the join's output columns.
 type HashJoinIter struct {
 	L, R     Iterator
 	Pairs    []EquiPair
@@ -29,10 +34,14 @@ type HashJoinIter struct {
 	bound Expr
 	sch   Schema
 
-	probeBatch []Tuple // current batch of the probe side R
+	colR       ColBatchIterator // R's columnar path; nil when it has none
+	hits       [1]probeHits     // the current column batch narrowed to its matches
+	probeBatch []Tuple          // current batch of the probe side R
 	probePos   int
 	cur        Tuple // current probe row
 	match      int32 // next build row in the current chain, -1 = none
+
+	probeRows, probeMaterialized int64 // OperatorStats
 
 	out     []Tuple  // reused output batch headers
 	arena   outArena // output cells (write-once)
@@ -86,10 +95,42 @@ func (j *HashJoinIter) Open() error {
 	if err := j.table.build(j.L); err != nil {
 		return err
 	}
+	j.colR, _ = NativeColumnar(j.R)
 	j.probeBatch, j.probePos = nil, 0
 	j.match = -1
 	j.scratch = make(Tuple, full.Len())
+	j.probeRows, j.probeMaterialized = 0, 0
 	return nil
+}
+
+// pullProbe advances to the next non-empty batch of probe rows. Row
+// batches come as R hands them; a column batch is narrowed to the rows
+// with a partner in the build table, and those alone are materialized,
+// their chain heads kept beside them in hits.
+func (j *HashJoinIter) pullProbe() (bool, error) {
+	j.probePos = 0
+	if j.colR == nil {
+		batch, ok, err := j.R.NextBatch()
+		j.probeBatch = batch
+		j.probeRows += int64(len(batch))
+		return ok, err
+	}
+	for {
+		cb, ok, err := j.colR.NextColBatch()
+		if err != nil || !ok {
+			j.probeBatch = nil
+			return false, err
+		}
+		j.probeRows += int64(cb.Rows())
+		narrowProbe([]*joinTable{j.table}, cb, j.ridx, j.hits[:])
+		if len(j.hits[0].sel) == 0 {
+			continue
+		}
+		matched := ColBatch{Sch: cb.Sch, Cols: cb.Cols, N: cb.N, Sel: j.hits[0].sel}
+		j.probeBatch = matched.Materialize(j.probeBatch)
+		j.probeMaterialized += int64(len(j.probeBatch))
+		return true, nil
+	}
 }
 
 // NextBatch probes batches of right rows against the build table and
@@ -97,6 +138,9 @@ func (j *HashJoinIter) Open() error {
 // arena. The residual is evaluated on a reused full-width scratch
 // buffer, so rejected candidates cost no allocation at all.
 func (j *HashJoinIter) NextBatch() ([]Tuple, bool, error) {
+	if j.table.len() == 0 {
+		return nil, false, nil // nothing to join with: R is not read
+	}
 	out := j.out[:0]
 	for {
 		// Drain the current probe row's match chain.
@@ -114,36 +158,36 @@ func (j *HashJoinIter) NextBatch() ([]Tuple, bool, error) {
 		}
 		// Advance the probe side.
 		for j.probePos >= len(j.probeBatch) {
-			batch, ok, err := j.R.NextBatch()
+			ok, err := j.pullProbe()
 			if err != nil {
 				return nil, false, err
 			}
 			if !ok {
 				j.out = out
-				if len(out) > 0 {
-					return out, true, nil
-				}
-				return nil, false, nil
+				return out, len(out) > 0, nil
 			}
-			j.probeBatch = batch
-			j.probePos = 0
 		}
-		row := j.probeBatch[j.probePos]
+		j.cur = j.probeBatch[j.probePos]
+		if j.colR != nil {
+			j.match = j.hits[0].heads[j.probePos]
+		} else if h, keyed := hashKeyAt(j.cur, j.ridx); keyed {
+			j.match = j.table.lookup(h, j.cur, j.ridx)
+		}
 		j.probePos++
-		h, keyed := hashKeyAt(row, j.ridx)
-		if !keyed {
-			continue
-		}
-		if head := j.table.lookup(h, row, j.ridx); head >= 0 {
-			j.cur = row
-			j.match = head
-		}
 	}
+}
+
+// OperatorStats reports how many probe rows the join was handed and how
+// many of them it turned from columns into tuples itself: none of a row
+// input, only the rows with a partner of a columnar one.
+func (j *HashJoinIter) OperatorStats(emit func(key string, v int64)) {
+	emit("probe_rows", j.probeRows)
+	emit("probe_rows_materialized", j.probeMaterialized)
 }
 
 func (j *HashJoinIter) Close() error {
 	j.table = nil
-	j.out, j.probeBatch = nil, nil
+	j.out, j.probeBatch, j.hits = nil, nil, [1]probeHits{}
 	j.arena = outArena{}
 	err1 := j.L.Close()
 	err2 := j.R.Close()

@@ -9,8 +9,9 @@ import (
 //  1. split conjunctive filters and absorb filters into join conditions,
 //  2. push selections as far down as schemas allow (through projects,
 //     renames, unions, and into join inputs),
-//  3. reorder chains of inner joins greedily by estimated cardinality
-//     (System-R-style, avoiding cross products when possible),
+//  3. reorder trees of inner joins greedily by estimated cardinality,
+//     from the smallest input outward (System-R-style, avoiding cross
+//     products when possible),
 //  4. prune unused columns by inserting projections above leaves,
 //  5. fold each projection into the projection or inner join beneath
 //     it, so a row is written once, at its final width.
@@ -37,9 +38,10 @@ func Optimize(p Plan, cat *Catalog) (Plan, error) {
 // node beneath has just written: Project∘Project becomes one Project,
 // and Project over an inner join becomes the join's Out, which every
 // join strategy emits through. The translation puts a projection on
-// every merge join (Figure 4's π(U1 ⋈ U2)) and pruneColumns another on
-// every join input, so without this each join row is copied once per
-// level above it. It is a rewrite of the plan, not of the iterators, so
+// every relation's merge chain and every π of the query, orderJoins one
+// on every tree it reorders and pruneColumns another on every join
+// input, so without this each join row is copied once per level above
+// it. It is a rewrite of the plan, not of the iterators, so
 // EXPLAIN, EXPLAIN ANALYZE and the untraced run see the same tree.
 func foldProjections(p Plan, cat *Catalog) Plan {
 	ch := p.Children()
@@ -296,28 +298,48 @@ type joinLeaf struct {
 	sch  Schema
 }
 
-// orderJoins flattens trees of inner joins and reassembles them greedily
-// by estimated output cardinality. One estimator serves the whole pass,
-// so each leaf and each candidate join is estimated once.
+// orderJoins flattens each maximal tree of inner joins — two inputs or
+// twenty — and reassembles it greedily by estimated output cardinality:
+// the chain starts at its smallest input, so a relation's partitions
+// are merged from the one the selection cut outward, and the smaller
+// side of a hash join is the side it builds on. One estimator serves the
+// whole pass, so each leaf and each candidate join is estimated once.
+//
+// Reordering permutes output columns, and a projection above the tree
+// restores the written order so Optimize is schema-preserving. A
+// projection picks columns by name, so a join whose output names are
+// ambiguous (a raw self-join; translated U-relation plans never are)
+// stays as written around its ordered inputs.
 func orderJoins(p Plan, est *estimator) (Plan, error) {
-	cat := est.cat
-	// Recurse first.
-	ch := p.Children()
-	if len(ch) > 0 {
-		newCh := make([]Plan, len(ch))
-		for i, c := range ch {
-			nc, err := orderJoins(c, est)
-			if err != nil {
-				return nil, err
-			}
-			newCh[i] = nc
+	if n, ok := p.(*JoinPlan); ok && n.Kind == InnerJoin && n.Out == nil {
+		sch, err := p.Schema(est.cat)
+		if err != nil {
+			return nil, err
 		}
-		p = p.WithChildren(newCh)
+		if names := sch.Names(); uniqueStrings(names) {
+			return orderJoinTree(n, names, est)
+		}
 	}
-	n, ok := p.(*JoinPlan)
-	if !ok || n.Kind != InnerJoin || n.Out != nil {
+	ch := p.Children()
+	if len(ch) == 0 {
 		return p, nil
 	}
+	newCh := make([]Plan, len(ch))
+	for i, c := range ch {
+		nc, err := orderJoins(c, est)
+		if err != nil {
+			return nil, err
+		}
+		newCh[i] = nc
+	}
+	return p.WithChildren(newCh), nil
+}
+
+// orderJoinTree reorders the maximal inner-join tree rooted at n, whose
+// output columns are names. The tree's inputs are ordered first, each
+// on its own, and only the root is rebuilt: ordering a sub-chain would
+// put its restoring projection in the middle of the tree it belongs to.
+func orderJoinTree(n *JoinPlan, names []string, est *estimator) (Plan, error) {
 	var leaves []joinLeaf
 	var preds []Expr
 	var collect func(q Plan) error
@@ -332,7 +354,11 @@ func orderJoins(p Plan, est *estimator) (Plan, error) {
 			preds = append(preds, SplitConjuncts(j.Cond)...)
 			return nil
 		}
-		sch, err := q.Schema(cat)
+		q, err := orderJoins(q, est)
+		if err != nil {
+			return err
+		}
+		sch, err := q.Schema(est.cat)
 		if err != nil {
 			return err
 		}
@@ -342,26 +368,15 @@ func orderJoins(p Plan, est *estimator) (Plan, error) {
 	if err := collect(n); err != nil {
 		return nil, err
 	}
-	if len(leaves) <= 2 {
-		return p, nil
-	}
-	origSch, err := p.Schema(cat)
-	if err != nil {
-		return nil, err
-	}
 	out, err := greedyJoin(leaves, preds, est)
 	if err != nil {
 		return nil, err
 	}
-	// Reordering permutes output columns; restore the original order so
-	// Optimize is schema-preserving. Only possible when names are
-	// unambiguous (which translated U-relation plans guarantee).
-	newSch, err := out.Schema(cat)
+	newSch, err := out.Schema(est.cat)
 	if err != nil {
 		return nil, err
 	}
-	names := origSch.Names()
-	if !sameStrings(names, newSch.Names()) && uniqueStrings(names) {
+	if !sameStrings(names, newSch.Names()) {
 		out = &ProjectPlan{Child: out, Names: names}
 	}
 	return out, nil
@@ -400,6 +415,12 @@ func uniqueStrings(a []string) bool {
 func greedyJoin(leaves []joinLeaf, preds []Expr, est *estimator) (Plan, error) {
 	used := make([]bool, len(leaves))
 	applied := make([]bool, len(preds))
+	// Every conjunct is tried against every candidate join of every
+	// round, so its columns are listed once.
+	predCols := make([][]string, len(preds))
+	for pi, pr := range preds {
+		predCols[pi] = ExprColumns(pr)
+	}
 
 	// Start from the leaf with the smallest estimated cardinality.
 	best := 0
@@ -435,7 +456,7 @@ func greedyJoin(leaves []joinLeaf, preds []Expr, est *estimator) (Plan, error) {
 				if applied[pi] {
 					continue
 				}
-				if CoveredBy(pr, joined) && !CoveredBy(pr, curSch) && !CoveredBy(pr, lf.sch) {
+				if cols := predCols[pi]; hasAll(joined, cols) && !hasAll(curSch, cols) && !hasAll(lf.sch, cols) {
 					conds = append(conds, pr)
 					if pairs, _ := ExtractEquiJoin(pr, curSch, lf.sch); len(pairs) > 0 {
 						connected = true
@@ -459,7 +480,7 @@ func greedyJoin(leaves []joinLeaf, preds []Expr, est *estimator) (Plan, error) {
 			if applied[pi] {
 				continue
 			}
-			if CoveredBy(pr, joined) {
+			if hasAll(joined, predCols[pi]) {
 				conds = append(conds, pr)
 				applied[pi] = true
 			}

@@ -166,6 +166,58 @@ func TestOptimizeIsSchemaPreserving(t *testing.T) {
 	}
 }
 
+// TestOptimizeKeepsAmbiguousSelfJoinAsWritten: a raw self-join without
+// aliases has two columns of every name, so the projection that puts a
+// reordered join's columns back cannot name them — and a predicate
+// written for one occurrence would bind to the other. Such a join keeps
+// its written order, however selective its right input: the optimized
+// plan has the schema of the plan as written, column for column, and
+// its rows. (Its unambiguous inputs are still ordered.)
+func TestOptimizeKeepsAmbiguousSelfJoinAsWritten(t *testing.T) {
+	cat := NewCatalog()
+	var trows, urows [][]int64
+	for i := int64(0); i < 60; i++ {
+		trows = append(trows, []int64{i % 20, i})
+	}
+	for i := int64(0); i < 30; i++ {
+		urows = append(urows, []int64{i % 20, 100 + i})
+	}
+	cat.Put("t", testRel([]string{"a", "b"}, trows))
+	cat.Put("u", testRel([]string{"x", "y"}, urows))
+	selective := func() Plan { return Filter(Scan("t"), Cmp(EQ, Col("b"), ConstInt(7))) }
+	for name, p := range map[string]Plan{
+		"two leaves":   Join(Scan("t"), selective(), nil),
+		"three leaves": Join(Join(Scan("t"), Scan("u"), EqCols("a", "x")), selective(), nil),
+	} {
+		before, err := p.Schema(cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, err := Optimize(p, cat)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		after, err := opt.Schema(cat)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !before.Equal(after) {
+			t.Fatalf("%s: schema changed: %v -> %v\n%s", name, before.Names(), after.Names(), mustExplain(t, opt, cat))
+		}
+		want, err := Run(p, cat, ExecConfig{DisableOptimizer: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := Run(opt, cat, ExecConfig{DisableOptimizer: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want.Len() == 0 || !want.EqualAsBag(got) {
+			t.Fatalf("%s: %d rows, the plan as written gives %d", name, got.Len(), want.Len())
+		}
+	}
+}
+
 // TestFoldProjections pins the last rewrite of Optimize case by case:
 // what folds (a projection into the projection or the inner join under
 // it, transitively), what must not (a name that resolves by suffix among

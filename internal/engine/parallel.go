@@ -38,9 +38,12 @@ func hashKeyAt(row Tuple, idx []int) (uint64, bool) {
 // strings). Probe batches are then scattered by the same hash function
 // and probed against the per-partition tables in parallel; each worker
 // evaluates the residual predicate on its own bound expression copy
-// and carves output rows from its own arena. Results stream out as
-// batches. The multiset of output rows is exactly that of
-// HashJoinIter; only the order differs.
+// and carves output rows from its own arena. A columnar probe side is
+// narrowed by the serial join's own narrowProbe, which scatters as it
+// goes — a row's partition is its key hash's — so only the matches are
+// materialized and each worker walks its partition's chains from the
+// remembered heads. Results stream out as batches. The multiset of
+// output rows is exactly that of HashJoinIter; only the order differs.
 type ParallelHashJoinIter struct {
 	L, R     Iterator
 	Pairs    []EquiPair
@@ -52,16 +55,21 @@ type ParallelHashJoinIter struct {
 
 	nw        int
 	parts     []*joinTable
+	built     int // rows in parts, all together
 	lidx      []int
 	ridx      []int
 	bounds    []Expr // per-partition bound residual copies
 	sch       Schema
-	probe     []Tuple    // gathered probe rows (reused)
-	buckets   [][]Tuple  // per-partition probe buckets (reused)
-	outs      [][]Tuple  // per-partition outputs (reused)
-	arenas    []outArena // per-partition output cells (write-once)
-	scratches []Tuple    // per-partition residual buffers
-	result    []Tuple    // concatenated output batch (reused)
+	colR      ColBatchIterator // R's columnar path; nil when it has none
+	hits      []probeHits      // per-partition matches of the current column batch
+	probe     []Tuple          // gathered probe rows (reused)
+	buckets   [][]Tuple        // per-partition probe buckets (reused)
+	outs      [][]Tuple        // per-partition outputs (reused)
+	arenas    []outArena       // per-partition output cells (write-once)
+	scratches []Tuple          // per-partition residual buffers
+	result    []Tuple          // concatenated output batch (reused)
+
+	probeRows, probeMaterialized int64 // OperatorStats
 }
 
 // NewParallelHashJoin builds a partitioned parallel hash join; pairs
@@ -113,6 +121,9 @@ func (j *ParallelHashJoinIter) Open() error {
 	if err := j.build(); err != nil {
 		return err
 	}
+	j.colR, _ = NativeColumnar(j.R)
+	j.hits = make([]probeHits, j.nw)
+	j.probeRows, j.probeMaterialized = 0, 0
 	j.buckets = make([][]Tuple, j.nw)
 	j.outs = make([][]Tuple, j.nw)
 	j.arenas = make([]outArena, j.nw)
@@ -183,42 +194,75 @@ func (j *ParallelHashJoinIter) build() error {
 		close(chans[p])
 	}
 	wg.Wait()
+	j.built = 0
+	for _, tbl := range j.parts {
+		j.built += tbl.len()
+	}
 	return err
 }
 
-// NextBatch gathers a chunk of probe rows, scatters it across the
-// build partitions, and probes all partitions in parallel.
-func (j *ParallelHashJoinIter) NextBatch() ([]Tuple, bool, error) {
-	target := j.nw * DefaultBatchSize
-	for {
-		// Gather probe rows (copying row headers: upstream batch buffers
-		// may be reused by the producer).
-		probe := j.probe[:0]
-		for len(probe) < target {
-			batch, ok, err := j.R.NextBatch()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				break
-			}
-			probe = append(probe, batch...)
+// scatterProbe fills the per-partition probe buckets from R: a gathered
+// chunk of row batches scattered by key hash, or the next column batch
+// narrowed to its matches, which narrowProbe scatters as it finds them
+// (their chain heads stay in hits, row for row). ok=false at the end
+// of R.
+func (j *ParallelHashJoinIter) scatterProbe() (bool, error) {
+	if j.colR != nil {
+		cb, ok, err := j.colR.NextColBatch()
+		if err != nil || !ok {
+			return false, err
 		}
-		j.probe = probe
-		if len(probe) == 0 {
-			return nil, false, nil
-		}
-		// Scatter by key hash.
+		j.probeRows += int64(cb.Rows())
+		narrowProbe(j.parts, cb, j.ridx, j.hits)
 		for p := range j.buckets {
 			j.buckets[p] = j.buckets[p][:0]
-		}
-		for _, row := range probe {
-			h, keyed := hashKeyAt(row, j.ridx)
-			if !keyed {
-				continue
+			if len(j.hits[p].sel) > 0 {
+				matched := ColBatch{Sch: cb.Sch, Cols: cb.Cols, N: cb.N, Sel: j.hits[p].sel}
+				j.buckets[p] = matched.Materialize(j.buckets[p])
+				j.probeMaterialized += int64(len(j.buckets[p]))
 			}
-			p := int(h % uint64(j.nw))
-			j.buckets[p] = append(j.buckets[p], row)
+		}
+		return true, nil
+	}
+	// Gather probe rows (copying row headers: upstream batch buffers
+	// may be reused by the producer).
+	probe := j.probe[:0]
+	for target := j.nw * DefaultBatchSize; len(probe) < target; {
+		batch, ok, err := j.R.NextBatch()
+		if err != nil {
+			return false, err
+		}
+		if !ok {
+			break
+		}
+		probe = append(probe, batch...)
+	}
+	j.probe = probe
+	j.probeRows += int64(len(probe))
+	for p := range j.buckets {
+		j.buckets[p] = j.buckets[p][:0]
+	}
+	for _, row := range probe {
+		h, keyed := hashKeyAt(row, j.ridx)
+		if !keyed {
+			continue
+		}
+		p := int(h % uint64(j.nw))
+		j.buckets[p] = append(j.buckets[p], row)
+	}
+	return len(probe) > 0, nil
+}
+
+// NextBatch scatters a chunk of the probe side across the build
+// partitions and probes all partitions in parallel.
+func (j *ParallelHashJoinIter) NextBatch() ([]Tuple, bool, error) {
+	if j.built == 0 {
+		return nil, false, nil // nothing to join with: R is not read
+	}
+	for {
+		ok, err := j.scatterProbe()
+		if err != nil || !ok {
+			return nil, false, err
 		}
 		// Probe each partition in parallel.
 		var wg sync.WaitGroup
@@ -236,12 +280,14 @@ func (j *ParallelHashJoinIter) NextBatch() ([]Tuple, bool, error) {
 				arena := &j.arenas[p]
 				scratch := j.scratches[p]
 				out := j.outs[p][:0]
-				for _, row := range j.buckets[p] {
-					h, keyed := hashKeyAt(row, j.ridx)
-					if !keyed {
-						continue
+				for i, row := range j.buckets[p] {
+					m := int32(-1)
+					if j.colR != nil {
+						m = j.hits[p].heads[i]
+					} else if h, keyed := hashKeyAt(row, j.ridx); keyed {
+						m = tbl.lookup(h, row, j.ridx)
 					}
-					for m := tbl.lookup(h, row, j.ridx); m >= 0; m = tbl.nextMatch(m) {
+					for ; m >= 0; m = tbl.nextMatch(m) {
 						l := tbl.row(m)
 						if residualHolds(bound, scratch, l, row) {
 							out = append(out, arena.emit(l, row, j.pick))
@@ -264,9 +310,15 @@ func (j *ParallelHashJoinIter) NextBatch() ([]Tuple, bool, error) {
 	}
 }
 
+// OperatorStats is HashJoinIter's.
+func (j *ParallelHashJoinIter) OperatorStats(emit func(key string, v int64)) {
+	emit("probe_rows", j.probeRows)
+	emit("probe_rows_materialized", j.probeMaterialized)
+}
+
 func (j *ParallelHashJoinIter) Close() error {
 	j.parts = nil
-	j.probe, j.buckets, j.outs, j.result = nil, nil, nil, nil
+	j.probe, j.buckets, j.outs, j.result, j.hits = nil, nil, nil, nil, nil
 	j.arenas, j.scratches = nil, nil
 	err1 := j.L.Close()
 	err2 := j.R.Close()

@@ -46,8 +46,8 @@
 //     row count is what the engine's estimator sees, so the join
 //     strategy and the serial-vs-parallel gate work on stored data. As
 //     an engine.IndexedSource (lookup.go) the plan also prices its own
-//     index probes: ProbeCost is a few rows behind a SegCache and a
-//     quarter of a segment without one, where every probe decodes the
+//     index probes: ProbeCost is a few rows behind a SegCache and
+//     two thirds of a segment without one, where every probe decodes the
 //     segment its key is in.
 //
 //   - Layered sources and deltas (source.go, walops.go, wal.go). A

@@ -117,13 +117,15 @@ func (p *StoreScanPlan) LookupEq(col string, key engine.Value) (engine.Iterator,
 // where the probed segment comes from. With a segment cache the
 // segment is already decoded and a probe is a binary search plus a row
 // fetch. Without one, every probe reads, checksums and decodes the
-// whole segment its key lives in, which costs about a quarter of what
-// scanning, materializing and hashing that segment's rows does — for a
-// 4096-row segment about 1000 rows, the crossover BenchmarkJoinStrategy
-// measures (docs/ARCHITECTURE.md, "Join strategies").
+// whole segment its key lives in, which is most of what a hash join
+// spends on that segment now that it probes the decoded columns and
+// materializes only the rows that join: about two thirds — for a
+// 4096-row segment some 2700 rows, the crossover BenchmarkJoinStrategy
+// measures (docs/ARCHITECTURE.md, "Join strategies"; a quarter while the
+// hash join still turned every probed row into a tuple).
 const (
 	cachedProbeRows     = 8
-	uncachedDecodeShare = 0.25
+	uncachedDecodeShare = 0.65
 )
 
 // ProbeCost prices one equality probe from what the scan can observe:

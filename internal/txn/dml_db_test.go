@@ -104,11 +104,25 @@ func equalDump(a, b map[string][]string) (string, bool) {
 }
 
 // requireSame asserts the persistent store and the in-memory reference
-// hold multiset-equal representations, partition by partition.
+// hold multiset-equal representations, partition by partition, and give
+// the same possible answers to two merges of r's partitions — all of
+// r, and a selection on one partition projected onto another, whose
+// hash joins probe the store's column batches as the snapshot has them:
+// tombstoned segments, the memtable tail, flushed layers.
 func requireSame(t *testing.T, d *DB, ref *refDB, when string) {
 	t.Helper()
-	if msg, ok := equalDump(dump(t, d.Snapshot()), dump(t, ref.db)); !ok {
+	snap := d.Snapshot()
+	if msg, ok := equalDump(dump(t, snap), dump(t, ref.db)); !ok {
 		t.Fatalf("%s: store and reference diverged: %s", when, msg)
+	}
+	for _, q := range []core.Query{
+		core.Rel("r"),
+		core.Project(core.Select(core.Rel("r"), engine.Cmp(engine.LT, engine.Col("a"), engine.ConstInt(25))), "c"),
+	} {
+		got, want := possRows(t, snap, q), possRows(t, ref.db, q)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("%s: poss(%s) has %d answers over the store, %d over the reference", when, q, len(got), len(want))
+		}
 	}
 }
 

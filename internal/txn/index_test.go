@@ -271,7 +271,7 @@ func TestJoinChoiceSelectivity(t *testing.T) {
 	for i := 0; i < n; i++ {
 		ub.Add(nil, int64(i+1), engine.Int(int64((i*2654435761)%n)), engine.Int(int64(i)))
 	}
-	outers := []int{10, 1000, n/8 - 1}
+	outers := []int{5, 10, 1000, n/8 - 1}
 	for _, m := range outers {
 		name := fmt.Sprintf("o%d", m)
 		db.MustAddRelation(name, "k", "w")
@@ -346,7 +346,8 @@ func TestJoinChoiceSelectivity(t *testing.T) {
 	}
 
 	// No segment cache: every probe decodes the segment its key is in.
-	check("uncached, 10-row outer", outerJoin(10), "Index Join", want[10])
+	check("uncached, 5-row outer", outerJoin(5), "Index Join", want[5])
+	check("uncached, 10-row outer", outerJoin(10), "Hash Join", want[10])
 	check("uncached, 1000-row outer", outerJoin(1000), "Hash Join", want[1000])
 	check("uncached, 2499-row outer", outerJoin(n/8-1), "Hash Join", want[n/8-1])
 	check("large ⋈ large on the indexed column", largeLarge, "Hash Join", nil)

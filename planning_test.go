@@ -11,11 +11,12 @@ import (
 	"urel/internal/sqlparse"
 	"urel/internal/store"
 	"urel/internal/tpch"
+	"urel/internal/txn"
 )
 
-// planningData generates the benchmark's low-uncertainty TPC-H data at
-// one scale and a stored copy of it, opened without a segment cache.
-func planningData(t *testing.T, scale float64) (mem, stored *core.UDB) {
+// savedPlanningData generates the benchmark's low-uncertainty TPC-H
+// data at one scale and saves a copy of it into a fresh directory.
+func savedPlanningData(t *testing.T, scale float64) (mem *core.UDB, dir string) {
 	t.Helper()
 	p := tpch.DefaultParams(scale, 0.01, 0.25)
 	p.Seed = 1
@@ -23,16 +24,31 @@ func planningData(t *testing.T, scale float64) (mem, stored *core.UDB) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
+	dir = t.TempDir()
 	if err := store.Save(mem, dir); err != nil {
 		t.Fatal(err)
 	}
-	stored, err = store.Open(dir)
+	return mem, dir
+}
+
+// openPlanningData opens a saved copy without a segment cache, closing
+// it when the test ends.
+func openPlanningData(t *testing.T, dir string) *core.UDB {
+	t.Helper()
+	stored, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { stored.Close() })
-	return mem, stored
+	return stored
+}
+
+// planningData is savedPlanningData and its stored copy, opened without
+// a segment cache.
+func planningData(t *testing.T, scale float64) (mem, stored *core.UDB) {
+	t.Helper()
+	mem, dir := savedPlanningData(t, scale)
+	return mem, openPlanningData(t, dir)
 }
 
 // spanRows sums an EXPLAIN ANALYZE span tree: rows the leaf scans
@@ -70,6 +86,8 @@ func leafRelations(p engine.Plan) []string {
 			name = n.Name
 		case *engine.ValuesPlan:
 			name = n.Name
+		case *engine.IndexScanPlan:
+			name = n.Src.SourceName()
 		}
 		if parts := strings.Split(name, "_"); len(parts) >= 3 {
 			return []string{parts[1]}
@@ -278,5 +296,183 @@ func TestStoredPossibleRunsInBatches(t *testing.T) {
 	}
 	for _, c := range res.Trace.Children() {
 		walk(c)
+	}
+}
+
+// indexedPlanningData is planningData with the benchmark's one
+// secondary index, lineitem(l_orderkey), built beside the stored copy
+// through the write path; dir is where it is saved.
+func indexedPlanningData(t *testing.T, scale float64) (mem, stored *core.UDB, dir string) {
+	t.Helper()
+	mem, dir = savedPlanningData(t, scale)
+	rw, err := txn.Open(dir, txn.Options{DisableAutoFlush: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rw.Exec("create index on lineitem(l_orderkey)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return mem, openPlanningData(t, dir), dir
+}
+
+// pointLookup is the benchmark's point class: two attributes of the
+// lineitems of one order, found through the index.
+func pointLookup(key int64) core.Query {
+	return core.Poss(core.Project(core.Select(core.Rel("lineitem"),
+		engine.Eq(engine.Col("l_orderkey"), engine.ConstInt(key))), "l_extendedprice", "l_quantity"))
+}
+
+// planLeaves lists the leaves of p, each under the filter pushed onto
+// it, if any.
+func planLeaves(p engine.Plan) []engine.Plan {
+	if f, ok := p.(*engine.FilterPlan); ok && len(f.Child.Children()) == 0 {
+		return []engine.Plan{p}
+	}
+	ch := p.Children()
+	if len(ch) == 0 {
+		return []engine.Plan{p}
+	}
+	var out []engine.Plan
+	for _, c := range ch {
+		out = append(out, planLeaves(c)...)
+	}
+	return out
+}
+
+// selectiveLeaf reports whether a leaf of planLeaves is cut by a
+// selection: filtered, or scanned through an index.
+func selectiveLeaf(leaf engine.Plan) bool {
+	switch leaf.(type) {
+	case *engine.FilterPlan, *engine.IndexScanPlan:
+		return true
+	}
+	return false
+}
+
+// TestMergeStartsAtTheSelectivePartition: over stored data, the
+// optimized plans of Q1, Q2 and the index point lookup merge each
+// relation's partitions from the one the selection cut — its filtered
+// or index-scanned partition, the chain's smallest estimated leaf —
+// outward, and every hash join that runs builds on the side estimated
+// no larger than the side it probes. What then runs is counted, not
+// timed: the point lookup turns into tuples at most twice its answer
+// rows of the 32 000 it probes, each probe scan hands over one column
+// batch per segment, and a lookup of a key no order has reads no segment
+// of the partitions it would have merged.
+func TestMergeStartsAtTheSelectivePartition(t *testing.T) {
+	mem, stored, _ := indexedPlanningData(t, 0.25)
+	keys, err := mem.EvalPoss(core.Poss(core.Project(core.Rel("lineitem"), "l_orderkey")), engine.ExecConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	present := map[int64]bool{}
+	for _, row := range keys.Rows {
+		present[row[0].AsInt()] = true
+	}
+	key := keys.Rows[len(keys.Rows)/2][0].AsInt()
+	absent := key
+	for present[absent] {
+		absent++ // inside the key range, so no min/max refutes it
+	}
+	cat := engine.NewCatalog()
+	for name, q := range map[string]core.Query{"Q1": tpch.Q1(), "Q2": tpch.Q2(), "point": pointLookup(key)} {
+		plan := optimizedPoss(t, stored, q)
+		perRel := map[string]int{}
+		for _, rel := range leafRelations(plan) {
+			perRel[rel]++
+		}
+		for rel, n := range perRel {
+			if n < 2 {
+				continue
+			}
+			chain := mergedInput(plan, rel, n)
+			if chain == nil {
+				t.Fatalf("%s: %s's %d partitions are not merged in one subtree", name, rel, n)
+			}
+			leaves := planLeaves(chain)
+			start := leaves[0] // joins are left-deep from where the chain starts
+			startRows := engine.EstimateStats(start, cat).Rows
+			anySelective := false
+			for _, leaf := range leaves {
+				if rows := engine.EstimateStats(leaf, cat).Rows; rows < startRows {
+					t.Errorf("%s: %s's merge starts at a leaf of %.0f rows, %s has %.0f", name, rel, startRows, leaf.Label(), rows)
+				}
+				anySelective = anySelective || selectiveLeaf(leaf)
+			}
+			if anySelective && !selectiveLeaf(start) {
+				t.Errorf("%s: %s's merge starts at %s, not at a filtered or index-scanned partition", name, rel, start.Label())
+			}
+		}
+		res, err := stored.ExplainAnalyze(q, false, engine.ExecConfig{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var probed, materialized int64
+		var walk func(*obs.Span)
+		walk = func(s *obs.Span) {
+			kids := s.Children()
+			if s.Op() == "Hash Join" {
+				if kids[0].Est() > kids[1].Est() {
+					t.Errorf("%s: a hash join builds on est=%.0f rows and probes est=%.0f:\n%s", name, kids[0].Est(), kids[1].Est(), res.Text)
+				}
+				probed += s.Stat("probe_rows")
+				materialized += s.Stat("probe_rows_materialized")
+			}
+			if strings.HasPrefix(s.Op(), "Store Scan") && s.Batches() != s.Stat("segments_read") {
+				t.Errorf("%s: %q read %d segments and moved %d batches:\n%s", name, s.Op(), s.Stat("segments_read"), s.Batches(), res.Text)
+			}
+			for _, c := range kids {
+				walk(c)
+			}
+		}
+		walk(res.Trace.Children()[0])
+		if name != "point" {
+			continue
+		}
+		got, err := stored.EvalPoss(q, engine.ExecConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := mem.EvalPoss(q, engine.ExecConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Len() == 0 || !got.EqualAsSet(want) {
+			t.Fatalf("point lookup of %d: %d answers, in memory %d", key, got.Len(), want.Len())
+		}
+		// Representation rows outnumber answers by the alternatives of the
+		// uncertain fields, so the bound is on what the joins emitted.
+		emitted := res.Trace.Children()[0].Children()[0].Rows()
+		if probed < 20000 || materialized > 2*emitted {
+			t.Errorf("point lookup of %d: %d of %d probe rows materialized for %d joined rows:\n%s", key, materialized, probed, emitted, res.Text)
+		}
+	}
+
+	res, err := stored.ExplainAnalyze(pointLookup(absent), false, engine.ExecConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows != 0 {
+		t.Fatalf("lookup of the absent key %d has %d answers", absent, res.Rows)
+	}
+	scans := 0
+	var walk func(*obs.Span)
+	walk = func(s *obs.Span) {
+		if strings.HasPrefix(s.Op(), "Store Scan") {
+			scans++
+			if n := s.Stat("segments_read"); n != 0 {
+				t.Errorf("lookup of the absent key %d: %q read %d segments to join with nothing:\n%s", absent, s.Op(), n, res.Text)
+			}
+		}
+		for _, c := range s.Children() {
+			walk(c)
+		}
+	}
+	walk(res.Trace)
+	if scans != 2 {
+		t.Errorf("lookup of the absent key %d: %d store scans in the plan, want the two non-indexed partitions:\n%s", absent, scans, res.Text)
 	}
 }
