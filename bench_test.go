@@ -24,6 +24,7 @@ import (
 	"urel/internal/store"
 	"urel/internal/tpch"
 	"urel/internal/txn"
+	"urel/internal/ws"
 )
 
 // dbPool caches generated databases across benchmarks.
@@ -391,4 +392,112 @@ func BenchmarkReduction(b *testing.B) {
 			}
 		}
 	})
+}
+
+// coinLineage builds a one-tuple result over nvars coins whose lineage
+// has one descriptor per conjunction, each listing the coins that must
+// show 1; exclusive > 0 adds one variable of that many values and
+// conjoins its i-th value to the i-th conjunction, which makes them
+// pairwise exclusive.
+func coinLineage(nvars, exclusive int, conjs [][]int) *core.UResult {
+	w := ws.NewWorldTable()
+	vars := make([]ws.Var, nvars)
+	for i := range vars {
+		vars[i] = w.NewBoolVar("")
+	}
+	var big ws.Var
+	if exclusive > 0 {
+		dom := make([]ws.Val, exclusive)
+		for i := range dom {
+			dom[i] = ws.Val(i + 1)
+		}
+		big = w.MustNewVar("big", dom...)
+	}
+	res := &core.UResult{W: w, Attrs: []string{"a"}}
+	for i, c := range conjs {
+		var as []ws.Assignment
+		for _, j := range c {
+			as = append(as, ws.A(vars[j], 1))
+		}
+		if exclusive > 0 {
+			as = append(as, ws.A(big, ws.Val(i+1)))
+		}
+		res.Rows = append(res.Rows, core.UResultRow{D: ws.MustDescriptor(as...), Vals: engine.Tuple{engine.Int(7)}})
+	}
+	return res
+}
+
+// randomDNF draws m conjunctions of the given width over nvars variables.
+func randomDNF(seed int64, nvars, m, width int) [][]int {
+	rng := rand.New(rand.NewSource(seed))
+	conjs := make([][]int, m)
+	for i := range conjs {
+		conjs[i] = rng.Perm(nvars)[:width]
+	}
+	return conjs
+}
+
+// BenchmarkConfidence measures one ConfidencesDispatch per lineage
+// shape, from the linear ones (independent and exclusive descriptors,
+// the TPC-H statement of the served workloads) through the ones whose
+// variables interlock with small width (chain, grid) to random DNFs at
+// and past 22 variables; `path` is 0 for read-once, 1 for exact in more
+// steps, 2 for sampled. The steps behind each shape are printed by
+// TestConfidenceCoversTheEnumerator in internal/core.
+func BenchmarkConfidence(b *testing.B) {
+	var independent, chain, grid [][]int
+	for i := 0; i < 20000; i++ {
+		independent = append(independent, []int{i})
+	}
+	for i := 0; i+1 < 40; i++ {
+		chain = append(chain, []int{i, i + 1})
+	}
+	for r := 0; r < 6; r++ {
+		for c := 0; c < 6; c++ {
+			if c+1 < 6 {
+				grid = append(grid, []int{6*r + c, 6*r + c + 1})
+			}
+			if r+1 < 6 {
+				grid = append(grid, []int{6*r + c, 6*r + c + 6})
+			}
+		}
+	}
+	tpchConf := func() *core.UResult {
+		db := benchDB(b, 0.25, 0.01, 0.25)
+		q := core.Project(core.Select(core.Rel("orders"),
+			engine.Cmp(engine.LT, engine.Col("o_orderkey"), engine.ConstInt(1200))), "o_orderstatus")
+		res, err := db.Eval(q, engine.ExecConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	shapes := []struct {
+		name string
+		res  func() *core.UResult
+	}{
+		{"independent-20k", func() *core.UResult { return coinLineage(20000, 0, independent) }},
+		{"exclusive-64", func() *core.UResult { return coinLineage(64, 64, independent[:64]) }},
+		{"chain-40", func() *core.UResult { return coinLineage(40, 0, chain) }},
+		{"grid-6x6", func() *core.UResult { return coinLineage(36, 0, grid) }},
+		{"dnf3-22v", func() *core.UResult { return coinLineage(22, 0, randomDNF(1, 22, 40, 3)) }},
+		{"dnf3-40v", func() *core.UResult { return coinLineage(40, 0, randomDNF(1, 40, 60, 3)) }},
+		{"tpch-conf", tpchConf},
+	}
+	paths := map[string]float64{"read-once": 0, "exact": 1, "monte-carlo": 2}
+	for _, s := range shapes {
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			res := s.res()
+			var stats core.ConfPathStats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if _, stats, err = res.ConfidencesDispatch(core.ConfOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(paths[stats.Estimator()], "path")
+		})
+	}
 }

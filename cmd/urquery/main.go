@@ -166,7 +166,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "urquery:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("confidences computed in %s (%s; %d read-once, %d enumerated, %d sampled):\n",
+		fmt.Printf("confidences computed in %s (%s; %d exact in linear steps, %d exact in more, %d sampled):\n",
 			time.Since(start).Round(time.Millisecond), stats.Estimator(), stats.ReadOnce, stats.Enum, stats.MC)
 		if len(confs) > *limit {
 			confs = confs[:*limit]

@@ -19,11 +19,13 @@
 //   - normalization of ws-descriptors (Section 4, Algorithm 1),
 //   - certain answers on tuple-level normalized U-relations (Lemma 4.3),
 //   - the probabilistic extension sketched in Section 7 (confidence
-//     computation, exact and Monte-Carlo).
+//     computation: one exact evaluator with a step budget, Monte-Carlo
+//     past it, one-pass bounds).
 //
 // Paper-section map: urelation.go — Section 2 (representation);
 // translate.go — Section 3/Figure 4 (query translation); reduce.go —
 // Proposition 3.3 (reduction); normalize.go — Section 4/Algorithm 1;
 // certain.go — Lemma 4.3; worldops.go — possible-worlds ground truth;
-// prob.go — Section 7 (confidences).
+// prob.go — Section 7 (confidences: the exact evaluator, the sampler,
+// bounds, and the dispatcher that serves them under a deadline).
 package core

@@ -24,7 +24,8 @@ type unionFind struct {
 	parent map[ws.Var]ws.Var
 }
 
-func newUnionFind() *unionFind { return &unionFind{parent: map[ws.Var]ws.Var{}} }
+// newUnionFind makes an empty union-find with room for n variables.
+func newUnionFind(n int) *unionFind { return &unionFind{parent: make(map[ws.Var]ws.Var, n)} }
 
 func (u *unionFind) find(x ws.Var) ws.Var {
 	p, ok := u.parent[x]
@@ -36,7 +37,9 @@ func (u *unionFind) find(x ws.Var) ws.Var {
 		return x
 	}
 	r := u.find(p)
-	u.parent[x] = r
+	if r != p {
+		u.parent[x] = r
+	}
 	return r
 }
 
@@ -98,7 +101,7 @@ func (c *component) decode(code ws.Val) map[ws.Var]ws.Val {
 // all provided descriptors and assigns fresh variables in the new world
 // table. Probabilities carry over as products.
 func buildComponents(w *ws.WorldTable, descriptors []ws.Descriptor) (*ws.WorldTable, map[ws.Var]*component, error) {
-	uf := newUnionFind()
+	uf := newUnionFind(0)
 	for _, x := range w.NontrivialVars() {
 		uf.find(x)
 	}

@@ -285,7 +285,7 @@ func (db *UDB) CertainGroundTruth(q Query, maxWorlds int64) (*engine.Relation, e
 // each distinct tuple's world-probability mass. The result maps
 // engine.KeyString of the value tuple to its confidence. maxWorlds
 // guards the enumeration; this is the oracle of the confidence
-// differential test suite (conffast_test.go, txn's DML differential).
+// differential test suite (prob_test.go, txn's DML differential).
 func (db *UDB) ConfidenceGroundTruth(q Query, maxWorlds int64) (map[string]float64, error) {
 	if err := db.requireMaterialized("ConfidenceGroundTruth"); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"testing"
 
@@ -11,13 +12,9 @@ import (
 	"urel/internal/ws"
 )
 
-// chainedDB builds hard confidence lineage: one answer tuple whose
-// descriptors chain n coins pairwise — (x0∧x1) ∨ (x1∧x2) ∨ … — a
-// single variable-connected component with overlapping non-exclusive
-// disjuncts, so the read-once detector rejects it; with n > 22 the
-// joint domain also exceeds the exact enumeration cap, leaving only
-// Monte-Carlo.
-func chainedDB(t *testing.T, n int) *core.UDB {
+// coinsDB builds one answer tuple over n coins whose lineage has one
+// descriptor per conjunction, each listing the coins that must show 1.
+func coinsDB(t *testing.T, n int, conjs [][]int) *core.UDB {
 	t.Helper()
 	db := core.NewUDB()
 	db.MustAddRelation("big", "a")
@@ -26,10 +23,39 @@ func chainedDB(t *testing.T, n int) *core.UDB {
 	for i := 0; i < n; i++ {
 		vars = append(vars, db.W.NewBoolVar(fmt.Sprintf("x%d", i)))
 	}
-	for i := 0; i+1 < len(vars); i++ {
-		u.Add(ws.MustDescriptor(ws.A(vars[i], 1), ws.A(vars[i+1], 1)), int64(i+1), engine.Int(7))
+	for i, c := range conjs {
+		var as []ws.Assignment
+		for _, j := range c {
+			as = append(as, ws.A(vars[j], 1))
+		}
+		u.Add(ws.MustDescriptor(as...), int64(i+1), engine.Int(7))
 	}
 	return db
+}
+
+// chainedDB chains n coins pairwise — (x0∧x1) ∨ (x1∧x2) ∨ … — a single
+// variable-connected component with overlapping non-exclusive
+// disjuncts. It is exact however long, but from a few coins on it takes
+// more expansion steps than it has descriptors, which counts it as
+// enumeration.
+func chainedDB(t *testing.T, n int) *core.UDB {
+	var conjs [][]int
+	for i := 0; i+1 < n; i++ {
+		conjs = append(conjs, []int{i, i + 1})
+	}
+	return coinsDB(t, n, conjs)
+}
+
+// hardDB builds confidence lineage that is hard in fact: a seeded random
+// 3-DNF of 160 conjunctions over 80 coins. It exhausts the exact
+// evaluator's step budget, leaving Monte-Carlo.
+func hardDB(t *testing.T) *core.UDB {
+	rng := rand.New(rand.NewSource(1))
+	conjs := make([][]int, 160)
+	for i := range conjs {
+		conjs[i] = rng.Perm(80)[:3]
+	}
+	return coinsDB(t, 80, conjs)
 }
 
 // TestServerConfBoundsStatement: CONF BOUNDS SELECT returns
@@ -87,17 +113,17 @@ func TestServerConfAccuracyKnob(t *testing.T) {
 	}
 }
 
-// TestServerConfBoundsBeatsDeadline is the tentpole's service-level
+// TestServerConfBoundsBeatsDeadline is the bounds mode's service-level
 // claim: on lineage where exact CONF cannot finish within the request
-// deadline (Monte-Carlo pinned down by a huge sample count), the same
-// query 504s with accuracy=exact, answers instantly with
-// accuracy=bounds, and degrades gracefully with accuracy=auto.
+// deadline, the same query 504s with accuracy=exact, answers instantly
+// with accuracy=bounds, and degrades gracefully with accuracy=auto.
 func TestServerConfBoundsBeatsDeadline(t *testing.T) {
-	// 200M samples over 23 variables cannot finish in 150ms; the
-	// dispatcher's in-loop deadline checks make the exact path fail
+	// Neither the step budget nor, were it reached, 200M samples over 80
+	// variables can finish in 150ms; the deadline probes inside the
+	// evaluator and the sampler make the exact path fail
 	// deterministically rather than stall.
 	s, ts := newTestServer(t, Config{MCSamples: 200_000_000})
-	if err := s.AddDB("big", chainedDB(t, 23)); err != nil {
+	if err := s.AddDB("big", hardDB(t)); err != nil {
 		t.Fatal(err)
 	}
 	req := queryRequest{SQL: "CONF SELECT a FROM big", TimeoutMS: 150}
@@ -118,9 +144,9 @@ func TestServerConfBoundsBeatsDeadline(t *testing.T) {
 		t.Fatalf("one distinct tuple, got %v", rows)
 	}
 	lo, hi := rows[0][1].(float64), rows[0][2].(float64)
-	// 22 disjuncts of probability 1/4: lower bound 1/4, upper clamps to 1.
-	if lo != 0.25 || hi != 1 {
-		t.Fatalf("bounds [%v, %v], want [0.25, 1]", lo, hi)
+	// 160 disjuncts of probability 1/8: lower bound 1/8, upper clamps to 1.
+	if lo != 0.125 || hi != 1 {
+		t.Fatalf("bounds [%v, %v], want [0.125, 1]", lo, hi)
 	}
 
 	req.Accuracy = "auto"
@@ -131,21 +157,21 @@ func TestServerConfBoundsBeatsDeadline(t *testing.T) {
 	}
 }
 
-// TestServerConfPathStats: /stats breaks CONF evaluation down by path
-// (bounds / read-once / enumeration / Monte-Carlo), counting distinct
-// answer tuples.
+// TestServerConfPathStats: /stats breaks CONF evaluation down by what
+// each distinct answer tuple cost (bounds / read-once / enumeration /
+// Monte-Carlo).
 func TestServerConfPathStats(t *testing.T) {
 	s, ts := newTestServer(t, Config{MCSamples: 1000})
 	if err := s.AddDB("vehicles", vehiclesDB(t)); err != nil {
 		t.Fatal(err)
 	}
-	// Small chained lineage: rejected by the detector but under the
-	// enumeration cap → the enumeration path.
-	if err := s.AddDB("small", chainedDB(t, 3)); err != nil {
+	// Chained lineage: exact, in more steps than it has descriptors →
+	// counted as enumeration.
+	if err := s.AddDB("small", chainedDB(t, 23)); err != nil {
 		t.Fatal(err)
 	}
-	// Large chained lineage: rejected and over the cap → Monte-Carlo.
-	if err := s.AddDB("big", chainedDB(t, 23)); err != nil {
+	// Random 3-DNF over 80 coins: past the step budget → Monte-Carlo.
+	if err := s.AddDB("big", hardDB(t)); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range []queryRequest{

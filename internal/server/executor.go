@@ -321,9 +321,9 @@ func (s *Server) evalMode(db *core.UDB, parsed *sqlparse.Parsed, accuracy string
 		if parsed.Mode == sqlparse.ModeConfBounds || accuracy == "bounds" {
 			return s.confBounds(res), nil
 		}
-		// Exact via the cheapest path per tuple: read-once lineage in
-		// linear time, enumeration up to the cap, Monte-Carlo beyond it
-		// (paper, Section 7) — all under the query deadline.
+		// Exact per tuple within the evaluator's step budget, Monte-Carlo
+		// for the tuples past it (paper, Section 7) — all under the query
+		// deadline.
 		resp, err := s.confExact(res, deadline)
 		if err != nil {
 			// accuracy=auto degrades to bounds instead of timing out.

@@ -248,9 +248,10 @@ type statsResponse struct {
 	Catalogs      map[string]catalogInfo `json:"catalogs"`
 }
 
-// confPathCounters breaks CONF evaluation down by path: distinct
-// answer tuples served by one-pass bounds, the read-once exact
-// decomposition, joint-domain enumeration, and Monte-Carlo sampling.
+// confPathCounters breaks CONF evaluation down by cost: distinct
+// answer tuples served by one-pass bounds, exactly in at most one
+// expansion step per descriptor (read_once), exactly in more
+// (enumeration), and by Monte-Carlo sampling past the step budget.
 type confPathCounters struct {
 	Bounds      uint64 `json:"bounds"`
 	ReadOnce    uint64 `json:"read_once"`

@@ -110,7 +110,7 @@ type Config struct {
 	FlushBytes int64
 
 	// MCSamples is the Monte-Carlo sample count used when exact
-	// confidence computation exceeds its enumeration cap. Default:
+	// confidence computation exhausts its step budget. Default:
 	// 20000 (standard error <= 0.35%).
 	MCSamples int
 	// MCSeed seeds the Monte-Carlo estimator. Default: 1.
@@ -196,12 +196,12 @@ type Server struct {
 	queueWait *obs.Histogram            // admission-slot wait
 	modeLat   map[string]*obs.Histogram // successful query latency by mode
 
-	// Confidence-path counters: distinct answer tuples routed through
-	// each CONF evaluation strategy.
+	// Confidence-path counters: distinct answer tuples by what their
+	// confidence cost (core.ConfPathStats).
 	confBoundsTuples *obs.Counter // one-pass certain/possible bounds
-	confReadOnce     *obs.Counter // read-once exact decomposition
-	confEnum         *obs.Counter // joint-domain enumeration
-	confMC           *obs.Counter // Monte-Carlo estimate
+	confReadOnce     *obs.Counter // exact, at most one expansion step per descriptor
+	confEnum         *obs.Counter // exact, more steps
+	confMC           *obs.Counter // Monte-Carlo estimate past the step budget
 }
 
 type catalogEntry struct {
@@ -303,7 +303,7 @@ func (s *Server) initMetrics() {
 	s.writeFailed = r.Counter("urel_write_failures_total", "DML statements that returned an error.")
 	confPaths := func(path string) *obs.Counter {
 		return r.CounterWith("urel_conf_path_tuples_total",
-			"Answer tuples routed through each CONF evaluation strategy.",
+			"Answer tuples by what their confidence cost: bounds, exact in linearly many steps, exact in more, sampled.",
 			[]string{"path"}, path)
 	}
 	s.confBoundsTuples = confPaths("bounds")

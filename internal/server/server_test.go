@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -131,10 +132,9 @@ func TestServerModes(t *testing.T) {
 	}
 }
 
-// TestServerConfReadOnceBeyondCap: a 23-way conjunction involves more
-// variables than the exact enumerator's cap (2^22 joint assignments),
-// but its lineage is read-once — the fast path must answer it exactly
-// where the old policy could only sample.
+// TestServerConfReadOnceBeyondCap: a 23-way conjunction has 2^23 joint
+// assignments, but its lineage is one product — exact without a single
+// expansion step, so counted read-once.
 func TestServerConfReadOnceBeyondCap(t *testing.T) {
 	db := core.NewUDB()
 	db.MustAddRelation("big", "a")
@@ -166,42 +166,42 @@ func TestServerConfReadOnceBeyondCap(t *testing.T) {
 	}
 }
 
-// TestServerConfMCFallback: a tuple whose lineage both exceeds the
-// exact enumerator's cap (2^22 joint assignments) and is rejected by
-// the read-once detector must be answered by the Monte-Carlo
-// estimator, not an error. The lineage chains 23 coins pairwise —
-// (x0∧x1) ∨ (x1∧x2) ∨ … — one big variable-connected component with
-// overlapping, non-exclusive disjuncts.
+// TestServerConfMCFallback: a tuple whose lineage exhausts the exact
+// evaluator's step budget must be answered by the Monte-Carlo
+// estimator, not an error — and a chain of 23 coins, which the former
+// joint-domain enumeration had to hand to the sampler, is exact.
 func TestServerConfMCFallback(t *testing.T) {
-	db := core.NewUDB()
-	db.MustAddRelation("big", "a")
-	u := db.MustAddPartition("big", "", "a")
-	var vars []ws.Var
-	for i := 0; i < 23; i++ {
-		vars = append(vars, db.W.NewBoolVar(fmt.Sprintf("x%d", i)))
-	}
-	for i := 0; i+1 < len(vars); i++ {
-		u.Add(ws.MustDescriptor(ws.A(vars[i], 1), ws.A(vars[i+1], 1)), int64(i+1), engine.Int(7))
-	}
-
 	s, ts := newTestServer(t, Config{MCSamples: 2000})
-	if err := s.AddDB("big", db); err != nil {
+	if err := s.AddDB("big", hardDB(t)); err != nil {
 		t.Fatal(err)
 	}
-	code, body := post(t, ts, queryRequest{SQL: "CONF SELECT a FROM big"})
+	if err := s.AddDB("chain", chainedDB(t, 23)); err != nil {
+		t.Fatal(err)
+	}
+	code, body := post(t, ts, queryRequest{SQL: "CONF SELECT a FROM big", DB: "big"})
 	if code != 200 {
 		t.Fatalf("status %d: %v", code, body)
 	}
 	if body["estimator"] != "monte-carlo" {
-		t.Fatalf("estimator = %v, want monte-carlo above the exact cap", body["estimator"])
+		t.Fatalf("estimator = %v, want monte-carlo past the step budget", body["estimator"])
 	}
 	rows := rowsOf(t, body)
 	if len(rows) != 1 {
 		t.Fatalf("one distinct tuple, got %v", rows)
 	}
-	// P(some adjacent coin pair is 1,1) = 1 − Fib(25)/2^23 ≈ 0.991.
+	// Each coin triple holds with probability 1/8 and there are 160.
 	if p := rows[0][1].(float64); p < 0.9 || p > 1 {
-		t.Fatalf("chained-pair union estimated at %v, want ≈0.991", p)
+		t.Fatalf("union of 160 coin triples estimated at %v, want ≈1", p)
+	}
+
+	code, body = post(t, ts, queryRequest{SQL: "CONF SELECT a FROM big", DB: "chain"})
+	if code != 200 || body["estimator"] != "exact" {
+		t.Fatalf("chain of 23 coins: status %d, estimator %v, want exact", code, body["estimator"])
+	}
+	// P(some adjacent coin pair is 1,1) = 1 − Fib(25)/2^23.
+	want := 1 - 75025.0/float64(1<<23)
+	if p := rowsOf(t, body)[0][1].(float64); math.Abs(p-want) > 1e-12 {
+		t.Fatalf("chained-pair union = %v, want %v", p, want)
 	}
 }
 

@@ -277,13 +277,14 @@ func (w *WorldTable) CountWorlds(max int64) (int64, error) {
 	return n, nil
 }
 
-// SampleWorld draws a total valuation from the product distribution.
-// Variables are consumed in sorted order, so a fixed rng seed yields
-// the same world sequence on every call (the seeded Monte-Carlo
-// estimators rely on this for deterministic CI assertions).
-func (w *WorldTable) SampleWorld(rng *rand.Rand) Valuation {
-	f := Valuation{TrivialVar: 0}
-	for _, x := range w.order {
+// SampleWorld draws a value for each of vars from the product
+// distribution into f, consuming the random source in the order vars
+// lists them: a fixed seed and variable list yield the same sequence of
+// worlds whatever else w holds (the seeded Monte-Carlo estimator relies
+// on this for deterministic CI assertions and for a cost in the size of
+// the lineage, not of the database).
+func (w *WorldTable) SampleWorld(rng *rand.Rand, vars []Var, f Valuation) {
+	for _, x := range vars {
 		dom := w.doms[x]
 		if p, ok := w.probs[x]; ok {
 			u := rng.Float64()
@@ -301,7 +302,6 @@ func (w *WorldTable) SampleWorld(rng *rand.Rand) Valuation {
 			f[x] = dom[rng.Intn(len(dom))]
 		}
 	}
-	return f
 }
 
 // WorldProb returns the probability of a total valuation under the

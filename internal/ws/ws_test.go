@@ -217,8 +217,10 @@ func TestSampleWorldDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	n1 := 0
 	const N = 20000
+	f := Valuation{}
 	for i := 0; i < N; i++ {
-		if w.SampleWorld(rng)[x] == 1 {
+		w.SampleWorld(rng, []Var{x}, f)
+		if f[x] == 1 {
 			n1++
 		}
 	}

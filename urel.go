@@ -67,12 +67,11 @@ type (
 	// bounds ([certain, possible]) from Result.ConfidenceBounds.
 	TupleBounds = core.TupleBounds
 	// ConfOptions configures Result.ConfidencesDispatch: Monte-Carlo
-	// sample count and seed for hard lineage, an optional deadline
-	// (exceeding it returns core.ErrConfDeadline), and a switch to
-	// disable the read-once fast path.
+	// sample count and seed for lineage past the exact step budget, and
+	// an optional deadline (exceeding it returns core.ErrConfDeadline).
 	ConfOptions = core.ConfOptions
-	// ConfPathStats counts answer tuples per confidence evaluation path
-	// (read-once / enumeration / Monte-Carlo).
+	// ConfPathStats counts answer tuples by what their confidence cost
+	// (exact in linearly many steps / exact in more / sampled).
 	ConfPathStats = core.ConfPathStats
 )
 
