@@ -16,11 +16,13 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"urel/internal/bench"
 	"urel/internal/bench/wsd"
 	"urel/internal/core"
 	"urel/internal/engine"
+	"urel/internal/sqlparse"
 	"urel/internal/store"
 	"urel/internal/tpch"
 	"urel/internal/txn"
@@ -498,6 +500,108 @@ func BenchmarkConfidence(b *testing.B) {
 				}
 			}
 			b.ReportMetric(paths[stats.Estimator()], "path")
+		})
+	}
+}
+
+// certainStatements are the CERTAIN statements BenchmarkCertain times and
+// TestCopyBudget bounds, on the gated benchmark's stored data (s 0.25,
+// x 0.01, z 0.25, seed 1): the three of its served_mix workload, and
+// three with a key among the attributes — thousands of answer tuples —
+// on which Lemma 4.3's cross products took seconds.
+var certainStatements = []struct{ name, sql string }{
+	{"mktsegment-112", "certain select c_mktsegment from customer where c_custkey < 113"},
+	{"orderstatus-375", "certain select o_orderstatus from orders where o_orderkey < 376"},
+	{"shippriority-750", "certain select o_shippriority from orders where o_orderkey < 751"},
+	{"orderkey+status-750", "certain select o_orderkey, o_orderstatus from orders where o_orderkey < 751"},
+	{"orderkey+status-all", "certain select o_orderkey, o_orderstatus from orders"},
+	{"lineitem-qty-750", "certain select l_orderkey, l_quantity from lineitem where l_orderkey < 751"},
+}
+
+// servedData saves the gated benchmark's dataset and opens it the way
+// its served workloads hold it: behind a 256 MiB segment cache.
+func servedData(tb testing.TB) *core.UDB {
+	tb.Helper()
+	p := tpch.DefaultParams(0.25, 0.01, 0.25)
+	p.Seed = 1
+	mem, _, err := tpch.Generate(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dir := tb.TempDir()
+	if err := store.Save(mem, dir); err != nil {
+		tb.Fatal(err)
+	}
+	db, err := store.OpenCached(dir, store.NewSegCache(256<<20))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { db.Close() })
+	return db
+}
+
+// BenchmarkCertain times one CERTAIN statement stage by stage: plan-ms
+// is the full-merge plan and its decoding (UDB.Eval), certain-ms what the
+// server then runs (UResult.CertainTuples: label, and normalize + Lemma
+// 4.3 over the unlabelled rest); normalize-ms and lemma-ms put the whole
+// result through Normalize and CertainTuplesRA, labels unused — what the
+// pipeline costs when nothing is labelled. ns/op is the four together;
+// rows and tuples are the result's rows and the answer's tuples, labelled
+// the share of the latter decided by label.
+func BenchmarkCertain(b *testing.B) {
+	db := servedData(b)
+	for _, s := range certainStatements {
+		b.Run(s.name, func(b *testing.B) {
+			parsed, err := sqlparse.Parse(s.sql)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var stage [4]time.Duration
+			var stats core.CertainPathStats
+			rows := 0
+			run := func() {
+				t := [5]time.Time{time.Now()}
+				res, err := db.Eval(parsed.Query, engine.ExecConfig{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				t[1], rows = time.Now(), res.Len()
+				var rel *engine.Relation
+				if rel, stats, err = res.CertainTuples(time.Time{}); err != nil {
+					b.Fatal(err)
+				}
+				t[2] = time.Now()
+				norm, err := res.Normalize()
+				if err != nil {
+					b.Fatal(err)
+				}
+				t[3] = time.Now()
+				ra, err := norm.CertainTuplesRA()
+				if err != nil {
+					b.Fatal(err)
+				}
+				t[4] = time.Now()
+				if ra.Len() != rel.Len() {
+					b.Fatalf("CertainTuples gives %d tuples, Normalize + CertainTuplesRA %d", rel.Len(), ra.Len())
+				}
+				for i := range stage {
+					stage[i] += t[i+1].Sub(t[i])
+				}
+			}
+			run() // fills the segment cache
+			stage = [4]time.Duration{}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			for i, unit := range []string{"plan-ms", "certain-ms", "normalize-ms", "lemma-ms"} {
+				b.ReportMetric(stage[i].Seconds()*1e3/float64(b.N), unit)
+			}
+			b.ReportMetric(float64(rows), "rows")
+			b.ReportMetric(float64(stats.Labelled+stats.Pipeline), "tuples")
+			if n := stats.Labelled + stats.Pipeline; n > 0 {
+				b.ReportMetric(float64(stats.Labelled)/float64(n), "labelled")
+			}
 		})
 	}
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"slices"
+	"time"
 
 	"urel/internal/engine"
 	"urel/internal/ws"
@@ -59,82 +62,108 @@ func (n *NormalizedResult) Relation() *engine.Relation {
 	return rel
 }
 
-func indexOfStr(list []string, s string) int {
-	for i, x := range list {
-		if x == s {
-			return i
-		}
-	}
-	return -1
-}
-
 // CertainTuplesRA computes the certain tuples of the normalized result
-// using only relational algebra, exactly the query of Lemma 4.3:
+// using only relational algebra — the query of Lemma 4.3,
 //
 //	π_A( π_Var(W) × π_A(U)  −  π_{Var,A}( W × π_A(U) − π_{Var,Rng,A}(U) ) )
 //
+// ranging over the (variable, tuple) pairs that occur in U instead of
+// all of π_Var(W) × π_A(U):
+//
+//	π_A( π_{Var,A}(U)  −  π_{Var,A}( W ⋈_Var π_{Var,A}(U) − π_{Var,Rng,A}(U) ) )
+//
 // A tuple is certain iff some variable x covers it in every world:
-// (x -> l, s, t) ∈ U for each l ∈ dom(x).
+// (x -> l, s, t) ∈ U for each l ∈ dom(x). A pair (x, t) outside
+// π_{Var,A}(U) has no U-row at all, so the lemma's query puts all of
+// dom(x) × t into the inner difference and subtracts (x, t) from the
+// outer one: dropping those pairs from both sides changes nothing, and
+// every intermediate is linear in U (times a domain size) where the
+// cross products were |W| × |π_A(U)|.
 func (n *NormalizedResult) CertainTuplesRA() (*engine.Relation, error) {
-	u := n.Relation()
-	w := n.worldRelation()
+	return n.certainRA(time.Time{})
+}
+
+// certainRA runs the Lemma 4.3 plan, probing the deadline (zero = none)
+// between output batches.
+func (n *NormalizedResult) certainRA(deadline time.Time) (*engine.Relation, error) {
+	plan, cat := n.lemma43Plan()
+	plan, err := engine.Optimize(plan, cat)
+	if err != nil {
+		return nil, err
+	}
+	it, err := engine.Build(plan, cat, engine.ExecConfig{})
+	if err != nil {
+		return nil, err
+	}
+	if err := it.Open(); err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	out := engine.NewRelation(it.Schema())
+	for {
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			return nil, ErrCertainDeadline
+		}
+		batch, ok, err := it.NextBatch()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return out, nil
+		}
+		out.Rows = append(out.Rows, batch...)
+	}
+}
+
+// lemma43Plan builds CertainTuplesRA's query over a catalog holding U
+// and W.
+func (n *NormalizedResult) lemma43Plan() (engine.Plan, *engine.Catalog) {
 	cat := engine.NewCatalog()
-	cat.Put("U", u)
-	cat.Put("W", w)
+	cat.Put("U", n.Relation())
+	cat.Put("W", n.worldRelation())
 
 	attrCols := make([]string, len(n.Attrs))
 	for i := range n.Attrs {
 		attrCols[i] = fmt.Sprintf("u.a%d", i)
 	}
-	// π_A(U)
-	piA := engine.DistinctOf(engine.Project(engine.Scan("U"), attrCols...))
-	// π_Var(W) × π_A(U)
-	left := engine.Join(engine.DistinctOf(engine.Project(engine.Scan("W"), "w.var")), piA, nil)
-	// W × π_A(U)
-	wTimesA := engine.Join(engine.Scan("W"), piA, nil)
+	// π_{Var,A}(U): the pairs (x, t) with a U-row.
+	varA := engine.DistinctOf(engine.Project(engine.Scan("U"),
+		append([]string{"u.var"}, attrCols...)...))
+	// W ⋈_Var π_{Var,A}(U): every value of x beside each such pair.
+	wVarA := engine.Join(engine.Scan("W"), varA, engine.EqCols("w.var", "u.var"))
 	// π_{Var,Rng,A}(U)
 	varRngA := engine.DistinctOf(engine.Project(engine.Scan("U"),
 		append([]string{"u.var", "u.rng"}, attrCols...)...))
-	// (W × π_A(U)) − π_{Var,Rng,A}(U): variable/value combinations the
-	// tuple is missing.
+	// Variable/value combinations the tuple is missing.
 	missing := engine.Diff(
-		engine.Project(wTimesA, append([]string{"w.var", "w.rng"}, attrCols...)...),
+		engine.Project(wVarA, append([]string{"w.var", "w.rng"}, attrCols...)...),
 		varRngA)
 	// π_{Var,A}(missing): variables that do not fully cover the tuple.
 	notCovering := engine.Project(missing, append([]string{"w.var"}, attrCols...)...)
 	// Fully covering (var, tuple) pairs, projected to tuples.
-	covered := engine.Diff(
-		engine.Project(left, append([]string{"w.var"}, attrCols...)...),
-		notCovering)
-	certain := engine.DistinctOf(engine.Project(covered, attrCols...))
-	return engine.Run(certain, cat, engine.ExecConfig{})
+	covered := engine.Diff(varA, notCovering)
+	return engine.DistinctOf(engine.Project(covered, attrCols...)), cat
 }
 
 // worldRelation encodes W[var, rng] restricted to the variables the
-// normalized result actually references. The restriction preserves the
-// Lemma 4.3 answer: a variable with no U-rows on a tuple contributes
-// every (var, rng) pair to `missing`, so it can never be the covering
-// variable — dropping it from W removes candidates that always lose.
-// The pipeline's cost then scales with the result's own descriptors,
-// not the database's whole world table.
+// normalized result references — the only ones the join of lemma43Plan
+// can match — so the plan reads what the result mentions, whatever else
+// the world table holds.
 func (n *NormalizedResult) worldRelation() *engine.Relation {
-	used := map[ws.Var]bool{}
-	for _, r := range n.Rows {
-		if len(r.D) == 0 {
-			used[ws.TrivialVar] = true
-		} else {
-			used[r.D[0].Var] = true
+	used := make([]ws.Var, len(n.Rows))
+	for i, r := range n.Rows {
+		used[i] = ws.TrivialVar
+		if len(r.D) > 0 {
+			used[i] = r.D[0].Var
 		}
 	}
+	slices.Sort(used)
 	sch := engine.NewSchema(
 		engine.Column{Name: "w.var", Kind: engine.KindInt},
 		engine.Column{Name: "w.rng", Kind: engine.KindInt},
 	)
 	rel := engine.NewRelation(sch)
-	for _, x := range n.W.Vars() {
-		if !used[x] {
-			continue
-		}
+	for _, x := range slices.Compact(used) {
 		for _, v := range n.W.Domain(x) {
 			rel.Append(engine.Tuple{engine.Int(int64(x)), engine.Int(int64(v))})
 		}
@@ -186,10 +215,67 @@ func (n *NormalizedResult) CertainTuplesDirect() *engine.Relation {
 	return out
 }
 
-// CertainAnswers evaluates q, normalizes the result, and computes the
-// certain answers via the Lemma 4.3 relational query with the default
-// execution configuration. The full pipeline is the paper's recipe for
-// certain-answer computation on U-relations.
+// CertainPathStats counts the answer tuples of one CertainTuples call by
+// the path that decided them: Labelled had a representation row with an
+// empty descriptor, Pipeline were found by normalization + Lemma 4.3.
+type CertainPathStats struct {
+	Labelled int
+	Pipeline int
+}
+
+// ErrCertainDeadline reports that a certain-answer computation exceeded
+// its deadline.
+var ErrCertainDeadline = errors.New("core: certain-answer deadline exceeded")
+
+// CertainTuples computes the certain answers of the result: the value
+// tuples present in every world, under the result's attribute names. A
+// tuple with a row whose descriptor is empty is in every world by
+// inspection (the certain label of Feng & Glavic's UA-DBs; in Lemma 4.3
+// it is the tuple covered by the trivial variable, whose one-value
+// domain a single row exhausts) and is emitted outright. Only the rows
+// of the remaining tuples are normalized and put through the lemma's
+// query, so the pipeline costs what the uncertain part of the answer
+// holds. The deadline (zero = none) is probed throughout; past it the
+// error is ErrCertainDeadline.
+func (r *UResult) CertainTuples(deadline time.Time) (*engine.Relation, CertainPathStats, error) {
+	out := engine.NewRelation(r.attrSchema())
+	rest := &UResult{W: r.W, Attrs: r.Attrs}
+	for _, g := range r.groupDescriptors() {
+		if slices.ContainsFunc(g.ds, trivialDescriptor) {
+			out.Rows = append(out.Rows, g.vals)
+			continue
+		}
+		for _, d := range g.ds {
+			rest.Rows = append(rest.Rows, UResultRow{D: d, Vals: g.vals})
+		}
+	}
+	stats := CertainPathStats{Labelled: len(out.Rows)}
+	if len(rest.Rows) == 0 {
+		return out, stats, nil
+	}
+	norm, err := rest.normalize(deadlineChecker(deadline, ErrCertainDeadline))
+	if err != nil {
+		return nil, CertainPathStats{}, err
+	}
+	covered, err := norm.certainRA(deadline)
+	if err != nil {
+		return nil, CertainPathStats{}, err
+	}
+	stats.Pipeline = len(covered.Rows)
+	out.Rows = append(out.Rows, covered.Rows...)
+	return out, stats, nil
+}
+
+// trivialDescriptor reports whether d holds in every world: it is empty
+// but for the trivial assignments padding leaves.
+func trivialDescriptor(d ws.Descriptor) bool {
+	return !slices.ContainsFunc(d, func(a ws.Assignment) bool { return a.Var != ws.TrivialVar })
+}
+
+// CertainAnswers evaluates q with full partition merging and computes
+// the certain answers of the result (CertainTuples) with the default
+// execution configuration — the paper's recipe for certain answers on
+// U-relations.
 func (db *UDB) CertainAnswers(q Query) (*engine.Relation, error) {
 	return db.CertainAnswersCfg(q, engine.ExecConfig{})
 }
@@ -205,20 +291,6 @@ func (db *UDB) CertainAnswersCfg(q Query, cfg engine.ExecConfig) (*engine.Relati
 	if err != nil {
 		return nil, err
 	}
-	norm, err := res.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	rel, err := norm.CertainTuplesRA()
-	if err != nil {
-		return nil, err
-	}
-	// Restore the query's attribute names (the Lemma 4.3 pipeline works
-	// on positional columns).
-	for i := range rel.Sch.Cols {
-		if i < len(res.Attrs) {
-			rel.Sch.Cols[i].Name = res.Attrs[i]
-		}
-	}
-	return rel, nil
+	rel, _, err := res.CertainTuples(time.Time{})
+	return rel, err
 }

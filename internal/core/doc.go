@@ -17,7 +17,9 @@
 //   - merge, reduction (Proposition 3.3) and the algebraic equivalences
 //     of Figure 2 via the engine optimizer,
 //   - normalization of ws-descriptors (Section 4, Algorithm 1),
-//   - certain answers on tuple-level normalized U-relations (Lemma 4.3),
+//   - certain answers (UResult.CertainTuples): by label for a tuple with a
+//     descriptor-free row, by Lemma 4.3 on the tuple-level normalized
+//     rows of the others,
 //   - the probabilistic extension sketched in Section 7 (confidence
 //     computation: one exact evaluator with a step budget, Monte-Carlo
 //     past it, one-pass bounds).
@@ -25,7 +27,8 @@
 // Paper-section map: urelation.go — Section 2 (representation);
 // translate.go — Section 3/Figure 4 (query translation); reduce.go —
 // Proposition 3.3 (reduction); normalize.go — Section 4/Algorithm 1;
-// certain.go — Lemma 4.3; worldops.go — possible-worlds ground truth;
+// certain.go — Lemma 4.3 over co-occurring (variable, tuple) pairs, and
+// the certain-answer entry point; worldops.go — possible-worlds ground truth;
 // prob.go — Section 7 (confidences: the exact evaluator, the sampler,
 // bounds, and the dispatcher that serves them under a deadline).
 package core

@@ -62,3 +62,6 @@ func (u *URelation) HasImage() bool {
 func ClassicalPlan(q Query, world map[string]*engine.Relation) (engine.Plan, error) {
 	return classicalPlan(q, world)
 }
+
+// Lemma43Plan is the plan CertainTuplesRA runs, with its catalog.
+func (n *NormalizedResult) Lemma43Plan() (engine.Plan, *engine.Catalog) { return n.lemma43Plan() }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"urel/internal/ws"
@@ -58,7 +59,6 @@ type component struct {
 	newVar  ws.Var
 	domains [][]ws.Val
 	strides []int64
-	size    int64
 }
 
 // encode maps a total valuation of the component's variables to the
@@ -85,42 +85,29 @@ func (c *component) encode(val map[ws.Var]ws.Val) (ws.Val, error) {
 	return ws.Val(code), nil
 }
 
-// decode inverts encode.
-func (c *component) decode(code ws.Val) map[ws.Var]ws.Val {
-	out := make(map[ws.Var]ws.Val, len(c.vars))
-	rem := int64(code)
-	for i := len(c.vars) - 1; i >= 0; i-- {
-		idx := rem / c.strides[i]
-		rem %= c.strides[i]
-		out[c.vars[i]] = c.domains[i][idx]
-	}
-	return out
-}
-
-// buildComponents groups variables by descriptor co-occurrence across
-// all provided descriptors and assigns fresh variables in the new world
-// table. Probabilities carry over as products.
-func buildComponents(w *ws.WorldTable, descriptors []ws.Descriptor) (*ws.WorldTable, map[ws.Var]*component, error) {
-	uf := newUnionFind(0)
-	for _, x := range w.NontrivialVars() {
-		uf.find(x)
-	}
+// buildComponents groups vars (non-trivial, ascending) by co-occurrence
+// in the provided descriptors, which mention no other variable, and
+// assigns each group a fresh variable in the new world table.
+// Probabilities carry over as products. check is probed once per code of
+// a product domain.
+func buildComponents(w *ws.WorldTable, vars []ws.Var, descriptors []ws.Descriptor, check func() error) (*ws.WorldTable, map[ws.Var]*component, error) {
+	uf := newUnionFind(len(vars))
 	for _, d := range descriptors {
-		vars := d.Vars()
-		for i := 1; i < len(vars); i++ {
-			if vars[0] == ws.TrivialVar || vars[i] == ws.TrivialVar {
+		dv := d.Vars()
+		for i := 1; i < len(dv); i++ {
+			if dv[0] == ws.TrivialVar || dv[i] == ws.TrivialVar {
 				continue
 			}
-			uf.union(vars[0], vars[i])
+			uf.union(dv[0], dv[i])
 		}
 	}
 	groups := map[ws.Var][]ws.Var{}
-	for _, x := range w.NontrivialVars() {
+	for _, x := range vars {
 		r := uf.find(x)
 		groups[r] = append(groups[r], x)
 	}
 	newW := ws.NewWorldTable()
-	byVar := map[ws.Var]*component{}
+	byVar := make(map[ws.Var]*component, len(vars))
 	// Deterministic order over components.
 	var roots []ws.Var
 	for r := range groups {
@@ -128,56 +115,52 @@ func buildComponents(w *ws.WorldTable, descriptors []ws.Descriptor) (*ws.WorldTa
 	}
 	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
 	for _, r := range roots {
-		vars := groups[r]
-		sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-		c := &component{vars: vars}
+		members := groups[r] // ascending, as vars is
+		c := &component{vars: members, strides: make([]int64, len(members))}
 		size := int64(1)
-		for _, x := range vars {
+		for i, x := range members {
 			dom := w.Domain(x)
+			if len(dom) == 0 {
+				return nil, nil, fmt.Errorf("core: normalize: unknown variable %s", x)
+			}
 			c.domains = append(c.domains, dom)
+			c.strides[i] = size
 			size *= int64(len(dom))
 			if size > maxNormalizeDomain {
-				return nil, nil, fmt.Errorf("core: normalize: component of %d vars exceeds domain cap", len(vars))
+				return nil, nil, fmt.Errorf("core: normalize: component of %d vars exceeds domain cap", len(members))
 			}
-		}
-		c.size = size
-		c.strides = make([]int64, len(vars))
-		stride := int64(1)
-		for i := range vars {
-			c.strides[i] = stride
-			stride *= int64(len(c.domains[i]))
 		}
 		// Fresh variable with the product domain 0..size-1 and product
 		// probabilities.
 		dom := make([]ws.Val, size)
 		probs := make([]float64, size)
+		for code := int64(0); code < size; code++ {
+			if err := check(); err != nil {
+				return nil, nil, err
+			}
+			dom[code] = ws.Val(code)
+			p := 1.0
+			for i, x := range members {
+				p *= w.Prob(x, c.domains[i][code/c.strides[i]%int64(len(c.domains[i]))])
+			}
+			probs[code] = p
+		}
 		name := "g"
-		for i, x := range vars {
+		for i, x := range members {
 			if i > 0 {
 				name += "+"
 			}
 			name += w.Name(x)
-		}
-		for code := int64(0); code < size; code++ {
-			dom[code] = ws.Val(code)
 		}
 		nv, err := newW.NewVar(name, dom)
 		if err != nil {
 			return nil, nil, err
 		}
 		c.newVar = nv
-		for code := int64(0); code < size; code++ {
-			val := c.decode(ws.Val(code))
-			p := 1.0
-			for x, v := range val {
-				p *= w.Prob(x, v)
-			}
-			probs[code] = p
-		}
 		if err := newW.SetProbs(nv, probs); err != nil {
 			return nil, nil, err
 		}
-		for _, x := range vars {
+		for _, x := range members {
 			byVar[x] = c
 		}
 	}
@@ -187,8 +170,9 @@ func buildComponents(w *ws.WorldTable, descriptors []ws.Descriptor) (*ws.WorldTa
 // normalizeDescriptor rewrites one descriptor into the set of singleton
 // descriptors it expands to: all total valuations of its component
 // consistent with it, each encoded as one assignment of the fresh
-// variable. An empty (or all-trivial) descriptor stays empty.
-func normalizeDescriptor(w *ws.WorldTable, byVar map[ws.Var]*component, d ws.Descriptor) ([]ws.Descriptor, error) {
+// variable. An empty (or all-trivial) descriptor stays empty. check is
+// probed once per valuation.
+func normalizeDescriptor(w *ws.WorldTable, byVar map[ws.Var]*component, d ws.Descriptor, check func() error) ([]ws.Descriptor, error) {
 	var comp *component
 	base := map[ws.Var]ws.Val{}
 	for _, a := range d {
@@ -224,6 +208,9 @@ func normalizeDescriptor(w *ws.WorldTable, byVar map[ws.Var]*component, d ws.Des
 	var rec func(i int) error
 	rec = func(i int) error {
 		if i == len(free) {
+			if err := check(); err != nil {
+				return err
+			}
 			code, err := comp.encode(val)
 			if err != nil {
 				return err
@@ -261,7 +248,7 @@ func (db *UDB) Normalize() (*UDB, error) {
 			}
 		}
 	}
-	newW, byVar, err := buildComponents(db.W, descriptors)
+	newW, byVar, err := buildComponents(db.W, db.W.NontrivialVars(), descriptors, noDeadline)
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +259,7 @@ func (db *UDB) Normalize() (*UDB, error) {
 		for _, p := range rs.Parts {
 			np := &URelation{Name: p.Name, RelName: p.RelName, Attrs: append([]string(nil), p.Attrs...)}
 			for _, r := range p.Rows {
-				ds, err := normalizeDescriptor(db.W, byVar, r.D)
+				ds, err := normalizeDescriptor(db.W, byVar, r.D, noDeadline)
 				if err != nil {
 					return nil, err
 				}
@@ -288,22 +275,28 @@ func (db *UDB) Normalize() (*UDB, error) {
 	return out, nil
 }
 
-// NormalizeResult applies the same rewriting to a query result,
-// yielding a tuple-level normalized U-relation on which certain answers
-// can be computed relationally (Lemma 4.3). Each result row keeps its
-// identity through a synthesized tuple id.
-func (r *UResult) Normalize() (*NormalizedResult, error) {
-	var descriptors []ws.Descriptor
-	for _, row := range r.Rows {
-		descriptors = append(descriptors, row.D)
+// Normalize applies the same rewriting to a query result, yielding a
+// tuple-level normalized U-relation on which certain answers can be
+// computed relationally (Lemma 4.3). Each result row keeps its identity
+// through a synthesized tuple id. Where the database's Normalize rewrites
+// the whole world table, the result's new world table holds components of
+// the variables its descriptors mention and nothing else: no other
+// variable can appear in a row, so none can cover a tuple.
+func (r *UResult) Normalize() (*NormalizedResult, error) { return r.normalize(noDeadline) }
+
+// normalize is Normalize under a deadline probe (see deadlineChecker).
+func (r *UResult) normalize(check func() error) (*NormalizedResult, error) {
+	descriptors := make([]ws.Descriptor, len(r.Rows))
+	for i, row := range r.Rows {
+		descriptors[i] = row.D
 	}
-	newW, byVar, err := buildComponents(r.W, descriptors)
+	newW, byVar, err := buildComponents(r.W, mentionedVars(descriptors), descriptors, check)
 	if err != nil {
 		return nil, err
 	}
 	out := &NormalizedResult{W: newW, Attrs: append([]string{}, r.Attrs...)}
 	for i, row := range r.Rows {
-		ds, err := normalizeDescriptor(r.W, byVar, row.D)
+		ds, err := normalizeDescriptor(r.W, byVar, row.D, check)
 		if err != nil {
 			return nil, err
 		}
@@ -312,4 +305,19 @@ func (r *UResult) Normalize() (*NormalizedResult, error) {
 		}
 	}
 	return out, nil
+}
+
+// mentionedVars lists the non-trivial variables of the descriptors, in
+// ascending order.
+func mentionedVars(ds []ws.Descriptor) []ws.Var {
+	var vars []ws.Var
+	for _, d := range ds {
+		for _, a := range d {
+			if a.Var != ws.TrivialVar {
+				vars = append(vars, a.Var)
+			}
+		}
+	}
+	slices.Sort(vars)
+	return slices.Compact(vars)
 }

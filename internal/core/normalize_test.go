@@ -1,7 +1,12 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"urel/internal/engine"
 	"urel/internal/ws"
@@ -263,5 +268,137 @@ func TestResultString(t *testing.T) {
 	s := res.String()
 	if len(s) == 0 {
 		t.Fatal("empty render")
+	}
+}
+
+// TestNormalizeTouchesOnlyMentionedVariables: normalizing a result costs
+// what its descriptors mention. The same result over three variables —
+// alone in the world table, and between 50 000 unrelated ones — gets the
+// same two fresh variables (x and y co-occur, z is on its own), the same
+// rows and certain tuples, and takes the same allocations and bytes.
+// (When Normalize built a component for every variable of W, the second
+// took 50 000 fresh variables with a domain and a probability vector
+// each.)
+func TestNormalizeTouchesOnlyMentionedVariables(t *testing.T) {
+	build := func(unrelated int) *UResult {
+		w := ws.NewWorldTable()
+		boolVars(w, unrelated/2)
+		x := w.MustNewVar("x", 0, 1)
+		y := w.MustNewVar("y", 1, 2, 3)
+		z := w.MustNewVar("z", 0, 1)
+		boolVars(w, unrelated/2)
+		if err := w.SetProbs(y, []float64{0.5, 0.3, 0.2}); err != nil {
+			t.Fatal(err)
+		}
+		res := &UResult{W: w, Attrs: []string{"a"}}
+		add := func(val int64, as ...ws.Assignment) {
+			res.Rows = append(res.Rows, UResultRow{D: ws.MustDescriptor(as...), Vals: engine.Tuple{engine.Int(val)}})
+		}
+		add(1, ws.A(x, 0)) // certain: x covers it, through the component of x and y
+		add(1, ws.A(x, 1), ws.A(y, 1))
+		add(1, ws.A(x, 1), ws.A(y, 2))
+		add(1, ws.A(x, 1), ws.A(y, 3))
+		add(2, ws.A(z, 0)) // certain: z covers it
+		add(2, ws.A(z, 1))
+		add(3, ws.A(z, 1)) // possible only
+		add(3, ws.A(x, 1), ws.A(y, 2))
+		return res
+	}
+	type outcome struct {
+		fresh, rows int
+		certain     string
+		allocs      float64
+		bytes       uint64
+	}
+	measure := func(res *UResult) outcome {
+		norm, err := res.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra, err := norm.CertainTuplesRA()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := outcome{fresh: len(norm.W.NontrivialVars()), rows: len(norm.Rows), certain: fmt.Sprint(ra.Sorted())}
+		if got, _, err := res.CertainTuples(time.Time{}); err != nil || fmt.Sprint(got.Sorted()) != o.certain {
+			t.Fatalf("CertainTuples gives %v, %v; Lemma 4.3 %s", got, err, o.certain)
+		}
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		o.allocs = testing.AllocsPerRun(runs, func() {
+			if _, err := res.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		o.bytes = (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+		return o
+	}
+	alone, crowded := measure(build(0)), measure(build(50000))
+	t.Logf("alone in W: %+v", alone)
+	t.Logf("among 50 000 unrelated variables: %+v", crowded)
+	if alone.fresh != 2 || alone.rows != 3+1+1+1+1+1+1+1 || alone.certain != "[(1) (2)]" {
+		t.Fatalf("normalized to %d fresh variables and %d rows, certain tuples %s", alone.fresh, alone.rows, alone.certain)
+	}
+	// The runtime's own allocations can land in the window: bytes to 2 %.
+	if d := float64(crowded.bytes) - float64(alone.bytes); math.Abs(d) < 0.02*float64(alone.bytes) {
+		crowded.bytes = alone.bytes
+	}
+	if crowded != alone {
+		t.Fatalf("the unrelated variables of W change what normalization does:\n%+v alone,\n%+v among them", alone, crowded)
+	}
+}
+
+// TestCertainPipelineProbesTheDeadline: every loop of the certain-answer
+// pipeline that can run long probes the deadline — once per code of a
+// component's product domain, once per valuation a descriptor expands
+// to, once per batch of the Lemma 4.3 plan. Twelve chained coins: one
+// component of 2¹² codes, eleven descriptors of 2¹⁰ valuations each.
+func TestCertainPipelineProbesTheDeadline(t *testing.T) {
+	w := ws.NewWorldTable()
+	vars := boolVars(w, 12)
+	var chain [][2]int
+	for i := 0; i+1 < len(vars); i++ {
+		chain = append(chain, [2]int{i, i + 1})
+	}
+	res := confResult(w, pairs(vars, chain)...)
+	const codes, valuations = 1 << 12, 11 << 10
+	stop := errors.New("stop")
+	for _, c := range []struct {
+		where string
+		after int // probes that pass
+		want  error
+	}{
+		{"the product domain", codes / 2, stop},
+		{"a descriptor's expansion", codes + valuations/2, stop},
+		{"the last valuation", codes + valuations - 1, stop},
+		{"nowhere", codes + valuations, nil},
+	} {
+		probes := 0
+		norm, err := res.normalize(func() error {
+			if probes++; probes > c.after {
+				return stop
+			}
+			return nil
+		})
+		if err != c.want || (err == nil && len(norm.Rows) != valuations) {
+			t.Fatalf("stopping in %s: %v after %d probes, want %v", c.where, err, probes, c.want)
+		}
+	}
+
+	expired := time.Now().Add(-time.Second)
+	if _, _, err := res.CertainTuples(expired); !errors.Is(err, ErrCertainDeadline) {
+		t.Fatalf("CertainTuples past its deadline: %v, want ErrCertainDeadline", err)
+	}
+	norm, err := res.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := norm.certainRA(expired); !errors.Is(err, ErrCertainDeadline) {
+		t.Fatalf("the Lemma 4.3 plan past its deadline: %v, want ErrCertainDeadline", err)
+	}
+	if rel, stats, err := res.CertainTuples(time.Now().Add(time.Minute)); err != nil || rel.Len() != 0 || stats != (CertainPathStats{}) {
+		t.Fatalf("within the deadline: %v, %+v, %v; a chain of conjunctions covers no variable", rel, stats, err)
 	}
 }

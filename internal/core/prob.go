@@ -163,7 +163,7 @@ func (r *UResult) ConfidencesDispatch(opts ConfOptions) ([]TupleConfidence, Conf
 	if opts.MCSeed == 0 {
 		opts.MCSeed = 1
 	}
-	check := deadlineChecker(opts.Deadline)
+	check := deadlineChecker(opts.Deadline, ErrConfDeadline)
 	groups := r.groupDescriptors()
 	ps := make([]float64, len(groups))
 	stats := ConfPathStats{}
@@ -196,17 +196,17 @@ func (r *UResult) ConfidencesDispatch(opts ConfOptions) ([]TupleConfidence, Conf
 	return tupleConfidences(groups, ps), stats, nil
 }
 
-// deadlineChecker returns a cheap deadline probe. The probe rate-limits
-// time.Now to every 256th call, so it can be invoked per expansion step
-// / per sample.
-func deadlineChecker(deadline time.Time) func() error {
+// deadlineChecker returns a cheap deadline probe that fails with timeout
+// once the deadline has passed. The probe rate-limits time.Now to every
+// 256th call, so it can be invoked per expansion step / per sample.
+func deadlineChecker(deadline time.Time, timeout error) func() error {
 	if deadline.IsZero() {
 		return noDeadline
 	}
 	calls := 0
 	return func() error {
 		if calls++; calls%256 == 1 && time.Now().After(deadline) {
-			return ErrConfDeadline
+			return timeout
 		}
 		return nil
 	}
@@ -417,18 +417,11 @@ func componentKey(c []ws.Descriptor) string {
 // in increasing order, so the cost and the estimate depend on the
 // lineage and not on what else W holds. check is probed once per sample.
 func sampleConfidences(w *ws.WorldTable, groups []descGroup, n int, seed int64, check func() error) ([]float64, error) {
-	var vars []ws.Var
+	var ds []ws.Descriptor
 	for _, g := range groups {
-		for _, d := range g.ds {
-			for _, a := range d {
-				if a.Var != ws.TrivialVar {
-					vars = append(vars, a.Var)
-				}
-			}
-		}
+		ds = append(ds, g.ds...)
 	}
-	slices.Sort(vars)
-	vars = slices.Compact(vars)
+	vars := mentionedVars(ds)
 	rng := rand.New(rand.NewSource(seed))
 	ps := make([]float64, len(groups)) // hits, then shares
 	f := ws.Valuation{ws.TrivialVar: 0}

@@ -517,7 +517,7 @@ func TestConfidencesDispatchDeadline(t *testing.T) {
 	if !errors.Is(err, ErrConfDeadline) {
 		t.Fatalf("evaluator under expired deadline: %v, want ErrConfDeadline", err)
 	}
-	_, err = sampleConfidences(db.W, res.groupDescriptors(), 1<<30, 1, deadlineChecker(expired))
+	_, err = sampleConfidences(db.W, res.groupDescriptors(), 1<<30, 1, deadlineChecker(expired, ErrConfDeadline))
 	if !errors.Is(err, ErrConfDeadline) {
 		t.Fatalf("sampler under expired deadline: %v, want ErrConfDeadline", err)
 	}

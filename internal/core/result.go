@@ -146,6 +146,16 @@ func decodeUResult(w *ws.WorldTable, rel *engine.Relation, lay *ULayout) (*UResu
 // PossibleTuples returns the distinct value tuples of the result (the
 // poss operator applied after the fact).
 func (r *UResult) PossibleTuples() *engine.Relation {
+	rel := engine.NewRelation(r.attrSchema())
+	for _, row := range r.Rows {
+		rel.Rows = append(rel.Rows, row.Vals)
+	}
+	return rel.Distinct()
+}
+
+// attrSchema is the schema of the result's value tuples: the attribute
+// names, each with the kind of its first non-NULL value.
+func (r *UResult) attrSchema() engine.Schema {
 	cols := make([]engine.Column, len(r.Attrs))
 	for i, a := range r.Attrs {
 		cols[i] = engine.Column{Name: a, Kind: engine.KindNull}
@@ -157,11 +167,7 @@ func (r *UResult) PossibleTuples() *engine.Relation {
 			}
 		}
 	}
-	rel := engine.NewRelation(engine.Schema{Cols: cols})
-	for _, row := range r.Rows {
-		rel.Rows = append(rel.Rows, row.Vals)
-	}
-	return rel.Distinct()
+	return engine.Schema{Cols: cols}
 }
 
 // Len returns the number of representation rows.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -254,17 +255,31 @@ func (l *LogicExpr) Eval(row Tuple) Value {
 	return Bool(false)
 }
 
-// Bind resolves all children.
+// Bind resolves all children. A disjunct of the ψ shape comes back as a
+// psiExpr, and a conjunction joins each run of adjacent ones into one.
 func (l *LogicExpr) Bind(sch Schema) (Expr, error) {
-	args := make([]Expr, len(l.Args))
-	for i, a := range l.Args {
+	args := make([]Expr, 0, len(l.Args))
+	for _, a := range l.Args {
 		b, err := a.Bind(sch)
 		if err != nil {
 			return nil, err
 		}
-		args[i] = b
+		if p, ok := b.(*psiExpr); ok && l.Op == AndOp && len(args) > 0 {
+			if prev, ok := args[len(args)-1].(*psiExpr); ok {
+				args[len(args)-1] = &psiExpr{
+					cells: append(slices.Clip(prev.cells), p.cells...),
+					conjs: append(slices.Clip(prev.conjs), p.conjs...),
+				}
+				continue
+			}
+		}
+		args = append(args, b)
 	}
-	return &LogicExpr{Op: l.Op, Args: args}, nil
+	bound := &LogicExpr{Op: l.Op, Args: args}
+	if cells, ok := psiCells(bound); ok {
+		return &psiExpr{cells: [][4]int{cells}, conjs: []Expr{bound}}, nil
+	}
+	return bound, nil
 }
 
 // Columns collects from all children.
@@ -292,6 +307,85 @@ func (l *LogicExpr) String() string {
 		}
 		return "(" + strings.Join(parts, " OR ") + ")"
 	}
+}
+
+// psiExpr is a bound conjunction of ψ conditions (Figure 4 of the paper):
+// each conjunct is (a.var <> b.var OR a.rng = b.rng) over four column
+// references — two descriptor assignments are consistent. Every merge
+// of two partitions carries one per pair of descriptor columns, always
+// over int cells, so Eval compares those directly; a conjunct that meets
+// a cell of another kind (NULL, or whatever a caller wrote in this shape)
+// is evaluated as the comparison it was bound from. It prints and lists
+// its columns as the conjuncts it replaces.
+type psiExpr struct {
+	cells [][4]int // per conjunct: the positions of a.var, b.var, a.rng, b.rng
+	conjs []Expr   // per conjunct: the bound disjunction
+}
+
+// psiCells recognizes a bound disjunction of the ψ shape.
+func psiCells(e *LogicExpr) (cells [4]int, ok bool) {
+	if e.Op != OrOp || len(e.Args) != 2 {
+		return cells, false
+	}
+	for i, op := range [2]CmpOp{NE, EQ} {
+		c, ok := e.Args[i].(*CmpExpr)
+		if !ok || c.Op != op {
+			return cells, false
+		}
+		l, lok := c.L.(*ColRef)
+		r, rok := c.R.(*ColRef)
+		if !lok || !rok {
+			return cells, false
+		}
+		cells[2*i], cells[2*i+1] = l.Idx, r.Idx
+	}
+	return cells, true
+}
+
+// Eval reports whether every conjunct holds.
+func (p *psiExpr) Eval(row Tuple) Value {
+	for i, c := range p.cells {
+		if av, bv := &row[c[0]], &row[c[1]]; av.K == KindInt && bv.K == KindInt {
+			if av.I != bv.I {
+				continue
+			}
+			if ar, br := &row[c[2]], &row[c[3]]; ar.K == KindInt && br.K == KindInt {
+				if ar.I != br.I {
+					return Bool(false)
+				}
+				continue
+			}
+		}
+		if !p.conjs[i].Eval(row).Truth() {
+			return Bool(false)
+		}
+	}
+	return Bool(true)
+}
+
+// Bind rebinds the conjuncts, which join into one psiExpr again.
+func (p *psiExpr) Bind(sch Schema) (Expr, error) {
+	b, err := (&LogicExpr{Op: AndOp, Args: p.conjs}).Bind(sch)
+	if err != nil {
+		return nil, err
+	}
+	return b.(*LogicExpr).Args[0], nil
+}
+
+// Columns collects from the conjuncts.
+func (p *psiExpr) Columns(dst []string) []string {
+	for _, c := range p.conjs {
+		dst = c.Columns(dst)
+	}
+	return dst
+}
+
+func (p *psiExpr) String() string {
+	parts := make([]string, len(p.conjs))
+	for i, c := range p.conjs {
+		parts[i] = c.String()
+	}
+	return strings.Join(parts, " AND ")
 }
 
 // ArithOp enumerates arithmetic operators.

@@ -140,30 +140,51 @@ func TestClusterDifferential(t *testing.T) {
 	}
 }
 
-// TestClusterCrossShardCertain pins the case that distinguishes merged
-// from shard-local certain answers: (1, 70) is present in every world
-// only because its two representation rows — one per world of x — live
-// on different shards. Each shard alone deems it merely possible.
+// TestClusterCrossShardCertain pins the cases that distinguish merged
+// from shard-local certain answers, neither with a descriptor-free row:
+// (1, 70) is present in every world only because its two representation
+// rows — one per world of x — live on different shards, and (4, 60) only
+// because y -> 1 and y -> 3 ∧ x -> 1 live on one shard, y -> 2 and
+// y -> 3 ∧ x -> 2 on the other, which no single variable covers: it
+// takes normalizing x and y into one component over the union. Each
+// shard alone deems both merely possible.
 func TestClusterCrossShardCertain(t *testing.T) {
-	tc := newTestCluster(t, 2, false)
-	code, body := post(t, tc.coord, queryRequest{SQL: "CERTAIN SELECT sid, temp FROM readings", DB: "demo"})
+	db := clusterDB(t)
+	x := db.W.NontrivialVars()[0]
+	y := db.W.MustNewVar("y", 1, 2, 3)
+	ur := db.Rels["readings"].Parts[0]
+	ur.Add(ws.MustDescriptor(ws.A(y, 1)), 5, engine.Int(4), engine.Int(60))             // shard 1
+	ur.Add(ws.MustDescriptor(ws.A(y, 2)), 6, engine.Int(4), engine.Int(60))             // shard 0
+	ur.Add(ws.MustDescriptor(ws.A(x, 1), ws.A(y, 3)), 7, engine.Int(4), engine.Int(60)) // shard 1
+	ur.Add(ws.MustDescriptor(ws.A(x, 2), ws.A(y, 3)), 8, engine.Int(4), engine.Int(60)) // shard 0
+	coord, shards := buildCluster(t, db, 2)
+	code, body := post(t, coord, queryRequest{SQL: "CERTAIN SELECT sid, temp FROM readings", DB: "demo"})
 	if code != 200 {
 		t.Fatalf("status %d: %v", code, body)
 	}
 	rows := rowSet(t, body)
-	if len(rows) != 2 || rows["[1,70]"] != 1 || rows["[3,90]"] != 1 {
-		t.Fatalf("merged certain = %v, want exactly [1,70] and [3,90]", rows)
+	if len(rows) != 3 || rows["[1,70]"] != 1 || rows["[3,90]"] != 1 || rows["[4,60]"] != 1 {
+		t.Fatalf("merged certain = %v, want exactly [1,70], [3,90] and [4,60]", rows)
+	}
+	// The coordinator decided them: one by its label, two over the union.
+	_, text := get(t, coord.URL+"/stats")
+	var st statsResponse
+	if err := json.Unmarshal([]byte(text), &st); err != nil {
+		t.Fatal(err)
+	}
+	if want := (certainPathCounters{Labelled: 1, Pipeline: 2}); st.CertainPaths != want {
+		t.Fatalf("coordinator certain_paths = %+v, want %+v", st.CertainPaths, want)
 	}
 
-	// Each shard alone must NOT report (1,70) certain — this is what
+	// Each shard alone must NOT report them certain — this is what
 	// makes the merged result a genuine cross-shard proof.
-	for i, ts := range tc.shards {
+	for i, ts := range shards {
 		scode, sbody := post(t, ts, queryRequest{SQL: "CERTAIN SELECT sid, temp FROM readings", DB: "demo"})
 		if scode != 200 {
 			t.Fatalf("shard %d: status %d: %v", i, scode, sbody)
 		}
-		if srows := rowSet(t, sbody); srows["[1,70]"] != 0 {
-			t.Fatalf("shard %d reports [1,70] certain on its slice alone: %v", i, srows)
+		if srows := rowSet(t, sbody); srows["[1,70]"] != 0 || srows["[4,60]"] != 0 {
+			t.Fatalf("shard %d reports a cross-shard tuple certain on its slice alone: %v", i, srows)
 		}
 	}
 }

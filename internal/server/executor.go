@@ -361,34 +361,23 @@ func (s *Server) evalFull(db *core.UDB, q core.Query, cat *engine.Catalog,
 	return res, nil
 }
 
-// certainFromResult runs the certain-answer pipeline over a decoded
-// result representation — evaluated locally, or gathered from shard
-// nodes by the coordinator. This symmetry is what makes the cluster's
-// certain-mode merge correct: a tuple certain only via rows living on
-// different shards is decided here, over the union.
+// certainFromResult computes the certain answers of a decoded result
+// representation — evaluated locally, or gathered from shard nodes by
+// the coordinator — recording per-path tuple counters for /stats. This
+// symmetry is what makes the cluster's certain-mode merge correct: a
+// tuple certain only via rows living on different shards is decided
+// here, over the union.
 func (s *Server) certainFromResult(res *core.UResult, deadline time.Time) (*queryResponse, *httpError) {
-	norm, err := res.Normalize()
-	if err != nil {
-		return nil, s.execError(err)
-	}
 	if err := checkDeadline(deadline); err != nil {
 		return nil, s.execError(err)
 	}
-	rel, err := norm.CertainTuplesRA()
+	rel, stats, err := res.CertainTuples(deadline)
 	if err != nil {
 		return nil, s.execError(err)
 	}
-	// The Lemma 4.3 pipeline works on positional columns; restore
-	// the query's attribute names.
-	cols := make([]string, len(rel.Sch.Cols))
-	for i := range cols {
-		if i < len(res.Attrs) {
-			cols[i] = res.Attrs[i]
-		} else {
-			cols[i] = rel.Sch.Cols[i].Name
-		}
-	}
-	return &queryResponse{Columns: cols, Rows: jsonRows(rel)}, nil
+	s.certainLabelled.Add(int64(stats.Labelled))
+	s.certainPipeline.Add(int64(stats.Pipeline))
+	return &queryResponse{Columns: rel.Sch.Names(), Rows: jsonRows(rel)}, nil
 }
 
 // confExact runs the confidence dispatcher and renders the `_p` column,
@@ -443,6 +432,8 @@ func (s *Server) execError(err error) *httpError {
 		return httpErrf(413, "%v (limit %d rows)", err, s.cfg.MaxRows)
 	case errors.Is(err, errTimeout):
 		return httpErrf(504, "%v", err)
+	case errors.Is(err, core.ErrCertainDeadline):
+		return httpErrf(504, "%v", errTimeout)
 	case errors.Is(err, core.ErrConfDeadline):
 		return httpErrf(504, "%v (retry with \"accuracy\": \"bounds\" or \"auto\")", err)
 	default:

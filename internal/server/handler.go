@@ -243,6 +243,7 @@ type statsResponse struct {
 	GoVersion     string                 `json:"go_version"`
 	Version       string                 `json:"version,omitempty"`
 	ConfPaths     confPathCounters       `json:"conf_paths"`
+	CertainPaths  certainPathCounters    `json:"certain_paths"`
 	SegCache      store.CacheStats       `json:"seg_cache"`
 	PlanCache     planCacheStats         `json:"plan_cache"`
 	Catalogs      map[string]catalogInfo `json:"catalogs"`
@@ -257,6 +258,14 @@ type confPathCounters struct {
 	ReadOnce    uint64 `json:"read_once"`
 	Enumeration uint64 `json:"enumeration"`
 	MonteCarlo  uint64 `json:"monte_carlo"`
+}
+
+// certainPathCounters breaks CERTAIN evaluation down by path: answer
+// tuples that had a row with an empty descriptor (labelled), and answer
+// tuples found by normalization + Lemma 4.3 (pipeline).
+type certainPathCounters struct {
+	Labelled uint64 `json:"labelled"`
+	Pipeline uint64 `json:"pipeline"`
 }
 
 // catalogInfo describes one registered catalog. Writable catalogs
@@ -341,6 +350,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			ReadOnce:    uint64(s.confReadOnce.Value()),
 			Enumeration: uint64(s.confEnum.Value()),
 			MonteCarlo:  uint64(s.confMC.Value()),
+		},
+		CertainPaths: certainPathCounters{
+			Labelled: uint64(s.certainLabelled.Value()),
+			Pipeline: uint64(s.certainPipeline.Value()),
 		},
 		SegCache:  s.segCache.Stats(),
 		PlanCache: s.plans.stats(),

@@ -70,8 +70,8 @@ func runLimited(p engine.Plan, cat *engine.Catalog, cfg engine.ExecConfig,
 }
 
 // checkDeadline returns errTimeout once the deadline has passed; used
-// between the multi-stage pipeline steps (normalize, certain answers,
-// confidences) that cannot be interrupted internally.
+// between the plan and the certain-answer or confidence computation
+// over its result, each of which probes the deadline itself from there.
 func checkDeadline(deadline time.Time) error {
 	if !deadline.IsZero() && time.Now().After(deadline) {
 		return errTimeout

@@ -198,7 +198,7 @@ func TestServerStatsUptimeAndCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"queries", "active", "rejected", "failed", "truncated",
-		"writes", "write_failed", "conf_paths", "seg_cache", "plan_cache", "catalogs",
+		"writes", "write_failed", "conf_paths", "certain_paths", "seg_cache", "plan_cache", "catalogs",
 		"uptime_seconds", "go_version"} {
 		if _, ok := body[key]; !ok {
 			t.Fatalf("/stats lost key %q: %v", key, body)

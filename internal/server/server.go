@@ -202,6 +202,11 @@ type Server struct {
 	confReadOnce     *obs.Counter // exact, at most one expansion step per descriptor
 	confEnum         *obs.Counter // exact, more steps
 	confMC           *obs.Counter // Monte-Carlo estimate past the step budget
+
+	// Certain-path counters: certain answer tuples by the path that
+	// decided them (core.CertainPathStats).
+	certainLabelled *obs.Counter // a row with an empty descriptor
+	certainPipeline *obs.Counter // normalization + Lemma 4.3
 }
 
 type catalogEntry struct {
@@ -310,6 +315,13 @@ func (s *Server) initMetrics() {
 	s.confReadOnce = confPaths("read_once")
 	s.confEnum = confPaths("enumeration")
 	s.confMC = confPaths("monte_carlo")
+	certainPaths := func(path string) *obs.Counter {
+		return r.CounterWith("urel_certain_tuples_total",
+			"Certain answer tuples by the path that decided them: a row with an empty descriptor, or normalization + Lemma 4.3.",
+			[]string{"path"}, path)
+	}
+	s.certainLabelled = certainPaths("labelled")
+	s.certainPipeline = certainPaths("pipeline")
 	s.queueWait = r.Histogram("urel_admission_wait_seconds", "Wait for an execution slot.", nil)
 	s.modeLat = map[string]*obs.Histogram{}
 	for _, mode := range []string{"plain", "possible", "certain", "conf", "conf-bounds"} {
