@@ -22,6 +22,7 @@ import (
 	"urel/internal/bench/wsd"
 	"urel/internal/core"
 	"urel/internal/engine"
+	"urel/internal/obs"
 	"urel/internal/sqlparse"
 	"urel/internal/store"
 	"urel/internal/tpch"
@@ -101,16 +102,13 @@ func BenchmarkAblation_Optimizer(b *testing.B) {
 // source's ProbeCost implies: m < n/2662 cold, m < n/8 warm. Each case
 // runs as the table has it, the join emitting the two answer columns,
 // and again emitting three (/out=3): with -benchmem the B/op of the two
-// differ by the one column, since the join is the only copy of its row.
+// differ by the one column, since the join gathers only its output.
 //
 // The warm/probe=… cases take the hash join alone, over the decoded
-// inner side: the probe pulled as column batches and narrowed before it
-// is materialized (columnar, what a plan runs) against the same scan
-// materialized whole (rows, what it ran before the join probed
-// columns), at a build side holding 0.1 %, 10 % and all of the inner
-// keys. At 100 % every probe row is materialized either way, so that
-// pair is the witness that narrowing first costs nothing when it
-// cannot help.
+// inner side: the probe pulled as the scan's column batches (columnar,
+// what a plan runs) against the same scan handed over as rows, which
+// the join transposes (rows, what a row operator under a join costs),
+// at a build side holding 0.1 %, 10 % and all of the inner keys.
 //
 //	go test -run=NONE -bench=BenchmarkJoinStrategy -benchtime=15x -count=3 .
 func BenchmarkJoinStrategy(b *testing.B) {
@@ -213,8 +211,8 @@ func benchProbeCurrency(b *testing.B, stored *core.UDB, n int) {
 						b.Fatal(err)
 					}
 					if probe == "rows" {
-						// A rename is no part of a columnar prefix: it pulls the
-						// scan's row batches, every row of every segment a tuple.
+						// A rename moves rows: it pulls the scan's row batches,
+						// every row of every segment a tuple.
 						r = engine.NewRename(r, lay.Columns())
 					}
 					rel, err := engine.Drain(engine.NewHashJoin(engine.NewScan(build), r,
@@ -226,6 +224,93 @@ func benchProbeCurrency(b *testing.B, stored *core.UDB, n int) {
 						b.Fatalf("%d rows, want %d", rel.Len(), match.m)
 					}
 				}
+			})
+		}
+	}
+}
+
+// BenchmarkMergeChain times the merge (Fig. 4) of one relation's k
+// vertical partitions — the tid joins with ψ a tuple-level statement
+// runs — in memory and stored behind a segment cache: 2 000 tuples, one
+// attribute per partition, one field in five uncertain between two
+// alternatives. Beside B/op it reports cells/row, the cells the hash
+// joins gathered per output row: each join gathers its output once, in
+// typed vectors, so both grow linearly in k, where joins that copied
+// rows copied the descriptors again at every step.
+//
+//	go test -run=NONE -bench=BenchmarkMergeChain -benchmem .
+func BenchmarkMergeChain(b *testing.B) {
+	const n = 2000
+	rng := rand.New(rand.NewSource(1))
+	db := core.NewUDB()
+	ks := []int{2, 4, 7}
+	for _, k := range ks {
+		rel := fmt.Sprintf("m%d", k)
+		attrs := make([]string, k)
+		parts := make([]*core.URelation, k)
+		for j := range attrs {
+			attrs[j] = fmt.Sprintf("a%d", j)
+		}
+		db.MustAddRelation(rel, attrs...)
+		for j, a := range attrs {
+			parts[j] = db.MustAddPartition(rel, "u_"+rel+"_"+a, a)
+		}
+		for tid := int64(1); tid <= n; tid++ {
+			for _, u := range parts {
+				if rng.Intn(5) > 0 {
+					u.Add(nil, tid, engine.Int(rng.Int63n(100)))
+					continue
+				}
+				x := db.W.NewBoolVar("")
+				u.Add(ws.MustDescriptor(ws.A(x, 1)), tid, engine.Int(rng.Int63n(100)))
+				u.Add(ws.MustDescriptor(ws.A(x, 2)), tid, engine.Int(rng.Int63n(100)))
+			}
+		}
+	}
+	dir := b.TempDir()
+	if err := store.Save(db, dir); err != nil {
+		b.Fatal(err)
+	}
+	stored, err := store.OpenCached(dir, store.NewSegCache(64<<20))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer stored.Close()
+	cat := engine.NewCatalog()
+	for _, side := range []struct {
+		name string
+		db   *core.UDB
+	}{{"mem", db}, {"stored", stored}} {
+		for _, k := range ks {
+			b.Run(fmt.Sprintf("%s/parts=%d", side.name, k), func(b *testing.B) {
+				plan, _, err := side.db.TranslateFull(core.Rel(fmt.Sprintf("m%d", k)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				root := obs.NewSpan("merge")
+				if _, err := engine.Run(plan, cat, engine.ExecConfig{Trace: root}); err != nil {
+					b.Fatal(err) // also fills the segment cache and takes the statistics
+				}
+				var cells, rows int64
+				var walk func(*obs.Span)
+				walk = func(s *obs.Span) {
+					cells += s.Stat("cells_gathered")
+					for _, c := range s.Children() {
+						walk(c)
+					}
+				}
+				walk(root)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					rel, err := engine.Run(plan, cat, engine.ExecConfig{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					rows = int64(rel.Len())
+				}
+				b.ReportMetric(float64(cells)/float64(rows), "cells/row")
+				b.ReportMetric(float64(rows), "rows")
 			})
 		}
 	}

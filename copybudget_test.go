@@ -16,32 +16,36 @@ import (
 
 // TestCopyBudget puts a ceiling on the bytes one serial EvalPoss of the
 // paper's Q1–Q3 allocates on an in-memory database (s 0.05, x 0.1,
-// z 0.25, seed 1), a quarter above what it takes when a row is copied
-// once: by the join that emits it, at its output width, from partitions
-// that were encoded by an earlier query. The clock of a shared machine
-// cannot resolve a copy coming back; bytes repeat to a hundredth of a
-// percent. (The race detector changes what allocates, hence the tag.)
+// z 0.25, seed 1), a quarter above what it takes when a cell is written
+// once per join — gathered at 8 bytes an int into the join's column
+// output, from partitions whose columns an earlier query encoded — and a
+// row is made once, at the sink. The clock of a shared machine cannot
+// resolve a copy coming back; bytes repeat to a hundredth of a percent.
+// (The race detector changes what allocates, hence the tag.)
 //
 // Before build sides kept headers, joins emitted through their
 // projection and partitions kept their image, the three took 11.6, 17.8
 // and 6.3 MB; before each relation's merge started at its filtered
-// partition, 3.72, 3.52 and 2.41.
+// partition, 3.72, 3.52 and 2.41; while every join wrote its output rows
+// as 40-byte Values, 3.22, 1.92 and 0.92.
 //
 // The stored leg is the benchmark's stored_cold operation — open the
 // saved, indexed directory without a segment cache, answer one query,
 // close — at its scale (s 0.25, x 0.01, z 0.25, seed 1). What it bounds
-// is the probe side of a merge: a stored row becomes a tuple when its
-// key is in the build table, so the index point lookup pays for the
-// segments it decodes and a handful of rows, not for 32 000 of them.
-// Before the hash join probed columns the two took 9.00 and 17.75 MB.
+// is the probe side of a merge: a stored row is looked at again only
+// when its key is in the build table, so the index point lookup pays
+// for the segments it decodes and a handful of rows, not for 32 000 of
+// them. Before the hash join probed columns the two took 9.00 and 17.75
+// MB; before it gathered columns, Q2 took 10.63.
 //
 // The certain leg is the plan and the pipeline of the served_mix
 // workload's three CERTAIN statements on the same data behind a segment
 // cache, as the server holds it. Every answer tuple of the three has a
-// descriptor-free row, so past the full merge (0.92, 3.99 and 6.65 MB)
+// descriptor-free row, so past the full merge (0.43, 1.51 and 2.51 MB)
 // the answer costs one grouping of the result's rows. When normalization
 // built a component for each of W's 1 091 variables and Lemma 4.3
-// crossed them with the tuples, the three took 2.50, 6.58 and 9.54 MB.
+// crossed them with the tuples, the three took 2.50, 6.58 and 9.54 MB;
+// while the merge's joins wrote rows, 0.94, 4.05 and 6.73.
 func TestCopyBudget(t *testing.T) {
 	p := tpch.DefaultParams(0.05, 0.1, 0.25)
 	p.Seed = 1
@@ -54,9 +58,9 @@ func TestCopyBudget(t *testing.T) {
 		q       core.Query
 		ceiling float64 // MB per evaluation, a quarter above the figure beside it
 	}{
-		{"Q1", tpch.Q1(), 4.05}, // 3.23
-		{"Q2", tpch.Q2(), 2.40}, // 1.92
-		{"Q3", tpch.Q3(), 1.20}, // 0.95
+		{"Q1", tpch.Q1(), 1.35}, // 1.08
+		{"Q2", tpch.Q2(), 0.83}, // 0.66
+		{"Q3", tpch.Q3(), 0.76}, // 0.61
 	} {
 		eval := func() {
 			if _, err := db.EvalPoss(c.q, engine.ExecConfig{}); err != nil {
@@ -74,7 +78,7 @@ func TestCopyBudget(t *testing.T) {
 		ceiling float64
 	}{
 		{"stored point lookup", pointLookup(77), 4.10}, // 3.34
-		{"stored Q2", tpch.Q2(), 13.30},                // 10.63
+		{"stored Q2", tpch.Q2(), 7.20},                 // 5.76
 	} {
 		checkBudget(t, c.name, c.ceiling, func() {
 			db, err := store.Open(dir)
@@ -89,7 +93,7 @@ func TestCopyBudget(t *testing.T) {
 	}
 
 	served := servedData(t)
-	for i, ceiling := range []float64{1.17, 5.05, 8.42} { // 0.94, 4.05, 6.73
+	for i, ceiling := range []float64{0.55, 1.95, 3.24} { // 0.44, 1.56, 2.59
 		c := certainStatements[i]
 		parsed, err := sqlparse.Parse(c.sql)
 		if err != nil {

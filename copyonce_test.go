@@ -9,6 +9,8 @@ import (
 	"urel/internal/core"
 	"urel/internal/engine"
 	"urel/internal/obs"
+	"urel/internal/sqlparse"
+	"urel/internal/store"
 	"urel/internal/tpch"
 )
 
@@ -101,6 +103,73 @@ func TestTranslatedPlansProjectOnce(t *testing.T) {
 				t.Fatalf("%s: %v", what, err)
 			}
 			sameNodes(what, plan, root.Children()[0])
+		}
+	}
+}
+
+// TestRowsAreMadeOnce: the plan of served_mix's dearest CERTAIN
+// statement merges all seven partitions of orders in six hash joins,
+// and run in memory or stored it makes each result row into a tuple
+// once — the Σ of rows_materialized over its operators is the result's
+// row count — while every hash join gathers its output column by column,
+// no more than its output rows × its output width cells. These are
+// counts: they repeat exactly, where a clock on this machine does not.
+func TestRowsAreMadeOnce(t *testing.T) {
+	mem, dir := savedPlanningData(t, 0.25)
+	stored, err := store.OpenCached(dir, store.NewSegCache(256<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stored.Close()
+	parsed, err := sqlparse.Parse("certain select o_shippriority from orders where o_orderkey < 751")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := engine.NewCatalog()
+	for name, db := range map[string]*core.UDB{"in memory": mem, "stored": stored} {
+		plan, _, err := db.TranslateFull(parsed.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan, err = engine.Optimize(plan, cat); err != nil {
+			t.Fatal(err)
+		}
+		root := obs.NewSpan("query")
+		it, err := engine.Build(plan, cat, engine.ExecConfig{Trace: root})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := engine.Drain(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var joins, made, gathered, bound int64
+		var walk func(p engine.Plan, sp *obs.Span)
+		walk = func(p engine.Plan, sp *obs.Span) {
+			made += sp.Stat("rows_materialized")
+			if sp.Op() == "Hash Join" {
+				sch, err := p.Schema(cat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				joins++
+				gathered += sp.Stat("cells_gathered")
+				bound += sp.Rows() * int64(sch.Len())
+			}
+			for i, c := range p.Children() {
+				walk(c, sp.Children()[i])
+			}
+		}
+		walk(plan, root.Children()[0])
+		t.Logf("%s: %d rows, %d made into tuples; %d hash joins gathered %d cells of at most %d", name, rel.Len(), made, joins, gathered, bound)
+		if joins != 6 || rel.Len() < 1000 {
+			t.Fatalf("%s: %d hash joins to %d rows; the statement merges seven partitions to about a thousand", name, joins, rel.Len())
+		}
+		if made != int64(rel.Len()) {
+			t.Errorf("%s: %d rows made into tuples for a result of %d", name, made, rel.Len())
+		}
+		if gathered == 0 || gathered > bound {
+			t.Errorf("%s: the joins gathered %d cells, their output holds %d", name, gathered, bound)
 		}
 	}
 }

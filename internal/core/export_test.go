@@ -25,18 +25,18 @@ func TestMain(m *testing.M) {
 }
 
 func sameImage(kept, fresh *image) error {
-	if kept.width != fresh.width || len(kept.rows) != len(fresh.rows) {
-		return fmt.Errorf("width %d with %d rows, now width %d with %d rows", kept.width, len(kept.rows), fresh.width, len(fresh.rows))
+	if kept.width != fresh.width || kept.n != fresh.n || len(kept.cols) != len(fresh.cols) {
+		return fmt.Errorf("width %d with %d rows, now width %d with %d rows", kept.width, kept.n, fresh.width, fresh.n)
 	}
 	for ai, k := range fresh.kinds {
 		if kept.kinds[ai] != k {
 			return fmt.Errorf("attribute %d of kind %v, now %v", ai, kept.kinds[ai], k)
 		}
 	}
-	for i, row := range fresh.rows {
-		for c, v := range row {
-			if kept.rows[i][c] != v {
-				return fmt.Errorf("row %d column %d holds %v, now %v", i, c, kept.rows[i][c], v)
+	for c := range fresh.cols {
+		for i := 0; i < fresh.n; i++ {
+			if v, w := kept.cols[c].Value(i), fresh.cols[c].Value(i); v != w {
+				return fmt.Errorf("row %d column %d holds %v, now %v", i, c, v, w)
 			}
 		}
 	}

@@ -251,7 +251,8 @@ func TestPropertyOptimizerPreservesSemantics(t *testing.T) {
 			"none": func(v *engine.ValuesPlan) { v.Stats = nil },
 			"adversarial": func(v *engine.ValuesPlan) {
 				ts := &engine.TableStats{Rows: 1e9, Cols: map[string]engine.ColStats{}}
-				for _, c := range v.Rel.Sch.Cols {
+				sch, _ := v.Schema(nil)
+				for _, c := range sch.Cols {
 					ts.Cols[c.Name] = engine.ColStats{NDV: 1}
 				}
 				v.Stats = func() *engine.TableStats { return ts }

@@ -21,7 +21,7 @@ func (img *image) colStats() []engine.ColStats {
 		for i := range cols {
 			cols[i].Name = strconv.Itoa(i)
 		}
-		ts := engine.ComputeStats(&engine.Relation{Sch: engine.Schema{Cols: cols}, Rows: img.rows})
+		ts := engine.ComputeBatchStats(&engine.ColBatch{Sch: engine.Schema{Cols: cols}, Cols: img.cols, N: img.n})
 		img.stats = make([]engine.ColStats, ncols)
 		for i, c := range cols {
 			img.stats[i] = ts.Cols[c.Name]

@@ -341,23 +341,24 @@ func (tr *translator) encodePartition(u *URelation, alias string, pidx int, cont
 		whole = whole && attrIdx[ai] == ai
 	}
 	sch := engine.Schema{Cols: cols}
-	leaf := engine.Values(&engine.Relation{Sch: sch, Rows: img.rows}, name)
-	leaf.Stats = img.leafStats(sch)
+	leaf := &engine.ValuesPlan{Batch: &engine.ColBatch{Sch: sch, Cols: img.cols, N: img.n}, Name: name, Stats: img.leafStats(sch)}
 	if whole {
 		return leaf, lay
 	}
 	return engine.Project(leaf, lay.Columns()...), lay
 }
 
-// encode lays the partition's rows out in the image's layout — width
-// (var, rng) descriptor pairs, the tuple id, then every attribute — as
-// one flat value arena the row slices point into, not a slice per row.
-func (u *URelation) encode(width int) []engine.Tuple {
-	ncols := 2*width + 1 + len(u.Attrs)
-	arena := make([]engine.Value, len(u.Rows)*ncols)
-	rows := make([]engine.Tuple, len(u.Rows))
+// encode lays the partition's rows out as the image's columns — width
+// (var, rng) descriptor pairs and the tuple id as int vectors cut from
+// one arena, then every attribute as engine.BuildColVec lays it out.
+func (u *URelation) encode(width int) []engine.ColVec {
+	n := len(u.Rows)
+	cols := make([]engine.ColVec, 0, 2*width+1+len(u.Attrs))
+	ints := make([]int64, (2*width+1)*n)
+	for c := 0; c <= 2*width; c++ {
+		cols = append(cols, engine.IntVec(ints[c*n:(c+1)*n:(c+1)*n], nil))
+	}
 	for i, r := range u.Rows {
-		row := arena[i*ncols : (i+1)*ncols : (i+1)*ncols]
 		// Short descriptors are padded by repeating their first
 		// assignment (ws.Descriptor.Pad), the trivial one when empty.
 		fill := ws.Assignment{Var: ws.TrivialVar}
@@ -369,14 +370,15 @@ func (u *URelation) encode(width int) []engine.Tuple {
 			if k < len(r.D) {
 				a = r.D[k]
 			}
-			row[2*k] = engine.Int(int64(a.Var))
-			row[2*k+1] = engine.Int(int64(a.Val))
+			cols[2*k].Ints[i] = int64(a.Var)
+			cols[2*k+1].Ints[i] = int64(a.Val)
 		}
-		row[2*width] = engine.Int(r.TID)
-		copy(row[2*width+1:], r.Vals)
-		rows[i] = row
+		cols[2*width].Ints[i] = r.TID
 	}
-	return rows
+	for ai := range u.Attrs {
+		cols = append(cols, engine.BuildColVec(n, func(i int) engine.Value { return u.Rows[i].Vals[ai] }))
+	}
+	return cols
 }
 
 // translateUnion implements the union of Figure 4's discussion: both

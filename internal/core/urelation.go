@@ -64,24 +64,26 @@ type URelation struct {
 }
 
 // image is an in-memory partition encoded for the engine, once and not
-// once per query: its rows in the positional U-layout — 2·width
-// descriptor columns, the tuple id, every attribute — which every leaf
-// over the partition scans as they are, under its own column names,
-// together with what else a leaf asks of them. It belongs to the Rows it
-// was built from: RowsChanged drops it, and so does a slice header that
-// no longer matches, for the outside `u.Rows = …` that forgot to say so.
+// once per query: its rows as the columns of the positional U-layout —
+// 2·width descriptor columns, the tuple id, every attribute — which
+// every leaf over the partition scans as they are, in windows, under
+// its own column names, together with what else a leaf asks of them. It
+// belongs to the Rows it was built from: RowsChanged drops it, and so
+// does a slice header that no longer matches, for the outside
+// `u.Rows = …` that forgot to say so.
 type image struct {
 	n     int           // len(Rows) at the build …
 	first *URow         // … and where they started
 	width int           // widest descriptor, the encoding width
 	kinds []engine.Kind // per attribute: its first non-null value's
 
-	// rows are shared by every query between two changes of the
-	// partition; like all tuples the engine moves they are read-only.
-	rows []engine.Tuple
+	// cols are shared by every query between two changes of the
+	// partition; like all column payloads the engine moves they are
+	// read-only.
+	cols []engine.ColVec
 
 	statsOnce sync.Once
-	stats     []engine.ColStats // per column of rows; see colStats
+	stats     []engine.ColStats // per column of cols; see colStats
 }
 
 // describes reports whether the image was built from rows as they are
@@ -127,7 +129,7 @@ func (u *URelation) buildImage() *image {
 			}
 		}
 	}
-	img.rows = u.encode(img.width)
+	img.cols = u.encode(img.width)
 	return img
 }
 

@@ -81,13 +81,53 @@ func drainChecked(t *testing.T, it Iterator) *Relation {
 	}
 }
 
+// drainColumnsChecked drains an operator that moves column batches
+// through NextColBatch, keeping each batch's payloads behind copies of
+// its borrowed headers, and makes the rows only at the end: what the
+// NextColBatch contract allows a consumer — a join's build table — to
+// do. It holds the producer to ok=true coming with at least one row.
+// ok=false: the opened operator does not move column batches.
+func drainColumnsChecked(t *testing.T, it Iterator) (rel *Relation, ok bool) {
+	t.Helper()
+	if err := it.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	c, ok := NativeColumnar(it)
+	if !ok {
+		return nil, false
+	}
+	var kept []ColBatch
+	for {
+		cb, ok, err := c.NextColBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		if cb.Rows() == 0 {
+			t.Fatal("NextColBatch returned ok=true with an empty batch")
+		}
+		kept = append(kept, ColBatch{Sch: cb.Sch, Cols: append([]ColVec(nil), cb.Cols...), N: cb.N, Sel: append([]int32(nil), cb.Sel...)})
+	}
+	out := NewRelation(it.Schema())
+	for i := range kept {
+		out.Rows = append(out.Rows, kept[i].Materialize(nil)...)
+	}
+	return out, true
+}
+
 // TestBatchContract holds every operator to the NextBatch contract
 // from the consumer's side. Batches are borrowed read-only, so (a) an
 // operator over NewScan, which hands out windows of Relation.Rows
 // itself, leaves the base relations exactly as they were, and (b) over
 // a source that recycles its batch slice on every call the result is
 // still the plain one — an operator may keep the tuples, never the
-// slice. Inputs span several batches, so every cursor is resumed.
+// slice. Inputs span several batches, so every cursor is resumed. An
+// operator that also moves column batches (the hash joins) is held to
+// the NextColBatch contract too: its payloads, kept past the next call,
+// still hold the rows NextBatch gives.
 func TestBatchContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	lrel := randJoinInput(rng, 2600, 40, "l")
@@ -144,6 +184,11 @@ func TestBatchContract(t *testing.T) {
 			got := drainChecked(t, mk(&poisonSource{rel: lrel}, &poisonSource{rel: rrel}))
 			if !want.EqualAsBag(got) {
 				t.Fatalf("over a slice-recycling source the result changed: %d rows, want %d", got.Len(), want.Len())
+			}
+			if cols, ok := drainColumnsChecked(t, mk(&poisonSource{rel: lrel}, &poisonSource{rel: rrel})); ok {
+				if !want.EqualAsBag(cols) {
+					t.Fatalf("column batches kept past the next call hold %d rows, want %d", cols.Len(), want.Len())
+				}
 			}
 		})
 	}

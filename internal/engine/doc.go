@@ -1,8 +1,9 @@
 // Package engine implements a small but complete in-memory relational
 // database engine: typed values, schemas, relations, an expression
-// language, batch-at-a-time physical operators with a columnar scan
-// prefix, parallel partitioned operators, logical plans, a rule- and
-// cost-based optimizer with table statistics, and an EXPLAIN facility.
+// language, batch-at-a-time physical operators that move column
+// batches from the scans through the hash joins, parallel partitioned
+// operators, logical plans, a rule- and cost-based optimizer with table
+// statistics, and an EXPLAIN facility.
 //
 // The engine plays the role PostgreSQL plays in the U-relations paper
 // (Antova, Jansen, Koch, Olteanu: "Fast and Simple Relational Processing
@@ -17,39 +18,39 @@
 // Rows move between physical operators one way: Iterator.NextBatch,
 // which hands the parent up to DefaultBatchSize tuples per call (Open
 // and Close bracket the stream; Drain, the server's row-capped loop and
-// every join build pull it directly). The batch slice is borrowed
-// read-only until the next call; tuples are immutable and may be kept.
-// Operators that hold their whole output (scans, sort, aggregation)
-// serve it with Window; 1:N joins keep a cursor and resume mid-row.
+// every row operator pull it). The batch slice is borrowed read-only
+// until the next call; tuples are immutable and may be kept. Operators
+// that hold their whole output (scans, sort, aggregation) serve it with
+// Window; 1:N row joins keep a cursor and resume mid-row.
 //
-// Below that sits one optional level. A natively columnar source — the
-// storage layer's segment scan — also implements ColBatchIterator, and
-// so do the filters, projections and trace wrappers stacked directly on
-// it: inside such a scan→filter→project prefix, rows travel as
-// struct-of-arrays column batches (ColBatch: typed per-column vectors,
-// null markers, and a selection vector), predicates run as vectorized
-// kernels that only shrink the selection vector, and projection
-// re-slices column headers. Each of these operators looks for the
-// capability once, at Open (NativeColumnar), and the prefix's topmost
-// operator materializes tuples once (ColBatch.Materialize) in its
-// NextBatch for the row operator above — a Distinct, a sort, a join
-// build. One row operator asks for the columns instead: a hash join
-// pulls a columnar probe side as column batches, looks the key columns
-// up in its build table and materializes only the rows that find a
-// partner (narrowProbe). Joins use the hashed-key joinTable: an
-// open-addressing table over the build rows' headers keyed by 64-bit
-// hashes, probed without per-row key or map allocations, and every
-// inner join writes its output row once, through the projection
-// Optimize folded into it (JoinPlan.Out). Optimize orders every tree of
-// inner joins from its smallest estimated input outward, so a hash join
-// builds on its smaller side and a relation's partitions are merged
-// starting at the one the selection cut. Parallel
-// operators — ParallelHashJoinIter (build side hash-partitioned across
-// workers, probe batches scattered through per-partition private
-// joinTables) and ParallelFilterIter (chunked predicate evaluation) —
-// are selected during physical lowering when ExecConfig.Parallelism
-// allows and the estimated input cardinality clears the threshold, so
-// small inputs keep the cheaper serial operators. There are three join
+// Beneath that, rows travel as struct-of-arrays column batches
+// (ColBatch: typed per-column vectors, null markers, and a selection
+// vector) wherever an operator can take them: the storage layer's
+// segment scan and the scan of an in-memory partition image produce
+// them (ColBatchIterator), filters run vectorized kernels that only
+// shrink the selection vector, projections re-slice column headers, and
+// the hash joins take their inputs and give their output as column
+// batches — each looks for the capability on its input once, at Open
+// (NativeColumnar). A hash join drains its build side into a joinTable
+// that keeps the batches' payload vectors and refers to build rows as
+// (batch, row), looks every probe row up from its key vectors
+// (narrowProbe), evaluates the residual on the two sides' cells in
+// place (pairPred; ψ compares ints), and gathers its output column by
+// column through the projection Optimize folded into it (JoinPlan.Out);
+// a row input is transposed once. Tuples are made once, by the first
+// row operator above — a Distinct, a sort, an aggregation, a semi join,
+// the Drain at the sink — through ColBatch.Materialize, and counted as
+// rows_materialized. Optimize orders every tree of inner joins from its
+// smallest estimated input outward, so a hash join builds on its
+// smaller side and a relation's partitions are merged starting at the
+// one the selection cut. Parallel operators — ParallelHashJoinIter
+// (build rows hash-partitioned across per-worker joinTables over the
+// shared batches, each probe batch scattered to them and joined in
+// every partition at once) and ParallelFilterIter (chunked predicate
+// evaluation) — are selected during physical lowering when
+// ExecConfig.Parallelism allows and the estimated input cardinality
+// clears the threshold, so small inputs keep the cheaper serial
+// operators. There are three join
 // strategies: the hash join (serial or partitioned), index-nested-loop
 // when a small outer side meets an indexed storage leaf (chooseJoin;
 // the leaf prices its own probes, IndexedSource.ProbeCost), and the

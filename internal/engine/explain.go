@@ -24,20 +24,18 @@ func Explain(p Plan, cat *Catalog, optimize bool) (string, error) {
 }
 
 // execMode computes the execution mode EXPLAIN annotates a node with:
-// "columnar" for the filters and projections of a scan→filter→project
-// prefix over a columnar leaf (ColumnarLeaf sources, e.g. the store's
-// segment scans), which exchange column batches; "row" for everything
-// else, which exchanges row batches. The prefix's topmost node hands
-// its rows to a row operator: as tuples, materialized there once — or,
-// when it is the probe side of a hash join, as the column batches
-// themselves, of which the join materializes the rows that find a
-// partner. It is the same answer the physical operators reach at Open
+// "columnar" for a node that hands its parent column batches — a
+// columnar leaf (ColumnarLeaf: the store's segment scans, an in-memory
+// partition image), a hash join, and the filters and projections above
+// one; "row" for everything else, which exchanges row batches. A
+// columnar node under a row operator hands it tuples, made there once.
+// It is the same answer the physical operators reach at Open
 // (NativeColumnar) under the default serial lowering. Explain sees
 // only the logical plan, so the annotation does not account for
 // ExecConfig: a filter that Build lowers to the parallel operator
 // (Parallelism set and the input past ParallelThreshold) pulls row
 // batches from its child even when annotated columnar.
-func execMode(p Plan) string {
+func execMode(p Plan, est *estimator) string {
 	for {
 		switch n := p.(type) {
 		case *IndexScanPlan:
@@ -47,6 +45,14 @@ func execMode(p Plan) string {
 				return "columnar"
 			}
 			return "row"
+		case *JoinPlan:
+			if n.Kind != InnerJoin {
+				return "row"
+			}
+			if c, err := chooseJoin(n, est, JoinAuto); err != nil || c.algo != JoinHash {
+				return "row"
+			}
+			return "columnar"
 		case *FilterPlan:
 			p = n.Child
 		case *ProjectPlan:
@@ -66,7 +72,7 @@ func explainNode(b *strings.Builder, p Plan, est *estimator, depth int, root boo
 		head = indent + "->  "
 	}
 	st := est.stats(p)
-	mode := execMode(p)
+	mode := execMode(p, est)
 	switch n := p.(type) {
 	case *JoinPlan:
 		// The decision Build makes under the default configuration, on

@@ -1,177 +1,291 @@
 package engine
 
+import "sync"
+
 // joinTable is the hashed-key machinery shared by the hash join family
 // (HashJoinIter, SemiJoinIter, and the per-partition tables of
-// ParallelHashJoinIter). Keys are 64-bit hashes of the key columns,
-// collisions resolve by direct value comparison, and a build row is
-// kept as its header: the Iterator contract makes the tuple immutable
-// and retainable, so the table never copies a cell — neither build nor
-// probe performs any per-row string, map or row allocation.
+// ParallelHashJoinIter). It keeps the build input as the column batches
+// it was handed — their payload vectors are immutable under the
+// NextColBatch contract, so only the borrowed headers are copied, and a
+// row input is transposed once — and stores a build row as a (batch,
+// row) reference into them. Keys are 64-bit hashes of the key cells
+// read from the vectors, collisions resolve by comparing the cells, and
+// a key that is one int column is hashed and compared as the int it is.
+// Neither build nor probe allocates per row.
 //
-// Layout: open addressing with linear probing. Each occupied slot owns
-// the chain of all stored rows whose key columns are equal (chains are
-// kept in insertion order, so join output order matches the serial
-// row-at-a-time evaluation exactly). slotHash short-circuits most
-// collision checks before any value comparison happens.
+// Layout: open addressing with linear probing over a slot directory
+// sized once, after the build side is drained, and at most half full: a
+// probe row that misses — most of them, when a merge starts at a
+// selective partition — then mostly lands on an empty slot at once.
+// Each occupied slot owns the chain of all stored rows whose key
+// columns are equal (chains are kept in insertion order, so join output
+// order matches the serial row-at-a-time evaluation exactly), and
+// carries the chain's full hash, which short-circuits most collision
+// checks before any cell is compared.
 type joinTable struct {
-	keyIdx []int // key column positions within stored rows
+	keyIdx  []int       // key column positions within the build batches
+	batches []ColBatch  // the build input; a parallel join's partitions share it
+	lays    []vecLayout // per build column: the layout its batches agree on
 
-	rows   []Tuple  // stored row headers, in insertion order
-	hashes []uint64 // per stored row
-	next   []int32  // per stored row: next row with equal key, -1 ends
+	refs    []rowRef // stored rows, in insertion order
+	hashes  []uint64 // per stored row
+	next    []int32  // per stored row: next row with equal key, -1 ends
+	intKeys []int64  // per stored row its key, when that is one int column; else nil
 
-	slots    []int32  // head row index + 1; 0 = empty
-	slotTail []int32  // last row of the slot's chain
-	slotHash []uint64 // full hash of the slot's key
-	mask     uint64
+	slots []slot
+	mask  uint64
 }
 
-// newJoinTable builds an empty table for rows keyed by the keyIdx
-// columns. keyIdx may be empty, in which case every row shares one key
-// (used by key-less semi joins).
-func newJoinTable(keyIdx []int) *joinTable {
-	t := &joinTable{keyIdx: keyIdx}
-	t.resetSlots(64)
-	return t
+// slot is one entry of the directory: a chain's key hash, its first row
+// + 1 (0 = empty) and its last row.
+type slot struct {
+	hash       uint64
+	head, tail int32
 }
 
-func (t *joinTable) resetSlots(n int) {
-	t.slots = make([]int32, n)
-	t.slotTail = make([]int32, n)
-	t.slotHash = make([]uint64, n)
-	t.mask = uint64(n - 1)
+// rowRef is a stored build row: physical row row of batch batch.
+type rowRef struct{ batch, row int32 }
+
+// buildJoinTables drains the opened iterator it into np tables keyed by
+// its keyIdx columns, a row going to the table its key hash picks (h mod
+// np: the parallel join's partitions, and for np = 1 the one table of
+// the serial joins). Rows with a NULL key never join and are left out.
+// keyIdx may be empty, in which case every row shares one key (used by
+// key-less semi joins).
+func buildJoinTables(it Iterator, keyIdx []int, np int) ([]*joinTable, error) {
+	// Drain first, then lay the stored rows out at their exact count.
+	in := newColReader(it)
+	all := &joinTable{keyIdx: keyIdx}
+	live, intKey := 0, len(keyIdx) == 1
+	for {
+		cb, ok, err := in.next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		kept := ColBatch{Sch: cb.Sch, Cols: append([]ColVec(nil), cb.Cols...), N: cb.N}
+		if cb.Sel != nil {
+			kept.Sel = append([]int32(nil), cb.Sel...)
+		}
+		all.batches = append(all.batches, kept)
+		live += cb.Rows()
+		if intKey {
+			v := &cb.Cols[keyIdx[0]]
+			intKey = v.Vals == nil && v.Kind == KindInt
+		}
+	}
+	all.refs, all.hashes = make([]rowRef, 0, live), make([]uint64, 0, live)
+	if intKey {
+		all.intKeys = make([]int64, 0, live)
+	}
+	for b := range all.batches {
+		cb := &all.batches[b]
+		var ints *ColVec
+		if intKey {
+			ints = &cb.Cols[keyIdx[0]]
+		}
+		for k, n := 0, cb.Rows(); k < n; k++ {
+			i := cb.RowID(k)
+			var h uint64
+			if ints != nil {
+				if ints.Nulls != nil && ints.Nulls[i] {
+					continue
+				}
+				h = hashIntKey(ints.Ints[i])
+				all.intKeys = append(all.intKeys, ints.Ints[i])
+			} else {
+				var keyed bool
+				if h, keyed = keyHash(cb.Cols, i, keyIdx); !keyed {
+					continue
+				}
+			}
+			all.refs = append(all.refs, rowRef{batch: int32(b), row: int32(i)})
+			all.hashes = append(all.hashes, h)
+		}
+	}
+	all.lays = batchLayouts(all.batches)
+	if np == 1 {
+		all.index()
+		return []*joinTable{all}, nil
+	}
+	parts := make([]*joinTable, np)
+	for p := range parts {
+		parts[p] = &joinTable{keyIdx: keyIdx, batches: all.batches, lays: all.lays}
+	}
+	for r, h := range all.hashes {
+		t := parts[h%uint64(np)]
+		t.refs = append(t.refs, all.refs[r])
+		t.hashes = append(t.hashes, h)
+		if all.intKeys != nil {
+			t.intKeys = append(t.intKeys, all.intKeys[r])
+		}
+	}
+	var wg sync.WaitGroup
+	for _, t := range parts {
+		wg.Add(1)
+		go func(t *joinTable) {
+			defer wg.Done()
+			t.index()
+		}(t)
+	}
+	wg.Wait()
+	return parts, nil
 }
 
 // len returns the stored row count.
-func (t *joinTable) len() int { return len(t.hashes) }
+func (t *joinTable) len() int { return len(t.refs) }
 
-// row returns stored row i: the tuple that was inserted, not a copy.
-func (t *joinTable) row(i int32) Tuple { return t.rows[i] }
-
-// hashRow hashes the keyIdx columns of a prospective row; ok=false
-// signals a NULL key, which never joins and must not be inserted.
-func (t *joinTable) hashRow(row Tuple) (uint64, bool) {
-	return hashKeyAt(row, t.keyIdx)
-}
-
-// insert keeps row's header and links it under hash h (which must be
-// hashRow's output for it).
-func (t *joinTable) insert(row Tuple, h uint64) {
-	r := int32(len(t.hashes))
-	t.rows = append(t.rows, row)
-	t.hashes = append(t.hashes, h)
-	t.next = append(t.next, -1)
-	// Grow at 3/4 load. Row count bounds occupied slots from above
-	// (only distinct keys claim slots), so this is conservative-safe.
-	if uint64(len(t.hashes))*4 > (t.mask+1)*3 {
-		t.rehash()
+// index sizes the slot directory for the stored rows — a power of two
+// at most half full — and links every row in insertion order.
+func (t *joinTable) index() {
+	if len(t.refs) == 0 {
 		return
 	}
-	t.link(r, h)
-}
-
-// build inserts every remaining row of the opened iterator it; rows
-// with a NULL key never join and are left out.
-func (t *joinTable) build(it Iterator) error {
-	for {
-		batch, ok, err := it.NextBatch()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		for _, row := range batch {
-			if h, keyed := t.hashRow(row); keyed {
-				t.insert(row, h)
-			}
-		}
+	n := 64
+	for n < 2*len(t.refs) {
+		n *= 2
+	}
+	t.slots = make([]slot, n)
+	t.mask = uint64(n - 1)
+	t.next = make([]int32, len(t.refs))
+	for r, h := range t.hashes {
+		t.next[r] = -1
+		t.link(int32(r), h)
 	}
 }
 
 // link walks the probe sequence for h and attaches row r: to the tail
 // of an existing equal-key chain, or to a claimed empty slot.
 func (t *joinTable) link(r int32, h uint64) {
-	s := h & t.mask
-	for {
-		head := t.slots[s]
-		if head == 0 {
-			t.slots[s] = r + 1
-			t.slotTail[s] = r
-			t.slotHash[s] = h
+	for s := h & t.mask; ; s = (s + 1) & t.mask {
+		sl := &t.slots[s]
+		if sl.head == 0 {
+			*sl = slot{hash: h, head: r + 1, tail: r}
 			return
 		}
-		if t.slotHash[s] == h && t.sameKey(head-1, r) {
-			tail := t.slotTail[s]
-			t.next[tail] = r
-			t.slotTail[s] = r
+		if sl.hash == h && t.sameKey(sl.head-1, r) {
+			t.next[sl.tail] = r
+			sl.tail = r
 			return
 		}
-		s = (s + 1) & t.mask
 	}
 }
 
-// rehash doubles the slot directory and relinks every row in insertion
-// order, which reproduces all chains in insertion order.
-func (t *joinTable) rehash() {
-	t.resetSlots(2 * len(t.slots))
-	for i := range t.next {
-		t.next[i] = -1
-	}
-	for i, h := range t.hashes {
-		t.link(int32(i), h)
-	}
+// cols returns the build batch columns stored row m lies in, and its
+// physical row there.
+func (t *joinTable) cols(m int32) ([]ColVec, int) {
+	ref := t.refs[m]
+	return t.batches[ref.batch].Cols, int(ref.row)
 }
 
 // sameKey reports whether two stored rows agree on the key columns.
 func (t *joinTable) sameKey(a, b int32) bool {
-	ra, rb := t.rows[a], t.rows[b]
-	for _, ki := range t.keyIdx {
-		if Compare(ra[ki], rb[ki]) != 0 {
+	if t.intKeys != nil {
+		return t.intKeys[a] == t.intKeys[b]
+	}
+	ac, ai := t.cols(a)
+	bc, bi := t.cols(b)
+	for _, c := range t.keyIdx {
+		if !cellsEqual(&ac[c], ai, &bc[c], bi) {
 			return false
 		}
 	}
 	return true
 }
 
-// keysEqual reports whether stored row i agrees with the probeIdx
-// columns of probe on the key columns.
-func (t *joinTable) keysEqual(i int32, probe Tuple, probeIdx []int) bool {
-	r := t.rows[i]
-	for k, ki := range t.keyIdx {
-		if Compare(r[ki], probe[probeIdx[k]]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// lookup returns the first stored row whose key equals probe's
-// probeIdx columns under hash h, or -1. Follow the chain with
-// nextMatch.
-func (t *joinTable) lookup(h uint64, probe Tuple, probeIdx []int) int32 {
-	if len(t.hashes) == 0 {
+// lookup returns the first stored row whose key equals the probeIdx
+// cells of row i of pcols, under their hash h, or -1. Follow the chain
+// with next.
+func (t *joinTable) lookup(h uint64, pcols []ColVec, i int, probeIdx []int) int32 {
+	if len(t.refs) == 0 {
 		return -1
 	}
-	s := h & t.mask
-	for {
-		head := t.slots[s]
-		if head == 0 {
+	for s := h & t.mask; ; s = (s + 1) & t.mask {
+		sl := &t.slots[s]
+		if sl.head == 0 {
 			return -1
 		}
-		if t.slotHash[s] == h && t.keysEqual(head-1, probe, probeIdx) {
-			return head - 1
+		if sl.hash == h && t.keyEquals(sl.head-1, pcols, i, probeIdx) {
+			return sl.head - 1
 		}
-		s = (s + 1) & t.mask
 	}
 }
 
-// nextMatch follows the equal-key chain started by lookup.
-func (t *joinTable) nextMatch(i int32) int32 { return t.next[i] }
+// lookupInt is lookup of the int key x in a table with intKeys.
+func (t *joinTable) lookupInt(h uint64, x int64) int32 {
+	if len(t.refs) == 0 {
+		return -1
+	}
+	for s := h & t.mask; ; s = (s + 1) & t.mask {
+		sl := &t.slots[s]
+		if sl.head == 0 {
+			return -1
+		}
+		if sl.hash == h && t.intKeys[sl.head-1] == x {
+			return sl.head - 1
+		}
+	}
+}
+
+// keyEquals reports whether stored row m's key equals the probeIdx cells
+// of row i of pcols.
+func (t *joinTable) keyEquals(m int32, pcols []ColVec, i int, probeIdx []int) bool {
+	bc, bi := t.cols(m)
+	for k, c := range t.keyIdx {
+		if !cellsEqual(&bc[c], bi, &pcols[probeIdx[k]], i) {
+			return false
+		}
+	}
+	return true
+}
+
+// keyHash hashes the key cells idx of row i of cols, read from the
+// vectors, as HashTuple hashes the boxed key — so an int key meets the
+// float it equals; ok=false signals a NULL key (which never joins).
+func keyHash(cols []ColVec, i int, idx []int) (uint64, bool) {
+	h := uint64(fnvOffset64)
+	for _, c := range idx {
+		v := &cols[c]
+		if v.IsNull(i) {
+			return 0, false
+		}
+		if v.Vals == nil && (v.Kind == KindInt || v.Kind == KindBool) {
+			h ^= hashInt(v.Ints[i])
+		} else {
+			h ^= HashValue(v.Value(i))
+		}
+		h *= fnvPrime64
+	}
+	return h, true
+}
+
+// hashIntKey is keyHash of a key that is the single int x.
+func hashIntKey(x int64) uint64 {
+	return (fnvOffset64 ^ hashInt(x)) * fnvPrime64
+}
+
+// cellsEqual reports whether the non-NULL cells a[i] and b[j] are equal
+// under Compare: an int equals the float it is, never the bool.
+func cellsEqual(a *ColVec, i int, b *ColVec, j int) bool {
+	if a.Vals == nil && b.Vals == nil && a.Kind == b.Kind {
+		switch a.Kind {
+		case KindInt, KindBool:
+			return a.Ints[i] == b.Ints[j]
+		case KindString:
+			return a.Strs[i] == b.Strs[j]
+		case KindFloat:
+			return compareFloat(a.Floats[i], b.Floats[j]) == 0
+		}
+	}
+	return Compare(a.Value(i), b.Value(j)) == 0
+}
 
 // probeHits is what narrowProbe leaves of one probe column batch for
 // one build table: the physical ids of the rows whose key the table
-// holds, ascending, and beside each the head of its match chain.
+// holds, in the batch's live order, and beside each the head of its
+// match chain.
 type probeHits struct {
 	sel   []int32
 	heads []int32
@@ -180,20 +294,14 @@ type probeHits struct {
 // narrowProbe looks every live row of a probe column batch up in the
 // build table its key hashes to — parts[h mod len(parts)], the
 // partition rule of the parallel join's build and trivially the one
-// table of the serial join — and fills hits[p] with the rows that found
-// a partner in parts[p]. The key is read from the column vectors, so a
-// probe row is hashed and looked up once, before it exists as a tuple,
-// and only the rows in hits are worth materializing: the join resumes
-// each from its remembered chain head. NULL keys never join.
-//
-// The hash is hashKeyAt's on the boxed key, whatever the vector layout,
-// so an int key meets the float it equals.
+// table of the serial joins — and fills hits[p] with the rows that found
+// a partner in parts[p]. The key is read from the column vectors, and a
+// key that is one int column is hashed and compared without building
+// its Value. NULL keys never join.
 func narrowProbe(parts []*joinTable, cb *ColBatch, probeIdx []int, hits []probeHits) {
 	for p := range hits {
 		hits[p].sel, hits[p].heads = hits[p].sel[:0], hits[p].heads[:0]
 	}
-	// A tid merge, and most other joins, have one int key: it is hashed
-	// without building its Value.
 	var ints *ColVec
 	if len(probeIdx) == 1 {
 		if col := &cb.Cols[probeIdx[0]]; col.Vals == nil && col.Kind == KindInt {
@@ -201,8 +309,6 @@ func narrowProbe(parts []*joinTable, cb *ColBatch, probeIdx []int, hits []probeH
 		}
 	}
 	np := uint64(len(parts))
-	key := make(Tuple, len(cb.Cols)) // only the key columns are ever filled in
-rows:
 	for k, n := 0, cb.Rows(); k < n; k++ {
 		i := cb.RowID(k)
 		var h uint64
@@ -210,33 +316,103 @@ rows:
 			if ints.Nulls != nil && ints.Nulls[i] {
 				continue
 			}
-			key[probeIdx[0]] = Int(ints.Ints[i])
 			h = hashIntKey(ints.Ints[i])
 		} else {
-			for _, c := range probeIdx {
-				if key[c] = cb.Cols[c].Value(i); key[c].IsNull() {
-					continue rows
-				}
+			var keyed bool
+			if h, keyed = keyHash(cb.Cols, i, probeIdx); !keyed {
+				continue
 			}
-			h, _ = hashKeyAt(key, probeIdx)
 		}
-		p := h % np
-		if head := parts[p].lookup(h, key, probeIdx); head >= 0 {
+		var p uint64 // a division per row is dear beside the lookup: skip it for one table
+		if np > 1 {
+			p = h % np
+		}
+		var head int32
+		if t := parts[p]; ints != nil && t.intKeys != nil {
+			head = t.lookupInt(h, ints.Ints[i])
+		} else {
+			head = t.lookup(h, cb.Cols, i, probeIdx)
+		}
+		if head >= 0 {
 			hits[p].sel = append(hits[p].sel, int32(i))
 			hits[p].heads = append(hits[p].heads, head)
 		}
 	}
 }
 
-// hashIntKey is hashKeyAt of a key that is the single int x.
-func hashIntKey(x int64) uint64 {
-	return (fnvOffset64 ^ fnvUint64(fnvByte(fnvOffset64, 1), uint64(x))) * fnvPrime64
+// vecLayout is the shape of a column's vectors: generic (tagged values),
+// or typed of kind — KindNull for NULLs only — with NULL markers when
+// nulls.
+type vecLayout struct {
+	kind    Kind
+	generic bool
+	nulls   bool
+}
+
+func layoutOf(v *ColVec) vecLayout {
+	if v.Vals != nil {
+		return vecLayout{generic: true}
+	}
+	return vecLayout{kind: v.Kind, nulls: v.Nulls != nil || v.Kind == KindNull}
+}
+
+// payload names the vector a column of this layout keeps its cells in:
+// 0 Ints, 1 Floats, 2 Strs, 3 Vals, 4 none (NULLs only).
+func (l vecLayout) payload() int {
+	switch {
+	case l.generic:
+		return 3
+	case l.kind == KindInt || l.kind == KindBool:
+		return 0
+	case l.kind == KindFloat:
+		return 1
+	case l.kind == KindString:
+		return 2
+	}
+	return 4
+}
+
+// merge is the layout that holds the cells of both: NULLs only meet any
+// typed kind, two typed kinds that differ need tagged values.
+func (a vecLayout) merge(b vecLayout) vecLayout {
+	switch {
+	case a.generic || b.generic:
+		return vecLayout{generic: true}
+	case a.kind == KindNull:
+		b.nulls = true
+		return b
+	case b.kind == KindNull:
+		a.nulls = true
+		return a
+	case a.kind != b.kind:
+		return vecLayout{generic: true}
+	}
+	a.nulls = a.nulls || b.nulls
+	return a
+}
+
+// batchLayouts is the layout each column's vectors agree on across
+// batches.
+func batchLayouts(batches []ColBatch) []vecLayout {
+	if len(batches) == 0 {
+		return nil
+	}
+	lays := make([]vecLayout, len(batches[0].Cols))
+	for c := range lays {
+		lays[c] = layoutOf(&batches[0].Cols[c])
+		for b := 1; b < len(batches); b++ {
+			lays[c] = lays[c].merge(layoutOf(&batches[b].Cols[c]))
+		}
+	}
+	return lays
 }
 
 // outArena carves write-once output tuples from chunked allocations,
-// so emitting a join result row costs a copy — the one copy a join
+// so emitting a join result row costs a copy — the one copy a row join
 // makes — not an allocation. The carved tuples are never reused, which
 // keeps the NextBatch contract: consumers may retain them indefinitely.
+// The operators that still emit rows (index and nested-loop joins,
+// Extend) write through it.
 type outArena struct {
 	buf   []Value
 	chunk int // last chunk size; doubles up to arenaChunk
@@ -254,7 +430,7 @@ const (
 
 // emit returns a stable copy of the join row l ++ r narrowed to the
 // columns pick selects from it, in pick's order; a nil pick keeps the
-// whole row. Every inner join writes its output through here.
+// whole row.
 func (a *outArena) emit(l, r Tuple, pick []int) Tuple {
 	if pick == nil {
 		return a.concat(l, r)

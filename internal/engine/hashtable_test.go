@@ -7,104 +7,123 @@ import (
 	"testing"
 )
 
-// TestJoinTableChains checks insertion, chain order, growth across
-// rehashes, and lookups against a map-based oracle — and that the table
-// hands back the tuples it was given, not copies of them.
+// mustBuild drains it (opened here) into np join tables keyed by keyIdx.
+func mustBuild(t testing.TB, it Iterator, keyIdx []int, np int) []*joinTable {
+	t.Helper()
+	if err := it.Open(); err != nil {
+		t.Fatal(err)
+	}
+	parts, err := buildJoinTables(it, keyIdx, np)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parts
+}
+
+// probeKey looks the one-column key v up in tbl the way narrowProbe
+// does and returns the chain's second column, in chain order.
+func probeKey(tbl *joinTable, v Value) []int64 {
+	cb := transpose([]Tuple{{v}}, NewSchema(Column{Name: "k"}))
+	var hits [1]probeHits
+	narrowProbe([]*joinTable{tbl}, &cb, []int{0}, hits[:])
+	var got []int64
+	if len(hits[0].sel) == 1 {
+		for m := hits[0].heads[0]; m >= 0; m = tbl.next[m] {
+			cols, i := tbl.cols(m)
+			got = append(got, cols[1].Value(i).AsInt())
+		}
+	}
+	return got
+}
+
+// TestJoinTableChains checks the table built over several batches: chain
+// order and lookups against a map-based oracle, a slot directory sized
+// once for what was built — and that the table keeps the vectors it was
+// handed, not copies of them.
 func TestJoinTableChains(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	keyIdx := []int{0}
-	tbl := newJoinTable(keyIdx)
 	oracle := map[int64][]int64{}
-	const n = 5000 // forces several rehashes from the initial 64 slots
-	inserted := make([]Tuple, 0, n)
-	for i := 0; i < n; i++ {
-		k := int64(rng.Intn(97))
-		row := Tuple{Int(k), Int(int64(i))}
-		inserted = append(inserted, row)
-		h, ok := tbl.hashRow(row)
-		if !ok {
-			t.Fatal("non-null key must hash")
-		}
-		tbl.insert(row, h)
-		oracle[k] = append(oracle[k], int64(i))
+	const n = 5000 // five windows of the scan below
+	keys, ids := make([]int64, n), make([]int64, n)
+	for i := range keys {
+		keys[i], ids[i] = int64(rng.Intn(97)), int64(i)
+		oracle[keys[i]] = append(oracle[keys[i]], ids[i])
 	}
-	if tbl.len() != n {
-		t.Fatalf("len=%d want %d", tbl.len(), n)
+	src := &ColBatch{Sch: NewSchema(Column{Name: "k", Kind: KindInt}, Column{Name: "i", Kind: KindInt}),
+		Cols: []ColVec{IntVec(keys, nil), IntVec(ids, nil)}, N: n}
+	tbl := mustBuild(t, &colScanIter{src: src}, []int{0}, 1)[0]
+	if tbl.len() != n || len(tbl.batches) != (n+DefaultBatchSize-1)/DefaultBatchSize {
+		t.Fatalf("%d rows in %d batches, want %d rows in windows of %d", tbl.len(), len(tbl.batches), n, DefaultBatchSize)
 	}
-	for i, row := range inserted {
-		if &tbl.row(int32(i))[0] != &row[0] {
-			t.Fatalf("stored row %d is a copy of the inserted tuple", i)
+	if len(tbl.slots) > 4*n || len(tbl.slots) < 2*n {
+		t.Fatalf("%d slots for %d rows", len(tbl.slots), n)
+	}
+	for b := range tbl.batches {
+		if &tbl.batches[b].Cols[0].Ints[0] != &keys[b*DefaultBatchSize] {
+			t.Fatalf("batch %d's key vector is a copy of the scanned one", b)
 		}
+	}
+	if tbl.intKeys == nil {
+		t.Fatal("a table keyed by one int column keeps no int keys")
 	}
 	for k, want := range oracle {
-		probe := Tuple{Int(k)}
-		h, _ := hashKeyAt(probe, []int{0})
-		var got []int64
-		for m := tbl.lookup(h, probe, []int{0}); m >= 0; m = tbl.nextMatch(m) {
-			got = append(got, tbl.row(m)[1].AsInt())
-		}
-		if len(got) != len(want) {
-			t.Fatalf("key %d: %d matches, want %d", k, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("key %d: chain order diverged at %d: %v vs %v", k, i, got, want)
-			}
+		if got := probeKey(tbl, Int(k)); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("key %d: chain %v, want %v", k, got, want)
 		}
 	}
-	// Missing keys.
-	probe := Tuple{Int(1000)}
-	h, _ := hashKeyAt(probe, []int{0})
-	if m := tbl.lookup(h, probe, []int{0}); m != -1 {
-		t.Fatalf("lookup(miss) = %d", m)
+	if got := probeKey(tbl, Int(1000)); got != nil {
+		t.Fatalf("lookup(miss) = %v", got)
 	}
 }
 
-// TestJoinTableNullKeys checks hashRow refuses NULL keys (they never
-// join).
+// TestJoinTableNullKeys checks that rows with a NULL key cell are not
+// stored (they never join), whatever layout the key arrives in.
 func TestJoinTableNullKeys(t *testing.T) {
-	tbl := newJoinTable([]int{0, 1})
-	if _, ok := tbl.hashRow(Tuple{Int(1), Null()}); ok {
-		t.Fatal("NULL key must not hash")
-	}
-	if _, ok := tbl.hashRow(Tuple{Int(1), Int(2)}); !ok {
-		t.Fatal("non-NULL key must hash")
+	rel := testRel([]string{"a", "b"}, [][]int64{{1, 2}, {3, 4}})
+	rel.Rows = append(rel.Rows, Tuple{Int(1), Null()}, Tuple{Null(), Str("x")})
+	for name, in := range map[string]Iterator{"typed": newColSource(rel, 2), "generic": NewScan(rel)} {
+		if tbl := mustBuild(t, in, []int{0, 1}, 1)[0]; tbl.len() != 2 {
+			t.Fatalf("%s: %d rows stored, want the 2 without a NULL key", name, tbl.len())
+		}
 	}
 }
 
 // TestJoinTableNumericKeyNormalization checks int and integral float
-// keys meet in one chain, mirroring Compare/KeyString semantics.
+// keys meet in one chain, mirroring Compare/KeyString semantics — in a
+// generic key column, and across batches whose key columns are typed
+// differently.
 func TestJoinTableNumericKeyNormalization(t *testing.T) {
-	tbl := newJoinTable([]int{0})
-	for _, v := range []Value{Int(5), Float(5.0), Int(5)} {
-		row := Tuple{v}
-		h, _ := tbl.hashRow(row)
-		tbl.insert(row, h)
+	rel := NewRelation(NewSchema(Column{Name: "k", Kind: KindInt}, Column{Name: "i", Kind: KindInt}))
+	for i, v := range []Value{Int(5), Float(5.0), Int(5), Bool(true)} {
+		rel.Append(Tuple{v, Int(int64(i))})
 	}
-	probe := Tuple{Float(5)}
-	h, _ := hashKeyAt(probe, []int{0})
-	count := 0
-	for m := tbl.lookup(h, probe, []int{0}); m >= 0; m = tbl.nextMatch(m) {
-		count++
-	}
-	if count != 3 {
-		t.Fatalf("int/float key chain has %d rows, want 3", count)
+	for name, in := range map[string]Iterator{"generic": NewScan(rel), "per batch": newColSource(rel, 1)} {
+		tbl := mustBuild(t, in, []int{0}, 1)[0]
+		if got := probeKey(tbl, Float(5)); fmt.Sprint(got) != "[0 1 2]" {
+			t.Fatalf("%s: the float 5 meets %v, want rows [0 1 2]", name, got)
+		}
+		if got := probeKey(tbl, Int(5)); fmt.Sprint(got) != "[0 1 2]" {
+			t.Fatalf("%s: the int 5 meets %v, want rows [0 1 2]", name, got)
+		}
+		if got := probeKey(tbl, Int(1)); got != nil {
+			t.Fatalf("%s: the int 1 meets %v, want no row (not the bool true)", name, got)
+		}
 	}
 }
 
 // TestNarrowProbeHashIsHashKeyAt: narrowProbe files a probe row under
-// the hash hashKeyAt gives its boxed key — so it finds the partition
-// and the slot the build side used — whatever layout the key column
-// arrives in: typed ints (hashed from the payload, hashIntKey), bools,
-// floats, strings, and generic vectors, with NULL keys left out.
+// the hash its boxed key has (HashTuple) — so it finds the partition and
+// the slot the build side used — whatever layout the key column arrives
+// in: typed ints (hashed from the payload, hashIntKey), bools, floats,
+// strings, and generic vectors, with NULL keys left out.
 func TestNarrowProbeHashIsHashKeyAt(t *testing.T) {
 	for _, x := range []int64{0, 1, -1, 42, 1 << 40, -(1 << 53), math.MaxInt64, math.MinInt64} {
-		want, _ := hashKeyAt(Tuple{Int(x)}, []int{0})
+		want := HashTuple(Tuple{Int(x)})
 		if got := hashIntKey(x); got != want {
-			t.Errorf("hashIntKey(%d) = %#x, hashKeyAt of the boxed key = %#x", x, got, want)
+			t.Errorf("hashIntKey(%d) = %#x, HashTuple of the boxed key = %#x", x, got, want)
 		}
 		if f := float64(x); int64(f) == x && f < math.MaxInt64 {
-			if asFloat, _ := hashKeyAt(Tuple{Float(f)}, []int{0}); asFloat != want {
+			if asFloat := HashTuple(Tuple{Float(f)}); asFloat != want {
 				t.Errorf("the float %v hashes to %#x, the int it equals to %#x", f, asFloat, want)
 			}
 		}
@@ -119,20 +138,17 @@ func TestNarrowProbeHashIsHashKeyAt(t *testing.T) {
 	}
 	const np = 3
 	for name, vec := range vecs {
-		cb := &ColBatch{Sch: NewSchema(Column{Name: "pad"}, Column{Name: "k", Kind: vec.Kind}),
-			Cols: []ColVec{IntVec(make([]int64, 6), nil), vec}, N: 6, Sel: []int32{5, 0, 1, 2, 3, 4}}
+		sch := NewSchema(Column{Name: "pad"}, Column{Name: "k", Kind: vec.Kind})
+		cb := &ColBatch{Sch: sch, Cols: []ColVec{IntVec(make([]int64, 6), nil), vec}, N: 6, Sel: []int32{5, 0, 1, 2, 3, 4}}
 		// The build side is the batch's own rows, partitioned as the
 		// parallel join partitions them: every non-NULL probe row must then
 		// find itself, in the partition its boxed key hashes to.
 		rows := cb.Materialize(nil)
-		parts := make([]*joinTable, np)
-		for p := range parts {
-			parts[p] = newJoinTable([]int{1})
-		}
+		parts := mustBuild(t, NewScan(&Relation{Sch: sch, Rows: rows}), []int{1}, np)
 		want := make([][]int32, np)
 		for k, row := range rows {
-			if h, keyed := hashKeyAt(row, []int{1}); keyed {
-				parts[h%np].insert(row, h)
+			if !row[1].IsNull() {
+				h := HashTuple(row[1:])
 				want[h%np] = append(want[h%np], cb.Sel[k])
 			}
 		}
@@ -140,10 +156,11 @@ func TestNarrowProbeHashIsHashKeyAt(t *testing.T) {
 		narrowProbe(parts, cb, []int{1}, hits)
 		for p := range hits {
 			if fmt.Sprint(hits[p].sel) != fmt.Sprint(want[p]) {
-				t.Errorf("%s keys: partition %d holds rows %v, hashKeyAt sends it %v", name, p, hits[p].sel, want[p])
+				t.Errorf("%s keys: partition %d holds rows %v, their hash sends it %v", name, p, hits[p].sel, want[p])
 			}
 			for i, head := range hits[p].heads {
-				if key := parts[p].row(head)[1]; Compare(key, vec.Value(int(hits[p].sel[i]))) != 0 {
+				cols, r := parts[p].cols(head)
+				if key := cols[1].Value(r); Compare(key, vec.Value(int(hits[p].sel[i]))) != 0 {
 					t.Errorf("%s keys: row %d was given the chain of key %v", name, hits[p].sel[i], key)
 				}
 			}
@@ -302,19 +319,14 @@ func BenchmarkSemiJoinProbe(b *testing.B) {
 }
 
 // BenchmarkHashJoinBuild measures the build phase (table construction)
-// per build row.
+// per build row, over a columnar input.
 func BenchmarkHashJoinBuild(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	build := randJoinInput(rng, 100000, 30000, "l")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl := newJoinTable([]int{0})
-		for _, row := range build.Rows {
-			if h, ok := tbl.hashRow(row); ok {
-				tbl.insert(row, h)
-			}
-		}
+		mustBuild(b, newColSource(build, DefaultBatchSize), []int{0}, 1)
 	}
 }
 

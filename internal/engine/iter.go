@@ -91,6 +91,41 @@ func (s *ScanIter) NextBatch() ([]Tuple, bool, error) { return Window(s.Rel.Rows
 func (s *ScanIter) Close() error                      { return nil }
 func (s *ScanIter) Schema() Schema                    { return s.Rel.Sch }
 
+// colScanIter scans a column batch held in memory (a ValuesPlan's
+// Batch), handing out windows of DefaultBatchSize rows that share its
+// vectors.
+type colScanIter struct {
+	src  *ColBatch
+	pos  int
+	cols []ColVec // reused window headers
+	cb   ColBatch
+	mat  materializer
+}
+
+func (s *colScanIter) Open() error          { s.pos, s.mat.made = 0, 0; return nil }
+func (s *colScanIter) Close() error         { s.mat.rows = nil; return nil }
+func (s *colScanIter) Schema() Schema       { return s.src.Sch }
+func (s *colScanIter) ColumnarNative() bool { return true }
+
+func (s *colScanIter) NextColBatch() (*ColBatch, bool, error) {
+	if s.pos >= s.src.N {
+		return nil, false, nil
+	}
+	lo, hi := s.pos, min(s.pos+DefaultBatchSize, s.src.N)
+	s.pos = hi
+	s.cols = s.cols[:0]
+	for c := range s.src.Cols {
+		s.cols = append(s.cols, s.src.Cols[c].window(lo, hi))
+	}
+	s.cb = ColBatch{Sch: s.src.Sch, Cols: s.cols, N: hi - lo}
+	return &s.cb, true, nil
+}
+
+func (s *colScanIter) NextBatch() ([]Tuple, bool, error) { return s.mat.next(s.NextColBatch()) }
+
+// OperatorStats reports the rows the scan made into tuples.
+func (s *colScanIter) OperatorStats(emit func(key string, v int64)) { s.mat.stats(emit) }
+
 // FilterIter applies a predicate. Above a natively columnar input it
 // evaluates the predicate vectorized over selection vectors (see
 // NextColBatch) and materializes only the survivors; otherwise it
@@ -106,6 +141,7 @@ type FilterIter struct {
 	vp    *vecPred         // compiled predicate for the columnar path
 	sel   []int32          // reused selection buffer
 	cb    ColBatch         // reused output batch header
+	mat   materializer     // NextBatch over the columnar path
 }
 
 // NewFilter builds a filter; pred is bound at Open time.
@@ -123,6 +159,7 @@ func (f *FilterIter) Open() error {
 	}
 	f.bound = b
 	f.vp = nil
+	f.mat.made = 0
 	if f.colIn, _ = NativeColumnar(f.In); f.colIn != nil {
 		f.vp = compileVecPred(f.bound, f.In.Schema())
 	}
@@ -131,12 +168,7 @@ func (f *FilterIter) Open() error {
 
 func (f *FilterIter) NextBatch() ([]Tuple, bool, error) {
 	if f.colIn != nil {
-		cb, ok, err := f.NextColBatch()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		f.out = cb.Materialize(f.out)
-		return f.out, true, nil
+		return f.mat.next(f.NextColBatch())
 	}
 	for {
 		in, ok, err := f.In.NextBatch()
@@ -185,6 +217,9 @@ func (f *FilterIter) ColumnarNative() bool {
 func (f *FilterIter) Close() error   { return f.In.Close() }
 func (f *FilterIter) Schema() Schema { return f.In.Schema() }
 
+// OperatorStats reports the rows the filter made into tuples.
+func (f *FilterIter) OperatorStats(emit func(key string, v int64)) { f.mat.stats(emit) }
+
 // ProjectIter projects to named columns (and may rename via "src AS dst"
 // entries handled by the logical layer; physically it is index-based).
 // Above a natively columnar input the projection re-slices column
@@ -200,6 +235,7 @@ type ProjectIter struct {
 	colIn ColBatchIterator // the input's columnar path; nil when it has none
 	cols  []ColVec         // reused projected column headers
 	cb    ColBatch         // reused output batch header
+	mat   materializer     // NextBatch over the columnar path
 }
 
 // NewProject builds a projection onto the named columns.
@@ -224,18 +260,14 @@ func (p *ProjectIter) Open() error {
 	}
 	p.sch = Schema{Cols: cols}
 	p.colIn, _ = NativeColumnar(p.In)
+	p.mat.made = 0
 	return nil
 }
 
 // NextBatch rebuilds whole batches of narrowed rows.
 func (p *ProjectIter) NextBatch() ([]Tuple, bool, error) {
 	if p.colIn != nil {
-		cb, ok, err := p.NextColBatch()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		p.out = cb.Materialize(p.out)
-		return p.out, true, nil
+		return p.mat.next(p.NextColBatch())
 	}
 	in, ok, err := p.In.NextBatch()
 	if err != nil || !ok {
@@ -280,6 +312,9 @@ func (p *ProjectIter) ColumnarNative() bool {
 }
 
 func (p *ProjectIter) Close() error { return p.In.Close() }
+
+// OperatorStats reports the rows the projection made into tuples.
+func (p *ProjectIter) OperatorStats(emit func(key string, v int64)) { p.mat.stats(emit) }
 
 func (p *ProjectIter) Schema() Schema {
 	if p.sch.Len() == 0 && len(p.Names) > 0 {

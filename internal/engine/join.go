@@ -3,49 +3,42 @@ package engine
 import "fmt"
 
 // HashJoinIter is an equi-join on extracted key pairs with an optional
-// residual predicate evaluated on the concatenated row. This mirrors
-// the Merge Cond / Join Filter split visible in the paper's Figure 13
-// plan: the α (tuple-id) conditions become keys, and the ψ (descriptor
-// consistency) conditions become the residual filter.
+// residual predicate over the concatenated row. This mirrors the Merge
+// Cond / Join Filter split visible in the paper's Figure 13 plan: the α
+// (tuple-id) conditions become keys, and the ψ (descriptor consistency)
+// conditions become the residual filter.
 //
-// The build side L goes into an open-addressing joinTable keyed by a
-// 64-bit hash of the key columns, which keeps the build rows' headers;
-// the probe side R is driven in batches, each probe row hashed directly
-// from its key columns and looked up once. A probe side that is a
-// columnar prefix (a store scan, or filters and projections over one)
-// is pulled as column batches and narrowed before it is materialized
-// (narrowProbe): a probe row becomes a tuple when, and only when, its
-// key is in the build table. An empty build side ends the stream
-// without pulling R at all. Neither phase allocates per row: the only
-// allocations are the surviving probe rows' cells, the amortized arena
-// chunks that output rows are carved from, and an output row is written
-// once, already narrowed to the join's output columns.
+// It is a ColBatchIterator through and through. The build side L is
+// drained as column batches into a joinTable that keeps them and refers
+// to its rows; the probe side R is pulled as column batches too (a row
+// input of either side is transposed once), each probe batch is looked
+// up key by key from its vectors (narrowProbe), the match chains of the
+// rows that found a partner are walked with the residual evaluated on
+// the cells of the two sides in place (pairPred: ψ compares ints), and
+// the output batch is gathered column by column, in typed loops, at
+// exact size, through the join's output projection. No tuple is made
+// here unless the parent asks for rows: NextBatch is NextColBatch made
+// into tuples, once. An empty build side ends the stream without
+// pulling R at all.
 type HashJoinIter struct {
 	L, R     Iterator
 	Pairs    []EquiPair
 	Residual Expr
 
 	outCols []string // output projection of the concatenated row (nil = all)
-	pick    []int    // outCols as positions in the concatenated row
 
-	table *joinTable
-	lidx  []int
-	ridx  []int
-	bound Expr
-	sch   Schema
+	shape  *joinShape
+	tables [1]*joinTable
+	pred   *pairPred // nil = no residual
+	probe  colReader
+	cb     *ColBatch    // current probe batch; nil = pull the next
+	hits   [1]probeHits // cb narrowed to its matches
+	cur    joinCursor   // how far cb's matches are walked
+	cols   []ColVec     // reused output batch header
+	out    ColBatch
+	mat    materializer
 
-	colR       ColBatchIterator // R's columnar path; nil when it has none
-	hits       [1]probeHits     // the current column batch narrowed to its matches
-	probeBatch []Tuple          // current batch of the probe side R
-	probePos   int
-	cur        Tuple // current probe row
-	match      int32 // next build row in the current chain, -1 = none
-
-	probeRows, probeMaterialized int64 // OperatorStats
-
-	out     []Tuple  // reused output batch headers
-	arena   outArena // output cells (write-once)
-	scratch Tuple    // residual evaluation buffer
+	probeRows, cellsGathered int64 // OperatorStats
 }
 
 // NewHashJoin builds a hash join; pairs must be non-empty. out names the
@@ -65,130 +58,78 @@ func (j *HashJoinIter) Open() error {
 	if err := j.R.Open(); err != nil {
 		return err
 	}
-	lsch, rsch := j.L.Schema(), j.R.Schema()
-	full := lsch.Concat(rsch)
 	var err error
-	if j.sch, j.pick, err = bindOut(full, j.outCols); err != nil {
+	if j.shape, err = newJoinShape("hash join", j.L.Schema(), j.R.Schema(), j.Pairs, j.Residual, j.outCols, true); err != nil {
 		return err
 	}
-	j.lidx = make([]int, len(j.Pairs))
-	j.ridx = make([]int, len(j.Pairs))
-	for i, p := range j.Pairs {
-		li := lsch.IndexOf(p.L)
-		ri := rsch.IndexOf(p.R)
-		if li < 0 || ri < 0 {
-			return fmt.Errorf("engine: hash join: pair %v not resolvable (%v ⋈ %v)",
-				p, lsch.Names(), rsch.Names())
-		}
-		j.lidx[i] = li
-		j.ridx[i] = ri
-	}
-	if j.Residual != nil {
-		b, err := j.Residual.Bind(full)
-		if err != nil {
-			return err
-		}
-		j.bound = b
-	}
-	// Build phase on the left input.
-	j.table = newJoinTable(j.lidx)
-	if err := j.table.build(j.L); err != nil {
+	j.pred = j.shape.pred()
+	tables, err := buildJoinTables(j.L, j.shape.lidx, 1)
+	if err != nil {
 		return err
 	}
-	j.colR, _ = NativeColumnar(j.R)
-	j.probeBatch, j.probePos = nil, 0
-	j.match = -1
-	j.scratch = make(Tuple, full.Len())
-	j.probeRows, j.probeMaterialized = 0, 0
+	j.tables[0] = tables[0]
+	j.probe = newColReader(j.R)
+	j.cb = nil
+	j.cols = make([]ColVec, len(j.shape.out))
+	j.probeRows, j.cellsGathered, j.mat.made = 0, 0, 0
 	return nil
 }
 
-// pullProbe advances to the next non-empty batch of probe rows. Row
-// batches come as R hands them; a column batch is narrowed to the rows
-// with a partner in the build table, and those alone are materialized,
-// their chain heads kept beside them in hits.
-func (j *HashJoinIter) pullProbe() (bool, error) {
-	j.probePos = 0
-	if j.colR == nil {
-		batch, ok, err := j.R.NextBatch()
-		j.probeBatch = batch
-		j.probeRows += int64(len(batch))
-		return ok, err
-	}
-	for {
-		cb, ok, err := j.colR.NextColBatch()
-		if err != nil || !ok {
-			j.probeBatch = nil
-			return false, err
-		}
-		j.probeRows += int64(cb.Rows())
-		narrowProbe([]*joinTable{j.table}, cb, j.ridx, j.hits[:])
-		if len(j.hits[0].sel) == 0 {
-			continue
-		}
-		matched := ColBatch{Sch: cb.Sch, Cols: cb.Cols, N: cb.N, Sel: j.hits[0].sel}
-		j.probeBatch = matched.Materialize(j.probeBatch)
-		j.probeMaterialized += int64(len(j.probeBatch))
-		return true, nil
-	}
-}
-
-// NextBatch probes batches of right rows against the build table and
-// emits up to DefaultBatchSize joined rows, carved from the output
-// arena. The residual is evaluated on a reused full-width scratch
-// buffer, so rejected candidates cost no allocation at all.
-func (j *HashJoinIter) NextBatch() ([]Tuple, bool, error) {
-	if j.table.len() == 0 {
+// NextColBatch walks the matches of the current probe batch from where
+// the previous call stopped, up to DefaultBatchSize output rows, and
+// gathers them; a probe batch without a match is skipped whole.
+func (j *HashJoinIter) NextColBatch() (*ColBatch, bool, error) {
+	t := j.tables[0]
+	if t.len() == 0 {
 		return nil, false, nil // nothing to join with: R is not read
 	}
-	out := j.out[:0]
 	for {
-		// Drain the current probe row's match chain.
-		for j.match >= 0 {
-			l := j.table.row(j.match)
-			j.match = j.table.nextMatch(j.match)
-			if !residualHolds(j.bound, j.scratch, l, j.cur) {
-				continue
-			}
-			out = append(out, j.arena.emit(l, j.cur, j.pick))
-			if len(out) >= DefaultBatchSize {
-				j.out = out
-				return out, true, nil
-			}
-		}
-		// Advance the probe side.
-		for j.probePos >= len(j.probeBatch) {
-			ok, err := j.pullProbe()
-			if err != nil {
+		if j.cb == nil {
+			cb, ok, err := j.probe.next()
+			if err != nil || !ok {
 				return nil, false, err
 			}
-			if !ok {
-				j.out = out
-				return out, len(out) > 0, nil
-			}
+			j.probeRows += int64(cb.Rows())
+			narrowProbe(j.tables[:], cb, j.shape.ridx, j.hits[:])
+			j.cb = cb
+			j.cur.reset()
 		}
-		j.cur = j.probeBatch[j.probePos]
-		if j.colR != nil {
-			j.match = j.hits[0].heads[j.probePos]
-		} else if h, keyed := hashKeyAt(j.cur, j.ridx); keyed {
-			j.match = j.table.lookup(h, j.cur, j.ridx)
+		more := j.cur.fill(t, j.pred, j.cb, &j.hits[0], DefaultBatchSize)
+		n := len(j.cur.bsel)
+		if n > 0 {
+			j.cur.gather(t, j.cb, j.shape.out, j.cols)
 		}
-		j.probePos++
+		if !more {
+			j.cb = nil // the next call pulls R, which may reuse this batch
+		}
+		if n > 0 {
+			j.cellsGathered += int64(n * len(j.cols))
+			j.out = ColBatch{Sch: j.shape.sch, Cols: j.cols, N: n}
+			return &j.out, true, nil
+		}
 	}
 }
 
-// OperatorStats reports how many probe rows the join was handed and how
-// many of them it turned from columns into tuples itself: none of a row
-// input, only the rows with a partner of a columnar one.
+// NextBatch makes the next output batch into tuples.
+func (j *HashJoinIter) NextBatch() ([]Tuple, bool, error) { return j.mat.next(j.NextColBatch()) }
+
+// ColumnarNative reports true: a hash join produces column batches
+// whatever its inputs produce.
+func (j *HashJoinIter) ColumnarNative() bool { return true }
+
+// OperatorStats reports how many probe rows the join was handed, how
+// many cells it gathered into its output, and how many output rows it
+// made into tuples (only when its parent pulls rows).
 func (j *HashJoinIter) OperatorStats(emit func(key string, v int64)) {
 	emit("probe_rows", j.probeRows)
-	emit("probe_rows_materialized", j.probeMaterialized)
+	emit("cells_gathered", j.cellsGathered)
+	j.mat.stats(emit)
 }
 
 func (j *HashJoinIter) Close() error {
-	j.table = nil
-	j.out, j.probeBatch, j.hits = nil, nil, [1]probeHits{}
-	j.arena = outArena{}
+	j.tables[0], j.cb = nil, nil
+	j.hits, j.cur, j.cols, j.out = [1]probeHits{}, joinCursor{}, nil, ColBatch{}
+	j.probe, j.mat.rows = colReader{}, nil
 	err1 := j.L.Close()
 	err2 := j.R.Close()
 	if err1 != nil {
@@ -198,10 +139,323 @@ func (j *HashJoinIter) Close() error {
 }
 
 func (j *HashJoinIter) Schema() Schema {
-	if j.sch.Len() > 0 {
-		return j.sch
+	if j.shape != nil {
+		return j.shape.sch
 	}
 	return joinSchema(j.L.Schema(), j.R.Schema(), j.outCols)
+}
+
+// cellSrc names where a column of a join's concatenated row is read: a
+// column of the build side, or of the probe side.
+type cellSrc struct {
+	build bool
+	col   int
+}
+
+// joinShape is what a hash join resolves from its inputs' schemas at
+// Open: the schema it emits and where each of its columns is read, the
+// key columns of either input, and the residual bound to the
+// concatenated row.
+type joinShape struct {
+	sch        Schema
+	out        []cellSrc // per output column
+	lidx, ridx []int     // key columns of L and of R
+	full       Schema    // the concatenated row L ++ R
+	lw         int       // columns of L in full
+	buildLeft  bool      // L is the build side
+	bound      Expr      // nil = no residual
+}
+
+// newJoinShape resolves a join of inputs of schemas lsch and rsch, the
+// left one the build side when buildLeft; what names the operator in
+// errors.
+func newJoinShape(what string, lsch, rsch Schema, pairs []EquiPair, residual Expr, out []string, buildLeft bool) (*joinShape, error) {
+	s := &joinShape{full: lsch.Concat(rsch), lw: lsch.Len(), buildLeft: buildLeft,
+		lidx: make([]int, len(pairs)), ridx: make([]int, len(pairs))}
+	for i, p := range pairs {
+		s.lidx[i], s.ridx[i] = lsch.IndexOf(p.L), rsch.IndexOf(p.R)
+		if s.lidx[i] < 0 || s.ridx[i] < 0 {
+			return nil, fmt.Errorf("engine: %s: pair %v not resolvable (%v ⋈ %v)", what, p, lsch.Names(), rsch.Names())
+		}
+	}
+	sch, pick, err := bindOut(s.full, out)
+	if err != nil {
+		return nil, err
+	}
+	s.sch = sch
+	s.out = make([]cellSrc, sch.Len())
+	for o := range s.out {
+		if pick != nil {
+			s.out[o] = s.src(pick[o])
+		} else {
+			s.out[o] = s.src(o)
+		}
+	}
+	if residual != nil {
+		if s.bound, err = residual.Bind(s.full); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// src is where column c of the concatenated row is read.
+func (s *joinShape) src(c int) cellSrc {
+	if c < s.lw {
+		return cellSrc{build: s.buildLeft, col: c}
+	}
+	return cellSrc{build: !s.buildLeft, col: c - s.lw}
+}
+
+// pred returns an evaluator of the residual with a scratch row of its
+// own (one per goroutine), or nil when there is no residual.
+func (s *joinShape) pred() *pairPred {
+	if s.bound == nil {
+		return nil
+	}
+	p := &pairPred{shape: s, scratch: make(Tuple, s.full.Len())}
+	for _, c := range SplitConjuncts(s.bound) {
+		if ps, ok := c.(*psiExpr); ok {
+			for i, pos := range ps.cells {
+				pc := pairConj{e: ps.conjs[i], psi: true, pos: pos}
+				for k, col := range pos {
+					pc.cells[k] = s.src(col)
+				}
+				p.conjs = append(p.conjs, pc)
+			}
+			continue
+		}
+		p.conjs = append(p.conjs, pairConj{e: c, cols: boundCols(c, s.full)})
+	}
+	return p
+}
+
+// boundCols lists the positions in sch of the columns the bound
+// expression e reads.
+func boundCols(e Expr, sch Schema) []int {
+	names := ExprColumns(e)
+	cols := make([]int, len(names))
+	for i, name := range names {
+		cols[i] = sch.IndexOf(name)
+	}
+	return cols
+}
+
+// pairPred is a join's residual evaluated on one candidate pair — a
+// stored build row and a probe row — reading each cell in place from
+// its vector. A ψ condition (psiExpr, one per pair of descriptor
+// columns of a merge) compares the int cells directly; any other
+// conjunct, and a ψ condition meeting a cell that is not an int, is
+// evaluated on the scratch row with only the columns it reads filled.
+type pairPred struct {
+	conjs   []pairConj
+	shape   *joinShape
+	scratch Tuple // the concatenated row, filled where a conjunct reads it
+}
+
+// pairConj is one conjunct of a pairPred.
+type pairConj struct {
+	e     Expr       // the bound conjunct
+	cols  []int      // the columns of the concatenated row it reads, unless psi
+	psi   bool       // e is (a.var <> b.var OR a.rng = b.rng) over …
+	pos   [4]int     // … these columns of the concatenated row, in that order,
+	cells [4]cellSrc // … which are read from here
+}
+
+// holds reports whether the residual holds on build row m of t and
+// probe row i of pcb.
+func (p *pairPred) holds(t *joinTable, m int32, pcb *ColBatch, i int32) bool {
+	bcols, br := t.cols(m)
+	pcols, pr := pcb.Cols, int(i)
+	for k := range p.conjs {
+		c := &p.conjs[k]
+		if c.psi {
+			av, aok := intAt(c.cells[0], bcols, br, pcols, pr)
+			bv, bok := intAt(c.cells[1], bcols, br, pcols, pr)
+			if aok && bok {
+				if av != bv {
+					continue
+				}
+				ar, arok := intAt(c.cells[2], bcols, br, pcols, pr)
+				brg, brok := intAt(c.cells[3], bcols, br, pcols, pr)
+				if arok && brok {
+					if ar != brg {
+						return false
+					}
+					continue
+				}
+			}
+		}
+		cols := c.cols
+		if c.psi {
+			cols = c.pos[:]
+		}
+		for _, col := range cols {
+			if s := p.shape.src(col); s.build {
+				p.scratch[col] = bcols[s.col].Value(br)
+			} else {
+				p.scratch[col] = pcols[s.col].Value(pr)
+			}
+		}
+		if !c.e.Eval(p.scratch).Truth() {
+			return false
+		}
+	}
+	return true
+}
+
+// intAt is intCell of the cell s names, of build row br or probe row pr.
+func intAt(s cellSrc, bcols []ColVec, br int, pcols []ColVec, pr int) (int64, bool) {
+	if s.build {
+		return intCell(&bcols[s.col], br)
+	}
+	return intCell(&pcols[s.col], pr)
+}
+
+// joinCursor walks the match chains of one probe batch's hits in one
+// build table and resumes where it stopped: it collects the candidate
+// pairs that satisfy the residual, in probe order and chain order —
+// the order of the row-at-a-time join.
+type joinCursor struct {
+	hit   int   // index in hits of the probe row whose chain is walked
+	match int32 // next build row of that chain; -1 = take the next hit
+	bsel  []int32
+	psel  []int32 // the collected pairs: stored build row, physical probe row
+}
+
+func (c *joinCursor) reset() { c.hit, c.match = -1, -1 }
+
+// fill collects up to max pairs into bsel/psel; it reports false once
+// every chain of h is walked.
+func (c *joinCursor) fill(t *joinTable, pred *pairPred, pcb *ColBatch, h *probeHits, max int) bool {
+	c.bsel, c.psel = c.bsel[:0], c.psel[:0]
+	for len(c.bsel) < max {
+		if c.match < 0 {
+			if c.hit+1 >= len(h.sel) {
+				return false
+			}
+			c.hit++
+			c.match = h.heads[c.hit]
+		}
+		m, i := c.match, h.sel[c.hit]
+		c.match = t.next[m]
+		if pred == nil || pred.holds(t, m, pcb, i) {
+			c.bsel = append(c.bsel, m)
+			c.psel = append(c.psel, i)
+		}
+	}
+	return true
+}
+
+// gather lays the collected pairs out as the columns of an output
+// batch: output column o of pair k is the cell out[o] names, of build
+// row bsel[k] of t or of probe row psel[k] of pcb. Each column is written
+// by a typed loop into payloads cut at exact size from one allocation
+// per payload type, which nothing else holds — so a consumer may keep
+// them. cols receives the len(out) vectors.
+func (c *joinCursor) gather(t *joinTable, pcb *ColBatch, out []cellSrc, cols []ColVec) {
+	n := len(c.bsel)
+	var need [5]int // cells of ints, floats, strings, values, null markers
+	for o, s := range out {
+		l := outLayout(t, pcb, s)
+		cols[o] = ColVec{Kind: l.kind}
+		if p := l.payload(); p < 4 {
+			need[p] += n
+		}
+		if l.nulls {
+			need[4] += n
+		}
+	}
+	ints, floats, strs := make([]int64, need[0]), make([]float64, need[1]), make([]string, need[2])
+	vals, nulls := make([]Value, need[3]), make([]bool, need[4])
+	for o, s := range out {
+		l, v := outLayout(t, pcb, s), &cols[o]
+		if l.nulls {
+			v.Nulls, nulls = nulls[:n:n], nulls[n:]
+		}
+		switch l.payload() {
+		case 0:
+			v.Ints, ints = ints[:n:n], ints[n:]
+		case 1:
+			v.Floats, floats = floats[:n:n], floats[n:]
+		case 2:
+			v.Strs, strs = strs[:n:n], strs[n:]
+		case 3:
+			v.Vals, vals = vals[:n:n], vals[n:]
+		}
+		if s.build {
+			t.gatherCol(s.col, c.bsel, v)
+		} else {
+			gatherCol(&pcb.Cols[s.col], c.psel, v)
+		}
+	}
+}
+
+// outLayout is the layout of an output column read from s.
+func outLayout(t *joinTable, pcb *ColBatch, s cellSrc) vecLayout {
+	if s.build {
+		return t.lays[s.col]
+	}
+	return layoutOf(&pcb.Cols[s.col])
+}
+
+// gatherCol fills dst, laid out like src, with src's cells at sel.
+func gatherCol(src *ColVec, sel []int32, dst *ColVec) {
+	if dst.Nulls != nil {
+		for k, i := range sel {
+			dst.Nulls[k] = src.Nulls[i]
+		}
+	}
+	switch {
+	case dst.Vals != nil:
+		for k, i := range sel {
+			dst.Vals[k] = src.Vals[i]
+		}
+	case dst.Ints != nil:
+		for k, i := range sel {
+			dst.Ints[k] = src.Ints[i]
+		}
+	case dst.Floats != nil:
+		for k, i := range sel {
+			dst.Floats[k] = src.Floats[i]
+		}
+	case dst.Strs != nil:
+		for k, i := range sel {
+			dst.Strs[k] = src.Strs[i]
+		}
+	}
+}
+
+// gatherCol fills dst, laid out as build column c's lays entry, with
+// that column's cells of the stored rows sel.
+func (t *joinTable) gatherCol(c int, sel []int32, dst *ColVec) {
+	if dst.Ints != nil {
+		for k, m := range sel {
+			cols, i := t.cols(m)
+			if src := &cols[c]; src.Nulls != nil && src.Nulls[i] {
+				dst.Nulls[k] = true
+			} else {
+				dst.Ints[k] = src.Ints[i]
+			}
+		}
+		return
+	}
+	for k, m := range sel {
+		cols, i := t.cols(m)
+		src := &cols[c]
+		switch {
+		case src.IsNull(i):
+			if dst.Nulls != nil {
+				dst.Nulls[k] = true
+			}
+		case dst.Vals != nil:
+			dst.Vals[k] = src.Value(i)
+		case dst.Floats != nil:
+			dst.Floats[k] = src.Floats[i]
+		case dst.Strs != nil:
+			dst.Strs[k] = src.Strs[i]
+		}
+	}
 }
 
 // residualHolds evaluates a join's bound residual predicate (nil = none)
@@ -337,23 +591,26 @@ func (j *NestedLoopJoinIter) Schema() Schema {
 // SemiJoinIter emits left rows that have at least one match on the
 // right under pairs + residual; with Anti=true it emits left rows with
 // no match. Used by U-relation reduction (Proposition 3.3). It shares
-// the hashed-key joinTable with HashJoinIter: the right side is built
+// the joinTable and the probe of HashJoinIter: the right side is built
 // into the table (with no key columns, every right row lands on one
-// chain, covering the keyless cross-check case), and left rows probe
-// by direct hashing — no per-row key or candidate-slice allocations.
+// chain, covering the keyless cross-check case), left batches are
+// narrowed against it from their vectors and each hit's chain is walked
+// until the residual holds. It emits rows: a row input's own tuples,
+// passed through, or a columnar input's survivors made into tuples.
 type SemiJoinIter struct {
 	L, R     Iterator
 	Pairs    []EquiPair
 	Residual Expr
 	Anti     bool
 
-	table   *joinTable
-	lidx    []int
-	bound   Expr
-	sch     Schema
-	scratch Tuple // residual evaluation buffer
-
-	out []Tuple // reused output batch headers
+	shape  *joinShape
+	tables [1]*joinTable
+	pred   *pairPred
+	in     colReader
+	hits   [1]probeHits
+	keep   []int32 // physical ids of the current batch's surviving rows
+	out    []Tuple // reused output batch headers
+	mat    materializer
 }
 
 // NewSemiJoin builds a (anti-)semi-join.
@@ -368,73 +625,79 @@ func (j *SemiJoinIter) Open() error {
 	if err := j.R.Open(); err != nil {
 		return err
 	}
-	lsch, rsch := j.L.Schema(), j.R.Schema()
-	j.sch = lsch
-	j.lidx = make([]int, len(j.Pairs))
-	ridx := make([]int, len(j.Pairs))
-	for i, p := range j.Pairs {
-		li := lsch.IndexOf(p.L)
-		ri := rsch.IndexOf(p.R)
-		if li < 0 || ri < 0 {
-			return fmt.Errorf("engine: semi join: pair %v not resolvable", p)
-		}
-		j.lidx[i] = li
-		ridx[i] = ri
+	var err error
+	if j.shape, err = newJoinShape("semi join", j.L.Schema(), j.R.Schema(), j.Pairs, j.Residual, nil, false); err != nil {
+		return err
 	}
-	if j.Residual != nil {
-		b, err := j.Residual.Bind(lsch.Concat(rsch))
-		if err != nil {
-			return err
-		}
-		j.bound = b
-	}
-	j.scratch = make(Tuple, lsch.Len()+rsch.Len())
+	j.pred = j.shape.pred()
 	// Build phase on the right input. With no equi pairs the key is
 	// empty, so all right rows share one chain and every left row
 	// probes the full right side, as the keyless semantics require.
-	j.table = newJoinTable(ridx)
-	return j.table.build(j.R)
+	tables, err := buildJoinTables(j.R, j.shape.ridx, 1)
+	if err != nil {
+		return err
+	}
+	j.tables[0] = tables[0]
+	j.in = newColReader(j.L)
+	j.mat.made = 0
+	return nil
 }
 
-// matched reports whether a left row has a qualifying right match.
-func (j *SemiJoinIter) matched(row Tuple) bool {
-	h, keyed := hashKeyAt(row, j.lidx)
-	if !keyed {
-		return false // NULL keys never match
-	}
-	for m := j.table.lookup(h, row, j.lidx); m >= 0; m = j.table.nextMatch(m) {
-		if residualHolds(j.bound, j.scratch, row, j.table.row(m)) {
+// matched reports whether probe row i of cb, whose chain starts at
+// head, has a build row the residual holds on.
+func (j *SemiJoinIter) matched(head int32, cb *ColBatch, i int32) bool {
+	t := j.tables[0]
+	for m := head; m >= 0; m = t.next[m] {
+		if j.pred == nil || j.pred.holds(t, m, cb, i) {
 			return true
 		}
 	}
 	return false
 }
 
-// NextBatch filters whole left batches, passing surviving row headers
-// through unchanged (the semi join emits its input rows, so it
-// allocates nothing).
+// NextBatch filters whole left batches.
 func (j *SemiJoinIter) NextBatch() ([]Tuple, bool, error) {
 	for {
-		in, ok, err := j.L.NextBatch()
+		cb, ok, err := j.in.next()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		out := j.out[:0]
-		for _, row := range in {
-			if j.matched(row) != j.Anti {
-				out = append(out, row)
+		narrowProbe(j.tables[:], cb, j.shape.lidx, j.hits[:])
+		h := &j.hits[0]
+		keep, hit := j.keep[:0], 0
+		for k, n := 0, cb.Rows(); k < n; k++ {
+			i := int32(cb.RowID(k))
+			found := false
+			if hit < len(h.sel) && h.sel[hit] == i {
+				found = j.matched(h.heads[hit], cb, i)
+				hit++
+			}
+			if found != j.Anti {
+				keep = append(keep, i)
 			}
 		}
-		j.out = out
-		if len(out) > 0 {
-			return out, true, nil
+		j.keep = keep
+		if len(keep) == 0 {
+			continue
 		}
+		if j.in.rows == nil {
+			return j.mat.next(&ColBatch{Sch: cb.Sch, Cols: cb.Cols, N: cb.N, Sel: keep}, true, nil)
+		}
+		out := j.out[:0]
+		for _, i := range keep {
+			out = append(out, j.in.rows[i])
+		}
+		j.out = out
+		return out, true, nil
 	}
 }
 
+// OperatorStats reports the rows the semi join made into tuples.
+func (j *SemiJoinIter) OperatorStats(emit func(key string, v int64)) { j.mat.stats(emit) }
+
 func (j *SemiJoinIter) Close() error {
-	j.table = nil
-	j.out = nil
+	j.tables[0], j.hits, j.in = nil, [1]probeHits{}, colReader{}
+	j.out, j.keep, j.mat.rows = nil, nil, nil
 	err1 := j.L.Close()
 	err2 := j.R.Close()
 	if err1 != nil {

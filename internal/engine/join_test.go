@@ -1,0 +1,304 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// refJoin is the row-at-a-time inner join the hash joins are held to: for
+// each row of r in order, each row of l in order whose key cells equal
+// its own (no NULL), kept when the residual holds — evaluated by
+// interpret, connective by connective — and narrowed to out. Its order
+// is the serial hash join's: probe order, then chain order.
+func refJoin(t *testing.T, l, r *Relation, pairs []EquiPair, residual Expr, out []string) *Relation {
+	t.Helper()
+	full := l.Sch.Concat(r.Sch)
+	sch, pick, err := bindOut(full, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	li, ri := make([]int, len(pairs)), make([]int, len(pairs))
+	for k, p := range pairs {
+		li[k], ri[k] = l.Sch.MustIndexOf(p.L), r.Sch.MustIndexOf(p.R)
+	}
+	key := func(row Tuple, idx []int) (string, bool) {
+		cells := make(Tuple, len(idx))
+		for k, c := range idx {
+			if cells[k] = row[c]; cells[k].IsNull() {
+				return "", false
+			}
+		}
+		return KeyString(cells), true
+	}
+	chains := map[string][]Tuple{}
+	for _, row := range l.Rows {
+		if k, ok := key(row, li); ok {
+			chains[k] = append(chains[k], row)
+		}
+	}
+	res := NewRelation(sch)
+	for _, rr := range r.Rows {
+		k, ok := key(rr, ri)
+		if !ok {
+			continue
+		}
+		for _, lr := range chains[k] {
+			row := lr.Concat(rr)
+			if residual != nil && !interpret(t, residual, full, row) {
+				continue
+			}
+			if pick != nil {
+				narrowed := make(Tuple, len(pick))
+				for i, c := range pick {
+					narrowed[i] = row[c]
+				}
+				row = narrowed
+			}
+			res.Append(row)
+		}
+	}
+	return res
+}
+
+// mergeParts draws the k vertical partitions of one relation over n tuple
+// ids, in the U-layout a merge joins: partition p has a descriptor pair
+// p<p>.v, p<p>.r (variable 0 is the trivial one), the tuple id p<p>.tid
+// and one attribute p<p>.a. A tid has one or two alternatives in a
+// partition, or none; a few cells are what union pads and mixed columns
+// leave — a NULL tid, a NULL or float or string attribute, a descriptor
+// cell that is not an int.
+func mergeParts(rng *rand.Rand, k, n int) []*Relation {
+	parts := make([]*Relation, k)
+	for p := range parts {
+		pre := fmt.Sprintf("p%d.", p)
+		rel := NewRelation(NewSchema(Column{Name: pre + "v", Kind: KindInt}, Column{Name: pre + "r", Kind: KindInt},
+			Column{Name: pre + "tid", Kind: KindInt}, Column{Name: pre + "a", Kind: KindInt}))
+		for tid := 0; tid < n; tid++ {
+			if rng.Intn(12) == 0 {
+				continue
+			}
+			for alts := 1 + rng.Intn(2); alts > 0; alts-- {
+				v, r, id, a := Int(int64(rng.Intn(4))), Int(int64(rng.Intn(2))), Int(int64(tid)), Int(int64(rng.Intn(50)))
+				switch rng.Intn(60) {
+				case 0:
+					id = Null()
+				case 1:
+					a = Null()
+				case 2:
+					a = Float(float64(rng.Intn(50)))
+				case 3:
+					a = Str("x")
+				case 4:
+					v = Float(v.AsFloat())
+				case 5:
+					r = Null()
+				}
+				rel.Append(Tuple{v, r, id, a})
+			}
+		}
+		parts[p] = rel
+	}
+	return parts
+}
+
+// psiOf is the ψ condition of a merge of partitions p and q.
+func psiOf(p, q int) Expr {
+	pv, pr := fmt.Sprintf("p%d.v", p), fmt.Sprintf("p%d.r", p)
+	qv, qr := fmt.Sprintf("p%d.v", q), fmt.Sprintf("p%d.r", q)
+	return Or(Cmp(NE, Col(pv), Col(qv)), Cmp(EQ, Col(pr), Col(qr)))
+}
+
+// joinInput serves rel in one of the shapes a join input arrives in,
+// named by shape: rows (transposed by the join), typed or generic column
+// batches of any size — 4 096-row store segments among them — and
+// batches behind a projection, which reuses its headers.
+func joinInput(rng *rand.Rand, rel *Relation) (Iterator, string) {
+	switch rng.Intn(5) {
+	case 0:
+		return NewScan(rel), "rows"
+	case 1:
+		return newColSource(rel, 1+rng.Intn(700)), "typed"
+	case 2:
+		return newColSource(rel, 4096), "segments"
+	case 3:
+		s := newColSource(rel, 1+rng.Intn(300))
+		s.generic = true
+		return s, "generic"
+	}
+	return NewProject(newColSource(rel, 1+rng.Intn(500)), rel.Sch.Names()), "projected"
+}
+
+// TestHashJoinColumnarEquivalence is the property suite of the one hash
+// join: random 1–7-way tid merges with ψ, then a join with another
+// relation on one or two key columns — an int key meeting the float it
+// equals, NULL keys, mixed-kind and generic columns, an empty side, a
+// build side larger than the probe side — every input in a random shape,
+// outputs straddling DefaultBatchSize. The serial join gives refJoin's
+// rows in refJoin's order at every step; the parallel join and the
+// nested loop the same bag.
+func TestHashJoinColumnarEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	straddled := 0
+	for iter := 0; iter < 36; iter++ {
+		k := 1 + rng.Intn(7)
+		n := 200 + rng.Intn(1300)
+		if iter%6 == 0 {
+			n = 0 // an empty side
+		}
+		parts := mergeParts(rng, k, n)
+		var shapes []string
+		serial, shape := joinInput(rng, parts[0])
+		shapes = append(shapes, shape)
+		parallel, _ := joinInput(rng, parts[0])
+		want := parts[0]
+		for p := 1; p < k; p++ {
+			pairs := []EquiPair{{L: "p0.tid", R: fmt.Sprintf("p%d.tid", p)}}
+			var psi []Expr
+			for q := 0; q < p; q++ {
+				psi = append(psi, psiOf(q, p))
+			}
+			residual := And(psi...)
+			want = refJoin(t, want, parts[p], pairs, residual, nil)
+			rs, shape := joinInput(rng, parts[p])
+			rp, _ := joinInput(rng, parts[p])
+			shapes = append(shapes, shape)
+			serial = NewHashJoin(serial, rs, pairs, residual, nil)
+			parallel = NewParallelHashJoin(parallel, rp, pairs, residual, nil, 3)
+			if p < k-1 {
+				continue
+			}
+			name := fmt.Sprintf("iter %d: %d-way merge of %d tids over %v", iter, k, n, shapes)
+			checkJoinRows(t, name, want, mustDrain(t, serial), true)
+			checkJoinRows(t, name+" (parallel)", want, mustDrain(t, parallel), false)
+			serial, _ = joinInput(rng, want)
+			parallel, _ = joinInput(rng, want)
+		}
+		// Across relations: the merge meets another relation on its
+		// attribute, and maybe its tid, from either side.
+		other := NewRelation(NewSchema(Column{Name: "o.x", Kind: KindFloat}, Column{Name: "o.y", Kind: KindInt}, Column{Name: "o.s", Kind: KindString}))
+		for i, m := 0, rng.Intn(n/2+2); i < m; i++ {
+			x := Float(float64(rng.Intn(50)))
+			switch rng.Intn(20) {
+			case 0:
+				x = Null()
+			case 1:
+				x = Int(int64(rng.Intn(50)))
+			case 2:
+				x = Float(0.5)
+			}
+			other.Append(Tuple{x, Int(int64(rng.Intn(n + 1))), Str(fmt.Sprint(rng.Intn(5)))})
+		}
+		pairs := []EquiPair{{L: "p0.a", R: "o.x"}}
+		if rng.Intn(2) == 0 {
+			pairs = append(pairs, EquiPair{L: "p0.tid", R: "o.y"})
+		}
+		var residual Expr
+		switch rng.Intn(3) {
+		case 0:
+			residual = Cmp(NE, Col("o.s"), ConstStr("0"))
+		case 1:
+			residual = Or(Cmp(LT, Col("p0.a"), Col("o.y")), Cmp(EQ, Col("o.s"), ConstStr("1")))
+		}
+		l, r := want, other
+		if rng.Intn(2) == 0 {
+			l, r = other, want
+			for i := range pairs {
+				pairs[i] = EquiPair{L: pairs[i].R, R: pairs[i].L}
+			}
+		}
+		out := randOut(rng, l.Sch.Concat(r.Sch).Names())
+		cross := refJoin(t, l, r, pairs, residual, out)
+		ls, lshape := joinInput(rng, l)
+		rs, rshape := joinInput(rng, r)
+		name := fmt.Sprintf("iter %d: %d ⋈ %d rows on %v, %s ⋈ %s", iter, l.Len(), r.Len(), pairs, lshape, rshape)
+		checkJoinRows(t, name, cross, mustDrain(t, NewHashJoin(ls, rs, pairs, residual, out)), true)
+		lp, _ := joinInput(rng, l)
+		rp, _ := joinInput(rng, r)
+		checkJoinRows(t, name+" (parallel)", cross, mustDrain(t, NewParallelHashJoin(lp, rp, pairs, residual, out, 3)), false)
+		if l.Len()*r.Len() < 400000 { // the nested loop tries every pair
+			cond := []Expr{residual}
+			for _, p := range pairs {
+				cond = append(cond, EqCols(p.L, p.R))
+			}
+			checkJoinRows(t, name+" (nested loop)", cross, mustDrain(t, NewNestedLoopJoin(NewScan(l), NewScan(r), And(cond...), out)), false)
+		}
+		if want.Len() > DefaultBatchSize {
+			straddled++
+		}
+	}
+	if straddled < 5 {
+		t.Fatalf("only %d merges output more than one batch", straddled)
+	}
+}
+
+// checkJoinRows fails unless got holds want's rows under want's schema:
+// in want's order when ordered, as a bag otherwise.
+func checkJoinRows(t *testing.T, name string, want, got *Relation, ordered bool) {
+	t.Helper()
+	if !want.Sch.Equal(got.Sch) {
+		t.Fatalf("%s: schema %v, want %v", name, got.Sch, want.Sch)
+	}
+	if !ordered {
+		if !want.EqualAsBag(got) {
+			t.Fatalf("%s: %d rows, not the %d of the reference", name, got.Len(), want.Len())
+		}
+		return
+	}
+	if want.Len() != got.Len() {
+		t.Fatalf("%s: %d rows, want %d", name, got.Len(), want.Len())
+	}
+	for i := range want.Rows {
+		if !TupleEqual(want.Rows[i], got.Rows[i]) || KeyString(want.Rows[i]) != KeyString(got.Rows[i]) {
+			t.Fatalf("%s: row %d is %v, want %v", name, i, got.Rows[i], want.Rows[i])
+		}
+	}
+}
+
+// TestJoinBuildKeepsPayloadsNotHeaders: a build side fed by a filter or a
+// projection — which hand out the same batch header, selection vector
+// and column slice on every call — answers exactly as the same rows
+// handed over once and copied: the table copies the borrowed headers
+// and keeps only the payloads, which the NextColBatch contract makes
+// immutable.
+func TestJoinBuildKeepsPayloadsNotHeaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	l := randColInput(rng, 3000, "l")
+	r := randColInput(rng, 800, "r")
+	pairs := []EquiPair{{L: "l.k", R: "r.k"}}
+	keep := Cmp(GE, Col("l.k2"), ConstInt(2))
+	cols := []string{"l.k", "l.s", "l.v"}
+	copied := mustDrain(t, NewProject(NewFilter(NewScan(l), keep), cols))
+	for name, build := range map[string]Iterator{
+		"filter":  NewFilter(newColSource(l, 97), keep),
+		"project": NewProject(NewFilter(newColSource(l, 97), keep), cols),
+	} {
+		want := mustDrain(t, NewHashJoin(NewScan(copied), NewScan(r), pairs, Cmp(NE, Col("l.s"), Col("r.s")), []string{"r.v", "l.s", "l.k"}))
+		got := mustDrain(t, NewHashJoin(build, newColSource(r, 64), pairs, Cmp(NE, Col("l.s"), Col("r.s")), []string{"r.v", "l.s", "l.k"}))
+		if want.Len() < DefaultBatchSize {
+			t.Fatalf("%s: the fixture joins to %d rows", name, want.Len())
+		}
+		checkJoinRows(t, name, want, got, true)
+	}
+}
+
+// TestSemiJoinOverEmptyBuild: a semi join whose right side holds no
+// joinable row keeps no left row and an anti join keeps them all —
+// probing the empty table, whatever layout the keys arrive in.
+func TestSemiJoinOverEmptyBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	l := randColInput(rng, 300, "l")
+	nulls := NewRelation(NewSchema(Column{Name: "r.k", Kind: KindInt}))
+	nulls.Append(Tuple{Null()})
+	for name, r := range map[string]*Relation{"no rows": NewRelation(nulls.Sch), "NULL keys": nulls} {
+		for _, left := range []Iterator{NewScan(l), newColSource(l, 64)} {
+			pairs := []EquiPair{{L: "l.k", R: "r.k"}}
+			if got := mustDrain(t, NewSemiJoin(left, newColSource(r, 8), pairs, nil, false)); got.Len() != 0 {
+				t.Fatalf("%s: the semi join keeps %d rows", name, got.Len())
+			}
+		}
+		if got := mustDrain(t, NewSemiJoin(newColSource(l, 64), NewScan(r), []EquiPair{{L: "l.k", R: "r.k"}}, nil, true)); got.Len() != l.Len() {
+			t.Fatalf("%s: the anti join keeps %d of %d rows", name, got.Len(), l.Len())
+		}
+	}
+}

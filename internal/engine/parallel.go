@@ -15,35 +15,17 @@ func effectiveWorkers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// hashKeyAt hashes the key columns idx of row, consistent with
-// KeyString/TupleEqual. ok=false signals a NULL key (which never joins).
-func hashKeyAt(row Tuple, idx []int) (uint64, bool) {
-	h := uint64(fnvOffset64)
-	for _, i := range idx {
-		v := row[i]
-		if v.IsNull() {
-			return 0, false
-		}
-		h ^= HashValue(v)
-		h *= fnvPrime64
-	}
-	return h, true
-}
-
 // ParallelHashJoinIter is the partitioned parallel counterpart of
-// HashJoinIter. The build side is hash-partitioned by join key across
-// Workers partitions, each owned by one goroutine that builds a
-// private open-addressing joinTable (the same hashed-key machinery as
-// the serial join — no shared-table contention, no per-row key
-// strings). Probe batches are then scattered by the same hash function
-// and probed against the per-partition tables in parallel; each worker
-// evaluates the residual predicate on its own bound expression copy
-// and carves output rows from its own arena. A columnar probe side is
-// narrowed by the serial join's own narrowProbe, which scatters as it
-// goes — a row's partition is its key hash's — so only the matches are
-// materialized and each worker walks its partition's chains from the
-// remembered heads. Results stream out as batches. The multiset of
-// output rows is exactly that of HashJoinIter; only the order differs.
+// HashJoinIter. The build side is drained as column batches, as the
+// serial join drains it, and its rows are hash-partitioned by join key
+// across Workers tables that share the batches, each indexed by its own
+// goroutine (no shared-table contention). Each probe batch is narrowed
+// by the serial join's own narrowProbe, which scatters as it goes — a
+// row's partition is its key hash's — and every partition with hits
+// then walks its chains, evaluates the residual on its own evaluator
+// and gathers its own output batches, all partitions in parallel. The
+// multiset of output rows is exactly that of HashJoinIter; only the
+// order differs.
 type ParallelHashJoinIter struct {
 	L, R     Iterator
 	Pairs    []EquiPair
@@ -51,25 +33,19 @@ type ParallelHashJoinIter struct {
 	Workers  int // <= 0 means GOMAXPROCS
 
 	outCols []string // output projection of the concatenated row (nil = all)
-	pick    []int
 
-	nw        int
-	parts     []*joinTable
-	built     int // rows in parts, all together
-	lidx      []int
-	ridx      []int
-	bounds    []Expr // per-partition bound residual copies
-	sch       Schema
-	colR      ColBatchIterator // R's columnar path; nil when it has none
-	hits      []probeHits      // per-partition matches of the current column batch
-	probe     []Tuple          // gathered probe rows (reused)
-	buckets   [][]Tuple        // per-partition probe buckets (reused)
-	outs      [][]Tuple        // per-partition outputs (reused)
-	arenas    []outArena       // per-partition output cells (write-once)
-	scratches []Tuple          // per-partition residual buffers
-	result    []Tuple          // concatenated output batch (reused)
+	shape *joinShape
+	parts []*joinTable
+	built int         // rows in parts, all together
+	preds []*pairPred // per partition (nil = no residual)
+	probe colReader
+	hits  []probeHits // per partition: the current probe batch's matches
+	curs  []joinCursor
+	ready []ColBatch // output batches of the current probe batch
+	next  int        // the first of ready not handed out yet
+	mat   materializer
 
-	probeRows, probeMaterialized int64 // OperatorStats
+	probeRows, cellsGathered int64 // OperatorStats
 }
 
 // NewParallelHashJoin builds a partitioned parallel hash join; pairs
@@ -89,237 +65,93 @@ func (j *ParallelHashJoinIter) Open() error {
 	if err := j.R.Open(); err != nil {
 		return err
 	}
-	lsch, rsch := j.L.Schema(), j.R.Schema()
-	full := lsch.Concat(rsch)
 	var err error
-	if j.sch, j.pick, err = bindOut(full, j.outCols); err != nil {
+	if j.shape, err = newJoinShape("parallel hash join", j.L.Schema(), j.R.Schema(), j.Pairs, j.Residual, j.outCols, true); err != nil {
 		return err
 	}
-	j.lidx = make([]int, len(j.Pairs))
-	j.ridx = make([]int, len(j.Pairs))
-	for i, p := range j.Pairs {
-		li := lsch.IndexOf(p.L)
-		ri := rsch.IndexOf(p.R)
-		if li < 0 || ri < 0 {
-			return fmt.Errorf("engine: parallel hash join: pair %v not resolvable (%v ⋈ %v)",
-				p, lsch.Names(), rsch.Names())
-		}
-		j.lidx[i] = li
-		j.ridx[i] = ri
-	}
-	j.nw = effectiveWorkers(j.Workers)
-	j.bounds = make([]Expr, j.nw)
-	for w := 0; w < j.nw; w++ {
-		if j.Residual != nil {
-			b, err := j.Residual.Bind(full)
-			if err != nil {
-				return err
-			}
-			j.bounds[w] = b
-		}
-	}
-	if err := j.build(); err != nil {
+	nw := effectiveWorkers(j.Workers)
+	if j.parts, err = buildJoinTables(j.L, j.shape.lidx, nw); err != nil {
 		return err
 	}
-	j.colR, _ = NativeColumnar(j.R)
-	j.hits = make([]probeHits, j.nw)
-	j.probeRows, j.probeMaterialized = 0, 0
-	j.buckets = make([][]Tuple, j.nw)
-	j.outs = make([][]Tuple, j.nw)
-	j.arenas = make([]outArena, j.nw)
-	j.scratches = make([]Tuple, j.nw)
-	for w := 0; w < j.nw; w++ {
-		j.scratches[w] = make(Tuple, full.Len())
+	j.built = 0
+	j.preds = make([]*pairPred, nw)
+	for p, t := range j.parts {
+		j.built += t.len()
+		j.preds[p] = j.shape.pred()
 	}
+	j.probe = newColReader(j.R)
+	j.hits = make([]probeHits, nw)
+	j.curs = make([]joinCursor, nw)
+	j.ready, j.next = nil, 0
+	j.probeRows, j.cellsGathered, j.mat.made = 0, 0, 0
 	return nil
 }
 
-// build drains the left input, scattering rows to per-partition builder
-// goroutines that each construct a private hash table.
-func (j *ParallelHashJoinIter) build() error {
-	j.parts = make([]*joinTable, j.nw)
-	chans := make([]chan []Tuple, j.nw)
-	var wg sync.WaitGroup
-	for w := 0; w < j.nw; w++ {
-		w := w
-		chans[w] = make(chan []Tuple, 4)
-		j.parts[w] = newJoinTable(j.lidx)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tbl := j.parts[w]
-			for chunk := range chans[w] {
-				for _, row := range chunk {
-					if h, keyed := tbl.hashRow(row); keyed {
-						tbl.insert(row, h)
-					}
-				}
-			}
-		}()
-	}
-	send := func(buf [][]Tuple, p int) {
-		if len(buf[p]) > 0 {
-			chans[p] <- buf[p]
-			buf[p] = nil
-		}
-	}
-	buf := make([][]Tuple, j.nw)
-	var err error
-	for {
-		batch, ok, e := j.L.NextBatch()
-		if e != nil {
-			err = e
-			break
-		}
-		if !ok {
-			break
-		}
-		for _, row := range batch {
-			h, keyed := hashKeyAt(row, j.lidx)
-			if !keyed {
-				continue // NULL keys never join
-			}
-			p := int(h % uint64(j.nw))
-			if buf[p] == nil {
-				buf[p] = make([]Tuple, 0, DefaultBatchSize)
-			}
-			buf[p] = append(buf[p], row)
-			if len(buf[p]) == DefaultBatchSize {
-				send(buf, p)
-			}
-		}
-	}
-	for p := 0; p < j.nw; p++ {
-		send(buf, p)
-		close(chans[p])
-	}
-	wg.Wait()
-	j.built = 0
-	for _, tbl := range j.parts {
-		j.built += tbl.len()
-	}
-	return err
-}
-
-// scatterProbe fills the per-partition probe buckets from R: a gathered
-// chunk of row batches scattered by key hash, or the next column batch
-// narrowed to its matches, which narrowProbe scatters as it finds them
-// (their chain heads stay in hits, row for row). ok=false at the end
-// of R.
-func (j *ParallelHashJoinIter) scatterProbe() (bool, error) {
-	if j.colR != nil {
-		cb, ok, err := j.colR.NextColBatch()
-		if err != nil || !ok {
-			return false, err
-		}
-		j.probeRows += int64(cb.Rows())
-		narrowProbe(j.parts, cb, j.ridx, j.hits)
-		for p := range j.buckets {
-			j.buckets[p] = j.buckets[p][:0]
-			if len(j.hits[p].sel) > 0 {
-				matched := ColBatch{Sch: cb.Sch, Cols: cb.Cols, N: cb.N, Sel: j.hits[p].sel}
-				j.buckets[p] = matched.Materialize(j.buckets[p])
-				j.probeMaterialized += int64(len(j.buckets[p]))
-			}
-		}
-		return true, nil
-	}
-	// Gather probe rows (copying row headers: upstream batch buffers
-	// may be reused by the producer).
-	probe := j.probe[:0]
-	for target := j.nw * DefaultBatchSize; len(probe) < target; {
-		batch, ok, err := j.R.NextBatch()
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			break
-		}
-		probe = append(probe, batch...)
-	}
-	j.probe = probe
-	j.probeRows += int64(len(probe))
-	for p := range j.buckets {
-		j.buckets[p] = j.buckets[p][:0]
-	}
-	for _, row := range probe {
-		h, keyed := hashKeyAt(row, j.ridx)
-		if !keyed {
-			continue
-		}
-		p := int(h % uint64(j.nw))
-		j.buckets[p] = append(j.buckets[p], row)
-	}
-	return len(probe) > 0, nil
-}
-
-// NextBatch scatters a chunk of the probe side across the build
-// partitions and probes all partitions in parallel.
-func (j *ParallelHashJoinIter) NextBatch() ([]Tuple, bool, error) {
+// NextColBatch hands out the output batches of the current probe batch,
+// and once they are gone narrows the next probe batch and joins it in
+// every partition with a hit at once.
+func (j *ParallelHashJoinIter) NextColBatch() (*ColBatch, bool, error) {
 	if j.built == 0 {
 		return nil, false, nil // nothing to join with: R is not read
 	}
-	for {
-		ok, err := j.scatterProbe()
+	for j.next >= len(j.ready) {
+		cb, ok, err := j.probe.next()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		// Probe each partition in parallel.
+		j.probeRows += int64(cb.Rows())
+		narrowProbe(j.parts, cb, j.shape.ridx, j.hits)
+		outs := make([][]ColBatch, len(j.parts))
 		var wg sync.WaitGroup
-		for p := 0; p < j.nw; p++ {
-			if len(j.buckets[p]) == 0 {
-				j.outs[p] = j.outs[p][:0]
+		for p := range j.parts {
+			if len(j.hits[p].sel) == 0 {
 				continue
 			}
-			p := p
 			wg.Add(1)
-			go func() {
+			go func(p int) {
 				defer wg.Done()
-				tbl := j.parts[p]
-				bound := j.bounds[p]
-				arena := &j.arenas[p]
-				scratch := j.scratches[p]
-				out := j.outs[p][:0]
-				for i, row := range j.buckets[p] {
-					m := int32(-1)
-					if j.colR != nil {
-						m = j.hits[p].heads[i]
-					} else if h, keyed := hashKeyAt(row, j.ridx); keyed {
-						m = tbl.lookup(h, row, j.ridx)
-					}
-					for ; m >= 0; m = tbl.nextMatch(m) {
-						l := tbl.row(m)
-						if residualHolds(bound, scratch, l, row) {
-							out = append(out, arena.emit(l, row, j.pick))
-						}
+				t, cur := j.parts[p], &j.curs[p]
+				cur.reset()
+				for more := true; more; {
+					more = cur.fill(t, j.preds[p], cb, &j.hits[p], DefaultBatchSize)
+					if n := len(cur.bsel); n > 0 {
+						cols := make([]ColVec, len(j.shape.out))
+						cur.gather(t, cb, j.shape.out, cols)
+						outs[p] = append(outs[p], ColBatch{Sch: j.shape.sch, Cols: cols, N: n})
 					}
 				}
-				j.outs[p] = out
-			}()
+			}(p)
 		}
 		wg.Wait()
-		result := j.result[:0]
-		for p := 0; p < j.nw; p++ {
-			result = append(result, j.outs[p]...)
+		j.ready, j.next = j.ready[:0], 0
+		for _, o := range outs {
+			j.ready = append(j.ready, o...)
 		}
-		j.result = result
-		if len(result) > 0 {
-			return result, true, nil
-		}
-		// All probe rows missed; pull the next chunk.
 	}
+	out := &j.ready[j.next]
+	j.next++
+	j.cellsGathered += int64(out.N * len(out.Cols))
+	return out, true, nil
 }
+
+// NextBatch makes the next output batch into tuples.
+func (j *ParallelHashJoinIter) NextBatch() ([]Tuple, bool, error) {
+	return j.mat.next(j.NextColBatch())
+}
+
+// ColumnarNative is HashJoinIter's.
+func (j *ParallelHashJoinIter) ColumnarNative() bool { return true }
 
 // OperatorStats is HashJoinIter's.
 func (j *ParallelHashJoinIter) OperatorStats(emit func(key string, v int64)) {
 	emit("probe_rows", j.probeRows)
-	emit("probe_rows_materialized", j.probeMaterialized)
+	emit("cells_gathered", j.cellsGathered)
+	j.mat.stats(emit)
 }
 
 func (j *ParallelHashJoinIter) Close() error {
-	j.parts = nil
-	j.probe, j.buckets, j.outs, j.result, j.hits = nil, nil, nil, nil, nil
-	j.arenas, j.scratches = nil, nil
+	j.parts, j.preds, j.hits, j.curs, j.ready = nil, nil, nil, nil, nil
+	j.probe, j.mat.rows = colReader{}, nil
 	err1 := j.L.Close()
 	err2 := j.R.Close()
 	if err1 != nil {
@@ -329,8 +161,8 @@ func (j *ParallelHashJoinIter) Close() error {
 }
 
 func (j *ParallelHashJoinIter) Schema() Schema {
-	if j.sch.Len() > 0 {
-		return j.sch
+	if j.shape != nil {
+		return j.shape.sch
 	}
 	return joinSchema(j.L.Schema(), j.R.Schema(), j.outCols)
 }

@@ -74,17 +74,20 @@ func (p *ScanPlan) Children() []Plan         { return nil }
 func (p *ScanPlan) WithChildren([]Plan) Plan { c := *p; return &c }
 func (p *ScanPlan) Label() string            { return "Seq Scan on " + p.Name }
 
-// ValuesPlan scans an anonymous, already materialized relation. The
+// ValuesPlan scans an anonymous, already materialized relation: rows
+// (Rel), or columns (Batch, whose N rows it serves in windows that share
+// its vectors; exactly one of the two is set, and Batch has no Sel). The
 // U-relation layer uses it to evaluate over representations that are
-// not registered in a catalog.
+// not registered in a catalog — an in-memory partition as columns.
 type ValuesPlan struct {
-	Rel  *Relation
-	Name string // display name for EXPLAIN
-	// Stats, when non-nil, returns Rel's statistics (never nil) keyed by
-	// Rel's column names. A producer that already keeps statistics for the
-	// data behind Rel sets it so they travel with the plan; it is only
-	// called when an estimate is asked for. Without it the estimator
-	// scans Rel (ComputeStats), once per planning pass.
+	Rel   *Relation
+	Batch *ColBatch
+	Name  string // display name for EXPLAIN
+	// Stats, when non-nil, returns the data's statistics (never nil) keyed
+	// by its column names. A producer that already keeps statistics for
+	// the data sets it so they travel with the plan; it is only called
+	// when an estimate is asked for. Without it the estimator scans the
+	// data (ComputeStats), once per planning pass.
 	Stats func() *TableStats
 }
 
@@ -93,9 +96,17 @@ func Values(rel *Relation, name string) *ValuesPlan {
 	return &ValuesPlan{Rel: rel, Name: name}
 }
 
-func (p *ValuesPlan) Schema(*Catalog) (Schema, error) { return p.Rel.Sch, nil }
-func (p *ValuesPlan) Children() []Plan                { return nil }
-func (p *ValuesPlan) WithChildren([]Plan) Plan        { c := *p; return &c }
+func (p *ValuesPlan) Schema(*Catalog) (Schema, error) {
+	if p.Batch != nil {
+		return p.Batch.Sch, nil
+	}
+	return p.Rel.Sch, nil
+}
+func (p *ValuesPlan) Children() []Plan         { return nil }
+func (p *ValuesPlan) WithChildren([]Plan) Plan { c := *p; return &c }
+
+// ColumnarScan reports whether the leaf serves column batches.
+func (p *ValuesPlan) ColumnarScan() bool { return p.Batch != nil }
 func (p *ValuesPlan) Label() string {
 	n := p.Name
 	if n == "" {
@@ -462,6 +473,9 @@ func build(p Plan, est *estimator, cfg ExecConfig) (Iterator, error) {
 		}
 		return NewScan(r), nil
 	case *ValuesPlan:
+		if n.Batch != nil {
+			return &colScanIter{src: n.Batch}, nil
+		}
 		return NewScan(n.Rel), nil
 	case *FilterPlan:
 		in, err := lower(n.Child, est, cfg)

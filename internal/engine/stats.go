@@ -42,16 +42,26 @@ func StatsScans() int64 { return statsScans.Load() }
 
 // ComputeStats scans (a sample of) the relation and derives statistics.
 func ComputeStats(r *Relation) *TableStats {
+	return computeStats(r.Sch, len(r.Rows), func(c, i int) Value { return r.Rows[i][c] })
+}
+
+// ComputeBatchStats is ComputeStats of a column batch's live rows.
+func ComputeBatchStats(cb *ColBatch) *TableStats {
+	return computeStats(cb.Sch, cb.Rows(), func(c, k int) Value { return cb.Cols[c].Value(cb.RowID(k)) })
+}
+
+// computeStats derives the statistics of n rows under sch whose cells
+// cell(column, row) gives.
+func computeStats(sch Schema, n int, cell func(c, i int) Value) *TableStats {
 	statsScans.Add(1)
-	ts := &TableStats{Rows: float64(len(r.Rows)), Cols: map[string]ColStats{}}
-	n := len(r.Rows)
+	ts := &TableStats{Rows: float64(n), Cols: map[string]ColStats{}}
 	step := 1
 	if n > statsSampleCap {
 		step = n / statsSampleCap
 	}
 	var kbuf []byte
 	scratch := make(Tuple, 1)
-	for ci, col := range r.Sch.Cols {
+	for ci, col := range sch.Cols {
 		distinct := make(map[string]struct{})
 		var mn, mx Value
 		seen := false
@@ -59,7 +69,7 @@ func ComputeStats(r *Relation) *TableStats {
 		sampled := 0
 		var nums []float64
 		for i := 0; i < n; i += step {
-			v := r.Rows[i][ci]
+			v := cell(ci, i)
 			sampled++
 			// Reused key buffer; the map[string(bytes)] lookup does not
 			// allocate, so only fresh distinct values pay a conversion.
@@ -203,9 +213,12 @@ func (est *estimator) tableStats(p Plan) *TableStats {
 	case *ScanPlan:
 		ts = est.cat.Stats(n.Name)
 	case *ValuesPlan:
-		if n.Stats != nil {
+		switch {
+		case n.Stats != nil:
 			ts = n.Stats()
-		} else {
+		case n.Batch != nil:
+			ts = ComputeBatchStats(n.Batch)
+		default:
 			ts = ComputeStats(n.Rel)
 		}
 	case StatsSource:

@@ -227,30 +227,39 @@ func fnvString(h uint64, s string) uint64 {
 }
 
 // HashValue returns a 64-bit hash of the value, consistent with Equal
-// (ints and floats that compare equal hash the same). It is a plain
-// FNV-1a over a tagged byte rendering and performs no allocation.
+// (ints and floats that compare equal hash the same) and performing no
+// allocation: an int (or a bool, or a float that is an integer) is
+// mixed as a word — what hash joins probe with most, row by row — and
+// any other value is an FNV-1a over a tagged byte rendering.
 func HashValue(v Value) uint64 {
-	return hashValueInto(fnvOffset64, v)
-}
-
-// hashValueInto folds v into a running FNV-1a state, so multi-column
-// keys hash without intermediate values.
-func hashValueInto(h uint64, v Value) uint64 {
 	switch v.K {
 	case KindNull:
-		return fnvByte(h, 0)
+		return fnvByte(fnvOffset64, 0)
 	case KindInt, KindBool:
-		return fnvUint64(fnvByte(h, 1), uint64(v.I))
+		return hashInt(v.I)
 	case KindFloat:
 		// Hash floats that equal integers identically to the integer.
 		if v.F == math.Trunc(v.F) && !math.IsInf(v.F, 0) &&
 			v.F >= math.MinInt64 && v.F <= math.MaxInt64 {
-			return fnvUint64(fnvByte(h, 1), uint64(int64(v.F)))
+			return hashInt(int64(v.F))
 		}
-		return fnvUint64(fnvByte(h, 2), math.Float64bits(v.F))
+		return fnvUint64(fnvByte(fnvOffset64, 2), math.Float64bits(v.F))
 	case KindString:
-		return fnvString(fnvByte(h, 3), v.S)
+		return fnvString(fnvByte(fnvOffset64, 3), v.S)
 	}
+	return fnvOffset64
+}
+
+// hashInt is HashValue of the int x: MurmurHash3's 64-bit finalizer,
+// whose every output bit depends on every input bit, so the low bits an
+// open-addressing table masks with are as good as the high ones.
+func hashInt(x int64) uint64 {
+	h := uint64(x)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
 }
 

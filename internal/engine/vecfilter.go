@@ -24,7 +24,7 @@ type vecConjunct func(p *vecPred, cb *ColBatch, sel []int32) []int32
 func compileVecPred(bound Expr, sch Schema) *vecPred {
 	p := &vecPred{scratch: make(Tuple, sch.Len())}
 	for _, c := range SplitConjuncts(bound) {
-		p.conjuncts = append(p.conjuncts, compileConjunct(c))
+		p.conjuncts = append(p.conjuncts, compileConjunct(c, sch))
 	}
 	if len(p.conjuncts) == 0 {
 		// Constant-true predicate (And() of nothing).
@@ -52,8 +52,8 @@ func (p *vecPred) filter(cb *ColBatch, selBuf []int32) []int32 {
 	return sel
 }
 
-// compileConjunct picks a kernel for one conjunct.
-func compileConjunct(e Expr) vecConjunct {
+// compileConjunct picks a kernel for one conjunct bound to sch.
+func compileConjunct(e Expr, sch Schema) vecConjunct {
 	switch x := e.(type) {
 	case *CmpExpr:
 		if l, ok := x.L.(*ColRef); ok {
@@ -106,7 +106,7 @@ func compileConjunct(e Expr) vecConjunct {
 			}
 		}
 	}
-	return rowEvalConjunct(e)
+	return rowEvalConjunct(e, boundCols(e, sch))
 }
 
 // swapCmp mirrors an operator across an operand swap (c OP col becomes
@@ -126,12 +126,14 @@ func swapCmp(op CmpOp) CmpOp {
 }
 
 // rowEvalConjunct is the generic fallback: evaluate the bound conjunct
-// on a scratch tuple per selected row.
-func rowEvalConjunct(e Expr) vecConjunct {
+// on a scratch tuple per selected row, in which only cols — the columns
+// the conjunct reads — are filled: a batch can be a join's output, as
+// wide as the merge that made it.
+func rowEvalConjunct(e Expr, cols []int) vecConjunct {
 	return func(p *vecPred, cb *ColBatch, sel []int32) []int32 {
 		out := sel[:0]
 		for _, i := range sel {
-			for c := range cb.Cols {
+			for _, c := range cols {
 				p.scratch[c] = cb.Cols[c].Value(int(i))
 			}
 			if e.Eval(p.scratch).Truth() {

@@ -32,12 +32,11 @@
 //     typed engine.ColVec vectors, so NextColBatch hands the engine
 //     one zero-transpose column batch per segment (descriptor and tid
 //     columns as int vectors, value columns as their decoded typed
-//     vectors). The filters and projections directly above the scan
-//     pull those column batches and run vectorized on the stored
-//     columns; the topmost of them materializes tuples once, for the
-//     row operator above. A row operator directly on the scan (a join
-//     build) pulls NextBatch, which materializes a tuple block per
-//     segment. The index operators (lookup.go) hold their few rows and
+//     vectors). The filters, projections and hash joins above the
+//     scan pull those column batches and run on the stored columns;
+//     tuples are made once, by the first row operator above. A row
+//     operator directly on the scan (a sort, a rename) pulls
+//     NextBatch, which materializes a tuple block per segment. The index operators (lookup.go) hold their few rows and
 //     serve them as row batches. Its planning half, StoreScanPlan,
 //     implements engine.SourcePlan, engine.ColumnarLeaf, and
 //     engine.FilterAdvisor: selection predicates evaluated directly

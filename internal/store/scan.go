@@ -198,9 +198,9 @@ func segmentRefutes(st colStats, op engine.CmpOp, cst engine.Value) bool {
 // batches through the selection vector (the decoded vectors stay
 // zero-copy and shared; only live row indices are listed), so a
 // partition without deletes pays nothing. NextBatch materializes a
-// tuple block per segment for a parent that wants rows (a join build
-// directly above the scan); a filter or projection above the scan
-// pulls NextColBatch and never pays that cost.
+// tuple block per segment for a parent that wants rows (a sort or a
+// rename directly above the scan); a filter, projection or hash join
+// above the scan pulls NextColBatch and never pays that cost.
 type StoreScanIter struct {
 	Src     *PartSource
 	Sch     engine.Schema
@@ -216,6 +216,9 @@ type StoreScanIter struct {
 	SegmentsRead int
 	CacheHits    int64
 	BytesDecoded int64
+	// RowsMaterialized counts the rows NextBatch made into tuples (a
+	// parent that pulls NextColBatch makes them itself, or never).
+	RowsMaterialized int64
 
 	layer   int // current layer index
 	seg     int // next segment index within the layer
@@ -240,6 +243,7 @@ func (s *StoreScanIter) Open() error {
 	s.SegmentsRead = 0
 	s.CacheHits = 0
 	s.BytesDecoded = 0
+	s.RowsMaterialized = 0
 	s.tomb = s.Src.tomb()
 	s.tf = nil
 	s.tfLayer = -1
@@ -522,6 +526,7 @@ func (s *StoreScanIter) NextBatch() ([]engine.Tuple, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
+		s.RowsMaterialized += int64(len(s.rows))
 	}
 	return engine.Window(s.rows, &s.pos)
 }
@@ -535,12 +540,15 @@ func (s *StoreScanIter) Close() error {
 
 // OperatorStats reports the scan's store-side effects to a trace span
 // (engine.OperatorStats): segments fetched, segments skipped by
-// min/max pruning, shared-cache hits, and bytes this scan fetched and
-// decoded itself.
+// min/max pruning, shared-cache hits, bytes this scan fetched and
+// decoded itself, and the rows it made into tuples, if any.
 func (s *StoreScanIter) OperatorStats(emit func(key string, v int64)) {
 	emit("segments_read", int64(s.SegmentsRead))
 	emit("cache_hits", s.CacheHits)
 	emit("bytes_decoded", s.BytesDecoded)
+	if s.RowsMaterialized > 0 {
+		emit("rows_materialized", s.RowsMaterialized)
+	}
 	var pruned int64
 	for _, layer := range s.Pruned {
 		for _, sk := range layer {

@@ -17,10 +17,15 @@ import (
 // engine.Iterator is anything but {Open, NextBatch, Close, Schema}, if
 // any type grows a per-tuple `Next() (Tuple, bool, error)`, or if one
 // of the adapters that used to translate between protocols is declared
-// again — so a second way to pull rows fails tier-1, not review.
+// again — so a second way to pull rows fails tier-1, not review. The
+// columnar capability is {NextColBatch, ColumnarNative} on top, and the
+// hash joins have it: both join types declare NextColBatch, and neither
+// they nor the join table hold a row slice — there is no row-keyed
+// table and no row probe beside the columnar one.
 func TestOneRowProtocol(t *testing.T) {
 	banned := map[string]bool{"Batched": true, "Columnar": true, "batchAdapter": true, "rowColAdapter": true}
-	var iteratorMethods []string
+	var iteratorMethods, columnarMethods []string
+	joins := map[string]map[string]bool{"HashJoinIter": {}, "ParallelHashJoinIter": {}}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -49,6 +54,13 @@ func TestOneRowProtocol(t *testing.T) {
 				if banned[d.Name.Name] {
 					t.Errorf("%s: %s is declared again", fset.Position(d.Pos()), d.Name.Name)
 				}
+				if d.Recv != nil && file.Name.Name == "engine" {
+					if star, ok := d.Recv.List[0].Type.(*ast.StarExpr); ok {
+						if id, ok := star.X.(*ast.Ident); ok && joins[id.Name] != nil {
+							joins[id.Name][d.Name.Name] = true
+						}
+					}
+				}
 				if d.Recv != nil && d.Name.Name == "Next" && returnsTupleBoolError(d.Type) {
 					t.Errorf("%s: per-tuple Next() (Tuple, bool, error) declared", fset.Position(d.Pos()))
 				}
@@ -60,6 +72,16 @@ func TestOneRowProtocol(t *testing.T) {
 					}
 					if banned[ts.Name.Name] {
 						t.Errorf("%s: %s is declared again", fset.Position(ts.Pos()), ts.Name.Name)
+					}
+					if st, ok := ts.Type.(*ast.StructType); ok && file.Name.Name == "engine" &&
+						(joins[ts.Name.Name] != nil || ts.Name.Name == "joinTable") {
+						for _, f := range st.Fields.List {
+							if arr, ok := f.Type.(*ast.ArrayType); ok && arr.Len == nil {
+								if id, ok := arr.Elt.(*ast.Ident); ok && id.Name == "Tuple" {
+									t.Errorf("%s: %s holds rows ([]Tuple)", fset.Position(f.Pos()), ts.Name.Name)
+								}
+							}
+						}
 					}
 					it, ok := ts.Type.(*ast.InterfaceType)
 					if !ok {
@@ -77,6 +99,9 @@ func TestOneRowProtocol(t *testing.T) {
 							if file.Name.Name == "engine" && ts.Name.Name == "Iterator" {
 								iteratorMethods = append(iteratorMethods, name.Name)
 							}
+							if file.Name.Name == "engine" && ts.Name.Name == "ColBatchIterator" {
+								columnarMethods = append(columnarMethods, name.Name)
+							}
 						}
 					}
 				}
@@ -90,6 +115,15 @@ func TestOneRowProtocol(t *testing.T) {
 	sort.Strings(iteratorMethods)
 	if got, want := strings.Join(iteratorMethods, " "), "Close NextBatch Open Schema"; got != want {
 		t.Errorf("engine.Iterator's methods are {%s}, want exactly {%s}", got, want)
+	}
+	sort.Strings(columnarMethods)
+	if got, want := strings.Join(columnarMethods, " "), "ColumnarNative NextColBatch"; got != want {
+		t.Errorf("engine.ColBatchIterator adds {%s} to Iterator, want exactly {%s}", got, want)
+	}
+	for join, methods := range joins {
+		if !methods["NextColBatch"] || !methods["ColumnarNative"] {
+			t.Errorf("engine.%s does not move column batches", join)
+		}
 	}
 }
 
