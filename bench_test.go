@@ -1,8 +1,8 @@
 // Micro-benchmarks (ungated) for the measurements the gated benchmark in
 // benchmark/ has no metric for: Algorithm 1 normalization, the two
 // reductions, the optimizer ablation and the hash-vs-index join crossover
-// the knob audit needs, and the serial-vs-parallel operators on synthetic
-// input. Run with:
+// the knob audit needs, the serial-vs-parallel operators on synthetic
+// input, and the write path's tombstone filter and compaction. Run with:
 //
 //	go test -run=NONE -bench=. -benchmem
 //
@@ -13,6 +13,7 @@ package urel_test
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -689,4 +690,128 @@ func BenchmarkCertain(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkTombstoneScan times a warm scan of one stored partition —
+// 20 480 rows in five segments, behind a segment cache — under 0, 16
+// and 64 tombstone batches, each deleting a few of the newest tuple
+// ids, the ones served_rw's range deletes hit. It reports ns/row and
+// tomb-checked/row, the rows looked up against some batch per row
+// scanned: a batch is consulted only in the segments its tuple ids
+// meet, so four of the five segments are served without any per-row
+// work, whatever the batch count.
+//
+//	go test -run=NONE -bench=BenchmarkTombstoneScan -benchmem .
+func BenchmarkTombstoneScan(b *testing.B) {
+	const n = 5 * store.DefaultSegmentRows
+	rows := make([]core.URow, n)
+	for i := range rows {
+		rows[i] = core.URow{TID: int64(i + 1), Vals: []engine.Value{engine.Int(int64(i % 97))}}
+	}
+	path := filepath.Join(b.TempDir(), "p.useg")
+	if _, err := store.WritePartition(path, rows, 1, store.DefaultSegmentRows); err != nil {
+		b.Fatal(err)
+	}
+	h, err := store.OpenPart(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer h.Close()
+	h.SetCache(store.NewSegCache(64 << 20))
+	sch := engine.NewSchema(engine.Column{Name: "tid:p", Kind: engine.KindInt}, engine.Column{Name: "p.a", Kind: engine.KindInt})
+	for _, nb := range []int{0, 16, 64} {
+		b.Run(fmt.Sprintf("batches=%d", nb), func(b *testing.B) {
+			var batches []store.TombBatch
+			for k := 0; k < nb; k++ {
+				tid := int64(n - 8*k)
+				batches = append(batches, store.NewTombBatch([]store.WALTomb{{TID: tid}, {TID: tid - 1}, {TID: tid - 2, Wild: true}}, 1))
+			}
+			src := &store.PartSource{Layers: []*store.PartHandle{h}, Tomb: store.NewTombView(batches)}
+			plan := src.ScanPlan(sch, 0, []int{0}, "p").(*store.StoreScanPlan)
+			var checked int64
+			scan := func() {
+				it, err := plan.BuildIter(engine.ExecConfig{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				s := it.(*store.StoreScanIter)
+				if err := s.Open(); err != nil {
+					b.Fatal(err)
+				}
+				live := 0
+				for {
+					cb, ok, err := s.NextColBatch()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !ok {
+						break
+					}
+					live += cb.Rows()
+				}
+				if live != n-3*nb {
+					b.Fatalf("%d live rows, want %d", live, n-3*nb)
+				}
+				checked += s.TombRowsChecked
+			}
+			scan() // decodes into the cache
+			checked = 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				scan()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+			b.ReportMetric(float64(checked)/float64(b.N)/n, "tomb-checked/row")
+		})
+	}
+}
+
+// BenchmarkCompact times one compaction of a saved TPC-H database
+// (s 0.1, x 0.01, z 0.25) after an insert, an update and a delete on
+// one relation, partsupp (dirty=1): the compaction rewrites that
+// relation's partitions and leaves the others' files, runs and cached
+// segments alone. It reports parts/op, the partitions rewritten.
+//
+//	go test -run=NONE -bench=BenchmarkCompact -benchmem .
+func BenchmarkCompact(b *testing.B) {
+	p := tpch.DefaultParams(0.1, 0.01, 0.25)
+	p.Seed = 1
+	mem, _, err := tpch.Generate(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	if err := store.Save(mem, dir); err != nil {
+		b.Fatal(err)
+	}
+	d, err := txn.Open(dir, txn.Options{DisableAutoFlush: true, Cache: store.NewSegCache(64 << 20)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	b.Run("dirty=1", func(b *testing.B) {
+		b.ReportAllocs()
+		start := d.Stats().PartitionsRewritten
+		var compact time.Duration
+		for i := 0; i < b.N; i++ {
+			k := 10_000_000 + 4*i
+			for _, sql := range []string{
+				fmt.Sprintf("insert into partsupp (ps_partkey, ps_suppkey, ps_availqty, ps_supplycost) values (%d, 1, 1, 1.5), (%d, 2, 2, 2.5)", k, k+1),
+				fmt.Sprintf("update partsupp set ps_supplycost = 3.5 where ps_partkey = %d", k),
+				fmt.Sprintf("delete from partsupp where ps_partkey = %d", k+1),
+			} {
+				if _, err := d.Exec(sql); err != nil {
+					b.Fatal(err)
+				}
+			}
+			t0 := time.Now()
+			if err := d.Compact(); err != nil {
+				b.Fatal(err)
+			}
+			compact += time.Since(t0)
+		}
+		b.ReportMetric(float64(compact.Nanoseconds())/float64(b.N), "compact-ns/op")
+		b.ReportMetric(float64(d.Stats().PartitionsRewritten-start)/float64(b.N), "parts/op")
+	})
 }

@@ -3,7 +3,9 @@
 package urel_test
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"urel/internal/sqlparse"
 	"urel/internal/store"
 	"urel/internal/tpch"
+	"urel/internal/txn"
 )
 
 // TestCopyBudget puts a ceiling on the bytes one serial EvalPoss of the
@@ -128,5 +131,65 @@ func checkBudget(t *testing.T, name string, ceiling float64, op func()) {
 	t.Logf("%s: %.2f MB per evaluation (ceiling %.2f)", name, mb, ceiling)
 	if mb > ceiling {
 		t.Errorf("%s allocates %.2f MB per evaluation, over its ceiling of %.2f MB: a row is being copied again somewhere", name, mb, ceiling)
+	}
+}
+
+// TestWritePathBudget puts a ceiling on the bytes one compaction
+// allocates after DML on partsupp, on the stored data of the stored
+// workloads (s 0.25, x 0.01, z 0.25, seed 1, lineitem(l_orderkey)
+// indexed), a quarter above what it takes when the compaction rewrites
+// the partitions the DML wrote and leaves every other partition — its
+// file, runs and cached segments — as it was. Each cycle is the write
+// side of the served_rw workload's script: insert 64 rows, update half
+// of them, flush, delete the rows of an earlier cycle. The first cycle
+// is not counted: its compaction reads the index runs it checks.
+//
+// While every compaction rewrote every partition it took 108.6 MB.
+func TestWritePathBudget(t *testing.T) {
+	_, _, dir := indexedPlanningData(t, 0.25)
+	d, err := txn.Open(dir, txn.Options{DisableAutoFlush: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	exec := func(sql string) {
+		if _, err := d.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	const runs, rows = 5, 64
+	var total uint64
+	for i := 0; i <= runs; i++ {
+		k := int64(10_000_000 + rows*i)
+		var b strings.Builder
+		for r := int64(0); r < rows; r++ {
+			if r > 0 {
+				b.WriteString(", ")
+			}
+			fmt.Fprintf(&b, "(%d, %d, %d, %d.5)", k+r, 1+r%7, 1+r, 1000+r)
+		}
+		exec("insert into partsupp (ps_partkey, ps_suppkey, ps_availqty, ps_supplycost) values " + b.String())
+		exec(fmt.Sprintf("update partsupp set ps_supplycost = %d.5 where ps_partkey between %d and %d", 500000+i, k, k+rows/2-1))
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			exec(fmt.Sprintf("delete from partsupp where ps_partkey between %d and %d", k-rows, k-1))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := d.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if i > 0 {
+			total += after.TotalAlloc - before.TotalAlloc
+		}
+	}
+	const ceiling = 4.35 // 3.48
+	mb := float64(total) / runs / 1e6
+	t.Logf("compaction after DML on partsupp: %.3f MB (ceiling %.3f), %d partitions rewritten", mb, ceiling, d.Stats().PartitionsRewritten)
+	if mb > ceiling {
+		t.Errorf("a compaction after DML on partsupp allocates %.3f MB, over its ceiling of %.3f MB: it rewrites partitions nothing was written to", mb, ceiling)
 	}
 }

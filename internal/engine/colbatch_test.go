@@ -149,6 +149,16 @@ func randPredicates(prefix string) map[string]Expr {
 		"or-fallback": Or(
 			Cmp(EQ, c("k"), ConstInt(0)),
 			Cmp(GT, c("v"), ConstFloat(0.9))),
+		"or-ranges": Or(
+			And(Cmp(GE, c("k"), ConstInt(1)), Cmp(LE, c("k"), ConstInt(2))),
+			And(Cmp(GE, c("k2"), ConstInt(4)), Cmp(LE, c("k2"), ConstInt(5)))),
+		"or-three-arms": Or(
+			Cmp(EQ, c("s"), ConstStr("s1")),
+			IsNull(c("k")),
+			And(Cmp(LT, c("v"), ConstFloat(0.2)), Or(Cmp(EQ, Arith(ModOp, c("k2"), ConstInt(2)), ConstInt(0)), Cmp(GT, c("k"), c("k2"))))),
+		"and-or": And(
+			Cmp(NE, c("k"), ConstInt(3)),
+			Or(Cmp(GT, c("s"), ConstStr("s6")), Not(Cmp(LT, c("v"), ConstFloat(0.5))))),
 		"arith-fallback": Cmp(EQ, Arith(ModOp, c("k"), ConstInt(2)), ConstInt(0)),
 	}
 }
@@ -208,27 +218,48 @@ func TestFilterColumnarRowEquivalence(t *testing.T) {
 }
 
 // TestRowEvalConjunctReadsOnlyItsColumns: a conjunct without a kernel
-// (an OR, arithmetic) is evaluated row by row on a scratch tuple, and
-// only the columns it reads are filled in — a filter above a join does
-// not pay for the join's width. The batch's other columns have empty
-// payloads, so reading one panics.
+// (arithmetic) is evaluated row by row on a scratch tuple, and only the
+// columns it reads are filled in — a filter above a join does not pay
+// for the join's width. The batch's other columns have empty payloads,
+// so reading one panics. A disjunction runs as a union of its arms'
+// kernels, a row kept iff some arm is TRUE: ranges, NULL cells (n)
+// under a TRUE and a FALSE arm, a nested AND, an arm on the row-eval
+// fallback, three arms, and a batch with a selection vector, whose
+// order the survivors keep.
 func TestRowEvalConjunctReadsOnlyItsColumns(t *testing.T) {
 	sch := NewSchema(Column{Name: "a", Kind: KindInt}, Column{Name: "wide1", Kind: KindInt},
-		Column{Name: "c", Kind: KindFloat}, Column{Name: "wide2", Kind: KindString})
-	cb := &ColBatch{Sch: sch, N: 4, Cols: []ColVec{
+		Column{Name: "c", Kind: KindFloat}, Column{Name: "wide2", Kind: KindString}, Column{Name: "n", Kind: KindInt})
+	cols := []ColVec{
 		IntVec([]int64{1, 2, 3, 4}, nil), IntVec(nil, nil), FloatVec([]float64{0.1, 0.9, 0.2, 0.7}, nil), StrVec(nil, nil),
-	}}
-	for pred, want := range map[Expr]string{
-		Or(Cmp(EQ, Col("a"), ConstInt(1)), Cmp(GT, Col("c"), ConstFloat(0.5))):                                      "[0 1 3]",
-		Cmp(EQ, Arith(ModOp, Col("a"), ConstInt(2)), ConstInt(0)):                                                   "[1 3]",
-		And(Cmp(GT, Col("a"), ConstInt(1)), Or(Cmp(LT, Col("c"), ConstFloat(0.5)), Cmp(EQ, Col("a"), ConstInt(4)))): "[2 3]",
+		IntVec([]int64{0, 5, 0, 7}, []bool{true, false, true, false}),
+	}
+	a, c, n := Col("a"), Col("c"), Col("n")
+	between := func(e Expr, lo, hi int64) Expr { return And(Cmp(GE, e, ConstInt(lo)), Cmp(LE, e, ConstInt(hi))) }
+	for _, tc := range []struct {
+		pred Expr
+		sel  []int32
+		want string
+	}{
+		{Or(Cmp(EQ, a, ConstInt(1)), Cmp(GT, c, ConstFloat(0.5))), nil, "[0 1 3]"},
+		{Cmp(EQ, Arith(ModOp, a, ConstInt(2)), ConstInt(0)), nil, "[1 3]"},
+		{And(Cmp(GT, a, ConstInt(1)), Or(Cmp(LT, c, ConstFloat(0.5)), Cmp(EQ, a, ConstInt(4)))), nil, "[2 3]"},
+		{Or(between(a, 1, 1), between(a, 3, 4)), nil, "[0 2 3]"},
+		{Or(between(a, 5, 9), between(a, -3, 0)), nil, "[]"},
+		{Or(Cmp(GT, n, ConstInt(6)), Cmp(EQ, a, ConstInt(1))), nil, "[0 3]"},
+		{Or(Cmp(LT, n, ConstInt(6)), Cmp(EQ, a, ConstInt(3))), nil, "[1 2]"},
+		{Or(And(Cmp(GT, a, ConstInt(1)), Cmp(LT, c, ConstFloat(0.5))), Cmp(EQ, a, ConstInt(1))), nil, "[0 2]"},
+		{Or(Cmp(EQ, Arith(ModOp, a, ConstInt(2)), ConstInt(0)), Cmp(GT, c, ConstFloat(0.8))), nil, "[1 3]"},
+		{Or(Cmp(EQ, a, ConstInt(1)), Cmp(EQ, a, ConstInt(3)), Cmp(GT, c, ConstFloat(0.8))), nil, "[0 1 2]"},
+		{Or(Cmp(EQ, a, ConstInt(1)), Cmp(EQ, a, ConstInt(4))), []int32{3, 2, 0}, "[3 0]"},
+		{Or(between(a, 2, 3), IsNull(n)), []int32{2, 3, 1}, "[2 1]"},
 	} {
-		bound, err := pred.Bind(sch)
+		bound, err := tc.pred.Bind(sch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fmt.Sprint(compileVecPred(bound, sch).filter(cb, nil)); got != want {
-			t.Fatalf("%s keeps rows %s, want %s", pred, got, want)
+		cb := &ColBatch{Sch: sch, N: 4, Cols: cols, Sel: tc.sel}
+		if got := fmt.Sprint(compileVecPred(bound, sch).filter(cb, nil)); got != tc.want {
+			t.Fatalf("%s over sel %v keeps rows %s, want %s", tc.pred, tc.sel, got, tc.want)
 		}
 	}
 }

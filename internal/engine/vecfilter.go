@@ -4,10 +4,11 @@ package engine
 // compiled once into a list of conjunct kernels, each of which narrows
 // a selection vector over a ColBatch. Column-versus-constant and
 // column-versus-column comparisons run as tight typed loops when the
-// vectors are typed; every other shape falls back to evaluating the
-// bound expression on a scratch tuple per selected row — still
-// selection-vector driven, so no batch is ever materialized just to be
-// filtered.
+// vectors are typed, and a disjunction runs each arm's kernels over
+// the rows no earlier arm kept; every other shape falls back to
+// evaluating the bound expression on a scratch tuple per selected row —
+// still selection-vector driven, so no batch is ever materialized just
+// to be filtered.
 
 // vecPred is a compiled predicate over column batches.
 type vecPred struct {
@@ -83,6 +84,10 @@ func compileConjunct(e Expr, sch Schema) vecConjunct {
 				return out
 			}
 		}
+	case *LogicExpr:
+		if x.Op == OrOp {
+			return orConjunct(x.Args, sch)
+		}
 	case *InExpr:
 		if c, ok := x.E.(*ColRef); ok {
 			idx := c.Idx
@@ -123,6 +128,61 @@ func swapCmp(op CmpOp) CmpOp {
 		return LE
 	}
 	return op // EQ, NE are symmetric
+}
+
+// orConjunct is the union kernel of a disjunction. Each arm runs its
+// own conjunct kernels over the rows no earlier arm kept; the rows some
+// arm kept — those for which an arm is TRUE, as the row evaluator's OR
+// decides — are read back in selection order.
+func orConjunct(arms []Expr, sch Schema) vecConjunct {
+	kernels := make([][]vecConjunct, len(arms))
+	for i, a := range arms {
+		for _, c := range SplitConjuncts(a) {
+			kernels[i] = append(kernels[i], compileConjunct(c, sch))
+		}
+	}
+	var rest, arm []int32
+	var kept []bool // by physical row; false again on return
+	return func(p *vecPred, cb *ColBatch, sel []int32) []int32 {
+		if len(kept) < cb.N {
+			kept = make([]bool, cb.N)
+		}
+		rest = append(rest[:0], sel...)
+		for _, ks := range kernels {
+			arm = append(arm[:0], rest...)
+			for _, k := range ks {
+				if len(arm) == 0 {
+					break
+				}
+				arm = k(p, cb, arm)
+			}
+			if len(arm) == 0 {
+				continue
+			}
+			for _, i := range arm {
+				kept[i] = true
+			}
+			left := rest[:0]
+			for _, i := range rest {
+				if !kept[i] {
+					left = append(left, i)
+				}
+			}
+			if rest = left; len(rest) == 0 {
+				break
+			}
+		}
+		out := sel[:0]
+		for _, i := range sel {
+			if kept[i] {
+				out = append(out, i)
+			}
+		}
+		for _, i := range out {
+			kept[i] = false
+		}
+		return out
+	}
 }
 
 // rowEvalConjunct is the generic fallback: evaluate the bound conjunct

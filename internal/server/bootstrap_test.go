@@ -1,12 +1,16 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"urel/internal/store"
 )
@@ -126,5 +130,65 @@ func TestReplicaBootstrapCorruptSource(t *testing.T) {
 	}
 	if rows := rowSet(t, body); len(rows) != 3 {
 		t.Fatalf("re-bootstrapped replica rows = %v, want the 3 possible readings", rows)
+	}
+}
+
+// TestReplicaBootstrapAfterPartialCompaction: after DML on readings, a
+// compaction rewrites readings' partition and leaves sensors' file as
+// it was. A follower bootstrapping from that manifest — new files for
+// one relation, the original file for the other — answers both
+// relations as the primary does, and then follows the primary's next
+// commit.
+func TestReplicaBootstrapAfterPartialCompaction(t *testing.T) {
+	primaryDir := t.TempDir()
+	if err := store.Save(clusterDB(t), primaryDir); err != nil {
+		t.Fatal(err)
+	}
+	primaryS, primaryTS := newTestServer(t, Config{
+		Catalogs: map[string]string{"demo": primaryDir}, Writable: true})
+	write := func(sql string) {
+		t.Helper()
+		b, _ := json.Marshal(execRequest{SQL: sql, DB: "demo"})
+		resp, err := http.Post(primaryTS.URL+"/exec", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d", sql, resp.StatusCode)
+		}
+	}
+	write("insert into readings values (9, 99)")
+	write("delete from readings where temp = 90")
+	entry, _, err := primaryS.lookup("demo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sensors := entry.mut.Manifest().Relations[1].Parts[0].File
+	if err := entry.mut.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	man := entry.mut.Manifest()
+	if n := entry.mut.Stats().PartitionsRewritten; n != 1 || man.Relations[1].Parts[0].File != sensors {
+		t.Fatalf("compaction rewrote %d partitions, sensors' file %s → %s", n, sensors, man.Relations[1].Parts[0].File)
+	}
+	write("insert into sensors values (4, 'delta')")
+
+	_, followerTS := newTestServer(t, Config{
+		Catalogs: map[string]string{"demo": t.TempDir()},
+		Follow:   map[string]string{"demo": primaryTS.URL}})
+	deadline := time.Now().Add(15 * time.Second)
+	for _, sql := range []string{"POSSIBLE SELECT sid, temp FROM readings", "POSSIBLE SELECT sensor, name FROM sensors"} {
+		_, want := post(t, primaryTS, queryRequest{SQL: sql, DB: "demo"})
+		for {
+			code, got := post(t, followerTS, queryRequest{SQL: sql, DB: "demo"})
+			if code == 200 && fmt.Sprint(rowSet(t, got)) == fmt.Sprint(rowSet(t, want)) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the follower answers %d %v, the primary %v", sql, code, got, want)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
 	}
 }

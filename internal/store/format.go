@@ -308,12 +308,15 @@ func encodeSegment(rows []core.URow, width int, kinds []byte) ([]byte, []colStat
 // segment is one decoded row group. Value columns decode straight into
 // typed engine.ColVec vectors (null markers + typed payloads), so a
 // columnar scan hands them to the engine with no per-cell work at all.
+// tidLo and tidHi bound the tuple ids (lo > hi when empty): a
+// tombstone filter is narrowed to the batches that meet them.
 type segment struct {
-	n    int
-	dvar [][]int64 // [width][n]
-	drng [][]int64
-	tid  []int64
-	cols []engine.ColVec // [nattr], each of n cells
+	n            int
+	dvar         [][]int64 // [width][n]
+	drng         [][]int64
+	tid          []int64
+	tidLo, tidHi int64
+	cols         []engine.ColVec // [nattr], each of n cells
 }
 
 // decodeSegment decodes a segment payload of n rows.
@@ -349,6 +352,7 @@ func decodeSegment(data []byte, n, width int, kinds []byte) (*segment, error) {
 	if s.tid, err = readInts(); err != nil {
 		return nil, err
 	}
+	s.tidLo, s.tidHi = tidBounds(s.tid)
 	for ci, k := range kinds {
 		bm, err := c.bytes((n + 7) / 8)
 		if err != nil {
@@ -431,6 +435,15 @@ func decodeSegment(data []byte, n, width int, kinds []byte) (*segment, error) {
 		return nil, corruptf("%d trailing bytes in segment", len(data)-c.pos)
 	}
 	return s, nil
+}
+
+// tidBounds returns the least and greatest of tids (lo > hi when empty).
+func tidBounds(tids []int64) (lo, hi int64) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	for _, t := range tids {
+		lo, hi = min(lo, t), max(hi, t)
+	}
+	return lo, hi
 }
 
 // appendFooter encodes the file footer.

@@ -33,30 +33,60 @@ func IdxFileName(layerFile, key string) string { return layerFile + "." + key + 
 // run whose segment count disagrees with the file is treated as stale
 // (debris from an interrupted rewrite) and rejected here; row-level
 // verification at fetch time catches anything subtler.
-func (h *PartHandle) indexRun(key string) *index.Run {
+func (h *PartHandle) indexRun(key string) *index.Run { return h.runEntry(key).run }
+
+func (h *PartHandle) runEntry(key string) runEntry {
 	if h.path == "" {
-		return nil
+		return runEntry{}
 	}
 	h.idxMu.Lock()
 	defer h.idxMu.Unlock()
-	if r, ok := h.idxRuns[key]; ok {
-		return r
+	if e, ok := h.idxRuns[key]; ok {
+		return e
 	}
-	var run *index.Run
+	var e runEntry
 	if r, err := index.Load(IdxFileName(h.path, key)); err == nil && r.Segments() == h.NumSegments() {
-		run = r
+		e.run = r
 	} else if err == nil || !os.IsNotExist(err) {
 		idxStaleTotal.Inc()
+		e.stale = true
 	}
 	if h.idxRuns == nil {
-		h.idxRuns = map[string]*index.Run{}
+		h.idxRuns = map[string]runEntry{}
 	}
-	h.idxRuns[key] = run
-	return run
+	h.idxRuns[key] = e
+	return e
+}
+
+// markRunStale records that a probe found the run for key pointing at
+// rows that do not carry its keys.
+func (h *PartHandle) markRunStale(key string) {
+	h.idxMu.Lock()
+	defer h.idxMu.Unlock()
+	e := h.idxRuns[key]
+	e.stale = true
+	h.idxRuns[key] = e
 }
 
 // hasIndexRun reports whether the handle has a usable run for key.
 func (h *PartHandle) hasIndexRun(key string) bool { return h.indexRun(key) != nil }
+
+// RunsSound reports whether the layer's index runs are as a rewrite
+// would leave them: the run of each declared stored column is present,
+// and no run — the tuple-id run included — is stale or corrupt. A layer
+// without a tuple-id run is sound: store.Save writes none (its ascending
+// tuple ids are pruned by zone maps), and a rewrite is not owed for it.
+func (h *PartHandle) RunsSound(declared []int) bool {
+	if h.runEntry(IdxKeyTID).stale {
+		return false
+	}
+	for _, ai := range declared {
+		if e := h.runEntry(IdxKeyAttr(ai)); e.run == nil || e.stale {
+			return false
+		}
+	}
+	return true
+}
 
 // WritePartIndexes builds and writes the sorted-run index files beside
 // a freshly written partition layer file: the tuple-id run always,

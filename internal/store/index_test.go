@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,7 +11,6 @@ import (
 
 	"urel/internal/core"
 	"urel/internal/engine"
-	"urel/internal/ws"
 )
 
 // indexedLayer writes rows as a partition file with index runs (tid +
@@ -134,16 +134,15 @@ func TestIndexLookupRespectsTombstones(t *testing.T) {
 	}
 }
 
-// staticTombs implements TombSet/TombFilter over a fixed tid set,
-// applied to every layer (wildcard: any descriptor is deleted).
-type staticTombs struct{ dead map[int64]bool }
-
-func tombOf(dead map[int64]bool) *staticTombs { return &staticTombs{dead: dead} }
-
-func (s *staticTombs) Len() int                            { return len(s.dead) }
-func (s *staticTombs) Layer(int) TombFilter                { return s }
-func (s *staticTombs) HasTID(tid int64) bool               { return s.dead[tid] }
-func (s *staticTombs) Has(tid int64, _ ws.Descriptor) bool { return s.dead[tid] }
+// tombOf deletes a fixed tid set from every layer (wildcards: any
+// descriptor is deleted).
+func tombOf(dead map[int64]bool) *TombView {
+	var tombs []WALTomb
+	for tid := range dead {
+		tombs = append(tombs, WALTomb{TID: tid, Wild: true})
+	}
+	return NewTombView([]TombBatch{NewTombBatch(tombs, math.MaxInt32)})
+}
 
 // TestStaleIndexFallsBackToScan corrupts runs in both detectable ways —
 // wrong segment count at load, wrong keys at probe — and requires the

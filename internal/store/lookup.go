@@ -181,17 +181,32 @@ func materializeMemRow(sch engine.Schema, width int, attrIdx []int, r core.URow)
 	return t
 }
 
-// rowDead reports whether a stored row is tombstoned under the layer's
-// filter.
-func rowDead(tf TombFilter, seg *segment, fw, r int) (bool, error) {
-	if tf == nil || !tf.HasTID(seg.tid[r]) {
+// rowDead reports whether a stored row is tombstoned under near, its
+// layer's filter narrowed to its segment, and counts the row as
+// checked when near holds a batch.
+func (s *IndexLookupIter) rowDead(near TombFilter, seg *segment, fw, r int) (bool, error) {
+	if len(near) == 0 {
+		return false, nil
+	}
+	s.TombRowsChecked++
+	if !near.HasTID(seg.tid[r]) {
 		return false, nil
 	}
 	d, err := segDescriptor(seg, fw, r)
 	if err != nil {
 		return false, err
 	}
-	return tf.Has(seg.tid[r], d), nil
+	return near.Has(seg.tid[r], d), nil
+}
+
+// narrowTo narrows the layer's filter to a fetched segment's tuple
+// ids, counting the segment as skipped when no batch meets them.
+func (s *IndexLookupIter) narrowTo(tf TombFilter, seg *segment) TombFilter {
+	near := tf.narrow(seg.tidLo, seg.tidHi, nil)
+	if tf != nil && near == nil {
+		s.TombSegmentsSkipped++
+	}
+	return near
 }
 
 // segKeyValue extracts the indexed key of a stored row (tid for
@@ -232,12 +247,14 @@ type IndexLookupIter struct {
 	pos  int
 
 	// Probe-side effect counters, surfaced via OperatorStats.
-	RunsConsulted   int64
-	BloomRejections int64
-	SegmentsRead    int64
-	SegmentsPruned  int64
-	FallbackLayers  int64
-	StaleRuns       int64
+	RunsConsulted       int64
+	BloomRejections     int64
+	SegmentsRead        int64
+	SegmentsPruned      int64
+	FallbackLayers      int64
+	StaleRuns           int64
+	TombRowsChecked     int64
+	TombSegmentsSkipped int64
 }
 
 // Open materializes the probe result (probe results are small by
@@ -246,12 +263,8 @@ type IndexLookupIter struct {
 func (s *IndexLookupIter) Open() error {
 	idxLookupsTotal.Inc()
 	s.rows, s.pos = nil, 0
-	tomb := s.Src.tomb()
 	for li, h := range s.Src.Layers {
-		var tf TombFilter
-		if tomb != nil {
-			tf = tomb.Layer(li)
-		}
+		tf := s.Src.Tomb.Layer(li)
 		run := h.indexRun(s.IdxKey)
 		if run == nil {
 			s.FallbackLayers++
@@ -272,6 +285,7 @@ func (s *IndexLookupIter) Open() error {
 		start := len(s.rows)
 		stale := false
 		var seg *segment
+		var near TombFilter
 		segIdx := -1
 		for _, loc := range locs {
 			if int(loc.Seg) >= h.NumSegments() {
@@ -285,13 +299,14 @@ func (s *IndexLookupIter) Open() error {
 					return err
 				}
 				segIdx = int(loc.Seg)
+				near = s.narrowTo(tf, seg)
 			}
 			r := int(loc.Row)
 			if r >= seg.n || engine.Compare(segKeyValue(seg, s.Ai, r), s.Key) != 0 {
 				stale = true
 				break
 			}
-			dead, err := rowDead(tf, seg, h.Width(), r)
+			dead, err := s.rowDead(near, seg, h.Width(), r)
 			if err != nil {
 				return err
 			}
@@ -302,10 +317,12 @@ func (s *IndexLookupIter) Open() error {
 		}
 		if stale {
 			// The run points at rows that do not carry the key: debris
-			// from an interrupted rewrite. Record it and recompute the
-			// layer's contribution by scanning — correctness never
+			// from an interrupted rewrite. Record it — on the handle too,
+			// so the next compaction rewrites the layer — and recompute
+			// the layer's contribution by scanning: correctness never
 			// depends on the run.
 			idxStaleTotal.Inc()
+			h.markRunStale(s.IdxKey)
 			s.StaleRuns++
 			s.FallbackLayers++
 			s.rows = s.rows[:start]
@@ -343,11 +360,12 @@ func (s *IndexLookupIter) scanLayer(h *PartHandle, tf TombFilter) error {
 		if err != nil {
 			return err
 		}
+		near := s.narrowTo(tf, seg)
 		for r := 0; r < seg.n; r++ {
 			if engine.Compare(segKeyValue(seg, s.Ai, r), s.Key) != 0 {
 				continue
 			}
-			dead, err := rowDead(tf, seg, h.Width(), r)
+			dead, err := s.rowDead(near, seg, h.Width(), r)
 			if err != nil {
 				return err
 			}
@@ -374,8 +392,8 @@ func (s *IndexLookupIter) Close() error {
 func (s *IndexLookupIter) Schema() engine.Schema { return s.Sch }
 
 // OperatorStats reports probe effects to a trace span: runs consulted,
-// bloom rejections, segments fetched and pruned, and any degraded
-// layers.
+// bloom rejections, segments fetched and pruned, any degraded layers,
+// and over a tombstoned partition the tombstone filter's work.
 func (s *IndexLookupIter) OperatorStats(emit func(key string, v int64)) {
 	emit("index_runs_consulted", s.RunsConsulted)
 	emit("index_bloom_rejections", s.BloomRejections)
@@ -386,5 +404,9 @@ func (s *IndexLookupIter) OperatorStats(emit func(key string, v int64)) {
 	}
 	if s.StaleRuns > 0 {
 		emit("index_stale_runs", s.StaleRuns)
+	}
+	if s.Src.Tomb != nil {
+		emit("tomb_rows_checked", s.TombRowsChecked)
+		emit("tomb_segments_skipped", s.TombSegmentsSkipped)
 	}
 }

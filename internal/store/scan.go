@@ -51,8 +51,8 @@ func (p *StoreScanPlan) Label() string {
 	if n := len(p.Src.Mem); n > 0 {
 		lbl += fmt.Sprintf(", +%d delta rows", n)
 	}
-	if t := p.Src.tomb(); t != nil {
-		lbl += fmt.Sprintf(", %d tombstones", t.Len())
+	if n := p.Src.Tomb.Len(); n > 0 {
+		lbl += fmt.Sprintf(", %d tombstones", n)
 	}
 	return lbl + ")"
 }
@@ -196,8 +196,10 @@ func segmentRefutes(st colStats, op engine.CmpOp, cst engine.Value) bool {
 // segment. Layers are scanned base-first, then the source's in-memory
 // delta rows come out as a final batch. Tombstones narrow file
 // batches through the selection vector (the decoded vectors stay
-// zero-copy and shared; only live row indices are listed), so a
-// partition without deletes pays nothing. NextBatch materializes a
+// zero-copy and shared; only live row indices are listed), and only
+// the batches whose tuple ids meet a segment's are consulted for it,
+// so a partition without deletes, and a segment none of them touched,
+// pays nothing per row. NextBatch materializes a
 // tuple block per segment for a parent that wants rows (a sort or a
 // rename directly above the scan); a filter, projection or hash join
 // above the scan pulls NextColBatch and never pays that cost.
@@ -219,6 +221,11 @@ type StoreScanIter struct {
 	// RowsMaterialized counts the rows NextBatch made into tuples (a
 	// parent that pulls NextColBatch makes them itself, or never).
 	RowsMaterialized int64
+	// TombRowsChecked counts rows looked up against some tombstone
+	// batch; TombSegmentsSkipped counts segments of a tombstoned layer
+	// that no batch's tuple ids meet, which cost no per-row work.
+	TombRowsChecked     int64
+	TombSegmentsSkipped int64
 
 	layer   int // current layer index
 	seg     int // next segment index within the layer
@@ -228,9 +235,7 @@ type StoreScanIter struct {
 	cb      engine.ColBatch // reused columnar batch header
 	sel     []int32         // reused tombstone selection vector
 	pad     []int64         // shared zero column for width padding
-	tomb    TombSet
-	tf      TombFilter // tombstones scoped to the current layer
-	tfLayer int        // layer tf was computed for
+	near    TombFilter      // the layer's tombstones narrowed to the current segment
 }
 
 // Open resets the scan to the first segment.
@@ -244,13 +249,8 @@ func (s *StoreScanIter) Open() error {
 	s.CacheHits = 0
 	s.BytesDecoded = 0
 	s.RowsMaterialized = 0
-	s.tomb = s.Src.tomb()
-	s.tf = nil
-	s.tfLayer = -1
-	if s.tomb != nil && len(s.Src.Layers) > 0 {
-		s.tf = s.tomb.Layer(0)
-		s.tfLayer = 0
-	}
+	s.TombRowsChecked = 0
+	s.TombSegmentsSkipped = 0
 	return nil
 }
 
@@ -283,22 +283,26 @@ func (s *StoreScanIter) nextSegment() (*segment, int, error) {
 		if seg.n == 0 {
 			continue
 		}
-		if s.tomb != nil && s.tfLayer != s.layer {
-			s.tf = s.tomb.Layer(s.layer)
-			s.tfLayer = s.layer
-		}
 		return seg, h.Width(), nil
 	}
 	return nil, 0, nil
 }
 
 // tombSel builds the selection vector of live rows for a decoded
-// segment under the current layer's tombstone filter, or nil when
-// every row survives.
+// segment of the current layer under the layer's tombstone filter,
+// narrowed to the batches that meet the segment's tuple ids, or nil
+// when every row survives.
 func (s *StoreScanIter) tombSel(seg *segment, width int) ([]int32, error) {
-	if s.tf == nil {
+	tf := s.Src.Tomb.Layer(s.layer)
+	if tf == nil {
 		return nil, nil
 	}
+	s.near = tf.narrow(seg.tidLo, seg.tidHi, s.near[:0])
+	if len(s.near) == 0 {
+		s.TombSegmentsSkipped++
+		return nil, nil
+	}
+	s.TombRowsChecked += int64(seg.n)
 	if s.sel == nil {
 		// Non-nil even when empty: an all-dead segment must yield an
 		// empty selection, not the nil "select everything".
@@ -307,12 +311,12 @@ func (s *StoreScanIter) tombSel(seg *segment, width int) ([]int32, error) {
 	dead := 0
 	sel := s.sel[:0]
 	for r := 0; r < seg.n; r++ {
-		if s.tf.HasTID(seg.tid[r]) {
+		if s.near.HasTID(seg.tid[r]) {
 			d, err := segDescriptor(seg, width, r)
 			if err != nil {
 				return nil, corruptf("row %d: %v", r, err)
 			}
-			if s.tf.Has(seg.tid[r], d) {
+			if s.near.Has(seg.tid[r], d) {
 				dead++
 				continue
 			}
@@ -541,13 +545,18 @@ func (s *StoreScanIter) Close() error {
 // OperatorStats reports the scan's store-side effects to a trace span
 // (engine.OperatorStats): segments fetched, segments skipped by
 // min/max pruning, shared-cache hits, bytes this scan fetched and
-// decoded itself, and the rows it made into tuples, if any.
+// decoded itself, the rows it made into tuples, if any, and over a
+// tombstoned partition the tombstone filter's work.
 func (s *StoreScanIter) OperatorStats(emit func(key string, v int64)) {
 	emit("segments_read", int64(s.SegmentsRead))
 	emit("cache_hits", s.CacheHits)
 	emit("bytes_decoded", s.BytesDecoded)
 	if s.RowsMaterialized > 0 {
 		emit("rows_materialized", s.RowsMaterialized)
+	}
+	if s.Src.Tomb != nil {
+		emit("tomb_rows_checked", s.TombRowsChecked)
+		emit("tomb_segments_skipped", s.TombSegmentsSkipped)
 	}
 	var pruned int64
 	for _, layer := range s.Pruned {

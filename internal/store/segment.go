@@ -113,10 +113,17 @@ type PartHandle struct {
 
 	// idxRuns lazily caches the layer's sorted-run indexes by key name
 	// ("t" for tuple ids, "a<i>" for stored column i). Missing, corrupt,
-	// or mismatched run files cache as nil — the lookup path falls back
-	// to scanning the layer, never to a wrong answer.
+	// or mismatched run files cache as a nil run — the lookup path falls
+	// back to scanning the layer, never to a wrong answer — and the
+	// corrupt or mismatched ones as stale, so compaction rewrites them.
 	idxMu   sync.Mutex
-	idxRuns map[string]*index.Run
+	idxRuns map[string]runEntry
+}
+
+// runEntry is one cached index-run outcome.
+type runEntry struct {
+	run   *index.Run // nil when the layer has no usable run for the key
+	stale bool       // a run file exists but disagrees with the layer
 }
 
 // handleIDs allocates process-unique handle ids for cache keying.

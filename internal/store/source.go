@@ -8,41 +8,6 @@ import (
 	"urel/internal/ws"
 )
 
-// TombSet is the read side of a tombstone collection: deleted
-// partition rows identified by (tuple id, ws-descriptor). The write
-// path (internal/txn) implements it over its frozen delete batches; a
-// nil TombSet means nothing is deleted.
-//
-// Tombstones are layer-scoped: a delete only affects rows that were
-// already in a file layer when the delete committed (rows that were
-// still in the memtable are removed from it eagerly at commit, and
-// rows written later — an UPDATE's reinsert, a subsequent flush — must
-// not be shadowed by an older tombstone with the same identity).
-// Layer(li) therefore returns the filter applicable to file layer li,
-// or nil when no tombstone touches it; the in-memory delta is never
-// tombstone-filtered.
-type TombSet interface {
-	// Len returns the number of tombstones (0 behaves like nil).
-	Len() int
-	// Layer returns the filter for file layer li (0 = base), or nil.
-	Layer(li int) TombFilter
-}
-
-// TombFilter filters the rows of one file layer.
-//
-// HasTID is the allocation-free pre-filter: scans consult it per row
-// and reconstruct the row's descriptor for the exact Has check only
-// when the tuple id is present at all — so partitions without deletes
-// (and rows of untouched tuples) pay a map lookup and nothing else.
-// A descriptor-less tombstone ("wildcard") deletes every row of a
-// tuple id; Has reports it for any descriptor.
-type TombFilter interface {
-	// HasTID reports whether any tombstone exists for the tuple id.
-	HasTID(tid int64) bool
-	// Has reports whether the row (tid, d) is deleted.
-	Has(tid int64, d ws.Descriptor) bool
-}
-
 // PartSource is the layered storage of one vertical partition: one or
 // more immutable segment files (the base plus flushed deltas, in
 // commit order), an optional frozen in-memory delta (committed rows
@@ -63,20 +28,12 @@ type PartSource struct {
 	// write path; derived lazily when zero).
 	MemWidth int
 	// Tomb filters deleted rows out of every layer (nil = none).
-	Tomb TombSet
+	Tomb *TombView
 	// IdxCols lists the stored value-column ordinals with a declared
 	// secondary index (from the manifest's per-relation index list,
 	// resolved to this partition's columns). Tuple-id runs are built
 	// unconditionally beside every new layer and need no declaration.
 	IdxCols []int
-}
-
-// tomb returns the tombstone set, normalizing empty to nil.
-func (s *PartSource) tomb() TombSet {
-	if s.Tomb == nil || s.Tomb.Len() == 0 {
-		return nil
-	}
-	return s.Tomb
 }
 
 // NumRows returns the stored row count across layers plus the
@@ -190,26 +147,25 @@ func (s *PartSource) ScanPlan(sch engine.Schema, width int, attrIdx []int, name 
 // Load materializes every live row — all file layers in order, then
 // the in-memory delta — reconstructing descriptors from their padded
 // encoding and dropping tombstoned rows (each layer filtered by the
-// tombstones scoped to it; the in-memory delta is never filtered).
+// tombstones scoped to it and meeting its tuple ids; the in-memory
+// delta is never filtered).
 func (s *PartSource) Load() ([]core.URow, error) {
-	tomb := s.tomb()
 	out := make([]core.URow, 0, s.NumRows())
+	var near TombFilter
 	for li, h := range s.Layers {
-		var tf TombFilter
-		if tomb != nil {
-			tf = tomb.Layer(li)
-		}
+		tf := s.Tomb.Layer(li)
 		for i := 0; i < h.NumSegments(); i++ {
 			seg, err := h.ReadSegment(i)
 			if err != nil {
 				return nil, err
 			}
+			near = tf.narrow(seg.tidLo, seg.tidHi, near[:0])
 			for r := 0; r < seg.n; r++ {
 				d, err := segDescriptor(seg, h.Width(), r)
 				if err != nil {
 					return nil, corruptf("segment %d row %d: %v", i, r, err)
 				}
-				if tf != nil && tf.HasTID(seg.tid[r]) && tf.Has(seg.tid[r], d) {
+				if len(near) > 0 && near.Has(seg.tid[r], d) {
 					continue
 				}
 				vals := make([]engine.Value, len(seg.cols))

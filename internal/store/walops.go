@@ -1,9 +1,11 @@
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"urel/internal/core"
 	"urel/internal/engine"
@@ -302,28 +304,41 @@ func DecodeWALRecord(payload []byte) ([]WALOp, error) {
 // --- in-memory delta (replayed or accumulated) ------------------------
 
 // TombBatch is one frozen tombstone batch: the deletes of one commit
-// against one partition, indexed by tuple id. Gen scopes the batch to
-// the file layers [0, Gen) that existed when it was created.
+// against one partition, sorted by tuple id, with the bounds of those
+// ids taken once, here. Gen scopes the batch to the file layers
+// [0, Gen) that existed when it was created.
 type TombBatch struct {
-	ByTID   map[int64][]WALTomb
-	Entries []WALTomb // original commit order, for WAL restatement
-	N       int
+	Entries []WALTomb // sorted by tuple id
 	Gen     int
+	lo, hi  int64
 }
 
-// NewTombBatch indexes one commit's tombstones.
+// NewTombBatch sorts one commit's tombstones into a batch (a copy: the
+// caller's slice keeps its order).
 func NewTombBatch(tombs []WALTomb, gen int) TombBatch {
-	m := make(map[int64][]WALTomb, len(tombs))
-	for _, t := range tombs {
-		m[t.TID] = append(m[t.TID], t)
+	es := slices.Clone(tombs)
+	slices.SortStableFunc(es, func(a, b WALTomb) int { return cmp.Compare(a.TID, b.TID) })
+	b := TombBatch{Entries: es, Gen: gen, lo: math.MaxInt64, hi: math.MinInt64}
+	if len(es) > 0 {
+		b.lo, b.hi = es[0].TID, es[len(es)-1].TID
 	}
-	return TombBatch{ByTID: m, Entries: tombs, N: len(tombs), Gen: gen}
+	return b
+}
+
+// find returns the index of the batch's first entry for tid, and
+// whether there is one.
+func (b *TombBatch) find(tid int64) (int, bool) {
+	if tid < b.lo || tid > b.hi {
+		return 0, false
+	}
+	return slices.BinarySearchFunc(b.Entries, tid, func(t WALTomb, tid int64) int { return cmp.Compare(t.TID, tid) })
 }
 
 // Matches reports whether the batch deletes row (tid, d).
-func (b TombBatch) Matches(tid int64, d ws.Descriptor) bool {
-	for _, t := range b.ByTID[tid] {
-		if t.Wild || DescriptorEqual(t.D, d) {
+func (b *TombBatch) Matches(tid int64, d ws.Descriptor) bool {
+	i, ok := b.find(tid)
+	for ; ok && i < len(b.Entries) && b.Entries[i].TID == tid; i++ {
+		if t := b.Entries[i]; t.Wild || DescriptorEqual(t.D, d) {
 			return true
 		}
 	}
@@ -343,34 +358,53 @@ func DescriptorEqual(a, b ws.Descriptor) bool {
 	return true
 }
 
-// tombView is the frozen, layer-scoped TombSet over a batch list.
-type tombView struct {
+// TombView is the read side of one partition's tombstones: deleted
+// rows identified by (tuple id, ws-descriptor), frozen for one epoch;
+// nil means nothing is deleted.
+//
+// Tombstones are layer-scoped: a delete only affects rows that were
+// already in a file layer when the delete committed (rows that were
+// still in the memtable are removed from it eagerly at commit, and
+// rows written later — an UPDATE's reinsert, a subsequent flush — must
+// not be shadowed by an older tombstone with the same identity).
+// Layer(li) therefore returns the filter applicable to file layer li,
+// or nil when no tombstone touches it; the in-memory delta is never
+// tombstone-filtered.
+type TombView struct {
 	batches []TombBatch
 	n       int
 }
 
-// NewTombView freezes a batch list as a TombSet (nil when empty).
+// NewTombView freezes a batch list (nil when it holds no tombstone).
 // Batches must be in commit order (gens non-decreasing).
-func NewTombView(batches []TombBatch) TombSet {
+func NewTombView(batches []TombBatch) *TombView {
 	n := 0
 	for _, b := range batches {
-		n += b.N
+		n += len(b.Entries)
 	}
 	if n == 0 {
 		return nil
 	}
-	return &tombView{batches: batches[:len(batches):len(batches)], n: n}
+	return &TombView{batches: batches[:len(batches):len(batches)], n: n}
 }
 
-// Len implements TombSet.
-func (v *tombView) Len() int { return v.n }
+// Len returns the number of tombstones.
+func (v *TombView) Len() int {
+	if v == nil {
+		return 0
+	}
+	return v.n
+}
 
 // Layer returns the filter for file layer li: the batches whose gen
 // exceeds li (batches are created with gen = current layer count, so
 // they cover exactly the layers that existed before them). Batches
 // are appended in commit order with non-decreasing gens, so the
 // applicable set is a suffix.
-func (v *tombView) Layer(li int) TombFilter {
+func (v *TombView) Layer(li int) TombFilter {
+	if v == nil {
+		return nil
+	}
 	lo := len(v.batches)
 	for lo > 0 && v.batches[lo-1].Gen > li {
 		lo--
@@ -378,24 +412,43 @@ func (v *tombView) Layer(li int) TombFilter {
 	if lo == len(v.batches) {
 		return nil
 	}
-	return layerTombs(v.batches[lo:])
+	return v.batches[lo:]
 }
 
-// layerTombs is the per-layer filter over a batch suffix.
-type layerTombs []TombBatch
+// TombFilter is the tombstone batches that filter one file layer. A
+// reader narrows it per segment to the batches whose tuple ids meet
+// the segment's, so a row is looked up only in those, and a segment
+// no batch meets costs nothing per row.
+type TombFilter []TombBatch
 
-func (l layerTombs) HasTID(tid int64) bool {
-	for _, b := range l {
-		if _, ok := b.ByTID[tid]; ok {
+// narrow appends to buf the batches whose tid bounds meet [lo, hi]
+// and returns it: empty when no tombstone falls in the range.
+func (f TombFilter) narrow(lo, hi int64, buf TombFilter) TombFilter {
+	for i := range f {
+		if f[i].lo <= hi && f[i].hi >= lo {
+			buf = append(buf, f[i])
+		}
+	}
+	return buf
+}
+
+// HasTID is the allocation-free pre-filter: whether any tombstone
+// exists for the tuple id. A reader reconstructs a row's descriptor
+// for the exact Has check only when it does.
+func (f TombFilter) HasTID(tid int64) bool {
+	for i := range f {
+		if _, ok := f[i].find(tid); ok {
 			return true
 		}
 	}
 	return false
 }
 
-func (l layerTombs) Has(tid int64, d ws.Descriptor) bool {
-	for _, b := range l {
-		if b.Matches(tid, d) {
+// Has reports whether the row (tid, d) is deleted. A descriptor-less
+// ("wildcard") tombstone deletes every row of its tuple id.
+func (f TombFilter) Has(tid int64, d ws.Descriptor) bool {
+	for i := range f {
+		if f[i].Matches(tid, d) {
 			return true
 		}
 	}
@@ -437,7 +490,7 @@ func (p *PartDelta) ApplyOp(o WALOp) {
 			}
 		}
 		p.Batches = append(p.Batches, b)
-		p.NTombs += b.N
+		p.NTombs += len(b.Entries)
 	}
 	if len(o.Rows) > 0 {
 		for _, r := range o.Rows {

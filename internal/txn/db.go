@@ -25,9 +25,9 @@ type Options struct {
 	// CompactTombs is the live-tombstone count that triggers a
 	// background compaction folding deletes into rewritten bases
 	// (<= 0 selects DefaultCompactTombs). Tombstones cost a per-row
-	// filter on every scan of their layers and are restated into each
-	// successor WAL, so they must not accumulate unboundedly under
-	// delete/update traffic.
+	// filter on every scan of the segments their tuple ids fall in and
+	// are restated into each successor WAL, so they must not accumulate
+	// unboundedly under delete/update traffic.
 	CompactTombs int
 	// DisableAutoFlush turns the background maintenance goroutine off
 	// entirely (no auto-flush, no auto-compaction); Flush and Compact
@@ -85,10 +85,11 @@ type DB struct {
 	// refused; a reopen recovers from whichever manifest survived.
 	degraded bool
 
-	commits     atomic.Uint64
-	flushes     atomic.Uint64
-	compactions atomic.Uint64
-	state       atomic.Pointer[dbState]
+	commits        atomic.Uint64
+	flushes        atomic.Uint64
+	compactions    atomic.Uint64
+	partsRewritten atomic.Uint64
+	state          atomic.Pointer[dbState]
 
 	flushCh   chan struct{}
 	compactCh chan struct{}
@@ -133,6 +134,9 @@ type Stats struct {
 	Commits     uint64 `json:"commits"`
 	Flushes     uint64 `json:"flushes"`
 	Compactions uint64 `json:"compactions"`
+	// PartitionsRewritten counts the partitions compactions rewrote; a
+	// compaction leaves the partitions nothing was written to alone.
+	PartitionsRewritten uint64 `json:"partitions_rewritten"`
 }
 
 // Open opens dir — a directory written by store.Save (or a previous
@@ -367,15 +371,16 @@ func (d *DB) Epoch() uint64 { return d.state.Load().epoch }
 func (d *DB) Stats() Stats {
 	s := d.state.Load()
 	return Stats{
-		Epoch:       s.epoch,
-		FileEpoch:   s.fileEpoch,
-		WALBytes:    s.walBytes,
-		MemRows:     s.memRows,
-		MemBytes:    s.memBytes,
-		Tombstones:  s.tombs,
-		Commits:     d.commits.Load(),
-		Flushes:     d.flushes.Load(),
-		Compactions: d.compactions.Load(),
+		Epoch:               s.epoch,
+		FileEpoch:           s.fileEpoch,
+		WALBytes:            s.walBytes,
+		MemRows:             s.memRows,
+		MemBytes:            s.memBytes,
+		Tombstones:          s.tombs,
+		Commits:             d.commits.Load(),
+		Flushes:             d.flushes.Load(),
+		Compactions:         d.compactions.Load(),
+		PartitionsRewritten: d.partsRewritten.Load(),
 	}
 }
 

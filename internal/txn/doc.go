@@ -36,7 +36,8 @@
 //     layer-scoped tombstone batches) and publish a fresh immutable
 //     snapshot; readers pin an epoch and never see a partial commit.
 //   - A background flusher spills memtables into delta segment files;
-//     a compactor folds tombstones into rewritten bases. Both commit
+//     a compactor folds tombstones into rewritten bases, rewriting only
+//     the partitions written to since the last compaction. Both commit
 //     their transition by atomically renaming the manifest (the PR 2
 //     crash-safety rule: the manifest is written last) and rotate the
 //     WAL so it only ever describes state the segment files lack.

@@ -178,7 +178,7 @@ func (d *DB) restateOpsLocked() []store.WALOp {
 				continue
 			}
 			for _, b := range m.Batches {
-				if b.N == 0 {
+				if len(b.Entries) == 0 {
 					continue
 				}
 				ops = append(ops, store.WALOp{Rel: mr.Name, Part: pi, Tombs: b.Entries, Gen: b.Gen})
