@@ -21,6 +21,13 @@
 // picked by the optimizer from estimated cardinalities and the store's
 // own price for a probe (docs/ARCHITECTURE.md, "Join strategies").
 //
+// A Run holds its sorted keys as one typed engine.ColVec: an int vector
+// for tuple-id runs and int columns, which Unmarshal decodes straight
+// into and an int probe binary-searches directly, a generic vector for
+// any other keys, compared through engine.Compare. Unmarshal bounds
+// every count by the bytes left before allocating for it, so a corrupt
+// run is ErrCorruptRun, never an out-of-memory crash.
+//
 // A Run is immutable, built beside a segment file at flush,
 // compaction, save, or CREATE INDEX time, and recorded implicitly in
 // the v2 manifest: a layer file F with an index on key k owns the

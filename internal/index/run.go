@@ -46,9 +46,11 @@ type LookupStats struct {
 
 // Run is an immutable sorted-run index over one layer file: every
 // non-null key of the indexed column, sorted, with its row locator,
-// plus one bloom filter per segment for equality keys.
+// plus one bloom filter per segment for equality keys. The keys are one
+// typed vector: an int vector when every key is an int (tuple-id runs
+// and int columns), a generic one otherwise.
 type Run struct {
-	keys   []engine.Value
+	keys   engine.ColVec
 	locs   []Loc
 	blooms []bloom
 	ndv    int // distinct keys; derived after sorting (0 when empty)
@@ -59,7 +61,9 @@ type Run struct {
 // counts (a file's last segment is usually partial), which is what
 // building from an already-written segment file needs.
 type Builder struct {
-	r Run
+	keys   []engine.Value
+	locs   []Loc
+	blooms []bloom
 }
 
 // NewBuilder returns an empty builder.
@@ -68,7 +72,7 @@ func NewBuilder() *Builder { return &Builder{} }
 // Segment appends the key column of the next segment, in row order.
 // Null keys are skipped — an equality probe can never match NULL.
 func (b *Builder) Segment(keys []engine.Value) {
-	si := len(b.r.blooms)
+	si := len(b.blooms)
 	n := 0
 	for _, k := range keys {
 		if !k.IsNull() {
@@ -80,20 +84,60 @@ func (b *Builder) Segment(keys []engine.Value) {
 		if k.IsNull() {
 			continue
 		}
-		b.r.keys = append(b.r.keys, k)
-		b.r.locs = append(b.r.locs, Loc{Seg: int32(si), Row: int32(row)})
+		b.keys = append(b.keys, k)
+		b.locs = append(b.locs, Loc{Seg: int32(si), Row: int32(row)})
 		bl.add(hashKey(k))
 	}
-	b.r.blooms = append(b.r.blooms, bl)
+	b.blooms = append(b.blooms, bl)
 }
 
 // Run sorts the accumulated entries and returns the finished run. The
 // builder must not be reused afterwards.
 func (b *Builder) Run() *Run {
-	r := &b.r
-	r.sortEntries()
+	sort.Sort(entries{b})
+	r := &Run{keys: keyVec(b.keys), locs: b.locs, blooms: b.blooms}
 	r.deriveNDV()
 	return r
+}
+
+// entries sorts a builder's entries by key, ties by locator.
+type entries struct{ b *Builder }
+
+func (s entries) Len() int { return len(s.b.keys) }
+func (s entries) Less(i, j int) bool {
+	if c := engine.Compare(s.b.keys[i], s.b.keys[j]); c != 0 {
+		return c < 0
+	}
+	return locLess(s.b.locs[i], s.b.locs[j])
+}
+func (s entries) Swap(i, j int) {
+	s.b.keys[i], s.b.keys[j] = s.b.keys[j], s.b.keys[i]
+	s.b.locs[i], s.b.locs[j] = s.b.locs[j], s.b.locs[i]
+}
+
+func locLess(a, b Loc) bool {
+	if a.Seg != b.Seg {
+		return a.Seg < b.Seg
+	}
+	return a.Row < b.Row
+}
+
+// keyVec lays sorted keys out as an int vector when every one is an
+// int, as a generic vector otherwise.
+func keyVec(keys []engine.Value) engine.ColVec {
+	ints := make([]int64, len(keys))
+	for i, k := range keys {
+		if k.K != engine.KindInt {
+			return engine.GenericVec(keys)
+		}
+		ints[i] = k.I
+	}
+	return engine.IntVec(ints, nil)
+}
+
+// intKeys returns the keys as ints when the run holds only ints.
+func (r *Run) intKeys() ([]int64, bool) {
+	return r.keys.Ints, r.keys.Vals == nil && r.keys.Kind == engine.KindInt
 }
 
 // BuildRun indexes keys given in storage order under uniform chunking:
@@ -117,9 +161,17 @@ func BuildRun(keys []engine.Value, segRows int) *Run {
 // deriveNDV counts distinct keys by one pass over the sorted entries.
 func (r *Run) deriveNDV() {
 	n := 0
-	for i := range r.keys {
-		if i == 0 || engine.Compare(r.keys[i], r.keys[i-1]) != 0 {
-			n++
+	if ints, ok := r.intKeys(); ok {
+		for i, k := range ints {
+			if i == 0 || k != ints[i-1] {
+				n++
+			}
+		}
+	} else {
+		for i := range r.locs {
+			if i == 0 || engine.Compare(r.keys.Value(i), r.keys.Value(i-1)) != 0 {
+				n++
+			}
 		}
 	}
 	r.ndv = n
@@ -129,29 +181,8 @@ func (r *Run) deriveNDV() {
 // per-layer statistic, feeding lookup-cardinality estimates).
 func (r *Run) NDV() int { return r.ndv }
 
-func (r *Run) sortEntries() {
-	sort.Sort(runSorter{r})
-}
-
-type runSorter struct{ r *Run }
-
-func (s runSorter) Len() int { return len(s.r.keys) }
-func (s runSorter) Less(i, j int) bool {
-	if c := engine.Compare(s.r.keys[i], s.r.keys[j]); c != 0 {
-		return c < 0
-	}
-	if s.r.locs[i].Seg != s.r.locs[j].Seg {
-		return s.r.locs[i].Seg < s.r.locs[j].Seg
-	}
-	return s.r.locs[i].Row < s.r.locs[j].Row
-}
-func (s runSorter) Swap(i, j int) {
-	s.r.keys[i], s.r.keys[j] = s.r.keys[j], s.r.keys[i]
-	s.r.locs[i], s.r.locs[j] = s.r.locs[j], s.r.locs[i]
-}
-
 // Len returns the number of indexed (non-null) keys.
-func (r *Run) Len() int { return len(r.keys) }
+func (r *Run) Len() int { return len(r.locs) }
 
 // Segments returns the number of per-segment bloom filters.
 func (r *Run) Segments() int { return len(r.blooms) }
@@ -159,12 +190,13 @@ func (r *Run) Segments() int { return len(r.blooms) }
 // Lookup returns the locators of every row whose key equals key, in
 // (segment, row) order. The per-segment bloom filters run first: a run
 // none of whose segments can contain the key is rejected without
-// touching the sorted entries at all.
+// touching the sorted entries at all. An int probe of an int run is a
+// binary search of the ints; any other goes through engine.Compare.
 func (r *Run) Lookup(key engine.Value, st *LookupStats) []Loc {
 	if st != nil {
 		st.RunsConsulted++
 	}
-	if key.IsNull() || len(r.keys) == 0 {
+	if key.IsNull() || len(r.locs) == 0 {
 		return nil
 	}
 	h := hashKey(key)
@@ -181,24 +213,28 @@ func (r *Run) Lookup(key engine.Value, st *LookupStats) []Loc {
 		}
 		return nil
 	}
-	lo := sort.Search(len(r.keys), func(i int) bool {
-		return engine.Compare(r.keys[i], key) >= 0
-	})
-	hi := lo
-	for hi < len(r.keys) && engine.Compare(r.keys[hi], key) == 0 {
-		hi++
+	var lo, hi int
+	if ints, ok := r.intKeys(); ok && key.K == engine.KindInt {
+		lo = sort.Search(len(ints), func(i int) bool { return ints[i] >= key.I })
+		hi = lo
+		for hi < len(ints) && ints[hi] == key.I {
+			hi++
+		}
+	} else {
+		lo = sort.Search(len(r.locs), func(i int) bool {
+			return engine.Compare(r.keys.Value(i), key) >= 0
+		})
+		hi = lo
+		for hi < len(r.locs) && engine.Compare(r.keys.Value(hi), key) == 0 {
+			hi++
+		}
 	}
 	if lo == hi {
 		return nil
 	}
 	out := make([]Loc, hi-lo)
 	copy(out, r.locs[lo:hi])
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Seg != out[j].Seg {
-			return out[i].Seg < out[j].Seg
-		}
-		return out[i].Row < out[j].Row
-	})
+	sort.Slice(out, func(i, j int) bool { return locLess(out[i], out[j]) })
 	if st != nil {
 		st.Hits += int64(len(out))
 	}
@@ -217,17 +253,22 @@ func (r *Run) Marshal() []byte {
 			b = append(b, x[:]...)
 		}
 	}
-	b = binary.AppendUvarint(b, uint64(len(r.keys)))
-	for i, k := range r.keys {
-		b = appendKeyValue(b, k)
-		b = binary.AppendUvarint(b, uint64(r.locs[i].Seg))
-		b = binary.AppendUvarint(b, uint64(r.locs[i].Row))
+	b = binary.AppendUvarint(b, uint64(len(r.locs)))
+	for i, loc := range r.locs {
+		b = appendKeyValue(b, r.keys.Value(i))
+		b = binary.AppendUvarint(b, uint64(loc.Seg))
+		b = binary.AppendUvarint(b, uint64(loc.Row))
 	}
 	crc := crc32.ChecksumIEEE(b)
 	return append(b, byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24))
 }
 
-// Unmarshal decodes a run file, validating the checksum.
+// Unmarshal decodes a run file, validating the checksum. Keys decode
+// straight into the run's int vector while they are ints; the first
+// key of another kind turns the vector generic. Every count is bounded
+// by the bytes left before anything is allocated for it: a bloom filter
+// takes at least its one-byte word count, a word eight bytes, an entry
+// three (a kind byte and two locator bytes).
 func Unmarshal(data []byte) (*Run, error) {
 	if len(data) < len(runMagic)+4 {
 		return nil, fmt.Errorf("%w: truncated (%d bytes)", ErrCorruptRun, len(data))
@@ -240,33 +281,49 @@ func Unmarshal(data []byte) (*Run, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptRun)
 	}
 	c := &runCursor{b: body, pos: len(runMagic)}
-	nsegs, err := c.count(1 << 30)
+	nsegs, err := c.countOf(1)
 	if err != nil {
 		return nil, err
 	}
 	r := &Run{blooms: make([]bloom, nsegs)}
-	for si := 0; si < nsegs; si++ {
-		nw, err := c.count(1 << 28)
+	for si := range r.blooms {
+		nw, err := c.countOf(8)
 		if err != nil {
 			return nil, err
 		}
 		words := make([]uint64, nw)
 		for i := range words {
-			if words[i], err = c.fixed64(); err != nil {
-				return nil, err
-			}
+			words[i] = binary.LittleEndian.Uint64(c.b[c.pos:])
+			c.pos += 8
 		}
 		r.blooms[si] = bloom{words: words}
 	}
-	n, err := c.count(1 << 31)
+	n, err := c.countOf(3)
 	if err != nil {
 		return nil, err
 	}
-	r.keys = make([]engine.Value, n)
+	ints := make([]int64, n)
+	var vals []engine.Value // non-nil once a key is not an int
 	r.locs = make([]Loc, n)
-	for i := 0; i < n; i++ {
-		if r.keys[i], err = c.value(); err != nil {
-			return nil, err
+	for i := range r.locs {
+		if vals == nil && c.pos < len(c.b) && c.b[c.pos] == byte(engine.KindInt) {
+			c.pos++
+			if ints[i], err = c.varint(); err != nil {
+				return nil, err
+			}
+		} else {
+			v, err := c.value()
+			if err != nil {
+				return nil, err
+			}
+			if vals == nil {
+				vals = make([]engine.Value, n)
+				for j, k := range ints[:i] {
+					vals[j] = engine.Int(k)
+				}
+				ints = nil
+			}
+			vals[i] = v
 		}
 		seg, err := c.count(1 << 31)
 		if err != nil {
@@ -280,6 +337,11 @@ func Unmarshal(data []byte) (*Run, error) {
 	}
 	if c.pos != len(body) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptRun, len(body)-c.pos)
+	}
+	if vals != nil {
+		r.keys = engine.GenericVec(vals)
+	} else {
+		r.keys = engine.IntVec(ints, nil)
 	}
 	r.deriveNDV()
 	return r, nil
@@ -319,7 +381,26 @@ type runCursor struct {
 	pos int
 }
 
+// countOf decodes the count of a run of items that take at least unit
+// bytes each, bounded by the bytes left after it.
+func (c *runCursor) countOf(unit int) (int, error) {
+	start := c.pos
+	v, err := c.count(math.MaxInt32)
+	if err != nil {
+		return 0, err
+	}
+	if left := len(c.b) - c.pos; v > left/unit {
+		return 0, fmt.Errorf("%w: count %d at offset %d exceeds the %d bytes left", ErrCorruptRun, v, start, left)
+	}
+	return v, nil
+}
+
 func (c *runCursor) count(max uint64) (int, error) {
+	if c.pos < len(c.b) && c.b[c.pos] < 0x80 && uint64(c.b[c.pos]) <= max {
+		v := int(c.b[c.pos])
+		c.pos++
+		return v, nil
+	}
 	v, n := binary.Uvarint(c.b[c.pos:])
 	if n <= 0 {
 		return 0, fmt.Errorf("%w: bad uvarint at offset %d", ErrCorruptRun, c.pos)
@@ -332,6 +413,11 @@ func (c *runCursor) count(max uint64) (int, error) {
 }
 
 func (c *runCursor) varint() (int64, error) {
+	if c.pos < len(c.b) && c.b[c.pos] < 0x80 {
+		u := c.b[c.pos]
+		c.pos++
+		return int64(u>>1) ^ -int64(u&1), nil
+	}
 	v, n := binary.Varint(c.b[c.pos:])
 	if n <= 0 {
 		return 0, fmt.Errorf("%w: bad varint at offset %d", ErrCorruptRun, c.pos)

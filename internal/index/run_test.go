@@ -1,9 +1,13 @@
 package index
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"urel/internal/engine"
@@ -118,4 +122,58 @@ func TestRunCorruptionDetected(t *testing.T) {
 	if _, err := Load(path); err == nil {
 		t.Fatal("corrupt run file loaded without error")
 	}
+}
+
+// TestRunHugeCountIsCorrupt: a 21-byte run with a valid checksum that
+// claims 2³¹−1 entries must be refused before anything is allocated for
+// them (each entry takes at least three bytes), not size a 2³¹-entry
+// key array.
+func TestRunHugeCountIsCorrupt(t *testing.T) {
+	b := []byte(runMagic)
+	b = binary.AppendUvarint(b, 0)            // no bloom filters
+	b = binary.AppendUvarint(b, 1<<31-1)      // entries claimed
+	b = append(b, byte(engine.KindInt), 0, 0) // what is there of the first
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	if len(b) != 21 {
+		t.Fatalf("crafted run is %d bytes, want 21", len(b))
+	}
+	if _, err := Unmarshal(b); !errors.Is(err, ErrCorruptRun) {
+		t.Fatalf("err = %v, want ErrCorruptRun", err)
+	}
+}
+
+// TestRunKeysAreTyped: a run of ints holds them as an int vector, and a
+// probe of any kind that equals an int key finds it.
+func TestRunKeysAreTyped(t *testing.T) {
+	keys := []engine.Value{engine.Int(5), engine.Int(3), engine.Int(5), engine.Null(), engine.Int(-2)}
+	for name, r := range map[string]*Run{"built": BuildRun(keys, 2), "loaded": mustUnmarshal(t, BuildRun(keys, 2).Marshal())} {
+		if _, ok := r.intKeys(); !ok {
+			t.Fatalf("%s: int keys not held as an int vector: %+v", name, r.keys)
+		}
+		if r.Len() != 4 || r.NDV() != 3 {
+			t.Fatalf("%s: Len %d NDV %d, want 4 and 3", name, r.Len(), r.NDV())
+		}
+		want := []Loc{{Seg: 0, Row: 0}, {Seg: 1, Row: 0}}
+		for _, probe := range []engine.Value{engine.Int(5), engine.Float(5)} {
+			if got := r.Lookup(probe, nil); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Lookup(%v) = %v, want %v", name, probe, got, want)
+			}
+		}
+		if got := r.Lookup(engine.Int(4), nil); got != nil {
+			t.Fatalf("%s: Lookup(4) = %v, want none", name, got)
+		}
+	}
+	mixed := BuildRun([]engine.Value{engine.Int(1), engine.Str("a")}, 4)
+	if _, ok := mixed.intKeys(); ok || mixed.NDV() != 2 || len(mixed.Lookup(engine.Str("a"), nil)) != 1 {
+		t.Fatalf("mixed run: keys %+v, NDV %d", mixed.keys, mixed.NDV())
+	}
+}
+
+func mustUnmarshal(t *testing.T, b []byte) *Run {
+	t.Helper()
+	r, err := Unmarshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }

@@ -7,6 +7,8 @@ import (
 
 	"urel/internal/core"
 	"urel/internal/engine"
+	"urel/internal/index"
+	"urel/internal/tpch"
 )
 
 // benchScanRows builds a 3-attribute partition (int, float, string).
@@ -129,4 +131,120 @@ func BenchmarkSaveOpen(b *testing.B) {
 			h.Close()
 		}
 	})
+}
+
+// savedTPCH saves TPC-H data at the given scale, with the uncertainty
+// of the stored benchmarks (x 0.01, z 0.25, seed 1), into a fresh
+// directory and builds the run of lineitem's l_orderkey beside its
+// partition file, which it returns with the directory.
+func savedTPCH(tb testing.TB, scale float64) (dir, run string) {
+	tb.Helper()
+	p := tpch.DefaultParams(scale, 0.01, 0.25)
+	p.Seed = 1
+	db, _, err := tpch.Generate(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dir = tb.TempDir()
+	if err := Save(db, dir); err != nil {
+		tb.Fatal(err)
+	}
+	m, err := ReadManifest(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, mr := range m.Relations {
+		for _, mp := range mr.Parts {
+			for ai, a := range mp.Attrs {
+				if a != "l_orderkey" {
+					continue
+				}
+				h, err := OpenPart(filepath.Join(dir, mp.File))
+				if err != nil {
+					tb.Fatal(err)
+				}
+				defer h.Close()
+				if err := BuildLayerIndex(h, ai); err != nil {
+					tb.Fatal(err)
+				}
+				return dir, IdxFileName(h.Path(), IdxKeyAttr(ai))
+			}
+		}
+	}
+	tb.Fatal("no l_orderkey partition")
+	return "", ""
+}
+
+// BenchmarkSegmentDecode decodes every segment of the s 0.25 lineitem
+// partitions from its payload; MB/s is payload bytes decoded per second.
+func BenchmarkSegmentDecode(b *testing.B) {
+	dir, _ := savedTPCH(b, 0.25)
+	m, err := ReadManifest(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type payload struct {
+		data        []byte
+		rows, width int
+		kinds       []byte
+	}
+	var payloads []payload
+	var size int64
+	for _, mr := range m.Relations {
+		if mr.Name != "lineitem" {
+			continue
+		}
+		for _, mp := range mr.Parts {
+			h, err := OpenPart(filepath.Join(dir, mp.File))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, sm := range h.meta.Segs {
+				data := make([]byte, sm.Len)
+				if _, err := h.src.ReadAt(data, sm.Off); err != nil {
+					b.Fatal(err)
+				}
+				payloads = append(payloads, payload{data, sm.Rows, h.meta.Width, h.meta.Kinds})
+				size += int64(sm.Len)
+			}
+			h.Close()
+		}
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range payloads {
+			if _, err := decodeSegment(p.data, p.rows, p.width, p.kinds); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkRunLoad reads and decodes the l_orderkey run of the s 0.25
+// lineitem partition, as the first point lookup of a cold open does.
+func BenchmarkRunLoad(b *testing.B) {
+	_, run := savedTPCH(b, 0.25)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := index.Load(run); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOpen opens and closes the saved s 0.25 directory without a
+// segment cache: the manifest, the world table of 1 091 variables and
+// every partition's footer.
+func BenchmarkOpen(b *testing.B) {
+	dir, _ := savedTPCH(b, 0.25)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		db, err := Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		db.Close()
+	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -270,10 +271,11 @@ func Save(db *core.UDB, dir string) error {
 			if err != nil {
 				return fmt.Errorf("store: save %s: %w", p.Name, err)
 			}
-			// No index runs here: a fresh save declares no indexes, and
-			// saved layers store tids in ascending order, so zone maps
-			// already prune tid point lookups. Runs appear when CREATE
-			// INDEX declares columns or flush/compact rewrites layers.
+			// No index runs here: a fresh save declares no indexes.
+			// Zone maps do not stand in for a tid run: the footer keeps
+			// no tid statistics, and pruning reads value columns only.
+			// Runs appear when CREATE INDEX declares columns or
+			// flush/compact rewrites layers.
 			for _, r := range rows {
 				if r.TID > mr.MaxTID {
 					mr.MaxTID = r.TID
@@ -438,25 +440,28 @@ func writeWorlds(path string, w *ws.WorldTable) error {
 
 // EncodeWorldTable renders the world table in the worlds.bin format
 // (the coordinator and WAL-shipping replicas fetch it over HTTP, so
-// the byte form is part of the replication protocol).
+// the byte form is part of the replication protocol): magic, next id,
+// variable count, then per variable its id, name, domain and optional
+// distribution, and a trailing CRC32 of everything before it.
 func EncodeWorldTable(w *ws.WorldTable) []byte {
 	b := []byte(worldsMagic)
 	b = appendUint(b, uint64(w.NextID()))
-	defs := w.Export()
-	b = appendUint(b, uint64(len(defs)))
-	for _, d := range defs {
-		b = appendInt(b, int64(d.X))
-		b = appendUint(b, uint64(len(d.Name)))
-		b = append(b, d.Name...)
-		b = appendUint(b, uint64(len(d.Dom)))
-		for _, v := range d.Dom {
+	vars := w.NontrivialVars()
+	b = appendUint(b, uint64(len(vars)))
+	for _, x := range vars {
+		name, dom, probs := w.Name(x), w.Domain(x), w.Probs(x)
+		b = appendInt(b, int64(x))
+		b = appendUint(b, uint64(len(name)))
+		b = append(b, name...)
+		b = appendUint(b, uint64(len(dom)))
+		for _, v := range dom {
 			b = appendInt(b, int64(v))
 		}
-		if d.Probs == nil {
+		if probs == nil {
 			b = append(b, 0)
 		} else {
 			b = append(b, 1)
-			for _, p := range d.Probs {
+			for _, p := range probs {
 				b = appendFixed64(b, math.Float64bits(p))
 			}
 		}
@@ -475,7 +480,11 @@ func readWorlds(path string) (*ws.WorldTable, error) {
 }
 
 // DecodeWorldTable parses the worlds.bin byte format produced by
-// EncodeWorldTable, validating magic and checksum.
+// EncodeWorldTable, validating magic and checksum, in one pass: each
+// domain is read into the slice the table keeps, and the names share
+// one string. Ids are dense by construction, so a table whose ids are
+// not exactly 1..n, in order, with next id n+1, is corrupt; every count
+// is bounded by the bytes left before anything is allocated for it.
 func DecodeWorldTable(b []byte) (*ws.WorldTable, error) {
 	if len(b) < len(worldsMagic)+4 {
 		return nil, corruptf("world table file too small")
@@ -484,9 +493,7 @@ func DecodeWorldTable(b []byte) (*ws.WorldTable, error) {
 		return nil, corruptf("bad world table magic")
 	}
 	body, tail := b[:len(b)-4], b[len(b)-4:]
-	tc := &cursor{b: tail}
-	want, _ := tc.fixed32()
-	if crc := crc32.ChecksumIEEE(body); crc != want {
+	if crc := crc32.ChecksumIEEE(body); crc != binary.LittleEndian.Uint32(tail) {
 		return nil, corruptf("world table checksum mismatch")
 	}
 	c := &cursor{b: body, pos: len(worldsMagic)}
@@ -494,61 +501,55 @@ func DecodeWorldTable(b []byte) (*ws.WorldTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := c.count(uint64(len(body)))
+	// A variable takes at least four bytes: id, name length, domain
+	// length and the distribution flag.
+	n, err := c.countOf(4)
 	if err != nil {
 		return nil, err
 	}
-	defs := make([]ws.VarDef, 0, n)
-	for i := 0; i < n; i++ {
-		var d ws.VarDef
+	if next != uint64(n)+1 {
+		return nil, corruptf("world table of %d variables says next id %d", n, next)
+	}
+	text := string(body)
+	w := ws.NewWorldTableSized(n)
+	for i := 1; i <= n; i++ {
 		x, err := c.int()
 		if err != nil {
 			return nil, err
 		}
-		d.X = ws.Var(x)
-		nl, err := c.count(uint64(len(body)))
+		if x != int64(i) {
+			return nil, corruptf("world table variable %d has id %d", i, x)
+		}
+		nl, err := c.countOf(1)
 		if err != nil {
 			return nil, err
 		}
-		name, err := c.bytes(nl)
+		name := text[c.pos : c.pos+nl]
+		c.pos += nl
+		nd, err := c.countOf(1)
 		if err != nil {
 			return nil, err
 		}
-		d.Name = string(name)
-		nd, err := c.count(uint64(len(body)))
-		if err != nil {
+		dom := make([]ws.Val, nd)
+		if err := varints(c, dom); err != nil {
 			return nil, err
-		}
-		d.Dom = make([]ws.Val, nd)
-		for j := range d.Dom {
-			v, err := c.int()
-			if err != nil {
-				return nil, err
-			}
-			d.Dom[j] = ws.Val(v)
 		}
 		hasProbs, err := c.byte()
 		if err != nil {
 			return nil, err
 		}
+		var probs []float64
 		if hasProbs != 0 {
-			d.Probs = make([]float64, nd)
-			for j := range d.Probs {
-				bits, err := c.fixed64()
-				if err != nil {
-					return nil, err
-				}
-				d.Probs[j] = math.Float64frombits(bits)
+			if probs, err = c.floats(nd); err != nil {
+				return nil, err
 			}
 		}
-		defs = append(defs, d)
+		if _, err := w.AppendVar(name, dom, probs); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
 	}
 	if c.pos != len(body) {
 		return nil, corruptf("%d trailing bytes in world table", len(body)-c.pos)
-	}
-	w, err := ws.ImportWorldTable(ws.Var(next), defs)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return w, nil
 }

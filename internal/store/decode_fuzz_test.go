@@ -1,0 +1,443 @@
+package store
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"urel/internal/engine"
+	"urel/internal/ws"
+)
+
+// Differential fuzz targets of the cold-read decoders: each runs the
+// decoder and a reference — the decoder as it was before it became one
+// typed pass, kept here verbatim — on the same bytes, with the checksum
+// re-sealed so that mutations reach the decoder. Both must decode the
+// same thing or both refuse, and neither may panic. Run one with
+//
+//	go test -run=NONE -fuzz=FuzzDecodeSegment -fuzztime=10s -fuzzminimizetime=1s ./internal/store
+
+// savedSeeds saves TPC-H s 0.02 into a fresh directory and returns its
+// world table file and every segment of every partition, as seeds.
+func savedSeeds(f *testing.F) (worlds []byte, segs []segSeed) {
+	dir, _ := savedTPCH(f, 0.02)
+	worlds, err := os.ReadFile(filepath.Join(dir, WorldsName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	m, err := ReadManifest(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, mr := range m.Relations {
+		for _, mp := range mr.Parts {
+			segs = append(segs, fileSegments(f, filepath.Join(dir, mp.File))...)
+		}
+	}
+	return worlds, segs
+}
+
+// segSeed is one segment payload with the footer facts it decodes by.
+type segSeed struct {
+	payload     []byte
+	rows, width int
+	kinds       []byte
+}
+
+func fileSegments(f *testing.F, path string) []segSeed {
+	h, err := OpenPart(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer h.Close()
+	var out []segSeed
+	for _, sm := range h.meta.Segs {
+		data := make([]byte, sm.Len)
+		if _, err := h.src.ReadAt(data, sm.Off); err != nil {
+			f.Fatal(err)
+		}
+		out = append(out, segSeed{data, sm.Rows, h.meta.Width, h.meta.Kinds})
+	}
+	return out
+}
+
+func FuzzDecodeSegment(f *testing.F) {
+	_, segs := savedSeeds(f)
+	segs = append(segs, fileSegments(f, writeTemp(f, mixedRows(200), 5, 64))...)
+	for _, s := range segs {
+		f.Add(s.payload, uint16(s.rows), uint8(s.width), s.kinds)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte, rows uint16, width uint8, kinds []byte) {
+		// Sizes the reference can afford: it sizes its columns by the
+		// footer before it reads a byte.
+		n, w := int(rows)%4097, int(width)%9
+		if len(kinds) > 8 {
+			kinds = kinds[:8]
+		}
+		file := sealedSegmentFile(payload, n, w, kinds)
+		h, err := NewPartHandle(bytes.NewReader(file), int64(len(file)))
+		if err != nil {
+			t.Fatalf("sealed file refused: %v", err)
+		}
+		got, err := h.ReadSegment(0)
+		want, refErr := refDecodeSegment(payload, n, w, kinds)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decoder: %v; reference: %v", err, refErr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("refusal %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		if d := segmentDiff(got, want, w); d != "" {
+			t.Fatal(d)
+		}
+	})
+}
+
+// segmentDiff describes the first difference between two decoded
+// segments of width w, or returns "".
+func segmentDiff(a, b *segment, w int) string {
+	if a.n != b.n || len(a.tid) != len(b.tid) || len(a.cols) != len(b.cols) {
+		return fmt.Sprintf("shape: %d rows %d tids %d cols vs %d %d %d", a.n, len(a.tid), len(a.cols), b.n, len(b.tid), len(b.cols))
+	}
+	if a.tidLo != b.tidLo || a.tidHi != b.tidHi {
+		return fmt.Sprintf("tid bounds [%d, %d] vs [%d, %d]", a.tidLo, a.tidHi, b.tidLo, b.tidHi)
+	}
+	for r := 0; r < a.n; r++ {
+		if a.tid[r] != b.tid[r] {
+			return fmt.Sprintf("row %d: tid %d vs %d", r, a.tid[r], b.tid[r])
+		}
+		for k := 0; k < w; k++ {
+			if a.dvar[k][r] != b.dvar[k][r] || a.drng[k][r] != b.drng[k][r] {
+				return fmt.Sprintf("row %d: descriptor pair %d differs", r, k)
+			}
+		}
+	}
+	for ci := range a.cols {
+		ca, cb := &a.cols[ci], &b.cols[ci]
+		if ca.Kind != cb.Kind || (ca.Vals == nil) != (cb.Vals == nil) || ca.Len() != cb.Len() {
+			return fmt.Sprintf("column %d: layout %v/%v/%d vs %v/%v/%d", ci, ca.Kind, ca.Vals == nil, ca.Len(), cb.Kind, cb.Vals == nil, cb.Len())
+		}
+		for r := 0; r < a.n; r++ {
+			va, vb := ca.Value(r), cb.Value(r)
+			if ca.IsNull(r) != cb.IsNull(r) || !sameValue(va, vb) {
+				return fmt.Sprintf("column %d row %d: %v vs %v", ci, r, va, vb)
+			}
+		}
+	}
+	return ""
+}
+
+// sameValue is bit-for-bit equality of two values (NaN equals itself).
+func sameValue(a, b engine.Value) bool {
+	return a.K == b.K && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F) && a.S == b.S
+}
+
+func FuzzDecodeWorldTable(f *testing.F) {
+	worlds, _ := savedSeeds(f)
+	f.Add(worlds)
+	w := ws.NewWorldTable()
+	w.MustNewVar("x", 1, 2)
+	y := w.MustNewVar("", 3, 1, 2, 7)
+	if err := w.SetProbs(y, []float64{0.1, 0.2, 0.3, 0.4}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(EncodeWorldTable(w))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= len(worldsMagic)+4 {
+			body := data[: len(data)-4 : len(data)-4]
+			data = appendFixed32(body, crc32.ChecksumIEEE(body))
+		}
+		got, err := DecodeWorldTable(data)
+		next, stored, vars, refErr := refDecodeWorldTable(data)
+		if refErr != nil {
+			if err == nil {
+				t.Fatalf("decoded a table the reference refused: %v", refErr)
+			}
+			return
+		}
+		// The one narrowing: ids are dense by construction, so a table
+		// whose ids are not 1..n in order, or whose stored next id is not
+		// n+1, is corrupt now.
+		dense := stored == uint64(len(vars)+1)
+		for i, v := range vars {
+			dense = dense && v.x == ws.Var(i+1)
+		}
+		if !dense {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("ids not 1..n: err = %v, want ErrCorrupt", err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("refused a table the reference decoded: %v", err)
+		}
+		if got.NextID() != next {
+			t.Fatalf("next id %d, reference %d", got.NextID(), next)
+		}
+		for _, v := range vars {
+			if got.Name(v.x) != v.name {
+				t.Fatalf("var %d: name %q, reference %q", v.x, got.Name(v.x), v.name)
+			}
+			dom, probs := got.Domain(v.x), got.Probs(v.x)
+			if len(dom) != len(v.dom) || (probs == nil) != (v.probs == nil) {
+				t.Fatalf("var %d: domain %v probs %v, reference %v %v", v.x, dom, probs, v.dom, v.probs)
+			}
+			for i := range dom {
+				if dom[i] != v.dom[i] || (probs != nil && math.Float64bits(probs[i]) != math.Float64bits(v.probs[i])) {
+					t.Fatalf("var %d: domain %v probs %v, reference %v %v", v.x, dom, probs, v.dom, v.probs)
+				}
+			}
+		}
+	})
+}
+
+// refDecodeSegment is the segment decoder as it was before the one-pass
+// decoder: one cursor call per cell and one allocation per column.
+func refDecodeSegment(data []byte, n, width int, kinds []byte) (*segment, error) {
+	c := &cursor{b: data}
+	s := &segment{
+		n:    n,
+		dvar: make([][]int64, width),
+		drng: make([][]int64, width),
+		tid:  make([]int64, n),
+		cols: make([]engine.ColVec, len(kinds)),
+	}
+	readInts := func() ([]int64, error) {
+		out := make([]int64, n)
+		for i := range out {
+			v, err := c.int()
+			if err != nil {
+				return nil, err
+			}
+			out[i] = v
+		}
+		return out, nil
+	}
+	var err error
+	for k := 0; k < width; k++ {
+		if s.dvar[k], err = readInts(); err != nil {
+			return nil, err
+		}
+		if s.drng[k], err = readInts(); err != nil {
+			return nil, err
+		}
+	}
+	if s.tid, err = readInts(); err != nil {
+		return nil, err
+	}
+	s.tidLo, s.tidHi = tidBounds(s.tid)
+	for ci, k := range kinds {
+		bm, err := c.bytes((n + 7) / 8)
+		if err != nil {
+			return nil, err
+		}
+		nulls := make([]bool, n)
+		anyNull := false
+		for i := 0; i < n; i++ {
+			if bm[i/8]&(1<<(i%8)) != 0 {
+				nulls[i] = true
+				anyNull = true
+			}
+		}
+		if !anyNull {
+			nulls = nil
+		}
+		switch k {
+		case byte(engine.KindNull):
+			all := make([]bool, n)
+			for i := range all {
+				all[i] = true
+			}
+			s.cols[ci] = engine.ColVec{Nulls: all}
+		case byte(engine.KindInt), byte(engine.KindBool):
+			xs := make([]int64, n)
+			for i := 0; i < n; i++ {
+				v, err := c.int()
+				if err != nil {
+					return nil, err
+				}
+				xs[i] = v
+			}
+			if k == byte(engine.KindBool) {
+				s.cols[ci] = engine.BoolVec(xs, nulls)
+			} else {
+				s.cols[ci] = engine.IntVec(xs, nulls)
+			}
+		case byte(engine.KindFloat):
+			xs := make([]float64, n)
+			for i := 0; i < n; i++ {
+				bits, err := c.fixed64()
+				if err != nil {
+					return nil, err
+				}
+				xs[i] = math.Float64frombits(bits)
+			}
+			s.cols[ci] = engine.FloatVec(xs, nulls)
+		case byte(engine.KindString):
+			xs := make([]string, n)
+			for i := 0; i < n; i++ {
+				ln, err := c.count(uint64(len(data)))
+				if err != nil {
+					return nil, err
+				}
+				sb, err := c.bytes(ln)
+				if err != nil {
+					return nil, err
+				}
+				xs[i] = string(sb)
+			}
+			s.cols[ci] = engine.StrVec(xs, nulls)
+		case kindMixed:
+			vals := make([]engine.Value, n)
+			for i := 0; i < n; i++ {
+				v, err := c.value()
+				if err != nil {
+					return nil, err
+				}
+				if nulls == nil || !nulls[i] {
+					vals[i] = v
+				}
+			}
+			s.cols[ci] = engine.GenericVec(vals)
+		default:
+			return nil, corruptf("unknown column kind %d", k)
+		}
+	}
+	if c.pos != len(data) {
+		return nil, corruptf("%d trailing bytes in segment", len(data)-c.pos)
+	}
+	return s, nil
+}
+
+// refVar is one variable as the reference world-table decoder gives it.
+type refVar struct {
+	x     ws.Var
+	name  string
+	dom   []ws.Val
+	probs []float64
+}
+
+// refDecodeWorldTable is the world-table decoder as it was before the
+// table kept its variables in slices: every definition decoded, then
+// checked as the importer checked it (positive, distinct ids, non-empty
+// domains without duplicates, distributions summing to one), with the
+// next id the largest of the stored one and one past the largest id.
+// It returns that next id, the stored one, and the variables in file
+// order with names defaulted to c<id>.
+func refDecodeWorldTable(b []byte) (ws.Var, uint64, []refVar, error) {
+	if len(b) < len(worldsMagic)+4 {
+		return 0, 0, nil, corruptf("world table file too small")
+	}
+	if string(b[:len(worldsMagic)]) != worldsMagic {
+		return 0, 0, nil, corruptf("bad world table magic")
+	}
+	body, tail := b[:len(b)-4], b[len(b)-4:]
+	tc := &cursor{b: tail}
+	want, _ := tc.fixed32()
+	if crc := crc32.ChecksumIEEE(body); crc != want {
+		return 0, 0, nil, corruptf("world table checksum mismatch")
+	}
+	c := &cursor{b: body, pos: len(worldsMagic)}
+	next, err := c.uint()
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	n, err := c.count(uint64(len(body)))
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	vars := make([]refVar, 0, n)
+	for i := 0; i < n; i++ {
+		var d refVar
+		x, err := c.int()
+		if err != nil {
+			return 0, 0, nil, err
+		}
+		d.x = ws.Var(x)
+		nl, err := c.count(uint64(len(body)))
+		if err != nil {
+			return 0, 0, nil, err
+		}
+		name, err := c.bytes(nl)
+		if err != nil {
+			return 0, 0, nil, err
+		}
+		d.name = string(name)
+		nd, err := c.count(uint64(len(body)))
+		if err != nil {
+			return 0, 0, nil, err
+		}
+		d.dom = make([]ws.Val, nd)
+		for j := range d.dom {
+			v, err := c.int()
+			if err != nil {
+				return 0, 0, nil, err
+			}
+			d.dom[j] = ws.Val(v)
+		}
+		hasProbs, err := c.byte()
+		if err != nil {
+			return 0, 0, nil, err
+		}
+		if hasProbs != 0 {
+			d.probs = make([]float64, nd)
+			for j := range d.probs {
+				bits, err := c.fixed64()
+				if err != nil {
+					return 0, 0, nil, err
+				}
+				d.probs[j] = math.Float64frombits(bits)
+			}
+		}
+		vars = append(vars, d)
+	}
+	if c.pos != len(body) {
+		return 0, 0, nil, corruptf("%d trailing bytes in world table", len(body)-c.pos)
+	}
+	top := ws.Var(1)
+	ids := map[ws.Var]bool{}
+	for i := range vars {
+		d := &vars[i]
+		if d.x <= ws.TrivialVar || ids[d.x] || len(d.dom) == 0 {
+			return 0, 0, nil, corruptf("import: bad id %d or empty domain", d.x)
+		}
+		ids[d.x] = true
+		seen := map[ws.Val]bool{}
+		for _, v := range d.dom {
+			if seen[v] {
+				return 0, 0, nil, corruptf("import: duplicate domain value %d", v)
+			}
+			seen[v] = true
+		}
+		if d.name == "" {
+			d.name = fmt.Sprintf("c%d", d.x)
+		}
+		if d.x >= top {
+			top = d.x + 1
+		}
+		if d.probs != nil {
+			sum := 0.0
+			for _, q := range d.probs {
+				if q < 0 {
+					return 0, 0, nil, corruptf("import: negative probability")
+				}
+				sum += q
+			}
+			if math.Abs(sum-1) > 1e-9 {
+				return 0, 0, nil, corruptf("import: probabilities sum to %g", sum)
+			}
+		}
+	}
+	if ws.Var(next) > top {
+		top = ws.Var(next)
+	}
+	return top, next, vars, nil
+}

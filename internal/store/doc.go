@@ -18,14 +18,23 @@
 //     ids as varint columns (the paper's D and T columns), then one
 //     typed column vector per value attribute (the B columns) with a
 //     null bitmap. A footer records per-segment row counts, CRC32
-//     checksums, and per-column min/max statistics.
+//     checksums, and per-column min/max statistics. A segment decodes
+//     in one typed pass: its descriptor and tid columns share one int64
+//     slab, every int column goes through one varint loop, floats are
+//     read straight from the payload and a string column's cells are
+//     slices of one string. Every count a decoder reads — rows, widths,
+//     lengths, the world table's variables — is checked against the
+//     bytes left before it sizes an allocation, so a corrupt file is
+//     ErrCorrupt, never an out-of-memory crash.
 //
 //   - Catalog (catalog.go). Save snapshots a whole UDB — the world
 //     table W (Section 2's W(Var, Rng) plus the Section 7 probability
 //     extension), the relation schemas, and every partition — into a
 //     directory; Open reopens it with partitions lazily backed by
 //     their segment files (core.Backing), so a database is queryable
-//     without materializing anything.
+//     without materializing anything. The world table decodes in one
+//     pass into the slices ws.WorldTable keeps, each domain read once
+//     into the slice the table holds.
 //
 //   - StoreScanIter (scan.go). The cold-scan operator: an
 //     engine.ColBatchIterator whose segments decode straight into

@@ -74,6 +74,34 @@ func (c *cursor) int() (int64, error) {
 	return v, nil
 }
 
+// varints decodes len(dst) varints into dst: the loop every int column
+// of a segment and every domain of the world table goes through. A
+// one-byte varint, most descriptor cells and small values, is decoded
+// in place; longer ones go through binary.Varint.
+func varints[T ~int64](c *cursor, dst []T) error {
+	b, pos := c.b, c.pos
+	for i := range dst {
+		if pos < len(b) && b[pos] < 0x80 {
+			u := b[pos]
+			dst[i] = T(int64(u>>1) ^ -int64(u&1))
+			pos++
+			continue
+		}
+		v, n := binary.Varint(b[pos:])
+		if n <= 0 {
+			c.pos = pos
+			return corruptf("bad varint at offset %d", pos)
+		}
+		dst[i] = T(v)
+		pos += n
+	}
+	c.pos = pos
+	return nil
+}
+
+// left returns the number of bytes not yet decoded.
+func (c *cursor) left() int { return len(c.b) - c.pos }
+
 func (c *cursor) uint() (uint64, error) {
 	v, n := binary.Uvarint(c.b[c.pos:])
 	if n <= 0 {
@@ -92,6 +120,20 @@ func (c *cursor) count(max uint64) (int, error) {
 	}
 	if v > max {
 		return 0, corruptf("count %d exceeds bound %d", v, max)
+	}
+	return int(v), nil
+}
+
+// countOf decodes the count of a run of items that take at least unit
+// bytes each, bounded by the bytes left after it: a count no payload
+// could hold is refused before anything is allocated for it.
+func (c *cursor) countOf(unit int) (int, error) {
+	v, err := c.uint()
+	if err != nil {
+		return 0, err
+	}
+	if v > uint64(c.left()/unit) {
+		return 0, corruptf("count %d of %d-byte items exceeds the %d bytes left", v, unit, c.left())
 	}
 	return int(v), nil
 }
@@ -120,6 +162,19 @@ func (c *cursor) fixed32() (uint32, error) {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(v), nil
+}
+
+// floats decodes n fixed little-endian float64s.
+func (c *cursor) floats(n int) ([]float64, error) {
+	raw, err := c.bytes(8 * n)
+	if err != nil {
+		return nil, err
+	}
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	return xs, nil
 }
 
 func (c *cursor) fixed64() (uint64, error) {
@@ -309,7 +364,9 @@ func encodeSegment(rows []core.URow, width int, kinds []byte) ([]byte, []colStat
 // typed engine.ColVec vectors (null markers + typed payloads), so a
 // columnar scan hands them to the engine with no per-cell work at all.
 // tidLo and tidHi bound the tuple ids (lo > hi when empty): a
-// tombstone filter is narrowed to the batches that meet them.
+// tombstone filter is narrowed to the batches that meet them. dvar,
+// drng and tid are windows of one slab (dvar and drng are nil when the
+// segment has no rows).
 type segment struct {
 	n            int
 	dvar         [][]int64 // [width][n]
@@ -319,38 +376,32 @@ type segment struct {
 	cols         []engine.ColVec // [nattr], each of n cells
 }
 
-// decodeSegment decodes a segment payload of n rows.
+// decodeSegment decodes a segment payload of n rows in one pass. The
+// descriptor and tid columns share one int64 slab, laid out as they are
+// encoded; they and the int and bool columns go through one varint
+// loop, floats are read straight from the payload, and the cells of a
+// string column are slices of one string. A decoded segment lives as a
+// whole (in a scan or the SegCache), so sharing its allocations keeps
+// nothing alive that it did not already keep.
 func decodeSegment(data []byte, n, width int, kinds []byte) (*segment, error) {
+	// Every int cell takes at least a byte: a row count or width the
+	// payload cannot hold is refused before it sizes the slab.
+	if ints := 2*width + 1; n > len(data)/ints {
+		return nil, corruptf("segment of %d rows and %d int columns in %d bytes", n, ints, len(data))
+	}
 	c := &cursor{b: data}
-	s := &segment{
-		n:    n,
-		dvar: make([][]int64, width),
-		drng: make([][]int64, width),
-		tid:  make([]int64, n),
-		cols: make([]engine.ColVec, len(kinds)),
-	}
-	readInts := func() ([]int64, error) {
-		out := make([]int64, n)
-		for i := range out {
-			v, err := c.int()
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	var err error
-	for k := 0; k < width; k++ {
-		if s.dvar[k], err = readInts(); err != nil {
-			return nil, err
-		}
-		if s.drng[k], err = readInts(); err != nil {
-			return nil, err
-		}
-	}
-	if s.tid, err = readInts(); err != nil {
+	slab := make([]int64, (2*width+1)*n)
+	if err := varints(c, slab); err != nil {
 		return nil, err
+	}
+	s := &segment{n: n, tid: slab[2*width*n:], cols: make([]engine.ColVec, len(kinds))}
+	if n > 0 && width > 0 {
+		pairs := make([][]int64, 2*width)
+		s.dvar, s.drng = pairs[:width:width], pairs[width:]
+		for k := 0; k < width; k++ {
+			s.dvar[k] = slab[2*k*n : (2*k+1)*n : (2*k+1)*n]
+			s.drng[k] = slab[(2*k+1)*n : (2*k+2)*n : (2*k+2)*n]
+		}
 	}
 	s.tidLo, s.tidHi = tidBounds(s.tid)
 	for ci, k := range kinds {
@@ -358,17 +409,7 @@ func decodeSegment(data []byte, n, width int, kinds []byte) (*segment, error) {
 		if err != nil {
 			return nil, err
 		}
-		nulls := make([]bool, n)
-		anyNull := false
-		for i := 0; i < n; i++ {
-			if bm[i/8]&(1<<(i%8)) != 0 {
-				nulls[i] = true
-				anyNull = true
-			}
-		}
-		if !anyNull {
-			nulls = nil
-		}
+		nulls := nullMarks(bm, n)
 		switch k {
 		case byte(engine.KindNull):
 			// All-null column: no payload beyond the bitmap.
@@ -379,12 +420,8 @@ func decodeSegment(data []byte, n, width int, kinds []byte) (*segment, error) {
 			s.cols[ci] = engine.ColVec{Nulls: all}
 		case byte(engine.KindInt), byte(engine.KindBool):
 			xs := make([]int64, n)
-			for i := 0; i < n; i++ {
-				v, err := c.int()
-				if err != nil {
-					return nil, err
-				}
-				xs[i] = v
+			if err := varints(c, xs); err != nil {
+				return nil, err
 			}
 			if k == byte(engine.KindBool) {
 				s.cols[ci] = engine.BoolVec(xs, nulls)
@@ -392,27 +429,15 @@ func decodeSegment(data []byte, n, width int, kinds []byte) (*segment, error) {
 				s.cols[ci] = engine.IntVec(xs, nulls)
 			}
 		case byte(engine.KindFloat):
-			xs := make([]float64, n)
-			for i := 0; i < n; i++ {
-				bits, err := c.fixed64()
-				if err != nil {
-					return nil, err
-				}
-				xs[i] = math.Float64frombits(bits)
+			xs, err := c.floats(n)
+			if err != nil {
+				return nil, err
 			}
 			s.cols[ci] = engine.FloatVec(xs, nulls)
 		case byte(engine.KindString):
-			xs := make([]string, n)
-			for i := 0; i < n; i++ {
-				ln, err := c.count(uint64(len(data)))
-				if err != nil {
-					return nil, err
-				}
-				sb, err := c.bytes(ln)
-				if err != nil {
-					return nil, err
-				}
-				xs[i] = string(sb)
+			xs, err := c.strings(n)
+			if err != nil {
+				return nil, err
 			}
 			s.cols[ci] = engine.StrVec(xs, nulls)
 		case kindMixed:
@@ -435,6 +460,50 @@ func decodeSegment(data []byte, n, width int, kinds []byte) (*segment, error) {
 		return nil, corruptf("%d trailing bytes in segment", len(data)-c.pos)
 	}
 	return s, nil
+}
+
+// nullMarks returns the null markers of a bitmap over n rows, or nil
+// when no row is null.
+func nullMarks(bm []byte, n int) []bool {
+	var nulls []bool
+	for j, x := range bm {
+		if x == 0 {
+			continue
+		}
+		for i := 8 * j; i < min(8*j+8, n); i++ {
+			if x&(1<<(i%8)) != 0 {
+				if nulls == nil {
+					nulls = make([]bool, n)
+				}
+				nulls[i] = true
+			}
+		}
+	}
+	return nulls
+}
+
+// strings decodes n length-prefixed strings as slices of one string
+// holding all of them: the first pass checks the lengths and finds the
+// end, the second cuts the cells.
+func (c *cursor) strings(n int) ([]string, error) {
+	start := c.pos
+	for i := 0; i < n; i++ {
+		ln, err := c.countOf(1)
+		if err != nil {
+			return nil, err
+		}
+		c.pos += ln
+	}
+	text := string(c.b[start:c.pos])
+	xs := make([]string, n)
+	p := 0
+	for i := range xs {
+		ln, w := binary.Uvarint(c.b[start+p:])
+		p += w
+		xs[i] = text[p : p+int(ln)]
+		p += int(ln)
+	}
+	return xs, nil
 }
 
 // tidBounds returns the least and greatest of tids (lo > hi when empty).

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -41,7 +43,7 @@ func mixedRows(n int) []core.URow {
 	return rows
 }
 
-func writeTemp(t *testing.T, rows []core.URow, nattrs, segRows int) string {
+func writeTemp(t testing.TB, rows []core.URow, nattrs, segRows int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "part.useg")
 	if _, err := WritePartition(path, rows, nattrs, segRows); err != nil {
@@ -247,5 +249,61 @@ func TestWorldTableRoundTrip(t *testing.T) {
 	os.WriteFile(bad, buf, 0o644)
 	if _, err := readWorlds(bad); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt world table: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// sealedSegmentFile lays payload out as a one-segment partition file
+// whose footer claims rows rows of the given width and column kinds,
+// with the payload's true checksum, so the decoder is what judges it.
+func sealedSegmentFile(payload []byte, rows, width int, kinds []byte) []byte {
+	b := append([]byte(fileMagic), payload...)
+	m := &fileMeta{Width: width, Kinds: kinds, Segs: []segMeta{{
+		Off: int64(len(fileMagic)), Len: len(payload), CRC: crc32.ChecksumIEEE(payload),
+		Rows: rows, Stats: make([]colStats, len(kinds)),
+	}}}
+	footerOff := len(b)
+	b = appendFooter(b, m)
+	b = appendFixed64(b, uint64(footerOff))
+	return append(b, tailMagic...)
+}
+
+// TestSegmentHugeRowCountIsCorrupt: a footer that claims 2³¹ rows for a
+// segment payload of a few bytes must be refused before the decoder
+// sizes its columns by it.
+func TestSegmentHugeRowCountIsCorrupt(t *testing.T) {
+	rows := mixedRows(3)
+	payload, _ := encodeSegment(rows, 2, deriveKinds(rows, 5))
+	file := sealedSegmentFile(payload, 1<<31, 2, deriveKinds(rows, 5))
+	h, err := NewPartHandle(bytes.NewReader(file), int64(len(file)))
+	if err != nil {
+		t.Fatalf("footer should decode: %v", err)
+	}
+	if _, err := h.ReadSegment(0); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestWorldTableIdsMustBeDense: ids are 1..n in order with next id n+1
+// by construction, so a table that says otherwise is corrupt.
+func TestWorldTableIdsMustBeDense(t *testing.T) {
+	w := ws.NewWorldTable()
+	w.MustNewVar("x", 1, 2)
+	w.MustNewVar("y", 1, 2, 3)
+	good := EncodeWorldTable(w)
+	if _, err := DecodeWorldTable(good); err != nil {
+		t.Fatal(err)
+	}
+	reseal := func(body []byte) []byte { return appendFixed32(body, crc32.ChecksumIEEE(body)) }
+	body := good[:len(good)-4]
+	at := len(worldsMagic) // next id, then the count, then x's id
+	for name, b := range map[string][]byte{
+		"next id":   reseal(append(append(append([]byte(nil), body[:at]...), 7), body[at+1:]...)),
+		"first id":  reseal(append(append(append([]byte(nil), body[:at+2]...), byte(4)), body[at+3:]...)), // zigzag 2
+		"count":     reseal(append(append(append([]byte(nil), body[:at+1]...), 100), body[at+2:]...)),
+		"truncated": reseal(append([]byte(nil), body[:len(body)-3]...)),
+	} {
+		if _, err := DecodeWorldTable(b); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }

@@ -74,8 +74,9 @@ func (h *PartHandle) hasIndexRun(key string) bool { return h.indexRun(key) != ni
 // RunsSound reports whether the layer's index runs are as a rewrite
 // would leave them: the run of each declared stored column is present,
 // and no run — the tuple-id run included — is stale or corrupt. A layer
-// without a tuple-id run is sound: store.Save writes none (its ascending
-// tuple ids are pruned by zone maps), and a rewrite is not owed for it.
+// without a tuple-id run is sound: store.Save writes none, and a rewrite
+// is not owed for it, though zone maps do not prune its tid lookups
+// (the footer keeps no tid statistics).
 func (h *PartHandle) RunsSound(declared []int) bool {
 	if h.runEntry(IdxKeyTID).stale {
 		return false

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"testing"
 
@@ -137,9 +138,8 @@ func TestWorldTableCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NextID() != w.NextID() || len(got.Export()) != len(w.Export()) {
-		t.Fatalf("round trip mismatch: next %d/%d, defs %d/%d",
-			got.NextID(), w.NextID(), len(got.Export()), len(w.Export()))
+	if got.NextID() != w.NextID() || !bytes.Equal(EncodeWorldTable(got), b) {
+		t.Fatalf("round trip mismatch: next %d/%d, bytes differ", got.NextID(), w.NextID())
 	}
 	b[len(b)-1] ^= 0xff
 	if _, err := DecodeWorldTable(b); err == nil {

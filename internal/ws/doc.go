@@ -9,6 +9,12 @@
 // probability column on W turning the world-set into a product
 // distribution over independent variables.
 //
+// Variable ids are dense — the trivial variable 0, then 1, 2, … in the
+// order NewVar allocates them — so a WorldTable keeps its domains,
+// distributions and names in slices indexed by Var, and a decoder
+// (store.DecodeWorldTable) fills one with AppendVar, which keeps the
+// domain it is handed instead of copying it.
+//
 // Paper-section map: world.go — the world table and valuations
 // (Section 2, Definition 2.1); descriptor.go — ws-descriptors, their
 // consistency check and the ψ-conditions joined on during query

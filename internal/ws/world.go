@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
-	"sort"
 
 	"urel/internal/engine"
 )
@@ -22,54 +21,83 @@ type Val int64
 const TrivialVar Var = 0
 
 // WorldTable is the relational world table W(Var, Rng[, P]). It owns
-// the variable id space.
+// the variable id space: ids are dense, 0 (the trivial variable) then
+// 1, 2, … in the order NewVar allocates them, so every per-variable
+// attribute is a slice indexed by Var. A domain and a distribution are
+// never changed once added (SetProbs replaces the distribution), which
+// lets clones and decoded tables share them.
 type WorldTable struct {
-	doms  map[Var][]Val
-	probs map[Var][]float64 // parallel to doms; nil = uniform
-	names map[Var]string
-	next  Var
-	// order holds the nontrivial variables sorted by id, maintained
-	// eagerly at construction time (NewVar allocates ascending ids;
-	// ImportWorldTable sorts once). Keeping it materialized makes the
-	// hot iteration paths (world sampling, enumeration) allocation-free
-	// and deterministic without mutating shared state on reads.
-	order []Var
+	doms  [][]Val
+	probs [][]float64 // nil entry = uniform
+	names []string    // "" = the default name c<id>
 }
 
 // NewWorldTable creates a world table containing only the trivial
 // variable.
-func NewWorldTable() *WorldTable {
+func NewWorldTable() *WorldTable { return NewWorldTableSized(0) }
+
+// NewWorldTableSized is NewWorldTable with room for n variables beside
+// the trivial one.
+func NewWorldTableSized(n int) *WorldTable {
 	w := &WorldTable{
-		doms:  map[Var][]Val{TrivialVar: {0}},
-		probs: map[Var][]float64{},
-		names: map[Var]string{TrivialVar: "⊤"},
-		next:  1,
+		doms:  make([][]Val, 1, n+1),
+		probs: make([][]float64, 1, n+1),
+		names: make([]string, 1, n+1),
 	}
+	w.doms[TrivialVar] = []Val{0}
+	w.names[TrivialVar] = "⊤"
 	return w
 }
 
 // NewVar allocates a fresh variable with the given domain (order is
 // preserved and duplicates are rejected). name is for display only.
 func (w *WorldTable) NewVar(name string, dom []Val) (Var, error) {
+	return w.AppendVar(name, append([]Val(nil), dom...), nil)
+}
+
+// AppendVar allocates a fresh variable over dom with the distribution
+// probs (nil = uniform), validated as NewVar and SetProbs would. The
+// table keeps dom and probs themselves: the caller must not change them
+// afterwards. A decoder uses it to read each domain once, into the
+// slice the table keeps.
+func (w *WorldTable) AppendVar(name string, dom []Val, probs []float64) (Var, error) {
 	if len(dom) == 0 {
 		return 0, fmt.Errorf("ws: variable %q needs a non-empty domain", name)
 	}
-	seen := map[Val]bool{}
-	for _, v := range dom {
-		if seen[v] {
-			return 0, fmt.Errorf("ws: variable %q has duplicate domain value %d", name, v)
+	if v, dup := duplicate(dom); dup {
+		return 0, fmt.Errorf("ws: variable %q has duplicate domain value %d", name, v)
+	}
+	id := w.NextID()
+	if probs != nil {
+		if err := checkProbs(name, probs, len(dom)); err != nil {
+			return 0, err
 		}
-		seen[v] = true
 	}
-	id := w.next
-	w.next++
-	w.doms[id] = append([]Val(nil), dom...)
-	w.order = append(w.order, id)
-	if name == "" {
-		name = fmt.Sprintf("c%d", id)
-	}
-	w.names[id] = name
+	w.doms = append(w.doms, dom)
+	w.probs = append(w.probs, probs)
+	w.names = append(w.names, name)
 	return id, nil
+}
+
+// duplicate returns a value dom holds twice. One pass clears a domain
+// in ascending order, as generators write them; any other goes through
+// a set.
+func duplicate(dom []Val) (Val, bool) {
+	ascending := true
+	for i := 1; i < len(dom) && ascending; i++ {
+		ascending = dom[i-1] < dom[i]
+	}
+	if ascending {
+		return 0, false
+	}
+	seen := make(map[Val]struct{}, len(dom))
+	for _, v := range dom {
+		if _, ok := seen[v]; ok {
+			return v, true
+		}
+		seen[v] = struct{}{}
+	}
+	return 0, false
 }
 
 // MustNewVar is NewVar that panics; for tests and examples.
@@ -87,15 +115,23 @@ func (w *WorldTable) NewBoolVar(name string) Var {
 	return w.MustNewVar(name, 1, 2)
 }
 
+// known reports whether x is a variable of w.
+func (w *WorldTable) known(x Var) bool { return x >= 0 && x < Var(len(w.doms)) }
+
 // Domain returns the domain of x (nil if unknown).
-func (w *WorldTable) Domain(x Var) []Val { return w.doms[x] }
+func (w *WorldTable) Domain(x Var) []Val {
+	if !w.known(x) {
+		return nil
+	}
+	return w.doms[x]
+}
 
 // DomainSize returns |dom(x)|.
-func (w *WorldTable) DomainSize(x Var) int { return len(w.doms[x]) }
+func (w *WorldTable) DomainSize(x Var) int { return len(w.Domain(x)) }
 
 // Has reports whether (x, v) ∈ W.
 func (w *WorldTable) Has(x Var, v Val) bool {
-	for _, d := range w.doms[x] {
+	for _, d := range w.Domain(x) {
 		if d == v {
 			return true
 		}
@@ -105,8 +141,8 @@ func (w *WorldTable) Has(x Var, v Val) bool {
 
 // Name returns the display name of x.
 func (w *WorldTable) Name(x Var) string {
-	if n, ok := w.names[x]; ok {
-		return n
+	if w.known(x) && w.names[x] != "" {
+		return w.names[x]
 	}
 	return fmt.Sprintf("c%d", x)
 }
@@ -114,50 +150,62 @@ func (w *WorldTable) Name(x Var) string {
 // Vars returns all variables in ascending id order, including the
 // trivial variable.
 func (w *WorldTable) Vars() []Var {
-	out := make([]Var, 0, len(w.doms))
-	for x := range w.doms {
-		out = append(out, x)
+	out := make([]Var, len(w.doms))
+	for i := range out {
+		out[i] = Var(i)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // NontrivialVars returns all variables except the trivial one, in
 // ascending id order. The result is a copy; callers may keep it.
-func (w *WorldTable) NontrivialVars() []Var {
-	return append([]Var(nil), w.order...)
-}
+func (w *WorldTable) NontrivialVars() []Var { return w.Vars()[1:] }
 
 // SetProbs assigns a probability distribution to x; the values must sum
 // to 1 (within 1e-9) and be parallel to the domain.
 func (w *WorldTable) SetProbs(x Var, p []float64) error {
-	dom := w.doms[x]
-	if len(p) != len(dom) {
-		return fmt.Errorf("ws: %d probabilities for %d domain values of %s",
-			len(p), len(dom), w.Name(x))
-	}
-	sum := 0.0
-	for _, q := range p {
-		if q < 0 {
-			return fmt.Errorf("ws: negative probability on %s", w.Name(x))
-		}
-		sum += q
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		return fmt.Errorf("ws: probabilities of %s sum to %g, want 1", w.Name(x), sum)
+	if err := checkProbs(w.Name(x), p, w.DomainSize(x)); err != nil {
+		return err
 	}
 	w.probs[x] = append([]float64(nil), p...)
 	return nil
 }
 
+// checkProbs validates a distribution over a domain of n values.
+func checkProbs(name string, p []float64, n int) error {
+	if len(p) != n {
+		return fmt.Errorf("ws: %d probabilities for %d domain values of %s", len(p), n, name)
+	}
+	sum := 0.0
+	for _, q := range p {
+		if q < 0 {
+			return fmt.Errorf("ws: negative probability on %s", name)
+		}
+		sum += q
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		return fmt.Errorf("ws: probabilities of %s sum to %g, want 1", name, sum)
+	}
+	return nil
+}
+
+// Probs returns the explicit distribution of x, parallel to its domain,
+// or nil when x is uniform. The slice belongs to the table.
+func (w *WorldTable) Probs(x Var) []float64 {
+	if !w.known(x) {
+		return nil
+	}
+	return w.probs[x]
+}
+
 // Prob returns P(x = v); uniform over the domain when no explicit
 // distribution was set.
 func (w *WorldTable) Prob(x Var, v Val) float64 {
-	dom := w.doms[x]
+	dom := w.Domain(x)
 	if len(dom) == 0 {
 		return 0
 	}
-	if p, ok := w.probs[x]; ok {
+	if p := w.probs[x]; p != nil {
 		for i, d := range dom {
 			if d == v {
 				return p[i]
@@ -175,10 +223,7 @@ func (w *WorldTable) Prob(x Var, v Val) float64 {
 // integer (the paper's Figure 9 reports numbers like 10^6702).
 func (w *WorldTable) NumWorlds() *big.Int {
 	n := big.NewInt(1)
-	for x, dom := range w.doms {
-		if x == TrivialVar {
-			continue
-		}
+	for _, dom := range w.doms[1:] {
 		n.Mul(n, big.NewInt(int64(len(dom))))
 	}
 	return n
@@ -188,11 +233,8 @@ func (w *WorldTable) NumWorlds() *big.Int {
 // variable order so the result is deterministic.
 func (w *WorldTable) Log10Worlds() float64 {
 	s := 0.0
-	for _, x := range w.Vars() {
-		if x == TrivialVar {
-			continue
-		}
-		s += math.Log10(float64(len(w.doms[x])))
+	for _, dom := range w.doms[1:] {
+		s += math.Log10(float64(len(dom)))
 	}
 	return s
 }
@@ -201,13 +243,8 @@ func (w *WorldTable) Log10Worlds() float64 {
 // variables (the paper's "max. number of local worlds", lworlds).
 func (w *WorldTable) MaxDomainSize() int {
 	m := 0
-	for x, dom := range w.doms {
-		if x == TrivialVar {
-			continue
-		}
-		if len(dom) > m {
-			m = len(dom)
-		}
+	for _, dom := range w.doms[1:] {
+		m = max(m, len(dom))
 	}
 	return m
 }
@@ -226,10 +263,7 @@ func (f Valuation) Clone() Valuation {
 
 // Total reports whether f assigns every non-trivial variable of w.
 func (w *WorldTable) Total(f Valuation) bool {
-	for x := range w.doms {
-		if x == TrivialVar {
-			continue
-		}
+	for x := Var(1); x < w.NextID(); x++ {
 		if _, ok := f[x]; !ok {
 			return false
 		}
@@ -265,10 +299,7 @@ func (w *WorldTable) AllWorlds(yield func(Valuation) bool) {
 // it exceeds max (guards accidental exponential enumeration in tests).
 func (w *WorldTable) CountWorlds(max int64) (int64, error) {
 	n := int64(1)
-	for x, dom := range w.doms {
-		if x == TrivialVar {
-			continue
-		}
+	for _, dom := range w.doms[1:] {
 		n *= int64(len(dom))
 		if n > max || n < 0 {
 			return 0, fmt.Errorf("ws: more than %d worlds", max)
@@ -286,7 +317,7 @@ func (w *WorldTable) CountWorlds(max int64) (int64, error) {
 func (w *WorldTable) SampleWorld(rng *rand.Rand, vars []Var, f Valuation) {
 	for _, x := range vars {
 		dom := w.doms[x]
-		if p, ok := w.probs[x]; ok {
+		if p := w.probs[x]; p != nil {
 			u := rng.Float64()
 			acc := 0.0
 			chosen := dom[len(dom)-1]
@@ -326,8 +357,8 @@ func (w *WorldTable) Relation() *engine.Relation {
 		engine.Column{Name: "w.rng", Kind: engine.KindInt},
 	)
 	r := engine.NewRelation(sch)
-	for _, x := range w.Vars() {
-		for _, v := range w.doms[x] {
+	for x, dom := range w.doms {
+		for _, v := range dom {
 			r.Append(engine.Tuple{engine.Int(int64(x)), engine.Int(int64(v))})
 		}
 	}
@@ -344,100 +375,16 @@ func (w *WorldTable) SizeBytes() int64 {
 	return n
 }
 
-// VarDef is the serializable form of one world-table variable, used by
-// the persistent store (internal/store) to snapshot world tables.
-type VarDef struct {
-	X     Var
-	Name  string
-	Dom   []Val
-	Probs []float64 // nil = uniform over Dom
-}
+// NextID returns the next variable id the table would allocate, one
+// past the largest.
+func (w *WorldTable) NextID() Var { return Var(len(w.doms)) }
 
-// Export returns the non-trivial variables as VarDefs in ascending id
-// order, sharing no mutable state with the table.
-func (w *WorldTable) Export() []VarDef {
-	var out []VarDef
-	for _, x := range w.Vars() {
-		if x == TrivialVar {
-			continue
-		}
-		d := VarDef{X: x, Name: w.names[x], Dom: append([]Val(nil), w.doms[x]...)}
-		if p, ok := w.probs[x]; ok {
-			d.Probs = append([]float64(nil), p...)
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
-// NextID returns the next variable id the table would allocate;
-// persisted with the VarDefs so a reopened table keeps allocating
-// fresh ids.
-func (w *WorldTable) NextID() Var { return w.next }
-
-// ImportWorldTable rebuilds a world table from exported variable
-// definitions. Domains and probabilities are validated exactly as
-// NewVar/SetProbs would.
-func ImportWorldTable(next Var, defs []VarDef) (*WorldTable, error) {
-	w := NewWorldTable()
-	for _, d := range defs {
-		if d.X <= TrivialVar {
-			return nil, fmt.Errorf("ws: import: invalid variable id %d", d.X)
-		}
-		if _, dup := w.doms[d.X]; dup {
-			return nil, fmt.Errorf("ws: import: duplicate variable id %d", d.X)
-		}
-		if len(d.Dom) == 0 {
-			return nil, fmt.Errorf("ws: import: variable %q has empty domain", d.Name)
-		}
-		seen := map[Val]bool{}
-		for _, v := range d.Dom {
-			if seen[v] {
-				return nil, fmt.Errorf("ws: import: variable %q has duplicate domain value %d", d.Name, v)
-			}
-			seen[v] = true
-		}
-		w.doms[d.X] = append([]Val(nil), d.Dom...)
-		w.order = append(w.order, d.X)
-		name := d.Name
-		if name == "" {
-			name = fmt.Sprintf("c%d", d.X)
-		}
-		w.names[d.X] = name
-		if d.X >= w.next {
-			w.next = d.X + 1
-		}
-		if d.Probs != nil {
-			if err := w.SetProbs(d.X, d.Probs); err != nil {
-				return nil, fmt.Errorf("ws: import: %w", err)
-			}
-		}
-	}
-	if next > w.next {
-		w.next = next
-	}
-	// Exported defs may arrive in any id order; restore the invariant.
-	sort.Slice(w.order, func(i, j int) bool { return w.order[i] < w.order[j] })
-	return w, nil
-}
-
-// Clone deep-copies the world table.
+// Clone copies the world table. Domains and distributions are shared:
+// neither is changed once added.
 func (w *WorldTable) Clone() *WorldTable {
-	out := &WorldTable{
-		doms:  make(map[Var][]Val, len(w.doms)),
-		probs: make(map[Var][]float64, len(w.probs)),
-		names: make(map[Var]string, len(w.names)),
-		next:  w.next,
-		order: append([]Var(nil), w.order...),
+	return &WorldTable{
+		doms:  append([][]Val(nil), w.doms...),
+		probs: append([][]float64(nil), w.probs...),
+		names: append([]string(nil), w.names...),
 	}
-	for k, v := range w.doms {
-		out.doms[k] = append([]Val(nil), v...)
-	}
-	for k, v := range w.probs {
-		out.probs[k] = append([]float64(nil), v...)
-	}
-	for k, v := range w.names {
-		out.names[k] = v
-	}
-	return out
 }
