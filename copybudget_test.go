@@ -38,12 +38,15 @@ import (
 // saved, indexed directory without a segment cache, answer one query,
 // close — at its scale (s 0.25, x 0.01, z 0.25, seed 1). What it bounds
 // is the probe side of a merge: a stored row is looked at again only
-// when its key is in the build table, so the index point lookup pays
-// for the segments it decodes and a handful of rows, not for 32 000 of
-// them. Before the hash join probed columns the two took 9.00 and 17.75
-// MB; before it gathered columns, Q2 took 10.63; while a segment decoded
-// one cell per call into a column of its own and a run held its keys as
-// 40-byte Values, 3.33 and 5.76.
+// when its key is in the build table, and a hash join hands the scan it
+// probes the range of its build keys, so the index point lookup pays
+// for one segment of each partition it merges and a handful of rows,
+// not for 32 000 of them. Before the hash join probed columns the two
+// took 9.00 and 17.75 MB; before it gathered columns, Q2 took 10.63;
+// while a segment decoded one cell per call into a column of its own
+// and a run held its keys as 40-byte Values, 3.33 and 5.76; while every
+// probe-side scan read each segment of its partition, into a fresh
+// buffer each, 2.11 and 4.75.
 //
 // The certain leg is the plan and the pipeline of the served_mix
 // workload's three CERTAIN statements on the same data behind a segment
@@ -84,8 +87,8 @@ func TestCopyBudget(t *testing.T) {
 		q       core.Query
 		ceiling float64
 	}{
-		{"stored point lookup", pointLookup(77), 2.64}, // 2.11
-		{"stored Q2", tpch.Q2(), 5.94},                 // 4.75
+		{"stored point lookup", pointLookup(77), 1.28}, // 1.02
+		{"stored Q2", tpch.Q2(), 5.28},                 // 4.22
 	} {
 		checkBudget(t, c.name, c.ceiling, func() {
 			db, err := store.Open(dir)

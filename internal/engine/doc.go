@@ -33,7 +33,10 @@
 // batches — each looks for the capability on its input once, at Open
 // (NativeColumnar). A hash join drains its build side into a joinTable
 // that keeps the batches' payload vectors and refers to build rows as
-// (batch, row), looks every probe row up from its key vectors
+// (batch, row), hands its probe input the range of the build keys when
+// the key is one int column (KeyRangeNarrower: a store scan then skips
+// the segments that range misses; the semi join does the same, the anti
+// join never), looks every probe row up from its key vectors
 // (narrowProbe), evaluates the residual on the two sides' cells in
 // place (pairPred; ψ compares ints), and gathers its output column by
 // column through the projection Optimize folded into it (JoinPlan.Out);

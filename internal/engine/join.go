@@ -1,6 +1,45 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
+
+// KeyRangeNarrower is an optional Iterator method: NarrowKeyRange tells
+// an opened input that its consumer keeps no row whose column col is
+// NULL or an int outside [lo, hi], so the input may leave such rows
+// unread (a cell of another kind, such as a float equal to a key, must
+// still come). It is a hint — the input may still emit them — and only
+// an operator that drops them anyway may give it: the hash joins and
+// the semi join hand their probe input the range of their build keys,
+// while the anti join, which keeps exactly the rows outside it, never
+// does. A store scan skips the file segments whose bounds miss the
+// range.
+type KeyRangeNarrower interface {
+	NarrowKeyRange(col int, lo, hi int64)
+}
+
+// narrowProbeInput hands in, a join's probe input, the range of the build
+// keys held in tables when the key is the one int column probeIdx names
+// (the tables keep intKeys) and in can narrow.
+func narrowProbeInput(in Iterator, probeIdx []int, tables []*joinTable) {
+	n, ok := in.(KeyRangeNarrower)
+	if !ok || len(probeIdx) != 1 {
+		return
+	}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, t := range tables {
+		if t.intKeys == nil && t.len() > 0 {
+			return
+		}
+		for _, k := range t.intKeys {
+			lo, hi = min(lo, k), max(hi, k)
+		}
+	}
+	if lo <= hi {
+		n.NarrowKeyRange(probeIdx[0], lo, hi)
+	}
+}
 
 // HashJoinIter is an equi-join on extracted key pairs with an optional
 // residual predicate over the concatenated row. This mirrors the Merge
@@ -19,7 +58,8 @@ import "fmt"
 // exact size, through the join's output projection. No tuple is made
 // here unless the parent asks for rows: NextBatch is NextColBatch made
 // into tuples, once. An empty build side ends the stream without
-// pulling R at all.
+// pulling R at all; any other hands R the range of its int keys first
+// (narrowProbeInput).
 type HashJoinIter struct {
 	L, R     Iterator
 	Pairs    []EquiPair
@@ -68,6 +108,7 @@ func (j *HashJoinIter) Open() error {
 		return err
 	}
 	j.tables[0] = tables[0]
+	narrowProbeInput(j.R, j.shape.ridx, j.tables[:])
 	j.probe = newColReader(j.R)
 	j.cb = nil
 	j.cols = make([]ColVec, len(j.shape.out))
@@ -595,8 +636,11 @@ func (j *NestedLoopJoinIter) Schema() Schema {
 // into the table (with no key columns, every right row lands on one
 // chain, covering the keyless cross-check case), left batches are
 // narrowed against it from their vectors and each hit's chain is walked
-// until the residual holds. It emits rows: a row input's own tuples,
-// passed through, or a columnar input's survivors made into tuples.
+// until the residual holds. A semi join hands its left input the range
+// of the build keys, as the hash join does; an anti join keeps the rows
+// outside that range, so it never does. It emits rows: a row input's
+// own tuples, passed through, or a columnar input's survivors made into
+// tuples.
 type SemiJoinIter struct {
 	L, R     Iterator
 	Pairs    []EquiPair
@@ -638,6 +682,9 @@ func (j *SemiJoinIter) Open() error {
 		return err
 	}
 	j.tables[0] = tables[0]
+	if !j.Anti { // the anti join keeps exactly the rows a range would skip
+		narrowProbeInput(j.L, j.shape.lidx, j.tables[:])
+	}
 	j.in = newColReader(j.L)
 	j.mat.made = 0
 	return nil

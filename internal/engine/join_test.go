@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"urel/internal/obs"
 )
 
 // refJoin is the row-at-a-time inner join the hash joins are held to: for
@@ -299,6 +301,61 @@ func TestSemiJoinOverEmptyBuild(t *testing.T) {
 		}
 		if got := mustDrain(t, NewSemiJoin(newColSource(l, 64), NewScan(r), []EquiPair{{L: "l.k", R: "r.k"}}, nil, true)); got.Len() != l.Len() {
 			t.Fatalf("%s: the anti join keeps %d of %d rows", name, got.Len(), l.Len())
+		}
+	}
+}
+
+// narrowRecorder is a columnar probe input that records the key ranges
+// handed to it.
+type narrowRecorder struct {
+	*colSource
+	ranges [][3]int64 // col, lo, hi
+}
+
+func (r *narrowRecorder) NarrowKeyRange(col int, lo, hi int64) {
+	r.ranges = append(r.ranges, [3]int64{int64(col), lo, hi})
+}
+
+// TestJoinsNarrowTheirProbeInput: once the build side is drained, the
+// serial and partitioned hash joins and the semi join hand their probe
+// input the least and greatest build key — NULL keys left out — when the
+// key is one int column, through a trace wrapper too; the anti join,
+// which keeps exactly the rows outside that range, never does, and
+// neither does a join on a float key or on two columns.
+func TestJoinsNarrowTheirProbeInput(t *testing.T) {
+	build := NewRelation(NewSchema(Column{Name: "b.k", Kind: KindInt}, Column{Name: "b.f", Kind: KindFloat}))
+	for _, k := range []Value{Int(7), Null(), Int(3), Int(12), Int(7)} {
+		build.Append(Tuple{k, Float(1)})
+	}
+	probe := randColInput(rand.New(rand.NewSource(3)), 200, "p")
+	on := []EquiPair{{L: "b.k", R: "p.k"}}
+	for _, c := range []struct {
+		name string
+		join func(probe Iterator) Iterator
+		want [][3]int64
+	}{
+		{"hash", func(p Iterator) Iterator { return NewHashJoin(newColSource(build, 2), p, on, nil, nil) }, [][3]int64{{0, 3, 12}}},
+		{"parallel", func(p Iterator) Iterator { return NewParallelHashJoin(newColSource(build, 2), p, on, nil, nil, 3) }, [][3]int64{{0, 3, 12}}},
+		{"traced", func(p Iterator) Iterator {
+			return NewHashJoin(newColSource(build, 2), newTraceIter(p, obs.NewSpan("probe")), on, nil, nil)
+		}, [][3]int64{{0, 3, 12}}},
+		{"semi", func(p Iterator) Iterator {
+			return NewSemiJoin(p, newColSource(build, 2), []EquiPair{{L: "p.k", R: "b.k"}}, nil, false)
+		}, [][3]int64{{0, 3, 12}}},
+		{"anti", func(p Iterator) Iterator {
+			return NewSemiJoin(p, newColSource(build, 2), []EquiPair{{L: "p.k", R: "b.k"}}, nil, true)
+		}, nil},
+		{"float key", func(p Iterator) Iterator {
+			return NewHashJoin(newColSource(build, 2), p, []EquiPair{{L: "b.f", R: "p.v"}}, nil, nil)
+		}, nil},
+		{"two keys", func(p Iterator) Iterator {
+			return NewHashJoin(newColSource(build, 2), p, []EquiPair{{L: "b.k", R: "p.k"}, {L: "b.k", R: "p.k2"}}, nil, nil)
+		}, nil},
+	} {
+		rec := &narrowRecorder{colSource: newColSource(probe, 64)}
+		mustDrain(t, c.join(rec))
+		if fmt.Sprint(rec.ranges) != fmt.Sprint(c.want) {
+			t.Errorf("%s: ranges %v, want %v", c.name, rec.ranges, c.want)
 		}
 	}
 }

@@ -79,6 +79,7 @@ func (j *ParallelHashJoinIter) Open() error {
 		j.built += t.len()
 		j.preds[p] = j.shape.pred()
 	}
+	narrowProbeInput(j.R, j.shape.ridx, j.parts)
 	j.probe = newColReader(j.R)
 	j.hits = make([]probeHits, nw)
 	j.curs = make([]joinCursor, nw)

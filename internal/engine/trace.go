@@ -69,6 +69,13 @@ func (t *traceIter) ColumnarNative() bool {
 	return ok
 }
 
+// NarrowKeyRange forwards a join's key range to the wrapped operator.
+func (t *traceIter) NarrowKeyRange(col int, lo, hi int64) {
+	if n, ok := t.in.(KeyRangeNarrower); ok {
+		n.NarrowKeyRange(col, lo, hi)
+	}
+}
+
 func (t *traceIter) Close() error {
 	start := time.Now()
 	err := t.in.Close()

@@ -184,9 +184,10 @@ func BenchmarkSegmentDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	type payload struct {
-		data        []byte
-		rows, width int
-		kinds       []byte
+		data  []byte
+		sm    segMeta
+		width int
+		kinds []byte
 	}
 	var payloads []payload
 	var size int64
@@ -204,7 +205,7 @@ func BenchmarkSegmentDecode(b *testing.B) {
 				if _, err := h.src.ReadAt(data, sm.Off); err != nil {
 					b.Fatal(err)
 				}
-				payloads = append(payloads, payload{data, sm.Rows, h.meta.Width, h.meta.Kinds})
+				payloads = append(payloads, payload{data, sm, h.meta.Width, h.meta.Kinds})
 				size += int64(sm.Len)
 			}
 			h.Close()
@@ -215,7 +216,7 @@ func BenchmarkSegmentDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range payloads {
-			if _, err := decodeSegment(p.data, p.rows, p.width, p.kinds); err != nil {
+			if _, err := decodeSegment(p.data, &p.sm, p.width, p.kinds); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -33,8 +33,11 @@ const (
 	// FormatVersion is bumped on incompatible layout changes. Version 1
 	// (read-only snapshots, single file per partition) still opens;
 	// version 2 adds per-partition delta files, per-relation max tuple
-	// ids, and the write-ahead log reference.
-	FormatVersion = 2
+	// ids, and the write-ahead log reference; version 3 writes segment
+	// files as URSEGv2 (rows in tid order, per-segment tid bounds and a
+	// footer checksum). URSEGv1 files still open under any version: a
+	// flush over an older directory layers new files on its old ones.
+	FormatVersion = 3
 )
 
 const worldsMagic = "URWSv1\n\x00"
@@ -272,10 +275,11 @@ func Save(db *core.UDB, dir string) error {
 				return fmt.Errorf("store: save %s: %w", p.Name, err)
 			}
 			// No index runs here: a fresh save declares no indexes.
-			// Zone maps do not stand in for a tid run: the footer keeps
-			// no tid statistics, and pruning reads value columns only.
-			// Runs appear when CREATE INDEX declares columns or
-			// flush/compact rewrites layers.
+			// The rows are written in tid order with per-segment tid
+			// bounds in the footer, so a hash join's tid range skips the
+			// segments it misses without a tid run. Runs appear when
+			// CREATE INDEX declares columns or flush/compact rewrites
+			// layers.
 			for _, r := range rows {
 				if r.TID > mr.MaxTID {
 					mr.MaxTID = r.TID

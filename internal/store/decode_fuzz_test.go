@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -18,7 +19,9 @@ import (
 // decoder and a reference — the decoder as it was before it became one
 // typed pass, kept here verbatim — on the same bytes, with the checksum
 // re-sealed so that mutations reach the decoder. Both must decode the
-// same thing or both refuse, and neither may panic. Run one with
+// same thing or both refuse, and neither may panic. FuzzDecodeFooter,
+// whose decoder has no predecessor to compare with, checks a round trip
+// instead. Run one with
 //
 //	go test -run=NONE -fuzz=FuzzDecodeSegment -fuzztime=10s -fuzzminimizetime=1s ./internal/store
 
@@ -99,6 +102,108 @@ func FuzzDecodeSegment(f *testing.F) {
 			t.Fatal(d)
 		}
 	})
+}
+
+// footerSeed is a file's footer bytes and the offset it starts at, the
+// end of its payload region.
+type footerSeed struct {
+	footer []byte
+	off    int64
+}
+
+// fileFooter returns the footer of the partition file at path.
+func fileFooter(f *testing.F, path string) footerSeed {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	off := int64(binary.LittleEndian.Uint64(b[len(b)-tailLenV1:]))
+	return footerSeed{b[off : len(b)-tailLen], off}
+}
+
+// FuzzDecodeFooter feeds decodeFooter footers of either version directly
+// — through a whole file the tail's checksum would refuse nearly every
+// mutation first — seeded with the footers of a saved s 0.02 directory
+// and the same footers re-encoded as v1. A footer is refused with
+// ErrCorrupt or decodes to segments inside the payload region whose
+// rows add up, with tid bounds lo <= hi (the whole int64 range for v1),
+// and re-encodes to a footer that decodes to the same thing.
+func FuzzDecodeFooter(f *testing.F) {
+	dir, _ := savedTPCH(f, 0.02)
+	m, err := ReadManifest(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, mr := range m.Relations {
+		for _, mp := range mr.Parts {
+			s := fileFooter(f, filepath.Join(dir, mp.File))
+			f.Add(s.footer, false, uint32(s.off))
+			meta, err := decodeFooter(s.footer, int64(len(fileMagic)), s.off, false)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(appendV1Footer(nil, meta), true, uint32(s.off))
+		}
+	}
+	f.Fuzz(func(t *testing.T, footer []byte, v1 bool, payloadEnd uint32) {
+		start, end := int64(len(fileMagic)), int64(payloadEnd)
+		m, err := decodeFooter(footer, start, end, v1)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("refusal %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		rows := 0
+		for i, s := range m.Segs {
+			if s.Off < start || s.Off+int64(s.Len) > end {
+				t.Fatalf("segment %d at [%d, %d) outside the payload [%d, %d)", i, s.Off, s.Off+int64(s.Len), start, end)
+			}
+			if s.TidLo > s.TidHi || v1 && (s.TidLo != math.MinInt64 || s.TidHi != math.MaxInt64) {
+				t.Fatalf("segment %d: tid bounds [%d, %d] (v1 %v)", i, s.TidLo, s.TidHi, v1)
+			}
+			if len(s.Stats) != len(m.Kinds) {
+				t.Fatalf("segment %d: %d column statistics for %d columns", i, len(s.Stats), len(m.Kinds))
+			}
+			rows += s.Rows
+		}
+		if rows != m.Rows {
+			t.Fatalf("segments hold %d rows, the footer %d", rows, m.Rows)
+		}
+		again := appendFooter(nil, m)
+		if v1 {
+			again = appendV1Footer(nil, m)
+		}
+		m2, err := decodeFooter(again, start, end, v1)
+		if err != nil {
+			t.Fatalf("re-encoded footer refused: %v", err)
+		}
+		if d := metaDiff(m, m2); d != "" {
+			t.Fatalf("re-encoded footer decodes differently: %s", d)
+		}
+	})
+}
+
+// metaDiff describes the first difference between two decoded footers,
+// or returns "".
+func metaDiff(a, b *fileMeta) string {
+	if a.Width != b.Width || string(a.Kinds) != string(b.Kinds) || a.Rows != b.Rows || len(a.Segs) != len(b.Segs) {
+		return fmt.Sprintf("shape: width %d kinds %v rows %d segs %d vs %d %v %d %d",
+			a.Width, a.Kinds, a.Rows, len(a.Segs), b.Width, b.Kinds, b.Rows, len(b.Segs))
+	}
+	for i := range a.Segs {
+		x, y := &a.Segs[i], &b.Segs[i]
+		if x.Off != y.Off || x.Len != y.Len || x.CRC != y.CRC || x.Rows != y.Rows || x.TidLo != y.TidLo || x.TidHi != y.TidHi {
+			return fmt.Sprintf("segment %d: %+v vs %+v", i, *x, *y)
+		}
+		for c := range x.Stats {
+			p, q := x.Stats[c], y.Stats[c]
+			if p.NonNull != q.NonNull || p.NonNull > 0 && (!sameValue(p.Min, q.Min) || !sameValue(p.Max, q.Max)) {
+				return fmt.Sprintf("segment %d column %d: %+v vs %+v", i, c, p, q)
+			}
+		}
+	}
+	return ""
 }
 
 // segmentDiff describes the first difference between two decoded

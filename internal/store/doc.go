@@ -17,15 +17,20 @@
 //     column-major: the padded descriptor (Var, Rng) pairs and tuple
 //     ids as varint columns (the paper's D and T columns), then one
 //     typed column vector per value attribute (the B columns) with a
-//     null bitmap. A footer records per-segment row counts, CRC32
-//     checksums, and per-column min/max statistics. A segment decodes
-//     in one typed pass: its descriptor and tid columns share one int64
-//     slab, every int column goes through one varint loop, floats are
-//     read straight from the payload and a string column's cells are
-//     slices of one string. Every count a decoder reads — rows, widths,
+//     null bitmap. Every writer lays the rows out in stable tuple-id
+//     order (URSEGv2), and a footer records per-segment row counts,
+//     CRC32 checksums, the least and greatest tuple id, and per-column
+//     min/max statistics, under a checksum of its own; URSEGv1 files,
+//     without the tid bounds, still open and are read whole. A segment
+//     decodes in one typed pass, from a pooled read buffer it keeps
+//     nothing of: its descriptor and tid columns share one int64 slab,
+//     every int column goes through one varint loop, floats are read
+//     straight from the payload and a string column's cells are slices
+//     of one string. Every count a decoder reads — rows, widths,
 //     lengths, the world table's variables — is checked against the
-//     bytes left before it sizes an allocation, so a corrupt file is
-//     ErrCorrupt, never an out-of-memory crash.
+//     bytes left before it sizes an allocation, and decoded tuple ids
+//     against the footer's bounds, so a corrupt file is ErrCorrupt,
+//     never an out-of-memory crash or a skipped segment.
 //
 //   - Catalog (catalog.go). Save snapshots a whole UDB — the world
 //     table W (Section 2's W(Var, Rng) plus the Section 7 probability
@@ -43,10 +48,16 @@
 //     columns as int vectors, value columns as their decoded typed
 //     vectors). The filters, projections and hash joins above the
 //     scan pull those column batches and run on the stored columns;
-//     tuples are made once, by the first row operator above. A row
-//     operator directly on the scan (a sort, a rename) pulls
-//     NextBatch, which materializes a tuple block per segment. The index operators (lookup.go) hold their few rows and
-//     serve them as row batches. Its planning half, StoreScanPlan,
+//     tuples are made once, by the first row operator above. A hash
+//     join whose probe side is the scan hands it the range of its
+//     build keys (engine.KeyRangeNarrower), and the scan leaves unread
+//     every segment whose tid bounds — or, for an int value column,
+//     zone map — miss it: a merge that starts at an index lookup of a
+//     few tuples decodes the one segment of each partition they are in.
+//     A row operator directly on the scan (a sort, a rename) pulls
+//     NextBatch, which materializes a tuple block per segment. The
+//     index operators (lookup.go) hold their few rows and serve them as
+//     row batches. Its planning half, StoreScanPlan,
 //     implements engine.SourcePlan, engine.ColumnarLeaf, and
 //     engine.FilterAdvisor: selection predicates evaluated directly
 //     above a scan (the σ of the paper's Figure 4 translation) prune

@@ -1,10 +1,13 @@
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
+	"slices"
 
 	"urel/internal/core"
 	"urel/internal/engine"
@@ -18,16 +21,27 @@ import (
 //	segment payloads, back to back (offsets/lengths in the footer)
 //	footer: width, #attrs, attr kind bytes, #segments,
 //	        per segment: offset, length, crc32 (fixed32), rows,
+//	                     least tid, greatest − least tid (uvarint),
 //	                     per attr: non-null count, [min value, max value]
-//	tail (16 bytes, fixed): footer offset (fixed64) + tailMagic
+//	tail (20 bytes, fixed): footer crc32 (fixed32) + footer offset
+//	                        (fixed64) + tailMagic
 //
 // Each segment holds up to the writer's segment-row budget of rows,
 // column-major: the padded descriptor (Var, Rng) columns, the tuple-id
 // column, then one value column per attribute (null bitmap + payload).
+// A writer lays rows out in stable tuple-id order, so each segment's
+// tid bounds cover a slice of the partition's tuples and a scan handed
+// a key range skips the segments they miss.
+//
+// A v1 file (fileMagicV1) has neither the tid bounds nor the footer
+// checksum (its tail is 16 bytes); it still opens, with every segment's
+// tid bounds unknown — the whole int64 range — so nothing is skipped.
 const (
-	fileMagic = "URSEGv1\n"
-	tailMagic = "URSEGend"
-	tailLen   = 8 + len(tailMagic)
+	fileMagic   = "URSEGv2\n"
+	fileMagicV1 = "URSEGv1\n"
+	tailMagic   = "URSEGend"
+	tailLenV1   = 8 + len(tailMagic)
+	tailLen     = 4 + tailLenV1
 )
 
 // kindMixed marks a column whose non-null values do not share a single
@@ -243,13 +257,16 @@ type colStats struct {
 	Min, Max engine.Value
 }
 
-// segMeta locates and describes one segment.
+// segMeta locates and describes one segment. TidLo and TidHi bound its
+// tuple ids: the least and greatest, or the whole int64 range when the
+// file does not say (v1).
 type segMeta struct {
-	Off   int64
-	Len   int
-	CRC   uint32
-	Rows  int
-	Stats []colStats
+	Off          int64
+	Len          int
+	CRC          uint32
+	Rows         int
+	TidLo, TidHi int64
+	Stats        []colStats
 }
 
 // fileMeta is the decoded footer of a partition file.
@@ -298,38 +315,107 @@ func deriveKinds(rows []core.URow, nattrs int) []byte {
 	return kinds
 }
 
-// encodeSegment encodes rows column-major and computes the per-column
-// statistics destined for the footer.
-func encodeSegment(rows []core.URow, width int, kinds []byte) ([]byte, []colStats) {
-	n := len(rows)
-	var b []byte
+// rowSeq is a sequence of rows in write order: rows[perm[i]] when perm
+// is set, rows[i] otherwise. It lays rows out in tid order (inTIDOrder)
+// without copying them.
+type rowSeq struct {
+	rows []core.URow
+	perm []int32
+}
+
+func (s rowSeq) len() int {
+	if s.perm != nil {
+		return len(s.perm)
+	}
+	return len(s.rows)
+}
+
+func (s rowSeq) at(i int) *core.URow {
+	if s.perm != nil {
+		return &s.rows[s.perm[i]]
+	}
+	return &s.rows[i]
+}
+
+// slice returns the rows at positions [lo, hi) of the sequence.
+func (s rowSeq) slice(lo, hi int) rowSeq {
+	if s.perm != nil {
+		return rowSeq{rows: s.rows, perm: s.perm[lo:hi]}
+	}
+	return rowSeq{rows: s.rows[lo:hi]}
+}
+
+// inTIDOrder returns rows as a sequence in stable tuple-id order. Rows
+// already in that order are taken as they are. Otherwise the positions
+// past the input's ascending prefix are stably sorted by tid and merged
+// with the prefix into a permutation, a tie taking the prefix's row, so
+// equal tids keep their input order. Generated data is such a prefix —
+// every tuple's first alternative — and a short tail of the others, so
+// its order costs one linear merge.
+func inTIDOrder(rows []core.URow) rowSeq {
+	p := 1
+	for p < len(rows) && rows[p-1].TID <= rows[p].TID {
+		p++
+	}
+	if p >= len(rows) {
+		return rowSeq{rows: rows}
+	}
+	rest := make([]int32, len(rows)-p)
+	for i := range rest {
+		rest[i] = int32(p + i)
+	}
+	slices.SortStableFunc(rest, func(a, b int32) int { return cmp.Compare(rows[a].TID, rows[b].TID) })
+	perm := make([]int32, len(rows))
+	i, j := 0, 0
+	for k := range perm {
+		if j == len(rest) || (i < p && rows[i].TID <= rows[rest[j]].TID) {
+			perm[k] = int32(i)
+			i++
+		} else {
+			perm[k] = rest[j]
+			j++
+		}
+	}
+	return rowSeq{rows: rows, perm: perm}
+}
+
+// encodeSegment appends the rows of one segment to b, column-major, and
+// returns the segment's footer entry without its location: row count,
+// tid bounds and per-column statistics.
+func encodeSegment(b []byte, rows rowSeq, width int, kinds []byte) ([]byte, segMeta) {
+	n := rows.len()
+	m := segMeta{Rows: n, Stats: make([]colStats, len(kinds))}
 	// Descriptor columns, padded to width (Section 3's "pumping in
 	// already contained variable assignments").
 	for k := 0; k < width; k++ {
-		for _, r := range rows {
-			b = appendInt(b, int64(padAssign(r.D, k).Var))
+		for i := 0; i < n; i++ {
+			b = appendInt(b, int64(padAssign(rows.at(i).D, k).Var))
 		}
-		for _, r := range rows {
-			b = appendInt(b, int64(padAssign(r.D, k).Val))
+		for i := 0; i < n; i++ {
+			b = appendInt(b, int64(padAssign(rows.at(i).D, k).Val))
 		}
 	}
 	// Tuple-id column.
-	for _, r := range rows {
-		b = appendInt(b, r.TID)
+	if n > 0 {
+		m.TidLo, m.TidHi = rows.at(0).TID, rows.at(0).TID
+	}
+	for i := 0; i < n; i++ {
+		tid := rows.at(i).TID
+		b = appendInt(b, tid)
+		m.TidLo, m.TidHi = min(m.TidLo, tid), max(m.TidHi, tid)
 	}
 	// Value columns: null bitmap, then kind-specific payload.
-	stats := make([]colStats, len(kinds))
 	for ci, k := range kinds {
-		bm := make([]byte, (n+7)/8)
-		for i, r := range rows {
-			if r.Vals[ci].IsNull() {
-				bm[i/8] |= 1 << (i % 8)
+		bm := len(b)
+		b = append(b, make([]byte, (n+7)/8)...)
+		for i := 0; i < n; i++ {
+			if rows.at(i).Vals[ci].IsNull() {
+				b[bm+i/8] |= 1 << (i % 8)
 			}
 		}
-		b = append(b, bm...)
-		st := &stats[ci]
-		for _, r := range rows {
-			v := r.Vals[ci]
+		st := &m.Stats[ci]
+		for i := 0; i < n; i++ {
+			v := rows.at(i).Vals[ci]
 			if !v.IsNull() {
 				if st.NonNull == 0 {
 					st.Min, st.Max = v, v
@@ -357,7 +443,7 @@ func encodeSegment(rows []core.URow, width int, kinds []byte) ([]byte, []colStat
 			}
 		}
 	}
-	return b, stats
+	return b, m
 }
 
 // segment is one decoded row group. Value columns decode straight into
@@ -376,14 +462,17 @@ type segment struct {
 	cols         []engine.ColVec // [nattr], each of n cells
 }
 
-// decodeSegment decodes a segment payload of n rows in one pass. The
-// descriptor and tid columns share one int64 slab, laid out as they are
-// encoded; they and the int and bool columns go through one varint
-// loop, floats are read straight from the payload, and the cells of a
-// string column are slices of one string. A decoded segment lives as a
-// whole (in a scan or the SegCache), so sharing its allocations keeps
-// nothing alive that it did not already keep.
-func decodeSegment(data []byte, n, width int, kinds []byte) (*segment, error) {
+// decodeSegment decodes the payload of the segment sm describes in one
+// pass. The descriptor and tid columns share one int64 slab, laid out as
+// they are encoded; they and the int and bool columns go through one
+// varint loop, floats are read straight from the payload, and the cells
+// of a string column are slices of one string. A decoded segment lives
+// as a whole (in a scan or the SegCache), so sharing its allocations
+// keeps nothing alive that it did not already keep, and it keeps nothing
+// of data. Tuple ids outside sm's bounds are corrupt: the bounds decide
+// which segments a narrowed scan reads.
+func decodeSegment(data []byte, sm *segMeta, width int, kinds []byte) (*segment, error) {
+	n := sm.Rows
 	// Every int cell takes at least a byte: a row count or width the
 	// payload cannot hold is refused before it sizes the slab.
 	if ints := 2*width + 1; n > len(data)/ints {
@@ -404,6 +493,9 @@ func decodeSegment(data []byte, n, width int, kinds []byte) (*segment, error) {
 		}
 	}
 	s.tidLo, s.tidHi = tidBounds(s.tid)
+	if n > 0 && (s.tidLo < sm.TidLo || s.tidHi > sm.TidHi) {
+		return nil, corruptf("tuple ids [%d, %d] outside the footer's [%d, %d]", s.tidLo, s.tidHi, sm.TidLo, sm.TidHi)
+	}
 	for ci, k := range kinds {
 		bm, err := c.bytes((n + 7) / 8)
 		if err != nil {
@@ -515,7 +607,7 @@ func tidBounds(tids []int64) (lo, hi int64) {
 	return lo, hi
 }
 
-// appendFooter encodes the file footer.
+// appendFooter encodes the file footer (v2).
 func appendFooter(b []byte, m *fileMeta) []byte {
 	b = appendUint(b, uint64(m.Width))
 	b = appendUint(b, uint64(len(m.Kinds)))
@@ -526,6 +618,8 @@ func appendFooter(b []byte, m *fileMeta) []byte {
 		b = appendUint(b, uint64(s.Len))
 		b = appendFixed32(b, s.CRC)
 		b = appendUint(b, uint64(s.Rows))
+		b = appendInt(b, s.TidLo)
+		b = appendUint(b, uint64(s.TidHi)-uint64(s.TidLo))
 		for _, cs := range s.Stats {
 			b = appendUint(b, uint64(cs.NonNull))
 			if cs.NonNull > 0 {
@@ -537,9 +631,18 @@ func appendFooter(b []byte, m *fileMeta) []byte {
 	return b
 }
 
-// decodeFooter decodes the footer region and sanity-checks segment
-// bounds against the payload region [payloadStart, payloadEnd).
-func decodeFooter(data []byte, payloadStart, payloadEnd int64) (*fileMeta, error) {
+// appendTail appends the v2 tail of a file whose footer, starting at
+// offset off, is footer.
+func appendTail(b, footer []byte, off int64) []byte {
+	b = appendFixed32(b, crc32.ChecksumIEEE(footer))
+	b = appendFixed64(b, uint64(off))
+	return append(b, tailMagic...)
+}
+
+// decodeFooter decodes the footer region of a v2 file, or of a v1 file
+// when v1, and sanity-checks segment bounds against the payload region
+// [payloadStart, payloadEnd).
+func decodeFooter(data []byte, payloadStart, payloadEnd int64, v1 bool) (*fileMeta, error) {
 	c := &cursor{b: data}
 	m := &fileMeta{}
 	w, err := c.count(1 << 20)
@@ -556,13 +659,16 @@ func decodeFooter(data []byte, payloadStart, payloadEnd int64) (*fileMeta, error
 		return nil, err
 	}
 	m.Kinds = append([]byte(nil), kb...)
-	ns, err := c.count(1 << 30)
+	// A segment entry takes at least seven bytes: offset, length, the
+	// checksum and the row count.
+	ns, err := c.countOf(7)
 	if err != nil {
 		return nil, err
 	}
+	m.Segs = make([]segMeta, 0, ns)
 	for i := 0; i < ns; i++ {
-		var s segMeta
-		off, err := c.uint()
+		s := segMeta{TidLo: math.MinInt64, TidHi: math.MaxInt64}
+		off, err := c.count(math.MaxInt64)
 		if err != nil {
 			return nil, err
 		}
@@ -576,9 +682,22 @@ func decodeFooter(data []byte, payloadStart, payloadEnd int64) (*fileMeta, error
 		if s.Rows, err = c.count(1 << 31); err != nil {
 			return nil, err
 		}
-		if s.Off < payloadStart || s.Off+int64(s.Len) > payloadEnd {
+		if s.Off < payloadStart || s.Off > payloadEnd-int64(s.Len) {
 			return nil, corruptf("segment %d range [%d, %d) outside payload [%d, %d)",
 				i, s.Off, s.Off+int64(s.Len), payloadStart, payloadEnd)
+		}
+		if !v1 {
+			if s.TidLo, err = c.int(); err != nil {
+				return nil, err
+			}
+			span, err := c.uint()
+			if err != nil {
+				return nil, err
+			}
+			if span > uint64(math.MaxInt64)-uint64(s.TidLo) {
+				return nil, corruptf("segment %d tid bounds overflow (%d + %d)", i, s.TidLo, span)
+			}
+			s.TidHi = s.TidLo + int64(span)
 		}
 		s.Stats = make([]colStats, na)
 		for ci := range s.Stats {

@@ -2,10 +2,14 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"urel/internal/core"
@@ -191,8 +195,9 @@ func TestBadMagicAndFooterOffset(t *testing.T) {
 	}
 
 	badOff := append([]byte(nil), buf...)
-	// Overwrite the tail's footer offset with an out-of-range value.
-	copy(badOff[len(badOff)-tailLen:], appendFixed64(nil, uint64(len(badOff)*2)))
+	// Overwrite the tail's footer offset, the eight bytes before its
+	// magic, with an out-of-range value.
+	copy(badOff[len(badOff)-tailLenV1:], appendFixed64(nil, uint64(len(badOff)*2)))
 	p2 := filepath.Join(dir, "off.useg")
 	os.WriteFile(p2, badOff, 0o644)
 	if _, err := OpenPart(p2); !errors.Is(err, ErrCorrupt) {
@@ -204,7 +209,7 @@ func TestBadMagicAndFooterOffset(t *testing.T) {
 		garbageFooter[i] ^= 0xFF
 	}
 	// Point the footer offset at the (now garbage) payload start.
-	copy(garbageFooter[len(garbageFooter)-tailLen:], appendFixed64(nil, uint64(len(fileMagic))))
+	copy(garbageFooter[len(garbageFooter)-tailLenV1:], appendFixed64(nil, uint64(len(fileMagic))))
 	p3 := filepath.Join(dir, "footer.useg")
 	os.WriteFile(p3, garbageFooter, 0o644)
 	if _, err := OpenPart(p3); !errors.Is(err, ErrCorrupt) {
@@ -254,17 +259,17 @@ func TestWorldTableRoundTrip(t *testing.T) {
 
 // sealedSegmentFile lays payload out as a one-segment partition file
 // whose footer claims rows rows of the given width and column kinds,
-// with the payload's true checksum, so the decoder is what judges it.
+// any tuple id, and the payload's true checksum, so the decoder is what
+// judges it.
 func sealedSegmentFile(payload []byte, rows, width int, kinds []byte) []byte {
 	b := append([]byte(fileMagic), payload...)
 	m := &fileMeta{Width: width, Kinds: kinds, Segs: []segMeta{{
 		Off: int64(len(fileMagic)), Len: len(payload), CRC: crc32.ChecksumIEEE(payload),
-		Rows: rows, Stats: make([]colStats, len(kinds)),
+		Rows: rows, TidLo: math.MinInt64, TidHi: math.MaxInt64, Stats: make([]colStats, len(kinds)),
 	}}}
 	footerOff := len(b)
 	b = appendFooter(b, m)
-	b = appendFixed64(b, uint64(footerOff))
-	return append(b, tailMagic...)
+	return appendTail(b, b[footerOff:], int64(footerOff))
 }
 
 // TestSegmentHugeRowCountIsCorrupt: a footer that claims 2³¹ rows for a
@@ -272,7 +277,7 @@ func sealedSegmentFile(payload []byte, rows, width int, kinds []byte) []byte {
 // sizes its columns by it.
 func TestSegmentHugeRowCountIsCorrupt(t *testing.T) {
 	rows := mixedRows(3)
-	payload, _ := encodeSegment(rows, 2, deriveKinds(rows, 5))
+	payload, _ := encodeSegment(nil, rowSeq{rows: rows}, 2, deriveKinds(rows, 5))
 	file := sealedSegmentFile(payload, 1<<31, 2, deriveKinds(rows, 5))
 	h, err := NewPartHandle(bytes.NewReader(file), int64(len(file)))
 	if err != nil {
@@ -304,6 +309,161 @@ func TestWorldTableIdsMustBeDense(t *testing.T) {
 	} {
 		if _, err := DecodeWorldTable(b); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestPartitionIsWrittenInTIDOrder: rows handed to WritePartition out of
+// tuple-id order — alternatives appended after every tuple, reinserts in
+// the order an UPDATE leaves them — are stored in stable tid order, each
+// segment's footer bounds are its least and greatest tid, and the runs
+// WritePartIndexes builds from the same rows locate them in the file.
+func TestPartitionIsWrittenInTIDOrder(t *testing.T) {
+	rows := mixedRows(300)
+	for i := 0; i < 300; i += 7 { // a second alternative of every seventh tuple, appended last
+		alt := rows[i]
+		alt.Vals = append([]engine.Value{engine.Int(int64(-i))}, alt.Vals[1:]...)
+		rows = append(rows, alt)
+	}
+	rand.New(rand.NewSource(1)).Shuffle(100, func(i, j int) { rows[100+i], rows[100+j] = rows[100+j], rows[100+i] })
+	want := append([]core.URow(nil), rows...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].TID < want[j].TID })
+
+	dir := t.TempDir()
+	h := func() *PartHandle {
+		if _, err := WritePartition(filepath.Join(dir, "p.useg"), rows, 5, 64); err != nil {
+			t.Fatal(err)
+		}
+		if err := WritePartIndexes(dir, "p.useg", rows, []int{0}, 64); err != nil {
+			t.Fatal(err)
+		}
+		h, err := OpenPart(filepath.Join(dir, "p.useg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { h.Close() })
+		return h
+	}()
+	got, err := (&PartSource{Layers: []*PartHandle{h}}).Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !urowsEqual(got[i], want[i]) {
+			t.Fatalf("row %d: got tid %d %v, want tid %d %v", i, got[i].TID, got[i].Vals, want[i].TID, want[i].Vals)
+		}
+	}
+	for i, sm := range h.meta.Segs {
+		seg, err := h.ReadSegment(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sm.TidLo != seg.tidLo || sm.TidHi != seg.tidHi {
+			t.Fatalf("segment %d: footer bounds [%d, %d], tids [%d, %d]", i, sm.TidLo, sm.TidHi, seg.tidLo, seg.tidHi)
+		}
+	}
+	src := &PartSource{Layers: []*PartHandle{h}, IdxCols: []int{0}}
+	for _, r := range want[:40] {
+		for _, c := range []struct {
+			col string
+			key engine.Value
+		}{{"tid:r.p0", engine.Int(r.TID)}, {"r.a", r.Vals[0]}} {
+			if c.key.IsNull() {
+				continue
+			}
+			li, err := src.ScanPlan(widthSchema(2), 2, []int{0}, "u_r_a").(*StoreScanPlan).LookupEq(c.col, c.key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := engine.Drain(li); err != nil {
+				t.Fatal(err)
+			}
+			if s := li.(*IndexLookupIter); s.StaleRuns != 0 || s.FallbackLayers != 0 {
+				t.Fatalf("lookup of %s = %v fell back to a scan: the run does not follow the file", c.col, c.key)
+			}
+		}
+	}
+}
+
+// TestFooterChecksum: the tail's checksum covers every byte of the
+// footer, which decides what a narrowed scan reads: flipping any one of
+// them fails the open with ErrCorrupt.
+func TestFooterChecksum(t *testing.T) {
+	buf, err := os.ReadFile(writeTemp(t, mixedRows(300), 5, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	footerOff := int(binary.LittleEndian.Uint64(buf[len(buf)-tailLenV1:]))
+	for i := footerOff; i < len(buf)-tailLen; i++ {
+		bad := append([]byte(nil), buf...)
+		bad[i] ^= 0x01
+		if _, err := NewPartHandle(bytes.NewReader(bad), int64(len(bad))); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("flip at footer byte %d: err = %v, want ErrCorrupt", i-footerOff, err)
+		}
+	}
+}
+
+// TestSegmentTidsOutsideFooterBoundsAreCorrupt: a segment whose tuple
+// ids fall outside its footer's bounds is refused, not decoded, since a
+// scan that trusted the bounds would skip rows it has to read.
+func TestSegmentTidsOutsideFooterBoundsAreCorrupt(t *testing.T) {
+	rows := mixedRows(50) // tids 0..49
+	kinds := deriveKinds(rows, 5)
+	payload, sm := encodeSegment(nil, rowSeq{rows: rows}, 2, kinds)
+	if sm.TidLo != 0 || sm.TidHi != 49 {
+		t.Fatalf("bounds [%d, %d], want [0, 49]", sm.TidLo, sm.TidHi)
+	}
+	if _, err := decodeSegment(payload, &sm, 2, kinds); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][2]int64{{1, 49}, {0, 48}, {20, 30}} {
+		narrow := sm
+		narrow.TidLo, narrow.TidHi = b[0], b[1]
+		if _, err := decodeSegment(payload, &narrow, 2, kinds); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("bounds %v: err = %v, want ErrCorrupt", b, err)
+		}
+	}
+	// The same through a whole file, checksums intact.
+	file := append([]byte(fileMagic), payload...)
+	narrow := sm
+	narrow.Off, narrow.Len, narrow.CRC, narrow.TidLo = int64(len(fileMagic)), len(payload), crc32.ChecksumIEEE(payload), 5
+	footerOff := len(file)
+	file = appendFooter(file, &fileMeta{Width: 2, Kinds: kinds, Segs: []segMeta{narrow}, Rows: 50})
+	file = appendTail(file, file[footerOff:], int64(footerOff))
+	h, err := NewPartHandle(bytes.NewReader(file), int64(len(file)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.ReadSegment(0); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDecodedSegmentOutlivesItsBuffer: an uncached read returns its
+// payload buffer to a pool once the segment is decoded, so a decoded
+// segment must keep nothing of it: overwriting the buffer after the
+// decode leaves the segment as it was.
+func TestDecodedSegmentOutlivesItsBuffer(t *testing.T) {
+	h, err := OpenPart(writeTemp(t, mixedRows(300), 5, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	for i := 0; i < h.NumSegments(); i++ {
+		buf := make([]byte, h.meta.Segs[i].Len)
+		got, err := h.readSegmentInto(i, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range buf {
+			buf[j] = 0xA5
+		}
+		want, err := h.readSegment(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := segmentDiff(got, want, h.Width()); d != "" {
+			t.Fatalf("segment %d changed with its buffer: %s", i, d)
 		}
 	}
 }

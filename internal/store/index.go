@@ -75,8 +75,8 @@ func (h *PartHandle) hasIndexRun(key string) bool { return h.indexRun(key) != ni
 // would leave them: the run of each declared stored column is present,
 // and no run — the tuple-id run included — is stale or corrupt. A layer
 // without a tuple-id run is sound: store.Save writes none, and a rewrite
-// is not owed for it, though zone maps do not prune its tid lookups
-// (the footer keeps no tid statistics).
+// is not owed for it, as its rows are in tid order and the footer's tid
+// bounds let a tid-narrowed scan skip the segments a key range misses.
 func (h *PartHandle) RunsSound(declared []int) bool {
 	if h.runEntry(IdxKeyTID).stale {
 		return false
@@ -92,24 +92,25 @@ func (h *PartHandle) RunsSound(declared []int) bool {
 // WritePartIndexes builds and writes the sorted-run index files beside
 // a freshly written partition layer file: the tuple-id run always,
 // plus one run per declared stored column ordinal in ords. rows and
-// segRows must match the WritePartition call that produced the file
-// (the runs locate rows by the same uniform chunking). Files are
-// synced before returning, so a manifest committed afterwards never
-// references a torn run.
+// segRows must match the WritePartition call that produced the file:
+// the runs locate rows by the same tid order and uniform chunking.
+// Files are synced before returning, so a manifest committed afterwards
+// never references a torn run.
 func WritePartIndexes(dir, file string, rows []core.URow, ords []int, segRows int) error {
 	if segRows <= 0 {
 		segRows = DefaultSegmentRows
 	}
+	seq := inTIDOrder(rows)
 	keys := make([]engine.Value, len(rows))
-	for i, r := range rows {
-		keys[i] = engine.Int(r.TID)
+	for i := range keys {
+		keys[i] = engine.Int(seq.at(i).TID)
 	}
 	if err := writeRun(filepath.Join(dir, IdxFileName(file, IdxKeyTID)), keys, segRows); err != nil {
 		return err
 	}
 	for _, ai := range ords {
-		for i, r := range rows {
-			keys[i] = r.Vals[ai]
+		for i := range keys {
+			keys[i] = seq.at(i).Vals[ai]
 		}
 		if err := writeRun(filepath.Join(dir, IdxFileName(file, IdxKeyAttr(ai))), keys, segRows); err != nil {
 			return err

@@ -199,7 +199,9 @@ func segmentRefutes(st colStats, op engine.CmpOp, cst engine.Value) bool {
 // zero-copy and shared; only live row indices are listed), and only
 // the batches whose tuple ids meet a segment's are consulted for it,
 // so a partition without deletes, and a segment none of them touched,
-// pays nothing per row. NextBatch materializes a
+// pays nothing per row. A hash join above may hand the scan its build
+// keys' range (NarrowKeyRange), and the segments whose bounds miss it
+// are not read at all. NextBatch materializes a
 // tuple block per segment for a parent that wants rows (a sort or a
 // rename directly above the scan); a filter, projection or hash join
 // above the scan pulls NextColBatch and never pays that cost.
@@ -226,6 +228,13 @@ type StoreScanIter struct {
 	// that no batch's tuple ids meet, which cost no per-row work.
 	TombRowsChecked     int64
 	TombSegmentsSkipped int64
+	// SegmentsSkippedByJoin counts file segments left unread because
+	// their bounds miss the key range a hash join above handed down.
+	SegmentsSkippedByJoin int64
+
+	narrowed     bool  // a join handed down a key range (NarrowKeyRange)
+	keyCol       int   // its column in Sch
+	keyLo, keyHi int64 // and its bounds
 
 	layer   int // current layer index
 	seg     int // next segment index within the layer
@@ -237,6 +246,8 @@ type StoreScanIter struct {
 	pad     []int64         // shared zero column for width padding
 	near    TombFilter      // the layer's tombstones narrowed to the current segment
 }
+
+var _ engine.KeyRangeNarrower = (*StoreScanIter)(nil)
 
 // Open resets the scan to the first segment.
 func (s *StoreScanIter) Open() error {
@@ -251,7 +262,35 @@ func (s *StoreScanIter) Open() error {
 	s.RowsMaterialized = 0
 	s.TombRowsChecked = 0
 	s.TombSegmentsSkipped = 0
+	s.SegmentsSkippedByJoin = 0
+	s.narrowed = false
 	return nil
+}
+
+// NarrowKeyRange (engine.KeyRangeNarrower) makes the scan skip every
+// file segment whose bounds on column col miss [lo, hi]: the footer's
+// tid bounds for the tuple-id column, the zone map of a value column
+// whose layer stores it as ints. Descriptor columns, columns of any
+// other kind, the tid column of a v1 file (whose tid bounds are
+// unknown) and the in-memory delta are read as before, and so is every
+// row of a segment that is read: the join above drops what does not
+// match.
+func (s *StoreScanIter) NarrowKeyRange(col int, lo, hi int64) {
+	s.narrowed, s.keyCol, s.keyLo, s.keyHi = true, col, lo, hi
+}
+
+// missesKeyRange reports whether segment i of h holds no row whose key
+// column lies in the narrowed range.
+func (s *StoreScanIter) missesKeyRange(h *PartHandle, i int) bool {
+	sm := &h.meta.Segs[i]
+	switch a := s.keyCol - (2*s.Width + 1); {
+	case a == -1:
+		return sm.TidHi < s.keyLo || sm.TidLo > s.keyHi
+	case a >= 0 && a < len(s.AttrIdx) && h.meta.Kinds[s.AttrIdx[a]] == byte(engine.KindInt):
+		st := &sm.Stats[s.AttrIdx[a]]
+		return st.NonNull == 0 || st.Max.I < s.keyLo || st.Min.I > s.keyHi
+	}
+	return false
 }
 
 // nextSegment decodes the next unpruned non-empty file segment,
@@ -268,6 +307,10 @@ func (s *StoreScanIter) nextSegment() (*segment, int, error) {
 		i := s.seg
 		s.seg++
 		if s.Pruned != nil && s.Pruned[s.layer] != nil && s.Pruned[s.layer][i] {
+			continue
+		}
+		if s.narrowed && s.missesKeyRange(h, i) {
+			s.SegmentsSkippedByJoin++
 			continue
 		}
 		seg, hit, err := h.ReadSegmentStats(i)
@@ -545,7 +588,8 @@ func (s *StoreScanIter) Close() error {
 // OperatorStats reports the scan's store-side effects to a trace span
 // (engine.OperatorStats): segments fetched, segments skipped by
 // min/max pruning, shared-cache hits, bytes this scan fetched and
-// decoded itself, the rows it made into tuples, if any, and over a
+// decoded itself, the rows it made into tuples, if any, the segments a
+// join's key range skipped, when a join handed one down, and over a
 // tombstoned partition the tombstone filter's work.
 func (s *StoreScanIter) OperatorStats(emit func(key string, v int64)) {
 	emit("segments_read", int64(s.SegmentsRead))
@@ -553,6 +597,9 @@ func (s *StoreScanIter) OperatorStats(emit func(key string, v int64)) {
 	emit("bytes_decoded", s.BytesDecoded)
 	if s.RowsMaterialized > 0 {
 		emit("rows_materialized", s.RowsMaterialized)
+	}
+	if s.narrowed {
+		emit("segments_skipped_by_join", s.SegmentsSkippedByJoin)
 	}
 	if s.Src.Tomb != nil {
 		emit("tomb_rows_checked", s.TombRowsChecked)

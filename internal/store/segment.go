@@ -20,9 +20,9 @@ import (
 const DefaultSegmentRows = 4096
 
 // WritePartition writes the partition rows (each with nattrs value
-// attributes) as a segment file at path, segRows rows per segment
-// (<= 0 selects DefaultSegmentRows). It returns the padded descriptor
-// width used.
+// attributes) as a segment file at path, in stable tuple-id order,
+// segRows rows per segment (<= 0 selects DefaultSegmentRows). It
+// returns the padded descriptor width used.
 func WritePartition(path string, rows []core.URow, nattrs, segRows int) (int, error) {
 	if segRows <= 0 {
 		segRows = DefaultSegmentRows
@@ -48,32 +48,22 @@ func WritePartition(path string, rows []core.URow, nattrs, segRows int) (int, er
 	}
 	meta := &fileMeta{Width: width, Kinds: kinds}
 	off := int64(len(fileMagic))
+	seq := inTIDOrder(rows)
+	var payload []byte
 	for start := 0; start < len(rows); start += segRows {
-		end := start + segRows
-		if end > len(rows) {
-			end = len(rows)
-		}
-		payload, stats := encodeSegment(rows[start:end], width, kinds)
+		end := min(start+segRows, len(rows))
+		var sm segMeta
+		payload, sm = encodeSegment(payload[:0], seq.slice(start, end), width, kinds)
 		if _, err := f.Write(payload); err != nil {
 			return 0, err
 		}
-		meta.Segs = append(meta.Segs, segMeta{
-			Off:   off,
-			Len:   len(payload),
-			CRC:   crc32.ChecksumIEEE(payload),
-			Rows:  end - start,
-			Stats: stats,
-		})
-		meta.Rows += end - start
+		sm.Off, sm.Len, sm.CRC = off, len(payload), crc32.ChecksumIEEE(payload)
+		meta.Segs = append(meta.Segs, sm)
+		meta.Rows += sm.Rows
 		off += int64(len(payload))
 	}
-	footer := appendFooter(nil, meta)
-	if _, err := f.Write(footer); err != nil {
-		return 0, err
-	}
-	tail := appendFixed64(nil, uint64(off))
-	tail = append(tail, tailMagic...)
-	if _, err := f.Write(tail); err != nil {
+	footer := appendFooter(payload[:0], meta)
+	if _, err := f.Write(appendTail(footer, footer, off)); err != nil {
 		return 0, err
 	}
 	return width, f.Sync()
@@ -158,34 +148,51 @@ func (h *PartHandle) Path() string { return h.path }
 // NewPartHandle opens a partition over an arbitrary ReaderAt (used by
 // tests to observe exactly which byte ranges a scan touches).
 func NewPartHandle(src io.ReaderAt, size int64) (*PartHandle, error) {
-	if size < int64(len(fileMagic)+tailLen) {
+	if size < int64(len(fileMagic)+tailLenV1) {
 		return nil, corruptf("file too small (%d bytes)", size)
 	}
 	head := make([]byte, len(fileMagic))
 	if _, err := src.ReadAt(head, 0); err != nil {
 		return nil, corruptf("reading header: %v", err)
 	}
-	if string(head) != fileMagic {
+	v1 := string(head) == fileMagicV1
+	if !v1 && string(head) != fileMagic {
 		return nil, corruptf("bad magic %q", head)
 	}
-	tail := make([]byte, tailLen)
-	if _, err := src.ReadAt(tail, size-int64(tailLen)); err != nil {
+	tl := int64(tailLen)
+	if v1 {
+		tl = int64(tailLenV1)
+	}
+	if size < int64(len(fileMagic))+tl {
+		return nil, corruptf("file too small (%d bytes)", size)
+	}
+	tail := make([]byte, tl)
+	if _, err := src.ReadAt(tail, size-tl); err != nil {
 		return nil, corruptf("reading tail: %v", err)
 	}
-	if string(tail[8:]) != tailMagic {
-		return nil, corruptf("bad tail magic %q (truncated file?)", tail[8:])
+	if magic := tail[tl-int64(len(tailMagic)):]; string(magic) != tailMagic {
+		return nil, corruptf("bad tail magic %q (truncated file?)", magic)
 	}
 	c := &cursor{b: tail}
+	var sum uint32
+	if !v1 {
+		sum, _ = c.fixed32()
+	}
 	footerOff64, _ := c.fixed64()
 	footerOff := int64(footerOff64)
-	if footerOff < int64(len(fileMagic)) || footerOff > size-int64(tailLen) {
+	if footerOff < int64(len(fileMagic)) || footerOff > size-tl {
 		return nil, corruptf("footer offset %d out of range", footerOff)
 	}
-	footer := make([]byte, size-int64(tailLen)-footerOff)
+	footer := make([]byte, size-tl-footerOff)
 	if _, err := src.ReadAt(footer, footerOff); err != nil {
 		return nil, corruptf("reading footer: %v", err)
 	}
-	meta, err := decodeFooter(footer, int64(len(fileMagic)), footerOff)
+	// The footer decides which segments a narrowed scan reads, so a
+	// flipped byte in it must fail the open, not skip a segment.
+	if !v1 && crc32.ChecksumIEEE(footer) != sum {
+		return nil, corruptf("footer checksum mismatch")
+	}
+	meta, err := decodeFooter(footer, int64(len(fileMagic)), footerOff, v1)
 	if err != nil {
 		return nil, err
 	}
@@ -273,17 +280,32 @@ func (h *PartHandle) ReadSegmentStats(i int) (seg *segment, cacheHit bool, err e
 // cache miss reads and decodes).
 func (h *PartHandle) SegmentBytes(i int) int64 { return int64(h.meta.Segs[i].Len) }
 
+// segBufs pools the payload buffers of uncached segment reads: a decoded
+// segment keeps nothing of its payload, so the buffer is free again as
+// soon as decodeSegment returns.
+var segBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // readSegment is the uncached fetch+checksum+decode path.
 func (h *PartHandle) readSegment(i int) (*segment, error) {
-	m := h.meta.Segs[i]
-	buf := make([]byte, m.Len)
+	bp := segBufs.Get().(*[]byte)
+	defer segBufs.Put(bp)
+	if n := h.meta.Segs[i].Len; cap(*bp) < n {
+		*bp = make([]byte, n)
+	}
+	return h.readSegmentInto(i, (*bp)[:h.meta.Segs[i].Len])
+}
+
+// readSegmentInto fetches segment i's payload into buf, which is exactly
+// its length, and checksums and decodes it.
+func (h *PartHandle) readSegmentInto(i int, buf []byte) (*segment, error) {
+	m := &h.meta.Segs[i]
 	if _, err := h.src.ReadAt(buf, m.Off); err != nil {
 		return nil, corruptf("reading segment %d: %v", i, err)
 	}
 	if crc := crc32.ChecksumIEEE(buf); crc != m.CRC {
 		return nil, corruptf("segment %d checksum mismatch (stored %08x, computed %08x)", i, m.CRC, crc)
 	}
-	return decodeSegment(buf, m.Rows, h.meta.Width, h.meta.Kinds)
+	return decodeSegment(buf, m, h.meta.Width, h.meta.Kinds)
 }
 
 // PruneMemoStats reports the handle's prune-memo hit/miss counters
