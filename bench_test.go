@@ -633,7 +633,10 @@ func servedData(tb testing.TB) *core.UDB {
 // result through Normalize and CertainTuplesRA, labels unused — what the
 // pipeline costs when nothing is labelled. ns/op is the four together;
 // rows and tuples are the result's rows and the answer's tuples, labelled
-// the share of the latter decided by label.
+// the share of the latter decided by label. UDB.Eval plans the statement
+// afresh each time, as the server does when it cannot run a cached plan;
+// probe-rows is what the executed plan's hash joins probed, from one
+// EXPLAIN ANALYZE of it (the tid windows of the probe scans cut it).
 func BenchmarkCertain(b *testing.B) {
 	db := servedData(b)
 	for _, s := range certainStatements {
@@ -684,6 +687,20 @@ func BenchmarkCertain(b *testing.B) {
 				b.ReportMetric(stage[i].Seconds()*1e3/float64(b.N), unit)
 			}
 			b.ReportMetric(float64(rows), "rows")
+			an, err := db.ExplainAnalyze(parsed.Query, true, engine.ExecConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var probed int64
+			var walk func(*obs.Span)
+			walk = func(s *obs.Span) {
+				probed += s.Stat("probe_rows")
+				for _, c := range s.Children() {
+					walk(c)
+				}
+			}
+			walk(an.Trace)
+			b.ReportMetric(float64(probed), "probe-rows")
 			b.ReportMetric(float64(stats.Labelled+stats.Pipeline), "tuples")
 			if n := stats.Labelled + stats.Pipeline; n > 0 {
 				b.ReportMetric(float64(stats.Labelled)/float64(n), "labelled")

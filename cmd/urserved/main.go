@@ -111,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	timeout := fs.Duration("timeout", 30*time.Second, "per-query deadline")
 	drain := fs.Duration("drain-timeout", 15*time.Second, "max wait for in-flight queries on shutdown")
 	cacheMB := fs.Int64("cache-mb", 256, "shared decoded-segment cache budget in MiB (0 disables)")
-	planCache := fs.Int("plan-cache", 0, "parsed-statement cache entries (0 = default 512)")
+	planCache := fs.Int("plan-cache", 0, "statement cache entries: parse and, per catalog, plan (0 = default 512)")
 	workers := fs.Int("workers", 0, "engine parallelism per query (0 = serial)")
 	mcSamples := fs.Int("mc-samples", 0, "Monte-Carlo samples for CONF fallback (0 = default 20000)")
 	flushKB := fs.Int64("flush-kb", 0, "write-path auto-flush threshold in KiB (0 = default 4096)")

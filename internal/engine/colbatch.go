@@ -102,8 +102,8 @@ func intCell(v *ColVec, i int) (int64, bool) {
 	return v.Ints[i], true
 }
 
-// window returns cells [lo, hi) of v, sharing its payload.
-func (v *ColVec) window(lo, hi int) ColVec {
+// Window returns cells [lo, hi) of v, sharing its payload.
+func (v *ColVec) Window(lo, hi int) ColVec {
 	w := ColVec{Kind: v.Kind}
 	if v.Nulls != nil {
 		w.Nulls = v.Nulls[lo:hi:hi]

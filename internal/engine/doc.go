@@ -35,8 +35,9 @@
 // that keeps the batches' payload vectors and refers to build rows as
 // (batch, row), hands its probe input the range of the build keys when
 // the key is one int column (KeyRangeNarrower: a store scan then skips
-// the segments that range misses; the semi join does the same, the anti
-// join never), looks every probe row up from its key vectors
+// the segments that range misses and serves a tid range as a window of
+// the segment it reads; the semi join does the same, the anti join
+// never), looks every probe row up from its key vectors
 // (narrowProbe), evaluates the residual on the two sides' cells in
 // place (pairPred; ψ compares ints), and gathers its output column by
 // column through the projection Optimize folded into it (JoinPlan.Out);

@@ -115,7 +115,7 @@ func (s *colScanIter) NextColBatch() (*ColBatch, bool, error) {
 	s.pos = hi
 	s.cols = s.cols[:0]
 	for c := range s.src.Cols {
-		s.cols = append(s.cols, s.src.Cols[c].window(lo, hi))
+		s.cols = append(s.cols, s.src.Cols[c].Window(lo, hi))
 	}
 	s.cb = ColBatch{Sch: s.src.Sch, Cols: s.cols, N: hi - lo}
 	return &s.cb, true, nil

@@ -14,7 +14,8 @@ import (
 // the semi join hand their probe input the range of their build keys,
 // while the anti join, which keeps exactly the rows outside it, never
 // does. A store scan skips the file segments whose bounds miss the
-// range.
+// range and, on the tid column, serves of a segment whose tuple ids
+// ascend only the window of rows inside it.
 type KeyRangeNarrower interface {
 	NarrowKeyRange(col int, lo, hi int64)
 }

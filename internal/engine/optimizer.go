@@ -14,11 +14,16 @@ import (
 //     products when possible),
 //  4. prune unused columns by inserting projections above leaves,
 //  5. fold each projection into the projection or inner join beneath
-//     it, so a row is written once, at its final width.
+//     it, so a row is written once, at its final width,
+//  6. hand each selection that sits directly on a storage leaf to that
+//     leaf (FilterAdvisor), which prunes what its statistics refute.
 //
 // These are exactly the "standard techniques employed in off-the-shelf
 // relational database management systems" the paper relies on for
-// evaluating translated U-relation queries.
+// evaluating translated U-relation queries. Step 6 is the last write to
+// the plan: Build only reads an optimized plan, so one plan may be
+// lowered again and again, by several goroutines at once (the server's
+// plan cache runs a repeated statement that way).
 func Optimize(p Plan, cat *Catalog) (Plan, error) {
 	p = pushFilters(p, cat)
 	p, err := orderJoins(p, newEstimator(cat))
@@ -31,7 +36,9 @@ func Optimize(p Plan, cat *Catalog) (Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return foldProjections(p, cat), nil
+	p = foldProjections(p, cat)
+	adviseFilters(p)
+	return p, nil
 }
 
 // foldProjections removes the projections that only re-copy what the

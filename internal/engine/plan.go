@@ -49,7 +49,9 @@ type ColumnarLeaf interface {
 // predicate evaluated directly above them to skip data (segment
 // pruning by min/max statistics). The advice is purely an
 // optimization: the filter is still applied on top, so sources may
-// only skip rows that provably fail the predicate.
+// only skip rows that provably fail the predicate. A source takes
+// advice once and ignores it after: Optimize advises, and the Build of
+// the plan it returns must not write to it.
 type FilterAdvisor interface {
 	AdviseFilter(cond Expr)
 }
@@ -417,7 +419,9 @@ func (c ExecConfig) workers() int {
 // without an index-join candidate takes no estimate. With cfg.Trace
 // set, every node also gets a span recording its actuals next to that
 // same estimate — the recursion threads each node's span through cfg so
-// children attach beneath their parent.
+// children attach beneath their parent. A plan Optimize returned is
+// only read, so concurrent Builds of it are safe; an unoptimized plan
+// is advised here first.
 func Build(p Plan, cat *Catalog, cfg ExecConfig) (Iterator, error) {
 	adviseFilters(p)
 	return lower(p, newEstimator(cat), cfg)

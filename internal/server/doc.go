@@ -15,13 +15,16 @@
 //     shared representation, purely relational evaluation per request
 //     (Section 3's translation, Section 4's certain answers,
 //     Section 7's confidences).
-//   - Because the translation is stateless — plans are fresh per
-//     query, partitions are read-only — concurrency needs no locking
-//     in the query path. What is shared is made explicitly safe: a
-//     size-bounded LRU cache of decoded segments (store.SegCache)
-//     with coalesced cold misses, a memoized pruning decision per
-//     (partition, predicate), and a parsed-statement cache keyed on
-//     normalized SQL.
+//   - Because partitions are read-only and an optimized plan is only
+//     read by execution, concurrency needs no locking in the query
+//     path. What is shared is made explicitly safe: a size-bounded LRU
+//     cache of decoded segments (store.SegCache) with coalesced cold
+//     misses, and a statement cache keyed on normalized SQL that holds
+//     each statement's parse and, per catalog, its optimized plan on the
+//     catalog's current snapshot. A repeated statement runs that plan —
+//     no parse, translation or optimization; a new snapshot (a commit,
+//     flush, compaction or replicated epoch) drops the catalog's plans
+//     at its first query, so no plan keeps a superseded snapshot alive.
 //   - Admission control (a bounded slot pool with a short queue wait,
 //     per-query row caps and deadlines) keeps overload a 429/413/504
 //     instead of an OOM — "fast and simple" must survive heavy

@@ -69,7 +69,7 @@ func durMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // isExplain reports whether the statement's first keyword is EXPLAIN.
 // EXPLAIN statements bypass the plan cache (the cache holds plain
-// queries, and EXPLAIN ANALYZE must re-execute anyway).
+// queries, and EXPLAIN ANALYZE must plan and execute afresh).
 func isExplain(sql string) bool {
 	sql = strings.TrimSpace(sql)
 	end := 0
@@ -84,12 +84,15 @@ func isExplain(sql string) bool {
 // locally-owned catalog — a plain single node, or one shard's slice of
 // a sharded catalog. The executor cannot tell the difference, which is
 // the point of hash-sharding a representation whose rows carry their
-// own ws-descriptors.
+// own ws-descriptors. A statement the plan cache holds a plan of for
+// the catalog's current snapshot runs that plan; any other is planned
+// here, and its plan cached.
 func (s *Server) executeLocal(entry *catalogEntry, dbName string, req queryRequest) (*queryResponse, *httpError) {
 	if isExplain(req.SQL) {
 		return s.executeExplain(req, entry, dbName)
 	}
-	parsed, cachedPlan, err := s.plans.get(req.SQL)
+	db := entry.snapshot()
+	key, parsed, prep, err := s.plans.lookup(req.SQL, dbName, db)
 	if err != nil {
 		return nil, httpErrf(400, "%v", err)
 	}
@@ -118,12 +121,20 @@ func (s *Server) executeLocal(entry *catalogEntry, dbName string, req queryReque
 	}
 	deadline := time.Now().Add(timeout)
 	start := time.Now()
+	cachedPlan := prep != nil
 	var resp *queryResponse
 	var herr *httpError
-	if req.Wire == "repr" {
-		resp, herr = s.evalRepr(entry.snapshot(), parsed, deadline, root)
-	} else {
-		resp, herr = s.evalMode(entry.snapshot(), parsed, req.Accuracy, deadline, root)
+	if !cachedPlan {
+		if prep, herr = s.prepare(db, parsed.Mode, parsed.Query); herr == nil {
+			s.plans.keep(key, dbName, db, prep)
+		}
+	}
+	switch {
+	case herr != nil:
+	case req.Wire == "repr":
+		resp, herr = s.evalRepr(db, parsed, prep, deadline, root)
+	default:
+		resp, herr = s.evalMode(db, parsed, prep, req.Accuracy, deadline, root)
 	}
 	elapsed := time.Since(start)
 	if herr != nil {
@@ -188,9 +199,7 @@ func (s *Server) executeExplain(req queryRequest, entry *catalogEntry, dbName st
 		return nil, httpErrf(400, "server: statement is not EXPLAIN")
 	}
 	db := entry.snapshot()
-	// Match the evaluation split: possible/plain run the lazy
-	// translation, certain/conf the full-merge translation.
-	full := ex.Query.Mode != sqlparse.ModePossible && ex.Query.Mode != sqlparse.ModePlain
+	full := fullTranslation(ex.Query.Mode)
 	cfg := engine.ExecConfig{Parallelism: s.cfg.Parallelism}
 	start := time.Now()
 	resp := &queryResponse{DB: dbName, Mode: ex.Query.Mode.String(), Columns: []string{}, Rows: []any{}}
@@ -225,11 +234,35 @@ func (s *Server) executeExplain(req queryRequest, entry *catalogEntry, dbName st
 	return resp, nil
 }
 
+// fullTranslation reports whether a mode evaluates the full-merge
+// translation (tuple-level descriptors, as certain answers and
+// confidences require) rather than the lazy one of possible and plain
+// answers.
+func fullTranslation(mode sqlparse.Mode) bool {
+	return mode != sqlparse.ModePossible && mode != sqlparse.ModePlain
+}
+
+// prepare translates a query on db for mode and optimizes the plan.
+func (s *Server) prepare(db *core.UDB, mode sqlparse.Mode, q core.Query) (*preparedPlan, *httpError) {
+	translate := db.Translate
+	if fullTranslation(mode) {
+		translate = db.TranslateFull
+	}
+	plan, lay, err := translate(q)
+	if err != nil {
+		return nil, httpErrf(400, "%v", err)
+	}
+	if plan, err = engine.Optimize(plan, engine.NewCatalog()); err != nil {
+		return nil, s.execError(err)
+	}
+	return &preparedPlan{plan: plan, lay: lay}, nil
+}
+
 // evalRepr serves "wire": "repr": evaluate with full partition merging
 // and return the result representation instead of rendered answers —
 // the gather format the coordinator unions before running the
 // certain-answer or confidence pipeline centrally.
-func (s *Server) evalRepr(db *core.UDB, parsed *sqlparse.Parsed, deadline time.Time, trace *obs.Span) (*queryResponse, *httpError) {
+func (s *Server) evalRepr(db *core.UDB, parsed *sqlparse.Parsed, prep *preparedPlan, deadline time.Time, trace *obs.Span) (*queryResponse, *httpError) {
 	switch parsed.Mode {
 	case sqlparse.ModeCertain, sqlparse.ModeConf, sqlparse.ModeConfBounds:
 	default:
@@ -237,7 +270,7 @@ func (s *Server) evalRepr(db *core.UDB, parsed *sqlparse.Parsed, deadline time.T
 			`server: "wire": "repr" applies to CERTAIN and CONF statements (possible and plain answers merge row-wise; no representation exchange is needed)`)
 	}
 	cfg := engine.ExecConfig{Parallelism: s.cfg.Parallelism, Trace: trace}
-	res, herr := s.evalFull(db, parsed.Query, engine.NewCatalog(), cfg, deadline)
+	res, herr := s.evalFull(db, prep, cfg, deadline)
 	if herr != nil {
 		return nil, herr
 	}
@@ -245,19 +278,15 @@ func (s *Server) evalRepr(db *core.UDB, parsed *sqlparse.Parsed, deadline time.T
 	return &queryResponse{Repr: rep, RowCount: len(rep.Rows)}, nil
 }
 
-// evalMode dispatches on the statement's uncertainty mode. accuracy
-// ("", "exact", "bounds", "auto") applies to CONF queries only. trace,
-// when non-nil, collects the operator trace of the relational plan.
-func (s *Server) evalMode(db *core.UDB, parsed *sqlparse.Parsed, accuracy string, deadline time.Time, trace *obs.Span) (*queryResponse, *httpError) {
+// evalMode runs a statement's plan, prepared on db, and dispatches on
+// its uncertainty mode. accuracy ("", "exact", "bounds", "auto")
+// applies to CONF queries only. trace, when non-nil, collects the
+// operator trace of the relational plan.
+func (s *Server) evalMode(db *core.UDB, parsed *sqlparse.Parsed, prep *preparedPlan, accuracy string, deadline time.Time, trace *obs.Span) (*queryResponse, *httpError) {
 	cfg := engine.ExecConfig{Parallelism: s.cfg.Parallelism, Trace: trace}
-	cat := engine.NewCatalog()
 	switch parsed.Mode {
 	case sqlparse.ModePossible:
-		plan, _, err := db.Translate(parsed.Query)
-		if err != nil {
-			return nil, httpErrf(400, "%v", err)
-		}
-		rel, truncated, err := runLimited(plan, cat, cfg, s.cfg.MaxRows, deadline, true)
+		rel, truncated, err := runLimited(prep.plan, engine.NewCatalog(), cfg, s.cfg.MaxRows, deadline, true)
 		if err != nil {
 			return nil, s.execError(err)
 		}
@@ -270,18 +299,14 @@ func (s *Server) evalMode(db *core.UDB, parsed *sqlparse.Parsed, accuracy string
 		// "The answer is simply U" (Section 3): evaluate the lazy
 		// translation and return the representation — descriptor,
 		// contributing tuple ids, values.
-		plan, lay, err := db.Translate(parsed.Query)
-		if err != nil {
-			return nil, httpErrf(400, "%v", err)
-		}
-		rel, truncated, err := runLimited(plan, cat, cfg, s.cfg.MaxRows, deadline, true)
+		rel, truncated, err := runLimited(prep.plan, engine.NewCatalog(), cfg, s.cfg.MaxRows, deadline, true)
 		if err != nil {
 			return nil, s.execError(err)
 		}
 		if truncated {
 			s.truncated.Inc()
 		}
-		res, err := core.Decode(db.W, rel, lay)
+		res, err := core.Decode(db.W, rel, prep.lay)
 		if err != nil {
 			return nil, s.execError(err)
 		}
@@ -302,14 +327,14 @@ func (s *Server) evalMode(db *core.UDB, parsed *sqlparse.Parsed, accuracy string
 		return &queryResponse{Columns: cols, Rows: rows, Truncated: truncated}, nil
 
 	case sqlparse.ModeCertain:
-		res, herr := s.evalFull(db, parsed.Query, cat, cfg, deadline)
+		res, herr := s.evalFull(db, prep, cfg, deadline)
 		if herr != nil {
 			return nil, herr
 		}
 		return s.certainFromResult(res, deadline)
 
 	case sqlparse.ModeConf, sqlparse.ModeConfBounds:
-		res, herr := s.evalFull(db, parsed.Query, cat, cfg, deadline)
+		res, herr := s.evalFull(db, prep, cfg, deadline)
 		if herr != nil {
 			return nil, herr
 		}
@@ -341,20 +366,15 @@ func (s *Server) evalMode(db *core.UDB, parsed *sqlparse.Parsed, accuracy string
 	}
 }
 
-// evalFull evaluates a poss-free query with full partition merging
-// (tuple-level descriptors, as certain answers and confidences
-// require), under the row cap and deadline.
-func (s *Server) evalFull(db *core.UDB, q core.Query, cat *engine.Catalog,
-	cfg engine.ExecConfig, deadline time.Time) (*core.UResult, *httpError) {
-	plan, lay, err := db.TranslateFull(q)
-	if err != nil {
-		return nil, httpErrf(400, "%v", err)
-	}
-	rel, _, err := runLimited(plan, cat, cfg, s.cfg.MaxRows, deadline, false)
+// evalFull runs the full-merge plan of a poss-free query (tuple-level
+// descriptors, as certain answers and confidences require), prepared on
+// db, under the row cap and deadline.
+func (s *Server) evalFull(db *core.UDB, prep *preparedPlan, cfg engine.ExecConfig, deadline time.Time) (*core.UResult, *httpError) {
+	rel, _, err := runLimited(prep.plan, engine.NewCatalog(), cfg, s.cfg.MaxRows, deadline, false)
 	if err != nil {
 		return nil, s.execError(err)
 	}
-	res, err := core.Decode(db.W, rel, lay)
+	res, err := core.Decode(db.W, rel, prep.lay)
 	if err != nil {
 		return nil, s.execError(err)
 	}

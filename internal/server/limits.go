@@ -14,20 +14,15 @@ var (
 	errTimeout  = errors.New("server: query deadline exceeded")
 )
 
-// runLimited optimizes, lowers, and drains a plan under a row cap and
-// a deadline, checking both between batches so a runaway query stops
+// runLimited lowers and drains an optimized plan under a row cap and a
+// deadline, checking both between batches so a runaway query stops
 // materializing instead of exhausting memory. When truncatable, a
 // result that hits the cap is cut there and flagged; otherwise hitting
 // the cap is an error (certain/conf answers derived from a truncated
-// representation would be wrong).
+// representation would be wrong). The plan is only read, so a cached
+// plan runs here as often, and as concurrently, as it is asked to.
 func runLimited(p engine.Plan, cat *engine.Catalog, cfg engine.ExecConfig,
 	maxRows int, deadline time.Time, truncatable bool) (*engine.Relation, bool, error) {
-	var err error
-	if !cfg.DisableOptimizer {
-		if p, err = engine.Optimize(p, cat); err != nil {
-			return nil, false, err
-		}
-	}
 	it, err := engine.Build(p, cat, cfg)
 	if err != nil {
 		return nil, false, err

@@ -167,7 +167,6 @@ func TestServerMetricsExposition(t *testing.T) {
 		"urel_uptime_seconds",
 		"urel_seg_cache_hits",
 		// Storage-layer families from obs.Default ride the same scrape.
-		"urel_prune_memo_hits_total",
 		"urel_wal_appended_bytes_total",
 	} {
 		if _, ok := values[need]; !ok {

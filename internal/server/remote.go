@@ -33,7 +33,7 @@ func (s *Server) executeRemote(coord *cluster.Coordinator, dbName string, req qu
 	if isExplain(req.SQL) {
 		return s.executeExplainRemote(coord, dbName, req)
 	}
-	parsed, cachedPlan, err := s.plans.get(req.SQL)
+	parsed, err := s.plans.parse(req.SQL)
 	if err != nil {
 		return nil, httpErrf(400, "%v", err)
 	}
@@ -97,7 +97,6 @@ func (s *Server) executeRemote(coord *cluster.Coordinator, dbName string, req qu
 	}
 	resp.DB = dbName
 	resp.Mode = parsed.Mode.String()
-	resp.PlanCached = cachedPlan
 	if resp.Repr == nil {
 		resp.RowCount = len(resp.Rows)
 		if req.Limit > 0 && len(resp.Rows) > req.Limit {

@@ -35,7 +35,7 @@ type queryResponse struct {
 	// sound subset, conf bounds are widened. MissingShards names them.
 	Partial       bool          `json:"partial,omitempty"`
 	MissingShards []string      `json:"missing_shards,omitempty"`
-	PlanCached    bool          `json:"plan_cached"`
+	PlanCached    bool          `json:"plan_cached"` // the node that evaluated ran a cached physical plan (a coordinator's merge never does)
 	ElapsedMS     float64       `json:"elapsed_ms"`
 	Plan          string        `json:"plan,omitempty"`  // EXPLAIN [ANALYZE]: the rendered plan
 	Trace         *obs.Span     `json:"trace,omitempty"` // operator trace ("trace": true)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -12,6 +14,7 @@ import (
 
 	"urel/internal/core"
 	"urel/internal/engine"
+	"urel/internal/sqlparse"
 	"urel/internal/store"
 )
 
@@ -201,5 +204,112 @@ func TestServerReadWriteStress(t *testing.T) {
 		if n != 2 {
 			t.Fatalf("final state: key %v has %d rows", k, n)
 		}
+	}
+}
+
+// TestCachedPlansFollowTheSnapshot: on a writable catalog, a repeated
+// possible, certain and conf statement answers what a fresh translation
+// answers on the current snapshot — after each INSERT, UPDATE and
+// DELETE, after a flush and after a compaction. The first read after
+// each of them plans afresh and the second runs the cached plan, and
+// once that read has run, the cache holds no plan of an older snapshot.
+func TestCachedPlansFollowTheSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	if err := store.Save(randReadings(rand.New(rand.NewSource(29))), dir); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{
+		Catalogs:   map[string]string{"r": dir},
+		Writable:   true,
+		FlushBytes: 1 << 30, // flush and compact only when the script says
+	})
+	entry, _, err := s.lookup("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := func(sql string) func() error {
+		return func() error {
+			_, err := entry.mut.Exec(sql)
+			return err
+		}
+	}
+	steps := []struct {
+		name string
+		run  func() error
+	}{
+		{"open", func() error { return nil }},
+		{"insert", exec("insert into readings values (7, 1), (8, 0), (9, 1)")},
+		{"update", exec("update readings set temp = 0 where sid = 7")},
+		{"delete", exec("delete from readings where sid = 8")},
+		{"flush", entry.mut.Flush},
+		{"compact", entry.mut.Compact},
+	}
+	statements := []string{
+		"possible select sid, temp from readings",
+		"certain select sid from readings",
+		"conf select temp from readings",
+	}
+	// fresh answers sql on the current snapshot through a translation of
+	// its own, rendered as the server renders it.
+	fresh := func(sql string) map[string]int {
+		parsed, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := entry.snapshot()
+		var rows []any
+		if parsed.Mode == sqlparse.ModePossible {
+			rel, err := db.EvalPoss(parsed.Query, engine.ExecConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = jsonRows(rel)
+		} else {
+			res, err := db.Eval(parsed.Query, engine.ExecConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var resp *queryResponse
+			if parsed.Mode == sqlparse.ModeCertain {
+				var herr *httpError
+				if resp, herr = s.certainFromResult(res, time.Time{}); herr != nil {
+					t.Fatal(herr)
+				}
+			} else if resp, err = s.confExact(res, time.Time{}); err != nil {
+				t.Fatal(err)
+			}
+			rows = resp.Rows
+		}
+		return rowSet(t, map[string]any{"rows": rows})
+	}
+	for _, step := range steps {
+		if err := step.run(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		for _, sql := range statements {
+			want := fresh(sql)
+			for i, wantCached := range []bool{false, true} {
+				code, body := post(t, ts, queryRequest{SQL: sql})
+				if code != 200 {
+					t.Fatalf("after %s, %s: status %d: %v", step.name, sql, code, body)
+				}
+				if got := body["plan_cached"].(bool); got != wantCached {
+					t.Errorf("after %s, read %d of %s: plan_cached %v, want %v", step.name, i+1, sql, got, wantCached)
+				}
+				if got := rowSet(t, body); !maps.Equal(got, want) {
+					t.Errorf("after %s, read %d of %s answers %v, a fresh translation %v", step.name, i+1, sql, got, want)
+				}
+			}
+		}
+		s.plans.mu.Lock()
+		for cat, sp := range s.plans.snaps {
+			if sp.db != entry.snapshot() {
+				t.Errorf("after %s: the cache holds the plans of catalog %q on a superseded snapshot", step.name, cat)
+			}
+			if len(sp.plans) != len(statements) {
+				t.Errorf("after %s: the cache holds %d plans, want %d", step.name, len(sp.plans), len(statements))
+			}
+		}
+		s.plans.mu.Unlock()
 	}
 }

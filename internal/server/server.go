@@ -85,8 +85,9 @@ type Config struct {
 	SegCacheBytes int64
 	// DisableSegCache turns the shared segment cache off entirely.
 	DisableSegCache bool
-	// PlanCacheSize bounds the parsed-statement cache (entries).
-	// Default: 512.
+	// PlanCacheSize bounds the statement cache (entries). An entry holds
+	// a parsed statement and, per catalog, its optimized plan on the
+	// catalog's current snapshot. Default: 512.
 	PlanCacheSize int
 
 	// Parallelism is passed to the engine per query (0 = serial; the
@@ -341,9 +342,9 @@ func (s *Server) initMetrics() {
 		func(cs store.CacheStats) float64 { return float64(cs.Misses) })
 	cache("urel_seg_cache_bytes", "Decoded bytes resident in the segment cache.",
 		func(cs store.CacheStats) float64 { return float64(cs.Bytes) })
-	r.GaugeFunc("urel_plan_cache_hits", "Cumulative parsed-statement cache hits.",
+	r.GaugeFunc("urel_plan_cache_hits", "Cumulative queries that ran a cached physical plan.",
 		func() float64 { return float64(s.plans.stats().Hits) })
-	r.GaugeFunc("urel_plan_cache_misses", "Cumulative parsed-statement cache misses.",
+	r.GaugeFunc("urel_plan_cache_misses", "Cumulative queries that were planned afresh.",
 		func() float64 { return float64(s.plans.stats().Misses) })
 }
 

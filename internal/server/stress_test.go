@@ -61,8 +61,10 @@ func equalMultisets(a, b []string) bool {
 // TestServerStress is the acceptance-criteria proof: 64 goroutines
 // fire mixed-mode queries at one shared, lazily-opened (segment-
 // backed) catalog; every concurrent result must be multiset-equal to
-// the serial execution of the same statement, and the shared segment
-// cache must show measured hits. Run under -race in CI.
+// the serial execution of the same statement, the shared segment
+// cache must show measured hits, and every concurrent query must run
+// the physical plan its serial golden cached — one plan, lowered by
+// many goroutines at once. Run under -race in CI.
 func TestServerStress(t *testing.T) {
 	db, _, err := tpch.Generate(tpch.DefaultParams(0.01, 0.01, 0.25))
 	if err != nil {
@@ -156,7 +158,8 @@ func TestServerStress(t *testing.T) {
 		t.Fatalf("%d queries rejected despite the long queue wait", s.rejected.Value())
 	}
 	pc := s.plans.stats()
-	if pc.Hits == 0 {
-		t.Fatal("plan cache saw no hits under repeated statements")
+	if want := uint64(goroutines * len(stressQueries)); pc.Hits != want || pc.Misses != uint64(len(stressQueries)) {
+		t.Fatalf("plan cache hits/misses = %d/%d, want %d/%d: each statement planned once, by its serial golden",
+			pc.Hits, pc.Misses, want, len(stressQueries))
 	}
 }

@@ -3,8 +3,6 @@ package store
 import (
 	"container/list"
 	"sync"
-
-	"urel/internal/engine"
 )
 
 // SegCache is a shared, size-bounded LRU cache of decoded segments.
@@ -217,22 +215,3 @@ func segmentCost(seg *segment) int64 {
 	}
 	return cost
 }
-
-// pruneResult is one memoized pruning outcome for a partition: which
-// segments a predicate provably refutes, and how many rows survive.
-type pruneResult struct {
-	pruned    []bool // nil when the predicate prunes nothing
-	survivors int
-}
-
-// colCmp is one normalized column-vs-constant conjunct, keyed by the
-// *stored* column index so the memo is independent of query aliases.
-type colCmp struct {
-	stored int
-	op     engine.CmpOp
-	cst    engine.Value
-}
-
-// maxPruneMemo bounds the per-handle prune memo; beyond it the memo is
-// reset (distinct hot predicates per partition are few in practice).
-const maxPruneMemo = 256

@@ -146,8 +146,9 @@ func skippedByJoin(s *obs.Span) int64 {
 // generation order, uncertain alternatives last — opens and answers Q1,
 // Q2 and point lookups as the database it was saved from does, and as
 // the same database saved in the current format does. Its point lookups
-// skip nothing, since a v1 footer keeps no tid bounds, where the
-// current format's skip all but the segments the order is in.
+// read every segment of the partitions a join narrows, since a v1
+// footer keeps no tid bounds, where the current format's skip all but
+// the segments the order is in.
 func TestV1DirectoryOpens(t *testing.T) {
 	p := tpch.DefaultParams(0.1, 0.01, 0.25)
 	p.Seed = 1
@@ -217,13 +218,27 @@ func TestV1DirectoryOpens(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s over %s: %v", name, c.dir, err)
 			}
-			n := skippedByJoin(res.Trace)
-			if c.dir == "v1" && n != 0 {
-				t.Errorf("%s over v1 files skipped %d segments by a tid range:\n%s", name, n, res.Text)
-			}
 			if c.dir == "v2" {
-				v2Skipped += n
+				v2Skipped += skippedByJoin(res.Trace)
+				continue
 			}
+			// Every scan reads all its unpruned segments ("(a/b segments"
+			// on its line), or none when the join above it has nothing to
+			// build on.
+			var check func(*obs.Span)
+			check = func(s *obs.Span) {
+				var unpruned, total int64
+				if i := strings.Index(s.Op(), "("); strings.HasPrefix(s.Op(), "Store Scan") && i >= 0 {
+					fmt.Sscanf(s.Op()[i:], "(%d/%d segments", &unpruned, &total)
+					if read := s.Stat("segments_read"); read != 0 && read != unpruned {
+						t.Errorf("%s over v1 files: %q read %d segments:\n%s", name, s.Op(), read, res.Text)
+					}
+				}
+				for _, c := range s.Children() {
+					check(c)
+				}
+			}
+			check(res.Trace)
 		}
 	}
 	if v2Skipped == 0 {

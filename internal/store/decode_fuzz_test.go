@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"urel/internal/engine"
@@ -212,8 +213,8 @@ func segmentDiff(a, b *segment, w int) string {
 	if a.n != b.n || len(a.tid) != len(b.tid) || len(a.cols) != len(b.cols) {
 		return fmt.Sprintf("shape: %d rows %d tids %d cols vs %d %d %d", a.n, len(a.tid), len(a.cols), b.n, len(b.tid), len(b.cols))
 	}
-	if a.tidLo != b.tidLo || a.tidHi != b.tidHi {
-		return fmt.Sprintf("tid bounds [%d, %d] vs [%d, %d]", a.tidLo, a.tidHi, b.tidLo, b.tidHi)
+	if a.tidLo != b.tidLo || a.tidHi != b.tidHi || a.tidAsc != b.tidAsc {
+		return fmt.Sprintf("tid bounds [%d, %d] ascending %v vs [%d, %d] %v", a.tidLo, a.tidHi, a.tidAsc, b.tidLo, b.tidHi, b.tidAsc)
 	}
 	for r := 0; r < a.n; r++ {
 		if a.tid[r] != b.tid[r] {
@@ -338,7 +339,8 @@ func refDecodeSegment(data []byte, n, width int, kinds []byte) (*segment, error)
 	if s.tid, err = readInts(); err != nil {
 		return nil, err
 	}
-	s.tidLo, s.tidHi = tidBounds(s.tid)
+	s.tidLo, s.tidHi, _ = tidBounds(s.tid)
+	s.tidAsc = slices.IsSorted(s.tid)
 	for ci, k := range kinds {
 		bm, err := c.bytes((n + 7) / 8)
 		if err != nil {

@@ -54,8 +54,13 @@
 //     every segment whose tid bounds — or, for an int value column,
 //     zone map — miss it: a merge that starts at an index lookup of a
 //     few tuples decodes the one segment of each partition they are in.
-//     A row operator directly on the scan (a sort, a rename) pulls
-//     NextBatch, which materializes a tuple block per segment. The
+//     Of a segment it reads whose tuple ids ascend (decodeSegment notes
+//     it; every URSEGv2 layer is written in tid order) it serves only
+//     the window of rows in a tid range, windows of every vector, found
+//     by binary search, so a merge probes the rows its build side can
+//     reach. A row operator directly on the scan (a sort, a rename)
+//     pulls NextBatch, which materializes a tuple block of the same
+//     window per segment. The
 //     index operators (lookup.go) hold their few rows and serve them as
 //     row batches. Its planning half, StoreScanPlan,
 //     implements engine.SourcePlan, engine.ColumnarLeaf, and

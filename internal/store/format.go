@@ -450,15 +450,18 @@ func encodeSegment(b []byte, rows rowSeq, width int, kinds []byte) ([]byte, segM
 // typed engine.ColVec vectors (null markers + typed payloads), so a
 // columnar scan hands them to the engine with no per-cell work at all.
 // tidLo and tidHi bound the tuple ids (lo > hi when empty): a
-// tombstone filter is narrowed to the batches that meet them. dvar,
-// drng and tid are windows of one slab (dvar and drng are nil when the
-// segment has no rows).
+// tombstone filter is narrowed to the batches that meet them. tidAsc
+// reports that the tuple ids never descend, so a narrowed scan may
+// binary-search them for a join's key range. dvar, drng and tid are
+// windows of one slab (dvar and drng are nil when the segment has no
+// rows).
 type segment struct {
 	n            int
 	dvar         [][]int64 // [width][n]
 	drng         [][]int64
 	tid          []int64
 	tidLo, tidHi int64
+	tidAsc       bool
 	cols         []engine.ColVec // [nattr], each of n cells
 }
 
@@ -492,7 +495,7 @@ func decodeSegment(data []byte, sm *segMeta, width int, kinds []byte) (*segment,
 			s.drng[k] = slab[(2*k+1)*n : (2*k+2)*n : (2*k+2)*n]
 		}
 	}
-	s.tidLo, s.tidHi = tidBounds(s.tid)
+	s.tidLo, s.tidHi, s.tidAsc = tidBounds(s.tid)
 	if n > 0 && (s.tidLo < sm.TidLo || s.tidHi > sm.TidHi) {
 		return nil, corruptf("tuple ids [%d, %d] outside the footer's [%d, %d]", s.tidLo, s.tidHi, sm.TidLo, sm.TidHi)
 	}
@@ -598,13 +601,18 @@ func (c *cursor) strings(n int) ([]string, error) {
 	return xs, nil
 }
 
-// tidBounds returns the least and greatest of tids (lo > hi when empty).
-func tidBounds(tids []int64) (lo, hi int64) {
-	lo, hi = math.MaxInt64, math.MinInt64
+// tidBounds returns the least and greatest of tids (lo > hi when empty)
+// and whether they ascend (never descend). A tid below the greatest seen
+// so far is a descent, so the one pass that finds the bounds finds that.
+func tidBounds(tids []int64) (lo, hi int64, asc bool) {
+	lo, hi, asc = math.MaxInt64, math.MinInt64, true
 	for _, t := range tids {
+		if t < hi {
+			asc = false
+		}
 		lo, hi = min(lo, t), max(hi, t)
 	}
-	return lo, hi
+	return lo, hi, asc
 }
 
 // appendFooter encodes the file footer (v2).

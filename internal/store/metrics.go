@@ -8,10 +8,6 @@ import "urel/internal/obs"
 // describe the machine's storage workload; per-query attribution comes
 // from the trace spans instead.
 var (
-	pruneMemoHitsTotal = obs.Default.Counter("urel_prune_memo_hits_total",
-		"Segment-pruning decisions served from the per-handle memo.")
-	pruneMemoMissesTotal = obs.Default.Counter("urel_prune_memo_misses_total",
-		"Segment-pruning decisions computed from segment statistics.")
 	walAppendSeconds = obs.Default.Histogram("urel_wal_append_seconds",
 		"WAL frame build+write latency, excluding fsync.", nil)
 	walFsyncSeconds = obs.Default.Histogram("urel_wal_fsync_seconds",

@@ -16,30 +16,52 @@ import (
 // narrowing off.
 type unnarrowed struct{ engine.ColBatchIterator }
 
+// rowsOnly is a scan that hides its columns but takes a join's key
+// range, so the join above reads it through NextBatch.
+type rowsOnly struct{ *StoreScanIter }
+
+func (rowsOnly) ColumnarNative() bool { return false }
+
+// narrowCounts is what the narrowed scans of some layouts skipped, and
+// how many of the layouts' layers held tuple ids out of order.
+type narrowCounts struct{ segments, rows, unsortedLayers int64 }
+
 // TestNarrowedJoinsMatchUnnarrowed draws random layered partitions —
 // base and delta files written from rows out of tid order, some as
-// URSEGv1, under tombstones, with an in-memory delta, NULL keys and the
-// odd float among the ints — and joins each with a small build side of
-// keys from one window of tuple ids or values, on the tid column and on
-// the value column. The inner hash join (serial and partitioned), the
-// semi join and the anti join must give the same rows with the probe
-// scan narrowed as with narrowing off, and as the join evaluated row by
-// row over the partition's live rows.
+// URSEGv1 (whose segments keep that order), under tombstones inside and
+// outside the joins' tid range, with an in-memory delta, NULL keys and
+// the odd float among the ints — and joins each with a small build side
+// of keys from one window of tuple ids or values, on the tid column and
+// on the value column. The ends of the tid window are tuple ids with
+// several alternatives when the layout has such, so a segment's tid
+// window starts and ends on runs of equal tids. The inner hash join
+// (serial, partitioned, and over the scan's rows instead of its
+// columns), the semi join and the anti join must give the same rows
+// with the probe scan narrowed as with narrowing off, and as the join
+// evaluated row by row over the partition's live rows.
 func TestNarrowedJoinsMatchUnnarrowed(t *testing.T) {
-	var skipped int64
+	var total narrowCounts
 	for seed := int64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			skipped += checkNarrowLayout(t, rand.New(rand.NewSource(seed)))
+			c := checkNarrowLayout(t, rand.New(rand.NewSource(seed)))
+			total.segments += c.segments
+			total.rows += c.rows
+			total.unsortedLayers += c.unsortedLayers
 		})
 	}
-	if skipped == 0 {
-		t.Error("no join skipped a segment: narrowing was never exercised")
+	t.Logf("narrowed scans skipped %d segments and %d rows of segments read; %d layers held tuple ids out of order",
+		total.segments, total.rows, total.unsortedLayers)
+	if total.segments == 0 || total.rows == 0 {
+		t.Errorf("the joins skipped %d segments and %d rows of segments read: narrowing was never exercised", total.segments, total.rows)
+	}
+	if total.unsortedLayers == 0 {
+		t.Error("no layer held its tuple ids out of order: the scan's refusal to window one was never exercised")
 	}
 }
 
 // checkNarrowLayout builds one random partition and checks every join
-// kind against it; it returns the segments the narrowed scans skipped.
-func checkNarrowLayout(t *testing.T, rng *rand.Rand) int64 {
+// kind against it; it returns what the narrowed scans skipped.
+func checkNarrowLayout(t *testing.T, rng *rand.Rand) narrowCounts {
 	dir := t.TempDir()
 	value := func() engine.Value {
 		switch k := int64(rng.Intn(40)); {
@@ -73,8 +95,27 @@ func checkNarrowLayout(t *testing.T, rng *rand.Rand) int64 {
 		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
 		layers = append(layers, rows)
 	}
+	// The tid window, ending on tuple ids with alternatives in one layer
+	// half of the time.
+	var dups []int64
+	for _, rows := range layers {
+		n := map[int64]int{}
+		for _, r := range rows {
+			if n[r.TID]++; n[r.TID] == 2 {
+				dups = append(dups, r.TID)
+			}
+		}
+	}
+	sort.Slice(dups, func(i, j int) bool { return dups[i] < dups[j] })
+	wlo := 1 + rng.Int63n(maxTID)
+	whi := wlo + rng.Int63n(12)
+	if len(dups) > 0 && rng.Intn(2) == 0 {
+		i := rng.Intn(len(dups))
+		wlo, whi = dups[i], dups[min(len(dups)-1, i+rng.Intn(3))]
+	}
 	src := &PartSource{}
 	var batches []TombBatch
+	var counts narrowCounts
 	for li, rows := range layers {
 		path := filepath.Join(dir, fmt.Sprintf("l%d.useg", li))
 		segRows := 4 + rng.Intn(40)
@@ -89,10 +130,29 @@ func checkNarrowLayout(t *testing.T, rng *rand.Rand) int64 {
 		}
 		t.Cleanup(func() { h.Close() })
 		src.Layers = append(src.Layers, h)
+		for i := 0; i < h.NumSegments(); i++ {
+			if seg, err := h.ReadSegment(i); err != nil {
+				t.Fatal(err)
+			} else if !seg.tidAsc {
+				counts.unsortedLayers++
+				break
+			}
+		}
 		if rng.Intn(2) == 0 {
+			// Tombstones anywhere, half of them in the tid window, or all
+			// of them in it past its first tuple id.
+			inWindow, all := []core.URow{}, rng.Intn(3) == 0
+			for _, r := range rows {
+				if r.TID >= wlo && r.TID <= whi && (!all || r.TID > wlo) {
+					inWindow = append(inWindow, r)
+				}
+			}
 			var tombs []WALTomb
 			for i := 1 + rng.Intn(8); i > 0; i-- {
 				r := rows[rng.Intn(len(rows))]
+				if len(inWindow) > 0 && (all || rng.Intn(2) == 0) {
+					r = inWindow[rng.Intn(len(inWindow))]
+				}
 				tombs = append(tombs, WALTomb{TID: r.TID, D: r.D, Wild: rng.Intn(2) == 0})
 			}
 			batches = append(batches, NewTombBatch(tombs, li+1))
@@ -111,22 +171,37 @@ func checkNarrowLayout(t *testing.T, rng *rand.Rand) int64 {
 	w := src.DescriptorWidth()
 	sch := widthSchema(w)
 
-	var skipped int64
 	for _, on := range []struct {
 		col string
 		key func(core.URow) engine.Value
-		top int64
 	}{
-		{"tid:r.p0", func(r core.URow) engine.Value { return engine.Int(r.TID) }, maxTID},
-		{"r.a", func(r core.URow) engine.Value { return r.Vals[0] }, 40},
+		{"tid:r.p0", func(r core.URow) engine.Value { return engine.Int(r.TID) }},
+		{"r.a", func(r core.URow) engine.Value { return r.Vals[0] }},
 	} {
-		// Build keys from one window, a NULL now and then, sometimes none.
-		lo := rng.Int63n(on.top + 1)
+		// Build keys from one window, a NULL now and then, sometimes none:
+		// on the tid column both ends of the tid window and tuple ids
+		// between them, on the value column values from a window of its
+		// own.
 		var keys []int64
 		var nulls []bool
-		for i := rng.Intn(8); i > 0; i-- {
-			keys = append(keys, lo+rng.Int63n(1+rng.Int63n(12)))
+		key := func(k int64) {
+			keys = append(keys, k)
 			nulls = append(nulls, rng.Intn(8) == 0)
+		}
+		n := rng.Intn(8)
+		if on.col == "tid:r.p0" {
+			if n > 0 {
+				key(wlo)
+				key(whi)
+			}
+			for ; n > 2; n-- {
+				key(wlo + rng.Int63n(whi-wlo+1))
+			}
+		} else {
+			lo := rng.Int63n(41)
+			for ; n > 0; n-- {
+				key(lo + rng.Int63n(1+rng.Int63n(12)))
+			}
 		}
 		build := func() engine.Iterator {
 			b := &engine.ColBatch{
@@ -163,8 +238,8 @@ func checkNarrowLayout(t *testing.T, rng *rand.Rand) int64 {
 			}
 		}
 
-		for _, kind := range []string{"inner", "parallel", "semi", "anti"} {
-			want := map[string][]string{"inner": wantInner, "parallel": wantInner, "semi": wantSemi, "anti": wantAnti}[kind]
+		for _, kind := range []string{"inner", "parallel", "rows", "semi", "anti"} {
+			want := map[string][]string{"inner": wantInner, "parallel": wantInner, "rows": wantInner, "semi": wantSemi, "anti": wantAnti}[kind]
 			sort.Strings(want)
 			for _, narrow := range []bool{true, false} {
 				scan, err := src.ScanPlan(sch, w, []int{0}, "u_r_a").(*StoreScanPlan).BuildIter(engine.ExecConfig{})
@@ -184,6 +259,12 @@ func checkNarrowLayout(t *testing.T, rng *rand.Rand) int64 {
 				case "parallel":
 					join = engine.NewParallelHashJoin(build(), probe, []engine.EquiPair{{L: "b.k", R: on.col}}, nil, nil, 3)
 					probeCols = 1
+				case "rows":
+					if narrow {
+						probe = rowsOnly{scan.(*StoreScanIter)}
+					}
+					join = engine.NewHashJoin(build(), probe, []engine.EquiPair{{L: "b.k", R: on.col}}, nil, nil)
+					probeCols = 1
 				default:
 					join = engine.NewSemiJoin(probe, build(), []engine.EquiPair{{L: on.col, R: "b.k"}}, nil, kind == "anti")
 				}
@@ -201,13 +282,14 @@ func checkNarrowLayout(t *testing.T, rng *rand.Rand) int64 {
 						kind, on.col, keys, nulls, narrow, len(got), len(want), got, want)
 				}
 				if s := scan.(*StoreScanIter); narrow {
-					if kind == "anti" && s.SegmentsSkippedByJoin != 0 {
-						t.Fatalf("the anti join skipped %d segments", s.SegmentsSkippedByJoin)
+					if kind == "anti" && (s.SegmentsSkippedByJoin != 0 || s.RowsSkippedByJoin != 0) {
+						t.Fatalf("the anti join skipped %d segments and %d rows", s.SegmentsSkippedByJoin, s.RowsSkippedByJoin)
 					}
-					skipped += s.SegmentsSkippedByJoin
+					counts.segments += s.SegmentsSkippedByJoin
+					counts.rows += s.RowsSkippedByJoin
 				}
 			}
 		}
 	}
-	return skipped
+	return counts
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"urel/internal/engine"
 )
@@ -25,7 +26,8 @@ type StoreScanPlan struct {
 	AttrIdx []int // stored value-column index per schema attr column
 	Name    string
 
-	pruned [][]bool // per layer, per segment; nil until pruning bites
+	advised bool     // AdviseFilter ran: the plan is advised once
+	pruned  [][]bool // per layer, per segment; nil until pruning bites
 }
 
 // Schema returns the scan's output schema.
@@ -110,19 +112,17 @@ func (p *StoreScanPlan) BuildIter(engine.ExecConfig) (engine.Iterator, error) {
 // advice is safe because a comparison over NULL evaluates to false
 // (engine.CmpExpr), so min/max over the non-null values — ordered by
 // engine.Compare, the evaluator's own order — bound every row that
-// could pass.
-//
-// The pruning decision is memoized per file layer on the partition
-// handle, per canonical (stored column, op, constant) conjunct set, so
-// a repeated selection — the common case under a serving workload with
-// a plan cache — reuses the bitmap and its surviving-row count instead
-// of re-testing every segment's statistics per query. Handles are
-// immutable (flush and compaction publish new handles under new ids),
-// so a memo entry can never go stale while a writer commits.
+// could pass. The plan takes advice once (engine.FilterAdvisor): a
+// later call, such as the Build of a plan Optimize advised, reads
+// nothing and writes nothing, so concurrent executions share the plan
+// and the bitmaps it holds.
 func (p *StoreScanPlan) AdviseFilter(cond engine.Expr) {
+	if p.advised {
+		return
+	}
+	p.advised = true
 	attrStart := 2*p.Width + 1 // descriptor pairs, then tid, then attrs
 	var cmps []colCmp
-	key := ""
 	for _, c := range engine.SplitConjuncts(cond) {
 		ce, ok := c.(*engine.CmpExpr)
 		if !ok {
@@ -138,30 +138,39 @@ func (p *StoreScanPlan) AdviseFilter(cond engine.Expr) {
 		}
 		stored := p.AttrIdx[si-attrStart]
 		cmps = append(cmps, colCmp{stored: stored, op: op, cst: cst})
-		key += fmt.Sprintf("a%d %s %s;", stored, op, cst.Quoted())
 	}
 	if len(cmps) == 0 {
 		return
 	}
 	for li, h := range p.Src.Layers {
-		res := h.prunedFor(key, cmps)
-		if res.pruned == nil {
+		var pruned []bool
+		for i := range h.meta.Segs {
+			for _, cc := range cmps {
+				if segmentRefutes(h.meta.Segs[i].Stats[cc.stored], cc.op, cc.cst) {
+					if pruned == nil {
+						pruned = make([]bool, len(h.meta.Segs))
+					}
+					pruned[i] = true
+					break
+				}
+			}
+		}
+		if pruned == nil {
 			continue
 		}
 		if p.pruned == nil {
 			p.pruned = make([][]bool, len(p.Src.Layers))
 		}
-		if p.pruned[li] == nil {
-			p.pruned[li] = make([]bool, h.NumSegments())
-		}
-		// Merge: stacked filters accumulate, and a segment refuted by
-		// any advised predicate stays pruned.
-		for i, sk := range res.pruned {
-			if sk {
-				p.pruned[li][i] = true
-			}
-		}
+		p.pruned[li] = pruned
 	}
+}
+
+// colCmp is one normalized column-vs-constant conjunct on a stored
+// column.
+type colCmp struct {
+	stored int
+	op     engine.CmpOp
+	cst    engine.Value
 }
 
 // segmentRefutes reports whether no row of a segment can satisfy
@@ -200,11 +209,13 @@ func segmentRefutes(st colStats, op engine.CmpOp, cst engine.Value) bool {
 // the batches whose tuple ids meet a segment's are consulted for it,
 // so a partition without deletes, and a segment none of them touched,
 // pays nothing per row. A hash join above may hand the scan its build
-// keys' range (NarrowKeyRange), and the segments whose bounds miss it
-// are not read at all. NextBatch materializes a
+// keys' range (NarrowKeyRange): the segments whose bounds miss it are
+// not read at all, and of a segment read whose tuple ids ascend only the
+// window of rows in a tid range is served. NextBatch materializes a
 // tuple block per segment for a parent that wants rows (a sort or a
 // rename directly above the scan); a filter, projection or hash join
-// above the scan pulls NextColBatch and never pays that cost.
+// above the scan pulls NextColBatch and never pays that cost. Both serve
+// the same windows.
 type StoreScanIter struct {
 	Src     *PartSource
 	Sch     engine.Schema
@@ -228,9 +239,13 @@ type StoreScanIter struct {
 	// that no batch's tuple ids meet, which cost no per-row work.
 	TombRowsChecked     int64
 	TombSegmentsSkipped int64
-	// SegmentsSkippedByJoin counts file segments left unread because
-	// their bounds miss the key range a hash join above handed down.
+	// SegmentsSkippedByJoin counts file segments none of whose rows the
+	// key range a hash join above handed down lets through: left unread
+	// because their bounds miss it, or read and found to hold no tuple id
+	// in it. RowsSkippedByJoin counts the rows of the segments read that
+	// a tid window left out.
 	SegmentsSkippedByJoin int64
+	RowsSkippedByJoin     int64
 
 	narrowed     bool  // a join handed down a key range (NarrowKeyRange)
 	keyCol       int   // its column in Sch
@@ -263,6 +278,7 @@ func (s *StoreScanIter) Open() error {
 	s.TombRowsChecked = 0
 	s.TombSegmentsSkipped = 0
 	s.SegmentsSkippedByJoin = 0
+	s.RowsSkippedByJoin = 0
 	s.narrowed = false
 	return nil
 }
@@ -270,11 +286,14 @@ func (s *StoreScanIter) Open() error {
 // NarrowKeyRange (engine.KeyRangeNarrower) makes the scan skip every
 // file segment whose bounds on column col miss [lo, hi]: the footer's
 // tid bounds for the tuple-id column, the zone map of a value column
-// whose layer stores it as ints. Descriptor columns, columns of any
-// other kind, the tid column of a v1 file (whose tid bounds are
-// unknown) and the in-memory delta are read as before, and so is every
-// row of a segment that is read: the join above drops what does not
-// match.
+// whose layer stores it as ints. On the tid column it also serves, of a
+// segment read whose tuple ids ascend (every layer a URSEGv2 writer
+// wrote), only the window of rows with a tid in [lo, hi], found by
+// binary search; every alternative of a tuple in range lies inside it.
+// Descriptor columns, columns of any other kind, the tid column of a v1
+// file (whose tid bounds are unknown), a segment whose tuple ids do not
+// ascend and the in-memory delta are read as before, every row of them:
+// the join above drops what does not match.
 func (s *StoreScanIter) NarrowKeyRange(col int, lo, hi int64) {
 	s.narrowed, s.keyCol, s.keyLo, s.keyHi = true, col, lo, hi
 }
@@ -293,10 +312,11 @@ func (s *StoreScanIter) missesKeyRange(h *PartHandle, i int) bool {
 	return false
 }
 
-// nextSegment decodes the next unpruned non-empty file segment,
-// together with its layer's stored width. Returns nil at the end of
-// the file layers (the in-memory delta is served separately).
-func (s *StoreScanIter) nextSegment() (*segment, int, error) {
+// nextSegment decodes the next unpruned file segment the join's key
+// range lets rows of through, and returns it with its layer's stored
+// width and the rows [lo, hi) of it to serve (tidWindow). Returns nil at
+// the end of the file layers (the in-memory delta is served separately).
+func (s *StoreScanIter) nextSegment() (seg *segment, fw, lo, hi int, err error) {
 	for s.layer < len(s.Src.Layers) {
 		h := s.Src.Layers[s.layer]
 		if s.seg >= h.NumSegments() {
@@ -315,7 +335,7 @@ func (s *StoreScanIter) nextSegment() (*segment, int, error) {
 		}
 		seg, hit, err := h.ReadSegmentStats(i)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, 0, err
 		}
 		s.SegmentsRead++
 		if hit {
@@ -326,34 +346,56 @@ func (s *StoreScanIter) nextSegment() (*segment, int, error) {
 		if seg.n == 0 {
 			continue
 		}
-		return seg, h.Width(), nil
+		if lo, hi := s.tidWindow(seg); lo < hi {
+			return seg, h.Width(), lo, hi, nil
+		}
+		s.SegmentsSkippedByJoin++
 	}
-	return nil, 0, nil
+	return nil, 0, 0, 0, nil
 }
 
-// tombSel builds the selection vector of live rows for a decoded
-// segment of the current layer under the layer's tombstone filter,
-// narrowed to the batches that meet the segment's tuple ids, or nil
-// when every row survives.
-func (s *StoreScanIter) tombSel(seg *segment, width int) ([]int32, error) {
+// tidWindow returns the rows of a decoded segment to serve: all of
+// them, or, when a join narrowed the tid column and the segment's tuple
+// ids ascend, those from the first with a tid ≥ the range's low end to
+// the first with a tid > its high end.
+func (s *StoreScanIter) tidWindow(seg *segment) (lo, hi int) {
+	if !s.narrowed || s.keyCol != 2*s.Width || !seg.tidAsc {
+		return 0, seg.n
+	}
+	tid := seg.tid
+	lo = sort.Search(len(tid), func(i int) bool { return tid[i] >= s.keyLo })
+	hi = lo + sort.Search(len(tid)-lo, func(i int) bool { return tid[lo+i] > s.keyHi })
+	s.RowsSkippedByJoin += int64(seg.n - (hi - lo))
+	return lo, hi
+}
+
+// tombSel builds the selection vector of live rows for rows [lo, hi)
+// of a decoded segment of the current layer under the layer's tombstone
+// filter, narrowed to the batches that meet those rows' tuple ids, or
+// nil when every row survives. The selection counts from lo.
+func (s *StoreScanIter) tombSel(seg *segment, width, lo, hi int) ([]int32, error) {
 	tf := s.Src.Tomb.Layer(s.layer)
 	if tf == nil {
 		return nil, nil
 	}
-	s.near = tf.narrow(seg.tidLo, seg.tidHi, s.near[:0])
+	tidLo, tidHi := seg.tidLo, seg.tidHi
+	if hi-lo < seg.n { // a tid window: the tuple ids ascend
+		tidLo, tidHi = seg.tid[lo], seg.tid[hi-1]
+	}
+	s.near = tf.narrow(tidLo, tidHi, s.near[:0])
 	if len(s.near) == 0 {
 		s.TombSegmentsSkipped++
 		return nil, nil
 	}
-	s.TombRowsChecked += int64(seg.n)
+	s.TombRowsChecked += int64(hi - lo)
 	if s.sel == nil {
 		// Non-nil even when empty: an all-dead segment must yield an
 		// empty selection, not the nil "select everything".
-		s.sel = make([]int32, 0, seg.n)
+		s.sel = make([]int32, 0, hi-lo)
 	}
 	dead := 0
 	sel := s.sel[:0]
-	for r := 0; r < seg.n; r++ {
+	for r := lo; r < hi; r++ {
 		if s.near.HasTID(seg.tid[r]) {
 			d, err := segDescriptor(seg, width, r)
 			if err != nil {
@@ -364,7 +406,7 @@ func (s *StoreScanIter) tombSel(seg *segment, width int) ([]int32, error) {
 				continue
 			}
 		}
-		sel = append(sel, int32(r))
+		sel = append(sel, int32(r-lo))
 	}
 	s.sel = sel
 	if dead == 0 {
@@ -377,7 +419,7 @@ func (s *StoreScanIter) tombSel(seg *segment, width int) ([]int32, error) {
 // into a tuple block. Returns false at end of stream.
 func (s *StoreScanIter) advance() (bool, error) {
 	for {
-		seg, fw, err := s.nextSegment()
+		seg, fw, lo, hi, err := s.nextSegment()
 		if err != nil {
 			return false, err
 		}
@@ -394,11 +436,11 @@ func (s *StoreScanIter) advance() (bool, error) {
 			s.pos = 0
 			return true, nil
 		}
-		sel, err := s.tombSel(seg, fw)
+		sel, err := s.tombSel(seg, fw, lo, hi)
 		if err != nil {
 			return false, err
 		}
-		s.materialize(seg, fw, sel)
+		s.materialize(seg, fw, lo, hi, sel)
 		if len(s.rows) == 0 {
 			continue
 		}
@@ -407,11 +449,12 @@ func (s *StoreScanIter) advance() (bool, error) {
 	}
 }
 
-// materialize builds the segment's live tuples over one backing cell
-// array, so batches handed upward are sub-slices with no per-row
-// copying. sel lists the surviving physical rows (nil = all).
-func (s *StoreScanIter) materialize(seg *segment, fw int, sel []int32) {
-	n := seg.n
+// materialize builds the live tuples of rows [lo, hi) of the segment
+// over one backing cell array, so batches handed upward are sub-slices
+// with no per-row copying. sel lists the surviving rows, counted from
+// lo (nil = all).
+func (s *StoreScanIter) materialize(seg *segment, fw, lo, hi int, sel []int32) {
+	n := hi - lo
 	if sel != nil {
 		n = len(sel)
 	}
@@ -419,9 +462,9 @@ func (s *StoreScanIter) materialize(seg *segment, fw int, sel []int32) {
 	cells := make([]engine.Value, n*ncols)
 	rows := make([]engine.Tuple, n)
 	for out := 0; out < n; out++ {
-		r := out
+		r := lo + out
 		if sel != nil {
-			r = int(sel[out])
+			r = lo + int(sel[out])
 		}
 		t := cells[out*ncols : (out+1)*ncols : (out+1)*ncols]
 		for k := 0; k < s.Width; k++ {
@@ -477,11 +520,12 @@ func (s *StoreScanIter) memTuples() ([]engine.Tuple, error) {
 // as typed int vectors, value columns as their decoded typed vectors.
 // This is the path that deletes the row transpose — decoded segments
 // are immutable and shared (see SegCache), so the vectors are served
-// zero-copy; tombstones only narrow the batch's selection vector. The
-// in-memory delta comes out last as one transposed batch.
+// zero-copy, as windows when a join narrowed the scan to a tid range;
+// tombstones only narrow the batch's selection vector. The in-memory
+// delta comes out last as one transposed batch.
 func (s *StoreScanIter) NextColBatch() (*engine.ColBatch, bool, error) {
 	for {
-		seg, fw, err := s.nextSegment()
+		seg, fw, lo, hi, err := s.nextSegment()
 		if err != nil {
 			return nil, false, err
 		}
@@ -497,7 +541,7 @@ func (s *StoreScanIter) NextColBatch() (*engine.ColBatch, bool, error) {
 			s.memColBatch(rows)
 			return &s.cb, true, nil
 		}
-		sel, err := s.tombSel(seg, fw)
+		sel, err := s.tombSel(seg, fw, lo, hi)
 		if err != nil {
 			return nil, false, err
 		}
@@ -515,19 +559,19 @@ func (s *StoreScanIter) NextColBatch() (*engine.ColBatch, bool, error) {
 				src = 0
 			}
 			if fw == 0 {
-				z := s.zeroPad(seg.n)
+				z := s.zeroPad(hi - lo)
 				cols[2*k] = engine.IntVec(z, nil)
 				cols[2*k+1] = engine.IntVec(z, nil)
 			} else {
-				cols[2*k] = engine.IntVec(seg.dvar[src], nil)
-				cols[2*k+1] = engine.IntVec(seg.drng[src], nil)
+				cols[2*k] = engine.IntVec(seg.dvar[src][lo:hi:hi], nil)
+				cols[2*k+1] = engine.IntVec(seg.drng[src][lo:hi:hi], nil)
 			}
 		}
-		cols[2*s.Width] = engine.IntVec(seg.tid, nil)
+		cols[2*s.Width] = engine.IntVec(seg.tid[lo:hi:hi], nil)
 		for j, ai := range s.AttrIdx {
-			cols[2*s.Width+1+j] = seg.cols[ai]
+			cols[2*s.Width+1+j] = seg.cols[ai].Window(lo, hi)
 		}
-		s.cb = engine.ColBatch{Sch: s.Sch, Cols: cols, N: seg.n, Sel: sel}
+		s.cb = engine.ColBatch{Sch: s.Sch, Cols: cols, N: hi - lo, Sel: sel}
 		return &s.cb, true, nil
 	}
 }
@@ -588,9 +632,9 @@ func (s *StoreScanIter) Close() error {
 // OperatorStats reports the scan's store-side effects to a trace span
 // (engine.OperatorStats): segments fetched, segments skipped by
 // min/max pruning, shared-cache hits, bytes this scan fetched and
-// decoded itself, the rows it made into tuples, if any, the segments a
-// join's key range skipped, when a join handed one down, and over a
-// tombstoned partition the tombstone filter's work.
+// decoded itself, the rows it made into tuples, if any, the segments
+// and rows a join's key range skipped, when a join handed one down, and
+// over a tombstoned partition the tombstone filter's work.
 func (s *StoreScanIter) OperatorStats(emit func(key string, v int64)) {
 	emit("segments_read", int64(s.SegmentsRead))
 	emit("cache_hits", s.CacheHits)
@@ -600,6 +644,7 @@ func (s *StoreScanIter) OperatorStats(emit func(key string, v int64)) {
 	}
 	if s.narrowed {
 		emit("segments_skipped_by_join", s.SegmentsSkippedByJoin)
+		emit("rows_skipped_by_join", s.RowsSkippedByJoin)
 	}
 	if s.Src.Tomb != nil {
 		emit("tomb_rows_checked", s.TombRowsChecked)

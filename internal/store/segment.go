@@ -72,9 +72,8 @@ func WritePartition(path string, rows []core.URow, nattrs, segRows int) (int, er
 // PartHandle is an open partition file: the decoded footer plus a
 // ReaderAt for fetching segment payloads on demand. Handles are safe
 // for concurrent readers (os.File.ReadAt is concurrency-safe, the
-// footer is immutable after open, and the cache and prune memo are
-// internally synchronized) and are shared by every scan over the
-// partition.
+// footer is immutable after open, and the cache is internally
+// synchronized) and are shared by every scan over the partition.
 type PartHandle struct {
 	src    io.ReaderAt
 	closer io.Closer
@@ -86,15 +85,6 @@ type PartHandle struct {
 	// cache, when non-nil, serves decoded segments across scans (and
 	// across concurrent queries) instead of re-reading the file.
 	cache *SegCache
-
-	// pruneMemo caches, per canonical predicate, which segments the
-	// footer statistics refute — so a repeated selection re-uses the
-	// pruning decision (and its surviving-row count, which the engine's
-	// estimator reads) instead of recomputing it per query.
-	pruneMu     sync.Mutex
-	pruneMemo   map[string]pruneResult
-	pruneHits   atomic.Uint64
-	pruneMisses atomic.Uint64
 
 	// path is the file this handle was opened from ("" for handles over
 	// arbitrary readers); replication reuses handles across manifest
@@ -306,55 +296,4 @@ func (h *PartHandle) readSegmentInto(i int, buf []byte) (*segment, error) {
 		return nil, corruptf("segment %d checksum mismatch (stored %08x, computed %08x)", i, m.CRC, crc)
 	}
 	return decodeSegment(buf, m, h.meta.Width, h.meta.Kinds)
-}
-
-// PruneMemoStats reports the handle's prune-memo hit/miss counters
-// (tests assert that repeated selections reuse the memoized pruning).
-func (h *PartHandle) PruneMemoStats() (hits, misses uint64) {
-	return h.pruneHits.Load(), h.pruneMisses.Load()
-}
-
-// prunedFor returns the memoized pruning outcome for a set of
-// normalized column-vs-constant conjuncts (keyed canonically by stored
-// column index, so the memo is shared across aliases and queries).
-func (h *PartHandle) prunedFor(key string, cmps []colCmp) pruneResult {
-	h.pruneMu.Lock()
-	defer h.pruneMu.Unlock()
-	if res, ok := h.pruneMemo[key]; ok {
-		h.pruneHits.Add(1)
-		pruneMemoHitsTotal.Inc()
-		return res
-	}
-	h.pruneMisses.Add(1)
-	pruneMemoMissesTotal.Inc()
-	var pruned []bool
-	for _, cc := range cmps {
-		for i := range h.meta.Segs {
-			if pruned != nil && pruned[i] {
-				continue
-			}
-			if segmentRefutes(h.meta.Segs[i].Stats[cc.stored], cc.op, cc.cst) {
-				if pruned == nil {
-					pruned = make([]bool, len(h.meta.Segs))
-				}
-				pruned[i] = true
-			}
-		}
-	}
-	res := pruneResult{pruned: pruned, survivors: h.meta.Rows}
-	if pruned != nil {
-		res.survivors = 0
-		for i, sk := range pruned {
-			if !sk {
-				res.survivors += h.meta.Segs[i].Rows
-			}
-		}
-	}
-	if h.pruneMemo == nil {
-		h.pruneMemo = map[string]pruneResult{}
-	} else if len(h.pruneMemo) >= maxPruneMemo {
-		h.pruneMemo = map[string]pruneResult{}
-	}
-	h.pruneMemo[key] = res
-	return res
 }

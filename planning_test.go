@@ -2,6 +2,7 @@ package urel_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -352,6 +353,38 @@ func selectiveLeaf(leaf engine.Plan) bool {
 	return false
 }
 
+// keyTIDRows counts the rows of lineitem's partitions of the named
+// attributes whose tuple ids lie between the least and the greatest
+// tuple id of the lineitems of order key.
+func keyTIDRows(mem *core.UDB, key int64, attrs ...string) int64 {
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	parts := mem.Rels["lineitem"].Parts
+	for _, p := range parts {
+		if p.Attrs[0] != "l_orderkey" {
+			continue
+		}
+		for _, r := range p.Rows {
+			if r.Vals[0].AsInt() == key {
+				lo, hi = min(lo, r.TID), max(hi, r.TID)
+			}
+		}
+	}
+	var n int64
+	for _, p := range parts {
+		for _, a := range attrs {
+			if p.Attrs[0] != a {
+				continue
+			}
+			for _, r := range p.Rows {
+				if r.TID >= lo && r.TID <= hi {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
 // TestMergeStartsAtTheSelectivePartition: over stored data, the
 // optimized plans of Q1, Q2 and the index point lookup merge each
 // relation's partitions from the one the selection cut — its filtered
@@ -360,12 +393,13 @@ func selectiveLeaf(leaf engine.Plan) bool {
 // no larger than the side it probes. What then runs is counted, not
 // timed: each probe-side scan of the point lookup reads the one segment
 // of its partition that holds the order's tuple ids and skips the other
-// three (the hash join hands it its build keys' range), so the lookup
-// probes at most two segments' rows, where it probed all 32 000; the
-// only rows made into tuples are the joined rows the Distinct above
-// reads; each probe scan hands over one column batch per segment; and a
-// lookup of a key no order has reads no segment of the partitions it
-// would have merged.
+// three (the hash join hands it its build keys' range), and of that
+// segment serves only the window of the order's tuple ids, so the
+// lookup probes exactly the rows of those tuple ids, where it probed
+// all 32 000; the only rows made into tuples are the joined rows the
+// Distinct above reads; each probe scan hands over one column batch per
+// segment; and a lookup of a key no order has reads no segment of the
+// partitions it would have merged.
 func TestMergeStartsAtTheSelectivePartition(t *testing.T) {
 	mem, stored, _ := indexedPlanningData(t, 0.25)
 	keys, err := mem.EvalPoss(core.Poss(core.Project(core.Rel("lineitem"), "l_orderkey")), engine.ExecConfig{})
@@ -456,8 +490,9 @@ func TestMergeStartsAtTheSelectivePartition(t *testing.T) {
 		// Representation rows outnumber answers by the alternatives of the
 		// uncertain fields, so the count is of what the joins emitted.
 		emitted := res.Trace.Children()[0].Children()[0].Rows()
-		if probed > 2*store.DefaultSegmentRows || materialized != emitted {
-			t.Errorf("point lookup of %d: %d rows made into tuples for the %d joined rows of %d probed:\n%s", key, materialized, emitted, probed, res.Text)
+		if want := keyTIDRows(mem, key, "l_extendedprice", "l_quantity"); probed != want || materialized != emitted {
+			t.Errorf("point lookup of %d: %d rows made into tuples for the %d joined rows of %d probed, want %d probed:\n%s",
+				key, materialized, emitted, probed, want, res.Text)
 		}
 	}
 
