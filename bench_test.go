@@ -1,8 +1,8 @@
 // Micro-benchmarks (ungated) for the measurements the gated benchmark in
 // benchmark/ has no metric for: Algorithm 1 normalization, the two
 // reductions, the optimizer ablation and the hash-vs-index join crossover
-// the knob audit needs, the serial-vs-parallel operators on synthetic
-// input, and the write path's tombstone filter and compaction. Run with:
+// the knob audit needs, the hash join on synthetic input, and the write
+// path's tombstone filter and compaction. Run with:
 //
 //	go test -run=NONE -bench=. -benchmem
 //
@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -319,7 +318,7 @@ func BenchmarkMergeChain(b *testing.B) {
 
 // syntheticJoinInput builds a deterministic relation (k int, s string,
 // v float) with n rows and keys distinct join keys, for controlled
-// serial-vs-parallel measurements.
+// join measurements.
 func syntheticJoinInput(n, keys int, prefix string, seed int64) *engine.Relation {
 	r := rand.New(rand.NewSource(seed))
 	rel := engine.NewRelation(engine.NewSchema(
@@ -338,15 +337,12 @@ func syntheticJoinInput(n, keys int, prefix string, seed int64) *engine.Relation
 	return rel
 }
 
-// BenchmarkParallelHashJoin compares the serial hash join against the
-// partitioned parallel hash join on synthetic equi joins with a
-// residual filter (not a paper figure). Run with GOMAXPROCS >= 4 to see
-// the partitioned speedup; on one core the parallel operator degrades
-// gracefully to near-serial cost. Each case runs with the join emitting
-// its full six-column row and, as /out=3, through a projection to three;
-// the smaller input also runs with its probe side r saved and reopened,
-// so both operators probe column batches (/probe=columnar).
-func BenchmarkParallelHashJoin(b *testing.B) {
+// BenchmarkHashJoin times the hash join on synthetic equi joins with a
+// residual filter (not a paper figure). Each case runs with the join
+// emitting its full six-column row and, as /out=3, through a projection
+// to three; the smaller input also runs with its probe side r saved and
+// reopened, so the join probes column batches (/probe=columnar).
+func BenchmarkHashJoin(b *testing.B) {
 	b.ReportAllocs()
 	for _, n := range []int{20000, 100000} {
 		l := syntheticJoinInput(n, n/8+1, "l", 1)
@@ -358,37 +354,28 @@ func BenchmarkParallelHashJoin(b *testing.B) {
 				engine.Cmp(engine.NE, engine.Col("l.s"), engine.Col("r.s")),
 			))
 		cat := engine.NewCatalog()
-		for _, mode := range []struct {
+		outs := []struct {
 			name string
-			cfg  engine.ExecConfig
-		}{
-			{"serial", engine.ExecConfig{}},
-			{"parallel", engine.ExecConfig{Parallelism: -1, ParallelThreshold: 1}},
-		} {
-			outs := []struct {
-				name string
-				plan engine.Plan
-			}{{"", join}, {"/out=3", engine.Project(join, "l.k", "r.s", "l.v")}}
-			if n == 20000 {
-				stored := engine.Join(engine.Values(l, "l"), storedScan(b, r, "r"), join.Cond)
-				outs = append(outs, outs[1])
-				outs[2].name, outs[2].plan = "/probe=columnar", engine.Project(stored, "l.k", "r.s", "l.v")
-			}
-			for _, out := range outs {
-				b.Run(fmt.Sprintf("n=%d/%s%s", n, mode.name, out.name), func(b *testing.B) {
-					b.ReportAllocs()
-					var rows int
-					for i := 0; i < b.N; i++ {
-						rel, err := engine.Run(out.plan, cat, mode.cfg)
-						if err != nil {
-							b.Fatal(err)
-						}
-						rows = rel.Len()
+			plan engine.Plan
+		}{{"", join}, {"/out=3", engine.Project(join, "l.k", "r.s", "l.v")}}
+		if n == 20000 {
+			stored := engine.Join(engine.Values(l, "l"), storedScan(b, r, "r"), join.Cond)
+			outs = append(outs, outs[1])
+			outs[2].name, outs[2].plan = "/probe=columnar", engine.Project(stored, "l.k", "r.s", "l.v")
+		}
+		for _, out := range outs {
+			b.Run(fmt.Sprintf("n=%d%s", n, out.name), func(b *testing.B) {
+				b.ReportAllocs()
+				var rows int
+				for i := 0; i < b.N; i++ {
+					rel, err := engine.Run(out.plan, cat, engine.ExecConfig{})
+					if err != nil {
+						b.Fatal(err)
 					}
-					b.ReportMetric(float64(rows), "out_rows")
-					b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
-				})
-			}
+					rows = rel.Len()
+				}
+				b.ReportMetric(float64(rows), "out_rows")
+			})
 		}
 	}
 }
@@ -422,33 +409,6 @@ func storedScan(b *testing.B, rel *engine.Relation, alias string) engine.Plan {
 		b.Fatal(err)
 	}
 	return plan
-}
-
-// BenchmarkParallelFilter compares the serial and parallel scan+filter
-// drain over a large synthetic relation.
-func BenchmarkParallelFilter(b *testing.B) {
-	b.ReportAllocs()
-	const n = 400000
-	rel := syntheticJoinInput(n, 1000, "t", 3)
-	plan := engine.Filter(engine.Values(rel, "t"),
-		engine.Cmp(engine.LT, engine.Col("t.k"), engine.ConstInt(100)))
-	cat := engine.NewCatalog()
-	for _, mode := range []struct {
-		name string
-		cfg  engine.ExecConfig
-	}{
-		{"serial", engine.ExecConfig{}},
-		{"parallel", engine.ExecConfig{Parallelism: -1, ParallelThreshold: 1}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.Run(plan, cat, mode.cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkReduction measures the exact reduction and the paper's

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	urquery -q Q2 -scale 0.1 -x 0.01 -z 0.25 [-explain] [-limit 20] [-workers N]
+//	urquery -q Q2 -scale 0.1 -x 0.01 -z 0.25 [-explain] [-limit 20]
 //	urquery -db /data/db -q Q2
 //	urquery -sql "possible select l_extendedprice from lineitem where l_quantity < 24"
 //	urquery -sql "certain select c_mktsegment from customer where c_custkey < 5"
@@ -48,7 +48,6 @@ func main() {
 	explain := flag.Bool("explain", false, "print the optimized physical plan instead of running")
 	analyze := flag.Bool("analyze", false, "execute with operator tracing and print the plan annotated with actual rows, timings, and store statistics (EXPLAIN ANALYZE)")
 	noopt := flag.Bool("no-optimizer", false, "disable the engine optimizer")
-	workers := flag.Int("workers", 0, "parallel worker goroutines (0 = serial, -1 = GOMAXPROCS)")
 	limit := flag.Int("limit", 20, "print at most this many answer tuples")
 	flag.Parse()
 
@@ -61,7 +60,7 @@ func main() {
 			os.Exit(1)
 		}
 		if _, isQuery := st.(*sqlparse.Parsed); !isQuery {
-			runDML(*dbdir, st, *workers)
+			runDML(*dbdir, st)
 			return
 		}
 		parsed := st.(*sqlparse.Parsed)
@@ -116,7 +115,7 @@ func main() {
 		return
 	}
 
-	cfg := engine.ExecConfig{DisableOptimizer: *noopt, Parallelism: *workers}
+	cfg := engine.ExecConfig{DisableOptimizer: *noopt}
 	if *analyze {
 		// Mirror the evaluation split: possible mode analyzes the poss
 		// projection plan, certain/conf the full-merge translation whose
@@ -214,12 +213,12 @@ func main() {
 // runDML executes one INSERT/DELETE/UPDATE against a stored database
 // directory through the transactional write path and reports what the
 // commit did.
-func runDML(dbdir string, st sqlparse.Statement, workers int) {
+func runDML(dbdir string, st sqlparse.Statement) {
 	if dbdir == "" {
 		fmt.Fprintln(os.Stderr, "urquery: DML needs a stored database: pass -db <dir> (urgen -save)")
 		os.Exit(2)
 	}
-	d, err := txn.Open(dbdir, txn.Options{Parallelism: workers})
+	d, err := txn.Open(dbdir, txn.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "urquery:", err)
 		os.Exit(1)

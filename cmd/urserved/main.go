@@ -112,7 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	drain := fs.Duration("drain-timeout", 15*time.Second, "max wait for in-flight queries on shutdown")
 	cacheMB := fs.Int64("cache-mb", 256, "shared decoded-segment cache budget in MiB (0 disables)")
 	planCache := fs.Int("plan-cache", 0, "statement cache entries: parse and, per catalog, plan (0 = default 512)")
-	workers := fs.Int("workers", 0, "engine parallelism per query (0 = serial)")
 	mcSamples := fs.Int("mc-samples", 0, "Monte-Carlo samples for CONF fallback (0 = default 20000)")
 	flushKB := fs.Int64("flush-kb", 0, "write-path auto-flush threshold in KiB (0 = default 4096)")
 	slowMS := fs.Int64("slow-query-ms", 0, "log queries at or above this many milliseconds as JSON lines on stderr (0 disables; enables operator tracing)")
@@ -147,7 +146,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		SegCacheBytes:   *cacheMB << 20,
 		DisableSegCache: *cacheMB == 0,
 		PlanCacheSize:   *planCache,
-		Parallelism:     *workers,
 		MCSamples:       *mcSamples,
 		Writable:        *rw,
 		FlushBytes:      *flushKB << 10,

@@ -281,7 +281,7 @@ func (db *UDB) CertainAnswers(q Query) (*engine.Relation, error) {
 }
 
 // CertainAnswersCfg is CertainAnswers under an explicit execution
-// configuration (optimizer, join algorithm, parallelism) for the query
+// configuration (optimizer, join algorithm) for the query
 // evaluation step.
 func (db *UDB) CertainAnswersCfg(q Query, cfg engine.ExecConfig) (*engine.Relation, error) {
 	if _, ok := q.(*PossQ); ok {

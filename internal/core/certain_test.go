@@ -45,16 +45,11 @@ func coverInsteadOfLabel(rng *rand.Rand, db *core.UDB, share float64) {
 // (no tuple labelled, tuples certain by coverage only), with half of
 // them rewritten, and projected onto zero attributes — CertainTuples ≡
 // the intersection of the worlds' answers ≡ Normalize + CertainTuplesRA
-// ≡ CertainTuplesDirect, serial and parallel, in memory and saved and
-// reopened; every certain tuple is a possible one, and the path counts
+// ≡ CertainTuplesDirect, in memory and saved and reopened; every certain tuple is a possible one, and the path counts
 // add up to the answer.
 func TestPropertyCertainTuples(t *testing.T) {
 	const maxWorlds = 4000
 	rng := rand.New(rand.NewSource(24))
-	cfgs := map[string]engine.ExecConfig{
-		"serial":   {},
-		"parallel": {Parallelism: 2, ParallelThreshold: 1},
-	}
 	var checked, empty, noneLabelled, allLabelled, someLabelled, covered, zeroAttr int
 	for iter := 0; iter < 400; iter++ {
 		db := core.RandUDB(rng)
@@ -89,41 +84,39 @@ func TestPropertyCertainTuples(t *testing.T) {
 		}
 		var stats core.CertainPathStats
 		for where, on := range map[string]*core.UDB{"in memory": db, "stored": stored} {
-			for how, cfg := range cfgs {
-				res, err := on.Eval(q, cfg)
-				if err != nil {
-					t.Fatalf("iter %d: %s, %s %s: %v", iter, q, where, how, err)
-				}
-				var got *engine.Relation
-				if got, stats, err = res.CertainTuples(time.Time{}); err != nil {
-					t.Fatalf("iter %d: %s, %s %s: CertainTuples: %v", iter, q, where, how, err)
-				}
-				if !got.EqualAsSet(gt) {
-					t.Fatalf("iter %d: %s, %s %s: CertainTuples gives\n%s\nthe worlds share\n%s\nresult:\n%s", iter, q, where, how, got, gt, res)
-				}
-				if stats.Labelled+stats.Pipeline != got.Len() || got.Len() != gt.Len() {
-					t.Fatalf("iter %d: %s, %s %s: %+v for %d answer tuples, %d in the worlds", iter, q, where, how, stats, got.Len(), gt.Len())
-				}
-				if names := got.Sch.Names(); len(names) != len(res.Attrs) {
-					t.Fatalf("iter %d: %s: answer columns %v, the result's attributes %v", iter, q, names, res.Attrs)
-				}
-				possible := res.PossibleTuples()
-				both := possible.Clone()
-				both.Rows = append(both.Rows, got.Rows...)
-				if !both.EqualAsSet(possible) {
-					t.Fatalf("iter %d: %s, %s %s: a certain tuple is not possible:\n%s\npossible:\n%s", iter, q, where, how, got, possible)
-				}
-				norm, err := res.Normalize()
-				if err != nil {
-					t.Fatalf("iter %d: %s: Normalize: %v", iter, q, err)
-				}
-				ra, err := norm.CertainTuplesRA()
-				if err != nil {
-					t.Fatalf("iter %d: %s: CertainTuplesRA: %v", iter, q, err)
-				}
-				if direct := norm.CertainTuplesDirect(); !ra.EqualAsSet(gt) || !direct.EqualAsSet(gt) {
-					t.Fatalf("iter %d: %s, %s %s: the worlds share\n%s\nLemma 4.3 gives\n%s\nthe direct check\n%s", iter, q, where, how, gt, ra, direct)
-				}
+			res, err := on.Eval(q, engine.ExecConfig{})
+			if err != nil {
+				t.Fatalf("iter %d: %s, %s: %v", iter, q, where, err)
+			}
+			var got *engine.Relation
+			if got, stats, err = res.CertainTuples(time.Time{}); err != nil {
+				t.Fatalf("iter %d: %s, %s: CertainTuples: %v", iter, q, where, err)
+			}
+			if !got.EqualAsSet(gt) {
+				t.Fatalf("iter %d: %s, %s: CertainTuples gives\n%s\nthe worlds share\n%s\nresult:\n%s", iter, q, where, got, gt, res)
+			}
+			if stats.Labelled+stats.Pipeline != got.Len() || got.Len() != gt.Len() {
+				t.Fatalf("iter %d: %s, %s: %+v for %d answer tuples, %d in the worlds", iter, q, where, stats, got.Len(), gt.Len())
+			}
+			if names := got.Sch.Names(); len(names) != len(res.Attrs) {
+				t.Fatalf("iter %d: %s: answer columns %v, the result's attributes %v", iter, q, names, res.Attrs)
+			}
+			possible := res.PossibleTuples()
+			both := possible.Clone()
+			both.Rows = append(both.Rows, got.Rows...)
+			if !both.EqualAsSet(possible) {
+				t.Fatalf("iter %d: %s, %s: a certain tuple is not possible:\n%s\npossible:\n%s", iter, q, where, got, possible)
+			}
+			norm, err := res.Normalize()
+			if err != nil {
+				t.Fatalf("iter %d: %s: Normalize: %v", iter, q, err)
+			}
+			ra, err := norm.CertainTuplesRA()
+			if err != nil {
+				t.Fatalf("iter %d: %s: CertainTuplesRA: %v", iter, q, err)
+			}
+			if direct := norm.CertainTuplesDirect(); !ra.EqualAsSet(gt) || !direct.EqualAsSet(gt) {
+				t.Fatalf("iter %d: %s, %s: the worlds share\n%s\nLemma 4.3 gives\n%s\nthe direct check\n%s", iter, q, where, gt, ra, direct)
 			}
 		}
 		if err := stored.Close(); err != nil {

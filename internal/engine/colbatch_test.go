@@ -267,15 +267,13 @@ func TestRowEvalConjunctReadsOnlyItsColumns(t *testing.T) {
 // TestRandomPlanColumnarRowEquivalence is the end-to-end property
 // test: randomized plans (filters, projections, equi-joins with
 // residuals, NULL keys, semi/anti joins) must produce the same result
-// multiset serial and parallel. A hash join has one path whatever its
-// inputs (TestHashJoinColumnarEquivalence holds it to a reference), so
-// the serial plan runs over row inputs — the row filter, the join
-// transposing — and the parallel one over columnar inputs. The
-// reference projects the join's full row; the plans compared with it
-// have the join emit through a random Out (the reference's projection,
-// a subset, a permutation or nothing) with a projection to the same
-// columns above. Run under -race this also proves the parallel path
-// race-clean over the shared columnar inputs.
+// multiset over row inputs — the row filter, the join transposing — and
+// over columnar inputs. A hash join has one path whatever its inputs
+// (TestHashJoinColumnarEquivalence holds it to a reference). The
+// reference projects the join's full row; the plan compared with it has
+// the join emit through a random Out (the reference's projection, a
+// subset, a permutation or nothing) with a projection to the same
+// columns above.
 func TestRandomPlanColumnarRowEquivalence(t *testing.T) {
 	pairs := []EquiPair{{L: "l.k", R: "r.k"}}
 	for seed := int64(0); seed < 4; seed++ {
@@ -294,20 +292,14 @@ func TestRandomPlanColumnarRowEquivalence(t *testing.T) {
 				name := fmt.Sprintf("seed=%d/pred=%s/res=%s", seed, pname, rname)
 				t.Run(name, func(t *testing.T) {
 					var out []string
-					build := func(lsrc, rsrc Iterator, workers int) Iterator {
-						fl := NewFilter(lsrc, pred)
-						var jn Iterator
-						if workers > 1 {
-							jn = NewParallelHashJoin(fl, rsrc, pairs, residual, out, workers)
-						} else {
-							jn = NewHashJoin(fl, rsrc, pairs, residual, out)
-						}
+					build := func(lsrc, rsrc Iterator) Iterator {
+						jn := NewHashJoin(NewFilter(lsrc, pred), rsrc, pairs, residual, out)
 						if sameStrings(out, proj) {
 							return jn
 						}
 						return NewProject(jn, proj)
 					}
-					want := mustDrain(t, build(NewScan(l), NewScan(r), 1))
+					want := mustDrain(t, build(NewScan(l), NewScan(r)))
 					// Drawn from the case's name: the cases run in map order.
 					orng := rand.New(rand.NewSource(int64(HashValue(Str(name)))))
 					if out = proj; orng.Intn(3) > 0 {
@@ -319,15 +311,15 @@ func TestRandomPlanColumnarRowEquivalence(t *testing.T) {
 							}
 						}
 					}
-					parGot := mustDrain(t, build(newColSource(l, 128), newColSource(r, 77), 4))
-					if !want.EqualAsBag(parGot) {
-						t.Fatalf("parallel columnar plan diverged (%d vs %d rows)", want.Len(), parGot.Len())
+					colGot := mustDrain(t, build(newColSource(l, 128), newColSource(r, 77)))
+					if !want.EqualAsBag(colGot) {
+						t.Fatalf("columnar plan diverged (%d vs %d rows)", want.Len(), colGot.Len())
 					}
 					// The shape poss(q) produces: the same plan under a Distinct root.
-					wantSet := mustDrain(t, NewDistinct(build(NewScan(l), NewScan(r), 1)))
-					parSet := mustDrain(t, NewDistinct(build(newColSource(l, 128), newColSource(r, 77), 4)))
-					if !wantSet.EqualAsBag(parSet) {
-						t.Fatalf("parallel plan under Distinct diverged (%d vs %d rows)", wantSet.Len(), parSet.Len())
+					wantSet := mustDrain(t, NewDistinct(build(NewScan(l), NewScan(r))))
+					colSet := mustDrain(t, NewDistinct(build(newColSource(l, 128), newColSource(r, 77))))
+					if !wantSet.EqualAsBag(colSet) {
+						t.Fatalf("columnar plan under Distinct diverged (%d vs %d rows)", wantSet.Len(), colSet.Len())
 					}
 					// Semi and anti joins share the hashed-key table, and emit
 					// a row input's own tuples or a columnar input's made anew.
@@ -482,14 +474,13 @@ func probeInput(r *rand.Rand, n, lo, keys int, prefix string) *Relation {
 
 // TestHashJoinColumnarProbe: an inner hash join reads its probe side as
 // column batches — a columnar input's own, never its rows — and answers
-// the same whatever the layout they arrive in: row for row and in order
-// when serial, as a bag when parallel, for every key shape (one int, two
-// columns, an int meeting the float it equals, strings, bools), vector
-// layout (typed, generic, a selection vector left by a filter, a trace
-// wrapper in between, rows transposed) and match rate (none, about a
-// tenth, every non-NULL key), with a random Out and a residual. It
-// counts its probe rows and gathered cells the same serial and
-// parallel, and makes a row only when asked for rows.
+// the same whatever the layout they arrive in, row for row and in order,
+// for every key shape (one int, two columns, an int meeting the float it
+// equals, strings, bools), vector layout (typed, generic, a selection
+// vector left by a filter, a trace wrapper in between, rows transposed)
+// and match rate (none, about a tenth, every non-NULL key), with a
+// random Out and a residual. It counts the cells it gathers and makes a
+// row only when asked for rows.
 func TestHashJoinColumnarProbe(t *testing.T) {
 	keyings := map[string][]EquiPair{
 		"int":       {{L: "l.k", R: "r.k"}},
@@ -552,14 +543,6 @@ func TestHashJoinColumnarProbe(t *testing.T) {
 				if join.mat.made != int64(got.Len()) || join.cellsGathered != int64(got.Len()*got.Sch.Len()) {
 					t.Fatalf("%s: %d rows made and %d cells gathered for %d rows of %d columns",
 						name, join.mat.made, join.cellsGathered, got.Len(), got.Sch.Len())
-				}
-				par := NewParallelHashJoin(NewScan(l), probe(r), pairs, residual, out, 3)
-				if parGot := mustDrain(t, par); !want.EqualAsBag(parGot) {
-					t.Fatalf("%s: the parallel join gives %d rows, want %d", name, parGot.Len(), want.Len())
-				}
-				if par.probeRows != join.probeRows || par.cellsGathered != join.cellsGathered {
-					t.Fatalf("%s: the parallel join probed %d rows and gathered %d cells, the serial one %d and %d",
-						name, par.probeRows, par.cellsGathered, join.probeRows, join.cellsGathered)
 				}
 			}
 		}

@@ -161,10 +161,6 @@ func TestBatchContract(t *testing.T) {
 		"NewIndexJoin": func(l, r Iterator) Iterator {
 			return NewIndexJoin(NewLimit(l, 150), &indexedRel{rel: rrel}, rrel.Sch, []string{"r.s", "r.k"}, "l.k", "r.k", ne, []string{"r.k", "l.s", "l.v"})
 		},
-		"NewParallelHashJoin": func(l, r Iterator) Iterator { return NewParallelHashJoin(l, r, pairs, ne, nil, 3) },
-		"NewParallelFilter": func(l, r Iterator) Iterator {
-			return NewParallelFilter(l, Cmp(LT, Col("l.k"), ConstInt(30)), 3)
-		},
 	}
 	for _, ctor := range operatorConstructors(t) {
 		if cases[ctor] == nil {
@@ -196,9 +192,8 @@ func TestBatchContract(t *testing.T) {
 
 // TestEmptyBuildSideLeavesProbeUnread: a hash join whose build side
 // holds no joinable row — no rows, or NULL keys only — ends its stream
-// without pulling its probe side once, serial and parallel: nothing R
-// could deliver would join, and over stored data every pull is a
-// segment read and decoded.
+// without pulling its probe side once: nothing R could deliver would
+// join, and over stored data every pull is a segment read and decoded.
 func TestEmptyBuildSideLeavesProbeUnread(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	rrel := randColInput(rng, 900, "r")
@@ -209,18 +204,12 @@ func TestEmptyBuildSideLeavesProbeUnread(t *testing.T) {
 	}
 	pairs := []EquiPair{{L: "l.k", R: "r.k"}}
 	for name, l := range map[string]*Relation{"no rows": none, "NULL keys": nulls} {
-		for _, workers := range []int{1, 3} {
-			src := newColSource(rrel, 64)
-			var join Iterator = NewHashJoin(NewScan(l), src, pairs, nil, nil)
-			if workers > 1 {
-				join = NewParallelHashJoin(NewScan(l), src, pairs, nil, nil, workers)
-			}
-			if got := mustDrain(t, join); got.Len() != 0 {
-				t.Fatalf("%s, %d workers: %d rows from an empty build side", name, workers, got.Len())
-			}
-			if src.rowCalls+src.colCalls != 0 {
-				t.Fatalf("%s, %d workers: the probe side was pulled %d times", name, workers, src.rowCalls+src.colCalls)
-			}
+		src := newColSource(rrel, 64)
+		if got := mustDrain(t, NewHashJoin(NewScan(l), src, pairs, nil, nil)); got.Len() != 0 {
+			t.Fatalf("%s: %d rows from an empty build side", name, got.Len())
+		}
+		if src.rowCalls+src.colCalls != 0 {
+			t.Fatalf("%s: the probe side was pulled %d times", name, src.rowCalls+src.colCalls)
 		}
 	}
 }
@@ -247,9 +236,8 @@ func projected(join Iterator, out []string) Iterator {
 }
 
 // TestJoinOutIsProjection: every inner join strategy, emitting through
-// a random Out, produces the rows, in the order (the parallel join
-// aside) and under the schema that a Project over the same join
-// emitting its full row does — with and without a residual, which must
+// a random Out, produces the rows, in the order and under the schema
+// that a Project over the same join emitting its full row does — with and without a residual, which must
 // keep seeing the columns Out drops.
 func TestJoinOutIsProjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -261,9 +249,6 @@ func TestJoinOutIsProjection(t *testing.T) {
 	joins := map[string]func(res Expr, out []string) Iterator{
 		"hash": func(res Expr, out []string) Iterator {
 			return NewHashJoin(NewScan(lrel), NewScan(rrel), pairs, res, out)
-		},
-		"parallel": func(res Expr, out []string) Iterator {
-			return NewParallelHashJoin(NewScan(lrel), NewScan(rrel), pairs, res, out, 3)
 		},
 		"nested loop": func(res Expr, out []string) Iterator {
 			return NewNestedLoopJoin(NewLimit(NewScan(lrel), 60), NewScan(rrel), And(EqCols("l.k", "r.k"), res), out)
@@ -290,12 +275,6 @@ func TestJoinOutIsProjection(t *testing.T) {
 			}
 			if !want.Sch.Equal(got.Sch) {
 				t.Fatalf("%s out=%v: schema %v, a projection gives %v", name, out, got.Sch, want.Sch)
-			}
-			if name == "parallel" {
-				if !want.EqualAsBag(got) {
-					t.Fatalf("%s out=%v: %d rows, a projection gives %d", name, out, got.Len(), want.Len())
-				}
-				continue
 			}
 			if want.Len() != got.Len() {
 				t.Fatalf("%s out=%v: %d rows, a projection gives %d", name, out, got.Len(), want.Len())

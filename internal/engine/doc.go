@@ -1,9 +1,9 @@
 // Package engine implements a small but complete in-memory relational
 // database engine: typed values, schemas, relations, an expression
 // language, batch-at-a-time physical operators that move column
-// batches from the scans through the hash joins, parallel partitioned
-// operators, logical plans, a rule- and cost-based optimizer with table
-// statistics, and an EXPLAIN facility.
+// batches from the scans through the hash joins, logical plans, a rule-
+// and cost-based optimizer with table statistics, and an EXPLAIN
+// facility.
 //
 // The engine plays the role PostgreSQL plays in the U-relations paper
 // (Antova, Jansen, Koch, Olteanu: "Fast and Simple Relational Processing
@@ -47,19 +47,14 @@
 // rows_materialized. Optimize orders every tree of inner joins from its
 // smallest estimated input outward, so a hash join builds on its
 // smaller side and a relation's partitions are merged starting at the
-// one the selection cut. Parallel operators — ParallelHashJoinIter
-// (build rows hash-partitioned across per-worker joinTables over the
-// shared batches, each probe batch scattered to them and joined in
-// every partition at once) and ParallelFilterIter (chunked predicate
-// evaluation) — are selected during physical lowering when
-// ExecConfig.Parallelism allows and the estimated input cardinality
-// clears the threshold, so small inputs keep the cheaper serial
-// operators. There are three join
-// strategies: the hash join (serial or partitioned), index-nested-loop
-// when a small outer side meets an indexed storage leaf (chooseJoin;
-// the leaf prices its own probes, IndexedSource.ProbeCost), and the
-// nested loop for joins without an equi pair, which the property tests
-// also force as the hash join's cross-check. Lowering, EXPLAIN and the
+// one the selection cut. Every operator runs on its caller's goroutine:
+// a query is one serial pipeline, and concurrency comes from serving
+// many queries at once. There are three join strategies: the hash join,
+// index-nested-loop when a small outer side meets an indexed storage
+// leaf (chooseJoin; the leaf prices its own probes,
+// IndexedSource.ProbeCost), and the nested loop for joins without an
+// equi pair, which the property tests also force as the hash join's
+// cross-check. Lowering, EXPLAIN and the
 // est= of every EXPLAIN ANALYZE span read one estimator — the
 // optimizer's (stats.go) — so est-drift is a statement about the
 // numbers the plan was actually chosen on.
@@ -70,9 +65,8 @@
 // Filter split (ExtractEquiJoin); stats.go — the selectivity-based cost
 // measures of a System-R-style optimizer; explain.go — the Figure 10/13
 // plan views, annotated with each operator's execution mode (columnar
-// vs row); join.go, hashtable.go, iter.go, colbatch.go, vecfilter.go,
-// parallel.go — the physical operator layer, whose raw
-// speed is what the paper's "fast" rests on (Section 6's evaluation
-// reduces uncertain-query processing to exactly these plain relational
-// operators).
+// vs row); join.go, hashtable.go, iter.go, colbatch.go, vecfilter.go —
+// the physical operator layer, whose raw speed is what the paper's
+// "fast" rests on (Section 6's evaluation reduces uncertain-query
+// processing to exactly these plain relational operators).
 package engine

@@ -30,11 +30,7 @@ func Explain(p Plan, cat *Catalog, optimize bool) (string, error) {
 // one; "row" for everything else, which exchanges row batches. A
 // columnar node under a row operator hands it tuples, made there once.
 // It is the same answer the physical operators reach at Open
-// (NativeColumnar) under the default serial lowering. Explain sees
-// only the logical plan, so the annotation does not account for
-// ExecConfig: a filter that Build lowers to the parallel operator
-// (Parallelism set and the input past ParallelThreshold) pulls row
-// batches from its child even when annotated columnar.
+// (NativeColumnar), whatever the ExecConfig.
 func execMode(p Plan, est *estimator) string {
 	for {
 		switch n := p.(type) {

@@ -1,14 +1,11 @@
 package engine
 
-import "sync"
-
 // joinTable is the hashed-key machinery shared by the hash join family
-// (HashJoinIter, SemiJoinIter, and the per-partition tables of
-// ParallelHashJoinIter). It keeps the build input as the column batches
-// it was handed — their payload vectors are immutable under the
-// NextColBatch contract, so only the borrowed headers are copied, and a
-// row input is transposed once — and stores a build row as a (batch,
-// row) reference into them. Keys are 64-bit hashes of the key cells
+// (HashJoinIter and SemiJoinIter). It keeps the build input as the
+// column batches it was handed — their payload vectors are immutable
+// under the NextColBatch contract, so only the borrowed headers are
+// copied, and a row input is transposed once — and stores a build row
+// as a (batch, row) reference into them. Keys are 64-bit hashes of the key cells
 // read from the vectors, collisions resolve by comparing the cells, and
 // a key that is one int column is hashed and compared as the int it is.
 // Neither build nor probe allocates per row.
@@ -24,7 +21,7 @@ import "sync"
 // checks before any cell is compared.
 type joinTable struct {
 	keyIdx  []int       // key column positions within the build batches
-	batches []ColBatch  // the build input; a parallel join's partitions share it
+	batches []ColBatch  // the build input
 	lays    []vecLayout // per build column: the layout its batches agree on
 
 	refs    []rowRef // stored rows, in insertion order
@@ -46,16 +43,14 @@ type slot struct {
 // rowRef is a stored build row: physical row row of batch batch.
 type rowRef struct{ batch, row int32 }
 
-// buildJoinTables drains the opened iterator it into np tables keyed by
-// its keyIdx columns, a row going to the table its key hash picks (h mod
-// np: the parallel join's partitions, and for np = 1 the one table of
-// the serial joins). Rows with a NULL key never join and are left out.
+// buildJoinTable drains the opened iterator it into a table keyed by
+// its keyIdx columns. Rows with a NULL key never join and are left out.
 // keyIdx may be empty, in which case every row shares one key (used by
 // key-less semi joins).
-func buildJoinTables(it Iterator, keyIdx []int, np int) ([]*joinTable, error) {
+func buildJoinTable(it Iterator, keyIdx []int) (*joinTable, error) {
 	// Drain first, then lay the stored rows out at their exact count.
 	in := newColReader(it)
-	all := &joinTable{keyIdx: keyIdx}
+	t := &joinTable{keyIdx: keyIdx}
 	live, intKey := 0, len(keyIdx) == 1
 	for {
 		cb, ok, err := in.next()
@@ -69,19 +64,19 @@ func buildJoinTables(it Iterator, keyIdx []int, np int) ([]*joinTable, error) {
 		if cb.Sel != nil {
 			kept.Sel = append([]int32(nil), cb.Sel...)
 		}
-		all.batches = append(all.batches, kept)
+		t.batches = append(t.batches, kept)
 		live += cb.Rows()
 		if intKey {
 			v := &cb.Cols[keyIdx[0]]
 			intKey = v.Vals == nil && v.Kind == KindInt
 		}
 	}
-	all.refs, all.hashes = make([]rowRef, 0, live), make([]uint64, 0, live)
+	t.refs, t.hashes = make([]rowRef, 0, live), make([]uint64, 0, live)
 	if intKey {
-		all.intKeys = make([]int64, 0, live)
+		t.intKeys = make([]int64, 0, live)
 	}
-	for b := range all.batches {
-		cb := &all.batches[b]
+	for b := range t.batches {
+		cb := &t.batches[b]
 		var ints *ColVec
 		if intKey {
 			ints = &cb.Cols[keyIdx[0]]
@@ -94,44 +89,20 @@ func buildJoinTables(it Iterator, keyIdx []int, np int) ([]*joinTable, error) {
 					continue
 				}
 				h = hashIntKey(ints.Ints[i])
-				all.intKeys = append(all.intKeys, ints.Ints[i])
+				t.intKeys = append(t.intKeys, ints.Ints[i])
 			} else {
 				var keyed bool
 				if h, keyed = keyHash(cb.Cols, i, keyIdx); !keyed {
 					continue
 				}
 			}
-			all.refs = append(all.refs, rowRef{batch: int32(b), row: int32(i)})
-			all.hashes = append(all.hashes, h)
+			t.refs = append(t.refs, rowRef{batch: int32(b), row: int32(i)})
+			t.hashes = append(t.hashes, h)
 		}
 	}
-	all.lays = batchLayouts(all.batches)
-	if np == 1 {
-		all.index()
-		return []*joinTable{all}, nil
-	}
-	parts := make([]*joinTable, np)
-	for p := range parts {
-		parts[p] = &joinTable{keyIdx: keyIdx, batches: all.batches, lays: all.lays}
-	}
-	for r, h := range all.hashes {
-		t := parts[h%uint64(np)]
-		t.refs = append(t.refs, all.refs[r])
-		t.hashes = append(t.hashes, h)
-		if all.intKeys != nil {
-			t.intKeys = append(t.intKeys, all.intKeys[r])
-		}
-	}
-	var wg sync.WaitGroup
-	for _, t := range parts {
-		wg.Add(1)
-		go func(t *joinTable) {
-			defer wg.Done()
-			t.index()
-		}(t)
-	}
-	wg.Wait()
-	return parts, nil
+	t.lays = batchLayouts(t.batches)
+	t.index()
+	return t, nil
 }
 
 // len returns the stored row count.
@@ -282,33 +253,27 @@ func cellsEqual(a *ColVec, i int, b *ColVec, j int) bool {
 	return Compare(a.Value(i), b.Value(j)) == 0
 }
 
-// probeHits is what narrowProbe leaves of one probe column batch for
-// one build table: the physical ids of the rows whose key the table
-// holds, in the batch's live order, and beside each the head of its
-// match chain.
+// probeHits is what narrowProbe leaves of one probe column batch: the
+// physical ids of the rows whose key the build table holds, in the
+// batch's live order, and beside each the head of its match chain.
 type probeHits struct {
 	sel   []int32
 	heads []int32
 }
 
 // narrowProbe looks every live row of a probe column batch up in the
-// build table its key hashes to — parts[h mod len(parts)], the
-// partition rule of the parallel join's build and trivially the one
-// table of the serial joins — and fills hits[p] with the rows that found
-// a partner in parts[p]. The key is read from the column vectors, and a
-// key that is one int column is hashed and compared without building
-// its Value. NULL keys never join.
-func narrowProbe(parts []*joinTable, cb *ColBatch, probeIdx []int, hits []probeHits) {
-	for p := range hits {
-		hits[p].sel, hits[p].heads = hits[p].sel[:0], hits[p].heads[:0]
-	}
+// build table t and fills hits with the rows that found a partner. The
+// key is read from the column vectors, and a key that is one int column
+// is hashed and compared without building its Value. NULL keys never
+// join.
+func narrowProbe(t *joinTable, cb *ColBatch, probeIdx []int, hits *probeHits) {
+	hits.sel, hits.heads = hits.sel[:0], hits.heads[:0]
 	var ints *ColVec
 	if len(probeIdx) == 1 {
 		if col := &cb.Cols[probeIdx[0]]; col.Vals == nil && col.Kind == KindInt {
 			ints = col
 		}
 	}
-	np := uint64(len(parts))
 	for k, n := 0, cb.Rows(); k < n; k++ {
 		i := cb.RowID(k)
 		var h uint64
@@ -323,19 +288,15 @@ func narrowProbe(parts []*joinTable, cb *ColBatch, probeIdx []int, hits []probeH
 				continue
 			}
 		}
-		var p uint64 // a division per row is dear beside the lookup: skip it for one table
-		if np > 1 {
-			p = h % np
-		}
 		var head int32
-		if t := parts[p]; ints != nil && t.intKeys != nil {
+		if ints != nil && t.intKeys != nil {
 			head = t.lookupInt(h, ints.Ints[i])
 		} else {
 			head = t.lookup(h, cb.Cols, i, probeIdx)
 		}
 		if head >= 0 {
-			hits[p].sel = append(hits[p].sel, int32(i))
-			hits[p].heads = append(hits[p].heads, head)
+			hits.sel = append(hits.sel, int32(i))
+			hits.heads = append(hits.heads, head)
 		}
 	}
 }

@@ -7,28 +7,28 @@ import (
 	"testing"
 )
 
-// mustBuild drains it (opened here) into np join tables keyed by keyIdx.
-func mustBuild(t testing.TB, it Iterator, keyIdx []int, np int) []*joinTable {
+// mustBuild drains it (opened here) into a join table keyed by keyIdx.
+func mustBuild(t testing.TB, it Iterator, keyIdx []int) *joinTable {
 	t.Helper()
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
 	}
-	parts, err := buildJoinTables(it, keyIdx, np)
+	tbl, err := buildJoinTable(it, keyIdx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return parts
+	return tbl
 }
 
 // probeKey looks the one-column key v up in tbl the way narrowProbe
 // does and returns the chain's second column, in chain order.
 func probeKey(tbl *joinTable, v Value) []int64 {
 	cb := transpose([]Tuple{{v}}, NewSchema(Column{Name: "k"}))
-	var hits [1]probeHits
-	narrowProbe([]*joinTable{tbl}, &cb, []int{0}, hits[:])
+	var hits probeHits
+	narrowProbe(tbl, &cb, []int{0}, &hits)
 	var got []int64
-	if len(hits[0].sel) == 1 {
-		for m := hits[0].heads[0]; m >= 0; m = tbl.next[m] {
+	if len(hits.sel) == 1 {
+		for m := hits.heads[0]; m >= 0; m = tbl.next[m] {
 			cols, i := tbl.cols(m)
 			got = append(got, cols[1].Value(i).AsInt())
 		}
@@ -51,7 +51,7 @@ func TestJoinTableChains(t *testing.T) {
 	}
 	src := &ColBatch{Sch: NewSchema(Column{Name: "k", Kind: KindInt}, Column{Name: "i", Kind: KindInt}),
 		Cols: []ColVec{IntVec(keys, nil), IntVec(ids, nil)}, N: n}
-	tbl := mustBuild(t, &colScanIter{src: src}, []int{0}, 1)[0]
+	tbl := mustBuild(t, &colScanIter{src: src}, []int{0})
 	if tbl.len() != n || len(tbl.batches) != (n+DefaultBatchSize-1)/DefaultBatchSize {
 		t.Fatalf("%d rows in %d batches, want %d rows in windows of %d", tbl.len(), len(tbl.batches), n, DefaultBatchSize)
 	}
@@ -82,7 +82,7 @@ func TestJoinTableNullKeys(t *testing.T) {
 	rel := testRel([]string{"a", "b"}, [][]int64{{1, 2}, {3, 4}})
 	rel.Rows = append(rel.Rows, Tuple{Int(1), Null()}, Tuple{Null(), Str("x")})
 	for name, in := range map[string]Iterator{"typed": newColSource(rel, 2), "generic": NewScan(rel)} {
-		if tbl := mustBuild(t, in, []int{0, 1}, 1)[0]; tbl.len() != 2 {
+		if tbl := mustBuild(t, in, []int{0, 1}); tbl.len() != 2 {
 			t.Fatalf("%s: %d rows stored, want the 2 without a NULL key", name, tbl.len())
 		}
 	}
@@ -98,7 +98,7 @@ func TestJoinTableNumericKeyNormalization(t *testing.T) {
 		rel.Append(Tuple{v, Int(int64(i))})
 	}
 	for name, in := range map[string]Iterator{"generic": NewScan(rel), "per batch": newColSource(rel, 1)} {
-		tbl := mustBuild(t, in, []int{0}, 1)[0]
+		tbl := mustBuild(t, in, []int{0})
 		if got := probeKey(tbl, Float(5)); fmt.Sprint(got) != "[0 1 2]" {
 			t.Fatalf("%s: the float 5 meets %v, want rows [0 1 2]", name, got)
 		}
@@ -112,10 +112,10 @@ func TestJoinTableNumericKeyNormalization(t *testing.T) {
 }
 
 // TestNarrowProbeHashIsHashKeyAt: narrowProbe files a probe row under
-// the hash its boxed key has (HashTuple) — so it finds the partition and
-// the slot the build side used — whatever layout the key column arrives
-// in: typed ints (hashed from the payload, hashIntKey), bools, floats,
-// strings, and generic vectors, with NULL keys left out.
+// the hash its boxed key has (HashTuple) — so it finds the slot the
+// build side used — whatever layout the key column arrives in: typed
+// ints (hashed from the payload, hashIntKey), bools, floats, strings,
+// and generic vectors, with NULL keys left out.
 func TestNarrowProbeHashIsHashKeyAt(t *testing.T) {
 	for _, x := range []int64{0, 1, -1, 42, 1 << 40, -(1 << 53), math.MaxInt64, math.MinInt64} {
 		want := HashTuple(Tuple{Int(x)})
@@ -136,33 +136,29 @@ func TestNarrowProbeHashIsHashKeyAt(t *testing.T) {
 		"string":  StrVec([]string{"a", "", "b", "a", "", "c"}, nulls),
 		"generic": GenericVec([]Value{Int(3), Null(), Str("a"), Float(3), Bool(true), Int(-7)}),
 	}
-	const np = 3
 	for name, vec := range vecs {
 		sch := NewSchema(Column{Name: "pad"}, Column{Name: "k", Kind: vec.Kind})
 		cb := &ColBatch{Sch: sch, Cols: []ColVec{IntVec(make([]int64, 6), nil), vec}, N: 6, Sel: []int32{5, 0, 1, 2, 3, 4}}
-		// The build side is the batch's own rows, partitioned as the
-		// parallel join partitions them: every non-NULL probe row must then
-		// find itself, in the partition its boxed key hashes to.
+		// The build side is the batch's own rows, hashed from their boxed
+		// keys: every non-NULL probe row must then find itself, in live
+		// order.
 		rows := cb.Materialize(nil)
-		parts := mustBuild(t, NewScan(&Relation{Sch: sch, Rows: rows}), []int{1}, np)
-		want := make([][]int32, np)
+		tbl := mustBuild(t, NewScan(&Relation{Sch: sch, Rows: rows}), []int{1})
+		var want []int32
 		for k, row := range rows {
 			if !row[1].IsNull() {
-				h := HashTuple(row[1:])
-				want[h%np] = append(want[h%np], cb.Sel[k])
+				want = append(want, cb.Sel[k])
 			}
 		}
-		hits := make([]probeHits, np)
-		narrowProbe(parts, cb, []int{1}, hits)
-		for p := range hits {
-			if fmt.Sprint(hits[p].sel) != fmt.Sprint(want[p]) {
-				t.Errorf("%s keys: partition %d holds rows %v, their hash sends it %v", name, p, hits[p].sel, want[p])
-			}
-			for i, head := range hits[p].heads {
-				cols, r := parts[p].cols(head)
-				if key := cols[1].Value(r); Compare(key, vec.Value(int(hits[p].sel[i]))) != 0 {
-					t.Errorf("%s keys: row %d was given the chain of key %v", name, hits[p].sel[i], key)
-				}
+		var hits probeHits
+		narrowProbe(tbl, cb, []int{1}, &hits)
+		if fmt.Sprint(hits.sel) != fmt.Sprint(want) {
+			t.Errorf("%s keys: rows %v found a partner, want %v", name, hits.sel, want)
+		}
+		for i, head := range hits.heads {
+			cols, r := tbl.cols(head)
+			if key := cols[1].Value(r); Compare(key, vec.Value(int(hits.sel[i]))) != 0 {
+				t.Errorf("%s keys: row %d was given the chain of key %v", name, hits.sel[i], key)
 			}
 		}
 	}
@@ -326,7 +322,7 @@ func BenchmarkHashJoinBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mustBuild(b, newColSource(build, DefaultBatchSize), []int{0}, 1)
+		mustBuild(b, newColSource(build, DefaultBatchSize), []int{0})
 	}
 }
 

@@ -21,21 +21,16 @@ type KeyRangeNarrower interface {
 }
 
 // narrowProbeInput hands in, a join's probe input, the range of the build
-// keys held in tables when the key is the one int column probeIdx names
-// (the tables keep intKeys) and in can narrow.
-func narrowProbeInput(in Iterator, probeIdx []int, tables []*joinTable) {
+// keys held in t when the key is the one int column probeIdx names (t
+// keeps intKeys) and in can narrow.
+func narrowProbeInput(in Iterator, probeIdx []int, t *joinTable) {
 	n, ok := in.(KeyRangeNarrower)
-	if !ok || len(probeIdx) != 1 {
+	if !ok || len(probeIdx) != 1 || t.intKeys == nil {
 		return
 	}
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for _, t := range tables {
-		if t.intKeys == nil && t.len() > 0 {
-			return
-		}
-		for _, k := range t.intKeys {
-			lo, hi = min(lo, k), max(hi, k)
-		}
+	for _, k := range t.intKeys {
+		lo, hi = min(lo, k), max(hi, k)
 	}
 	if lo <= hi {
 		n.NarrowKeyRange(probeIdx[0], lo, hi)
@@ -68,16 +63,16 @@ type HashJoinIter struct {
 
 	outCols []string // output projection of the concatenated row (nil = all)
 
-	shape  *joinShape
-	tables [1]*joinTable
-	pred   *pairPred // nil = no residual
-	probe  colReader
-	cb     *ColBatch    // current probe batch; nil = pull the next
-	hits   [1]probeHits // cb narrowed to its matches
-	cur    joinCursor   // how far cb's matches are walked
-	cols   []ColVec     // reused output batch header
-	out    ColBatch
-	mat    materializer
+	shape *joinShape
+	table *joinTable
+	pred  *pairPred // nil = no residual
+	probe colReader
+	cb    *ColBatch  // current probe batch; nil = pull the next
+	hits  probeHits  // cb narrowed to its matches
+	cur   joinCursor // how far cb's matches are walked
+	cols  []ColVec   // reused output batch header
+	out   ColBatch
+	mat   materializer
 
 	probeRows, cellsGathered int64 // OperatorStats
 }
@@ -104,12 +99,10 @@ func (j *HashJoinIter) Open() error {
 		return err
 	}
 	j.pred = j.shape.pred()
-	tables, err := buildJoinTables(j.L, j.shape.lidx, 1)
-	if err != nil {
+	if j.table, err = buildJoinTable(j.L, j.shape.lidx); err != nil {
 		return err
 	}
-	j.tables[0] = tables[0]
-	narrowProbeInput(j.R, j.shape.ridx, j.tables[:])
+	narrowProbeInput(j.R, j.shape.ridx, j.table)
 	j.probe = newColReader(j.R)
 	j.cb = nil
 	j.cols = make([]ColVec, len(j.shape.out))
@@ -121,7 +114,7 @@ func (j *HashJoinIter) Open() error {
 // the previous call stopped, up to DefaultBatchSize output rows, and
 // gathers them; a probe batch without a match is skipped whole.
 func (j *HashJoinIter) NextColBatch() (*ColBatch, bool, error) {
-	t := j.tables[0]
+	t := j.table
 	if t.len() == 0 {
 		return nil, false, nil // nothing to join with: R is not read
 	}
@@ -132,11 +125,11 @@ func (j *HashJoinIter) NextColBatch() (*ColBatch, bool, error) {
 				return nil, false, err
 			}
 			j.probeRows += int64(cb.Rows())
-			narrowProbe(j.tables[:], cb, j.shape.ridx, j.hits[:])
+			narrowProbe(t, cb, j.shape.ridx, &j.hits)
 			j.cb = cb
 			j.cur.reset()
 		}
-		more := j.cur.fill(t, j.pred, j.cb, &j.hits[0], DefaultBatchSize)
+		more := j.cur.fill(t, j.pred, j.cb, &j.hits, DefaultBatchSize)
 		n := len(j.cur.bsel)
 		if n > 0 {
 			j.cur.gather(t, j.cb, j.shape.out, j.cols)
@@ -169,8 +162,8 @@ func (j *HashJoinIter) OperatorStats(emit func(key string, v int64)) {
 }
 
 func (j *HashJoinIter) Close() error {
-	j.tables[0], j.cb = nil, nil
-	j.hits, j.cur, j.cols, j.out = [1]probeHits{}, joinCursor{}, nil, ColBatch{}
+	j.table, j.cb = nil, nil
+	j.hits, j.cur, j.cols, j.out = probeHits{}, joinCursor{}, nil, ColBatch{}
 	j.probe, j.mat.rows = colReader{}, nil
 	err1 := j.L.Close()
 	err2 := j.R.Close()
@@ -648,14 +641,14 @@ type SemiJoinIter struct {
 	Residual Expr
 	Anti     bool
 
-	shape  *joinShape
-	tables [1]*joinTable
-	pred   *pairPred
-	in     colReader
-	hits   [1]probeHits
-	keep   []int32 // physical ids of the current batch's surviving rows
-	out    []Tuple // reused output batch headers
-	mat    materializer
+	shape *joinShape
+	table *joinTable
+	pred  *pairPred
+	in    colReader
+	hits  probeHits
+	keep  []int32 // physical ids of the current batch's surviving rows
+	out   []Tuple // reused output batch headers
+	mat   materializer
 }
 
 // NewSemiJoin builds a (anti-)semi-join.
@@ -678,13 +671,11 @@ func (j *SemiJoinIter) Open() error {
 	// Build phase on the right input. With no equi pairs the key is
 	// empty, so all right rows share one chain and every left row
 	// probes the full right side, as the keyless semantics require.
-	tables, err := buildJoinTables(j.R, j.shape.ridx, 1)
-	if err != nil {
+	if j.table, err = buildJoinTable(j.R, j.shape.ridx); err != nil {
 		return err
 	}
-	j.tables[0] = tables[0]
 	if !j.Anti { // the anti join keeps exactly the rows a range would skip
-		narrowProbeInput(j.L, j.shape.lidx, j.tables[:])
+		narrowProbeInput(j.L, j.shape.lidx, j.table)
 	}
 	j.in = newColReader(j.L)
 	j.mat.made = 0
@@ -694,7 +685,7 @@ func (j *SemiJoinIter) Open() error {
 // matched reports whether probe row i of cb, whose chain starts at
 // head, has a build row the residual holds on.
 func (j *SemiJoinIter) matched(head int32, cb *ColBatch, i int32) bool {
-	t := j.tables[0]
+	t := j.table
 	for m := head; m >= 0; m = t.next[m] {
 		if j.pred == nil || j.pred.holds(t, m, cb, i) {
 			return true
@@ -710,8 +701,8 @@ func (j *SemiJoinIter) NextBatch() ([]Tuple, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		narrowProbe(j.tables[:], cb, j.shape.lidx, j.hits[:])
-		h := &j.hits[0]
+		narrowProbe(j.table, cb, j.shape.lidx, &j.hits)
+		h := &j.hits
 		keep, hit := j.keep[:0], 0
 		for k, n := 0, cb.Rows(); k < n; k++ {
 			i := int32(cb.RowID(k))
@@ -744,7 +735,7 @@ func (j *SemiJoinIter) NextBatch() ([]Tuple, bool, error) {
 func (j *SemiJoinIter) OperatorStats(emit func(key string, v int64)) { j.mat.stats(emit) }
 
 func (j *SemiJoinIter) Close() error {
-	j.tables[0], j.hits, j.in = nil, [1]probeHits{}, colReader{}
+	j.table, j.hits, j.in = nil, probeHits{}, colReader{}
 	j.out, j.keep, j.mat.rows = nil, nil, nil
 	err1 := j.L.Close()
 	err2 := j.R.Close()

@@ -63,6 +63,29 @@ func refJoin(t *testing.T, l, r *Relation, pairs []EquiPair, residual Expr, out 
 	return res
 }
 
+// randJoinInput builds a relation (k int, s string, v float) with n rows
+// whose keys are drawn from [0, keys) with occasional NULLs, so joins
+// exercise skewed multi-match groups and NULL-key elimination.
+func randJoinInput(r *rand.Rand, n, keys int, prefix string) *Relation {
+	rel := NewRelation(NewSchema(
+		Column{Name: prefix + ".k", Kind: KindInt},
+		Column{Name: prefix + ".s", Kind: KindString},
+		Column{Name: prefix + ".v", Kind: KindFloat},
+	))
+	for i := 0; i < n; i++ {
+		k := Int(int64(r.Intn(keys)))
+		if r.Intn(20) == 0 {
+			k = Null()
+		}
+		rel.Append(Tuple{
+			k,
+			Str(fmt.Sprintf("s%d", r.Intn(8))),
+			Float(r.Float64()),
+		})
+	}
+	return rel
+}
+
 // mergeParts draws the k vertical partitions of one relation over n tuple
 // ids, in the U-layout a merge joins: partition p has a descriptor pair
 // p<p>.v, p<p>.r (variable 0 is the trivial one), the tuple id p<p>.tid
@@ -136,9 +159,8 @@ func joinInput(rng *rand.Rand, rel *Relation) (Iterator, string) {
 // relation on one or two key columns — an int key meeting the float it
 // equals, NULL keys, mixed-kind and generic columns, an empty side, a
 // build side larger than the probe side — every input in a random shape,
-// outputs straddling DefaultBatchSize. The serial join gives refJoin's
-// rows in refJoin's order at every step; the parallel join and the
-// nested loop the same bag.
+// outputs straddling DefaultBatchSize. The hash join gives refJoin's
+// rows in refJoin's order at every step; the nested loop the same bag.
 func TestHashJoinColumnarEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	straddled := 0
@@ -150,9 +172,8 @@ func TestHashJoinColumnarEquivalence(t *testing.T) {
 		}
 		parts := mergeParts(rng, k, n)
 		var shapes []string
-		serial, shape := joinInput(rng, parts[0])
+		join, shape := joinInput(rng, parts[0])
 		shapes = append(shapes, shape)
-		parallel, _ := joinInput(rng, parts[0])
 		want := parts[0]
 		for p := 1; p < k; p++ {
 			pairs := []EquiPair{{L: "p0.tid", R: fmt.Sprintf("p%d.tid", p)}}
@@ -163,18 +184,14 @@ func TestHashJoinColumnarEquivalence(t *testing.T) {
 			residual := And(psi...)
 			want = refJoin(t, want, parts[p], pairs, residual, nil)
 			rs, shape := joinInput(rng, parts[p])
-			rp, _ := joinInput(rng, parts[p])
 			shapes = append(shapes, shape)
-			serial = NewHashJoin(serial, rs, pairs, residual, nil)
-			parallel = NewParallelHashJoin(parallel, rp, pairs, residual, nil, 3)
+			join = NewHashJoin(join, rs, pairs, residual, nil)
 			if p < k-1 {
 				continue
 			}
 			name := fmt.Sprintf("iter %d: %d-way merge of %d tids over %v", iter, k, n, shapes)
-			checkJoinRows(t, name, want, mustDrain(t, serial), true)
-			checkJoinRows(t, name+" (parallel)", want, mustDrain(t, parallel), false)
-			serial, _ = joinInput(rng, want)
-			parallel, _ = joinInput(rng, want)
+			checkJoinRows(t, name, want, mustDrain(t, join), true)
+			join, _ = joinInput(rng, want)
 		}
 		// Across relations: the merge meets another relation on its
 		// attribute, and maybe its tid, from either side.
@@ -215,9 +232,6 @@ func TestHashJoinColumnarEquivalence(t *testing.T) {
 		rs, rshape := joinInput(rng, r)
 		name := fmt.Sprintf("iter %d: %d ⋈ %d rows on %v, %s ⋈ %s", iter, l.Len(), r.Len(), pairs, lshape, rshape)
 		checkJoinRows(t, name, cross, mustDrain(t, NewHashJoin(ls, rs, pairs, residual, out)), true)
-		lp, _ := joinInput(rng, l)
-		rp, _ := joinInput(rng, r)
-		checkJoinRows(t, name+" (parallel)", cross, mustDrain(t, NewParallelHashJoin(lp, rp, pairs, residual, out, 3)), false)
 		if l.Len()*r.Len() < 400000 { // the nested loop tries every pair
 			cond := []Expr{residual}
 			for _, p := range pairs {
@@ -317,7 +331,7 @@ func (r *narrowRecorder) NarrowKeyRange(col int, lo, hi int64) {
 }
 
 // TestJoinsNarrowTheirProbeInput: once the build side is drained, the
-// serial and partitioned hash joins and the semi join hand their probe
+// hash join and the semi join hand their probe
 // input the least and greatest build key — NULL keys left out — when the
 // key is one int column, through a trace wrapper too; the anti join,
 // which keeps exactly the rows outside that range, never does, and
@@ -335,7 +349,6 @@ func TestJoinsNarrowTheirProbeInput(t *testing.T) {
 		want [][3]int64
 	}{
 		{"hash", func(p Iterator) Iterator { return NewHashJoin(newColSource(build, 2), p, on, nil, nil) }, [][3]int64{{0, 3, 12}}},
-		{"parallel", func(p Iterator) Iterator { return NewParallelHashJoin(newColSource(build, 2), p, on, nil, nil, 3) }, [][3]int64{{0, 3, 12}}},
 		{"traced", func(p Iterator) Iterator {
 			return NewHashJoin(newColSource(build, 2), newTraceIter(p, obs.NewSpan("probe")), on, nil, nil)
 		}, [][3]int64{{0, 3, 12}}},

@@ -168,22 +168,6 @@ func applyIndexScans(p Plan, cat *Catalog) Plan {
 	return p.WithChildren(out)
 }
 
-// DefaultParallelThreshold is the estimated input row count above which
-// physical lowering switches to the parallel operators when the config's
-// Parallelism knob allows it. Below it, goroutine fan-out costs more
-// than it saves.
-const DefaultParallelThreshold = 8192
-
-// parallelWorthwhile is the planner's serial-vs-parallel decision for an
-// operator whose input is estimated at rows tuples.
-func parallelWorthwhile(cfg ExecConfig, rows float64) bool {
-	thr := cfg.ParallelThreshold
-	if thr <= 0 {
-		thr = DefaultParallelThreshold
-	}
-	return rows >= thr
-}
-
 // pushFilters recursively pushes selection predicates downwards.
 func pushFilters(p Plan, cat *Catalog) Plan {
 	switch n := p.(type) {

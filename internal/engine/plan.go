@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 
 	"urel/internal/obs"
 )
@@ -378,50 +377,37 @@ const (
 )
 
 // ExecConfig controls physical lowering; the zero value is the default
-// configuration (optimizer on, automatic join selection, serial
-// execution).
+// configuration (optimizer on, automatic join selection).
 type ExecConfig struct {
 	// DisableOptimizer skips logical optimization in Run/Explain.
 	DisableOptimizer bool
 	// Join forces a physical join algorithm (ablation experiments).
 	Join JoinAlgo
-	// Parallelism enables the parallel physical operators: 0 or 1 runs
-	// fully serial (the default), n > 1 allows up to n worker
-	// goroutines, and any negative value selects one worker per logical
-	// CPU (runtime.GOMAXPROCS). Plans only switch to parallel operators
-	// on inputs whose estimated cardinality clears ParallelThreshold, so
-	// small queries keep the cheaper serial operators.
-	Parallelism int
-	// ParallelThreshold overrides the minimum estimated input row count
-	// at which plans choose parallel operators; 0 means
-	// DefaultParallelThreshold.
-	ParallelThreshold float64
 	// Trace, when non-nil, is the parent span operator traces attach
 	// under: Build gives every plan node a child span and wraps its
 	// iterator so actual rows/batches/time (and store-side stats) are
 	// recorded. Nil — the default — builds the exact untraced iterator
 	// tree; tracing costs nothing when off.
 	Trace *obs.Span
+
+	// Parallelism and ParallelThreshold are ignored — the engine runs
+	// every plan serially; kept only so the gated benchmark module
+	// compiles, and deleted by the benchmark re-baseline PR.
+	Parallelism       int
+	ParallelThreshold float64
 }
 
-// workers returns the effective worker count implied by Parallelism.
-func (c ExecConfig) workers() int {
-	if c.Parallelism == 0 || c.Parallelism == 1 {
-		return 1
-	}
-	return effectiveWorkers(c.Parallelism)
-}
-
-// Build lowers a logical plan to a physical iterator tree. Every
-// physical choice on the way — the join strategy, serial or parallel
-// operators — reads one estimator, the type Optimize and Explain use,
-// and reads it only where a choice is open: a serial, untraced plan
-// without an index-join candidate takes no estimate. With cfg.Trace
-// set, every node also gets a span recording its actuals next to that
-// same estimate — the recursion threads each node's span through cfg so
-// children attach beneath their parent. A plan Optimize returned is
-// only read, so concurrent Builds of it are safe; an unoptimized plan
-// is advised here first.
+// Build lowers a logical plan to a physical iterator tree, one operator
+// per node: a filter lowers to FilterIter and an inner equi-join to
+// HashJoinIter, unless the join strategy says otherwise. That choice
+// reads one estimator, the type Optimize and Explain use, and reads it
+// only where it is open: an untraced plan without an index-join
+// candidate takes no estimate. With cfg.Trace set, every node also gets
+// a span recording its actuals next to that same estimate — the
+// recursion threads each node's span through cfg so children attach
+// beneath their parent. A plan Optimize returned is only read, so
+// concurrent Builds of it are safe; an unoptimized plan is advised here
+// first.
 func Build(p Plan, cat *Catalog, cfg ExecConfig) (Iterator, error) {
 	adviseFilters(p)
 	return lower(p, newEstimator(cat), cfg)
@@ -486,9 +472,6 @@ func build(p Plan, est *estimator, cfg ExecConfig) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		if w := cfg.workers(); w > 1 && parallelWorthwhile(cfg, est.stats(n.Child).Rows) {
-			return NewParallelFilter(in, n.Cond, w), nil
-		}
 		return NewFilter(in, n.Cond), nil
 	case *ProjectPlan:
 		in, err := lower(n.Child, est, cfg)
@@ -532,11 +515,6 @@ func build(p Plan, est *estimator, cfg ExecConfig) (Iterator, error) {
 			return NewSemiJoin(l, r, c.pairs, c.residual, true), nil
 		case c.algo == JoinNestedLoop:
 			return NewNestedLoopJoin(l, r, n.Cond, n.Out), nil
-		}
-		// Parallelism pays off when either side is large.
-		if w := cfg.workers(); w > 1 &&
-			parallelWorthwhile(cfg, math.Max(est.stats(n.L).Rows, est.stats(n.R).Rows)) {
-			return NewParallelHashJoin(l, r, c.pairs, c.residual, n.Out, w), nil
 		}
 		return NewHashJoin(l, r, c.pairs, c.residual, n.Out), nil
 	case *UnionPlan:

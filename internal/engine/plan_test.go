@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -91,6 +94,111 @@ func TestJoinPhysicalConfigsAgree(t *testing.T) {
 	}
 	if results[0].Len() != 200 {
 		t.Fatalf("every order joins exactly once: got %d", results[0].Len())
+	}
+}
+
+// TestParallelFieldsAreInert: ExecConfig's Parallelism and
+// ParallelThreshold are ignored. A large join under a filter builds to
+// the same operator at every node, and gives the same rows in the same
+// order, with the default config and with both fields set.
+func TestParallelFieldsAreInert(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	l, r := randJoinInput(rng, 20000, 4000, "l"), randJoinInput(rng, 20000, 4000, "r")
+	p := Filter(Join(Values(l, "l"), Values(r, "r"), EqCols("l.k", "r.k")), Cmp(NE, Col("l.s"), Col("r.s")))
+	var shapes []string
+	var rows []*Relation
+	for _, cfg := range []ExecConfig{{}, {Parallelism: 4, ParallelThreshold: 1}} {
+		it, err := Build(p, NewCatalog(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes = append(shapes, iterShape(reflect.ValueOf(it)))
+		rows = append(rows, mustDrain(t, it))
+	}
+	if shapes[0] != shapes[1] {
+		t.Fatalf("Parallelism set builds %s, the default %s", shapes[1], shapes[0])
+	}
+	checkJoinRows(t, shapes[0], rows[0], rows[1], true)
+}
+
+// iterShape names the operator v holds and, in parentheses, the shapes
+// of the inputs it holds as Iterator fields.
+func iterShape(v reflect.Value) string {
+	if v.Kind() == reflect.Interface {
+		v = v.Elem()
+	}
+	name := v.Type().String()
+	if v.Kind() == reflect.Pointer {
+		v = v.Elem()
+	}
+	var kids []string
+	if v.Kind() == reflect.Struct {
+		iter := reflect.TypeOf((*Iterator)(nil)).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Type() == iter && !f.IsNil() {
+				kids = append(kids, iterShape(f))
+			}
+		}
+	}
+	return fmt.Sprintf("%s(%s)", name, strings.Join(kids, ", "))
+}
+
+// TestParallelHashJoinEquivalence: across random inputs and residuals,
+// the hash join gives refJoin's rows in refJoin's order, and so does the
+// same join built with any Parallelism value, which is ignored.
+func TestParallelHashJoinEquivalence(t *testing.T) {
+	pairs := []EquiPair{{L: "l.k", R: "r.k"}}
+	residuals := map[string]Expr{
+		"none":     nil,
+		"ne":       Cmp(NE, Col("l.s"), Col("r.s")),
+		"lt-float": Cmp(LT, Col("l.v"), Col("r.v")),
+	}
+	for seed := int64(0); seed < 2; seed++ {
+		for _, sz := range []struct{ ln, rn, keys int }{
+			{0, 50, 5}, {50, 0, 5},
+			{200, 300, 7},    // heavy skew: many matches per key
+			{1000, 800, 400}, // mostly unique keys
+			{1500, 1200, 60},
+		} {
+			for rname, residual := range residuals {
+				for _, workers := range []int{1, 3, 8} {
+					name := fmt.Sprintf("seed=%d/l=%d/r=%d/keys=%d/res=%s/w=%d", seed, sz.ln, sz.rn, sz.keys, rname, workers)
+					t.Run(name, func(t *testing.T) {
+						rng := rand.New(rand.NewSource(seed))
+						l, r := randJoinInput(rng, sz.ln, sz.keys, "l"), randJoinInput(rng, sz.rn, sz.keys, "r")
+						want := refJoin(t, l, r, pairs, residual, nil)
+						checkJoinRows(t, "hash join", want, mustDrain(t, NewHashJoin(NewScan(l), NewScan(r), pairs, residual, nil)), true)
+						p := Join(Values(l, "l"), Values(r, "r"), And(EqCols("l.k", "r.k"), residual))
+						it, err := Build(p, NewCatalog(), ExecConfig{Parallelism: workers, ParallelThreshold: 1})
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkJoinRows(t, "built with Parallelism set", want, mustDrain(t, it), true)
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestParallelFilterEquivalence: a filter built with any Parallelism
+// value, which is ignored, gives the serial filter's rows in order.
+func TestParallelFilterEquivalence(t *testing.T) {
+	for seed := int64(0); seed < 3; seed++ {
+		for _, n := range []int{0, 1, 100, 5000} {
+			for _, workers := range []int{1, 2, 4, 8} {
+				t.Run(fmt.Sprintf("seed=%d/n=%d/w=%d", seed, n, workers), func(t *testing.T) {
+					rel := randJoinInput(rand.New(rand.NewSource(seed)), n, 10, "t")
+					pred := Cmp(LT, Col("t.k"), ConstInt(5))
+					want := mustDrain(t, NewFilter(NewScan(rel), pred))
+					it, err := Build(Filter(Values(rel, "t"), pred), NewCatalog(), ExecConfig{Parallelism: workers, ParallelThreshold: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkJoinRows(t, "built with Parallelism set", want, mustDrain(t, it), true)
+				})
+			}
+		}
 	}
 }
 

@@ -66,9 +66,9 @@ func countSpans(sp *obs.Span) int {
 
 // TestTraceRowCountsMatchResult asserts the invariant EXPLAIN ANALYZE
 // rests on: the root operator's traced row count equals the rows the
-// query actually produced — under the serial and the parallel
-// operators, and with a filter pulling column batches through the
-// trace wrapper of a columnar leaf.
+// query actually produced — over row leaves, with the inert Parallelism
+// field set, and with a filter pulling
+// column batches through the trace wrapper of a columnar leaf.
 func TestTraceRowCountsMatchResult(t *testing.T) {
 	cat := planCatalog()
 	big := Cmp(GT, Col("o.total"), ConstInt(500))
@@ -93,7 +93,7 @@ func TestTraceRowCountsMatchResult(t *testing.T) {
 		cfg  ExecConfig
 	}{
 		{"serial", p, ExecConfig{}},
-		{"parallel", p, ExecConfig{Parallelism: 4}},
+		{"parallel", p, ExecConfig{Parallelism: 4}}, // ignored: traces as serial
 		{"columnar", colP, ExecConfig{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

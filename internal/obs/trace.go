@@ -14,11 +14,11 @@ import (
 // row/batch counts, inclusive wall time, and a small bag of
 // operator-specific stats (segments read, cache hits, bytes decoded).
 // The tree mirrors the physical plan; it is built single-threaded at
-// lowering time, but counters are updated from however many goroutines
-// drive the operator (parallel joins scatter work), so all updates are
-// atomic. A nil *Span is the disabled tracer: every method no-ops, so
-// call sites need no branches beyond the receiver nil check the
-// compiler already emits.
+// lowering time, and it assumes nothing about which goroutine updates
+// or reads a counter — a span is safe to share like any other value
+// handed down a call stack — so all updates are atomic. A nil *Span is
+// the disabled tracer: every method no-ops, so call sites need no
+// branches beyond the receiver nil check the compiler already emits.
 type Span struct {
 	op  string
 	est float64 // estimated rows at build time; NaN-free, <0 = unknown

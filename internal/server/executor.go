@@ -200,11 +200,10 @@ func (s *Server) executeExplain(req queryRequest, entry *catalogEntry, dbName st
 	}
 	db := entry.snapshot()
 	full := fullTranslation(ex.Query.Mode)
-	cfg := engine.ExecConfig{Parallelism: s.cfg.Parallelism}
 	start := time.Now()
 	resp := &queryResponse{DB: dbName, Mode: ex.Query.Mode.String(), Columns: []string{}, Rows: []any{}}
 	if ex.Analyze {
-		res, err := db.ExplainAnalyze(ex.Query.Query, full, cfg)
+		res, err := db.ExplainAnalyze(ex.Query.Query, full, engine.ExecConfig{})
 		if err != nil {
 			return nil, s.execError(err)
 		}
@@ -269,7 +268,7 @@ func (s *Server) evalRepr(db *core.UDB, parsed *sqlparse.Parsed, prep *preparedP
 		return nil, httpErrf(400,
 			`server: "wire": "repr" applies to CERTAIN and CONF statements (possible and plain answers merge row-wise; no representation exchange is needed)`)
 	}
-	cfg := engine.ExecConfig{Parallelism: s.cfg.Parallelism, Trace: trace}
+	cfg := engine.ExecConfig{Trace: trace}
 	res, herr := s.evalFull(db, prep, cfg, deadline)
 	if herr != nil {
 		return nil, herr
@@ -283,7 +282,7 @@ func (s *Server) evalRepr(db *core.UDB, parsed *sqlparse.Parsed, prep *preparedP
 // applies to CONF queries only. trace, when non-nil, collects the
 // operator trace of the relational plan.
 func (s *Server) evalMode(db *core.UDB, parsed *sqlparse.Parsed, prep *preparedPlan, accuracy string, deadline time.Time, trace *obs.Span) (*queryResponse, *httpError) {
-	cfg := engine.ExecConfig{Parallelism: s.cfg.Parallelism, Trace: trace}
+	cfg := engine.ExecConfig{Trace: trace}
 	switch parsed.Mode {
 	case sqlparse.ModePossible:
 		rel, truncated, err := runLimited(prep.plan, engine.NewCatalog(), cfg, s.cfg.MaxRows, deadline, true)

@@ -90,10 +90,6 @@ type Config struct {
 	// catalog's current snapshot. Default: 512.
 	PlanCacheSize int
 
-	// Parallelism is passed to the engine per query (0 = serial; the
-	// admission pool already provides inter-query parallelism).
-	Parallelism int
-
 	// Writable opens every catalog through the transactional write
 	// path (internal/txn): POST /exec accepts DML, reads serve MVCC
 	// snapshots, and /stats reports epochs and WAL bytes. Exactly one
@@ -379,9 +375,8 @@ func (s *Server) registerCatalogMetrics(name string, mut *txn.DB) {
 func (s *Server) OpenCatalog(name, dir string) error {
 	if s.cfg.Writable {
 		mut, err := txn.Open(dir, txn.Options{
-			Cache:       s.segCache,
-			FlushBytes:  s.cfg.FlushBytes,
-			Parallelism: s.cfg.Parallelism,
+			Cache:      s.segCache,
+			FlushBytes: s.cfg.FlushBytes,
 		})
 		if err != nil {
 			return fmt.Errorf("server: catalog %q: %w", name, err)
@@ -443,9 +438,8 @@ func (s *Server) promoteFollower(name string) {
 		return
 	}
 	mut, err := txn.Open(old.dir, txn.Options{
-		Cache:       s.segCache,
-		FlushBytes:  s.cfg.FlushBytes,
-		Parallelism: s.cfg.Parallelism,
+		Cache:      s.segCache,
+		FlushBytes: s.cfg.FlushBytes,
 	})
 	if err != nil {
 		// The replica keeps serving reads; the operator sees the failed

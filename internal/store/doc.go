@@ -68,7 +68,7 @@
 //     above a scan (the σ of the paper's Figure 4 translation) prune
 //     segments whose min/max statistics refute them, and the surviving
 //     row count is what the engine's estimator sees, so the join
-//     strategy and the serial-vs-parallel gate work on stored data. As
+//     strategy works on stored data. As
 //     an engine.IndexedSource (lookup.go) the plan also prices its own
 //     index probes: ProbeCost is a few rows behind a SegCache and
 //     two thirds of a segment without one, where every probe decodes the

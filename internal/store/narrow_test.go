@@ -238,8 +238,8 @@ func checkNarrowLayout(t *testing.T, rng *rand.Rand) narrowCounts {
 			}
 		}
 
-		for _, kind := range []string{"inner", "parallel", "rows", "semi", "anti"} {
-			want := map[string][]string{"inner": wantInner, "parallel": wantInner, "rows": wantInner, "semi": wantSemi, "anti": wantAnti}[kind]
+		for _, kind := range []string{"inner", "rows", "semi", "anti"} {
+			want := map[string][]string{"inner": wantInner, "rows": wantInner, "semi": wantSemi, "anti": wantAnti}[kind]
 			sort.Strings(want)
 			for _, narrow := range []bool{true, false} {
 				scan, err := src.ScanPlan(sch, w, []int{0}, "u_r_a").(*StoreScanPlan).BuildIter(engine.ExecConfig{})
@@ -255,9 +255,6 @@ func checkNarrowLayout(t *testing.T, rng *rand.Rand) narrowCounts {
 				switch kind {
 				case "inner":
 					join = engine.NewHashJoin(build(), probe, []engine.EquiPair{{L: "b.k", R: on.col}}, nil, nil)
-					probeCols = 1
-				case "parallel":
-					join = engine.NewParallelHashJoin(build(), probe, []engine.EquiPair{{L: "b.k", R: on.col}}, nil, nil, 3)
 					probeCols = 1
 				case "rows":
 					if narrow {

@@ -90,7 +90,7 @@ func TestSaveOpenVehicles(t *testing.T) {
 		}
 	}
 
-	// Queries agree, serial and parallel.
+	// Queries agree.
 	q := core.Poss(core.Project(core.Select(core.Rel("r"),
 		engine.And(
 			engine.Cmp(engine.EQ, engine.Col("type"), engine.ConstStr("Tank")),
@@ -99,17 +99,12 @@ func TestSaveOpenVehicles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []engine.ExecConfig{
-		{},
-		{Parallelism: 4, ParallelThreshold: 1},
-	} {
-		got, err := stored.EvalPoss(q, cfg)
-		if err != nil {
-			t.Fatalf("stored EvalPoss (cfg %+v): %v", cfg, err)
-		}
-		if !got.EqualAsSet(want) {
-			t.Fatalf("cfg %+v: stored answers differ:\ngot\n%s\nwant\n%s", cfg, got, want)
-		}
+	got, err := stored.EvalPoss(q, engine.ExecConfig{})
+	if err != nil {
+		t.Fatalf("stored EvalPoss: %v", err)
+	}
+	if !got.EqualAsSet(want) {
+		t.Fatalf("stored answers differ:\ngot\n%s\nwant\n%s", got, want)
 	}
 
 	// Row-reading representation algorithms refuse to run on a lazy
@@ -235,8 +230,7 @@ func randomDB(rng *rand.Rand) *core.UDB {
 // randomized databases, a saved-and-reopened database must (a)
 // materialize back to the exact original rows and (b) answer random
 // selection/projection queries identically to the in-memory original —
-// multiset-equal at the representation level and set-equal after poss
-// — under both serial and parallel execution.
+// multiset-equal at the representation level and set-equal after poss.
 func TestSaveOpenQueryProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 20; iter++ {
@@ -273,18 +267,13 @@ func TestSaveOpenQueryProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("iter %d: translate stored: %v", iter, err)
 			}
-			for _, cfg := range []engine.ExecConfig{
-				{},
-				{Parallelism: 3, ParallelThreshold: 1},
-			} {
-				stRel, err := engine.Run(stPlan, engine.NewCatalog(), cfg)
-				if err != nil {
-					t.Fatalf("iter %d: run stored (cfg %+v): %v", iter, cfg, err)
-				}
-				if !memRel.EqualAsBag(stRel) {
-					t.Fatalf("iter %d rel %s cfg %+v: representation results differ (%d vs %d rows)",
-						iter, relName, cfg, memRel.Len(), stRel.Len())
-				}
+			stRel, err := engine.Run(stPlan, engine.NewCatalog(), engine.ExecConfig{})
+			if err != nil {
+				t.Fatalf("iter %d: run stored: %v", iter, err)
+			}
+			if !memRel.EqualAsBag(stRel) {
+				t.Fatalf("iter %d rel %s: representation results differ (%d vs %d rows)",
+					iter, relName, memRel.Len(), stRel.Len())
 			}
 
 			// poss level: set equality.
@@ -293,7 +282,7 @@ func TestSaveOpenQueryProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("iter %d: mem EvalPoss: %v", iter, err)
 			}
-			got, err := stored.EvalPoss(q, engine.ExecConfig{Parallelism: 2, ParallelThreshold: 1})
+			got, err := stored.EvalPoss(q, engine.ExecConfig{})
 			if err != nil {
 				t.Fatalf("iter %d: stored EvalPoss: %v", iter, err)
 			}

@@ -33,9 +33,6 @@ type Options struct {
 	// entirely (no auto-flush, no auto-compaction); Flush and Compact
 	// remain available explicitly.
 	DisableAutoFlush bool
-	// Parallelism is the engine worker count for the relational plans
-	// DML executes (0 = serial).
-	Parallelism int
 }
 
 // DefaultFlushBytes is the auto-flush threshold: big enough that delta
@@ -455,7 +452,7 @@ func (d *DB) ExecStmt(st sqlparse.Statement) (*Result, error) {
 		return nil, &FenceError{Own: d.man.Fence, Incoming: d.man.FencedBy, Superseded: true}
 	}
 	s := d.state.Load()
-	ops, res, err := buildOps(s.udb, d.maxTID, d.layerGenLocked, st, d.opts.Parallelism)
+	ops, res, err := buildOps(s.udb, d.maxTID, d.layerGenLocked, st)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStatement, err)
 	}

@@ -38,14 +38,14 @@ import (
 // layerGen reports each partition's current file-layer count (the
 // scope recorded on tombstone batches).
 func buildOps(udb *core.UDB, maxTID map[string]int64, layerGen func(partKey) int,
-	st sqlparse.Statement, workers int) ([]store.WALOp, *Result, error) {
+	st sqlparse.Statement) ([]store.WALOp, *Result, error) {
 	switch s := st.(type) {
 	case *sqlparse.InsertStmt:
-		return buildInsert(udb, maxTID, s, workers)
+		return buildInsert(udb, maxTID, s)
 	case *sqlparse.DeleteStmt:
-		return buildDelete(udb, layerGen, s, workers)
+		return buildDelete(udb, layerGen, s)
 	case *sqlparse.UpdateStmt:
-		return buildUpdate(udb, layerGen, s, workers)
+		return buildUpdate(udb, layerGen, s)
 	default:
 		return nil, nil, fmt.Errorf("txn: unsupported statement %T", st)
 	}
@@ -84,7 +84,7 @@ func resolveCols(rs *core.URelSet, rel string, cols []string) ([]int, error) {
 	return out, nil
 }
 
-func buildInsert(udb *core.UDB, maxTID map[string]int64, st *sqlparse.InsertStmt, workers int) ([]store.WALOp, *Result, error) {
+func buildInsert(udb *core.UDB, maxTID map[string]int64, st *sqlparse.InsertStmt) ([]store.WALOp, *Result, error) {
 	rs, ok := udb.Rels[st.Table]
 	if !ok {
 		return nil, nil, fmt.Errorf("txn: unknown relation %q", st.Table)
@@ -110,7 +110,7 @@ func buildInsert(udb *core.UDB, maxTID map[string]int64, st *sqlparse.InsertStmt
 			src = append(src, srcRow{vals: row})
 		}
 	case st.Select.Mode == sqlparse.ModePossible:
-		rel, err := udb.EvalPoss(st.Select.Query, engine.ExecConfig{Parallelism: workers})
+		rel, err := udb.EvalPoss(st.Select.Query, engine.ExecConfig{})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -121,7 +121,7 @@ func buildInsert(udb *core.UDB, maxTID map[string]int64, st *sqlparse.InsertStmt
 			src = append(src, srcRow{vals: t})
 		}
 	default:
-		res, err := udb.Eval(st.Select.Query, engine.ExecConfig{Parallelism: workers})
+		res, err := udb.Eval(st.Select.Query, engine.ExecConfig{})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -196,7 +196,7 @@ type pick struct {
 	pairIdx [][2]int // (var, rng) result columns per descriptor slot
 }
 
-func matchPlan(udb *core.UDB, table string, where engine.Expr, workers int) (*matchResult, error) {
+func matchPlan(udb *core.UDB, table string, where engine.Expr) (*matchResult, error) {
 	rs, ok := udb.Rels[table]
 	if !ok {
 		return nil, fmt.Errorf("txn: unknown relation %q", table)
@@ -209,7 +209,7 @@ func matchPlan(udb *core.UDB, table string, where engine.Expr, workers int) (*ma
 	if err != nil {
 		return nil, err
 	}
-	rel, err := engine.Run(plan, engine.NewCatalog(), engine.ExecConfig{Parallelism: workers})
+	rel, err := engine.Run(plan, engine.NewCatalog(), engine.ExecConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -326,9 +326,9 @@ func (a *tombAcc) flatten() ([]store.WALTomb, []core.URow) {
 	return tombs, rows
 }
 
-func buildDelete(udb *core.UDB, layerGen func(partKey) int, st *sqlparse.DeleteStmt, workers int) ([]store.WALOp, *Result, error) {
+func buildDelete(udb *core.UDB, layerGen func(partKey) int, st *sqlparse.DeleteStmt) ([]store.WALOp, *Result, error) {
 	rs := udb.Rels[st.Table]
-	m, err := matchPlan(udb, st.Table, st.Where, workers)
+	m, err := matchPlan(udb, st.Table, st.Where)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -363,7 +363,7 @@ func buildDelete(udb *core.UDB, layerGen func(partKey) int, st *sqlparse.DeleteS
 	return ops, &Result{Kind: "delete", Tuples: len(tids), Tombstones: nTombs}, nil
 }
 
-func buildUpdate(udb *core.UDB, layerGen func(partKey) int, st *sqlparse.UpdateStmt, workers int) ([]store.WALOp, *Result, error) {
+func buildUpdate(udb *core.UDB, layerGen func(partKey) int, st *sqlparse.UpdateStmt) ([]store.WALOp, *Result, error) {
 	rs, ok := udb.Rels[st.Table]
 	if !ok {
 		return nil, nil, fmt.Errorf("txn: unknown relation %q", st.Table)
@@ -394,7 +394,7 @@ func buildUpdate(udb *core.UDB, layerGen func(partKey) int, st *sqlparse.UpdateS
 		return false
 	}
 
-	m, err := matchPlan(udb, st.Table, st.Where, workers)
+	m, err := matchPlan(udb, st.Table, st.Where)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -552,7 +552,7 @@ func (a *Applier) Apply(st sqlparse.Statement) (*Result, error) {
 	if _, ok := st.(*sqlparse.Parsed); ok {
 		return nil, fmt.Errorf("%w: txn: Apply wants a DML statement; run queries with EvalPoss/Eval", ErrStatement)
 	}
-	ops, res, err := buildOps(a.db, a.maxTID, func(partKey) int { return 0 }, st, 0)
+	ops, res, err := buildOps(a.db, a.maxTID, func(partKey) int { return 0 }, st)
 	if err != nil {
 		return nil, err
 	}

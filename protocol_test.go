@@ -21,11 +21,16 @@ import (
 // columnar capability is {NextColBatch, ColumnarNative} on top, and the
 // hash joins have it: both join types declare NextColBatch, and neither
 // they nor the join table hold a row slice — there is no row-keyed
-// table and no row probe beside the columnar one.
+// table and no row probe beside the columnar one. There is one engine
+// path, too: the parallel operators that lost to the serial ones are
+// banned, and an operator runs on its caller's goroutine — no non-test
+// file of package engine has a go statement.
 func TestOneRowProtocol(t *testing.T) {
-	banned := map[string]bool{"Batched": true, "Columnar": true, "batchAdapter": true, "rowColAdapter": true}
+	banned := map[string]bool{"Batched": true, "Columnar": true, "batchAdapter": true, "rowColAdapter": true,
+		"ParallelHashJoinIter": true, "ParallelFilterIter": true, "NewParallelHashJoin": true, "NewParallelFilter": true,
+		"parallelWorthwhile": true}
 	var iteratorMethods, columnarMethods []string
-	joins := map[string]map[string]bool{"HashJoinIter": {}, "ParallelHashJoinIter": {}}
+	joins := map[string]map[string]bool{"HashJoinIter": {}}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -47,6 +52,14 @@ func TestOneRowProtocol(t *testing.T) {
 		file, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			return err
+		}
+		if file.Name.Name == "engine" {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					t.Errorf("%s: go statement in package engine: an operator runs on its caller's goroutine", fset.Position(g.Pos()))
+				}
+				return true
+			})
 		}
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {

@@ -24,11 +24,8 @@
 //	        urel.Eq(urel.Col("type"), urel.Const(urel.Str("Tank")))))
 //	rel, err := db.EvalPoss(q, urel.Config{})
 //
-// Queries over large representations can opt into the engine's
-// parallel partitioned operators with urel.Parallel(0) (one worker per
-// CPU); the zero Config runs serial:
-//
-//	rel, err := db.EvalPoss(q, urel.Parallel(0))
+// A query runs as one serial relational plan; a server gets its
+// concurrency from serving many queries at once.
 //
 // The package re-exports the core types and constructors; the full
 // machinery (relational engine, world-sets, normalization, baselines,
@@ -110,18 +107,6 @@ type (
 // New creates an empty U-relational database with a fresh world table.
 func New() *DB { return core.NewUDB() }
 
-// Parallel returns a Config enabling the engine's parallel partitioned
-// operators with the given worker count; workers <= 0 selects one
-// worker per logical CPU. Plans still fall back to the serial operators
-// on inputs below the cardinality threshold (see
-// engine.DefaultParallelThreshold).
-func Parallel(workers int) Config {
-	if workers <= 0 {
-		workers = -1
-	}
-	return Config{Parallelism: workers}
-}
-
 // Save snapshots the entire database — world table, schemas, and all
 // U-relations — into dir as a columnar segment store (one binary file
 // per vertical partition plus a catalog manifest). The database is not
@@ -155,8 +140,8 @@ func Open(dir string) (*DB, error) { return store.Open(dir) }
 // into rewritten bases. Close it to release the directory.
 type RWDB = txn.DB
 
-// RWOptions configures OpenRW (segment cache, flush threshold, engine
-// parallelism for the relational plans DML executes).
+// RWOptions configures OpenRW (segment cache, flush threshold,
+// tombstone compaction threshold, background maintenance).
 type RWOptions = txn.Options
 
 // ExecResult reports what one DML statement did.
