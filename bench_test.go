@@ -1,8 +1,8 @@
 // Micro-benchmarks (ungated) for the measurements the gated benchmark in
 // benchmark/ has no metric for: Algorithm 1 normalization, the two
-// reductions, the optimizer ablation and the hash-vs-index join crossover
-// the knob audit needs, the hash join on synthetic input, and the write
-// path's tombstone filter and compaction. Run with:
+// reductions, the optimizer ablation, the hash join over an indexed
+// stored relation and on synthetic input, and the write path's tombstone
+// filter and compaction. Run with:
 //
 //	go test -run=NONE -bench=. -benchmem
 //
@@ -93,15 +93,13 @@ func BenchmarkAblation_Optimizer(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinStrategy regenerates the crossover table of
-// docs/ARCHITECTURE.md ("Join strategies"): a 20 000-row stored inner
-// side with an index on the join column, an outer side of m rows, the
-// join forced to hash and to index-nested-loop — cold (no segment cache:
-// every probe decodes the segment its key is in) and warm (segments stay
-// decoded). chooseJoin picks the index join below the crossover the
-// source's ProbeCost implies: m < n/2662 cold, m < n/8 warm. Each case
-// runs as the table has it, the join emitting the two answer columns,
-// and again emitting three (/out=3): with -benchmem the B/op of the two
+// BenchmarkJoinStrategy times the figures of docs/ARCHITECTURE.md
+// ("Join strategies"): a 20 000-row stored inner side with an index on
+// the join column, whose keys are uncorrelated with tid order, and an
+// outer side of m rows, hash-joined — cold (no segment cache: the join
+// decodes the inner side's segments its key range does not skip) and
+// warm (segments stay decoded). Each case runs the join emitting the two answer columns, and
+// again emitting three (/out=3): with -benchmem the B/op of the two
 // differ by the one column, since the join gathers only its output.
 //
 // The warm/probe=… cases take the hash join alone, over the decoded
@@ -153,26 +151,21 @@ func BenchmarkJoinStrategy(b *testing.B) {
 		for _, m := range outers {
 			join := core.Join(core.RelAs(fmt.Sprintf("o%d", m), "s"), core.RelAs("big", "b"),
 				engine.Eq(engine.Col("s.k"), engine.Col("b.k")))
-			for _, algo := range []struct {
+			for _, out := range []struct {
 				name string
-				a    engine.JoinAlgo
-			}{{"hash", engine.JoinHash}, {"index", engine.JoinIndex}} {
-				for _, out := range []struct {
-					name string
-					q    core.Query
-				}{{"", core.Project(join, "s.k", "b.v")}, {"/out=3", core.Project(join, "s.k", "s.w", "b.v")}} {
-					b.Run(fmt.Sprintf("%s/m=%d/%s%s", mode.name, m, algo.name, out.name), func(b *testing.B) {
-						for i := 0; i < b.N; i++ {
-							rel, err := d.Snapshot().EvalPoss(out.q, engine.ExecConfig{Join: algo.a})
-							if err != nil {
-								b.Fatal(err)
-							}
-							if rel.Len() != m {
-								b.Fatalf("%d answers, want %d", rel.Len(), m)
-							}
+				q    core.Query
+			}{{"", core.Project(join, "s.k", "b.v")}, {"/out=3", core.Project(join, "s.k", "s.w", "b.v")}} {
+				b.Run(fmt.Sprintf("%s/m=%d%s", mode.name, m, out.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						rel, err := d.Snapshot().EvalPoss(out.q, engine.ExecConfig{})
+						if err != nil {
+							b.Fatal(err)
 						}
-					})
-				}
+						if rel.Len() != m {
+							b.Fatalf("%d answers, want %d", rel.Len(), m)
+						}
+					}
+				})
 			}
 		}
 		if mode.cache != nil {

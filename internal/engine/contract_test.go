@@ -40,7 +40,7 @@ func (p *poisonSource) NextBatch() ([]Tuple, bool, error) {
 }
 
 // indexedRel is an IndexedSource over an in-memory relation whose
-// "index" is a filtered scan, enough to drive IndexJoinIter.
+// "index" is a filtered scan, enough to drive the index scan rewrite.
 type indexedRel struct{ rel *Relation }
 
 func (x *indexedRel) Schema(*Catalog) (Schema, error)        { return x.rel.Sch, nil }
@@ -52,7 +52,6 @@ func (x *indexedRel) BuildIter(ExecConfig) (Iterator, error) { return NewScan(x.
 func (x *indexedRel) SourceName() string                     { return "rel" }
 func (x *indexedRel) IndexedCols() []string                  { return x.rel.Sch.Names() }
 func (x *indexedRel) LookupEstimate(string) float64          { return 1 }
-func (x *indexedRel) ProbeCost(string) float64               { return 8 }
 func (x *indexedRel) LookupEq(col string, key Value) (Iterator, error) {
 	return NewFilter(NewScan(x.rel), Cmp(EQ, Col(col), Const(key))), nil
 }
@@ -158,9 +157,6 @@ func TestBatchContract(t *testing.T) {
 		"NewExtend": func(l, r Iterator) Iterator {
 			return NewExtend(l, []NamedExpr{{Name: "k2", E: Arith(AddOp, Col("l.k"), ConstInt(1)), Kind: KindInt}})
 		},
-		"NewIndexJoin": func(l, r Iterator) Iterator {
-			return NewIndexJoin(NewLimit(l, 150), &indexedRel{rel: rrel}, rrel.Sch, []string{"r.s", "r.k"}, "l.k", "r.k", ne, []string{"r.k", "l.s", "l.v"})
-		},
 	}
 	for _, ctor := range operatorConstructors(t) {
 		if cases[ctor] == nil {
@@ -245,7 +241,6 @@ func TestJoinOutIsProjection(t *testing.T) {
 	rrel := randJoinInput(rng, 500, 25, "r")
 	pairs := []EquiPair{{L: "l.k", R: "r.k"}}
 	full := lrel.Sch.Concat(rrel.Sch).Names()
-	idxProj := []string{"r.s", "r.k"}
 	joins := map[string]func(res Expr, out []string) Iterator{
 		"hash": func(res Expr, out []string) Iterator {
 			return NewHashJoin(NewScan(lrel), NewScan(rrel), pairs, res, out)
@@ -253,17 +248,10 @@ func TestJoinOutIsProjection(t *testing.T) {
 		"nested loop": func(res Expr, out []string) Iterator {
 			return NewNestedLoopJoin(NewLimit(NewScan(lrel), 60), NewScan(rrel), And(EqCols("l.k", "r.k"), res), out)
 		},
-		"index": func(res Expr, out []string) Iterator {
-			return NewIndexJoin(NewLimit(NewScan(lrel), 90), &indexedRel{rel: rrel}, rrel.Sch, idxProj, "l.k", "r.k", res, out)
-		},
 	}
 	for name, mk := range joins {
-		names := full
-		if name == "index" {
-			names = append(lrel.Sch.Names(), idxProj...)
-		}
 		for iter := 0; iter < 12; iter++ {
-			out := randOut(rng, names)
+			out := randOut(rng, full)
 			var res Expr
 			if iter%2 == 1 {
 				res = Cmp(NE, Col("l.s"), Col("r.s"))

@@ -49,15 +49,14 @@
 // smaller side and a relation's partitions are merged starting at the
 // one the selection cut. Every operator runs on its caller's goroutine:
 // a query is one serial pipeline, and concurrency comes from serving
-// many queries at once. There are three join strategies: the hash join,
-// index-nested-loop when a small outer side meets an indexed storage
-// leaf (chooseJoin; the leaf prices its own probes,
-// IndexedSource.ProbeCost), and the nested loop for joins without an
-// equi pair, which the property tests also force as the hash join's
-// cross-check. Lowering, EXPLAIN and the
-// est= of every EXPLAIN ANALYZE span read one estimator — the
-// optimizer's (stats.go) — so est-drift is a statement about the
-// numbers the plan was actually chosen on.
+// many queries at once. There are two join strategies, chosen from the
+// join's schemas alone (chooseJoin): the hash join for every join with
+// an equi pair, and the nested loop for joins without one, which the
+// property tests also force as the hash join's cross-check. An indexed
+// storage leaf serves equality filters (IndexScanPlan), never a join.
+// EXPLAIN and the est= of every EXPLAIN ANALYZE span read one estimator
+// — the optimizer's (stats.go) — so est-drift is a statement about the
+// numbers the plan was actually chosen on; an untraced Build reads none.
 //
 // Paper-section map: plan.go/optimizer.go — the "standard techniques
 // employed in off-the-shelf relational DBMS" (Sections 3 and 6) that

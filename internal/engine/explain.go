@@ -31,7 +31,7 @@ func Explain(p Plan, cat *Catalog, optimize bool) (string, error) {
 // columnar node under a row operator hands it tuples, made there once.
 // It is the same answer the physical operators reach at Open
 // (NativeColumnar), whatever the ExecConfig.
-func execMode(p Plan, est *estimator) string {
+func execMode(p Plan, cat *Catalog) string {
 	for {
 		switch n := p.(type) {
 		case *IndexScanPlan:
@@ -45,7 +45,7 @@ func execMode(p Plan, est *estimator) string {
 			if n.Kind != InnerJoin {
 				return "row"
 			}
-			if c, err := chooseJoin(n, est, JoinAuto); err != nil || c.algo != JoinHash {
+			if c, err := chooseJoin(n, cat, JoinAuto); err != nil || c.algo != JoinHash {
 				return "row"
 			}
 			return "columnar"
@@ -68,18 +68,15 @@ func explainNode(b *strings.Builder, p Plan, est *estimator, depth int, root boo
 		head = indent + "->  "
 	}
 	st := est.stats(p)
-	mode := execMode(p, est)
+	mode := execMode(p, est.cat)
 	switch n := p.(type) {
 	case *JoinPlan:
-		// The decision Build makes under the default configuration, on
-		// this call's estimator: the rows= printed around the join are the
-		// rows it was chosen on. (A join whose input schemas do not
-		// resolve prints as a bare nested loop; Build reports the error.)
-		c, _ := chooseJoin(n, est, JoinAuto)
+		// The decision Build makes under the default configuration. (A
+		// join whose input schemas do not resolve prints as a bare nested
+		// loop; Build reports the error.)
+		c, _ := chooseJoin(n, est.cat, JoinAuto)
 		fmt.Fprintf(b, "%s%s  (rows=%.0f exec=%s)\n", head, c.label(n.Kind), st.Rows, mode)
-		if c.algo == JoinIndex {
-			fmt.Fprintf(b, "%s      Index Cond: (%s = %s) on %s\n", indent, c.lcol, c.rcol, c.src.SourceName())
-		} else if len(c.pairs) > 0 {
+		if len(c.pairs) > 0 {
 			conds := make([]string, len(c.pairs))
 			for i, pr := range c.pairs {
 				conds[i] = fmt.Sprintf("(%s = %s)", pr.L, pr.R)

@@ -364,16 +364,13 @@ func joinStrings(ss []string) string {
 // JoinAlgo selects the physical join algorithm.
 type JoinAlgo uint8
 
-// Physical join algorithm choices. JoinAuto lets chooseJoin decide
-// from the estimates; nested loop is the only strategy for a join
-// without an equi pair whatever is forced.
+// Physical join algorithm choices. JoinAuto lets chooseJoin decide,
+// which means the hash join for every join with an equi pair; nested
+// loop is the only strategy for a join without one whatever is forced.
 const (
 	JoinAuto JoinAlgo = iota
 	JoinHash
 	JoinNestedLoop
-	// JoinIndex forces index-nested-loop; it degrades to hash when the
-	// right side has no usable index on a join column.
-	JoinIndex
 )
 
 // ExecConfig controls physical lowering; the zero value is the default
@@ -399,18 +396,28 @@ type ExecConfig struct {
 
 // Build lowers a logical plan to a physical iterator tree, one operator
 // per node: a filter lowers to FilterIter and an inner equi-join to
-// HashJoinIter, unless the join strategy says otherwise. That choice
-// reads one estimator, the type Optimize and Explain use, and reads it
-// only where it is open: an untraced plan without an index-join
-// candidate takes no estimate. With cfg.Trace set, every node also gets
-// a span recording its actuals next to that same estimate — the
-// recursion threads each node's span through cfg so children attach
-// beneath their parent. A plan Optimize returned is only read, so
-// concurrent Builds of it are safe; an unoptimized plan is advised here
-// first.
+// HashJoinIter, unless cfg.Join forces the nested loop. The join
+// strategy reads schemas only, so an untraced Build takes no estimate.
+// With cfg.Trace set, every node also gets a span recording its actuals
+// next to the estimate Optimize and Explain read — one estimator, the
+// same type — and the recursion threads each node's span through cfg so
+// children attach beneath their parent. A plan Optimize returned is
+// only read, so concurrent Builds of it are safe; an unoptimized plan
+// is advised here first.
 func Build(p Plan, cat *Catalog, cfg ExecConfig) (Iterator, error) {
 	adviseFilters(p)
-	return lower(p, newEstimator(cat), cfg)
+	b := lowering{cat: cat}
+	if cfg.Trace != nil {
+		b.est = newEstimator(cat)
+	}
+	return b.lower(p, cfg)
+}
+
+// lowering is one Build call: the catalog the plan resolves against,
+// and, when it is traced, the estimator its spans' est= come from.
+type lowering struct {
+	cat *Catalog
+	est *estimator // nil when untraced
 }
 
 // adviseFilters hands every selection that sits directly on a
@@ -430,34 +437,34 @@ func adviseFilters(p Plan) {
 }
 
 // lower is build plus, when tracing, the node's span: labelled with the
-// operator actually chosen and carrying the estimate the choice read.
-// (chooseJoin depends only on the plan and the memoized estimates, so
-// build reaches the same choice the label was taken from.)
-func lower(p Plan, est *estimator, cfg ExecConfig) (Iterator, error) {
+// operator actually chosen and carrying the node's estimate. (chooseJoin
+// depends only on the plan's schemas, so build reaches the same choice
+// the label was taken from.)
+func (b *lowering) lower(p Plan, cfg ExecConfig) (Iterator, error) {
 	if cfg.Trace == nil {
-		return build(p, est, cfg)
+		return b.build(p, cfg)
 	}
 	label := p.Label()
 	if j, ok := p.(*JoinPlan); ok {
-		c, err := chooseJoin(j, est, cfg.Join)
+		c, err := chooseJoin(j, b.cat, cfg.Join)
 		if err != nil {
 			return nil, err
 		}
 		label = c.label(j.Kind)
 	}
-	sp := cfg.Trace.Child(label, est.stats(p).Rows)
+	sp := cfg.Trace.Child(label, b.est.stats(p).Rows)
 	cfg.Trace = sp
-	it, err := build(p, est, cfg)
+	it, err := b.build(p, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return newTraceIter(it, sp), nil
 }
 
-func build(p Plan, est *estimator, cfg ExecConfig) (Iterator, error) {
+func (b *lowering) build(p Plan, cfg ExecConfig) (Iterator, error) {
 	switch n := p.(type) {
 	case *ScanPlan:
-		r, err := est.cat.Get(n.Name)
+		r, err := b.cat.Get(n.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -468,43 +475,33 @@ func build(p Plan, est *estimator, cfg ExecConfig) (Iterator, error) {
 		}
 		return NewScan(n.Rel), nil
 	case *FilterPlan:
-		in, err := lower(n.Child, est, cfg)
+		in, err := b.lower(n.Child, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewFilter(in, n.Cond), nil
 	case *ProjectPlan:
-		in, err := lower(n.Child, est, cfg)
+		in, err := b.lower(n.Child, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewProject(in, n.Names), nil
 	case *RenamePlan:
-		in, err := lower(n.Child, est, cfg)
+		in, err := b.lower(n.Child, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewRename(in, n.Names), nil
 	case *JoinPlan:
-		// The strategy is chosen before the inputs are lowered: an index
-		// join probes its right side instead of building it.
-		c, err := chooseJoin(n, est, cfg.Join)
+		c, err := chooseJoin(n, b.cat, cfg.Join)
 		if err != nil {
 			return nil, err
 		}
-		l, err := lower(n.L, est, cfg)
+		l, err := b.lower(n.L, cfg)
 		if err != nil {
 			return nil, err
 		}
-		if c.algo == JoinIndex {
-			srcSch, err := c.src.Schema(est.cat)
-			if err != nil {
-				return nil, err
-			}
-			return NewIndexJoin(l, c.src, srcSch, c.proj, c.lcol, c.rcol,
-				indexJoinResidual(c.rest, c.residual), n.Out), nil
-		}
-		r, err := lower(n.R, est, cfg)
+		r, err := b.lower(n.R, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -518,61 +515,61 @@ func build(p Plan, est *estimator, cfg ExecConfig) (Iterator, error) {
 		}
 		return NewHashJoin(l, r, c.pairs, c.residual, n.Out), nil
 	case *UnionPlan:
-		l, err := lower(n.L, est, cfg)
+		l, err := b.lower(n.L, cfg)
 		if err != nil {
 			return nil, err
 		}
-		r, err := lower(n.R, est, cfg)
+		r, err := b.lower(n.R, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewUnion(l, r), nil
 	case *DiffPlan:
-		l, err := lower(n.L, est, cfg)
+		l, err := b.lower(n.L, cfg)
 		if err != nil {
 			return nil, err
 		}
-		r, err := lower(n.R, est, cfg)
+		r, err := b.lower(n.R, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewDiff(l, r), nil
 	case *IntersectPlan:
-		l, err := lower(n.L, est, cfg)
+		l, err := b.lower(n.L, cfg)
 		if err != nil {
 			return nil, err
 		}
-		r, err := lower(n.R, est, cfg)
+		r, err := b.lower(n.R, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewIntersect(l, r), nil
 	case *DistinctPlan:
-		in, err := lower(n.Child, est, cfg)
+		in, err := b.lower(n.Child, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewDistinct(in), nil
 	case *SortPlan:
-		in, err := lower(n.Child, est, cfg)
+		in, err := b.lower(n.Child, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewSort(in, n.Keys), nil
 	case *LimitPlan:
-		in, err := lower(n.Child, est, cfg)
+		in, err := b.lower(n.Child, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewLimit(in, n.N), nil
 	case *AggPlan:
-		in, err := lower(n.Child, est, cfg)
+		in, err := b.lower(n.Child, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewHashAgg(in, n.GroupBy, n.Aggs), nil
 	case *ExtendPlan:
-		in, err := lower(n.Child, est, cfg)
+		in, err := b.lower(n.Child, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -173,10 +173,10 @@ type StatsSource interface {
 }
 
 // estimator answers the cost model's questions for one pass over a plan
-// (one Optimize, Explain or Build call — there is no other source of
-// row counts in this package): every plan node is estimated once and
-// every leaf's table statistics are fetched once, however often the
-// join orderer revisits a subtree. Plan nodes are immutable while a
+// (one Optimize, Explain or traced Build call — there is no other
+// source of row counts in this package): every plan node is estimated
+// once and every leaf's table statistics are fetched once, however
+// often the join orderer revisits a subtree. Plan nodes are immutable while a
 // pass runs, so node identity is a sound memo key.
 type estimator struct {
 	cat    *Catalog
@@ -193,8 +193,8 @@ func newEstimator(cat *Catalog) *estimator {
 // System-R-style optimizers use — because the paper's observation is
 // that standard selectivity-based cost measures work well on translated
 // U-relation queries. Callers estimating many nodes of one plan share
-// an estimator instead (Optimize, Explain, Build); this is the one-shot
-// form.
+// an estimator instead (Optimize, Explain, a traced Build); this is the
+// one-shot form.
 func EstimateStats(p Plan, cat *Catalog) PlanStats {
 	return newEstimator(cat).stats(p)
 }

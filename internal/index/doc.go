@@ -14,12 +14,12 @@
 // stays where the representation puts it — in the descriptor columns
 // the lookup path carries along untouched — which is why an index hit
 // composes with tombstone layers, the memtable, and confidence
-// computation for free. The alternative uncertain-join strategy the
-// runs enable — index-nested-loop beside the partitioned hash join —
-// is kept for the region where it wins, as Magnani & Montesi's
-// "Joining relations under discrete uncertainty" keeps a strategy, and
-// picked by the optimizer from estimated cardinalities and the store's
-// own price for a probe (docs/ARCHITECTURE.md, "Join strategies").
+// computation for free. The runs serve equality filters (the
+// optimizer's index scan), not joins: a join is a hash join that hands
+// its probe scan its build keys' range, and, as Magnani & Montesi's
+// "Joining relations under discrete uncertainty" keeps a join strategy
+// only where it measurably wins, an index-nested-loop join won no region
+// any workload reaches (docs/ARCHITECTURE.md, "Join strategies").
 //
 // A Run holds its sorted keys as one typed engine.ColVec: an int vector
 // for tuple-id runs and int columns, which Unmarshal decodes straight

@@ -67,12 +67,12 @@
 //     engine.FilterAdvisor: selection predicates evaluated directly
 //     above a scan (the σ of the paper's Figure 4 translation) prune
 //     segments whose min/max statistics refute them, and the surviving
-//     row count is what the engine's estimator sees, so the join
-//     strategy works on stored data. As
-//     an engine.IndexedSource (lookup.go) the plan also prices its own
-//     index probes: ProbeCost is a few rows behind a SegCache and
-//     two thirds of a segment without one, where every probe decodes the
-//     segment its key is in.
+//     row count is what the engine's estimator sees, so join ordering
+//     works on stored data. As an engine.IndexedSource (lookup.go) the
+//     plan also serves an equality filter on an indexed column as one
+//     probe of its runs. The in-memory delta comes out last, its
+//     descriptor and tid columns as int vectors, and a join that
+//     narrowed the tid column is served only the delta rows in range.
 //
 //   - Layered sources and deltas (source.go, walops.go, wal.go). A
 //     partition is a PartSource: one or more immutable file layers

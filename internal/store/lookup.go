@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"math"
 
 	"urel/internal/core"
 	"urel/internal/engine"
@@ -10,9 +9,9 @@ import (
 )
 
 // StoreScanPlan also implements engine.IndexedSource: the optimizer
-// rewrites selective equality filters into index probes and picks the
-// index-nested-loop join through these methods, still without the
-// engine importing this package.
+// rewrites an equality filter on an indexed column into an index probe
+// through these methods, still without the engine importing this
+// package.
 var _ engine.IndexedSource = (*StoreScanPlan)(nil)
 
 // SourceName names the partition for EXPLAIN.
@@ -111,34 +110,6 @@ func (p *StoreScanPlan) LookupEq(col string, key engine.Value) (engine.Iterator,
 	}
 	return &IndexLookupIter{Src: p.Src, Sch: p.Sch, Width: p.Width, AttrIdx: p.AttrIdx,
 		Ai: ai, IdxKey: k, Key: key}, nil
-}
-
-// One probe's cost in rows of a full scan (engine.IndexedSource), per
-// where the probed segment comes from. With a segment cache the
-// segment is already decoded and a probe is a binary search plus a row
-// fetch. Without one, every probe reads, checksums and decodes the
-// whole segment its key lives in, which is most of what a hash join
-// spends on that segment now that it probes the decoded columns and
-// materializes only the rows that join: about two thirds — for a
-// 4096-row segment some 2700 rows, the crossover BenchmarkJoinStrategy
-// measures (docs/ARCHITECTURE.md, "Join strategies"; a quarter while the
-// hash join still turned every probed row into a tuple).
-const (
-	cachedProbeRows     = 8
-	uncachedDecodeShare = 0.65
-)
-
-// ProbeCost prices one equality probe from what the scan can observe:
-// whether its file layers decode through a cache, and how many rows the
-// segment a probe decodes holds.
-func (p *StoreScanPlan) ProbeCost(string) float64 {
-	cost := float64(cachedProbeRows)
-	for _, h := range p.Src.Layers {
-		if h.cache.disabled() && h.NumSegments() > 0 {
-			cost = math.Max(cost, uncachedDecodeShare*float64(h.SegmentRows(0)))
-		}
-	}
-	return cost
 }
 
 // materializeStoredRow builds one output tuple from a decoded segment

@@ -22,9 +22,10 @@ type rowsOnly struct{ *StoreScanIter }
 
 func (rowsOnly) ColumnarNative() bool { return false }
 
-// narrowCounts is what the narrowed scans of some layouts skipped, and
-// how many of the layouts' layers held tuple ids out of order.
-type narrowCounts struct{ segments, rows, unsortedLayers int64 }
+// narrowCounts is what the narrowed scans of some layouts skipped, how
+// many of the layouts' layers held tuple ids out of order, and how many
+// joins whose build side held in-memory delta rows narrowed their probe.
+type narrowCounts struct{ segments, rows, unsortedLayers, memBuilds int64 }
 
 // TestNarrowedJoinsMatchUnnarrowed draws random layered partitions —
 // base and delta files written from rows out of tid order, some as
@@ -32,7 +33,9 @@ type narrowCounts struct{ segments, rows, unsortedLayers int64 }
 // outside the joins' tid range, with an in-memory delta, NULL keys and
 // the odd float among the ints — and joins each with a small build side
 // of keys from one window of tuple ids or values, on the tid column and
-// on the value column. The ends of the tid window are tuple ids with
+// on the value column. The build side is a batch of keys, or, half of
+// the time, the tid column of a stored partition whose rows are the keys,
+// some or all of them in its in-memory delta. The ends of the tid window are tuple ids with
 // several alternatives when the layout has such, so a segment's tid
 // window starts and ends on runs of equal tids. The inner hash join
 // (serial, partitioned, and over the scan's rows instead of its
@@ -47,12 +50,16 @@ func TestNarrowedJoinsMatchUnnarrowed(t *testing.T) {
 			total.segments += c.segments
 			total.rows += c.rows
 			total.unsortedLayers += c.unsortedLayers
+			total.memBuilds += c.memBuilds
 		})
 	}
-	t.Logf("narrowed scans skipped %d segments and %d rows of segments read; %d layers held tuple ids out of order",
-		total.segments, total.rows, total.unsortedLayers)
+	t.Logf("narrowed scans skipped %d segments and %d rows of segments read and of deltas; %d layers held tuple ids out of order; %d joins built on delta rows narrowed",
+		total.segments, total.rows, total.unsortedLayers, total.memBuilds)
 	if total.segments == 0 || total.rows == 0 {
 		t.Errorf("the joins skipped %d segments and %d rows of segments read: narrowing was never exercised", total.segments, total.rows)
+	}
+	if total.memBuilds == 0 {
+		t.Error("no join whose build side held delta rows narrowed its probe side")
 	}
 	if total.unsortedLayers == 0 {
 		t.Error("no layer held its tuple ids out of order: the scan's refusal to window one was never exercised")
@@ -203,13 +210,43 @@ func checkNarrowLayout(t *testing.T, rng *rand.Rand) narrowCounts {
 				key(lo + rng.Int63n(1+rng.Int63n(12)))
 			}
 		}
-		build := func() engine.Iterator {
-			b := &engine.ColBatch{
-				Sch:  engine.NewSchema(engine.Column{Name: "b.k", Kind: engine.KindInt}),
-				Cols: []engine.ColVec{engine.IntVec(keys, nulls)},
-				N:    len(keys),
+		memBuild := false
+		bk, bw, buildPlan := "b.k", 1, engine.Plan(&engine.ValuesPlan{Batch: &engine.ColBatch{
+			Sch:  engine.NewSchema(engine.Column{Name: "b.k", Kind: engine.KindInt}),
+			Cols: []engine.ColVec{engine.IntVec(keys, nulls)},
+			N:    len(keys),
+		}, Name: "b"})
+		if rng.Intn(2) == 0 {
+			// A tid has no NULL: the stored build side holds the other keys.
+			bsrc, stored := &PartSource{}, []core.URow{}
+			for i, k := range keys {
+				r := core.URow{TID: k, Vals: []engine.Value{engine.Int(k)}}
+				switch {
+				case nulls[i]:
+				case rng.Intn(2) == 0:
+					stored = append(stored, r)
+				default:
+					bsrc.Mem = append(bsrc.Mem, r)
+				}
 			}
-			it, err := engine.Build(&engine.ValuesPlan{Batch: b, Name: "b"}, engine.NewCatalog(), engine.ExecConfig{})
+			if len(stored) > 0 {
+				path := filepath.Join(dir, fmt.Sprintf("b%s.useg", on.col[:1]))
+				if _, err := WritePartition(path, stored, 1, 4); err != nil {
+					t.Fatal(err)
+				}
+				h, err := OpenPart(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { h.Close() })
+				bsrc.Layers = []*PartHandle{h}
+			}
+			bsch := engine.NewSchema(engine.Column{Name: "b.tid", Kind: engine.KindInt}, engine.Column{Name: "b.a", Kind: engine.KindInt})
+			bk, bw, buildPlan = "b.tid", bsch.Len(), bsrc.ScanPlan(bsch, 0, []int{0}, "b")
+			memBuild = len(bsrc.Mem) > 0
+		}
+		build := func() engine.Iterator {
+			it, err := engine.Build(buildPlan, engine.NewCatalog(), engine.ExecConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,16 +291,16 @@ func checkNarrowLayout(t *testing.T, rng *rand.Rand) narrowCounts {
 				probeCols := 0 // where the probe row starts in an output row
 				switch kind {
 				case "inner":
-					join = engine.NewHashJoin(build(), probe, []engine.EquiPair{{L: "b.k", R: on.col}}, nil, nil)
-					probeCols = 1
+					join = engine.NewHashJoin(build(), probe, []engine.EquiPair{{L: bk, R: on.col}}, nil, nil)
+					probeCols = bw
 				case "rows":
 					if narrow {
 						probe = rowsOnly{scan.(*StoreScanIter)}
 					}
-					join = engine.NewHashJoin(build(), probe, []engine.EquiPair{{L: "b.k", R: on.col}}, nil, nil)
-					probeCols = 1
+					join = engine.NewHashJoin(build(), probe, []engine.EquiPair{{L: bk, R: on.col}}, nil, nil)
+					probeCols = bw
 				default:
-					join = engine.NewSemiJoin(probe, build(), []engine.EquiPair{{L: on.col, R: "b.k"}}, nil, kind == "anti")
+					join = engine.NewSemiJoin(probe, build(), []engine.EquiPair{{L: on.col, R: bk}}, nil, kind == "anti")
 				}
 				rel, err := engine.Drain(join)
 				if err != nil {
@@ -284,6 +321,9 @@ func checkNarrowLayout(t *testing.T, rng *rand.Rand) narrowCounts {
 					}
 					counts.segments += s.SegmentsSkippedByJoin
 					counts.rows += s.RowsSkippedByJoin
+					if memBuild && s.SegmentsSkippedByJoin+s.RowsSkippedByJoin > 0 {
+						counts.memBuilds++
+					}
 				}
 			}
 		}

@@ -5,7 +5,9 @@ import (
 	"math"
 	"sort"
 
+	"urel/internal/core"
 	"urel/internal/engine"
+	"urel/internal/ws"
 )
 
 // StoreScanPlan is the leaf plan over one stored partition (all of its
@@ -211,11 +213,11 @@ func segmentRefutes(st colStats, op engine.CmpOp, cst engine.Value) bool {
 // pays nothing per row. A hash join above may hand the scan its build
 // keys' range (NarrowKeyRange): the segments whose bounds miss it are
 // not read at all, and of a segment read whose tuple ids ascend only the
-// window of rows in a tid range is served. NextBatch materializes a
-// tuple block per segment for a parent that wants rows (a sort or a
-// rename directly above the scan); a filter, projection or hash join
-// above the scan pulls NextColBatch and never pays that cost. Both serve
-// the same windows.
+// window of rows in a tid range is served, and of the delta only the
+// rows in that range. NextBatch makes each column batch into a
+// tuple block for a parent that wants rows (a sort or a rename directly
+// above the scan); a filter, projection or hash join above the scan
+// pulls NextColBatch and never pays that cost.
 type StoreScanIter struct {
 	Src     *PartSource
 	Sch     engine.Schema
@@ -243,7 +245,7 @@ type StoreScanIter struct {
 	// key range a hash join above handed down lets through: left unread
 	// because their bounds miss it, or read and found to hold no tuple id
 	// in it. RowsSkippedByJoin counts the rows of the segments read that
-	// a tid window left out.
+	// a tid window left out, and the delta rows outside a tid range.
 	SegmentsSkippedByJoin int64
 	RowsSkippedByJoin     int64
 
@@ -290,10 +292,11 @@ func (s *StoreScanIter) Open() error {
 // segment read whose tuple ids ascend (every layer a URSEGv2 writer
 // wrote), only the window of rows with a tid in [lo, hi], found by
 // binary search; every alternative of a tuple in range lies inside it.
+// Of the in-memory delta it serves only the rows with a tid in range.
 // Descriptor columns, columns of any other kind, the tid column of a v1
-// file (whose tid bounds are unknown), a segment whose tuple ids do not
-// ascend and the in-memory delta are read as before, every row of them:
-// the join above drops what does not match.
+// file (whose tid bounds are unknown) and a segment whose tuple ids do
+// not ascend are read as before, every row of them, and on a value
+// column so is the delta: the join above drops what does not match.
 func (s *StoreScanIter) NarrowKeyRange(col int, lo, hi int64) {
 	s.narrowed, s.keyCol, s.keyLo, s.keyHi = true, col, lo, hi
 }
@@ -415,104 +418,38 @@ func (s *StoreScanIter) tombSel(seg *segment, width, lo, hi int) ([]int32, error
 	return sel, nil
 }
 
-// advance decodes the next unpruned segment (or the in-memory delta)
-// into a tuple block. Returns false at end of stream.
+// advance makes the next batch NextColBatch serves — a file segment's
+// window, or the in-memory delta — into a tuple block. Returns false at
+// end of stream.
 func (s *StoreScanIter) advance() (bool, error) {
-	for {
-		seg, fw, lo, hi, err := s.nextSegment()
-		if err != nil {
-			return false, err
-		}
-		if seg == nil {
-			if s.memDone {
-				return false, nil
-			}
-			s.memDone = true
-			rows, err := s.memTuples()
-			if err != nil || len(rows) == 0 {
-				return false, err
-			}
-			s.rows = rows
-			s.pos = 0
-			return true, nil
-		}
-		sel, err := s.tombSel(seg, fw, lo, hi)
-		if err != nil {
-			return false, err
-		}
-		s.materialize(seg, fw, lo, hi, sel)
-		if len(s.rows) == 0 {
-			continue
-		}
-		s.pos = 0
-		return true, nil
+	cb, ok, err := s.NextColBatch()
+	if err != nil || !ok {
+		return false, err
 	}
+	s.rows = cb.Materialize(make([]engine.Tuple, 0, cb.Rows()))
+	s.pos = 0
+	return true, nil
 }
 
-// materialize builds the live tuples of rows [lo, hi) of the segment
-// over one backing cell array, so batches handed upward are sub-slices
-// with no per-row copying. sel lists the surviving rows, counted from
-// lo (nil = all).
-func (s *StoreScanIter) materialize(seg *segment, fw, lo, hi int, sel []int32) {
-	n := hi - lo
-	if sel != nil {
-		n = len(sel)
-	}
-	ncols := s.Sch.Len()
-	cells := make([]engine.Value, n*ncols)
-	rows := make([]engine.Tuple, n)
-	for out := 0; out < n; out++ {
-		r := lo + out
-		if sel != nil {
-			r = lo + int(sel[out])
-		}
-		t := cells[out*ncols : (out+1)*ncols : (out+1)*ncols]
-		for k := 0; k < s.Width; k++ {
-			// Pad to the target width by repeating the first stored pair
-			// (the stored pairs are themselves already padded).
-			src := k
-			if src >= fw {
-				src = 0
-			}
-			if fw == 0 {
-				t[2*k] = engine.Int(0)
-				t[2*k+1] = engine.Int(0)
-			} else {
-				t[2*k] = engine.Int(seg.dvar[src][r])
-				t[2*k+1] = engine.Int(seg.drng[src][r])
-			}
-		}
-		t[2*s.Width] = engine.Int(seg.tid[r])
-		for j, ai := range s.AttrIdx {
-			t[2*s.Width+1+j] = seg.cols[ai].Value(r)
-		}
-		rows[out] = t
-	}
-	s.rows = rows
-}
-
-// memTuples materializes the in-memory delta rows in the scan's
-// schema (padded descriptor pairs, tid, selected attributes). Delta
-// rows are never tombstone-filtered: commits remove deleted memtable
-// rows eagerly, so whatever remains is live by construction.
-func (s *StoreScanIter) memTuples() ([]engine.Tuple, error) {
+// memRows returns the in-memory delta rows the scan serves: all of
+// them, or, when a join narrowed the tid column, those whose tid lies in
+// its range — the others count in RowsSkippedByJoin, as the rows a tid
+// window leaves out of a segment do. Delta rows are never
+// tombstone-filtered: commits remove deleted memtable rows eagerly, so
+// whatever remains is live by construction.
+func (s *StoreScanIter) memRows() []core.URow {
 	mem := s.Src.Mem
-	ncols := s.Sch.Len()
-	out := make([]engine.Tuple, 0, len(mem))
-	for _, r := range mem {
-		t := make(engine.Tuple, ncols)
-		d := r.D.Pad(s.Width)
-		for k := 0; k < s.Width; k++ {
-			t[2*k] = engine.Int(int64(d[k].Var))
-			t[2*k+1] = engine.Int(int64(d[k].Val))
-		}
-		t[2*s.Width] = engine.Int(r.TID)
-		for j, ai := range s.AttrIdx {
-			t[2*s.Width+1+j] = r.Vals[ai]
-		}
-		out = append(out, t)
+	if !s.narrowed || s.keyCol != 2*s.Width {
+		return mem
 	}
-	return out, nil
+	var in []core.URow
+	for _, r := range mem {
+		if r.TID >= s.keyLo && r.TID <= s.keyHi {
+			in = append(in, r)
+		}
+	}
+	s.RowsSkippedByJoin += int64(len(mem) - len(in))
+	return in
 }
 
 // NextColBatch serves one file segment per batch, handing the decoded
@@ -534,9 +471,9 @@ func (s *StoreScanIter) NextColBatch() (*engine.ColBatch, bool, error) {
 				return nil, false, nil
 			}
 			s.memDone = true
-			rows, err := s.memTuples()
-			if err != nil || len(rows) == 0 {
-				return nil, false, err
+			rows := s.memRows()
+			if len(rows) == 0 {
+				return nil, false, nil
 			}
 			s.memColBatch(rows)
 			return &s.cb, true, nil
@@ -576,22 +513,44 @@ func (s *StoreScanIter) NextColBatch() (*engine.ColBatch, bool, error) {
 	}
 }
 
-// memColBatch transposes the delta tuples into the reused batch
-// header as generic vectors (the delta is the small tail of a scan).
-func (s *StoreScanIter) memColBatch(rows []engine.Tuple) {
+// memColBatch transposes the delta rows into the reused batch header:
+// the descriptor and tid columns as int vectors, which they are by
+// construction — so a join keyed on the tid keeps int keys and narrows
+// its probe side — each descriptor padded to the scan's width as
+// ws.Descriptor.Pad pads it, and the value columns as generic vectors
+// (the delta is the small tail of a scan).
+func (s *StoreScanIter) memColBatch(rows []core.URow) {
 	ncols := s.Sch.Len()
 	n := len(rows)
 	if cap(s.cb.Cols) < ncols {
 		s.cb.Cols = make([]engine.ColVec, ncols)
 	}
 	cols := s.cb.Cols[:ncols]
-	arena := make([]engine.Value, n*ncols)
-	for c := 0; c < ncols; c++ {
-		vals := arena[c*n : (c+1)*n : (c+1)*n]
-		for r, row := range rows {
-			vals[r] = row[c]
+	nint := 2*s.Width + 1
+	ints := make([]int64, nint*n)
+	for c := 0; c < nint; c++ {
+		cols[c] = engine.IntVec(ints[c*n:(c+1)*n:(c+1)*n], nil)
+	}
+	for r, row := range rows {
+		for k := 0; k < s.Width; k++ {
+			a := ws.Assignment{Var: ws.TrivialVar}
+			if k < len(row.D) {
+				a = row.D[k]
+			} else if len(row.D) > 0 {
+				a = row.D[0]
+			}
+			cols[2*k].Ints[r] = int64(a.Var)
+			cols[2*k+1].Ints[r] = int64(a.Val)
 		}
-		cols[c] = engine.GenericVec(vals)
+		cols[2*s.Width].Ints[r] = row.TID
+	}
+	vals := make([]engine.Value, len(s.AttrIdx)*n)
+	for j, ai := range s.AttrIdx {
+		v := vals[j*n : (j+1)*n : (j+1)*n]
+		for r, row := range rows {
+			v[r] = row.Vals[ai]
+		}
+		cols[nint+j] = engine.GenericVec(v)
 	}
 	s.cb = engine.ColBatch{Sch: s.Sch, Cols: cols, N: n}
 }

@@ -24,11 +24,15 @@ import (
 // table and no row probe beside the columnar one. There is one engine
 // path, too: the parallel operators that lost to the serial ones are
 // banned, and an operator runs on its caller's goroutine — no non-test
-// file of package engine has a go statement.
+// file of package engine has a go statement. And there is one equi-join:
+// no non-test file of package engine or store names the
+// index-nested-loop join or the probe-cost model that chose it.
 func TestOneRowProtocol(t *testing.T) {
 	banned := map[string]bool{"Batched": true, "Columnar": true, "batchAdapter": true, "rowColAdapter": true,
 		"ParallelHashJoinIter": true, "ParallelFilterIter": true, "NewParallelHashJoin": true, "NewParallelFilter": true,
 		"parallelWorthwhile": true}
+	indexJoin := map[string]bool{"IndexJoinIter": true, "NewIndexJoin": true, "JoinIndex": true, "ProbeCost": true,
+		"cachedProbeRows": true, "uncachedDecodeShare": true}
 	var iteratorMethods, columnarMethods []string
 	joins := map[string]map[string]bool{"HashJoinIter": {}}
 	fset := token.NewFileSet()
@@ -53,10 +57,17 @@ func TestOneRowProtocol(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if file.Name.Name == "engine" {
+		if file.Name.Name == "engine" || file.Name.Name == "store" {
 			ast.Inspect(file, func(n ast.Node) bool {
-				if g, ok := n.(*ast.GoStmt); ok {
-					t.Errorf("%s: go statement in package engine: an operator runs on its caller's goroutine", fset.Position(g.Pos()))
+				switch x := n.(type) {
+				case *ast.GoStmt:
+					if file.Name.Name == "engine" {
+						t.Errorf("%s: go statement in package engine: an operator runs on its caller's goroutine", fset.Position(x.Pos()))
+					}
+				case *ast.Ident:
+					if indexJoin[x.Name] {
+						t.Errorf("%s: %s names the deleted index-nested-loop join", fset.Position(x.Pos()), x.Name)
+					}
 				}
 				return true
 			})
