@@ -117,17 +117,16 @@ func main() {
 
 	cfg := engine.ExecConfig{DisableOptimizer: *noopt}
 	if *analyze {
-		// Mirror the evaluation split: possible mode analyzes the poss
-		// projection plan, certain/conf the full-merge translation whose
-		// lineage their post-processing consumes.
-		full := mode != sqlparse.ModePossible && mode != sqlparse.ModePlain
+		// Mirror the server: possible mode analyzes the poss projection
+		// plan, certain/conf the representation whose lineage their
+		// post-processing consumes — both from the one translation.
 		aq := q
-		if !full {
+		if mode == sqlparse.ModePossible || mode == sqlparse.ModePlain {
 			if _, ok := q.(*core.PossQ); !ok {
 				aq = core.Poss(q)
 			}
 		}
-		res, err := db.ExplainAnalyze(aq, full, cfg)
+		res, err := db.ExplainAnalyze(aq, false, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "urquery:", err)
 			os.Exit(1)

@@ -315,7 +315,7 @@ func (r *Replica) openLocal() error {
 		if err != nil {
 			return err
 		}
-		if err := r.applyOps(ops); err != nil {
+		if err := r.applyOps(man, ops); err != nil {
 			return err
 		}
 	}
@@ -485,8 +485,14 @@ func writeAtomic(path string, b []byte) error {
 	return os.Rename(tmp, path)
 }
 
-func (r *Replica) applyOps(ops []store.WALOp) error {
+func (r *Replica) applyOps(man *store.Manifest, ops []store.WALOp) error {
 	for _, o := range ops {
+		if o.ClearsExistence {
+			if err := man.ClearExistence(o.Rel); err != nil {
+				return err
+			}
+			continue
+		}
 		pk := repPartKey{o.Rel, o.Part}
 		if _, ok := r.layers[pk]; !ok {
 			return fmt.Errorf("wal op targets unknown partition %s/%d", o.Rel, o.Part)
@@ -513,6 +519,7 @@ func (r *Replica) publish() {
 	udb.W = r.w
 	for _, mr := range r.man.Relations {
 		udb.MustAddRelation(mr.Name, mr.Attrs...)
+		udb.Rels[mr.Name].ExistenceComplete = mr.ExistenceComplete
 		for pi, mp := range mr.Parts {
 			u := udb.MustAddPartition(mr.Name, mp.Name, mp.Attrs...)
 			pk := repPartKey{mr.Name, pi}
@@ -676,7 +683,7 @@ func (r *Replica) poll() error {
 		if aerr := r.wal.Append(rec); aerr != nil {
 			return aerr
 		}
-		if aerr := r.applyOps(ops); aerr != nil {
+		if aerr := r.applyOps(r.man, ops); aerr != nil {
 			return aerr
 		}
 	}

@@ -17,13 +17,13 @@ type ExplainAnalyzeResult struct {
 // ExplainAnalyze translates q and actually executes the translated
 // relational plan with operator tracing, returning the plan annotated
 // with per-operator actual rows/batches/time, estimate drift, and
-// store-side statistics. full selects which translation runs — the
-// same split the evaluation modes use: false runs the lazy
-// possible-answers plan (poss(q) as a projection, Theorem 3.5); true
-// runs the representation-level plan with full lineage columns (what
-// plain/certain/conf evaluation decodes and post-processes — the
-// post-relational steps like world enumeration are not iterators and
-// are reported by the caller's timings, not the trace).
+// store-side statistics. full selects the translation: false runs
+// Translate, the plan the query server runs in every mode (poss(q) as a
+// projection, Theorem 3.5, or the representation that plain, certain
+// and conf evaluation decode and post-process — the post-relational
+// steps are not iterators and are reported by the caller's timings, not
+// the trace); true runs TranslateFull of the poss-free query, the
+// reference that merges every partition.
 func (db *UDB) ExplainAnalyze(q Query, full bool, cfg engine.ExecConfig) (*ExplainAnalyzeResult, error) {
 	var plan engine.Plan
 	var err error
@@ -34,8 +34,7 @@ func (db *UDB) ExplainAnalyze(q Query, full bool, cfg engine.ExecConfig) (*Expla
 		plan, _, err = db.TranslateFull(q)
 	} else {
 		// Translate dispatches on *PossQ itself: wrapped queries get the
-		// poss projection, bare ones the lazy plain-mode plan — exactly
-		// the split the possible/plain evaluation modes run.
+		// poss projection, bare ones the representation.
 		plan, _, err = db.Translate(q)
 	}
 	if err != nil {

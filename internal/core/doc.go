@@ -13,7 +13,12 @@
 //   - the possible-worlds semantics via world enumeration (ground truth),
 //   - the translation of positive relational algebra + poss into plain
 //     relational algebra over the representation (Section 3, Figure 4),
-//     evaluated on the engine substrate,
+//     evaluated on the engine substrate. One translation (Translate)
+//     serves every answer mode: on an existence-complete relation — every
+//     row's descriptor implies that its tuple exists — it merges only the
+//     partitions the query needs, which is exact for possible and certain
+//     answers and for confidence; on any other relation it merges every
+//     partition, as the reference TranslateFull always does,
 //   - merge, reduction (Proposition 3.3) and the algebraic equivalences
 //     of Figure 2 via the engine optimizer,
 //   - normalization of ws-descriptors (Section 4, Algorithm 1),
@@ -25,7 +30,8 @@
 //     past it, one-pass bounds).
 //
 // Paper-section map: urelation.go — Section 2 (representation);
-// translate.go — Section 3/Figure 4 (query translation); reduce.go —
+// translate.go — Section 3/Figure 4 (query translation); existence.go —
+// when reading fewer partitions is exact; reduce.go —
 // Proposition 3.3 (reduction); normalize.go — Section 4/Algorithm 1;
 // certain.go — Lemma 4.3 over co-occurring (variable, tuple) pairs, and
 // the certain-answer entry point; worldops.go — possible-worlds ground truth;

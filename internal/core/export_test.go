@@ -47,6 +47,10 @@ func sameImage(kept, fresh *image) error {
 // tests of core_test, which can import what imports core (txn, store).
 func RandUDB(rng *rand.Rand) *UDB { return randUDB(rng) }
 
+// RandCompleteUDB is RandUDB with every relation existence-complete by
+// construction (its bit is left for the caller to set).
+func RandCompleteUDB(rng *rand.Rand) *UDB { return randUDBOf(rng, true) }
+
 func RandQuery(rng *rand.Rand, db *UDB, depth int) Query { return randQuery(rng, db, depth) }
 
 // HasImage reports whether the partition holds an image of its current

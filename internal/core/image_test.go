@@ -23,6 +23,13 @@ const imageTestWorlds = 4000
 // the worlds, and reports whether it did.
 func checkAgainstFresh(t *testing.T, when string, db *core.UDB, q core.Query, worlds bool) bool {
 	t.Helper()
+	for _, name := range db.RelNames() {
+		if db.Rels[name].ExistenceComplete {
+			if err := db.CheckExistenceComplete(name); err != nil {
+				t.Fatalf("%s: %s has the existence-complete bit: %v", when, name, err)
+			}
+		}
+	}
 	fresh := db.Clone()
 	got, err := db.EvalPoss(q, engine.ExecConfig{})
 	if err != nil {
@@ -49,7 +56,7 @@ func checkAgainstFresh(t *testing.T, when string, db *core.UDB, q core.Query, wo
 	if !worlds {
 		return false
 	}
-	if _, err := db.W.CountWorlds(imageTestWorlds); err != nil || !db.IsReduced() {
+	if _, err := db.W.CountWorlds(imageTestWorlds); err != nil {
 		return false
 	}
 	gt, err := db.PossibleGroundTruth(q, imageTestWorlds)
@@ -91,25 +98,33 @@ func imagesHeld(db *core.UDB) int {
 // and every slice address as it was), Reduce, ReduceSemijoinOnce, a
 // save/reopen/Materialize round trip, Clone — with queries before and
 // after each, so the change lands on partitions that hold an image.
-// Every answer is the one a fresh clone gives, and TestMain's audit
-// re-encodes on every image reuse. Each sequence ends with two readers
-// on the one database: the images' rows are shared across queries, so
-// under -race this is where a consumer that writes into a result row
-// shows.
+// Every answer is the one a fresh clone gives and, wherever the worlds
+// can be enumerated, the one the worlds give, and TestMain's audit
+// re-encodes on every image reuse. Every relation whose
+// existence-complete bit survived the step still passes
+// CheckExistenceComplete: even seeds start with every relation
+// existence-complete and its bit set, so the lazy translation runs until
+// a DELETE or UPDATE acts on part of a tuple (one that selects on an
+// uncertain attribute removes the matched alternatives only in the
+// partitions its match merged, which is what the cleared bit answers
+// for). Each sequence ends with two readers on the one database: the
+// images' rows are shared across queries, so under -race this is where a
+// consumer that writes into a result row shows.
 func TestLeafImageNeverStale(t *testing.T) {
 	steps := map[string]int{}
-	sameSizeUpdates, enumerated := 0, 0
+	sameSizeUpdates, enumerated, lazy := 0, 0, 0
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		db := core.RandUDB(rng).Reduce()
+		var db *core.UDB
+		if seed%2 == 0 {
+			db = core.RandCompleteUDB(rng)
+			for _, name := range db.RelNames() {
+				db.Rels[name].ExistenceComplete = true
+			}
+		} else {
+			db = core.RandUDB(rng).Reduce()
+		}
 		nextTID := int64(100)
-		// The worlds are the reference until the first DELETE or UPDATE: one
-		// that selects on an uncertain attribute removes a tuple's
-		// alternatives from that attribute's partition only, and the lazy
-		// translation of a query that does not read the attribute then keeps
-		// the tuple where the worlds drop it — at the parent commit as here
-		// (the fresh clone, which has no image, answers the same).
-		worlds := true
 		randRel := func() (string, *core.URelSet) {
 			names := db.RelNames()
 			name := names[rng.Intn(len(names))]
@@ -126,7 +141,7 @@ func TestLeafImageNeverStale(t *testing.T) {
 		}
 		for step := 0; step < 20; step++ {
 			when := fmt.Sprintf("seed %d step %d", seed, step)
-			checkAgainstFresh(t, when+" before", db, core.RandQuery(rng, db, 2), worlds)
+			checkAgainstFresh(t, when+" before", db, core.RandQuery(rng, db, 2), true)
 			var what string
 			switch rng.Intn(9) {
 			case 0:
@@ -149,11 +164,11 @@ func TestLeafImageNeverStale(t *testing.T) {
 				}
 				apply(fmt.Sprintf("insert into %s values (%s)", name, strings.Join(vals, ", ")))
 			case 2:
-				what, worlds = "delete", false
+				what = "delete"
 				name, rs := randRel()
 				apply(fmt.Sprintf("delete from %s where %s = %d", name, rs.Attrs[rng.Intn(len(rs.Attrs))], rng.Intn(3)))
 			case 3, 4:
-				what, worlds = "update", false
+				what = "update"
 				name, rs := randRel()
 				before := partitionSizes(db)
 				held := imagesHeld(db)
@@ -197,6 +212,9 @@ func TestLeafImageNeverStale(t *testing.T) {
 				if err := stored.Close(); err != nil {
 					t.Fatalf("%s: %v", when, err)
 				}
+				if got, want := stored.FullMergeRels(), db.FullMergeRels(); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s: the stored copy merges %v fully, the original %v", when, got, want)
+				}
 				db = stored
 			default:
 				what = "Clone"
@@ -204,8 +222,14 @@ func TestLeafImageNeverStale(t *testing.T) {
 			}
 			steps[what]++
 			q := core.RandQuery(rng, db, 2)
-			if checkAgainstFresh(t, when+" after "+what, db, q, worlds) {
+			if checkAgainstFresh(t, when+" after "+what, db, q, true) {
 				enumerated++
+				for _, rs := range db.Rels {
+					if rs.ExistenceComplete && len(rs.Parts) > 1 {
+						lazy++
+						break
+					}
+				}
 			}
 			checkAgainstFresh(t, when+" again after "+what, db, q, false)
 		}
@@ -259,6 +283,10 @@ func TestLeafImageNeverStale(t *testing.T) {
 	}
 	if enumerated < 20 {
 		t.Errorf("only %d answers were checked against the worlds", enumerated)
+	}
+	t.Logf("%d answers checked against the worlds, %d with an existence-complete relation of several partitions", enumerated, lazy)
+	if lazy < 20 {
+		t.Errorf("only %d of them were on a database with an existence-complete relation of several partitions", lazy)
 	}
 	if sameSizeUpdates < 5 {
 		t.Errorf("only %d updates left every partition's size unchanged while dropping an image", sameSizeUpdates)

@@ -17,7 +17,14 @@ import (
 // pairwise-inconsistent alternatives over one variable, which keeps the
 // database valid by construction (Definition 2.2). The result may be
 // non-reduced (some tids missing from some partitions).
-func randUDB(rng *rand.Rand) *UDB {
+func randUDB(rng *rand.Rand) *UDB { return randUDBOf(rng, false) }
+
+// randUDBOf is randUDB, and with complete it generates every relation
+// existence-complete: no tuple is missing from a partition, and
+// alternatives range over their variable's whole domain with no second
+// variable, so each partition's rows of a tuple cover every world.
+// Without complete it draws exactly what randUDB always drew.
+func randUDBOf(rng *rand.Rand, complete bool) *UDB {
 	db := NewUDB()
 	nVars := 2 + rng.Intn(2)
 	vars := make([]ws.Var, nVars)
@@ -52,23 +59,23 @@ func randUDB(rng *rand.Rand) *UDB {
 		nTIDs := 2 + rng.Intn(4)
 		for tid := int64(1); tid <= int64(nTIDs); tid++ {
 			for _, p := range parts {
-				switch rng.Intn(5) {
-				case 0: // missing: leaves the database non-reduced
+				switch k := rng.Intn(5); {
+				case k == 0 && !complete: // missing: leaves the database non-reduced
 					continue
-				case 1, 2: // certain row
+				case k <= 2: // certain row
 					p.Add(nil, tid, randVals(rng, len(p.Attrs))...)
 				default: // alternatives over one variable
 					x := vars[rng.Intn(len(vars))]
 					dom := db.W.Domain(x)
 					for _, v := range dom {
-						if rng.Intn(4) == 0 {
+						if !complete && rng.Intn(4) == 0 {
 							continue // subset of the domain
 						}
 						d := ws.Descriptor{ws.A(x, v)}
 						// Occasionally widen the descriptor with a second
 						// variable (same value for all alternatives keeps
 						// pairwise inconsistency via x).
-						if rng.Intn(3) == 0 {
+						if !complete && rng.Intn(3) == 0 {
 							y := vars[rng.Intn(len(vars))]
 							if y != x {
 								yv := db.W.Domain(y)[rng.Intn(db.W.DomainSize(y))]

@@ -155,13 +155,13 @@ func (db *UDB) ReduceSemijoinOnce() (*UDB, error) {
 		}
 		newRows := make([][]URow, len(rs.Parts))
 		for i, p := range rs.Parts {
-			plan, lay := tr.encodePartition(p, name, i, p.Attrs)
+			plan, lay := tr.encodePartition(p, name, i, p.Attrs, "")
 			cur := plan
 			for j, q := range rs.Parts {
 				if i == j {
 					continue
 				}
-				qplan, qlay := tr.encodePartition(q, name+"~sj", j, nil)
+				qplan, qlay := tr.encodePartition(q, name+"~sj", j, nil, "")
 				alpha := engine.EqCols(lay.TIDs[0], qlay.TIDs[0])
 				cond := engine.And(alpha, psiCond(lay.DPairs, qlay.DPairs))
 				cur = engine.Semi(cur, qplan, cond)

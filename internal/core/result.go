@@ -28,10 +28,11 @@ type UResult struct {
 
 // Eval translates and evaluates a (poss-free) query, returning the
 // result as a decoded U-relation whose descriptors characterize world
-// membership exactly (tuple-level translation — all partitions of the
-// referenced relations are merged, as Section 4 requires for certain
-// answers). Use EvalPoss for the lazy possible-answers fast path. The
-// engine optimizer is applied unless cfg disables it.
+// membership exactly (TranslateFull — all partitions of the referenced
+// relations are merged, whatever their existence-complete bit says).
+// It is the reference of certain answers and confidences; the query
+// server decodes Translate's plan instead. Use EvalPoss for possible
+// answers. The engine optimizer is applied unless cfg disables it.
 func (db *UDB) Eval(q Query, cfg engine.ExecConfig) (*UResult, error) {
 	if _, ok := q.(*PossQ); ok {
 		return nil, fmt.Errorf("core: Eval expects a poss-free query; use EvalPoss")
@@ -50,7 +51,7 @@ func (db *UDB) Eval(q Query, cfg engine.ExecConfig) (*UResult, error) {
 
 // EvalPoss evaluates poss(q) (wrapping q if needed): the set of tuples
 // possible in the answer across all worlds, computed purely relationally
-// as a projection of the translated query (Theorem 3.5).
+// as a projection of the translated query (Theorem 3.5, Translate).
 func (db *UDB) EvalPoss(q Query, cfg engine.ExecConfig) (*engine.Relation, error) {
 	if _, ok := q.(*PossQ); !ok {
 		q = Poss(q)

@@ -53,11 +53,10 @@ func (l *ULayout) Columns() []string {
 type translator struct {
 	db      *UDB
 	unameCt int // counter for fresh union-pad column names
-	// full forces merging all partitions of every referenced relation,
-	// making result descriptors characterize world membership exactly
-	// (tuple-level results). Possible-answer queries can stay lazy
-	// ("the answer is simply U", Section 3); certain answers and
-	// confidence computation need tuple-level descriptors (Section 4).
+	// full forces merging all partitions of every referenced relation
+	// (TranslateFull). Otherwise each relation occurrence merges only the
+	// partitions its query needs where that is exact, and all of them
+	// where it is not (URelSet.lazyExact).
 	full bool
 }
 
@@ -67,16 +66,29 @@ type translator struct {
 // poss the returned layout describes the result U-relation; for a
 // poss-query the layout is nil and the plan computes the set of
 // possible answer tuples directly.
+//
+// It is the translation of every answer mode. Each occurrence of an
+// existence-complete relation merges only the partitions whose
+// attributes the query needs ("it does not require to reconstruct the
+// entire relations involved in the query", Section 3): every row's
+// descriptor then implies that its tuple exists, so the result's
+// descriptors say in which worlds each answer tuple exists — exact for
+// possible and certain answers and for confidence. An occurrence of any
+// other relation merges all of its partitions, as TranslateFull does.
 func (db *UDB) Translate(q Query) (engine.Plan, *ULayout, error) {
 	return db.translateMode(q, false)
 }
 
-// TranslateFull compiles q with full partition merging: the result's
-// ws-descriptors characterize world membership exactly (tuple-level),
-// as required for certain answers and confidence computation. For
-// relations with overlapping partitions exactness additionally assumes
-// tuples are present in all partitions covering them (disjoint
-// partitions, the common case, are always exact).
+// TranslateFull compiles q with full partition merging of every
+// referenced relation, whatever its existence-complete bit says: the
+// result's ws-descriptors are tuple-level, each the conjunction of the
+// descriptors of every partition of its tuples. It is the reference
+// Translate is held to, and what DML matches on (a tombstone needs every
+// partition's descriptor). With disjoint partitions it is always exact.
+// With overlapping ones the greedy cover skips a partition whose
+// attributes the others supply, so exactness assumes that a tuple is
+// present in every partition covering it in every world it exists in —
+// which existence-completeness guarantees.
 func (db *UDB) TranslateFull(q Query) (engine.Plan, *ULayout, error) {
 	return db.translateMode(q, true)
 }
@@ -199,16 +211,27 @@ func (tr *translator) translateRel(n *RelQ, need []string) (engine.Plan, *ULayou
 		return nil, nil, fmt.Errorf("core: unknown relation %q", n.Name)
 	}
 	alias := n.alias()
-	// Determine the unqualified attributes this occurrence must produce.
-	var wanted []string
-	if need == nil || tr.full {
-		wanted = append(wanted, rs.Attrs...)
-	} else {
+	// Determine the unqualified attributes this occurrence must produce:
+	// those the query needs, or all of them where reading fewer
+	// partitions is not exact. The leaves of a chain merged fully for
+	// that reason say so in EXPLAIN.
+	wanted := rs.Attrs
+	mark := ""
+	if need != nil && !tr.full {
+		wanted = nil
 		prefix := alias + "."
 		for _, a := range need {
 			if len(a) > len(prefix) && a[:len(prefix)] == prefix {
 				wanted = append(wanted, a[len(prefix):])
 			}
+		}
+		if !rs.lazyExact() {
+			for _, a := range rs.Attrs {
+				if !contains(wanted, a) {
+					mark = fullMergeMark
+				}
+			}
+			wanted = rs.Attrs
 		}
 	}
 	// Greedy partition cover: take partitions (in declaration order)
@@ -252,7 +275,7 @@ func (tr *translator) translateRel(n *RelQ, need []string) (engine.Plan, *ULayou
 	var plan engine.Plan
 	lay := &ULayout{}
 	for i, pick := range picks {
-		scan, slay := tr.encodePartition(pick.part, alias, pick.pidx, pick.contrib)
+		scan, slay := tr.encodePartition(pick.part, alias, pick.pidx, pick.contrib, mark)
 		slay.Picks = []PartPick{{Part: pick.pidx, DPairs: slay.DPairs}}
 		if i == 0 {
 			plan, lay = scan, slay
@@ -288,8 +311,9 @@ func (tr *translator) translateRel(n *RelQ, need []string) (engine.Plan, *ULayou
 // "tid:<alias>.p<j>", and the contributed attributes under their
 // qualified logical names. An in-memory partition is a scan of its
 // image — the rows every query shares — under these names, narrowed by
-// a projection when the query wants only some of its attributes.
-func (tr *translator) encodePartition(u *URelation, alias string, pidx int, contrib []string) (engine.Plan, *ULayout) {
+// a projection when the query wants only some of its attributes. mark,
+// when not empty, is appended to the leaf's EXPLAIN name.
+func (tr *translator) encodePartition(u *URelation, alias string, pidx int, contrib []string, mark string) (engine.Plan, *ULayout) {
 	var img *image
 	var width int
 	var kinds []engine.Kind
@@ -327,6 +351,7 @@ func (tr *translator) encodePartition(u *URelation, alias string, pidx int, cont
 	if alias != u.RelName {
 		name = u.Name + "#" + alias
 	}
+	name += mark
 	if u.Back != nil {
 		// Storage-backed partition: plan a lazy segment scan instead of
 		// materializing; cold data feeds the engine batch-by-batch.

@@ -243,6 +243,17 @@ func (u *URelation) Clone() *URelation {
 type URelSet struct {
 	Attrs []string
 	Parts []*URelation
+	// ExistenceComplete declares that every row's descriptor implies that
+	// its tuple exists: for each tuple id, the rows of every partition
+	// cover the same set of worlds. Then the partitions a query reads
+	// already say in which worlds each of its tuples exists, and a
+	// translation may leave the others out in every answer mode
+	// (Translate); without it, every translation merges all partitions.
+	// It is set where it holds by construction — tpch.Generate,
+	// AddCertainRelation, RepairKey — and kept by Clone, the store and
+	// the DML that provably keeps it (internal/txn); AddRelation leaves
+	// it false. CheckExistenceComplete verifies it.
+	ExistenceComplete bool
 }
 
 // UDB is a U-relational database: a world table plus, per logical
@@ -426,7 +437,7 @@ func (db *UDB) mustMaterialized(op string) {
 func (db *UDB) Clone() *UDB {
 	out := &UDB{W: db.W.Clone(), Rels: map[string]*URelSet{}, relOrder: append([]string(nil), db.relOrder...)}
 	for name, rs := range db.Rels {
-		nrs := &URelSet{Attrs: append([]string(nil), rs.Attrs...)}
+		nrs := &URelSet{Attrs: append([]string(nil), rs.Attrs...), ExistenceComplete: rs.ExistenceComplete}
 		for _, p := range rs.Parts {
 			nrs.Parts = append(nrs.Parts, p.Clone())
 		}

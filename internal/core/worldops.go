@@ -30,6 +30,7 @@ func (db *UDB) AddCertainRelation(name string, rel *engine.Relation) error {
 	for i, row := range rel.Rows {
 		p.Add(nil, int64(i+1), row.Clone()...)
 	}
+	db.Rels[name].ExistenceComplete = true
 	return nil
 }
 
@@ -135,6 +136,7 @@ func (db *UDB) RepairKey(name string, rel *engine.Relation, keyCols []string, we
 			emit(ws.MustDescriptor(ws.A(x, ws.Val(i+1))), row)
 		}
 	}
+	db.Rels[name].ExistenceComplete = true
 	return nil
 }
 

@@ -125,7 +125,7 @@ func (s *Server) executeLocal(entry *catalogEntry, dbName string, req queryReque
 	var resp *queryResponse
 	var herr *httpError
 	if !cachedPlan {
-		if prep, herr = s.prepare(db, parsed.Mode, parsed.Query); herr == nil {
+		if prep, herr = s.prepare(db, parsed.Query); herr == nil {
 			s.plans.keep(key, dbName, db, prep)
 		}
 	}
@@ -199,11 +199,10 @@ func (s *Server) executeExplain(req queryRequest, entry *catalogEntry, dbName st
 		return nil, httpErrf(400, "server: statement is not EXPLAIN")
 	}
 	db := entry.snapshot()
-	full := fullTranslation(ex.Query.Mode)
 	start := time.Now()
 	resp := &queryResponse{DB: dbName, Mode: ex.Query.Mode.String(), Columns: []string{}, Rows: []any{}}
 	if ex.Analyze {
-		res, err := db.ExplainAnalyze(ex.Query.Query, full, engine.ExecConfig{})
+		res, err := db.ExplainAnalyze(ex.Query.Query, false, engine.ExecConfig{})
 		if err != nil {
 			return nil, s.execError(err)
 		}
@@ -213,13 +212,7 @@ func (s *Server) executeExplain(req queryRequest, entry *catalogEntry, dbName st
 			resp.Trace = res.Trace
 		}
 	} else {
-		var plan engine.Plan
-		var err error
-		if full {
-			plan, _, err = db.TranslateFull(ex.Query.Query)
-		} else {
-			plan, _, err = db.Translate(ex.Query.Query)
-		}
+		plan, _, err := db.Translate(ex.Query.Query)
 		if err != nil {
 			return nil, httpErrf(400, "%v", err)
 		}
@@ -233,21 +226,12 @@ func (s *Server) executeExplain(req queryRequest, entry *catalogEntry, dbName st
 	return resp, nil
 }
 
-// fullTranslation reports whether a mode evaluates the full-merge
-// translation (tuple-level descriptors, as certain answers and
-// confidences require) rather than the lazy one of possible and plain
-// answers.
-func fullTranslation(mode sqlparse.Mode) bool {
-	return mode != sqlparse.ModePossible && mode != sqlparse.ModePlain
-}
-
-// prepare translates a query on db for mode and optimizes the plan.
-func (s *Server) prepare(db *core.UDB, mode sqlparse.Mode, q core.Query) (*preparedPlan, *httpError) {
-	translate := db.Translate
-	if fullTranslation(mode) {
-		translate = db.TranslateFull
-	}
-	plan, lay, err := translate(q)
+// prepare translates a query on db and optimizes the plan. Every mode
+// runs the one translation: on an existence-complete relation it reads
+// only the partitions the query needs, and it merges all of them on any
+// other (core.UDB.Translate).
+func (s *Server) prepare(db *core.UDB, q core.Query) (*preparedPlan, *httpError) {
+	plan, lay, err := db.Translate(q)
 	if err != nil {
 		return nil, httpErrf(400, "%v", err)
 	}
@@ -257,8 +241,8 @@ func (s *Server) prepare(db *core.UDB, mode sqlparse.Mode, q core.Query) (*prepa
 	return &preparedPlan{plan: plan, lay: lay}, nil
 }
 
-// evalRepr serves "wire": "repr": evaluate with full partition merging
-// and return the result representation instead of rendered answers —
+// evalRepr serves "wire": "repr": evaluate the statement's plan and
+// return the result representation instead of rendered answers —
 // the gather format the coordinator unions before running the
 // certain-answer or confidence pipeline centrally.
 func (s *Server) evalRepr(db *core.UDB, parsed *sqlparse.Parsed, prep *preparedPlan, deadline time.Time, trace *obs.Span) (*queryResponse, *httpError) {
@@ -269,7 +253,7 @@ func (s *Server) evalRepr(db *core.UDB, parsed *sqlparse.Parsed, prep *preparedP
 			`server: "wire": "repr" applies to CERTAIN and CONF statements (possible and plain answers merge row-wise; no representation exchange is needed)`)
 	}
 	cfg := engine.ExecConfig{Trace: trace}
-	res, herr := s.evalFull(db, prep, cfg, deadline)
+	res, herr := s.evalResult(db, prep, cfg, deadline)
 	if herr != nil {
 		return nil, herr
 	}
@@ -326,14 +310,14 @@ func (s *Server) evalMode(db *core.UDB, parsed *sqlparse.Parsed, prep *preparedP
 		return &queryResponse{Columns: cols, Rows: rows, Truncated: truncated}, nil
 
 	case sqlparse.ModeCertain:
-		res, herr := s.evalFull(db, prep, cfg, deadline)
+		res, herr := s.evalResult(db, prep, cfg, deadline)
 		if herr != nil {
 			return nil, herr
 		}
 		return s.certainFromResult(res, deadline)
 
 	case sqlparse.ModeConf, sqlparse.ModeConfBounds:
-		res, herr := s.evalFull(db, prep, cfg, deadline)
+		res, herr := s.evalResult(db, prep, cfg, deadline)
 		if herr != nil {
 			return nil, herr
 		}
@@ -365,10 +349,10 @@ func (s *Server) evalMode(db *core.UDB, parsed *sqlparse.Parsed, prep *preparedP
 	}
 }
 
-// evalFull runs the full-merge plan of a poss-free query (tuple-level
-// descriptors, as certain answers and confidences require), prepared on
-// db, under the row cap and deadline.
-func (s *Server) evalFull(db *core.UDB, prep *preparedPlan, cfg engine.ExecConfig, deadline time.Time) (*core.UResult, *httpError) {
+// evalResult runs the plan of a poss-free query, prepared on db, under
+// the row cap and deadline, and decodes the result representation whose
+// descriptors the certain-answer and confidence pipelines read.
+func (s *Server) evalResult(db *core.UDB, prep *preparedPlan, cfg engine.ExecConfig, deadline time.Time) (*core.UResult, *httpError) {
 	rel, _, err := runLimited(prep.plan, engine.NewCatalog(), cfg, s.cfg.MaxRows, deadline, false)
 	if err != nil {
 		return nil, s.execError(err)

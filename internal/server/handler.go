@@ -268,13 +268,17 @@ type certainPathCounters struct {
 	Pipeline uint64 `json:"pipeline"`
 }
 
-// catalogInfo describes one registered catalog. Writable catalogs
+// catalogInfo describes one registered catalog. FullMerge lists the
+// relations of the current snapshot that every query merges fully,
+// because they have more than one partition and are not known to be
+// existence-complete (core.UDB.FullMergeRels). Writable catalogs
 // additionally report their write-path state: the commit epoch, WAL
 // footprint, memtable and tombstone sizes, and flush/compaction
 // counters.
 type catalogInfo struct {
 	Dir         string                `json:"dir,omitempty"`
 	Relations   []string              `json:"relations"`
+	FullMerge   []string              `json:"full_merge"`
 	Log10Worlds float64               `json:"log10_worlds"`
 	SizeBytes   int64                 `json:"size_bytes"`
 	Writable    bool                  `json:"writable,omitempty"`
@@ -300,13 +304,14 @@ func (s *Server) catalogInfos() map[string]catalogInfo {
 			for _, sh := range spec.Shards {
 				ci.Shards = append(ci.Shards, sh.Name)
 			}
-			out[name] = catalogInfo{Relations: []string{}, Cluster: ci}
+			out[name] = catalogInfo{Relations: []string{}, FullMerge: []string{}, Cluster: ci}
 			continue
 		}
 		db := e.snapshot()
 		info := catalogInfo{
 			Dir:         e.dir,
 			Relations:   db.RelNames(),
+			FullMerge:   db.FullMergeRels(),
 			Log10Worlds: db.W.Log10Worlds(),
 			SizeBytes:   db.SizeBytes(),
 		}

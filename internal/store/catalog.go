@@ -86,6 +86,24 @@ type ManifestRel struct {
 	// convention; tuple-id runs are always built and never listed here.
 	// Older readers ignore the field, so it is not a format bump.
 	Indexes []string `json:"indexes,omitempty"`
+	// ExistenceComplete carries core.URelSet.ExistenceComplete. Absent
+	// means clear: a directory written before the field, or rewritten by
+	// a binary that predates it, merges every partition of the relation
+	// in every query, which is always exact. A WAL clear op (WALOp)
+	// clears it at commit; flush and compaction write the cleared bit.
+	ExistenceComplete bool `json:"existence_complete,omitempty"`
+}
+
+// ClearExistence applies a WAL clear op to the manifest: relation rel
+// is no longer known to be existence-complete.
+func (m *Manifest) ClearExistence(rel string) error {
+	for i := range m.Relations {
+		if m.Relations[i].Name == rel {
+			m.Relations[i].ExistenceComplete = false
+			return nil
+		}
+	}
+	return fmt.Errorf("store: WAL op clears unknown relation %q", rel)
 }
 
 // ManifestPart describes one vertical partition: a base segment file
@@ -260,7 +278,7 @@ func Save(db *core.UDB, dir string) error {
 	man := &Manifest{Version: FormatVersion}
 	for ri, relName := range db.RelNames() {
 		rs := db.Rels[relName]
-		mr := ManifestRel{Name: relName, Attrs: rs.Attrs}
+		mr := ManifestRel{Name: relName, Attrs: rs.Attrs, ExistenceComplete: rs.ExistenceComplete}
 		for pi, p := range rs.Parts {
 			rows := p.Rows
 			if p.Back != nil {
@@ -383,6 +401,12 @@ func openCachedOnce(dir string, cache *SegCache) (*core.UDB, error) {
 				return nil, fmt.Errorf("store: open %s: %w", dir, err)
 			}
 			for _, o := range ops {
+				if o.ClearsExistence {
+					if err := man.ClearExistence(o.Rel); err != nil {
+						return nil, fmt.Errorf("store: open %s: %w", dir, err)
+					}
+					continue
+				}
 				k := walPartKey{o.Rel, o.Part}
 				if _, known := srcs[k]; !known {
 					return nil, fmt.Errorf("store: open %s: WAL op targets unknown partition %s/%d", dir, o.Rel, o.Part)
@@ -398,6 +422,9 @@ func openCachedOnce(dir string, cache *SegCache) (*core.UDB, error) {
 		for k, pd := range deltas {
 			pd.Freeze(srcs[k])
 		}
+	}
+	for _, mr := range man.Relations {
+		db.Rels[mr.Name].ExistenceComplete = mr.ExistenceComplete
 	}
 	ok = true
 	return db, nil

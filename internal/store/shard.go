@@ -97,7 +97,7 @@ func ShardedSave(db *core.UDB, dirs []string, sharded []string) error {
 		}
 		for ri, relName := range db.RelNames() {
 			rs := db.Rels[relName]
-			mr := ManifestRel{Name: relName, Attrs: rs.Attrs, MaxTID: maxTID[relName]}
+			mr := ManifestRel{Name: relName, Attrs: rs.Attrs, MaxTID: maxTID[relName], ExistenceComplete: rs.ExistenceComplete}
 			for pi, p := range rs.Parts {
 				rows := loaded[relName][pi]
 				if isSharded[relName] {

@@ -182,6 +182,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 			{TID: 6, Wild: true},
 			{TID: 7, D: nil},
 		}, Gen: 3},
+		{Rel: "r", ClearsExistence: true},
 	}
 	dec, err := DecodeWALRecord(EncodeWALRecord(ops))
 	if err != nil {
@@ -189,6 +190,12 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	}
 	if len(dec) != len(ops) {
 		t.Fatalf("%d ops", len(dec))
+	}
+	if o := dec[2]; o.Rel != "r" || !o.ClearsExistence || o.Part != 0 || o.Rows != nil || o.Tombs != nil {
+		t.Fatalf("op2 = %+v", o)
+	}
+	if dec[0].ClearsExistence || dec[1].ClearsExistence {
+		t.Fatal("a row or tombstone op decodes as a clear op")
 	}
 	if dec[0].Rel != "r" || dec[0].Part != 0 || len(dec[0].Rows) != 3 {
 		t.Fatalf("op0 = %+v", dec[0])

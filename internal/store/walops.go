@@ -14,9 +14,10 @@ import (
 
 // A WAL commit record is an ordered list of WALOps. Each op targets
 // one vertical partition (relation name + partition index) and either
-// inserts representation rows or adds one tombstone batch. Ops apply
-// in record order, so an UPDATE's tombstones precede its reinserts
-// and the reinserted rows survive the eager delta filtering.
+// inserts representation rows or adds one tombstone batch — or it is a
+// clear op, which targets a relation. Ops apply in record order, so an
+// UPDATE's tombstones precede its reinserts and the reinserted rows
+// survive the eager delta filtering.
 type WALOp struct {
 	Rel  string
 	Part int
@@ -27,7 +28,21 @@ type WALOp struct {
 	// later must not be shadowed).
 	Tombs []WALTomb
 	Gen   int
+	// ClearsExistence marks a clear op: relation Rel is no longer known
+	// to be existence-complete (core.URelSet.ExistenceComplete), because
+	// the DELETE or UPDATE whose record holds the op acted on some of a
+	// tuple's alternatives only. In the statement's own record, it takes
+	// effect wherever the record applies: at commit, on replay and on a
+	// replica (Manifest.ClearExistence). It has no partition, rows or
+	// tombstones.
+	ClearsExistence bool
 }
+
+// clearOpPart is the partition index a clear op is encoded under. No
+// relation has that many partitions, so no record written before clear
+// ops existed holds it, and a reader that predates them refuses the op
+// as one for an unknown partition instead of dropping it.
+const clearOpPart = math.MaxUint32
 
 // WALTomb identifies one deleted partition row. Wild marks a wildcard
 // tombstone deleting every row of the tuple id regardless of
@@ -79,6 +94,12 @@ func EncodeWALRecord(ops []WALOp) []byte {
 	b := walAppendUvarint(nil, uint64(len(ops)))
 	for _, o := range ops {
 		b = walAppendString(b, o.Rel)
+		if o.ClearsExistence {
+			// No rows, no tombstones, generation 0.
+			b = walAppendUvarint(b, clearOpPart)
+			b = append(b, 0, 0, 0)
+			continue
+		}
 		b = walAppendUvarint(b, uint64(o.Part))
 		b = walAppendUvarint(b, uint64(len(o.Rows)))
 		for _, r := range o.Rows {
@@ -133,13 +154,16 @@ func (c *recCursor) varint() (int64, error) {
 	return v, nil
 }
 
-func (c *recCursor) count() (int, error) {
+// countOf reads a count of elements that take at least min bytes each
+// and refuses one the rest of the record cannot hold, so nothing is
+// allocated for elements that are not there.
+func (c *recCursor) countOf(min int) (int, error) {
 	v, err := c.uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if v > uint64(len(c.b)) {
-		return 0, c.errf("count %d exceeds record size", v)
+	if v > uint64((len(c.b)-c.pos)/min) {
+		return 0, c.errf("count %d exceeds the record's %d remaining bytes", v, len(c.b)-c.pos)
 	}
 	return int(v), nil
 }
@@ -163,7 +187,7 @@ func (c *recCursor) bytes(n int) ([]byte, error) {
 }
 
 func (c *recCursor) str() (string, error) {
-	n, err := c.count()
+	n, err := c.countOf(1)
 	if err != nil {
 		return "", err
 	}
@@ -200,7 +224,7 @@ func (c *recCursor) value() (engine.Value, error) {
 }
 
 func (c *recCursor) descriptor() (ws.Descriptor, error) {
-	n, err := c.count()
+	n, err := c.countOf(2) // a (var, value) pair of varints
 	if err != nil {
 		return nil, err
 	}
@@ -226,10 +250,14 @@ func (c *recCursor) descriptor() (ws.Descriptor, error) {
 	return d, nil
 }
 
-// DecodeWALRecord parses one WAL record payload back into ops.
+// DecodeWALRecord parses one WAL record payload back into ops. Every
+// count is bounded by the bytes left before anything is allocated for
+// it, so arbitrary bytes decode or fail cleanly.
 func DecodeWALRecord(payload []byte) ([]WALOp, error) {
 	c := &recCursor{b: payload}
-	nops, err := c.count()
+	// An op takes at least five bytes: relation name length, partition,
+	// row count, tombstone count and generation.
+	nops, err := c.countOf(5)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +272,7 @@ func DecodeWALRecord(payload []byte) ([]WALOp, error) {
 			return nil, err
 		}
 		o.Part = int(part)
-		nrows, err := c.count()
+		nrows, err := c.countOf(3) // descriptor length, tid, value count
 		if err != nil {
 			return nil, err
 		}
@@ -256,7 +284,7 @@ func DecodeWALRecord(payload []byte) ([]WALOp, error) {
 			if row.TID, err = c.varint(); err != nil {
 				return nil, err
 			}
-			nvals, err := c.count()
+			nvals, err := c.countOf(1)
 			if err != nil {
 				return nil, err
 			}
@@ -268,7 +296,7 @@ func DecodeWALRecord(payload []byte) ([]WALOp, error) {
 			}
 			o.Rows = append(o.Rows, row)
 		}
-		ntombs, err := c.count()
+		ntombs, err := c.countOf(2) // tid, wildcard flag
 		if err != nil {
 			return nil, err
 		}
@@ -292,6 +320,12 @@ func DecodeWALRecord(payload []byte) ([]WALOp, error) {
 				return nil, err
 			}
 			o.Tombs = append(o.Tombs, tb)
+		}
+		if part == clearOpPart {
+			if nrows != 0 || ntombs != 0 || gen != 0 {
+				return nil, c.errf("clear op of %q carries rows or tombstones", o.Rel)
+			}
+			o.Part, o.ClearsExistence = 0, true
 		}
 		ops = append(ops, o)
 	}

@@ -71,7 +71,7 @@ type Stats struct {
 // Generate builds the uncertain TPC-H database for the given
 // parameters. The output is an attribute-level U-relational database
 // (one partition per column), initially normalized (all descriptors
-// have size one) and reduced by construction.
+// have size one) and, by construction, reduced and existence-complete.
 func Generate(p Params) (*core.UDB, Stats, error) {
 	if p.MaxAlternatives < 2 {
 		return nil, Stats{}, fmt.Errorf("tpch: MaxAlternatives must be ≥ 2")
@@ -95,6 +95,12 @@ func Generate(p Params) (*core.UDB, Stats, error) {
 		}
 	}
 	g.flushWindow()
+	// Every tuple has one row per partition of a certain field and one
+	// per domain value of an uncertain field's variable, so each
+	// partition's rows of a tuple cover every world.
+	for _, name := range g.db.RelNames() {
+		g.db.Rels[name].ExistenceComplete = true
+	}
 	st := Stats{
 		Params:          p,
 		Rows:            g.counts,

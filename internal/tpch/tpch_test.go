@@ -112,6 +112,29 @@ func TestGeneratedDatabaseIsValidAndNormalized(t *testing.T) {
 	}
 }
 
+// TestGeneratedDatabaseIsExistenceComplete: the bit Generate sets holds
+// — every partition's rows of a tuple cover the same worlds — so the
+// translation may read only the partitions a query needs in every
+// answer mode.
+func TestGeneratedDatabaseIsExistenceComplete(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		p := DefaultParams(0.02, 0.1, 0.25)
+		p.Seed = seed
+		db, _, err := Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range db.RelNames() {
+			if !db.Rels[name].ExistenceComplete {
+				t.Fatalf("seed %d: %s: bit clear", seed, name)
+			}
+			if err := db.CheckExistenceComplete(name); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		}
+	}
+}
+
 func TestWorldHasDbgenShape(t *testing.T) {
 	// "Any world in a U-relational database shares the properties of
 	// the one-world database": same relation sizes.

@@ -18,8 +18,10 @@ import (
 // dispatcher confidences must equal brute-force world enumeration over
 // an in-memory reference that applied the same statements, the
 // read-once detector must agree wherever it fires, and the one-pass
-// bounds must sandwich the exact value. DML only adds certain rows, so
-// the fixture's world count (6) stays oracle-sized throughout.
+// bounds must sandwich the exact value; and checkAnswers holds the
+// translation the server runs to the worlds too, after every step. DML
+// only adds certain rows, so the fixture's world count (6) stays
+// oracle-sized throughout.
 func TestConfidenceDifferentialAfterDML(t *testing.T) {
 	const maxWorlds = 64
 	queries := []core.Query{
@@ -80,6 +82,7 @@ func TestConfidenceDifferentialAfterDML(t *testing.T) {
 						}
 					}
 				}
+				checkAnswers(t, step, snap, refUDB)
 			}
 
 			check("initial")
@@ -94,7 +97,7 @@ func TestConfidenceDifferentialAfterDML(t *testing.T) {
 						t.Fatalf("op %d compact: %v", i, err)
 					}
 				default:
-					sql := genStmt(rng)
+					sql := genStmt(rng, stmtKinds)
 					st, err := sqlparse.ParseStatement(sql)
 					if err != nil {
 						t.Fatalf("%s: %v", sql, err)
@@ -106,9 +109,7 @@ func TestConfidenceDifferentialAfterDML(t *testing.T) {
 						t.Fatalf("op %d apply %s: %v", i, sql, err)
 					}
 				}
-				if i%6 == 5 {
-					check(fmt.Sprintf("op %d", i))
-				}
+				check(fmt.Sprintf("op %d", i))
 			}
 			check("final")
 		})

@@ -384,7 +384,9 @@ func (d *DB) Stats() Stats {
 // Dir returns the store directory.
 func (d *DB) Dir() string { return d.dir }
 
-// Manifest returns a deep copy of the current on-disk manifest. The
+// Manifest returns a deep copy of the current on-disk manifest, with
+// the existence-complete bits the WAL has cleared since already clear
+// (the WAL would clear them again). The
 // replication endpoints serve it to bootstrapping followers, which
 // fetch the referenced files afterwards; because flush/compaction
 // commit by writing NEW file names and only delete superseded files
@@ -488,9 +490,16 @@ var errDegraded = fmt.Errorf("txn: store degraded after a manifest sync failure;
 func (d *DB) layerGenLocked(pk partKey) int { return len(d.layers[pk]) }
 
 // applyOpsLocked applies decoded ops to the memtables and the tid
-// allocator, in order.
+// allocator, in order. A clear op clears the bit in the in-memory
+// manifest, which the next flush or compaction writes.
 func (d *DB) applyOpsLocked(ops []store.WALOp) error {
 	for _, o := range ops {
+		if o.ClearsExistence {
+			if err := d.man.ClearExistence(o.Rel); err != nil {
+				return err
+			}
+			continue
+		}
 		pk := partKey{o.Rel, o.Part}
 		if _, ok := d.layers[pk]; !ok {
 			return fmt.Errorf("txn: op targets unknown partition %s/%d", o.Rel, o.Part)
@@ -521,6 +530,7 @@ func (d *DB) publishLocked() {
 	udb.W = d.w
 	for _, mr := range d.man.Relations {
 		udb.MustAddRelation(mr.Name, mr.Attrs...)
+		udb.Rels[mr.Name].ExistenceComplete = mr.ExistenceComplete
 		for pi, mp := range mr.Parts {
 			u := udb.MustAddPartition(mr.Name, mp.Name, mp.Attrs...)
 			pk := partKey{mr.Name, pi}

@@ -32,6 +32,14 @@ import (
 // Matching assumes a valid database (Definition 2.2): partitions
 // sharing an attribute agree on its value in shared worlds, so the
 // merged row determines every partition row's values.
+//
+// A statement keeps the relation's existence-complete bit
+// (core.URelSet.ExistenceComplete) only where it provably holds after
+// it. INSERT writes each new tuple into every partition under one
+// descriptor, so it always does. DELETE and UPDATE do when every
+// matched row's merged descriptor is empty: the statement then acts on
+// whole tuples, in every world and every partition. Any other DELETE or
+// UPDATE of a relation with the bit adds a clear op to its record.
 
 // buildOps translates one DML statement into ops against the given
 // snapshot. maxTID supplies the per-relation tuple-id allocator floor;
@@ -171,6 +179,9 @@ func buildInsert(udb *core.UDB, maxTID map[string]int64, st *sqlparse.InsertStmt
 	var ops []store.WALOp
 	repr := 0
 	for pi, rows := range perPart {
+		if len(rows) != len(src) {
+			return nil, nil, fmt.Errorf("txn: internal: insert writes %d of %d tuples into %s partition %d; existence-completeness needs them all", len(rows), len(src), st.Table, pi)
+		}
 		if len(rows) == 0 {
 			continue
 		}
@@ -341,6 +352,7 @@ func buildDelete(udb *core.UDB, layerGen func(partKey) int, st *sqlparse.DeleteS
 		picked[pk.pidx] = true
 	}
 	tids := map[int64]bool{}
+	whole := true
 	for _, row := range m.rel.Rows {
 		tid := row[m.tidIdx].I
 		tids[tid] = true
@@ -350,6 +362,7 @@ func buildDelete(udb *core.UDB, layerGen func(partKey) int, st *sqlparse.DeleteS
 				return nil, nil, fmt.Errorf("txn: delete: %v", err)
 			}
 			perPart[pk.pidx].add(tid, d)
+			whole = whole && len(d) == 0
 		}
 		// Partitions the merge skipped (their attributes fully covered
 		// elsewhere) still hold rows of the tuple: wildcard them.
@@ -360,6 +373,7 @@ func buildDelete(udb *core.UDB, layerGen func(partKey) int, st *sqlparse.DeleteS
 		}
 	}
 	ops, nTombs := tombOps(st.Table, perPart, layerGen)
+	ops = append(ops, existenceOps(rs, st.Table, whole)...)
 	return ops, &Result{Kind: "delete", Tuples: len(tids), Tombstones: nTombs}, nil
 }
 
@@ -407,17 +421,19 @@ func buildUpdate(udb *core.UDB, layerGen func(partKey) int, st *sqlparse.UpdateS
 		picked[pk.pidx] = true
 	}
 	tids := map[int64]bool{}
+	whole := true
 	for _, row := range m.rel.Rows {
 		tid := row[m.tidIdx].I
 		tids[tid] = true
 		for _, pk := range m.picks {
-			p := rs.Parts[pk.pidx]
-			if !touches(p) {
-				continue
-			}
 			d, err := rowDescriptor(row, pk.pairIdx)
 			if err != nil {
 				return nil, nil, fmt.Errorf("txn: update: %v", err)
+			}
+			whole = whole && len(d) == 0
+			p := rs.Parts[pk.pidx]
+			if !touches(p) {
+				continue
 			}
 			if !perPart[pk.pidx].add(tid, d) {
 				continue // join multiplicity: already tombstoned + reinserted
@@ -436,15 +452,18 @@ func buildUpdate(udb *core.UDB, layerGen func(partKey) int, st *sqlparse.UpdateS
 		// A skipped partition covering an assigned attribute would keep
 		// serving the old value: wildcard-delete its rows for the tuple.
 		// (Its attributes are covered by a picked partition, so the
-		// updated values remain fully represented.)
+		// updated values remain fully represented — but that partition
+		// no longer holds the tuple.)
 		for pidx, p := range rs.Parts {
 			if picked[pidx] || !touches(p) {
 				continue
 			}
 			perPart[pidx].addWild(tid)
+			whole = false
 		}
 	}
 	ops, nTombs := tombOps(st.Table, perPart, layerGen)
+	ops = append(ops, existenceOps(rs, st.Table, whole)...)
 	// Attach each partition's reinserts as a follow-up insert op
 	// (tombstones must apply first — see PartDelta.ApplyOp).
 	repr := 0
@@ -462,6 +481,17 @@ func buildUpdate(udb *core.UDB, layerGen func(partKey) int, st *sqlparse.UpdateS
 		}
 	}
 	return ops, &Result{Kind: "update", Tuples: len(tids), ReprRows: repr, Tombstones: nTombs}, nil
+}
+
+// existenceOps returns the clear op a DELETE or UPDATE of rel adds to
+// its record: one when the relation has the existence-complete bit, more
+// than one partition (one partition alone always says when its tuples
+// exist) and the statement did not act on whole tuples only.
+func existenceOps(rs *core.URelSet, rel string, whole bool) []store.WALOp {
+	if whole || !rs.ExistenceComplete || len(rs.Parts) <= 1 {
+		return nil
+	}
+	return []store.WALOp{{Rel: rel, ClearsExistence: true}}
 }
 
 // tombOps flattens per-partition tombstone accumulators into ops
@@ -557,6 +587,10 @@ func (a *Applier) Apply(st sqlparse.Statement) (*Result, error) {
 		return nil, err
 	}
 	for _, o := range ops {
+		if o.ClearsExistence {
+			a.db.Rels[o.Rel].ExistenceComplete = false
+			continue
+		}
 		u := a.db.Rels[o.Rel].Parts[o.Part]
 		if len(o.Tombs) > 0 {
 			b := store.NewTombBatch(o.Tombs, 0)

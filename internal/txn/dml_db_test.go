@@ -51,6 +51,10 @@ func fixtureDB() *core.UDB {
 	for i := int64(1); i <= 4; i++ {
 		ps.Add(nil, i, engine.Int(i), engine.Int(2*i))
 	}
+	// Every partition's rows of a tuple cover the same worlds (all of
+	// them), which TestFixtureIsExistenceComplete checks.
+	db.Rels["r"].ExistenceComplete = true
+	db.Rels["s"].ExistenceComplete = true
 	return db
 }
 
@@ -104,26 +108,31 @@ func equalDump(a, b map[string][]string) (string, bool) {
 }
 
 // requireSame asserts the persistent store and the in-memory reference
-// hold multiset-equal representations, partition by partition, and give
-// the same possible answers to two merges of r's partitions — all of
-// r, and a selection on one partition projected onto another, whose
-// hash joins probe the store's column batches as the snapshot has them:
-// tombstoned segments, the memtable tail, flushed layers.
+// hold multiset-equal representations, partition by partition, and the
+// same existence-complete bits, which hold wherever they are set; and
+// that the store's answers in every mode, by Translate and by
+// TranslateFull, are the worlds' (checkAnswers) — among them merges of
+// r's partitions whose hash joins probe the store's column batches as
+// the snapshot has them: tombstoned segments, the memtable tail,
+// flushed layers.
 func requireSame(t *testing.T, d *DB, ref *refDB, when string) {
 	t.Helper()
 	snap := d.Snapshot()
 	if msg, ok := equalDump(dump(t, snap), dump(t, ref.db)); !ok {
 		t.Fatalf("%s: store and reference diverged: %s", when, msg)
 	}
-	for _, q := range []core.Query{
-		core.Rel("r"),
-		core.Project(core.Select(core.Rel("r"), engine.Cmp(engine.LT, engine.Col("a"), engine.ConstInt(25))), "c"),
-	} {
-		got, want := possRows(t, snap, q), possRows(t, ref.db, q)
-		if strings.Join(got, "\n") != strings.Join(want, "\n") {
-			t.Fatalf("%s: poss(%s) has %d answers over the store, %d over the reference", when, q, len(got), len(want))
+	for _, rel := range snap.RelNames() {
+		got, want := snap.Rels[rel].ExistenceComplete, ref.db.Rels[rel].ExistenceComplete
+		if got != want {
+			t.Fatalf("%s: %s has the existence-complete bit %v in the store, %v in the reference", when, rel, got, want)
+		}
+		if want {
+			if err := ref.db.CheckExistenceComplete(rel); err != nil {
+				t.Fatalf("%s: %v", when, err)
+			}
 		}
 	}
+	checkAnswers(t, when, snap, ref.db)
 }
 
 // refDB pairs the in-memory reference database with its stateful

@@ -12,20 +12,29 @@
 //     with the empty ws-descriptor (present in every world, Section 2)
 //     scattered across the relation's vertical partitions under fresh
 //     tuple ids.
-//   - INSERT ... SELECT evaluates the source query with the
-//     tuple-level translation (TranslateFull, the Section 4 form whose
-//     descriptors characterize world membership exactly) and inserts
-//     its rows with descriptors preserved — uncertain data moves
-//     between relations without leaving the representation.
+//   - INSERT ... SELECT evaluates the source query (possible answers
+//     with Translate, the other modes with the tuple-level TranslateFull)
+//     and inserts its rows with descriptors preserved — uncertain data
+//     moves between relations without leaving the representation.
 //   - DELETE FROM R WHERE φ runs σ_φ over the merged representation
 //     of R (the merge operator of Figure 4: partitions joined on
 //     tuple id, ψ discarding inconsistent descriptor combinations)
 //     and tombstones every contributing partition row (D_p, t). It is
 //     itself just a relational query whose answer is a set of delta
-//     rows.
+//     rows. The match merges every partition (TranslateFull), since a
+//     tombstone needs each partition's descriptor.
 //   - UPDATE is delete plus reinsertion of the matched rows with the
 //     assigned attributes replaced, same descriptors and tuple ids —
 //     the relational view of attribute-level uncertain update.
+//
+// A statement keeps its relation's existence-complete bit, which lets
+// queries read only the partitions they need, only where the bit
+// provably still holds: INSERT always, DELETE and UPDATE when every
+// matched row's merged descriptor is empty. Otherwise the statement's
+// own WAL record carries an op that clears the bit, so the clear takes
+// effect at commit, on replay and on replicas alike; flush and
+// compaction write the cleared bit into the manifest, and nothing sets
+// it again.
 //
 // Durability and atomicity follow the classic WAL recipe:
 //

@@ -183,7 +183,7 @@ func TestIndexPathProperty(t *testing.T) {
 						t.Fatalf("op %d crash reopen: %v", i, err)
 					}
 				default:
-					sql := genStmt(rng)
+					sql := genStmt(rng, stmtKinds)
 					st, err := sqlparse.ParseStatement(sql)
 					if err != nil {
 						t.Fatalf("%s: %v", sql, err)

@@ -12,13 +12,19 @@ import (
 	"urel/internal/store"
 )
 
-// genStmt produces a random DML statement over the fixture schema.
-// INSERT ... SELECT sticks to single-relation sources so row order —
-// and with it tuple-id assignment — is deterministic across the
-// persistent store and the in-memory reference.
-func genStmt(rng *rand.Rand) string {
+// genStmt produces a random DML statement over the fixture schema, of
+// one of its first kinds kinds (at most stmtKinds). INSERT ... SELECT
+// sticks to single-relation sources so row order — and with it
+// tuple-id assignment — is deterministic across the persistent store
+// and the in-memory reference. The first six kinds insert, or delete
+// by a key, which keeps r's existence-complete bit unless the delete
+// matches tuple 2's alternatives. The updates clear it, and so do the
+// last two kinds, which select on one alternative of an uncertain field
+// (tuple 3's c, tuple 2's b): the DELETE leaves u_r_bc rows of a tuple
+// no world holds any more.
+func genStmt(rng *rand.Rand, kinds int) string {
 	v := func(n int) int { return rng.Intn(n) }
-	switch v(8) {
+	switch v(kinds) {
 	case 0:
 		return fmt.Sprintf("insert into r values (%d, %d, %d)", v(50), v(50), v(50))
 	case 1:
@@ -33,22 +39,34 @@ func genStmt(rng *rand.Rand) string {
 		return fmt.Sprintf("delete from s where x < %d", v(10))
 	case 6:
 		return fmt.Sprintf("update r set b = %d where a < %d", v(50), v(30))
-	default:
+	case 7:
 		return fmt.Sprintf("update r set c = %d, a = %d where b < %d", v(50), v(50), v(30))
+	case 8:
+		return fmt.Sprintf("delete from r where c = %d", 300+v(4))
+	default:
+		return fmt.Sprintf("update r set a = %d where b = %d", v(50), 20+v(2))
 	}
 }
+
+// stmtKinds is the number of statement kinds genStmt knows.
+const stmtKinds = 10
 
 // TestRoundTripProperty is the acceptance-criteria proof: randomized
 // DML interleaved with flushes, compactions, and reopens must leave
 // the persistent store multiset-equal — partition by partition — to an
-// in-memory database that applied the same statements, at every
-// comparison point and after a final reopen.
+// in-memory database that applied the same statements, with the same
+// existence-complete bits, after every step and after a final reopen;
+// and its possible answers, certain answers and confidences, by both
+// translations, must be the worlds' (requireSame). Odd seeds start with
+// r's bit set, even ones with it clear; the DML clears it on the way.
 func TestRoundTripProperty(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
+	checked := map[bool]int{}
+	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			base := fixtureDB()
+			base.Rels["r"].ExistenceComplete = seed%2 == 1
 			refUDB := base.Clone()
 			app, err := NewApplier(refUDB)
 			if err != nil {
@@ -83,7 +101,12 @@ func TestRoundTripProperty(t *testing.T) {
 						t.Fatalf("op %d reopen: %v", i, err)
 					}
 				default:
-					sql := genStmt(rng)
+					// Odd seeds keep r's bit for a while first.
+					kinds := stmtKinds
+					if seed%2 == 1 && i < 30 {
+						kinds = 6
+					}
+					sql := genStmt(rng, kinds)
 					st, err := sqlparse.ParseStatement(sql)
 					if err != nil {
 						t.Fatalf("%s: %v", sql, err)
@@ -100,9 +123,8 @@ func TestRoundTripProperty(t *testing.T) {
 						t.Fatalf("op %d %s: store %+v vs reference %+v", i, sql, got, want)
 					}
 				}
-				if i%10 == 9 {
-					requireSame(t, d, ref, fmt.Sprintf("op %d", i))
-				}
+				requireSame(t, d, ref, fmt.Sprintf("op %d", i))
+				checked[ref.db.Rels["r"].ExistenceComplete]++
 			}
 
 			// Final: flush, compact, reopen, compare everything.
@@ -136,6 +158,10 @@ func TestRoundTripProperty(t *testing.T) {
 				}
 			}
 		})
+	}
+	t.Logf("steps checked with r's bit set: %d, clear: %d", checked[true], checked[false])
+	if checked[true] < 10 || checked[false] < 10 {
+		t.Errorf("steps checked with r's bit set: %d, clear: %d; want both", checked[true], checked[false])
 	}
 }
 
@@ -202,7 +228,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 					pending, sizes = nil, nil
 					baseSize = walSize()
 				default:
-					st, err := sqlparse.ParseStatement(genStmt(rng))
+					st, err := sqlparse.ParseStatement(genStmt(rng, stmtKinds))
 					if err != nil {
 						t.Fatal(err)
 					}
