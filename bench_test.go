@@ -682,38 +682,80 @@ func BenchmarkCertain(b *testing.B) {
 // 20 480 rows in five segments, behind a segment cache — under 0, 16
 // and 64 tombstone batches, each deleting a few of the newest tuple
 // ids, the ones served_rw's range deletes hit. It reports ns/row and
-// tomb-checked/row, the rows looked up against some batch per row
-// scanned: a batch is consulted only in the segments its tuple ids
-// meet, so four of the five segments are served without any per-row
-// work, whatever the batch count.
+// tomb-checked/row, the rows looked up against the tombstones per row
+// scanned: a tombstone is consulted only in the segments its tuple id
+// falls in, so four of the five segments are served without any per-row
+// work, whatever the batch count. The rw case is served_rw's shape:
+// rows carry descriptors, and 43 batches, of 32 and 64 consecutive
+// tuple ids (an UPDATE's half and a DELETE's whole range), delete half
+// of the tail segment, each row by its own descriptor.
 //
 //	go test -run=NONE -bench=BenchmarkTombstoneScan -benchmem .
 func BenchmarkTombstoneScan(b *testing.B) {
-	const n = 5 * store.DefaultSegmentRows
+	const n, tail = 5 * store.DefaultSegmentRows, 4*store.DefaultSegmentRows + 1
 	rows := make([]core.URow, n)
+	described := make([]core.URow, n)
 	for i := range rows {
-		rows[i] = core.URow{TID: int64(i + 1), Vals: []engine.Value{engine.Int(int64(i % 97))}}
+		tid := int64(i + 1)
+		rows[i] = core.URow{TID: tid, Vals: []engine.Value{engine.Int(int64(i % 97))}}
+		d := ws.MustDescriptor(ws.A(ws.Var(1+i%1000), ws.Val(1+i%3)))
+		if i%3 == 0 {
+			d = ws.MustDescriptor(ws.A(ws.Var(1+i%1000), ws.Val(1+i%3)), ws.A(ws.Var(1001+i%7), 1))
+		}
+		described[i] = core.URow{D: d, TID: tid, Vals: rows[i].Vals}
 	}
-	path := filepath.Join(b.TempDir(), "p.useg")
-	if _, err := store.WritePartition(path, rows, 1, store.DefaultSegmentRows); err != nil {
-		b.Fatal(err)
+	open := func(name string, rows []core.URow) *store.PartHandle {
+		path := filepath.Join(b.TempDir(), name)
+		if _, err := store.WritePartition(path, rows, 1, store.DefaultSegmentRows); err != nil {
+			b.Fatal(err)
+		}
+		h, err := store.OpenPart(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { h.Close() })
+		h.SetCache(store.NewSegCache(64 << 20))
+		return h
 	}
-	h, err := store.OpenPart(path)
-	if err != nil {
-		b.Fatal(err)
+	plain, rw := open("p.useg", rows), open("rw.useg", described)
+
+	type tombCase struct {
+		name    string
+		h       *store.PartHandle
+		width   int
+		batches []store.TombBatch
+		dead    int
 	}
-	defer h.Close()
-	h.SetCache(store.NewSegCache(64 << 20))
-	sch := engine.NewSchema(engine.Column{Name: "tid:p", Kind: engine.KindInt}, engine.Column{Name: "p.a", Kind: engine.KindInt})
+	var cases []tombCase
 	for _, nb := range []int{0, 16, 64} {
-		b.Run(fmt.Sprintf("batches=%d", nb), func(b *testing.B) {
-			var batches []store.TombBatch
-			for k := 0; k < nb; k++ {
-				tid := int64(n - 8*k)
-				batches = append(batches, store.NewTombBatch([]store.WALTomb{{TID: tid}, {TID: tid - 1}, {TID: tid - 2, Wild: true}}, 1))
+		c := tombCase{name: fmt.Sprintf("batches=%d", nb), h: plain, dead: 3 * nb}
+		for k := 0; k < nb; k++ {
+			tid := int64(n - 8*k)
+			c.batches = append(c.batches, store.NewTombBatch([]store.WALTomb{{TID: tid}, {TID: tid - 1}, {TID: tid - 2, Wild: true}}, 1))
+		}
+		cases = append(cases, c)
+	}
+	c := tombCase{name: "rw", h: rw, width: 2}
+	for tid, size := tail, 32; tid <= n; tid, size = tid+2*size, 96-size {
+		var tombs []store.WALTomb
+		for t := tid; t < tid+size; t++ {
+			tombs = append(tombs, store.WALTomb{TID: int64(t), D: described[t-1].D})
+		}
+		c.batches = append(c.batches, store.NewTombBatch(tombs, 1))
+		c.dead += size
+	}
+	cases = append(cases, c)
+
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			var cols []engine.Column
+			for k := 0; k < c.width; k++ {
+				cols = append(cols, engine.Column{Name: fmt.Sprintf("d.v%d", k), Kind: engine.KindInt},
+					engine.Column{Name: fmt.Sprintf("d.r%d", k), Kind: engine.KindInt})
 			}
-			src := &store.PartSource{Layers: []*store.PartHandle{h}, Tomb: store.NewTombView(batches)}
-			plan := src.ScanPlan(sch, 0, []int{0}, "p").(*store.StoreScanPlan)
+			sch := engine.NewSchema(append(cols, engine.Column{Name: "tid:p", Kind: engine.KindInt}, engine.Column{Name: "p.a", Kind: engine.KindInt})...)
+			src := &store.PartSource{Layers: []*store.PartHandle{c.h}, Tomb: store.NewTombView(c.batches)}
+			plan := src.ScanPlan(sch, c.width, []int{0}, "p").(*store.StoreScanPlan)
 			var checked int64
 			scan := func() {
 				it, err := plan.BuildIter(engine.ExecConfig{})
@@ -735,10 +777,11 @@ func BenchmarkTombstoneScan(b *testing.B) {
 					}
 					live += cb.Rows()
 				}
-				if live != n-3*nb {
-					b.Fatalf("%d live rows, want %d", live, n-3*nb)
+				if live != n-c.dead {
+					b.Fatalf("%d live rows, want %d", live, n-c.dead)
 				}
 				checked += s.TombRowsChecked
+				s.Close()
 			}
 			scan() // decodes into the cache
 			checked = 0

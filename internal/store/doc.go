@@ -66,20 +66,22 @@
 //     implements engine.SourcePlan, engine.ColumnarLeaf, and
 //     engine.FilterAdvisor: selection predicates evaluated directly
 //     above a scan (the σ of the paper's Figure 4 translation) prune
-//     segments whose min/max statistics refute them, and the surviving
-//     row count is what the engine's estimator sees, so join ordering
-//     works on stored data. As an engine.IndexedSource (lookup.go) the
-//     plan also serves an equality filter on an indexed column as one
-//     probe of its runs. The in-memory delta comes out last, its
-//     descriptor and tid columns as int vectors, and a join that
-//     narrowed the tid column is served only the delta rows in range.
+//     segments whose min/max statistics refute them (ORs of refuted arms
+//     too), and the surviving row count is what the engine's estimator
+//     sees, so join ordering works on stored data. As an
+//     engine.IndexedSource (lookup.go) the plan also serves an equality
+//     filter on an indexed column as one probe of its runs. The
+//     in-memory delta comes out last, its descriptor and tid columns as
+//     int vectors, and a join that narrowed the tid column is served
+//     only the delta rows in range.
 //
 //   - Layered sources and deltas (source.go, walops.go, wal.go). A
 //     partition is a PartSource: one or more immutable file layers
 //     (the base plus delta files flushed by the write path,
 //     internal/txn), an optional frozen in-memory delta, and a
 //     layer-scoped tombstone set filtering deleted rows through the
-//     scan's selection vector. The write-ahead log lives here too —
+//     scan's selection vector, in one sort-merge pass over a segment's
+//     rows and tombstones. The write-ahead log lives here too —
 //     length-prefixed, CRC32-framed records, fsynced per commit — so
 //     Open can replay unflushed commits *read-only*: any reader of a
 //     directory a writer committed to sees every acknowledged update,

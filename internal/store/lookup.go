@@ -152,32 +152,24 @@ func materializeMemRow(sch engine.Schema, width int, attrIdx []int, r core.URow)
 	return t
 }
 
-// rowDead reports whether a stored row is tombstoned under near, its
-// layer's filter narrowed to its segment, and counts the row as
-// checked when near holds a batch.
-func (s *IndexLookupIter) rowDead(near TombFilter, seg *segment, fw, r int) (bool, error) {
-	if len(near) == 0 {
-		return false, nil
-	}
-	s.TombRowsChecked++
-	if !near.HasTID(seg.tid[r]) {
-		return false, nil
-	}
-	d, err := segDescriptor(seg, fw, r)
-	if err != nil {
-		return false, err
-	}
-	return near.Has(seg.tid[r], d), nil
-}
-
-// narrowTo narrows the layer's filter to a fetched segment's tuple
-// ids, counting the segment as skipped when no batch meets them.
-func (s *IndexLookupIter) narrowTo(tf TombFilter, seg *segment) TombFilter {
-	near := tf.narrow(seg.tidLo, seg.tidHi, nil)
-	if tf != nil && near == nil {
+// narrowTo narrows tf to a segment's tuple ids, counting the segment
+// as skipped when no tombstone falls in them.
+func (s *IndexLookupIter) narrowTo(tf TombFilter, seg *segment) {
+	if !s.tombs.reset(tf, seg.tidLo, seg.tidHi) && tf != nil {
 		s.TombSegmentsSkipped++
 	}
-	return near
+}
+
+// keep appends row r of the segment narrowTo last narrowed to unless
+// it is tombstoned, counting it as checked when some tombstone may be.
+func (s *IndexLookupIter) keep(seg *segment, fw, r int) {
+	if len(s.tombs.es) > 0 {
+		s.TombRowsChecked++
+		if s.tombs.dead(seg, fw, r) {
+			return
+		}
+	}
+	s.rows = append(s.rows, materializeStoredRow(s.Sch, s.Width, fw, s.AttrIdx, seg, r))
 }
 
 // segKeyValue extracts the indexed key of a stored row (tid for
@@ -214,8 +206,9 @@ type IndexLookupIter struct {
 	IdxKey  string // run key name ("t" or "a<i>")
 	Key     engine.Value
 
-	rows []engine.Tuple
-	pos  int
+	rows  []engine.Tuple
+	pos   int
+	tombs tombWindow // the current segment's tombstones
 
 	// Probe-side effect counters, surfaced via OperatorStats.
 	RunsConsulted       int64
@@ -234,6 +227,7 @@ type IndexLookupIter struct {
 func (s *IndexLookupIter) Open() error {
 	idxLookupsTotal.Inc()
 	s.rows, s.pos = nil, 0
+	defer s.tombs.release()
 	for li, h := range s.Src.Layers {
 		tf := s.Src.Tomb.Layer(li)
 		run := h.indexRun(s.IdxKey)
@@ -256,7 +250,6 @@ func (s *IndexLookupIter) Open() error {
 		start := len(s.rows)
 		stale := false
 		var seg *segment
-		var near TombFilter
 		segIdx := -1
 		for _, loc := range locs {
 			if int(loc.Seg) >= h.NumSegments() {
@@ -270,21 +263,14 @@ func (s *IndexLookupIter) Open() error {
 					return err
 				}
 				segIdx = int(loc.Seg)
-				near = s.narrowTo(tf, seg)
+				s.narrowTo(tf, seg)
 			}
 			r := int(loc.Row)
 			if r >= seg.n || engine.Compare(segKeyValue(seg, s.Ai, r), s.Key) != 0 {
 				stale = true
 				break
 			}
-			dead, err := s.rowDead(near, seg, h.Width(), r)
-			if err != nil {
-				return err
-			}
-			if dead {
-				continue
-			}
-			s.rows = append(s.rows, materializeStoredRow(s.Sch, s.Width, h.Width(), s.AttrIdx, seg, r))
+			s.keep(seg, h.Width(), r)
 		}
 		if stale {
 			// The run points at rows that do not carry the key: debris
@@ -331,19 +317,11 @@ func (s *IndexLookupIter) scanLayer(h *PartHandle, tf TombFilter) error {
 		if err != nil {
 			return err
 		}
-		near := s.narrowTo(tf, seg)
+		s.narrowTo(tf, seg)
 		for r := 0; r < seg.n; r++ {
-			if engine.Compare(segKeyValue(seg, s.Ai, r), s.Key) != 0 {
-				continue
+			if engine.Compare(segKeyValue(seg, s.Ai, r), s.Key) == 0 {
+				s.keep(seg, h.Width(), r)
 			}
-			dead, err := s.rowDead(near, seg, h.Width(), r)
-			if err != nil {
-				return err
-			}
-			if dead {
-				continue
-			}
-			s.rows = append(s.rows, materializeStoredRow(s.Sch, s.Width, h.Width(), s.AttrIdx, seg, r))
 		}
 	}
 	return nil

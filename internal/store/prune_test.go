@@ -101,7 +101,7 @@ func TestPruningNeverReadsPrunedSegments(t *testing.T) {
 	}
 
 	// Pruning state: segments 2 and 3 survive, 8 pruned.
-	if got := plan.numPruned(); got != 8 {
+	if got := numPruned(plan.pruned); got != 8 {
 		t.Fatalf("pruned %d segments, want 8", got)
 	}
 	if est := plan.EstimateRowCount(); est != 200 {
@@ -179,6 +179,90 @@ func TestPruningSafety(t *testing.T) {
 	}
 }
 
+// TestAdviseFilterPrunesDisjunctions: under an OR conjunct a segment is
+// pruned when every arm is refuted, each by a column-vs-constant
+// conjunct of its own or a nested OR of refuted arms; an arm that no
+// zone map can refute keeps every segment. The partition is
+// sortedPartition's with segment 4 made NULL-only, which every
+// comparison refutes. Each answer equals the unadvised scan's.
+func TestAdviseFilterPrunesDisjunctions(t *testing.T) {
+	rows := make([]core.URow, 1000)
+	for i := range rows {
+		v := engine.Int(int64(i))
+		if i/100 == 4 {
+			v = engine.Null()
+		}
+		rows[i] = core.URow{TID: int64(i), Vals: []engine.Value{v}}
+	}
+	path := t.TempDir() + "/nulls.useg"
+	if _, err := WritePartition(path, rows, 1, 100); err != nil {
+		t.Fatal(err)
+	}
+	h, err := OpenPart(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+
+	a := engine.Col("r.a")
+	cmp := func(op engine.CmpOp, c int64) engine.Expr { return engine.Cmp(op, a, engine.ConstInt(c)) }
+	between := func(lo, hi int64) engine.Expr { return engine.And(cmp(engine.GE, lo), cmp(engine.LE, hi)) }
+	or := func(arms ...engine.Expr) engine.Expr { return &engine.LogicExpr{Op: engine.OrOp, Args: arms} }
+	for _, c := range []struct {
+		name string
+		cond engine.Expr
+		kept []int // the segments left unpruned
+	}{
+		{"each arm refuted", or(between(150, 180), between(720, 730)), []int{1, 7}},
+		{"one arm not refuted", or(between(150, 180), cmp(engine.GE, 0)), []int{0, 1, 2, 3, 5, 6, 7, 8, 9}},
+		{"arm without a prunable conjunct", or(between(150, 180), engine.Cmp(engine.EQ, a, engine.Col("tid:r.p0"))), nil},
+		{"arm of a negation", or(cmp(engine.LT, 50), engine.Not(cmp(engine.LT, 900))), nil},
+		{"NULL-only segment", or(cmp(engine.LT, 450), cmp(engine.GT, 420)), []int{0, 1, 2, 3, 5, 6, 7, 8, 9}},
+		{"OR beside a conjunct", engine.And(cmp(engine.LT, 600), or(cmp(engine.LT, 120), cmp(engine.GT, 550))), []int{0, 1, 5}},
+		{"nested OR", or(engine.And(cmp(engine.GE, 100), or(cmp(engine.LT, 120), cmp(engine.GT, 950))), cmp(engine.EQ, 555)), []int{1, 5, 9}},
+		{"OR as an arm", or(or(cmp(engine.EQ, 5), cmp(engine.EQ, 305)), cmp(engine.EQ, 999)), []int{0, 3, 9}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			plan := &StoreScanPlan{Src: srcOf(h), Sch: scanSchema(), Width: 0, AttrIdx: []int{0}, Name: "u_r_a"}
+			it, err := engine.Build(engine.Filter(plan, c.cond), engine.NewCatalog(), engine.ExecConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := engine.Drain(it)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.kept == nil {
+				if plan.pruned != nil {
+					t.Fatalf("%s pruned %v", c.cond, plan.pruned)
+				}
+			} else {
+				var kept []int
+				for i, sk := range plan.pruned[0] {
+					if !sk {
+						kept = append(kept, i)
+					}
+				}
+				if fmt.Sprint(kept) != fmt.Sprint(c.kept) {
+					t.Fatalf("%s kept segments %v, want %v", c.cond, kept, c.kept)
+				}
+			}
+
+			fit, err := (&StoreScanPlan{Src: srcOf(h), Sch: scanSchema(), Width: 0, AttrIdx: []int{0}, Name: "u_r_a"}).BuildIter(engine.ExecConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := engine.Drain(engine.NewFilter(fit, c.cond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.EqualAsBag(want) {
+				t.Fatalf("%s: the pruned scan returned %d rows, the full scan %d", c.cond, got.Len(), want.Len())
+			}
+		})
+	}
+}
+
 // TestPruningThroughQueryPipeline checks that a selection written at
 // the query-algebra level reaches the store scan through translation
 // and the optimizer, prunes segments, and still returns exactly the
@@ -253,8 +337,8 @@ func TestPruningThroughQueryPipeline(t *testing.T) {
 	if leaf == nil {
 		t.Fatal("no StoreScanPlan in the optimized plan")
 	}
-	if leaf.numPruned() != 17 {
-		t.Fatalf("pruned %d segments, want 17 (label %q)", leaf.numPruned(), leaf.Label())
+	if numPruned(leaf.pruned) != 17 {
+		t.Fatalf("pruned %d segments, want 17 (label %q)", numPruned(leaf.pruned), leaf.Label())
 	}
 
 	memPlan, _, err := mem.Translate(inner)

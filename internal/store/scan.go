@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"urel/internal/core"
@@ -15,12 +16,12 @@ import (
 // engine.SourcePlan (so Build lowers it and the estimator costs it
 // without the engine importing this package) and engine.FilterAdvisor:
 // a selection evaluated directly above the scan prunes file segments
-// whose footer min/max statistics refute it, and the surviving row
-// count is what EstimateRowCount reports — so every choice made above
-// the scan sees post-pruning cardinality. In-memory delta rows carry no
-// statistics and are never pruned (they flow through the filter
-// above), and tombstones are orthogonal to pruning: a pruned segment
-// only loses rows the filter would reject anyway.
+// whose footer min/max statistics refute it (refutes), and the
+// surviving row count is what EstimateRowCount reports — so every
+// choice made above the scan sees post-pruning cardinality. In-memory
+// delta rows carry no statistics and are never pruned (they flow
+// through the filter above), and tombstones are orthogonal to pruning:
+// a pruned segment only loses rows the filter would reject anyway.
 type StoreScanPlan struct {
 	Src     *PartSource
 	Sch     engine.Schema
@@ -48,7 +49,7 @@ func (p *StoreScanPlan) Label() string {
 	for _, h := range p.Src.Layers {
 		total += h.NumSegments()
 	}
-	lbl := fmt.Sprintf("Store Scan on %s (%d/%d segments", p.Name, total-p.numPruned(), total)
+	lbl := fmt.Sprintf("Store Scan on %s (%d/%d segments", p.Name, total-numPruned(p.pruned), total)
 	if len(p.Src.Layers) > 1 {
 		lbl += fmt.Sprintf(", %d layers", len(p.Src.Layers))
 	}
@@ -61,9 +62,9 @@ func (p *StoreScanPlan) Label() string {
 	return lbl + ")"
 }
 
-func (p *StoreScanPlan) numPruned() int {
+func numPruned(pruned [][]bool) int {
 	n := 0
-	for _, layer := range p.pruned {
+	for _, layer := range pruned {
 		for _, sk := range layer {
 			if sk {
 				n++
@@ -107,72 +108,57 @@ func (p *StoreScanPlan) BuildIter(engine.ExecConfig) (engine.Iterator, error) {
 	return &StoreScanIter{Src: p.Src, Sch: p.Sch, Width: p.Width, AttrIdx: p.AttrIdx, Pruned: p.pruned}, nil
 }
 
-// AdviseFilter inspects the conjuncts of a predicate that will be
-// applied directly above the scan and marks segments that provably
-// produce no satisfying row. Only column-vs-constant comparisons on
-// value-attribute columns are used; everything else is ignored. The
+// AdviseFilter marks the segments that provably produce no row
+// satisfying a predicate applied directly above the scan (refutes). The
 // advice is safe because a comparison over NULL evaluates to false
 // (engine.CmpExpr), so min/max over the non-null values — ordered by
 // engine.Compare, the evaluator's own order — bound every row that
-// could pass. The plan takes advice once (engine.FilterAdvisor): a
-// later call, such as the Build of a plan Optimize advised, reads
-// nothing and writes nothing, so concurrent executions share the plan
-// and the bitmaps it holds.
+// could pass, and an OR none of whose arms can be TRUE is not TRUE.
+// The plan takes advice once (engine.FilterAdvisor): a later call, such
+// as the Build of a plan Optimize advised, reads nothing and writes
+// nothing, so concurrent executions share the plan and the bitmaps it
+// holds.
 func (p *StoreScanPlan) AdviseFilter(cond engine.Expr) {
 	if p.advised {
 		return
 	}
 	p.advised = true
-	attrStart := 2*p.Width + 1 // descriptor pairs, then tid, then attrs
-	var cmps []colCmp
-	for _, c := range engine.SplitConjuncts(cond) {
-		ce, ok := c.(*engine.CmpExpr)
-		if !ok {
-			continue
-		}
-		col, cst, op, ok := engine.NormalizeColCmp(ce)
-		if !ok {
-			continue
-		}
-		si := p.Sch.IndexOf(col)
-		if si < attrStart || si >= p.Sch.Len() {
-			continue
-		}
-		stored := p.AttrIdx[si-attrStart]
-		cmps = append(cmps, colCmp{stored: stored, op: op, cst: cst})
-	}
-	if len(cmps) == 0 {
-		return
-	}
 	for li, h := range p.Src.Layers {
-		var pruned []bool
 		for i := range h.meta.Segs {
-			for _, cc := range cmps {
-				if segmentRefutes(h.meta.Segs[i].Stats[cc.stored], cc.op, cc.cst) {
-					if pruned == nil {
-						pruned = make([]bool, len(h.meta.Segs))
-					}
-					pruned[i] = true
-					break
+			if p.refutes(cond, h.meta.Segs[i].Stats) {
+				if p.pruned == nil {
+					p.pruned = make([][]bool, len(p.Src.Layers))
 				}
+				if p.pruned[li] == nil {
+					p.pruned[li] = make([]bool, len(h.meta.Segs))
+				}
+				p.pruned[li][i] = true
 			}
 		}
-		if pruned == nil {
-			continue
-		}
-		if p.pruned == nil {
-			p.pruned = make([][]bool, len(p.Src.Layers))
-		}
-		p.pruned[li] = pruned
 	}
 }
 
-// colCmp is one normalized column-vs-constant conjunct on a stored
-// column.
-type colCmp struct {
-	stored int
-	op     engine.CmpOp
-	cst    engine.Value
+// refutes reports whether no row of a segment with column statistics
+// stats can satisfy e: a comparison of a value column with a constant
+// that segmentRefutes, an AND with a refuted conjunct, or an OR whose
+// every arm is refuted. Nothing else is refuted.
+func (p *StoreScanPlan) refutes(e engine.Expr, stats []colStats) bool {
+	switch e := e.(type) {
+	case *engine.CmpExpr:
+		col, cst, op, ok := engine.NormalizeColCmp(e)
+		attrStart := 2*p.Width + 1 // descriptor pairs, then tid, then attrs
+		si := p.Sch.IndexOf(col)
+		return ok && si >= attrStart && si < p.Sch.Len() && segmentRefutes(stats[p.AttrIdx[si-attrStart]], op, cst)
+	case *engine.LogicExpr:
+		refuted := func(a engine.Expr) bool { return p.refutes(a, stats) }
+		switch e.Op {
+		case engine.AndOp:
+			return slices.ContainsFunc(e.Args, refuted)
+		case engine.OrOp:
+			return !slices.ContainsFunc(e.Args, func(a engine.Expr) bool { return !refuted(a) })
+		}
+	}
+	return false
 }
 
 // segmentRefutes reports whether no row of a segment can satisfy
@@ -207,9 +193,9 @@ func segmentRefutes(st colStats, op engine.CmpOp, cst engine.Value) bool {
 // segment. Layers are scanned base-first, then the source's in-memory
 // delta rows come out as a final batch. Tombstones narrow file
 // batches through the selection vector (the decoded vectors stay
-// zero-copy and shared; only live row indices are listed), and only
-// the batches whose tuple ids meet a segment's are consulted for it,
-// so a partition without deletes, and a segment none of them touched,
+// zero-copy and shared; only live row indices are listed) in one pass
+// beside the tombstones in the batch's tuple ids (tombWindow), so a
+// partition without deletes, and a segment none of them touched,
 // pays nothing per row. A hash join above may hand the scan its build
 // keys' range (NarrowKeyRange): the segments whose bounds miss it are
 // not read at all, and of a segment read whose tuple ids ascend only the
@@ -259,9 +245,8 @@ type StoreScanIter struct {
 	rows    []engine.Tuple
 	pos     int
 	cb      engine.ColBatch // reused columnar batch header
-	sel     []int32         // reused tombstone selection vector
 	pad     []int64         // shared zero column for width padding
-	near    TombFilter      // the layer's tombstones narrowed to the current segment
+	tombs   tombWindow      // the layer's tombstones narrowed to the current window
 }
 
 var _ engine.KeyRangeNarrower = (*StoreScanIter)(nil)
@@ -373,49 +358,39 @@ func (s *StoreScanIter) tidWindow(seg *segment) (lo, hi int) {
 }
 
 // tombSel builds the selection vector of live rows for rows [lo, hi)
-// of a decoded segment of the current layer under the layer's tombstone
-// filter, narrowed to the batches that meet those rows' tuple ids, or
-// nil when every row survives. The selection counts from lo.
-func (s *StoreScanIter) tombSel(seg *segment, width, lo, hi int) ([]int32, error) {
+// of a decoded segment of the current layer, in one pass beside the
+// layer's tombstones that fall in those rows' tuple ids, or nil when
+// every row survives. The selection counts from lo.
+func (s *StoreScanIter) tombSel(seg *segment, width, lo, hi int) []int32 {
 	tf := s.Src.Tomb.Layer(s.layer)
 	if tf == nil {
-		return nil, nil
+		return nil
 	}
 	tidLo, tidHi := seg.tidLo, seg.tidHi
 	if hi-lo < seg.n { // a tid window: the tuple ids ascend
 		tidLo, tidHi = seg.tid[lo], seg.tid[hi-1]
 	}
-	s.near = tf.narrow(tidLo, tidHi, s.near[:0])
-	if len(s.near) == 0 {
+	if !s.tombs.reset(tf, tidLo, tidHi) {
 		s.TombSegmentsSkipped++
-		return nil, nil
+		return nil
 	}
 	s.TombRowsChecked += int64(hi - lo)
-	if s.sel == nil {
+	if s.tombs.sel == nil {
 		// Non-nil even when empty: an all-dead segment must yield an
 		// empty selection, not the nil "select everything".
-		s.sel = make([]int32, 0, hi-lo)
+		s.tombs.sel = make([]int32, 0, hi-lo)
 	}
-	dead := 0
-	sel := s.sel[:0]
+	sel := s.tombs.sel[:0]
 	for r := lo; r < hi; r++ {
-		if s.near.HasTID(seg.tid[r]) {
-			d, err := segDescriptor(seg, width, r)
-			if err != nil {
-				return nil, corruptf("row %d: %v", r, err)
-			}
-			if s.near.Has(seg.tid[r], d) {
-				dead++
-				continue
-			}
+		if !s.tombs.dead(seg, width, r) {
+			sel = append(sel, int32(r-lo))
 		}
-		sel = append(sel, int32(r-lo))
 	}
-	s.sel = sel
-	if dead == 0 {
-		return nil, nil
+	s.tombs.sel = sel
+	if len(sel) == hi-lo {
+		return nil
 	}
-	return sel, nil
+	return sel
 }
 
 // advance makes the next batch NextColBatch serves — a file segment's
@@ -478,10 +453,7 @@ func (s *StoreScanIter) NextColBatch() (*engine.ColBatch, bool, error) {
 			s.memColBatch(rows)
 			return &s.cb, true, nil
 		}
-		sel, err := s.tombSel(seg, fw, lo, hi)
-		if err != nil {
-			return nil, false, err
-		}
+		sel := s.tombSel(seg, fw, lo, hi)
 		if sel != nil && len(sel) == 0 {
 			continue
 		}
@@ -585,6 +557,7 @@ func (s *StoreScanIter) NextBatch() ([]engine.Tuple, bool, error) {
 // The stat counters survive Close so tracing can collect them.
 func (s *StoreScanIter) Close() error {
 	s.rows = nil
+	s.tombs.release()
 	return nil
 }
 
@@ -609,15 +582,7 @@ func (s *StoreScanIter) OperatorStats(emit func(key string, v int64)) {
 		emit("tomb_rows_checked", s.TombRowsChecked)
 		emit("tomb_segments_skipped", s.TombSegmentsSkipped)
 	}
-	var pruned int64
-	for _, layer := range s.Pruned {
-		for _, sk := range layer {
-			if sk {
-				pruned++
-			}
-		}
-	}
-	emit("segments_pruned", pruned)
+	emit("segments_pruned", int64(numPruned(s.Pruned)))
 }
 
 // Schema returns the scan's output schema.

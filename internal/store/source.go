@@ -1,7 +1,9 @@
 package store
 
 import (
+	"cmp"
 	"io"
+	"slices"
 
 	"urel/internal/core"
 	"urel/internal/engine"
@@ -151,7 +153,8 @@ func (s *PartSource) ScanPlan(sch engine.Schema, width int, attrIdx []int, name 
 // delta is never filtered).
 func (s *PartSource) Load() ([]core.URow, error) {
 	out := make([]core.URow, 0, s.NumRows())
-	var near TombFilter
+	var tombs tombWindow
+	defer tombs.release()
 	for li, h := range s.Layers {
 		tf := s.Tomb.Layer(li)
 		for i := 0; i < h.NumSegments(); i++ {
@@ -159,20 +162,16 @@ func (s *PartSource) Load() ([]core.URow, error) {
 			if err != nil {
 				return nil, err
 			}
-			near = tf.narrow(seg.tidLo, seg.tidHi, near[:0])
+			tombs.reset(tf, seg.tidLo, seg.tidHi)
 			for r := 0; r < seg.n; r++ {
-				d, err := segDescriptor(seg, h.Width(), r)
-				if err != nil {
-					return nil, corruptf("segment %d row %d: %v", i, r, err)
-				}
-				if len(near) > 0 && near.Has(seg.tid[r], d) {
+				if tombs.dead(seg, h.Width(), r) {
 					continue
 				}
 				vals := make([]engine.Value, len(seg.cols))
 				for ci := range seg.cols {
 					vals[ci] = seg.cols[ci].Value(r)
 				}
-				out = append(out, core.URow{D: d, TID: seg.tid[r], Vals: vals})
+				out = append(out, core.URow{D: segDescriptor(seg, h.Width(), r), TID: seg.tid[r], Vals: vals})
 			}
 		}
 	}
@@ -200,26 +199,45 @@ var _ core.Backing = (*PartSource)(nil)
 var _ io.Closer = (*PartSource)(nil)
 
 // segDescriptor reconstructs the canonical ws-descriptor of one stored
-// row from its padded (var, rng) columns: padding repeats existing
-// assignments and the trivial assignment denotes "all worlds", so both
-// collapse.
-func segDescriptor(seg *segment, width, r int) (ws.Descriptor, error) {
-	var assigns []ws.Assignment
+// row from its padded (var, rng) columns (storedAssign), sorted.
+func segDescriptor(seg *segment, width, r int) ws.Descriptor {
+	var d ws.Descriptor
 	for k := 0; k < width; k++ {
-		x := ws.Var(seg.dvar[k][r])
-		if x == ws.TrivialVar {
-			continue
-		}
-		dup := false
-		for _, a := range assigns {
-			if a.Var == x {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			assigns = append(assigns, ws.A(x, ws.Val(seg.drng[k][r])))
+		if a, ok := storedAssign(seg, k, r); ok {
+			d = append(d, a)
 		}
 	}
-	return ws.NewDescriptor(assigns...)
+	slices.SortFunc(d, func(a, b ws.Assignment) int { return cmp.Compare(a.Var, b.Var) })
+	return d
+}
+
+// storedAssign returns the assignment in descriptor column k of stored
+// row r unless padding repeats its variable or it is the trivial one.
+func storedAssign(seg *segment, k, r int) (ws.Assignment, bool) {
+	x := seg.dvar[k][r]
+	if ws.Var(x) == ws.TrivialVar {
+		return ws.Assignment{}, false
+	}
+	for j := 0; j < k; j++ {
+		if seg.dvar[j][r] == x {
+			return ws.Assignment{}, false
+		}
+	}
+	return ws.A(ws.Var(x), ws.Val(seg.drng[k][r])), true
+}
+
+// storedDescriptorIs is DescriptorEqual(d, segDescriptor(seg, width,
+// r)) compared in place: each assignment that does not collapse is in
+// d, and d holds nothing else, in variable order.
+func storedDescriptorIs(seg *segment, width, r int, d ws.Descriptor) bool {
+	n := 0
+	for k := 0; k < width; k++ {
+		if a, ok := storedAssign(seg, k, r); ok {
+			if !slices.Contains(d, a) {
+				return false
+			}
+			n++
+		}
+	}
+	return n == len(d) && slices.IsSortedFunc(d, func(a, b ws.Assignment) int { return cmp.Compare(a.Var, b.Var) })
 }

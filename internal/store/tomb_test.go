@@ -2,7 +2,10 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -47,9 +50,45 @@ func tupleKey(t *testing.T, row engine.Tuple, w int) string {
 
 func uRowKey(r core.URow) string { return fmt.Sprintf("%s|%d|%s", r.D, r.TID, r.Vals[0]) }
 
-// scanKeys drains a fresh scan of src through NextColBatch and returns
-// the live rows' keys, sorted, with the scan for its counters.
-func scanKeys(t *testing.T, src *PartSource, w int) ([]string, *StoreScanIter) {
+// refDeleted is the per-row reference filter: whether some batch of f
+// deletes the row (tid, d).
+func refDeleted(f TombFilter, tid int64, d ws.Descriptor) bool {
+	for i := range f {
+		if f[i].Matches(tid, d) {
+			return true
+		}
+	}
+	return false
+}
+
+// refLive returns src's live rows by the per-row reference: every
+// stored row, its descriptor rebuilt by segDescriptor, against every
+// batch that filters its layer, and then the in-memory delta.
+func refLive(t *testing.T, src *PartSource) []core.URow {
+	t.Helper()
+	var out []core.URow
+	for li, h := range src.Layers {
+		f := src.Tomb.Layer(li)
+		for i := 0; i < h.NumSegments(); i++ {
+			seg, err := h.ReadSegment(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < seg.n; r++ {
+				if d := segDescriptor(seg, h.Width(), r); !refDeleted(f, seg.tid[r], d) {
+					out = append(out, core.URow{D: d, TID: seg.tid[r], Vals: []engine.Value{seg.cols[0].Value(r)}})
+				}
+			}
+		}
+	}
+	return append(out, src.Mem...)
+}
+
+// scanKeys drains a fresh scan of src at descriptor width w through
+// NextColBatch — narrowed to the tuple ids [win[0], win[1]] when win is
+// not nil — and returns the live rows' keys, sorted, with the scan for
+// its counters.
+func scanKeys(t *testing.T, src *PartSource, w int, win *[2]int64) ([]string, *StoreScanIter) {
 	t.Helper()
 	it, err := src.ScanPlan(widthSchema(w), w, []int{0}, "u_r_a").(*StoreScanPlan).BuildIter(engine.ExecConfig{})
 	if err != nil {
@@ -58,6 +97,9 @@ func scanKeys(t *testing.T, src *PartSource, w int) ([]string, *StoreScanIter) {
 	s := it.(*StoreScanIter)
 	if err := s.Open(); err != nil {
 		t.Fatal(err)
+	}
+	if win != nil {
+		s.NarrowKeyRange(2*w, win[0], win[1])
 	}
 	var keys []string
 	for {
@@ -69,7 +111,9 @@ func scanKeys(t *testing.T, src *PartSource, w int) ([]string, *StoreScanIter) {
 			break
 		}
 		for _, row := range cb.Materialize(nil) {
-			keys = append(keys, tupleKey(t, row, w))
+			if win == nil || row[2*w].I >= win[0] && row[2*w].I <= win[1] {
+				keys = append(keys, tupleKey(t, row, w))
+			}
 		}
 	}
 	sort.Strings(keys)
@@ -77,14 +121,12 @@ func scanKeys(t *testing.T, src *PartSource, w int) ([]string, *StoreScanIter) {
 }
 
 // TestTombstonesCheckOnlyTheirSegments: a tombstone is looked up only
-// in the segments whose tuple ids its batch meets. A three-segment base
-// with deletes confined to its middle segment checks that segment's
-// rows and no others (every row was checked against every batch
-// before), and a segment no batch meets is skipped whole. The property
-// leg draws random layouts — an ascending base, deltas in the unsorted
-// order UPDATE reinserts leave, batches of mixed gens, wildcard
-// tombstones — and holds the narrowed scan, the index lookup and Load
-// to the unnarrowed per-row filter.
+// in the segments its tuple id falls in. A three-segment base with
+// deletes confined to its middle segment checks that segment's rows and
+// no others (every row was checked against every batch before), and a
+// segment no tombstone falls in is skipped whole. The property leg
+// draws random layouts (checkTombLayout) and holds the scan, the index
+// lookup and Load to the per-row reference.
 func TestTombstonesCheckOnlyTheirSegments(t *testing.T) {
 	dir := t.TempDir()
 	base := make([]int64, 192)
@@ -96,7 +138,7 @@ func TestTombstonesCheckOnlyTheirSegments(t *testing.T) {
 		NewTombBatch([]WALTomb{{TID: 70, Wild: true}, {TID: 75}}, 1),
 		NewTombBatch([]WALTomb{{TID: 100}, {TID: 90, Wild: true}}, 1),
 	})}
-	keys, s := scanKeys(t, src, 0)
+	keys, s := scanKeys(t, src, 0, nil)
 	if len(keys) != 188 {
 		t.Fatalf("scan kept %d rows, want 188", len(keys))
 	}
@@ -111,15 +153,55 @@ func TestTombstonesCheckOnlyTheirSegments(t *testing.T) {
 		t.Fatalf("lookup of a key in an untouched segment: %v, %+v", got, li)
 	}
 
+	var total tombCounts
 	for seed := int64(1); seed <= 40; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { checkTombLayout(t, rand.New(rand.NewSource(seed))) })
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			c := checkTombLayout(t, rand.New(rand.NewSource(seed)))
+			total.repeatedVars += c.repeatedVars
+			total.splitTIDs += c.splitTIDs
+			total.unsortedV1 += c.unsortedV1
+			total.cutWindows += c.cutWindows
+		})
+	}
+	t.Logf("%d stored rows repeated a variable, %d tombstones deleted one alternative of a tid and kept another, %d v1 segments held tuple ids out of order, %d narrowed scans cut a segment",
+		total.repeatedVars, total.splitTIDs, total.unsortedV1, total.cutWindows)
+	if total.repeatedVars == 0 || total.splitTIDs == 0 || total.unsortedV1 == 0 || total.cutWindows == 0 {
+		t.Errorf("a case was never drawn: %+v", total)
 	}
 }
 
+// tombCounts is how often the layouts drew the cases checkTombLayout
+// exists for.
+type tombCounts struct{ repeatedVars, splitTIDs, unsortedV1, cutWindows int }
+
+// collapse is a stored row's descriptor as segDescriptor reads it: the
+// trivial variable and a repeated variable dropped (the first
+// assignment counts), the rest sorted.
+func collapse(d ws.Descriptor) ws.Descriptor {
+	var as []ws.Assignment
+	for i, a := range d {
+		if a.Var != ws.TrivialVar && !slices.ContainsFunc(d[:i], func(b ws.Assignment) bool { return b.Var == a.Var }) {
+			as = append(as, a)
+		}
+	}
+	return ws.MustDescriptor(as...)
+}
+
 // checkTombLayout builds one random layered, tombstoned partition and
-// compares every read path with the unnarrowed per-row filter.
-func checkTombLayout(t *testing.T, rng *rand.Rand) {
+// compares every read path with the per-row reference (refLive). The
+// layouts hold: an ascending base whose tuple ids have one or two
+// alternatives; deltas in the unsorted order UPDATE reinserts leave,
+// some written as URSEGv1 files, whose segments keep that order;
+// stored descriptors that repeat a variable, with the same value or
+// another; batches of mixed gens with wildcard tombstones, tombstones of
+// stored rows and of no row, and ones that delete one alternative of a
+// tuple id but not another. Each layout is scanned at its width and a
+// wider one, whole and narrowed to a tid window that ends on a tuple id
+// with alternatives or inside a tombstone batch, and read by Load and
+// by index lookups.
+func checkTombLayout(t *testing.T, rng *rand.Rand) tombCounts {
 	dir := t.TempDir()
+	var counts tombCounts
 	desc := func() ws.Descriptor {
 		var as []ws.Assignment
 		for x := ws.Var(1); x <= 3; x++ {
@@ -130,7 +212,18 @@ func checkTombLayout(t *testing.T, rng *rand.Rand) {
 		return ws.MustDescriptor(as...)
 	}
 	row := func(tid int64) core.URow {
-		return core.URow{D: desc(), TID: tid, Vals: []engine.Value{engine.Int(int64(rng.Intn(12)))}}
+		d := desc()
+		if len(d) > 0 && rng.Intn(4) == 0 {
+			// Repeat a variable, in front or behind, with any value.
+			a := ws.A(d[rng.Intn(len(d))].Var, ws.Val(1+rng.Intn(3)))
+			if rng.Intn(2) == 0 {
+				d = append(ws.Descriptor{a}, d...)
+			} else {
+				d = append(d, a)
+			}
+			counts.repeatedVars++
+		}
+		return core.URow{D: d, TID: tid, Vals: []engine.Value{engine.Int(int64(rng.Intn(12)))}}
 	}
 	var layers [][]core.URow
 	var basis []core.URow
@@ -156,6 +249,7 @@ func checkTombLayout(t *testing.T, rng *rand.Rand) {
 	}
 
 	var batches []TombBatch
+	var tombTIDs []int64
 	gen := 1
 	for nb := 1 + rng.Intn(10); nb > 0; nb-- {
 		gen += rng.Intn(len(layers) + 1 - gen)
@@ -165,58 +259,97 @@ func checkTombLayout(t *testing.T, rng *rand.Rand) {
 		var tombs []WALTomb
 		for i := 1 + rng.Intn(6); i > 0; i-- {
 			tid := lo + rng.Int63n(hi-lo+1)
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
 			case 0:
 				tombs = append(tombs, WALTomb{TID: tid, Wild: true})
 			case 1:
 				tombs = append(tombs, WALTomb{TID: tid, D: desc()})
+			case 2:
+				// One alternative of a tuple id whose alternatives differ.
+				ls := layers[rng.Intn(gen)]
+				if len(ls) < 2 {
+					continue
+				}
+				j := rng.Intn(len(ls) - 1)
+				a, b := ls[j], ls[j+1]
+				if a.TID == b.TID && !DescriptorEqual(collapse(a.D), collapse(b.D)) {
+					tombs = append(tombs, WALTomb{TID: a.TID, D: collapse(a.D)})
+					counts.splitTIDs++
+				}
 			default:
-				// An existing row of a covered layer, matched exactly.
+				// An existing row of a covered layer: its stored descriptor,
+				// or, half of the time, the one it was written with, which
+				// deletes nothing when it repeats a variable.
 				ls := layers[rng.Intn(gen)]
 				if len(ls) == 0 {
 					continue
 				}
 				r := ls[rng.Intn(len(ls))]
-				tombs = append(tombs, WALTomb{TID: r.TID, D: r.D})
+				d := r.D
+				if rng.Intn(2) == 0 {
+					d = collapse(d)
+				}
+				tombs = append(tombs, WALTomb{TID: r.TID, D: d})
 			}
+		}
+		for _, tb := range tombs {
+			tombTIDs = append(tombTIDs, tb.TID)
 		}
 		batches = append(batches, NewTombBatch(tombs, gen))
 	}
-	view := NewTombView(batches)
 
-	src := &PartSource{IdxCols: []int{0}, Tomb: view}
-	var want []string
+	src := &PartSource{IdxCols: []int{0}, Tomb: NewTombView(batches)}
 	for li, rows := range layers {
 		file := fmt.Sprintf("l%d.useg", li)
-		src.Layers = append(src.Layers, indexedLayer(t, dir, file, rows, 8+rng.Intn(40)))
-		f := view.Layer(li) // every row against every batch of its layer
-		for _, r := range rows {
-			if !f.Has(r.TID, r.D) {
-				want = append(want, uRowKey(r))
+		segRows := 8 + rng.Intn(40)
+		if li == 0 || rng.Intn(3) > 0 {
+			src.Layers = append(src.Layers, indexedLayer(t, dir, file, rows, segRows))
+			continue
+		}
+		// A v1 delta, in its rows' order and without index runs: the
+		// lookups scan it.
+		path := filepath.Join(dir, file)
+		writeV1Partition(t, path, rows, 1, segRows)
+		h, err := OpenPart(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { h.Close() })
+		src.Layers = append(src.Layers, h)
+		for i := 0; i < h.NumSegments(); i++ {
+			if seg, err := h.ReadSegment(i); err != nil {
+				t.Fatal(err)
+			} else if !seg.tidAsc {
+				counts.unsortedV1++
 			}
 		}
 	}
 	for i := rng.Intn(5); i > 0; i-- {
 		maxTID++
-		r := row(maxTID)
-		src.Mem = append(src.Mem, r)
-		want = append(want, uRowKey(r))
+		src.Mem = append(src.Mem, core.URow{D: desc(), TID: maxTID, Vals: []engine.Value{engine.Int(int64(rng.Intn(12)))}})
 	}
-	sort.Strings(want)
+	live := refLive(t, src)
 	w := src.DescriptorWidth()
 
-	same := func(path string, got []string) {
+	// keysIn renders the reference's live rows with a tid in [lo, hi].
+	keysIn := func(lo, hi int64) []string {
+		var keys []string
+		for _, r := range live {
+			if r.TID >= lo && r.TID <= hi {
+				keys = append(keys, uRowKey(r))
+			}
+		}
+		sort.Strings(keys)
+		return keys
+	}
+	same := func(path string, got, want []string) {
 		t.Helper()
 		sort.Strings(got)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("%s: %d rows, the per-row filter keeps %d:\n%v\n%v", path, len(got), len(want), got, want)
 		}
 	}
-	scanned, s := scanKeys(t, src, w)
-	same("narrowed scan", scanned)
-	if s.TombRowsChecked > int64(src.NumRows()-len(src.Mem)) {
-		t.Fatalf("checked %d rows of %d", s.TombRowsChecked, src.NumRows())
-	}
+	all := keysIn(math.MinInt64, math.MaxInt64)
 
 	loaded, err := src.Load()
 	if err != nil {
@@ -226,21 +359,145 @@ func checkTombLayout(t *testing.T, rng *rand.Rand) {
 	for _, r := range loaded {
 		got = append(got, uRowKey(r))
 	}
-	same("Load", got)
+	same("Load", got, all)
 
-	got = got[:0]
-	for v := int64(0); v < 12; v++ {
-		li, err := src.ScanPlan(widthSchema(w), w, []int{0}, "u_r_a").(*StoreScanPlan).LookupEq("r.a", engine.Int(v))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rel, err := engine.Drain(li)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, row := range rel.Rows {
-			got = append(got, tupleKey(t, row, w))
+	// The window's ends: tuple ids with alternatives, or tuple ids inside
+	// the batches.
+	var ends []int64
+	for i := 1; i < len(basis); i++ {
+		if basis[i].TID == basis[i-1].TID {
+			ends = append(ends, basis[i].TID)
 		}
 	}
-	same("index lookup", got)
+	if len(ends) == 0 || rng.Intn(2) == 0 {
+		ends = append(tombTIDs, 1)
+	}
+	slices.Sort(ends)
+	i := rng.Intn(len(ends))
+	win := [2]int64{ends[i], ends[min(len(ends)-1, i+rng.Intn(4))]}
+
+	for _, sw := range []int{w, w + 1 + rng.Intn(2)} {
+		scanned, s := scanKeys(t, src, sw, nil)
+		same(fmt.Sprintf("scan at width %d", sw), scanned, all)
+		if s.TombRowsChecked > int64(src.NumRows()-len(src.Mem)) {
+			t.Fatalf("checked %d rows of %d", s.TombRowsChecked, src.NumRows())
+		}
+		windowed, s := scanKeys(t, src, sw, &win)
+		same(fmt.Sprintf("scan at width %d of tuple ids %v", sw, win), windowed, keysIn(win[0], win[1]))
+		if s.RowsSkippedByJoin > 0 {
+			counts.cutWindows++
+		}
+
+		got = got[:0]
+		for v := int64(0); v < 12; v++ {
+			li, err := src.ScanPlan(widthSchema(sw), sw, []int{0}, "u_r_a").(*StoreScanPlan).LookupEq("r.a", engine.Int(v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel, err := engine.Drain(li)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range rel.Rows {
+				got = append(got, tupleKey(t, row, sw))
+			}
+		}
+		same(fmt.Sprintf("index lookup at width %d", sw), got, all)
+	}
+	return counts
+}
+
+// FuzzTombstoneFilter holds the merged tombstone pass (tombWindow) to
+// the per-row reference, segDescriptor and TombBatch.Matches, on a
+// segment and batches built from the fuzz bytes: descriptor columns that
+// repeat a variable with any value, trivial and negative variables,
+// tuple ids in any order, and entries that are wildcards, a row's own
+// descriptor, or any descriptor at all, normalized or not. Each row is
+// checked in row order over the whole segment, in reverse order (as a
+// reader whose tids go backwards re-seeks), and over a window of rows.
+func FuzzTombstoneFilter(f *testing.F) {
+	f.Add([]byte{2, 12, 1, 3, 1, 2, 0, 0, 1, 4, 3, 2, 2, 1, 1, 1, 0, 5, 3, 2, 1, 0, 2, 7, 4, 1, 2, 0, 3, 1, 1})
+	f.Add([]byte{3, 40, 0, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 11, 12, 13, 14, 15, 4, 6, 1, 2, 3, 0, 1, 5, 6, 7, 2, 3, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b) % n
+		}
+		width, n := next(4), next(48)
+		seg := &segment{n: n, tid: make([]int64, n)}
+		if width > 0 {
+			seg.dvar, seg.drng = make([][]int64, width), make([][]int64, width)
+			for k := 0; k < width; k++ {
+				seg.dvar[k], seg.drng[k] = make([]int64, n), make([]int64, n)
+			}
+		}
+		for r := 0; r < n; r++ {
+			seg.tid[r] = int64(next(16) - 2)
+			for k := 0; k < width; k++ {
+				seg.dvar[k][r], seg.drng[k][r] = int64(next(5)-1), int64(next(3))
+			}
+		}
+		if next(2) == 0 {
+			slices.Sort(seg.tid)
+		}
+		seg.tidLo, seg.tidHi, seg.tidAsc = tidBounds(seg.tid)
+
+		var tf TombFilter
+		for nb := next(5); nb > 0; nb-- {
+			var tombs []WALTomb
+			for ne := next(8); ne > 0; ne-- {
+				switch tid := int64(next(16) - 2); next(4) {
+				case 0:
+					tombs = append(tombs, WALTomb{TID: tid, Wild: true})
+				case 1:
+					if n > 0 {
+						r := next(n)
+						tombs = append(tombs, WALTomb{TID: seg.tid[r], D: segDescriptor(seg, width, r)})
+					}
+				default:
+					var d ws.Descriptor
+					for k := next(4); k > 0; k-- {
+						d = append(d, ws.A(ws.Var(next(5)-1), ws.Val(next(3))))
+					}
+					tombs = append(tombs, WALTomb{TID: tid, D: d})
+				}
+			}
+			tf = append(tf, NewTombBatch(tombs, 1))
+		}
+
+		check := func(order []int) {
+			if len(order) == 0 {
+				return
+			}
+			lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+			for _, r := range order {
+				lo, hi = min(lo, seg.tid[r]), max(hi, seg.tid[r])
+			}
+			var tw tombWindow
+			hit := tw.reset(tf, lo, hi)
+			for _, r := range order {
+				want := refDeleted(tf, seg.tid[r], segDescriptor(seg, width, r))
+				if want && !hit {
+					t.Fatalf("row %d (tid %d) is deleted, but no tombstone falls in [%d, %d]", r, seg.tid[r], lo, hi)
+				}
+				if got := hit && tw.dead(seg, width, r); got != want {
+					t.Fatalf("row %d (tid %d, descriptor %v) of order %v: dead %v, the reference says %v; batches %+v",
+						r, seg.tid[r], segDescriptor(seg, width, r), order, got, want, tf)
+				}
+			}
+		}
+		rows := make([]int, n)
+		for r := range rows {
+			rows[r] = r
+		}
+		check(rows)
+		a := next(n + 1)
+		check(rows[a : a+next(n-a+1)])
+		slices.Reverse(rows)
+		check(rows)
+	})
 }

@@ -253,7 +253,7 @@ func TestPartDeltaEagerDeletes(t *testing.T) {
 	if tv == nil || tv.Len() != 1 {
 		t.Fatalf("tomb view: %+v", tv)
 	}
-	if f := tv.Layer(0); f == nil || !f.Has(1, d) {
+	if f := tv.Layer(0); f == nil || !refDeleted(f, 1, d) {
 		t.Fatal("batch must filter layer 0")
 	}
 	if f := tv.Layer(1); f != nil {

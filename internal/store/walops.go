@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
+	"sync"
 
 	"urel/internal/core"
 	"urel/internal/engine"
@@ -359,24 +361,23 @@ func NewTombBatch(tombs []WALTomb, gen int) TombBatch {
 	return b
 }
 
-// find returns the index of the batch's first entry for tid, and
-// whether there is one.
-func (b *TombBatch) find(tid int64) (int, bool) {
-	if tid < b.lo || tid > b.hi {
-		return 0, false
-	}
-	return slices.BinarySearchFunc(b.Entries, tid, func(t WALTomb, tid int64) int { return cmp.Compare(t.TID, tid) })
-}
-
 // Matches reports whether the batch deletes row (tid, d).
 func (b *TombBatch) Matches(tid int64, d ws.Descriptor) bool {
-	i, ok := b.find(tid)
-	for ; ok && i < len(b.Entries) && b.Entries[i].TID == tid; i++ {
+	if tid < b.lo || tid > b.hi {
+		return false
+	}
+	for i := firstTomb(b.Entries, tid); i < len(b.Entries) && b.Entries[i].TID == tid; i++ {
 		if t := b.Entries[i]; t.Wild || DescriptorEqual(t.D, d) {
 			return true
 		}
 	}
 	return false
+}
+
+// firstTomb is the index of the first of tid-sorted es with TID ≥ tid.
+func firstTomb(es []WALTomb, tid int64) int {
+	i, _ := slices.BinarySearchFunc(es, tid, func(t WALTomb, tid int64) int { return cmp.Compare(t.TID, tid) })
+	return i
 }
 
 // DescriptorEqual reports assignment-wise equality of two descriptors.
@@ -449,40 +450,76 @@ func (v *TombView) Layer(li int) TombFilter {
 	return v.batches[lo:]
 }
 
-// TombFilter is the tombstone batches that filter one file layer. A
-// reader narrows it per segment to the batches whose tuple ids meet
-// the segment's, so a row is looked up only in those, and a segment
-// no batch meets costs nothing per row.
+// TombFilter is the tombstone batches that filter one file layer.
 type TombFilter []TombBatch
 
-// narrow appends to buf the batches whose tid bounds meet [lo, hi]
-// and returns it: empty when no tombstone falls in the range.
-func (f TombFilter) narrow(lo, hi int64, buf TombFilter) TombFilter {
-	for i := range f {
-		if f[i].lo <= hi && f[i].hi >= lo {
-			buf = append(buf, f[i])
-		}
-	}
-	return buf
+// tombWindow is a layer's tombstones in a window of a segment and a
+// cursor walking them beside its rows: rows in tid order cost one pass
+// over both; a tid that goes backwards (v1 segments, index lookups)
+// re-seeks by binary search.
+type tombWindow struct {
+	*tombBuf       // from tombBufs, from reset until release
+	next     int   // the first entry whose tid is at least last
+	last     int64 // the tid looked up last
 }
 
-// HasTID is the allocation-free pre-filter: whether any tombstone
-// exists for the tuple id. A reader reconstructs a row's descriptor
-// for the exact Has check only when it does.
-func (f TombFilter) HasTID(tid int64) bool {
-	for i := range f {
-		if _, ok := f[i].find(tid); ok {
-			return true
-		}
-	}
-	return false
+// tombBuf is a tombWindow's buffers, pooled: a reader lives for a statement.
+type tombBuf struct {
+	es  []*WALTomb // the window's tombstones, in tid order
+	sel []int32    // a scan's selection vector over the window (tombSel)
 }
 
-// Has reports whether the row (tid, d) is deleted. A descriptor-less
-// ("wildcard") tombstone deletes every row of its tuple id.
-func (f TombFilter) Has(tid int64, d ws.Descriptor) bool {
+var tombBufs = sync.Pool{New: func() any { return new(tombBuf) }}
+
+// reset merges the entries of f in the tuple ids [lo, hi] in tid order
+// and rewinds the cursor; it reports whether there are any.
+func (w *tombWindow) reset(f TombFilter, lo, hi int64) bool {
+	if w.tombBuf == nil {
+		w.tombBuf = tombBufs.Get().(*tombBuf)
+	}
+	w.es, w.next, w.last = w.es[:0], 0, math.MinInt64
 	for i := range f {
-		if f[i].Matches(tid, d) {
+		if f[i].lo > hi || f[i].hi < lo {
+			continue
+		}
+		run := f[i].Entries[firstTomb(f[i].Entries, lo):]
+		n := sort.Search(len(run), func(j int) bool { return run[j].TID > hi })
+		// Merge the run in from the back: only entries above its least tid move.
+		k := len(w.es) - 1
+		w.es = slices.Grow(w.es, n)[:k+1+n]
+		for d := len(w.es) - 1; n > 0; d-- {
+			if k >= 0 && w.es[k].TID > run[n-1].TID {
+				w.es[d], k = w.es[k], k-1
+			} else {
+				w.es[d], n = &run[n-1], n-1
+			}
+		}
+	}
+	return len(w.es) > 0
+}
+
+// release returns the buffers to the pool; a later reset takes others.
+func (w *tombWindow) release() {
+	if w.tombBuf != nil {
+		tombBufs.Put(w.tombBuf)
+		w.tombBuf = nil
+	}
+}
+
+// dead reports whether row r of seg, stored at descriptor width fw, is
+// deleted: by a wildcard entry of its tid, or one with its descriptor.
+func (w *tombWindow) dead(seg *segment, fw, r int) bool {
+	tid := seg.tid[r]
+	if tid < w.last {
+		w.next, _ = slices.BinarySearchFunc(w.es, tid, func(e *WALTomb, tid int64) int { return cmp.Compare(e.TID, tid) })
+	} else {
+		for w.next < len(w.es) && w.es[w.next].TID < tid {
+			w.next++
+		}
+	}
+	w.last = tid
+	for i := w.next; i < len(w.es) && w.es[i].TID == tid; i++ {
+		if e := w.es[i]; e.Wild || storedDescriptorIs(seg, fw, r, e.D) {
 			return true
 		}
 	}

@@ -23,10 +23,10 @@ func (w wideOpen) BuildIter(cfg engine.ExecConfig) (engine.Iterator, error) {
 	return struct{ engine.ColBatchIterator }{it.(engine.ColBatchIterator)}, nil
 }
 
-// withoutNarrowing returns p with every store scan leaf made wideOpen.
-func withoutNarrowing(p engine.Plan) engine.Plan {
+// wrapScans returns p with every store scan leaf replaced by wrap's.
+func wrapScans(p engine.Plan, wrap func(*store.StoreScanPlan) engine.Plan) engine.Plan {
 	if s, ok := p.(*store.StoreScanPlan); ok {
-		return wideOpen{s}
+		return wrap(s)
 	}
 	kids := p.Children()
 	if len(kids) == 0 {
@@ -34,7 +34,7 @@ func withoutNarrowing(p engine.Plan) engine.Plan {
 	}
 	out := make([]engine.Plan, len(kids))
 	for i, c := range kids {
-		out[i] = withoutNarrowing(c)
+		out[i] = wrapScans(c, wrap)
 	}
 	return p.WithChildren(out)
 }
@@ -146,7 +146,7 @@ func TestMemtableBuildSideNarrowsProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := engine.Run(withoutNarrowing(plan), cat, engine.ExecConfig{DisableOptimizer: true})
+	want, err := engine.Run(wrapScans(plan, func(s *store.StoreScanPlan) engine.Plan { return wideOpen{s} }), cat, engine.ExecConfig{DisableOptimizer: true})
 	if err != nil {
 		t.Fatal(err)
 	}
