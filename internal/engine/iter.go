@@ -217,6 +217,10 @@ func (f *FilterIter) ColumnarNative() bool {
 func (f *FilterIter) Close() error   { return f.In.Close() }
 func (f *FilterIter) Schema() Schema { return f.In.Schema() }
 
+// NarrowKeyRange (KeyRangeNarrower) forwards a range to the input, whose
+// columns the filter passes through.
+func (f *FilterIter) NarrowKeyRange(col int, lo, hi int64) { narrowInput(f.In, col, lo, hi) }
+
 // OperatorStats reports the rows the filter made into tuples.
 func (f *FilterIter) OperatorStats(emit func(key string, v int64)) { f.mat.stats(emit) }
 
@@ -312,6 +316,14 @@ func (p *ProjectIter) ColumnarNative() bool {
 }
 
 func (p *ProjectIter) Close() error { return p.In.Close() }
+
+// NarrowKeyRange (KeyRangeNarrower) forwards a range to the input column
+// the projection picks for col.
+func (p *ProjectIter) NarrowKeyRange(col int, lo, hi int64) {
+	if col < len(p.idx) {
+		narrowInput(p.In, p.idx[col], lo, hi)
+	}
+}
 
 // OperatorStats reports the rows the projection made into tuples.
 func (p *ProjectIter) OperatorStats(emit func(key string, v int64)) { p.mat.stats(emit) }

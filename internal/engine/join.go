@@ -9,23 +9,40 @@ import (
 // an opened input that its consumer keeps no row whose column col is
 // NULL or an int outside [lo, hi], so the input may leave such rows
 // unread (a cell of another kind, such as a float equal to a key, must
-// still come). It is a hint — the input may still emit them — and only
-// an operator that drops them anyway may give it: the hash joins and
-// the semi join hand their probe input the range of their build keys,
-// while the anti join, which keeps exactly the rows outside it, never
-// does. A store scan skips the file segments whose bounds miss the
-// range and, on the tid column, serves of a segment whose tuple ids
+// still come). It is a hint — the input may still emit them — handed
+// over after Open and before the first pull; an input may ignore a range
+// that comes later, and one handed several keeps them all.
+//
+// Only an operator that drops such rows anyway originates a range: the
+// hash join and the semi join hand their probe input the range of their
+// build keys, once the build side is drained, when the key is one int
+// column; the anti join, which keeps exactly the rows outside it, never
+// does. An operator whose output column is an input's column forwards a
+// range on it to that input: a filter to its input, a projection to the
+// column it picks, a semi or anti join to the left input whose rows it
+// passes through, and a hash join to the side the column is read from —
+// dropping, while it drains its build side, the build rows the range
+// excludes. Nothing forwards a range to the other side's key column: a
+// float key equal to an int outside the range joins, and the consumer
+// keeps the row. A store scan skips the file segments whose bounds miss
+// a range and, on the tid column, serves of a segment whose tuple ids
 // ascend only the window of rows inside it.
 type KeyRangeNarrower interface {
 	NarrowKeyRange(col int, lo, hi int64)
 }
 
+// narrowInput hands in a range on its column col, when in can narrow.
+func narrowInput(in Iterator, col int, lo, hi int64) {
+	if n, ok := in.(KeyRangeNarrower); ok {
+		n.NarrowKeyRange(col, lo, hi)
+	}
+}
+
 // narrowProbeInput hands in, a join's probe input, the range of the build
 // keys held in t when the key is the one int column probeIdx names (t
-// keeps intKeys) and in can narrow.
+// keeps intKeys).
 func narrowProbeInput(in Iterator, probeIdx []int, t *joinTable) {
-	n, ok := in.(KeyRangeNarrower)
-	if !ok || len(probeIdx) != 1 || t.intKeys == nil {
+	if len(probeIdx) != 1 || t.intKeys == nil {
 		return
 	}
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
@@ -33,8 +50,28 @@ func narrowProbeInput(in Iterator, probeIdx []int, t *joinTable) {
 		lo, hi = min(lo, k), max(hi, k)
 	}
 	if lo <= hi {
-		n.NarrowKeyRange(probeIdx[0], lo, hi)
+		narrowInput(in, probeIdx[0], lo, hi)
 	}
+}
+
+// keyRange is a range handed down on column col.
+type keyRange struct {
+	col    int
+	lo, hi int64
+}
+
+// drops reports whether the range lets its consumer drop row i of cols:
+// the row's cell is NULL or an int outside the range.
+func (r keyRange) drops(cols []ColVec, i int) bool {
+	v := &cols[r.col]
+	if v.IsNull(i) {
+		return true
+	}
+	x, ok := intCell(v, i)
+	if v.Vals != nil && v.Vals[i].K == KindInt {
+		x, ok = v.Vals[i].I, true
+	}
+	return ok && (x < r.lo || x > r.hi)
 }
 
 // HashJoinIter is an equi-join on extracted key pairs with an optional
@@ -53,8 +90,12 @@ func narrowProbeInput(in Iterator, probeIdx []int, t *joinTable) {
 // the output batch is gathered column by column, in typed loops, at
 // exact size, through the join's output projection. No tuple is made
 // here unless the parent asks for rows: NextBatch is NextColBatch made
-// into tuples, once. An empty build side ends the stream without
-// pulling R at all; any other hands R the range of its int keys first
+// into tuples, once. The build side is drained at the first pull, not at
+// Open, so a parent can narrow the join before it reads anything: a range
+// on an output column goes to the input the column is read from, and on a
+// build column also drops, as L is drained, the build rows outside it
+// (KeyRangeNarrower). An empty build side ends the stream without pulling
+// R at all; any other hands R the range of its int keys first
 // (narrowProbeInput).
 type HashJoinIter struct {
 	L, R     Iterator
@@ -64,8 +105,9 @@ type HashJoinIter struct {
 	outCols []string // output projection of the concatenated row (nil = all)
 
 	shape *joinShape
-	table *joinTable
-	pred  *pairPred // nil = no residual
+	table *joinTable // nil until the first pull drains L (build)
+	keep  []keyRange // ranges handed down on build columns
+	pred  *pairPred  // nil = no residual
 	probe colReader
 	cb    *ColBatch  // current probe batch; nil = pull the next
 	hits  probeHits  // cb narrowed to its matches
@@ -99,10 +141,7 @@ func (j *HashJoinIter) Open() error {
 		return err
 	}
 	j.pred = j.shape.pred()
-	if j.table, err = buildJoinTable(j.L, j.shape.lidx); err != nil {
-		return err
-	}
-	narrowProbeInput(j.R, j.shape.ridx, j.table)
+	j.table, j.keep = nil, nil
 	j.probe = newColReader(j.R)
 	j.cb = nil
 	j.cols = make([]ColVec, len(j.shape.out))
@@ -112,8 +151,14 @@ func (j *HashJoinIter) Open() error {
 
 // NextColBatch walks the matches of the current probe batch from where
 // the previous call stopped, up to DefaultBatchSize output rows, and
-// gathers them; a probe batch without a match is skipped whole.
+// gathers them; a probe batch without a match is skipped whole. The
+// first call drains the build side.
 func (j *HashJoinIter) NextColBatch() (*ColBatch, bool, error) {
+	if j.table == nil {
+		if err := j.build(); err != nil {
+			return nil, false, err
+		}
+	}
 	t := j.table
 	if t.len() == 0 {
 		return nil, false, nil // nothing to join with: R is not read
@@ -143,6 +188,35 @@ func (j *HashJoinIter) NextColBatch() (*ColBatch, bool, error) {
 			return &j.out, true, nil
 		}
 	}
+}
+
+// build drains L into the join table, leaving out the rows a range on a
+// build column drops, and hands R the range of the keys it kept.
+func (j *HashJoinIter) build() error {
+	t, err := buildJoinTable(j.L, j.shape.lidx, j.keep...)
+	if err != nil {
+		return err
+	}
+	j.table = t
+	narrowProbeInput(j.R, j.shape.ridx, t)
+	return nil
+}
+
+// NarrowKeyRange (KeyRangeNarrower) forwards a range on output column
+// col to the input the column is read from, and on a build column keeps
+// it to drop the build rows outside it. A range handed once the build
+// side is drained is ignored.
+func (j *HashJoinIter) NarrowKeyRange(col int, lo, hi int64) {
+	if j.shape == nil || j.table != nil {
+		return
+	}
+	s := j.shape.out[col]
+	if !s.build {
+		narrowInput(j.R, s.col, lo, hi)
+		return
+	}
+	j.keep = append(j.keep, keyRange{col: s.col, lo: lo, hi: hi})
+	narrowInput(j.L, s.col, lo, hi)
 }
 
 // NextBatch makes the next output batch into tuples.
@@ -632,7 +706,8 @@ func (j *NestedLoopJoinIter) Schema() Schema {
 // narrowed against it from their vectors and each hit's chain is walked
 // until the residual holds. A semi join hands its left input the range
 // of the build keys, as the hash join does; an anti join keeps the rows
-// outside that range, so it never does. It emits rows: a row input's
+// outside that range, so it never does. Both forward a range handed to
+// them to L. It emits rows: a row input's
 // own tuples, passed through, or a columnar input's survivors made into
 // tuples.
 type SemiJoinIter struct {
@@ -746,3 +821,7 @@ func (j *SemiJoinIter) Close() error {
 }
 
 func (j *SemiJoinIter) Schema() Schema { return j.L.Schema() }
+
+// NarrowKeyRange (KeyRangeNarrower) forwards a range to L, whose rows
+// the (anti) semi join passes through.
+func (j *SemiJoinIter) NarrowKeyRange(col int, lo, hi int64) { narrowInput(j.L, col, lo, hi) }

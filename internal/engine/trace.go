@@ -69,12 +69,8 @@ func (t *traceIter) ColumnarNative() bool {
 	return ok
 }
 
-// NarrowKeyRange forwards a join's key range to the wrapped operator.
-func (t *traceIter) NarrowKeyRange(col int, lo, hi int64) {
-	if n, ok := t.in.(KeyRangeNarrower); ok {
-		n.NarrowKeyRange(col, lo, hi)
-	}
-}
+// NarrowKeyRange forwards a key range to the wrapped operator.
+func (t *traceIter) NarrowKeyRange(col int, lo, hi int64) { narrowInput(t.in, col, lo, hi) }
 
 func (t *traceIter) Close() error {
 	start := time.Now()

@@ -23,9 +23,10 @@ type rowsOnly struct{ *StoreScanIter }
 func (rowsOnly) ColumnarNative() bool { return false }
 
 // narrowCounts is what the narrowed scans of some layouts skipped, how
-// many of the layouts' layers held tuple ids out of order, and how many
-// joins whose build side held in-memory delta rows narrowed their probe.
-type narrowCounts struct{ segments, rows, unsortedLayers, memBuilds int64 }
+// many of the layouts' layers held tuple ids out of order, how many
+// joins whose build side held in-memory delta rows narrowed their probe,
+// and the segments the scans of the merge chains skipped.
+type narrowCounts struct{ segments, rows, unsortedLayers, memBuilds, chainSegments int64 }
 
 // TestNarrowedJoinsMatchUnnarrowed draws random layered partitions —
 // base and delta files written from rows out of tid order, some as
@@ -41,7 +42,10 @@ type narrowCounts struct{ segments, rows, unsortedLayers, memBuilds int64 }
 // (serial, partitioned, and over the scan's rows instead of its
 // columns), the semi join and the anti join must give the same rows
 // with the probe scan narrowed as with narrowing off, and as the join
-// evaluated row by row over the partition's live rows.
+// evaluated row by row over the partition's live rows. Each layout is
+// also the build side of a two-level case (checkChain): a selective
+// value-column build joined to its tid-merge with a second stored
+// partition, whose scans must skip segments over the seeds.
 func TestNarrowedJoinsMatchUnnarrowed(t *testing.T) {
 	var total narrowCounts
 	for seed := int64(1); seed <= 40; seed++ {
@@ -51,12 +55,16 @@ func TestNarrowedJoinsMatchUnnarrowed(t *testing.T) {
 			total.rows += c.rows
 			total.unsortedLayers += c.unsortedLayers
 			total.memBuilds += c.memBuilds
+			total.chainSegments += c.chainSegments
 		})
 	}
 	t.Logf("narrowed scans skipped %d segments and %d rows of segments read and of deltas; %d layers held tuple ids out of order; %d joins built on delta rows narrowed",
 		total.segments, total.rows, total.unsortedLayers, total.memBuilds)
 	if total.segments == 0 || total.rows == 0 {
 		t.Errorf("the joins skipped %d segments and %d rows of segments read: narrowing was never exercised", total.segments, total.rows)
+	}
+	if total.chainSegments == 0 {
+		t.Error("no scan of a merge chain skipped a segment: the range never reached it through the merge")
 	}
 	if total.memBuilds == 0 {
 		t.Error("no join whose build side held delta rows narrowed its probe side")
@@ -328,5 +336,219 @@ func checkNarrowLayout(t *testing.T, rng *rand.Rand) narrowCounts {
 			}
 		}
 	}
+	counts.chainSegments = checkChain(t, rng, dir, src, live, w, maxTID)
 	return counts
+}
+
+// checkChain joins a selective build side — keys from a window of three
+// values, a NULL now and then — on r.a to the tid-merge, with ψ, of src
+// and a second stored partition over its tuple ids: the outer join hands
+// the merge the range of its keys, which the merge forwards to src's
+// scan, its build side, and the merge's own tid range then narrows the
+// other scan. The rows must be those of the same plan with narrowing
+// hidden and of the join evaluated row by row; it returns the segments
+// the merge's two scans skipped.
+func checkChain(t *testing.T, rng *rand.Rand, dir string, src *PartSource, live []core.URow, w int, maxTID int64) int64 {
+	t.Helper()
+	// The other partition, s.b: one or two alternatives per tuple id, in
+	// one or two layers, under wildcard tombstones half of the time, and
+	// a memtable tail.
+	val := func() []engine.Value { return []engine.Value{engine.Int(rng.Int63n(50))} }
+	layers := make([][]core.URow, 1+rng.Intn(2))
+	for tid := int64(1); tid <= maxTID; tid++ {
+		li := rng.Intn(len(layers))
+		if rng.Intn(5) > 0 {
+			layers[li] = append(layers[li], core.URow{TID: tid, Vals: val()})
+			continue
+		}
+		x := ws.Var(1 + rng.Intn(3))
+		for v := 1; v <= 2; v++ {
+			layers[li] = append(layers[li], core.URow{D: ws.MustDescriptor(ws.A(x, ws.Val(v))), TID: tid, Vals: val()})
+		}
+	}
+	src2 := &PartSource{}
+	for li, rows := range layers {
+		if len(rows) == 0 {
+			continue
+		}
+		path := filepath.Join(dir, fmt.Sprintf("s%d.useg", li))
+		if _, err := WritePartition(path, rows, 1, 4+rng.Intn(30)); err != nil {
+			t.Fatal(err)
+		}
+		h, err := OpenPart(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { h.Close() })
+		src2.Layers = append(src2.Layers, h)
+	}
+	if rng.Intn(2) == 0 {
+		var tombs []WALTomb
+		for i := 1 + rng.Intn(6); i > 0; i-- {
+			tombs = append(tombs, WALTomb{TID: 1 + rng.Int63n(maxTID), Wild: true})
+		}
+		src2.Tomb = NewTombView([]TombBatch{NewTombBatch(tombs, len(src2.Layers))})
+	}
+	for i := rng.Intn(4); i > 0; i-- {
+		src2.Mem = append(src2.Mem, core.URow{TID: 1 + rng.Int63n(maxTID+3), Vals: val()})
+	}
+	live2, err := src2.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2 := src2.DescriptorWidth()
+	var cols2 []engine.Column
+	for k := 0; k < w2; k++ {
+		cols2 = append(cols2, engine.Column{Name: fmt.Sprintf("e.v%d", k), Kind: engine.KindInt},
+			engine.Column{Name: fmt.Sprintf("e.r%d", k), Kind: engine.KindInt})
+	}
+	sch2 := engine.NewSchema(append(cols2, engine.Column{Name: "tid:s.p0", Kind: engine.KindInt},
+		engine.Column{Name: "s.b", Kind: engine.KindInt})...)
+	var psi []engine.Expr
+	for a := 0; a < w; a++ {
+		for b := 0; b < w2; b++ {
+			psi = append(psi, engine.Or(
+				engine.Cmp(engine.NE, engine.Col(fmt.Sprintf("d.v%d", a)), engine.Col(fmt.Sprintf("e.v%d", b))),
+				engine.Cmp(engine.EQ, engine.Col(fmt.Sprintf("d.r%d", a)), engine.Col(fmt.Sprintf("e.r%d", b)))))
+		}
+	}
+	var residual engine.Expr
+	if len(psi) > 0 {
+		residual = engine.And(psi...)
+	}
+
+	lo := rng.Int63n(41)
+	var keys []int64
+	var nulls []bool
+	for n := 1 + rng.Intn(4); n > 0; n-- {
+		keys = append(keys, lo+rng.Int63n(3))
+		nulls = append(nulls, rng.Intn(8) == 0)
+	}
+	buildPlan := &engine.ValuesPlan{Batch: &engine.ColBatch{
+		Sch:  engine.NewSchema(engine.Column{Name: "b.k", Kind: engine.KindInt}),
+		Cols: []engine.ColVec{engine.IntVec(keys, nulls)},
+		N:    len(keys),
+	}, Name: "b"}
+	var want []string
+	for _, a := range live {
+		n := 0
+		for i, k := range keys {
+			if !nulls[i] && !a.Vals[0].IsNull() && engine.Compare(engine.Int(k), a.Vals[0]) == 0 {
+				n++
+			}
+		}
+		for _, b := range live2 {
+			if n > 0 && b.TID == a.TID && a.D.ConsistentWith(b.D) {
+				for i := 0; i < n; i++ {
+					want = append(want, uRowKey(a)+" ⋈ "+uRowKey(b))
+				}
+			}
+		}
+	}
+	sort.Strings(want)
+
+	var skipped int64
+	for _, narrow := range []bool{true, false} {
+		scan := func(s *PartSource, sch engine.Schema, width int, name string) *StoreScanIter {
+			it, err := s.ScanPlan(sch, width, []int{0}, name).(*StoreScanPlan).BuildIter(engine.ExecConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return it.(*StoreScanIter)
+		}
+		hide := func(it engine.Iterator) engine.Iterator {
+			if narrow {
+				return it
+			}
+			return unnarrowed{it.(engine.ColBatchIterator)}
+		}
+		a, b := scan(src, widthSchema(w), w, "u_r_a"), scan(src2, sch2, w2, "u_s_b")
+		merge := engine.NewHashJoin(hide(a), hide(b), []engine.EquiPair{{L: "tid:r.p0", R: "tid:s.p0"}}, residual, nil)
+		build, err := engine.Build(buildPlan, engine.NewCatalog(), engine.ExecConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := engine.Drain(engine.NewHashJoin(build, hide(merge), []engine.EquiPair{{L: "b.k", R: "r.a"}}, nil, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, row := range rel.Rows {
+			got = append(got, tupleKey(t, row[1:], w)+" ⋈ "+tupleKey(t, row[2*w+3:], w2))
+		}
+		sort.Strings(got)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("chain on r.a, keys %v (nulls %v), narrowed %v: %d rows, row by row %d:\n%v\n%v", keys, nulls, narrow, len(got), len(want), got, want)
+		}
+		if narrow {
+			skipped = a.SegmentsSkippedByJoin + b.SegmentsSkippedByJoin
+		}
+	}
+	return skipped
+}
+
+// TestScanKeepsEveryRange: a scan handed ranges on two columns skips
+// every segment either misses, and one handed two ranges on one column
+// keeps their intersection — as a probe scan is handed a value range from
+// above and then its own join's tid range, and the second must not erase
+// the first. The partition holds tuple ids 1…400 in segments of 50, with
+// r.a equal to the tid.
+func TestScanKeepsEveryRange(t *testing.T) {
+	var rows []core.URow
+	for tid := int64(1); tid <= 400; tid++ {
+		rows = append(rows, core.URow{D: ws.MustDescriptor(ws.A(1, ws.Val(1+tid%2))), TID: tid, Vals: []engine.Value{engine.Int(tid)}})
+	}
+	path := filepath.Join(t.TempDir(), "p.useg")
+	if _, err := WritePartition(path, rows, 1, 50); err != nil {
+		t.Fatal(err)
+	}
+	h, err := OpenPart(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	src := &PartSource{Layers: []*PartHandle{h}}
+	const tid, val = 2, 3 // the columns of widthSchema(1)
+	for _, c := range []struct {
+		name         string
+		ranges       [][3]int64 // col, lo, hi, in the order handed down
+		lo, hi       int64      // the tuple ids every range lets through
+		read, served int
+	}{
+		{"two columns", [][3]int64{{val, 1, 200}, {tid, 151, 400}}, 151, 200, 1, 50},
+		{"one column twice", [][3]int64{{tid, 1, 220}, {tid, 180, 400}}, 180, 220, 2, 41},
+	} {
+		it, err := src.ScanPlan(widthSchema(1), 1, []int{0}, "u_r_a").(*StoreScanPlan).BuildIter(engine.ExecConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := it.(*StoreScanIter)
+		if err := s.Open(); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range c.ranges {
+			s.NarrowKeyRange(int(r[0]), r[1], r[2])
+		}
+		served, in := 0, 0
+		for {
+			cb, ok, err := s.NextColBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			for _, row := range cb.Materialize(nil) {
+				served++
+				if x := row[tid].I; x >= c.lo && x <= c.hi {
+					in++
+				}
+			}
+		}
+		s.Close()
+		if in != int(c.hi-c.lo+1) || served != c.served || s.SegmentsRead != c.read || s.SegmentsSkippedByJoin != int64(8-c.read) {
+			t.Errorf("%s: served %d rows, %d of tuple ids %d…%d, read %d segments and skipped %d; want %d rows, all %d, %d read and %d skipped",
+				c.name, served, in, c.lo, c.hi, s.SegmentsRead, s.SegmentsSkippedByJoin, c.served, c.hi-c.lo+1, c.read, 8-c.read)
+		}
+	}
 }

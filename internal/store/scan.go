@@ -196,9 +196,9 @@ func segmentRefutes(st colStats, op engine.CmpOp, cst engine.Value) bool {
 // zero-copy and shared; only live row indices are listed) in one pass
 // beside the tombstones in the batch's tuple ids (tombWindow), so a
 // partition without deletes, and a segment none of them touched,
-// pays nothing per row. A hash join above may hand the scan its build
-// keys' range (NarrowKeyRange): the segments whose bounds miss it are
-// not read at all, and of a segment read whose tuple ids ascend only the
+// pays nothing per row. The operators above may hand the scan key
+// ranges (NarrowKeyRange), one or more: the segments whose bounds miss
+// one are not read at all, and of a segment read whose tuple ids ascend only the
 // window of rows in a tid range is served, and of the delta only the
 // rows in that range. NextBatch makes each column batch into a
 // tuple block for a parent that wants rows (a sort or a rename directly
@@ -235,9 +235,7 @@ type StoreScanIter struct {
 	SegmentsSkippedByJoin int64
 	RowsSkippedByJoin     int64
 
-	narrowed     bool  // a join handed down a key range (NarrowKeyRange)
-	keyCol       int   // its column in Sch
-	keyLo, keyHi int64 // and its bounds
+	ranges []keyRange // the key ranges handed down, one per column (NarrowKeyRange)
 
 	layer   int // current layer index
 	seg     int // next segment index within the layer
@@ -266,7 +264,7 @@ func (s *StoreScanIter) Open() error {
 	s.TombSegmentsSkipped = 0
 	s.SegmentsSkippedByJoin = 0
 	s.RowsSkippedByJoin = 0
-	s.narrowed = false
+	s.ranges = s.ranges[:0]
 	return nil
 }
 
@@ -282,20 +280,50 @@ func (s *StoreScanIter) Open() error {
 // file (whose tid bounds are unknown) and a segment whose tuple ids do
 // not ascend are read as before, every row of them, and on a value
 // column so is the delta: the join above drops what does not match.
+//
+// The scan keeps every range it is handed: ranges on two columns both
+// skip segments, and two on one column narrow it to their intersection.
 func (s *StoreScanIter) NarrowKeyRange(col int, lo, hi int64) {
-	s.narrowed, s.keyCol, s.keyLo, s.keyHi = true, col, lo, hi
+	for i := range s.ranges {
+		if r := &s.ranges[i]; r.col == col {
+			r.lo, r.hi = max(r.lo, lo), min(r.hi, hi)
+			return
+		}
+	}
+	s.ranges = append(s.ranges, keyRange{col: col, lo: lo, hi: hi})
+}
+
+// keyRange is a range handed down on column col of the scan.
+type keyRange struct {
+	col    int
+	lo, hi int64
+}
+
+// tidRange returns the range handed down on the tid column, if any.
+func (s *StoreScanIter) tidRange() (keyRange, bool) {
+	for _, r := range s.ranges {
+		if r.col == 2*s.Width {
+			return r, true
+		}
+	}
+	return keyRange{}, false
 }
 
 // missesKeyRange reports whether segment i of h holds no row whose key
-// column lies in the narrowed range.
+// column lies in some range handed down.
 func (s *StoreScanIter) missesKeyRange(h *PartHandle, i int) bool {
 	sm := &h.meta.Segs[i]
-	switch a := s.keyCol - (2*s.Width + 1); {
-	case a == -1:
-		return sm.TidHi < s.keyLo || sm.TidLo > s.keyHi
-	case a >= 0 && a < len(s.AttrIdx) && h.meta.Kinds[s.AttrIdx[a]] == byte(engine.KindInt):
-		st := &sm.Stats[s.AttrIdx[a]]
-		return st.NonNull == 0 || st.Max.I < s.keyLo || st.Min.I > s.keyHi
+	for _, r := range s.ranges {
+		switch a := r.col - (2*s.Width + 1); {
+		case a == -1:
+			if sm.TidHi < r.lo || sm.TidLo > r.hi {
+				return true
+			}
+		case a >= 0 && a < len(s.AttrIdx) && h.meta.Kinds[s.AttrIdx[a]] == byte(engine.KindInt):
+			if st := &sm.Stats[s.AttrIdx[a]]; st.NonNull == 0 || st.Max.I < r.lo || st.Min.I > r.hi {
+				return true
+			}
+		}
 	}
 	return false
 }
@@ -317,7 +345,7 @@ func (s *StoreScanIter) nextSegment() (seg *segment, fw, lo, hi int, err error) 
 		if s.Pruned != nil && s.Pruned[s.layer] != nil && s.Pruned[s.layer][i] {
 			continue
 		}
-		if s.narrowed && s.missesKeyRange(h, i) {
+		if s.missesKeyRange(h, i) {
 			s.SegmentsSkippedByJoin++
 			continue
 		}
@@ -347,12 +375,13 @@ func (s *StoreScanIter) nextSegment() (seg *segment, fw, lo, hi int, err error) 
 // ids ascend, those from the first with a tid ≥ the range's low end to
 // the first with a tid > its high end.
 func (s *StoreScanIter) tidWindow(seg *segment) (lo, hi int) {
-	if !s.narrowed || s.keyCol != 2*s.Width || !seg.tidAsc {
+	r, ok := s.tidRange()
+	if !ok || !seg.tidAsc {
 		return 0, seg.n
 	}
 	tid := seg.tid
-	lo = sort.Search(len(tid), func(i int) bool { return tid[i] >= s.keyLo })
-	hi = lo + sort.Search(len(tid)-lo, func(i int) bool { return tid[lo+i] > s.keyHi })
+	lo = sort.Search(len(tid), func(i int) bool { return tid[i] >= r.lo })
+	hi = lo + sort.Search(len(tid)-lo, func(i int) bool { return tid[lo+i] > r.hi })
 	s.RowsSkippedByJoin += int64(seg.n - (hi - lo))
 	return lo, hi
 }
@@ -414,12 +443,13 @@ func (s *StoreScanIter) advance() (bool, error) {
 // whatever remains is live by construction.
 func (s *StoreScanIter) memRows() []core.URow {
 	mem := s.Src.Mem
-	if !s.narrowed || s.keyCol != 2*s.Width {
+	tr, ok := s.tidRange()
+	if !ok {
 		return mem
 	}
 	var in []core.URow
 	for _, r := range mem {
-		if r.TID >= s.keyLo && r.TID <= s.keyHi {
+		if r.TID >= tr.lo && r.TID <= tr.hi {
 			in = append(in, r)
 		}
 	}
@@ -574,7 +604,7 @@ func (s *StoreScanIter) OperatorStats(emit func(key string, v int64)) {
 	if s.RowsMaterialized > 0 {
 		emit("rows_materialized", s.RowsMaterialized)
 	}
-	if s.narrowed {
+	if len(s.ranges) > 0 {
 		emit("segments_skipped_by_join", s.SegmentsSkippedByJoin)
 		emit("rows_skipped_by_join", s.RowsSkippedByJoin)
 	}

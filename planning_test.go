@@ -521,3 +521,65 @@ func TestMergeStartsAtTheSelectivePartition(t *testing.T) {
 		t.Errorf("lookup of the absent key %d: %d store scans in the plan, want the two non-indexed partitions:\n%s", absent, scans, res.Text)
 	}
 }
+
+// selectiveJoinSQL is the served_mix workload's dearest statement: the
+// orders below one key, joined to lineitem's merge of l_orderkey and
+// l_quantity.
+const selectiveJoinSQL = "possible select o_orderkey, l_quantity from orders, lineitem where o_orderkey = l_orderkey and o_orderkey < 113"
+
+// TestSelectiveJoinNarrowsTheMergeChain: the outer hash join of
+// selectiveJoinSQL hands the range of its build keys (the orders below
+// 113) to lineitem's merge, which forwards it to the input l_orderkey is
+// read from — whose zone maps skip the segments it misses — and drops
+// the build rows outside it; the merge's own tid range then narrows
+// l_quantity. So each lineitem scan reads one segment and skips three by
+// join, and the outer join probes exactly the rows the merge joined,
+// where it probed every lineitem. The answers are the in-memory ones.
+func TestSelectiveJoinNarrowsTheMergeChain(t *testing.T) {
+	mem, stored, _ := indexedPlanningData(t, 0.25)
+	parsed, err := sqlparse.Parse(selectiveJoinSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := stored.ExplainAnalyze(parsed.Query, false, engine.ExecConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var joins, scans []*obs.Span
+	var walk func(*obs.Span)
+	walk = func(s *obs.Span) {
+		switch {
+		case s.Op() == "Hash Join":
+			joins = append(joins, s)
+		case strings.HasPrefix(s.Op(), "Store Scan") && strings.Contains(s.Op(), "lineitem"):
+			scans = append(scans, s)
+		}
+		for _, c := range s.Children() {
+			walk(c)
+		}
+	}
+	walk(res.Trace)
+	if len(joins) != 2 || len(scans) != 2 {
+		t.Fatalf("want the outer join, lineitem's merge and its two scans:\n%s", res.Text)
+	}
+	if outer, merge := joins[0], joins[1]; outer.Stat("probe_rows") != merge.Rows() {
+		t.Errorf("the outer join probed %d rows, the merge joined %d:\n%s", outer.Stat("probe_rows"), merge.Rows(), res.Text)
+	}
+	for _, s := range scans {
+		if s.Stat("segments_read") != 1 || s.Stat("segments_skipped_by_join") != 3 {
+			t.Errorf("%q read %d segments and skipped %d by join, want 1 and 3:\n%s", s.Op(), s.Stat("segments_read"), s.Stat("segments_skipped_by_join"), res.Text)
+		}
+	}
+	got, err := stored.EvalPoss(parsed.Query, engine.ExecConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mem.EvalPoss(parsed.Query, engine.ExecConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() == 0 || !got.EqualAsSet(want) {
+		t.Fatalf("%d answers, in memory %d", got.Len(), want.Len())
+	}
+	t.Logf("\n%s", res.Text)
+}
