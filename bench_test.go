@@ -102,11 +102,15 @@ func BenchmarkAblation_Optimizer(b *testing.B) {
 // again emitting three (/out=3): with -benchmem the B/op of the two
 // differ by the one column, since the join gathers only its output.
 //
+// The chain/… cases join a selective side — the m keys 0…m-1 — to
+// chain, a 20 000-row relation stored as two partitions (k and v) whose
+// keys ascend with its tuple ids: served_mix's orders ⋈ lineitem shape.
+// The join's key range reaches the merge of the two partitions, which
+// reads only the segments and tid windows it covers.
+//
 // The warm/probe=… cases take the hash join alone, over the decoded
-// inner side: the probe pulled as the scan's column batches (columnar,
-// what a plan runs) against the same scan handed over as rows, which
-// the join transposes (rows, what a row operator under a join costs),
-// at a build side holding 0.1 %, 10 % and all of the inner keys.
+// inner side, pulled as the scan's column batches, at a build side
+// holding 0.1 %, 10 % and all of the inner keys.
 //
 //	go test -run=NONE -bench=BenchmarkJoinStrategy -benchtime=15x -count=3 .
 func BenchmarkJoinStrategy(b *testing.B) {
@@ -124,6 +128,21 @@ func BenchmarkJoinStrategy(b *testing.B) {
 		uo := db.MustAddPartition(name, "u_"+name, "k", "w")
 		for i := 0; i < m; i++ {
 			uo.Add(nil, int64(i+1), engine.Int(int64((i*37*2654435761)%n)), engine.Int(int64(i)))
+		}
+	}
+	db.MustAddRelation("chain", "k", "v")
+	ck, cv := db.MustAddPartition("chain", "u_chain_k", "k"), db.MustAddPartition("chain", "u_chain_v", "v")
+	for i := 0; i < n; i++ {
+		ck.Add(nil, int64(i+1), engine.Int(int64(i)))
+		cv.Add(nil, int64(i+1), engine.Int(int64(i)))
+	}
+	selective := []int{10, 100, 1000}
+	for _, m := range selective {
+		name := fmt.Sprintf("s%d", m)
+		db.MustAddRelation(name, "k", "w")
+		us := db.MustAddPartition(name, "u_"+name, "k", "w")
+		for i := 0; i < m; i++ {
+			us.Add(nil, int64(i+1), engine.Int(int64(i)), engine.Int(int64(i)))
 		}
 	}
 	dir := b.TempDir()
@@ -168,6 +187,21 @@ func BenchmarkJoinStrategy(b *testing.B) {
 				})
 			}
 		}
+		for _, m := range selective {
+			q := core.Project(core.Join(core.RelAs(fmt.Sprintf("s%d", m), "s"), core.RelAs("chain", "c"),
+				engine.Eq(engine.Col("s.k"), engine.Col("c.k"))), "s.k", "c.v")
+			b.Run(fmt.Sprintf("chain/%s/m=%d", mode.name, m), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					rel, err := d.Snapshot().EvalPoss(q, engine.ExecConfig{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if rel.Len() != m {
+						b.Fatalf("%d answers, want %d", rel.Len(), m)
+					}
+				}
+			})
+		}
 		if mode.cache != nil {
 			benchProbeCurrency(b, d.Snapshot(), n)
 		}
@@ -181,7 +215,7 @@ func BenchmarkJoinStrategy(b *testing.B) {
 // serial hash join of an in-memory build side with the stored relation
 // big (n rows, keys 0…n-1) as its probe side.
 func benchProbeCurrency(b *testing.B, stored *core.UDB, n int) {
-	inner, lay, err := stored.Translate(core.RelAs("big", "b"))
+	inner, _, err := stored.Translate(core.RelAs("big", "b"))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -195,30 +229,23 @@ func benchProbeCurrency(b *testing.B, stored *core.UDB, n int) {
 		for i := 0; i < match.m; i++ {
 			build.Append(engine.Tuple{engine.Int(int64((i * 37 * 2654435761) % n)), engine.Int(int64(i))})
 		}
-		for _, probe := range []string{"columnar", "rows"} {
-			b.Run(fmt.Sprintf("warm/probe=%s/match=%s", probe, match.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					r, err := engine.Build(inner, cat, engine.ExecConfig{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if probe == "rows" {
-						// A rename moves rows: it pulls the scan's row batches,
-						// every row of every segment a tuple.
-						r = engine.NewRename(r, lay.Columns())
-					}
-					rel, err := engine.Drain(engine.NewHashJoin(engine.NewScan(build), r,
-						[]engine.EquiPair{{L: "s.k", R: "b.k"}}, nil, []string{"s.k", "b.v"}))
-					if err != nil {
-						b.Fatal(err)
-					}
-					if rel.Len() != match.m {
-						b.Fatalf("%d rows, want %d", rel.Len(), match.m)
-					}
+		b.Run("warm/probe=columnar/match="+match.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := engine.Build(inner, cat, engine.ExecConfig{})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				rel, err := engine.Drain(engine.NewHashJoin(engine.NewScan(build), r,
+					[]engine.EquiPair{{L: "s.k", R: "b.k"}}, nil, []string{"s.k", "b.v"}))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rel.Len() != match.m {
+					b.Fatalf("%d rows, want %d", rel.Len(), match.m)
+				}
+			}
+		})
 	}
 }
 
@@ -768,7 +795,7 @@ func BenchmarkTombstoneScan(b *testing.B) {
 				}
 				live := 0
 				for {
-					cb, ok, err := s.NextColBatch()
+					cb, ok, err := s.Next()
 					if err != nil {
 						b.Fatal(err)
 					}

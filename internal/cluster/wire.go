@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"urel/internal/core"
@@ -239,17 +240,26 @@ func EncodeRepr(res *core.UResult) *Repr {
 // restoring descriptors from their flat form. Descriptors arrive in
 // the canonical order the producing server emitted, so no
 // re-normalization is needed (or wanted: it would have to re-validate
-// against W, which decode callers already hold).
+// against W, which decode callers already hold). A shard whose
+// attributes or tuple-id columns disagree with the shards before it,
+// and a row whose tuple ids or values do not match them in width, are
+// errors: the pipelines downstream index every row by those widths.
 func decodeReprInto(res *core.UResult, rep *Repr) error {
-	if res.Attrs == nil {
+	if res.Attrs == nil && res.TIDCols == nil && len(res.Rows) == 0 {
 		res.Attrs = rep.Attrs
 		res.TIDCols = rep.TIDCols
 	} else if len(res.Attrs) != len(rep.Attrs) {
 		return fmt.Errorf("cluster: shard representations disagree on attributes (%v vs %v)", res.Attrs, rep.Attrs)
+	} else if !slices.Equal(res.TIDCols, rep.TIDCols) {
+		return fmt.Errorf("cluster: shard representations disagree on tuple-id columns (%v vs %v)", res.TIDCols, rep.TIDCols)
 	}
 	for _, r := range rep.Rows {
 		if len(r.D)%2 != 0 {
 			return fmt.Errorf("cluster: odd descriptor encoding length %d", len(r.D))
+		}
+		if len(r.T) != len(res.TIDCols) || len(r.V) != len(res.Attrs) {
+			return fmt.Errorf("cluster: a representation row has %d tuple ids and %d values, its columns are %d and %d",
+				len(r.T), len(r.V), len(res.TIDCols), len(res.Attrs))
 		}
 		d := make(ws.Descriptor, 0, len(r.D)/2)
 		for i := 0; i < len(r.D); i += 2 {

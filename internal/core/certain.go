@@ -104,14 +104,14 @@ func (n *NormalizedResult) certainRA(deadline time.Time) (*engine.Relation, erro
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return nil, ErrCertainDeadline
 		}
-		batch, ok, err := it.NextBatch()
+		cb, ok, err := it.Next()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			return out, nil
 		}
-		out.Rows = append(out.Rows, batch...)
+		out.Rows = cb.Materialize(out.Rows)
 	}
 }
 

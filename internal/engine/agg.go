@@ -33,15 +33,16 @@ type AggSpec struct {
 	As  string
 }
 
-// HashAggIter groups by the named columns and computes aggregates.
-// Groups are emitted in deterministic (sorted key) order.
+// HashAggIter groups by the named columns and computes aggregates,
+// reading the group and aggregate cells straight from the input's
+// vectors. Groups are emitted in deterministic (sorted key) order.
 type HashAggIter struct {
 	In      Iterator
 	GroupBy []string
 	Aggs    []AggSpec
 
-	out *Relation
-	pos int
+	out  *Relation
+	held HeldRows
 }
 
 // NewHashAgg builds a hash aggregate.
@@ -89,16 +90,17 @@ func (h *HashAggIter) Open() error {
 	scratch := make(Tuple, len(gidx))
 	var kbuf []byte
 	for {
-		batch, ok, err := h.In.NextBatch()
+		cb, ok, err := h.In.Next()
 		if err != nil {
 			return err
 		}
 		if !ok {
 			break
 		}
-		for _, row := range batch {
+		for k, n := 0, cb.Rows(); k < n; k++ {
+			r := cb.RowID(k)
 			for i, j := range gidx {
-				scratch[i] = row[j]
+				scratch[i] = cb.Cols[j].Value(r)
 			}
 			// Non-allocating lookup on the common (existing group) path; a
 			// fresh group copies the key tuple once.
@@ -119,7 +121,7 @@ func (h *HashAggIter) Open() error {
 			for i, a := range h.Aggs {
 				var v Value
 				if aidx[i] >= 0 {
-					v = row[aidx[i]]
+					v = cb.Cols[aidx[i]].Value(r)
 				} else {
 					v = Int(1)
 				}
@@ -226,18 +228,13 @@ func (h *HashAggIter) Open() error {
 		}
 		h.out.Rows = append(h.out.Rows, row)
 	}
-	h.pos = 0
+	h.held = HeldRows{Rows: h.out.Rows, Sch: h.out.Sch}
 	return nil
 }
 
-func (h *HashAggIter) NextBatch() ([]Tuple, bool, error) {
-	if h.out == nil {
-		return nil, false, nil
-	}
-	return Window(h.out.Rows, &h.pos)
-}
+func (h *HashAggIter) Next() (*ColBatch, bool, error) { return h.held.Next() }
 
-func (h *HashAggIter) Close() error { h.out = nil; return h.In.Close() }
+func (h *HashAggIter) Close() error { h.out, h.held = nil, HeldRows{}; return h.In.Close() }
 
 func (h *HashAggIter) Schema() Schema {
 	if h.out != nil {

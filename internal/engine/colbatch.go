@@ -1,18 +1,18 @@
 package engine
 
-// This file is the columnar half of the execution engine: a
-// struct-of-arrays batch representation (ColBatch / ColVec) and the
-// optional capability that moves it (ColBatchIterator). The
-// representation mirrors what modern vectorized engines use: one typed
-// vector per column, a null marker array, and a selection vector so
-// filters narrow batches without moving any data. The storage layer's
-// segments and the in-memory partition images are already columnar, so
-// their scans hand vectors upward with no transposition at all; the
-// filters and projections above them, and the hash joins, take and
-// give column batches (a hash join gathers its output column by
-// column). Tuples are made once, by the first row operator above —
-// Drain, a Distinct, a sort, an aggregation, a semi join — through
-// ColBatch.Materialize in its input's NextBatch.
+// This file is the batch representation every operator hands its parent
+// (Iterator.Next): a struct-of-arrays batch (ColBatch / ColVec). It
+// mirrors what modern vectorized engines use: one typed vector per
+// column, a null marker array, and a selection vector so filters narrow
+// batches without moving any data. The storage layer's segments and the
+// in-memory partition images are already columnar, so their scans hand
+// vectors upward with no transposition at all; the filters and
+// projections above them, the joins and the duplicate elimination take
+// and give column batches (a hash join gathers its output column by
+// column). Tuples are made at the sink — Drain, the server's row-capped
+// loop, the certain-answer query — through ColBatch.Materialize, and
+// below it only by an operator that must hold its input (the sort, the
+// nested loop).
 
 // ColVec is one column of a ColBatch. It has two layouts:
 //
@@ -102,8 +102,8 @@ func intCell(v *ColVec, i int) (int64, bool) {
 	return v.Ints[i], true
 }
 
-// Window returns cells [lo, hi) of v, sharing its payload.
-func (v *ColVec) Window(lo, hi int) ColVec {
+// Slice returns cells [lo, hi) of v, sharing its payload.
+func (v *ColVec) Slice(lo, hi int) ColVec {
 	w := ColVec{Kind: v.Kind}
 	if v.Nulls != nil {
 		w.Nulls = v.Nulls[lo:hi:hi]
@@ -169,49 +169,6 @@ func BuildColVec(n int, cell func(i int) Value) ColVec {
 	return v
 }
 
-// transpose lays a batch of rows of schema sch out as a column batch,
-// each column by BuildColVec. It is how an operator that takes column
-// batches reads an input that produces rows.
-func transpose(rows []Tuple, sch Schema) ColBatch {
-	cols := make([]ColVec, sch.Len())
-	for c := range cols {
-		cols[c] = BuildColVec(len(rows), func(i int) Value { return rows[i][c] })
-	}
-	return ColBatch{Sch: sch, Cols: cols, N: len(rows)}
-}
-
-// colReader pulls an opened iterator as column batches: a columnar
-// input's own, a row input's transposed once. rows is the row batch the
-// current column batch was transposed from (borrowed like it), nil for
-// a columnar input.
-type colReader struct {
-	it   Iterator
-	col  ColBatchIterator
-	rows []Tuple
-	cb   ColBatch
-}
-
-// newColReader reads the opened iterator it.
-func newColReader(it Iterator) colReader {
-	col, _ := NativeColumnar(it)
-	return colReader{it: it, col: col}
-}
-
-// next returns the next non-empty column batch, ok=false at the end.
-func (r *colReader) next() (*ColBatch, bool, error) {
-	if r.col != nil {
-		return r.col.NextColBatch()
-	}
-	rows, ok, err := r.it.NextBatch()
-	if err != nil || !ok {
-		r.rows = nil
-		return nil, false, err
-	}
-	r.rows = rows
-	r.cb = transpose(rows, r.it.Schema())
-	return &r.cb, true, nil
-}
-
 // ColBatch is a struct-of-arrays batch: N physical rows stored column
 // by column, plus an optional selection vector. When Sel is non-nil
 // only the listed physical row indices are live (in Sel order); a nil
@@ -240,79 +197,20 @@ func (b *ColBatch) RowID(k int) int {
 	return k
 }
 
-// Materialize converts the live rows to tuples. The returned []Tuple
-// reuses rowsBuf's backing array, but the tuple cells are freshly
-// allocated (one arena per call), so the tuples themselves remain
-// valid indefinitely — matching the Iterator.NextBatch contract, under
-// which consumers may retain tuples but not the batch slice. It is the
-// NextBatch of every operator that also moves column batches, and each
-// of them reports the rows it made as rows_materialized.
-func (b *ColBatch) Materialize(rowsBuf []Tuple) []Tuple {
+// Materialize appends the live rows to dst as tuples, their cells
+// freshly allocated (one arena per call), so the tuples stay valid
+// indefinitely. It is how a sink makes its rows.
+func (b *ColBatch) Materialize(dst []Tuple) []Tuple {
 	n := b.Rows()
 	nc := len(b.Cols)
 	cells := make([]Value, n*nc)
-	rows := rowsBuf[:0]
 	for k := 0; k < n; k++ {
 		i := b.RowID(k)
 		t := cells[k*nc : (k+1)*nc : (k+1)*nc]
 		for c := range b.Cols {
 			t[c] = b.Cols[c].Value(i)
 		}
-		rows = append(rows, t)
+		dst = append(dst, t)
 	}
-	return rows
-}
-
-// materializer is the NextBatch half of an operator that moves column
-// batches: it makes a batch's live rows into tuples and counts them.
-type materializer struct {
-	rows []Tuple // reused batch headers
-	made int64
-}
-
-// next turns what NextColBatch returned into what NextBatch returns.
-func (m *materializer) next(cb *ColBatch, ok bool, err error) ([]Tuple, bool, error) {
-	if !ok {
-		return nil, false, err
-	}
-	m.rows = cb.Materialize(m.rows)
-	m.made += int64(len(m.rows))
-	return m.rows, true, nil
-}
-
-// stats reports rows_materialized, when any row was made.
-func (m *materializer) stats(emit func(key string, v int64)) {
-	if m.made > 0 {
-		emit("rows_materialized", m.made)
-	}
-}
-
-// ColBatchIterator is the optional columnar capability of an Iterator:
-// a natively columnar source (a stored segment scan, an in-memory
-// partition image), a hash join, and the filters, projections and trace
-// wrappers stacked on those, can hand their rows upward as column
-// batches instead of tuples. A parent finds it with NativeColumnar at
-// Open and then pulls either NextColBatch or NextBatch for the whole
-// stream, never both.
-type ColBatchIterator interface {
-	Iterator
-	// NextColBatch returns the next non-empty column batch, or ok=false
-	// at end of stream. The batch (its Sel and Cols headers) is borrowed
-	// until the next call; column payloads are immutable, so a consumer
-	// may keep them (a hash join's build table does). It may only be
-	// called on an opened iterator whose ColumnarNative reports true.
-	NextColBatch() (*ColBatch, bool, error)
-	// ColumnarNative reports whether the operator produces column
-	// batches: a filter or projection only over an input that does.
-	ColumnarNative() bool
-}
-
-// NativeColumnar returns the columnar capability of it, or nil and
-// false when it (or something beneath it) produces rows.
-func NativeColumnar(it Iterator) (ColBatchIterator, bool) {
-	c, ok := it.(ColBatchIterator)
-	if !ok || !c.ColumnarNative() {
-		return nil, false
-	}
-	return c, true
+	return dst
 }

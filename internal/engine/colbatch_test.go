@@ -3,17 +3,17 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"urel/internal/obs"
 )
 
-// colSource is a native-columnar test source over a relation: it
-// serves typed column vectors (with null markers) built once from the
-// relation's rows, standing in for a columnar storage layer so engine
-// tests can exercise the columnar operator paths without importing the
-// store package. It counts how it was pulled, so a test can tell which
-// representation the operators above it asked for.
+// colSource is a test source over a relation: it serves typed column
+// vectors (with null markers), or generic ones, built from the
+// relation's rows in batches of a chosen size, standing in for a
+// columnar storage layer so engine tests can exercise every vector
+// layout without importing the store package. It counts its pulls.
 type colSource struct {
 	rel     *Relation
 	chunk   int  // rows per batch
@@ -21,7 +21,7 @@ type colSource struct {
 	pos     int
 	cb      ColBatch
 
-	rowCalls, colCalls int // NextBatch / NextColBatch calls received
+	pulls int // Next calls received
 }
 
 func newColSource(rel *Relation, chunk int) *colSource {
@@ -31,22 +31,12 @@ func newColSource(rel *Relation, chunk int) *colSource {
 	return &colSource{rel: rel, chunk: chunk}
 }
 
-func (c *colSource) Open() error          { c.pos = 0; return nil }
-func (c *colSource) Close() error         { return nil }
-func (c *colSource) Schema() Schema       { return c.rel.Sch }
-func (c *colSource) ColumnarNative() bool { return true }
+func (c *colSource) Open() error    { c.pos = 0; return nil }
+func (c *colSource) Close() error   { return nil }
+func (c *colSource) Schema() Schema { return c.rel.Sch }
 
-func (c *colSource) NextBatch() ([]Tuple, bool, error) {
-	c.rowCalls++
-	cb, ok := c.nextCols()
-	if !ok {
-		return nil, false, nil
-	}
-	return cb.Materialize(nil), true, nil
-}
-
-func (c *colSource) NextColBatch() (*ColBatch, bool, error) {
-	c.colCalls++
+func (c *colSource) Next() (*ColBatch, bool, error) {
+	c.pulls++
 	cb, ok := c.nextCols()
 	return cb, ok, nil
 }
@@ -186,31 +176,89 @@ func randColInput(r *rand.Rand, n int, prefix string) *Relation {
 	return rel
 }
 
+// filterRows is the row-at-a-time filter the vectorized one is held
+// to: a plain loop over rel's rows with the bound predicate's Eval.
+func filterRows(t *testing.T, rel *Relation, pred Expr) *Relation {
+	t.Helper()
+	b, err := pred.Bind(rel.Sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := NewRelation(rel.Sch)
+	for _, row := range rel.Rows {
+		if b.Eval(row).Truth() {
+			out.Append(row)
+		}
+	}
+	return out
+}
+
+// projectRows is the row-at-a-time projection of rel onto names.
+func projectRows(t *testing.T, rel *Relation, names []string) *Relation {
+	t.Helper()
+	sch, err := rel.Sch.Project(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := NewRelation(sch)
+	for _, row := range rel.Rows {
+		p := make(Tuple, len(names))
+		for i, n := range names {
+			p[i] = row[rel.Sch.MustIndexOf(n)]
+		}
+		out.Append(p)
+	}
+	return out
+}
+
+// semiRows is the row-at-a-time (anti) semi join: the rows of l that
+// have (anti: have no) row of r whose pair cells equal theirs, none NULL,
+// and on whose concatenation with them the residual holds.
+func semiRows(t *testing.T, l, r *Relation, pairs []EquiPair, residual Expr, anti bool) *Relation {
+	t.Helper()
+	full := l.Sch.Concat(r.Sch)
+	out := NewRelation(l.Sch)
+	for _, lr := range l.Rows {
+		found := false
+		for _, rr := range r.Rows {
+			match := true
+			for _, p := range pairs {
+				a, b := lr[l.Sch.MustIndexOf(p.L)], rr[r.Sch.MustIndexOf(p.R)]
+				if a.IsNull() || b.IsNull() || KeyString(Tuple{a}) != KeyString(Tuple{b}) {
+					match = false
+					break
+				}
+			}
+			if match && (residual == nil || interpret(t, residual, full, lr.Concat(rr))) {
+				found = true
+				break
+			}
+		}
+		if found != anti {
+			out.Append(lr)
+		}
+	}
+	return out
+}
+
 // TestFilterColumnarRowEquivalence runs every predicate shape through
-// the row filter path and the columnar filter path — vectorized
-// kernels over typed vectors, and over generic vectors (the layout the
-// store's in-memory delta arrives in) — asserting identical result
-// multisets.
+// the vectorized filter — its kernels over typed vectors, over generic
+// vectors (the layout the store's in-memory delta arrives in) and over
+// the windows a relation scan transposes — asserting the result
+// multiset of a plain row-at-a-time loop.
 func TestFilterColumnarRowEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		rel := randColInput(rng, 500, "t")
 		for name, pred := range randPredicates("t") {
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, name), func(t *testing.T) {
-				want := mustDrain(t, NewFilter(NewScan(rel), pred))
-				// Columnar-native source: typed kernels.
-				got := mustDrain(t, NewFilter(newColSource(rel, 64), pred))
-				if !want.EqualAsBag(got) {
-					t.Fatalf("columnar filter diverged (%d vs %d rows)", want.Len(), got.Len())
-				}
-				// Columnar source of generic vectors: the kernels' tagged-value
-				// fallback.
+				want := filterRows(t, rel, pred)
 				gsrc := newColSource(rel, 64)
 				gsrc.generic = true
-				generic := mustDrain(t, NewFilter(gsrc, pred))
-				if !want.EqualAsBag(generic) {
-					t.Fatalf("generic-vector columnar filter diverged (%d vs %d rows)",
-						want.Len(), generic.Len())
+				for layout, src := range map[string]Iterator{"scan": NewScan(rel), "typed": newColSource(rel, 64), "generic": gsrc} {
+					if got := mustDrain(t, NewFilter(src, pred)); !want.EqualAsBag(got) {
+						t.Fatalf("%s: the filter keeps %d rows, the row loop %d", layout, got.Len(), want.Len())
+					}
 				}
 			})
 		}
@@ -266,14 +314,12 @@ func TestRowEvalConjunctReadsOnlyItsColumns(t *testing.T) {
 
 // TestRandomPlanColumnarRowEquivalence is the end-to-end property
 // test: randomized plans (filters, projections, equi-joins with
-// residuals, NULL keys, semi/anti joins) must produce the same result
-// multiset over row inputs — the row filter, the join transposing — and
-// over columnar inputs. A hash join has one path whatever its inputs
-// (TestHashJoinColumnarEquivalence holds it to a reference). The
-// reference projects the join's full row; the plan compared with it has
-// the join emit through a random Out (the reference's projection, a
-// subset, a permutation or nothing) with a projection to the same
-// columns above.
+// residuals, NULL keys, semi/anti joins) must produce the multiset of
+// the row-at-a-time references — a plain filter loop, refJoin, a plain
+// projection, semiRows — over relation scans and over typed column
+// batches. The plan has the join emit through a random Out (the
+// reference's projection, a subset, a permutation or nothing) with a
+// projection to the same columns above.
 func TestRandomPlanColumnarRowEquivalence(t *testing.T) {
 	pairs := []EquiPair{{L: "l.k", R: "r.k"}}
 	for seed := int64(0); seed < 4; seed++ {
@@ -291,18 +337,10 @@ func TestRandomPlanColumnarRowEquivalence(t *testing.T) {
 			for rname, residual := range residuals {
 				name := fmt.Sprintf("seed=%d/pred=%s/res=%s", seed, pname, rname)
 				t.Run(name, func(t *testing.T) {
-					var out []string
-					build := func(lsrc, rsrc Iterator) Iterator {
-						jn := NewHashJoin(NewFilter(lsrc, pred), rsrc, pairs, residual, out)
-						if sameStrings(out, proj) {
-							return jn
-						}
-						return NewProject(jn, proj)
-					}
-					want := mustDrain(t, build(NewScan(l), NewScan(r)))
 					// Drawn from the case's name: the cases run in map order.
 					orng := rand.New(rand.NewSource(int64(HashValue(Str(name)))))
-					if out = proj; orng.Intn(3) > 0 {
+					out := proj
+					if orng.Intn(3) > 0 {
 						// Any Out that keeps proj's columns.
 						out = randOut(orng, l.Sch.Concat(r.Sch).Names())
 						for _, c := range proj {
@@ -311,23 +349,33 @@ func TestRandomPlanColumnarRowEquivalence(t *testing.T) {
 							}
 						}
 					}
-					colGot := mustDrain(t, build(newColSource(l, 128), newColSource(r, 77)))
-					if !want.EqualAsBag(colGot) {
-						t.Fatalf("columnar plan diverged (%d vs %d rows)", want.Len(), colGot.Len())
+					build := func(lsrc, rsrc Iterator) Iterator {
+						jn := NewHashJoin(NewFilter(lsrc, pred), rsrc, pairs, residual, out)
+						if sameStrings(out, proj) {
+							return jn
+						}
+						return NewProject(jn, proj)
+					}
+					want := refJoin(t, filterRows(t, l, pred), r, pairs, residual, proj)
+					for layout, got := range map[string]*Relation{
+						"scan":  mustDrain(t, build(NewScan(l), NewScan(r))),
+						"typed": mustDrain(t, build(newColSource(l, 128), newColSource(r, 77))),
+					} {
+						if !want.EqualAsBag(got) {
+							t.Fatalf("%s: %d rows, the reference %d", layout, got.Len(), want.Len())
+						}
 					}
 					// The shape poss(q) produces: the same plan under a Distinct root.
-					wantSet := mustDrain(t, NewDistinct(build(NewScan(l), NewScan(r))))
-					colSet := mustDrain(t, NewDistinct(build(newColSource(l, 128), newColSource(r, 77))))
-					if !wantSet.EqualAsBag(colSet) {
-						t.Fatalf("columnar plan under Distinct diverged (%d vs %d rows)", wantSet.Len(), colSet.Len())
+					if got := mustDrain(t, NewDistinct(build(newColSource(l, 128), newColSource(r, 77)))); !want.Distinct().EqualAsBag(got) {
+						t.Fatalf("under Distinct: %d rows, the reference %d", got.Len(), want.Distinct().Len())
 					}
-					// Semi and anti joins share the hashed-key table, and emit
-					// a row input's own tuples or a columnar input's made anew.
+					// Semi and anti joins share the hashed-key table and hand
+					// over a selection over their left batches.
 					for _, anti := range []bool{false, true} {
-						sj := mustDrain(t, NewSemiJoin(NewScan(l), NewScan(r), pairs, residual, anti))
-						sjCol := mustDrain(t, NewSemiJoin(newColSource(l, 99), newColSource(r, 99), pairs, residual, anti))
-						if !sj.EqualAsBag(sjCol) {
-							t.Fatalf("semi(anti=%v) diverged (%d vs %d rows)", anti, sj.Len(), sjCol.Len())
+						want := semiRows(t, l, r, pairs, residual, anti)
+						got := mustDrain(t, NewSemiJoin(newColSource(l, 99), newColSource(r, 99), pairs, residual, anti))
+						if !want.EqualAsBag(got) {
+							t.Fatalf("semi(anti=%v): %d rows, the reference %d", anti, got.Len(), want.Len())
 						}
 					}
 				})
@@ -353,71 +401,77 @@ func TestKeylessSemiJoin(t *testing.T) {
 	}
 }
 
-// TestProjectColumnarZeroCopy checks the columnar projection re-slices
-// vectors and preserves results and schema.
+// TestProjectColumnarZeroCopy checks the projection re-slices vectors
+// and gives the row-at-a-time projection's rows and schema.
 func TestProjectColumnarZeroCopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rel := randColInput(rng, 257, "t")
-	want := mustDrain(t, NewProject(NewScan(rel), []string{"t.v", "t.k"}))
-	got := mustDrain(t, NewProject(newColSource(rel, 50), []string{"t.v", "t.k"}))
+	names := []string{"t.v", "t.k"}
+	want := projectRows(t, rel, names)
+	got := mustDrain(t, NewProject(newColSource(rel, 50), names))
 	if !want.EqualAsBag(got) {
-		t.Fatalf("columnar project diverged")
+		t.Fatalf("projection diverged")
 	}
 	if !want.Sch.Equal(got.Sch) {
 		t.Fatalf("schema diverged: %v vs %v", want.Sch, got.Sch)
 	}
+	src := newColSource(rel, 50)
+	p := NewProject(src, names)
+	if err := p.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	cb, _, err := p.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &cb.Cols[0].Floats[0] != &src.cb.Cols[3].Floats[0] {
+		t.Fatal("the projection copied a column it only had to re-slice")
+	}
 }
 
 // TestFilterProjectColumnarChain checks that a filter-project chain
-// above a columnar source stays columnar (ColumnarNative) and agrees
-// with the row path.
+// gives the row-at-a-time filter and projection's rows, over either
+// vector layout.
 func TestFilterProjectColumnarChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rel := randColInput(rng, 700, "t")
 	pred := And(Cmp(GE, Col("t.k"), ConstInt(1)), Cmp(LT, Col("t.v"), ConstFloat(0.8)))
-	mk := func(src Iterator) Iterator {
-		return NewProject(NewFilter(src, pred), []string{"t.s", "t.k"})
+	names := []string{"t.s", "t.k"}
+	want := projectRows(t, filterRows(t, rel, pred), names)
+	for layout, src := range map[string]Iterator{"scan": NewScan(rel), "typed": newColSource(rel, 128)} {
+		if got := mustDrain(t, NewProject(NewFilter(src, pred), names)); !want.EqualAsBag(got) {
+			t.Fatalf("%s: the chain diverged (%d vs %d rows)", layout, got.Len(), want.Len())
+		}
 	}
-	colIt := mk(newColSource(rel, 128))
-	if err := colIt.Open(); err != nil {
-		t.Fatal(err)
-	}
-	if c, ok := NativeColumnar(colIt); !ok {
-		t.Fatal("filter-project chain over a columnar source should be ColumnarNative")
-	} else if !c.ColumnarNative() {
-		t.Fatal("ColumnarNative must report true")
-	}
-	colIt.Close()
-	want := mustDrain(t, mk(NewScan(rel)))
-	got := mustDrain(t, mk(newColSource(rel, 128)))
-	if !want.EqualAsBag(got) {
-		t.Fatal("columnar chain diverged")
-	}
-	// A chain over a row scan must not claim to be columnar.
-	rowIt := mk(NewScan(rel))
-	if err := rowIt.Open(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := NativeColumnar(rowIt); ok {
-		t.Fatal("chain over a row scan must not be ColumnarNative")
-	}
-	rowIt.Close()
 }
 
-// TestColumnarPrefixUnderRowOperators pins that what a scan→filter→
-// project prefix pulls from its columnar source does not depend on the
-// row operator above it: under the root of a poss plan (Distinct), a
-// sort, a limit, an aggregate, a union, the left side of a difference
-// and the build side of a hash join, the source is asked for column
-// batches only, and the answer is the row plan's.
+// TestColumnarPrefixUnderRowOperators pins that a scan→filter→project
+// prefix answers the same under every operator above it — the root of a
+// poss plan (Distinct), a sort, a limit, an aggregate, a union, the left
+// side of a difference and the build side of a hash join — whether its
+// source serves typed vectors or a relation scan's transposed windows,
+// and that the Distinct, the difference and the union give the
+// reference's bag.
 func TestColumnarPrefixUnderRowOperators(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	rel := randColInput(rng, 700, "t")
 	other := randColInput(rng, 300, "u")
-	prefix := func(src Iterator) Iterator {
-		return NewProject(NewFilter(src, Cmp(GE, Col("t.k"), ConstInt(1))), []string{"t.k", "t.s"})
-	}
+	cond := Cmp(GE, Col("t.k"), ConstInt(1))
+	names := []string{"t.k", "t.s"}
+	prefix := func(src Iterator) Iterator { return NewProject(NewFilter(src, cond), names) }
+	ref := projectRows(t, filterRows(t, rel, cond), names)
+	otherRef := projectRows(t, other, []string{"u.k", "u.s"})
 	otherKS := func() Iterator { return NewProject(NewScan(other), []string{"u.k", "u.s"}) }
+	diff := NewRelation(ref.Sch)
+	for _, row := range ref.Distinct().Rows {
+		if !slices.ContainsFunc(otherRef.Rows, func(o Tuple) bool { return KeyString(o) == KeyString(row) }) {
+			diff.Append(row)
+		}
+	}
+	union := NewRelation(ref.Sch)
+	union.Rows = append(append(union.Rows, ref.Rows...), otherRef.Rows...)
+	refs := map[string]*Relation{"Distinct": ref.Distinct(), "DiffLeft": diff, "Union": union}
 	parents := map[string]func(in Iterator) Iterator{
 		"Distinct": func(in Iterator) Iterator { return NewDistinct(in) },
 		"Sort":     func(in Iterator) Iterator { return NewSort(in, []string{"t.s"}) },
@@ -434,14 +488,12 @@ func TestColumnarPrefixUnderRowOperators(t *testing.T) {
 	for name, parent := range parents {
 		t.Run(name, func(t *testing.T) {
 			want := mustDrain(t, parent(prefix(NewScan(rel))))
-			src := newColSource(rel, 64)
-			got := mustDrain(t, parent(prefix(src)))
-			if !want.EqualAsBag(got) {
-				t.Fatalf("columnar prefix diverged (%d vs %d rows)", want.Len(), got.Len())
+			if r := refs[name]; r != nil && !r.EqualAsBag(want) {
+				t.Fatalf("%d rows, the reference %d", want.Len(), r.Len())
 			}
-			if src.rowCalls != 0 || src.colCalls == 0 {
-				t.Fatalf("source saw %d NextBatch and %d NextColBatch calls; the prefix must stay columnar",
-					src.rowCalls, src.colCalls)
+			got := mustDrain(t, parent(prefix(newColSource(rel, 64))))
+			if !want.EqualAsBag(got) {
+				t.Fatalf("over typed vectors %d rows, over a scan %d", got.Len(), want.Len())
 			}
 		})
 	}
@@ -472,15 +524,14 @@ func probeInput(r *rand.Rand, n, lo, keys int, prefix string) *Relation {
 	return rel
 }
 
-// TestHashJoinColumnarProbe: an inner hash join reads its probe side as
-// column batches — a columnar input's own, never its rows — and answers
-// the same whatever the layout they arrive in, row for row and in order,
+// TestHashJoinColumnarProbe: an inner hash join reads its probe side
+// batch by batch and answers refJoin's rows, row for row and in order,
 // for every key shape (one int, two columns, an int meeting the float it
 // equals, strings, bools), vector layout (typed, generic, a selection
-// vector left by a filter, a trace wrapper in between, rows transposed)
-// and match rate (none, about a tenth, every non-NULL key), with a
-// random Out and a residual. It counts the cells it gathers and makes a
-// row only when asked for rows.
+// vector left by a filter, a trace wrapper in between, a relation scan's
+// transposed windows) and match rate (none, about a tenth, every
+// non-NULL key), with a random Out and a residual. It gathers exactly
+// its output's cells.
 func TestHashJoinColumnarProbe(t *testing.T) {
 	keyings := map[string][]EquiPair{
 		"int":       {{L: "l.k", R: "r.k"}},
@@ -495,23 +546,20 @@ func TestHashJoinColumnarProbe(t *testing.T) {
 		"tenth": {lo: 0, keys: 4},
 		"all":   {lo: 0, keys: 40},
 	}
+	keepProbe := Cmp(GE, Col("r.k2"), ConstInt(1))
 	probes := map[string]func(r *Relation) Iterator{
 		"scan":    func(r *Relation) Iterator { return newColSource(r, 77) },
+		"rows":    func(r *Relation) Iterator { return NewScan(r) },
 		"generic": func(r *Relation) Iterator { s := newColSource(r, 77); s.generic = true; return s },
-		"filter":  func(r *Relation) Iterator { return NewFilter(newColSource(r, 77), Cmp(GE, Col("r.k2"), ConstInt(1))) },
+		"filter":  func(r *Relation) Iterator { return NewFilter(newColSource(r, 77), keepProbe) },
 		"project": func(r *Relation) Iterator { return NewProject(newColSource(r, 77), r.Sch.Names()) },
 		"traced": func(r *Relation) Iterator {
 			return newTraceIter(newColSource(r, 77), obs.NewSpan("probe"))
 		},
 	}
-	rowProbe := func(name string, r *Relation) Iterator {
-		if name == "filter" {
-			return NewFilter(NewScan(r), Cmp(GE, Col("r.k2"), ConstInt(1)))
-		}
-		return NewScan(r)
-	}
 	rng := rand.New(rand.NewSource(31))
 	r := probeInput(rng, 1500, 0, 40, "r")
+	kept := filterRows(t, r, keepProbe)
 	for rate, rg := range rates {
 		l := probeInput(rng, 400, rg.lo, rg.keys, "l")
 		for kname, pairs := range keyings {
@@ -522,27 +570,19 @@ func TestHashJoinColumnarProbe(t *testing.T) {
 					residual = Cmp(LE, Col("l.f"), Col("r.f"))
 				}
 				out := randOut(rng, l.Sch.Concat(r.Sch).Names())
-				want := mustDrain(t, NewHashJoin(NewScan(l), rowProbe(pname, r), pairs, residual, out))
+				ref := r
+				if pname == "filter" {
+					ref = kept
+				}
+				want := refJoin(t, l, ref, pairs, residual, out)
 				if (rate == "none") != (want.Len() == 0) {
 					t.Fatalf("%s: the fixture joins to %d rows", name, want.Len())
 				}
-				src := probe(r)
-				join := NewHashJoin(NewScan(l), src, pairs, residual, out)
+				join := NewHashJoin(NewScan(l), probe(r), pairs, residual, out)
 				got := mustDrain(t, join)
-				if want.Len() != got.Len() {
-					t.Fatalf("%s: %d rows, the join over rows gives %d", name, got.Len(), want.Len())
-				}
-				for i := range want.Rows {
-					if !TupleEqual(want.Rows[i], got.Rows[i]) {
-						t.Fatalf("%s: row %d is %v, the join over rows gives %v", name, i, got.Rows[i], want.Rows[i])
-					}
-				}
-				if cs, ok := src.(*colSource); ok && cs.rowCalls != 0 {
-					t.Fatalf("%s: the probe side was asked for %d row batches", name, cs.rowCalls)
-				}
-				if join.mat.made != int64(got.Len()) || join.cellsGathered != int64(got.Len()*got.Sch.Len()) {
-					t.Fatalf("%s: %d rows made and %d cells gathered for %d rows of %d columns",
-						name, join.mat.made, join.cellsGathered, got.Len(), got.Sch.Len())
+				checkJoinRows(t, name, want, got, true)
+				if join.cellsGathered != int64(got.Len()*got.Sch.Len()) {
+					t.Fatalf("%s: %d cells gathered for %d rows of %d columns", name, join.cellsGathered, got.Len(), got.Sch.Len())
 				}
 			}
 		}

@@ -10,33 +10,44 @@ import (
 	"testing"
 )
 
-// poisonSource serves rel's rows through a private buffer that it
-// overwrites with all-NULL rows at the start of every call, end of
-// stream included: the harshest producer the NextBatch contract allows.
-// A consumer that kept the borrowed slice instead of the tuples reads
-// the poison.
+// poisonSource serves rel's rows as column batches whose header, column
+// headers and selection vector it reuses, and at the start of every
+// call, end of stream included, it overwrites the ones it handed out
+// last: every column header with an all-NULL column and the selection
+// with row 0 — the harshest producer the Next contract allows. A
+// consumer that kept the borrowed headers instead of copying them reads
+// the poison. Only the payloads, fresh for every batch, may be kept.
 type poisonSource struct {
-	rel *Relation
-	pos int
-	buf []Tuple
+	rel  *Relation
+	pos  int
+	cols []ColVec
+	sel  []int32
+	cb   ColBatch
 }
 
 func (p *poisonSource) Open() error    { p.pos = 0; return nil }
 func (p *poisonSource) Close() error   { return nil }
 func (p *poisonSource) Schema() Schema { return p.rel.Sch }
 
-func (p *poisonSource) NextBatch() ([]Tuple, bool, error) {
-	poison := make(Tuple, p.rel.Sch.Len())
-	for i := range p.buf {
-		p.buf[i] = poison
+func (p *poisonSource) Next() (*ColBatch, bool, error) {
+	for c := range p.cols {
+		p.cols[c] = ColVec{Kind: KindNull, Nulls: make([]bool, p.cb.N)}
 	}
-	end := p.pos + 100
-	if end > len(p.rel.Rows) {
-		end = len(p.rel.Rows)
+	clear(p.sel)
+	if p.pos >= len(p.rel.Rows) {
+		return nil, false, nil
 	}
-	p.buf = append(p.buf[:0], p.rel.Rows[p.pos:end]...)
-	p.pos = end
-	return p.buf, len(p.buf) > 0, nil
+	rows := p.rel.Rows[p.pos:min(p.pos+100, len(p.rel.Rows))]
+	p.pos += len(rows)
+	p.cols, p.sel = p.cols[:0], p.sel[:0]
+	for c := range p.rel.Sch.Cols {
+		p.cols = append(p.cols, BuildColVec(len(rows), func(i int) Value { return rows[i][c] }))
+	}
+	for i := range rows {
+		p.sel = append(p.sel, int32(i))
+	}
+	p.cb = ColBatch{Sch: p.rel.Sch, Cols: p.cols, N: len(rows), Sel: p.sel}
+	return &p.cb, true, nil
 }
 
 // indexedRel is an IndexedSource over an in-memory relation whose
@@ -66,67 +77,56 @@ func drainChecked(t *testing.T, it Iterator) *Relation {
 	defer it.Close()
 	out := NewRelation(it.Schema())
 	for {
-		batch, ok, err := it.NextBatch()
+		cb, ok, err := it.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			return out
 		}
-		if len(batch) == 0 {
-			t.Fatal("NextBatch returned ok=true with an empty batch")
+		if cb.Rows() == 0 {
+			t.Fatal("Next returned ok=true with an empty batch")
 		}
-		out.Rows = append(out.Rows, batch...)
+		out.Rows = cb.Materialize(out.Rows)
 	}
 }
 
-// drainColumnsChecked drains an operator that moves column batches
-// through NextColBatch, keeping each batch's payloads behind copies of
-// its borrowed headers, and makes the rows only at the end: what the
-// NextColBatch contract allows a consumer — a join's build table — to
-// do. It holds the producer to ok=true coming with at least one row.
-// ok=false: the opened operator does not move column batches.
-func drainColumnsChecked(t *testing.T, it Iterator) (rel *Relation, ok bool) {
+// drainColumnsChecked drains an operator keeping each batch's payloads
+// behind copies of its borrowed headers, and makes the rows only at the
+// end: what the Next contract allows a consumer — a join's build table —
+// to do.
+func drainColumnsChecked(t *testing.T, it Iterator) *Relation {
 	t.Helper()
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
-	c, ok := NativeColumnar(it)
-	if !ok {
-		return nil, false
-	}
 	var kept []ColBatch
 	for {
-		cb, ok, err := c.NextColBatch()
+		cb, ok, err := it.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		if cb.Rows() == 0 {
-			t.Fatal("NextColBatch returned ok=true with an empty batch")
-		}
 		kept = append(kept, ColBatch{Sch: cb.Sch, Cols: append([]ColVec(nil), cb.Cols...), N: cb.N, Sel: append([]int32(nil), cb.Sel...)})
 	}
 	out := NewRelation(it.Schema())
 	for i := range kept {
-		out.Rows = append(out.Rows, kept[i].Materialize(nil)...)
+		out.Rows = kept[i].Materialize(out.Rows)
 	}
-	return out, true
+	return out
 }
 
-// TestBatchContract holds every operator to the NextBatch contract
-// from the consumer's side. Batches are borrowed read-only, so (a) an
-// operator over NewScan, which hands out windows of Relation.Rows
-// itself, leaves the base relations exactly as they were, and (b) over
-// a source that recycles its batch slice on every call the result is
-// still the plain one — an operator may keep the tuples, never the
-// slice. Inputs span several batches, so every cursor is resumed. An
-// operator that also moves column batches (the hash joins) is held to
-// the NextColBatch contract too: its payloads, kept past the next call,
-// still hold the rows NextBatch gives.
+// TestBatchContract holds every operator to the Next contract from the
+// consumer's side. Batches are borrowed, so (a) an operator over
+// NewScan leaves the base relations exactly as they were, (b) over a
+// source that recycles and poisons its headers on every call the result
+// is still the plain one — an operator may keep payloads, never the
+// headers — and (c) the payloads an operator hands over, kept past its
+// next call, still hold its rows. Inputs span several batches, so every
+// cursor is resumed.
 func TestBatchContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	lrel := randJoinInput(rng, 2600, 40, "l")
@@ -175,12 +175,10 @@ func TestBatchContract(t *testing.T) {
 			sameHeaders(t, "right", rbefore, rrel.Rows)
 			got := drainChecked(t, mk(&poisonSource{rel: lrel}, &poisonSource{rel: rrel}))
 			if !want.EqualAsBag(got) {
-				t.Fatalf("over a slice-recycling source the result changed: %d rows, want %d", got.Len(), want.Len())
+				t.Fatalf("over a header-recycling source the result changed: %d rows, want %d", got.Len(), want.Len())
 			}
-			if cols, ok := drainColumnsChecked(t, mk(&poisonSource{rel: lrel}, &poisonSource{rel: rrel})); ok {
-				if !want.EqualAsBag(cols) {
-					t.Fatalf("column batches kept past the next call hold %d rows, want %d", cols.Len(), want.Len())
-				}
+			if cols := drainColumnsChecked(t, mk(&poisonSource{rel: lrel}, &poisonSource{rel: rrel})); !want.EqualAsBag(cols) {
+				t.Fatalf("column batches kept past the next call hold %d rows, want %d", cols.Len(), want.Len())
 			}
 		})
 	}
@@ -204,8 +202,8 @@ func TestEmptyBuildSideLeavesProbeUnread(t *testing.T) {
 		if got := mustDrain(t, NewHashJoin(NewScan(l), src, pairs, nil, nil)); got.Len() != 0 {
 			t.Fatalf("%s: %d rows from an empty build side", name, got.Len())
 		}
-		if src.rowCalls+src.colCalls != 0 {
-			t.Fatalf("%s: the probe side was pulled %d times", name, src.rowCalls+src.colCalls)
+		if src.pulls != 0 {
+			t.Fatalf("%s: the probe side was pulled %d times", name, src.pulls)
 		}
 	}
 }

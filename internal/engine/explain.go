@@ -23,40 +23,17 @@ func Explain(p Plan, cat *Catalog, optimize bool) (string, error) {
 	return b.String(), nil
 }
 
-// execMode computes the execution mode EXPLAIN annotates a node with:
-// "columnar" for a node that hands its parent column batches — a
-// columnar leaf (ColumnarLeaf: the store's segment scans, an in-memory
-// partition image), a hash join, and the filters and projections above
-// one; "row" for everything else, which exchanges row batches. A
-// columnar node under a row operator hands it tuples, made there once.
-// It is the same answer the physical operators reach at Open
-// (NativeColumnar), whatever the ExecConfig.
-func execMode(p Plan, cat *Catalog) string {
-	for {
-		switch n := p.(type) {
-		case *IndexScanPlan:
-			return "index"
-		case ColumnarLeaf:
-			if n.ColumnarScan() {
-				return "columnar"
-			}
-			return "row"
-		case *JoinPlan:
-			if n.Kind != InnerJoin {
-				return "row"
-			}
-			if c, err := chooseJoin(n, cat, JoinAuto); err != nil || c.algo != JoinHash {
-				return "row"
-			}
-			return "columnar"
-		case *FilterPlan:
-			p = n.Child
-		case *ProjectPlan:
-			p = n.Child
-		default:
-			return "row"
-		}
+// execMode is the execution mode EXPLAIN annotates a node with: "index"
+// for an index scan (and a filter printed on its line), "columnar" for
+// every other node — every operator hands its parent column batches.
+func execMode(p Plan) string {
+	if f, ok := p.(*FilterPlan); ok {
+		p = f.Child
 	}
+	if _, ok := p.(*IndexScanPlan); ok {
+		return "index"
+	}
+	return "columnar"
 }
 
 // explainNode prints p and its subtree; the one estimator of the Explain
@@ -68,7 +45,7 @@ func explainNode(b *strings.Builder, p Plan, est *estimator, depth int, root boo
 		head = indent + "->  "
 	}
 	st := est.stats(p)
-	mode := execMode(p, est.cat)
+	mode := execMode(p)
 	switch n := p.(type) {
 	case *JoinPlan:
 		// The decision Build makes under the default configuration. (A

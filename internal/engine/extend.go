@@ -7,17 +7,23 @@ type NamedExpr struct {
 	Kind Kind // declared output kind (for schema purposes)
 }
 
-// ExtendIter appends computed columns to each input row. The U-relation
-// union translation uses it to pad ws-descriptors to a common width and
-// to add NULL tuple-id columns for the other side's relations.
+// ExtendIter appends computed columns to each input batch. The
+// U-relation union translation uses it to pad ws-descriptors to a common
+// width and to add NULL tuple-id columns for the other side's relations.
+// A computed column that is an input column shares its vector; any other
+// is evaluated on each live row into a fresh vector (a row the
+// selection leaves out is NULL there).
 type ExtendIter struct {
 	In    Iterator
 	Exprs []NamedExpr
 
-	bound []Expr
-	sch   Schema
-	out   []Tuple  // reused output batch headers
-	arena outArena // output cells (write-once)
+	bound   []Expr
+	reads   [][]int // per expression, the input columns it reads
+	sch     Schema
+	scratch Tuple    // the input row, filled where an expression reads it
+	vals    []Value  // reused cells of one computed column
+	cols    []ColVec // reused output column headers
+	cb      ColBatch // reused output batch header
 }
 
 // NewExtend builds an extend operator.
@@ -31,6 +37,7 @@ func (e *ExtendIter) Open() error {
 	}
 	in := e.In.Schema()
 	e.bound = make([]Expr, len(e.Exprs))
+	e.reads = make([][]int, len(e.Exprs))
 	cols := make([]Column, 0, in.Len()+len(e.Exprs))
 	cols = append(cols, in.Cols...)
 	for i, ne := range e.Exprs {
@@ -38,33 +45,46 @@ func (e *ExtendIter) Open() error {
 		if err != nil {
 			return err
 		}
-		e.bound[i] = b
+		e.bound[i], e.reads[i] = b, boundCols(b, in)
 		cols = append(cols, Column{Name: ne.Name, Kind: ne.Kind})
 	}
 	e.sch = Schema{Cols: cols}
+	e.scratch = make(Tuple, in.Len())
 	return nil
 }
 
-func (e *ExtendIter) NextBatch() ([]Tuple, bool, error) {
-	in, ok, err := e.In.NextBatch()
+func (e *ExtendIter) Next() (*ColBatch, bool, error) {
+	in, ok, err := e.In.Next()
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	out := e.out[:0]
-	for _, row := range in {
-		t := e.arena.carve(e.sch.Len())
-		n := copy(t, row)
-		for i, b := range e.bound {
-			t[n+i] = b.Eval(row)
+	cols := append(e.cols[:0], in.Cols...)
+	for x, b := range e.bound {
+		if c, ok := b.(*ColRef); ok {
+			cols = append(cols, in.Cols[c.Idx])
+			continue
 		}
-		out = append(out, t)
+		if cap(e.vals) < in.N {
+			e.vals = make([]Value, in.N)
+		}
+		vals := e.vals[:in.N]
+		clear(vals)
+		for k, n := 0, in.Rows(); k < n; k++ {
+			i := in.RowID(k)
+			for _, c := range e.reads[x] {
+				e.scratch[c] = in.Cols[c].Value(i)
+			}
+			vals[i] = b.Eval(e.scratch)
+		}
+		cols = append(cols, BuildColVec(in.N, func(i int) Value { return vals[i] }))
 	}
-	e.out = out
-	return out, true, nil
+	e.cols = cols
+	e.cb = ColBatch{Sch: e.sch, Cols: cols, N: in.N, Sel: in.Sel}
+	return &e.cb, true, nil
 }
 
 func (e *ExtendIter) Close() error {
-	e.out, e.arena = nil, outArena{}
+	e.vals, e.cols = nil, nil
 	return e.In.Close()
 }
 

@@ -3,8 +3,8 @@ package engine
 // joinTable is the hashed-key machinery shared by the hash join family
 // (HashJoinIter and SemiJoinIter). It keeps the build input as the
 // column batches it was handed — their payload vectors are immutable
-// under the NextColBatch contract, so only the borrowed headers are
-// copied, and a row input is transposed once — and stores a build row
+// under the Iterator.Next contract, so only the borrowed headers are
+// copied — and stores a build row
 // as a (batch, row) reference into them. Keys are 64-bit hashes of the key cells
 // read from the vectors, collisions resolve by comparing the cells, and
 // a key that is one int column is hashed and compared as the int it is.
@@ -50,11 +50,10 @@ type rowRef struct{ batch, row int32 }
 // semi joins).
 func buildJoinTable(it Iterator, keyIdx []int, keep ...keyRange) (*joinTable, error) {
 	// Drain first, then lay the stored rows out at their exact count.
-	in := newColReader(it)
 	t := &joinTable{keyIdx: keyIdx}
 	live, intKey := 0, len(keyIdx) == 1
 	for {
-		cb, ok, err := in.next()
+		cb, ok, err := it.Next()
 		if err != nil {
 			return nil, err
 		}
@@ -388,89 +387,4 @@ func batchLayouts(batches []ColBatch) []vecLayout {
 		}
 	}
 	return lays
-}
-
-// outArena carves write-once output tuples from chunked allocations,
-// so emitting a join result row costs a copy — the one copy a row join
-// makes — not an allocation. The carved tuples are never reused, which
-// keeps the NextBatch contract: consumers may retain them indefinitely.
-// The operators that still emit rows (index and nested-loop joins,
-// Extend) write through it.
-type outArena struct {
-	buf   []Value
-	chunk int // last chunk size; doubles up to arenaChunk
-}
-
-// arenaChunk caps the allocation unit; with typical join output widths
-// around ten columns this amortizes to roughly one allocation per
-// eight hundred output rows. Chunks start small and double so an
-// iterator that emits only a handful of rows doesn't pay for (or make
-// the GC sweep) a full-size chunk.
-const (
-	arenaChunk      = 8192
-	arenaFirstChunk = 64
-)
-
-// emit returns a stable copy of the join row l ++ r narrowed to the
-// columns pick selects from it, in pick's order; a nil pick keeps the
-// whole row.
-func (a *outArena) emit(l, r Tuple, pick []int) Tuple {
-	if pick == nil {
-		return a.concat(l, r)
-	}
-	t := a.carve(len(pick))
-	for i, c := range pick {
-		if c < len(l) {
-			t[i] = l[c]
-		} else {
-			t[i] = r[c-len(l)]
-		}
-	}
-	return t
-}
-
-// concat returns a stable copy of l ++ r.
-func (a *outArena) concat(l, r Tuple) Tuple {
-	t := a.carve(len(l) + len(r))
-	copy(t, l)
-	copy(t[len(l):], r)
-	return t
-}
-
-// bindOut resolves a join's output projection out against full, the
-// schema of its concatenated row: the schema the join reports and the
-// pick its emit takes. A nil out is the whole row.
-func bindOut(full Schema, out []string) (Schema, []int, error) {
-	if out == nil {
-		return full, nil, nil
-	}
-	sch, err := full.Project(out)
-	if err != nil {
-		return Schema{}, nil, err
-	}
-	pick := make([]int, len(out))
-	for i, name := range out {
-		pick[i] = full.IndexOf(name)
-	}
-	return sch, pick, nil
-}
-
-func (a *outArena) carve(n int) Tuple {
-	if len(a.buf) < n {
-		size := a.chunk * 2
-		if size < arenaFirstChunk {
-			size = arenaFirstChunk
-		}
-		if size > arenaChunk {
-			size = arenaChunk
-		}
-		if n > size {
-			size = n
-		}
-		a.chunk = size
-		a.buf = make([]Value, size)
-	}
-	t := a.buf[:n:n]
-	a.buf = a.buf[n:]
-	return t
 }

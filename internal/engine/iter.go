@@ -5,35 +5,35 @@ import (
 	"sort"
 )
 
-// DefaultBatchSize is the number of tuples moved per NextBatch call. The
-// value trades per-call overhead against cache residency of a batch;
-// 1024 rows of a handful of Values fit comfortably in L2.
+// DefaultBatchSize is the most rows an operator that makes its batches
+// (a hash join's output, the windows of held rows or of an in-memory
+// column batch) puts in one; 1024 rows of a handful of vectors fit
+// comfortably in L2.
 const DefaultBatchSize = 1024
 
 // Iterator is the physical operator interface: a pull pipeline that
-// moves rows a batch at a time. Open must be called before NextBatch.
+// moves column batches. Open must be called before Next.
 // Implementations are single-use.
 type Iterator interface {
 	Open() error
-	// NextBatch returns the next batch of rows, or ok=false at end of
-	// stream. A batch returned with ok=true is non-empty. The slice is
-	// borrowed read-only until the next NextBatch call: the producer may
-	// reuse its backing array, and it may be a window of storage the
-	// producer does not own (ScanIter hands out Relation.Rows itself), so
-	// a consumer never writes to it and copies the row headers it wants
-	// to keep. The tuples are immutable and may be retained indefinitely.
-	NextBatch() ([]Tuple, bool, error)
+	// Next returns the next non-empty column batch, or ok=false at end
+	// of stream. The batch — its header, Cols and Sel — is borrowed until
+	// the next call: the producer may reuse them. The column payloads are
+	// immutable, so a consumer may keep them (a hash join's build table
+	// does).
+	Next() (*ColBatch, bool, error)
 	Close() error
 	Schema() Schema
 }
 
-// Drain runs an iterator to completion and materializes the result.
+// Drain runs an iterator to completion and makes its result into rows:
+// the sink, where tuples are made.
 func Drain(it Iterator) (*Relation, error) {
 	if err := it.Open(); err != nil {
 		return nil, err
 	}
 	defer it.Close()
-	rows, err := drainAll(it)
+	rows, err := drainRows(it)
 	if err != nil {
 		return nil, err
 	}
@@ -42,54 +42,64 @@ func Drain(it Iterator) (*Relation, error) {
 	return out, nil
 }
 
-// drainAll collects the remaining rows of an opened iterator, copying
-// the row headers out of each borrowed batch.
-func drainAll(it Iterator) ([]Tuple, error) {
+// drainRows makes the remaining rows of an opened iterator into tuples.
+func drainRows(it Iterator) ([]Tuple, error) {
 	var rows []Tuple
 	for {
-		batch, ok, err := it.NextBatch()
+		cb, ok, err := it.Next()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			return rows, nil
 		}
-		rows = append(rows, batch...)
+		rows = cb.Materialize(rows)
 	}
 }
 
-// Window serves a materialized row slice a batch at a time: it returns
-// the next at most DefaultBatchSize rows from *pos and advances *pos,
-// or ok=false once rows is exhausted. It is the NextBatch of every
-// operator that holds its whole output (scans, sort, aggregation, the
-// store's index lookups).
-func Window(rows []Tuple, pos *int) ([]Tuple, bool, error) {
-	if *pos >= len(rows) {
+// HeldRows serves rows an operator holds — a catalog relation, a sorted
+// input, aggregated groups, an index lookup's hits — as column batches
+// of at most DefaultBatchSize rows, each window transposed into fresh
+// vectors (BuildColVec), so a consumer may keep their payloads.
+type HeldRows struct {
+	Rows []Tuple
+	Sch  Schema
+
+	pos int
+	cb  ColBatch // reused header
+}
+
+// Next serves the next window of Rows, or ok=false once they are
+// exhausted.
+func (h *HeldRows) Next() (*ColBatch, bool, error) {
+	if h.pos >= len(h.Rows) {
 		return nil, false, nil
 	}
-	end := *pos + DefaultBatchSize
-	if end > len(rows) {
-		end = len(rows)
+	end := min(h.pos+DefaultBatchSize, len(h.Rows))
+	rows := h.Rows[h.pos:end]
+	h.pos = end
+	cols := h.cb.Cols[:0]
+	for c := range h.Sch.Cols {
+		cols = append(cols, BuildColVec(len(rows), func(i int) Value { return rows[i][c] }))
 	}
-	batch := rows[*pos:end]
-	*pos = end
-	return batch, true, nil
+	h.cb = ColBatch{Sch: h.Sch, Cols: cols, N: len(rows)}
+	return &h.cb, true, nil
 }
 
-// ScanIter scans a materialized relation, handing out windows of
-// Rel.Rows without copying row headers.
+// ScanIter scans a materialized relation, serving its rows as column
+// batches.
 type ScanIter struct {
-	Rel *Relation
-	pos int
+	Rel  *Relation
+	held HeldRows
 }
 
 // NewScan builds a scan over r.
 func NewScan(r *Relation) *ScanIter { return &ScanIter{Rel: r} }
 
-func (s *ScanIter) Open() error                       { s.pos = 0; return nil }
-func (s *ScanIter) NextBatch() ([]Tuple, bool, error) { return Window(s.Rel.Rows, &s.pos) }
-func (s *ScanIter) Close() error                      { return nil }
-func (s *ScanIter) Schema() Schema                    { return s.Rel.Sch }
+func (s *ScanIter) Open() error                    { s.held = HeldRows{Rows: s.Rel.Rows, Sch: s.Rel.Sch}; return nil }
+func (s *ScanIter) Next() (*ColBatch, bool, error) { return s.held.Next() }
+func (s *ScanIter) Close() error                   { s.held = HeldRows{}; return nil }
+func (s *ScanIter) Schema() Schema                 { return s.Rel.Sch }
 
 // colScanIter scans a column batch held in memory (a ValuesPlan's
 // Batch), handing out windows of DefaultBatchSize rows that share its
@@ -99,15 +109,13 @@ type colScanIter struct {
 	pos  int
 	cols []ColVec // reused window headers
 	cb   ColBatch
-	mat  materializer
 }
 
-func (s *colScanIter) Open() error          { s.pos, s.mat.made = 0, 0; return nil }
-func (s *colScanIter) Close() error         { s.mat.rows = nil; return nil }
-func (s *colScanIter) Schema() Schema       { return s.src.Sch }
-func (s *colScanIter) ColumnarNative() bool { return true }
+func (s *colScanIter) Open() error    { s.pos = 0; return nil }
+func (s *colScanIter) Close() error   { return nil }
+func (s *colScanIter) Schema() Schema { return s.src.Sch }
 
-func (s *colScanIter) NextColBatch() (*ColBatch, bool, error) {
+func (s *colScanIter) Next() (*ColBatch, bool, error) {
 	if s.pos >= s.src.N {
 		return nil, false, nil
 	}
@@ -115,33 +123,23 @@ func (s *colScanIter) NextColBatch() (*ColBatch, bool, error) {
 	s.pos = hi
 	s.cols = s.cols[:0]
 	for c := range s.src.Cols {
-		s.cols = append(s.cols, s.src.Cols[c].Window(lo, hi))
+		s.cols = append(s.cols, s.src.Cols[c].Slice(lo, hi))
 	}
 	s.cb = ColBatch{Sch: s.src.Sch, Cols: s.cols, N: hi - lo}
 	return &s.cb, true, nil
 }
 
-func (s *colScanIter) NextBatch() ([]Tuple, bool, error) { return s.mat.next(s.NextColBatch()) }
-
-// OperatorStats reports the rows the scan made into tuples.
-func (s *colScanIter) OperatorStats(emit func(key string, v int64)) { s.mat.stats(emit) }
-
-// FilterIter applies a predicate. Above a natively columnar input it
-// evaluates the predicate vectorized over selection vectors (see
-// NextColBatch) and materializes only the survivors; otherwise it
-// evaluates row by row over the input's batches.
+// FilterIter applies a predicate, evaluated vectorized over selection
+// vectors: typed comparisons run as tight loops over the column
+// payloads and only the selection vector shrinks — no tuple is built
+// and no column data moves.
 type FilterIter struct {
 	In   Iterator
 	Pred Expr // unbound
 
-	bound Expr
-	out   []Tuple // reused output buffer
-
-	colIn ColBatchIterator // the input's columnar path; nil when it has none
-	vp    *vecPred         // compiled predicate for the columnar path
-	sel   []int32          // reused selection buffer
-	cb    ColBatch         // reused output batch header
-	mat   materializer     // NextBatch over the columnar path
+	vp  *vecPred // the compiled predicate
+	sel []int32  // reused selection buffer
+	cb  ColBatch // reused output batch header
 }
 
 // NewFilter builds a filter; pred is bound at Open time.
@@ -157,44 +155,14 @@ func (f *FilterIter) Open() error {
 	if err != nil {
 		return err
 	}
-	f.bound = b
-	f.vp = nil
-	f.mat.made = 0
-	if f.colIn, _ = NativeColumnar(f.In); f.colIn != nil {
-		f.vp = compileVecPred(f.bound, f.In.Schema())
-	}
+	f.vp = compileVecPred(b, f.In.Schema())
 	return nil
 }
 
-func (f *FilterIter) NextBatch() ([]Tuple, bool, error) {
-	if f.colIn != nil {
-		return f.mat.next(f.NextColBatch())
-	}
+// Next narrows input batches through the compiled predicate.
+func (f *FilterIter) Next() (*ColBatch, bool, error) {
 	for {
-		in, ok, err := f.In.NextBatch()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		out := f.out[:0]
-		for _, row := range in {
-			if f.bound.Eval(row).Truth() {
-				out = append(out, row)
-			}
-		}
-		f.out = out
-		if len(out) > 0 {
-			return out, true, nil
-		}
-	}
-}
-
-// NextColBatch narrows input batches through the compiled vectorized
-// predicate: typed comparisons run as tight loops over the column
-// payloads and only the selection vector shrinks — no tuple is built
-// and no column data moves.
-func (f *FilterIter) NextColBatch() (*ColBatch, bool, error) {
-	for {
-		in, ok, err := f.colIn.NextColBatch()
+		in, ok, err := f.In.Next()
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -207,13 +175,6 @@ func (f *FilterIter) NextColBatch() (*ColBatch, bool, error) {
 	}
 }
 
-// ColumnarNative reports whether the filter's whole input chain is
-// columnar.
-func (f *FilterIter) ColumnarNative() bool {
-	_, ok := NativeColumnar(f.In)
-	return ok
-}
-
 func (f *FilterIter) Close() error   { return f.In.Close() }
 func (f *FilterIter) Schema() Schema { return f.In.Schema() }
 
@@ -221,25 +182,18 @@ func (f *FilterIter) Schema() Schema { return f.In.Schema() }
 // columns the filter passes through.
 func (f *FilterIter) NarrowKeyRange(col int, lo, hi int64) { narrowInput(f.In, col, lo, hi) }
 
-// OperatorStats reports the rows the filter made into tuples.
-func (f *FilterIter) OperatorStats(emit func(key string, v int64)) { f.mat.stats(emit) }
-
 // ProjectIter projects to named columns (and may rename via "src AS dst"
-// entries handled by the logical layer; physically it is index-based).
-// Above a natively columnar input the projection re-slices column
-// vectors (see NextColBatch).
+// entries handled by the logical layer; physically it is index-based)
+// by re-slicing the input batch's column headers: projection over
+// columns is free.
 type ProjectIter struct {
 	In    Iterator
 	Names []string
 
-	idx []int
-	sch Schema
-	out []Tuple // reused output buffer
-
-	colIn ColBatchIterator // the input's columnar path; nil when it has none
-	cols  []ColVec         // reused projected column headers
-	cb    ColBatch         // reused output batch header
-	mat   materializer     // NextBatch over the columnar path
+	idx  []int
+	sch  Schema
+	cols []ColVec // reused projected column headers
+	cb   ColBatch // reused output batch header
 }
 
 // NewProject builds a projection onto the named columns.
@@ -263,39 +217,11 @@ func (p *ProjectIter) Open() error {
 		cols[i] = Column{Name: n, Kind: insch.Cols[j].Kind}
 	}
 	p.sch = Schema{Cols: cols}
-	p.colIn, _ = NativeColumnar(p.In)
-	p.mat.made = 0
 	return nil
 }
 
-// NextBatch rebuilds whole batches of narrowed rows.
-func (p *ProjectIter) NextBatch() ([]Tuple, bool, error) {
-	if p.colIn != nil {
-		return p.mat.next(p.NextColBatch())
-	}
-	in, ok, err := p.In.NextBatch()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out := p.out[:0]
-	// One backing allocation for the whole batch's cells.
-	w := len(p.idx)
-	cells := make([]Value, len(in)*w)
-	for r, row := range in {
-		t := cells[r*w : (r+1)*w : (r+1)*w]
-		for i, j := range p.idx {
-			t[i] = row[j]
-		}
-		out = append(out, t)
-	}
-	p.out = out
-	return out, true, nil
-}
-
-// NextColBatch re-slices the input batch's column vectors: projection
-// over columns is free.
-func (p *ProjectIter) NextColBatch() (*ColBatch, bool, error) {
-	in, ok, err := p.colIn.NextColBatch()
+func (p *ProjectIter) Next() (*ColBatch, bool, error) {
+	in, ok, err := p.In.Next()
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -308,13 +234,6 @@ func (p *ProjectIter) NextColBatch() (*ColBatch, bool, error) {
 	return &p.cb, true, nil
 }
 
-// ColumnarNative reports whether the projection's whole input chain is
-// columnar.
-func (p *ProjectIter) ColumnarNative() bool {
-	_, ok := NativeColumnar(p.In)
-	return ok
-}
-
 func (p *ProjectIter) Close() error { return p.In.Close() }
 
 // NarrowKeyRange (KeyRangeNarrower) forwards a range to the input column
@@ -324,9 +243,6 @@ func (p *ProjectIter) NarrowKeyRange(col int, lo, hi int64) {
 		narrowInput(p.In, p.idx[col], lo, hi)
 	}
 }
-
-// OperatorStats reports the rows the projection made into tuples.
-func (p *ProjectIter) OperatorStats(emit func(key string, v int64)) { p.mat.stats(emit) }
 
 func (p *ProjectIter) Schema() Schema {
 	if p.sch.Len() == 0 && len(p.Names) > 0 {
@@ -350,6 +266,9 @@ func (p *ProjectIter) Schema() Schema {
 type RenameIter struct {
 	In    Iterator
 	Names []string
+
+	sch Schema
+	cb  ColBatch // reused output batch header
 }
 
 // NewRename relabels the input's columns positionally.
@@ -362,11 +281,25 @@ func (r *RenameIter) Open() error {
 		return fmt.Errorf("engine: rename: %d names for %d columns",
 			len(r.Names), r.In.Schema().Len())
 	}
-	return r.In.Open()
+	if err := r.In.Open(); err != nil {
+		return err
+	}
+	r.sch = r.Schema()
+	return nil
 }
 
-func (r *RenameIter) NextBatch() ([]Tuple, bool, error) { return r.In.NextBatch() }
-func (r *RenameIter) Close() error                      { return r.In.Close() }
+// Next hands over the input's batch under the new labels.
+func (r *RenameIter) Next() (*ColBatch, bool, error) {
+	in, ok, err := r.In.Next()
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	r.cb = *in
+	r.cb.Sch = r.sch
+	return &r.cb, true, nil
+}
+
+func (r *RenameIter) Close() error { return r.In.Close() }
 
 func (r *RenameIter) Schema() Schema {
 	in := r.In.Schema()
@@ -381,12 +314,15 @@ func (r *RenameIter) Schema() Schema {
 	return Schema{Cols: cols}
 }
 
-// DistinctIter removes duplicate rows via hashing.
+// DistinctIter removes duplicate rows via hashing. It keys each row from
+// its vectors and hands over the first-seen rows of each input batch as
+// a selection over it, so it makes no tuple.
 type DistinctIter struct {
 	In   Iterator
 	seen map[string]struct{}
-	buf  []byte  // reused key-encoding buffer
-	out  []Tuple // reused output buffer
+	buf  []byte   // reused key-encoding buffer
+	sel  []int32  // reused selection buffer
+	cb   ColBatch // reused output batch header
 }
 
 // NewDistinct builds a duplicate-eliminating operator.
@@ -397,41 +333,44 @@ func (d *DistinctIter) Open() error {
 	return d.In.Open()
 }
 
-func (d *DistinctIter) NextBatch() ([]Tuple, bool, error) {
+func (d *DistinctIter) Next() (*ColBatch, bool, error) {
 	for {
-		in, ok, err := d.In.NextBatch()
+		in, ok, err := d.In.Next()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		out := d.out[:0]
-		for _, row := range in {
+		sel := d.sel[:0]
+		for k, n := 0, in.Rows(); k < n; k++ {
+			i := in.RowID(k)
 			// The map[string(bytes)] lookup does not allocate; only fresh
 			// keys pay a string conversion on insert.
-			d.buf = AppendKey(d.buf[:0], row)
+			d.buf = appendRowKey(d.buf[:0], in.Cols, i)
 			if _, dup := d.seen[string(d.buf)]; dup {
 				continue
 			}
 			d.seen[string(d.buf)] = struct{}{}
-			out = append(out, row)
+			sel = append(sel, int32(i))
 		}
-		d.out = out
-		if len(out) > 0 {
-			return out, true, nil
+		d.sel = sel
+		if len(sel) > 0 {
+			d.cb = ColBatch{Sch: in.Sch, Cols: in.Cols, N: in.N, Sel: sel}
+			return &d.cb, true, nil
 		}
 	}
 }
 
-func (d *DistinctIter) Close() error   { d.seen, d.out = nil, nil; return d.In.Close() }
+func (d *DistinctIter) Close() error   { d.seen, d.sel = nil, nil; return d.In.Close() }
 func (d *DistinctIter) Schema() Schema { return d.In.Schema() }
 
 // SortIter materializes and sorts its input by the named key columns
-// (ascending, lexicographic).
+// (ascending, lexicographic). It must hold its input, so it makes it
+// into tuples and reports them as rows_materialized.
 type SortIter struct {
 	In   Iterator
 	Keys []string
 
-	rows []Tuple
-	pos  int
+	held HeldRows
+	made int64
 }
 
 // NewSort builds an in-memory sort on the given key columns.
@@ -452,18 +391,23 @@ func (s *SortIter) Open() error {
 		}
 		idx[i] = j
 	}
-	var err error
-	if s.rows, err = drainAll(s.In); err != nil {
+	rows, err := drainRows(s.In)
+	if err != nil {
 		return err
 	}
-	sortByKeys(s.rows, idx)
-	s.pos = 0
+	sortByKeys(rows, idx)
+	s.held, s.made = HeldRows{Rows: rows, Sch: sch}, int64(len(rows))
 	return nil
 }
 
-func (s *SortIter) NextBatch() ([]Tuple, bool, error) { return Window(s.rows, &s.pos) }
-func (s *SortIter) Close() error                      { s.rows = nil; return s.In.Close() }
-func (s *SortIter) Schema() Schema                    { return s.In.Schema() }
+func (s *SortIter) Next() (*ColBatch, bool, error) { return s.held.Next() }
+func (s *SortIter) Close() error                   { s.held.Rows = nil; return s.In.Close() }
+func (s *SortIter) Schema() Schema                 { return s.In.Schema() }
+
+// OperatorStats reports the rows the sort made into tuples.
+func (s *SortIter) OperatorStats(emit func(key string, v int64)) {
+	emit("rows_materialized", s.made)
+}
 
 // sortByKeys stably sorts rows ascending on the key columns idx.
 func sortByKeys(rows []Tuple, idx []int) {
@@ -477,12 +421,15 @@ func sortByKeys(rows []Tuple, idx []int) {
 	})
 }
 
-// LimitIter passes through at most N rows.
+// LimitIter passes through at most N rows, truncating the selection of
+// the batch that reaches the limit.
 type LimitIter struct {
 	In Iterator
 	N  int64
 
 	seen int64
+	sel  []int32
+	cb   ColBatch
 }
 
 // NewLimit builds a limit operator.
@@ -490,19 +437,26 @@ func NewLimit(in Iterator, n int64) *LimitIter { return &LimitIter{In: in, N: n}
 
 func (l *LimitIter) Open() error { l.seen = 0; return l.In.Open() }
 
-func (l *LimitIter) NextBatch() ([]Tuple, bool, error) {
+func (l *LimitIter) Next() (*ColBatch, bool, error) {
 	if l.seen >= l.N {
 		return nil, false, nil
 	}
-	in, ok, err := l.In.NextBatch()
+	in, ok, err := l.In.Next()
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	if left := l.N - l.seen; int64(len(in)) > left {
-		in = in[:left]
+	left := int(l.N - l.seen)
+	if in.Rows() <= left {
+		l.seen += int64(in.Rows())
+		return in, true, nil
 	}
-	l.seen += int64(len(in))
-	return in, true, nil
+	l.sel = l.sel[:0]
+	for k := 0; k < left; k++ {
+		l.sel = append(l.sel, int32(in.RowID(k)))
+	}
+	l.seen = l.N
+	l.cb = ColBatch{Sch: in.Sch, Cols: in.Cols, N: in.N, Sel: l.sel}
+	return &l.cb, true, nil
 }
 
 func (l *LimitIter) Close() error   { return l.In.Close() }

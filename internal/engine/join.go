@@ -80,23 +80,20 @@ func (r keyRange) drops(cols []ColVec, i int) bool {
 // (tuple-id) conditions become keys, and the ψ (descriptor consistency)
 // conditions become the residual filter.
 //
-// It is a ColBatchIterator through and through. The build side L is
-// drained as column batches into a joinTable that keeps them and refers
-// to its rows; the probe side R is pulled as column batches too (a row
-// input of either side is transposed once), each probe batch is looked
-// up key by key from its vectors (narrowProbe), the match chains of the
-// rows that found a partner are walked with the residual evaluated on
-// the cells of the two sides in place (pairPred: ψ compares ints), and
-// the output batch is gathered column by column, in typed loops, at
-// exact size, through the join's output projection. No tuple is made
-// here unless the parent asks for rows: NextBatch is NextColBatch made
-// into tuples, once. The build side is drained at the first pull, not at
-// Open, so a parent can narrow the join before it reads anything: a range
-// on an output column goes to the input the column is read from, and on a
-// build column also drops, as L is drained, the build rows outside it
-// (KeyRangeNarrower). An empty build side ends the stream without pulling
-// R at all; any other hands R the range of its int keys first
-// (narrowProbeInput).
+// The build side L is drained into a joinTable that keeps its batches
+// and refers to its rows; the probe side R is pulled batch by batch,
+// each probe batch is looked up key by key from its vectors
+// (narrowProbe), the match chains of the rows that found a partner are
+// walked with the residual evaluated on the cells of the two sides in
+// place (pairPred: ψ compares ints), and the output batch is gathered
+// column by column, in typed loops, at exact size, through the join's
+// output projection. No tuple is made. The build side is drained at the
+// first pull, not at Open, so a parent can narrow the join before it
+// reads anything: a range on an output column goes to the input the
+// column is read from, and on a build column also drops, as L is
+// drained, the build rows outside it (KeyRangeNarrower). An empty build
+// side ends the stream without pulling R at all; any other hands R the
+// range of its int keys first (narrowProbeInput).
 type HashJoinIter struct {
 	L, R     Iterator
 	Pairs    []EquiPair
@@ -108,13 +105,11 @@ type HashJoinIter struct {
 	table *joinTable // nil until the first pull drains L (build)
 	keep  []keyRange // ranges handed down on build columns
 	pred  *pairPred  // nil = no residual
-	probe colReader
 	cb    *ColBatch  // current probe batch; nil = pull the next
 	hits  probeHits  // cb narrowed to its matches
 	cur   joinCursor // how far cb's matches are walked
 	cols  []ColVec   // reused output batch header
 	out   ColBatch
-	mat   materializer
 
 	probeRows, cellsGathered int64 // OperatorStats
 }
@@ -142,18 +137,17 @@ func (j *HashJoinIter) Open() error {
 	}
 	j.pred = j.shape.pred()
 	j.table, j.keep = nil, nil
-	j.probe = newColReader(j.R)
 	j.cb = nil
 	j.cols = make([]ColVec, len(j.shape.out))
-	j.probeRows, j.cellsGathered, j.mat.made = 0, 0, 0
+	j.probeRows, j.cellsGathered = 0, 0
 	return nil
 }
 
-// NextColBatch walks the matches of the current probe batch from where
+// Next walks the matches of the current probe batch from where
 // the previous call stopped, up to DefaultBatchSize output rows, and
 // gathers them; a probe batch without a match is skipped whole. The
 // first call drains the build side.
-func (j *HashJoinIter) NextColBatch() (*ColBatch, bool, error) {
+func (j *HashJoinIter) Next() (*ColBatch, bool, error) {
 	if j.table == nil {
 		if err := j.build(); err != nil {
 			return nil, false, err
@@ -165,7 +159,7 @@ func (j *HashJoinIter) NextColBatch() (*ColBatch, bool, error) {
 	}
 	for {
 		if j.cb == nil {
-			cb, ok, err := j.probe.next()
+			cb, ok, err := j.R.Next()
 			if err != nil || !ok {
 				return nil, false, err
 			}
@@ -219,32 +213,17 @@ func (j *HashJoinIter) NarrowKeyRange(col int, lo, hi int64) {
 	narrowInput(j.L, s.col, lo, hi)
 }
 
-// NextBatch makes the next output batch into tuples.
-func (j *HashJoinIter) NextBatch() ([]Tuple, bool, error) { return j.mat.next(j.NextColBatch()) }
-
-// ColumnarNative reports true: a hash join produces column batches
-// whatever its inputs produce.
-func (j *HashJoinIter) ColumnarNative() bool { return true }
-
-// OperatorStats reports how many probe rows the join was handed, how
-// many cells it gathered into its output, and how many output rows it
-// made into tuples (only when its parent pulls rows).
+// OperatorStats reports how many probe rows the join was handed and how
+// many cells it gathered into its output.
 func (j *HashJoinIter) OperatorStats(emit func(key string, v int64)) {
 	emit("probe_rows", j.probeRows)
 	emit("cells_gathered", j.cellsGathered)
-	j.mat.stats(emit)
 }
 
 func (j *HashJoinIter) Close() error {
 	j.table, j.cb = nil, nil
 	j.hits, j.cur, j.cols, j.out = probeHits{}, joinCursor{}, nil, ColBatch{}
-	j.probe, j.mat.rows = colReader{}, nil
-	err1 := j.L.Close()
-	err2 := j.R.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
+	return closePair(j.L, j.R)
 }
 
 func (j *HashJoinIter) Schema() Schema {
@@ -589,9 +568,30 @@ func joinSchema(l, r Schema, out []string) Schema {
 	return full
 }
 
+// bindOut resolves a join's output projection out against full, the
+// schema of its concatenated row: the schema the join reports and the
+// position in full of each of its columns. A nil out is the whole row.
+func bindOut(full Schema, out []string) (Schema, []int, error) {
+	if out == nil {
+		return full, nil, nil
+	}
+	sch, err := full.Project(out)
+	if err != nil {
+		return Schema{}, nil, err
+	}
+	pick := make([]int, len(out))
+	for i, name := range out {
+		pick[i] = full.IndexOf(name)
+	}
+	return sch, pick, nil
+}
+
 // NestedLoopJoinIter evaluates an arbitrary (possibly empty = cross
-// product) predicate over the concatenated row. The right input is
-// materialized.
+// product) predicate over the concatenated row, row by row: the join for
+// a condition without an equi pair, and the property tests' reference
+// for the hash join. It holds its right input as tuples and makes each
+// left batch into tuples, and reports those as rows_materialized; its
+// output rows are served as column batches (HeldRows).
 type NestedLoopJoinIter struct {
 	L, R Iterator
 	Cond Expr
@@ -600,15 +600,15 @@ type NestedLoopJoinIter struct {
 	pick    []int
 
 	right   []Tuple
-	lbatch  []Tuple // current batch of the left input
+	left    []Tuple // the current left batch's rows
 	lpos    int
 	cur     Tuple // left row being joined against right[rpos:]
 	rpos    int
 	bound   Expr
 	sch     Schema
-	out     []Tuple  // reused output batch headers
-	arena   outArena // output cells (write-once)
-	scratch Tuple    // predicate evaluation buffer
+	scratch Tuple // predicate evaluation buffer
+	out     HeldRows
+	made    int64
 }
 
 // NewNestedLoopJoin builds a nested-loop join (cond may be nil for a
@@ -630,64 +630,77 @@ func (j *NestedLoopJoinIter) Open() error {
 		return err
 	}
 	if j.Cond != nil {
-		b, err := j.Cond.Bind(full)
-		if err != nil {
+		if j.bound, err = j.Cond.Bind(full); err != nil {
 			return err
 		}
-		j.bound = b
 	}
-	if j.right, err = drainAll(j.R); err != nil {
+	if j.right, err = drainRows(j.R); err != nil {
 		return err
 	}
+	j.made = int64(len(j.right))
 	j.scratch = make(Tuple, full.Len())
-	j.lbatch, j.lpos = nil, 0
+	j.left, j.lpos = nil, 0
 	j.rpos = len(j.right) // no current left row yet
 	return nil
 }
 
-// NextBatch emits up to DefaultBatchSize joined rows, resuming from the
-// (left row, right position) cursor the previous call stopped at.
-func (j *NestedLoopJoinIter) NextBatch() ([]Tuple, bool, error) {
-	out := j.out[:0]
-	for {
-		for j.rpos < len(j.right) {
+// Next joins up to DefaultBatchSize rows, resuming from the (left row,
+// right position) cursor the previous call stopped at.
+func (j *NestedLoopJoinIter) Next() (*ColBatch, bool, error) {
+	var out []Tuple
+	for len(out) < DefaultBatchSize {
+		if j.rpos < len(j.right) {
 			r := j.right[j.rpos]
 			j.rpos++
-			if !residualHolds(j.bound, j.scratch, j.cur, r) {
-				continue
+			if residualHolds(j.bound, j.scratch, j.cur, r) {
+				out = append(out, joinedRow(j.cur, r, j.pick))
 			}
-			out = append(out, j.arena.emit(j.cur, r, j.pick))
-			if len(out) >= DefaultBatchSize {
-				j.out = out
-				return out, true, nil
-			}
+			continue
 		}
-		for j.lpos >= len(j.lbatch) {
-			batch, ok, err := j.L.NextBatch()
+		if j.lpos >= len(j.left) {
+			cb, ok, err := j.L.Next()
 			if err != nil {
 				return nil, false, err
 			}
 			if !ok {
-				j.out = out
-				return out, len(out) > 0, nil
+				break
 			}
-			j.lbatch, j.lpos = batch, 0
+			j.left, j.lpos = cb.Materialize(j.left[:0]), 0
+			j.made += int64(len(j.left))
 		}
-		j.cur = j.lbatch[j.lpos]
+		j.cur = j.left[j.lpos]
 		j.lpos++
 		j.rpos = 0
 	}
+	j.out = HeldRows{Rows: out, Sch: j.sch}
+	return j.out.Next()
+}
+
+// joinedRow is the join row l ++ r narrowed to the columns pick selects
+// from it, in pick's order; a nil pick keeps the whole row.
+func joinedRow(l, r Tuple, pick []int) Tuple {
+	if pick == nil {
+		return append(append(make(Tuple, 0, len(l)+len(r)), l...), r...)
+	}
+	t := make(Tuple, len(pick))
+	for i, c := range pick {
+		if c < len(l) {
+			t[i] = l[c]
+		} else {
+			t[i] = r[c-len(l)]
+		}
+	}
+	return t
+}
+
+// OperatorStats reports the rows the join made into tuples.
+func (j *NestedLoopJoinIter) OperatorStats(emit func(key string, v int64)) {
+	emit("rows_materialized", j.made)
 }
 
 func (j *NestedLoopJoinIter) Close() error {
-	j.right, j.lbatch, j.out = nil, nil, nil
-	j.arena = outArena{}
-	err1 := j.L.Close()
-	err2 := j.R.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
+	j.right, j.left, j.out = nil, nil, HeldRows{}
+	return closePair(j.L, j.R)
 }
 
 func (j *NestedLoopJoinIter) Schema() Schema {
@@ -707,9 +720,8 @@ func (j *NestedLoopJoinIter) Schema() Schema {
 // until the residual holds. A semi join hands its left input the range
 // of the build keys, as the hash join does; an anti join keeps the rows
 // outside that range, so it never does. Both forward a range handed to
-// them to L. It emits rows: a row input's
-// own tuples, passed through, or a columnar input's survivors made into
-// tuples.
+// them to L. It hands over each left batch narrowed to a selection of
+// its surviving rows.
 type SemiJoinIter struct {
 	L, R     Iterator
 	Pairs    []EquiPair
@@ -719,11 +731,9 @@ type SemiJoinIter struct {
 	shape *joinShape
 	table *joinTable
 	pred  *pairPred
-	in    colReader
 	hits  probeHits
-	keep  []int32 // physical ids of the current batch's surviving rows
-	out   []Tuple // reused output batch headers
-	mat   materializer
+	keep  []int32  // physical ids of the current batch's surviving rows
+	cb    ColBatch // reused output batch header
 }
 
 // NewSemiJoin builds a (anti-)semi-join.
@@ -752,8 +762,6 @@ func (j *SemiJoinIter) Open() error {
 	if !j.Anti { // the anti join keeps exactly the rows a range would skip
 		narrowProbeInput(j.L, j.shape.lidx, j.table)
 	}
-	j.in = newColReader(j.L)
-	j.mat.made = 0
 	return nil
 }
 
@@ -769,10 +777,10 @@ func (j *SemiJoinIter) matched(head int32, cb *ColBatch, i int32) bool {
 	return false
 }
 
-// NextBatch filters whole left batches.
-func (j *SemiJoinIter) NextBatch() ([]Tuple, bool, error) {
+// Next narrows whole left batches.
+func (j *SemiJoinIter) Next() (*ColBatch, bool, error) {
 	for {
-		cb, ok, err := j.in.next()
+		cb, ok, err := j.L.Next()
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -794,30 +802,14 @@ func (j *SemiJoinIter) NextBatch() ([]Tuple, bool, error) {
 		if len(keep) == 0 {
 			continue
 		}
-		if j.in.rows == nil {
-			return j.mat.next(&ColBatch{Sch: cb.Sch, Cols: cb.Cols, N: cb.N, Sel: keep}, true, nil)
-		}
-		out := j.out[:0]
-		for _, i := range keep {
-			out = append(out, j.in.rows[i])
-		}
-		j.out = out
-		return out, true, nil
+		j.cb = ColBatch{Sch: cb.Sch, Cols: cb.Cols, N: cb.N, Sel: keep}
+		return &j.cb, true, nil
 	}
 }
 
-// OperatorStats reports the rows the semi join made into tuples.
-func (j *SemiJoinIter) OperatorStats(emit func(key string, v int64)) { j.mat.stats(emit) }
-
 func (j *SemiJoinIter) Close() error {
-	j.table, j.hits, j.in = nil, probeHits{}, colReader{}
-	j.out, j.keep, j.mat.rows = nil, nil, nil
-	err1 := j.L.Close()
-	err2 := j.R.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
+	j.table, j.hits, j.keep = nil, probeHits{}, nil
+	return closePair(j.L, j.R)
 }
 
 func (j *SemiJoinIter) Schema() Schema { return j.L.Schema() }

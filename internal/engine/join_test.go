@@ -135,7 +135,7 @@ func psiOf(p, q int) Expr {
 }
 
 // joinInput serves rel in one of the shapes a join input arrives in,
-// named by shape: rows (transposed by the join), typed or generic column
+// named by shape: rows (a relation scan's transposed windows), typed or generic column
 // batches of any size — 4 096-row store segments among them — and
 // batches behind a projection, which reuses its headers.
 func joinInput(rng *rand.Rand, rel *Relation) (Iterator, string) {
@@ -275,7 +275,7 @@ func checkJoinRows(t *testing.T, name string, want, got *Relation, ordered bool)
 // projection — which hand out the same batch header, selection vector
 // and column slice on every call — answers exactly as the same rows
 // handed over once and copied: the table copies the borrowed headers
-// and keeps only the payloads, which the NextColBatch contract makes
+// and keeps only the payloads, which the Iterator.Next contract makes
 // immutable.
 func TestJoinBuildKeepsPayloadsNotHeaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
@@ -423,7 +423,7 @@ func TestJoinsNarrowTheirProbeInput(t *testing.T) {
 	if err := j.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := j.NextColBatch(); err != nil {
+	if _, _, err := j.Next(); err != nil {
 		t.Fatal(err)
 	}
 	j.NarrowKeyRange(j.Schema().IndexOf("p.k"), 5, 6)
@@ -486,14 +486,14 @@ func TestJoinDropsBuildRowsOutsideARange(t *testing.T) {
 		j.NarrowKeyRange(col, lo, hi)
 		got := NewRelation(j.Schema())
 		for {
-			batch, ok, err := j.NextBatch()
+			cb, ok, err := j.Next()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
 				break
 			}
-			got.Rows = append(got.Rows, batch...)
+			got.Rows = cb.Materialize(got.Rows)
 		}
 		if err := j.Close(); err != nil {
 			t.Fatal(err)

@@ -35,15 +35,6 @@ type SourcePlan interface {
 	EstimateRowCount() float64
 }
 
-// ColumnarLeaf is implemented by source plans whose physical iterator
-// is a ColBatchIterator. EXPLAIN consults it to annotate each operator
-// with its execution mode: a chain of filters and projections above a
-// columnar leaf runs columnar (selection vectors, typed predicate
-// loops) up to the first operator that needs rows.
-type ColumnarLeaf interface {
-	ColumnarScan() bool
-}
-
 // FilterAdvisor is implemented by source plans that can exploit a
 // predicate evaluated directly above them to skip data (segment
 // pruning by min/max statistics). The advice is purely an
@@ -105,9 +96,6 @@ func (p *ValuesPlan) Schema(*Catalog) (Schema, error) {
 }
 func (p *ValuesPlan) Children() []Plan         { return nil }
 func (p *ValuesPlan) WithChildren([]Plan) Plan { c := *p; return &c }
-
-// ColumnarScan reports whether the leaf serves column batches.
-func (p *ValuesPlan) ColumnarScan() bool { return p.Batch != nil }
 func (p *ValuesPlan) Label() string {
 	n := p.Name
 	if n == "" {

@@ -229,31 +229,46 @@ func KeyString(t Tuple) string {
 // extended buffer.
 func AppendKey(dst []byte, t Tuple) []byte {
 	for _, v := range t {
-		switch v.K {
-		case KindNull:
-			dst = append(dst, 0, 'n')
-		case KindBool:
-			// Distinct tag: booleans are not Compare-equal to the ints
-			// 0/1 (kinds order first), so they must not share encodings.
-			dst = append(dst, 0, 'b')
-			dst = strconv.AppendInt(dst, v.I, 10)
-		case KindInt:
+		dst = appendValueKey(dst, v)
+	}
+	return dst
+}
+
+// appendRowKey appends the KeyString encoding of row i of cols, read
+// from the vectors, to dst.
+func appendRowKey(dst []byte, cols []ColVec, i int) []byte {
+	for c := range cols {
+		dst = appendValueKey(dst, cols[c].Value(i))
+	}
+	return dst
+}
+
+// appendValueKey appends the KeyString encoding of one cell to dst.
+func appendValueKey(dst []byte, v Value) []byte {
+	switch v.K {
+	case KindNull:
+		dst = append(dst, 0, 'n')
+	case KindBool:
+		// Distinct tag: booleans are not Compare-equal to the ints
+		// 0/1 (kinds order first), so they must not share encodings.
+		dst = append(dst, 0, 'b')
+		dst = strconv.AppendInt(dst, v.I, 10)
+	case KindInt:
+		dst = append(dst, 0, 'i')
+		dst = strconv.AppendInt(dst, v.I, 10)
+	case KindFloat:
+		if v.F == float64(int64(v.F)) {
 			dst = append(dst, 0, 'i')
-			dst = strconv.AppendInt(dst, v.I, 10)
-		case KindFloat:
-			if v.F == float64(int64(v.F)) {
-				dst = append(dst, 0, 'i')
-				dst = strconv.AppendInt(dst, int64(v.F), 10)
-			} else {
-				dst = append(dst, 0, 'f')
-				dst = strconv.AppendFloat(dst, v.F, 'g', -1, 64)
-			}
-		case KindString:
-			dst = append(dst, 0, 's')
-			dst = strconv.AppendInt(dst, int64(len(v.S)), 10)
-			dst = append(dst, ':')
-			dst = append(dst, v.S...)
+			dst = strconv.AppendInt(dst, int64(v.F), 10)
+		} else {
+			dst = append(dst, 0, 'f')
+			dst = strconv.AppendFloat(dst, v.F, 'g', -1, 64)
 		}
+	case KindString:
+		dst = append(dst, 0, 's')
+		dst = strconv.AppendInt(dst, int64(len(v.S)), 10)
+		dst = append(dst, ':')
+		dst = append(dst, v.S...)
 	}
 	return dst
 }

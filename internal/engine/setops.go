@@ -2,194 +2,149 @@ package engine
 
 import "fmt"
 
-// UnionIter concatenates two inputs with identical widths (UNION ALL).
-// Column names are taken from the left input.
+// UnionIter concatenates two inputs with identical widths (UNION ALL):
+// it hands over L's batches, then R's, relabelled with L's column names.
 type UnionIter struct {
 	L, R    Iterator
 	onRight bool
+	sch     Schema
+	cb      ColBatch // reused header of a relabelled R batch
 }
 
 // NewUnion builds a bag union.
 func NewUnion(l, r Iterator) *UnionIter { return &UnionIter{L: l, R: r} }
 
 func (u *UnionIter) Open() error {
-	if err := u.L.Open(); err != nil {
+	if err := openPair(u.L, u.R, "union"); err != nil {
 		return err
 	}
-	if err := u.R.Open(); err != nil {
-		return err
-	}
-	if u.L.Schema().Len() != u.R.Schema().Len() {
-		return fmt.Errorf("engine: union width mismatch: %d vs %d",
-			u.L.Schema().Len(), u.R.Schema().Len())
-	}
-	u.onRight = false
+	u.onRight, u.sch = false, u.L.Schema()
 	return nil
 }
 
-func (u *UnionIter) NextBatch() ([]Tuple, bool, error) {
+func (u *UnionIter) Next() (*ColBatch, bool, error) {
 	if !u.onRight {
-		batch, ok, err := u.L.NextBatch()
+		cb, ok, err := u.L.Next()
 		if err != nil || ok {
-			return batch, ok, err
+			return cb, ok, err
 		}
 		u.onRight = true
 	}
-	return u.R.NextBatch()
+	cb, ok, err := u.R.Next()
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	u.cb = *cb
+	u.cb.Sch = u.sch
+	return &u.cb, true, nil
 }
 
-func (u *UnionIter) Close() error {
-	err1 := u.L.Close()
-	err2 := u.R.Close()
+func (u *UnionIter) Close() error   { return closePair(u.L, u.R) }
+func (u *UnionIter) Schema() Schema { return u.L.Schema() }
+
+// openPair opens the two inputs of a set operation and checks that
+// their widths agree; what names the operation in the error.
+func openPair(l, r Iterator, what string) error {
+	if err := l.Open(); err != nil {
+		return err
+	}
+	if err := r.Open(); err != nil {
+		return err
+	}
+	if l.Schema().Len() != r.Schema().Len() {
+		return fmt.Errorf("engine: %s width mismatch: %d vs %d", what, l.Schema().Len(), r.Schema().Len())
+	}
+	return nil
+}
+
+// closePair closes both inputs and returns the first error.
+func closePair(l, r Iterator) error {
+	err1 := l.Close()
+	err2 := r.Close()
 	if err1 != nil {
 		return err1
 	}
 	return err2
 }
 
-func (u *UnionIter) Schema() Schema { return u.L.Schema() }
-
-// keySet drains the opened iterator it into the set of its rows' keys.
-func keySet(it Iterator) (map[string]struct{}, error) {
-	set := make(map[string]struct{})
-	for {
-		batch, ok, err := it.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return set, nil
-		}
-		for _, row := range batch {
-			set[KeyString(row)] = struct{}{}
-		}
-	}
-}
-
-// appendNewMembers appends to out the rows of in whose membership in
-// right equals member and that seen does not hold yet, recording them
-// in seen: one batch of a deduplicated difference (member=false) or
-// intersection (member=true).
-func appendNewMembers(out, in []Tuple, right map[string]struct{}, member bool, seen map[string]struct{}) []Tuple {
-	for _, row := range in {
-		k := KeyString(row)
-		if _, has := right[k]; has != member {
-			continue
-		}
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, row)
-	}
-	return out
-}
-
-// DiffIter computes set difference L − R (set semantics: output is
-// deduplicated). Used by the Lemma 4.3 certain-answer RA query.
-type DiffIter struct {
-	L, R Iterator
+// SetOpIter computes the set difference L − R or, with Member, the
+// intersection of L and R (set semantics: the output is deduplicated).
+// The difference is the Lemma 4.3 certain-answer RA query's. R is
+// drained into the set of its rows' keys at Open; each L batch is handed
+// over narrowed to a selection of its rows whose key is (intersection)
+// or is not (difference) in that set and was not handed over before —
+// keyed from the vectors, so no tuple is made.
+type SetOpIter struct {
+	L, R   Iterator
+	Member bool
 
 	right map[string]struct{}
 	seen  map[string]struct{}
-	out   []Tuple // reused output batch headers
+	buf   []byte   // reused key-encoding buffer
+	sel   []int32  // reused selection buffer
+	cb    ColBatch // reused output batch header
 }
 
 // NewDiff builds a set difference.
-func NewDiff(l, r Iterator) *DiffIter { return &DiffIter{L: l, R: r} }
-
-func (d *DiffIter) Open() error {
-	if err := d.L.Open(); err != nil {
-		return err
-	}
-	if err := d.R.Open(); err != nil {
-		return err
-	}
-	if d.L.Schema().Len() != d.R.Schema().Len() {
-		return fmt.Errorf("engine: difference width mismatch: %d vs %d",
-			d.L.Schema().Len(), d.R.Schema().Len())
-	}
-	d.seen = make(map[string]struct{})
-	var err error
-	d.right, err = keySet(d.R)
-	return err
-}
-
-func (d *DiffIter) NextBatch() ([]Tuple, bool, error) {
-	for {
-		in, ok, err := d.L.NextBatch()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		d.out = appendNewMembers(d.out[:0], in, d.right, false, d.seen)
-		if len(d.out) > 0 {
-			return d.out, true, nil
-		}
-	}
-}
-
-func (d *DiffIter) Close() error {
-	d.right, d.seen, d.out = nil, nil, nil
-	err1 := d.L.Close()
-	err2 := d.R.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-func (d *DiffIter) Schema() Schema { return d.L.Schema() }
-
-// IntersectIter computes set intersection (deduplicated).
-type IntersectIter struct {
-	L, R Iterator
-
-	right map[string]struct{}
-	seen  map[string]struct{}
-	out   []Tuple // reused output batch headers
-}
+func NewDiff(l, r Iterator) *SetOpIter { return &SetOpIter{L: l, R: r} }
 
 // NewIntersect builds a set intersection.
-func NewIntersect(l, r Iterator) *IntersectIter { return &IntersectIter{L: l, R: r} }
+func NewIntersect(l, r Iterator) *SetOpIter { return &SetOpIter{L: l, R: r, Member: true} }
 
-func (d *IntersectIter) Open() error {
-	if err := d.L.Open(); err != nil {
+func (d *SetOpIter) Open() error {
+	what := "difference"
+	if d.Member {
+		what = "intersect"
+	}
+	if err := openPair(d.L, d.R, what); err != nil {
 		return err
 	}
-	if err := d.R.Open(); err != nil {
-		return err
+	d.seen, d.right = make(map[string]struct{}), make(map[string]struct{})
+	for {
+		cb, ok, err := d.R.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return nil
+		}
+		for k, n := 0, cb.Rows(); k < n; k++ {
+			d.buf = appendRowKey(d.buf[:0], cb.Cols, cb.RowID(k))
+			d.right[string(d.buf)] = struct{}{}
+		}
 	}
-	if d.L.Schema().Len() != d.R.Schema().Len() {
-		return fmt.Errorf("engine: intersect width mismatch: %d vs %d",
-			d.L.Schema().Len(), d.R.Schema().Len())
-	}
-	d.seen = make(map[string]struct{})
-	var err error
-	d.right, err = keySet(d.R)
-	return err
 }
 
-func (d *IntersectIter) NextBatch() ([]Tuple, bool, error) {
+func (d *SetOpIter) Next() (*ColBatch, bool, error) {
 	for {
-		in, ok, err := d.L.NextBatch()
+		in, ok, err := d.L.Next()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		d.out = appendNewMembers(d.out[:0], in, d.right, true, d.seen)
-		if len(d.out) > 0 {
-			return d.out, true, nil
+		sel := d.sel[:0]
+		for k, n := 0, in.Rows(); k < n; k++ {
+			i := in.RowID(k)
+			d.buf = appendRowKey(d.buf[:0], in.Cols, i)
+			if _, has := d.right[string(d.buf)]; has != d.Member {
+				continue
+			}
+			if _, dup := d.seen[string(d.buf)]; dup {
+				continue
+			}
+			d.seen[string(d.buf)] = struct{}{}
+			sel = append(sel, int32(i))
+		}
+		d.sel = sel
+		if len(sel) > 0 {
+			d.cb = ColBatch{Sch: in.Sch, Cols: in.Cols, N: in.N, Sel: sel}
+			return &d.cb, true, nil
 		}
 	}
 }
 
-func (d *IntersectIter) Close() error {
-	d.right, d.seen, d.out = nil, nil, nil
-	err1 := d.L.Close()
-	err2 := d.R.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
+func (d *SetOpIter) Close() error {
+	d.right, d.seen, d.sel = nil, nil, nil
+	return closePair(d.L, d.R)
 }
 
-func (d *IntersectIter) Schema() Schema { return d.L.Schema() }
+func (d *SetOpIter) Schema() Schema { return d.L.Schema() }

@@ -17,15 +17,12 @@ type OperatorStats interface {
 
 // traceIter wraps a physical operator and records its actual row and
 // batch counts plus inclusive wall time (children included, as in
-// EXPLAIN ANALYZE) into a span. It forwards the wrapped operator's
-// columnar capability along with its row batches, so inserting it
-// never changes which representation the parent pulls — it only adds a
-// counter update per batch. It is only ever constructed when tracing
-// is on; the untraced hot path never sees it.
+// EXPLAIN ANALYZE) into a span. It only adds a counter update per
+// batch, and it is only ever constructed when tracing is on; the
+// untraced hot path never sees it.
 type traceIter struct {
-	in  Iterator
-	sp  *obs.Span
-	cin ColBatchIterator // the wrapped operator's columnar path, nil when it has none
+	in Iterator
+	sp *obs.Span
 }
 
 func newTraceIter(in Iterator, sp *obs.Span) *traceIter {
@@ -35,38 +32,19 @@ func newTraceIter(in Iterator, sp *obs.Span) *traceIter {
 func (t *traceIter) Open() error {
 	start := time.Now()
 	err := t.in.Open()
-	t.cin, _ = NativeColumnar(t.in)
 	t.sp.AddNanos(int64(time.Since(start)))
 	return err
 }
 
-func (t *traceIter) NextBatch() ([]Tuple, bool, error) {
+func (t *traceIter) Next() (*ColBatch, bool, error) {
 	start := time.Now()
-	b, ok, err := t.in.NextBatch()
-	t.sp.AddNanos(int64(time.Since(start)))
-	if ok {
-		t.sp.AddRows(int64(len(b)))
-		t.sp.AddBatches(1)
-	}
-	return b, ok, err
-}
-
-func (t *traceIter) NextColBatch() (*ColBatch, bool, error) {
-	start := time.Now()
-	cb, ok, err := t.cin.NextColBatch()
+	cb, ok, err := t.in.Next()
 	t.sp.AddNanos(int64(time.Since(start)))
 	if ok {
 		t.sp.AddRows(int64(cb.Rows()))
 		t.sp.AddBatches(1)
 	}
 	return cb, ok, err
-}
-
-// ColumnarNative reports the wrapped operator's answer, so the parent
-// negotiates the same representation it would without tracing.
-func (t *traceIter) ColumnarNative() bool {
-	_, ok := NativeColumnar(t.in)
-	return ok
 }
 
 // NarrowKeyRange forwards a key range to the wrapped operator.

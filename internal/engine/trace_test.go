@@ -24,23 +24,18 @@ func traceRun(t *testing.T, p Plan, cat *Catalog, cfg ExecConfig) (*Relation, *o
 }
 
 // colLeaf is a SourcePlan over a colSource, so plan-level tests can put
-// a natively columnar scan under the operators Build produces. src is
-// the source of the latest BuildIter.
+// a typed-vector scan under the operators Build produces.
 type colLeaf struct {
 	rel  *Relation
 	name string
-	src  *colSource
 }
 
-func (l *colLeaf) Schema(*Catalog) (Schema, error) { return l.rel.Sch, nil }
-func (l *colLeaf) Children() []Plan                { return nil }
-func (l *colLeaf) WithChildren([]Plan) Plan        { return l }
-func (l *colLeaf) Label() string                   { return "Seq Scan on " + l.name }
-func (l *colLeaf) EstimateRowCount() float64       { return float64(l.rel.Len()) }
-func (l *colLeaf) BuildIter(ExecConfig) (Iterator, error) {
-	l.src = newColSource(l.rel, 64)
-	return l.src, nil
-}
+func (l *colLeaf) Schema(*Catalog) (Schema, error)        { return l.rel.Sch, nil }
+func (l *colLeaf) Children() []Plan                       { return nil }
+func (l *colLeaf) WithChildren([]Plan) Plan               { return l }
+func (l *colLeaf) Label() string                          { return "Seq Scan on " + l.name }
+func (l *colLeaf) EstimateRowCount() float64              { return float64(l.rel.Len()) }
+func (l *colLeaf) BuildIter(ExecConfig) (Iterator, error) { return newColSource(l.rel, 64), nil }
 
 // spanRows walks the trace tree and returns the recorded row count of
 // the span whose operator label matches, -1 when absent.
@@ -66,9 +61,9 @@ func countSpans(sp *obs.Span) int {
 
 // TestTraceRowCountsMatchResult asserts the invariant EXPLAIN ANALYZE
 // rests on: the root operator's traced row count equals the rows the
-// query actually produced — over row leaves, with the inert Parallelism
-// field set, and with a filter pulling
-// column batches through the trace wrapper of a columnar leaf.
+// query actually produced — over relation scans, with the inert
+// Parallelism field set, and with a filter pulling through the trace
+// wrapper of a typed-vector leaf.
 func TestTraceRowCountsMatchResult(t *testing.T) {
 	cat := planCatalog()
 	big := Cmp(GT, Col("o.total"), ConstInt(500))
@@ -127,11 +122,6 @@ func TestTraceRowCountsMatchResult(t *testing.T) {
 				if sp.Rows() != sc.rows {
 					t.Fatalf("%s traced %d rows, want %d", sc.label, sp.Rows(), sc.rows)
 				}
-			}
-			// Tracing must not change what the filter pulls from its leaf.
-			if src := ordLeaf.src; tc.name == "columnar" && (src.rowCalls != 0 || src.colCalls == 0) {
-				t.Fatalf("traced filter pulled %d row batches and %d column batches from its columnar leaf",
-					src.rowCalls, src.colCalls)
 			}
 		})
 	}

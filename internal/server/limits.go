@@ -15,12 +15,13 @@ var (
 )
 
 // runLimited lowers and drains an optimized plan under a row cap and a
-// deadline, checking both between batches so a runaway query stops
-// materializing instead of exhausting memory. When truncatable, a
-// result that hits the cap is cut there and flagged; otherwise hitting
-// the cap is an error (certain/conf answers derived from a truncated
-// representation would be wrong). The plan is only read, so a cached
-// plan runs here as often, and as concurrently, as it is asked to.
+// deadline, making each batch into rows (the sink) and checking both
+// between batches so a runaway query stops materializing instead of
+// exhausting memory. When truncatable, a result that hits the cap is
+// cut there and flagged; otherwise hitting the cap is an error
+// (certain/conf answers derived from a truncated representation would
+// be wrong). The plan is only read, so a cached plan runs here as
+// often, and as concurrently, as it is asked to.
 func runLimited(p engine.Plan, cat *engine.Catalog, cfg engine.ExecConfig,
 	maxRows int, deadline time.Time, truncatable bool) (*engine.Relation, bool, error) {
 	it, err := engine.Build(p, cat, cfg)
@@ -36,14 +37,14 @@ func runLimited(p engine.Plan, cat *engine.Catalog, cfg engine.ExecConfig,
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return nil, false, errTimeout
 		}
-		batch, ok, err := it.NextBatch()
+		cb, ok, err := it.Next()
 		if err != nil {
 			return nil, false, err
 		}
 		if !ok {
 			return out, false, nil
 		}
-		out.Rows = append(out.Rows, batch...)
+		out.Rows = cb.Materialize(out.Rows)
 		if maxRows > 0 && len(out.Rows) >= maxRows {
 			if !truncatable {
 				return nil, false, errRowLimit
@@ -55,7 +56,7 @@ func runLimited(p engine.Plan, cat *engine.Catalog, cfg engine.ExecConfig,
 			}
 			// Exactly at the cap: truncation is only real if more rows
 			// were coming.
-			_, more, err := it.NextBatch()
+			_, more, err := it.Next()
 			if err != nil {
 				return nil, false, err
 			}

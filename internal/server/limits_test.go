@@ -28,11 +28,11 @@ type faultyIter struct {
 	pulls int
 }
 
-func (f *faultyIter) NextBatch() ([]engine.Tuple, bool, error) {
+func (f *faultyIter) Next() (*engine.ColBatch, bool, error) {
 	if f.pulls++; f.pulls > 1 {
 		return nil, false, errScanFault
 	}
-	return f.ScanIter.NextBatch()
+	return f.ScanIter.Next()
 }
 
 // TestRunLimitedReportsLookAheadError: when the first batch lands

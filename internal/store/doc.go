@@ -41,34 +41,35 @@
 //     pass into the slices ws.WorldTable keeps, each domain read once
 //     into the slice the table holds.
 //
-//   - StoreScanIter (scan.go). The cold-scan operator: an
-//     engine.ColBatchIterator whose segments decode straight into
-//     typed engine.ColVec vectors, so NextColBatch hands the engine
-//     one zero-transpose column batch per segment (descriptor and tid
-//     columns as int vectors, value columns as their decoded typed
-//     vectors). The filters, projections and hash joins above the
-//     scan pull those column batches and run on the stored columns;
-//     tuples are made once, by the first row operator above. A hash
-//     join whose probe side is the scan hands it the range of its
-//     build keys (engine.KeyRangeNarrower), and the scan leaves unread
-//     every segment whose tid bounds — or, for an int value column,
-//     zone map — miss it: a merge that starts at an index lookup of a
-//     few tuples decodes the one segment of each partition they are in.
-//     Of a segment it reads whose tuple ids ascend (decodeSegment notes
+//   - StoreScanIter (scan.go). The cold-scan operator: its segments
+//     decode straight into typed engine.ColVec vectors, so Next hands
+//     the engine one zero-transpose column batch per segment
+//     (descriptor and tid columns as int vectors, value columns as
+//     their decoded typed vectors), and every operator above runs on
+//     the stored columns; tuples are made at the sink. The operators
+//     above may hand the scan key ranges (engine.KeyRangeNarrower): a
+//     hash or semi join whose probe side it is hands it the range of
+//     its build keys, and a join higher up hands its own range down
+//     through the joins, filters and projections between. The scan
+//     keeps every range it is handed: one per column, two on the same
+//     column narrowed to their intersection. It leaves
+//     unread every segment whose tid bounds — or, for an int value
+//     column, zone map — miss any one of them: a merge that starts at
+//     an index lookup of a few tuples decodes the one segment of each
+//     partition they are in, and a selective join's range on an
+//     attribute skips the segments of the partition that holds it. Of
+//     a segment it reads whose tuple ids ascend (decodeSegment notes
 //     it; every URSEGv2 layer is written in tid order) it serves only
-//     the window of rows in a tid range, windows of every vector, found
-//     by binary search, so a merge probes the rows its build side can
-//     reach. A row operator directly on the scan (a sort, a rename)
-//     pulls NextBatch, which materializes a tuple block of the same
-//     window per segment. The
-//     index operators (lookup.go) hold their few rows and serve them as
-//     row batches. Its planning half, StoreScanPlan,
-//     implements engine.SourcePlan, engine.ColumnarLeaf, and
+//     the window of rows in the tid range, windows of every vector,
+//     found by binary search, so a merge probes the rows its build
+//     side can reach. The index operators (lookup.go) hold their few
+//     rows and serve them through engine.HeldRows. Its planning half,
+//     StoreScanPlan, implements engine.SourcePlan and
 //     engine.FilterAdvisor: selection predicates evaluated directly
 //     above a scan (the σ of the paper's Figure 4 translation) prune
-//     segments whose min/max statistics refute them (ORs of refuted arms
-//     too), and the surviving row count is what the engine's estimator
-//     sees, so join ordering works on stored data. As an
+//     segments whose min/max statistics refute them (ORs of refuted
+//     arms too), and the surviving row count is what the engine's
+//     estimator sees, so join ordering works on stored data. As an
 //     engine.IndexedSource (lookup.go) the plan also serves an equality
 //     filter on an indexed column as one probe of its runs. The
 //     in-memory delta comes out last, its descriptor and tid columns as

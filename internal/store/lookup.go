@@ -207,8 +207,8 @@ type IndexLookupIter struct {
 	Key     engine.Value
 
 	rows  []engine.Tuple
-	pos   int
-	tombs tombWindow // the current segment's tombstones
+	out   engine.HeldRows // rows, served as column batches
+	tombs tombWindow      // the current segment's tombstones
 
 	// Probe-side effect counters, surfaced via OperatorStats.
 	RunsConsulted       int64
@@ -226,7 +226,7 @@ type IndexLookupIter struct {
 // iterator should stream).
 func (s *IndexLookupIter) Open() error {
 	idxLookupsTotal.Inc()
-	s.rows, s.pos = nil, 0
+	s.rows = nil
 	defer s.tombs.release()
 	for li, h := range s.Src.Layers {
 		tf := s.Src.Tomb.Layer(li)
@@ -293,6 +293,7 @@ func (s *IndexLookupIter) Open() error {
 			s.rows = append(s.rows, materializeMemRow(s.Sch, s.Width, s.AttrIdx, r))
 		}
 	}
+	s.out = engine.HeldRows{Rows: s.rows, Sch: s.Sch}
 	return nil
 }
 
@@ -327,13 +328,12 @@ func (s *IndexLookupIter) scanLayer(h *PartHandle, tf TombFilter) error {
 	return nil
 }
 
-func (s *IndexLookupIter) NextBatch() ([]engine.Tuple, bool, error) {
-	return engine.Window(s.rows, &s.pos)
-}
+// Next serves the matching rows as column batches.
+func (s *IndexLookupIter) Next() (*engine.ColBatch, bool, error) { return s.out.Next() }
 
 // Close releases the materialized rows; counters survive for tracing.
 func (s *IndexLookupIter) Close() error {
-	s.rows = nil
+	s.rows, s.out = nil, engine.HeldRows{}
 	return nil
 }
 

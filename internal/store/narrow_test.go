@@ -14,13 +14,7 @@ import (
 
 // unnarrowed is a scan without NarrowKeyRange: the same plan with
 // narrowing off.
-type unnarrowed struct{ engine.ColBatchIterator }
-
-// rowsOnly is a scan that hides its columns but takes a join's key
-// range, so the join above reads it through NextBatch.
-type rowsOnly struct{ *StoreScanIter }
-
-func (rowsOnly) ColumnarNative() bool { return false }
+type unnarrowed struct{ engine.Iterator }
 
 // narrowCounts is what the narrowed scans of some layouts skipped, how
 // many of the layouts' layers held tuple ids out of order, how many
@@ -283,8 +277,8 @@ func checkNarrowLayout(t *testing.T, rng *rand.Rand) narrowCounts {
 			}
 		}
 
-		for _, kind := range []string{"inner", "rows", "semi", "anti"} {
-			want := map[string][]string{"inner": wantInner, "rows": wantInner, "semi": wantSemi, "anti": wantAnti}[kind]
+		for _, kind := range []string{"inner", "semi", "anti"} {
+			want := map[string][]string{"inner": wantInner, "semi": wantSemi, "anti": wantAnti}[kind]
 			sort.Strings(want)
 			for _, narrow := range []bool{true, false} {
 				scan, err := src.ScanPlan(sch, w, []int{0}, "u_r_a").(*StoreScanPlan).BuildIter(engine.ExecConfig{})
@@ -293,18 +287,12 @@ func checkNarrowLayout(t *testing.T, rng *rand.Rand) narrowCounts {
 				}
 				probe := scan
 				if !narrow {
-					probe = unnarrowed{scan.(engine.ColBatchIterator)}
+					probe = unnarrowed{scan}
 				}
 				var join engine.Iterator
 				probeCols := 0 // where the probe row starts in an output row
 				switch kind {
 				case "inner":
-					join = engine.NewHashJoin(build(), probe, []engine.EquiPair{{L: bk, R: on.col}}, nil, nil)
-					probeCols = bw
-				case "rows":
-					if narrow {
-						probe = rowsOnly{scan.(*StoreScanIter)}
-					}
 					join = engine.NewHashJoin(build(), probe, []engine.EquiPair{{L: bk, R: on.col}}, nil, nil)
 					probeCols = bw
 				default:
@@ -460,7 +448,7 @@ func checkChain(t *testing.T, rng *rand.Rand, dir string, src *PartSource, live 
 			if narrow {
 				return it
 			}
-			return unnarrowed{it.(engine.ColBatchIterator)}
+			return unnarrowed{it}
 		}
 		a, b := scan(src, widthSchema(w), w, "u_r_a"), scan(src2, sch2, w2, "u_s_b")
 		merge := engine.NewHashJoin(hide(a), hide(b), []engine.EquiPair{{L: "tid:r.p0", R: "tid:s.p0"}}, residual, nil)
@@ -531,7 +519,7 @@ func TestScanKeepsEveryRange(t *testing.T) {
 		}
 		served, in := 0, 0
 		for {
-			cb, ok, err := s.NextColBatch()
+			cb, ok, err := s.Next()
 			if err != nil {
 				t.Fatal(err)
 			}

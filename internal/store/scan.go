@@ -74,10 +74,6 @@ func numPruned(pruned [][]bool) int {
 	return n
 }
 
-// ColumnarScan marks the scan as a columnar leaf for EXPLAIN: its
-// iterator serves the stored segment vectors directly.
-func (p *StoreScanPlan) ColumnarScan() bool { return true }
-
 // EstimateRowCount sums the rows of the surviving segments plus the
 // in-memory delta.
 func (p *StoreScanPlan) EstimateRowCount() float64 {
@@ -186,24 +182,20 @@ func segmentRefutes(st colStats, op engine.CmpOp, cst engine.Value) bool {
 	}
 }
 
-// StoreScanIter is the cold-scan physical operator: an
-// engine.ColBatchIterator whose file segments are already columnar, so
-// NextColBatch wraps the decoded descriptor/tid/value vectors into an
-// engine.ColBatch with no transposition at all — one batch per
-// segment. Layers are scanned base-first, then the source's in-memory
-// delta rows come out as a final batch. Tombstones narrow file
-// batches through the selection vector (the decoded vectors stay
+// StoreScanIter is the cold-scan physical operator. Its file segments
+// are already columnar, so Next wraps the decoded descriptor/tid/value
+// vectors into an engine.ColBatch with no transposition at all — one
+// batch per segment. Layers are scanned base-first, then the source's
+// in-memory delta rows come out as a final batch. Tombstones narrow
+// file batches through the selection vector (the decoded vectors stay
 // zero-copy and shared; only live row indices are listed) in one pass
 // beside the tombstones in the batch's tuple ids (tombWindow), so a
-// partition without deletes, and a segment none of them touched,
-// pays nothing per row. The operators above may hand the scan key
-// ranges (NarrowKeyRange), one or more: the segments whose bounds miss
-// one are not read at all, and of a segment read whose tuple ids ascend only the
-// window of rows in a tid range is served, and of the delta only the
-// rows in that range. NextBatch makes each column batch into a
-// tuple block for a parent that wants rows (a sort or a rename directly
-// above the scan); a filter, projection or hash join above the scan
-// pulls NextColBatch and never pays that cost.
+// partition without deletes, and a segment none of them touched, pays
+// nothing per row. The operators above may hand the scan key ranges
+// (NarrowKeyRange), one or more: the segments whose bounds miss one are
+// not read at all, and of a segment read whose tuple ids ascend only
+// the window of rows in a tid range is served, and of the delta only
+// the rows in that range.
 type StoreScanIter struct {
 	Src     *PartSource
 	Sch     engine.Schema
@@ -219,9 +211,6 @@ type StoreScanIter struct {
 	SegmentsRead int
 	CacheHits    int64
 	BytesDecoded int64
-	// RowsMaterialized counts the rows NextBatch made into tuples (a
-	// parent that pulls NextColBatch makes them itself, or never).
-	RowsMaterialized int64
 	// TombRowsChecked counts rows looked up against some tombstone
 	// batch; TombSegmentsSkipped counts segments of a tombstoned layer
 	// that no batch's tuple ids meet, which cost no per-row work.
@@ -240,8 +229,6 @@ type StoreScanIter struct {
 	layer   int // current layer index
 	seg     int // next segment index within the layer
 	memDone bool
-	rows    []engine.Tuple
-	pos     int
 	cb      engine.ColBatch // reused columnar batch header
 	pad     []int64         // shared zero column for width padding
 	tombs   tombWindow      // the layer's tombstones narrowed to the current window
@@ -254,12 +241,9 @@ func (s *StoreScanIter) Open() error {
 	s.layer = 0
 	s.seg = 0
 	s.memDone = len(s.Src.Mem) == 0
-	s.rows = nil
-	s.pos = 0
 	s.SegmentsRead = 0
 	s.CacheHits = 0
 	s.BytesDecoded = 0
-	s.RowsMaterialized = 0
 	s.TombRowsChecked = 0
 	s.TombSegmentsSkipped = 0
 	s.SegmentsSkippedByJoin = 0
@@ -422,19 +406,6 @@ func (s *StoreScanIter) tombSel(seg *segment, width, lo, hi int) []int32 {
 	return sel
 }
 
-// advance makes the next batch NextColBatch serves — a file segment's
-// window, or the in-memory delta — into a tuple block. Returns false at
-// end of stream.
-func (s *StoreScanIter) advance() (bool, error) {
-	cb, ok, err := s.NextColBatch()
-	if err != nil || !ok {
-		return false, err
-	}
-	s.rows = cb.Materialize(make([]engine.Tuple, 0, cb.Rows()))
-	s.pos = 0
-	return true, nil
-}
-
 // memRows returns the in-memory delta rows the scan serves: all of
 // them, or, when a join narrowed the tid column, those whose tid lies in
 // its range — the others count in RowsSkippedByJoin, as the rows a tid
@@ -457,15 +428,14 @@ func (s *StoreScanIter) memRows() []core.URow {
 	return in
 }
 
-// NextColBatch serves one file segment per batch, handing the decoded
-// segment vectors to the engine directly: descriptor and tid columns
-// as typed int vectors, value columns as their decoded typed vectors.
-// This is the path that deletes the row transpose — decoded segments
-// are immutable and shared (see SegCache), so the vectors are served
-// zero-copy, as windows when a join narrowed the scan to a tid range;
-// tombstones only narrow the batch's selection vector. The in-memory
-// delta comes out last as one transposed batch.
-func (s *StoreScanIter) NextColBatch() (*engine.ColBatch, bool, error) {
+// Next serves one file segment per batch, handing the decoded segment
+// vectors to the engine directly: descriptor and tid columns as typed
+// int vectors, value columns as their decoded typed vectors. Decoded
+// segments are immutable and shared (see SegCache), so the vectors are
+// served zero-copy, as windows when a join narrowed the scan to a tid
+// range; tombstones only narrow the batch's selection vector. The
+// in-memory delta comes out last as one batch of its own.
+func (s *StoreScanIter) Next() (*engine.ColBatch, bool, error) {
 	for {
 		seg, fw, lo, hi, err := s.nextSegment()
 		if err != nil {
@@ -508,14 +478,14 @@ func (s *StoreScanIter) NextColBatch() (*engine.ColBatch, bool, error) {
 		}
 		cols[2*s.Width] = engine.IntVec(seg.tid[lo:hi:hi], nil)
 		for j, ai := range s.AttrIdx {
-			cols[2*s.Width+1+j] = seg.cols[ai].Window(lo, hi)
+			cols[2*s.Width+1+j] = seg.cols[ai].Slice(lo, hi)
 		}
 		s.cb = engine.ColBatch{Sch: s.Sch, Cols: cols, N: hi - lo, Sel: sel}
 		return &s.cb, true, nil
 	}
 }
 
-// memColBatch transposes the delta rows into the reused batch header:
+// memColBatch lays the delta rows out in the reused batch header:
 // the descriptor and tid columns as int vectors, which they are by
 // construction — so a join keyed on the tid keeps int keys and narrows
 // its probe side — each descriptor padded to the scan's width as
@@ -557,10 +527,6 @@ func (s *StoreScanIter) memColBatch(rows []core.URow) {
 	s.cb = engine.ColBatch{Sch: s.Sch, Cols: cols, N: n}
 }
 
-// ColumnarNative reports that the scan serves columns without any
-// transpose (the in-memory delta tail is the one small exception).
-func (s *StoreScanIter) ColumnarNative() bool { return true }
-
 // zeroPad returns a shared all-zero int column of length n (only used
 // for databases stored with descriptor width zero).
 func (s *StoreScanIter) zeroPad(n int) []int64 {
@@ -570,23 +536,9 @@ func (s *StoreScanIter) zeroPad(n int) []int64 {
 	return s.pad[:n]
 }
 
-// NextBatch returns up to engine.DefaultBatchSize tuples per call,
-// windows of the current segment's tuple block.
-func (s *StoreScanIter) NextBatch() ([]engine.Tuple, bool, error) {
-	for s.pos >= len(s.rows) {
-		ok, err := s.advance()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		s.RowsMaterialized += int64(len(s.rows))
-	}
-	return engine.Window(s.rows, &s.pos)
-}
-
 // Close releases the scan's references (the shared handles stay open).
 // The stat counters survive Close so tracing can collect them.
 func (s *StoreScanIter) Close() error {
-	s.rows = nil
 	s.tombs.release()
 	return nil
 }
@@ -594,16 +546,12 @@ func (s *StoreScanIter) Close() error {
 // OperatorStats reports the scan's store-side effects to a trace span
 // (engine.OperatorStats): segments fetched, segments skipped by
 // min/max pruning, shared-cache hits, bytes this scan fetched and
-// decoded itself, the rows it made into tuples, if any, the segments
-// and rows a join's key range skipped, when a join handed one down, and
+// decoded itself, the segments and rows a join's key range skipped, when a join handed one down, and
 // over a tombstoned partition the tombstone filter's work.
 func (s *StoreScanIter) OperatorStats(emit func(key string, v int64)) {
 	emit("segments_read", int64(s.SegmentsRead))
 	emit("cache_hits", s.CacheHits)
 	emit("bytes_decoded", s.BytesDecoded)
-	if s.RowsMaterialized > 0 {
-		emit("rows_materialized", s.RowsMaterialized)
-	}
 	if len(s.ranges) > 0 {
 		emit("segments_skipped_by_join", s.SegmentsSkippedByJoin)
 		emit("rows_skipped_by_join", s.RowsSkippedByJoin)

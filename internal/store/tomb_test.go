@@ -85,7 +85,7 @@ func refLive(t *testing.T, src *PartSource) []core.URow {
 }
 
 // scanKeys drains a fresh scan of src at descriptor width w through
-// NextColBatch — narrowed to the tuple ids [win[0], win[1]] when win is
+// Next — narrowed to the tuple ids [win[0], win[1]] when win is
 // not nil — and returns the live rows' keys, sorted, with the scan for
 // its counters.
 func scanKeys(t *testing.T, src *PartSource, w int, win *[2]int64) ([]string, *StoreScanIter) {
@@ -103,7 +103,7 @@ func scanKeys(t *testing.T, src *PartSource, w int, win *[2]int64) ([]string, *S
 	}
 	var keys []string
 	for {
-		cb, ok, err := s.NextColBatch()
+		cb, ok, err := s.Next()
 		if err != nil {
 			t.Fatal(err)
 		}

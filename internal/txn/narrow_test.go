@@ -20,7 +20,7 @@ func (w wideOpen) BuildIter(cfg engine.ExecConfig) (engine.Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return struct{ engine.ColBatchIterator }{it.(engine.ColBatchIterator)}, nil
+	return struct{ engine.Iterator }{it}, nil
 }
 
 // wrapScans returns p with every store scan leaf replaced by wrap's.

@@ -12,16 +12,19 @@ import (
 	"testing"
 )
 
-// TestOneRowProtocol pins that rows move between operators one way.
-// It parses every non-test Go file of the module and fails if
-// engine.Iterator is anything but {Open, NextBatch, Close, Schema}, if
-// any type grows a per-tuple `Next() (Tuple, bool, error)`, or if one
+// TestOneRowProtocol pins that rows move between operators one way: as
+// column batches. It parses every non-test Go file of the module and
+// fails if engine.Iterator is anything but {Open, Next, Close, Schema},
+// if any type grows a per-tuple `Next() (Tuple, bool, error)`, or if one
 // of the adapters that used to translate between protocols is declared
-// again — so a second way to pull rows fails tier-1, not review. The
-// columnar capability is {NextColBatch, ColumnarNative} on top, and the
-// hash joins have it: both join types declare NextColBatch, and neither
-// they nor the join table hold a row slice — there is no row-keyed
-// table and no row probe beside the columnar one. There is one engine
+// again — so a second way to pull rows fails tier-1, not review. No
+// non-test file of package engine or store declares the row protocol or
+// its adapters again: NextBatch, the columnar capability that sat beside
+// it (NextColBatch, ColumnarNative, ColBatchIterator, NativeColumnar,
+// ColumnarLeaf, ColumnarScan), the row-to-column reader, the per-operator
+// materializer, the row output arena or the row window. The hash join
+// declares Next, and neither it nor the join table holds a row slice —
+// there is no row-keyed table and no row probe. There is one engine
 // path, too: the parallel operators that lost to the serial ones are
 // banned, and an operator runs on its caller's goroutine — no non-test
 // file of package engine has a go statement. And there is one equi-join:
@@ -33,7 +36,10 @@ func TestOneRowProtocol(t *testing.T) {
 		"parallelWorthwhile": true}
 	indexJoin := map[string]bool{"IndexJoinIter": true, "NewIndexJoin": true, "JoinIndex": true, "ProbeCost": true,
 		"cachedProbeRows": true, "uncachedDecodeShare": true}
-	var iteratorMethods, columnarMethods []string
+	rowProtocol := map[string]bool{"NextBatch": true, "NextColBatch": true, "ColumnarNative": true, "ColBatchIterator": true,
+		"NativeColumnar": true, "ColumnarLeaf": true, "ColumnarScan": true, "colReader": true, "materializer": true,
+		"outArena": true, "Window": true}
+	var iteratorMethods []string
 	joins := map[string]map[string]bool{"HashJoinIter": {}}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -72,11 +78,15 @@ func TestOneRowProtocol(t *testing.T) {
 				return true
 			})
 		}
+		engineOrStore := file.Name.Name == "engine" || file.Name.Name == "store"
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
 				if banned[d.Name.Name] {
 					t.Errorf("%s: %s is declared again", fset.Position(d.Pos()), d.Name.Name)
+				}
+				if engineOrStore && rowProtocol[d.Name.Name] {
+					t.Errorf("%s: %s of the row protocol is declared again", fset.Position(d.Pos()), d.Name.Name)
 				}
 				if d.Recv != nil && file.Name.Name == "engine" {
 					if star, ok := d.Recv.List[0].Type.(*ast.StarExpr); ok {
@@ -96,6 +106,9 @@ func TestOneRowProtocol(t *testing.T) {
 					}
 					if banned[ts.Name.Name] {
 						t.Errorf("%s: %s is declared again", fset.Position(ts.Pos()), ts.Name.Name)
+					}
+					if engineOrStore && rowProtocol[ts.Name.Name] {
+						t.Errorf("%s: %s of the row protocol is declared again", fset.Position(ts.Pos()), ts.Name.Name)
 					}
 					if st, ok := ts.Type.(*ast.StructType); ok && file.Name.Name == "engine" &&
 						(joins[ts.Name.Name] != nil || ts.Name.Name == "joinTable") {
@@ -120,11 +133,11 @@ func TestOneRowProtocol(t *testing.T) {
 							if name.Name == "Next" && returnsTupleBoolError(ft) {
 								t.Errorf("%s: interface %s declares a per-tuple Next", fset.Position(m.Pos()), ts.Name.Name)
 							}
+							if engineOrStore && rowProtocol[name.Name] {
+								t.Errorf("%s: interface %s declares %s of the row protocol", fset.Position(m.Pos()), ts.Name.Name, name.Name)
+							}
 							if file.Name.Name == "engine" && ts.Name.Name == "Iterator" {
 								iteratorMethods = append(iteratorMethods, name.Name)
-							}
-							if file.Name.Name == "engine" && ts.Name.Name == "ColBatchIterator" {
-								columnarMethods = append(columnarMethods, name.Name)
 							}
 						}
 					}
@@ -137,16 +150,12 @@ func TestOneRowProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	sort.Strings(iteratorMethods)
-	if got, want := strings.Join(iteratorMethods, " "), "Close NextBatch Open Schema"; got != want {
+	if got, want := strings.Join(iteratorMethods, " "), "Close Next Open Schema"; got != want {
 		t.Errorf("engine.Iterator's methods are {%s}, want exactly {%s}", got, want)
 	}
-	sort.Strings(columnarMethods)
-	if got, want := strings.Join(columnarMethods, " "), "ColumnarNative NextColBatch"; got != want {
-		t.Errorf("engine.ColBatchIterator adds {%s} to Iterator, want exactly {%s}", got, want)
-	}
 	for join, methods := range joins {
-		if !methods["NextColBatch"] || !methods["ColumnarNative"] {
-			t.Errorf("engine.%s does not move column batches", join)
+		if !methods["Next"] {
+			t.Errorf("engine.%s does not declare Next", join)
 		}
 	}
 }
