@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -249,22 +250,19 @@ func benchProbeCurrency(b *testing.B, stored *core.UDB, n int) {
 	}
 }
 
-// BenchmarkMergeChain times the merge (Fig. 4) of one relation's k
-// vertical partitions — the tid joins with ψ a tuple-level statement
-// runs — in memory and stored behind a segment cache: 2 000 tuples, one
-// attribute per partition, one field in five uncertain between two
-// alternatives. Beside B/op it reports cells/row, the cells the hash
-// joins gathered per output row: each join gathers its output once, in
-// typed vectors, so both grow linearly in k, where joins that copied
-// rows copied the descriptors again at every step.
-//
-//	go test -run=NONE -bench=BenchmarkMergeChain -benchmem .
-func BenchmarkMergeChain(b *testing.B) {
+// mergeChainKs are the partition counts of mergeChainData's relations.
+var mergeChainKs = []int{2, 4, 7}
+
+// mergeChainData builds relations m2, m4 and m7 of k vertical partitions
+// each — 2 000 tuples, one attribute a<j> per partition, one field in
+// five uncertain between two alternatives — in memory and saved and
+// opened behind a segment cache.
+func mergeChainData(tb testing.TB) (mem, stored *core.UDB) {
+	tb.Helper()
 	const n = 2000
 	rng := rand.New(rand.NewSource(1))
 	db := core.NewUDB()
-	ks := []int{2, 4, 7}
-	for _, k := range ks {
+	for _, k := range mergeChainKs {
 		rel := fmt.Sprintf("m%d", k)
 		attrs := make([]string, k)
 		parts := make([]*core.URelation, k)
@@ -287,15 +285,31 @@ func BenchmarkMergeChain(b *testing.B) {
 			}
 		}
 	}
-	dir := b.TempDir()
+	dir := tb.TempDir()
 	if err := store.Save(db, dir); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	stored, err := store.OpenCached(dir, store.NewSegCache(64<<20))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer stored.Close()
+	tb.Cleanup(func() { stored.Close() })
+	return db, stored
+}
+
+// BenchmarkMergeChain times the merge (Fig. 4) of one relation's k
+// vertical partitions — the stitch a tuple-level statement runs — in
+// memory and stored behind a segment cache, over mergeChainData. Beside
+// B/op it reports cells/row, the cells the stitch gathered per output
+// row: it gathers each output column once, from the input that owns
+// it, so cells/row is the output width, 3k + 1, and both grow linearly
+// in k. (The chain of binary tid hash joins the stitch replaced gathered
+// 7, 28 and 73 cells per row for 2, 4 and 7 partitions.)
+//
+//	go test -run=NONE -bench=BenchmarkMergeChain -benchmem .
+func BenchmarkMergeChain(b *testing.B) {
+	db, stored := mergeChainData(b)
+	ks := mergeChainKs
 	cat := engine.NewCatalog()
 	for _, side := range []struct {
 		name string
@@ -334,6 +348,23 @@ func BenchmarkMergeChain(b *testing.B) {
 			})
 		}
 	}
+}
+
+// probedRows sums, over a span tree, the rows its hash joins probed and
+// the rows its stitches read from the inputs their driver's tid range
+// narrowed — every input but the driver.
+func probedRows(s *obs.Span) int64 {
+	n := s.Stat("probe_rows")
+	if strings.HasPrefix(s.Op(), "Merge Join on tid") {
+		n -= s.Stat("driver_rows")
+		for _, c := range s.Children() {
+			n += c.Rows()
+		}
+	}
+	for _, c := range s.Children() {
+		n += probedRows(c)
+	}
+	return n
 }
 
 // syntheticJoinInput builds a deterministic relation (k int, s string,
@@ -631,8 +662,8 @@ func servedData(tb testing.TB) *core.UDB {
 // rows and tuples are the result's rows and the answer's tuples, labelled
 // the share of the latter decided by label. The statement is planned
 // afresh each time, as the server does when it cannot run a cached plan;
-// probe-rows is what the executed plan's hash joins probed, from one
-// EXPLAIN ANALYZE of it (the tid windows of the probe scans cut it).
+// probe-rows is what the executed plan's joins probed (probedRows),
+// from one EXPLAIN ANALYZE of it (the tid windows of the scans cut it).
 func BenchmarkCertain(b *testing.B) {
 	db := servedData(b)
 	for _, s := range certainStatements {
@@ -687,16 +718,7 @@ func BenchmarkCertain(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var probed int64
-			var walk func(*obs.Span)
-			walk = func(s *obs.Span) {
-				probed += s.Stat("probe_rows")
-				for _, c := range s.Children() {
-					walk(c)
-				}
-			}
-			walk(an.Trace)
-			b.ReportMetric(float64(probed), "probe-rows")
+			b.ReportMetric(float64(probedRows(an.Trace)), "probe-rows")
 			b.ReportMetric(float64(stats.Labelled+stats.Pipeline), "tuples")
 			if n := stats.Labelled + stats.Pipeline; n > 0 {
 				b.ReportMetric(float64(stats.Labelled)/float64(n), "labelled")

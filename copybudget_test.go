@@ -32,7 +32,9 @@ import (
 // projection and partitions kept their image, the three took 11.6, 17.8
 // and 6.3 MB; before each relation's merge started at its filtered
 // partition, 3.72, 3.52 and 2.41; while every join wrote its output rows
-// as 40-byte Values, 3.22, 1.92 and 0.92.
+// as 40-byte Values, 3.22, 1.92 and 0.92; while a relation's partitions
+// were merged by a chain of tid hash joins instead of one stitch, 1.01,
+// 0.62 and 0.32.
 //
 // The stored leg is the benchmark's stored_cold operation — open the
 // saved, indexed directory without a segment cache, answer one query,
@@ -48,7 +50,8 @@ import (
 // and a run held its keys as 40-byte Values, 3.33 and 5.76; while every
 // probe-side scan read each segment of its partition, into a fresh
 // buffer each, 2.11 and 4.75; while it served every row of a segment
-// it read, 1.02 and 4.26.
+// it read, 1.02 and 4.26; while the partitions were merged by tid hash
+// joins, 1.02 and 4.13.
 //
 // The certain leg is the plan and the pipeline of the served_mix
 // workload's three CERTAIN statements on the same data behind a segment
@@ -59,14 +62,16 @@ import (
 // component for each of W's 1 091 variables and Lemma 4.3 crossed them
 // with the tuples, the three took 2.50, 6.58 and 9.54 MB; while the
 // merge's joins wrote rows, 0.94, 4.05 and 6.73; while every statement
-// merged all of its relation's partitions, 0.44, 1.56 and 2.59.
+// merged all of its relation's partitions, 0.44, 1.56 and 2.59; while
+// the two partitions were merged by a hash join, 0.11, 0.40 and 0.68.
 //
 // The selective join leg is served_mix's costliest join statement
 // (selectiveJoinSQL) on the same cached data, planned and run as the
 // server runs a possible-mode statement; its ceiling sits a quarter
-// above the 0.375 MB it took while the Distinct at its root pulled rows,
-// so the join made a tuple of every row it joined. Since rows are made
-// at the sink it takes 0.335.
+// above the 0.318 MB it takes. While the Distinct at its root pulled
+// rows, so the join made a tuple of every row it joined, it took 0.375;
+// since rows are made at the sink 0.335, until lineitem's partitions
+// were merged by a stitch.
 func TestCopyBudget(t *testing.T) {
 	p := tpch.DefaultParams(0.05, 0.1, 0.25)
 	p.Seed = 1
@@ -79,9 +84,9 @@ func TestCopyBudget(t *testing.T) {
 		q       core.Query
 		ceiling float64 // MB per evaluation, a quarter above the figure beside it
 	}{
-		{"Q1", tpch.Q1(), 1.35}, // 1.08
-		{"Q2", tpch.Q2(), 0.83}, // 0.66
-		{"Q3", tpch.Q3(), 0.76}, // 0.61
+		{"Q1", tpch.Q1(), 0.71}, // 0.567
+		{"Q2", tpch.Q2(), 0.29}, // 0.231
+		{"Q3", tpch.Q3(), 0.41}, // 0.325
 	} {
 		eval := func() {
 			if _, err := db.EvalPoss(c.q, engine.ExecConfig{}); err != nil {
@@ -98,8 +103,8 @@ func TestCopyBudget(t *testing.T) {
 		q       core.Query
 		ceiling float64
 	}{
-		{"stored point lookup", pointLookup(77), 1.28}, // 1.02
-		{"stored Q2", tpch.Q2(), 5.20},                 // 4.16
+		{"stored point lookup", pointLookup(77), 1.27}, // 1.009
+		{"stored Q2", tpch.Q2(), 3.66},                 // 2.925
 	} {
 		checkBudget(t, c.name, c.ceiling, func() {
 			db, err := store.Open(dir)
@@ -114,7 +119,7 @@ func TestCopyBudget(t *testing.T) {
 	}
 
 	served := servedData(t)
-	for i, ceiling := range []float64{0.14, 0.51, 0.87} { // 0.113, 0.409, 0.699
+	for i, ceiling := range []float64{0.13, 0.47, 0.79} { // 0.100, 0.373, 0.628
 		c := certainStatements[i]
 		parsed, err := sqlparse.Parse(c.sql)
 		if err != nil {
@@ -148,7 +153,7 @@ func TestCopyBudget(t *testing.T) {
 	}
 	join() // fills the segment cache
 
-	checkBudget(t, "selective join", 0.47, join) // 0.375
+	checkBudget(t, "selective join", 0.40, join) // 0.318
 }
 
 // TestColdOpenBudget puts a ceiling on the bytes of the two decodes a

@@ -16,7 +16,7 @@ import (
 
 // TestTranslatedPlansProjectOnce: in the optimized plans of the paper's
 // Q1–Q3, by the lazy and by the full translation, no projection sits on
-// another projection or on an inner join — the join emits through it —
+// another projection, an inner join or a stitch — they emit through it —
 // and what EXPLAIN ANALYZE ran is that plan node for node: the same
 // operators, each on the estimate EXPLAIN prints for it. (The fold is a
 // plan rewrite; done while lowering it would see trace wrappers under
@@ -39,9 +39,14 @@ func TestTranslatedPlansProjectOnce(t *testing.T) {
 				if c.Kind == engine.InnerJoin {
 					t.Errorf("%s: Project %v sits on an inner join instead of being its Out", what, pr.Names)
 				}
+			case *engine.StitchPlan:
+				t.Errorf("%s: Project %v sits on a stitch instead of being its Out", what, pr.Names)
 			}
 		}
 		if j, ok := p.(*engine.JoinPlan); ok && j.Out != nil {
+			joins++
+		}
+		if s, ok := p.(*engine.StitchPlan); ok && s.Out != nil {
 			joins++
 		}
 		for _, c := range p.Children() {
@@ -110,14 +115,13 @@ func TestTranslatedPlansProjectOnce(t *testing.T) {
 // TestRowsAreMadeOnce: the plan the server runs for served_mix's
 // dearest CERTAIN statement (Translate) merges the two partitions of
 // orders it reads — o_orderkey's, which the selection cuts, and
-// o_shippriority's — in one hash join, not all seven in six as the full
-// merge does; and run in memory or stored no operator makes a tuple —
-// the Σ of rows_materialized over its operators is 0, the rows are made
-// at the sink — while the hash join gathers its output column by
-// column, no more than its output rows × its output width cells: 755
-// rows and 3 020 cells, where the full merge makes 1 083 rows and
-// gathers 67 039 cells stored, 75 346 in memory. These are counts: they
-// repeat exactly, where a clock on a shared machine does not.
+// o_shippriority's — in one stitch, not all seven as the full merge
+// does; and run in memory or stored no operator makes a tuple — the Σ
+// of rows_materialized over its operators is 0, the rows are made at
+// the sink — while the stitch gathers its output column by column, no
+// more than its output rows × its output width cells: 755 rows and
+// 3 020 cells. These are counts: they repeat exactly, where a clock on a
+// shared machine does not.
 func TestRowsAreMadeOnce(t *testing.T) {
 	mem, dir := savedPlanningData(t, 0.25)
 	stored, err := store.OpenCached(dir, store.NewSegCache(256<<20))
@@ -151,7 +155,7 @@ func TestRowsAreMadeOnce(t *testing.T) {
 		var walk func(p engine.Plan, sp *obs.Span)
 		walk = func(p engine.Plan, sp *obs.Span) {
 			made += sp.Stat("rows_materialized")
-			if sp.Op() == "Hash Join" {
+			if strings.HasPrefix(sp.Op(), "Merge Join on tid") {
 				sch, err := p.Schema(cat)
 				if err != nil {
 					t.Fatal(err)
@@ -165,9 +169,9 @@ func TestRowsAreMadeOnce(t *testing.T) {
 			}
 		}
 		walk(plan, root.Children()[0])
-		t.Logf("%s: %d rows, %d made into tuples; %d hash joins gathered %d cells of at most %d", name, rel.Len(), made, joins, gathered, bound)
+		t.Logf("%s: %d rows, %d made into tuples; %d stitches gathered %d cells of at most %d", name, rel.Len(), made, joins, gathered, bound)
 		if joins != 1 || rel.Len() != 755 {
-			t.Fatalf("%s: %d hash joins to %d rows; the statement merges two partitions to 755", name, joins, rel.Len())
+			t.Fatalf("%s: %d stitches to %d rows; the statement merges two partitions to 755", name, joins, rel.Len())
 		}
 		if made != 0 {
 			t.Errorf("%s: operators made %d rows into tuples below the sink", name, made)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
 	"urel/internal/engine"
@@ -13,12 +14,16 @@ import (
 // core_test: each time a query is about to reuse a partition's image the
 // partition is encoded again, and any difference — a change of Rows that
 // did not say RowsChanged, a consumer that wrote into a shared row —
-// stops the run.
+// stops the run, and so does an image whose tuple ids do not ascend (a
+// stitch merges in that order).
 func TestMain(m *testing.M) {
 	auditImage = func(u *URelation, img *image) {
 		fresh := u.buildImage()
 		if err := sameImage(img, fresh); err != nil {
 			panic(fmt.Sprintf("core: %s: the kept image is not what encoding the rows now gives: %v", u.Name, err))
+		}
+		if tids := img.cols[2*img.width].Ints; !slices.IsSorted(tids) {
+			panic(fmt.Sprintf("core: %s: the image is not in tuple-id order", u.Name))
 		}
 	}
 	os.Exit(m.Run())

@@ -11,12 +11,27 @@ import (
 	"urel/internal/ws"
 )
 
-// shuffleJoins rewrites every tree of inner joins in p — a relation's
-// merge chain, a join of relations — into a left-deep tree over the same
-// inputs in a random order, each conjunct on the first join that covers
-// it: the same query, written by someone else.
+// shuffleJoins rewrites every tree of inner joins in p — a join of
+// relations — into a left-deep tree over the same inputs in a random
+// order, each conjunct on the first join that covers it, and every
+// stitch of a relation's partitions into one over its inputs in a random
+// order with a random driver: the same query, written by someone else.
 func shuffleJoins(t *testing.T, rng *rand.Rand, p engine.Plan) engine.Plan {
 	t.Helper()
+	if s, ok := p.(*engine.StitchPlan); ok {
+		// A stitch's inputs in another order, driven by any of them.
+		c := *s
+		c.Inputs, c.TIDs = append([]engine.Plan(nil), s.Inputs...), append([]string(nil), s.TIDs...)
+		for i := range c.Inputs {
+			c.Inputs[i] = shuffleJoins(t, rng, c.Inputs[i])
+		}
+		rng.Shuffle(len(c.Inputs), func(a, b int) {
+			c.Inputs[a], c.Inputs[b] = c.Inputs[b], c.Inputs[a]
+			c.TIDs[a], c.TIDs[b] = c.TIDs[b], c.TIDs[a]
+		})
+		c.Driver = rng.Intn(len(c.Inputs))
+		return &c
+	}
 	j, ok := p.(*engine.JoinPlan)
 	if !ok || j.Kind != engine.InnerJoin {
 		ch := p.Children()
@@ -189,7 +204,8 @@ func TestPropertyMergeOrderIsFree(t *testing.T) {
 }
 
 func hasJoin(p engine.Plan) bool {
-	if _, ok := p.(*engine.JoinPlan); ok {
+	switch p.(type) {
+	case *engine.JoinPlan, *engine.StitchPlan:
 		return true
 	}
 	for _, c := range p.Children() {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"urel/internal/engine"
 	"urel/internal/ws"
@@ -202,9 +204,7 @@ func (tr *translator) translate(q Query, need []string) (engine.Plan, *ULayout, 
 
 // translateRel merges the necessary vertical partitions of a logical
 // relation (the merge operator of Figure 4: U1 ⋈_{α∧ψ} U2 projected to
-// a single tuple-id set). The partitions are joined in declaration
-// order and projected once, above the last join; the order they are
-// merged in is the optimizer's to choose.
+// a single tuple-id set) with one stitch of all of them.
 func (tr *translator) translateRel(n *RelQ, need []string) (engine.Plan, *ULayout, error) {
 	rs, ok := tr.db.Rels[n.Name]
 	if !ok {
@@ -271,39 +271,37 @@ func (tr *translator) translateRel(n *RelQ, need []string) (engine.Plan, *ULayou
 		}
 		picks = append(picks, chosen{part: rs.Parts[0], pidx: 0})
 	}
-	// Encode and merge.
-	var plan engine.Plan
+	// Encode and merge: merge(U1, …, Uk) := π_{D1..Dk,T1,A1..Ak}(U1 ⋈_{α∧ψ}
+	// … ⋈_{α∧ψ} Uk), where α equates the partitions' tuple ids and ψ
+	// discards inconsistent descriptor combinations — one stitch of all
+	// of them, which merges their tid-ordered rows.
+	if len(picks) == 1 {
+		scan, lay := tr.encodePartition(picks[0].part, alias, picks[0].pidx, picks[0].contrib, mark)
+		lay.Picks = []PartPick{{Part: picks[0].pidx, DPairs: lay.DPairs}}
+		return scan, lay, nil
+	}
 	lay := &ULayout{}
-	for i, pick := range picks {
+	var inputs []engine.Plan
+	var tids []string
+	var psi []engine.Expr
+	for _, pick := range picks {
 		scan, slay := tr.encodePartition(pick.part, alias, pick.pidx, pick.contrib, mark)
-		slay.Picks = []PartPick{{Part: pick.pidx, DPairs: slay.DPairs}}
-		if i == 0 {
-			plan, lay = scan, slay
-			continue
+		if len(lay.DPairs) > 0 && len(slay.DPairs) > 0 {
+			psi = append(psi, psiCond(lay.DPairs, slay.DPairs))
 		}
-		// merge(Q1, Q2) := π_{D1,D2,T1∪T2,A,B}(U1 ⋈_{α∧ψ} U2): α joins
-		// the common tuple-id attributes, ψ discards inconsistent
-		// descriptor combinations.
-		alpha := engine.EqCols(lay.TIDs[0], slay.TIDs[0])
-		cond := engine.And(alpha, psiCond(lay.DPairs, slay.DPairs))
-		plan = engine.Join(plan, scan, cond)
-		lay = &ULayout{
-			DPairs: append(append([][2]string{}, lay.DPairs...), slay.DPairs...),
-			TIDs:   lay.TIDs, // T1 ∪ T2 = T1 for partitions of one relation
-			Attrs:  append(append([]string{}, lay.Attrs...), slay.Attrs...),
-			Picks:  append(append([]PartPick{}, lay.Picks...), slay.Picks...),
-		}
+		inputs, tids = append(inputs, scan), append(tids, slay.TIDs[0])
+		lay.DPairs = append(lay.DPairs, slay.DPairs...)
+		lay.Attrs = append(lay.Attrs, slay.Attrs...)
+		lay.Picks = append(lay.Picks, PartPick{Part: pick.pidx, DPairs: slay.DPairs})
 	}
-	if len(picks) > 1 {
-		// One projection for the whole chain, not one per merge step:
-		// π(π(U1 ⋈ U2) ⋈ U3) = π(U1 ⋈ U2 ⋈ U3), and a projection between
-		// two steps would hide the chain from the optimizer, which orders
-		// an unbroken tree of joins by what each partition's selection
-		// leaves (engine.Optimize). The other partitions' tid columns
-		// travel only as far as column pruning lets them.
-		plan = engine.Project(plan, lay.Columns()...)
+	lay.TIDs = tids[:1] // T1 ∪ … ∪ Tk = T1 for partitions of one relation
+	var cond engine.Expr
+	if len(psi) > 0 {
+		cond = engine.And(psi...)
 	}
-	return plan, lay, nil
+	// One projection over the stitch drops the other partitions' tid
+	// columns; the optimizer folds it into the stitch's output.
+	return engine.Project(engine.Stitch(inputs, tids, cond), lay.Columns()...), lay, nil
 }
 
 // encodePartition plans one partition as an engine relation with unique
@@ -366,24 +364,31 @@ func (tr *translator) encodePartition(u *URelation, alias string, pidx int, cont
 		whole = whole && attrIdx[ai] == ai
 	}
 	sch := engine.Schema{Cols: cols}
-	leaf := &engine.ValuesPlan{Batch: &engine.ColBatch{Sch: sch, Cols: img.cols, N: img.n}, Name: name, Stats: img.leafStats(sch)}
+	leaf := &engine.ValuesPlan{Batch: &engine.ColBatch{Sch: sch, Cols: img.cols, N: img.n}, Name: name, Stats: img.leafStats(sch), Sorted: tidCol}
 	if whole {
 		return leaf, lay
 	}
 	return engine.Project(leaf, lay.Columns()...), lay
 }
 
-// encode lays the partition's rows out as the image's columns — width
-// (var, rng) descriptor pairs and the tuple id as int vectors cut from
-// one arena, then every attribute as engine.BuildColVec lays it out.
+// encode lays the partition's rows out as the image's columns, in
+// tuple-id order — a stable sort, so a tuple's alternatives keep their
+// order — which is the order a stitch merges in: width (var, rng)
+// descriptor pairs and the tuple id as int vectors cut from one arena,
+// then every attribute as engine.BuildColVec lays it out.
 func (u *URelation) encode(width int) []engine.ColVec {
 	n := len(u.Rows)
+	rows := u.Rows
+	if !slices.IsSortedFunc(rows, byTID) {
+		rows = slices.Clone(rows)
+		slices.SortStableFunc(rows, byTID)
+	}
 	cols := make([]engine.ColVec, 0, 2*width+1+len(u.Attrs))
 	ints := make([]int64, (2*width+1)*n)
 	for c := 0; c <= 2*width; c++ {
 		cols = append(cols, engine.IntVec(ints[c*n:(c+1)*n:(c+1)*n], nil))
 	}
-	for i, r := range u.Rows {
+	for i, r := range rows {
 		// Short descriptors are padded by repeating their first
 		// assignment (ws.Descriptor.Pad), the trivial one when empty.
 		fill := ws.Assignment{Var: ws.TrivialVar}
@@ -401,10 +406,12 @@ func (u *URelation) encode(width int) []engine.ColVec {
 		cols[2*width].Ints[i] = r.TID
 	}
 	for ai := range u.Attrs {
-		cols = append(cols, engine.BuildColVec(n, func(i int) engine.Value { return u.Rows[i].Vals[ai] }))
+		cols = append(cols, engine.BuildColVec(n, func(i int) engine.Value { return rows[i].Vals[ai] }))
 	}
 	return cols
 }
+
+func byTID(a, b URow) int { return cmp.Compare(a.TID, b.TID) }
 
 // translateUnion implements the union of Figure 4's discussion: both
 // sides are brought to a common schema by padding the smaller

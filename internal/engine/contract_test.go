@@ -147,6 +147,12 @@ func TestBatchContract(t *testing.T) {
 		"NewNestedLoopJoin": func(l, r Iterator) Iterator {
 			return NewNestedLoopJoin(NewLimit(l, 120), r, Cmp(LT, Col("l.v"), Col("r.v")), nil)
 		},
+		"NewStitch": func(l, r Iterator) Iterator {
+			inTIDOrder := func(in Iterator, k string) Iterator {
+				return NewSort(NewFilter(in, Cmp(GE, Col(k), ConstInt(0))), []string{k})
+			}
+			return NewStitch([]Iterator{inTIDOrder(l, "l.k"), inTIDOrder(r, "r.k")}, []string{"l.k", "r.k"}, ne, 1, []string{"r.v", "l.k"})
+		},
 		"NewSemiJoin":  func(l, r Iterator) Iterator { return NewSemiJoin(l, r, pairs, ne, false) },
 		"NewUnion":     func(l, r Iterator) Iterator { return NewUnion(l, r) },
 		"NewDiff":      func(l, r Iterator) Iterator { return NewDiff(l, r) },

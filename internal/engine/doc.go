@@ -26,7 +26,14 @@
 // inputs' batches through; a limit truncates the selection; an extend
 // appends computed vectors; the semi and anti joins, the duplicate
 // elimination and the set difference and intersection hand over a
-// selection over their input batch, keyed from its vectors. A hash join
+// selection over their input batch, keyed from its vectors. The stitch
+// (StitchPlan, StitchIter) is the merge of one relation's vertical
+// partitions — Figure 13's merge join on the tuple id, ψ its join
+// filter: its inputs arrive in tuple-id order, it drains the one it
+// drives by, advances all of them to the next tuple id they share by
+// galloping search, combines that tuple id's rows where ψ holds
+// (compared on ints in place) and gathers each output column once, from
+// the input that owns it. A hash join — every join of two relations —
 // drains its build side into a joinTable that keeps the batches' payload
 // vectors and refers to build rows as (batch, row), looks every probe
 // row up from its key vectors (narrowProbe), evaluates the residual on
@@ -42,28 +49,35 @@
 // them as rows_materialized.
 //
 // Key ranges flow down the plan (KeyRangeNarrower), after Open and
-// before the first pull. Two operators originate one, once their build
-// side is drained and when the key is one int column: the hash join
-// hands its probe input the range of its build keys, and the semi join
-// its left input; the anti join, which keeps exactly the rows outside
-// that range, never does. Operators whose output column is an input's
-// column forward a range on it: a filter to its input, a projection to
-// the column it picks, a semi or anti join to its left input, a trace
-// wrapper to the operator it wraps, and a hash join to the side the
-// column is read from — dropping, as it drains its build side, the
-// build rows the range excludes. The store scan is where a range ends:
-// it skips the segments that range misses and serves a tid range as a
-// window of the segment it reads.
+// before the first pull. Three operators originate one: the hash join
+// hands its probe input the range of its build keys and the semi join
+// its left input, once their build side is drained and when the key is
+// one int column (the anti join, which keeps exactly the rows outside
+// that range, never does); the stitch hands every input but its driver
+// the tuple-id range of the driver's rows. Operators whose output column
+// is an input's column forward a range on it: a filter to its input, a
+// projection to the column it picks, a semi or anti join to its left
+// input, a trace wrapper to the operator it wraps, a hash join to the
+// side the column is read from — dropping, as it drains its build side,
+// the build rows the range excludes — and a stitch a tid range to every
+// input and any other to the input that owns the column, dropping, as
+// it drains its driver, the driver's rows the range excludes. A range
+// ends at a leaf: the store scan skips the segments it misses and
+// serves a tid range as a window of the segment it reads; the scan of
+// an in-memory partition image, which is in tid order, serves a tid
+// range as the window binary search finds.
 //
 // Optimize orders every tree of inner joins from its smallest estimated
-// input outward, so a hash join builds on its smaller side and a
-// relation's partitions are merged starting at the one the selection
-// cut. Every operator runs on its caller's goroutine: a query is one
-// serial pipeline, and concurrency comes from serving many queries at
-// once. There are two join strategies, chosen from the join's schemas
-// alone (chooseJoin): the hash join for every join with an equi pair,
-// and the nested loop for joins without one, which the property tests
-// also force as the hash join's cross-check. An indexed storage leaf
+// input outward, so a hash join builds on its smaller side; a relation
+// is one input of such a tree, its stitch driven by the partition
+// estimated smallest — the one the selection cut — and estimated as the
+// chain of binary tid joins it replaces. Every operator runs on its
+// caller's goroutine: a query is one serial pipeline, and concurrency
+// comes from serving many queries at once. There are two strategies for
+// a join of two relations, chosen from the join's schemas alone
+// (chooseJoin): the hash join for every join with an equi pair, and the
+// nested loop for joins without one, which the property tests also
+// force as the hash join's cross-check. An indexed storage leaf
 // serves equality filters (IndexScanPlan), never a join. EXPLAIN and the
 // est= of every EXPLAIN ANALYZE span read one estimator — the
 // optimizer's (stats.go) — so est-drift is a statement about the numbers
@@ -75,7 +89,9 @@
 // Filter split (ExtractEquiJoin); stats.go — the selectivity-based cost
 // measures of a System-R-style optimizer; explain.go — the Figure 10/13
 // plan views, annotated with each operator's execution mode (an index
-// scan, or columnar); join.go, hashtable.go, iter.go, colbatch.go, vecfilter.go —
+// scan, or columnar); stitch.go — Figure 4's merge, planned as
+// Figure 13's merge join on the tuple id; join.go, hashtable.go,
+// iter.go, colbatch.go, vecfilter.go —
 // the physical operator layer, whose raw speed is what the paper's
 // "fast" rests on (Section 6's evaluation reduces uncertain-query
 // processing to exactly these plain relational operators).

@@ -68,6 +68,22 @@ func explainNode(b *strings.Builder, p Plan, est *estimator, depth int, root boo
 		}
 		explainNode(b, n.L, est, depth+1, false)
 		explainNode(b, n.R, est, depth+1, false)
+	case *StitchPlan:
+		fmt.Fprintf(b, "%s%s  (rows=%.0f exec=%s)\n", head, n.Label(), st.Rows, mode)
+		conds := make([]string, len(n.TIDs)-1)
+		for i, t := range n.TIDs[1:] {
+			conds[i] = fmt.Sprintf("(%s = %s)", n.TIDs[0], t)
+		}
+		fmt.Fprintf(b, "%s      Merge Cond: %s\n", indent, strings.Join(conds, " AND "))
+		if n.Cond != nil {
+			fmt.Fprintf(b, "%s      Join Filter: %s\n", indent, n.Cond)
+		}
+		if n.Out != nil {
+			fmt.Fprintf(b, "%s      Output: %s\n", indent, joinStrings(n.Out))
+		}
+		for _, c := range n.Inputs {
+			explainNode(b, c, est, depth+1, false)
+		}
 	case *FilterPlan:
 		// Fuse Filter into the node beneath, PostgreSQL-style, when the
 		// child is a scan.

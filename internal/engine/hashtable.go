@@ -381,10 +381,16 @@ func batchLayouts(batches []ColBatch) []vecLayout {
 	}
 	lays := make([]vecLayout, len(batches[0].Cols))
 	for c := range lays {
-		lays[c] = layoutOf(&batches[0].Cols[c])
-		for b := 1; b < len(batches); b++ {
-			lays[c] = lays[c].merge(layoutOf(&batches[b].Cols[c]))
-		}
+		lays[c] = batchLayout(batches, c)
 	}
 	return lays
+}
+
+// batchLayout is the layout column c's vectors agree on across batches.
+func batchLayout(batches []ColBatch, c int) vecLayout {
+	l := layoutOf(&batches[0].Cols[c])
+	for b := 1; b < len(batches); b++ {
+		l = l.merge(layoutOf(&batches[b].Cols[c]))
+	}
+	return l
 }

@@ -103,23 +103,36 @@ func (s *ScanIter) Schema() Schema                 { return s.Rel.Sch }
 
 // colScanIter scans a column batch held in memory (a ValuesPlan's
 // Batch), handing out windows of DefaultBatchSize rows that share its
-// vectors.
+// vectors — of the rows [pos, end), which a key range on its sorted
+// column narrows.
 type colScanIter struct {
-	src  *ColBatch
-	pos  int
-	cols []ColVec // reused window headers
-	cb   ColBatch
+	src      *ColBatch
+	sorted   int // the ascending int column, -1 none
+	pos, end int
+	cols     []ColVec // reused window headers
+	cb       ColBatch
 }
 
-func (s *colScanIter) Open() error    { s.pos = 0; return nil }
+func (s *colScanIter) Open() error    { s.pos, s.end = 0, s.src.N; return nil }
 func (s *colScanIter) Close() error   { return nil }
 func (s *colScanIter) Schema() Schema { return s.src.Sch }
 
+// NarrowKeyRange (KeyRangeNarrower) narrows the rows not yet served to
+// those whose sorted column lies in [lo, hi].
+func (s *colScanIter) NarrowKeyRange(col int, lo, hi int64) {
+	if col != s.sorted {
+		return
+	}
+	xs := s.src.Cols[col].Ints
+	s.pos = max(s.pos, sort.Search(s.end, func(i int) bool { return xs[i] >= lo }))
+	s.end = min(s.end, sort.Search(s.end, func(i int) bool { return xs[i] > hi }))
+}
+
 func (s *colScanIter) Next() (*ColBatch, bool, error) {
-	if s.pos >= s.src.N {
+	if s.pos >= s.end {
 		return nil, false, nil
 	}
-	lo, hi := s.pos, min(s.pos+DefaultBatchSize, s.src.N)
+	lo, hi := s.pos, min(s.pos+DefaultBatchSize, s.end)
 	s.pos = hi
 	s.cols = s.cols[:0]
 	for c := range s.src.Cols {

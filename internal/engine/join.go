@@ -407,8 +407,9 @@ func intAt(s cellSrc, bcols []ColVec, br int, pcols []ColVec, pr int) (int64, bo
 type joinCursor struct {
 	hit   int   // index in hits of the probe row whose chain is walked
 	match int32 // next build row of that chain; -1 = take the next hit
-	bsel  []int32
-	psel  []int32 // the collected pairs: stored build row, physical probe row
+	bsel  []rowRef
+	psel  []int32 // the collected pairs: build row, physical probe row
+	lays  []vecLayout
 }
 
 func (c *joinCursor) reset() { c.hit, c.match = -1, -1 }
@@ -428,7 +429,7 @@ func (c *joinCursor) fill(t *joinTable, pred *pairPred, pcb *ColBatch, h *probeH
 		m, i := c.match, h.sel[c.hit]
 		c.match = t.next[m]
 		if pred == nil || pred.holds(t, m, pcb, i) {
-			c.bsel = append(c.bsel, m)
+			c.bsel = append(c.bsel, t.refs[m])
 			c.psel = append(c.psel, i)
 		}
 	}
@@ -437,16 +438,29 @@ func (c *joinCursor) fill(t *joinTable, pred *pairPred, pcb *ColBatch, h *probeH
 
 // gather lays the collected pairs out as the columns of an output
 // batch: output column o of pair k is the cell out[o] names, of build
-// row bsel[k] of t or of probe row psel[k] of pcb. Each column is written
-// by a typed loop into payloads cut at exact size from one allocation
-// per payload type, which nothing else holds — so a consumer may keep
-// them. cols receives the len(out) vectors.
+// row bsel[k] of t or of probe row psel[k] of pcb (layOut). cols
+// receives the len(out) vectors.
 func (c *joinCursor) gather(t *joinTable, pcb *ColBatch, out []cellSrc, cols []ColVec) {
-	n := len(c.bsel)
-	var need [5]int // cells of ints, floats, strings, values, null markers
+	c.lays = c.lays[:0]
+	for _, s := range out {
+		c.lays = append(c.lays, outLayout(t, pcb, s))
+	}
+	layOut(cols, c.lays, len(c.bsel))
 	for o, s := range out {
-		l := outLayout(t, pcb, s)
-		cols[o] = ColVec{Kind: l.kind}
+		if s.build {
+			gatherRefs(t.batches, s.col, c.bsel, &cols[o])
+		} else {
+			gatherCol(&pcb.Cols[s.col], c.psel, &cols[o])
+		}
+	}
+}
+
+// layOut sets cols[o] up as a vector of layout lays[o] holding n cells,
+// its payloads cut at exact size from one allocation per payload type,
+// which nothing else holds — so a consumer may keep them.
+func layOut(cols []ColVec, lays []vecLayout, n int) {
+	var need [5]int // cells of ints, floats, strings, values, null markers
+	for _, l := range lays {
 		if p := l.payload(); p < 4 {
 			need[p] += n
 		}
@@ -456,8 +470,9 @@ func (c *joinCursor) gather(t *joinTable, pcb *ColBatch, out []cellSrc, cols []C
 	}
 	ints, floats, strs := make([]int64, need[0]), make([]float64, need[1]), make([]string, need[2])
 	vals, nulls := make([]Value, need[3]), make([]bool, need[4])
-	for o, s := range out {
-		l, v := outLayout(t, pcb, s), &cols[o]
+	for o, l := range lays {
+		v := &cols[o]
+		*v = ColVec{Kind: l.kind}
 		if l.nulls {
 			v.Nulls, nulls = nulls[:n:n], nulls[n:]
 		}
@@ -470,11 +485,6 @@ func (c *joinCursor) gather(t *joinTable, pcb *ColBatch, out []cellSrc, cols []C
 			v.Strs, strs = strs[:n:n], strs[n:]
 		case 3:
 			v.Vals, vals = vals[:n:n], vals[n:]
-		}
-		if s.build {
-			t.gatherCol(s.col, c.bsel, v)
-		} else {
-			gatherCol(&pcb.Cols[s.col], c.psel, v)
 		}
 	}
 }
@@ -514,23 +524,21 @@ func gatherCol(src *ColVec, sel []int32, dst *ColVec) {
 	}
 }
 
-// gatherCol fills dst, laid out as build column c's lays entry, with
-// that column's cells of the stored rows sel.
-func (t *joinTable) gatherCol(c int, sel []int32, dst *ColVec) {
+// gatherRefs fills dst, laid out as column c of batches merges to
+// (batchLayout), with that column's cells of the rows refs.
+func gatherRefs(batches []ColBatch, c int, refs []rowRef, dst *ColVec) {
 	if dst.Ints != nil {
-		for k, m := range sel {
-			cols, i := t.cols(m)
-			if src := &cols[c]; src.Nulls != nil && src.Nulls[i] {
+		for k, ref := range refs {
+			if src := &batches[ref.batch].Cols[c]; src.Nulls != nil && src.Nulls[ref.row] {
 				dst.Nulls[k] = true
 			} else {
-				dst.Ints[k] = src.Ints[i]
+				dst.Ints[k] = src.Ints[ref.row]
 			}
 		}
 		return
 	}
-	for k, m := range sel {
-		cols, i := t.cols(m)
-		src := &cols[c]
+	for k, ref := range refs {
+		src, i := &batches[ref.batch].Cols[c], int(ref.row)
 		switch {
 		case src.IsNull(i):
 			if dst.Nulls != nil {

@@ -11,10 +11,11 @@ import (
 //     renames, unions, and into join inputs),
 //  3. reorder trees of inner joins greedily by estimated cardinality,
 //     from the smallest input outward (System-R-style, avoiding cross
-//     products when possible),
+//     products when possible) — a stitch is one input of such a tree,
+//     driven by its own input estimated smallest,
 //  4. prune unused columns by inserting projections above leaves,
-//  5. fold each projection into the projection or inner join beneath
-//     it, so a row is written once, at its final width,
+//  5. fold each projection into the projection, inner join or stitch
+//     beneath it, so a row is written once, at its final width,
 //  6. hand each selection that sits directly on a storage leaf to that
 //     leaf (FilterAdvisor), which prunes what its statistics refute.
 //
@@ -81,6 +82,13 @@ func foldProjections(p Plan, cat *Catalog) Plan {
 		if c.Out == nil || throughProjection(top.Names, c.Out, full, cat) {
 			full.Out = top.Names
 			return full
+		}
+	case *StitchPlan:
+		full := *c
+		full.Out = nil
+		if c.Out == nil || throughProjection(top.Names, c.Out, &full, cat) {
+			full.Out = top.Names
+			return &full
 		}
 	}
 	return p
@@ -260,6 +268,29 @@ func pushConjuncts(child Plan, conjs []Expr, cat *Catalog) Plan {
 				return &JoinPlan{Kind: InnerJoin, L: l, R: r, Cond: cond}
 			}
 		}
+	case *StitchPlan:
+		// A conjunct over one input's columns moves into that input; one
+		// spanning two partitions stays above the stitch.
+		if n.Out != nil {
+			break
+		}
+		ins := append([]Plan(nil), n.Inputs...)
+		var above []Expr
+	conjs:
+		for _, c := range conjs {
+			for i, in := range ins {
+				if sch, err := in.Schema(cat); err == nil && CoveredBy(c, sch) {
+					ins[i] = pushConjuncts(in, []Expr{c}, cat)
+					continue conjs
+				}
+			}
+			above = append(above, c)
+		}
+		out := n.WithChildren(ins)
+		if len(above) > 0 {
+			out = Filter(out, And(above...))
+		}
+		return out
 	case *UnionPlan:
 		// Filters distribute over union (schemas are positionally
 		// compatible; names come from the left, so only push when both
@@ -291,9 +322,11 @@ type joinLeaf struct {
 
 // orderJoins flattens each maximal tree of inner joins — two inputs or
 // twenty — and reassembles it greedily by estimated output cardinality:
-// the chain starts at its smallest input, so a relation's partitions
-// are merged from the one the selection cut outward, and the smaller
-// side of a hash join is the side it builds on. One estimator serves the
+// the tree starts at its smallest input, and the smaller side of a hash
+// join is the side it builds on. A relation is one input, whatever
+// number of partitions its stitch merges; the stitch is driven by the
+// partition estimated smallest — a filtered or index-scanned one, where
+// there is one. One estimator serves the
 // whole pass, so each leaf and each candidate join is estimated once.
 //
 // Reordering permutes output columns, and a projection above the tree
@@ -323,7 +356,16 @@ func orderJoins(p Plan, est *estimator) (Plan, error) {
 		}
 		newCh[i] = nc
 	}
-	return p.WithChildren(newCh), nil
+	p = p.WithChildren(newCh)
+	if s, ok := p.(*StitchPlan); ok {
+		s.Driver = 0
+		for i, in := range s.Inputs {
+			if est.stats(in).Rows < est.stats(s.Inputs[s.Driver]).Rows {
+				s.Driver = i
+			}
+		}
+	}
+	return p, nil
 }
 
 // orderJoinTree reorders the maximal inner-join tree rooted at n, whose
@@ -560,6 +602,28 @@ func pruneNeeding(p Plan, cat *Catalog, needed []string) (Plan, error) {
 			r = maybeProject(r, rs, rNeed)
 		}
 		return &JoinPlan{Kind: n.Kind, L: l, R: r, Cond: n.Cond, Out: n.Out}, nil
+	case *StitchPlan:
+		full, err := n.full(cat)
+		if err != nil {
+			return nil, err
+		}
+		if n.Out != nil {
+			needed = resolveAll(full, n.Out)
+		}
+		req := union(union(needed, resolveAll(full, ExprColumns(n.Cond))), n.TIDs)
+		ins := make([]Plan, len(n.Inputs))
+		for i, in := range n.Inputs {
+			sch, err := in.Schema(cat)
+			if err != nil {
+				return nil, err
+			}
+			need := intersectSchema(req, sch)
+			if ins[i], err = pruneNeeding(in, cat, need); err != nil {
+				return nil, err
+			}
+			ins[i] = maybeProject(ins[i], sch, need)
+		}
+		return n.WithChildren(ins), nil
 	case *ScanPlan, *ValuesPlan:
 		return p, nil
 	default:

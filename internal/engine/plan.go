@@ -75,6 +75,10 @@ type ValuesPlan struct {
 	Rel   *Relation
 	Batch *ColBatch
 	Name  string // display name for EXPLAIN
+	// Sorted names an int column of Batch whose cells ascend, "" none: a
+	// key range handed down on it (KeyRangeNarrower) narrows the scan to
+	// the window of rows inside it, found by binary search.
+	Sorted string
 	// Stats, when non-nil, returns the data's statistics (never nil) keyed
 	// by its column names. A producer that already keeps statistics for
 	// the data sets it so they travel with the plan; it is only called
@@ -459,7 +463,7 @@ func (b *lowering) build(p Plan, cfg ExecConfig) (Iterator, error) {
 		return NewScan(r), nil
 	case *ValuesPlan:
 		if n.Batch != nil {
-			return &colScanIter{src: n.Batch}, nil
+			return &colScanIter{src: n.Batch, sorted: n.Batch.Sch.IndexOf(n.Sorted)}, nil
 		}
 		return NewScan(n.Rel), nil
 	case *FilterPlan:
@@ -502,6 +506,15 @@ func (b *lowering) build(p Plan, cfg ExecConfig) (Iterator, error) {
 			return NewNestedLoopJoin(l, r, n.Cond, n.Out), nil
 		}
 		return NewHashJoin(l, r, c.pairs, c.residual, n.Out), nil
+	case *StitchPlan:
+		ins := make([]Iterator, len(n.Inputs))
+		for i, c := range n.Inputs {
+			var err error
+			if ins[i], err = b.lower(c, cfg); err != nil {
+				return nil, err
+			}
+		}
+		return NewStitch(ins, n.TIDs, n.Cond, n.Driver, n.Out), nil
 	case *UnionPlan:
 		l, err := b.lower(n.L, cfg)
 		if err != nil {

@@ -319,6 +319,23 @@ func (est *estimator) estimate(p Plan) PlanStats {
 			return projectStats(PlanStats{Rows: rows, NDV: ndv}, n.Out)
 		}
 		return PlanStats{Rows: rows, NDV: ndv}
+	case *StitchPlan:
+		// The chain of binary joins on α ∧ ψ the stitch replaces, as the
+		// greedy orderer lays it out.
+		leaves := make([]joinLeaf, len(n.Inputs))
+		for i, in := range n.Inputs {
+			sch, _ := in.Schema(cat)
+			leaves[i] = joinLeaf{plan: in, sch: sch}
+		}
+		preds := SplitConjuncts(n.Cond)
+		for _, t := range n.TIDs[1:] {
+			preds = append(preds, EqCols(n.TIDs[0], t))
+		}
+		chain, _ := greedyJoin(leaves, preds, est)
+		if n.Out != nil {
+			return projectStats(est.stats(chain), n.Out)
+		}
+		return est.stats(chain)
 	case *UnionPlan:
 		l := est.stats(n.L)
 		r := est.stats(n.R)
@@ -593,6 +610,13 @@ func (est *estimator) baseColStats(p Plan, col string) (ColStats, bool) {
 			return cs, ok
 		}
 		return est.baseColStats(n.R, col)
+	case *StitchPlan:
+		for _, in := range n.Inputs {
+			if cs, ok := est.baseColStats(in, col); ok {
+				return cs, ok
+			}
+		}
+		return ColStats{}, false
 	}
 	ts := est.tableStats(p)
 	if ts == nil {

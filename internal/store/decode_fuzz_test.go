@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sort"
 	"testing"
 
 	"urel/internal/engine"
@@ -213,8 +214,8 @@ func segmentDiff(a, b *segment, w int) string {
 	if a.n != b.n || len(a.tid) != len(b.tid) || len(a.cols) != len(b.cols) {
 		return fmt.Sprintf("shape: %d rows %d tids %d cols vs %d %d %d", a.n, len(a.tid), len(a.cols), b.n, len(b.tid), len(b.cols))
 	}
-	if a.tidLo != b.tidLo || a.tidHi != b.tidHi || a.tidAsc != b.tidAsc {
-		return fmt.Sprintf("tid bounds [%d, %d] ascending %v vs [%d, %d] %v", a.tidLo, a.tidHi, a.tidAsc, b.tidLo, b.tidHi, b.tidAsc)
+	if a.tidLo != b.tidLo || a.tidHi != b.tidHi {
+		return fmt.Sprintf("tid bounds [%d, %d] vs [%d, %d]", a.tidLo, a.tidHi, b.tidLo, b.tidHi)
 	}
 	for r := 0; r < a.n; r++ {
 		if a.tid[r] != b.tid[r] {
@@ -306,7 +307,8 @@ func FuzzDecodeWorldTable(f *testing.F) {
 }
 
 // refDecodeSegment is the segment decoder as it was before the one-pass
-// decoder: one cursor call per cell and one allocation per column.
+// decoder: one cursor call per cell and one allocation per column, the
+// rows then put in stable tid order row by row (refSortByTID).
 func refDecodeSegment(data []byte, n, width int, kinds []byte) (*segment, error) {
 	c := &cursor{b: data}
 	s := &segment{
@@ -340,7 +342,6 @@ func refDecodeSegment(data []byte, n, width int, kinds []byte) (*segment, error)
 		return nil, err
 	}
 	s.tidLo, s.tidHi, _ = tidBounds(s.tid)
-	s.tidAsc = slices.IsSorted(s.tid)
 	for ci, k := range kinds {
 		bm, err := c.bytes((n + 7) / 8)
 		if err != nil {
@@ -421,7 +422,50 @@ func refDecodeSegment(data []byte, n, width int, kinds []byte) (*segment, error)
 	if c.pos != len(data) {
 		return nil, corruptf("%d trailing bytes in segment", len(data)-c.pos)
 	}
+	refSortByTID(s)
 	return s, nil
+}
+
+// refSortByTID puts a decoded segment's rows in stable tid order, one
+// row at a time: row i of the result is row order[i] of the segment.
+func refSortByTID(s *segment) {
+	order := make([]int, s.n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return s.tid[order[a]] < s.tid[order[b]] })
+	tid := append([]int64(nil), s.tid...)
+	dvar, drng := make([][]int64, len(s.dvar)), make([][]int64, len(s.drng))
+	for k := range s.dvar {
+		dvar[k], drng[k] = append([]int64(nil), s.dvar[k]...), append([]int64(nil), s.drng[k]...)
+	}
+	cols := make([]engine.ColVec, len(s.cols))
+	for ci, v := range s.cols {
+		cols[ci] = engine.ColVec{Kind: v.Kind, Ints: slices.Clone(v.Ints), Floats: slices.Clone(v.Floats),
+			Strs: slices.Clone(v.Strs), Nulls: slices.Clone(v.Nulls), Vals: slices.Clone(v.Vals)}
+	}
+	for i, r := range order {
+		s.tid[i] = tid[r]
+		for k := range s.dvar {
+			s.dvar[k][i], s.drng[k][i] = dvar[k][r], drng[k][r]
+		}
+		for ci := range s.cols {
+			src, dst := &cols[ci], &s.cols[ci]
+			if src.Nulls != nil {
+				dst.Nulls[i] = src.Nulls[r]
+			}
+			switch {
+			case src.Vals != nil:
+				dst.Vals[i] = src.Vals[r]
+			case src.Ints != nil:
+				dst.Ints[i] = src.Ints[r]
+			case src.Floats != nil:
+				dst.Floats[i] = src.Floats[r]
+			case src.Strs != nil:
+				dst.Strs[i] = src.Strs[r]
+			}
+		}
+	}
 }
 
 // refVar is one variable as the reference world-table decoder gives it.

@@ -21,7 +21,9 @@
 //     order (URSEGv2), and a footer records per-segment row counts,
 //     CRC32 checksums, the least and greatest tuple id, and per-column
 //     min/max statistics, under a checksum of its own; URSEGv1 files,
-//     without the tid bounds, still open and are read whole. A segment
+//     without the tid bounds, still open and are read whole, each
+//     segment whose tuple ids do not ascend sorted by them once, as it
+//     is decoded (the segment cache keeps the sorted copy). A segment
 //     decodes in one typed pass, from a pooled read buffer it keeps
 //     nothing of: its descriptor and tid columns share one int64 slab,
 //     every int column goes through one varint loop, floats are read
@@ -43,27 +45,35 @@
 //
 //   - StoreScanIter (scan.go). The cold-scan operator: its segments
 //     decode straight into typed engine.ColVec vectors, so Next hands
-//     the engine one zero-transpose column batch per segment
-//     (descriptor and tid columns as int vectors, value columns as
-//     their decoded typed vectors), and every operator above runs on
-//     the stored columns; tuples are made at the sink. The operators
-//     above may hand the scan key ranges (engine.KeyRangeNarrower): a
-//     hash or semi join whose probe side it is hands it the range of
-//     its build keys, and a join higher up hands its own range down
-//     through the joins, filters and projections between. The scan
+//     the engine zero-transpose column batches (descriptor and tid
+//     columns as int vectors, value columns as their decoded typed
+//     vectors), and every operator above runs on the stored columns;
+//     tuples are made at the sink. A scan delivers its rows in tuple-id
+//     order, the order the engine's stitch merges a relation's
+//     partitions in: one run — a single URSEGv2 layer and no delta rows
+//     in range — is served a segment per batch, as it is stored; several
+//     runs (delta layers, each segment of a v1 layer, the in-memory
+//     delta sorted once per scan) are merged by tid inside the window
+//     the ranges leave, each batch a zero-copy window of the run with
+//     the least tuple id, up to the next run's, behind a selection
+//     vector. The operators above may hand the scan key ranges
+//     (engine.KeyRangeNarrower): a stitch hands every input but its
+//     driver the driver's tid range, a hash or semi join whose probe
+//     side it is hands it the range of its build keys, and a join
+//     higher up hands its own range down through the joins, stitches,
+//     filters and projections between. The scan
 //     keeps every range it is handed: one per column, two on the same
 //     column narrowed to their intersection. It leaves
 //     unread every segment whose tid bounds — or, for an int value
-//     column, zone map — miss any one of them: a merge that starts at
-//     an index lookup of a few tuples decodes the one segment of each
-//     partition they are in, and a selective join's range on an
+//     column, zone map — miss any one of them: a stitch driven by an
+//     index lookup of a few tuples decodes the one segment of each
+//     other partition they are in, and a selective join's range on an
 //     attribute skips the segments of the partition that holds it. Of
-//     a segment it reads whose tuple ids ascend (decodeSegment notes
-//     it; every URSEGv2 layer is written in tid order) it serves only
-//     the window of rows in the tid range, windows of every vector,
-//     found by binary search, so a merge probes the rows its build
-//     side can reach. The index operators (lookup.go) hold their few
-//     rows and serve them through engine.HeldRows. Its planning half,
+//     a segment it reads it serves only the window of rows in the tid
+//     range, windows of every vector, found by binary search, so a
+//     stitch reads the rows its driver can reach. The index operators
+//     (lookup.go) hold their few rows, sorted by tid, and serve them
+//     through engine.HeldRows. Its planning half,
 //     StoreScanPlan, implements engine.SourcePlan and
 //     engine.FilterAdvisor: selection predicates evaluated directly
 //     above a scan (the σ of the paper's Figure 4 translation) prune
@@ -72,9 +82,9 @@
 //     estimator sees, so join ordering works on stored data. As an
 //     engine.IndexedSource (lookup.go) the plan also serves an equality
 //     filter on an indexed column as one probe of its runs. The
-//     in-memory delta comes out last, its descriptor and tid columns as
-//     int vectors, and a join that narrowed the tid column is served
-//     only the delta rows in range.
+//     in-memory delta's descriptor and tid columns are int vectors, and
+//     a scan whose tid column was narrowed serves only the delta rows
+//     in range.
 //
 //   - Layered sources and deltas (source.go, walops.go, wal.go). A
 //     partition is a PartSource: one or more immutable file layers

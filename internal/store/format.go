@@ -271,6 +271,7 @@ type segMeta struct {
 
 // fileMeta is the decoded footer of a partition file.
 type fileMeta struct {
+	V1    bool   // a URSEGv1 file: no tid bounds, segments in write order
 	Width int    // padded descriptor width
 	Kinds []byte // engine.Kind per value attribute, or kindMixed
 	Segs  []segMeta
@@ -450,18 +451,17 @@ func encodeSegment(b []byte, rows rowSeq, width int, kinds []byte) ([]byte, segM
 // typed engine.ColVec vectors (null markers + typed payloads), so a
 // columnar scan hands them to the engine with no per-cell work at all.
 // tidLo and tidHi bound the tuple ids (lo > hi when empty): a
-// tombstone filter is narrowed to the batches that meet them. tidAsc
-// reports that the tuple ids never descend, so a narrowed scan may
-// binary-search them for a join's key range. dvar, drng and tid are
-// windows of one slab (dvar and drng are nil when the segment has no
-// rows).
+// tombstone filter is narrowed to the batches that meet them. The rows
+// are in tid order (decodeSegment sorts them when the file's are not),
+// so a narrowed scan binary-searches them for a key range. dvar, drng
+// and tid are windows of one slab (dvar and drng are nil when the
+// segment has no rows).
 type segment struct {
 	n            int
 	dvar         [][]int64 // [width][n]
 	drng         [][]int64
 	tid          []int64
 	tidLo, tidHi int64
-	tidAsc       bool
 	cols         []engine.ColVec // [nattr], each of n cells
 }
 
@@ -495,7 +495,8 @@ func decodeSegment(data []byte, sm *segMeta, width int, kinds []byte) (*segment,
 			s.drng[k] = slab[(2*k+1)*n : (2*k+2)*n : (2*k+2)*n]
 		}
 	}
-	s.tidLo, s.tidHi, s.tidAsc = tidBounds(s.tid)
+	var asc bool
+	s.tidLo, s.tidHi, asc = tidBounds(s.tid)
 	if n > 0 && (s.tidLo < sm.TidLo || s.tidHi > sm.TidHi) {
 		return nil, corruptf("tuple ids [%d, %d] outside the footer's [%d, %d]", s.tidLo, s.tidHi, sm.TidLo, sm.TidHi)
 	}
@@ -554,7 +555,47 @@ func decodeSegment(data []byte, sm *segMeta, width int, kinds []byte) (*segment,
 	if c.pos != len(data) {
 		return nil, corruptf("%d trailing bytes in segment", len(data)-c.pos)
 	}
+	if !asc {
+		s.sortByTID()
+	}
 	return s, nil
+}
+
+// sortByTID puts the rows of a segment whose tuple ids do not ascend —
+// a v1 file's — in tid order, stably, so a tuple's alternatives keep
+// theirs. It runs once, on the freshly decoded segment, which the cache
+// then keeps: every segment is served in the order a stitch merges in.
+func (s *segment) sortByTID() {
+	perm := make([]int32, s.n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortStableFunc(perm, func(a, b int32) int { return cmp.Compare(s.tid[a], s.tid[b]) })
+	for k := range s.dvar {
+		permute(s.dvar[k], perm)
+		permute(s.drng[k], perm)
+	}
+	permute(s.tid, perm)
+	for ci := range s.cols {
+		v := &s.cols[ci]
+		permute(v.Ints, perm)
+		permute(v.Floats, perm)
+		permute(v.Strs, perm)
+		permute(v.Nulls, perm)
+		permute(v.Vals, perm)
+	}
+}
+
+// permute rearranges xs (nil or of len(perm) cells) to xs[perm[0]],
+// xs[perm[1]], …
+func permute[T any](xs []T, perm []int32) {
+	if xs == nil {
+		return
+	}
+	old := slices.Clone(xs)
+	for i, p := range perm {
+		xs[i] = old[p]
+	}
 }
 
 // nullMarks returns the null markers of a bitmap over n rows, or nil
@@ -652,7 +693,7 @@ func appendTail(b, footer []byte, off int64) []byte {
 // [payloadStart, payloadEnd).
 func decodeFooter(data []byte, payloadStart, payloadEnd int64, v1 bool) (*fileMeta, error) {
 	c := &cursor{b: data}
-	m := &fileMeta{}
+	m := &fileMeta{V1: v1}
 	w, err := c.count(1 << 20)
 	if err != nil {
 		return nil, err

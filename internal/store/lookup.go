@@ -1,7 +1,9 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"urel/internal/core"
 	"urel/internal/engine"
@@ -196,7 +198,8 @@ func memKeyValue(r core.URow, ai int) engine.Value {
 // run stale and degrades the layer to a pruned scan, so a wrong or
 // outdated index can cost time but never correctness), and applies the
 // layer's tombstones; the unindexed in-memory delta is scanned last.
-// The result is therefore always identical to a full scan plus filter.
+// The result is therefore always identical to a full scan plus filter,
+// and it is served in tid order, as the scan serves its rows.
 type IndexLookupIter struct {
 	Src     *PartSource
 	Sch     engine.Schema
@@ -293,6 +296,8 @@ func (s *IndexLookupIter) Open() error {
 			s.rows = append(s.rows, materializeMemRow(s.Sch, s.Width, s.AttrIdx, r))
 		}
 	}
+	// In tid order, as a scan serves its rows: a stitch merges in it.
+	slices.SortStableFunc(s.rows, func(a, b engine.Tuple) int { return cmp.Compare(a[2*s.Width].I, b[2*s.Width].I) })
 	s.out = engine.HeldRows{Rows: s.rows, Sch: s.Sch}
 	return nil
 }

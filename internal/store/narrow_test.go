@@ -2,8 +2,10 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -17,10 +19,56 @@ import (
 type unnarrowed struct{ engine.Iterator }
 
 // narrowCounts is what the narrowed scans of some layouts skipped, how
-// many of the layouts' layers held tuple ids out of order, how many
-// joins whose build side held in-memory delta rows narrowed their probe,
-// and the segments the scans of the merge chains skipped.
-type narrowCounts struct{ segments, rows, unsortedLayers, memBuilds, chainSegments int64 }
+// many joins whose build side held in-memory delta rows narrowed their
+// probe, the segments the scans of the stitched chains skipped, and how
+// often the chains' layouts were drawn (chainLayouts).
+type narrowCounts struct {
+	segments, rows, memBuilds, chainSegments int64
+	layouts                                  chainLayouts
+}
+
+// chainLayouts counts the stitched chains whose partitions held several
+// file layers, a memtable tail reinserting tuple ids inside a file
+// layer's range, tombstones, a URSEGv1 layer written with its tuple ids
+// out of order, and a tuple whose alternatives straddle a segment
+// boundary.
+type chainLayouts struct{ severalLayers, tailReinserts, tombs, unsortedV1, straddles int }
+
+// add counts the layouts of src, whose v1 layers were written with
+// unsortedV1 segments out of tid order, into c.
+func (c *chainLayouts) add(t *testing.T, src *PartSource, unsortedV1 int) {
+	t.Helper()
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	straddles := 0
+	for _, h := range src.Layers {
+		last := int64(math.MinInt64)
+		for i := 0; i < h.NumSegments(); i++ {
+			seg, err := h.ReadSegment(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seg.n > 0 && seg.tid[0] == last {
+				straddles = 1
+			}
+			if seg.n > 0 {
+				last, lo, hi = seg.tid[seg.n-1], min(lo, seg.tid[0]), max(hi, seg.tid[seg.n-1])
+			}
+		}
+	}
+	if len(src.Layers) > 1 {
+		c.severalLayers++
+	}
+	if slices.ContainsFunc(src.Mem, func(r core.URow) bool { return r.TID >= lo && r.TID <= hi }) {
+		c.tailReinserts++
+	}
+	if src.Tomb != nil {
+		c.tombs++
+	}
+	if unsortedV1 > 0 {
+		c.unsortedV1++
+	}
+	c.straddles += straddles
+}
 
 // TestNarrowedJoinsMatchUnnarrowed draws random layered partitions —
 // base and delta files written from rows out of tid order, some as
@@ -47,13 +95,18 @@ func TestNarrowedJoinsMatchUnnarrowed(t *testing.T) {
 			c := checkNarrowLayout(t, rand.New(rand.NewSource(seed)))
 			total.segments += c.segments
 			total.rows += c.rows
-			total.unsortedLayers += c.unsortedLayers
 			total.memBuilds += c.memBuilds
 			total.chainSegments += c.chainSegments
+			l := &total.layouts
+			l.severalLayers += c.layouts.severalLayers
+			l.tailReinserts += c.layouts.tailReinserts
+			l.tombs += c.layouts.tombs
+			l.unsortedV1 += c.layouts.unsortedV1
+			l.straddles += c.layouts.straddles
 		})
 	}
-	t.Logf("narrowed scans skipped %d segments and %d rows of segments read and of deltas; %d layers held tuple ids out of order; %d joins built on delta rows narrowed",
-		total.segments, total.rows, total.unsortedLayers, total.memBuilds)
+	t.Logf("narrowed scans skipped %d segments and %d rows of segments read and of deltas; %d joins built on delta rows narrowed; stitched chain layouts %+v",
+		total.segments, total.rows, total.memBuilds, total.layouts)
 	if total.segments == 0 || total.rows == 0 {
 		t.Errorf("the joins skipped %d segments and %d rows of segments read: narrowing was never exercised", total.segments, total.rows)
 	}
@@ -63,8 +116,8 @@ func TestNarrowedJoinsMatchUnnarrowed(t *testing.T) {
 	if total.memBuilds == 0 {
 		t.Error("no join whose build side held delta rows narrowed its probe side")
 	}
-	if total.unsortedLayers == 0 {
-		t.Error("no layer held its tuple ids out of order: the scan's refusal to window one was never exercised")
+	if l := total.layouts; l.severalLayers == 0 || l.tailReinserts == 0 || l.tombs == 0 || l.unsortedV1 == 0 || l.straddles == 0 {
+		t.Errorf("a layout of the stitched chains was never drawn: %+v", l)
 	}
 }
 
@@ -125,11 +178,13 @@ func checkNarrowLayout(t *testing.T, rng *rand.Rand) narrowCounts {
 	src := &PartSource{}
 	var batches []TombBatch
 	var counts narrowCounts
+	unsortedV1 := 0
 	for li, rows := range layers {
 		path := filepath.Join(dir, fmt.Sprintf("l%d.useg", li))
 		segRows := 4 + rng.Intn(40)
 		if rng.Intn(3) == 0 {
 			writeV1Partition(t, path, rows, 1, segRows)
+			unsortedV1 += unsortedChunks(rows, segRows)
 		} else if _, err := WritePartition(path, rows, 1, segRows); err != nil {
 			t.Fatal(err)
 		}
@@ -139,14 +194,6 @@ func checkNarrowLayout(t *testing.T, rng *rand.Rand) narrowCounts {
 		}
 		t.Cleanup(func() { h.Close() })
 		src.Layers = append(src.Layers, h)
-		for i := 0; i < h.NumSegments(); i++ {
-			if seg, err := h.ReadSegment(i); err != nil {
-				t.Fatal(err)
-			} else if !seg.tidAsc {
-				counts.unsortedLayers++
-				break
-			}
-		}
 		if rng.Intn(2) == 0 {
 			// Tombstones anywhere, half of them in the tid window, or all
 			// of them in it past its first tuple id.
@@ -324,19 +371,21 @@ func checkNarrowLayout(t *testing.T, rng *rand.Rand) narrowCounts {
 			}
 		}
 	}
-	counts.chainSegments = checkChain(t, rng, dir, src, live, w, maxTID)
+	counts.layouts.add(t, src, unsortedV1)
+	counts.chainSegments = checkChain(t, rng, dir, src, live, w, maxTID, &counts.layouts)
 	return counts
 }
 
 // checkChain joins a selective build side — keys from a window of three
-// values, a NULL now and then — on r.a to the tid-merge, with ψ, of src
+// values, a NULL now and then — on r.a to the stitch, with ψ, of src
 // and a second stored partition over its tuple ids: the outer join hands
-// the merge the range of its keys, which the merge forwards to src's
-// scan, its build side, and the merge's own tid range then narrows the
-// other scan. The rows must be those of the same plan with narrowing
-// hidden and of the join evaluated row by row; it returns the segments
-// the merge's two scans skipped.
-func checkChain(t *testing.T, rng *rand.Rand, dir string, src *PartSource, live []core.URow, w int, maxTID int64) int64 {
+// the stitch the range of its keys, which the stitch forwards to src's
+// scan, and the driver's tid range — src's or the other's, drawn —
+// then narrows the other scan. The rows must be those of the same plan
+// with narrowing hidden and of the join evaluated row by row; it returns
+// the segments the stitch's two scans skipped, and counts the second
+// partition's layout into layouts.
+func checkChain(t *testing.T, rng *rand.Rand, dir string, src *PartSource, live []core.URow, w int, maxTID int64, layouts *chainLayouts) int64 {
 	t.Helper()
 	// The other partition, s.b: one or two alternatives per tuple id, in
 	// one or two layers, under wildcard tombstones half of the time, and
@@ -384,6 +433,7 @@ func checkChain(t *testing.T, rng *rand.Rand, dir string, src *PartSource, live 
 	if err != nil {
 		t.Fatal(err)
 	}
+	layouts.add(t, src2, 0)
 	w2 := src2.DescriptorWidth()
 	var cols2 []engine.Column
 	for k := 0; k < w2; k++ {
@@ -436,6 +486,7 @@ func checkChain(t *testing.T, rng *rand.Rand, dir string, src *PartSource, live 
 	sort.Strings(want)
 
 	var skipped int64
+	driver := rng.Intn(2)
 	for _, narrow := range []bool{true, false} {
 		scan := func(s *PartSource, sch engine.Schema, width int, name string) *StoreScanIter {
 			it, err := s.ScanPlan(sch, width, []int{0}, name).(*StoreScanPlan).BuildIter(engine.ExecConfig{})
@@ -451,7 +502,7 @@ func checkChain(t *testing.T, rng *rand.Rand, dir string, src *PartSource, live 
 			return unnarrowed{it}
 		}
 		a, b := scan(src, widthSchema(w), w, "u_r_a"), scan(src2, sch2, w2, "u_s_b")
-		merge := engine.NewHashJoin(hide(a), hide(b), []engine.EquiPair{{L: "tid:r.p0", R: "tid:s.p0"}}, residual, nil)
+		merge := engine.NewStitch([]engine.Iterator{hide(a), hide(b)}, []string{"tid:r.p0", "tid:s.p0"}, residual, driver, nil)
 		build, err := engine.Build(buildPlan, engine.NewCatalog(), engine.ExecConfig{})
 		if err != nil {
 			t.Fatal(err)
@@ -466,7 +517,7 @@ func checkChain(t *testing.T, rng *rand.Rand, dir string, src *PartSource, live 
 		}
 		sort.Strings(got)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("chain on r.a, keys %v (nulls %v), narrowed %v: %d rows, row by row %d:\n%v\n%v", keys, nulls, narrow, len(got), len(want), got, want)
+			t.Fatalf("chain on r.a, keys %v (nulls %v), driver %d, narrowed %v: %d rows, row by row %d:\n%v\n%v", keys, nulls, driver, narrow, len(got), len(want), got, want)
 		}
 		if narrow {
 			skipped = a.SegmentsSkippedByJoin + b.SegmentsSkippedByJoin

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -182,20 +183,24 @@ func segmentRefutes(st colStats, op engine.CmpOp, cst engine.Value) bool {
 	}
 }
 
-// StoreScanIter is the cold-scan physical operator. Its file segments
-// are already columnar, so Next wraps the decoded descriptor/tid/value
-// vectors into an engine.ColBatch with no transposition at all — one
-// batch per segment. Layers are scanned base-first, then the source's
-// in-memory delta rows come out as a final batch. Tombstones narrow
-// file batches through the selection vector (the decoded vectors stay
-// zero-copy and shared; only live row indices are listed) in one pass
-// beside the tombstones in the batch's tuple ids (tombWindow), so a
-// partition without deletes, and a segment none of them touched, pays
-// nothing per row. The operators above may hand the scan key ranges
+// StoreScanIter is the cold-scan physical operator. It serves its rows
+// in tuple-id order, the order a stitch merges partitions in. Its file
+// segments are already columnar, so Next wraps the decoded
+// descriptor/tid/value vectors into an engine.ColBatch with no
+// transposition at all. Every URSEGv2 layer is one run in tid order (a
+// v1 segment is sorted when it is decoded, and is a run of its own),
+// and so is the source's in-memory delta, sorted once per scan. One run
+// is served a segment per batch; several are merged by tid, each batch
+// a window of the run with the least tuple id up to the next run's,
+// zero-copy behind a selection vector. Tombstones narrow file batches
+// through the selection vector (the decoded vectors stay zero-copy and
+// shared; only live row indices are listed) in one pass beside the
+// tombstones in the batch's tuple ids (tombWindow), so a partition
+// without deletes, and a segment none of them touched, pays nothing per
+// row. The operators above may hand the scan key ranges
 // (NarrowKeyRange), one or more: the segments whose bounds miss one are
-// not read at all, and of a segment read whose tuple ids ascend only
-// the window of rows in a tid range is served, and of the delta only
-// the rows in that range.
+// not read at all, and of a segment read only the window of rows in a
+// tid range is served, and of the delta only the rows in that range.
 type StoreScanIter struct {
 	Src     *PartSource
 	Sch     engine.Schema
@@ -217,30 +222,57 @@ type StoreScanIter struct {
 	TombRowsChecked     int64
 	TombSegmentsSkipped int64
 	// SegmentsSkippedByJoin counts file segments none of whose rows the
-	// key range a hash join above handed down lets through: left unread
+	// key range a join above handed down lets through: left unread
 	// because their bounds miss it, or read and found to hold no tuple id
 	// in it. RowsSkippedByJoin counts the rows of the segments read that
 	// a tid window left out, and the delta rows outside a tid range.
 	SegmentsSkippedByJoin int64
 	RowsSkippedByJoin     int64
 
-	ranges []keyRange // the key ranges handed down, one per column (NarrowKeyRange)
+	ranges  []keyRange // the key ranges handed down, one per column (NarrowKeyRange)
+	started bool       // runs is set up
+	runs    []scanRun
+	ids     []int32 // 0, 1, 2, …: the selection of a window of a run without one
+	cb      engine.ColBatch
+	pad     []int64 // shared zero column for width padding
+}
 
-	layer   int // current layer index
-	seg     int // next segment index within the layer
-	memDone bool
-	cb      engine.ColBatch // reused columnar batch header
-	pad     []int64         // shared zero column for width padding
-	tombs   tombWindow      // the layer's tombstones narrowed to the current window
+// scanRun is one run of rows in tid order that a scan merges: segments
+// [next, end) of a file layer still to read, or the delta (layer =
+// len(Layers)). Its rows are served from a piece — a decoded segment's
+// window or the delta — whose vectors cols hold n rows, sel the live
+// ones (nil = all), pos the next live one to serve.
+type scanRun struct {
+	layer, next, end int
+	tombs            tombWindow // the layer's tombstones in the piece's tuple ids
+	cols             []engine.ColVec
+	n                int
+	sel              []int32
+	pos              int
+}
+
+func (r *scanRun) rows() int {
+	if r.sel != nil {
+		return len(r.sel)
+	}
+	return r.n
+}
+
+// tid is the tuple id of live row k of the piece; the tid column sits
+// after the width descriptor pairs.
+func (r *scanRun) tid(width, k int) int64 {
+	if r.sel != nil {
+		k = int(r.sel[k])
+	}
+	return r.cols[2*width].Ints[k]
 }
 
 var _ engine.KeyRangeNarrower = (*StoreScanIter)(nil)
 
 // Open resets the scan to the first segment.
 func (s *StoreScanIter) Open() error {
-	s.layer = 0
-	s.seg = 0
-	s.memDone = len(s.Src.Mem) == 0
+	s.release()
+	s.started, s.runs = false, s.runs[:0]
 	s.SegmentsRead = 0
 	s.CacheHits = 0
 	s.BytesDecoded = 0
@@ -255,15 +287,14 @@ func (s *StoreScanIter) Open() error {
 // NarrowKeyRange (engine.KeyRangeNarrower) makes the scan skip every
 // file segment whose bounds on column col miss [lo, hi]: the footer's
 // tid bounds for the tuple-id column, the zone map of a value column
-// whose layer stores it as ints. On the tid column it also serves, of a
-// segment read whose tuple ids ascend (every layer a URSEGv2 writer
-// wrote), only the window of rows with a tid in [lo, hi], found by
-// binary search; every alternative of a tuple in range lies inside it.
-// Of the in-memory delta it serves only the rows with a tid in range.
-// Descriptor columns, columns of any other kind, the tid column of a v1
-// file (whose tid bounds are unknown) and a segment whose tuple ids do
-// not ascend are read as before, every row of them, and on a value
-// column so is the delta: the join above drops what does not match.
+// whose layer stores it as ints. On the tid column it also serves, of
+// a segment read (its tuple ids ascend), only the window of rows with a
+// tid in [lo, hi], found by binary search; every alternative of a tuple
+// in range lies inside it. Of the in-memory delta it serves only the
+// rows with a tid in range. Descriptor columns and columns of any other
+// kind skip nothing, nor does the tid column of a v1 file (whose tid
+// bounds are unknown) skip a segment; on a value column the delta is
+// read whole: the operator above drops what does not match.
 //
 // The scan keeps every range it is handed: ranges on two columns both
 // skip segments, and two on one column narrow it to their intersection.
@@ -312,21 +343,39 @@ func (s *StoreScanIter) missesKeyRange(h *PartHandle, i int) bool {
 	return false
 }
 
-// nextSegment decodes the next unpruned file segment the join's key
-// range lets rows of through, and returns it with its layer's stored
-// width and the rows [lo, hi) of it to serve (tidWindow). Returns nil at
-// the end of the file layers (the in-memory delta is served separately).
-func (s *StoreScanIter) nextSegment() (seg *segment, fw, lo, hi int, err error) {
-	for s.layer < len(s.Src.Layers) {
-		h := s.Src.Layers[s.layer]
-		if s.seg >= h.NumSegments() {
-			s.layer++
-			s.seg = 0
+// startRuns sets the scan's runs up: one per URSEGv2 layer, one per
+// segment of a v1 layer, and the delta rows the scan serves, sorted by
+// tid (stably: a tuple's alternatives keep their order).
+func (s *StoreScanIter) startRuns() {
+	s.started = true
+	for li, h := range s.Src.Layers {
+		if h.meta.V1 {
+			for i := range h.meta.Segs {
+				s.runs = append(s.runs, scanRun{layer: li, next: i, end: i + 1})
+			}
 			continue
 		}
-		i := s.seg
-		s.seg++
-		if s.Pruned != nil && s.Pruned[s.layer] != nil && s.Pruned[s.layer][i] {
+		s.runs = append(s.runs, scanRun{layer: li, end: h.NumSegments()})
+	}
+	if rows := s.memRows(); len(rows) > 0 {
+		if !slices.IsSortedFunc(rows, byTID) {
+			rows = slices.Clone(rows)
+			slices.SortStableFunc(rows, byTID)
+		}
+		s.runs = append(s.runs, scanRun{layer: len(s.Src.Layers), n: len(rows), cols: s.memCols(rows)})
+	}
+}
+
+func byTID(a, b core.URow) int { return cmp.Compare(a.TID, b.TID) }
+
+// load makes the run's next segment with a live row that the pruning and
+// the key ranges let through its piece; a run without one is left empty.
+func (s *StoreScanIter) load(r *scanRun) error {
+	r.n, r.sel, r.pos = 0, nil, 0
+	for r.next < r.end {
+		h, i := s.Src.Layers[r.layer], r.next
+		r.next++
+		if s.Pruned != nil && s.Pruned[r.layer] != nil && s.Pruned[r.layer][i] {
 			continue
 		}
 		if s.missesKeyRange(h, i) {
@@ -335,7 +384,7 @@ func (s *StoreScanIter) nextSegment() (seg *segment, fw, lo, hi int, err error) 
 		}
 		seg, hit, err := h.ReadSegmentStats(i)
 		if err != nil {
-			return nil, 0, 0, 0, err
+			return err
 		}
 		s.SegmentsRead++
 		if hit {
@@ -346,21 +395,28 @@ func (s *StoreScanIter) nextSegment() (seg *segment, fw, lo, hi int, err error) 
 		if seg.n == 0 {
 			continue
 		}
-		if lo, hi := s.tidWindow(seg); lo < hi {
-			return seg, h.Width(), lo, hi, nil
+		lo, hi := s.tidWindow(seg)
+		if lo >= hi {
+			s.SegmentsSkippedByJoin++
+			continue
 		}
-		s.SegmentsSkippedByJoin++
+		sel := s.tombSel(r, seg, h.Width(), lo, hi)
+		if sel != nil && len(sel) == 0 {
+			continue
+		}
+		r.cols, r.n, r.sel = s.segCols(r.cols, seg, h.Width(), lo, hi), hi-lo, sel
+		return nil
 	}
-	return nil, 0, 0, 0, nil
+	return nil
 }
 
 // tidWindow returns the rows of a decoded segment to serve: all of
-// them, or, when a join narrowed the tid column and the segment's tuple
-// ids ascend, those from the first with a tid ≥ the range's low end to
-// the first with a tid > its high end.
+// them, or, when a join narrowed the tid column, those from the first
+// with a tid ≥ the range's low end to the first with a tid > its high
+// end.
 func (s *StoreScanIter) tidWindow(seg *segment) (lo, hi int) {
 	r, ok := s.tidRange()
-	if !ok || !seg.tidAsc {
+	if !ok {
 		return 0, seg.n
 	}
 	tid := seg.tid
@@ -371,35 +427,31 @@ func (s *StoreScanIter) tidWindow(seg *segment) (lo, hi int) {
 }
 
 // tombSel builds the selection vector of live rows for rows [lo, hi)
-// of a decoded segment of the current layer, in one pass beside the
+// of a decoded segment of the run's layer, in one pass beside the
 // layer's tombstones that fall in those rows' tuple ids, or nil when
 // every row survives. The selection counts from lo.
-func (s *StoreScanIter) tombSel(seg *segment, width, lo, hi int) []int32 {
-	tf := s.Src.Tomb.Layer(s.layer)
+func (s *StoreScanIter) tombSel(run *scanRun, seg *segment, width, lo, hi int) []int32 {
+	tf := s.Src.Tomb.Layer(run.layer)
 	if tf == nil {
 		return nil
 	}
-	tidLo, tidHi := seg.tidLo, seg.tidHi
-	if hi-lo < seg.n { // a tid window: the tuple ids ascend
-		tidLo, tidHi = seg.tid[lo], seg.tid[hi-1]
-	}
-	if !s.tombs.reset(tf, tidLo, tidHi) {
+	if !run.tombs.reset(tf, seg.tid[lo], seg.tid[hi-1]) {
 		s.TombSegmentsSkipped++
 		return nil
 	}
 	s.TombRowsChecked += int64(hi - lo)
-	if s.tombs.sel == nil {
+	if run.tombs.sel == nil {
 		// Non-nil even when empty: an all-dead segment must yield an
 		// empty selection, not the nil "select everything".
-		s.tombs.sel = make([]int32, 0, hi-lo)
+		run.tombs.sel = make([]int32, 0, hi-lo)
 	}
-	sel := s.tombs.sel[:0]
+	sel := run.tombs.sel[:0]
 	for r := lo; r < hi; r++ {
-		if !s.tombs.dead(seg, width, r) {
+		if !run.tombs.dead(seg, width, r) {
 			sel = append(sel, int32(r-lo))
 		}
 	}
-	s.tombs.sel = sel
+	run.tombs.sel = sel
 	if len(sel) == hi-lo {
 		return nil
 	}
@@ -428,76 +480,98 @@ func (s *StoreScanIter) memRows() []core.URow {
 	return in
 }
 
-// Next serves one file segment per batch, handing the decoded segment
-// vectors to the engine directly: descriptor and tid columns as typed
-// int vectors, value columns as their decoded typed vectors. Decoded
-// segments are immutable and shared (see SegCache), so the vectors are
-// served zero-copy, as windows when a join narrowed the scan to a tid
-// range; tombstones only narrow the batch's selection vector. The
-// in-memory delta comes out last as one batch of its own.
+// Next serves the rows of the run with the least tuple id, up to the
+// least tuple id of another run: with one run, a whole piece — a file
+// segment's window, or the delta — per batch. Decoded segments are
+// immutable and shared (see SegCache), so their vectors are served
+// zero-copy, as windows when a join narrowed the scan to a tid range;
+// tombstones and the merge only narrow the batch's selection vector.
 func (s *StoreScanIter) Next() (*engine.ColBatch, bool, error) {
-	for {
-		seg, fw, lo, hi, err := s.nextSegment()
-		if err != nil {
-			return nil, false, err
-		}
-		if seg == nil {
-			if s.memDone {
-				return nil, false, nil
-			}
-			s.memDone = true
-			rows := s.memRows()
-			if len(rows) == 0 {
-				return nil, false, nil
-			}
-			s.memColBatch(rows)
-			return &s.cb, true, nil
-		}
-		sel := s.tombSel(seg, fw, lo, hi)
-		if sel != nil && len(sel) == 0 {
-			continue
-		}
-		ncols := s.Sch.Len()
-		if cap(s.cb.Cols) < ncols {
-			s.cb.Cols = make([]engine.ColVec, ncols)
-		}
-		cols := s.cb.Cols[:ncols]
-		for k := 0; k < s.Width; k++ {
-			src := k
-			if src >= fw {
-				src = 0
-			}
-			if fw == 0 {
-				z := s.zeroPad(hi - lo)
-				cols[2*k] = engine.IntVec(z, nil)
-				cols[2*k+1] = engine.IntVec(z, nil)
-			} else {
-				cols[2*k] = engine.IntVec(seg.dvar[src][lo:hi:hi], nil)
-				cols[2*k+1] = engine.IntVec(seg.drng[src][lo:hi:hi], nil)
-			}
-		}
-		cols[2*s.Width] = engine.IntVec(seg.tid[lo:hi:hi], nil)
-		for j, ai := range s.AttrIdx {
-			cols[2*s.Width+1+j] = seg.cols[ai].Slice(lo, hi)
-		}
-		s.cb = engine.ColBatch{Sch: s.Sch, Cols: cols, N: hi - lo, Sel: sel}
-		return &s.cb, true, nil
+	if !s.started {
+		s.startRuns()
 	}
+	best, bt, other := -1, int64(0), int64(math.MaxInt64)
+	for i := range s.runs {
+		r := &s.runs[i]
+		if r.pos >= r.rows() {
+			if err := s.load(r); err != nil {
+				return nil, false, err
+			}
+			if r.rows() == 0 {
+				continue
+			}
+		}
+		switch t := r.tid(s.Width, r.pos); {
+		case best < 0:
+			best, bt = i, t
+		case t < bt:
+			best, bt, other = i, t, min(other, bt)
+		default:
+			other = min(other, t)
+		}
+	}
+	if best < 0 {
+		return nil, false, nil
+	}
+	r := &s.runs[best]
+	end := r.rows()
+	if r.tid(s.Width, end-1) > other {
+		end = r.pos + sort.Search(end-r.pos, func(k int) bool { return r.tid(s.Width, r.pos+k) > other })
+	}
+	sel := r.sel
+	switch {
+	case r.pos == 0 && end == r.rows():
+	case sel != nil:
+		sel = sel[r.pos:end]
+	default:
+		for len(s.ids) < end {
+			s.ids = append(s.ids, int32(len(s.ids)))
+		}
+		sel = s.ids[r.pos:end]
+	}
+	r.pos = end
+	s.cb = engine.ColBatch{Sch: s.Sch, Cols: r.cols, N: r.n, Sel: sel}
+	return &s.cb, true, nil
 }
 
-// memColBatch lays the delta rows out in the reused batch header:
-// the descriptor and tid columns as int vectors, which they are by
-// construction — so a join keyed on the tid keeps int keys and narrows
-// its probe side — each descriptor padded to the scan's width as
-// ws.Descriptor.Pad pads it, and the value columns as generic vectors
-// (the delta is the small tail of a scan).
-func (s *StoreScanIter) memColBatch(rows []core.URow) {
+// segCols lays rows [lo, hi) of a decoded segment stored at descriptor
+// width fw out in cols as the scan's columns, sharing the segment's
+// vectors: descriptor and tid columns as typed int vectors (a short
+// descriptor padded as ws.Descriptor.Pad pads it), value columns as
+// their decoded typed vectors.
+func (s *StoreScanIter) segCols(cols []engine.ColVec, seg *segment, fw, lo, hi int) []engine.ColVec {
+	cols = slices.Grow(cols[:0], s.Sch.Len())[:s.Sch.Len()]
+	for k := 0; k < s.Width; k++ {
+		src := k
+		if src >= fw {
+			src = 0
+		}
+		if fw == 0 {
+			z := s.zeroPad(hi - lo)
+			cols[2*k] = engine.IntVec(z, nil)
+			cols[2*k+1] = engine.IntVec(z, nil)
+		} else {
+			cols[2*k] = engine.IntVec(seg.dvar[src][lo:hi:hi], nil)
+			cols[2*k+1] = engine.IntVec(seg.drng[src][lo:hi:hi], nil)
+		}
+	}
+	cols[2*s.Width] = engine.IntVec(seg.tid[lo:hi:hi], nil)
+	for j, ai := range s.AttrIdx {
+		cols[2*s.Width+1+j] = seg.cols[ai].Slice(lo, hi)
+	}
+	return cols
+}
+
+// memCols lays the delta rows out as the scan's columns: the descriptor
+// and tid columns as int vectors, which they are by construction — so a
+// join keyed on the tid keeps int keys and narrows its probe side —
+// each descriptor padded to the scan's width as ws.Descriptor.Pad pads
+// it, and the value columns as generic vectors (the delta is the small
+// tail of a scan).
+func (s *StoreScanIter) memCols(rows []core.URow) []engine.ColVec {
 	ncols := s.Sch.Len()
 	n := len(rows)
-	if cap(s.cb.Cols) < ncols {
-		s.cb.Cols = make([]engine.ColVec, ncols)
-	}
-	cols := s.cb.Cols[:ncols]
+	cols := make([]engine.ColVec, ncols)
 	nint := 2*s.Width + 1
 	ints := make([]int64, nint*n)
 	for c := 0; c < nint; c++ {
@@ -524,7 +598,7 @@ func (s *StoreScanIter) memColBatch(rows []core.URow) {
 		}
 		cols[nint+j] = engine.GenericVec(v)
 	}
-	s.cb = engine.ColBatch{Sch: s.Sch, Cols: cols, N: n}
+	return cols
 }
 
 // zeroPad returns a shared all-zero int column of length n (only used
@@ -539,8 +613,15 @@ func (s *StoreScanIter) zeroPad(n int) []int64 {
 // Close releases the scan's references (the shared handles stay open).
 // The stat counters survive Close so tracing can collect them.
 func (s *StoreScanIter) Close() error {
-	s.tombs.release()
+	s.release()
 	return nil
+}
+
+// release returns the runs' tombstone buffers.
+func (s *StoreScanIter) release() {
+	for i := range s.runs {
+		s.runs[i].tombs.release()
+	}
 }
 
 // OperatorStats reports the scan's store-side effects to a trace span

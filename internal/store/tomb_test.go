@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -87,7 +88,7 @@ func refLive(t *testing.T, src *PartSource) []core.URow {
 // scanKeys drains a fresh scan of src at descriptor width w through
 // Next — narrowed to the tuple ids [win[0], win[1]] when win is
 // not nil — and returns the live rows' keys, sorted, with the scan for
-// its counters.
+// its counters. The scan must serve its rows in tid order.
 func scanKeys(t *testing.T, src *PartSource, w int, win *[2]int64) ([]string, *StoreScanIter) {
 	t.Helper()
 	it, err := src.ScanPlan(widthSchema(w), w, []int{0}, "u_r_a").(*StoreScanPlan).BuildIter(engine.ExecConfig{})
@@ -102,6 +103,7 @@ func scanKeys(t *testing.T, src *PartSource, w int, win *[2]int64) ([]string, *S
 		s.NarrowKeyRange(2*w, win[0], win[1])
 	}
 	var keys []string
+	last := int64(math.MinInt64)
 	for {
 		cb, ok, err := s.Next()
 		if err != nil {
@@ -111,6 +113,10 @@ func scanKeys(t *testing.T, src *PartSource, w int, win *[2]int64) ([]string, *S
 			break
 		}
 		for _, row := range cb.Materialize(nil) {
+			if row[2*w].I < last {
+				t.Fatalf("the scan served tuple id %d after %d", row[2*w].I, last)
+			}
+			last = row[2*w].I
 			if win == nil || row[2*w].I >= win[0] && row[2*w].I <= win[1] {
 				keys = append(keys, tupleKey(t, row, w))
 			}
@@ -163,7 +169,7 @@ func TestTombstonesCheckOnlyTheirSegments(t *testing.T) {
 			total.cutWindows += c.cutWindows
 		})
 	}
-	t.Logf("%d stored rows repeated a variable, %d tombstones deleted one alternative of a tid and kept another, %d v1 segments held tuple ids out of order, %d narrowed scans cut a segment",
+	t.Logf("%d stored rows repeated a variable, %d tombstones deleted one alternative of a tid and kept another, %d v1 segments were written with tuple ids out of order, %d narrowed scans cut a segment",
 		total.repeatedVars, total.splitTIDs, total.unsortedV1, total.cutWindows)
 	if total.repeatedVars == 0 || total.splitTIDs == 0 || total.unsortedV1 == 0 || total.cutWindows == 0 {
 		t.Errorf("a case was never drawn: %+v", total)
@@ -173,6 +179,18 @@ func TestTombstonesCheckOnlyTheirSegments(t *testing.T) {
 // tombCounts is how often the layouts drew the cases checkTombLayout
 // exists for.
 type tombCounts struct{ repeatedVars, splitTIDs, unsortedV1, cutWindows int }
+
+// unsortedChunks counts the segments of segRows rows that a v1 writer
+// makes of rows whose tuple ids do not ascend: the ones decoding sorts.
+func unsortedChunks(rows []core.URow, segRows int) int {
+	n := 0
+	for lo := 0; lo < len(rows); lo += segRows {
+		if !slices.IsSortedFunc(rows[lo:min(lo+segRows, len(rows))], func(a, b core.URow) int { return cmp.Compare(a.TID, b.TID) }) {
+			n++
+		}
+	}
+	return n
+}
 
 // collapse is a stored row's descriptor as segDescriptor reads it: the
 // trivial variable and a repeated variable dropped (the first
@@ -191,7 +209,8 @@ func collapse(d ws.Descriptor) ws.Descriptor {
 // compares every read path with the per-row reference (refLive). The
 // layouts hold: an ascending base whose tuple ids have one or two
 // alternatives; deltas in the unsorted order UPDATE reinserts leave,
-// some written as URSEGv1 files, whose segments keep that order;
+// some written as URSEGv1 files, whose segments keep that order until
+// they are decoded;
 // stored descriptors that repeat a variable, with the same value or
 // another; batches of mixed gens with wildcard tombstones, tombstones of
 // stored rows and of no row, and ones that delete one alternative of a
@@ -316,13 +335,7 @@ func checkTombLayout(t *testing.T, rng *rand.Rand) tombCounts {
 		}
 		t.Cleanup(func() { h.Close() })
 		src.Layers = append(src.Layers, h)
-		for i := 0; i < h.NumSegments(); i++ {
-			if seg, err := h.ReadSegment(i); err != nil {
-				t.Fatal(err)
-			} else if !seg.tidAsc {
-				counts.unsortedV1++
-			}
-		}
+		counts.unsortedV1 += unsortedChunks(rows, segRows)
 	}
 	for i := rng.Intn(5); i > 0; i-- {
 		maxTID++
@@ -444,7 +457,7 @@ func FuzzTombstoneFilter(f *testing.F) {
 		if next(2) == 0 {
 			slices.Sort(seg.tid)
 		}
-		seg.tidLo, seg.tidHi, seg.tidAsc = tidBounds(seg.tid)
+		seg.tidLo, seg.tidHi, _ = tidBounds(seg.tid)
 
 		var tf TombFilter
 		for nb := next(5); nb > 0; nb-- {

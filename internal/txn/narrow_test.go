@@ -43,12 +43,15 @@ func wrapScans(p engine.Plan, wrap func(*store.StoreScanPlan) engine.Plan) engin
 // query: rows inserted and not flushed, selected on a value, then merged
 // on the tid with the other partition of their relation, flushed and
 // compacted into segment files (which carry tid runs). The selection's
-// rows live in the memtable, so they are the join's build side, and its
-// tid keys come out of the memtable as ints: the merge is a hash join
-// that hands its probe scan the keys' range, which leaves every file
-// segment unread and serves of the probe side's own memtable only the
-// rows in range — it probes exactly the rows that join. The answer is
-// the same plan's with narrowing off.
+// rows live in the memtable, and the merge is a stitch driven by the
+// selected partition: it hands the other scan the driver's tid range,
+// which leaves every file segment unread and serves of that scan's own
+// memtable only the rows in range — it reads exactly the rows that
+// join. The answer is the same plan's with narrowing off. Then UPDATEs
+// reinsert tuple ids inside the file layers' range — in the memtable,
+// then flushed into a delta layer of their own beside the tombstones of
+// the rows they replace — and the stitch over those layouts answers as
+// the same plan with narrowing off and as the statements say.
 func TestMemtableBuildSideNarrowsProbe(t *testing.T) {
 	const n = 10000
 	db := core.NewUDB()
@@ -114,14 +117,14 @@ func TestMemtableBuildSideNarrowsProbe(t *testing.T) {
 		}
 	}
 	walk(res.Trace)
-	if len(joins) != 1 || joins[0].Op() != "Hash Join" {
-		t.Fatalf("want one Hash Join merging p's partitions:\n%s", res.Text)
+	if len(joins) != 1 || !strings.HasPrefix(joins[0].Op(), "Merge Join on tid (driver tid:p.p0)") {
+		t.Fatalf("want one stitch merging p's partitions, driven by u_p_k:\n%s", res.Text)
 	}
 	join := joins[0]
-	if join.Rows() != 3 || join.Stat("probe_rows") != join.Rows() {
-		t.Fatalf("the merge joined %d rows and probed %d, want 3 and 3:\n%s", join.Rows(), join.Stat("probe_rows"), res.Text)
-	}
 	probe := join.Children()[1]
+	if join.Rows() != 3 || join.Stat("driver_rows") != 3 || probe.Rows() != 3 {
+		t.Fatalf("the stitch joined %d rows of %d driver rows, reading %d other rows, want 3, 3 and 3:\n%s", join.Rows(), join.Stat("driver_rows"), probe.Rows(), res.Text)
+	}
 	for !strings.HasPrefix(probe.Op(), "Store Scan") {
 		probe = probe.Children()[0]
 	}
@@ -134,6 +137,50 @@ func TestMemtableBuildSideNarrowsProbe(t *testing.T) {
 			probe.Op(), probe.Stat("segments_read"), probe.Stat("segments_skipped_by_join"), unpruned, res.Text)
 	}
 
+	narrowedMatchesWide(t, snap, q, []int64{1, 2, 3})
+
+	// UPDATEs reinsert tuple ids of the base layer: in the memtable, then
+	// flushed into a delta layer, with another in the memtable above it.
+	for _, sql := range []string{"update p set v = 8 where k = 5000", "update p set v = 9 where k = 6000"} {
+		if _, err := d.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, flush := range []bool{false, true} {
+		if flush {
+			if err := d.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Exec("update p set v = 10 where k = 7000"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k, v := range map[int64]int64{5000: 8, 6000: 9, 4999: 7 * 4999} {
+			q := core.Poss(core.Project(core.Select(core.Rel("p"), engine.Eq(engine.Col("k"), engine.ConstInt(k))), "v"))
+			narrowedMatchesWide(t, d.Snapshot(), q, []int64{v})
+		}
+		want := map[int64]int64{5000: 8, 6000: 9}
+		if flush {
+			want[7000] = 10
+		}
+		var vs []int64
+		for k := int64(1); k <= 7000; k++ {
+			if v, ok := want[k]; ok {
+				vs = append(vs, v)
+			} else {
+				vs = append(vs, 7*k)
+			}
+		}
+		q := core.Poss(core.Project(core.Select(core.Rel("p"), engine.Cmp(engine.LE, engine.Col("k"), engine.ConstInt(7000))), "v"))
+		narrowedMatchesWide(t, d.Snapshot(), q, vs)
+	}
+}
+
+// narrowedMatchesWide runs q's optimized plan over snap, and the same
+// plan with every scan's narrowing hidden: the two must agree, and give
+// the answers want.
+func narrowedMatchesWide(t *testing.T, snap *core.UDB, q core.Query, want []int64) {
+	t.Helper()
 	plan, _, err := snap.Translate(q)
 	if err != nil {
 		t.Fatal(err)
@@ -146,11 +193,18 @@ func TestMemtableBuildSideNarrowsProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := engine.Run(wrapScans(plan, func(s *store.StoreScanPlan) engine.Plan { return wideOpen{s} }), cat, engine.ExecConfig{DisableOptimizer: true})
+	wide, err := engine.Run(wrapScans(plan, func(s *store.StoreScanPlan) engine.Plan { return wideOpen{s} }), cat, engine.ExecConfig{DisableOptimizer: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Len() != 3 || !got.EqualAsBag(want) {
-		t.Fatalf("narrowed: %d rows %v; narrowing off: %d rows %v", got.Len(), got.Rows, want.Len(), want.Rows)
+	if !got.EqualAsBag(wide) {
+		t.Fatalf("%s: narrowed: %d rows %v; narrowing off: %d rows %v", q, got.Len(), got.Rows, wide.Len(), wide.Rows)
+	}
+	ref := engine.NewRelation(got.Sch)
+	for _, v := range want {
+		ref.Append(engine.Tuple{engine.Int(v)})
+	}
+	if !got.EqualAsSet(ref) {
+		t.Fatalf("%s: %v, want %v", q, got.Rows, want)
 	}
 }

@@ -137,6 +137,19 @@ func mergedInput(p engine.Plan, rel string, n int) engine.Plan {
 	return nil
 }
 
+// findStitch returns the first stitch in p, or nil.
+func findStitch(p engine.Plan) *engine.StitchPlan {
+	if s, ok := p.(*engine.StitchPlan); ok {
+		return s
+	}
+	for _, c := range p.Children() {
+		if s := findStitch(c); s != nil {
+			return s
+		}
+	}
+	return nil
+}
+
 func optimizedPoss(t *testing.T, db *core.UDB, q core.Query) engine.Plan {
 	t.Helper()
 	plan, _, err := db.Translate(q)
@@ -387,19 +400,20 @@ func keyTIDRows(mem *core.UDB, key int64, attrs ...string) int64 {
 
 // TestMergeStartsAtTheSelectivePartition: over stored data, the
 // optimized plans of Q1, Q2 and the index point lookup merge each
-// relation's partitions from the one the selection cut — its filtered
-// or index-scanned partition, the chain's smallest estimated leaf —
-// outward, and every hash join that runs builds on the side estimated
-// no larger than the side it probes. What then runs is counted, not
-// timed: each probe-side scan of the point lookup reads the one segment
-// of its partition that holds the order's tuple ids and skips the other
-// three (the hash join hands it its build keys' range), and of that
-// segment serves only the window of the order's tuple ids, so the
-// lookup probes exactly the rows of those tuple ids, where it probed
-// all 32 000; no operator makes a row into a tuple — the Distinct above
-// keys the joined rows from their vectors; each probe scan hands over one column batch per
-// segment; and a lookup of a key no order has reads no segment of the
-// partitions it would have merged.
+// relation's partitions with one stitch driven by the one the selection
+// cut — its filtered or index-scanned partition, the stitch's smallest
+// estimated input — and every hash join that runs builds on the side
+// estimated no larger than the side it probes. What then runs is
+// counted, not timed: each other scan of the point lookup reads the one
+// segment of its partition that holds the order's tuple ids and skips
+// the other three (the stitch hands it its driver's tid range), and of
+// that segment serves only the window of the order's tuple ids, so the
+// stitch reads exactly the rows of those tuple ids from the inputs it
+// narrowed, where a merge once probed all 32 000; no operator makes a
+// row into a tuple — the Distinct above keys the joined rows from their
+// vectors; each scan hands over one column batch per segment; and a
+// lookup of a key no order has reads no segment of the partitions it
+// would have merged.
 func TestMergeStartsAtTheSelectivePartition(t *testing.T) {
 	mem, stored, _ := indexedPlanningData(t, 0.25)
 	keys, err := mem.EvalPoss(core.Poss(core.Project(core.Rel("lineitem"), "l_orderkey")), engine.ExecConfig{})
@@ -430,8 +444,12 @@ func TestMergeStartsAtTheSelectivePartition(t *testing.T) {
 			if chain == nil {
 				t.Fatalf("%s: %s's %d partitions are not merged in one subtree", name, rel, n)
 			}
+			stitch := findStitch(chain)
+			if stitch == nil {
+				t.Fatalf("%s: %s's %d partitions are not merged by a stitch", name, rel, n)
+			}
 			leaves := planLeaves(chain)
-			start := leaves[0] // joins are left-deep from where the chain starts
+			start := planLeaves(stitch.Inputs[stitch.Driver])[0] // the stitch drains its driver first
 			startRows := engine.EstimateStats(start, cat).Rows
 			anySelective := false
 			for _, leaf := range leaves {
@@ -452,11 +470,8 @@ func TestMergeStartsAtTheSelectivePartition(t *testing.T) {
 		var walk func(*obs.Span)
 		walk = func(s *obs.Span) {
 			kids := s.Children()
-			if s.Op() == "Hash Join" {
-				if kids[0].Est() > kids[1].Est() {
-					t.Errorf("%s: a hash join builds on est=%.0f rows and probes est=%.0f:\n%s", name, kids[0].Est(), kids[1].Est(), res.Text)
-				}
-				probed += s.Stat("probe_rows")
+			if s.Op() == "Hash Join" && kids[0].Est() > kids[1].Est() {
+				t.Errorf("%s: a hash join builds on est=%.0f rows and probes est=%.0f:\n%s", name, kids[0].Est(), kids[1].Est(), res.Text)
 			}
 			materialized += s.Stat("rows_materialized")
 			if strings.HasPrefix(s.Op(), "Store Scan") {
@@ -473,6 +488,7 @@ func TestMergeStartsAtTheSelectivePartition(t *testing.T) {
 			}
 		}
 		walk(res.Trace.Children()[0])
+		probed = probedRows(res.Trace)
 		if name != "point" {
 			continue
 		}
@@ -527,12 +543,13 @@ const selectiveJoinSQL = "possible select o_orderkey, l_quantity from orders, li
 
 // TestSelectiveJoinNarrowsTheMergeChain: the outer hash join of
 // selectiveJoinSQL hands the range of its build keys (the orders below
-// 113) to lineitem's merge, which forwards it to the input l_orderkey is
-// read from — whose zone maps skip the segments it misses — and drops
-// the build rows outside it; the merge's own tid range then narrows
-// l_quantity. So each lineitem scan reads one segment and skips three by
-// join, and the outer join probes exactly the rows the merge joined,
-// where it probed every lineitem. The answers are the in-memory ones.
+// 113) to lineitem's stitch, which forwards it to the input l_orderkey
+// is read from — whose zone maps skip the segments it misses — its
+// driver, whose rows outside it it drops as it drains them; the
+// driver's tid range then narrows l_quantity. So each lineitem scan
+// reads one segment and skips three by join, and the outer join probes
+// exactly the rows the stitch joined, where it probed every lineitem.
+// The answers are the in-memory ones.
 func TestSelectiveJoinNarrowsTheMergeChain(t *testing.T) {
 	mem, stored, _ := indexedPlanningData(t, 0.25)
 	parsed, err := sqlparse.Parse(selectiveJoinSQL)
@@ -547,7 +564,7 @@ func TestSelectiveJoinNarrowsTheMergeChain(t *testing.T) {
 	var walk func(*obs.Span)
 	walk = func(s *obs.Span) {
 		switch {
-		case s.Op() == "Hash Join":
+		case s.Op() == "Hash Join" || strings.HasPrefix(s.Op(), "Merge Join on tid"):
 			joins = append(joins, s)
 		case strings.HasPrefix(s.Op(), "Store Scan") && strings.Contains(s.Op(), "lineitem"):
 			scans = append(scans, s)

@@ -1,0 +1,148 @@
+package urel_test
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"urel/internal/core"
+	"urel/internal/engine"
+	"urel/internal/obs"
+	"urel/internal/sqlparse"
+	"urel/internal/tpch"
+)
+
+// servedMixShapes are the statement shapes of the served_mix workload —
+// selective scans, joins, point lookups, CERTAIN, conf and conf bounds —
+// at one constant each.
+var servedMixShapes = []string{
+	"possible select l_extendedprice from lineitem where l_quantity < 3 and l_discount < 0.02",
+	"possible select o_totalprice from orders where o_orderkey < 188",
+	"possible select l_extendedprice from lineitem where l_shipdate between '1994-01-01' and '1994-01-21' and l_quantity < 10",
+	"possible select c_name from customer where c_acctbal < 100",
+	"possible select c_name, o_totalprice from customer, orders where c_custkey = o_custkey and o_orderkey < 300",
+	selectiveJoinSQL,
+	"possible select n_name, c_name from nation, customer where n_nationkey = c_nationkey and c_custkey < 113",
+	"possible select s_name, l_quantity from supplier, lineitem where s_suppkey = l_suppkey and l_orderkey < 75",
+	"possible select l_extendedprice, l_quantity from lineitem where l_orderkey = 77",
+	"certain select c_mktsegment from customer where c_custkey < 113",
+	"certain select o_orderstatus from orders where o_orderkey < 376",
+	"certain select o_shippriority from orders where o_orderkey < 751",
+	"conf select o_orderstatus from orders where o_orderkey < 300",
+	"conf select c_mktsegment from customer where c_custkey < 188",
+	"conf select o_orderpriority from orders where o_orderkey < 188",
+	"conf bounds select o_orderpriority from orders where o_orderkey < 450",
+	"conf bounds select c_mktsegment from customer",
+}
+
+// TestChainsAreStitched pins the plan shape of the merge: in the
+// optimized plans of Q1–Q3, in memory and stored, and of every statement
+// shape of served_mix (over the stored, indexed data), no join has an
+// equi pair of two tuple-id columns, and the partitions a relation
+// occurrence reads, when there are two or more, are the inputs of
+// exactly one stitch. On BenchmarkMergeChain's relations the stitch
+// gathers, per output row, as many cells as the row is wide — 3k + 1
+// for k partitions, linear in k — where the chain of tid hash joins
+// gathered 7, 28 and 73 for 2, 4 and 7.
+func TestChainsAreStitched(t *testing.T) {
+	mem, stored, _ := indexedPlanningData(t, 0.25)
+	cat := engine.NewCatalog()
+	check := func(what string, db *core.UDB, q core.Query) {
+		plan, _, err := db.Translate(q)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if plan, err = engine.Optimize(plan, cat); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		leaves := map[string]int{}     // per alias, the partitions its leaves read
+		stitches := map[string][]int{} // per alias, the input count of each stitch
+		var walk func(p engine.Plan)
+		walk = func(p engine.Plan) {
+			switch n := p.(type) {
+			case *engine.JoinPlan:
+				ls, _ := n.L.Schema(cat)
+				rs, _ := n.R.Schema(cat)
+				pairs, _ := engine.ExtractEquiJoin(n.Cond, ls, rs)
+				for _, pr := range pairs {
+					if strings.HasPrefix(pr.L, "tid:") && strings.HasPrefix(pr.R, "tid:") {
+						t.Errorf("%s: a join on the tuple ids %s = %s", what, pr.L, pr.R)
+					}
+				}
+			case *engine.StitchPlan:
+				alias := tidAlias(n.TIDs[0])
+				for _, tid := range n.TIDs {
+					if tidAlias(tid) != alias {
+						t.Errorf("%s: one stitch merges %v, partitions of several relations", what, n.TIDs)
+					}
+				}
+				stitches[alias] = append(stitches[alias], len(n.Inputs))
+			}
+			if len(p.Children()) == 0 {
+				sch, err := p.Schema(cat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range sch.Cols {
+					if strings.HasPrefix(c.Name, "tid:") {
+						leaves[tidAlias(c.Name)]++
+					}
+				}
+			}
+			for _, c := range p.Children() {
+				walk(c)
+			}
+		}
+		walk(plan)
+		for alias, n := range leaves {
+			if want := []int{n}; n >= 2 && fmt.Sprint(stitches[alias]) != fmt.Sprint(want) {
+				t.Errorf("%s: %s reads %d partitions, merged by stitches of %v inputs", what, alias, n, stitches[alias])
+			}
+		}
+	}
+	for name, q := range tpch.Queries() {
+		check(name+" in memory", mem, q)
+		check(name+" stored", stored, q)
+	}
+	for _, sql := range servedMixShapes {
+		parsed, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		check(sql, stored, parsed.Query)
+	}
+
+	chainMem, chainStored := mergeChainData(t)
+	for _, k := range mergeChainKs {
+		for name, db := range map[string]*core.UDB{"mem": chainMem, "stored": chainStored} {
+			plan, _, err := db.TranslateFull(core.Rel(fmt.Sprintf("m%d", k)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			root := obs.NewSpan("merge")
+			rel, err := engine.Run(plan, cat, engine.ExecConfig{Trace: root})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cells int64
+			var walk func(*obs.Span)
+			walk = func(s *obs.Span) {
+				cells += s.Stat("cells_gathered")
+				for _, c := range s.Children() {
+					walk(c)
+				}
+			}
+			walk(root)
+			if width := 3*k + 1; rel.Sch.Len() != width || cells != int64(rel.Len()*width) {
+				t.Errorf("%s, %d partitions: %d cells gathered for %d rows of %d columns, want %d per row", name, k, cells, rel.Len(), rel.Sch.Len(), width)
+			}
+		}
+	}
+}
+
+// tidAlias is the relation occurrence a tuple-id column "tid:<alias>.p<j>"
+// belongs to.
+func tidAlias(col string) string {
+	s := strings.TrimPrefix(col, "tid:")
+	return s[:strings.LastIndex(s, ".p")]
+}
