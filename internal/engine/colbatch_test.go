@@ -211,10 +211,10 @@ func projectRows(t *testing.T, rel *Relation, names []string) *Relation {
 	return out
 }
 
-// semiRows is the row-at-a-time (anti) semi join: the rows of l that
-// have (anti: have no) row of r whose pair cells equal theirs, none NULL,
-// and on whose concatenation with them the residual holds.
-func semiRows(t *testing.T, l, r *Relation, pairs []EquiPair, residual Expr, anti bool) *Relation {
+// semiRows is the row-at-a-time semi join: the rows of l that have a
+// row of r whose pair cells equal theirs, none NULL, and on whose
+// concatenation with them the residual holds.
+func semiRows(t *testing.T, l, r *Relation, pairs []EquiPair, residual Expr) *Relation {
 	t.Helper()
 	full := l.Sch.Concat(r.Sch)
 	out := NewRelation(l.Sch)
@@ -234,7 +234,7 @@ func semiRows(t *testing.T, l, r *Relation, pairs []EquiPair, residual Expr, ant
 				break
 			}
 		}
-		if found != anti {
+		if found {
 			out.Append(lr)
 		}
 	}
@@ -314,7 +314,7 @@ func TestRowEvalConjunctReadsOnlyItsColumns(t *testing.T) {
 
 // TestRandomPlanColumnarRowEquivalence is the end-to-end property
 // test: randomized plans (filters, projections, equi-joins with
-// residuals, NULL keys, semi/anti joins) must produce the multiset of
+// residuals, NULL keys, semi joins) must produce the multiset of
 // the row-at-a-time references — a plain filter loop, refJoin, a plain
 // projection, semiRows — over relation scans and over typed column
 // batches. The plan has the join emit through a random Out (the
@@ -369,14 +369,11 @@ func TestRandomPlanColumnarRowEquivalence(t *testing.T) {
 					if got := mustDrain(t, NewDistinct(build(newColSource(l, 128), newColSource(r, 77)))); !want.Distinct().EqualAsBag(got) {
 						t.Fatalf("under Distinct: %d rows, the reference %d", got.Len(), want.Distinct().Len())
 					}
-					// Semi and anti joins share the hashed-key table and hand
-					// over a selection over their left batches.
-					for _, anti := range []bool{false, true} {
-						want := semiRows(t, l, r, pairs, residual, anti)
-						got := mustDrain(t, NewSemiJoin(newColSource(l, 99), newColSource(r, 99), pairs, residual, anti))
-						if !want.EqualAsBag(got) {
-							t.Fatalf("semi(anti=%v): %d rows, the reference %d", anti, got.Len(), want.Len())
-						}
+					// The semi join shares the hashed-key table and hands over
+					// a selection over its left batches.
+					want = semiRows(t, l, r, pairs, residual)
+					if got := mustDrain(t, NewSemiJoin(newColSource(l, 99), newColSource(r, 99), pairs, residual)); !want.EqualAsBag(got) {
+						t.Fatalf("semi: %d rows, the reference %d", got.Len(), want.Len())
 					}
 				})
 			}
@@ -390,14 +387,9 @@ func TestKeylessSemiJoin(t *testing.T) {
 	l := testRel([]string{"a"}, [][]int64{{1}, {2}, {3}})
 	r := testRel([]string{"b"}, [][]int64{{2}, {3}, {4}})
 	res := Cmp(LT, Col("a"), Col("b"))
-	got := mustDrain(t, NewSemiJoin(NewScan(l), NewScan(r), nil, res, false))
+	got := mustDrain(t, NewSemiJoin(NewScan(l), NewScan(r), nil, res))
 	if got.Len() != 3 { // every a has some b > a
 		t.Fatalf("semi: got %v", got.Rows)
-	}
-	anti := mustDrain(t, NewSemiJoin(NewScan(l), NewScan(r), nil, Cmp(GT, Col("a"), Col("b")), true))
-	// a=1: no b < 1 → kept; a=2: no b < 2 → kept; a=3: b=2 matches → dropped.
-	if anti.Len() != 2 {
-		t.Fatalf("anti: got %v", anti.Rows)
 	}
 }
 

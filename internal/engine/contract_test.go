@@ -153,7 +153,7 @@ func TestBatchContract(t *testing.T) {
 			}
 			return NewStitch([]Iterator{inTIDOrder(l, "l.k"), inTIDOrder(r, "r.k")}, []string{"l.k", "r.k"}, ne, 1, []string{"r.v", "l.k"})
 		},
-		"NewSemiJoin":  func(l, r Iterator) Iterator { return NewSemiJoin(l, r, pairs, ne, false) },
+		"NewSemiJoin":  func(l, r Iterator) Iterator { return NewSemiJoin(l, r, pairs, ne) },
 		"NewUnion":     func(l, r Iterator) Iterator { return NewUnion(l, r) },
 		"NewDiff":      func(l, r Iterator) Iterator { return NewDiff(l, r) },
 		"NewIntersect": func(l, r Iterator) Iterator { return NewIntersect(l, r) },

@@ -24,22 +24,24 @@
 // vectorized kernels that only shrink the selection vector; projections
 // re-slice column headers and renames relabel them; a union passes its
 // inputs' batches through; a limit truncates the selection; an extend
-// appends computed vectors; the semi and anti joins, the duplicate
+// appends computed vectors; the semi join, the duplicate
 // elimination and the set difference and intersection hand over a
 // selection over their input batch, keyed from its vectors. The stitch
 // (StitchPlan, StitchIter) is the merge of one relation's vertical
 // partitions — Figure 13's merge join on the tuple id, ψ its join
 // filter: its inputs arrive in tuple-id order, it drains the one it
 // drives by, advances all of them to the next tuple id they share by
-// galloping search, combines that tuple id's rows where ψ holds
-// (compared on ints in place) and gathers each output column once, from
-// the input that owns it. A hash join — every join of two relations —
-// drains its build side into a joinTable that keeps the batches' payload
-// vectors and refers to build rows as (batch, row), looks every probe
-// row up from its key vectors (narrowProbe), evaluates the residual on
-// the two sides' cells in place (pairPred; ψ compares ints), and gathers
-// its output column by column through the projection Optimize folded
-// into it (JoinPlan.Out). An operator whose algorithm holds rows — a
+// galloping search, combines that tuple id's rows where ψ holds and
+// gathers each output column once, from the input that owns it. A hash
+// join — every join of two relations — drains its build side into a
+// joinTable that keeps the batches' payload vectors and refers to build
+// rows as (batch, row), looks every probe row up from its key vectors
+// (narrowProbe), and gathers its output column by column through the
+// projection Optimize folded into it (JoinPlan.Out). The stitch, the
+// hash join and the semi join resolve their output and bind their
+// condition one way (joinShape) and evaluate it one way (joinCond): on
+// the inputs' cells in place, ψ compared on ints, each conjunct checked
+// once the last input it reads has its row. An operator whose algorithm holds rows — a
 // catalog relation's scan, the sort, the aggregation, the nested loop,
 // the store's index lookup — serves them through HeldRows, which
 // transposes them a window at a time. Tuples are made at the sink —
@@ -52,16 +54,15 @@
 // before the first pull. Three operators originate one: the hash join
 // hands its probe input the range of its build keys and the semi join
 // its left input, once their build side is drained and when the key is
-// one int column (the anti join, which keeps exactly the rows outside
-// that range, never does); the stitch hands every input but its driver
-// the tuple-id range of the driver's rows. Operators whose output column
-// is an input's column forward a range on it: a filter to its input, a
-// projection to the column it picks, a semi or anti join to its left
-// input, a trace wrapper to the operator it wraps, a hash join to the
-// side the column is read from — dropping, as it drains its build side,
-// the build rows the range excludes — and a stitch a tid range to every
-// input and any other to the input that owns the column, dropping, as
-// it drains its driver, the driver's rows the range excludes. A range
+// one int column; the stitch hands every input but its driver the
+// tuple-id range of the driver's rows. Operators whose output column is
+// an input's column forward a range on it: a filter to its input, a
+// projection to the column it picks, a semi join to its left input, a
+// trace wrapper to the operator it wraps, and a stitch a tid range to
+// every input and any other to the input that owns the column,
+// dropping, as it drains its driver, the driver's rows the range
+// excludes. A hash join forwards none: join trees are left-deep, so no
+// join is another's probe side. A range
 // ends at a leaf: the store scan skips the segments it misses and
 // serves a tid range as a window of the segment it reads; the scan of
 // an in-memory partition image, which is in tid order, serves a tid

@@ -144,7 +144,6 @@ func TestExplainCoversAllNodes(t *testing.T) {
 		Intersect(Project(Scan("nation"), "n.nationkey"), Project(Scan("customer"), "c.nationkey")),
 		Agg(Scan("orders"), []string{"o.custkey"}, AggSpec{Fn: AggCount, As: "n"}),
 		Semi(Scan("customer"), Scan("orders"), EqCols("c.custkey", "o.custkey")),
-		Anti(Scan("customer"), Scan("orders"), EqCols("c.custkey", "o.custkey")),
 		Extend(Scan("nation"), NamedExpr{Name: "k2", E: Col("n.nationkey"), Kind: KindInt}),
 		Filter(Values(testRel([]string{"v"}, [][]int64{{1}}), "inline"), Cmp(EQ, Col("v"), ConstInt(1))),
 		Filter(DistinctOf(Scan("nation")), Cmp(EQ, Col("n.name"), ConstStr("N1"))),

@@ -44,11 +44,10 @@ type slot struct {
 type rowRef struct{ batch, row int32 }
 
 // buildJoinTable drains the opened iterator it into a table keyed by
-// its keyIdx columns. Rows with a NULL key never join and are left out,
-// and so are the rows a range in keep drops (keyRange.drops). keyIdx may
-// be empty, in which case every row shares one key (used by key-less
-// semi joins).
-func buildJoinTable(it Iterator, keyIdx []int, keep ...keyRange) (*joinTable, error) {
+// its keyIdx columns. Rows with a NULL key never join and are left out.
+// keyIdx may be empty, in which case every row shares one key (used by
+// key-less semi joins).
+func buildJoinTable(it Iterator, keyIdx []int) (*joinTable, error) {
 	// Drain first, then lay the stored rows out at their exact count.
 	t := &joinTable{keyIdx: keyIdx}
 	live, intKey := 0, len(keyIdx) == 1
@@ -61,11 +60,7 @@ func buildJoinTable(it Iterator, keyIdx []int, keep ...keyRange) (*joinTable, er
 			break
 		}
 		var sel []int32
-		if len(keep) > 0 {
-			if sel = keptRows(cb, keep); len(sel) == 0 {
-				continue
-			}
-		} else if cb.Sel != nil {
+		if cb.Sel != nil {
 			sel = append([]int32(nil), cb.Sel...)
 		}
 		kept := ColBatch{Sch: cb.Sch, Cols: append([]ColVec(nil), cb.Cols...), N: cb.N, Sel: sel}
@@ -108,22 +103,6 @@ func buildJoinTable(it Iterator, keyIdx []int, keep ...keyRange) (*joinTable, er
 	t.lays = batchLayouts(t.batches)
 	t.index()
 	return t, nil
-}
-
-// keptRows lists the live rows of cb that no range in keep drops.
-func keptRows(cb *ColBatch, keep []keyRange) []int32 {
-	sel := make([]int32, 0, cb.Rows())
-rows:
-	for k, n := 0, cb.Rows(); k < n; k++ {
-		i := cb.RowID(k)
-		for _, r := range keep {
-			if r.drops(cb.Cols, i) {
-				continue rows
-			}
-		}
-		sel = append(sel, int32(i))
-	}
-	return sel
 }
 
 // len returns the stored row count.

@@ -312,7 +312,7 @@ func BenchmarkSemiJoinProbe(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	right := randJoinInput(rng, 20000, 5000, "r")
 	left := randJoinInput(rng, 8192, 5000, "l")
-	j := NewSemiJoin(&repeatIter{rel: left}, NewScan(right), []EquiPair{{L: "l.k", R: "r.k"}}, nil, false)
+	j := NewSemiJoin(&repeatIter{rel: left}, NewScan(right), []EquiPair{{L: "l.k", R: "r.k"}}, nil)
 	if err := j.Open(); err != nil {
 		b.Fatal(err)
 	}

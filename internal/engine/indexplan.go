@@ -65,11 +65,8 @@ func (c joinChoice) label(kind JoinKind) string {
 	if c.algo == JoinHash {
 		s = "Hash Join"
 	}
-	switch kind {
-	case SemiJoin:
+	if kind == SemiJoin {
 		s += " (semi)"
-	case AntiJoin:
-		s += " (anti)"
 	}
 	return s
 }
@@ -85,9 +82,8 @@ func containsStr(ss []string, s string) bool {
 
 // chooseJoin picks the physical strategy for a join from its input
 // schemas alone: the nested loop when the condition has no equi pair,
-// the hash join otherwise. Semi and anti joins have one operator, which
-// hashes on whatever pairs there are; for them the choice only names
-// it. forced is ExecConfig.Join: JoinNestedLoop overrides the choice
+// the hash join otherwise. A semi join has one operator, which hashes
+// on whatever pairs there are; for it the choice only names it. forced is ExecConfig.Join: JoinNestedLoop overrides the choice
 // for an inner join (the property tests' reference), JoinHash is the
 // default spelled out.
 func chooseJoin(n *JoinPlan, cat *Catalog, forced JoinAlgo) (joinChoice, error) {

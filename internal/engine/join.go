@@ -16,17 +16,18 @@ import (
 // Only an operator that drops such rows anyway originates a range: the
 // hash join and the semi join hand their probe input the range of their
 // build keys, once the build side is drained, when the key is one int
-// column; the anti join, which keeps exactly the rows outside it, never
-// does. An operator whose output column is an input's column forwards a
-// range on it to that input: a filter to its input, a projection to the
-// column it picks, a semi or anti join to the left input whose rows it
-// passes through, and a hash join to the side the column is read from —
-// dropping, while it drains its build side, the build rows the range
-// excludes. Nothing forwards a range to the other side's key column: a
-// float key equal to an int outside the range joins, and the consumer
-// keeps the row. A store scan skips the file segments whose bounds miss
-// a range and, on the tid column, serves of a segment whose tuple ids
-// ascend only the window of rows inside it.
+// column, and the stitch hands every input but its driver the tuple-id
+// range of the driver's rows. An operator whose output column is an
+// input's column forwards a range on it to that input: a filter to its
+// input, a projection to the column it picks, a semi join to the left
+// input whose rows it passes through, and a stitch to the input that
+// owns the column (a range on a tuple-id column to every input) —
+// dropping, while it drains its driver, the driver rows the range
+// excludes. A hash join forwards nothing: Optimize builds left-deep
+// trees, so no join is another join's probe side. A store scan skips
+// the file segments whose bounds miss a range and, on the tid column,
+// serves of a segment whose tuple ids ascend only the window of rows
+// inside it.
 type KeyRangeNarrower interface {
 	NarrowKeyRange(col int, lo, hi int64)
 }
@@ -54,46 +55,23 @@ func narrowProbeInput(in Iterator, probeIdx []int, t *joinTable) {
 	}
 }
 
-// keyRange is a range handed down on column col.
-type keyRange struct {
-	col    int
-	lo, hi int64
-}
-
-// drops reports whether the range lets its consumer drop row i of cols:
-// the row's cell is NULL or an int outside the range.
-func (r keyRange) drops(cols []ColVec, i int) bool {
-	v := &cols[r.col]
-	if v.IsNull(i) {
-		return true
-	}
-	x, ok := intCell(v, i)
-	if v.Vals != nil && v.Vals[i].K == KindInt {
-		x, ok = v.Vals[i].I, true
-	}
-	return ok && (x < r.lo || x > r.hi)
-}
-
 // HashJoinIter is an equi-join on extracted key pairs with an optional
-// residual predicate over the concatenated row. This mirrors the Merge
-// Cond / Join Filter split visible in the paper's Figure 13 plan: the α
-// (tuple-id) conditions become keys, and the ψ (descriptor consistency)
-// conditions become the residual filter.
+// residual predicate over the concatenated row: the join of two
+// relations, ψ (descriptor consistency) in its residual — the join
+// filter of the paper's Figure 13. The merge of one relation's
+// partitions on the tuple id is the stitch's (StitchIter).
 //
 // The build side L is drained into a joinTable that keeps its batches
 // and refers to its rows; the probe side R is pulled batch by batch,
 // each probe batch is looked up key by key from its vectors
 // (narrowProbe), the match chains of the rows that found a partner are
 // walked with the residual evaluated on the cells of the two sides in
-// place (pairPred: ψ compares ints), and the output batch is gathered
+// place (joinCond: ψ compares ints), and the output batch is gathered
 // column by column, in typed loops, at exact size, through the join's
 // output projection. No tuple is made. The build side is drained at the
-// first pull, not at Open, so a parent can narrow the join before it
-// reads anything: a range on an output column goes to the input the
-// column is read from, and on a build column also drops, as L is
-// drained, the build rows outside it (KeyRangeNarrower). An empty build
-// side ends the stream without pulling R at all; any other hands R the
-// range of its int keys first (narrowProbeInput).
+// first pull, not at Open. An empty build side ends the stream without
+// pulling R at all; any other hands R the range of its int keys first
+// (narrowProbeInput).
 type HashJoinIter struct {
 	L, R     Iterator
 	Pairs    []EquiPair
@@ -103,8 +81,6 @@ type HashJoinIter struct {
 
 	shape *joinShape
 	table *joinTable // nil until the first pull drains L (build)
-	keep  []keyRange // ranges handed down on build columns
-	pred  *pairPred  // nil = no residual
 	cb    *ColBatch  // current probe batch; nil = pull the next
 	hits  probeHits  // cb narrowed to its matches
 	cur   joinCursor // how far cb's matches are walked
@@ -132,12 +108,10 @@ func (j *HashJoinIter) Open() error {
 		return err
 	}
 	var err error
-	if j.shape, err = newJoinShape("hash join", j.L.Schema(), j.R.Schema(), j.Pairs, j.Residual, j.outCols, true); err != nil {
+	if j.shape, err = newJoinShape("hash join", []Schema{j.L.Schema(), j.R.Schema()}, j.Pairs, j.Residual, j.outCols); err != nil {
 		return err
 	}
-	j.pred = j.shape.pred()
-	j.table, j.keep = nil, nil
-	j.cb = nil
+	j.table, j.cb = nil, nil
 	j.cols = make([]ColVec, len(j.shape.out))
 	j.probeRows, j.cellsGathered = 0, 0
 	return nil
@@ -146,12 +120,15 @@ func (j *HashJoinIter) Open() error {
 // Next walks the matches of the current probe batch from where
 // the previous call stopped, up to DefaultBatchSize output rows, and
 // gathers them; a probe batch without a match is skipped whole. The
-// first call drains the build side.
+// first call drains the build side and hands R the range of its keys.
 func (j *HashJoinIter) Next() (*ColBatch, bool, error) {
 	if j.table == nil {
-		if err := j.build(); err != nil {
+		t, err := buildJoinTable(j.L, j.shape.lidx)
+		if err != nil {
 			return nil, false, err
 		}
+		j.table = t
+		narrowProbeInput(j.R, j.shape.ridx, t)
 	}
 	t := j.table
 	if t.len() == 0 {
@@ -168,7 +145,7 @@ func (j *HashJoinIter) Next() (*ColBatch, bool, error) {
 			j.cb = cb
 			j.cur.reset()
 		}
-		more := j.cur.fill(t, j.pred, j.cb, &j.hits, DefaultBatchSize)
+		more := j.cur.fill(t, j.shape.cond, j.cb, &j.hits, DefaultBatchSize)
 		n := len(j.cur.bsel)
 		if n > 0 {
 			j.cur.gather(t, j.cb, j.shape.out, j.cols)
@@ -182,35 +159,6 @@ func (j *HashJoinIter) Next() (*ColBatch, bool, error) {
 			return &j.out, true, nil
 		}
 	}
-}
-
-// build drains L into the join table, leaving out the rows a range on a
-// build column drops, and hands R the range of the keys it kept.
-func (j *HashJoinIter) build() error {
-	t, err := buildJoinTable(j.L, j.shape.lidx, j.keep...)
-	if err != nil {
-		return err
-	}
-	j.table = t
-	narrowProbeInput(j.R, j.shape.ridx, t)
-	return nil
-}
-
-// NarrowKeyRange (KeyRangeNarrower) forwards a range on output column
-// col to the input the column is read from, and on a build column keeps
-// it to drop the build rows outside it. A range handed once the build
-// side is drained is ignored.
-func (j *HashJoinIter) NarrowKeyRange(col int, lo, hi int64) {
-	if j.shape == nil || j.table != nil {
-		return
-	}
-	s := j.shape.out[col]
-	if !s.build {
-		narrowInput(j.R, s.col, lo, hi)
-		return
-	}
-	j.keep = append(j.keep, keyRange{col: s.col, lo: lo, hi: hi})
-	narrowInput(j.L, s.col, lo, hi)
 }
 
 // OperatorStats reports how many probe rows the join was handed and how
@@ -233,89 +181,114 @@ func (j *HashJoinIter) Schema() Schema {
 	return joinSchema(j.L.Schema(), j.R.Schema(), j.outCols)
 }
 
-// cellSrc names where a column of a join's concatenated row is read: a
-// column of the build side, or of the probe side.
-type cellSrc struct {
-	build bool
-	col   int
-}
+// cellAt is column col of input in: where a column of a join's
+// concatenated row is read.
+type cellAt struct{ in, col int }
 
-// joinShape is what a hash join resolves from its inputs' schemas at
-// Open: the schema it emits and where each of its columns is read, the
-// key columns of either input, and the residual bound to the
-// concatenated row.
+// joinShape is what a join resolves from its inputs' schemas at Open:
+// the schema it emits and where each of its columns is read, the
+// condition bound to the concatenated row of the inputs, and — for a
+// join of two inputs on equi pairs — the key columns of either input.
 type joinShape struct {
 	sch        Schema
-	out        []cellSrc // per output column
-	lidx, ridx []int     // key columns of L and of R
-	full       Schema    // the concatenated row L ++ R
-	lw         int       // columns of L in full
-	buildLeft  bool      // L is the build side
-	bound      Expr      // nil = no residual
+	out        []cellAt  // per output column
+	cond       *joinCond // nil = no condition
+	lidx, ridx []int     // key columns of the first and second input
 }
 
-// newJoinShape resolves a join of inputs of schemas lsch and rsch, the
-// left one the build side when buildLeft; what names the operator in
-// errors.
-func newJoinShape(what string, lsch, rsch Schema, pairs []EquiPair, residual Expr, out []string, buildLeft bool) (*joinShape, error) {
-	s := &joinShape{full: lsch.Concat(rsch), lw: lsch.Len(), buildLeft: buildLeft,
-		lidx: make([]int, len(pairs)), ridx: make([]int, len(pairs))}
+// newJoinShape resolves a join of inputs of schemas ins on pairs (of the
+// first two) under cond; what names the operator in errors.
+func newJoinShape(what string, ins []Schema, pairs []EquiPair, cond Expr, out []string) (*joinShape, error) {
+	s := &joinShape{lidx: make([]int, len(pairs)), ridx: make([]int, len(pairs))}
 	for i, p := range pairs {
-		s.lidx[i], s.ridx[i] = lsch.IndexOf(p.L), rsch.IndexOf(p.R)
+		s.lidx[i], s.ridx[i] = ins[0].IndexOf(p.L), ins[1].IndexOf(p.R)
 		if s.lidx[i] < 0 || s.ridx[i] < 0 {
-			return nil, fmt.Errorf("engine: %s: pair %v not resolvable (%v ⋈ %v)", what, p, lsch.Names(), rsch.Names())
+			return nil, fmt.Errorf("engine: %s: pair %v not resolvable (%v ⋈ %v)", what, p, ins[0].Names(), ins[1].Names())
 		}
 	}
-	sch, pick, err := bindOut(s.full, out)
+	n := 0
+	for _, sch := range ins {
+		n += sch.Len()
+	}
+	full, pos := Schema{Cols: make([]Column, 0, n)}, make([]cellAt, 0, n) // pos: per column of full
+	for i, sch := range ins {
+		for c := range sch.Cols {
+			pos = append(pos, cellAt{in: i, col: c})
+		}
+		full.Cols = append(full.Cols, sch.Cols...)
+	}
+	sch, pick, err := bindOut(full, out)
 	if err != nil {
 		return nil, err
 	}
-	s.sch = sch
-	s.out = make([]cellSrc, sch.Len())
+	s.sch, s.out = sch, make([]cellAt, sch.Len())
 	for o := range s.out {
-		if pick != nil {
-			s.out[o] = s.src(pick[o])
-		} else {
-			s.out[o] = s.src(o)
+		if s.out[o] = pos[o]; pick != nil {
+			s.out[o] = pos[pick[o]]
 		}
 	}
-	if residual != nil {
-		if s.bound, err = residual.Bind(s.full); err != nil {
+	if cond != nil {
+		bound, err := cond.Bind(full)
+		if err != nil {
 			return nil, err
 		}
+		s.cond = newJoinCond(bound, full, pos, len(ins))
 	}
 	return s, nil
 }
 
-// src is where column c of the concatenated row is read.
-func (s *joinShape) src(c int) cellSrc {
-	if c < s.lw {
-		return cellSrc{build: s.buildLeft, col: c}
-	}
-	return cellSrc{build: !s.buildLeft, col: c - s.lw}
+// joinCond is a join's condition bound to the concatenated row of its
+// inputs and evaluated on one combination of their rows, each cell read
+// in place from its vector. Each conjunct is filed under the last input
+// whose column it reads, so a join that picks its inputs' rows in turn
+// (the stitch) checks it as soon as that row is picked. A ψ condition
+// (psiExpr, one per pair of descriptor columns) compares the int cells
+// directly; any other conjunct, and a ψ condition meeting a cell that is
+// not an int, is evaluated on the scratch row with only the columns it
+// reads filled.
+type joinCond struct {
+	conjs   [][]condConj // per input, the conjuncts filed under it
+	rows    []condRow    // per input, its row of the combination
+	scratch Tuple        // the concatenated row, filled where a conjunct reads it
 }
 
-// pred returns an evaluator of the residual with a scratch row of its
-// own (one per goroutine), or nil when there is no residual.
-func (s *joinShape) pred() *pairPred {
-	if s.bound == nil {
-		return nil
+// condConj is one conjunct of a joinCond.
+type condConj struct {
+	e    Expr     // the bound conjunct
+	psi  bool     // e is (a.var <> b.var OR a.rng = b.rng) over cols, in that order
+	cols []int    // the columns of the concatenated row it reads
+	src  []cellAt // where each is read
+}
+
+// condRow is physical row row of the vectors cols.
+type condRow struct {
+	cols []ColVec
+	row  int
+}
+
+// newJoinCond files the conjuncts of bound, over full, whose columns
+// pos locates among n inputs.
+func newJoinCond(bound Expr, full Schema, pos []cellAt, n int) *joinCond {
+	c := &joinCond{conjs: make([][]condConj, n), rows: make([]condRow, n), scratch: make(Tuple, full.Len())}
+	file := func(cc condConj) {
+		d := 0
+		cc.src = make([]cellAt, len(cc.cols))
+		for j, p := range cc.cols {
+			cc.src[j] = pos[p]
+			d = max(d, pos[p].in)
+		}
+		c.conjs[d] = append(c.conjs[d], cc)
 	}
-	p := &pairPred{shape: s, scratch: make(Tuple, s.full.Len())}
-	for _, c := range SplitConjuncts(s.bound) {
-		if ps, ok := c.(*psiExpr); ok {
-			for i, pos := range ps.cells {
-				pc := pairConj{e: ps.conjs[i], psi: true, pos: pos}
-				for k, col := range pos {
-					pc.cells[k] = s.src(col)
-				}
-				p.conjs = append(p.conjs, pc)
+	for _, e := range SplitConjuncts(bound) {
+		if ps, ok := e.(*psiExpr); ok {
+			for k, cells := range ps.cells {
+				file(condConj{e: ps.conjs[k], psi: true, cols: []int{cells[0], cells[1], cells[2], cells[3]}})
 			}
 			continue
 		}
-		p.conjs = append(p.conjs, pairConj{e: c, cols: boundCols(c, s.full)})
+		file(condConj{e: e, cols: boundCols(e, full)})
 	}
-	return p
+	return c
 }
 
 // boundCols lists the positions in sch of the columns the bound
@@ -329,75 +302,56 @@ func boundCols(e Expr, sch Schema) []int {
 	return cols
 }
 
-// pairPred is a join's residual evaluated on one candidate pair — a
-// stored build row and a probe row — reading each cell in place from
-// its vector. A ψ condition (psiExpr, one per pair of descriptor
-// columns of a merge) compares the int cells directly; any other
-// conjunct, and a ψ condition meeting a cell that is not an int, is
-// evaluated on the scratch row with only the columns it reads filled.
-type pairPred struct {
-	conjs   []pairConj
-	shape   *joinShape
-	scratch Tuple // the concatenated row, filled where a conjunct reads it
-}
+// set makes physical row r of cols input i's row of the combination.
+func (c *joinCond) set(i int, cols []ColVec, r int) { c.rows[i] = condRow{cols: cols, row: r} }
 
-// pairConj is one conjunct of a pairPred.
-type pairConj struct {
-	e     Expr       // the bound conjunct
-	cols  []int      // the columns of the concatenated row it reads, unless psi
-	psi   bool       // e is (a.var <> b.var OR a.rng = b.rng) over …
-	pos   [4]int     // … these columns of the concatenated row, in that order,
-	cells [4]cellSrc // … which are read from here
-}
-
-// holds reports whether the residual holds on build row m of t and
-// probe row i of pcb.
-func (p *pairPred) holds(t *joinTable, m int32, pcb *ColBatch, i int32) bool {
-	bcols, br := t.cols(m)
-	pcols, pr := pcb.Cols, int(i)
-	for k := range p.conjs {
-		c := &p.conjs[k]
-		if c.psi {
-			av, aok := intAt(c.cells[0], bcols, br, pcols, pr)
-			bv, bok := intAt(c.cells[1], bcols, br, pcols, pr)
+// holds reports whether the conjuncts filed under input d hold on the
+// rows set.
+func (c *joinCond) holds(d int) bool {
+	for k := range c.conjs[d] {
+		cc := &c.conjs[d][k]
+		if cc.psi {
+			av, aok := c.intAt(cc.src[0])
+			bv, bok := c.intAt(cc.src[1])
 			if aok && bok {
 				if av != bv {
 					continue
 				}
-				ar, arok := intAt(c.cells[2], bcols, br, pcols, pr)
-				brg, brok := intAt(c.cells[3], bcols, br, pcols, pr)
+				ar, arok := c.intAt(cc.src[2])
+				br, brok := c.intAt(cc.src[3])
 				if arok && brok {
-					if ar != brg {
+					if ar != br {
 						return false
 					}
 					continue
 				}
 			}
 		}
-		cols := c.cols
-		if c.psi {
-			cols = c.pos[:]
+		for j, p := range cc.cols {
+			r := &c.rows[cc.src[j].in]
+			c.scratch[p] = r.cols[cc.src[j].col].Value(r.row)
 		}
-		for _, col := range cols {
-			if s := p.shape.src(col); s.build {
-				p.scratch[col] = bcols[s.col].Value(br)
-			} else {
-				p.scratch[col] = pcols[s.col].Value(pr)
-			}
-		}
-		if !c.e.Eval(p.scratch).Truth() {
+		if !cc.e.Eval(c.scratch).Truth() {
 			return false
 		}
 	}
 	return true
 }
 
-// intAt is intCell of the cell s names, of build row br or probe row pr.
-func intAt(s cellSrc, bcols []ColVec, br int, pcols []ColVec, pr int) (int64, bool) {
-	if s.build {
-		return intCell(&bcols[s.col], br)
-	}
-	return intCell(&pcols[s.col], pr)
+// intAt is intCell of the cell s names in the combination.
+func (c *joinCond) intAt(s cellAt) (int64, bool) {
+	r := &c.rows[s.in]
+	return intCell(&r.cols[s.col], r.row)
+}
+
+// pair reports whether the condition of a join of two inputs holds on
+// stored row m of t, the row of input build, and probe row i of pcb, the
+// row of the other.
+func (c *joinCond) pair(build int, t *joinTable, m int32, pcb *ColBatch, i int32) bool {
+	bcols, br := t.cols(m)
+	c.set(build, bcols, br)
+	c.set(1-build, pcb.Cols, int(i))
+	return c.holds(0) && c.holds(1)
 }
 
 // joinCursor walks the match chains of one probe batch's hits in one
@@ -416,7 +370,7 @@ func (c *joinCursor) reset() { c.hit, c.match = -1, -1 }
 
 // fill collects up to max pairs into bsel/psel; it reports false once
 // every chain of h is walked.
-func (c *joinCursor) fill(t *joinTable, pred *pairPred, pcb *ColBatch, h *probeHits, max int) bool {
+func (c *joinCursor) fill(t *joinTable, cond *joinCond, pcb *ColBatch, h *probeHits, max int) bool {
 	c.bsel, c.psel = c.bsel[:0], c.psel[:0]
 	for len(c.bsel) < max {
 		if c.match < 0 {
@@ -428,7 +382,7 @@ func (c *joinCursor) fill(t *joinTable, pred *pairPred, pcb *ColBatch, h *probeH
 		}
 		m, i := c.match, h.sel[c.hit]
 		c.match = t.next[m]
-		if pred == nil || pred.holds(t, m, pcb, i) {
+		if cond == nil || cond.pair(0, t, m, pcb, i) {
 			c.bsel = append(c.bsel, t.refs[m])
 			c.psel = append(c.psel, i)
 		}
@@ -438,16 +392,16 @@ func (c *joinCursor) fill(t *joinTable, pred *pairPred, pcb *ColBatch, h *probeH
 
 // gather lays the collected pairs out as the columns of an output
 // batch: output column o of pair k is the cell out[o] names, of build
-// row bsel[k] of t or of probe row psel[k] of pcb (layOut). cols
-// receives the len(out) vectors.
-func (c *joinCursor) gather(t *joinTable, pcb *ColBatch, out []cellSrc, cols []ColVec) {
+// row bsel[k] of t (input 0) or of probe row psel[k] of pcb (input 1)
+// (layOut). cols receives the len(out) vectors.
+func (c *joinCursor) gather(t *joinTable, pcb *ColBatch, out []cellAt, cols []ColVec) {
 	c.lays = c.lays[:0]
 	for _, s := range out {
 		c.lays = append(c.lays, outLayout(t, pcb, s))
 	}
 	layOut(cols, c.lays, len(c.bsel))
 	for o, s := range out {
-		if s.build {
+		if s.in == 0 {
 			gatherRefs(t.batches, s.col, c.bsel, &cols[o])
 		} else {
 			gatherCol(&pcb.Cols[s.col], c.psel, &cols[o])
@@ -490,8 +444,8 @@ func layOut(cols []ColVec, lays []vecLayout, n int) {
 }
 
 // outLayout is the layout of an output column read from s.
-func outLayout(t *joinTable, pcb *ColBatch, s cellSrc) vecLayout {
-	if s.build {
+func outLayout(t *joinTable, pcb *ColBatch, s cellAt) vecLayout {
+	if s.in == 0 {
 		return t.lays[s.col]
 	}
 	return layoutOf(&pcb.Cols[s.col])
@@ -719,34 +673,31 @@ func (j *NestedLoopJoinIter) Schema() Schema {
 }
 
 // SemiJoinIter emits left rows that have at least one match on the
-// right under pairs + residual; with Anti=true it emits left rows with
-// no match. Used by U-relation reduction (Proposition 3.3). It shares
-// the joinTable and the probe of HashJoinIter: the right side is built
-// into the table (with no key columns, every right row lands on one
-// chain, covering the keyless cross-check case), left batches are
-// narrowed against it from their vectors and each hit's chain is walked
-// until the residual holds. A semi join hands its left input the range
-// of the build keys, as the hash join does; an anti join keeps the rows
-// outside that range, so it never does. Both forward a range handed to
-// them to L. It hands over each left batch narrowed to a selection of
-// its surviving rows.
+// right under pairs + residual. Used by U-relation reduction
+// (Proposition 3.3). It shares the joinTable, the probe and the
+// condition evaluator of HashJoinIter: the right side is built into the
+// table (with no key columns, every right row lands on one chain,
+// covering the keyless cross-check case), left batches are narrowed
+// against it from their vectors and each hit's chain is walked until the
+// residual holds. It hands its left input the range of the build keys,
+// as the hash join does, and forwards a range handed to it to L. It
+// hands over each left batch narrowed to a selection of its surviving
+// rows.
 type SemiJoinIter struct {
 	L, R     Iterator
 	Pairs    []EquiPair
 	Residual Expr
-	Anti     bool
 
 	shape *joinShape
 	table *joinTable
-	pred  *pairPred
 	hits  probeHits
 	keep  []int32  // physical ids of the current batch's surviving rows
 	cb    ColBatch // reused output batch header
 }
 
-// NewSemiJoin builds a (anti-)semi-join.
-func NewSemiJoin(l, r Iterator, pairs []EquiPair, residual Expr, anti bool) *SemiJoinIter {
-	return &SemiJoinIter{L: l, R: r, Pairs: pairs, Residual: residual, Anti: anti}
+// NewSemiJoin builds a semi join.
+func NewSemiJoin(l, r Iterator, pairs []EquiPair, residual Expr) *SemiJoinIter {
+	return &SemiJoinIter{L: l, R: r, Pairs: pairs, Residual: residual}
 }
 
 func (j *SemiJoinIter) Open() error {
@@ -757,28 +708,25 @@ func (j *SemiJoinIter) Open() error {
 		return err
 	}
 	var err error
-	if j.shape, err = newJoinShape("semi join", j.L.Schema(), j.R.Schema(), j.Pairs, j.Residual, nil, false); err != nil {
+	if j.shape, err = newJoinShape("semi join", []Schema{j.L.Schema(), j.R.Schema()}, j.Pairs, j.Residual, nil); err != nil {
 		return err
 	}
-	j.pred = j.shape.pred()
 	// Build phase on the right input. With no equi pairs the key is
 	// empty, so all right rows share one chain and every left row
 	// probes the full right side, as the keyless semantics require.
 	if j.table, err = buildJoinTable(j.R, j.shape.ridx); err != nil {
 		return err
 	}
-	if !j.Anti { // the anti join keeps exactly the rows a range would skip
-		narrowProbeInput(j.L, j.shape.lidx, j.table)
-	}
+	narrowProbeInput(j.L, j.shape.lidx, j.table)
 	return nil
 }
 
 // matched reports whether probe row i of cb, whose chain starts at
 // head, has a build row the residual holds on.
 func (j *SemiJoinIter) matched(head int32, cb *ColBatch, i int32) bool {
-	t := j.table
+	t, cond := j.table, j.shape.cond
 	for m := head; m >= 0; m = t.next[m] {
-		if j.pred == nil || j.pred.holds(t, m, cb, i) {
+		if cond == nil || cond.pair(1, t, m, cb, i) {
 			return true
 		}
 	}
@@ -794,16 +742,10 @@ func (j *SemiJoinIter) Next() (*ColBatch, bool, error) {
 		}
 		narrowProbe(j.table, cb, j.shape.lidx, &j.hits)
 		h := &j.hits
-		keep, hit := j.keep[:0], 0
-		for k, n := 0, cb.Rows(); k < n; k++ {
-			i := int32(cb.RowID(k))
-			found := false
-			if hit < len(h.sel) && h.sel[hit] == i {
-				found = j.matched(h.heads[hit], cb, i)
-				hit++
-			}
-			if found != j.Anti {
-				keep = append(keep, i)
+		keep := j.keep[:0]
+		for k := range h.sel {
+			if j.matched(h.heads[k], cb, h.sel[k]) {
+				keep = append(keep, h.sel[k])
 			}
 		}
 		j.keep = keep
@@ -823,5 +765,5 @@ func (j *SemiJoinIter) Close() error {
 func (j *SemiJoinIter) Schema() Schema { return j.L.Schema() }
 
 // NarrowKeyRange (KeyRangeNarrower) forwards a range to L, whose rows
-// the (anti) semi join passes through.
+// the semi join passes through.
 func (j *SemiJoinIter) NarrowKeyRange(col int, lo, hi int64) { narrowInput(j.L, col, lo, hi) }

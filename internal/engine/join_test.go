@@ -299,8 +299,8 @@ func TestJoinBuildKeepsPayloadsNotHeaders(t *testing.T) {
 }
 
 // TestSemiJoinOverEmptyBuild: a semi join whose right side holds no
-// joinable row keeps no left row and an anti join keeps them all —
-// probing the empty table, whatever layout the keys arrive in.
+// joinable row keeps no left row — probing the empty table, whatever
+// layout the keys arrive in.
 func TestSemiJoinOverEmptyBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	l := randColInput(rng, 300, "l")
@@ -309,12 +309,9 @@ func TestSemiJoinOverEmptyBuild(t *testing.T) {
 	for name, r := range map[string]*Relation{"no rows": NewRelation(nulls.Sch), "NULL keys": nulls} {
 		for _, left := range []Iterator{NewScan(l), newColSource(l, 64)} {
 			pairs := []EquiPair{{L: "l.k", R: "r.k"}}
-			if got := mustDrain(t, NewSemiJoin(left, newColSource(r, 8), pairs, nil, false)); got.Len() != 0 {
+			if got := mustDrain(t, NewSemiJoin(left, newColSource(r, 8), pairs, nil)); got.Len() != 0 {
 				t.Fatalf("%s: the semi join keeps %d rows", name, got.Len())
 			}
-		}
-		if got := mustDrain(t, NewSemiJoin(newColSource(l, 64), NewScan(r), []EquiPair{{L: "l.k", R: "r.k"}}, nil, true)); got.Len() != l.Len() {
-			t.Fatalf("%s: the anti join keeps %d of %d rows", name, got.Len(), l.Len())
 		}
 	}
 }
@@ -331,11 +328,10 @@ func (r *narrowRecorder) NarrowKeyRange(col int, lo, hi int64) {
 }
 
 // TestJoinsNarrowTheirProbeInput: once the build side is drained, the
-// hash join and the semi join hand their probe
-// input the least and greatest build key — NULL keys left out — when the
-// key is one int column, through a trace wrapper too; the anti join,
-// which keeps exactly the rows outside that range, never does, and
-// neither does a join on a float key or on two columns.
+// hash join and the semi join hand their probe input the least and
+// greatest build key — NULL keys left out — when the key is one int
+// column, through a trace wrapper too; a join on a float key or on two
+// columns does not.
 func TestJoinsNarrowTheirProbeInput(t *testing.T) {
 	build := NewRelation(NewSchema(Column{Name: "b.k", Kind: KindInt}, Column{Name: "b.f", Kind: KindFloat}))
 	for _, k := range []Value{Int(7), Null(), Int(3), Int(12), Int(7)} {
@@ -353,11 +349,8 @@ func TestJoinsNarrowTheirProbeInput(t *testing.T) {
 			return NewHashJoin(newColSource(build, 2), newTraceIter(p, obs.NewSpan("probe")), on, nil, nil)
 		}, [][3]int64{{0, 3, 12}}},
 		{"semi", func(p Iterator) Iterator {
-			return NewSemiJoin(p, newColSource(build, 2), []EquiPair{{L: "p.k", R: "b.k"}}, nil, false)
+			return NewSemiJoin(p, newColSource(build, 2), []EquiPair{{L: "p.k", R: "b.k"}}, nil)
 		}, [][3]int64{{0, 3, 12}}},
-		{"anti", func(p Iterator) Iterator {
-			return NewSemiJoin(p, newColSource(build, 2), []EquiPair{{L: "p.k", R: "b.k"}}, nil, true)
-		}, nil},
 		{"float key", func(p Iterator) Iterator {
 			return NewHashJoin(newColSource(build, 2), p, []EquiPair{{L: "b.f", R: "p.v"}}, nil, nil)
 		}, nil},
@@ -374,132 +367,32 @@ func TestJoinsNarrowTheirProbeInput(t *testing.T) {
 
 	// Nested: an outer hash join, whose build keys run from 3 to 12, hands
 	// that range on p.k to the operator it probes, which forwards it to the
-	// recorder — before any range of its own — and never to side, the other
-	// side's key column (o.k, keys 1 and 4). A hash join drops the build
-	// rows outside a range on its build column, so the range of its own keys
-	// shrinks with them: the probe's keys 0…5 become 3…5.
+	// recorder and never to side, the build side of a semi join (o.k, keys
+	// 1 and 4).
 	other := NewRelation(NewSchema(Column{Name: "o.k", Kind: KindInt}))
 	other.Append(Tuple{Int(1)})
 	other.Append(Tuple{Int(4)})
 	for _, c := range []struct {
-		name       string
-		under      func(rec, side Iterator) Iterator
-		want, side [][3]int64
+		name  string
+		under func(rec, side Iterator) Iterator
+		want  [][3]int64
 	}{
 		{"filter", func(rec, side Iterator) Iterator { return NewFilter(rec, Cmp(GE, Col("p.k2"), ConstInt(0))) },
-			[][3]int64{{0, 3, 12}}, nil},
+			[][3]int64{{0, 3, 12}}},
 		{"projection", func(rec, side Iterator) Iterator { return NewProject(rec, []string{"p.v", "p.k"}) },
-			[][3]int64{{0, 3, 12}}, nil},
+			[][3]int64{{0, 3, 12}}},
 		{"semi join", func(rec, side Iterator) Iterator {
-			return NewSemiJoin(rec, side, []EquiPair{{L: "p.k2", R: "o.k"}}, nil, false)
-		}, [][3]int64{{1, 1, 4}, {0, 3, 12}}, nil},
-		{"anti join", func(rec, side Iterator) Iterator {
-			return NewSemiJoin(rec, side, []EquiPair{{L: "p.k2", R: "o.k"}}, nil, true)
-		}, [][3]int64{{0, 3, 12}}, nil},
-		{"hash join, probe column", func(rec, side Iterator) Iterator {
-			return NewHashJoin(side, rec, []EquiPair{{L: "o.k", R: "p.k2"}}, nil, nil)
-		}, [][3]int64{{0, 3, 12}, {1, 1, 4}}, nil},
-		{"hash join, probe key", func(rec, side Iterator) Iterator {
-			return NewHashJoin(side, rec, []EquiPair{{L: "o.k", R: "p.k"}}, nil, nil)
-		}, [][3]int64{{0, 3, 12}, {0, 1, 4}}, nil},
-		{"hash join, build key", func(rec, side Iterator) Iterator {
-			return NewHashJoin(rec, side, []EquiPair{{L: "p.k", R: "o.k"}}, nil, nil)
-		}, [][3]int64{{0, 3, 12}}, [][3]int64{{0, 3, 5}}},
+			return NewSemiJoin(rec, side, []EquiPair{{L: "p.k2", R: "o.k"}}, nil)
+		}, [][3]int64{{1, 1, 4}, {0, 3, 12}}},
 		{"traced filter", func(rec, side Iterator) Iterator {
 			return newTraceIter(NewFilter(rec, Cmp(GE, Col("p.k2"), ConstInt(0))), obs.NewSpan("filter"))
-		}, [][3]int64{{0, 3, 12}}, nil},
+		}, [][3]int64{{0, 3, 12}}},
 	} {
 		rec := &narrowRecorder{colSource: newColSource(probe, 64)}
 		side := &narrowRecorder{colSource: newColSource(other, 8)}
 		mustDrain(t, NewHashJoin(newColSource(build, 2), c.under(rec, side), on, nil, nil))
-		if fmt.Sprint(rec.ranges) != fmt.Sprint(c.want) || fmt.Sprint(side.ranges) != fmt.Sprint(c.side) {
-			t.Errorf("through a %s: ranges %v and on the other side %v, want %v and %v", c.name, rec.ranges, side.ranges, c.want, c.side)
-		}
-	}
-
-	// A range handed once the build side is drained is ignored.
-	rec := &narrowRecorder{colSource: newColSource(probe, 64)}
-	j := NewHashJoin(newColSource(build, 2), rec, on, nil, nil)
-	if err := j.Open(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := j.Next(); err != nil {
-		t.Fatal(err)
-	}
-	j.NarrowKeyRange(j.Schema().IndexOf("p.k"), 5, 6)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(rec.ranges) != "[[0 3 12]]" {
-		t.Errorf("a range handed after the build reached the probe side: %v", rec.ranges)
-	}
-}
-
-// TestJoinDropsBuildRowsOutsideARange: a hash join handed a range on a
-// build column leaves out, as it drains its build side, the rows whose
-// cell there is NULL or an int outside the range — and only those: a
-// float equal to an int outside the range joins and survives. On the key
-// column and on another build column it answers what the unnarrowed join
-// does, less the rows the range lets its consumer drop.
-func TestJoinDropsBuildRowsOutsideARange(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	cell := func() Value {
-		switch k := rng.Int63n(40); rng.Intn(10) {
-		case 0:
-			return Null()
-		case 1:
-			return Float(float64(k))
-		default:
-			return Int(k)
-		}
-	}
-	l := NewRelation(NewSchema(Column{Name: "l.k", Kind: KindInt}, Column{Name: "l.w", Kind: KindInt}))
-	for i := 0; i < 600; i++ {
-		l.Append(Tuple{cell(), cell()})
-	}
-	r := NewRelation(NewSchema(Column{Name: "r.k", Kind: KindInt}, Column{Name: "r.v", Kind: KindInt}))
-	for i := 0; i < 300; i++ {
-		r.Append(Tuple{Int(rng.Int63n(40)), Int(int64(i))})
-	}
-	const lo, hi = 10, 20
-	pairs := []EquiPair{{L: "l.k", R: "r.k"}}
-	full := mustDrain(t, NewHashJoin(newColSource(l, 50), newColSource(r, 64), pairs, nil, nil))
-	for col, name := range []string{"l.k", "l.w"} {
-		want := NewRelation(full.Sch)
-		floats := 0
-		for _, row := range full.Rows {
-			switch v := row[col]; {
-			case v.IsNull(), v.K == KindInt && (v.I < lo || v.I > hi):
-				continue
-			case v.K == KindFloat && (v.F < lo || v.F > hi):
-				floats++
-			}
-			want.Append(row)
-		}
-		if floats == 0 {
-			t.Fatalf("%s: no float outside the range joins", name)
-		}
-		j := NewHashJoin(newColSource(l, 50), newColSource(r, 64), pairs, nil, nil)
-		if err := j.Open(); err != nil {
-			t.Fatal(err)
-		}
-		j.NarrowKeyRange(col, lo, hi)
-		got := NewRelation(j.Schema())
-		for {
-			cb, ok, err := j.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			got.Rows = cb.Materialize(got.Rows)
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if !want.EqualAsBag(got) {
-			t.Errorf("%s narrowed to [%d, %d]: %d rows, want the %d of the unnarrowed join less the rows the range drops", name, lo, hi, got.Len(), want.Len())
+		if fmt.Sprint(rec.ranges) != fmt.Sprint(c.want) || side.ranges != nil {
+			t.Errorf("through a %s: ranges %v and on the other side %v, want %v and none", c.name, rec.ranges, side.ranges, c.want)
 		}
 	}
 }

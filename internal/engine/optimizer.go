@@ -595,7 +595,7 @@ func pruneNeeding(p Plan, cat *Catalog, needed []string) (Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Insert projections if we can actually drop columns. A semi/anti
+		// Insert projections if we can actually drop columns. A semi
 		// join's right side only prunes below, to what its predicates need.
 		l = maybeProject(l, ls, lNeed)
 		if n.Kind == InnerJoin {

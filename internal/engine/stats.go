@@ -298,12 +298,8 @@ func (est *estimator) estimate(p Plan) PlanStats {
 		if rows < 1 {
 			rows = 1
 		}
-		switch n.Kind {
-		case SemiJoin:
+		if n.Kind == SemiJoin {
 			out := math.Min(l.Rows, rows)
-			return PlanStats{Rows: out, NDV: capNDV(l.NDV, out)}
-		case AntiJoin:
-			out := math.Max(1, l.Rows-rows)
 			return PlanStats{Rows: out, NDV: capNDV(l.NDV, out)}
 		}
 		ndv := make(map[string]float64, len(l.NDV)+len(r.NDV))

@@ -70,9 +70,9 @@ func (p *StitchPlan) Label() string { return "Merge Join on tid (driver " + p.TI
 // is advanced by galloping search to the greatest tuple id any of them
 // stands on, until all stand on one. The rows of that tuple id — its
 // alternatives, however many batches they straddle — are combined
-// across the inputs, ψ compared on the int cells in place as pairPred
-// does, and each output column is gathered once, from the input that
-// owns it. Payloads are immutable (Iterator), so an input's batches are
+// across the inputs, ψ compared on the int cells in place by the
+// condition evaluator the hash join uses (joinCond), and each output
+// column is gathered once, from the input that owns it. Payloads are immutable (Iterator), so an input's batches are
 // held by their headers until the rows pointing into them are gathered;
 // an output batch ends with the tuple id that fills it to
 // DefaultBatchSize rows. An input whose tuple ids are not ascending ints
@@ -84,15 +84,11 @@ type StitchIter struct {
 	Driver int
 
 	outCols []string
-	sch     Schema
-	pos     []stitchCol    // per column of the concatenated row, where it is read
-	out     []stitchCol    // per output column
-	ins     []stitchIn     // per input, its cursor
-	conds   [][]stitchConj // per input, the conjuncts checked once its row is picked
-	pick    []int          // per input, the row of its group in the combination
-	scratch Tuple          // the concatenated row, filled where a conjunct reads it
-	keep    []keyRange     // ranges handed down on the driver's columns
-	pending int            // combinations not yet gathered
+	shape   *joinShape
+	ins     []stitchIn // per input, its cursor
+	pick    []int      // per input, the row of its group in the combination
+	keep    []keyRange // ranges handed down on the driver's columns
+	pending int        // combinations not yet gathered
 	started bool
 	done    bool
 	cols    []ColVec // reused output batch header
@@ -100,19 +96,6 @@ type StitchIter struct {
 	cb      ColBatch
 
 	driverRows, galloped, cellsGathered int64 // OperatorStats
-}
-
-// stitchCol is column col of input in.
-type stitchCol struct{ in, col int }
-
-// stitchConj is a conjunct of the condition bound to the concatenated
-// row, reading its columns cols, which src locates; psi marks a ψ
-// condition on src (a.var, b.var, a.rng, b.rng).
-type stitchConj struct {
-	e    Expr
-	psi  bool
-	cols []int
-	src  []stitchCol
 }
 
 // stitchIn is the cursor over one input: the batches rows still point
@@ -140,61 +123,26 @@ func NewStitch(ins []Iterator, tids []string, cond Expr, driver int, out []strin
 }
 
 func (s *StitchIter) Open() error {
-	var full Schema
-	s.ins, s.pos = make([]stitchIn, len(s.Ins)), nil
+	s.ins = make([]stitchIn, len(s.Ins))
+	schs := make([]Schema, len(s.Ins))
 	for i, it := range s.Ins {
 		if err := it.Open(); err != nil {
 			return err
 		}
-		sch := it.Schema()
-		if s.ins[i] = (stitchIn{it: it, tid: sch.IndexOf(s.TIDs[i]), last: math.MinInt64}); s.ins[i].tid < 0 {
-			return fmt.Errorf("engine: stitch: no tuple-id column %q in %v", s.TIDs[i], sch.Names())
+		schs[i] = it.Schema()
+		if s.ins[i] = (stitchIn{it: it, tid: schs[i].IndexOf(s.TIDs[i]), last: math.MinInt64}); s.ins[i].tid < 0 {
+			return fmt.Errorf("engine: stitch: no tuple-id column %q in %v", s.TIDs[i], schs[i].Names())
 		}
-		for c := range sch.Cols {
-			s.pos = append(s.pos, stitchCol{in: i, col: c})
-		}
-		full.Cols = append(full.Cols, sch.Cols...)
 	}
-	sch, pick, err := bindOut(full, s.outCols)
-	if err != nil {
+	var err error
+	if s.shape, err = newJoinShape("stitch", schs, nil, s.Cond, s.outCols); err != nil {
 		return err
 	}
-	s.sch, s.out = sch, make([]stitchCol, sch.Len())
-	for o := range s.out {
-		if s.out[o] = s.pos[o]; pick != nil {
-			s.out[o] = s.pos[pick[o]]
-		}
-	}
-	s.conds, s.scratch = make([][]stitchConj, len(s.Ins)), make(Tuple, full.Len())
-	if s.Cond != nil {
-		bound, err := s.Cond.Bind(full)
-		if err != nil {
-			return err
-		}
-		for _, c := range SplitConjuncts(bound) {
-			if ps, ok := c.(*psiExpr); ok {
-				for k, cells := range ps.cells {
-					s.addConj(stitchConj{e: ps.conjs[k], psi: true, cols: []int{cells[0], cells[1], cells[2], cells[3]}})
-				}
-				continue
-			}
-			s.addConj(stitchConj{e: c, cols: boundCols(c, full)})
-		}
-	}
-	s.pick, s.cols, s.lays = make([]int, len(s.Ins)), make([]ColVec, len(s.out)), make([]vecLayout, len(s.out))
+	n := len(s.shape.out)
+	s.pick, s.cols, s.lays = make([]int, len(s.Ins)), make([]ColVec, n), make([]vecLayout, n)
 	s.keep, s.pending, s.started, s.done = nil, 0, false, false
 	s.driverRows, s.galloped, s.cellsGathered = 0, 0, 0
 	return nil
-}
-
-// addConj files c under the last input whose column it reads.
-func (s *StitchIter) addConj(c stitchConj) {
-	d := 0
-	for _, p := range c.cols {
-		d = max(d, s.pos[p].in)
-		c.src = append(c.src, s.pos[p])
-	}
-	s.conds[d] = append(s.conds[d], c)
 }
 
 // Next combines tuple ids until DefaultBatchSize rows are pending, and
@@ -418,8 +366,8 @@ func (s *StitchIter) group(i int, t int64) error {
 }
 
 // combine extends the combination picked for inputs [0, d) by each row
-// of input d's group on which the conjuncts filed under d hold; a
-// combination of every input is pending output.
+// of input d's group on which the conjuncts of the condition filed under
+// d hold (joinCond); a combination of every input is pending output.
 func (s *StitchIter) combine(d int) {
 	if d == len(s.ins) {
 		for i := range s.ins {
@@ -429,66 +377,33 @@ func (s *StitchIter) combine(d int) {
 		s.pending++
 		return
 	}
-	for j := range s.ins[d].grp {
-		if s.pick[d] = j; s.holds(d) {
-			s.combine(d + 1)
-		}
-	}
-}
-
-// holds reports whether the conjuncts filed under input d hold on the
-// rows picked: ψ on int cells is compared in place, anything else is
-// evaluated on the scratch row with only the columns it reads filled.
-func (s *StitchIter) holds(d int) bool {
-	for k := range s.conds[d] {
-		c := &s.conds[d][k]
-		if c.psi {
-			av, aok := intCell(s.cell(c.src[0]))
-			bv, bok := intCell(s.cell(c.src[1]))
-			if aok && bok && av != bv {
-				continue
-			}
-			ar, arok := intCell(s.cell(c.src[2]))
-			br, brok := intCell(s.cell(c.src[3]))
-			if aok && bok && arok && brok {
-				if ar != br {
-					return false
-				}
+	in, cond := &s.ins[d], s.shape.cond
+	for j, r := range in.grp {
+		s.pick[d] = j
+		if cond != nil {
+			if cond.set(d, in.held[r.batch].Cols, int(r.row)); !cond.holds(d) {
 				continue
 			}
 		}
-		for j, p := range c.cols {
-			v, r := s.cell(c.src[j])
-			s.scratch[p] = v.Value(r)
-		}
-		if !c.e.Eval(s.scratch).Truth() {
-			return false
-		}
+		s.combine(d + 1)
 	}
-	return true
-}
-
-// cell is the vector and physical row of column c in the combination.
-func (s *StitchIter) cell(c stitchCol) (*ColVec, int) {
-	in := &s.ins[c.in]
-	r := in.grp[s.pick[c.in]]
-	return &in.held[r.batch].Cols[c.col], int(r.row)
 }
 
 // gather lays the pending combinations out as the output batch, each
 // column read from the held batches of the input that owns it, and lets
 // go of the batches before the current ones.
 func (s *StitchIter) gather() {
-	for o, c := range s.out {
+	out := s.shape.out
+	for o, c := range out {
 		in := &s.ins[c.in]
 		s.lays[o] = batchLayout(in.held[:in.b+1], c.col)
 	}
 	layOut(s.cols, s.lays, s.pending)
-	for o, c := range s.out {
+	for o, c := range out {
 		gatherRefs(s.ins[c.in].held, c.col, s.ins[c.in].refs, &s.cols[o])
 	}
-	s.cellsGathered += int64(s.pending * len(s.out))
-	s.cb, s.pending = ColBatch{Sch: s.sch, Cols: s.cols, N: s.pending}, 0
+	s.cellsGathered += int64(s.pending * len(out))
+	s.cb, s.pending = ColBatch{Sch: s.shape.sch, Cols: s.cols, N: s.pending}, 0
 	for i := range s.ins {
 		in := &s.ins[i]
 		if in.refs = in.refs[:0]; in.b == 0 {
@@ -511,10 +426,10 @@ func (s *StitchIter) gather() {
 // read from; a range on the driver's columns also drops, as the driver
 // is drained, its rows outside it. One handed later is ignored.
 func (s *StitchIter) NarrowKeyRange(col int, lo, hi int64) {
-	if s.started || s.out == nil {
+	if s.started || s.shape == nil {
 		return
 	}
-	c := s.out[col]
+	c := s.shape.out[col]
 	if c.col != s.ins[c.in].tid {
 		narrowInput(s.ins[c.in].it, c.col, lo, hi)
 		if c.in == s.Driver {
@@ -526,6 +441,42 @@ func (s *StitchIter) NarrowKeyRange(col int, lo, hi int64) {
 		narrowInput(s.ins[i].it, s.ins[i].tid, lo, hi)
 	}
 	s.keep = append(s.keep, keyRange{col: s.ins[s.Driver].tid, lo: lo, hi: hi})
+}
+
+// keyRange is a range handed down on column col.
+type keyRange struct {
+	col    int
+	lo, hi int64
+}
+
+// drops reports whether the range lets its consumer drop row i of cols:
+// the row's cell is NULL or an int outside the range.
+func (r keyRange) drops(cols []ColVec, i int) bool {
+	v := &cols[r.col]
+	if v.IsNull(i) {
+		return true
+	}
+	x, ok := intCell(v, i)
+	if v.Vals != nil && v.Vals[i].K == KindInt {
+		x, ok = v.Vals[i].I, true
+	}
+	return ok && (x < r.lo || x > r.hi)
+}
+
+// keptRows lists the live rows of cb that no range in keep drops.
+func keptRows(cb *ColBatch, keep []keyRange) []int32 {
+	sel := make([]int32, 0, cb.Rows())
+rows:
+	for k, n := 0, cb.Rows(); k < n; k++ {
+		i := cb.RowID(k)
+		for _, r := range keep {
+			if r.drops(cb.Cols, i) {
+				continue rows
+			}
+		}
+		sel = append(sel, int32(i))
+	}
+	return sel
 }
 
 // OperatorStats reports the rows drained from the driver, the rows the
@@ -549,8 +500,8 @@ func (s *StitchIter) Close() error {
 }
 
 func (s *StitchIter) Schema() Schema {
-	if s.out != nil {
-		return s.sch
+	if s.shape != nil {
+		return s.shape.sch
 	}
 	var full Schema
 	for _, it := range s.Ins {

@@ -9,8 +9,9 @@ import (
 // stitchParts draws the k vertical partitions of one relation over n
 // tuple ids, each in tid order: partition p has width 0–3 descriptor
 // pairs p<p>.d<j>v, p<p>.d<j>r — variables from a small set, so one
-// repeats within a descriptor and meets its namesake across partitions —
-// the tuple id p<p>.tid and an attribute p<p>.a that is NULL now and
+// repeats within a descriptor and meets its namesake across partitions,
+// and now and then a NULL or a float for an int, which ψ cannot compare
+// as ints — the tuple id p<p>.tid and an attribute p<p>.a that is NULL now and
 // then. A tuple id has no row in a partition, or one to three
 // alternatives; with straddle every tuple id has three in every
 // partition, so 1 024-row batches cut through them.
@@ -24,6 +25,16 @@ func stitchParts(rng *rand.Rand, k, n int, straddle bool) []*Relation {
 		}
 		cols = append(cols, Column{Name: fmt.Sprintf("p%d.tid", p), Kind: KindInt}, Column{Name: fmt.Sprintf("p%d.a", p), Kind: KindInt})
 		rel := NewRelation(NewSchema(cols...))
+		cell := func(n int) Value {
+			switch x := rng.Intn(n); rng.Intn(40) {
+			case 0:
+				return Null()
+			case 1:
+				return Float(float64(x))
+			default:
+				return Int(int64(x))
+			}
+		}
 		for tid := 0; tid < n; tid++ {
 			alts := rng.Intn(4)
 			if straddle {
@@ -32,7 +43,7 @@ func stitchParts(rng *rand.Rand, k, n int, straddle bool) []*Relation {
 			for ; alts > 0; alts-- {
 				row := make(Tuple, 0, len(cols))
 				for j := 0; j < width; j++ {
-					row = append(row, Int(int64(rng.Intn(3))), Int(int64(rng.Intn(2))))
+					row = append(row, cell(3), cell(2))
 				}
 				a := Int(int64(rng.Intn(20)))
 				if rng.Intn(8) == 0 {
@@ -64,8 +75,10 @@ func stitchPsi(parts []*Relation, p, q int) []Expr {
 // 1–5 tid-ordered partitions (stitchParts), each under a random filter
 // and served in batches of a random size, the stitch driven by a random
 // input and handed a random tid range gives, within that range, the bag
-// of rows a left-deep fold of NewHashJoin on α (the tuple ids) with ψ as
-// the residual gives, and its tuple ids ascend. With straddle every
+// of rows a left-deep fold of NewHashJoin on α (the tuple ids) gives,
+// each step filtered by its ψ — judged row by row by a filter, so the
+// reference shares no condition code with the stitch — and its tuple
+// ids ascend. With straddle every
 // tuple id has three alternatives, served whole in 1 024-row batches
 // that cut through them.
 func FuzzStitch(f *testing.F) {
@@ -109,7 +122,10 @@ func FuzzStitch(f *testing.F) {
 			}
 			psi = append(psi, step...)
 			if p > 0 {
-				ref = NewHashJoin(ref, input(p), []EquiPair{{L: "p0.tid", R: tids[p]}}, And(step...), nil)
+				ref = NewHashJoin(ref, input(p), []EquiPair{{L: "p0.tid", R: tids[p]}}, nil, nil)
+			}
+			if len(step) > 0 {
+				ref = NewFilter(ref, And(step...))
 			}
 		}
 		var cond Expr

@@ -60,8 +60,8 @@
 //     (engine.KeyRangeNarrower): a stitch hands every input but its
 //     driver the driver's tid range, a hash or semi join whose probe
 //     side it is hands it the range of its build keys, and a join
-//     higher up hands its own range down through the joins, stitches,
-//     filters and projections between. The scan
+//     higher up hands its own range down through the semi joins,
+//     stitches, filters and projections between. The scan
 //     keeps every range it is handed: one per column, two on the same
 //     column narrowed to their intersection. It leaves
 //     unread every segment whose tid bounds — or, for an int value

@@ -24,12 +24,16 @@ import (
 // ColumnarLeaf, ColumnarScan), the row-to-column reader, the per-operator
 // materializer, the row output arena or the row window. The hash join
 // declares Next, and neither it nor the join table holds a row slice —
-// there is no row-keyed table and no row probe. There is one engine
-// path, too: the parallel operators that lost to the serial ones are
-// banned, and an operator runs on its caller's goroutine — no non-test
-// file of package engine has a go statement. And there is one equi-join:
-// no non-test file of package engine or store names the
-// index-nested-loop join or the probe-cost model that chose it.
+// there is no row-keyed table and no row probe. The hash join declares
+// no NarrowKeyRange — plans are left-deep, so no join hands it a range
+// (TestChainsAreStitched) — and package engine declares no anti join
+// again (AntiJoin or Anti as a function, constant, type or field).
+// There is one engine path, too: the parallel operators that lost to
+// the serial ones are banned, and an operator runs on its caller's
+// goroutine — no non-test file of package engine has a go statement.
+// And there is one equi-join: no non-test file of package engine or
+// store names the index-nested-loop join or the probe-cost model that
+// chose it.
 func TestOneRowProtocol(t *testing.T) {
 	banned := map[string]bool{"Batched": true, "Columnar": true, "batchAdapter": true, "rowColAdapter": true,
 		"ParallelHashJoinIter": true, "ParallelFilterIter": true, "NewParallelHashJoin": true, "NewParallelFilter": true,
@@ -39,6 +43,7 @@ func TestOneRowProtocol(t *testing.T) {
 	rowProtocol := map[string]bool{"NextBatch": true, "NextColBatch": true, "ColumnarNative": true, "ColBatchIterator": true,
 		"NativeColumnar": true, "ColumnarLeaf": true, "ColumnarScan": true, "colReader": true, "materializer": true,
 		"outArena": true, "Window": true}
+	antiJoin := map[string]bool{"AntiJoin": true, "Anti": true}
 	var iteratorMethods []string
 	joins := map[string]map[string]bool{"HashJoinIter": {}}
 	fset := token.NewFileSet()
@@ -88,6 +93,9 @@ func TestOneRowProtocol(t *testing.T) {
 				if engineOrStore && rowProtocol[d.Name.Name] {
 					t.Errorf("%s: %s of the row protocol is declared again", fset.Position(d.Pos()), d.Name.Name)
 				}
+				if file.Name.Name == "engine" && antiJoin[d.Name.Name] {
+					t.Errorf("%s: the anti join's %s is declared again", fset.Position(d.Pos()), d.Name.Name)
+				}
 				if d.Recv != nil && file.Name.Name == "engine" {
 					if star, ok := d.Recv.List[0].Type.(*ast.StarExpr); ok {
 						if id, ok := star.X.(*ast.Ident); ok && joins[id.Name] != nil {
@@ -100,9 +108,29 @@ func TestOneRowProtocol(t *testing.T) {
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
+					if vs, ok := spec.(*ast.ValueSpec); ok && file.Name.Name == "engine" {
+						for _, name := range vs.Names {
+							if antiJoin[name.Name] {
+								t.Errorf("%s: the anti join's %s is declared again", fset.Position(name.Pos()), name.Name)
+							}
+						}
+					}
 					ts, ok := spec.(*ast.TypeSpec)
 					if !ok {
 						continue
+					}
+					if file.Name.Name == "engine" {
+						names := []*ast.Ident{ts.Name}
+						if st, ok := ts.Type.(*ast.StructType); ok {
+							for _, f := range st.Fields.List {
+								names = append(names, f.Names...)
+							}
+						}
+						for _, name := range names {
+							if antiJoin[name.Name] {
+								t.Errorf("%s: the anti join's %s is declared again", fset.Position(name.Pos()), name.Name)
+							}
+						}
 					}
 					if banned[ts.Name.Name] {
 						t.Errorf("%s: %s is declared again", fset.Position(ts.Pos()), ts.Name.Name)
@@ -157,6 +185,9 @@ func TestOneRowProtocol(t *testing.T) {
 		if !methods["Next"] {
 			t.Errorf("engine.%s does not declare Next", join)
 		}
+	}
+	if joins["HashJoinIter"]["NarrowKeyRange"] {
+		t.Error("engine.HashJoinIter declares NarrowKeyRange again: no join hands it a range")
 	}
 }
 

@@ -38,9 +38,12 @@ var servedMixShapes = []string{
 // TestChainsAreStitched pins the plan shape of the merge: in the
 // optimized plans of Q1–Q3, in memory and stored, and of every statement
 // shape of served_mix (over the stored, indexed data), no join has an
-// equi pair of two tuple-id columns, and the partitions a relation
+// equi pair of two tuple-id columns, the partitions a relation
 // occurrence reads, when there are two or more, are the inputs of
-// exactly one stitch. On BenchmarkMergeChain's relations the stitch
+// exactly one stitch, and every tree of inner joins is left-deep: no
+// join sits on an inner join's probe side (R), directly or under
+// filters and projections, so no hash join is ever handed a key range
+// by the join above it. On BenchmarkMergeChain's relations the stitch
 // gathers, per output row, as many cells as the row is wide — 3k + 1
 // for k partitions, linear in k — where the chain of tid hash joins
 // gathered 7, 28 and 73 for 2, 4 and 7.
@@ -68,6 +71,20 @@ func TestChainsAreStitched(t *testing.T) {
 					if strings.HasPrefix(pr.L, "tid:") && strings.HasPrefix(pr.R, "tid:") {
 						t.Errorf("%s: a join on the tuple ids %s = %s", what, pr.L, pr.R)
 					}
+				}
+				probe := n.R
+				for ok := true; ok; {
+					switch c := probe.(type) {
+					case *engine.FilterPlan:
+						probe = c.Child
+					case *engine.ProjectPlan:
+						probe = c.Child
+					default:
+						ok = false
+					}
+				}
+				if _, ok := probe.(*engine.JoinPlan); ok && n.Kind == engine.InnerJoin {
+					t.Errorf("%s: a join on the probe side of a join: the tree is not left-deep", what)
 				}
 			case *engine.StitchPlan:
 				alias := tidAlias(n.TIDs[0])
