@@ -11,8 +11,7 @@ package engine
 // and give column batches (a hash join gathers its output column by
 // column). Tuples are made at the sink — Drain, the server's row-capped
 // loop, the certain-answer query — through ColBatch.Materialize, and
-// below it only by an operator that must hold its input (the sort, the
-// nested loop).
+// below it only by the nested loop, which must hold its inputs.
 
 // ColVec is one column of a ColBatch. It has two layouts:
 //

@@ -116,9 +116,11 @@ func (c *colSource) nextCols() (*ColBatch, bool) {
 }
 
 // randPredicates returns the predicate menu the property tests draw
-// from: typed kernels (int, float, string, column-column), selection
-// kernels (IN, IS NULL), and shapes that must hit the generic row-eval
-// fallback (OR, arithmetic).
+// from: typed kernels (int, float, string, column-column), the OR kernel,
+// and shapes with no kernel, which run on the generic row-eval fallback
+// (NOT). The engine's two-valued logic writes a membership test as a
+// disjunction of equalities ("in") and a NULL test as NOT (c = c), which
+// a NULL cell fails ("isnull"), its negation c = c ("not-null").
 func randPredicates(prefix string) map[string]Expr {
 	c := func(n string) Expr { return Col(prefix + "." + n) }
 	return map[string]Expr{
@@ -133,9 +135,9 @@ func randPredicates(prefix string) map[string]Expr {
 		"string-eq": Cmp(EQ, c("s"), ConstStr("s3")),
 		"string-gt": Cmp(GT, c("s"), ConstStr("s5")),
 		"col-col":   Cmp(LT, c("k"), c("k2")),
-		"in":        In(c("s"), Str("s1"), Str("s2"), Str("s7")),
-		"isnull":    IsNull(c("k")),
-		"not-null":  Not(IsNull(c("k"))),
+		"in":        Or(Cmp(EQ, c("s"), ConstStr("s1")), Cmp(EQ, c("s"), ConstStr("s2")), Cmp(EQ, c("s"), ConstStr("s7"))),
+		"isnull":    Not(Cmp(EQ, c("k"), c("k"))),
+		"not-null":  Cmp(EQ, c("k"), c("k")),
 		"or-fallback": Or(
 			Cmp(EQ, c("k"), ConstInt(0)),
 			Cmp(GT, c("v"), ConstFloat(0.9))),
@@ -144,12 +146,12 @@ func randPredicates(prefix string) map[string]Expr {
 			And(Cmp(GE, c("k2"), ConstInt(4)), Cmp(LE, c("k2"), ConstInt(5)))),
 		"or-three-arms": Or(
 			Cmp(EQ, c("s"), ConstStr("s1")),
-			IsNull(c("k")),
-			And(Cmp(LT, c("v"), ConstFloat(0.2)), Or(Cmp(EQ, Arith(ModOp, c("k2"), ConstInt(2)), ConstInt(0)), Cmp(GT, c("k"), c("k2"))))),
+			Not(Cmp(EQ, c("k"), c("k"))),
+			And(Cmp(LT, c("v"), ConstFloat(0.2)), Or(Not(Cmp(GE, c("k2"), ConstInt(2))), Cmp(GT, c("k"), c("k2"))))),
 		"and-or": And(
 			Cmp(NE, c("k"), ConstInt(3)),
 			Or(Cmp(GT, c("s"), ConstStr("s6")), Not(Cmp(LT, c("v"), ConstFloat(0.5))))),
-		"arith-fallback": Cmp(EQ, Arith(ModOp, c("k"), ConstInt(2)), ConstInt(0)),
+		"arith-fallback": And(Cmp(GE, c("k2"), ConstInt(1)), Not(Cmp(EQ, c("k"), c("k2")))),
 	}
 }
 
@@ -266,7 +268,7 @@ func TestFilterColumnarRowEquivalence(t *testing.T) {
 }
 
 // TestRowEvalConjunctReadsOnlyItsColumns: a conjunct without a kernel
-// (arithmetic) is evaluated row by row on a scratch tuple, and only the
+// (a NOT) is evaluated row by row on a scratch tuple, and only the
 // columns it reads are filled in — a filter above a join does not pay
 // for the join's width. The batch's other columns have empty payloads,
 // so reading one panics. A disjunction runs as a union of its arms'
@@ -289,17 +291,17 @@ func TestRowEvalConjunctReadsOnlyItsColumns(t *testing.T) {
 		want string
 	}{
 		{Or(Cmp(EQ, a, ConstInt(1)), Cmp(GT, c, ConstFloat(0.5))), nil, "[0 1 3]"},
-		{Cmp(EQ, Arith(ModOp, a, ConstInt(2)), ConstInt(0)), nil, "[1 3]"},
+		{Not(Cmp(LT, c, ConstFloat(0.5))), nil, "[1 3]"},
 		{And(Cmp(GT, a, ConstInt(1)), Or(Cmp(LT, c, ConstFloat(0.5)), Cmp(EQ, a, ConstInt(4)))), nil, "[2 3]"},
 		{Or(between(a, 1, 1), between(a, 3, 4)), nil, "[0 2 3]"},
 		{Or(between(a, 5, 9), between(a, -3, 0)), nil, "[]"},
 		{Or(Cmp(GT, n, ConstInt(6)), Cmp(EQ, a, ConstInt(1))), nil, "[0 3]"},
 		{Or(Cmp(LT, n, ConstInt(6)), Cmp(EQ, a, ConstInt(3))), nil, "[1 2]"},
 		{Or(And(Cmp(GT, a, ConstInt(1)), Cmp(LT, c, ConstFloat(0.5))), Cmp(EQ, a, ConstInt(1))), nil, "[0 2]"},
-		{Or(Cmp(EQ, Arith(ModOp, a, ConstInt(2)), ConstInt(0)), Cmp(GT, c, ConstFloat(0.8))), nil, "[1 3]"},
+		{Or(Not(Cmp(LT, c, ConstFloat(0.5))), Cmp(GT, c, ConstFloat(0.8))), nil, "[1 3]"},
 		{Or(Cmp(EQ, a, ConstInt(1)), Cmp(EQ, a, ConstInt(3)), Cmp(GT, c, ConstFloat(0.8))), nil, "[0 1 2]"},
 		{Or(Cmp(EQ, a, ConstInt(1)), Cmp(EQ, a, ConstInt(4))), []int32{3, 2, 0}, "[3 0]"},
-		{Or(between(a, 2, 3), IsNull(n)), []int32{2, 3, 1}, "[2 1]"},
+		{Or(between(a, 2, 3), Not(Cmp(EQ, n, n))), []int32{2, 3, 1}, "[2 1]"},
 	} {
 		bound, err := tc.pred.Bind(sch)
 		if err != nil {
@@ -440,8 +442,8 @@ func TestFilterProjectColumnarChain(t *testing.T) {
 
 // TestColumnarPrefixUnderRowOperators pins that a scan→filter→project
 // prefix answers the same under every operator above it — the root of a
-// poss plan (Distinct), a sort, a limit, an aggregate, a union, the left
-// side of a difference and the build side of a hash join — whether its
+// poss plan (Distinct), a union, the left side of a difference and the
+// build side of a hash join — whether its
 // source serves typed vectors or a relation scan's transposed windows,
 // and that the Distinct, the difference and the union give the
 // reference's bag.
@@ -466,11 +468,6 @@ func TestColumnarPrefixUnderRowOperators(t *testing.T) {
 	refs := map[string]*Relation{"Distinct": ref.Distinct(), "DiffLeft": diff, "Union": union}
 	parents := map[string]func(in Iterator) Iterator{
 		"Distinct": func(in Iterator) Iterator { return NewDistinct(in) },
-		"Sort":     func(in Iterator) Iterator { return NewSort(in, []string{"t.s"}) },
-		"Limit":    func(in Iterator) Iterator { return NewLimit(in, 200) },
-		"HashAgg": func(in Iterator) Iterator {
-			return NewHashAgg(in, []string{"t.k"}, []AggSpec{{Fn: AggCount, As: "n"}})
-		},
 		"Union":    func(in Iterator) Iterator { return NewUnion(in, otherKS()) },
 		"DiffLeft": func(in Iterator) Iterator { return NewDiff(in, otherKS()) },
 		"HashJoinBuild": func(in Iterator) Iterator {

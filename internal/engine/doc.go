@@ -2,7 +2,10 @@
 // database engine: typed values, schemas, relations, an expression
 // language, batch-at-a-time physical operators that hand each other
 // column batches, logical plans, a rule- and cost-based optimizer with
-// table statistics, and an EXPLAIN facility.
+// table statistics, and an EXPLAIN facility. Its algebra is exactly what
+// the U-relation translation emits: scan, values, filter, project,
+// rename, extend, stitch, hash, semi and nested-loop join, union,
+// difference and distinct.
 //
 // The engine plays the role PostgreSQL plays in the U-relations paper
 // (Antova, Jansen, Koch, Olteanu: "Fast and Simple Relational Processing
@@ -23,10 +26,10 @@
 // partition image hand their vectors over as they are; filters run
 // vectorized kernels that only shrink the selection vector; projections
 // re-slice column headers and renames relabel them; a union passes its
-// inputs' batches through; a limit truncates the selection; an extend
-// appends computed vectors; the semi join, the duplicate
-// elimination and the set difference and intersection hand over a
-// selection over their input batch, keyed from its vectors. The stitch
+// inputs' batches through; an extend appends an input's vector or a
+// constant one; the semi join, the duplicate elimination and the set
+// difference hand over a selection over their input batch, keyed from
+// its vectors. The stitch
 // (StitchPlan, StitchIter) is the merge of one relation's vertical
 // partitions — Figure 13's merge join on the tuple id, ψ its join
 // filter: its inputs arrive in tuple-id order, it drains the one it
@@ -41,14 +44,13 @@
 // hash join and the semi join resolve their output and bind their
 // condition one way (joinShape) and evaluate it one way (joinCond): on
 // the inputs' cells in place, ψ compared on ints, each conjunct checked
-// once the last input it reads has its row. An operator whose algorithm holds rows — a
-// catalog relation's scan, the sort, the aggregation, the nested loop,
-// the store's index lookup — serves them through HeldRows, which
-// transposes them a window at a time. Tuples are made at the sink —
-// Drain, the server's row-capped loop, the certain-answer query —
-// through ColBatch.Materialize; below it only an operator that must hold
-// its input makes them (the sort, and the nested loop), and it reports
-// them as rows_materialized.
+// once the last input it reads has its row. An operator whose algorithm
+// holds rows — a catalog relation's scan, the nested loop, the store's
+// index lookup — serves them through HeldRows, which transposes them a
+// window at a time. Tuples are made at the sink — Drain, the server's
+// row-capped loop, the certain-answer query — through
+// ColBatch.Materialize; below it only the nested loop, which must hold
+// its inputs, makes them, and it reports them as rows_materialized.
 //
 // Key ranges flow down the plan (KeyRangeNarrower), after Open and
 // before the first pull. Three operators originate one: the hash join
@@ -77,8 +79,7 @@
 // comes from serving many queries at once. There are two strategies for
 // a join of two relations, chosen from the join's schemas alone
 // (chooseJoin): the hash join for every join with an equi pair, and the
-// nested loop for joins without one, which the property tests also
-// force as the hash join's cross-check. An indexed storage leaf
+// nested loop exactly for the joins without one. An indexed storage leaf
 // serves equality filters (IndexScanPlan), never a join. EXPLAIN and the
 // est= of every EXPLAIN ANALYZE span read one estimator — the
 // optimizer's (stats.go) — so est-drift is a statement about the numbers

@@ -51,7 +51,7 @@ func explainNode(b *strings.Builder, p Plan, est *estimator, depth int, root boo
 		// The decision Build makes under the default configuration. (A
 		// join whose input schemas do not resolve prints as a bare nested
 		// loop; Build reports the error.)
-		c, _ := chooseJoin(n, est.cat, JoinAuto)
+		c, _ := chooseJoin(n, est.cat)
 		fmt.Fprintf(b, "%s%s  (rows=%.0f exec=%s)\n", head, c.label(n.Kind), st.Rows, mode)
 		if len(c.pairs) > 0 {
 			conds := make([]string, len(c.pairs))
@@ -64,7 +64,7 @@ func explainNode(b *strings.Builder, p Plan, est *estimator, depth int, root boo
 			fmt.Fprintf(b, "%s      Join Filter: %s\n", indent, c.residual)
 		}
 		if n.Out != nil {
-			fmt.Fprintf(b, "%s      Output: %s\n", indent, joinStrings(n.Out))
+			fmt.Fprintf(b, "%s      Output: %s\n", indent, strings.Join(n.Out, ", "))
 		}
 		explainNode(b, n.L, est, depth+1, false)
 		explainNode(b, n.R, est, depth+1, false)
@@ -79,7 +79,7 @@ func explainNode(b *strings.Builder, p Plan, est *estimator, depth int, root boo
 			fmt.Fprintf(b, "%s      Join Filter: %s\n", indent, n.Cond)
 		}
 		if n.Out != nil {
-			fmt.Fprintf(b, "%s      Output: %s\n", indent, joinStrings(n.Out))
+			fmt.Fprintf(b, "%s      Output: %s\n", indent, strings.Join(n.Out, ", "))
 		}
 		for _, c := range n.Inputs {
 			explainNode(b, c, est, depth+1, false)
@@ -103,14 +103,10 @@ func explainNode(b *strings.Builder, p Plan, est *estimator, depth int, root boo
 			explainNode(b, n.Child, est, depth+1, false)
 		}
 	case *ProjectPlan:
-		fmt.Fprintf(b, "%sProject %s  (rows=%.0f exec=%s)\n", head, joinStrings(n.Names), st.Rows, mode)
+		fmt.Fprintf(b, "%sProject %s  (rows=%.0f exec=%s)\n", head, strings.Join(n.Names, ", "), st.Rows, mode)
 		explainNode(b, n.Child, est, depth+1, false)
 	case *DistinctPlan:
 		fmt.Fprintf(b, "%sHashAggregate (distinct)  (rows=%.0f exec=%s)\n", head, st.Rows, mode)
-		explainNode(b, n.Child, est, depth+1, false)
-	case *SortPlan:
-		fmt.Fprintf(b, "%sSort  (rows=%.0f exec=%s)\n", head, st.Rows, mode)
-		fmt.Fprintf(b, "%s      Sort Key: %s\n", indent, joinStrings(n.Keys))
 		explainNode(b, n.Child, est, depth+1, false)
 	default:
 		fmt.Fprintf(b, "%s%s  (rows=%.0f exec=%s)\n", head, p.Label(), st.Rows, mode)

@@ -388,167 +388,6 @@ func (p *psiExpr) String() string {
 	return strings.Join(parts, " AND ")
 }
 
-// ArithOp enumerates arithmetic operators.
-type ArithOp uint8
-
-// Arithmetic operators.
-const (
-	AddOp ArithOp = iota
-	SubOp
-	MulOp
-	DivOp
-	ModOp
-)
-
-func (o ArithOp) String() string {
-	return [...]string{"+", "-", "*", "/", "%"}[o]
-}
-
-// ArithExpr is binary arithmetic; ints stay ints unless either side is
-// float. Division by zero yields NULL.
-type ArithExpr struct {
-	Op   ArithOp
-	L, R Expr
-}
-
-// Arith builds an arithmetic expression.
-func Arith(op ArithOp, l, r Expr) *ArithExpr { return &ArithExpr{Op: op, L: l, R: r} }
-
-// Eval evaluates arithmetic with numeric promotion.
-func (a *ArithExpr) Eval(row Tuple) Value {
-	lv := a.L.Eval(row)
-	rv := a.R.Eval(row)
-	if lv.IsNull() || rv.IsNull() {
-		return Null()
-	}
-	if lv.K == KindFloat || rv.K == KindFloat {
-		x, y := lv.AsFloat(), rv.AsFloat()
-		switch a.Op {
-		case AddOp:
-			return Float(x + y)
-		case SubOp:
-			return Float(x - y)
-		case MulOp:
-			return Float(x * y)
-		case DivOp:
-			if y == 0 {
-				return Null()
-			}
-			return Float(x / y)
-		case ModOp:
-			return Null()
-		}
-	}
-	x, y := lv.AsInt(), rv.AsInt()
-	switch a.Op {
-	case AddOp:
-		return Int(x + y)
-	case SubOp:
-		return Int(x - y)
-	case MulOp:
-		return Int(x * y)
-	case DivOp:
-		if y == 0 {
-			return Null()
-		}
-		return Int(x / y)
-	case ModOp:
-		if y == 0 {
-			return Null()
-		}
-		return Int(x % y)
-	}
-	return Null()
-}
-
-// Bind resolves both sides.
-func (a *ArithExpr) Bind(sch Schema) (Expr, error) {
-	l, err := a.L.Bind(sch)
-	if err != nil {
-		return nil, err
-	}
-	r, err := a.R.Bind(sch)
-	if err != nil {
-		return nil, err
-	}
-	return &ArithExpr{Op: a.Op, L: l, R: r}, nil
-}
-
-// Columns collects from both sides.
-func (a *ArithExpr) Columns(dst []string) []string {
-	return a.R.Columns(a.L.Columns(dst))
-}
-
-func (a *ArithExpr) String() string {
-	return fmt.Sprintf("(%s %s %s)", a.L, a.Op, a.R)
-}
-
-// InExpr tests membership of an expression in a literal list.
-type InExpr struct {
-	E    Expr
-	Vals []Value
-}
-
-// In builds a membership test.
-func In(e Expr, vals ...Value) *InExpr { return &InExpr{E: e, Vals: vals} }
-
-// Eval evaluates the membership test; NULL input yields false.
-func (in *InExpr) Eval(row Tuple) Value {
-	v := in.E.Eval(row)
-	if v.IsNull() {
-		return Bool(false)
-	}
-	for _, w := range in.Vals {
-		if Compare(v, w) == 0 {
-			return Bool(true)
-		}
-	}
-	return Bool(false)
-}
-
-// Bind resolves the tested expression.
-func (in *InExpr) Bind(sch Schema) (Expr, error) {
-	e, err := in.E.Bind(sch)
-	if err != nil {
-		return nil, err
-	}
-	return &InExpr{E: e, Vals: in.Vals}, nil
-}
-
-// Columns collects from the tested expression.
-func (in *InExpr) Columns(dst []string) []string { return in.E.Columns(dst) }
-
-func (in *InExpr) String() string {
-	parts := make([]string, len(in.Vals))
-	for i, v := range in.Vals {
-		parts[i] = v.Quoted()
-	}
-	return fmt.Sprintf("%s IN (%s)", in.E, strings.Join(parts, ", "))
-}
-
-// IsNullExpr tests whether a subexpression is NULL.
-type IsNullExpr struct{ E Expr }
-
-// IsNull builds a NULL test.
-func IsNull(e Expr) *IsNullExpr { return &IsNullExpr{E: e} }
-
-// Eval evaluates the NULL test.
-func (n *IsNullExpr) Eval(row Tuple) Value { return Bool(n.E.Eval(row).IsNull()) }
-
-// Bind resolves the child.
-func (n *IsNullExpr) Bind(sch Schema) (Expr, error) {
-	e, err := n.E.Bind(sch)
-	if err != nil {
-		return nil, err
-	}
-	return &IsNullExpr{E: e}, nil
-}
-
-// Columns collects from the child.
-func (n *IsNullExpr) Columns(dst []string) []string { return n.E.Columns(dst) }
-
-func (n *IsNullExpr) String() string { return fmt.Sprintf("%s IS NULL", n.E) }
-
 // SplitConjuncts flattens nested ANDs into a list of conjuncts.
 // Constant-true conjuncts are dropped.
 func SplitConjuncts(e Expr) []Expr {

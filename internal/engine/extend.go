@@ -1,5 +1,10 @@
 package engine
 
+import (
+	"fmt"
+	"strings"
+)
+
 // NamedExpr pairs an expression with an output column name.
 type NamedExpr struct {
 	Name string
@@ -9,21 +14,18 @@ type NamedExpr struct {
 
 // ExtendIter appends computed columns to each input batch. The
 // U-relation union translation uses it to pad ws-descriptors to a common
-// width and to add NULL tuple-id columns for the other side's relations.
-// A computed column that is an input column shares its vector; any other
-// is evaluated on each live row into a fresh vector (a row the
-// selection leaves out is NULL there).
+// width and to add NULL tuple-id columns for the other side's relations,
+// so a computed column is an input column, which shares its vector, or a
+// constant, built into a fresh vector per batch; Open refuses any other
+// expression.
 type ExtendIter struct {
 	In    Iterator
 	Exprs []NamedExpr
 
-	bound   []Expr
-	reads   [][]int // per expression, the input columns it reads
-	sch     Schema
-	scratch Tuple    // the input row, filled where an expression reads it
-	vals    []Value  // reused cells of one computed column
-	cols    []ColVec // reused output column headers
-	cb      ColBatch // reused output batch header
+	bound []Expr
+	sch   Schema
+	cols  []ColVec // reused output column headers
+	cb    ColBatch // reused output batch header
 }
 
 // NewExtend builds an extend operator.
@@ -37,7 +39,6 @@ func (e *ExtendIter) Open() error {
 	}
 	in := e.In.Schema()
 	e.bound = make([]Expr, len(e.Exprs))
-	e.reads = make([][]int, len(e.Exprs))
 	cols := make([]Column, 0, in.Len()+len(e.Exprs))
 	cols = append(cols, in.Cols...)
 	for i, ne := range e.Exprs {
@@ -45,11 +46,15 @@ func (e *ExtendIter) Open() error {
 		if err != nil {
 			return err
 		}
-		e.bound[i], e.reads[i] = b, boundCols(b, in)
+		switch b.(type) {
+		case *ColRef, *ConstExpr:
+		default:
+			return fmt.Errorf("engine: extend: %s is neither a column nor a constant", b)
+		}
+		e.bound[i] = b
 		cols = append(cols, Column{Name: ne.Name, Kind: ne.Kind})
 	}
 	e.sch = Schema{Cols: cols}
-	e.scratch = make(Tuple, in.Len())
 	return nil
 }
 
@@ -59,24 +64,13 @@ func (e *ExtendIter) Next() (*ColBatch, bool, error) {
 		return nil, false, err
 	}
 	cols := append(e.cols[:0], in.Cols...)
-	for x, b := range e.bound {
-		if c, ok := b.(*ColRef); ok {
-			cols = append(cols, in.Cols[c.Idx])
-			continue
+	for _, b := range e.bound {
+		switch b := b.(type) {
+		case *ColRef:
+			cols = append(cols, in.Cols[b.Idx])
+		case *ConstExpr:
+			cols = append(cols, BuildColVec(in.N, func(int) Value { return b.Val }))
 		}
-		if cap(e.vals) < in.N {
-			e.vals = make([]Value, in.N)
-		}
-		vals := e.vals[:in.N]
-		clear(vals)
-		for k, n := 0, in.Rows(); k < n; k++ {
-			i := in.RowID(k)
-			for _, c := range e.reads[x] {
-				e.scratch[c] = in.Cols[c].Value(i)
-			}
-			vals[i] = b.Eval(e.scratch)
-		}
-		cols = append(cols, BuildColVec(in.N, func(i int) Value { return vals[i] }))
 	}
 	e.cols = cols
 	e.cb = ColBatch{Sch: e.sch, Cols: cols, N: in.N, Sel: in.Sel}
@@ -84,7 +78,7 @@ func (e *ExtendIter) Next() (*ColBatch, bool, error) {
 }
 
 func (e *ExtendIter) Close() error {
-	e.vals, e.cols = nil, nil
+	e.cols = nil
 	return e.In.Close()
 }
 
@@ -135,5 +129,5 @@ func (p *ExtendPlan) Label() string {
 	for i, ne := range p.Exprs {
 		names[i] = ne.Name
 	}
-	return "Extend: " + joinStrings(names)
+	return "Extend: " + strings.Join(names, ", ")
 }

@@ -246,8 +246,8 @@ func (r *repeatIter) Open() error {
 	for c := range r.rel.Sch.Cols {
 		src.Cols = append(src.Cols, BuildColVec(r.rel.Len(), func(i int) Value { return r.rel.Rows[i][c] }))
 	}
-	r.scan = colScanIter{src: src}
-	return nil
+	r.scan = colScanIter{src: src, sorted: -1}
+	return r.scan.Open()
 }
 func (r *repeatIter) Close() error   { return nil }
 func (r *repeatIter) Schema() Schema { return r.rel.Sch }

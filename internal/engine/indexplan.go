@@ -53,8 +53,8 @@ func (p *IndexScanPlan) EstimateRowCount() float64 { return p.Src.LookupEstimate
 
 // joinChoice is the physical join decision shared by Build, its trace
 // spans and EXPLAIN, so the plan printed is the plan executed.
+// The nested loop is chosen exactly when the condition has no equi pair.
 type joinChoice struct {
-	algo     JoinAlgo   // JoinHash or JoinNestedLoop
 	pairs    []EquiPair // the condition's equi pairs…
 	residual Expr       // …and what is left of it
 }
@@ -62,7 +62,7 @@ type joinChoice struct {
 // label names the join operator the choice lowers to.
 func (c joinChoice) label(kind JoinKind) string {
 	s := "Nested Loop"
-	if c.algo == JoinHash {
+	if len(c.pairs) > 0 {
 		s = "Hash Join"
 	}
 	if kind == SemiJoin {
@@ -83,10 +83,8 @@ func containsStr(ss []string, s string) bool {
 // chooseJoin picks the physical strategy for a join from its input
 // schemas alone: the nested loop when the condition has no equi pair,
 // the hash join otherwise. A semi join has one operator, which hashes
-// on whatever pairs there are; for it the choice only names it. forced is ExecConfig.Join: JoinNestedLoop overrides the choice
-// for an inner join (the property tests' reference), JoinHash is the
-// default spelled out.
-func chooseJoin(n *JoinPlan, cat *Catalog, forced JoinAlgo) (joinChoice, error) {
+// on whatever pairs there are; for it the choice only names it.
+func chooseJoin(n *JoinPlan, cat *Catalog) (joinChoice, error) {
 	ls, err := n.L.Schema(cat)
 	if err != nil {
 		return joinChoice{}, err
@@ -95,10 +93,7 @@ func chooseJoin(n *JoinPlan, cat *Catalog, forced JoinAlgo) (joinChoice, error) 
 	if err != nil {
 		return joinChoice{}, err
 	}
-	c := joinChoice{algo: JoinHash}
+	var c joinChoice
 	c.pairs, c.residual = ExtractEquiJoin(n.Cond, ls, rs)
-	if len(c.pairs) == 0 || (forced == JoinNestedLoop && n.Kind == InnerJoin) {
-		c.algo = JoinNestedLoop
-	}
 	return c, nil
 }

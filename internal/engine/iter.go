@@ -57,8 +57,8 @@ func drainRows(it Iterator) ([]Tuple, error) {
 	}
 }
 
-// HeldRows serves rows an operator holds — a catalog relation, a sorted
-// input, aggregated groups, an index lookup's hits — as column batches
+// HeldRows serves rows an operator holds — a catalog relation, a nested
+// loop's output, an index lookup's hits — as column batches
 // of at most DefaultBatchSize rows, each window transposed into fresh
 // vectors (BuildColVec), so a consumer may keep their payloads.
 type HeldRows struct {
@@ -374,103 +374,3 @@ func (d *DistinctIter) Next() (*ColBatch, bool, error) {
 
 func (d *DistinctIter) Close() error   { d.seen, d.sel = nil, nil; return d.In.Close() }
 func (d *DistinctIter) Schema() Schema { return d.In.Schema() }
-
-// SortIter materializes and sorts its input by the named key columns
-// (ascending, lexicographic). It must hold its input, so it makes it
-// into tuples and reports them as rows_materialized.
-type SortIter struct {
-	In   Iterator
-	Keys []string
-
-	held HeldRows
-	made int64
-}
-
-// NewSort builds an in-memory sort on the given key columns.
-func NewSort(in Iterator, keys []string) *SortIter {
-	return &SortIter{In: in, Keys: keys}
-}
-
-func (s *SortIter) Open() error {
-	if err := s.In.Open(); err != nil {
-		return err
-	}
-	sch := s.In.Schema()
-	idx := make([]int, len(s.Keys))
-	for i, k := range s.Keys {
-		j := sch.IndexOf(k)
-		if j < 0 {
-			return fmt.Errorf("engine: sort: column %q not in %v", k, sch.Names())
-		}
-		idx[i] = j
-	}
-	rows, err := drainRows(s.In)
-	if err != nil {
-		return err
-	}
-	sortByKeys(rows, idx)
-	s.held, s.made = HeldRows{Rows: rows, Sch: sch}, int64(len(rows))
-	return nil
-}
-
-func (s *SortIter) Next() (*ColBatch, bool, error) { return s.held.Next() }
-func (s *SortIter) Close() error                   { s.held.Rows = nil; return s.In.Close() }
-func (s *SortIter) Schema() Schema                 { return s.In.Schema() }
-
-// OperatorStats reports the rows the sort made into tuples.
-func (s *SortIter) OperatorStats(emit func(key string, v int64)) {
-	emit("rows_materialized", s.made)
-}
-
-// sortByKeys stably sorts rows ascending on the key columns idx.
-func sortByKeys(rows []Tuple, idx []int) {
-	sort.SliceStable(rows, func(a, b int) bool {
-		for _, i := range idx {
-			if c := Compare(rows[a][i], rows[b][i]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-}
-
-// LimitIter passes through at most N rows, truncating the selection of
-// the batch that reaches the limit.
-type LimitIter struct {
-	In Iterator
-	N  int64
-
-	seen int64
-	sel  []int32
-	cb   ColBatch
-}
-
-// NewLimit builds a limit operator.
-func NewLimit(in Iterator, n int64) *LimitIter { return &LimitIter{In: in, N: n} }
-
-func (l *LimitIter) Open() error { l.seen = 0; return l.In.Open() }
-
-func (l *LimitIter) Next() (*ColBatch, bool, error) {
-	if l.seen >= l.N {
-		return nil, false, nil
-	}
-	in, ok, err := l.In.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	left := int(l.N - l.seen)
-	if in.Rows() <= left {
-		l.seen += int64(in.Rows())
-		return in, true, nil
-	}
-	l.sel = l.sel[:0]
-	for k := 0; k < left; k++ {
-		l.sel = append(l.sel, int32(in.RowID(k)))
-	}
-	l.seen = l.N
-	l.cb = ColBatch{Sch: in.Sch, Cols: in.Cols, N: in.N, Sel: l.sel}
-	return &l.cb, true, nil
-}
-
-func (l *LimitIter) Close() error   { return l.In.Close() }
-func (l *LimitIter) Schema() Schema { return l.In.Schema() }

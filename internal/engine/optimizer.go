@@ -308,8 +308,6 @@ func pushConjuncts(child Plan, conjs []Expr, cat *Catalog) Plan {
 		}
 	case *DistinctPlan:
 		return &DistinctPlan{Child: pushConjuncts(n.Child, conjs, cat)}
-	case *SortPlan:
-		return &SortPlan{Child: pushConjuncts(n.Child, conjs, cat), Keys: n.Keys}
 	}
 	return Filter(child, And(conjs...))
 }
@@ -627,8 +625,9 @@ func pruneNeeding(p Plan, cat *Catalog, needed []string) (Plan, error) {
 	case *ScanPlan, *ValuesPlan:
 		return p, nil
 	default:
-		// Generic recursion: require everything from children (sorts,
-		// unions, set ops, aggregates have positional or full needs).
+		// Generic recursion: require everything from children (unions,
+		// differences, distinct, renames and extends have positional or
+		// full needs).
 		ch := p.Children()
 		if len(ch) == 0 {
 			return p, nil

@@ -30,14 +30,12 @@ func TestPushdownThroughUnion(t *testing.T) {
 	}
 }
 
-// TestPushdownThroughDistinctAndSort: filters commute with distinct and
-// sort.
-func TestPushdownThroughDistinctAndSort(t *testing.T) {
+// TestPushdownThroughDistinct: filters commute with distinct.
+func TestPushdownThroughDistinct(t *testing.T) {
 	cat := NewCatalog()
 	cat.Put("a", testRel([]string{"v"}, [][]int64{{1}, {1}, {2}, {3}}))
 	for _, p := range []Plan{
 		Filter(DistinctOf(Scan("a")), Cmp(GE, Col("v"), ConstInt(2))),
-		Filter(Sort(Scan("a"), "v"), Cmp(GE, Col("v"), ConstInt(2))),
 	} {
 		opt, err := Optimize(p, cat)
 		if err != nil {

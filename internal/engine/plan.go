@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 
 	"urel/internal/obs"
 )
@@ -145,7 +146,7 @@ func (p *ProjectPlan) Children() []Plan { return []Plan{p.Child} }
 func (p *ProjectPlan) WithChildren(ch []Plan) Plan {
 	return &ProjectPlan{Child: ch[0], Names: p.Names}
 }
-func (p *ProjectPlan) Label() string { return "Project: " + joinStrings(p.Names) }
+func (p *ProjectPlan) Label() string { return "Project: " + strings.Join(p.Names, ", ") }
 
 // RenamePlan relabels all columns positionally (relation aliasing).
 type RenamePlan struct {
@@ -261,17 +262,6 @@ func (p *DiffPlan) Children() []Plan                    { return []Plan{p.L, p.R
 func (p *DiffPlan) WithChildren(ch []Plan) Plan         { return &DiffPlan{L: ch[0], R: ch[1]} }
 func (p *DiffPlan) Label() string                       { return "Except" }
 
-// IntersectPlan is set intersection.
-type IntersectPlan struct{ L, R Plan }
-
-// Intersect builds a set intersection.
-func Intersect(l, r Plan) *IntersectPlan { return &IntersectPlan{L: l, R: r} }
-
-func (p *IntersectPlan) Schema(cat *Catalog) (Schema, error) { return p.L.Schema(cat) }
-func (p *IntersectPlan) Children() []Plan                    { return []Plan{p.L, p.R} }
-func (p *IntersectPlan) WithChildren(ch []Plan) Plan         { return &IntersectPlan{L: ch[0], R: ch[1]} }
-func (p *IntersectPlan) Label() string                       { return "Intersect" }
-
 // DistinctPlan removes duplicates.
 type DistinctPlan struct{ Child Plan }
 
@@ -283,91 +273,11 @@ func (p *DistinctPlan) Children() []Plan                    { return []Plan{p.Ch
 func (p *DistinctPlan) WithChildren(ch []Plan) Plan         { return &DistinctPlan{Child: ch[0]} }
 func (p *DistinctPlan) Label() string                       { return "HashAggregate (distinct)" }
 
-// SortPlan sorts by key columns.
-type SortPlan struct {
-	Child Plan
-	Keys  []string
-}
-
-// Sort builds a sort.
-func Sort(child Plan, keys ...string) *SortPlan { return &SortPlan{Child: child, Keys: keys} }
-
-func (p *SortPlan) Schema(cat *Catalog) (Schema, error) { return p.Child.Schema(cat) }
-func (p *SortPlan) Children() []Plan                    { return []Plan{p.Child} }
-func (p *SortPlan) WithChildren(ch []Plan) Plan         { return &SortPlan{Child: ch[0], Keys: p.Keys} }
-func (p *SortPlan) Label() string                       { return "Sort: " + joinStrings(p.Keys) }
-
-// LimitPlan caps the row count.
-type LimitPlan struct {
-	Child Plan
-	N     int64
-}
-
-// Limit builds a limit.
-func Limit(child Plan, n int64) *LimitPlan { return &LimitPlan{Child: child, N: n} }
-
-func (p *LimitPlan) Schema(cat *Catalog) (Schema, error) { return p.Child.Schema(cat) }
-func (p *LimitPlan) Children() []Plan                    { return []Plan{p.Child} }
-func (p *LimitPlan) WithChildren(ch []Plan) Plan         { return &LimitPlan{Child: ch[0], N: p.N} }
-func (p *LimitPlan) Label() string                       { return fmt.Sprintf("Limit %d", p.N) }
-
-// AggPlan groups and aggregates.
-type AggPlan struct {
-	Child   Plan
-	GroupBy []string
-	Aggs    []AggSpec
-}
-
-// Agg builds a grouped aggregation.
-func Agg(child Plan, groupBy []string, aggs ...AggSpec) *AggPlan {
-	return &AggPlan{Child: child, GroupBy: groupBy, Aggs: aggs}
-}
-
-func (p *AggPlan) Schema(cat *Catalog) (Schema, error) {
-	in, err := p.Child.Schema(cat)
-	if err != nil {
-		return Schema{}, err
-	}
-	h := &HashAggIter{In: NewScan(NewRelation(in)), GroupBy: p.GroupBy, Aggs: p.Aggs}
-	return h.Schema(), nil
-}
-
-func (p *AggPlan) Children() []Plan { return []Plan{p.Child} }
-func (p *AggPlan) WithChildren(ch []Plan) Plan {
-	return &AggPlan{Child: ch[0], GroupBy: p.GroupBy, Aggs: p.Aggs}
-}
-func (p *AggPlan) Label() string { return "HashAggregate" }
-
-func joinStrings(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += ", "
-		}
-		out += s
-	}
-	return out
-}
-
-// JoinAlgo selects the physical join algorithm.
-type JoinAlgo uint8
-
-// Physical join algorithm choices. JoinAuto lets chooseJoin decide,
-// which means the hash join for every join with an equi pair; nested
-// loop is the only strategy for a join without one whatever is forced.
-const (
-	JoinAuto JoinAlgo = iota
-	JoinHash
-	JoinNestedLoop
-)
-
 // ExecConfig controls physical lowering; the zero value is the default
-// configuration (optimizer on, automatic join selection).
+// configuration (optimizer on).
 type ExecConfig struct {
 	// DisableOptimizer skips logical optimization in Run/Explain.
 	DisableOptimizer bool
-	// Join forces a physical join algorithm (ablation experiments).
-	Join JoinAlgo
 	// Trace, when non-nil, is the parent span operator traces attach
 	// under: Build gives every plan node a child span and wraps its
 	// iterator so actual rows/batches/time (and store-side stats) are
@@ -383,9 +293,10 @@ type ExecConfig struct {
 }
 
 // Build lowers a logical plan to a physical iterator tree, one operator
-// per node: a filter lowers to FilterIter and an inner equi-join to
-// HashJoinIter, unless cfg.Join forces the nested loop. The join
-// strategy reads schemas only, so an untraced Build takes no estimate.
+// per node: a filter lowers to FilterIter, an inner equi-join to
+// HashJoinIter and a join without an equi pair to NestedLoopJoinIter.
+// The join strategy reads schemas only, so an untraced Build takes no
+// estimate.
 // With cfg.Trace set, every node also gets a span recording its actuals
 // next to the estimate Optimize and Explain read — one estimator, the
 // same type — and the recursion threads each node's span through cfg so
@@ -434,7 +345,7 @@ func (b *lowering) lower(p Plan, cfg ExecConfig) (Iterator, error) {
 	}
 	label := p.Label()
 	if j, ok := p.(*JoinPlan); ok {
-		c, err := chooseJoin(j, b.cat, cfg.Join)
+		c, err := chooseJoin(j, b.cat)
 		if err != nil {
 			return nil, err
 		}
@@ -481,7 +392,7 @@ func (b *lowering) build(p Plan, cfg ExecConfig) (Iterator, error) {
 		}
 		return NewRename(in, n.Names), nil
 	case *JoinPlan:
-		c, err := chooseJoin(n, b.cat, cfg.Join)
+		c, err := chooseJoin(n, b.cat)
 		if err != nil {
 			return nil, err
 		}
@@ -496,7 +407,7 @@ func (b *lowering) build(p Plan, cfg ExecConfig) (Iterator, error) {
 		switch {
 		case n.Kind == SemiJoin:
 			return NewSemiJoin(l, r, c.pairs, c.residual), nil
-		case c.algo == JoinNestedLoop:
+		case len(c.pairs) == 0:
 			return NewNestedLoopJoin(l, r, n.Cond, n.Out), nil
 		}
 		return NewHashJoin(l, r, c.pairs, c.residual, n.Out), nil
@@ -529,40 +440,12 @@ func (b *lowering) build(p Plan, cfg ExecConfig) (Iterator, error) {
 			return nil, err
 		}
 		return NewDiff(l, r), nil
-	case *IntersectPlan:
-		l, err := b.lower(n.L, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.lower(n.R, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return NewIntersect(l, r), nil
 	case *DistinctPlan:
 		in, err := b.lower(n.Child, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewDistinct(in), nil
-	case *SortPlan:
-		in, err := b.lower(n.Child, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return NewSort(in, n.Keys), nil
-	case *LimitPlan:
-		in, err := b.lower(n.Child, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return NewLimit(in, n.N), nil
-	case *AggPlan:
-		in, err := b.lower(n.Child, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return NewHashAgg(in, n.GroupBy, n.Aggs), nil
 	case *ExtendPlan:
 		in, err := b.lower(n.Child, cfg)
 		if err != nil {

@@ -67,16 +67,14 @@ func closePair(l, r Iterator) error {
 	return err2
 }
 
-// SetOpIter computes the set difference L − R or, with Member, the
-// intersection of L and R (set semantics: the output is deduplicated).
-// The difference is the Lemma 4.3 certain-answer RA query's. R is
+// DiffIter computes the set difference L − R (set semantics: the output
+// is deduplicated), the Lemma 4.3 certain-answer RA query's. R is
 // drained into the set of its rows' keys at Open; each L batch is handed
-// over narrowed to a selection of its rows whose key is (intersection)
-// or is not (difference) in that set and was not handed over before —
-// keyed from the vectors, so no tuple is made.
-type SetOpIter struct {
-	L, R   Iterator
-	Member bool
+// over narrowed to a selection of its rows whose key is not in that set
+// and was not handed over before — keyed from the vectors, so no tuple
+// is made.
+type DiffIter struct {
+	L, R Iterator
 
 	right map[string]struct{}
 	seen  map[string]struct{}
@@ -86,17 +84,10 @@ type SetOpIter struct {
 }
 
 // NewDiff builds a set difference.
-func NewDiff(l, r Iterator) *SetOpIter { return &SetOpIter{L: l, R: r} }
+func NewDiff(l, r Iterator) *DiffIter { return &DiffIter{L: l, R: r} }
 
-// NewIntersect builds a set intersection.
-func NewIntersect(l, r Iterator) *SetOpIter { return &SetOpIter{L: l, R: r, Member: true} }
-
-func (d *SetOpIter) Open() error {
-	what := "difference"
-	if d.Member {
-		what = "intersect"
-	}
-	if err := openPair(d.L, d.R, what); err != nil {
+func (d *DiffIter) Open() error {
+	if err := openPair(d.L, d.R, "difference"); err != nil {
 		return err
 	}
 	d.seen, d.right = make(map[string]struct{}), make(map[string]struct{})
@@ -115,7 +106,7 @@ func (d *SetOpIter) Open() error {
 	}
 }
 
-func (d *SetOpIter) Next() (*ColBatch, bool, error) {
+func (d *DiffIter) Next() (*ColBatch, bool, error) {
 	for {
 		in, ok, err := d.L.Next()
 		if err != nil || !ok {
@@ -125,7 +116,7 @@ func (d *SetOpIter) Next() (*ColBatch, bool, error) {
 		for k, n := 0, in.Rows(); k < n; k++ {
 			i := in.RowID(k)
 			d.buf = appendRowKey(d.buf[:0], in.Cols, i)
-			if _, has := d.right[string(d.buf)]; has != d.Member {
+			if _, has := d.right[string(d.buf)]; has {
 				continue
 			}
 			if _, dup := d.seen[string(d.buf)]; dup {
@@ -142,9 +133,9 @@ func (d *SetOpIter) Next() (*ColBatch, bool, error) {
 	}
 }
 
-func (d *SetOpIter) Close() error {
+func (d *DiffIter) Close() error {
 	d.right, d.seen, d.sel = nil, nil, nil
 	return closePair(d.L, d.R)
 }
 
-func (d *SetOpIter) Schema() Schema { return d.L.Schema() }
+func (d *DiffIter) Schema() Schema { return d.L.Schema() }

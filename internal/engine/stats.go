@@ -345,11 +345,6 @@ func (est *estimator) estimate(p Plan) PlanStats {
 		l := est.stats(n.L)
 		out := math.Max(1, l.Rows*0.5)
 		return PlanStats{Rows: out, NDV: capNDV(l.NDV, out)}
-	case *IntersectPlan:
-		l := est.stats(n.L)
-		r := est.stats(n.R)
-		out := math.Max(1, math.Min(l.Rows, r.Rows)*0.5)
-		return PlanStats{Rows: out, NDV: capNDV(l.NDV, out)}
 	case *DistinctPlan:
 		in := est.stats(n.Child)
 		prod := 1.0
@@ -362,8 +357,6 @@ func (est *estimator) estimate(p Plan) PlanStats {
 		}
 		out := math.Max(1, math.Min(in.Rows, prod))
 		return PlanStats{Rows: out, NDV: capNDV(in.NDV, out)}
-	case *SortPlan:
-		return est.stats(n.Child)
 	case *ExtendPlan:
 		in := est.stats(n.Child)
 		ndv := make(map[string]float64, len(in.NDV)+len(n.Exprs))
@@ -374,18 +367,6 @@ func (est *estimator) estimate(p Plan) PlanStats {
 			ndv[ne.Name] = math.Min(in.Rows, defaultNDV)
 		}
 		return PlanStats{Rows: in.Rows, NDV: ndv}
-	case *LimitPlan:
-		in := est.stats(n.Child)
-		out := math.Min(in.Rows, float64(n.N))
-		return PlanStats{Rows: out, NDV: capNDV(in.NDV, out)}
-	case *AggPlan:
-		in := est.stats(n.Child)
-		groups := 1.0
-		for _, g := range n.GroupBy {
-			groups *= math.Max(1, ndvOr(in.NDV, g, defaultNDV))
-		}
-		out := math.Max(1, math.Min(in.Rows, groups))
-		return PlanStats{Rows: out, NDV: capNDV(in.NDV, out)}
 	default:
 		if _, ok := p.(StatsSource); ok {
 			return leafPlanStats(est.tableStats(p))
@@ -487,17 +468,6 @@ func (est *estimator) conjunctSelectivity(c Expr, child Plan, in PlanStats) floa
 		default:
 			return 1 - est.conjunctSelectivity(e.Args[0], child, in)
 		}
-	case *InExpr:
-		cols := ExprColumns(e)
-		if len(cols) == 1 {
-			ndv := ndvOr(in.NDV, cols[0], 1/defaultEqSel)
-			s := float64(len(e.Vals)) / math.Max(1, ndv)
-			if s > 1 {
-				s = 1
-			}
-			return s
-		}
-		return defaultSel
 	default:
 		return defaultSel
 	}

@@ -147,7 +147,6 @@ func TestSelectivityBounds(t *testing.T) {
 		And(Cmp(GT, Col("o.total"), ConstInt(100)), Cmp(LT, Col("o.total"), ConstInt(500))),
 		Or(Cmp(EQ, Col("o.custkey"), ConstInt(1)), Cmp(EQ, Col("o.custkey"), ConstInt(2))),
 		Not(Cmp(EQ, Col("o.custkey"), ConstInt(1))),
-		In(Col("o.custkey"), Int(1), Int(2), Int(3)),
 	}
 	for i, p := range preds {
 		st := EstimateStats(Filter(Scan("orders"), p), cat)

@@ -70,45 +70,9 @@ func compileConjunct(e Expr, sch Schema) vecConjunct {
 				return colConstCmp(r.Idx, swapCmp(x.Op), l.Val)
 			}
 		}
-	case *IsNullExpr:
-		if c, ok := x.E.(*ColRef); ok {
-			idx := c.Idx
-			return func(_ *vecPred, cb *ColBatch, sel []int32) []int32 {
-				v := &cb.Cols[idx]
-				out := sel[:0]
-				for _, i := range sel {
-					if v.IsNull(int(i)) {
-						out = append(out, i)
-					}
-				}
-				return out
-			}
-		}
 	case *LogicExpr:
 		if x.Op == OrOp {
 			return orConjunct(x.Args, sch)
-		}
-	case *InExpr:
-		if c, ok := x.E.(*ColRef); ok {
-			idx := c.Idx
-			vals := x.Vals
-			return func(_ *vecPred, cb *ColBatch, sel []int32) []int32 {
-				v := &cb.Cols[idx]
-				out := sel[:0]
-				for _, i := range sel {
-					cell := v.Value(int(i))
-					if cell.IsNull() {
-						continue
-					}
-					for _, w := range vals {
-						if Compare(cell, w) == 0 {
-							out = append(out, i)
-							break
-						}
-					}
-				}
-				return out
-			}
 		}
 	}
 	return rowEvalConjunct(e, boundCols(e, sch))

@@ -46,28 +46,8 @@ func TestOneRowProtocol(t *testing.T) {
 	antiJoin := map[string]bool{"AntiJoin": true, "Anti": true}
 	var iteratorMethods []string
 	joins := map[string]map[string]bool{"HashJoinIter": {}}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == "." {
-				return nil
-			}
-			// benchmark/ is a module of its own; dot-directories hold no source.
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
+	fset, files := moduleSources(t)
+	for _, file := range files {
 		if file.Name.Name == "engine" || file.Name.Name == "store" {
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch x := n.(type) {
@@ -172,10 +152,6 @@ func TestOneRowProtocol(t *testing.T) {
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	sort.Strings(iteratorMethods)
 	if got, want := strings.Join(iteratorMethods, " "), "Close Next Open Schema"; got != want {
@@ -189,6 +165,133 @@ func TestOneRowProtocol(t *testing.T) {
 	if joins["HashJoinIter"]["NarrowKeyRange"] {
 		t.Error("engine.HashJoinIter declares NarrowKeyRange again: no join hands it a range")
 	}
+}
+
+// TestEveryOperatorHasACaller pins that the engine carries only the
+// algebra some program path builds. Every exported function of package
+// engine whose one result is a plan node or an expression (Plan, *…Plan,
+// Expr, *…Expr) must be called from a non-test file of the module other
+// than its own declaration. An operator or expression only tests build
+// is dead code: delete it.
+func TestEveryOperatorHasACaller(t *testing.T) {
+	_, files := moduleSources(t)
+	builders := map[string]bool{} // name → called
+	for _, file := range files {
+		if file.Name.Name != "engine" {
+			continue
+		}
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() && buildsNode(fn.Type) {
+				builders[fn.Name.Name] = false
+			}
+		}
+	}
+	if len(builders) == 0 {
+		t.Fatal("found no plan or expression constructor in package engine")
+	}
+	for _, file := range files {
+		// The name package engine goes by in this file: "" inside it.
+		pkg := "-"
+		if file.Name.Name == "engine" {
+			pkg = ""
+		}
+		for _, imp := range file.Imports {
+			if strings.Trim(imp.Path.Value, `"`) == "urel/internal/engine" {
+				pkg = "engine"
+				if imp.Name != nil {
+					pkg = imp.Name.Name
+				}
+			}
+		}
+		if pkg == "-" {
+			continue
+		}
+		for _, decl := range file.Decls {
+			var self string
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				self = fn.Name.Name
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				var name string
+				switch f := call.Fun.(type) {
+				case *ast.Ident:
+					if pkg == "" {
+						name = f.Name
+					}
+				case *ast.SelectorExpr:
+					if x, ok := f.X.(*ast.Ident); ok && pkg != "" && x.Name == pkg {
+						name = f.Sel.Name
+					}
+				}
+				if _, ok := builders[name]; ok && !(pkg == "" && name == self) {
+					builders[name] = true
+				}
+				return true
+			})
+		}
+	}
+	var dead []string
+	for name, called := range builders {
+		if !called {
+			dead = append(dead, name)
+		}
+	}
+	sort.Strings(dead)
+	if len(dead) > 0 {
+		t.Errorf("engine builds nodes no program path calls: %s", strings.Join(dead, ", "))
+	}
+}
+
+// buildsNode reports whether ft has one result, a plan node or an
+// expression: Plan, *…Plan, Expr or *…Expr.
+func buildsNode(ft *ast.FuncType) bool {
+	if ft.Results == nil || len(ft.Results.List) != 1 || len(ft.Results.List[0].Names) > 1 {
+		return false
+	}
+	typ := ft.Results.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	id, ok := typ.(*ast.Ident)
+	return ok && (strings.HasSuffix(id.Name, "Plan") || strings.HasSuffix(id.Name, "Expr"))
+}
+
+// moduleSources parses every non-test Go file of the module. benchmark/
+// is a module of its own; dot-directories hold no source.
+func moduleSources(t *testing.T) (*token.FileSet, []*ast.File) {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []*ast.File
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err == nil {
+			files = append(files, file)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, files
 }
 
 // returnsTupleBoolError reports whether ft's results are
