@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,19 +31,9 @@ type Options struct {
 	// Registry receives the urel_shard_* metric family; nil disables
 	// coordinator metrics.
 	Registry *obs.Registry
-	// Cooldown is deprecated: it used to be the fixed skip interval for
-	// a failed node and now seeds Health.BaseBackoff when that is unset.
-	Cooldown time.Duration
 	// Health tunes the per-node circuit breakers, backoff, and active
 	// health probes.
 	Health HealthOptions
-	// HedgeQuantile, when in (0,1), hedges scatter reads: if the first
-	// node of a shard has not answered within that quantile of the
-	// shard's observed latency, a second request is launched to the
-	// next node and the first answer wins. Off by default (0).
-	HedgeQuantile float64
-	// HedgeMin floors the hedge delay. Default 10ms.
-	HedgeMin time.Duration
 }
 
 // Coordinator scatter-gathers queries for one sharded catalog over the
@@ -56,11 +47,8 @@ type Coordinator struct {
 	hc      *http.Client
 	opts    Options // as passed to NewCoordinator (topology reload rebuilds with them)
 
-	health   *healthTracker
-	hedgeQ   float64
-	hedgeMin time.Duration
-	hlat     []*obs.Histogram // per shard: latency for hedge delays (always on)
-	fences   []atomic.Uint64  // per shard: highest fencing epoch witnessed
+	health *healthTracker
+	fences []atomic.Uint64 // per shard: highest fencing epoch witnessed
 
 	rr     atomic.Uint64   // round-robin cursor: single-shard routing of replicated-only queries
 	nodeRR []atomic.Uint64 // per shard: replica-read rotation, advanced only by that shard's calls
@@ -73,7 +61,6 @@ type Coordinator struct {
 	reqs      []*obs.Counter // per shard: sub-requests issued
 	failovers []*obs.Counter // per shard: node failures routed around
 	unavail   []*obs.Counter // per shard: requests failed with every node down
-	hedges    []*obs.Counter // per shard: hedged second requests launched
 	lat       []*obs.Histogram
 	partials  *obs.Counter // partial (degraded) merged results served
 }
@@ -83,23 +70,14 @@ func NewCoordinator(catalog string, spec CatalogSpec, opts Options) (*Coordinato
 	if err := spec.validate(); err != nil {
 		return nil, fmt.Errorf("cluster: catalog %q: %w", catalog, err)
 	}
-	hopts := opts.Health
-	if hopts.BaseBackoff == 0 && opts.Cooldown > 0 {
-		hopts.BaseBackoff = opts.Cooldown
-	}
 	c := &Coordinator{
 		catalog:   catalog,
 		spec:      spec,
 		sharded:   map[string]bool{},
 		hc:        opts.HTTPClient,
 		opts:      opts,
-		health:    newHealthTracker(hopts),
-		hedgeQ:    opts.HedgeQuantile,
-		hedgeMin:  opts.HedgeMin,
+		health:    newHealthTracker(opts.Health),
 		probeQuit: make(chan struct{}),
-	}
-	if c.hedgeMin <= 0 {
-		c.hedgeMin = 10 * time.Millisecond
 	}
 	c.fences = make([]atomic.Uint64, len(spec.Shards))
 	c.nodeRR = make([]atomic.Uint64, len(spec.Shards))
@@ -118,9 +96,6 @@ func NewCoordinator(catalog string, spec CatalogSpec, opts Options) (*Coordinato
 			},
 		}
 	}
-	for range spec.Shards {
-		c.hlat = append(c.hlat, obs.NewHistogram(nil))
-	}
 	if r := opts.Registry; r != nil {
 		for si, sh := range spec.Shards {
 			lv := []string{catalog, sh.Name}
@@ -130,8 +105,6 @@ func NewCoordinator(catalog string, spec CatalogSpec, opts Options) (*Coordinato
 				"Node failures routed around to another node of the shard.", []string{"catalog", "shard"}, lv...))
 			c.unavail = append(c.unavail, r.CounterWith("urel_shard_unavailable_total",
 				"Sub-requests that failed with every node of the shard down (503s).", []string{"catalog", "shard"}, lv...))
-			c.hedges = append(c.hedges, r.CounterWith("urel_shard_hedges_total",
-				"Hedged second requests launched after the latency-quantile delay.", []string{"catalog", "shard"}, lv...))
 			c.lat = append(c.lat, r.HistogramWith("urel_shard_seconds",
 				"Sub-request latency per shard.", nil, []string{"catalog", "shard"}, lv...))
 			for _, node := range sh.Nodes {
@@ -214,7 +187,7 @@ func (c *Coordinator) Route(rels []string) (targets []int, scatter bool, err *Er
 		}
 	}
 	if len(shardedRels) > 1 {
-		return nil, false, errf(400,
+		return nil, false, Errorf(400,
 			"cluster: query joins sharded relations %s: tuples of distinct sharded relations are partitioned independently, so scatter-gather cannot evaluate their join (shard one of them only, or replicate one)",
 			strings.Join(shardedRels, ", "))
 	}
@@ -285,8 +258,8 @@ func (c *Coordinator) post(node, path string, body []byte, fence uint64) (*shard
 // across the shard's nodes on transport errors. Only transport errors
 // fail over — an HTTP error status is an answer from a healthy node
 // and is returned as-is. When every node is unreachable the error is
-// the satellite-mandated explicit 503 naming the shard, with the
-// structured Shard/Catalog/NodesTried fields populated.
+// an explicit 503 naming the shard, with the structured
+// Shard/Catalog/NodesTried fields populated.
 func (c *Coordinator) call(shard int, path string, body []byte, primaryOnly bool, fence uint64) (*shardCall, *Error) {
 	if len(c.reqs) > 0 {
 		c.reqs[shard].Inc()
@@ -296,17 +269,7 @@ func (c *Coordinator) call(shard int, path string, body []byte, primaryOnly bool
 		nodes = c.spec.Shards[shard].Nodes[:1]
 	}
 	var lastErr error
-	start := 0
-	if c.hedgeQ > 0 && c.hedgeQ < 1 && !primaryOnly && len(nodes) > 1 {
-		sc, consumed, err := c.hedged(shard, nodes, path, body)
-		if sc != nil {
-			return sc, nil
-		}
-		lastErr = err
-		start = consumed
-	}
-	for i := start; i < len(nodes); i++ {
-		node := nodes[i]
+	for i, node := range nodes {
 		if i > 0 && len(c.failovers) > 0 {
 			c.failovers[shard].Inc()
 		}
@@ -317,7 +280,6 @@ func (c *Coordinator) call(shard int, path string, body []byte, primaryOnly bool
 			continue
 		}
 		c.health.observe(node, true)
-		c.hlat[shard].ObserveDuration(sc.elapsed)
 		if len(c.lat) > 0 {
 			c.lat[shard].ObserveDuration(sc.elapsed)
 		}
@@ -326,76 +288,32 @@ func (c *Coordinator) call(shard int, path string, body []byte, primaryOnly bool
 	if len(c.unavail) > 0 {
 		c.unavail[shard].Inc()
 	}
-	e := errf(http.StatusServiceUnavailable,
-		"cluster: shard %q of catalog %q unavailable: no reachable node (%d tried, last error: %v)",
-		c.spec.Shards[shard].Name, c.catalog, len(nodes), lastErr)
-	e.Shard = c.spec.Shards[shard].Name
-	e.Catalog = c.catalog
-	e.NodesTried = len(nodes)
-	return nil, e
+	name := c.spec.Shards[shard].Name
+	return nil, &Error{Status: http.StatusServiceUnavailable, Shard: name, Catalog: c.catalog, NodesTried: len(nodes),
+		Msg: fmt.Sprintf("cluster: shard %q of catalog %q unavailable: no reachable node (%d tried, last error: %v)",
+			name, c.catalog, len(nodes), lastErr)}
 }
 
-// hedged races nodes[0] against a delayed second request to nodes[1]:
-// the second launches only if the first has not answered within the
-// shard's HedgeQuantile observed latency (floored at HedgeMin) — the
-// tail-latency cut for a slow or struggling node. Returns the winning
-// answer, or (nil, nodes consumed, last error) when every launched
-// request failed so the caller can continue down the node list.
-func (c *Coordinator) hedged(shard int, nodes []string, path string, body []byte) (*shardCall, int, error) {
-	type result struct {
-		sc   *shardCall
-		err  error
-		node string
+// decode decodes a shard's response: the body into out on a 200, and
+// otherwise the error body the shard sent, raised again under the
+// shard's name.
+func (c *Coordinator) decode(shard int, sc *shardCall, out any) *Error {
+	name := c.spec.Shards[shard].Name
+	var se Error
+	if sc.status != http.StatusOK {
+		out = &se
 	}
-	ch := make(chan result, 2)
-	send := func(node string) {
-		sc, err := c.post(node, path, body, 0)
-		ch <- result{sc: sc, err: err, node: node}
+	if err := json.Unmarshal(sc.body, out); err != nil {
+		return Errorf(http.StatusBadGateway, "cluster: shard %q returned unparseable response: %v", name, err)
 	}
-	go send(nodes[0])
-	delay := time.Duration(c.hlat[shard].Quantile(c.hedgeQ) * float64(time.Second))
-	if delay < c.hedgeMin {
-		delay = c.hedgeMin
+	if sc.status == http.StatusOK {
+		return nil
 	}
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	launched, failed := 1, 0
-	var lastErr error
-	for {
-		select {
-		case r := <-ch:
-			if r.err == nil {
-				c.health.observe(r.node, true)
-				c.hlat[shard].ObserveDuration(r.sc.elapsed)
-				if len(c.lat) > 0 {
-					c.lat[shard].ObserveDuration(r.sc.elapsed)
-				}
-				if r.node != nodes[0] && len(c.failovers) > 0 {
-					c.failovers[shard].Inc()
-				}
-				return r.sc, launched, nil
-			}
-			c.health.observe(r.node, false)
-			lastErr = r.err
-			failed++
-			if failed == launched {
-				if launched == 1 {
-					// First failed before the hedge delay: plain failover,
-					// no point waiting out the timer.
-					return nil, 1, lastErr
-				}
-				return nil, launched, lastErr
-			}
-		case <-timer.C:
-			if launched == 1 {
-				launched = 2
-				if len(c.hedges) > 0 {
-					c.hedges[shard].Inc()
-				}
-				go send(nodes[1])
-			}
-		}
+	msg := se.Msg
+	if msg == "" {
+		msg = fmt.Sprintf("status %d", sc.status)
 	}
+	return &Error{Status: sc.status, Shard: name, Catalog: c.catalog, Msg: fmt.Sprintf("cluster: shard %q: %s", name, msg)}
 }
 
 // Relay forwards a query to a single shard and returns the raw
@@ -408,7 +326,7 @@ func (c *Coordinator) Relay(shard int, req QueryRequest) (status int, body []byt
 	req.DB = c.catalog
 	b, merr := json.Marshal(req)
 	if merr != nil {
-		return 0, nil, errf(500, "cluster: %v", merr)
+		return 0, nil, Errorf(500, "cluster: %v", merr)
 	}
 	sc, cerr := c.call(shard, "/query", b, false, 0)
 	if cerr != nil {
@@ -425,14 +343,15 @@ func (c *Coordinator) Relay(shard int, req QueryRequest) (status int, body []byt
 // With allowPartial, a shard whose every node is unreachable (the
 // structured 503) yields a nil slot and its index in missing instead
 // of failing the whole scatter; any other shard error, and the case of
-// every shard missing, still fail.
+// every shard missing, still fail. So does a shard that answers other
+// columns than the first shard did: the merges line rows up by column.
 func (c *Coordinator) scatter(targets []int, req QueryRequest, span *obs.Span, allowPartial bool) (resps []*shardResponse, missing []int, err *Error) {
 	req.DB = c.catalog
 	req.Limit = 0     // limits cannot push below a union; applied after merging
 	req.Trace = false // shard-internal traces are not gathered; spans carry latency
 	body, merr := json.Marshal(req)
 	if merr != nil {
-		return nil, nil, errf(500, "cluster: %v", merr)
+		return nil, nil, Errorf(500, "cluster: %v", merr)
 	}
 	type slot struct {
 		resp *shardResponse
@@ -446,33 +365,20 @@ func (c *Coordinator) scatter(targets []int, req QueryRequest, span *obs.Span, a
 		go func(i, shard int) {
 			defer wg.Done()
 			sc, err := c.call(shard, "/query", body, false, 0)
-			if err != nil {
-				slots[i] = slot{err: err}
-				return
-			}
-			var sr shardResponse
-			if uerr := json.Unmarshal(sc.body, &sr); uerr != nil {
-				slots[i] = slot{err: errf(502, "cluster: shard %q returned unparseable response: %v",
-					c.spec.Shards[shard].Name, uerr)}
-				return
-			}
-			if sc.status != http.StatusOK {
-				msg := sr.Error
-				if msg == "" {
-					msg = fmt.Sprintf("status %d", sc.status)
+			if err == nil {
+				var sr shardResponse
+				if err = c.decode(shard, sc, &sr); err == nil {
+					slots[i] = slot{resp: &sr, call: sc}
+					return
 				}
-				serr := errf(sc.status, "cluster: shard %q: %s", c.spec.Shards[shard].Name, msg)
-				serr.Shard = c.spec.Shards[shard].Name
-				serr.Catalog = c.catalog
-				slots[i] = slot{err: serr}
-				return
 			}
-			slots[i] = slot{resp: &sr, call: sc}
+			slots[i] = slot{err: err}
 		}(i, shard)
 	}
 	wg.Wait()
 	out := make([]*shardResponse, len(targets))
 	var lastMissing *Error
+	first := -1
 	for i, sl := range slots {
 		if sl.err != nil {
 			if allowPartial && sl.err.Status == http.StatusServiceUnavailable && sl.err.NodesTried > 0 {
@@ -481,6 +387,14 @@ func (c *Coordinator) scatter(targets []int, req QueryRequest, span *obs.Span, a
 				continue
 			}
 			return nil, nil, sl.err
+		}
+		if first < 0 {
+			first = i
+		} else if !slices.Equal(sl.resp.Columns, out[first].Columns) {
+			name := c.spec.Shards[targets[i]].Name
+			return nil, nil, &Error{Status: http.StatusBadGateway, Shard: name, Catalog: c.catalog,
+				Msg: fmt.Sprintf("cluster: shard %q answered columns %v, shard %q answered %v",
+					name, sl.resp.Columns, c.spec.Shards[targets[first]].Name, out[first].Columns)}
 		}
 		if span != nil {
 			child := span.Child("shard "+c.spec.Shards[targets[i]].Name, -1)
@@ -594,23 +508,23 @@ func (c *Coordinator) ScatterBounds(targets []int, req QueryRequest, span *obs.S
 		}
 		if columns == nil {
 			columns = sr.Columns
+			if len(columns) < 2 {
+				return nil, Errorf(502, "cluster: shard bounds response has %d columns", len(columns))
+			}
 		}
 		degraded = degraded || sr.Degraded
-		if len(sr.Columns) < 2 {
-			return nil, errf(502, "cluster: shard bounds response has %d columns", len(sr.Columns))
-		}
-		nvals := len(sr.Columns) - 2 // trailing _p_lo, _p_hi
+		nvals := len(columns) - 2 // trailing _p_lo, _p_hi
 		for _, raw := range sr.Rows {
 			var cells []json.RawMessage
 			if uerr := json.Unmarshal(raw, &cells); uerr != nil || len(cells) != nvals+2 {
-				return nil, errf(502, "cluster: bad shard bounds row %s", raw)
+				return nil, Errorf(502, "cluster: bad shard bounds row %s", raw)
 			}
 			var lo, hi float64
 			if uerr := json.Unmarshal(cells[nvals], &lo); uerr != nil {
-				return nil, errf(502, "cluster: bad bounds row lower %s", cells[nvals])
+				return nil, Errorf(502, "cluster: bad bounds row lower %s", cells[nvals])
 			}
 			if uerr := json.Unmarshal(cells[nvals+1], &hi); uerr != nil {
-				return nil, errf(502, "cluster: bad bounds row upper %s", cells[nvals+1])
+				return nil, Errorf(502, "cluster: bad bounds row upper %s", cells[nvals+1])
 			}
 			key := string(bytes.Join(rawBytes(cells[:nvals]), []byte{0}))
 			b := merged[key]
@@ -647,7 +561,7 @@ func (c *Coordinator) ScatterBounds(targets []int, req QueryRequest, span *obs.S
 		cells := append(append([]json.RawMessage{}, b.vals...), jsonNum(b.lo), jsonNum(b.hi))
 		row, merr := json.Marshal(cells)
 		if merr != nil {
-			return nil, errf(500, "cluster: %v", merr)
+			return nil, Errorf(500, "cluster: %v", merr)
 		}
 		m.Rows = append(m.Rows, json.RawMessage(row))
 	}
@@ -684,11 +598,11 @@ func (c *Coordinator) GatherRepr(targets []int, req QueryRequest, span *obs.Span
 	res := &core.UResult{W: w}
 	for i, sr := range resps {
 		if sr.Repr == nil {
-			return nil, errf(502, "cluster: shard %q returned no representation (is it running an older build?)",
+			return nil, Errorf(502, "cluster: shard %q returned no representation (is it running an older build?)",
 				c.spec.Shards[targets[i]].Name)
 		}
 		if derr := decodeReprInto(res, sr.Repr); derr != nil {
-			return nil, errf(502, "%v", derr)
+			return nil, Errorf(502, "%v", derr)
 		}
 	}
 	return res, nil
@@ -736,36 +650,27 @@ func (c *Coordinator) worldTable() (*ws.WorldTable, *Error) {
 			resp, err := c.hc.Get(node + "/worlds?db=" + url.QueryEscape(c.catalog))
 			if err != nil {
 				c.health.observe(node, false)
-				lastErr = errf(503, "cluster: fetch world table: %v", err)
+				lastErr = Errorf(503, "cluster: fetch world table: %v", err)
 				continue
 			}
 			b, rerr := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			if rerr != nil || resp.StatusCode != http.StatusOK {
-				lastErr = errf(502, "cluster: fetch world table from %s: status %d (%v)", node, resp.StatusCode, rerr)
+				lastErr = Errorf(502, "cluster: fetch world table from %s: status %d (%v)", node, resp.StatusCode, rerr)
 				continue
 			}
 			w, derr := store.DecodeWorldTable(b)
 			if derr != nil {
-				return nil, errf(502, "cluster: decode world table: %v", derr)
+				return nil, Errorf(502, "cluster: decode world table: %v", derr)
 			}
 			c.worlds.Store(w)
 			return w, nil
 		}
 	}
 	if lastErr == nil {
-		lastErr = errf(503, "cluster: no nodes configured")
+		lastErr = Errorf(503, "cluster: no nodes configured")
 	}
 	return nil, lastErr
-}
-
-// ExecResult is a coordinator-merged DML outcome.
-type ExecResult struct {
-	Kind     string
-	Tuples   int
-	ReprRows int
-	Tombs    int
-	Epoch    uint64
 }
 
 // Exec routes one DML statement:
@@ -783,10 +688,10 @@ type ExecResult struct {
 //   - DML on replicated relations is rejected: an uncoordinated
 //     per-shard write would let the replicas diverge. Reload the
 //     catalog (ShardedSave) to change dimension data.
-func (c *Coordinator) Exec(req ExecRequest) (*ExecResult, *Error) {
+func (c *Coordinator) Exec(req ExecRequest) (*ExecResponse, *Error) {
 	st, perr := sqlparse.ParseStatement(req.SQL)
 	if perr != nil {
-		return nil, errf(400, "%v", perr)
+		return nil, Errorf(400, "%v", perr)
 	}
 	var table string
 	scatterWrite := false
@@ -796,7 +701,7 @@ func (c *Coordinator) Exec(req ExecRequest) (*ExecResult, *Error) {
 		if s.Select != nil {
 			for _, r := range core.Relations(s.Select.Query) {
 				if c.sharded[r] {
-					return nil, errf(400,
+					return nil, Errorf(400,
 						"cluster: INSERT ... SELECT reads sharded relation %q: the write shard only holds its own slice (SELECT from replicated relations only)", r)
 				}
 			}
@@ -808,17 +713,17 @@ func (c *Coordinator) Exec(req ExecRequest) (*ExecResult, *Error) {
 		table = s.Table
 		scatterWrite = true
 	default:
-		return nil, errf(400, "cluster: unsupported statement for coordinated execution")
+		return nil, Errorf(400, "cluster: unsupported statement for coordinated execution")
 	}
 	if !c.sharded[table] {
-		return nil, errf(http.StatusForbidden,
+		return nil, Errorf(http.StatusForbidden,
 			"cluster: relation %q is replicated to every shard and read-only under sharding (rebuild the catalog with store.ShardedSave to change it)", table)
 	}
 
 	req.DB = c.catalog
 	body, merr := json.Marshal(req)
 	if merr != nil {
-		return nil, errf(500, "cluster: %v", merr)
+		return nil, Errorf(500, "cluster: %v", merr)
 	}
 	targets := []int{0}
 	if scatterWrite {
@@ -827,7 +732,7 @@ func (c *Coordinator) Exec(req ExecRequest) (*ExecResult, *Error) {
 			targets[i] = i
 		}
 	}
-	out := &ExecResult{}
+	out := &ExecResponse{}
 	for _, shard := range targets {
 		sr, cerr := c.execShard(shard, body, scatterWrite)
 		if cerr != nil {
@@ -850,7 +755,7 @@ func (c *Coordinator) Exec(req ExecRequest) (*ExecResult, *Error) {
 // since the last topology refresh): adopt the new epoch and retry once
 // against the current topology. A lower-epoch refusal is terminal —
 // the node we wrote to is a fenced old primary.
-func (c *Coordinator) execShard(shard int, body []byte, scatterWrite bool) (*shardExecResponse, *Error) {
+func (c *Coordinator) execShard(shard int, body []byte, scatterWrite bool) (*ExecResponse, *Error) {
 	for attempt := 0; ; attempt++ {
 		sc, cerr := c.call(shard, "/exec", body, true, c.fences[shard].Load())
 		if cerr != nil {
@@ -859,24 +764,15 @@ func (c *Coordinator) execShard(shard int, body []byte, scatterWrite bool) (*sha
 			}
 			return nil, cerr
 		}
-		var sr shardExecResponse
-		if uerr := json.Unmarshal(sc.body, &sr); uerr != nil {
-			return nil, errf(502, "cluster: shard %q returned unparseable /exec response: %v",
-				c.spec.Shards[shard].Name, uerr)
-		}
-		if sc.status == http.StatusConflict && sr.Fence > c.fences[shard].Load() && attempt == 0 {
-			c.fences[shard].Store(sr.Fence)
+		var refusal Error
+		if sc.status == http.StatusConflict && attempt == 0 && json.Unmarshal(sc.body, &refusal) == nil &&
+			refusal.Fence > c.fences[shard].Load() {
+			c.fences[shard].Store(refusal.Fence)
 			continue
 		}
-		if sc.status != http.StatusOK {
-			msg := sr.Error
-			if msg == "" {
-				msg = fmt.Sprintf("status %d", sc.status)
-			}
-			e := errf(sc.status, "cluster: shard %q: %s", c.spec.Shards[shard].Name, msg)
-			e.Shard = c.spec.Shards[shard].Name
-			e.Catalog = c.catalog
-			return nil, e
+		var sr ExecResponse
+		if err := c.decode(shard, sc, &sr); err != nil {
+			return nil, err
 		}
 		return &sr, nil
 	}

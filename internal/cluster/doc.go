@@ -35,6 +35,16 @@
 //     even when a shard clamps its sum at 1, since any clamped shard
 //     already forces the global sum past 1.
 //
+// The server runs local and coordinator catalogs through one request
+// path: where a local catalog evaluates a plan, a Coordinator supplies
+// merged rows (ScatterRows), the union of the shard representations
+// (GatherRepr) or merged bounds (ScatterBounds), and the certain-answer
+// and confidence steps then run on the result either way. When routing
+// resolves to a single shard, its response is the answer and is
+// relayed verbatim (Relay). Nodes and coordinators speak the same wire
+// types — QueryRequest, ExecRequest, ExecResponse, and Error for every
+// refusal — so a shard cannot drift from what the coordinator expects.
+//
 // Read replicas (Replica) are physical clones kept current by shipping
 // the primary's write-ahead log: a follower bootstraps by fetching the
 // manifest, the segment files it references, and worlds.bin, then

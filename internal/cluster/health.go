@@ -3,7 +3,7 @@ package cluster
 // Per-node health tracking for the coordinator: consecutive-failure
 // circuit breakers with exponential backoff + jitter, and an active
 // probe loop that closes breakers as soon as a node answers /healthz
-// again. Replaces the fixed 1s cooldown of the first scale-out cut.
+// again.
 //
 // States follow the classic breaker: closed (healthy, requests flow),
 // open (tripped, skipped until its backoff expires), half-open (backoff
@@ -42,8 +42,6 @@ type HealthOptions struct {
 	// breaker is not closed; probes never run when every node is
 	// healthy. Default 500ms; negative disables probing.
 	ProbeInterval time.Duration
-	// Seed seeds the jitter PRNG (tests); 0 uses a fixed default.
-	Seed int64
 }
 
 func (o HealthOptions) withDefaults() HealthOptions {
@@ -81,14 +79,9 @@ type healthTracker struct {
 }
 
 func newHealthTracker(opts HealthOptions) *healthTracker {
-	opts = opts.withDefaults()
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	return &healthTracker{
-		opts:  opts,
-		rng:   rand.New(rand.NewSource(seed)),
+		opts:  opts.withDefaults(),
+		rng:   rand.New(rand.NewSource(1)),
 		nodes: map[string]*nodeHealth{},
 	}
 }

@@ -63,22 +63,27 @@ type ExecRequest struct {
 // the write (409); see txn.DB.CheckFence.
 const FenceHeader = "X-Urel-Fence"
 
-// Error pairs a client-visible message with an HTTP status, the
-// coordinator's error currency (the server maps it onto its own).
-// Shard/Catalog/NodesTried are set on shard-level failures so clients
-// and tests can match on structured fields instead of prose.
+// Error is a failed request's HTTP status and JSON error body, the one
+// error type of the server and the coordinator. The body is {"error":
+// Msg} plus the structured fields that are set: Shard, Catalog and
+// NodesTried on shard-level failures, so clients and tests can match on
+// them instead of prose, and Fence on a 409 fencing refusal — the
+// refusing store's own epoch, which a stale coordinator adopts before
+// retrying. The fields are declared in key order, so the body's keys
+// come out sorted.
 type Error struct {
-	Status int
-	Msg    string
-
-	Shard      string
-	Catalog    string
-	NodesTried int
+	Status     int    `json:"-"`
+	Catalog    string `json:"catalog,omitempty"`
+	Msg        string `json:"error"`
+	Fence      uint64 `json:"fence,omitempty"`
+	NodesTried int    `json:"nodes_tried,omitempty"`
+	Shard      string `json:"shard,omitempty"`
 }
 
 func (e *Error) Error() string { return e.Msg }
 
-func errf(status int, format string, args ...any) *Error {
+// Errorf returns an Error with status and a formatted message.
+func Errorf(status int, format string, args ...any) *Error {
 	return &Error{Status: status, Msg: fmt.Sprintf(format, args...)}
 }
 
@@ -99,20 +104,19 @@ type shardResponse struct {
 	ElapsedMS float64           `json:"elapsed_ms"`
 	Plan      string            `json:"plan"`
 	Repr      *Repr             `json:"repr"`
-	Error     string            `json:"error"`
 }
 
-// shardExecResponse mirrors the /exec response for DML merging. Fence
-// is set on fencing rejections (409) and carries the node's own
-// fencing epoch so the coordinator can adopt it and retry.
-type shardExecResponse struct {
-	Kind     string `json:"kind"`
-	Tuples   int    `json:"tuples"`
-	ReprRows int    `json:"repr_rows"`
-	Tombs    int    `json:"tombstones"`
-	Epoch    uint64 `json:"epoch"`
-	Fence    uint64 `json:"fence,omitempty"`
-	Error    string `json:"error"`
+// ExecResponse is the POST /exec body of a successful DML statement —
+// the one wire type of a single node, a shard primary, and the
+// coordinator, which sums its shards' counts.
+type ExecResponse struct {
+	DB        string  `json:"db"`
+	Kind      string  `json:"kind"`
+	Tuples    int     `json:"tuples"`
+	ReprRows  int     `json:"repr_rows"`
+	Tombs     int     `json:"tombstones"`
+	Epoch     uint64  `json:"epoch"`
+	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
 // Repr is a query result in representation form, shipped shard →

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 	"time"
@@ -106,4 +107,29 @@ func FuzzDecodeRepr(f *testing.F) {
 		got.PossibleTuples()
 		got.CertainTuples(time.Time{})
 	})
+}
+
+// TestErrorBodyBytes pins the error body a server writes for an Error:
+// its keys sorted, as a map's were, and only the structured fields that
+// are set. A field declared out of order fails here.
+func TestErrorBodyBytes(t *testing.T) {
+	for _, c := range []struct {
+		err  *Error
+		want string
+	}{
+		{Errorf(400, "server: bad <input>"), `{"error":"server: bad <input>"}`},
+		{&Error{Status: 503, Catalog: "demo", Msg: "m", Fence: 7, NodesTried: 2, Shard: "s1"},
+			`{"catalog":"demo","error":"m","fence":7,"nodes_tried":2,"shard":"s1"}`},
+	} {
+		// The encoding of server.writeJSON: no HTML escaping.
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(c.err); err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.String(); got != c.want+"\n" {
+			t.Errorf("body %s, want %s", got, c.want)
+		}
+	}
 }

@@ -156,19 +156,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// NewHistogram returns a standalone (unregistered) histogram with the
-// given buckets (nil selects DefLatencyBuckets) — for internal
-// estimates that should not appear in /metrics, like the
-// coordinator's hedge-delay quantile.
-func NewHistogram(buckets []float64) *Histogram {
-	if buckets == nil {
-		buckets = DefLatencyBuckets
-	}
-	h := &Histogram{bounds: buckets}
-	h.counts = make([]atomic.Int64, len(buckets)+1)
-	return h
-}
-
 // Quantile estimates the q-quantile (0 < q < 1) of the observed
 // distribution by linear interpolation inside the bucket holding the
 // q-th observation. With no observations it returns 0; when the

@@ -97,7 +97,8 @@ func rowSet(t *testing.T, body map[string]any) map[string]int {
 // TestClusterDifferential: for every uncertainty mode, the coordinator's
 // merged answer over 2 shards equals the single-node answer over the
 // unsplit database — the scatter-gather semantics are exact, not
-// approximate.
+// approximate — and so do the status and error body of a request the
+// server refuses: both run one request path.
 func TestClusterDifferential(t *testing.T) {
 	tc := newTestCluster(t, 2, false)
 	single, singleTS := newTestServer(t, Config{})
@@ -105,37 +106,59 @@ func TestClusterDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	queries := []string{
-		"POSSIBLE SELECT sid, temp FROM readings",
-		"CERTAIN SELECT sid, temp FROM readings",
-		"SELECT sid, temp FROM readings", // plain: shard concatenation
-		"CONF SELECT sid FROM readings",
-		"CONF BOUNDS SELECT sid FROM readings",
-		"POSSIBLE SELECT name FROM readings, sensors WHERE sid = sensor",
-		"CERTAIN SELECT name FROM readings, sensors WHERE sid = sensor",
+	cases := []struct {
+		req  queryRequest
+		want int // the status both must answer
+	}{
+		{queryRequest{SQL: "POSSIBLE SELECT sid, temp FROM readings"}, 200},
+		{queryRequest{SQL: "CERTAIN SELECT sid, temp FROM readings"}, 200},
+		{queryRequest{SQL: "SELECT sid, temp FROM readings"}, 200}, // plain: shard concatenation
+		{queryRequest{SQL: "CONF SELECT sid FROM readings"}, 200},
+		{queryRequest{SQL: "CONF SELECT sid FROM readings", Accuracy: "auto"}, 200},
+		{queryRequest{SQL: "CONF BOUNDS SELECT sid FROM readings"}, 200},
+		{queryRequest{SQL: "POSSIBLE SELECT name FROM readings, sensors WHERE sid = sensor"}, 200},
+		{queryRequest{SQL: "CERTAIN SELECT name FROM readings, sensors WHERE sid = sensor"}, 200},
+		{queryRequest{SQL: "POSSIBLE SELECT sid, temp FROM readings", Limit: 1}, 200},
+		{queryRequest{SQL: "CONF SELECT sid FROM readings", Accuracy: "sometimes"}, 400},
+		{queryRequest{SQL: "CERTAIN SELECT sid FROM readings", Wire: "protobuf"}, 400},
+		{queryRequest{SQL: "POSSIBLE SELECT sid FROM readings", Wire: "repr"}, 400},
 	}
-	for _, sql := range queries {
-		req := queryRequest{SQL: sql, DB: "demo"}
+	for _, c := range cases {
+		req := c.req
+		req.DB = "demo"
 		code, got := post(t, tc.coord, req)
-		if code != 200 {
-			t.Fatalf("%s: coordinator status %d: %v", sql, code, got)
+		if code != c.want {
+			t.Fatalf("%+v: coordinator status %d, want %d: %v", req, code, c.want, got)
 		}
 		wcode, want := post(t, singleTS, req)
-		if wcode != 200 {
-			t.Fatalf("%s: single-node status %d: %v", sql, wcode, want)
+		if wcode != c.want {
+			t.Fatalf("%+v: single-node status %d, want %d: %v", req, wcode, c.want, want)
+		}
+		if c.want != 200 {
+			if len(got) != 1 || got["error"] == nil || got["error"] != want["error"] {
+				t.Errorf("%+v: coordinator error body %v, single node %v", req, got, want)
+			}
+			continue
+		}
+		if got["mode"] != want["mode"] || got["row_count"] != want["row_count"] {
+			t.Errorf("%+v: mode, row_count %v, %v != %v, %v", req, got["mode"], got["row_count"], want["mode"], want["row_count"])
 		}
 		gs, wants := rowSet(t, got), rowSet(t, want)
+		if req.Limit > 0 {
+			// Which rows make the cut differs; the full count does not.
+			if len(gs) != req.Limit || len(wants) != req.Limit || got["row_count"] != float64(3) {
+				t.Errorf("%+v: coordinator %v, single node %v: want %d row of row_count 3", req, got, want, req.Limit)
+			}
+			continue
+		}
 		if len(gs) != len(wants) {
-			t.Fatalf("%s: coordinator %d distinct rows, single node %d\n coord: %v\n single: %v",
-				sql, len(gs), len(wants), gs, wants)
+			t.Fatalf("%+v: coordinator %d distinct rows, single node %d\n coord: %v\n single: %v",
+				req, len(gs), len(wants), gs, wants)
 		}
 		for k, n := range wants {
 			if gs[k] != n {
-				t.Errorf("%s: row %s: coordinator ×%d, single node ×%d", sql, k, gs[k], n)
+				t.Errorf("%+v: row %s: coordinator ×%d, single node ×%d", req, k, gs[k], n)
 			}
-		}
-		if got["mode"] != want["mode"] {
-			t.Errorf("%s: mode %v != %v", sql, got["mode"], want["mode"])
 		}
 	}
 }

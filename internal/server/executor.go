@@ -14,53 +14,44 @@ import (
 	"urel/internal/txn"
 )
 
-// executeDMLLocal runs one admitted DML statement end to end against a
+// executeDMLLocal runs one admitted DML statement against a
 // locally-owned catalog. A non-zero fence (coordinated writes) is
 // validated against the store's epoch first; uncoordinated writes skip
 // the comparison, but a superseded store still refuses them inside
 // Exec — once fenced, nothing writes.
-func (s *Server) executeDMLLocal(entry *catalogEntry, dbName string, req execRequest, fence uint64) (*execResponse, *httpError) {
+func (s *Server) executeDMLLocal(entry *catalogEntry, dbName string, req execRequest, fence uint64) (*cluster.ExecResponse, *cluster.Error) {
 	if entry.mut == nil {
-		return nil, httpErrf(http.StatusForbidden, "server: catalog %q is read-only (start the server with -rw / Config.Writable)", dbName)
+		return nil, cluster.Errorf(http.StatusForbidden, "server: catalog %q is read-only (start the server with -rw / Config.Writable)", dbName)
 	}
 	if fence > 0 {
 		if err := entry.mut.CheckFence(fence); err != nil {
-			return nil, fenceHTTPErr(err)
+			return nil, fenceErr(err)
 		}
 	}
-	start := time.Now()
 	res, err := entry.mut.Exec(req.SQL)
 	if err != nil {
-		if herr := fenceHTTPErr(err); herr != nil {
+		if herr := fenceErr(err); herr != nil {
 			return nil, herr
 		}
 		if errors.Is(err, txn.ErrStatement) {
-			return nil, httpErrf(400, "%v", err)
+			return nil, cluster.Errorf(400, "%v", err)
 		}
-		return nil, httpErrf(500, "%v", err)
+		return nil, cluster.Errorf(500, "%v", err)
 	}
-	return &execResponse{
-		DB:        dbName,
-		Kind:      res.Kind,
-		Tuples:    res.Tuples,
-		ReprRows:  res.ReprRows,
-		Tombs:     res.Tombstones,
-		Epoch:     res.Epoch,
-		ElapsedMS: durMS(time.Since(start)),
-	}, nil
+	return &cluster.ExecResponse{Kind: res.Kind, Tuples: res.Tuples, ReprRows: res.ReprRows,
+		Tombs: res.Tombstones, Epoch: res.Epoch}, nil
 }
 
-// fenceHTTPErr maps a txn.FenceError to the 409 the coordinator's
+// fenceErr maps a txn.FenceError to the 409 the coordinator's
 // adopt-and-retry protocol expects: the body carries the refusing
-// store's own epoch in "fence" (shardExecResponse.Fence), so a stale
-// coordinator can adopt it and re-route. Nil when err is not a fencing
-// refusal.
-func fenceHTTPErr(err error) *httpError {
+// store's own epoch in "fence", so a stale coordinator can adopt it and
+// re-route. Nil when err is not a fencing refusal.
+func fenceErr(err error) *cluster.Error {
 	var fe *txn.FenceError
 	if !errors.As(err, &fe) {
 		return nil
 	}
-	return &httpError{status: http.StatusConflict, msg: fe.Error(), fence: fe.Own}
+	return &cluster.Error{Status: http.StatusConflict, Msg: fe.Error(), Fence: fe.Own}
 }
 
 // durMS renders a duration the way every response field does: float
@@ -80,128 +71,38 @@ func isExplain(sql string) bool {
 	return strings.EqualFold(sql[:end], "explain")
 }
 
-// executeLocal runs one admitted query end to end against a
-// locally-owned catalog — a plain single node, or one shard's slice of
-// a sharded catalog. The executor cannot tell the difference, which is
-// the point of hash-sharding a representation whose rows carry their
-// own ws-descriptors. A statement the plan cache holds a plan of for
-// the catalog's current snapshot runs that plan; any other is planned
-// here, and its plan cached.
-func (s *Server) executeLocal(entry *catalogEntry, dbName string, req queryRequest) (*queryResponse, *httpError) {
-	if isExplain(req.SQL) {
-		return s.executeExplain(req, entry, dbName)
-	}
-	db := entry.snapshot()
-	key, parsed, prep, err := s.plans.lookup(req.SQL, dbName, db)
-	if err != nil {
-		return nil, httpErrf(400, "%v", err)
-	}
-	switch req.Accuracy {
-	case "", "exact", "bounds", "auto":
-	default:
-		return nil, httpErrf(400, "server: unknown accuracy %q (use \"exact\", \"bounds\", or \"auto\")", req.Accuracy)
-	}
-	switch req.Wire {
-	case "", "repr":
-	default:
-		return nil, httpErrf(400, "server: unknown wire encoding %q (use \"repr\" or omit)", req.Wire)
-	}
-	timeout := s.cfg.Timeout
-	if req.TimeoutMS > 0 {
-		if t := time.Duration(req.TimeoutMS) * time.Millisecond; t < timeout {
-			timeout = t
-		}
-	}
-	// Tracing costs a wrapper iterator per operator; pay it only when
-	// the client asked or the slow-query log needs trace trees. A nil
-	// root disables every trace branch down the stack.
-	var root *obs.Span
-	if req.Trace || s.slow.Enabled() {
-		root = obs.NewSpan("query")
-	}
-	deadline := time.Now().Add(timeout)
-	start := time.Now()
-	cachedPlan := prep != nil
-	var resp *queryResponse
-	var herr *httpError
-	if !cachedPlan {
-		if prep, herr = s.prepare(db, parsed.Query); herr == nil {
-			s.plans.keep(key, dbName, db, prep)
-		}
-	}
-	switch {
-	case herr != nil:
-	case req.Wire == "repr":
-		resp, herr = s.evalRepr(db, parsed, prep, deadline, root)
-	default:
-		resp, herr = s.evalMode(db, parsed, prep, req.Accuracy, deadline, root)
-	}
-	elapsed := time.Since(start)
-	if herr != nil {
-		if herr.status == http.StatusGatewayTimeout {
-			s.timeouts.Inc()
-		}
-		s.slow.Record(obs.SlowEntry{
-			SQL:        normalizeSQL(req.SQL),
-			DB:         dbName,
-			Mode:       parsed.Mode.String(),
-			ElapsedMS:  durMS(elapsed),
-			DeadlineMS: durMS(timeout),
-			Accuracy:   req.Accuracy,
-			Error:      herr.msg,
-			Trace:      root,
-		})
-		return nil, herr
-	}
-	resp.DB = dbName
-	resp.Mode = parsed.Mode.String()
-	resp.PlanCached = cachedPlan
-	if resp.Repr == nil {
-		resp.RowCount = len(resp.Rows)
-		if req.Limit > 0 && len(resp.Rows) > req.Limit {
-			resp.Rows = resp.Rows[:req.Limit]
-		}
-	}
-	resp.ElapsedMS = durMS(elapsed)
-	if req.Trace {
-		resp.Trace = root
-	}
-	s.modeLat[resp.Mode].ObserveDuration(elapsed)
-	s.slow.Record(obs.SlowEntry{
-		SQL:        normalizeSQL(req.SQL),
-		DB:         dbName,
-		Mode:       resp.Mode,
-		ElapsedMS:  resp.ElapsedMS,
-		RowCount:   resp.RowCount,
-		Truncated:  resp.Truncated,
-		DeadlineMS: durMS(timeout),
-		Accuracy:   req.Accuracy,
-		Estimator:  resp.Estimator,
-		Degraded:   resp.Degraded,
-		Trace:      root,
-	})
-	return resp, nil
-}
-
 // executeExplain serves EXPLAIN and EXPLAIN ANALYZE over /query: the
 // response carries the rendered plan in "plan" (and, for ANALYZE with
 // "trace": true, the raw span tree) instead of result rows. ANALYZE
 // really executes the translated relational plan; the post-relational
 // steps (certain-answer normalization, confidence computation) are not
-// iterators and are not traced.
-func (s *Server) executeExplain(req queryRequest, entry *catalogEntry, dbName string) (*queryResponse, *httpError) {
+// iterators and are not traced. A coordinator composes a
+// distribution-aware plan: the routing decision, then each visited
+// shard's own EXPLAIN [ANALYZE] output with its wall time.
+func (s *Server) executeExplain(entry *catalogEntry, dbName string, req queryRequest) (*queryResponse, *cluster.Error) {
 	st, err := sqlparse.ParseStatement(req.SQL)
 	if err != nil {
-		return nil, httpErrf(400, "%v", err)
+		return nil, cluster.Errorf(400, "%v", err)
 	}
 	ex, ok := st.(*sqlparse.ExplainStmt)
 	if !ok {
-		return nil, httpErrf(400, "server: statement is not EXPLAIN")
+		return nil, cluster.Errorf(400, "server: statement is not EXPLAIN")
 	}
-	db := entry.snapshot()
 	start := time.Now()
 	resp := &queryResponse{DB: dbName, Mode: ex.Query.Mode.String(), Columns: []string{}, Rows: []any{}}
-	if ex.Analyze {
+	switch db := entry.snapshot(); {
+	case entry.coord != nil:
+		targets, scatter, herr := entry.coord.Route(core.Relations(ex.Query.Query))
+		if herr != nil {
+			return nil, herr
+		}
+		if req.Trace {
+			resp.Trace = obs.NewSpan("scatter-gather")
+		}
+		if resp.Plan, resp.RowCount, herr = entry.coord.ScatterExplain(targets, scatter, req, resp.Trace); herr != nil {
+			return nil, herr
+		}
+	case ex.Analyze:
 		res, err := db.ExplainAnalyze(ex.Query.Query, false, engine.ExecConfig{})
 		if err != nil {
 			return nil, s.execError(err)
@@ -211,16 +112,14 @@ func (s *Server) executeExplain(req queryRequest, entry *catalogEntry, dbName st
 		if req.Trace {
 			resp.Trace = res.Trace
 		}
-	} else {
+	default:
 		plan, _, err := db.Translate(ex.Query.Query)
 		if err != nil {
-			return nil, httpErrf(400, "%v", err)
+			return nil, cluster.Errorf(400, "%v", err)
 		}
-		text, err := engine.Explain(plan, engine.NewCatalog(), true)
-		if err != nil {
+		if resp.Plan, err = engine.Explain(plan, engine.NewCatalog(), true); err != nil {
 			return nil, s.execError(err)
 		}
-		resp.Plan = text
 	}
 	resp.ElapsedMS = durMS(time.Since(start))
 	return resp, nil
@@ -230,10 +129,10 @@ func (s *Server) executeExplain(req queryRequest, entry *catalogEntry, dbName st
 // runs the one translation: on an existence-complete relation it reads
 // only the partitions the query needs, and it merges all of them on any
 // other (core.UDB.Translate).
-func (s *Server) prepare(db *core.UDB, q core.Query) (*preparedPlan, *httpError) {
+func (s *Server) prepare(db *core.UDB, q core.Query) (*preparedPlan, *cluster.Error) {
 	plan, lay, err := db.Translate(q)
 	if err != nil {
-		return nil, httpErrf(400, "%v", err)
+		return nil, cluster.Errorf(400, "%v", err)
 	}
 	if plan, err = engine.Optimize(plan, engine.NewCatalog()); err != nil {
 		return nil, s.execError(err)
@@ -241,93 +140,76 @@ func (s *Server) prepare(db *core.UDB, q core.Query) (*preparedPlan, *httpError)
 	return &preparedPlan{plan: plan, lay: lay}, nil
 }
 
-// evalRepr serves "wire": "repr": evaluate the statement's plan and
-// return the result representation instead of rendered answers —
-// the gather format the coordinator unions before running the
-// certain-answer or confidence pipeline centrally.
-func (s *Server) evalRepr(db *core.UDB, parsed *sqlparse.Parsed, prep *preparedPlan, deadline time.Time, trace *obs.Span) (*queryResponse, *httpError) {
-	switch parsed.Mode {
-	case sqlparse.ModeCertain, sqlparse.ModeConf, sqlparse.ModeConfBounds:
-	default:
-		return nil, httpErrf(400,
-			`server: "wire": "repr" applies to CERTAIN and CONF statements (possible and plain answers merge row-wise; no representation exchange is needed)`)
-	}
-	cfg := engine.ExecConfig{Trace: trace}
-	res, herr := s.evalResult(db, prep, cfg, deadline)
-	if herr != nil {
-		return nil, herr
-	}
-	rep := cluster.EncodeRepr(res)
-	return &queryResponse{Repr: rep, RowCount: len(rep.Rows)}, nil
+// source is where a statement's answers come from: a plan evaluated on
+// a local catalog snapshot, or a fan-out over a coordinator's shards.
+type source interface {
+	// rows answers a possible statement, or a plain one ("the answer is
+	// simply U", Section 3) with its representation rows.
+	rows(plain bool) (*queryResponse, *cluster.Error)
+	// result returns the statement's result representation.
+	result() (*core.UResult, *cluster.Error)
+	// bounds answers a CONF statement with one-pass certain/possible
+	// confidence bounds.
+	bounds() (*queryResponse, *cluster.Error)
 }
 
-// evalMode runs a statement's plan, prepared on db, and dispatches on
-// its uncertainty mode. accuracy ("", "exact", "bounds", "auto")
-// applies to CONF queries only. trace, when non-nil, collects the
-// operator trace of the relational plan.
-func (s *Server) evalMode(db *core.UDB, parsed *sqlparse.Parsed, prep *preparedPlan, accuracy string, deadline time.Time, trace *obs.Span) (*queryResponse, *httpError) {
-	cfg := engine.ExecConfig{Trace: trace}
-	switch parsed.Mode {
-	case sqlparse.ModePossible:
-		rel, truncated, err := runLimited(prep.plan, engine.NewCatalog(), cfg, s.cfg.MaxRows, deadline, true)
-		if err != nil {
-			return nil, s.execError(err)
+// answer dispatches a statement on its uncertainty mode over src. The
+// repr encoding, certain answers, and exact confidences with their
+// accuracy=auto fallback to bounds run here, once, on the result
+// representation either source returns — evaluated locally, or the
+// union of the shards' representations.
+func (s *Server) answer(src source, mode sqlparse.Mode, req queryRequest, deadline time.Time) (*queryResponse, *cluster.Error) {
+	if req.Wire == "repr" {
+		switch mode {
+		case sqlparse.ModeCertain, sqlparse.ModeConf, sqlparse.ModeConfBounds:
+		default:
+			return nil, cluster.Errorf(400,
+				`server: "wire": "repr" applies to CERTAIN and CONF statements (possible and plain answers merge row-wise; no representation exchange is needed)`)
 		}
-		if truncated {
+		res, herr := src.result()
+		if herr != nil {
+			return nil, herr
+		}
+		rep := cluster.EncodeRepr(res)
+		return &queryResponse{Repr: rep, RowCount: len(rep.Rows)}, nil
+	}
+	switch mode {
+	case sqlparse.ModePossible, sqlparse.ModePlain:
+		resp, herr := src.rows(mode == sqlparse.ModePlain)
+		if herr == nil && resp.Truncated {
 			s.truncated.Inc()
 		}
-		return &queryResponse{Columns: rel.Sch.Names(), Rows: jsonRows(rel), Truncated: truncated}, nil
-
-	case sqlparse.ModePlain:
-		// "The answer is simply U" (Section 3): evaluate the lazy
-		// translation and return the representation — descriptor,
-		// contributing tuple ids, values.
-		rel, truncated, err := runLimited(prep.plan, engine.NewCatalog(), cfg, s.cfg.MaxRows, deadline, true)
-		if err != nil {
-			return nil, s.execError(err)
-		}
-		if truncated {
-			s.truncated.Inc()
-		}
-		res, err := core.Decode(db.W, rel, prep.lay)
-		if err != nil {
-			return nil, s.execError(err)
-		}
-		cols := append([]string{"_d"}, res.TIDCols...)
-		cols = append(cols, res.Attrs...)
-		rows := make([]any, 0, res.Len())
-		for _, r := range res.Rows {
-			row := make([]any, 0, len(cols))
-			row = append(row, r.D.StringNamed(res.W))
-			for _, v := range r.TIDs {
-				row = append(row, jsonValue(v))
-			}
-			for _, v := range r.Vals {
-				row = append(row, jsonValue(v))
-			}
-			rows = append(rows, row)
-		}
-		return &queryResponse{Columns: cols, Rows: rows, Truncated: truncated}, nil
+		return resp, herr
 
 	case sqlparse.ModeCertain:
-		res, herr := s.evalResult(db, prep, cfg, deadline)
+		res, herr := src.result()
 		if herr != nil {
 			return nil, herr
 		}
 		return s.certainFromResult(res, deadline)
 
 	case sqlparse.ModeConf, sqlparse.ModeConfBounds:
-		res, herr := s.evalResult(db, prep, cfg, deadline)
+		// CONF BOUNDS (or accuracy=bounds) never enumerates.
+		if mode == sqlparse.ModeConfBounds || req.Accuracy == "bounds" {
+			return src.bounds()
+		}
+		res, herr := src.result()
 		if herr != nil {
+			// Exact confidence needs every shard's representation. With
+			// "partial": true the caller prefers a degraded answer over
+			// none: fall back to the bounds merge, which tolerates missing
+			// shards by widening (lower from the reachable shards, upper
+			// clamped to 1) and stays sound for the tuples it lists.
+			if req.Partial && herr.Status == http.StatusServiceUnavailable {
+				if resp, berr := src.bounds(); berr == nil {
+					resp.Degraded = true
+					return resp, nil
+				}
+			}
 			return nil, herr
 		}
 		if err := checkDeadline(deadline); err != nil {
 			return nil, s.execError(err)
-		}
-		// CONF BOUNDS (or accuracy=bounds) never enumerates: one pass
-		// over the representation yields certain/possible bounds.
-		if parsed.Mode == sqlparse.ModeConfBounds || accuracy == "bounds" {
-			return s.confBounds(res), nil
 		}
 		// Exact per tuple within the evaluator's step budget, Monte-Carlo
 		// for the tuples past it (paper, Section 7) — all under the query
@@ -335,7 +217,7 @@ func (s *Server) evalMode(db *core.UDB, parsed *sqlparse.Parsed, prep *preparedP
 		resp, err := s.confExact(res, deadline)
 		if err != nil {
 			// accuracy=auto degrades to bounds instead of timing out.
-			if accuracy == "auto" && errors.Is(err, core.ErrConfDeadline) {
+			if req.Accuracy == "auto" && errors.Is(err, core.ErrConfDeadline) {
 				resp = s.confBounds(res)
 				resp.Degraded = true
 				return resp, nil
@@ -345,23 +227,113 @@ func (s *Server) evalMode(db *core.UDB, parsed *sqlparse.Parsed, prep *preparedP
 		return resp, nil
 
 	default:
-		return nil, httpErrf(400, "server: unsupported mode %v", parsed.Mode)
+		return nil, cluster.Errorf(400, "server: unsupported mode %v", mode)
 	}
 }
 
-// evalResult runs the plan of a poss-free query, prepared on db, under
-// the row cap and deadline, and decodes the result representation whose
-// descriptors the certain-answer and confidence pipelines read.
-func (s *Server) evalResult(db *core.UDB, prep *preparedPlan, cfg engine.ExecConfig, deadline time.Time) (*core.UResult, *httpError) {
-	rel, _, err := runLimited(prep.plan, engine.NewCatalog(), cfg, s.cfg.MaxRows, deadline, false)
+// localSource evaluates a statement's plan, prepared on db, under the
+// server's row cap and the query deadline. cfg.Trace, when non-nil,
+// collects the operator trace of the relational plan.
+type localSource struct {
+	s        *Server
+	db       *core.UDB
+	prep     *preparedPlan
+	cfg      engine.ExecConfig
+	deadline time.Time
+}
+
+func (l localSource) rows(plain bool) (*queryResponse, *cluster.Error) {
+	rel, truncated, err := runLimited(l.prep.plan, engine.NewCatalog(), l.cfg, l.s.cfg.MaxRows, l.deadline, true)
 	if err != nil {
-		return nil, s.execError(err)
+		return nil, l.s.execError(err)
 	}
-	res, err := core.Decode(db.W, rel, prep.lay)
+	if !plain {
+		return &queryResponse{Columns: rel.Sch.Names(), Rows: jsonRows(rel), Truncated: truncated}, nil
+	}
+	// The representation: descriptor, contributing tuple ids, values.
+	res, err := core.Decode(l.db.W, rel, l.prep.lay)
 	if err != nil {
-		return nil, s.execError(err)
+		return nil, l.s.execError(err)
+	}
+	cols := append([]string{"_d"}, res.TIDCols...)
+	cols = append(cols, res.Attrs...)
+	rows := make([]any, 0, res.Len())
+	for _, r := range res.Rows {
+		row := make([]any, 0, len(cols))
+		row = append(row, r.D.StringNamed(res.W))
+		for _, v := range r.TIDs {
+			row = append(row, jsonValue(v))
+		}
+		for _, v := range r.Vals {
+			row = append(row, jsonValue(v))
+		}
+		rows = append(rows, row)
+	}
+	return &queryResponse{Columns: cols, Rows: rows, Truncated: truncated}, nil
+}
+
+// result runs the plan of a poss-free query and decodes the result
+// representation whose descriptors the certain-answer and confidence
+// pipelines read. Hitting the row cap is an error here: answers
+// derived from a truncated representation would be wrong.
+func (l localSource) result() (*core.UResult, *cluster.Error) {
+	rel, _, err := runLimited(l.prep.plan, engine.NewCatalog(), l.cfg, l.s.cfg.MaxRows, l.deadline, false)
+	if err != nil {
+		return nil, l.s.execError(err)
+	}
+	res, err := core.Decode(l.db.W, rel, l.prep.lay)
+	if err != nil {
+		return nil, l.s.execError(err)
 	}
 	return res, nil
+}
+
+func (l localSource) bounds() (*queryResponse, *cluster.Error) {
+	res, herr := l.result()
+	if herr != nil {
+		return nil, herr
+	}
+	if err := checkDeadline(l.deadline); err != nil {
+		return nil, l.s.execError(err)
+	}
+	return l.s.confBounds(res), nil
+}
+
+// shardSource fans a statement out over a coordinator's target shards
+// and merges their answers with the per-mode semantics of the cluster
+// package comment. span, when non-nil, gets a child per shard.
+type shardSource struct {
+	coord   *cluster.Coordinator
+	targets []int
+	req     queryRequest
+	span    *obs.Span
+}
+
+func (r shardSource) rows(plain bool) (*queryResponse, *cluster.Error) {
+	return merged(r.coord.ScatterRows(r.targets, r.req, !plain, r.span))
+}
+
+func (r shardSource) result() (*core.UResult, *cluster.Error) {
+	return r.coord.GatherRepr(r.targets, r.req, r.span)
+}
+
+func (r shardSource) bounds() (*queryResponse, *cluster.Error) {
+	return merged(r.coord.ScatterBounds(r.targets, r.req, r.span))
+}
+
+// merged lifts a coordinator-merged result into a response. Its rows
+// are raw shard bytes and marshal verbatim, so merged rows are
+// byte-identical to what the owning shard rendered.
+func merged(m *cluster.Merged, err *cluster.Error) (*queryResponse, *cluster.Error) {
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]any, len(m.Rows))
+	for i, r := range m.Rows {
+		rows[i] = r
+	}
+	return &queryResponse{Columns: m.Columns, Rows: rows, Truncated: m.Truncated, Estimator: m.Estimator,
+		Degraded: m.Degraded, Partial: m.Partial, MissingShards: m.MissingShards}, nil
 }
 
 // certainFromResult computes the certain answers of a decoded result
@@ -370,7 +342,7 @@ func (s *Server) evalResult(db *core.UDB, prep *preparedPlan, cfg engine.ExecCon
 // symmetry is what makes the cluster's certain-mode merge correct: a
 // tuple certain only via rows living on different shards is decided
 // here, over the union.
-func (s *Server) certainFromResult(res *core.UResult, deadline time.Time) (*queryResponse, *httpError) {
+func (s *Server) certainFromResult(res *core.UResult, deadline time.Time) (*queryResponse, *cluster.Error) {
 	if err := checkDeadline(deadline); err != nil {
 		return nil, s.execError(err)
 	}
@@ -429,18 +401,18 @@ func (s *Server) confBounds(res *core.UResult) *queryResponse {
 }
 
 // execError maps execution failures to HTTP statuses.
-func (s *Server) execError(err error) *httpError {
+func (s *Server) execError(err error) *cluster.Error {
 	switch {
 	case errors.Is(err, errRowLimit):
-		return httpErrf(413, "%v (limit %d rows)", err, s.cfg.MaxRows)
+		return cluster.Errorf(413, "%v (limit %d rows)", err, s.cfg.MaxRows)
 	case errors.Is(err, errTimeout):
-		return httpErrf(504, "%v", err)
+		return cluster.Errorf(504, "%v", err)
 	case errors.Is(err, core.ErrCertainDeadline):
-		return httpErrf(504, "%v", errTimeout)
+		return cluster.Errorf(504, "%v", errTimeout)
 	case errors.Is(err, core.ErrConfDeadline):
-		return httpErrf(504, "%v (retry with \"accuracy\": \"bounds\" or \"auto\")", err)
+		return cluster.Errorf(504, "%v (retry with \"accuracy\": \"bounds\" or \"auto\")", err)
 	default:
-		return httpErrf(500, "%v", err)
+		return cluster.Errorf(500, "%v", err)
 	}
 }
 

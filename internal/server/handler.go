@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -59,7 +60,7 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 	entry, _, err := s.lookup(r.URL.Query().Get("db"))
 	if err != nil {
-		writeJSON(w, 404, errBody(err.Error()))
+		writeErr(w, cluster.Errorf(404, "%v", err))
 		return
 	}
 	var own, by uint64
@@ -79,21 +80,21 @@ func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 // drain on the old coordinator.
 func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errBody("POST a topology JSON body to /topology"))
+		writeErr(w, cluster.Errorf(http.StatusMethodNotAllowed, "POST a topology JSON body to /topology"))
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeJSON(w, 400, errBody("read body: "+err.Error()))
+		writeErr(w, cluster.Errorf(400, "read body: %v", err))
 		return
 	}
 	spec, perr := cluster.ParseSpec(body)
 	if perr != nil {
-		writeJSON(w, 400, errBody(perr.Error()))
+		writeErr(w, cluster.Errorf(400, "%v", perr))
 		return
 	}
 	if rerr := s.ReloadTopology(spec.Catalogs); rerr != nil {
-		writeJSON(w, 400, errBody(rerr.Error()))
+		writeErr(w, cluster.Errorf(400, "%v", rerr))
 		return
 	}
 	names := make([]string, 0, len(spec.Catalogs))
@@ -115,12 +116,12 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 		s.queueWait.ObserveDuration(time.Since(enq))
 		return true
 	case <-r.Context().Done():
-		writeJSON(w, 499, errBody("client went away"))
+		writeErr(w, cluster.Errorf(499, "client went away"))
 		return false
 	case <-timer.C:
 		s.rejected.Inc()
 		w.Header().Set("Retry-After", s.retryAfter())
-		writeJSON(w, http.StatusTooManyRequests, errBody("server saturated; retry later"))
+		writeErr(w, cluster.Errorf(http.StatusTooManyRequests, "server saturated; retry later"))
 		return false
 	}
 }
@@ -141,18 +142,38 @@ func (s *Server) retryAfter() string {
 	return strconv.Itoa(secs)
 }
 
-func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
+// maxBodyBytes bounds a /query or /exec request body: a client cannot
+// make the server buffer more than this for one request.
+const maxBodyBytes = 16 << 20
+
+// decodeRequest decodes a POSTed JSON request body into req. When the
+// request is not one, it answers the client itself and returns false:
+// 405 for another method, 413 past maxBodyBytes, 400 for bad JSON.
+func decodeRequest(w http.ResponseWriter, r *http.Request, req any) bool {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errBody("POST a JSON body to /exec"))
-		return
+		writeErr(w, cluster.Errorf(http.StatusMethodNotAllowed, "POST a JSON body to %s", r.URL.Path))
+		return false
 	}
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(req)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeErr(w, cluster.Errorf(http.StatusRequestEntityTooLarge, "server: request body exceeds %d bytes", maxBodyBytes))
+	case err != nil:
+		writeErr(w, cluster.Errorf(400, "bad request body: %v", err))
+	default:
+		return true
+	}
+	return false
+}
+
+func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	var req execRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, 400, errBody("bad request body: "+err.Error()))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if req.SQL == "" {
-		writeJSON(w, 400, errBody(`"sql" is required`))
+		writeErr(w, cluster.Errorf(400, `"sql" is required`))
 		return
 	}
 	if !s.admit(w, r) {
@@ -167,7 +188,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		f, perr := strconv.ParseUint(v, 10, 64)
 		if perr != nil {
 			s.writeFailed.Inc()
-			writeJSON(w, 400, errBody("bad "+cluster.FenceHeader+" header: "+perr.Error()))
+			writeErr(w, cluster.Errorf(400, "bad %s header: %v", cluster.FenceHeader, perr))
 			return
 		}
 		fence = f
@@ -175,24 +196,19 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	resp, herr := s.executeDML(req, fence)
 	if herr != nil {
 		s.writeFailed.Inc()
-		writeJSON(w, herr.status, herr.body())
+		writeErr(w, herr)
 		return
 	}
 	writeJSON(w, 200, resp)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errBody("POST a JSON body to /query"))
-		return
-	}
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, 400, errBody("bad request body: "+err.Error()))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if req.SQL == "" {
-		writeJSON(w, 400, errBody(`"sql" is required`))
+		writeErr(w, cluster.Errorf(400, `"sql" is required`))
 		return
 	}
 
@@ -210,7 +226,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp, herr := s.execute(req)
 	if herr != nil {
 		s.failed.Inc()
-		writeJSON(w, herr.status, herr.body())
+		writeErr(w, herr)
 		return
 	}
 	if resp.raw != nil {
@@ -389,4 +405,5 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	_ = enc.Encode(body)
 }
 
-func errBody(msg string) map[string]string { return map[string]string{"error": msg} }
+// writeErr answers with e's status and error body.
+func writeErr(w http.ResponseWriter, e *cluster.Error) { writeJSON(w, e.Status, e) }

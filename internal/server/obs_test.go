@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"urel/internal/cluster"
 )
 
 // syncBuf is an io.Writer safe for the handler goroutines the slow log
@@ -361,6 +363,28 @@ func TestServerSlowQueryLog(t *testing.T) {
 	}
 	if v := s2.timeouts.Value(); v != 1 {
 		t.Fatalf("urel_query_timeouts_total = %d, want 1", v)
+	}
+
+	// A coordinator logs through the same path: its line carries the
+	// outcome, and the trace is rooted at the scatter-gather span.
+	tc := newTestCluster(t, 2, false)
+	buf3 := &syncBuf{}
+	s3, ts3 := newTestServer(t, Config{SlowQueryThreshold: time.Nanosecond, SlowLogWriter: buf3})
+	if err := s3.OpenCoordinator("demo", cluster.CatalogSpec{Sharded: []string{"readings"}, Shards: tc.nodes}); err != nil {
+		t.Fatal(err)
+	}
+	code, _ = post(t, ts3, queryRequest{SQL: "CONF SELECT sid FROM readings", Accuracy: "exact"})
+	if code != 200 {
+		t.Fatalf("coordinator query status %d", code)
+	}
+	var coordEntry map[string]any
+	if err := json.Unmarshal([]byte(strings.TrimSpace(buf3.String())), &coordEntry); err != nil {
+		t.Fatalf("coordinator slow-log line: %v\n%s", err, buf3.String())
+	}
+	trace, _ := coordEntry["trace"].(map[string]any)
+	if coordEntry["mode"] != "conf" || coordEntry["row_count"] != float64(3) || coordEntry["accuracy"] != "exact" ||
+		trace == nil || trace["op"] != "scatter-gather" {
+		t.Fatalf("coordinator slow-log line lacks mode, row_count, accuracy or the scatter-gather root: %v", coordEntry)
 	}
 }
 

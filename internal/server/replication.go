@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -9,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"urel/internal/cluster"
 	"urel/internal/store"
 )
 
@@ -24,11 +24,11 @@ import (
 func (s *Server) handleWorlds(w http.ResponseWriter, r *http.Request) {
 	entry, _, err := s.lookup(r.URL.Query().Get("db"))
 	if err != nil {
-		writeJSON(w, 404, errBody(err.Error()))
+		writeErr(w, cluster.Errorf(404, "%v", err))
 		return
 	}
 	if entry.coord != nil {
-		writeJSON(w, 404, errBody("server: coordinator catalogs hold no local world table (fetch it from a shard node)"))
+		writeErr(w, cluster.Errorf(404, "server: coordinator catalogs hold no local world table (fetch it from a shard node)"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -40,12 +40,12 @@ func (s *Server) handleWorlds(w http.ResponseWriter, r *http.Request) {
 func (s *Server) walSource(w http.ResponseWriter, r *http.Request) (*catalogEntry, bool) {
 	entry, dbName, err := s.lookup(r.URL.Query().Get("db"))
 	if err != nil {
-		writeJSON(w, 404, errBody(err.Error()))
+		writeErr(w, cluster.Errorf(404, "%v", err))
 		return nil, false
 	}
 	if entry.mut == nil {
-		writeJSON(w, http.StatusConflict, errBody(fmt.Sprintf(
-			"server: catalog %q is not a writable primary (replication streams from -rw nodes)", dbName)))
+		writeErr(w, cluster.Errorf(http.StatusConflict,
+			"server: catalog %q is not a writable primary (replication streams from -rw nodes)", dbName))
 		return nil, false
 	}
 	return entry, true
@@ -74,7 +74,7 @@ func (s *Server) handleStoreFile(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.URL.Query().Get("name")
 	if name == "" || name != filepath.Base(name) || strings.HasPrefix(name, ".") {
-		writeJSON(w, 400, errBody("server: bad file name"))
+		writeErr(w, cluster.Errorf(400, "server: bad file name"))
 		return
 	}
 	man := entry.mut.Manifest()
@@ -92,13 +92,13 @@ func (s *Server) handleStoreFile(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !referenced {
-		writeJSON(w, 404, errBody(fmt.Sprintf(
-			"server: %q is not referenced by the current manifest (superseded by a flush or compaction? refetch the manifest)", name)))
+		writeErr(w, cluster.Errorf(404,
+			"server: %q is not referenced by the current manifest (superseded by a flush or compaction? refetch the manifest)", name))
 		return
 	}
 	b, err := os.ReadFile(filepath.Join(entry.dir, name))
 	if err != nil {
-		writeJSON(w, 404, errBody(fmt.Sprintf("server: %v (refetch the manifest)", err)))
+		writeErr(w, cluster.Errorf(404, "server: %v (refetch the manifest)", err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -130,12 +130,12 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	gen, err := strconv.ParseUint(q.Get("gen"), 10, 64)
 	if err != nil {
-		writeJSON(w, 400, errBody("server: bad wal generation"))
+		writeErr(w, cluster.Errorf(400, "server: bad wal generation"))
 		return
 	}
 	off, err := strconv.ParseInt(q.Get("off"), 10, 64)
 	if err != nil || off < int64(store.WALHeaderLen) {
-		writeJSON(w, 400, errBody(fmt.Sprintf("server: bad wal offset (min %d)", store.WALHeaderLen)))
+		writeErr(w, cluster.Errorf(400, "server: bad wal offset (min %d)", store.WALHeaderLen))
 		return
 	}
 	waitMS, _ := strconv.Atoi(q.Get("wait_ms"))
@@ -150,13 +150,13 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 		g, path, durable := entry.mut.WALView()
 		if g != gen {
 			w.Header().Set("X-Urel-Wal-Gen", strconv.FormatUint(g, 10))
-			writeJSON(w, http.StatusGone, errBody(fmt.Sprintf(
-				"server: wal generation %d rotated to %d (resync from /store/manifest)", gen, g)))
+			writeErr(w, cluster.Errorf(http.StatusGone,
+				"server: wal generation %d rotated to %d (resync from /store/manifest)", gen, g))
 			return
 		}
 		if off > durable {
-			writeJSON(w, http.StatusRequestedRangeNotSatisfiable, errBody(fmt.Sprintf(
-				"server: offset %d past the durable frontier %d of generation %d", off, durable, g)))
+			writeErr(w, cluster.Errorf(http.StatusRequestedRangeNotSatisfiable,
+				"server: offset %d past the durable frontier %d of generation %d", off, durable, g))
 			return
 		}
 		if durable > off {
@@ -181,7 +181,7 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 					}
 					continue
 				}
-				writeJSON(w, 500, errBody(fmt.Sprintf("server: read wal: %v", err)))
+				writeErr(w, cluster.Errorf(500, "server: read wal: %v", err))
 				return
 			}
 			w.Header().Set("X-Urel-Wal-Durable", strconv.FormatInt(durable, 10))

@@ -1,11 +1,14 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
+	"time"
 
 	"urel/internal/cluster"
+	"urel/internal/core"
+	"urel/internal/engine"
 	"urel/internal/obs"
+	"urel/internal/sqlparse"
 )
 
 // queryRequest and execRequest are the cluster wire types, shared by
@@ -48,98 +51,212 @@ type queryResponse struct {
 	rawStatus int
 }
 
-// httpError pairs a client-visible message with a status code, plus
-// the structured fields some failures carry: shard/catalog/nodesTried
-// on coordinator shard-unavailable errors, fence on 409 fencing
-// refusals (the refusing store's authority epoch, which a stale
-// coordinator adopts before retrying).
-type httpError struct {
-	status     int
-	msg        string
-	shard      string
-	catalog    string
-	nodesTried int
-	fence      uint64
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-// body renders the error as its JSON response object: always {"error":
-// msg}, plus the structured fields that are set — machine-readable
-// context alongside the stable prose.
-func (e *httpError) body() map[string]any {
-	b := map[string]any{"error": e.msg}
-	if e.shard != "" {
-		b["shard"] = e.shard
-	}
-	if e.catalog != "" {
-		b["catalog"] = e.catalog
-	}
-	if e.nodesTried > 0 {
-		b["nodes_tried"] = e.nodesTried
-	}
-	if e.fence > 0 {
-		b["fence"] = e.fence
-	}
-	return b
-}
-
-func httpErrf(status int, format string, args ...any) *httpError {
-	return &httpError{status: status, msg: fmt.Sprintf(format, args...)}
-}
-
-// remoteErr maps a coordinator error onto the server's error currency,
-// structured fields included.
-func remoteErr(e *cluster.Error) *httpError {
-	return &httpError{status: e.Status, msg: e.Msg,
-		shard: e.Shard, catalog: e.Catalog, nodesTried: e.NodesTried}
-}
-
-// execResponse is the POST /exec result.
-type execResponse struct {
-	DB        string  `json:"db"`
-	Kind      string  `json:"kind"`
-	Tuples    int     `json:"tuples"`
-	ReprRows  int     `json:"repr_rows"`
-	Tombs     int     `json:"tombstones"`
-	Epoch     uint64  `json:"epoch"`
-	ElapsedMS float64 `json:"elapsed_ms"`
-}
-
-// execute routes one admitted query: coordinator catalogs scatter-
-// gather over their shard nodes, everything else evaluates locally.
-// The two paths are symmetric — same request type, same response type,
-// same mode semantics — so a client cannot tell a coordinator from a
-// single node except by the extra "shard …" spans in a trace.
-func (s *Server) execute(req queryRequest) (*queryResponse, *httpError) {
+// execute runs one admitted query end to end. A local catalog — a
+// plain single node, or one shard's slice of a sharded catalog —
+// evaluates a plan on its current snapshot; a coordinator catalog fans
+// the statement out over its shard nodes. Nothing else differs: a
+// shard's slice of a relation is just a partition, so validation, the
+// deadline, tracing, the slow log, the certain-answer and confidence
+// computations and the response are one path, and a client cannot tell
+// a coordinator from a single node except by the "shard …" spans in a
+// trace.
+func (s *Server) execute(req queryRequest) (*queryResponse, *cluster.Error) {
 	entry, dbName, err := s.lookup(req.DB)
 	if err != nil {
-		return nil, httpErrf(404, "%v", err)
+		return nil, cluster.Errorf(404, "%v", err)
 	}
-	if entry.coord != nil {
-		return s.executeRemote(entry.coord, dbName, req)
+	timeout := s.cfg.Timeout
+	if t := time.Duration(req.TimeoutMS) * time.Millisecond; t > 0 && t < timeout {
+		timeout = t
 	}
-	return s.executeLocal(entry, dbName, req)
+	// Shards run under the effective deadline, the one the central
+	// steps over their answers run under.
+	req.TimeoutMS = int(timeout / time.Millisecond)
+	if isExplain(req.SQL) {
+		return s.executeExplain(entry, dbName, req)
+	}
+	st, herr := s.statement(entry, dbName, req.SQL)
+	if herr != nil {
+		return nil, herr
+	}
+	if herr := validate(req); herr != nil {
+		return nil, herr
+	}
+
+	// Tracing costs a wrapper iterator per operator; pay it only when
+	// the client asked or the slow-query log needs trace trees. A nil
+	// root disables every trace branch down the stack.
+	var root *obs.Span
+	if req.Trace || s.slow.Enabled() {
+		root = obs.NewSpan(st.span)
+	}
+	deadline := time.Now().Add(timeout)
+	start := time.Now()
+	src, relayed, herr := st.open(req, root, deadline)
+	if relayed != nil {
+		return relayed, nil
+	}
+	var resp *queryResponse
+	if herr == nil {
+		resp, herr = s.answer(src, st.parsed.Mode, req, deadline)
+	}
+	elapsed := time.Since(start)
+	line := obs.SlowEntry{
+		SQL:        normalizeSQL(req.SQL),
+		DB:         dbName,
+		Mode:       st.parsed.Mode.String(),
+		ElapsedMS:  durMS(elapsed),
+		DeadlineMS: durMS(timeout),
+		Accuracy:   req.Accuracy,
+		Trace:      root,
+	}
+	if herr != nil {
+		if herr.Status == http.StatusGatewayTimeout {
+			s.timeouts.Inc()
+		}
+		line.Error = herr.Msg
+		s.slow.Record(line)
+		return nil, herr
+	}
+	resp.DB = dbName
+	resp.Mode = line.Mode
+	resp.PlanCached = st.cached
+	if resp.Repr == nil {
+		resp.RowCount = len(resp.Rows)
+		if req.Limit > 0 && len(resp.Rows) > req.Limit {
+			resp.Rows = resp.Rows[:req.Limit]
+		}
+	}
+	resp.ElapsedMS = line.ElapsedMS
+	if req.Trace {
+		resp.Trace = root
+	}
+	s.modeLat[resp.Mode].ObserveDuration(elapsed)
+	line.RowCount, line.Truncated = resp.RowCount, resp.Truncated
+	line.Estimator, line.Degraded = resp.Estimator, resp.Degraded
+	s.slow.Record(line)
+	return resp, nil
 }
 
-// executeDML routes one admitted DML statement: coordinator catalogs
+// statement is a query parsed on one catalog kind.
+type statement struct {
+	parsed *sqlparse.Parsed
+	span   string // the name of its trace root
+	cached bool   // the plan cache held its plan
+	// open returns the statement's source, tracing into root (nil: no
+	// trace). On a coordinator whose statement one shard answers whole,
+	// it returns that shard's response instead.
+	open func(req queryRequest, root *obs.Span, deadline time.Time) (source, *queryResponse, *cluster.Error)
+}
+
+// statement parses sql for entry's catalog: the one place a query
+// tells a local catalog from a coordinator. A local statement the plan
+// cache holds a plan of for the catalog's current snapshot runs that
+// plan; any other is planned when opened, and its plan cached. A
+// coordinator plans nothing.
+func (s *Server) statement(entry *catalogEntry, dbName, sql string) (*statement, *cluster.Error) {
+	if coord := entry.coord; coord != nil {
+		parsed, err := s.plans.parse(sql)
+		if err != nil {
+			return nil, cluster.Errorf(400, "%v", err)
+		}
+		open := func(req queryRequest, root *obs.Span, _ time.Time) (source, *queryResponse, *cluster.Error) {
+			targets, _, herr := coord.Route(core.Relations(parsed.Query))
+			if herr != nil {
+				return nil, nil, herr
+			}
+			// One shard holds every representation row the query can
+			// touch (the cluster has one shard, or only replicated
+			// relations are read), so its response IS the answer: relay it
+			// verbatim, skipping the decode/merge/re-encode cycle. A trace
+			// root (asked for, or for the slow log) needs a merged
+			// response object, so it takes the general path.
+			if len(targets) == 1 && root == nil && req.Wire == "" {
+				resp, herr := s.relay(coord, targets[0], parsed.Mode, req)
+				return nil, resp, herr
+			}
+			return shardSource{coord: coord, targets: targets, req: req, span: root}, nil, nil
+		}
+		return &statement{parsed: parsed, span: "scatter-gather", open: open}, nil
+	}
+	db := entry.snapshot()
+	key, parsed, prep, err := s.plans.lookup(sql, dbName, db)
+	if err != nil {
+		return nil, cluster.Errorf(400, "%v", err)
+	}
+	open := func(_ queryRequest, root *obs.Span, deadline time.Time) (source, *queryResponse, *cluster.Error) {
+		if prep == nil {
+			var herr *cluster.Error
+			if prep, herr = s.prepare(db, parsed.Query); herr != nil {
+				return nil, nil, herr
+			}
+			s.plans.keep(key, dbName, db, prep)
+		}
+		return localSource{s: s, db: db, prep: prep, cfg: engine.ExecConfig{Trace: root}, deadline: deadline}, nil, nil
+	}
+	return &statement{parsed: parsed, span: "query", cached: prep != nil, open: open}, nil
+}
+
+// validate checks a request's options before any work is done. (That
+// "wire": "repr" suits the statement's mode is checked by answer.)
+func validate(req queryRequest) *cluster.Error {
+	switch req.Accuracy {
+	case "", "exact", "bounds", "auto":
+	default:
+		return cluster.Errorf(400, "server: unknown accuracy %q (use \"exact\", \"bounds\", or \"auto\")", req.Accuracy)
+	}
+	switch req.Wire {
+	case "", "repr":
+	default:
+		return cluster.Errorf(400, "server: unknown wire encoding %q (use \"repr\" or omit)", req.Wire)
+	}
+	return nil
+}
+
+// relay answers a query with one shard's response bytes, status
+// included: a shard-side error body is already in the error shape.
+func (s *Server) relay(coord *cluster.Coordinator, shard int, mode sqlparse.Mode, req queryRequest) (*queryResponse, *cluster.Error) {
+	start := time.Now()
+	status, body, err := coord.Relay(shard, req)
+	if err != nil {
+		return nil, err
+	}
+	if status == http.StatusOK {
+		s.modeLat[mode.String()].ObserveDuration(time.Since(start))
+	} else if status == http.StatusGatewayTimeout {
+		s.timeouts.Inc()
+	}
+	return &queryResponse{raw: body, rawStatus: status}, nil
+}
+
+// executeDML runs one admitted DML statement: coordinator catalogs
 // apply the cluster write-routing rules, replicas refuse (they follow
 // the primary's log), local writable catalogs execute directly. The
 // writable check comes FIRST: a promoted follower holds both a write
 // path and the replica it grew from, and must serve writes. fence is
 // the X-Urel-Fence epoch of a coordinated write (0 when absent).
-func (s *Server) executeDML(req execRequest, fence uint64) (*execResponse, *httpError) {
+func (s *Server) executeDML(req execRequest, fence uint64) (*cluster.ExecResponse, *cluster.Error) {
 	entry, dbName, err := s.lookup(req.DB)
 	if err != nil {
-		return nil, httpErrf(404, "%v", err)
+		return nil, cluster.Errorf(404, "%v", err)
 	}
-	if entry.coord != nil {
-		return s.execDMLRemote(entry.coord, dbName, req)
-	}
-	if entry.mut == nil && entry.rep != nil {
-		return nil, httpErrf(http.StatusForbidden,
+	start := time.Now()
+	var resp *cluster.ExecResponse
+	var herr *cluster.Error
+	switch {
+	case entry.coord != nil:
+		resp, herr = entry.coord.Exec(req)
+	case entry.mut == nil && entry.rep != nil:
+		herr = cluster.Errorf(http.StatusForbidden,
 			"server: catalog %q is a read replica following %s (write to the primary; to promote this replica, restart it with -rw and without -follow, or arm -promote-after)",
 			dbName, entry.rep.Stats().Upstream)
+	default:
+		resp, herr = s.executeDMLLocal(entry, dbName, req, fence)
 	}
-	return s.executeDMLLocal(entry, dbName, req, fence)
+	if herr != nil {
+		return nil, herr
+	}
+	resp.DB = dbName
+	resp.ElapsedMS = durMS(time.Since(start))
+	return resp, nil
 }

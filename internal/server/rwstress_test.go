@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"urel/internal/cluster"
 	"urel/internal/core"
 	"urel/internal/engine"
 	"urel/internal/sqlparse"
@@ -271,7 +272,7 @@ func TestCachedPlansFollowTheSnapshot(t *testing.T) {
 			}
 			var resp *queryResponse
 			if parsed.Mode == sqlparse.ModeCertain {
-				var herr *httpError
+				var herr *cluster.Error
 				if resp, herr = s.certainFromResult(res, time.Time{}); herr != nil {
 					t.Fatal(herr)
 				}

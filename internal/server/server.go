@@ -80,8 +80,8 @@ type Config struct {
 	Timeout time.Duration
 
 	// SegCacheBytes budgets the shared decoded-segment cache across
-	// all catalogs (<= 0 uses the default 256 MiB; use a negative
-	// PlanCacheSize-style sentinel via DisableSegCache to turn it off).
+	// all catalogs (<= 0 uses the default 256 MiB; DisableSegCache
+	// turns the cache off).
 	SegCacheBytes int64
 	// DisableSegCache turns the shared segment cache off entirely.
 	DisableSegCache bool
@@ -466,8 +466,8 @@ func (s *Server) OpenCoordinator(name string, spec cluster.CatalogSpec) error {
 }
 
 // OpenCoordinatorWith is OpenCoordinator with explicit coordinator
-// options (health-check tuning, hedging, a fault-injecting transport in
-// chaos tests). The server's metrics registry always wins: coordinator
+// options (health-check tuning, a fault-injecting transport in chaos
+// tests). The server's metrics registry always wins: coordinator
 // metrics land on /metrics regardless of opts.Registry.
 func (s *Server) OpenCoordinatorWith(name string, spec cluster.CatalogSpec, opts cluster.Options) error {
 	opts.Registry = s.reg

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -238,6 +239,33 @@ func TestServerErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /query: %d", resp.StatusCode)
+	}
+}
+
+// TestServerBodyLimit: a request body past maxBodyBytes is refused with
+// 413 and an error body instead of being buffered, on /query and /exec
+// alike, and the server goes on answering ordinary queries.
+func TestServerBodyLimit(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if err := s.AddDB("vehicles", vehiclesDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	pad := strings.Repeat("x", 17<<20)
+	big := []byte(`{"sql": "possible select typ from r", "pad": "` + pad + `"}`)
+	for _, path := range []string{"/query", "/exec"} {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(big))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]any
+		derr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || derr != nil || body["error"] == nil {
+			t.Fatalf("%s with a 17 MiB body: status %d, body %v (%v), want 413 with an error", path, resp.StatusCode, body, derr)
+		}
+	}
+	if code, body := post(t, ts, queryRequest{SQL: "possible select typ from r"}); code != 200 {
+		t.Fatalf("query after the refused body: status %d: %v", code, body)
 	}
 }
 
