@@ -69,6 +69,39 @@ func BenchmarkNormalize(b *testing.B) {
 	}
 }
 
+// BenchmarkPlan times what a paper_mem op spends before its operators
+// run: Translate and Optimize of the paper's Q1–Q3 on the lo and the hi
+// dataset (s 0.05, x 0.01 and 0.1, z 0.25). The statistics the first
+// plan over a partition takes are paid before the timer starts.
+func BenchmarkPlan(b *testing.B) {
+	for _, d := range []struct {
+		name string
+		x    float64
+	}{{"lo", 0.01}, {"hi", 0.1}} {
+		db := benchDB(b, 0.05, d.x, 0.25)
+		for _, name := range []string{"Q1", "Q2", "Q3"} {
+			q := tpch.Queries()[name]
+			b.Run(name+"_"+d.name, func(b *testing.B) {
+				b.ReportAllocs()
+				plan := func() {
+					p, _, err := db.Translate(q)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := engine.Optimize(p, engine.NewCatalog()); err != nil {
+						b.Fatal(err)
+					}
+				}
+				plan()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					plan()
+				}
+			})
+		}
+	}
+}
+
 // Ablation: merge placement / optimizer on-off (the paper's Figure 3
 // P1-vs-P2/P3 discussion — the optimizer pushes selections below the
 // merge joins).

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 )
 
 // Optimize rewrites a logical plan using the classical rule set:
@@ -9,10 +10,11 @@ import (
 //  1. split conjunctive filters and absorb filters into join conditions,
 //  2. push selections as far down as schemas allow (through projects,
 //     renames, unions, and into join inputs),
-//  3. reorder trees of inner joins greedily by estimated cardinality,
-//     from the smallest input outward (System-R-style, avoiding cross
-//     products when possible) — a stitch is one input of such a tree,
-//     driven by its own input estimated smallest,
+//  3. reorder trees of inner joins by greedy operator ordering on
+//     estimated cardinality (joinOrderer: the smallest connected join
+//     first, cross products last, each hash join built on its smaller
+//     side) — a stitch is one input of such a tree, driven by its own
+//     input estimated smallest,
 //  4. prune unused columns by inserting projections above leaves,
 //  5. fold each projection into the projection, inner join or stitch
 //     beneath it, so a row is written once, at its final width,
@@ -312,20 +314,14 @@ func pushConjuncts(child Plan, conjs []Expr, cat *Catalog) Plan {
 	return Filter(child, And(conjs...))
 }
 
-// joinLeaf is one input of a flattened join chain.
-type joinLeaf struct {
-	plan Plan
-	sch  Schema
-}
-
 // orderJoins flattens each maximal tree of inner joins — two inputs or
-// twenty — and reassembles it greedily by estimated output cardinality:
-// the tree starts at its smallest input, and the smaller side of a hash
-// join is the side it builds on. A relation is one input, whatever
+// twenty — and reassembles it by greedy operator ordering on estimated
+// output cardinality (joinOrderer): the smaller side of each join is
+// the side a hash join builds on. A relation is one input, whatever
 // number of partitions its stitch merges; the stitch is driven by the
 // partition estimated smallest — a filtered or index-scanned one, where
-// there is one. One estimator serves the
-// whole pass, so each leaf and each candidate join is estimated once.
+// there is one. One estimator serves the whole pass, so each input is
+// estimated once.
 //
 // Reordering permutes output columns, and a projection above the tree
 // restores the written order so Optimize is schema-preserving. A
@@ -371,7 +367,7 @@ func orderJoins(p Plan, est *estimator) (Plan, error) {
 // on its own, and only the root is rebuilt: ordering a sub-chain would
 // put its restoring projection in the middle of the tree it belongs to.
 func orderJoinTree(n *JoinPlan, names []string, est *estimator) (Plan, error) {
-	var leaves []joinLeaf
+	var inputs []Plan
 	var preds []Expr
 	var collect func(q Plan) error
 	collect = func(q Plan) error {
@@ -389,19 +385,25 @@ func orderJoinTree(n *JoinPlan, names []string, est *estimator) (Plan, error) {
 		if err != nil {
 			return err
 		}
-		sch, err := q.Schema(est.cat)
-		if err != nil {
-			return err
-		}
-		leaves = append(leaves, joinLeaf{plan: q, sch: sch})
+		inputs = append(inputs, q)
 		return nil
 	}
 	if err := collect(n); err != nil {
 		return nil, err
 	}
-	out, err := greedyJoin(leaves, preds, est)
+	o, err := newJoinOrderer(est, inputs, preds)
 	if err != nil {
 		return nil, err
+	}
+	out := o.order()
+	var lost []Expr
+	for _, c := range o.conjs {
+		if c.lost {
+			lost = append(lost, c.e)
+		}
+	}
+	if len(lost) > 0 {
+		out = Filter(out, And(lost...))
 	}
 	newSch, err := out.Schema(est.cat)
 	if err != nil {
@@ -436,102 +438,225 @@ func uniqueStrings(a []string) bool {
 	return true
 }
 
-// greedyJoin picks the smallest leaf, then repeatedly joins in the leaf
-// that minimizes the estimated result size, preferring connected leaves
-// over cross products. Only an equi conjunct connects two inputs: the ψ
-// descriptor-consistency disjuncts span every pair of uncertain inputs
-// and filter almost nothing, so a join they alone "connect" is a cross
-// product with a residual. They still ride on the first join that
-// covers them.
-func greedyJoin(leaves []joinLeaf, preds []Expr, est *estimator) (Plan, error) {
-	used := make([]bool, len(leaves))
-	applied := make([]bool, len(preds))
-	// Every conjunct is tried against every candidate join of every
-	// round, so its columns are listed once.
-	predCols := make([][]string, len(preds))
-	for pi, pr := range preds {
-		predCols[pi] = ExprColumns(pr)
-	}
+// joinOrderer is greedy operator ordering (GOO; Fegaras, DEXA 1998)
+// over the inputs of one tree of inner joins: it repeatedly merges the
+// connected pair of subtrees whose join it estimates smallest, and the
+// merged subtree estimated smaller is the join's L, the side a hash join
+// builds on and drains first. The trees it makes may be bushy. It
+// estimates on numbers — each input is estimated once and each conjunct
+// resolved once — with estimate's arithmetic for the JoinPlan a merge
+// builds, so a plan carries the estimates it was chosen by. Only an equi
+// pair connects two subtrees: the ψ descriptor-consistency disjuncts
+// span every pair of uncertain inputs and filter almost nothing, so a
+// join they alone "connect" is a cross product with a residual. They
+// ride on the first merge that covers them, and an unconnected pair is
+// merged only when no connected one is left.
+type joinOrderer struct {
+	ins   []orderInput
+	conjs []joinConj
+	owner []int         // per input, the subtree that holds it
+	cap   []float64     // per input, the fewest rows of a merge above it: its NDVs' ceiling
+	subs  []joinSubtree // indexed by the input each started as
+}
 
-	// Start from the leaf with the smallest estimated cardinality.
-	best := 0
-	bestRows := math.Inf(1)
-	for i, lf := range leaves {
-		r := est.stats(lf.plan).Rows
-		if r < bestRows {
-			bestRows = r
-			best = i
-		}
-	}
-	used[best] = true
-	cur := leaves[best].plan
-	curSch := leaves[best].sch
-	remaining := len(leaves) - 1
+// orderInput is one input of a join tree: its plan, schema and estimate.
+type orderInput struct {
+	plan Plan
+	sch  Schema
+	st   PlanStats
+}
 
-	for remaining > 0 {
-		type cand struct {
-			idx       int
-			plan      Plan
-			rows      float64
-			connected bool
+// joinConj is one conjunct of a join tree, resolved against the inputs:
+// ins lists the inputs it reads. It is lost when a column resolves in
+// no input or in several; no merge places it. An equi pair of two
+// inputs' columns also names its two ends.
+type joinConj struct {
+	e       Expr
+	ins     []int
+	lost    bool
+	pair    bool
+	ends    [2]joinEnd
+	applied bool
+}
+
+// joinEnd is a column of one input, by its name in the input's schema.
+type joinEnd struct {
+	in  int
+	col string
+}
+
+// joinSubtree is a tree the orderer has built so far.
+type joinSubtree struct {
+	plan Plan
+	rows float64
+	live bool // false once merged into another
+}
+
+func newJoinOrderer(est *estimator, inputs []Plan, conjs []Expr) (*joinOrderer, error) {
+	n := len(inputs)
+	o := &joinOrderer{
+		ins:   make([]orderInput, n),
+		conjs: make([]joinConj, len(conjs)),
+		owner: make([]int, n),
+		cap:   make([]float64, n),
+		subs:  make([]joinSubtree, n),
+	}
+	for i, p := range inputs {
+		sch, err := p.Schema(est.cat)
+		if err != nil {
+			return nil, err
 		}
-		var bestCand *cand
-		for i, lf := range leaves {
-			if used[i] {
-				continue
+		st := est.stats(p)
+		o.ins[i] = orderInput{plan: p, sch: sch, st: st}
+		o.owner[i], o.cap[i] = i, math.Inf(1)
+		o.subs[i] = joinSubtree{plan: p, rows: st.Rows, live: true}
+	}
+	for k, e := range conjs {
+		c := &o.conjs[k]
+		c.e = e
+		for _, col := range ExprColumns(e) {
+			end := o.resolve(col)
+			if end.in < 0 {
+				c.lost = true
+			} else if !slices.Contains(c.ins, end.in) {
+				c.ins = append(c.ins, end.in)
 			}
-			joined := curSch.Concat(lf.sch)
-			var conds []Expr
-			connected := false
-			for pi, pr := range preds {
-				if applied[pi] {
+		}
+		if cmp, ok := e.(*CmpExpr); ok && cmp.Op == EQ && !c.lost {
+			lc, lok := cmp.L.(*ColRef)
+			rc, rok := cmp.R.(*ColRef)
+			if lok && rok {
+				c.ends = [2]joinEnd{o.resolve(lc.Name), o.resolve(rc.Name)}
+				c.pair = c.ends[0].in != c.ends[1].in
+			}
+		}
+	}
+	return o, nil
+}
+
+// resolve finds the one input a column name resolves in (in -1 when
+// none or several).
+func (o *joinOrderer) resolve(name string) joinEnd {
+	end := joinEnd{in: -1}
+	for i, in := range o.ins {
+		if j := in.sch.IndexOf(name); j >= 0 {
+			if end.in >= 0 {
+				return joinEnd{in: -1}
+			}
+			end = joinEnd{in: i, col: in.sch.Cols[j].Name}
+		}
+	}
+	return end
+}
+
+// order merges the inputs into one tree and returns it.
+func (o *joinOrderer) order() Plan {
+	for left := len(o.subs); left > 1; left-- {
+		bx, by, best, bestConn := -1, -1, 0.0, false
+		for x := range o.subs {
+			for y := x + 1; y < len(o.subs) && o.subs[x].live; y++ {
+				if !o.subs[y].live {
 					continue
 				}
-				if cols := predCols[pi]; hasAll(joined, cols) && !hasAll(curSch, cols) && !hasAll(lf.sch, cols) {
-					conds = append(conds, pr)
-					if pairs, _ := ExtractEquiJoin(pr, curSch, lf.sch); len(pairs) > 0 {
-						connected = true
-					}
+				rows, conn := o.joinRows(x, y)
+				if bx < 0 || conn && !bestConn || conn == bestConn && rows < best {
+					bx, by, best, bestConn = x, y, rows, conn
 				}
 			}
-			jp := &JoinPlan{Kind: InnerJoin, L: cur, R: lf.plan, Cond: And(conds...)}
-			rows := est.stats(jp).Rows
-			c := &cand{idx: i, plan: jp, rows: rows, connected: connected}
-			if bestCand == nil ||
-				(c.connected && !bestCand.connected) ||
-				(c.connected == bestCand.connected && c.rows < bestCand.rows) {
-				bestCand = c
-			}
 		}
-		// Apply the chosen join and mark its predicates used.
-		lf := leaves[bestCand.idx]
-		joined := curSch.Concat(lf.sch)
-		var conds []Expr
-		for pi, pr := range preds {
-			if applied[pi] {
-				continue
-			}
-			if hasAll(joined, predCols[pi]) {
-				conds = append(conds, pr)
-				applied[pi] = true
-			}
-		}
-		cur = &JoinPlan{Kind: InnerJoin, L: cur, R: lf.plan, Cond: And(conds...)}
-		curSch = joined
-		used[bestCand.idx] = true
-		remaining--
+		o.merge(bx, by, best)
 	}
-	// Any predicate not yet applied becomes a filter on top.
-	var rest []Expr
-	for pi, pr := range preds {
-		if !applied[pi] {
-			rest = append(rest, pr)
+	for _, s := range o.subs {
+		if s.live {
+			return s.plan
 		}
 	}
-	if len(rest) > 0 {
-		return Filter(cur, And(rest...)), nil
+	return nil
+}
+
+// places reports whether merging subtrees x and y places c: c is not
+// placed yet and reads no input outside them.
+func (o *joinOrderer) places(c *joinConj, x, y int) bool {
+	if c.applied || c.lost {
+		return false
 	}
-	return cur, nil
+	for _, in := range c.ins {
+		if s := o.owner[in]; s != x && s != y {
+			return false
+		}
+	}
+	return true
+}
+
+// joinRows is estimate's figure for the join of subtrees x and y under
+// the conjuncts the merge places: |X|·|Y| over the larger NDV of each
+// equi pair, 0.9 for each other conjunct. connected reports an equi
+// pair.
+func (o *joinOrderer) joinRows(x, y int) (rows float64, connected bool) {
+	rows = o.subs[x].rows * o.subs[y].rows
+	residuals := 0
+	for k := range o.conjs {
+		c := &o.conjs[k]
+		switch {
+		case !o.places(c, x, y):
+		case c.pair:
+			rows /= math.Max(1, math.Max(o.endNDV(c.ends[0]), o.endNDV(c.ends[1])))
+			connected = true
+		default:
+			residuals++
+		}
+	}
+	return afterResiduals(rows, residuals), connected
+}
+
+// endNDV is the NDV of a column in the subtree holding its input: the
+// input's, capped by the rows of every merge above it.
+func (o *joinOrderer) endNDV(e joinEnd) float64 {
+	if v, ok := o.ins[e.in].st.NDV[e.col]; ok {
+		return math.Min(v, o.cap[e.in])
+	}
+	return defaultNDV
+}
+
+// merge joins subtree y into subtree x, estimated at rows, under the
+// conjuncts the merge places.
+func (o *joinOrderer) merge(x, y int, rows float64) {
+	var conds []Expr
+	for k := range o.conjs {
+		if c := &o.conjs[k]; o.places(c, x, y) {
+			c.applied = true
+			conds = append(conds, c.e)
+		}
+	}
+	for in, s := range o.owner {
+		if s == y {
+			o.owner[in] = x
+		}
+		if o.owner[in] == x {
+			o.cap[in] = math.Min(o.cap[in], rows)
+		}
+	}
+	l, r := o.subs[x].plan, o.subs[y].plan
+	if o.subs[y].rows < o.subs[x].rows {
+		l, r = r, l
+	}
+	o.subs[x] = joinSubtree{plan: &JoinPlan{Kind: InnerJoin, L: l, R: r, Cond: And(conds...)}, rows: rows, live: true}
+	o.subs[y].live = false
+}
+
+// result is the estimate of the tree order built, as estimate gives it:
+// its rows and every input's NDVs under their ceilings.
+func (o *joinOrderer) result() PlanStats {
+	st := PlanStats{NDV: map[string]float64{}}
+	for i, in := range o.ins {
+		for c, v := range in.st.NDV {
+			st.NDV[c] = math.Min(v, o.cap[i])
+		}
+		if o.subs[i].live {
+			st.Rows = o.subs[i].rows
+		}
+	}
+	return st
 }
 
 // pruneColumns inserts projections so leaves only produce columns the

@@ -262,7 +262,8 @@ func (est *estimator) estimate(p Plan) PlanStats {
 		sel := est.selectivity(n.Cond, n.Child, in)
 		return scaleStats(in, sel)
 	case *ProjectPlan:
-		return projectStats(est.stats(n.Child), n.Names)
+		sch, _ := n.Child.Schema(cat)
+		return projectStats(est.stats(n.Child), sch, n.Names)
 	case *RenamePlan:
 		in := est.stats(n.Child)
 		sch, err := n.Child.Schema(cat)
@@ -272,7 +273,7 @@ func (est *estimator) estimate(p Plan) PlanStats {
 		ndv := make(map[string]float64, len(n.Names))
 		for i, name := range n.Names {
 			if i < sch.Len() {
-				if v, ok := in.NDV[sch.Cols[i].Name]; ok {
+				if v, ok := ndvOf(in, sch, sch.Cols[i].Name); ok {
 					ndv[name] = v
 					continue
 				}
@@ -288,16 +289,9 @@ func (est *estimator) estimate(p Plan) PlanStats {
 		pairs, residual := ExtractEquiJoin(n.Cond, ls, rs)
 		rows := l.Rows * r.Rows
 		for _, pr := range pairs {
-			ln := ndvOr(l.NDV, pr.L, defaultNDV)
-			rn := ndvOr(r.NDV, pr.R, defaultNDV)
-			rows /= math.Max(1, math.Max(ln, rn))
+			rows /= math.Max(1, math.Max(ndvOr(l, ls, pr.L, defaultNDV), ndvOr(r, rs, pr.R, defaultNDV)))
 		}
-		if residual != nil {
-			rows *= residualSelectivity(residual)
-		}
-		if rows < 1 {
-			rows = 1
-		}
+		rows = afterResiduals(rows, len(SplitConjuncts(residual)))
 		if n.Kind == SemiJoin {
 			out := math.Min(l.Rows, rows)
 			return PlanStats{Rows: out, NDV: capNDV(l.NDV, out)}
@@ -312,33 +306,34 @@ func (est *estimator) estimate(p Plan) PlanStats {
 		if n.Out != nil {
 			// A join that emits through Out is estimated as the projection
 			// folded into it was.
-			return projectStats(PlanStats{Rows: rows, NDV: ndv}, n.Out)
+			return projectStats(PlanStats{Rows: rows, NDV: ndv}, ls.Concat(rs), n.Out)
 		}
 		return PlanStats{Rows: rows, NDV: ndv}
 	case *StitchPlan:
-		// The chain of binary joins on α ∧ ψ the stitch replaces, as the
-		// greedy orderer lays it out.
-		leaves := make([]joinLeaf, len(n.Inputs))
-		for i, in := range n.Inputs {
-			sch, _ := in.Schema(cat)
-			leaves[i] = joinLeaf{plan: in, sch: sch}
-		}
+		// The tree of binary joins on α ∧ ψ the stitch replaces, as the
+		// join orderer would lay it out.
 		preds := SplitConjuncts(n.Cond)
 		for _, t := range n.TIDs[1:] {
 			preds = append(preds, EqCols(n.TIDs[0], t))
 		}
-		chain, _ := greedyJoin(leaves, preds, est)
-		if n.Out != nil {
-			return projectStats(est.stats(chain), n.Out)
+		o, err := newJoinOrderer(est, n.Inputs, preds)
+		if err != nil {
+			return PlanStats{Rows: 1000, NDV: map[string]float64{}}
 		}
-		return est.stats(chain)
+		o.order()
+		st := o.result()
+		if n.Out != nil {
+			full, _ := n.full(cat)
+			return projectStats(st, full, n.Out)
+		}
+		return st
 	case *UnionPlan:
 		l := est.stats(n.L)
 		r := est.stats(n.R)
 		rows := l.Rows + r.Rows
 		ndv := make(map[string]float64, len(l.NDV))
 		for c, v := range l.NDV {
-			ndv[c] = math.Min(rows, v+ndvOr(r.NDV, c, 0))
+			ndv[c] = math.Min(rows, v+r.NDV[c])
 		}
 		return PlanStats{Rows: rows, NDV: ndv}
 	case *DiffPlan:
@@ -383,11 +378,12 @@ func (est *estimator) estimate(p Plan) PlanStats {
 	}
 }
 
-// projectStats narrows an estimate to the named columns.
-func projectStats(in PlanStats, names []string) PlanStats {
+// projectStats narrows an estimate of rows under sch to the named
+// columns, keyed as written.
+func projectStats(in PlanStats, sch Schema, names []string) PlanStats {
 	ndv := make(map[string]float64, len(names))
 	for _, c := range names {
-		if v, ok := in.NDV[c]; ok {
+		if v, ok := ndvOf(in, sch, c); ok {
 			ndv[c] = v
 		} else {
 			ndv[c] = math.Min(in.Rows, defaultNDV)
@@ -396,11 +392,34 @@ func projectStats(in PlanStats, names []string) PlanStats {
 	return PlanStats{Rows: in.Rows, NDV: ndv}
 }
 
-func ndvOr(m map[string]float64, k string, def float64) float64 {
-	if v, ok := m[k]; ok {
+// ndvOf is the NDV of the column name resolves to in sch, the schema of
+// the rows st estimates: an estimate keys its NDVs by the schema's own
+// (often qualified) names, a predicate names columns as written.
+func ndvOf(st PlanStats, sch Schema, name string) (float64, bool) {
+	if i := sch.IndexOf(name); i >= 0 {
+		name = sch.Cols[i].Name
+	}
+	v, ok := st.NDV[name]
+	return v, ok
+}
+
+func ndvOr(st PlanStats, sch Schema, name string, def float64) float64 {
+	if v, ok := ndvOf(st, sch, name); ok {
 		return v
 	}
 	return def
+}
+
+// afterResiduals applies n residual conjuncts to a join's row estimate
+// and keeps it at least one row. The ψ descriptor-consistency
+// conditions are (var≠var' OR rng=rng') disjunctions; they are weakly
+// selective, so each conjunct keeps 0.9.
+func afterResiduals(rows float64, n int) float64 {
+	s := 1.0
+	for i := 0; i < n; i++ {
+		s *= 0.9
+	}
+	return math.Max(1, rows*s)
 }
 
 func capNDV(m map[string]float64, rows float64) map[string]float64 {
@@ -418,9 +437,10 @@ func scaleStats(in PlanStats, sel float64) PlanStats {
 
 // selectivity estimates the fraction of rows satisfying cond.
 func (est *estimator) selectivity(cond Expr, child Plan, in PlanStats) float64 {
+	sch, _ := child.Schema(est.cat)
 	sel := 1.0
 	for _, c := range SplitConjuncts(cond) {
-		sel *= est.conjunctSelectivity(c, child, in)
+		sel *= est.conjunctSelectivity(c, child, sch, in)
 	}
 	if sel > 1 {
 		sel = 1
@@ -428,7 +448,9 @@ func (est *estimator) selectivity(cond Expr, child Plan, in PlanStats) float64 {
 	return sel
 }
 
-func (est *estimator) conjunctSelectivity(c Expr, child Plan, in PlanStats) float64 {
+// conjunctSelectivity estimates the fraction of child's rows (schema
+// sch, estimate in) that c keeps.
+func (est *estimator) conjunctSelectivity(c Expr, child Plan, sch Schema, in PlanStats) float64 {
 	switch e := c.(type) {
 	case *CmpExpr:
 		col, cst, op, ok := normalizeCmp(e)
@@ -437,11 +459,9 @@ func (est *estimator) conjunctSelectivity(c Expr, child Plan, in PlanStats) floa
 		}
 		switch op {
 		case EQ:
-			ndv := ndvOr(in.NDV, col, 1/defaultEqSel)
-			return 1 / math.Max(1, ndv)
+			return 1 / math.Max(1, ndvOr(in, sch, col, 1/defaultEqSel))
 		case NE:
-			ndv := ndvOr(in.NDV, col, 1/defaultEqSel)
-			return 1 - 1/math.Max(1, ndv)
+			return 1 - 1/math.Max(1, ndvOr(in, sch, col, 1/defaultEqSel))
 		default:
 			if cs, ok2 := est.baseColStats(child, col); ok2 && cs.HasRange {
 				return rangeSelectivity(op, cst, cs)
@@ -453,20 +473,20 @@ func (est *estimator) conjunctSelectivity(c Expr, child Plan, in PlanStats) floa
 		case AndOp:
 			s := 1.0
 			for _, a := range e.Args {
-				s *= est.conjunctSelectivity(a, child, in)
+				s *= est.conjunctSelectivity(a, child, sch, in)
 			}
 			return s
 		case OrOp:
 			s := 0.0
 			for _, a := range e.Args {
-				s += est.conjunctSelectivity(a, child, in)
+				s += est.conjunctSelectivity(a, child, sch, in)
 			}
 			if s > 1 {
 				s = 1
 			}
 			return s
 		default:
-			return 1 - est.conjunctSelectivity(e.Args[0], child, in)
+			return 1 - est.conjunctSelectivity(e.Args[0], child, sch, in)
 		}
 	default:
 		return defaultSel
@@ -547,18 +567,6 @@ func clampSel(s float64) float64 {
 	}
 	if s > 1 {
 		return 1
-	}
-	return s
-}
-
-func residualSelectivity(residual Expr) float64 {
-	// The ψ descriptor-consistency conditions are (var≠var' OR rng=rng')
-	// disjunctions; they are weakly selective. Use a mild default per
-	// conjunct.
-	n := len(SplitConjuncts(residual))
-	s := 1.0
-	for i := 0; i < n; i++ {
-		s *= 0.9
 	}
 	return s
 }

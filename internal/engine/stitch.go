@@ -17,7 +17,8 @@ import (
 // sharing a tuple id. Driver is the input drained first, whose tuple-id
 // range every other input is handed: Optimize makes it the input it
 // estimates smallest. Out is JoinPlan's. Its estimate is that of the
-// chain of binary joins on α ∧ ψ it replaces, as orderJoins lays it out.
+// tree of binary joins on α ∧ ψ it replaces, as the join orderer
+// (joinOrderer) would lay it out.
 type StitchPlan struct {
 	Inputs []Plan
 	TIDs   []string

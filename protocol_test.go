@@ -25,9 +25,10 @@ import (
 // materializer, the row output arena or the row window. The hash join
 // declares Next, and neither it nor the join table holds a row slice —
 // there is no row-keyed table and no row probe. The hash join declares
-// no NarrowKeyRange — plans are left-deep, so no join hands it a range
-// (TestChainsAreStitched) — and package engine declares no anti join
-// again (AntiJoin or Anti as a function, constant, type or field).
+// no NarrowKeyRange — a join on another join's probe side (join trees
+// may be bushy, TestChainsAreStitched) is handed no range — and
+// package engine declares no anti join again (AntiJoin or Anti as a
+// function, constant, type or field).
 // There is one engine path, too: the parallel operators that lost to
 // the serial ones are banned, and an operator runs on its caller's
 // goroutine — no non-test file of package engine has a go statement.
