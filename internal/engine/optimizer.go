@@ -678,12 +678,24 @@ func pruneNeeding(p Plan, cat *Catalog, needed []string) (Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The projection itself defines what's needed below.
-		child, err := pruneNeeding(n.Child, cat, resolveAll(childSch, n.Names))
+		// The projection keeps the names its parent reads (all of them
+		// when it reads none), and they define what's needed below.
+		names := n.Names
+		if sch, err := childSch.Project(n.Names); err == nil {
+			if kept := resolveAll(sch, needed); len(kept) > 0 && len(kept) < len(names) {
+				names = make([]string, 0, len(kept))
+				for _, c := range sch.Cols {
+					if slices.Contains(kept, c.Name) {
+						names = append(names, c.Name)
+					}
+				}
+			}
+		}
+		child, err := pruneNeeding(n.Child, cat, resolveAll(childSch, names))
 		if err != nil {
 			return nil, err
 		}
-		return &ProjectPlan{Child: child, Names: n.Names}, nil
+		return &ProjectPlan{Child: child, Names: names}, nil
 	case *FilterPlan:
 		childSch, err := n.Child.Schema(cat)
 		if err != nil {
@@ -734,17 +746,17 @@ func pruneNeeding(p Plan, cat *Catalog, needed []string) (Plan, error) {
 			needed = resolveAll(full, n.Out)
 		}
 		req := union(union(needed, resolveAll(full, ExprColumns(n.Cond))), n.TIDs)
+		// An input's other columns cost nothing: the stitch gathers only
+		// its output's.
 		ins := make([]Plan, len(n.Inputs))
 		for i, in := range n.Inputs {
 			sch, err := in.Schema(cat)
 			if err != nil {
 				return nil, err
 			}
-			need := intersectSchema(req, sch)
-			if ins[i], err = pruneNeeding(in, cat, need); err != nil {
+			if ins[i], err = pruneNeeding(in, cat, intersectSchema(req, sch)); err != nil {
 				return nil, err
 			}
-			ins[i] = maybeProject(ins[i], sch, need)
 		}
 		return n.WithChildren(ins), nil
 	case *ScanPlan, *ValuesPlan:
@@ -774,8 +786,19 @@ func pruneNeeding(p Plan, cat *Catalog, needed []string) (Plan, error) {
 }
 
 // maybeProject wraps p in a projection to need if that strictly drops
-// columns.
+// columns and p writes its rows — an inner join or a stitch, which then
+// emits through it (foldProjections). Any other node hands its columns
+// over as they are, so a projection above it would drop nothing.
 func maybeProject(p Plan, sch Schema, need []string) Plan {
+	switch n := p.(type) {
+	case *JoinPlan:
+		if n.Kind != InnerJoin {
+			return p
+		}
+	case *StitchPlan:
+	default:
+		return p
+	}
 	if len(need) == 0 || len(need) >= sch.Len() {
 		return p
 	}
