@@ -63,21 +63,18 @@
 // trace wrapper to the operator it wraps, and a stitch a tid range to
 // every input and any other to the input that owns the column,
 // dropping, as it drains its driver, the driver's rows the range
-// excludes. A hash join forwards none, so a join on another join's
-// probe side (join trees may be bushy) reads its inputs whole — a
-// range is a hint, and ignoring one is always correct. A range
+// excludes. A hash join forwards none (a range is a hint), so a join on
+// another join's probe side reads its inputs whole. A range
 // ends at a leaf: the store scan skips the segments it misses and
 // serves a tid range as a window of the segment it reads; the scan of
 // an in-memory partition image, which is in tid order, serves a tid
 // range as the window binary search finds.
 //
-// Optimize orders every tree of inner joins by greedy operator ordering
-// (GOO): it merges the connected pair of subtrees whose join it
-// estimates smallest until one tree is left, which may be bushy, and a
-// hash join builds on the side estimated smaller. A relation is one
-// input of such a tree, its stitch driven by the partition estimated
-// smallest — the one the selection cut — and estimated as the tree of
-// binary tid joins it replaces, ordered the same way. Every operator runs on its
+// Optimize orders every tree of inner joins by greedy operator ordering,
+// into trees that may be bushy, and a hash join builds on its smaller
+// side; a relation is one input of such a tree, its stitch driven by
+// the partition estimated smallest — the one the selection cut — and
+// estimated as the tree of binary tid joins it replaces. Every operator runs on its
 // caller's goroutine: a query is one serial pipeline, and concurrency
 // comes from serving many queries at once. There are two strategies for
 // a join of two relations, chosen from the join's schemas alone

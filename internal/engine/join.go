@@ -23,12 +23,11 @@ import (
 // input whose rows it passes through, and a stitch to the input that
 // owns the column (a range on a tuple-id column to every input) —
 // dropping, while it drains its driver, the driver rows the range
-// excludes. A hash join forwards nothing, so a join on another join's
-// probe side (Optimize's join trees may be bushy) reads its inputs
-// whole: a range is a hint, and ignoring one is always correct. A store
-// scan skips the file segments whose bounds miss a range and, on the
-// tid column, serves of a segment whose tuple ids ascend only the
-// window of rows inside it.
+// excludes. A hash join forwards nothing (a range is a hint), so a join
+// on another join's probe side reads its inputs whole. A store scan skips
+// the file segments whose bounds miss a range and, on the tid column,
+// serves of a segment whose tuple ids ascend only the window of rows
+// inside it.
 type KeyRangeNarrower interface {
 	NarrowKeyRange(col int, lo, hi int64)
 }

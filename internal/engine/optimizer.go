@@ -391,20 +391,7 @@ func orderJoinTree(n *JoinPlan, names []string, est *estimator) (Plan, error) {
 	if err := collect(n); err != nil {
 		return nil, err
 	}
-	o, err := newJoinOrderer(est, inputs, preds)
-	if err != nil {
-		return nil, err
-	}
-	out := o.order()
-	var lost []Expr
-	for _, c := range o.conjs {
-		if c.lost {
-			lost = append(lost, c.e)
-		}
-	}
-	if len(lost) > 0 {
-		out = Filter(out, And(lost...))
-	}
+	out := newJoinOrderer(est, inputs, preds).order()
 	newSch, err := out.Schema(est.cat)
 	if err != nil {
 		return nil, err
@@ -439,111 +426,88 @@ func uniqueStrings(a []string) bool {
 }
 
 // joinOrderer is greedy operator ordering (GOO; Fegaras, DEXA 1998)
-// over the inputs of one tree of inner joins: it repeatedly merges the
-// connected pair of subtrees whose join it estimates smallest, and the
-// merged subtree estimated smaller is the join's L, the side a hash join
-// builds on and drains first. The trees it makes may be bushy. It
-// estimates on numbers — each input is estimated once and each conjunct
-// resolved once — with estimate's arithmetic for the JoinPlan a merge
-// builds, so a plan carries the estimates it was chosen by. Only an equi
-// pair connects two subtrees: the ψ descriptor-consistency disjuncts
-// span every pair of uncertain inputs and filter almost nothing, so a
-// join they alone "connect" is a cross product with a residual. They
-// ride on the first merge that covers them, and an unconnected pair is
-// merged only when no connected one is left.
+// over the inputs of one tree of inner joins: it merges the connected
+// pair of subtrees whose join it estimates smallest until one tree, maybe
+// bushy, is left, and makes the side estimated smaller each join's L,
+// the side a hash join builds on. It estimates once per input and
+// resolves each conjunct once, with estimate's arithmetic for the
+// JoinPlan a merge builds. Only an equi pair connects: a ψ disjunct
+// filters almost nothing, so it rides on the first merge covering it.
 type joinOrderer struct {
-	ins   []orderInput
-	conjs []joinConj
-	owner []int         // per input, the subtree that holds it
-	cap   []float64     // per input, the fewest rows of a merge above it: its NDVs' ceiling
-	subs  []joinSubtree // indexed by the input each started as
+	schs   []Schema    // per input
+	stats  []PlanStats // per input
+	conjs  []joinConj
+	owner  []int         // per input, the subtree that holds it
+	ndvCap []float64     // per input, the fewest rows of a merge above it
+	subs   []joinSubtree // by the input each started as; all end in subs[0]
 }
 
-// orderInput is one input of a join tree: its plan, schema and estimate.
-type orderInput struct {
-	plan Plan
-	sch  Schema
-	st   PlanStats
-}
-
-// joinConj is one conjunct of a join tree, resolved against the inputs:
-// ins lists the inputs it reads. It is lost when a column resolves in
-// no input or in several; no merge places it. An equi pair of two
-// inputs' columns also names its two ends.
+// joinConj is one conjunct of a join tree: the inputs it reads (every
+// input when a column resolves in none or in several, so the last merge
+// places it) and, for an equi pair of two inputs' columns, its ends.
 type joinConj struct {
 	e       Expr
 	ins     []int
-	lost    bool
 	pair    bool
 	ends    [2]joinEnd
 	applied bool
 }
 
-// joinEnd is a column of one input, by its name in the input's schema.
+// joinEnd is a column of one input (in -1: of none), by its name there.
 type joinEnd struct {
 	in  int
 	col string
 }
 
-// joinSubtree is a tree the orderer has built so far.
+// joinSubtree is a tree the orderer built; plan is nil once merged away.
 type joinSubtree struct {
 	plan Plan
 	rows float64
-	live bool // false once merged into another
 }
 
-func newJoinOrderer(est *estimator, inputs []Plan, conjs []Expr) (*joinOrderer, error) {
+func newJoinOrderer(est *estimator, inputs []Plan, conjs []Expr) *joinOrderer {
 	n := len(inputs)
-	o := &joinOrderer{
-		ins:   make([]orderInput, n),
-		conjs: make([]joinConj, len(conjs)),
-		owner: make([]int, n),
-		cap:   make([]float64, n),
-		subs:  make([]joinSubtree, n),
-	}
+	o := &joinOrderer{schs: make([]Schema, n), stats: make([]PlanStats, n), conjs: make([]joinConj, len(conjs)),
+		owner: make([]int, n), ndvCap: make([]float64, n), subs: make([]joinSubtree, n)}
+	every := make([]int, n)
 	for i, p := range inputs {
-		sch, err := p.Schema(est.cat)
-		if err != nil {
-			return nil, err
-		}
-		st := est.stats(p)
-		o.ins[i] = orderInput{plan: p, sch: sch, st: st}
-		o.owner[i], o.cap[i] = i, math.Inf(1)
-		o.subs[i] = joinSubtree{plan: p, rows: st.Rows, live: true}
+		o.schs[i], _ = p.Schema(est.cat)
+		o.stats[i] = est.stats(p)
+		o.owner[i], o.ndvCap[i], every[i] = i, math.Inf(1), i
+		o.subs[i] = joinSubtree{plan: p, rows: o.stats[i].Rows}
 	}
 	for k, e := range conjs {
 		c := &o.conjs[k]
 		c.e = e
+		var ends []joinEnd
 		for _, col := range ExprColumns(e) {
 			end := o.resolve(col)
 			if end.in < 0 {
-				c.lost = true
-			} else if !slices.Contains(c.ins, end.in) {
+				c.ins = every
+				break
+			}
+			if ends = append(ends, end); !slices.Contains(c.ins, end.in) {
 				c.ins = append(c.ins, end.in)
 			}
 		}
-		if cmp, ok := e.(*CmpExpr); ok && cmp.Op == EQ && !c.lost {
-			lc, lok := cmp.L.(*ColRef)
-			rc, rok := cmp.R.(*ColRef)
-			if lok && rok {
-				c.ends = [2]joinEnd{o.resolve(lc.Name), o.resolve(rc.Name)}
-				c.pair = c.ends[0].in != c.ends[1].in
-			}
+		if cmp, ok := e.(*CmpExpr); ok && cmp.Op == EQ && len(ends) == 2 && len(c.ins) == 2 {
+			_, lok := cmp.L.(*ColRef)
+			_, rok := cmp.R.(*ColRef)
+			c.pair, c.ends = lok && rok, [2]joinEnd{ends[0], ends[1]}
 		}
 	}
-	return o, nil
+	return o
 }
 
-// resolve finds the one input a column name resolves in (in -1 when
-// none or several).
+// resolve finds the one input a column name resolves in.
 func (o *joinOrderer) resolve(name string) joinEnd {
 	end := joinEnd{in: -1}
-	for i, in := range o.ins {
-		if j := in.sch.IndexOf(name); j >= 0 {
+	for i, sch := range o.schs {
+		if j := sch.IndexOf(name); j >= 0 {
 			if end.in >= 0 {
 				return joinEnd{in: -1}
 			}
-			end = joinEnd{in: i, col: in.sch.Cols[j].Name}
+			end = joinEnd{in: i, col: sch.Cols[j].Name}
 		}
 	}
 	return end
@@ -554,8 +518,8 @@ func (o *joinOrderer) order() Plan {
 	for left := len(o.subs); left > 1; left-- {
 		bx, by, best, bestConn := -1, -1, 0.0, false
 		for x := range o.subs {
-			for y := x + 1; y < len(o.subs) && o.subs[x].live; y++ {
-				if !o.subs[y].live {
+			for y := x + 1; y < len(o.subs); y++ {
+				if o.subs[x].plan == nil || o.subs[y].plan == nil {
 					continue
 				}
 				rows, conn := o.joinRows(x, y)
@@ -566,26 +530,18 @@ func (o *joinOrderer) order() Plan {
 		}
 		o.merge(bx, by, best)
 	}
-	for _, s := range o.subs {
-		if s.live {
-			return s.plan
-		}
-	}
-	return nil
+	return o.subs[0].plan
 }
 
 // places reports whether merging subtrees x and y places c: c is not
 // placed yet and reads no input outside them.
 func (o *joinOrderer) places(c *joinConj, x, y int) bool {
-	if c.applied || c.lost {
-		return false
-	}
 	for _, in := range c.ins {
 		if s := o.owner[in]; s != x && s != y {
 			return false
 		}
 	}
-	return true
+	return !c.applied
 }
 
 // joinRows is estimate's figure for the join of subtrees x and y under
@@ -596,8 +552,7 @@ func (o *joinOrderer) joinRows(x, y int) (rows float64, connected bool) {
 	rows = o.subs[x].rows * o.subs[y].rows
 	residuals := 0
 	for k := range o.conjs {
-		c := &o.conjs[k]
-		switch {
+		switch c := &o.conjs[k]; {
 		case !o.places(c, x, y):
 		case c.pair:
 			rows /= math.Max(1, math.Max(o.endNDV(c.ends[0]), o.endNDV(c.ends[1])))
@@ -612,14 +567,13 @@ func (o *joinOrderer) joinRows(x, y int) (rows float64, connected bool) {
 // endNDV is the NDV of a column in the subtree holding its input: the
 // input's, capped by the rows of every merge above it.
 func (o *joinOrderer) endNDV(e joinEnd) float64 {
-	if v, ok := o.ins[e.in].st.NDV[e.col]; ok {
-		return math.Min(v, o.cap[e.in])
+	if v, ok := o.stats[e.in].NDV[e.col]; ok {
+		return math.Min(v, o.ndvCap[e.in])
 	}
 	return defaultNDV
 }
 
-// merge joins subtree y into subtree x, estimated at rows, under the
-// conjuncts the merge places.
+// merge joins subtree y into subtree x, estimated at rows.
 func (o *joinOrderer) merge(x, y int, rows float64) {
 	var conds []Expr
 	for k := range o.conjs {
@@ -633,27 +587,24 @@ func (o *joinOrderer) merge(x, y int, rows float64) {
 			o.owner[in] = x
 		}
 		if o.owner[in] == x {
-			o.cap[in] = math.Min(o.cap[in], rows)
+			o.ndvCap[in] = math.Min(o.ndvCap[in], rows)
 		}
 	}
 	l, r := o.subs[x].plan, o.subs[y].plan
 	if o.subs[y].rows < o.subs[x].rows {
 		l, r = r, l
 	}
-	o.subs[x] = joinSubtree{plan: &JoinPlan{Kind: InnerJoin, L: l, R: r, Cond: And(conds...)}, rows: rows, live: true}
-	o.subs[y].live = false
+	o.subs[x] = joinSubtree{plan: &JoinPlan{Kind: InnerJoin, L: l, R: r, Cond: And(conds...)}, rows: rows}
+	o.subs[y].plan = nil
 }
 
-// result is the estimate of the tree order built, as estimate gives it:
-// its rows and every input's NDVs under their ceilings.
+// result is estimate's figure for the tree order built: its rows and
+// every input's NDVs under their caps.
 func (o *joinOrderer) result() PlanStats {
-	st := PlanStats{NDV: map[string]float64{}}
-	for i, in := range o.ins {
-		for c, v := range in.st.NDV {
-			st.NDV[c] = math.Min(v, o.cap[i])
-		}
-		if o.subs[i].live {
-			st.Rows = o.subs[i].rows
+	st := PlanStats{Rows: o.subs[0].rows, NDV: map[string]float64{}}
+	for i, in := range o.stats {
+		for c, v := range in.NDV {
+			st.NDV[c] = math.Min(v, o.ndvCap[i])
 		}
 	}
 	return st
@@ -680,16 +631,9 @@ func pruneNeeding(p Plan, cat *Catalog, needed []string) (Plan, error) {
 		}
 		// The projection keeps the names its parent reads (all of them
 		// when it reads none), and they define what's needed below.
-		names := n.Names
-		if sch, err := childSch.Project(n.Names); err == nil {
-			if kept := resolveAll(sch, needed); len(kept) > 0 && len(kept) < len(names) {
-				names = make([]string, 0, len(kept))
-				for _, c := range sch.Cols {
-					if slices.Contains(kept, c.Name) {
-						names = append(names, c.Name)
-					}
-				}
-			}
+		names := slices.DeleteFunc(slices.Clone(n.Names), func(c string) bool { return !slices.Contains(needed, c) })
+		if len(names) == 0 {
+			names = n.Names
 		}
 		child, err := pruneNeeding(n.Child, cat, resolveAll(childSch, names))
 		if err != nil {
@@ -746,8 +690,7 @@ func pruneNeeding(p Plan, cat *Catalog, needed []string) (Plan, error) {
 			needed = resolveAll(full, n.Out)
 		}
 		req := union(union(needed, resolveAll(full, ExprColumns(n.Cond))), n.TIDs)
-		// An input's other columns cost nothing: the stitch gathers only
-		// its output's.
+		// Unread input columns cost nothing: the stitch gathers its Out.
 		ins := make([]Plan, len(n.Inputs))
 		for i, in := range n.Inputs {
 			sch, err := in.Schema(cat)
@@ -790,26 +733,15 @@ func pruneNeeding(p Plan, cat *Catalog, needed []string) (Plan, error) {
 // emits through it (foldProjections). Any other node hands its columns
 // over as they are, so a projection above it would drop nothing.
 func maybeProject(p Plan, sch Schema, need []string) Plan {
-	switch n := p.(type) {
-	case *JoinPlan:
-		if n.Kind != InnerJoin {
-			return p
-		}
-	case *StitchPlan:
-	default:
-		return p
-	}
-	if len(need) == 0 || len(need) >= sch.Len() {
+	j, join := p.(*JoinPlan)
+	_, stitch := p.(*StitchPlan)
+	if !(join && j.Kind == InnerJoin || stitch) || len(need) == 0 || len(need) >= sch.Len() {
 		return p
 	}
 	// Preserve schema order for determinism.
 	var ordered []string
-	nd := map[string]bool{}
-	for _, n := range need {
-		nd[n] = true
-	}
 	for _, c := range sch.Cols {
-		if nd[c.Name] {
+		if slices.Contains(need, c.Name) {
 			ordered = append(ordered, c.Name)
 		}
 	}

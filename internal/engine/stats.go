@@ -273,7 +273,7 @@ func (est *estimator) estimate(p Plan) PlanStats {
 		ndv := make(map[string]float64, len(n.Names))
 		for i, name := range n.Names {
 			if i < sch.Len() {
-				if v, ok := ndvOf(in, sch, sch.Cols[i].Name); ok {
+				if v, ok := in.NDV[sch.Cols[i].Name]; ok {
 					ndv[name] = v
 					continue
 				}
@@ -316,10 +316,7 @@ func (est *estimator) estimate(p Plan) PlanStats {
 		for _, t := range n.TIDs[1:] {
 			preds = append(preds, EqCols(n.TIDs[0], t))
 		}
-		o, err := newJoinOrderer(est, n.Inputs, preds)
-		if err != nil {
-			return PlanStats{Rows: 1000, NDV: map[string]float64{}}
-		}
+		o := newJoinOrderer(est, n.Inputs, preds)
 		o.order()
 		st := o.result()
 		if n.Out != nil {
@@ -383,43 +380,29 @@ func (est *estimator) estimate(p Plan) PlanStats {
 func projectStats(in PlanStats, sch Schema, names []string) PlanStats {
 	ndv := make(map[string]float64, len(names))
 	for _, c := range names {
-		if v, ok := ndvOf(in, sch, c); ok {
-			ndv[c] = v
-		} else {
-			ndv[c] = math.Min(in.Rows, defaultNDV)
-		}
+		ndv[c] = ndvOr(in, sch, c, math.Min(in.Rows, defaultNDV))
 	}
 	return PlanStats{Rows: in.Rows, NDV: ndv}
 }
 
-// ndvOf is the NDV of the column name resolves to in sch, the schema of
-// the rows st estimates: an estimate keys its NDVs by the schema's own
+// ndvOr is the NDV of the column name resolves to in sch, the schema of
+// the rows st estimates, or def: NDVs are keyed by the schema's own
 // (often qualified) names, a predicate names columns as written.
-func ndvOf(st PlanStats, sch Schema, name string) (float64, bool) {
+func ndvOr(st PlanStats, sch Schema, name string, def float64) float64 {
 	if i := sch.IndexOf(name); i >= 0 {
 		name = sch.Cols[i].Name
 	}
-	v, ok := st.NDV[name]
-	return v, ok
-}
-
-func ndvOr(st PlanStats, sch Schema, name string, def float64) float64 {
-	if v, ok := ndvOf(st, sch, name); ok {
+	if v, ok := st.NDV[name]; ok {
 		return v
 	}
 	return def
 }
 
-// afterResiduals applies n residual conjuncts to a join's row estimate
-// and keeps it at least one row. The ψ descriptor-consistency
-// conditions are (var≠var' OR rng=rng') disjunctions; they are weakly
-// selective, so each conjunct keeps 0.9.
+// afterResiduals applies n residual conjuncts to a join's row estimate,
+// at least one row: the ψ conditions (var≠var' OR rng=rng') are weakly
+// selective, so each keeps 0.9.
 func afterResiduals(rows float64, n int) float64 {
-	s := 1.0
-	for i := 0; i < n; i++ {
-		s *= 0.9
-	}
-	return math.Max(1, rows*s)
+	return math.Max(1, rows*math.Pow(0.9, float64(n)))
 }
 
 func capNDV(m map[string]float64, rows float64) map[string]float64 {
@@ -448,8 +431,6 @@ func (est *estimator) selectivity(cond Expr, child Plan, in PlanStats) float64 {
 	return sel
 }
 
-// conjunctSelectivity estimates the fraction of child's rows (schema
-// sch, estimate in) that c keeps.
 func (est *estimator) conjunctSelectivity(c Expr, child Plan, sch Schema, in PlanStats) float64 {
 	switch e := c.(type) {
 	case *CmpExpr:
