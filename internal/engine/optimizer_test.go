@@ -303,3 +303,128 @@ func TestFoldProjections(t *testing.T) {
 		}
 	}
 }
+
+// FuzzJoinOrder holds the join orderer to the plan as written. Each
+// case draws 2–7 small relations rI(k, v) — NULLs among the cells, some
+// relations empty — and joins them in a random tree, bushy or not,
+// under equi conjuncts (most cases connected, some with a cross product
+// left), ψ-like residual disjuncts, comparisons between two relations
+// and selections of one; each join of the tree carries the conjuncts
+// its two sides first cover. A filter and a projection may sit on top.
+// The statistics are real (scanned), missing (a row count and no
+// column) or adversarial (a billion rows, or one, of NDV 1), as in
+// core's property suite. The optimized plan's answer bag must be the
+// unoptimized plan's. Bushy trees put a join on another join's probe
+// side, which no plan did while the orderer built left-deep trees.
+func FuzzJoinOrder(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(5), uint8(1))
+	f.Add(int64(3), uint8(3), uint8(2))
+	f.Add(int64(4), uint8(4), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, n, regime uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		k := 2 + int(n%6)
+		col := func(i int, c string) string { return fmt.Sprintf("r%d.%s", i, c) }
+		forest := make([]Plan, k)
+		for i := range forest {
+			rel := NewRelation(Schema{Cols: []Column{{Name: col(i, "k"), Kind: KindInt}, {Name: col(i, "v"), Kind: KindInt}}})
+			rows := rng.Intn(4 + 16/k)
+			if rng.Intn(6) == 0 {
+				rows = 0
+			}
+			for j := 0; j < rows; j++ {
+				row := Tuple{Int(rng.Int63n(5)), Int(rng.Int63n(4))}
+				for c := range row {
+					if rng.Intn(8) == 0 {
+						row[c] = Null()
+					}
+				}
+				rel.Rows = append(rel.Rows, row)
+			}
+			v := Values(rel, fmt.Sprintf("r%d", i))
+			switch regime % 3 {
+			case 1:
+				v.Stats = func() *TableStats { return &TableStats{Rows: float64(rows), Cols: map[string]ColStats{}} }
+			case 2:
+				ts := &TableStats{Rows: []float64{1, 1e9}[rng.Intn(2)], Cols: map[string]ColStats{}}
+				for _, c := range rel.Sch.Cols {
+					ts.Cols[c.Name] = ColStats{NDV: 1}
+				}
+				v.Stats = func() *TableStats { return ts }
+			}
+			forest[i] = v
+		}
+		var conjs []Expr
+		for i := 1; i < k; i++ {
+			j := rng.Intn(i)
+			if rng.Intn(7) > 0 {
+				conjs = append(conjs, EqCols(col(i, "k"), col(j, []string{"k", "v"}[rng.Intn(2)])))
+			}
+			switch rng.Intn(4) {
+			case 0:
+				conjs = append(conjs, Or(Cmp(NE, Col(col(i, "v")), Col(col(j, "v"))), EqCols(col(i, "k"), col(j, "k"))))
+			case 1:
+				conjs = append(conjs, Cmp(LE, Col(col(i, "v")), Col(col(j, "v"))))
+			case 2:
+				conjs = append(conjs, Cmp(GT, Col(col(i, "v")), ConstInt(0)))
+			}
+		}
+		placed := make([]bool, len(conjs))
+		for len(forest) > 1 {
+			a := rng.Intn(len(forest))
+			b := rng.Intn(len(forest) - 1)
+			if b >= a {
+				b++
+			}
+			l, r := forest[a], forest[b]
+			ls, _ := l.Schema(nil)
+			rs, _ := r.Schema(nil)
+			var cond []Expr
+			for c, e := range conjs {
+				if !placed[c] && CoveredBy(e, ls.Concat(rs)) {
+					placed[c] = true
+					cond = append(cond, e)
+				}
+			}
+			var j Plan = Join(l, r, nil)
+			if len(cond) > 0 {
+				j = Join(l, r, And(cond...))
+			}
+			forest[a] = j
+			forest = append(forest[:b], forest[b+1:]...)
+		}
+		plan := forest[0]
+		if rng.Intn(2) == 0 {
+			plan = Filter(plan, Cmp(NE, Col(col(rng.Intn(k), "k")), ConstInt(rng.Int63n(5))))
+		}
+		if rng.Intn(2) == 0 {
+			sch, _ := plan.Schema(nil)
+			var names []string
+			for _, c := range sch.Cols {
+				if rng.Intn(2) == 0 {
+					names = append(names, c.Name)
+				}
+			}
+			if len(names) > 0 {
+				plan = Project(plan, names...)
+			}
+		}
+		cat := NewCatalog()
+		want, err := Run(plan, cat, ExecConfig{DisableOptimizer: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, err := Optimize(plan, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(opt, cat, ExecConfig{DisableOptimizer: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.EqualAsBag(want) {
+			text, _ := Explain(opt, cat, false)
+			t.Fatalf("optimized plan answers %d rows, the plan as written %d:\n%s", got.Len(), want.Len(), text)
+		}
+	})
+}

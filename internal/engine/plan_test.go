@@ -297,8 +297,8 @@ func TestExplainOutput(t *testing.T) {
 
 func TestJoinOrderingPrefersSelective(t *testing.T) {
 	cat := planCatalog()
-	// nation is tiny and has a selective filter; the greedy orderer
-	// should start from it rather than orders.
+	// nation is tiny and has a selective filter; the join orderer
+	// should join it first rather than orders.
 	p := Filter(
 		Join(Join(Scan("orders"), Scan("customer"), EqCols("o.custkey", "c.custkey")),
 			Scan("nation"), EqCols("c.nationkey", "n.nationkey")),

@@ -598,3 +598,78 @@ func TestSelectiveJoinNarrowsTheMergeChain(t *testing.T) {
 	}
 	t.Logf("\n%s", res.Text)
 }
+
+// hasLeaf reports whether a leaf of p scans a partition whose name
+// contains part.
+func hasLeaf(p engine.Plan, part string) bool {
+	for _, leaf := range planLeaves(p) {
+		if strings.Contains(leaf.Label(), part) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestQ3JoinsLineitemUnderASelection pins the order the join orderer
+// gives the paper's Q3 in memory (s 0.05, x 0.01 and 0.1, z 0.25): at
+// seed 42 lineitem is joined beneath the subtree that holds n2's
+// selection, so the orders of IRAQ's customers cut lineitem before any
+// join above it, and n1 ⋈ supplier, the other selection's side, is the
+// build side of a join. At seed 1 no supplier is in GERMANY, so that
+// build side is empty and lineitem's stitch is never read.
+func TestQ3JoinsLineitemUnderASelection(t *testing.T) {
+	for _, x := range []float64{0.01, 0.1} {
+		for _, seed := range []int64{1, 42} {
+			p := tpch.DefaultParams(0.05, x, 0.25)
+			p.Seed = seed
+			db, _, err := tpch.Generate(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("Q3 at x %g, seed %d", x, seed)
+			if seed == 1 {
+				res, err := db.ExplainAnalyze(tpch.Q3(), false, engine.ExecConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var walk func(s *obs.Span, underLineitem bool)
+				walk = func(s *obs.Span, underLineitem bool) {
+					underLineitem = underLineitem || strings.Contains(s.Op(), "tid:lineitem")
+					if underLineitem && s.Rows() != 0 {
+						t.Errorf("%s: %q under lineitem's stitch made %d rows:\n%s", what, s.Op(), s.Rows(), res.Text)
+					}
+					for _, c := range s.Children() {
+						walk(c, underLineitem)
+					}
+				}
+				walk(res.Trace, false)
+				continue
+			}
+			plan := optimizedPoss(t, db, tpch.Q3())
+			underN2, n1Builds := false, false
+			var walk func(q engine.Plan)
+			walk = func(q engine.Plan) {
+				if j, ok := q.(*engine.JoinPlan); ok {
+					for _, side := range [][2]engine.Plan{{j.L, j.R}, {j.R, j.L}} {
+						if rels := leafRelations(side[0]); oneRelation(rels) && rels[0] == "lineitem" {
+							underN2 = hasLeaf(side[1], "#n2")
+						}
+					}
+					if rels := leafRelations(j.L); len(rels) == 4 && hasLeaf(j.L, "#n1") && strings.Count(strings.Join(rels, " "), "supplier") == 2 {
+						n1Builds = true
+					}
+				}
+				for _, c := range q.Children() {
+					walk(c)
+				}
+			}
+			walk(plan)
+			if !underN2 {
+				t.Errorf("%s: lineitem is not joined beneath n2's selection: %s", what, joinOrder(plan))
+			}
+			if !n1Builds {
+				t.Errorf("%s: n1 ⋈ supplier is no join's build side: %s", what, joinOrder(plan))
+			}
+		}
+	}
+}
