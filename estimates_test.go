@@ -62,13 +62,13 @@ var driftExceptions = []struct {
 // stitch's driver hands the other inputs its tid range at run time,
 // which the estimate of a scan cannot know.
 func TestEstimatesTrackActuals(t *testing.T) {
-	limit := func(what, op string) float64 {
+	limit := func(what, op string) (worst float64, why string) {
 		for _, e := range driftExceptions {
 			if e.what == what && strings.HasPrefix(op, e.op) {
-				return e.worst
+				return e.worst, e.why
 			}
 		}
-		return estimateDriftLimit
+		return estimateDriftLimit, "the limit"
 	}
 	check := func(what string, db *core.UDB, q core.Query) {
 		res, err := db.ExplainAnalyze(q, false, engine.ExecConfig{})
@@ -84,8 +84,9 @@ func TestEstimatesTrackActuals(t *testing.T) {
 			if !pulled || !heldToEstimate(s.Op()) {
 				return pulled
 			}
-			if d, max := estimateDrift(s.Est(), s.Rows()), limit(what, s.Op()); d > max {
-				t.Errorf("%s: %q estimated at %.0f rows made %d (drift %.1f×, at most %g×):\n%s", what, s.Op(), s.Est(), s.Rows(), d, max, res.Text)
+			max, why := limit(what, s.Op())
+			if d := estimateDrift(s.Est(), s.Rows()); d > max {
+				t.Errorf("%s: %q estimated at %.0f rows made %d (drift %.1f×, at most %g×: %s):\n%s", what, s.Op(), s.Est(), s.Rows(), d, max, why, res.Text)
 			}
 			return pulled
 		}

@@ -471,7 +471,7 @@ func newJoinOrderer(est *estimator, inputs []Plan, conjs []Expr) *joinOrderer {
 		owner: make([]int, n), ndvCap: make([]float64, n), subs: make([]joinSubtree, n)}
 	every := make([]int, n)
 	for i, p := range inputs {
-		o.schs[i], _ = p.Schema(est.cat)
+		o.schs[i], _ = p.Schema(est.cat) // an error resolves no column; the tree's Schema reports it
 		o.stats[i] = est.stats(p)
 		o.owner[i], o.ndvCap[i], every[i] = i, math.Inf(1), i
 		o.subs[i] = joinSubtree{plan: p, rows: o.stats[i].Rows}
