@@ -70,7 +70,7 @@ type SelectQ struct {
 func Select(q Query, cond engine.Expr) *SelectQ { return &SelectQ{Q: q, Cond: cond} }
 
 // Attrs of a selection are those of its input.
-func (s *SelectQ) Attrs(db *UDB) ([]string, error) { return s.Q.Attrs(db) }
+func (s *SelectQ) Attrs(db *UDB) ([]string, error) { return attrsOf(s, db, nil) }
 
 func (s *SelectQ) String() string {
 	return fmt.Sprintf("σ[%s](%s)", s.Cond, s.Q)
@@ -87,21 +87,7 @@ type ProjectQ struct {
 func Project(q Query, attrs ...string) *ProjectQ { return &ProjectQ{Q: q, Attrs_: attrs} }
 
 // Attrs resolves the projection list against the input attributes.
-func (p *ProjectQ) Attrs(db *UDB) ([]string, error) {
-	in, err := p.Q.Attrs(db)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(p.Attrs_))
-	for i, a := range p.Attrs_ {
-		q, err := resolveAttr(a, in)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = q
-	}
-	return out, nil
-}
+func (p *ProjectQ) Attrs(db *UDB) ([]string, error) { return attrsOf(p, db, nil) }
 
 func (p *ProjectQ) String() string {
 	return fmt.Sprintf("π[%s](%s)", strings.Join(p.Attrs_, ","), p.Q)
@@ -117,17 +103,7 @@ type JoinQ struct {
 func Join(l, r Query, cond engine.Expr) *JoinQ { return &JoinQ{L: l, R: r, Cond: cond} }
 
 // Attrs of a join is the concatenation of both inputs' attributes.
-func (j *JoinQ) Attrs(db *UDB) ([]string, error) {
-	l, err := j.L.Attrs(db)
-	if err != nil {
-		return nil, err
-	}
-	r, err := j.R.Attrs(db)
-	if err != nil {
-		return nil, err
-	}
-	return append(append([]string{}, l...), r...), nil
-}
+func (j *JoinQ) Attrs(db *UDB) ([]string, error) { return attrsOf(j, db, nil) }
 
 func (j *JoinQ) String() string {
 	if j.Cond == nil {
@@ -146,20 +122,7 @@ type UnionQ struct {
 func UnionOf(l, r Query) *UnionQ { return &UnionQ{L: l, R: r} }
 
 // Attrs of a union are the left input's attributes.
-func (u *UnionQ) Attrs(db *UDB) ([]string, error) {
-	l, err := u.L.Attrs(db)
-	if err != nil {
-		return nil, err
-	}
-	r, err := u.R.Attrs(db)
-	if err != nil {
-		return nil, err
-	}
-	if len(l) != len(r) {
-		return nil, fmt.Errorf("core: union arity mismatch: %d vs %d", len(l), len(r))
-	}
-	return l, nil
-}
+func (u *UnionQ) Attrs(db *UDB) ([]string, error) { return attrsOf(u, db, nil) }
 
 func (u *UnionQ) String() string { return fmt.Sprintf("(%s ∪ %s)", u.L, u.R) }
 
@@ -175,31 +138,98 @@ type PossQ struct {
 func Poss(q Query) *PossQ { return &PossQ{Q: q} }
 
 // Attrs of poss are its input's attributes.
-func (p *PossQ) Attrs(db *UDB) ([]string, error) { return p.Q.Attrs(db) }
+func (p *PossQ) Attrs(db *UDB) ([]string, error) { return attrsOf(p, db, nil) }
 
 func (p *PossQ) String() string { return fmt.Sprintf("poss(%s)", p.Q) }
+
+// attrsOf is q.Attrs(db), with the attributes of every query node below
+// q recorded in memo (nil: none) and read from it: a translation asks
+// for a node's attributes at every level above it, and works each list
+// out once. The lists are shared and must not be written to.
+func attrsOf(q Query, db *UDB, memo map[Query][]string) ([]string, error) {
+	if a, ok := memo[q]; ok {
+		return a, nil
+	}
+	var out []string
+	var err error
+	switch n := q.(type) {
+	case *SelectQ:
+		out, err = attrsOf(n.Q, db, memo)
+	case *PossQ:
+		out, err = attrsOf(n.Q, db, memo)
+	case *ProjectQ:
+		var in []string
+		if in, err = attrsOf(n.Q, db, memo); err != nil {
+			return nil, err
+		}
+		out = make([]string, len(n.Attrs_))
+		for i, a := range n.Attrs_ {
+			if out[i], err = resolveAttr(a, in); err != nil {
+				return nil, err
+			}
+		}
+	case *JoinQ:
+		var l, r []string
+		if l, r, err = bothAttrs(n.L, n.R, db, memo); err == nil {
+			out = concat(l, r)
+		}
+	case *UnionQ:
+		var r []string
+		if out, r, err = bothAttrs(n.L, n.R, db, memo); err == nil && len(out) != len(r) {
+			err = fmt.Errorf("core: union arity mismatch: %d vs %d", len(out), len(r))
+		}
+	default:
+		out, err = q.Attrs(db)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if memo != nil {
+		memo[q] = out
+	}
+	return out, nil
+}
+
+// bothAttrs is attrsOf of the two inputs of a join or a union.
+func bothAttrs(lq, rq Query, db *UDB, memo map[Query][]string) (l, r []string, err error) {
+	if l, err = attrsOf(lq, db, memo); err != nil {
+		return nil, nil, err
+	}
+	if r, err = attrsOf(rq, db, memo); err != nil {
+		return nil, nil, err
+	}
+	return l, r, nil
+}
 
 // resolveAttr resolves a possibly-unqualified attribute against a list
 // of qualified attributes.
 func resolveAttr(name string, attrs []string) (string, error) {
+	switch a, n := findAttr(name, attrs); n {
+	case 0:
+		return "", fmt.Errorf("core: unknown attribute %q in %v", name, attrs)
+	case 1:
+		return a, nil
+	}
+	return "", fmt.Errorf("core: ambiguous attribute %q in %v", name, attrs)
+}
+
+// findAttr is the attribute name resolves to among attrs — an exact
+// match, or else the one attribute it qualifies — and 1; or "" and the
+// number of attributes it qualifies (0 or 2, for two or more).
+func findAttr(name string, attrs []string) (string, int) {
+	found, n := "", 0
 	for _, a := range attrs {
 		if a == name {
-			return a, nil
+			return a, 1
+		}
+		if n < 2 && unqualify(a) == name { // never true for a qualified name
+			found, n = a, n+1
 		}
 	}
-	found := ""
-	for _, a := range attrs {
-		if unqualify(a) == name {
-			if found != "" {
-				return "", fmt.Errorf("core: ambiguous attribute %q in %v", name, attrs)
-			}
-			found = a
-		}
+	if n != 1 {
+		return "", n
 	}
-	if found == "" {
-		return "", fmt.Errorf("core: unknown attribute %q in %v", name, attrs)
-	}
-	return found, nil
+	return found, 1
 }
 
 // collectAliases walks the query and returns the relation aliases in
@@ -208,38 +238,16 @@ func resolveAttr(name string, attrs []string) (string, error) {
 func collectAliases(q Query) ([]*RelQ, error) {
 	var rels []*RelQ
 	seen := map[string]bool{}
-	var walk func(Query) error
-	walk = func(n Query) error {
-		switch m := n.(type) {
-		case *RelQ:
-			a := m.alias()
-			if seen[a] {
-				return fmt.Errorf("core: duplicate relation alias %q (alias self-joins explicitly)", a)
-			}
-			seen[a] = true
-			rels = append(rels, m)
-		case *SelectQ:
-			return walk(m.Q)
-		case *ProjectQ:
-			return walk(m.Q)
-		case *JoinQ:
-			if err := walk(m.L); err != nil {
-				return err
-			}
-			return walk(m.R)
-		case *UnionQ:
-			if err := walk(m.L); err != nil {
-				return err
-			}
-			return walk(m.R)
-		case *PossQ:
-			return walk(m.Q)
-		default:
-			return fmt.Errorf("core: unsupported query node %T", n)
+	err := eachRel(q, func(r *RelQ) error {
+		a := r.alias()
+		if seen[a] {
+			return fmt.Errorf("core: duplicate relation alias %q (alias self-joins explicitly)", a)
 		}
+		seen[a] = true
+		rels = append(rels, r)
 		return nil
-	}
-	if err := walk(q); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return rels, nil
@@ -254,28 +262,40 @@ func collectAliases(q Query) ([]*RelQ, error) {
 func Relations(q Query) []string {
 	var names []string
 	seen := map[string]bool{}
-	var walk func(Query)
-	walk = func(n Query) {
-		switch m := n.(type) {
-		case *RelQ:
-			if !seen[m.Name] {
-				seen[m.Name] = true
-				names = append(names, m.Name)
-			}
-		case *SelectQ:
-			walk(m.Q)
-		case *ProjectQ:
-			walk(m.Q)
-		case *JoinQ:
-			walk(m.L)
-			walk(m.R)
-		case *UnionQ:
-			walk(m.L)
-			walk(m.R)
-		case *PossQ:
-			walk(m.Q)
+	_ = eachRel(q, func(r *RelQ) error { // an unsupported node is the translation's error to report
+		if !seen[r.Name] {
+			seen[r.Name] = true
+			names = append(names, r.Name)
 		}
-	}
-	walk(q)
+		return nil
+	})
 	return names
+}
+
+// eachRel calls f on every relation reference of q, in occurrence order,
+// and returns f's first error, or else an error for the first node of a
+// type no translation knows.
+func eachRel(q Query, f func(*RelQ) error) error {
+	var l, r Query
+	switch m := q.(type) {
+	case *RelQ:
+		return f(m)
+	case *SelectQ:
+		return eachRel(m.Q, f)
+	case *ProjectQ:
+		return eachRel(m.Q, f)
+	case *PossQ:
+		return eachRel(m.Q, f)
+	case *JoinQ:
+		l, r = m.L, m.R
+	case *UnionQ:
+		l, r = m.L, m.R
+	default:
+		return fmt.Errorf("core: unsupported query node %T", q)
+	}
+	err := eachRel(l, f)
+	if rerr := eachRel(r, f); err == nil {
+		err = rerr
+	}
+	return err
 }

@@ -20,8 +20,7 @@ func shuffleJoins(t *testing.T, rng *rand.Rand, p engine.Plan) engine.Plan {
 	t.Helper()
 	if s, ok := p.(*engine.StitchPlan); ok {
 		// A stitch's inputs in another order, driven by any of them.
-		c := *s
-		c.Inputs, c.TIDs = append([]engine.Plan(nil), s.Inputs...), append([]string(nil), s.TIDs...)
+		c := engine.StitchPlan{Inputs: append([]engine.Plan(nil), s.Inputs...), TIDs: append([]string(nil), s.TIDs...), Cond: s.Cond, Out: s.Out}
 		for i := range c.Inputs {
 			c.Inputs[i] = shuffleJoins(t, rng, c.Inputs[i])
 		}

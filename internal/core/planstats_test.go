@@ -198,7 +198,8 @@ func TestStatisticsFollowAnEqualCountUpdate(t *testing.T) {
 		if leaf == nil || leaf.Stats == nil {
 			t.Fatal("the translated selection has no in-memory leaf with statistics")
 		}
-		return leaf.Stats().Cols["t.v"].Max.AsFloat(), engine.EstimateStats(plan, engine.NewCatalog()).Rows
+		sch, _ := leaf.Schema(nil)
+		return leaf.Stats().Cols[sch.IndexOf("t.v")].Max.AsFloat(), engine.EstimateStats(plan, engine.NewCatalog()).Rows
 	}
 	if max, est := vStats(); max != n || est > 1 {
 		t.Fatalf("before the update: max(v) = %g, %g rows estimated above 500; want %d and at most 1", max, est, n)

@@ -249,10 +249,10 @@ func TestPropertyOptimizerPreservesSemantics(t *testing.T) {
 			"real": func(*engine.ValuesPlan) {},
 			"none": func(v *engine.ValuesPlan) { v.Stats = nil },
 			"adversarial": func(v *engine.ValuesPlan) {
-				ts := &engine.TableStats{Rows: 1e9, Cols: map[string]engine.ColStats{}}
 				sch, _ := v.Schema(nil)
-				for _, c := range sch.Cols {
-					ts.Cols[c.Name] = engine.ColStats{NDV: 1}
+				ts := &engine.TableStats{Rows: 1e9, Cols: make([]engine.ColStats, sch.Len())}
+				for i := range ts.Cols {
+					ts.Cols[i] = engine.ColStats{NDV: 1}
 				}
 				v.Stats = func() *engine.TableStats { return ts }
 			},

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"urel/internal/engine"
 	"urel/internal/ws"
@@ -42,7 +43,7 @@ type PartPick struct {
 // Columns returns all column names in canonical order (D, T, A) — the
 // paper's U[D; T; A] layout.
 func (l *ULayout) Columns() []string {
-	var out []string
+	out := make([]string, 0, 2*len(l.DPairs)+len(l.TIDs)+len(l.Attrs))
 	for _, dp := range l.DPairs {
 		out = append(out, dp[0], dp[1])
 	}
@@ -60,7 +61,12 @@ type translator struct {
 	// partitions its query needs where that is exact, and all of them
 	// where it is not (URelSet.lazyExact).
 	full bool
+	// attrs holds each query node's attributes once worked out (attrsOf).
+	attrs map[Query][]string
 }
+
+// attrsOf is q's attributes, worked out once per translation.
+func (tr *translator) attrsOf(q Query) ([]string, error) { return attrsOf(q, tr.db, tr.attrs) }
 
 // Translate compiles a positive relational algebra query with poss into
 // a plain relational algebra plan over the U-relational representation
@@ -99,7 +105,7 @@ func (db *UDB) translateMode(q Query, full bool) (engine.Plan, *ULayout, error) 
 	if _, err := collectAliases(q); err != nil {
 		return nil, nil, err
 	}
-	tr := &translator{db: db, full: full}
+	tr := &translator{db: db, full: full, attrs: map[Query][]string{}}
 	if p, ok := q.(*PossQ); ok {
 		plan, lay, err := tr.translate(p.Q, nil)
 		if err != nil {
@@ -136,14 +142,14 @@ func (tr *translator) translate(q Query, need []string) (engine.Plan, *ULayout, 
 		}
 		// Analysis: the condition must resolve unambiguously against
 		// the value attributes (before the optimizer moves it around).
-		if err := checkCondBinds(n.Cond, lay.Attrs); err != nil {
+		if err := checkCondBinds(n.Cond, lay.Attrs, nil); err != nil {
 			return nil, nil, err
 		}
 		// [[σ_φ(Q)]] := σ_φ(U): conditions apply to value attributes,
 		// whose physical columns carry the logical names.
 		return engine.Filter(plan, n.Cond), lay, nil
 	case *ProjectQ:
-		attrs, err := n.Attrs(tr.db)
+		attrs, err := tr.attrsOf(n)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -156,23 +162,13 @@ func (tr *translator) translate(q Query, need []string) (engine.Plan, *ULayout, 
 		out := &ULayout{DPairs: lay.DPairs, TIDs: lay.TIDs, Attrs: attrs}
 		return engine.Project(plan, out.Columns()...), out, nil
 	case *JoinQ:
-		lAttrs, err := n.L.Attrs(tr.db)
-		if err != nil {
-			return nil, nil, err
-		}
-		rAttrs, err := n.R.Attrs(tr.db)
+		lAttrs, rAttrs, err := bothAttrs(n.L, n.R, tr.db, tr.attrs)
 		if err != nil {
 			return nil, nil, err
 		}
 		condAttrs := engine.ExprColumns(n.Cond)
-		lNeed, err := splitNeed(need, condAttrs, lAttrs)
-		if err != nil {
-			return nil, nil, err
-		}
-		rNeed, err := splitNeed(need, condAttrs, rAttrs)
-		if err != nil {
-			return nil, nil, err
-		}
+		lNeed := splitNeed(need, condAttrs, lAttrs)
+		rNeed := splitNeed(need, condAttrs, rAttrs)
 		lp, ll, err := tr.translate(n.L, lNeed)
 		if err != nil {
 			return nil, nil, err
@@ -181,17 +177,13 @@ func (tr *translator) translate(q Query, need []string) (engine.Plan, *ULayout, 
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := checkCondBinds(n.Cond, append(append([]string{}, ll.Attrs...), rl.Attrs...)); err != nil {
+		if err := checkCondBinds(n.Cond, ll.Attrs, rl.Attrs); err != nil {
 			return nil, nil, err
 		}
 		// [[Q1 ⋈_φ Q2]] := π_{D1,D2,T1,T2,A,B}(U1 ⋈_{φ∧ψ} U2), where ψ
 		// discards combinations with inconsistent ws-descriptors.
 		cond := engine.And(n.Cond, psiCond(ll.DPairs, rl.DPairs))
-		out := &ULayout{
-			DPairs: append(append([][2]string{}, ll.DPairs...), rl.DPairs...),
-			TIDs:   append(append([]string{}, ll.TIDs...), rl.TIDs...),
-			Attrs:  append(append([]string{}, ll.Attrs...), rl.Attrs...),
-		}
+		out := &ULayout{DPairs: concat(ll.DPairs, rl.DPairs), TIDs: concat(ll.TIDs, rl.TIDs), Attrs: concat(ll.Attrs, rl.Attrs)}
 		return engine.Join(lp, rp, cond), out, nil
 	case *UnionQ:
 		return tr.translateUnion(n, need)
@@ -227,7 +219,7 @@ func (tr *translator) translateRel(n *RelQ, need []string) (engine.Plan, *ULayou
 		}
 		if !rs.lazyExact() {
 			for _, a := range rs.Attrs {
-				if !contains(wanted, a) {
+				if !slices.Contains(wanted, a) {
 					mark = fullMergeMark
 				}
 			}
@@ -236,7 +228,7 @@ func (tr *translator) translateRel(n *RelQ, need []string) (engine.Plan, *ULayou
 	}
 	// Greedy partition cover: take partitions (in declaration order)
 	// while they contribute uncovered wanted attributes.
-	covered := map[string]bool{}
+	var covered []string
 	type chosen struct {
 		part    *URelation
 		pidx    int
@@ -244,22 +236,18 @@ func (tr *translator) translateRel(n *RelQ, need []string) (engine.Plan, *ULayou
 	}
 	var picks []chosen
 	for pi, p := range rs.Parts {
-		var contrib []string
+		k := len(covered)
 		for _, a := range p.Attrs {
-			if !covered[a] && contains(wanted, a) {
-				contrib = append(contrib, a)
+			if !slices.Contains(covered[:k], a) && slices.Contains(wanted, a) {
+				covered = append(covered, a)
 			}
 		}
-		if len(contrib) == 0 {
-			continue
+		if len(covered) > k {
+			picks = append(picks, chosen{part: p, pidx: pi, contrib: covered[k:len(covered):len(covered)]})
 		}
-		for _, a := range contrib {
-			covered[a] = true
-		}
-		picks = append(picks, chosen{part: p, pidx: pi, contrib: contrib})
 	}
 	for _, a := range wanted {
-		if !covered[a] {
+		if !slices.Contains(covered, a) {
 			return nil, nil, fmt.Errorf("core: attribute %s.%s not covered by any partition", n.Name, a)
 		}
 	}
@@ -280,10 +268,8 @@ func (tr *translator) translateRel(n *RelQ, need []string) (engine.Plan, *ULayou
 		lay.Picks = []PartPick{{Part: picks[0].pidx, DPairs: lay.DPairs}}
 		return scan, lay, nil
 	}
-	lay := &ULayout{}
-	var inputs []engine.Plan
-	var tids []string
-	var psi []engine.Expr
+	lay := &ULayout{Picks: make([]PartPick, 0, len(picks))}
+	inputs, tids, psi := make([]engine.Plan, 0, len(picks)), make([]string, 0, len(picks)), make([]engine.Expr, 0, len(picks)-1)
 	for _, pick := range picks {
 		scan, slay := tr.encodePartition(pick.part, alias, pick.pidx, pick.contrib, mark)
 		if len(lay.DPairs) > 0 && len(slay.DPairs) > 0 {
@@ -321,28 +307,30 @@ func (tr *translator) encodePartition(u *URelation, alias string, pidx int, cont
 		img = u.image()
 		width, kinds = img.width, img.kinds
 	}
-	lay := &ULayout{}
-	var cols []engine.Column
-	for k := 0; k < width; k++ {
-		vc := fmt.Sprintf("%s.p%d.d%dv", alias, pidx, k)
-		rc := fmt.Sprintf("%s.p%d.d%dr", alias, pidx, k)
-		lay.DPairs = append(lay.DPairs, [2]string{vc, rc})
+	part := alias + ".p" + strconv.Itoa(pidx)
+	tidCol := "tid:" + part
+	lay := &ULayout{DPairs: make([][2]string, width), TIDs: []string{tidCol}, Attrs: make([]string, 0, len(contrib))}
+	cols := make([]engine.Column, 0, 2*width+1+len(u.Attrs))
+	for k := range lay.DPairs {
+		d := part + ".d" + strconv.Itoa(k)
+		lay.DPairs[k] = [2]string{d + "v", d + "r"}
 		cols = append(cols,
-			engine.Column{Name: vc, Kind: engine.KindInt},
-			engine.Column{Name: rc, Kind: engine.KindInt})
+			engine.Column{Name: lay.DPairs[k][0], Kind: engine.KindInt},
+			engine.Column{Name: lay.DPairs[k][1], Kind: engine.KindInt})
 	}
-	tidCol := fmt.Sprintf("tid:%s.p%d", alias, pidx)
-	lay.TIDs = []string{tidCol}
 	cols = append(cols, engine.Column{Name: tidCol, Kind: engine.KindInt})
-	// Column indexes of the contributed attributes.
-	var attrIdx []int
-	for _, a := range contrib {
-		for ai, pa := range u.Attrs {
-			if pa == a {
-				lay.Attrs = append(lay.Attrs, alias+"."+a)
-				attrIdx = append(attrIdx, ai)
-				break
-			}
+	// The contributed attributes, which translateRel lists in the
+	// partition's order, under their qualified names: a stored leaf reads
+	// only them, an in-memory one scans every attribute of the image.
+	attrIdx := make([]int, 0, len(contrib))
+	for ai, a := range u.Attrs {
+		contributed := len(attrIdx) < len(contrib) && contrib[len(attrIdx)] == a
+		if !contributed && u.Back != nil {
+			continue
+		}
+		q := alias + "." + a
+		if cols = append(cols, engine.Column{Name: q, Kind: kinds[ai]}); contributed {
+			lay.Attrs, attrIdx = append(lay.Attrs, q), append(attrIdx, ai)
 		}
 	}
 	name := u.Name
@@ -353,18 +341,11 @@ func (tr *translator) encodePartition(u *URelation, alias string, pidx int, cont
 	if u.Back != nil {
 		// Storage-backed partition: plan a lazy segment scan instead of
 		// materializing; cold data feeds the engine batch-by-batch.
-		for i, ai := range attrIdx {
-			cols = append(cols, engine.Column{Name: lay.Attrs[i], Kind: kinds[ai]})
-		}
 		return u.Back.ScanPlan(engine.Schema{Cols: cols}, width, attrIdx, name), lay
 	}
 	whole := len(attrIdx) == len(u.Attrs)
-	for ai, a := range u.Attrs {
-		cols = append(cols, engine.Column{Name: alias + "." + a, Kind: kinds[ai]})
-		whole = whole && attrIdx[ai] == ai
-	}
 	sch := engine.Schema{Cols: cols}
-	leaf := &engine.ValuesPlan{Batch: &engine.ColBatch{Sch: sch, Cols: img.cols, N: img.n}, Name: name, Stats: img.leafStats(sch), Sorted: tidCol}
+	leaf := &engine.ValuesPlan{Batch: &engine.ColBatch{Sch: sch, Cols: img.cols, N: img.n}, Name: name, Stats: img.tableStats, Sorted: tidCol}
 	if whole {
 		return leaf, lay
 	}
@@ -419,11 +400,7 @@ func byTID(a, b URow) int { return cmp.Compare(a.TID, b.TID) }
 // assignment) and adding empty (NULL) tuple-id columns for the other
 // side's relations; then a standard union applies.
 func (tr *translator) translateUnion(n *UnionQ, need []string) (engine.Plan, *ULayout, error) {
-	lAttrs, err := n.L.Attrs(tr.db)
-	if err != nil {
-		return nil, nil, err
-	}
-	rAttrs, err := n.R.Attrs(tr.db)
+	lAttrs, rAttrs, err := bothAttrs(n.L, n.R, tr.db, tr.attrs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -434,7 +411,7 @@ func (tr *translator) translateUnion(n *UnionQ, need []string) (engine.Plan, *UL
 	var lNeed, rNeed []string
 	if need != nil {
 		for i, a := range lAttrs {
-			if contains(need, a) {
+			if slices.Contains(need, a) {
 				lNeed = append(lNeed, a)
 				rNeed = append(rNeed, rAttrs[i])
 			}
@@ -547,13 +524,20 @@ func unionSide(p engine.Plan, lay, target *ULayout, width int, tidsL, tidsR, att
 // (D', D”) across the two sides, D'.Var = D”.Var ⇒ D'.Rng = D”.Rng,
 // i.e. (D'.Var <> D”.Var OR D'.Rng = D”.Rng).
 func psiCond(a, b [][2]string) engine.Expr {
-	var conjs []engine.Expr
-	for _, da := range a {
-		for _, db := range b {
-			conjs = append(conjs, engine.Or(
-				engine.Cmp(engine.NE, engine.Col(da[0]), engine.Col(db[0])),
-				engine.Cmp(engine.EQ, engine.Col(da[1]), engine.Col(db[1])),
-			))
+	// Expressions are immutable, so the conjuncts share one reference to
+	// each column.
+	cols := func(ds [][2]string) [][2]engine.Expr {
+		refs := make([][2]engine.Expr, len(ds))
+		for i, d := range ds {
+			refs[i] = [2]engine.Expr{engine.Col(d[0]), engine.Col(d[1])}
+		}
+		return refs
+	}
+	ar, br := cols(a), cols(b)
+	conjs := make([]engine.Expr, 0, len(a)*len(b))
+	for _, da := range ar {
+		for _, db := range br {
+			conjs = append(conjs, engine.Or(engine.Cmp(engine.NE, da[0], db[0]), engine.Cmp(engine.EQ, da[1], db[1])))
 		}
 	}
 	return engine.And(conjs...)
@@ -566,7 +550,7 @@ func (tr *translator) extendNeed(q Query, need []string, extra []string) ([]stri
 	if need == nil {
 		return nil, nil
 	}
-	attrs, err := q.Attrs(tr.db)
+	attrs, err := tr.attrsOf(q)
 	if err != nil {
 		return nil, err
 	}
@@ -576,7 +560,7 @@ func (tr *translator) extendNeed(q Query, need []string, extra []string) ([]stri
 		if err != nil {
 			return nil, err
 		}
-		if !contains(out, r) {
+		if !slices.Contains(out, r) {
 			out = append(out, r)
 		}
 	}
@@ -584,53 +568,50 @@ func (tr *translator) extendNeed(q Query, need []string, extra []string) ([]stri
 }
 
 // splitNeed selects, from need plus the join condition's attributes,
-// those that belong to a side with output attributes sideAttrs.
-func splitNeed(need []string, condAttrs []string, sideAttrs []string) ([]string, error) {
+// those that belong to a side with output attributes sideAttrs. A
+// condition attribute may be unqualified: it is the side's when it
+// resolves among sideAttrs, and the other side's when it does not.
+func splitNeed(need []string, condAttrs []string, sideAttrs []string) []string {
 	if need == nil {
-		return nil, nil
+		return nil
 	}
 	var out []string
 	for _, a := range need {
-		if contains(sideAttrs, a) {
+		if slices.Contains(sideAttrs, a) {
 			out = append(out, a)
 		}
 	}
 	for _, c := range condAttrs {
-		// Condition attrs may be unqualified; resolve if they belong to
-		// this side, and ignore resolution failures (they belong to the
-		// other side).
-		if r, err := resolveAttr(c, sideAttrs); err == nil {
-			if !contains(out, r) {
-				out = append(out, r)
-			}
+		if r, n := findAttr(c, sideAttrs); n == 1 && !slices.Contains(out, r) {
+			out = append(out, r)
 		}
 	}
-	return out, nil
+	return out
 }
 
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
+// concat is a new slice of a's elements followed by b's.
+func concat[T any](a, b []T) []T {
+	return append(append(make([]T, 0, len(a)+len(b)), a...), b...)
 }
 
 // checkCondBinds validates that every column reference in cond resolves
-// uniquely against the given attribute names (SQL-style analysis before
-// optimization; the engine's suffix resolution rejects ambiguity).
-func checkCondBinds(cond engine.Expr, attrs []string) error {
+// uniquely against the attribute names of l and then r (SQL-style
+// analysis before optimization; the engine's suffix resolution rejects
+// ambiguity).
+func checkCondBinds(cond engine.Expr, l, r []string) error {
 	if cond == nil {
 		return nil
 	}
-	cols := make([]engine.Column, len(attrs))
-	for i, a := range attrs {
-		cols[i] = engine.Column{Name: a}
+	cols := make([]engine.Column, 0, len(l)+len(r))
+	for _, attrs := range [2][]string{l, r} {
+		for _, a := range attrs {
+			cols = append(cols, engine.Column{Name: a})
+		}
 	}
 	sch := engine.Schema{Cols: cols}
-	if _, err := cond.Bind(sch); err != nil {
-		return fmt.Errorf("core: condition %s: %w", cond, err)
+	if engine.CoveredBy(cond, sch) {
+		return nil
 	}
-	return nil
+	_, err := cond.Bind(sch)
+	return fmt.Errorf("core: condition %s: %w", cond, err)
 }

@@ -83,7 +83,7 @@ type image struct {
 	cols []engine.ColVec
 
 	statsOnce sync.Once
-	stats     []engine.ColStats // per column of cols; see colStats
+	stats     *engine.TableStats // per column of cols; see tableStats
 }
 
 // describes reports whether the image was built from rows as they are

@@ -346,14 +346,14 @@ func TestRandomPlanColumnarRowEquivalence(t *testing.T) {
 						// Any Out that keeps proj's columns.
 						out = randOut(orng, l.Sch.Concat(r.Sch).Names())
 						for _, c := range proj {
-							if out != nil && !containsStr(out, c) {
+							if out != nil && !slices.Contains(out, c) {
 								out = append(out, c)
 							}
 						}
 					}
 					build := func(lsrc, rsrc Iterator) Iterator {
 						jn := NewHashJoin(NewFilter(lsrc, pred), rsrc, pairs, residual, out)
-						if sameStrings(out, proj) {
+						if slices.Equal(out, proj) {
 							return jn
 						}
 						return NewProject(jn, proj)

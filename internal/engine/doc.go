@@ -70,6 +70,13 @@
 // an in-memory partition image, which is in tid order, serves a tid
 // range as the window binary search finds.
 //
+// A plan node is immutable once built: a rewrite builds a new node and
+// never writes to one, so what a node derives from its inputs — its
+// schema, and for a join or a stitch the row its inputs concatenate to
+// and where in it each output column is read — it derives once, on the
+// first ask, and keeps (Plan.Schema). Estimates are positional:
+// PlanStats.NDV and TableStats.Cols follow the node's schema.
+//
 // Optimize orders every tree of inner joins by greedy operator ordering,
 // into trees that may be bushy, and a hash join builds on its smaller
 // side; a relation is one input of such a tree, its stitch driven by

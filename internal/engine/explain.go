@@ -88,13 +88,7 @@ func explainNode(b *strings.Builder, p Plan, est *estimator, depth int, root boo
 		// Fuse Filter into the node beneath, PostgreSQL-style, when the
 		// child is a scan.
 		switch c := n.Child.(type) {
-		case *ScanPlan:
-			fmt.Fprintf(b, "%sSeq Scan on %s  (rows=%.0f exec=%s)\n", head, c.Name, st.Rows, mode)
-			fmt.Fprintf(b, "%s      Filter: %s\n", indent, n.Cond)
-		case *ValuesPlan:
-			fmt.Fprintf(b, "%s%s  (rows=%.0f exec=%s)\n", head, c.Label(), st.Rows, mode)
-			fmt.Fprintf(b, "%s      Filter: %s\n", indent, n.Cond)
-		case *IndexScanPlan:
+		case *ScanPlan, *ValuesPlan, *IndexScanPlan:
 			fmt.Fprintf(b, "%s%s  (rows=%.0f exec=%s)\n", head, c.Label(), st.Rows, mode)
 			fmt.Fprintf(b, "%s      Filter: %s\n", indent, n.Cond)
 		default:

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -276,8 +275,8 @@ func (l *LogicExpr) Bind(sch Schema) (Expr, error) {
 		args = append(args, b)
 	}
 	bound := &LogicExpr{Op: l.Op, Args: args}
-	if cells, ok := psiCells(bound); ok {
-		return &psiExpr{cells: [][4]int{cells}, conjs: []Expr{bound}}, nil
+	if r, ok := psiRefs(bound); ok {
+		return &psiExpr{cells: [][4]int{{r[0].Idx, r[1].Idx, r[2].Idx, r[3].Idx}}, conjs: []Expr{bound}}, nil
 	}
 	return bound, nil
 }
@@ -322,24 +321,26 @@ type psiExpr struct {
 	conjs []Expr   // per conjunct: the bound disjunction
 }
 
-// psiCells recognizes a bound disjunction of the ψ shape.
-func psiCells(e *LogicExpr) (cells [4]int, ok bool) {
-	if e.Op != OrOp || len(e.Args) != 2 {
-		return cells, false
+// psiRefs recognizes a disjunction of the ψ shape, bound or not, and
+// returns its column references in the order a.var, b.var, a.rng, b.rng.
+func psiRefs(e Expr) (refs [4]*ColRef, ok bool) {
+	l, isOr := e.(*LogicExpr)
+	if !isOr || l.Op != OrOp || len(l.Args) != 2 {
+		return refs, false
 	}
 	for i, op := range [2]CmpOp{NE, EQ} {
-		c, ok := e.Args[i].(*CmpExpr)
+		c, ok := l.Args[i].(*CmpExpr)
 		if !ok || c.Op != op {
-			return cells, false
+			return refs, false
 		}
-		l, lok := c.L.(*ColRef)
-		r, rok := c.R.(*ColRef)
-		if !lok || !rok {
-			return cells, false
+		a, aok := c.L.(*ColRef)
+		b, bok := c.R.(*ColRef)
+		if !aok || !bok {
+			return refs, false
 		}
-		cells[2*i], cells[2*i+1] = l.Idx, r.Idx
+		refs[2*i], refs[2*i+1] = a, b
 	}
-	return cells, true
+	return refs, true
 }
 
 // Eval reports whether every conjunct holds.
@@ -414,28 +415,38 @@ func ExprColumns(e Expr) []string {
 		return nil
 	}
 	cols := e.Columns(nil)
-	sort.Strings(cols)
-	out := cols[:0]
-	var prev string
-	for i, c := range cols {
-		if i == 0 || c != prev {
-			out = append(out, c)
-		}
-		prev = c
-	}
-	return out
+	slices.Sort(cols)
+	return slices.Compact(cols)
 }
 
 // CoveredBy reports whether every column referenced by e resolves in
 // sch (nil expressions are trivially covered).
 func CoveredBy(e Expr, sch Schema) bool {
-	return e == nil || hasAll(sch, ExprColumns(e))
+	return e == nil || eachColumn(e, sch.Has)
 }
 
-// hasAll reports whether every one of the column names resolves in sch.
-func hasAll(sch Schema, names []string) bool {
-	for _, c := range names {
-		if !sch.Has(c) {
+// eachColumn calls f on the name of every column reference in e, in
+// order and repeats included, until f returns false; it reports whether
+// none did. Unlike ExprColumns it allocates nothing for an expression
+// as a plan carries it (unbound).
+func eachColumn(e Expr, f func(name string) bool) bool {
+	switch x := e.(type) {
+	case nil, *ConstExpr:
+		return true
+	case *ColRef:
+		return f(x.Name)
+	case *CmpExpr:
+		return eachColumn(x.L, f) && eachColumn(x.R, f)
+	case *LogicExpr:
+		for _, a := range x.Args {
+			if !eachColumn(a, f) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, name := range e.Columns(nil) {
+		if !f(name) {
 			return false
 		}
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 )
 
 // NamedExpr pairs an expression with an output column name.
@@ -39,8 +40,6 @@ func (e *ExtendIter) Open() error {
 	}
 	in := e.In.Schema()
 	e.bound = make([]Expr, len(e.Exprs))
-	cols := make([]Column, 0, in.Len()+len(e.Exprs))
-	cols = append(cols, in.Cols...)
 	for i, ne := range e.Exprs {
 		b, err := ne.E.Bind(in)
 		if err != nil {
@@ -52,10 +51,19 @@ func (e *ExtendIter) Open() error {
 			return fmt.Errorf("engine: extend: %s is neither a column nor a constant", b)
 		}
 		e.bound[i] = b
+	}
+	e.sch = extendSchema(in, e.Exprs)
+	return nil
+}
+
+// extendSchema is the schema of rows of in extended by exprs.
+func extendSchema(in Schema, exprs []NamedExpr) Schema {
+	cols := make([]Column, 0, in.Len()+len(exprs))
+	cols = append(cols, in.Cols...)
+	for _, ne := range exprs {
 		cols = append(cols, Column{Name: ne.Name, Kind: ne.Kind})
 	}
-	e.sch = Schema{Cols: cols}
-	return nil
+	return Schema{Cols: cols}
 }
 
 func (e *ExtendIter) Next() (*ColBatch, bool, error) {
@@ -86,19 +94,15 @@ func (e *ExtendIter) Schema() Schema {
 	if e.sch.Len() > 0 {
 		return e.sch
 	}
-	in := e.In.Schema()
-	cols := make([]Column, 0, in.Len()+len(e.Exprs))
-	cols = append(cols, in.Cols...)
-	for _, ne := range e.Exprs {
-		cols = append(cols, Column{Name: ne.Name, Kind: ne.Kind})
-	}
-	return Schema{Cols: cols}
+	return extendSchema(e.In.Schema(), e.Exprs)
 }
 
 // ExtendPlan is the logical node for ExtendIter.
 type ExtendPlan struct {
 	Child Plan
 	Exprs []NamedExpr
+
+	d derivedSchema
 }
 
 // Extend builds an extend node.
@@ -107,19 +111,13 @@ func Extend(child Plan, exprs ...NamedExpr) *ExtendPlan {
 }
 
 func (p *ExtendPlan) Schema(cat *Catalog) (Schema, error) {
-	in, err := p.Child.Schema(cat)
-	if err != nil {
-		return Schema{}, err
-	}
-	cols := make([]Column, 0, in.Len()+len(p.Exprs))
-	cols = append(cols, in.Cols...)
-	for _, ne := range p.Exprs {
-		cols = append(cols, Column{Name: ne.Name, Kind: ne.Kind})
-	}
-	return Schema{Cols: cols}, nil
+	return p.d.get(func() (Schema, error) {
+		in, err := p.Child.Schema(cat)
+		return extendSchema(in, p.Exprs), err
+	})
 }
 
-func (p *ExtendPlan) Children() []Plan { return []Plan{p.Child} }
+func (p *ExtendPlan) Children() []Plan { return unsafe.Slice(&p.Child, 1) }
 func (p *ExtendPlan) WithChildren(ch []Plan) Plan {
 	return &ExtendPlan{Child: ch[0], Exprs: p.Exprs}
 }

@@ -71,15 +71,6 @@ func (c joinChoice) label(kind JoinKind) string {
 	return s
 }
 
-func containsStr(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
 // chooseJoin picks the physical strategy for a join from its input
 // schemas alone: the nested loop when the condition has no equi pair,
 // the hash join otherwise. A semi join has one operator, which hashes

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // KeyRangeNarrower is an optional Iterator method: NarrowKeyRange tells
@@ -187,8 +188,9 @@ type cellAt struct{ in, col int }
 
 // joinShape is what a join resolves from its inputs' schemas at Open:
 // the schema it emits and where each of its columns is read, the
-// condition bound to the concatenated row of the inputs, and — for a
-// join of two inputs on equi pairs — the key columns of either input.
+// conjuncts of its condition resolved to the inputs' cells and filed
+// under the last input each reads, and — for a join of two inputs on
+// equi pairs — the key columns of either input.
 type joinShape struct {
 	sch        Schema
 	out        []cellAt  // per output column
@@ -210,12 +212,16 @@ func newJoinShape(what string, ins []Schema, pairs []EquiPair, cond Expr, out []
 	for _, sch := range ins {
 		n += sch.Len()
 	}
-	full, pos := Schema{Cols: make([]Column, 0, n)}, make([]cellAt, 0, n) // pos: per column of full
-	for i, sch := range ins {
-		for c := range sch.Cols {
-			pos = append(pos, cellAt{in: i, col: c})
-		}
+	full := Schema{Cols: make([]Column, 0, n)}
+	for _, sch := range ins {
 		full.Cols = append(full.Cols, sch.Cols...)
+	}
+	pos := func(p int) cellAt { // where column p of full is read
+		i := 0
+		for ; p >= ins[i].Len(); i++ {
+			p -= ins[i].Len()
+		}
+		return cellAt{in: i, col: p}
 	}
 	sch, pick, err := bindOut(full, out)
 	if err != nil {
@@ -223,72 +229,88 @@ func newJoinShape(what string, ins []Schema, pairs []EquiPair, cond Expr, out []
 	}
 	s.sch, s.out = sch, make([]cellAt, sch.Len())
 	for o := range s.out {
-		if s.out[o] = pos[o]; pick != nil {
-			s.out[o] = pos[pick[o]]
+		if s.out[o] = pos(o); pick != nil {
+			s.out[o] = pos(pick[o])
 		}
 	}
-	if cond != nil {
-		bound, err := cond.Bind(full)
+	if cond == nil {
+		return s, nil
+	}
+	conjs := SplitConjuncts(cond)
+	filed := make([]condConj, 0, len(conjs)) // each conjunct with the input it is filed under
+	file := func(cc condConj, at []cellAt) {
+		for _, a := range at {
+			cc.in = max(cc.in, a.in)
+		}
+		filed = append(filed, cc)
+	}
+	c := &joinCond{conjs: make([][]condConj, len(ins)), rows: make([]condRow, len(ins))}
+	for _, e := range conjs {
+		// A ψ condition is resolved to its four cells, not bound.
+		if refs, ok := psiRefs(e); ok {
+			var cc condConj
+			for k, r := range refs {
+				i := full.IndexOf(r.Name)
+				if i < 0 {
+					return nil, fmt.Errorf("engine: unknown column %q in %v", r.Name, full.Names())
+				}
+				cc.psi[k] = pos(i)
+			}
+			file(cc, cc.psi[:])
+			continue
+		}
+		bound, err := e.Bind(full)
 		if err != nil {
 			return nil, err
 		}
-		s.cond = newJoinCond(bound, full, pos, len(ins))
+		cc := condConj{e: bound, cols: boundCols(bound, full)}
+		cc.src = make([]cellAt, len(cc.cols))
+		for j, p := range cc.cols {
+			cc.src[j] = pos(p)
+		}
+		if file(cc, cc.src); c.scratch == nil {
+			c.scratch = make(Tuple, full.Len())
+		}
 	}
+	slices.SortStableFunc(filed, func(a, b condConj) int { return a.in - b.in })
+	for d := range c.conjs {
+		n := 0
+		for n < len(filed) && filed[n].in == d {
+			n++
+		}
+		c.conjs[d], filed = filed[:n:n], filed[n:]
+	}
+	s.cond = c
 	return s, nil
 }
 
-// joinCond is a join's condition bound to the concatenated row of its
-// inputs and evaluated on one combination of their rows, each cell read
-// in place from its vector. Each conjunct is filed under the last input
-// whose column it reads, so a join that picks its inputs' rows in turn
-// (the stitch) checks it as soon as that row is picked. A ψ condition
-// (psiExpr, one per pair of descriptor columns) compares the int cells
-// directly; any other conjunct, and a ψ condition meeting a cell that is
-// not an int, is evaluated on the scratch row with only the columns it
-// reads filled.
+// joinCond is a join's condition evaluated on one combination of its
+// inputs' rows, each cell read in place from its vector. Each conjunct
+// is filed under the last input whose column it reads, so a join that
+// picks its inputs' rows in turn (the stitch) checks it as soon as that
+// row is picked. A ψ condition compares its four cells directly; any
+// other conjunct is evaluated on the scratch row with only the columns
+// it reads filled.
 type joinCond struct {
 	conjs   [][]condConj // per input, the conjuncts filed under it
 	rows    []condRow    // per input, its row of the combination
 	scratch Tuple        // the concatenated row, filled where a conjunct reads it
 }
 
-// condConj is one conjunct of a joinCond.
+// condConj is one conjunct of a join's condition: a ψ condition (e nil)
+// by its cells, or any other bound to the concatenated row.
 type condConj struct {
-	e    Expr     // the bound conjunct
-	psi  bool     // e is (a.var <> b.var OR a.rng = b.rng) over cols, in that order
-	cols []int    // the columns of the concatenated row it reads
-	src  []cellAt // where each is read
+	in   int       // the input it is filed under
+	psi  [4]cellAt // ψ: where a.var, b.var, a.rng and b.rng are read
+	e    Expr      // any other: the bound conjunct,
+	cols []int     // the columns of the concatenated row it reads
+	src  []cellAt  // and where each is read
 }
 
 // condRow is physical row row of the vectors cols.
 type condRow struct {
 	cols []ColVec
 	row  int
-}
-
-// newJoinCond files the conjuncts of bound, over full, whose columns
-// pos locates among n inputs.
-func newJoinCond(bound Expr, full Schema, pos []cellAt, n int) *joinCond {
-	c := &joinCond{conjs: make([][]condConj, n), rows: make([]condRow, n), scratch: make(Tuple, full.Len())}
-	file := func(cc condConj) {
-		d := 0
-		cc.src = make([]cellAt, len(cc.cols))
-		for j, p := range cc.cols {
-			cc.src[j] = pos[p]
-			d = max(d, pos[p].in)
-		}
-		c.conjs[d] = append(c.conjs[d], cc)
-	}
-	for _, e := range SplitConjuncts(bound) {
-		if ps, ok := e.(*psiExpr); ok {
-			for k, cells := range ps.cells {
-				file(condConj{e: ps.conjs[k], psi: true, cols: []int{cells[0], cells[1], cells[2], cells[3]}})
-			}
-			continue
-		}
-		file(condConj{e: e, cols: boundCols(e, full)})
-	}
-	return c
 }
 
 // boundCols lists the positions in sch of the columns the bound
@@ -310,22 +332,11 @@ func (c *joinCond) set(i int, cols []ColVec, r int) { c.rows[i] = condRow{cols: 
 func (c *joinCond) holds(d int) bool {
 	for k := range c.conjs[d] {
 		cc := &c.conjs[d][k]
-		if cc.psi {
-			av, aok := c.intAt(cc.src[0])
-			bv, bok := c.intAt(cc.src[1])
-			if aok && bok {
-				if av != bv {
-					continue
-				}
-				ar, arok := c.intAt(cc.src[2])
-				br, brok := c.intAt(cc.src[3])
-				if arok && brok {
-					if ar != br {
-						return false
-					}
-					continue
-				}
+		if cc.e == nil {
+			if !c.psiHolds(&cc.psi) {
+				return false
 			}
+			continue
 		}
 		for j, p := range cc.cols {
 			r := &c.rows[cc.src[j].in]
@@ -338,10 +349,36 @@ func (c *joinCond) holds(d int) bool {
 	return true
 }
 
+// psiHolds evaluates (a.var <> b.var OR a.rng = b.rng) on the cells at:
+// on ints directly, and on cells of any other kind as the comparisons
+// evaluate (a NULL compares false).
+func (c *joinCond) psiHolds(at *[4]cellAt) bool {
+	av, aok := c.intAt(at[0])
+	bv, bok := c.intAt(at[1])
+	if aok && bok {
+		if av != bv {
+			return true
+		}
+		ar, arok := c.intAt(at[2])
+		br, brok := c.intAt(at[3])
+		if arok && brok {
+			return ar == br
+		}
+	}
+	a, b, ar, br := c.valueAt(at[0]), c.valueAt(at[1]), c.valueAt(at[2]), c.valueAt(at[3])
+	return !a.IsNull() && !b.IsNull() && Compare(a, b) != 0 || !ar.IsNull() && !br.IsNull() && Compare(ar, br) == 0
+}
+
 // intAt is intCell of the cell s names in the combination.
 func (c *joinCond) intAt(s cellAt) (int64, bool) {
 	r := &c.rows[s.in]
 	return intCell(&r.cols[s.col], r.row)
+}
+
+// valueAt is the cell s names in the combination.
+func (c *joinCond) valueAt(s cellAt) Value {
+	r := &c.rows[s.in]
+	return r.cols[s.col].Value(r.row)
 }
 
 // pair reports whether the condition of a join of two inputs holds on

@@ -54,58 +54,35 @@ func Optimize(p Plan, cat *Catalog) (Plan, error) {
 // it. It is a rewrite of the plan, not of the iterators, so
 // EXPLAIN, EXPLAIN ANALYZE and the untraced run see the same tree.
 func foldProjections(p Plan, cat *Catalog) Plan {
-	ch := p.Children()
-	if len(ch) == 0 {
-		return p
-	}
-	out := make([]Plan, len(ch))
-	changed := false
-	for i, c := range ch {
-		out[i] = foldProjections(c, cat)
-		changed = changed || out[i] != c
-	}
-	if changed {
-		p = p.WithChildren(out)
-	}
+	p, _ = rewriteInputs(p, func(c Plan) (Plan, error) { return foldProjections(c, cat), nil })
 	top, ok := p.(*ProjectPlan)
 	if !ok || len(top.Names) == 0 {
 		return p
 	}
 	switch c := top.Child.(type) {
 	case *ProjectPlan:
-		if throughProjection(top.Names, c.Names, c.Child, cat) {
+		if sch, err := c.Child.Schema(cat); err == nil && throughProjection(top.Names, c.Names, sch) {
 			return &ProjectPlan{Child: c.Child, Names: top.Names}
 		}
 	case *JoinPlan:
-		if c.Kind != InnerJoin {
-			break
-		}
-		full := &JoinPlan{Kind: InnerJoin, L: c.L, R: c.R, Cond: c.Cond}
-		if c.Out == nil || throughProjection(top.Names, c.Out, full, cat) {
-			full.Out = top.Names
-			return full
+		if c.Kind == InnerJoin && (c.Out == nil || throughProjection(top.Names, c.Out, c.derive(cat).full)) {
+			return &JoinPlan{Kind: InnerJoin, L: c.L, R: c.R, Cond: c.Cond, Out: top.Names}
 		}
 	case *StitchPlan:
-		full := *c
-		full.Out = nil
-		if c.Out == nil || throughProjection(top.Names, c.Out, &full, cat) {
-			full.Out = top.Names
-			return &full
+		if c.Out == nil || throughProjection(top.Names, c.Out, c.derive(cat).full) {
+			return &StitchPlan{Inputs: c.Inputs, TIDs: c.TIDs, Cond: c.Cond, Driver: c.Driver, Out: top.Names}
 		}
 	}
 	return p
 }
 
-// throughProjection reports whether projecting base to outer directly
-// picks the columns that projecting it to mid and then to outer picks.
-// A projection keeps names as written and references resolve by suffix,
-// so a name can be unique among mid's columns and ambiguous — or someone
-// else's — among base's; then the two projections stay apart.
-func throughProjection(outer, mid []string, base Plan, cat *Catalog) bool {
-	bsch, err := base.Schema(cat)
-	if err != nil {
-		return false
-	}
+// throughProjection reports whether projecting rows of schema bsch to
+// outer directly picks the columns that projecting them to mid and then
+// to outer picks. A projection keeps names as written and references
+// resolve by suffix, so a name can be unique among mid's columns and
+// ambiguous — or someone else's — among bsch's; then the two
+// projections stay apart.
+func throughProjection(outer, mid []string, bsch Schema) bool {
 	msch, err := bsch.Project(mid)
 	if err != nil {
 		return false
@@ -117,6 +94,30 @@ func throughProjection(outer, mid []string, base Plan, cat *Catalog) bool {
 		}
 	}
 	return true
+}
+
+// rewriteInputs is p with each input c replaced by f(c): p itself when
+// f hands every input back unchanged, else a new node. It stops at f's
+// first error, which a caller whose f cannot fail drops.
+func rewriteInputs(p Plan, f func(Plan) (Plan, error)) (Plan, error) {
+	ch := p.Children()
+	var out []Plan
+	for i, c := range ch {
+		nc, err := f(c)
+		if err != nil {
+			return nil, err
+		}
+		if nc != c && out == nil {
+			out = append(make([]Plan, 0, len(ch)), ch...)
+		}
+		if out != nil {
+			out[i] = nc
+		}
+	}
+	if out == nil {
+		return p, nil
+	}
+	return p.WithChildren(out), nil
 }
 
 // applyIndexScans rewrites an equality filter sitting directly on an
@@ -145,13 +146,11 @@ func applyIndexScans(p Plan, cat *Catalog) Plan {
 						continue
 					}
 					canon := sch.Cols[ci].Name
-					if !containsStr(idxCols, canon) {
+					if !slices.Contains(idxCols, canon) {
 						continue
 					}
 					leaf := &IndexScanPlan{Src: src, Col: canon, Key: cst}
-					rest := make([]Expr, 0, len(conjs)-1)
-					rest = append(rest, conjs[:i]...)
-					rest = append(rest, conjs[i+1:]...)
+					rest := append(slices.Clip(conjs[:i]), conjs[i+1:]...)
 					if len(rest) == 0 {
 						return leaf
 					}
@@ -160,22 +159,8 @@ func applyIndexScans(p Plan, cat *Catalog) Plan {
 			}
 		}
 	}
-	ch := p.Children()
-	if len(ch) == 0 {
-		return p
-	}
-	out := make([]Plan, len(ch))
-	changed := false
-	for i, c := range ch {
-		out[i] = applyIndexScans(c, cat)
-		if out[i] != c {
-			changed = true
-		}
-	}
-	if !changed {
-		return p
-	}
-	return p.WithChildren(out)
+	p, _ = rewriteInputs(p, func(c Plan) (Plan, error) { return applyIndexScans(c, cat), nil })
+	return p
 }
 
 // pushFilters recursively pushes selection predicates downwards.
@@ -183,26 +168,30 @@ func pushFilters(p Plan, cat *Catalog) Plan {
 	switch n := p.(type) {
 	case *FilterPlan:
 		child := pushFilters(n.Child, cat)
-		conjs := SplitConjuncts(n.Cond)
-		return pushConjuncts(child, conjs, cat)
+		if child == n.Child && len(child.Children()) == 0 && splitAlready(n.Cond) {
+			return p // on a leaf, with nothing to merge or drop: it stays
+		}
+		return pushConjuncts(child, SplitConjuncts(n.Cond), cat)
 	default:
-		ch := p.Children()
-		if len(ch) == 0 {
-			return p
-		}
-		newCh := make([]Plan, len(ch))
-		changed := false
-		for i, c := range ch {
-			newCh[i] = pushFilters(c, cat)
-			if newCh[i] != c {
-				changed = true
-			}
-		}
-		if changed {
-			return p.WithChildren(newCh)
-		}
+		p, _ = rewriteInputs(p, func(c Plan) (Plan, error) { return pushFilters(c, cat), nil })
 		return p
 	}
+}
+
+// splitAlready reports whether e is what And makes of its conjuncts
+// (SplitConjuncts): one conjunct, neither nil nor the constant true, or
+// a conjunction of two or more such.
+func splitAlready(e Expr) bool {
+	if l, ok := e.(*LogicExpr); ok && l.Op == AndOp {
+		for _, a := range l.Args {
+			if al, ok := a.(*LogicExpr); ok && al.Op == AndOp || !splitAlready(a) {
+				return false
+			}
+		}
+		return len(l.Args) > 1
+	}
+	c, isConst := e.(*ConstExpr)
+	return e != nil && !(isConst && c.Val.Truth())
 }
 
 // pushConjuncts pushes each conjunct as deep as possible into child,
@@ -338,25 +327,19 @@ func orderJoins(p Plan, est *estimator) (Plan, error) {
 			return orderJoinTree(n, names, est)
 		}
 	}
-	ch := p.Children()
-	if len(ch) == 0 {
-		return p, nil
+	p, err := rewriteInputs(p, func(c Plan) (Plan, error) { return orderJoins(c, est) })
+	if err != nil {
+		return nil, err
 	}
-	newCh := make([]Plan, len(ch))
-	for i, c := range ch {
-		nc, err := orderJoins(c, est)
-		if err != nil {
-			return nil, err
-		}
-		newCh[i] = nc
-	}
-	p = p.WithChildren(newCh)
 	if s, ok := p.(*StitchPlan); ok {
-		s.Driver = 0
+		driver := 0
 		for i, in := range s.Inputs {
-			if est.stats(in).Rows < est.stats(s.Inputs[s.Driver]).Rows {
-				s.Driver = i
+			if est.stats(in).Rows < est.stats(s.Inputs[driver]).Rows {
+				driver = i
 			}
+		}
+		if driver != s.Driver {
+			p = &StitchPlan{Inputs: s.Inputs, TIDs: s.TIDs, Cond: s.Cond, Driver: driver, Out: s.Out}
 		}
 	}
 	return p, nil
@@ -391,27 +374,15 @@ func orderJoinTree(n *JoinPlan, names []string, est *estimator) (Plan, error) {
 	if err := collect(n); err != nil {
 		return nil, err
 	}
-	out := newJoinOrderer(est, inputs, preds).order()
+	out := newJoinOrderer(est, inputs, preds, true).order()
 	newSch, err := out.Schema(est.cat)
 	if err != nil {
 		return nil, err
 	}
-	if !sameStrings(names, newSch.Names()) {
+	if !slices.Equal(names, newSch.Names()) {
 		out = &ProjectPlan{Child: out, Names: names}
 	}
 	return out, nil
-}
-
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func uniqueStrings(a []string) bool {
@@ -433,6 +404,8 @@ func uniqueStrings(a []string) bool {
 // resolves each conjunct once, with estimate's arithmetic for the
 // JoinPlan a merge builds. Only an equi pair connects: a ψ disjunct
 // filters almost nothing, so it rides on the first merge covering it.
+// The stitch's estimate runs it without build: it counts rows and
+// builds no join.
 type joinOrderer struct {
 	schs   []Schema    // per input
 	stats  []PlanStats // per input
@@ -440,6 +413,7 @@ type joinOrderer struct {
 	owner  []int         // per input, the subtree that holds it
 	ndvCap []float64     // per input, the fewest rows of a merge above it
 	subs   []joinSubtree // by the input each started as; all end in subs[0]
+	build  bool          // merge builds the join of its two subtrees
 }
 
 // joinConj is one conjunct of a join tree: the inputs it reads (every
@@ -453,10 +427,10 @@ type joinConj struct {
 	applied bool
 }
 
-// joinEnd is a column of one input (in -1: of none), by its name there.
+// joinEnd is a column of one input (in -1: of none), by its position
+// there.
 type joinEnd struct {
-	in  int
-	col string
+	in, col int
 }
 
 // joinSubtree is a tree the orderer built; plan is nil once merged away.
@@ -465,38 +439,65 @@ type joinSubtree struct {
 	rows float64
 }
 
-func newJoinOrderer(est *estimator, inputs []Plan, conjs []Expr) *joinOrderer {
+func newJoinOrderer(est *estimator, inputs []Plan, conjs []Expr, build bool) *joinOrderer {
 	n := len(inputs)
-	o := &joinOrderer{schs: make([]Schema, n), stats: make([]PlanStats, n), conjs: make([]joinConj, len(conjs)),
-		owner: make([]int, n), ndvCap: make([]float64, n), subs: make([]joinSubtree, n)}
-	every := make([]int, n)
+	o := &joinOrderer{schs: make([]Schema, n), stats: make([]PlanStats, n), conjs: make([]joinConj, 0, len(conjs)+n),
+		owner: make([]int, n), ndvCap: make([]float64, n), subs: make([]joinSubtree, n), build: build}
 	for i, p := range inputs {
 		o.schs[i], _ = p.Schema(est.cat) // an error resolves no column; the tree's Schema reports it
 		o.stats[i] = est.stats(p)
-		o.owner[i], o.ndvCap[i], every[i] = i, math.Inf(1), i
+		o.owner[i], o.ndvCap[i] = i, math.Inf(1)
 		o.subs[i] = joinSubtree{plan: p, rows: o.stats[i].Rows}
 	}
-	for k, e := range conjs {
-		c := &o.conjs[k]
-		c.e = e
-		var ends []joinEnd
-		for _, col := range ExprColumns(e) {
-			end := o.resolve(col)
-			if end.in < 0 {
-				c.ins = every
-				break
+	ins := make([]int, 0, 2*len(conjs)) // the inputs of each conjunct in turn; most read two
+	for _, e := range conjs {
+		c := joinConj{e: e}
+		start := len(ins)
+		resolved := eachColumn(e, func(name string) bool {
+			end := o.resolve(name)
+			if end.in >= 0 && !slices.Contains(ins[start:], end.in) {
+				ins = append(ins, end.in)
 			}
-			if ends = append(ends, end); !slices.Contains(c.ins, end.in) {
-				c.ins = append(c.ins, end.in)
+			return end.in >= 0
+		})
+		if c.ins = ins[start:len(ins):len(ins)]; !resolved {
+			c.ins, ins = o.every(), ins[:start]
+		}
+		if cmp, ok := e.(*CmpExpr); ok && cmp.Op == EQ && resolved && len(c.ins) == 2 {
+			l, lok := cmp.L.(*ColRef)
+			r, rok := cmp.R.(*ColRef)
+			if lok && rok {
+				c.pair, c.ends = true, [2]joinEnd{o.resolve(l.Name), o.resolve(r.Name)}
 			}
 		}
-		if cmp, ok := e.(*CmpExpr); ok && cmp.Op == EQ && len(ends) == 2 && len(c.ins) == 2 {
-			_, lok := cmp.L.(*ColRef)
-			_, rok := cmp.R.(*ColRef)
-			c.pair, c.ends = lok && rok, [2]joinEnd{ends[0], ends[1]}
-		}
+		o.conjs = append(o.conjs, c)
 	}
 	return o
+}
+
+// every lists every input: what a conjunct reads that the last merge
+// places.
+func (o *joinOrderer) every() []int {
+	all := make([]int, len(o.schs))
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// addPair adds the conjunct a = b over two column names, as
+// newJoinOrderer would resolve it.
+func (o *joinOrderer) addPair(a, b string) {
+	c := joinConj{ends: [2]joinEnd{o.resolve(a), o.resolve(b)}}
+	switch ea, eb := c.ends[0].in, c.ends[1].in; {
+	case ea < 0 || eb < 0:
+		c.ins = o.every()
+	case ea == eb:
+		c.ins = []int{ea}
+	default:
+		c.ins, c.pair = []int{ea, eb}, true
+	}
+	o.conjs = append(o.conjs, c)
 }
 
 // resolve finds the one input a column name resolves in.
@@ -507,7 +508,7 @@ func (o *joinOrderer) resolve(name string) joinEnd {
 			if end.in >= 0 {
 				return joinEnd{in: -1}
 			}
-			end = joinEnd{in: i, col: sch.Cols[j].Name}
+			end = joinEnd{in: i, col: j}
 		}
 	}
 	return end
@@ -567,7 +568,7 @@ func (o *joinOrderer) joinRows(x, y int) (rows float64, connected bool) {
 // endNDV is the NDV of a column in the subtree holding its input: the
 // input's, capped by the rows of every merge above it.
 func (o *joinOrderer) endNDV(e joinEnd) float64 {
-	if v, ok := o.stats[e.in].NDV[e.col]; ok {
+	if v := o.stats[e.in].ndvAt(e.col); v >= 0 {
 		return math.Min(v, o.ndvCap[e.in])
 	}
 	return defaultNDV
@@ -579,7 +580,9 @@ func (o *joinOrderer) merge(x, y int, rows float64) {
 	for k := range o.conjs {
 		if c := &o.conjs[k]; o.places(c, x, y) {
 			c.applied = true
-			conds = append(conds, c.e)
+			if o.build {
+				conds = append(conds, c.e)
+			}
 		}
 	}
 	for in, s := range o.owner {
@@ -590,39 +593,51 @@ func (o *joinOrderer) merge(x, y int, rows float64) {
 			o.ndvCap[in] = math.Min(o.ndvCap[in], rows)
 		}
 	}
-	l, r := o.subs[x].plan, o.subs[y].plan
-	if o.subs[y].rows < o.subs[x].rows {
-		l, r = r, l
+	if o.build {
+		l, r := o.subs[x].plan, o.subs[y].plan
+		if o.subs[y].rows < o.subs[x].rows {
+			l, r = r, l
+		}
+		o.subs[x].plan = &JoinPlan{Kind: InnerJoin, L: l, R: r, Cond: And(conds...)}
 	}
-	o.subs[x] = joinSubtree{plan: &JoinPlan{Kind: InnerJoin, L: l, R: r, Cond: And(conds...)}, rows: rows}
+	o.subs[x].rows = rows
 	o.subs[y].plan = nil
 }
 
-// result is estimate's figure for the tree order built: its rows and
-// every input's NDVs under their caps.
-func (o *joinOrderer) result() PlanStats {
-	st := PlanStats{Rows: o.subs[0].rows, NDV: map[string]float64{}}
-	for i, in := range o.stats {
-		for c, v := range in.NDV {
-			st.NDV[c] = math.Min(v, o.ndvCap[i])
-		}
+// result is estimate's figure for the tree order built: its rows and,
+// for the columns pick selects from the inputs' concatenated row (nil:
+// all of them), every input's NDVs under their caps.
+func (o *joinOrderer) result(pick []int) PlanStats {
+	width := 0
+	for _, sch := range o.schs {
+		width += sch.Len()
 	}
-	return st
+	return pickStats(o.subs[0].rows, width, pick, func(pos int) float64 {
+		i := 0
+		for ; pos >= o.schs[i].Len(); i++ {
+			pos -= o.schs[i].Len()
+		}
+		if v := o.stats[i].ndvAt(pos); v >= 0 {
+			return math.Min(v, o.ndvCap[i])
+		}
+		return unknownNDV
+	})
 }
 
 // pruneColumns inserts projections so leaves only produce columns the
 // rest of the plan needs.
 func pruneColumns(p Plan, cat *Catalog) (Plan, error) {
-	sch, err := p.Schema(cat)
-	if err != nil {
+	if _, err := p.Schema(cat); err != nil {
 		return nil, err
 	}
-	return pruneNeeding(p, cat, sch.Names())
+	return pruneNeeding(p, cat, nil)
 }
 
 // pruneNeeding rewrites p so it produces (at least) the needed columns,
-// dropping unused ones below joins.
-func pruneNeeding(p Plan, cat *Catalog, needed []string) (Plan, error) {
+// dropping unused ones below joins. need marks, by position in p's
+// schema, the columns p's parent reads; nil marks every one. It is only
+// read.
+func pruneNeeding(p Plan, cat *Catalog, need []bool) (Plan, error) {
 	switch n := p.(type) {
 	case *ProjectPlan:
 		childSch, err := n.Child.Schema(cat)
@@ -631,41 +646,59 @@ func pruneNeeding(p Plan, cat *Catalog, needed []string) (Plan, error) {
 		}
 		// The projection keeps the names its parent reads (all of them
 		// when it reads none), and they define what's needed below.
-		names := slices.DeleteFunc(slices.Clone(n.Names), func(c string) bool { return !slices.Contains(needed, c) })
-		if len(names) == 0 {
-			names = n.Names
+		names := n.Names
+		if kept := count(need); need != nil && kept > 0 && kept < len(names) {
+			names = make([]string, 0, kept)
+			for i, name := range n.Names {
+				if need[i] {
+					names = append(names, name)
+				}
+			}
 		}
-		child, err := pruneNeeding(n.Child, cat, resolveAll(childSch, names))
+		childNeed := make([]bool, childSch.Len())
+		for _, name := range names {
+			if i := childSch.IndexOf(name); i >= 0 {
+				childNeed[i] = true
+			}
+		}
+		child, err := pruneNeeding(n.Child, cat, childNeed)
 		if err != nil {
 			return nil, err
+		}
+		if child == n.Child && len(names) == len(n.Names) {
+			return p, nil
 		}
 		return &ProjectPlan{Child: child, Names: names}, nil
 	case *FilterPlan:
-		childSch, err := n.Child.Schema(cat)
+		sch, err := n.Child.Schema(cat)
 		if err != nil {
 			return nil, err
 		}
-		req := union(needed, resolveAll(childSch, ExprColumns(n.Cond)))
-		child, err := pruneNeeding(n.Child, cat, req)
-		if err != nil {
-			return nil, err
+		child, err := pruneNeeding(n.Child, cat, markColumns(slices.Clone(need), sch, n.Cond))
+		if err != nil || child == n.Child {
+			return p, err
 		}
 		return &FilterPlan{Child: child, Cond: n.Cond}, nil
 	case *JoinPlan:
-		ls, err := n.L.Schema(cat)
-		if err != nil {
-			return nil, err
+		d := n.derive(cat)
+		if d.inErr != nil {
+			return nil, d.inErr
 		}
-		rs, err := n.R.Schema(cat)
-		if err != nil {
-			return nil, err
+		ls, _ := n.L.Schema(cat)
+		rs, _ := n.R.Schema(cat)
+		if n.Kind != InnerJoin {
+			// A semi join's parent reads L's columns: R's are needed only
+			// where its condition reads them.
+			full := make([]bool, d.full.Len())
+			for i := 0; i < ls.Len(); i++ {
+				full[i] = need == nil || need[i]
+			}
+			need = full
 		}
-		if n.Out != nil {
-			needed = resolveAll(ls.Concat(rs), n.Out)
+		var lNeed, rNeed []bool
+		if need = rowNeed(need, d, n.Cond); need != nil {
+			lNeed, rNeed = need[:ls.Len()], need[ls.Len():]
 		}
-		req := union(needed, resolveAll(ls.Concat(rs), ExprColumns(n.Cond)))
-		lNeed := intersectSchema(req, ls)
-		rNeed := intersectSchema(req, rs)
 		l, err := pruneNeeding(n.L, cat, lNeed)
 		if err != nil {
 			return nil, err
@@ -680,113 +713,104 @@ func pruneNeeding(p Plan, cat *Catalog, needed []string) (Plan, error) {
 		if n.Kind == InnerJoin {
 			r = maybeProject(r, rs, rNeed)
 		}
+		if l == n.L && r == n.R {
+			return p, nil
+		}
 		return &JoinPlan{Kind: n.Kind, L: l, R: r, Cond: n.Cond, Out: n.Out}, nil
 	case *StitchPlan:
-		full, err := n.full(cat)
-		if err != nil {
-			return nil, err
+		d := n.derive(cat)
+		if d.inErr != nil {
+			return nil, d.inErr
 		}
-		if n.Out != nil {
-			needed = resolveAll(full, n.Out)
+		if need = rowNeed(need, d, n.Cond); need != nil {
+			for _, t := range n.TIDs {
+				if i := d.full.IndexOf(t); i >= 0 {
+					need[i] = true
+				}
+			}
 		}
-		req := union(union(needed, resolveAll(full, ExprColumns(n.Cond))), n.TIDs)
 		// Unread input columns cost nothing: the stitch gathers its Out.
-		ins := make([]Plan, len(n.Inputs))
-		for i, in := range n.Inputs {
-			sch, err := in.Schema(cat)
-			if err != nil {
-				return nil, err
+		return rewriteInputs(p, func(in Plan) (Plan, error) {
+			var inNeed []bool
+			if need != nil {
+				sch, _ := in.Schema(cat)
+				inNeed, need = need[:sch.Len()], need[sch.Len():]
 			}
-			if ins[i], err = pruneNeeding(in, cat, intersectSchema(req, sch)); err != nil {
-				return nil, err
-			}
-		}
-		return n.WithChildren(ins), nil
+			return pruneNeeding(in, cat, inNeed)
+		})
 	case *ScanPlan, *ValuesPlan:
 		return p, nil
 	default:
 		// Generic recursion: require everything from children (unions,
 		// differences, distinct, renames and extends have positional or
 		// full needs).
-		ch := p.Children()
-		if len(ch) == 0 {
-			return p, nil
-		}
-		newCh := make([]Plan, len(ch))
-		for i, c := range ch {
-			csch, err := c.Schema(cat)
-			if err != nil {
+		return rewriteInputs(p, func(c Plan) (Plan, error) {
+			if _, err := c.Schema(cat); err != nil {
 				return nil, err
 			}
-			nc, err := pruneNeeding(c, cat, csch.Names())
-			if err != nil {
-				return nil, err
-			}
-			newCh[i] = nc
-		}
-		return p.WithChildren(newCh), nil
+			return pruneNeeding(c, cat, nil)
+		})
 	}
 }
 
-// maybeProject wraps p in a projection to need if that strictly drops
-// columns and p writes its rows — an inner join or a stitch, which then
-// emits through it (foldProjections). Any other node hands its columns
-// over as they are, so a projection above it would drop nothing.
-func maybeProject(p Plan, sch Schema, need []string) Plan {
+// count is the number of columns need marks.
+func count(need []bool) int {
+	k := 0
+	for _, b := range need {
+		if b {
+			k++
+		}
+	}
+	return k
+}
+
+// rowNeed marks what a join or a stitch of derived facts d needs of its
+// inputs' concatenated row: what its parent reads of it — Out's
+// columns, when it emits through Out — and what cond reads.
+func rowNeed(need []bool, d *joinDerived, cond Expr) []bool {
+	if d.pick == nil {
+		return markColumns(slices.Clone(need), d.full, cond)
+	}
+	need = make([]bool, d.full.Len())
+	for _, i := range d.pick {
+		need[i] = true
+	}
+	return markColumns(need, d.full, cond)
+}
+
+// markColumns marks in need the columns of sch that e reads too, and
+// returns it; a nil need (every column) stays nil.
+func markColumns(need []bool, sch Schema, e Expr) []bool {
+	if need == nil || e == nil {
+		return need
+	}
+	eachColumn(e, func(name string) bool {
+		if i := sch.IndexOf(name); i >= 0 {
+			need[i] = true
+		}
+		return true
+	})
+	return need
+}
+
+// maybeProject wraps p in a projection to the columns of sch need marks
+// if that strictly drops columns and p writes its rows — an inner join
+// or a stitch, which then emits through it (foldProjections). Any other
+// node hands its columns over as they are, so a projection above it
+// would drop nothing.
+func maybeProject(p Plan, sch Schema, need []bool) Plan {
 	j, join := p.(*JoinPlan)
 	_, stitch := p.(*StitchPlan)
-	if !(join && j.Kind == InnerJoin || stitch) || len(need) == 0 || len(need) >= sch.Len() {
+	kept := count(need)
+	if !(join && j.Kind == InnerJoin || stitch) || need == nil || kept == 0 || kept >= sch.Len() {
 		return p
 	}
 	// Preserve schema order for determinism.
-	var ordered []string
-	for _, c := range sch.Cols {
-		if slices.Contains(need, c.Name) {
+	ordered := make([]string, 0, kept)
+	for i, c := range sch.Cols {
+		if need[i] {
 			ordered = append(ordered, c.Name)
 		}
 	}
-	if len(ordered) == sch.Len() || len(ordered) == 0 {
-		return p
-	}
 	return &ProjectPlan{Child: p, Names: ordered}
-}
-
-// resolveAll maps possibly-unqualified names to the schema's canonical
-// column names (dropping unresolvable ones).
-func resolveAll(sch Schema, names []string) []string {
-	var out []string
-	for _, n := range names {
-		if i := sch.IndexOf(n); i >= 0 {
-			out = append(out, sch.Cols[i].Name)
-		}
-	}
-	return out
-}
-
-func union(a, b []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range a {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	for _, s := range b {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func intersectSchema(names []string, sch Schema) []string {
-	var out []string
-	for _, n := range names {
-		if sch.IndexOf(n) >= 0 {
-			out = append(out, n)
-		}
-	}
-	return out
 }

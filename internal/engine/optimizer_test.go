@@ -153,12 +153,23 @@ func TestJoinOrderRandomized(t *testing.T) {
 	}
 }
 
-func TestStringHelpers(t *testing.T) {
-	if !sameStrings([]string{"a", "b"}, []string{"a", "b"}) ||
-		sameStrings([]string{"a"}, []string{"b"}) ||
-		sameStrings([]string{"a"}, []string{"a", "b"}) {
-		t.Fatal("sameStrings")
+// CheckDerivedSchemas fails t unless every node of p reports the schema,
+// or the error, that a node built afresh from its inputs derives: a
+// node written after it derived its schema reports a stale one. The
+// engine_test package's tests use it too.
+func CheckDerivedSchemas(t testing.TB, p Plan, cat *Catalog) {
+	t.Helper()
+	got, gerr := p.Schema(cat)
+	want, werr := p.WithChildren(p.Children()).Schema(cat)
+	if (gerr == nil) != (werr == nil) || !got.Equal(want) {
+		t.Fatalf("%s reports %v (%v); its inputs derive %v (%v)", p.Label(), got, gerr, want, werr)
 	}
+	for _, c := range p.Children() {
+		CheckDerivedSchemas(t, c, cat)
+	}
+}
+
+func TestStringHelpers(t *testing.T) {
 	if !uniqueStrings([]string{"a", "b"}) || uniqueStrings([]string{"a", "a"}) {
 		t.Fatal("uniqueStrings")
 	}
@@ -344,11 +355,11 @@ func FuzzJoinOrder(f *testing.F) {
 			v := Values(rel, fmt.Sprintf("r%d", i))
 			switch regime % 3 {
 			case 1:
-				v.Stats = func() *TableStats { return &TableStats{Rows: float64(rows), Cols: map[string]ColStats{}} }
+				v.Stats = func() *TableStats { return &TableStats{Rows: float64(rows)} }
 			case 2:
-				ts := &TableStats{Rows: []float64{1, 1e9}[rng.Intn(2)], Cols: map[string]ColStats{}}
-				for _, c := range rel.Sch.Cols {
-					ts.Cols[c.Name] = ColStats{NDV: 1}
+				ts := &TableStats{Rows: []float64{1, 1e9}[rng.Intn(2)], Cols: make([]ColStats, rel.Sch.Len())}
+				for i := range ts.Cols {
+					ts.Cols[i] = ColStats{NDV: 1}
 				}
 				v.Stats = func() *TableStats { return ts }
 			}
@@ -418,6 +429,7 @@ func FuzzJoinOrder(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		CheckDerivedSchemas(t, opt, cat)
 		got, err := Run(opt, cat, ExecConfig{DisableOptimizer: true})
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"unsafe"
 
 	"urel/internal/obs"
 )
@@ -10,11 +12,16 @@ import (
 // Plan is a logical query plan node. Plans are built against a Catalog
 // (scans resolve names at Schema/Build time), optimized by Optimize,
 // and lowered to physical iterators by Build. Leaf nodes provided by
-// external storage layers implement SourcePlan.
+// external storage layers implement SourcePlan. A node is immutable once
+// built: a rewrite builds a new node, so what a node derives from its
+// inputs it derives once, on the first ask, and keeps.
 type Plan interface {
-	// Schema computes the output schema of the node.
+	// Schema is the output schema of the node. A node that has to work
+	// it out (a projection, rename, extend, join or stitch) does so on the
+	// first call and keeps it, with the catalog of that call.
 	Schema(cat *Catalog) (Schema, error)
-	// Children returns the input plans (empty for leaves).
+	// Children returns the input plans (empty for leaves). The slice may
+	// be the node's own: callers read it and never write to it.
 	Children() []Plan
 	// WithChildren returns a copy of the node with replaced inputs.
 	WithChildren(children []Plan) Plan
@@ -80,8 +87,8 @@ type ValuesPlan struct {
 	// key range handed down on it (KeyRangeNarrower) narrows the scan to
 	// the window of rows inside it, found by binary search.
 	Sorted string
-	// Stats, when non-nil, returns the data's statistics (never nil) keyed
-	// by its column names. A producer that already keeps statistics for
+	// Stats, when non-nil, returns the data's statistics (never nil), by
+	// its columns' positions. A producer that already keeps statistics for
 	// the data sets it so they travel with the plan; it is only called
 	// when an estimate is asked for. Without it the estimator scans the
 	// data (ComputeStats), once per planning pass.
@@ -119,14 +126,29 @@ type FilterPlan struct {
 func Filter(child Plan, cond Expr) *FilterPlan { return &FilterPlan{Child: child, Cond: cond} }
 
 func (p *FilterPlan) Schema(cat *Catalog) (Schema, error) { return p.Child.Schema(cat) }
-func (p *FilterPlan) Children() []Plan                    { return []Plan{p.Child} }
+func (p *FilterPlan) Children() []Plan                    { return unsafe.Slice(&p.Child, 1) }
 func (p *FilterPlan) WithChildren(ch []Plan) Plan         { return &FilterPlan{Child: ch[0], Cond: p.Cond} }
 func (p *FilterPlan) Label() string                       { return "Filter: " + p.Cond.String() }
+
+// derivedSchema is a node's schema, worked out on the first ask.
+type derivedSchema struct {
+	once sync.Once
+	sch  Schema
+	err  error
+}
+
+// get is the schema derive works out, derived on the first call.
+func (d *derivedSchema) get(derive func() (Schema, error)) (Schema, error) {
+	d.once.Do(func() { d.sch, d.err = derive() })
+	return d.sch, d.err
+}
 
 // ProjectPlan projects to named columns.
 type ProjectPlan struct {
 	Child Plan
 	Names []string
+
+	d derivedSchema
 }
 
 // Project builds a projection.
@@ -135,14 +157,16 @@ func Project(child Plan, names ...string) *ProjectPlan {
 }
 
 func (p *ProjectPlan) Schema(cat *Catalog) (Schema, error) {
-	in, err := p.Child.Schema(cat)
-	if err != nil {
-		return Schema{}, err
-	}
-	return in.Project(p.Names)
+	return p.d.get(func() (Schema, error) {
+		in, err := p.Child.Schema(cat)
+		if err != nil {
+			return Schema{}, err
+		}
+		return in.Project(p.Names)
+	})
 }
 
-func (p *ProjectPlan) Children() []Plan { return []Plan{p.Child} }
+func (p *ProjectPlan) Children() []Plan { return unsafe.Slice(&p.Child, 1) }
 func (p *ProjectPlan) WithChildren(ch []Plan) Plan {
 	return &ProjectPlan{Child: ch[0], Names: p.Names}
 }
@@ -152,6 +176,8 @@ func (p *ProjectPlan) Label() string { return "Project: " + strings.Join(p.Names
 type RenamePlan struct {
 	Child Plan
 	Names []string
+
+	d derivedSchema
 }
 
 // Rename relabels columns positionally.
@@ -160,21 +186,23 @@ func Rename(child Plan, names []string) *RenamePlan {
 }
 
 func (p *RenamePlan) Schema(cat *Catalog) (Schema, error) {
-	in, err := p.Child.Schema(cat)
-	if err != nil {
-		return Schema{}, err
-	}
-	if len(p.Names) != in.Len() {
-		return Schema{}, fmt.Errorf("engine: rename: %d names for %d columns", len(p.Names), in.Len())
-	}
-	cols := make([]Column, in.Len())
-	for i := range cols {
-		cols[i] = Column{Name: p.Names[i], Kind: in.Cols[i].Kind}
-	}
-	return Schema{Cols: cols}, nil
+	return p.d.get(func() (Schema, error) {
+		in, err := p.Child.Schema(cat)
+		if err != nil {
+			return Schema{}, err
+		}
+		if len(p.Names) != in.Len() {
+			return Schema{}, fmt.Errorf("engine: rename: %d names for %d columns", len(p.Names), in.Len())
+		}
+		cols := make([]Column, in.Len())
+		for i := range cols {
+			cols[i] = Column{Name: p.Names[i], Kind: in.Cols[i].Kind}
+		}
+		return Schema{Cols: cols}, nil
+	})
 }
 
-func (p *RenamePlan) Children() []Plan { return []Plan{p.Child} }
+func (p *RenamePlan) Children() []Plan { return unsafe.Slice(&p.Child, 1) }
 func (p *RenamePlan) WithChildren(ch []Plan) Plan {
 	return &RenamePlan{Child: ch[0], Names: p.Names}
 }
@@ -204,6 +232,20 @@ type JoinPlan struct {
 	// ProjectPlan's are). Cond still sees every column. Optimize sets it
 	// when it folds a projection into the join below; nil is all columns.
 	Out []string
+
+	d joinDerived
+}
+
+// joinDerived is what a join or a stitch works out from its inputs'
+// schemas on the first ask: the row they concatenate to, the schema it
+// emits through Out and the position in that row of each of its columns
+// (nil when Out is). inErr is an input's schema error; err is that or
+// Out's.
+type joinDerived struct {
+	once       sync.Once
+	full, sch  Schema
+	pick       []int
+	inErr, err error
 }
 
 // Join builds an inner join.
@@ -213,19 +255,29 @@ func Join(l, r Plan, cond Expr) *JoinPlan { return &JoinPlan{Kind: InnerJoin, L:
 func Semi(l, r Plan, cond Expr) *JoinPlan { return &JoinPlan{Kind: SemiJoin, L: l, R: r, Cond: cond} }
 
 func (p *JoinPlan) Schema(cat *Catalog) (Schema, error) {
-	ls, err := p.L.Schema(cat)
-	if err != nil {
-		return Schema{}, err
-	}
 	if p.Kind != InnerJoin {
-		return ls, nil
+		return p.L.Schema(cat)
 	}
-	rs, err := p.R.Schema(cat)
-	if err != nil {
-		return Schema{}, err
-	}
-	sch, _, err := bindOut(ls.Concat(rs), p.Out)
-	return sch, err
+	d := p.derive(cat)
+	return d.sch, d.err
+}
+
+// derive works out the join's derived facts on the first call.
+func (p *JoinPlan) derive(cat *Catalog) *joinDerived {
+	d := &p.d
+	d.once.Do(func() {
+		var ls, rs Schema
+		if ls, d.inErr = p.L.Schema(cat); d.inErr == nil {
+			rs, d.inErr = p.R.Schema(cat)
+		}
+		if d.err = d.inErr; d.err != nil {
+			return
+		}
+		if d.full = ls.Concat(rs); p.Kind == InnerJoin {
+			d.sch, d.pick, d.err = bindOut(d.full, p.Out)
+		}
+	})
+	return d
 }
 
 func (p *JoinPlan) Children() []Plan { return []Plan{p.L, p.R} }
@@ -269,7 +321,7 @@ type DistinctPlan struct{ Child Plan }
 func DistinctOf(child Plan) *DistinctPlan { return &DistinctPlan{Child: child} }
 
 func (p *DistinctPlan) Schema(cat *Catalog) (Schema, error) { return p.Child.Schema(cat) }
-func (p *DistinctPlan) Children() []Plan                    { return []Plan{p.Child} }
+func (p *DistinctPlan) Children() []Plan                    { return unsafe.Slice(&p.Child, 1) }
 func (p *DistinctPlan) WithChildren(ch []Plan) Plan         { return &DistinctPlan{Child: ch[0]} }
 func (p *DistinctPlan) Label() string                       { return "HashAggregate (distinct)" }
 
@@ -374,43 +426,25 @@ func (b *lowering) build(p Plan, cfg ExecConfig) (Iterator, error) {
 		}
 		return NewScan(n.Rel), nil
 	case *FilterPlan:
-		in, err := b.lower(n.Child, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return NewFilter(in, n.Cond), nil
+		return b.unary(cfg, n.Child, func(in Iterator) Iterator { return NewFilter(in, n.Cond) })
 	case *ProjectPlan:
-		in, err := b.lower(n.Child, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return NewProject(in, n.Names), nil
+		return b.unary(cfg, n.Child, func(in Iterator) Iterator { return NewProject(in, n.Names) })
 	case *RenamePlan:
-		in, err := b.lower(n.Child, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return NewRename(in, n.Names), nil
+		return b.unary(cfg, n.Child, func(in Iterator) Iterator { return NewRename(in, n.Names) })
 	case *JoinPlan:
 		c, err := chooseJoin(n, b.cat)
 		if err != nil {
 			return nil, err
 		}
-		l, err := b.lower(n.L, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.lower(n.R, cfg)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case n.Kind == SemiJoin:
-			return NewSemiJoin(l, r, c.pairs, c.residual), nil
-		case len(c.pairs) == 0:
-			return NewNestedLoopJoin(l, r, n.Cond, n.Out), nil
-		}
-		return NewHashJoin(l, r, c.pairs, c.residual, n.Out), nil
+		return b.binary(cfg, n.L, n.R, func(l, r Iterator) Iterator {
+			switch {
+			case n.Kind == SemiJoin:
+				return NewSemiJoin(l, r, c.pairs, c.residual)
+			case len(c.pairs) == 0:
+				return NewNestedLoopJoin(l, r, n.Cond, n.Out)
+			}
+			return NewHashJoin(l, r, c.pairs, c.residual, n.Out)
+		})
 	case *StitchPlan:
 		ins := make([]Iterator, len(n.Inputs))
 		for i, c := range n.Inputs {
@@ -421,43 +455,37 @@ func (b *lowering) build(p Plan, cfg ExecConfig) (Iterator, error) {
 		}
 		return NewStitch(ins, n.TIDs, n.Cond, n.Driver, n.Out), nil
 	case *UnionPlan:
-		l, err := b.lower(n.L, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.lower(n.R, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return NewUnion(l, r), nil
+		return b.binary(cfg, n.L, n.R, func(l, r Iterator) Iterator { return NewUnion(l, r) })
 	case *DiffPlan:
-		l, err := b.lower(n.L, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.lower(n.R, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return NewDiff(l, r), nil
+		return b.binary(cfg, n.L, n.R, func(l, r Iterator) Iterator { return NewDiff(l, r) })
 	case *DistinctPlan:
-		in, err := b.lower(n.Child, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return NewDistinct(in), nil
+		return b.unary(cfg, n.Child, func(in Iterator) Iterator { return NewDistinct(in) })
 	case *ExtendPlan:
-		in, err := b.lower(n.Child, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return NewExtend(in, n.Exprs), nil
+		return b.unary(cfg, n.Child, func(in Iterator) Iterator { return NewExtend(in, n.Exprs) })
 	default:
 		if sp, ok := p.(SourcePlan); ok {
 			return sp.BuildIter(cfg)
 		}
 		return nil, fmt.Errorf("engine: unknown plan node %T", p)
 	}
+}
+
+// unary lowers child and builds op over it.
+func (b *lowering) unary(cfg ExecConfig, child Plan, op func(Iterator) Iterator) (Iterator, error) {
+	in, err := b.lower(child, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return op(in), nil
+}
+
+// binary lowers l and r and builds op over them.
+func (b *lowering) binary(cfg ExecConfig, l, r Plan, op func(l, r Iterator) Iterator) (Iterator, error) {
+	li, err := b.lower(l, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return b.unary(cfg, r, func(ri Iterator) Iterator { return op(li, ri) })
 }
 
 // Run optimizes (unless disabled), lowers, and executes a plan,

@@ -45,6 +45,9 @@ func (s Schema) IndexOf(name string) int {
 			return i
 		}
 	}
+	if strings.IndexByte(name, '.') >= 0 {
+		return -1 // no suffix after a dot has a dot
+	}
 	// Suffix resolution.
 	found := -1
 	for i, c := range s.Cols {

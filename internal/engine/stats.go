@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -21,10 +22,13 @@ type ColStats struct {
 // histBuckets is the equi-depth histogram resolution.
 const histBuckets = 16
 
-// TableStats holds statistics for one relation.
+// TableStats holds statistics for one relation: per column, by its
+// position in the relation's (or leaf's) schema. A column nothing is
+// known about has the zero ColStats, whose NDV of 0 no scan reports, or
+// lies past the end of Cols.
 type TableStats struct {
 	Rows float64
-	Cols map[string]ColStats
+	Cols []ColStats
 }
 
 // statsSampleCap bounds the number of rows scanned to estimate NDV; a
@@ -54,14 +58,14 @@ func ComputeBatchStats(cb *ColBatch) *TableStats {
 // cell(column, row) gives.
 func computeStats(sch Schema, n int, cell func(c, i int) Value) *TableStats {
 	statsScans.Add(1)
-	ts := &TableStats{Rows: float64(n), Cols: map[string]ColStats{}}
+	ts := &TableStats{Rows: float64(n), Cols: make([]ColStats, sch.Len())}
 	step := 1
 	if n > statsSampleCap {
 		step = n / statsSampleCap
 	}
 	var kbuf []byte
 	scratch := make(Tuple, 1)
-	for ci, col := range sch.Cols {
+	for ci := range sch.Cols {
 		distinct := make(map[string]struct{})
 		var mn, mx Value
 		seen := false
@@ -108,7 +112,7 @@ func computeStats(sch Schema, n int, cell func(c, i int) Value) *TableStats {
 		if numeric && len(nums) >= histBuckets*2 {
 			cs.Hist = equiDepthHist(nums)
 		}
-		ts.Cols[col.Name] = cs
+		ts.Cols[ci] = cs
 	}
 	return ts
 }
@@ -148,11 +152,35 @@ func histFracBelow(hist []float64, x float64) float64 {
 	return 1
 }
 
-// PlanStats is the derived estimate for a plan node: row count and
-// per-output-column NDV estimates.
+// PlanStats is the derived estimate for a plan node: its row count and,
+// per output column by its position in the node's schema, its NDV —
+// unknownNDV, or past the end of NDV, where nothing is known.
 type PlanStats struct {
 	Rows float64
-	NDV  map[string]float64
+	NDV  []float64
+
+	table *TableStats // a leaf's: the statistics it was estimated from
+}
+
+// unknownNDV marks a column whose NDV is not known: the estimate falls
+// back to a default where it asks.
+const unknownNDV = -1
+
+// ndvAt is the NDV of column i, unknownNDV when it is not known.
+func (st PlanStats) ndvAt(i int) float64 {
+	if i < 0 || i >= len(st.NDV) {
+		return unknownNDV
+	}
+	return st.NDV[i]
+}
+
+// ndvOr is the NDV of the column name resolves to in sch, the schema of
+// the rows st estimates, or def where it is not known.
+func (st PlanStats) ndvOr(sch Schema, name string, def float64) float64 {
+	if v := st.ndvAt(sch.IndexOf(name)); v >= 0 {
+		return v
+	}
+	return def
 }
 
 const (
@@ -164,8 +192,8 @@ const (
 
 // StatsSource is the optional statistics hook of a SourcePlan: a
 // storage leaf that knows something about its columns for free (row
-// counts, key columns) reports it here, keyed by its output column
-// names (never nil), with Rows the same post-pruning count
+// counts, key columns) reports it here, by its output columns'
+// positions (never nil), with Rows the same post-pruning count
 // EstimateRowCount gives. Sources without it are estimated by row count
 // alone.
 type StatsSource interface {
@@ -179,13 +207,12 @@ type StatsSource interface {
 // often the join orderer revisits a subtree. Plan nodes are immutable while a
 // pass runs, so node identity is a sound memo key.
 type estimator struct {
-	cat    *Catalog
-	plans  map[Plan]PlanStats
-	tables map[Plan]*TableStats
+	cat   *Catalog
+	plans map[Plan]PlanStats
 }
 
 func newEstimator(cat *Catalog) *estimator {
-	return &estimator{cat: cat, plans: map[Plan]PlanStats{}, tables: map[Plan]*TableStats{}}
+	return &estimator{cat: cat, plans: map[Plan]PlanStats{}}
 }
 
 // EstimateStats computes cardinality and NDV estimates bottom-up. It is
@@ -201,13 +228,11 @@ func EstimateStats(p Plan, cat *Catalog) PlanStats {
 
 // tableStats returns the statistics a leaf carries or can look up: the
 // catalog's for a named scan, the handle's for a Values leaf that
-// travels with its statistics (ad-hoc ones are scanned, once per pass),
-// a storage source's own. Nil for a scan of no catalog relation and for
-// any other node.
+// travels with its statistics (ad-hoc ones are scanned), a storage
+// source's own. Nil for a scan of no catalog relation and for any other
+// node. The leaf's estimate keeps them (PlanStats.table), so a pass
+// fetches them once.
 func (est *estimator) tableStats(p Plan) *TableStats {
-	if ts, ok := est.tables[p]; ok {
-		return ts
-	}
 	var ts *TableStats
 	switch n := p.(type) {
 	case *ScanPlan:
@@ -224,12 +249,11 @@ func (est *estimator) tableStats(p Plan) *TableStats {
 	case StatsSource:
 		ts = n.SourceStats()
 	}
-	est.tables[p] = ts
 	return ts
 }
 
-// stats is the memoized estimate of one plan node. The returned NDV map
-// is shared between callers and must not be modified.
+// stats is the memoized estimate of one plan node. The returned NDV
+// slice is shared between callers and must not be modified.
 func (est *estimator) stats(p Plan) PlanStats {
 	if st, ok := est.plans[p]; ok {
 		return st
@@ -239,12 +263,21 @@ func (est *estimator) stats(p Plan) PlanStats {
 	return st
 }
 
+// schema is p's schema, empty when it does not resolve.
+func (est *estimator) schema(p Plan) Schema {
+	sch, _ := p.Schema(est.cat)
+	return sch
+}
+
+// leafPlanStats is the estimate of a leaf whose table statistics are ts.
 func leafPlanStats(ts *TableStats) PlanStats {
-	ndv := make(map[string]float64, len(ts.Cols))
-	for c, cs := range ts.Cols {
-		ndv[c] = cs.NDV
+	ndv := make([]float64, len(ts.Cols))
+	for i, cs := range ts.Cols {
+		if ndv[i] = cs.NDV; cs.NDV <= 0 {
+			ndv[i] = unknownNDV
+		}
 	}
-	return PlanStats{Rows: ts.Rows, NDV: ndv}
+	return PlanStats{Rows: ts.Rows, NDV: ndv, table: ts}
 }
 
 func (est *estimator) estimate(p Plan) PlanStats {
@@ -254,7 +287,7 @@ func (est *estimator) estimate(p Plan) PlanStats {
 		if ts := est.tableStats(n); ts != nil {
 			return leafPlanStats(ts)
 		}
-		return PlanStats{Rows: 1000, NDV: map[string]float64{}}
+		return PlanStats{Rows: 1000}
 	case *ValuesPlan:
 		return leafPlanStats(est.tableStats(n))
 	case *FilterPlan:
@@ -262,75 +295,57 @@ func (est *estimator) estimate(p Plan) PlanStats {
 		sel := est.selectivity(n.Cond, n.Child, in)
 		return scaleStats(in, sel)
 	case *ProjectPlan:
-		sch, _ := n.Child.Schema(cat)
-		return projectStats(est.stats(n.Child), sch, n.Names)
+		return projectStats(est.stats(n.Child), est.schema(n.Child), n.Names)
 	case *RenamePlan:
 		in := est.stats(n.Child)
-		sch, err := n.Child.Schema(cat)
-		if err != nil {
-			return in
-		}
-		ndv := make(map[string]float64, len(n.Names))
-		for i, name := range n.Names {
-			if i < sch.Len() {
-				if v, ok := in.NDV[sch.Cols[i].Name]; ok {
-					ndv[name] = v
-					continue
-				}
+		width := est.schema(n.Child).Len()
+		ndv := make([]float64, len(n.Names))
+		for i := range n.Names {
+			if ndv[i] = in.ndvAt(i); i >= width || ndv[i] < 0 {
+				ndv[i] = math.Min(in.Rows, defaultNDV)
 			}
-			ndv[name] = math.Min(in.Rows, defaultNDV)
 		}
 		return PlanStats{Rows: in.Rows, NDV: ndv}
 	case *JoinPlan:
 		l := est.stats(n.L)
 		r := est.stats(n.R)
-		ls, _ := n.L.Schema(cat)
-		rs, _ := n.R.Schema(cat)
+		ls, rs := est.schema(n.L), est.schema(n.R)
 		pairs, residual := ExtractEquiJoin(n.Cond, ls, rs)
 		rows := l.Rows * r.Rows
 		for _, pr := range pairs {
-			rows /= math.Max(1, math.Max(ndvOr(l, ls, pr.L, defaultNDV), ndvOr(r, rs, pr.R, defaultNDV)))
+			rows /= math.Max(1, math.Max(l.ndvOr(ls, pr.L, defaultNDV), r.ndvOr(rs, pr.R, defaultNDV)))
 		}
 		rows = afterResiduals(rows, len(SplitConjuncts(residual)))
 		if n.Kind == SemiJoin {
 			out := math.Min(l.Rows, rows)
 			return PlanStats{Rows: out, NDV: capNDV(l.NDV, out)}
 		}
-		ndv := make(map[string]float64, len(l.NDV)+len(r.NDV))
-		for c, v := range l.NDV {
-			ndv[c] = math.Min(v, rows)
-		}
-		for c, v := range r.NDV {
-			ndv[c] = math.Min(v, rows)
-		}
-		if n.Out != nil {
-			// A join that emits through Out is estimated as the projection
-			// folded into it was.
-			return projectStats(PlanStats{Rows: rows, NDV: ndv}, ls.Concat(rs), n.Out)
-		}
-		return PlanStats{Rows: rows, NDV: ndv}
+		// Each column's NDV, capped by the rows; a join that emits through
+		// Out is estimated as the projection folded into it was.
+		return pickStats(rows, ls.Len()+rs.Len(), n.derive(cat).pick, func(pos int) float64 {
+			if pos < ls.Len() {
+				return math.Min(l.ndvAt(pos), rows)
+			}
+			return math.Min(r.ndvAt(pos-ls.Len()), rows)
+		})
 	case *StitchPlan:
 		// The tree of binary joins on α ∧ ψ the stitch replaces, as the
 		// join orderer would lay it out.
-		preds := SplitConjuncts(n.Cond)
+		o := newJoinOrderer(est, n.Inputs, SplitConjuncts(n.Cond), false)
 		for _, t := range n.TIDs[1:] {
-			preds = append(preds, EqCols(n.TIDs[0], t))
+			o.addPair(n.TIDs[0], t)
 		}
-		o := newJoinOrderer(est, n.Inputs, preds)
 		o.order()
-		st := o.result()
-		if n.Out != nil {
-			full, _ := n.full(cat)
-			return projectStats(st, full, n.Out)
-		}
-		return st
+		return o.result(n.derive(cat).pick)
 	case *UnionPlan:
 		l := est.stats(n.L)
 		r := est.stats(n.R)
 		rows := l.Rows + r.Rows
-		ndv := make(map[string]float64, len(l.NDV))
-		for c, v := range l.NDV {
-			ndv[c] = math.Min(rows, v+r.NDV[c])
+		ndv := make([]float64, len(l.NDV))
+		for i, v := range l.NDV {
+			if ndv[i] = v; v >= 0 {
+				ndv[i] = math.Min(rows, v+math.Max(0, r.ndvAt(i)))
+			}
 		}
 		return PlanStats{Rows: rows, NDV: ndv}
 	case *DiffPlan:
@@ -341,6 +356,9 @@ func (est *estimator) estimate(p Plan) PlanStats {
 		in := est.stats(n.Child)
 		prod := 1.0
 		for _, v := range in.NDV {
+			if v < 0 {
+				continue
+			}
 			prod *= math.Max(1, v)
 			if prod > in.Rows {
 				prod = in.Rows
@@ -351,12 +369,12 @@ func (est *estimator) estimate(p Plan) PlanStats {
 		return PlanStats{Rows: out, NDV: capNDV(in.NDV, out)}
 	case *ExtendPlan:
 		in := est.stats(n.Child)
-		ndv := make(map[string]float64, len(in.NDV)+len(n.Exprs))
-		for c, v := range in.NDV {
-			ndv[c] = v
-		}
-		for _, ne := range n.Exprs {
-			ndv[ne.Name] = math.Min(in.Rows, defaultNDV)
+		width := est.schema(n.Child).Len()
+		ndv := make([]float64, width+len(n.Exprs))
+		for i := range ndv {
+			if ndv[i] = in.ndvAt(i); i >= width {
+				ndv[i] = math.Min(in.Rows, defaultNDV)
+			}
 		}
 		return PlanStats{Rows: in.Rows, NDV: ndv}
 	default:
@@ -364,38 +382,48 @@ func (est *estimator) estimate(p Plan) PlanStats {
 			return leafPlanStats(est.tableStats(p))
 		}
 		if sp, ok := p.(SourcePlan); ok {
-			return PlanStats{Rows: sp.EstimateRowCount(), NDV: map[string]float64{}}
+			return PlanStats{Rows: sp.EstimateRowCount()}
 		}
 		// Unknown unary wrappers pass their child's estimate through
 		// rather than degrading to a constant.
 		if ch := p.Children(); len(ch) == 1 {
-			return est.stats(ch[0])
+			st := est.stats(ch[0])
+			st.table = nil
+			return st
 		}
-		return PlanStats{Rows: 1000, NDV: map[string]float64{}}
+		return PlanStats{Rows: 1000}
 	}
 }
 
 // projectStats narrows an estimate of rows under sch to the named
-// columns, keyed as written.
+// columns.
 func projectStats(in PlanStats, sch Schema, names []string) PlanStats {
-	ndv := make(map[string]float64, len(names))
-	for _, c := range names {
-		ndv[c] = ndvOr(in, sch, c, math.Min(in.Rows, defaultNDV))
+	ndv := make([]float64, len(names))
+	for i, c := range names {
+		ndv[i] = in.ndvOr(sch, c, math.Min(in.Rows, defaultNDV))
 	}
 	return PlanStats{Rows: in.Rows, NDV: ndv}
 }
 
-// ndvOr is the NDV of the column name resolves to in sch, the schema of
-// the rows st estimates, or def: NDVs are keyed by the schema's own
-// (often qualified) names, a predicate names columns as written.
-func ndvOr(st PlanStats, sch Schema, name string, def float64) float64 {
-	if i := sch.IndexOf(name); i >= 0 {
-		name = sch.Cols[i].Name
+// pickStats is the estimate of rows of a row width columns wide, whose
+// column pos has NDV at(pos), narrowed to the columns pick selects (nil:
+// all of them); there a column nothing is known about gets the NDV a
+// projection gives it.
+func pickStats(rows float64, width int, pick []int, at func(pos int) float64) PlanStats {
+	if pick == nil {
+		ndv := make([]float64, width)
+		for pos := range ndv {
+			ndv[pos] = at(pos)
+		}
+		return PlanStats{Rows: rows, NDV: ndv}
 	}
-	if v, ok := st.NDV[name]; ok {
-		return v
+	ndv := make([]float64, len(pick))
+	for k, pos := range pick {
+		if ndv[k] = at(pos); ndv[k] < 0 {
+			ndv[k] = math.Min(rows, defaultNDV)
+		}
 	}
-	return def
+	return PlanStats{Rows: rows, NDV: ndv}
 }
 
 // afterResiduals applies n residual conjuncts to a join's row estimate,
@@ -405,12 +433,19 @@ func afterResiduals(rows float64, n int) float64 {
 	return math.Max(1, rows*math.Pow(0.9, float64(n)))
 }
 
-func capNDV(m map[string]float64, rows float64) map[string]float64 {
-	out := make(map[string]float64, len(m))
-	for c, v := range m {
-		out[c] = math.Min(v, rows)
+// capNDV is ndv with every NDV above rows lowered to it: ndv itself when
+// none is.
+func capNDV(ndv []float64, rows float64) []float64 {
+	for i, v := range ndv {
+		if v > rows {
+			out := slices.Clone(ndv)
+			for j := i; j < len(out); j++ {
+				out[j] = math.Min(out[j], rows)
+			}
+			return out
+		}
 	}
-	return out
+	return ndv
 }
 
 func scaleStats(in PlanStats, sel float64) PlanStats {
@@ -425,24 +460,21 @@ func (est *estimator) selectivity(cond Expr, child Plan, in PlanStats) float64 {
 	for _, c := range SplitConjuncts(cond) {
 		sel *= est.conjunctSelectivity(c, child, sch, in)
 	}
-	if sel > 1 {
-		sel = 1
-	}
-	return sel
+	return min(sel, 1)
 }
 
 func (est *estimator) conjunctSelectivity(c Expr, child Plan, sch Schema, in PlanStats) float64 {
 	switch e := c.(type) {
 	case *CmpExpr:
-		col, cst, op, ok := normalizeCmp(e)
+		col, cst, op, ok := NormalizeColCmp(e)
 		if !ok {
 			return defaultSel
 		}
 		switch op {
 		case EQ:
-			return 1 / math.Max(1, ndvOr(in, sch, col, 1/defaultEqSel))
+			return 1 / math.Max(1, in.ndvOr(sch, col, 1/defaultEqSel))
 		case NE:
-			return 1 - 1/math.Max(1, ndvOr(in, sch, col, 1/defaultEqSel))
+			return 1 - 1/math.Max(1, in.ndvOr(sch, col, 1/defaultEqSel))
 		default:
 			if cs, ok2 := est.baseColStats(child, col); ok2 && cs.HasRange {
 				return rangeSelectivity(op, cst, cs)
@@ -462,10 +494,7 @@ func (est *estimator) conjunctSelectivity(c Expr, child Plan, sch Schema, in Pla
 			for _, a := range e.Args {
 				s += est.conjunctSelectivity(a, child, sch, in)
 			}
-			if s > 1 {
-				s = 1
-			}
-			return s
+			return min(s, 1)
 		default:
 			return 1 - est.conjunctSelectivity(e.Args[0], child, sch, in)
 		}
@@ -480,12 +509,6 @@ func (est *estimator) conjunctSelectivity(c Expr, child Plan, sch Schema, in Pla
 // Shared by the selectivity estimator and storage-level segment
 // pruning.
 func NormalizeColCmp(e *CmpExpr) (col string, cst Value, op CmpOp, ok bool) {
-	return normalizeCmp(e)
-}
-
-// normalizeCmp rewrites col-vs-constant comparisons into (col, const,
-// op) with the column on the left.
-func normalizeCmp(e *CmpExpr) (col string, cst Value, op CmpOp, ok bool) {
 	if c, okc := e.L.(*ColRef); okc {
 		if k, okk := e.R.(*ConstExpr); okk {
 			return c.Name, k.Val, e.Op, true
@@ -493,21 +516,8 @@ func normalizeCmp(e *CmpExpr) (col string, cst Value, op CmpOp, ok bool) {
 	}
 	if c, okc := e.R.(*ColRef); okc {
 		if k, okk := e.L.(*ConstExpr); okk {
-			// Flip the operator.
-			var flip CmpOp
-			switch e.Op {
-			case LT:
-				flip = GT
-			case LE:
-				flip = GE
-			case GT:
-				flip = LT
-			case GE:
-				flip = LE
-			default:
-				flip = e.Op
-			}
-			return c.Name, k.Val, flip, true
+			flipped := [...]CmpOp{EQ: EQ, NE: NE, LT: GT, LE: GE, GT: LT, GE: LE}
+			return c.Name, k.Val, flipped[e.Op], true
 		}
 	}
 	return "", Null(), EQ, false
@@ -524,13 +534,7 @@ func rangeSelectivity(op CmpOp, cst Value, cs ColStats) float64 {
 		if hi <= lo {
 			return defaultRangeSel
 		}
-		frac = (x - lo) / (hi - lo)
-		if frac < 0 {
-			frac = 0
-		}
-		if frac > 1 {
-			frac = 1
-		}
+		frac = min(max((x-lo)/(hi-lo), 0), 1)
 	}
 	switch op {
 	case LT, LE:
@@ -542,15 +546,7 @@ func rangeSelectivity(op CmpOp, cst Value, cs ColStats) float64 {
 	}
 }
 
-func clampSel(s float64) float64 {
-	if s < 0.0005 {
-		return 0.0005
-	}
-	if s > 1 {
-		return 1
-	}
-	return s
-}
+func clampSel(s float64) float64 { return min(max(s, 0.0005), 1) }
 
 // baseColStats traces a column through simple plan shapes down to a
 // leaf's table statistics to find range stats.
@@ -573,18 +569,12 @@ func (est *estimator) baseColStats(p Plan, col string) (ColStats, bool) {
 		}
 		return ColStats{}, false
 	}
-	ts := est.tableStats(p)
+	ts := est.stats(p).table
 	if ts == nil {
 		return ColStats{}, false
 	}
-	if cs, ok := ts.Cols[col]; ok {
-		return cs, true
-	}
-	// Suffix resolution, mirroring Schema.IndexOf.
-	for name, c := range ts.Cols {
-		if suffixAfterDot(name) == col {
-			return c, true
-		}
+	if i := est.schema(p).IndexOf(col); i >= 0 && i < len(ts.Cols) {
+		return ts.Cols[i], true
 	}
 	return ColStats{}, false
 }

@@ -16,11 +16,11 @@ func TestComputeStatsBasics(t *testing.T) {
 	if ts.Rows != 4 {
 		t.Fatal("row count")
 	}
-	a := ts.Cols["a"]
+	a := ts.Cols[0]
 	if a.NDV != 3 || a.Min.AsInt() != 1 || a.Max.AsInt() != 3 || !a.HasRange {
 		t.Fatalf("column a stats wrong: %+v", a)
 	}
-	b := ts.Cols["b"]
+	b := ts.Cols[1]
 	if b.NDV != 2 {
 		t.Fatalf("column b ndv: %v", b.NDV)
 	}
@@ -32,10 +32,10 @@ func TestComputeStatsStrings(t *testing.T) {
 	r.Append(Tuple{Str("x")})
 	r.Append(Tuple{Str("y")})
 	ts := ComputeStats(r)
-	if ts.Cols["s"].HasRange {
+	if ts.Cols[0].HasRange {
 		t.Fatal("strings have no numeric range")
 	}
-	if ts.Cols["s"].Hist != nil {
+	if ts.Cols[0].Hist != nil {
 		t.Fatal("strings have no histogram")
 	}
 }
@@ -47,7 +47,7 @@ func TestComputeStatsSampling(t *testing.T) {
 		r.Append(Tuple{Int(int64(i))})
 	}
 	ts := ComputeStats(r)
-	ndv := ts.Cols["a"].NDV
+	ndv := ts.Cols[0].NDV
 	if ndv < float64(statsSampleCap) {
 		t.Fatalf("scaled NDV too small: %v", ndv)
 	}
@@ -66,7 +66,7 @@ func TestEquiDepthHistogram(t *testing.T) {
 		}
 	}
 	ts := ComputeStats(r)
-	cs := ts.Cols["v"]
+	cs := ts.Cols[0]
 	if len(cs.Hist) != histBuckets+1 {
 		t.Fatalf("histogram missing: %v", cs.Hist)
 	}
@@ -130,11 +130,11 @@ func TestEstimateUsesHistogramThroughPlans(t *testing.T) {
 }
 
 func TestNormalizeCmpFlips(t *testing.T) {
-	col, cst, op, ok := normalizeCmp(Cmp(LT, ConstInt(5), Col("a")))
+	col, cst, op, ok := NormalizeColCmp(Cmp(LT, ConstInt(5), Col("a")))
 	if !ok || col != "a" || cst.AsInt() != 5 || op != GT {
 		t.Fatalf("flip wrong: %v %v %v %v", col, cst, op, ok)
 	}
-	_, _, _, ok = normalizeCmp(Cmp(EQ, Col("a"), Col("b")))
+	_, _, _, ok = NormalizeColCmp(Cmp(EQ, Col("a"), Col("b")))
 	if ok {
 		t.Fatal("col-col must not normalize")
 	}
@@ -344,7 +344,9 @@ type statsStub struct {
 }
 
 func (s *statsStub) SourceStats() *TableStats {
-	return &TableStats{Rows: s.rows, Cols: map[string]ColStats{s.key: {NDV: s.rows}}}
+	cols := make([]ColStats, s.sch.Len())
+	cols[s.sch.IndexOf(s.key)].NDV = s.rows
+	return &TableStats{Rows: s.rows, Cols: cols}
 }
 
 // TestSourceStatsMakeKeyJoinsKeyJoins: two storage leaves joined on

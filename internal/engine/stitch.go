@@ -25,6 +25,8 @@ type StitchPlan struct {
 	Cond   Expr
 	Driver int
 	Out    []string
+
+	d joinDerived
 }
 
 // Stitch builds the merge of inputs on their tuple-id columns tids,
@@ -33,33 +35,38 @@ func Stitch(inputs []Plan, tids []string, cond Expr) *StitchPlan {
 	return &StitchPlan{Inputs: inputs, TIDs: tids, Cond: cond}
 }
 
-// full is the concatenated row of the inputs.
-func (p *StitchPlan) full(cat *Catalog) (Schema, error) {
-	var full Schema
-	for _, in := range p.Inputs {
-		s, err := in.Schema(cat)
-		if err != nil {
-			return Schema{}, err
+// derive works out the concatenated row of the inputs and the schema
+// the stitch emits through Out, on the first call.
+func (p *StitchPlan) derive(cat *Catalog) *joinDerived {
+	d := &p.d
+	d.once.Do(func() {
+		n := 0
+		for _, in := range p.Inputs {
+			sch, err := in.Schema(cat)
+			if err != nil {
+				d.inErr, d.err = err, err
+				return
+			}
+			n += sch.Len()
 		}
-		full.Cols = append(full.Cols, s.Cols...)
-	}
-	return full, nil
+		d.full.Cols = make([]Column, 0, n)
+		for _, in := range p.Inputs {
+			sch, _ := in.Schema(cat)
+			d.full.Cols = append(d.full.Cols, sch.Cols...)
+		}
+		d.sch, d.pick, d.err = bindOut(d.full, p.Out)
+	})
+	return d
 }
 
 func (p *StitchPlan) Schema(cat *Catalog) (Schema, error) {
-	full, err := p.full(cat)
-	if err != nil {
-		return Schema{}, err
-	}
-	sch, _, err := bindOut(full, p.Out)
-	return sch, err
+	d := p.derive(cat)
+	return d.sch, d.err
 }
 
 func (p *StitchPlan) Children() []Plan { return p.Inputs }
 func (p *StitchPlan) WithChildren(ch []Plan) Plan {
-	c := *p
-	c.Inputs = ch
-	return &c
+	return &StitchPlan{Inputs: ch, TIDs: p.TIDs, Cond: p.Cond, Driver: p.Driver, Out: p.Out}
 }
 func (p *StitchPlan) Label() string { return "Merge Join on tid (driver " + p.TIDs[p.Driver] + ")" }
 

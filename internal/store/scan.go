@@ -96,8 +96,9 @@ func (p *StoreScanPlan) EstimateRowCount() float64 {
 // not divided by a default NDV.
 func (p *StoreScanPlan) SourceStats() *engine.TableStats {
 	rows := p.EstimateRowCount()
-	tid := p.Sch.Cols[2*p.Width].Name
-	return &engine.TableStats{Rows: rows, Cols: map[string]engine.ColStats{tid: {NDV: math.Max(1, rows)}}}
+	cols := make([]engine.ColStats, 2*p.Width+1) // up to the tuple id, the last column known
+	cols[2*p.Width].NDV = math.Max(1, rows)
+	return &engine.TableStats{Rows: rows, Cols: cols}
 }
 
 // BuildIter lowers the scan to its physical iterator.
