@@ -61,7 +61,7 @@ func TestTranslatedPlansProjectOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		head := strings.SplitN(text, "\n", 2)[0]
-		if !strings.Contains(head, fmt.Sprintf("(rows=%.0f ", sp.Est())) {
+		if !strings.Contains(head, fmt.Sprintf("(rows=%.0f)", sp.Est())) {
 			t.Fatalf("%s: %q ran on est=%.0f, EXPLAIN prints its node as %q", what, sp.Op(), sp.Est(), head)
 		}
 		if want := engine.EstimateStats(p, cat).Rows; math.Abs(sp.Est()-want) > 1e-9*want {

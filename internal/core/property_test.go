@@ -312,7 +312,7 @@ func TestPropertyTraceEstimatesAreTheOptimizers(t *testing.T) {
 			t.Fatal(err)
 		}
 		head := strings.SplitN(text, "\n", 2)[0]
-		if !strings.Contains(head, fmt.Sprintf("(rows=%.0f ", sp.Est())) {
+		if !strings.Contains(head, fmt.Sprintf("(rows=%.0f)", sp.Est())) {
 			t.Fatalf("span %q has est=%.0f, EXPLAIN prints its node as %q", sp.Op(), sp.Est(), head)
 		}
 		if _, ok := p.(*engine.JoinPlan); ok && !strings.HasPrefix(head, sp.Op()+"  (") {

@@ -352,19 +352,20 @@ func (tr *translator) encodePartition(u *URelation, alias string, pidx int, cont
 	return engine.Project(leaf, lay.Columns()...), lay
 }
 
-// encode lays the partition's rows out as the image's columns, in
-// tuple-id order — a stable sort, so a tuple's alternatives keep their
-// order — which is the order a stitch merges in: width (var, rng)
-// descriptor pairs and the tuple id as int vectors cut from one arena,
-// then every attribute as engine.BuildColVec lays it out.
-func (u *URelation) encode(width int) []engine.ColVec {
-	n := len(u.Rows)
-	rows := u.Rows
+// EncodeRows lays rows of nattrs attributes out as the columns of the
+// positional U-layout, in tuple-id order — a stable sort, so a tuple's
+// alternatives keep their order — which is the order a stitch merges
+// in: width (var, rng) descriptor pairs and the tuple id as int vectors
+// cut from one arena, then every attribute as engine.BuildColVec lays it
+// out. It encodes an in-memory partition's image and a stored
+// partition's in-memory tail alike.
+func EncodeRows(rows []URow, width, nattrs int) []engine.ColVec {
+	n := len(rows)
 	if !slices.IsSortedFunc(rows, byTID) {
 		rows = slices.Clone(rows)
 		slices.SortStableFunc(rows, byTID)
 	}
-	cols := make([]engine.ColVec, 0, 2*width+1+len(u.Attrs))
+	cols := make([]engine.ColVec, 0, 2*width+1+nattrs)
 	ints := make([]int64, (2*width+1)*n)
 	for c := 0; c <= 2*width; c++ {
 		cols = append(cols, engine.IntVec(ints[c*n:(c+1)*n:(c+1)*n], nil))
@@ -386,7 +387,7 @@ func (u *URelation) encode(width int) []engine.ColVec {
 		}
 		cols[2*width].Ints[i] = r.TID
 	}
-	for ai := range u.Attrs {
+	for ai := 0; ai < nattrs; ai++ {
 		cols = append(cols, engine.BuildColVec(n, func(i int) engine.Value { return rows[i].Vals[ai] }))
 	}
 	return cols

@@ -129,7 +129,7 @@ func (u *URelation) buildImage() *image {
 			}
 		}
 	}
-	img.cols = u.encode(img.width)
+	img.cols = EncodeRows(u.Rows, img.width, len(u.Attrs))
 	return img
 }
 

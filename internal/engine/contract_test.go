@@ -51,23 +51,6 @@ func (p *poisonSource) Next() (*ColBatch, bool, error) {
 	return &p.cb, true, nil
 }
 
-// indexedRel is an IndexedSource over an in-memory relation whose
-// "index" is a filtered scan, enough to drive the index scan rewrite.
-type indexedRel struct{ rel *Relation }
-
-func (x *indexedRel) Schema(*Catalog) (Schema, error)        { return x.rel.Sch, nil }
-func (x *indexedRel) Children() []Plan                       { return nil }
-func (x *indexedRel) WithChildren([]Plan) Plan               { return x }
-func (x *indexedRel) Label() string                          { return "indexed rel" }
-func (x *indexedRel) EstimateRowCount() float64              { return float64(x.rel.Len()) }
-func (x *indexedRel) BuildIter(ExecConfig) (Iterator, error) { return NewScan(x.rel), nil }
-func (x *indexedRel) SourceName() string                     { return "rel" }
-func (x *indexedRel) IndexedCols() []string                  { return x.rel.Sch.Names() }
-func (x *indexedRel) LookupEstimate(string) float64          { return 1 }
-func (x *indexedRel) LookupEq(col string, key Value) (Iterator, error) {
-	return NewFilter(NewScan(x.rel), Cmp(EQ, Col(col), Const(key))), nil
-}
-
 // drainChecked is Drain that also holds the producer to its side of
 // the contract: ok=true comes with at least one row.
 func drainChecked(t *testing.T, it Iterator) *Relation {

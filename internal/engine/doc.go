@@ -45,9 +45,9 @@
 // condition one way (joinShape) and evaluate it one way (joinCond): on
 // the inputs' cells in place, ψ compared on ints, each conjunct checked
 // once the last input it reads has its row. An operator whose algorithm
-// holds rows — a catalog relation's scan, the nested loop, the store's
-// index lookup — serves them through HeldRows, which transposes them a
-// window at a time. Tuples are made at the sink — Drain, the server's
+// holds rows — a catalog relation's scan, the nested loop — serves them
+// through HeldRows, which transposes them a window at a time; stored
+// rows never become rows before the sink, an index probe included. Tuples are made at the sink — Drain, the server's
 // row-capped loop, the certain-answer query — through
 // ColBatch.Materialize; below it only the nested loop, which must hold
 // its inputs, makes them, and it reports them as rows_materialized.
@@ -86,8 +86,10 @@
 // comes from serving many queries at once. There are two strategies for
 // a join of two relations, chosen from the join's schemas alone
 // (chooseJoin): the hash join for every join with an equi pair, and the
-// nested loop exactly for the joins without one. An indexed storage leaf
-// serves equality filters (IndexScanPlan), never a join. EXPLAIN and the
+// nested loop exactly for the joins without one. An index is the storage
+// leaf's business: advised of the filter above it (FilterAdvisor), a
+// store scan probes its runs for an equality, and the filter stays; no
+// plan node or operator of this package knows of indexes. EXPLAIN and the
 // est= of every EXPLAIN ANALYZE span read one estimator — the
 // optimizer's (stats.go) — so est-drift is a statement about the numbers
 // the plan was actually chosen on; an untraced Build reads none.
@@ -97,8 +99,8 @@
 // evaluate translated plans, including the Figure 13 Merge Cond / Join
 // Filter split (ExtractEquiJoin); stats.go — the selectivity-based cost
 // measures of a System-R-style optimizer; explain.go — the Figure 10/13
-// plan views, annotated with each operator's execution mode (an index
-// scan, or columnar); stitch.go — Figure 4's merge, planned as
+// plan views, each node with its estimated rows; stitch.go — Figure 4's
+// merge, planned as
 // Figure 13's merge join on the tuple id; join.go, hashtable.go,
 // iter.go, colbatch.go, vecfilter.go —
 // the physical operator layer, whose raw speed is what the paper's

@@ -23,19 +23,6 @@ func Explain(p Plan, cat *Catalog, optimize bool) (string, error) {
 	return b.String(), nil
 }
 
-// execMode is the execution mode EXPLAIN annotates a node with: "index"
-// for an index scan (and a filter printed on its line), "columnar" for
-// every other node — every operator hands its parent column batches.
-func execMode(p Plan) string {
-	if f, ok := p.(*FilterPlan); ok {
-		p = f.Child
-	}
-	if _, ok := p.(*IndexScanPlan); ok {
-		return "index"
-	}
-	return "columnar"
-}
-
 // explainNode prints p and its subtree; the one estimator of the Explain
 // call supplies every node's rows= figure, each computed once.
 func explainNode(b *strings.Builder, p Plan, est *estimator, depth int, root bool) {
@@ -45,14 +32,13 @@ func explainNode(b *strings.Builder, p Plan, est *estimator, depth int, root boo
 		head = indent + "->  "
 	}
 	st := est.stats(p)
-	mode := execMode(p)
 	switch n := p.(type) {
 	case *JoinPlan:
 		// The decision Build makes under the default configuration. (A
 		// join whose input schemas do not resolve prints as a bare nested
 		// loop; Build reports the error.)
 		c, _ := chooseJoin(n, est.cat)
-		fmt.Fprintf(b, "%s%s  (rows=%.0f exec=%s)\n", head, c.label(n.Kind), st.Rows, mode)
+		fmt.Fprintf(b, "%s%s  (rows=%.0f)\n", head, c.label(n.Kind), st.Rows)
 		if len(c.pairs) > 0 {
 			conds := make([]string, len(c.pairs))
 			for i, pr := range c.pairs {
@@ -69,7 +55,7 @@ func explainNode(b *strings.Builder, p Plan, est *estimator, depth int, root boo
 		explainNode(b, n.L, est, depth+1, false)
 		explainNode(b, n.R, est, depth+1, false)
 	case *StitchPlan:
-		fmt.Fprintf(b, "%s%s  (rows=%.0f exec=%s)\n", head, n.Label(), st.Rows, mode)
+		fmt.Fprintf(b, "%s%s  (rows=%.0f)\n", head, n.Label(), st.Rows)
 		conds := make([]string, len(n.TIDs)-1)
 		for i, t := range n.TIDs[1:] {
 			conds[i] = fmt.Sprintf("(%s = %s)", n.TIDs[0], t)
@@ -88,22 +74,22 @@ func explainNode(b *strings.Builder, p Plan, est *estimator, depth int, root boo
 		// Fuse Filter into the node beneath, PostgreSQL-style, when the
 		// child is a scan.
 		switch c := n.Child.(type) {
-		case *ScanPlan, *ValuesPlan, *IndexScanPlan:
-			fmt.Fprintf(b, "%s%s  (rows=%.0f exec=%s)\n", head, c.Label(), st.Rows, mode)
+		case *ScanPlan, *ValuesPlan:
+			fmt.Fprintf(b, "%s%s  (rows=%.0f)\n", head, c.Label(), st.Rows)
 			fmt.Fprintf(b, "%s      Filter: %s\n", indent, n.Cond)
 		default:
-			fmt.Fprintf(b, "%sFilter  (rows=%.0f exec=%s)\n", head, st.Rows, mode)
+			fmt.Fprintf(b, "%sFilter  (rows=%.0f)\n", head, st.Rows)
 			fmt.Fprintf(b, "%s      Cond: %s\n", indent, n.Cond)
 			explainNode(b, n.Child, est, depth+1, false)
 		}
 	case *ProjectPlan:
-		fmt.Fprintf(b, "%sProject %s  (rows=%.0f exec=%s)\n", head, strings.Join(n.Names, ", "), st.Rows, mode)
+		fmt.Fprintf(b, "%sProject %s  (rows=%.0f)\n", head, strings.Join(n.Names, ", "), st.Rows)
 		explainNode(b, n.Child, est, depth+1, false)
 	case *DistinctPlan:
-		fmt.Fprintf(b, "%sHashAggregate (distinct)  (rows=%.0f exec=%s)\n", head, st.Rows, mode)
+		fmt.Fprintf(b, "%sHashAggregate (distinct)  (rows=%.0f)\n", head, st.Rows)
 		explainNode(b, n.Child, est, depth+1, false)
 	default:
-		fmt.Fprintf(b, "%s%s  (rows=%.0f exec=%s)\n", head, p.Label(), st.Rows, mode)
+		fmt.Fprintf(b, "%s%s  (rows=%.0f)\n", head, p.Label(), st.Rows)
 		for _, c := range p.Children() {
 			explainNode(b, c, est, depth+1, false)
 		}

@@ -58,7 +58,7 @@ func drainRows(it Iterator) ([]Tuple, error) {
 }
 
 // HeldRows serves rows an operator holds — a catalog relation, a nested
-// loop's output, an index lookup's hits — as column batches
+// loop's output — as column batches
 // of at most DefaultBatchSize rows, each window transposed into fresh
 // vectors (BuildColVec), so a consumer may keep their payloads.
 type HeldRows struct {

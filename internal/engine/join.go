@@ -804,3 +804,41 @@ func (j *SemiJoinIter) Schema() Schema { return j.L.Schema() }
 // NarrowKeyRange (KeyRangeNarrower) forwards a range to L, whose rows
 // the semi join passes through.
 func (j *SemiJoinIter) NarrowKeyRange(col int, lo, hi int64) { narrowInput(j.L, col, lo, hi) }
+
+// joinChoice is the physical join decision shared by Build, its trace
+// spans and EXPLAIN, so the plan printed is the plan executed.
+// The nested loop is chosen exactly when the condition has no equi pair.
+type joinChoice struct {
+	pairs    []EquiPair // the condition's equi pairs…
+	residual Expr       // …and what is left of it
+}
+
+// label names the join operator the choice lowers to.
+func (c joinChoice) label(kind JoinKind) string {
+	s := "Nested Loop"
+	if len(c.pairs) > 0 {
+		s = "Hash Join"
+	}
+	if kind == SemiJoin {
+		s += " (semi)"
+	}
+	return s
+}
+
+// chooseJoin picks the physical strategy for a join from its input
+// schemas alone: the nested loop when the condition has no equi pair,
+// the hash join otherwise. A semi join has one operator, which hashes
+// on whatever pairs there are; for it the choice only names it.
+func chooseJoin(n *JoinPlan, cat *Catalog) (joinChoice, error) {
+	ls, err := n.L.Schema(cat)
+	if err != nil {
+		return joinChoice{}, err
+	}
+	rs, err := n.R.Schema(cat)
+	if err != nil {
+		return joinChoice{}, err
+	}
+	var c joinChoice
+	c.pairs, c.residual = ExtractEquiJoin(n.Cond, ls, rs)
+	return c, nil
+}

@@ -19,7 +19,8 @@ import (
 //  5. fold each projection into the projection, inner join or stitch
 //     beneath it, so a row is written once, at its final width,
 //  6. hand each selection that sits directly on a storage leaf to that
-//     leaf (FilterAdvisor), which prunes what its statistics refute.
+//     leaf (FilterAdvisor), which prunes what its statistics refute and
+//     may read an equality through its index; the selection stays.
 //
 // These are exactly the "standard techniques employed in off-the-shelf
 // relational database management systems" the paper relies on for
@@ -34,7 +35,6 @@ func Optimize(p Plan, cat *Catalog) (Plan, error) {
 		return nil, err
 	}
 	p = pushFilters(p, cat) // join reordering may re-expose pushdowns
-	p = applyIndexScans(p, cat)
 	p, err = pruneColumns(p, cat)
 	if err != nil {
 		return nil, err
@@ -118,49 +118,6 @@ func rewriteInputs(p Plan, f func(Plan) (Plan, error)) (Plan, error) {
 		return p, nil
 	}
 	return p.WithChildren(out), nil
-}
-
-// applyIndexScans rewrites an equality filter sitting directly on an
-// indexed storage leaf into one probe of the leaf's sorted-run index:
-// Filter(col = k, leaf) becomes Filter(rest, IndexScan(leaf, col, k)).
-// It runs after filter pushdown (so the filters are on the leaves) and
-// before column pruning (so leaves are still bare).
-func applyIndexScans(p Plan, cat *Catalog) Plan {
-	if f, ok := p.(*FilterPlan); ok {
-		if src, oks := f.Child.(IndexedSource); oks {
-			sch, err := src.Schema(cat)
-			if err == nil {
-				idxCols := src.IndexedCols()
-				conjs := SplitConjuncts(f.Cond)
-				for i, c := range conjs {
-					cmp, okc := c.(*CmpExpr)
-					if !okc || cmp.Op != EQ {
-						continue
-					}
-					col, cst, op, okn := NormalizeColCmp(cmp)
-					if !okn || op != EQ || cst.IsNull() {
-						continue
-					}
-					ci := sch.IndexOf(col)
-					if ci < 0 {
-						continue
-					}
-					canon := sch.Cols[ci].Name
-					if !slices.Contains(idxCols, canon) {
-						continue
-					}
-					leaf := &IndexScanPlan{Src: src, Col: canon, Key: cst}
-					rest := append(slices.Clip(conjs[:i]), conjs[i+1:]...)
-					if len(rest) == 0 {
-						return leaf
-					}
-					return Filter(leaf, And(rest...))
-				}
-			}
-		}
-	}
-	p, _ = rewriteInputs(p, func(c Plan) (Plan, error) { return applyIndexScans(c, cat), nil })
-	return p
 }
 
 // pushFilters recursively pushes selection predicates downwards.

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -82,35 +81,6 @@ func TestPruneColumnsKeepsSemantics(t *testing.T) {
 		if !a.EqualAsBag(b) {
 			t.Fatalf("plan %d: pruning changed semantics", i)
 		}
-	}
-}
-
-// TestIndexScanRewrite: an equality filter on an indexed column directly
-// over an IndexedSource leaf becomes one probe of the leaf's index, the
-// rest of the condition a filter above it, with the answers of the
-// filter over a scan of the leaf.
-func TestIndexScanRewrite(t *testing.T) {
-	cat := NewCatalog()
-	leaf := &indexedRel{rel: randJoinInput(rand.New(rand.NewSource(3)), 400, 30, "r")}
-	p := Filter(leaf, And(Cmp(NE, Col("r.s"), ConstStr("s1")), Eq(ConstInt(7), Col("r.k"))))
-	text, err := Explain(p, cat, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text, "Index Scan on rel (r.k = 7)") || !strings.Contains(text, "exec=index") ||
-		!strings.Contains(text, "Filter: r.s <> 's1'") {
-		t.Fatalf("the filter did not become an index probe under the rest of it:\n%s", text)
-	}
-	got, err := Run(p, cat, ExecConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Run(p, cat, ExecConfig{DisableOptimizer: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Len() == 0 || !got.EqualAsBag(want) {
-		t.Fatalf("index probe: %d rows, the filter over a scan %d", got.Len(), want.Len())
 	}
 }
 

@@ -45,7 +45,7 @@ type SourcePlan interface {
 
 // FilterAdvisor is implemented by source plans that can exploit a
 // predicate evaluated directly above them to skip data (segment
-// pruning by min/max statistics). The advice is purely an
+// pruning by min/max statistics, an index probe). The advice is purely an
 // optimization: the filter is still applied on top, so sources may
 // only skip rows that provably fail the predicate. A source takes
 // advice once and ignores it after: Optimize advises, and the Build of

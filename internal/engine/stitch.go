@@ -11,8 +11,8 @@ import (
 // together: the merge of the paper's Figure 4, which its Figure 13
 // plans as a merge join on the tuple id with ψ as the join filter. Its
 // inputs deliver their rows in tuple-id order — an in-memory image is
-// encoded in it, a store scan merges its runs by it, an index lookup
-// sorts by it. TIDs names each input's tuple-id column; Cond, ψ over the
+// encoded in it, a store scan merges its runs by it (an index probe
+// only narrows them). TIDs names each input's tuple-id column; Cond, ψ over the
 // inputs' descriptor columns, is evaluated on each combination of rows
 // sharing a tuple id. Driver is the input drained first, whose tuple-id
 // range every other input is handed: Optimize makes it the input it

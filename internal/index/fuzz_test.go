@@ -62,9 +62,9 @@ func FuzzUnmarshalRun(f *testing.F) {
 	})
 }
 
-// savedRuns saves TPC-H s 0.02 and returns the run files CREATE INDEX
-// would build beside the lineitem partitions: each one's tuple-id run
-// and the runs of l_orderkey (ints) and l_shipmode (strings).
+// savedRuns saves TPC-H s 0.02 and returns a run of each lineitem
+// partition's tuple ids and the run files CREATE INDEX would build beside
+// the partitions of l_orderkey (ints) and l_shipmode (strings).
 func savedRuns(f *testing.F) [][]byte {
 	p := tpch.DefaultParams(0.02, 0.01, 0.25)
 	p.Seed = 1
@@ -90,21 +90,25 @@ func savedRuns(f *testing.F) [][]byte {
 			if err != nil {
 				f.Fatal(err)
 			}
-			cols := []int{-1} // the tuple-id run
-			for ai, a := range mp.Attrs {
-				if a == "l_orderkey" || a == "l_shipmode" {
-					cols = append(cols, ai)
-				}
+			// A run of the partition's tuple ids: ascending int keys, as the
+			// tuple-id runs older versions wrote beside every layer.
+			rows, err := (&store.PartSource{Layers: []*store.PartHandle{h}}).Load()
+			if err != nil {
+				f.Fatal(err)
 			}
-			for _, ai := range cols {
+			tids := make([]engine.Value, len(rows))
+			for i, r := range rows {
+				tids[i] = engine.Int(r.TID)
+			}
+			runs = append(runs, index.BuildRun(tids, store.DefaultSegmentRows).Marshal())
+			for ai, a := range mp.Attrs {
+				if a != "l_orderkey" && a != "l_shipmode" {
+					continue
+				}
 				if err := store.BuildLayerIndex(h, ai); err != nil {
 					f.Fatal(err)
 				}
-				key := store.IdxKeyTID
-				if ai >= 0 {
-					key = store.IdxKeyAttr(ai)
-				}
-				b, err := os.ReadFile(store.IdxFileName(h.Path(), key))
+				b, err := os.ReadFile(store.IdxFileName(h.Path(), store.IdxKeyAttr(ai)))
 				if err != nil {
 					f.Fatal(err)
 				}

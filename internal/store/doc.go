@@ -53,7 +53,7 @@
 //     partitions in: one run — a single URSEGv2 layer and no delta rows
 //     in range — is served a segment per batch, as it is stored; several
 //     runs (delta layers, each segment of a v1 layer, the in-memory
-//     delta sorted once per scan) are merged by tid inside the window
+//     delta) are merged by tid inside the window
 //     the ranges leave, each batch a zero-copy window of the run with
 //     the least tuple id, up to the next run's, behind a selection
 //     vector. The operators above may hand the scan key ranges
@@ -66,25 +66,31 @@
 //     column narrowed to their intersection. It leaves
 //     unread every segment whose tid bounds — or, for an int value
 //     column, zone map — miss any one of them: a stitch driven by an
-//     index lookup of a few tuples decodes the one segment of each
+//     index probe of a few tuples decodes the one segment of each
 //     other partition they are in, and a selective join's range on an
 //     attribute skips the segments of the partition that holds it. Of
 //     a segment it reads it serves only the window of rows in the tid
 //     range, windows of every vector, found by binary search, so a
-//     stitch reads the rows its driver can reach. The index operators
-//     (lookup.go) hold their few rows, sorted by tid, and serve them
-//     through engine.HeldRows. Its planning half,
+//     stitch reads the rows its driver can reach. Its planning half,
 //     StoreScanPlan, implements engine.SourcePlan and
 //     engine.FilterAdvisor: selection predicates evaluated directly
 //     above a scan (the σ of the paper's Figure 4 translation) prune
 //     segments whose min/max statistics refute them (ORs of refuted
 //     arms too), and the surviving row count is what the engine's
-//     estimator sees, so join ordering works on stored data. As an
-//     engine.IndexedSource (lookup.go) the plan also serves an equality
-//     filter on an indexed column as one probe of its runs. The
-//     in-memory delta's descriptor and tid columns are int vectors, and
-//     a scan whose tid column was narrowed serves only the delta rows
-//     in range.
+//     estimator sees. The same advice makes the scan an index probe
+//     when a conjunct is an equality on a declared index column whose
+//     every layer has a run: before serving a row the scan looks each
+//     layer's run up, reads the segments it locates rows in, checks
+//     that those rows carry the key and serves only them, the located
+//     rows being the batch's selection within the tid window and
+//     without the tombstoned. A run pointing at a row without the key
+//     is marked stale and its layer is read whole; the filter stays
+//     above the scan, so an index costs time, never an answer. The
+//     in-memory delta is one more segment (PartSource.memSegment),
+//     encoded once per published source by the encoder of an in-memory
+//     partition's image, and served like any other: typed vectors, a
+//     tid window when the tid column was narrowed. The read path makes
+//     no engine.Tuple.
 //
 //   - Layered sources and deltas (source.go, walops.go, wal.go). A
 //     partition is a PartSource: one or more immutable file layers

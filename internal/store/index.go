@@ -11,15 +11,13 @@ import (
 	"urel/internal/index"
 )
 
-// Index-run file naming. A layer file F with an index on key k owns
-// the sibling artifact "F.<k>.idx": "F.t.idx" for the tuple-id run,
-// "F.a<i>.idx" for stored value column i. The manifest records only
-// the declared index columns (ManifestRel.Indexes); run files are
+// Index-run file naming. A layer file F with an index on stored value
+// column i owns the sibling artifact "F.a<i>.idx". The manifest records
+// only the declared index columns (ManifestRel.Indexes); run files are
 // located by this convention, and an unreferenced, missing, or corrupt
-// run degrades the layer to a scan instead of failing the open.
-
-// IdxKeyTID names the tuple-id run of a layer file.
-const IdxKeyTID = "t"
+// run degrades the layer to a scan instead of failing the open. (The
+// "F.t.idx" tuple-id runs older versions wrote are never read; a scan
+// skips by the footer's tid bounds instead.)
 
 // IdxKeyAttr names the run of stored value column ai.
 func IdxKeyAttr(ai int) string { return fmt.Sprintf("a%d", ai) }
@@ -27,7 +25,7 @@ func IdxKeyAttr(ai int) string { return fmt.Sprintf("a%d", ai) }
 // IdxFileName returns the run file owned by a layer file for a key.
 func IdxFileName(layerFile, key string) string { return layerFile + "." + key + ".idx" }
 
-// indexRun returns the handle's run for key ("t" or "a<i>"), loading
+// indexRun returns the handle's run for key ("a<i>"), loading
 // it lazily from the sibling file and caching the outcome — including
 // failures, so a missing or corrupt run is not retried per probe. A
 // run whose segment count disagrees with the file is treated as stale
@@ -68,19 +66,10 @@ func (h *PartHandle) markRunStale(key string) {
 	h.idxRuns[key] = e
 }
 
-// hasIndexRun reports whether the handle has a usable run for key.
-func (h *PartHandle) hasIndexRun(key string) bool { return h.indexRun(key) != nil }
-
 // RunsSound reports whether the layer's index runs are as a rewrite
 // would leave them: the run of each declared stored column is present,
-// and no run — the tuple-id run included — is stale or corrupt. A layer
-// without a tuple-id run is sound: store.Save writes none, and a rewrite
-// is not owed for it, as its rows are in tid order and the footer's tid
-// bounds let a tid-narrowed scan skip the segments a key range misses.
+// and none is stale or corrupt.
 func (h *PartHandle) RunsSound(declared []int) bool {
-	if h.runEntry(IdxKeyTID).stale {
-		return false
-	}
 	for _, ai := range declared {
 		if e := h.runEntry(IdxKeyAttr(ai)); e.run == nil || e.stale {
 			return false
@@ -90,24 +79,21 @@ func (h *PartHandle) RunsSound(declared []int) bool {
 }
 
 // WritePartIndexes builds and writes the sorted-run index files beside
-// a freshly written partition layer file: the tuple-id run always,
-// plus one run per declared stored column ordinal in ords. rows and
+// a freshly written partition layer file, one run per declared stored
+// column ordinal in ords (none when it is empty). rows and
 // segRows must match the WritePartition call that produced the file:
 // the runs locate rows by the same tid order and uniform chunking.
 // Files are synced before returning, so a manifest committed afterwards
 // never references a torn run.
 func WritePartIndexes(dir, file string, rows []core.URow, ords []int, segRows int) error {
+	if len(ords) == 0 {
+		return nil
+	}
 	if segRows <= 0 {
 		segRows = DefaultSegmentRows
 	}
 	seq := inTIDOrder(rows)
 	keys := make([]engine.Value, len(rows))
-	for i := range keys {
-		keys[i] = engine.Int(seq.at(i).TID)
-	}
-	if err := writeRun(filepath.Join(dir, IdxFileName(file, IdxKeyTID)), keys, segRows); err != nil {
-		return err
-	}
 	for _, ai := range ords {
 		for i := range keys {
 			keys[i] = seq.at(i).Vals[ai]
@@ -131,10 +117,9 @@ func writeRun(path string, keys []engine.Value, segRows int) error {
 	return nil
 }
 
-// BuildLayerIndex builds and writes the run for stored column ai (or
-// the tuple-id run when ai < 0) of an already-open layer file — the
-// CREATE INDEX path over existing layers. The run reflects the file's
-// actual per-segment row counts.
+// BuildLayerIndex builds and writes the run for stored column ai of an
+// already-open layer file — the CREATE INDEX path over existing layers.
+// The run reflects the file's actual per-segment row counts.
 func BuildLayerIndex(h *PartHandle, ai int) error {
 	if h.path == "" {
 		return fmt.Errorf("store: cannot index a pathless partition handle")
@@ -149,18 +134,11 @@ func BuildLayerIndex(h *PartHandle, ai int) error {
 		}
 		keys = keys[:0]
 		for r := 0; r < seg.n; r++ {
-			if ai < 0 {
-				keys = append(keys, engine.Int(seg.tid[r]))
-			} else {
-				keys = append(keys, seg.cols[ai].Value(r))
-			}
+			keys = append(keys, seg.cols[ai].Value(r))
 		}
 		b.Segment(keys)
 	}
-	key := IdxKeyTID
-	if ai >= 0 {
-		key = IdxKeyAttr(ai)
-	}
+	key := IdxKeyAttr(ai)
 	path := IdxFileName(h.path, key)
 	if err := b.Run().WriteFile(path); err != nil {
 		os.Remove(path)

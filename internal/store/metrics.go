@@ -15,7 +15,7 @@ var (
 	walAppendedBytesTotal = obs.Default.Counter("urel_wal_appended_bytes_total",
 		"Bytes appended to write-ahead logs (frame headers included).")
 	idxLookupsTotal = obs.Default.Counter("urel_index_lookups_total",
-		"Equality probes served through the secondary-index lookup path.")
+		"Store scans that probed a secondary index for an equality filter.")
 	idxBloomHitsTotal = obs.Default.Counter("urel_index_bloom_hits_total",
 		"Per-layer probes the bloom filters admitted (possible match).")
 	idxBloomMissesTotal = obs.Default.Counter("urel_index_bloom_misses_total",

@@ -1,15 +1,13 @@
 package store
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
 
-	"urel/internal/core"
 	"urel/internal/engine"
-	"urel/internal/ws"
+	"urel/internal/index"
 )
 
 // StoreScanPlan is the leaf plan over one stored partition (all of its
@@ -22,7 +20,8 @@ import (
 // choice made above the scan sees post-pruning cardinality. In-memory
 // delta rows carry no statistics and are never pruned (they flow
 // through the filter above), and tombstones are orthogonal to pruning:
-// a pruned segment only loses rows the filter would reject anyway.
+// a pruned segment only loses rows the filter would reject anyway. The
+// same advice may make the scan an index probe (indexProbe).
 type StoreScanPlan struct {
 	Src     *PartSource
 	Sch     engine.Schema
@@ -30,8 +29,19 @@ type StoreScanPlan struct {
 	AttrIdx []int // stored value-column index per schema attr column
 	Name    string
 
-	advised bool     // AdviseFilter ran: the plan is advised once
-	pruned  [][]bool // per layer, per segment; nil until pruning bites
+	advised bool        // AdviseFilter ran: the plan is advised once
+	pruned  [][]bool    // per layer, per segment; nil until pruning bites
+	probe   *indexProbe // the equality the layers' runs serve; nil = none
+}
+
+// indexProbe is an equality conjunct Col = Key of the filter on a scan
+// whose stored column Ai has a run on every file layer: the scan reads
+// of each layer only the rows its run locates. The filter stays above
+// the scan, so the probe only decides which rows are read.
+type indexProbe struct {
+	Col string // the column's schema name
+	Ai  int    // its stored value ordinal
+	Key engine.Value
 }
 
 // Schema returns the scan's output schema.
@@ -60,6 +70,9 @@ func (p *StoreScanPlan) Label() string {
 	if n := p.Src.Tomb.Len(); n > 0 {
 		lbl += fmt.Sprintf(", %d tombstones", n)
 	}
+	if p.probe != nil {
+		lbl += fmt.Sprintf(", index %s = %s", p.probe.Col, p.probe.Key.Quoted())
+	}
 	return lbl + ")"
 }
 
@@ -76,8 +89,19 @@ func numPruned(pruned [][]bool) int {
 }
 
 // EstimateRowCount sums the rows of the surviving segments plus the
-// in-memory delta.
+// in-memory delta. A probe reads what its runs locate: per layer, its
+// rows over its distinct keys, exactly from the run, and a guess of a
+// hundredth of the unindexed delta.
 func (p *StoreScanPlan) EstimateRowCount() float64 {
+	if p.probe != nil {
+		est := float64(len(p.Src.Mem)) / 100
+		for _, h := range p.Src.Layers {
+			if run := h.indexRun(IdxKeyAttr(p.probe.Ai)); run != nil && run.NDV() > 0 {
+				est += float64(run.Len()) / float64(run.NDV())
+			}
+		}
+		return math.Max(1, est)
+	}
 	rows := len(p.Src.Mem)
 	for li, h := range p.Src.Layers {
 		for i := 0; i < h.NumSegments(); i++ {
@@ -93,17 +117,25 @@ func (p *StoreScanPlan) EstimateRowCount() float64 {
 // (engine.StatsSource): its row count, and that the tuple-id column is
 // close to a key — one row per tuple and alternative — so a tid-merge of
 // two partitions of one relation is estimated as the key join it is,
-// not divided by a default NDV.
+// not divided by a default NDV. A probed column holds one value, so the
+// equality above a probe selects every row the probe reads.
 func (p *StoreScanPlan) SourceStats() *engine.TableStats {
 	rows := p.EstimateRowCount()
-	cols := make([]engine.ColStats, 2*p.Width+1) // up to the tuple id, the last column known
+	n := 2*p.Width + 1 // up to the tuple id, the last column known…
+	if p.probe != nil {
+		n = max(n, p.Sch.IndexOf(p.probe.Col)+1) // …or the probed one
+	}
+	cols := make([]engine.ColStats, n)
 	cols[2*p.Width].NDV = math.Max(1, rows)
+	if p.probe != nil {
+		cols[p.Sch.IndexOf(p.probe.Col)].NDV = 1
+	}
 	return &engine.TableStats{Rows: rows, Cols: cols}
 }
 
 // BuildIter lowers the scan to its physical iterator.
 func (p *StoreScanPlan) BuildIter(engine.ExecConfig) (engine.Iterator, error) {
-	return &StoreScanIter{Src: p.Src, Sch: p.Sch, Width: p.Width, AttrIdx: p.AttrIdx, Pruned: p.pruned}, nil
+	return &StoreScanIter{Src: p.Src, Sch: p.Sch, Width: p.Width, AttrIdx: p.AttrIdx, Pruned: p.pruned, Probe: p.probe}, nil
 }
 
 // AdviseFilter marks the segments that provably produce no row
@@ -112,6 +144,8 @@ func (p *StoreScanPlan) BuildIter(engine.ExecConfig) (engine.Iterator, error) {
 // (engine.CmpExpr), so min/max over the non-null values — ordered by
 // engine.Compare, the evaluator's own order — bound every row that
 // could pass, and an OR none of whose arms can be TRUE is not TRUE.
+// The first conjunct col = k (k not NULL) on a declared index column
+// whose every layer has a run becomes the scan's probe.
 // The plan takes advice once (engine.FilterAdvisor): a later call, such
 // as the Build of a plan Optimize advised, reads nothing and writes
 // nothing, so concurrent executions share the plan and the bitmaps it
@@ -121,6 +155,15 @@ func (p *StoreScanPlan) AdviseFilter(cond engine.Expr) {
 		return
 	}
 	p.advised = true
+	for _, c := range engine.SplitConjuncts(cond) {
+		if cmp, ok := c.(*engine.CmpExpr); ok && cmp.Op == engine.EQ {
+			col, cst, _, ok := engine.NormalizeColCmp(cmp)
+			if ai, indexed := p.indexedAttr(col); ok && indexed && !cst.IsNull() {
+				p.probe = &indexProbe{Col: p.Sch.Cols[p.Sch.IndexOf(col)].Name, Ai: ai, Key: cst}
+				break
+			}
+		}
+	}
 	for li, h := range p.Src.Layers {
 		for i := range h.meta.Segs {
 			if p.refutes(cond, h.meta.Segs[i].Stats) {
@@ -134,6 +177,22 @@ func (p *StoreScanPlan) AdviseFilter(cond engine.Expr) {
 			}
 		}
 	}
+}
+
+// indexedAttr resolves a value column of the scan to its stored ordinal
+// when the relation declares an index on it and every file layer (one
+// at least) carries its run.
+func (p *StoreScanPlan) indexedAttr(col string) (int, bool) {
+	a := p.Sch.IndexOf(col) - (2*p.Width + 1)
+	if a < 0 || a >= len(p.AttrIdx) || len(p.Src.Layers) == 0 || !slices.Contains(p.Src.IdxCols, p.AttrIdx[a]) {
+		return 0, false
+	}
+	for _, h := range p.Src.Layers {
+		if h.indexRun(IdxKeyAttr(p.AttrIdx[a])) == nil {
+			return 0, false
+		}
+	}
+	return p.AttrIdx[a], true
 }
 
 // refutes reports whether no row of a segment with column statistics
@@ -190,10 +249,13 @@ func segmentRefutes(st colStats, op engine.CmpOp, cst engine.Value) bool {
 // descriptor/tid/value vectors into an engine.ColBatch with no
 // transposition at all. Every URSEGv2 layer is one run in tid order (a
 // v1 segment is sorted when it is decoded, and is a run of its own),
-// and so is the source's in-memory delta, sorted once per scan. One run
+// and so is the source's in-memory delta, a segment encoded once per
+// source (PartSource.memSegment). One run
 // is served a segment per batch; several are merged by tid, each batch
 // a window of the run with the least tuple id up to the next run's,
-// zero-copy behind a selection vector. Tombstones narrow file batches
+// zero-copy behind a selection vector. A probed scan (indexProbe) reads
+// of each layer only the segments its run locates rows in, and selects
+// only those rows. Tombstones narrow file batches
 // through the selection vector (the decoded vectors stay zero-copy and
 // shared; only live row indices are listed) in one pass beside the
 // tombstones in the batch's tuple ids (tombWindow), so a partition
@@ -207,7 +269,8 @@ type StoreScanIter struct {
 	Sch     engine.Schema
 	Width   int
 	AttrIdx []int
-	Pruned  [][]bool // per layer, segments to skip (nil = scan everything)
+	Pruned  [][]bool    // per layer, segments to skip (nil = scan everything)
+	Probe   *indexProbe // read only the rows the runs locate (nil = all)
 
 	// SegmentsRead counts file segments actually fetched and decoded;
 	// tests and EXPLAIN ANALYZE-style introspection read it after a
@@ -229,6 +292,13 @@ type StoreScanIter struct {
 	// a tid window left out, and the delta rows outside a tid range.
 	SegmentsSkippedByJoin int64
 	RowsSkippedByJoin     int64
+	// A probe's effects: runs looked up and rejected by their bloom
+	// filters, layers scanned whole instead (no run, or a stale one), and
+	// runs found pointing at a row without the key.
+	RunsConsulted   int64
+	BloomRejections int64
+	FallbackLayers  int64
+	StaleRuns       int64
 
 	ranges  []keyRange // the key ranges handed down, one per column (NarrowKeyRange)
 	started bool       // runs is set up
@@ -239,12 +309,13 @@ type StoreScanIter struct {
 }
 
 // scanRun is one run of rows in tid order that a scan merges: segments
-// [next, end) of a file layer still to read, or the delta (layer =
-// len(Layers)). Its rows are served from a piece — a decoded segment's
-// window or the delta — whose vectors cols hold n rows, sel the live
-// ones (nil = all), pos the next live one to serve.
+// [next, end) of a file layer still to read — of hits, when the layer is
+// probed — or the delta (layer = len(Layers), one segment). Its rows are
+// served from a piece — a window of a segment — whose vectors cols hold
+// n rows, sel the live ones (nil = all), pos the next live one to serve.
 type scanRun struct {
 	layer, next, end int
+	hits             []probeHit // a probed layer's segments, read and checked
 	tombs            tombWindow // the layer's tombstones in the piece's tuple ids
 	cols             []engine.ColVec
 	n                int
@@ -270,6 +341,13 @@ func (r *scanRun) tid(width, k int) int64 {
 
 var _ engine.KeyRangeNarrower = (*StoreScanIter)(nil)
 
+// probeHit is a segment a probe's run locates rows in, and those rows,
+// in ascending order.
+type probeHit struct {
+	seg  *segment
+	rows []int32
+}
+
 // Open resets the scan to the first segment.
 func (s *StoreScanIter) Open() error {
 	s.release()
@@ -281,6 +359,7 @@ func (s *StoreScanIter) Open() error {
 	s.TombSegmentsSkipped = 0
 	s.SegmentsSkippedByJoin = 0
 	s.RowsSkippedByJoin = 0
+	s.RunsConsulted, s.BloomRejections, s.FallbackLayers, s.StaleRuns = 0, 0, 0, 0
 	s.ranges = s.ranges[:0]
 	return nil
 }
@@ -345,11 +424,31 @@ func (s *StoreScanIter) missesKeyRange(h *PartHandle, i int) bool {
 }
 
 // startRuns sets the scan's runs up: one per URSEGv2 layer, one per
-// segment of a v1 layer, and the delta rows the scan serves, sorted by
-// tid (stably: a tuple's alternatives keep their order).
-func (s *StoreScanIter) startRuns() {
+// segment of a v1 layer (of a probed layer, per segment its run
+// locates), and one for the delta.
+func (s *StoreScanIter) startRuns() error {
 	s.started = true
+	if s.Probe != nil {
+		idxLookupsTotal.Inc()
+	}
 	for li, h := range s.Src.Layers {
+		if s.Probe != nil {
+			hits, ok, err := s.probe(li, h)
+			if err != nil {
+				return err
+			}
+			if ok {
+				for len(hits) > 0 {
+					n := len(hits)
+					if h.meta.V1 {
+						n = 1
+					}
+					s.runs = append(s.runs, scanRun{layer: li, hits: hits[:n:n], end: n})
+					hits = hits[n:]
+				}
+				continue
+			}
+		}
 		if h.meta.V1 {
 			for i := range h.meta.Segs {
 				s.runs = append(s.runs, scanRun{layer: li, next: i, end: i + 1})
@@ -358,54 +457,144 @@ func (s *StoreScanIter) startRuns() {
 		}
 		s.runs = append(s.runs, scanRun{layer: li, end: h.NumSegments()})
 	}
-	if rows := s.memRows(); len(rows) > 0 {
-		if !slices.IsSortedFunc(rows, byTID) {
-			rows = slices.Clone(rows)
-			slices.SortStableFunc(rows, byTID)
-		}
-		s.runs = append(s.runs, scanRun{layer: len(s.Src.Layers), n: len(rows), cols: s.memCols(rows)})
+	if len(s.Src.Mem) > 0 {
+		s.runs = append(s.runs, scanRun{layer: len(s.Src.Layers), end: 1})
 	}
+	return nil
 }
 
-func byTID(a, b core.URow) int { return cmp.Compare(a.TID, b.TID) }
+// skips reports whether the scan leaves segment i of layer li unread:
+// pruned by the filter's zone maps, or missing a join's key range.
+func (s *StoreScanIter) skips(li, i int) bool {
+	if s.Pruned != nil && s.Pruned[li] != nil && s.Pruned[li][i] {
+		return true
+	}
+	if s.missesKeyRange(s.Src.Layers[li], i) {
+		s.SegmentsSkippedByJoin++
+		return true
+	}
+	return false
+}
 
-// load makes the run's next segment with a live row that the pruning and
-// the key ranges let through its piece; a run without one is left empty.
+// readSeg fetches and decodes segment i of h, counting it.
+func (s *StoreScanIter) readSeg(h *PartHandle, i int) (*segment, error) {
+	seg, hit, err := h.ReadSegmentStats(i)
+	if err != nil {
+		return nil, err
+	}
+	s.SegmentsRead++
+	if hit {
+		s.CacheHits++
+	} else {
+		s.BytesDecoded += h.SegmentBytes(i)
+	}
+	return seg, nil
+}
+
+// probe looks the probed key up in layer li's run, then reads each
+// segment the run locates rows in and the scan does not skip, and checks
+// that every located row carries the key. ok is false when the layer is
+// to be scanned whole instead: it has no run, or its run points at a row
+// without the key — debris of an interrupted rewrite, recorded on the
+// handle so the next compaction rewrites the layer. The index can cost
+// time, never an answer.
+func (s *StoreScanIter) probe(li int, h *PartHandle) (hits []probeHit, ok bool, err error) {
+	key := IdxKeyAttr(s.Probe.Ai)
+	run := h.indexRun(key)
+	if run == nil {
+		s.FallbackLayers++
+		return nil, false, nil
+	}
+	var st index.LookupStats
+	locs := run.Lookup(s.Probe.Key, &st)
+	s.RunsConsulted += st.RunsConsulted
+	s.BloomRejections += st.BloomRejections
+	if st.BloomRejections > 0 {
+		idxBloomMissesTotal.Inc()
+	} else {
+		idxBloomHitsTotal.Inc()
+	}
+	for len(locs) > 0 {
+		i, k := int(locs[0].Seg), 1
+		for k < len(locs) && locs[k].Seg == locs[0].Seg {
+			k++
+		}
+		at := locs[:k]
+		locs = locs[k:]
+		if i >= h.NumSegments() {
+			return s.stale(h, key)
+		}
+		if s.skips(li, i) {
+			continue
+		}
+		seg, err := s.readSeg(h, i)
+		if err != nil {
+			return nil, false, err
+		}
+		rows := make([]int32, len(at))
+		for j, l := range at {
+			if int(l.Row) >= seg.n || engine.Compare(seg.cols[s.Probe.Ai].Value(int(l.Row)), s.Probe.Key) != 0 {
+				return s.stale(h, key)
+			}
+			rows[j] = int32(l.Row)
+		}
+		hits = append(hits, probeHit{seg: seg, rows: rows})
+	}
+	return hits, true, nil
+}
+
+// stale records a run found pointing at a row without its key, and has
+// its layer scanned whole.
+func (s *StoreScanIter) stale(h *PartHandle, key string) ([]probeHit, bool, error) {
+	idxStaleTotal.Inc()
+	h.markRunStale(key)
+	s.StaleRuns++
+	s.FallbackLayers++
+	return nil, false, nil
+}
+
+// load makes the run's next segment with a live row that the pruning,
+// the probe and the key ranges let through its piece; a run without one
+// is left empty.
 func (s *StoreScanIter) load(r *scanRun) error {
 	r.n, r.sel, r.pos = 0, nil, 0
 	for r.next < r.end {
-		h, i := s.Src.Layers[r.layer], r.next
+		i := r.next
 		r.next++
-		if s.Pruned != nil && s.Pruned[r.layer] != nil && s.Pruned[r.layer][i] {
-			continue
-		}
-		if s.missesKeyRange(h, i) {
-			s.SegmentsSkippedByJoin++
-			continue
-		}
-		seg, hit, err := h.ReadSegmentStats(i)
-		if err != nil {
-			return err
-		}
-		s.SegmentsRead++
-		if hit {
-			s.CacheHits++
-		} else {
-			s.BytesDecoded += h.SegmentBytes(i)
+		var seg *segment
+		var fw int
+		var located []int32
+		switch {
+		case r.layer == len(s.Src.Layers):
+			seg, fw = s.Src.memSegment(), s.Src.memWidth()
+		case r.hits != nil:
+			seg, fw, located = r.hits[i].seg, s.Src.Layers[r.layer].Width(), r.hits[i].rows
+		default:
+			if s.skips(r.layer, i) {
+				continue
+			}
+			h := s.Src.Layers[r.layer]
+			var err error
+			if seg, err = s.readSeg(h, i); err != nil {
+				return err
+			}
+			fw = h.Width()
 		}
 		if seg.n == 0 {
 			continue
 		}
 		lo, hi := s.tidWindow(seg)
 		if lo >= hi {
-			s.SegmentsSkippedByJoin++
+			if r.layer < len(s.Src.Layers) {
+				s.SegmentsSkippedByJoin++
+			}
 			continue
 		}
-		sel := s.tombSel(r, seg, h.Width(), lo, hi)
+		sel := s.liveSel(r, seg, fw, lo, hi, located)
 		if sel != nil && len(sel) == 0 {
 			continue
 		}
-		r.cols, r.n, r.sel = s.segCols(r.cols, seg, h.Width(), lo, hi), hi-lo, sel
+		r.cols, r.n, r.sel = s.segCols(r.cols, seg, fw, lo, hi), hi-lo, sel
 		return nil
 	}
 	return nil
@@ -427,17 +616,40 @@ func (s *StoreScanIter) tidWindow(seg *segment) (lo, hi int) {
 	return lo, hi
 }
 
-// tombSel builds the selection vector of live rows for rows [lo, hi)
-// of a decoded segment of the run's layer, in one pass beside the
-// layer's tombstones that fall in those rows' tuple ids, or nil when
-// every row survives. The selection counts from lo.
-func (s *StoreScanIter) tombSel(run *scanRun, seg *segment, width, lo, hi int) []int32 {
-	tf := s.Src.Tomb.Layer(run.layer)
-	if tf == nil {
-		return nil
+// liveSel builds the selection vector of the rows of window [lo, hi) of
+// a decoded segment of the run's layer to serve — of a probed segment
+// only its located rows — in one pass beside the layer's tombstones that
+// fall in those rows' tuple ids, or nil when every row of the window is
+// served. The selection counts from lo. The delta is never
+// tombstone-filtered: commits remove deleted memtable rows eagerly, so
+// whatever remains is live by construction.
+func (s *StoreScanIter) liveSel(run *scanRun, seg *segment, width, lo, hi int, located []int32) []int32 {
+	var tf TombFilter
+	if run.layer < len(s.Src.Layers) {
+		tf = s.Src.Tomb.Layer(run.layer)
 	}
-	if !run.tombs.reset(tf, seg.tid[lo], seg.tid[hi-1]) {
+	tombs := tf != nil && run.tombs.reset(tf, seg.tid[lo], seg.tid[hi-1])
+	if tf != nil && !tombs {
 		s.TombSegmentsSkipped++
+	}
+	if located != nil {
+		// The located rows are the scan's own: select in place.
+		sel := located[:0]
+		for _, r := range located {
+			if int(r) < lo || int(r) >= hi {
+				continue
+			}
+			if tombs {
+				s.TombRowsChecked++
+				if run.tombs.dead(seg, width, int(r)) {
+					continue
+				}
+			}
+			sel = append(sel, r-int32(lo))
+		}
+		return sel
+	}
+	if !tombs {
 		return nil
 	}
 	s.TombRowsChecked += int64(hi - lo)
@@ -459,28 +671,6 @@ func (s *StoreScanIter) tombSel(run *scanRun, seg *segment, width, lo, hi int) [
 	return sel
 }
 
-// memRows returns the in-memory delta rows the scan serves: all of
-// them, or, when a join narrowed the tid column, those whose tid lies in
-// its range — the others count in RowsSkippedByJoin, as the rows a tid
-// window leaves out of a segment do. Delta rows are never
-// tombstone-filtered: commits remove deleted memtable rows eagerly, so
-// whatever remains is live by construction.
-func (s *StoreScanIter) memRows() []core.URow {
-	mem := s.Src.Mem
-	tr, ok := s.tidRange()
-	if !ok {
-		return mem
-	}
-	var in []core.URow
-	for _, r := range mem {
-		if r.TID >= tr.lo && r.TID <= tr.hi {
-			in = append(in, r)
-		}
-	}
-	s.RowsSkippedByJoin += int64(len(mem) - len(in))
-	return in
-}
-
 // Next serves the rows of the run with the least tuple id, up to the
 // least tuple id of another run: with one run, a whole piece — a file
 // segment's window, or the delta — per batch. Decoded segments are
@@ -489,7 +679,9 @@ func (s *StoreScanIter) memRows() []core.URow {
 // tombstones and the merge only narrow the batch's selection vector.
 func (s *StoreScanIter) Next() (*engine.ColBatch, bool, error) {
 	if !s.started {
-		s.startRuns()
+		if err := s.startRuns(); err != nil {
+			return nil, false, err
+		}
 	}
 	best, bt, other := -1, int64(0), int64(math.MaxInt64)
 	for i := range s.runs {
@@ -563,45 +755,6 @@ func (s *StoreScanIter) segCols(cols []engine.ColVec, seg *segment, fw, lo, hi i
 	return cols
 }
 
-// memCols lays the delta rows out as the scan's columns: the descriptor
-// and tid columns as int vectors, which they are by construction — so a
-// join keyed on the tid keeps int keys and narrows its probe side —
-// each descriptor padded to the scan's width as ws.Descriptor.Pad pads
-// it, and the value columns as generic vectors (the delta is the small
-// tail of a scan).
-func (s *StoreScanIter) memCols(rows []core.URow) []engine.ColVec {
-	ncols := s.Sch.Len()
-	n := len(rows)
-	cols := make([]engine.ColVec, ncols)
-	nint := 2*s.Width + 1
-	ints := make([]int64, nint*n)
-	for c := 0; c < nint; c++ {
-		cols[c] = engine.IntVec(ints[c*n:(c+1)*n:(c+1)*n], nil)
-	}
-	for r, row := range rows {
-		for k := 0; k < s.Width; k++ {
-			a := ws.Assignment{Var: ws.TrivialVar}
-			if k < len(row.D) {
-				a = row.D[k]
-			} else if len(row.D) > 0 {
-				a = row.D[0]
-			}
-			cols[2*k].Ints[r] = int64(a.Var)
-			cols[2*k+1].Ints[r] = int64(a.Val)
-		}
-		cols[2*s.Width].Ints[r] = row.TID
-	}
-	vals := make([]engine.Value, len(s.AttrIdx)*n)
-	for j, ai := range s.AttrIdx {
-		v := vals[j*n : (j+1)*n : (j+1)*n]
-		for r, row := range rows {
-			v[r] = row.Vals[ai]
-		}
-		cols[nint+j] = engine.GenericVec(v)
-	}
-	return cols
-}
-
 // zeroPad returns a shared all-zero int column of length n (only used
 // for databases stored with descriptor width zero).
 func (s *StoreScanIter) zeroPad(n int) []int64 {
@@ -628,8 +781,9 @@ func (s *StoreScanIter) release() {
 // OperatorStats reports the scan's store-side effects to a trace span
 // (engine.OperatorStats): segments fetched, segments skipped by
 // min/max pruning, shared-cache hits, bytes this scan fetched and
-// decoded itself, the segments and rows a join's key range skipped, when a join handed one down, and
-// over a tombstoned partition the tombstone filter's work.
+// decoded itself, the segments and rows a join's key range skipped, when a join handed one down,
+// over a tombstoned partition the tombstone filter's work, and a
+// probe's runs, bloom rejections and degraded layers.
 func (s *StoreScanIter) OperatorStats(emit func(key string, v int64)) {
 	emit("segments_read", int64(s.SegmentsRead))
 	emit("cache_hits", s.CacheHits)
@@ -643,6 +797,16 @@ func (s *StoreScanIter) OperatorStats(emit func(key string, v int64)) {
 		emit("tomb_segments_skipped", s.TombSegmentsSkipped)
 	}
 	emit("segments_pruned", int64(numPruned(s.Pruned)))
+	if s.Probe != nil {
+		emit("index_runs_consulted", s.RunsConsulted)
+		emit("index_bloom_rejections", s.BloomRejections)
+		if s.FallbackLayers > 0 {
+			emit("index_fallback_layers", s.FallbackLayers)
+		}
+		if s.StaleRuns > 0 {
+			emit("index_stale_runs", s.StaleRuns)
+		}
+	}
 }
 
 // Schema returns the scan's output schema.

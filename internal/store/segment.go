@@ -92,9 +92,9 @@ type PartHandle struct {
 	path string
 
 	// idxRuns lazily caches the layer's sorted-run indexes by key name
-	// ("t" for tuple ids, "a<i>" for stored column i). Missing, corrupt,
-	// or mismatched run files cache as a nil run — the lookup path falls
-	// back to scanning the layer, never to a wrong answer — and the
+	// ("a<i>" for stored column i). Missing, corrupt, or mismatched run
+	// files cache as a nil run — a probe scans the layer instead, never
+	// returning a wrong answer — and the
 	// corrupt or mismatched ones as stale, so compaction rewrites them.
 	idxMu   sync.Mutex
 	idxRuns map[string]runEntry

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"io"
 	"slices"
+	"sync"
 
 	"urel/internal/core"
 	"urel/internal/engine"
@@ -33,9 +34,30 @@ type PartSource struct {
 	Tomb *TombView
 	// IdxCols lists the stored value-column ordinals with a declared
 	// secondary index (from the manifest's per-relation index list,
-	// resolved to this partition's columns). Tuple-id runs are built
-	// unconditionally beside every new layer and need no declaration.
+	// resolved to this partition's columns).
 	IdxCols []int
+
+	memOnce sync.Once
+	memSeg  *segment // Mem as a segment, see memSegment
+}
+
+// memSegment returns the in-memory delta as a segment in tid order, at
+// descriptor width memWidth: encoded on a scan's first use of it by the
+// encoder of an in-memory partition's image (core.EncodeRows), once per
+// source — the write path publishes a fresh one per commit — and shared
+// by every scan of it. The delta must hold a row.
+func (s *PartSource) memSegment() *segment {
+	s.memOnce.Do(func() {
+		w := s.memWidth()
+		cols := core.EncodeRows(s.Mem, w, len(s.Mem[0].Vals))
+		seg := &segment{n: len(s.Mem), dvar: make([][]int64, w), drng: make([][]int64, w), tid: cols[2*w].Ints, cols: cols[2*w+1:]}
+		for k := 0; k < w; k++ {
+			seg.dvar[k], seg.drng[k] = cols[2*k].Ints, cols[2*k+1].Ints
+		}
+		seg.tidLo, seg.tidHi = seg.tid[0], seg.tid[seg.n-1]
+		s.memSeg = seg
+	})
+	return s.memSeg
 }
 
 // NumRows returns the stored row count across layers plus the

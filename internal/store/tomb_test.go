@@ -132,7 +132,7 @@ func scanKeys(t *testing.T, src *PartSource, w int, win *[2]int64) ([]string, *S
 // no others (every row was checked against every batch before), and a
 // segment no tombstone falls in is skipped whole. The property leg
 // draws random layouts (checkTombLayout) and holds the scan, the index
-// lookup and Load to the per-row reference.
+// probe and Load to the per-row reference.
 func TestTombstonesCheckOnlyTheirSegments(t *testing.T) {
 	dir := t.TempDir()
 	base := make([]int64, 192)
@@ -151,12 +151,8 @@ func TestTombstonesCheckOnlyTheirSegments(t *testing.T) {
 	if s.TombRowsChecked != 64 || s.TombSegmentsSkipped != 2 {
 		t.Fatalf("tomb_rows_checked=%d tomb_segments_skipped=%d, want 64 and 2", s.TombRowsChecked, s.TombSegmentsSkipped)
 	}
-	li, err := src.ScanPlan(widthSchema(0), 0, []int{0}, "u_r_a").(*StoreScanPlan).LookupEq("r.a", engine.Int(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := drainKeys(t, li, 1); len(got) != 1 || li.(*IndexLookupIter).TombSegmentsSkipped != 1 || li.(*IndexLookupIter).TombRowsChecked != 0 {
-		t.Fatalf("lookup of a key in an untouched segment: %v, %+v", got, li)
+	if got, it := probeScan(t, src, 0, "r.a", engine.Int(3)); got.Len() != 1 || it.Probe == nil || it.TombSegmentsSkipped != 1 || it.TombRowsChecked != 0 {
+		t.Fatalf("probe of a key in an untouched segment: %v, %+v", got.Rows, it)
 	}
 
 	var total tombCounts
@@ -217,7 +213,7 @@ func collapse(d ws.Descriptor) ws.Descriptor {
 // tuple id but not another. Each layout is scanned at its width and a
 // wider one, whole and narrowed to a tid window that ends on a tuple id
 // with alternatives or inside a tombstone batch, and read by Load and
-// by index lookups.
+// by index probes.
 func checkTombLayout(t *testing.T, rng *rand.Rand) tombCounts {
 	dir := t.TempDir()
 	var counts tombCounts
@@ -325,8 +321,9 @@ func checkTombLayout(t *testing.T, rng *rand.Rand) tombCounts {
 			src.Layers = append(src.Layers, indexedLayer(t, dir, file, rows, segRows))
 			continue
 		}
-		// A v1 delta, in its rows' order and without index runs: the
-		// lookups scan it.
+		// A v1 delta, in its rows' order, with a run built over its
+		// decoded segments or without one: a layout with a layer without
+		// its run is scanned, not probed.
 		path := filepath.Join(dir, file)
 		writeV1Partition(t, path, rows, 1, segRows)
 		h, err := OpenPart(path)
@@ -334,6 +331,11 @@ func checkTombLayout(t *testing.T, rng *rand.Rand) tombCounts {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { h.Close() })
+		if rng.Intn(2) == 0 {
+			if err := BuildLayerIndex(h, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
 		src.Layers = append(src.Layers, h)
 		counts.unsortedV1 += unsortedChunks(rows, segRows)
 	}
@@ -403,19 +405,12 @@ func checkTombLayout(t *testing.T, rng *rand.Rand) tombCounts {
 
 		got = got[:0]
 		for v := int64(0); v < 12; v++ {
-			li, err := src.ScanPlan(widthSchema(sw), sw, []int{0}, "u_r_a").(*StoreScanPlan).LookupEq("r.a", engine.Int(v))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rel, err := engine.Drain(li)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rel, _ := probeScan(t, src, sw, "r.a", engine.Int(v))
 			for _, row := range rel.Rows {
 				got = append(got, tupleKey(t, row, sw))
 			}
 		}
-		same(fmt.Sprintf("index lookup at width %d", sw), got, all)
+		same(fmt.Sprintf("index probe at width %d", sw), got, all)
 	}
 	return counts
 }

@@ -455,8 +455,8 @@ type TombFilter []TombBatch
 
 // tombWindow is a layer's tombstones in a window of a segment and a
 // cursor walking them beside its rows: rows in tid order cost one pass
-// over both; a tid that goes backwards (v1 segments, index lookups)
-// re-seeks by binary search.
+// over both; a tid that goes backwards (v1 segments) re-seeks by binary
+// search.
 type tombWindow struct {
 	*tombBuf       // from tombBufs, from reset until release
 	next     int   // the first entry whose tid is at least last
@@ -466,7 +466,7 @@ type tombWindow struct {
 // tombBuf is a tombWindow's buffers, pooled: a reader lives for a statement.
 type tombBuf struct {
 	es  []*WALTomb // the window's tombstones, in tid order
-	sel []int32    // a scan's selection vector over the window (tombSel)
+	sel []int32    // a scan's selection vector over the window (liveSel)
 }
 
 var tombBufs = sync.Pool{New: func() any { return new(tombBuf) }}

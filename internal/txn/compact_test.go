@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -171,14 +172,24 @@ func TestCompactRewritesOnlyDirtyPartitions(t *testing.T) {
 		}
 	}
 
-	// Corrupt a run of orders' first partition (its base has none: a
-	// garbage tuple-id run), and make lineitem's declared run point at
+	// Corrupt the declared run of orders' first partition, leave a
+	// garbage tuple-id run — a file older versions wrote, read by no one —
+	// beside each of the others, and make lineitem's declared run point at
 	// the wrong rows.
+	if _, err := d.Exec("create index on orders(o_orderkey)"); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ordFile := d.man.Relations[relIndex(d, "orders")].Parts[0].File
-	if err := os.WriteFile(filepath.Join(dir, store.IdxFileName(ordFile, store.IdxKeyTID)), []byte("not a run"), 0o644); err != nil {
+	ords := d.man.Relations[relIndex(d, "orders")].Parts
+	ordFile, ordKey := ords[0].File, store.IdxKeyAttr(slices.Index(ords[0].Attrs, "o_orderkey"))
+	for _, mp := range ords[1:] {
+		if err := os.WriteFile(filepath.Join(dir, store.IdxFileName(mp.File, "t")), []byte("not a run"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, store.IdxFileName(ordFile, ordKey)), []byte("not a run"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if d, err = Open(dir, opts); err != nil {
@@ -227,7 +238,7 @@ func TestCompactRewritesOnlyDirtyPartitions(t *testing.T) {
 		t.Fatalf("the compaction rewrote %d partitions, want the two with a bad run", got)
 	}
 	if ord := partFiles(d, "orders"); ord[0] == fmt.Sprint([]string{ordFile}) || fmt.Sprint(ord[1:]) != fmt.Sprint(ordOthers) {
-		t.Fatalf("orders' files: %v (its first partition had a corrupt run, the rest none)", ord)
+		t.Fatalf("orders' files: %v (its first partition had a corrupt run, the rest a leftover tuple-id run)", ord)
 	}
 	if h := d.layers[li][0]; filepath.Base(h.Path()) == liFile || !h.RunsSound([]int{ai}) {
 		t.Fatalf("lineitem's stale run was not rewritten: %s", h.Path())

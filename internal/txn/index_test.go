@@ -262,7 +262,7 @@ func joinLabel(t *testing.T, text string) string {
 // unindexed column. The plan EXPLAIN prints is the plan EXPLAIN ANALYZE
 // ran, node for node on the same estimates, and it returns the answers
 // of the plans from before the index. The index still serves an
-// equality filter: a point query routes through the index scan.
+// equality filter: a point query's store scan probes it.
 func TestJoinChoiceSelectivity(t *testing.T) {
 	const n = 20000
 	db := core.NewUDB()
@@ -356,7 +356,7 @@ func TestJoinChoiceSelectivity(t *testing.T) {
 		check(mode+", large ⋈ large on the indexed column", largeLarge, nil)
 		check(mode+", large ⋈ large on an unindexed column", unindexed, nil)
 		pointPlan := explainText(t, d.Snapshot(), lookupBigQuery(5))
-		if !strings.Contains(pointPlan, "Index Scan") || !strings.Contains(pointPlan, "exec=index") {
+		if !strings.Contains(pointPlan, ", index big.k = 5)") {
 			t.Fatalf("%s: point query did not route through the index:\n%s", mode, pointPlan)
 		}
 	}

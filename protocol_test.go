@@ -191,19 +191,7 @@ func TestEveryOperatorHasACaller(t *testing.T) {
 		t.Fatal("found no plan or expression constructor in package engine")
 	}
 	for _, file := range files {
-		// The name package engine goes by in this file: "" inside it.
-		pkg := "-"
-		if file.Name.Name == "engine" {
-			pkg = ""
-		}
-		for _, imp := range file.Imports {
-			if strings.Trim(imp.Path.Value, `"`) == "urel/internal/engine" {
-				pkg = "engine"
-				if imp.Name != nil {
-					pkg = imp.Name.Name
-				}
-			}
-		}
+		pkg := engineName(file)
 		if pkg == "-" {
 			continue
 		}
@@ -245,6 +233,51 @@ func TestEveryOperatorHasACaller(t *testing.T) {
 	if len(dead) > 0 {
 		t.Errorf("engine builds nodes no program path calls: %s", strings.Join(dead, ", "))
 	}
+}
+
+// TestStoreMakesNoRows pins that the store's read path makes no rows:
+// a stored row reaches its consumer as a cell of a column batch the
+// store scan serves, never as an engine.Tuple. No non-test file of
+// package store names engine.Tuple or engine.HeldRows, and no package
+// but engine names HeldRows, the server of rows an operator holds.
+func TestStoreMakesNoRows(t *testing.T) {
+	fset, files := moduleSources(t)
+	for _, file := range files {
+		pkg := engineName(file)
+		ast.Inspect(file, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); !ok || x.Name != pkg {
+				return true
+			}
+			switch {
+			case sel.Sel.Name == "HeldRows":
+				t.Errorf("%s: package %s names engine.HeldRows", fset.Position(sel.Pos()), file.Name.Name)
+			case sel.Sel.Name == "Tuple" && file.Name.Name == "store":
+				t.Errorf("%s: package store names engine.Tuple: its read path makes rows", fset.Position(sel.Pos()))
+			}
+			return true
+		})
+	}
+}
+
+// engineName is the name package engine goes by in file: "" inside it,
+// "-" where it is not imported.
+func engineName(file *ast.File) string {
+	if file.Name.Name == "engine" {
+		return ""
+	}
+	for _, imp := range file.Imports {
+		if strings.Trim(imp.Path.Value, `"`) == "urel/internal/engine" {
+			if imp.Name != nil {
+				return imp.Name.Name
+			}
+			return "engine"
+		}
+	}
+	return "-"
 }
 
 // buildsNode reports whether ft has one result, a plan node or an

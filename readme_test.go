@@ -521,7 +521,7 @@ func TestReadmeIndexingSnippetVerbatim(t *testing.T) {
 // TestReadmeIndexingSnippetRuns executes the documented indexing flow
 // over the example's sensor catalog and checks the claims in prose:
 // the declared index answers the point query, and EXPLAIN shows the
-// query routed through the index scan (exec=index).
+// probe on the store scan's line.
 func TestReadmeIndexingSnippetRuns(t *testing.T) {
 	db := urel.New()
 	db.MustAddRelation("sensor", "id", "temp")
@@ -564,9 +564,7 @@ func TestReadmeIndexingSnippetRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Index Scan", "exec=index"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("EXPLAIN lacks documented annotation %q:\n%s", want, text)
-		}
+	if want := "Store Scan on u_sensor (1/2 segments, index sensor.id = 702)"; !strings.Contains(text, want) {
+		t.Errorf("EXPLAIN lacks documented annotation %q:\n%s", want, text)
 	}
 }

@@ -173,10 +173,10 @@ func OpenRW(dir string, opts ...RWOptions) (*RWDB, error) {
 // of a relation in a writable store — the facade form of the
 // `CREATE INDEX ON rel(col)` statement. Sorted runs (with per-segment
 // bloom filters) are built beside every existing file layer and
-// maintained beside each future flushed or compacted layer; the
-// optimizer then routes selective equality predicates and joins on the
-// column through index lookups instead of scans. Missing or stale runs
-// only degrade queries back to scans, never change answers.
+// maintained beside each future flushed or compacted layer; a store
+// scan under an equality filter on the column then reads only the rows
+// the runs locate. Missing or stale runs only make it read more, never
+// change answers.
 func CreateIndex(rw *RWDB, table, col string) error {
 	_, err := rw.ExecStmt(&sqlparse.CreateIndexStmt{Table: table, Col: col})
 	return err
