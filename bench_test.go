@@ -131,7 +131,7 @@ func BenchmarkAblation_Optimizer(b *testing.B) {
 // ("Join strategies"): a 20 000-row stored inner side with an index on
 // the join column, whose keys are uncorrelated with tid order, and an
 // outer side of m rows, hash-joined — cold (no segment cache: the join
-// decodes the inner side's segments its key range does not skip) and
+// decodes the inner side's segments its key list does not skip) and
 // warm (segments stay decoded). Each case runs the join emitting the two answer columns, and
 // again emitting three (/out=3): with -benchmem the B/op of the two
 // differ by the one column, since the join gathers only its output.
@@ -139,7 +139,7 @@ func BenchmarkAblation_Optimizer(b *testing.B) {
 // The chain/… cases join a selective side — the m keys 0…m-1 — to
 // chain, a 20 000-row relation stored as two partitions (k and v) whose
 // keys ascend with its tuple ids: served_mix's orders ⋈ lineitem shape.
-// The join's key range reaches the merge of the two partitions, which
+// The join's key list reaches the merge of the two partitions, which
 // reads only the segments and tid windows it covers.
 //
 // The warm/probe=… cases take the hash join alone, over the decoded

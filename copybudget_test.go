@@ -40,14 +40,17 @@ import (
 // planning re-derived every node's schema from the leaves, keyed its
 // estimates by name and rebuilt every attribute list at each join level,
 // 0.515, 0.230 and 0.235 (and the other legs below 1.009, 2.925, 0.100,
-// 0.373, 0.628 and 0.301).
+// 0.373, 0.628 and 0.301); while a hash join handed its probe side only
+// the range of its build keys, so each stitch under one gathered every
+// row its driver kept, and a stitch cut its refs by its driver's rows,
+// 0.434, 0.205 and 0.100.
 //
 // The stored leg is the benchmark's stored_cold operation — open the
 // saved, indexed directory without a segment cache, answer one query,
 // close — at its scale (s 0.25, x 0.01, z 0.25, seed 1). What it bounds
 // is the probe side of a merge: a stored row is looked at again only
 // when its key is in the build table, and a hash join hands the scan it
-// probes the range of its build keys, so the index point lookup pays
+// probes the list of its build keys, so the index point lookup pays
 // for one segment of each partition it merges and a handful of rows,
 // not for 32 000 of them, and Q2's probes for the tid windows of the
 // segments they read. Before the hash join probed columns the two
@@ -91,9 +94,9 @@ func TestCopyBudget(t *testing.T) {
 		q       core.Query
 		ceiling float64 // MB per evaluation, a quarter above the figure beside it
 	}{
-		{"Q1", tpch.Q1(), 0.55}, // 0.434
-		{"Q2", tpch.Q2(), 0.26}, // 0.205
-		{"Q3", tpch.Q3(), 0.13}, // 0.100
+		{"Q1", tpch.Q1(), 0.32},  // 0.255
+		{"Q2", tpch.Q2(), 0.24},  // 0.189
+		{"Q3", tpch.Q3(), 0.125}, // 0.100
 	} {
 		eval := func() {
 			if _, err := db.EvalPoss(c.q, engine.ExecConfig{}); err != nil {

@@ -52,23 +52,27 @@
 // ColBatch.Materialize; below it only the nested loop, which must hold
 // its inputs, makes them, and it reports them as rows_materialized.
 //
-// Key ranges flow down the plan (KeyRangeNarrower), after Open and
-// before the first pull. Three operators originate one: the hash join
-// hands its probe input the range of its build keys and the semi join
-// its left input, once their build side is drained and when the key is
-// one int column; the stitch hands every input but its driver the
-// tuple-id range of the driver's rows. Operators whose output column is
-// an input's column forward a range on it: a filter to its input, a
-// projection to the column it picks, a semi join to its left input, a
-// trace wrapper to the operator it wraps, and a stitch a tid range to
-// every input and any other to the input that owns the column,
-// dropping, as it drains its driver, the driver's rows the range
-// excludes. A hash join forwards none (a range is a hint), so a join on
-// another join's probe side reads its inputs whole. A range
-// ends at a leaf: the store scan skips the segments it misses and
-// serves a tid range as a window of the segment it reads; the scan of
-// an in-memory partition image, which is in tid order, serves a tid
-// range as the window binary search finds.
+// Keys flow down the plan (KeyNarrower), after Open and before the
+// first pull: a range, or a sorted list of distinct keys within it.
+// Three operators originate them: the hash join hands its probe input
+// the list of its build keys and the semi join its left input, once
+// their build side is drained and when the key is one int column (its
+// span reports keys_handed); the stitch hands every input but its
+// driver the tuple-id range of the driver's rows. Operators whose output
+// column is an input's column forward keys on it: a filter to its
+// input, a projection to the column it picks, a rename and a semi join
+// to their input, a trace wrapper to the operator it wraps (counting a
+// list as keys_in), and a stitch keys on a tid column to every input and
+// any other to the input that owns the column, dropping, as it drains
+// its driver, the driver's rows a list leaves out. A hash join forwards
+// none (keys are a hint), so a join on another join's probe side reads
+// its inputs whole. Keys end at a leaf: the store scan skips the
+// segments whose bounds hold none and serves a tid range as a window of
+// the segment it reads; the scan of an in-memory partition image, which
+// is in tid order, serves a tid range as the window binary search finds;
+// and both drop the rows whose int key a list leaves out, reporting
+// them as rows_skipped_by_join. So a stitch under a join gathers only
+// the rows that can join.
 //
 // A plan node is immutable once built: a rewrite builds a new node and
 // never writes to one, so what a node derives from its inputs — its

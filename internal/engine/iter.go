@@ -103,43 +103,65 @@ func (s *ScanIter) Schema() Schema                 { return s.Rel.Sch }
 
 // colScanIter scans a column batch held in memory (a ValuesPlan's
 // Batch), handing out windows of DefaultBatchSize rows that share its
-// vectors — of the rows [pos, end), which a key range on its sorted
-// column narrows.
+// vectors — of the rows [pos, end), which keys on its sorted column
+// narrow — each behind a selection of the rows no key list drops.
 type colScanIter struct {
 	src      *ColBatch
 	sorted   int // the ascending int column, -1 none
 	pos, end int
-	cols     []ColVec // reused window headers
+	keys     []ColKeys // the keys handed down (NarrowKeys)
+	cols     []ColVec  // reused window headers
+	sel      []int32   // reused selection
 	cb       ColBatch
+
+	skipped int64 // OperatorStats: rows the keys left out
 }
 
-func (s *colScanIter) Open() error    { s.pos, s.end = 0, s.src.N; return nil }
+func (s *colScanIter) Open() error {
+	s.pos, s.end, s.keys, s.skipped = 0, s.src.N, s.keys[:0], 0
+	return nil
+}
 func (s *colScanIter) Close() error   { return nil }
 func (s *colScanIter) Schema() Schema { return s.src.Sch }
 
-// NarrowKeyRange (KeyRangeNarrower) narrows the rows not yet served to
-// those whose sorted column lies in [lo, hi].
-func (s *colScanIter) NarrowKeyRange(col int, lo, hi int64) {
+// NarrowKeys (KeyNarrower) narrows the rows not yet served to those
+// whose sorted column lies in the keys' range, and has Next drop the
+// rows whose typed int column col holds no key of a list.
+func (s *colScanIter) NarrowKeys(col int, keys Keys) {
+	s.keys = append(s.keys, ColKeys{Col: col, Keys: keys})
 	if col != s.sorted {
 		return
 	}
-	xs := s.src.Cols[col].Ints
-	s.pos = max(s.pos, sort.Search(s.end, func(i int) bool { return xs[i] >= lo }))
-	s.end = min(s.end, sort.Search(s.end, func(i int) bool { return xs[i] > hi }))
+	xs, n := s.src.Cols[col].Ints, s.end-s.pos
+	s.pos = max(s.pos, sort.Search(s.end, func(i int) bool { return xs[i] >= keys.Lo }))
+	s.end = max(s.pos, min(s.end, sort.Search(s.end, func(i int) bool { return xs[i] > keys.Hi })))
+	s.skipped += int64(n - (s.end - s.pos))
 }
 
 func (s *colScanIter) Next() (*ColBatch, bool, error) {
-	if s.pos >= s.end {
-		return nil, false, nil
+	for s.pos < s.end {
+		lo, hi := s.pos, min(s.pos+DefaultBatchSize, s.end)
+		s.pos = hi
+		s.cols = s.cols[:0]
+		for c := range s.src.Cols {
+			s.cols = append(s.cols, s.src.Cols[c].Slice(lo, hi))
+		}
+		sel, dropped := SelectKeyed(s.keys, s.cols, hi-lo, nil, &s.sel)
+		if s.skipped += int64(dropped); sel != nil && len(sel) == 0 {
+			continue
+		}
+		s.cb = ColBatch{Sch: s.src.Sch, Cols: s.cols, N: hi - lo, Sel: sel}
+		return &s.cb, true, nil
 	}
-	lo, hi := s.pos, min(s.pos+DefaultBatchSize, s.end)
-	s.pos = hi
-	s.cols = s.cols[:0]
-	for c := range s.src.Cols {
-		s.cols = append(s.cols, s.src.Cols[c].Slice(lo, hi))
+	return nil, false, nil
+}
+
+// OperatorStats reports, when keys were handed down, the rows they left
+// out.
+func (s *colScanIter) OperatorStats(emit func(key string, v int64)) {
+	if len(s.keys) > 0 {
+		emit("rows_skipped_by_join", s.skipped)
 	}
-	s.cb = ColBatch{Sch: s.src.Sch, Cols: s.cols, N: hi - lo}
-	return &s.cb, true, nil
 }
 
 // FilterIter applies a predicate, evaluated vectorized over selection
@@ -191,9 +213,9 @@ func (f *FilterIter) Next() (*ColBatch, bool, error) {
 func (f *FilterIter) Close() error   { return f.In.Close() }
 func (f *FilterIter) Schema() Schema { return f.In.Schema() }
 
-// NarrowKeyRange (KeyRangeNarrower) forwards a range to the input, whose
-// columns the filter passes through.
-func (f *FilterIter) NarrowKeyRange(col int, lo, hi int64) { narrowInput(f.In, col, lo, hi) }
+// NarrowKeys (KeyNarrower) forwards keys to the input, whose columns the
+// filter passes through.
+func (f *FilterIter) NarrowKeys(col int, keys Keys) { narrowInput(f.In, col, keys) }
 
 // ProjectIter projects to named columns (and may rename via "src AS dst"
 // entries handled by the logical layer; physically it is index-based)
@@ -249,11 +271,11 @@ func (p *ProjectIter) Next() (*ColBatch, bool, error) {
 
 func (p *ProjectIter) Close() error { return p.In.Close() }
 
-// NarrowKeyRange (KeyRangeNarrower) forwards a range to the input column
-// the projection picks for col.
-func (p *ProjectIter) NarrowKeyRange(col int, lo, hi int64) {
+// NarrowKeys (KeyNarrower) forwards keys to the input column the
+// projection picks for col.
+func (p *ProjectIter) NarrowKeys(col int, keys Keys) {
 	if col < len(p.idx) {
-		narrowInput(p.In, p.idx[col], lo, hi)
+		narrowInput(p.In, p.idx[col], keys)
 	}
 }
 
@@ -313,6 +335,10 @@ func (r *RenameIter) Next() (*ColBatch, bool, error) {
 }
 
 func (r *RenameIter) Close() error { return r.In.Close() }
+
+// NarrowKeys (KeyNarrower) forwards keys to the input, whose columns the
+// rename relabels in place.
+func (r *RenameIter) NarrowKeys(col int, keys Keys) { narrowInput(r.In, col, keys) }
 
 func (r *RenameIter) Schema() Schema {
 	in := r.In.Schema()

@@ -2,58 +2,134 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"slices"
 )
 
-// KeyRangeNarrower is an optional Iterator method: NarrowKeyRange tells
-// an opened input that its consumer keeps no row whose column col is
-// NULL or an int outside [lo, hi], so the input may leave such rows
-// unread (a cell of another kind, such as a float equal to a key, must
-// still come). It is a hint — the input may still emit them — handed
-// over after Open and before the first pull; an input may ignore a range
-// that comes later, and one handed several keeps them all.
+// KeyNarrower is an optional Iterator method: NarrowKeys tells an
+// opened input that its consumer keeps no row whose column col is NULL
+// or an int keys does not hold, so the input may leave such rows unread
+// (a cell of another kind, such as a float equal to a key, must still
+// come). It is a hint — the input may still emit them — handed over
+// after Open and before the first pull; an input may ignore keys that
+// come later, and one handed several keeps them all.
 //
-// Only an operator that drops such rows anyway originates a range: the
-// hash join and the semi join hand their probe input the range of their
-// build keys, once the build side is drained, when the key is one int
-// column, and the stitch hands every input but its driver the tuple-id
-// range of the driver's rows. An operator whose output column is an
-// input's column forwards a range on it to that input: a filter to its
-// input, a projection to the column it picks, a semi join to the left
-// input whose rows it passes through, and a stitch to the input that
-// owns the column (a range on a tuple-id column to every input) —
-// dropping, while it drains its driver, the driver rows the range
-// excludes. A hash join forwards nothing (a range is a hint), so a join
-// on another join's probe side reads its inputs whole. A store scan skips
-// the file segments whose bounds miss a range and, on the tid column,
-// serves of a segment whose tuple ids ascend only the window of rows
-// inside it.
-type KeyRangeNarrower interface {
-	NarrowKeyRange(col int, lo, hi int64)
+// Only an operator that drops such rows anyway originates keys: the
+// hash join and the semi join hand their probe input the sorted
+// distinct list of their build keys, once the build side is drained,
+// when the key is one int column, and the stitch hands every input but
+// its driver the tuple-id range of the driver's rows. An operator whose
+// output column is an input's column forwards keys on it to that input:
+// a filter to its input, a projection to the column it picks, a rename
+// and a semi join to the input whose rows they pass through, and a
+// stitch to the input that owns the column (keys on a tuple-id column to
+// every input) — dropping, while it drains its driver, the driver rows
+// a list leaves out. A hash join forwards nothing (keys are a hint), so
+// a join on another join's probe side reads its inputs whole. A scan
+// narrows to the window of rows a range spans on a column it is sorted
+// on, a store scan skips the file segments whose bounds hold no key, and
+// both drop the rows whose key a list leaves out.
+type KeyNarrower interface {
+	NarrowKeys(col int, keys Keys)
 }
 
-// narrowInput hands in a range on its column col, when in can narrow.
-func narrowInput(in Iterator, col int, lo, hi int64) {
-	if n, ok := in.(KeyRangeNarrower); ok {
-		n.NarrowKeyRange(col, lo, hi)
+// Keys is a set of int keys handed down a plan: every int in [Lo, Hi]
+// (a range), or, when List is not nil, only those of List — sorted,
+// distinct, and within [Lo, Hi].
+type Keys struct {
+	Lo, Hi int64
+	List   []int64
+}
+
+// Meets reports whether some key lies in [lo, hi]. A list that holds
+// every int of its range is searched as the range.
+func (k Keys) Meets(lo, hi int64) bool {
+	if hi < k.Lo || lo > k.Hi {
+		return false
+	}
+	if k.List == nil || int64(len(k.List)) == k.Hi-k.Lo+1 {
+		return true
+	}
+	i, _ := slices.BinarySearch(k.List, lo)
+	return i < len(k.List) && k.List[i] <= hi
+}
+
+// drops reports whether the keys let their consumer drop row i of v:
+// its cell is NULL or an int they do not hold.
+func (k Keys) drops(v *ColVec, i int) bool {
+	if v.IsNull(i) {
+		return true
+	}
+	x, ok := intCell(v, i)
+	if v.Vals != nil && v.Vals[i].K == KindInt {
+		x, ok = v.Vals[i].I, true
+	}
+	return ok && !k.Meets(x, x)
+}
+
+// ColKeys is keys handed down on column Col. An operator handed keys
+// on one column twice keeps both: a row either drops is dropped.
+type ColKeys struct {
+	Col int
+	Keys
+}
+
+// SelectKeyed narrows the live rows of n rows of cols — those of sel,
+// or all when sel is nil — to the rows no list in hs drops, and reports
+// how many it dropped. The narrowed selection is made in *buf, which it
+// keeps; when it drops none it returns sel itself. Only a list makes it
+// look at rows: a range alone narrows windows and skips segments.
+func SelectKeyed(hs []ColKeys, cols []ColVec, n int, sel []int32, buf *[]int32) ([]int32, int) {
+	if !slices.ContainsFunc(hs, func(h ColKeys) bool { return h.List != nil }) {
+		return sel, 0
+	}
+	live := n
+	if sel != nil {
+		live = len(sel)
+	}
+	out := slices.Grow((*buf)[:0], live)
+rows:
+	for k := 0; k < live; k++ {
+		i := k
+		if sel != nil {
+			i = int(sel[k])
+		}
+		for _, h := range hs {
+			if h.List != nil && h.drops(&cols[h.Col], i) {
+				continue rows
+			}
+		}
+		out = append(out, int32(i))
+	}
+	if *buf = out; len(out) == live {
+		return sel, 0
+	}
+	return out, live - len(out)
+}
+
+// narrowInput hands in keys on its column col, when in can narrow.
+func narrowInput(in Iterator, col int, keys Keys) {
+	if n, ok := in.(KeyNarrower); ok {
+		n.NarrowKeys(col, keys)
 	}
 }
 
-// narrowProbeInput hands in, a join's probe input, the range of the build
-// keys held in t when the key is the one int column probeIdx names (t
-// keeps intKeys).
-func narrowProbeInput(in Iterator, probeIdx []int, t *joinTable) {
-	if len(probeIdx) != 1 || t.intKeys == nil {
-		return
+// narrowProbeInput hands in, a join's probe input, the sorted distinct
+// build keys held in t when the key is the one int column probeIdx
+// names (t keeps intKeys), and returns how many it handed. Each slot of
+// t's directory holds the chain of one key.
+func narrowProbeInput(in Iterator, probeIdx []int, t *joinTable) int {
+	if len(probeIdx) != 1 || t.intKeys == nil || t.len() == 0 {
+		return 0
 	}
-	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for _, k := range t.intKeys {
-		lo, hi = min(lo, k), max(hi, k)
+	list := make([]int64, 0, t.len())
+	for _, sl := range t.slots {
+		if sl.head > 0 {
+			list = append(list, t.intKeys[sl.head-1])
+		}
 	}
-	if lo <= hi {
-		narrowInput(in, probeIdx[0], lo, hi)
-	}
+	slices.Sort(list)
+	narrowInput(in, probeIdx[0], Keys{Lo: list[0], Hi: list[len(list)-1], List: list})
+	return len(list)
 }
 
 // HashJoinIter is an equi-join on extracted key pairs with an optional
@@ -71,7 +147,7 @@ func narrowProbeInput(in Iterator, probeIdx []int, t *joinTable) {
 // column by column, in typed loops, at exact size, through the join's
 // output projection. No tuple is made. The build side is drained at the
 // first pull, not at Open. An empty build side ends the stream without
-// pulling R at all; any other hands R the range of its int keys first
+// pulling R at all; any other hands R the list of its int keys first
 // (narrowProbeInput).
 type HashJoinIter struct {
 	L, R     Iterator
@@ -88,7 +164,7 @@ type HashJoinIter struct {
 	cols  []ColVec   // reused output batch header
 	out   ColBatch
 
-	probeRows, cellsGathered int64 // OperatorStats
+	probeRows, cellsGathered, keysHanded int64 // OperatorStats
 }
 
 // NewHashJoin builds a hash join; pairs must be non-empty. out names the
@@ -114,14 +190,14 @@ func (j *HashJoinIter) Open() error {
 	}
 	j.table, j.cb = nil, nil
 	j.cols = make([]ColVec, len(j.shape.out))
-	j.probeRows, j.cellsGathered = 0, 0
+	j.probeRows, j.cellsGathered, j.keysHanded = 0, 0, 0
 	return nil
 }
 
 // Next walks the matches of the current probe batch from where
 // the previous call stopped, up to DefaultBatchSize output rows, and
 // gathers them; a probe batch without a match is skipped whole. The
-// first call drains the build side and hands R the range of its keys.
+// first call drains the build side and hands R the list of its keys.
 func (j *HashJoinIter) Next() (*ColBatch, bool, error) {
 	if j.table == nil {
 		t, err := buildJoinTable(j.L, j.shape.lidx)
@@ -129,7 +205,7 @@ func (j *HashJoinIter) Next() (*ColBatch, bool, error) {
 			return nil, false, err
 		}
 		j.table = t
-		narrowProbeInput(j.R, j.shape.ridx, t)
+		j.keysHanded = int64(narrowProbeInput(j.R, j.shape.ridx, t))
 	}
 	t := j.table
 	if t.len() == 0 {
@@ -162,11 +238,13 @@ func (j *HashJoinIter) Next() (*ColBatch, bool, error) {
 	}
 }
 
-// OperatorStats reports how many probe rows the join was handed and how
-// many cells it gathered into its output.
+// OperatorStats reports how many probe rows the join was handed, how
+// many cells it gathered into its output and how many keys it handed
+// its probe input (0: none).
 func (j *HashJoinIter) OperatorStats(emit func(key string, v int64)) {
 	emit("probe_rows", j.probeRows)
 	emit("cells_gathered", j.cellsGathered)
+	emit("keys_handed", j.keysHanded)
 }
 
 func (j *HashJoinIter) Close() error {
@@ -716,8 +794,8 @@ func (j *NestedLoopJoinIter) Schema() Schema {
 // table (with no key columns, every right row lands on one chain,
 // covering the keyless cross-check case), left batches are narrowed
 // against it from their vectors and each hit's chain is walked until the
-// residual holds. It hands its left input the range of the build keys,
-// as the hash join does, and forwards a range handed to it to L. It
+// residual holds. It hands its left input the list of the build keys,
+// as the hash join does, and forwards keys handed to it to L. It
 // hands over each left batch narrowed to a selection of its surviving
 // rows.
 type SemiJoinIter struct {
@@ -730,6 +808,8 @@ type SemiJoinIter struct {
 	hits  probeHits
 	keep  []int32  // physical ids of the current batch's surviving rows
 	cb    ColBatch // reused output batch header
+
+	keysHanded int64 // OperatorStats
 }
 
 // NewSemiJoin builds a semi join.
@@ -754,7 +834,7 @@ func (j *SemiJoinIter) Open() error {
 	if j.table, err = buildJoinTable(j.R, j.shape.ridx); err != nil {
 		return err
 	}
-	narrowProbeInput(j.L, j.shape.lidx, j.table)
+	j.keysHanded = int64(narrowProbeInput(j.L, j.shape.lidx, j.table))
 	return nil
 }
 
@@ -801,9 +881,14 @@ func (j *SemiJoinIter) Close() error {
 
 func (j *SemiJoinIter) Schema() Schema { return j.L.Schema() }
 
-// NarrowKeyRange (KeyRangeNarrower) forwards a range to L, whose rows
-// the semi join passes through.
-func (j *SemiJoinIter) NarrowKeyRange(col int, lo, hi int64) { narrowInput(j.L, col, lo, hi) }
+// NarrowKeys (KeyNarrower) forwards keys to L, whose rows the semi join
+// passes through.
+func (j *SemiJoinIter) NarrowKeys(col int, keys Keys) { narrowInput(j.L, col, keys) }
+
+// OperatorStats reports how many keys the semi join handed L (0: none).
+func (j *SemiJoinIter) OperatorStats(emit func(key string, v int64)) {
+	emit("keys_handed", j.keysHanded)
+}
 
 // joinChoice is the physical join decision shared by Build, its trace
 // spans and EXPLAIN, so the plan printed is the plan executed.

@@ -316,22 +316,22 @@ func TestSemiJoinOverEmptyBuild(t *testing.T) {
 	}
 }
 
-// narrowRecorder is a columnar probe input that records the key ranges
+// narrowRecorder is a columnar probe input that records the keys
 // handed to it.
 type narrowRecorder struct {
 	*colSource
-	ranges [][3]int64 // col, lo, hi
+	keys []string // "col:lo…hi list"
 }
 
-func (r *narrowRecorder) NarrowKeyRange(col int, lo, hi int64) {
-	r.ranges = append(r.ranges, [3]int64{int64(col), lo, hi})
+func (r *narrowRecorder) NarrowKeys(col int, keys Keys) {
+	r.keys = append(r.keys, fmt.Sprintf("%d:%d…%d %v", col, keys.Lo, keys.Hi, keys.List))
 }
 
 // TestJoinsNarrowTheirProbeInput: once the build side is drained, the
-// hash join and the semi join hand their probe input the least and
-// greatest build key — NULL keys left out — when the key is one int
-// column, through a trace wrapper too; a join on a float key or on two
-// columns does not.
+// hash join and the semi join hand their probe input the sorted distinct
+// build keys — NULL keys left out, build keys 7, NULL, 3, 12, 7 handed
+// as {3, 7, 12} — when the key is one int column, through a trace
+// wrapper too; a join on a float key or on two columns hands none.
 func TestJoinsNarrowTheirProbeInput(t *testing.T) {
 	build := NewRelation(NewSchema(Column{Name: "b.k", Kind: KindInt}, Column{Name: "b.f", Kind: KindFloat}))
 	for _, k := range []Value{Int(7), Null(), Int(3), Int(12), Int(7)} {
@@ -339,18 +339,19 @@ func TestJoinsNarrowTheirProbeInput(t *testing.T) {
 	}
 	probe := randColInput(rand.New(rand.NewSource(3)), 200, "p")
 	on := []EquiPair{{L: "b.k", R: "p.k"}}
+	const list = "0:3…12 [3 7 12]"
 	for _, c := range []struct {
 		name string
 		join func(probe Iterator) Iterator
-		want [][3]int64
+		want []string
 	}{
-		{"hash", func(p Iterator) Iterator { return NewHashJoin(newColSource(build, 2), p, on, nil, nil) }, [][3]int64{{0, 3, 12}}},
+		{"hash", func(p Iterator) Iterator { return NewHashJoin(newColSource(build, 2), p, on, nil, nil) }, []string{list}},
 		{"traced", func(p Iterator) Iterator {
 			return NewHashJoin(newColSource(build, 2), newTraceIter(p, obs.NewSpan("probe")), on, nil, nil)
-		}, [][3]int64{{0, 3, 12}}},
+		}, []string{list}},
 		{"semi", func(p Iterator) Iterator {
 			return NewSemiJoin(p, newColSource(build, 2), []EquiPair{{L: "p.k", R: "b.k"}}, nil)
-		}, [][3]int64{{0, 3, 12}}},
+		}, []string{list}},
 		{"float key", func(p Iterator) Iterator {
 			return NewHashJoin(newColSource(build, 2), p, []EquiPair{{L: "b.f", R: "p.v"}}, nil, nil)
 		}, nil},
@@ -360,39 +361,44 @@ func TestJoinsNarrowTheirProbeInput(t *testing.T) {
 	} {
 		rec := &narrowRecorder{colSource: newColSource(probe, 64)}
 		mustDrain(t, c.join(rec))
-		if fmt.Sprint(rec.ranges) != fmt.Sprint(c.want) {
-			t.Errorf("%s: ranges %v, want %v", c.name, rec.ranges, c.want)
+		if fmt.Sprint(rec.keys) != fmt.Sprint(c.want) {
+			t.Errorf("%s: keys %v, want %v", c.name, rec.keys, c.want)
 		}
 	}
 
-	// Nested: an outer hash join, whose build keys run from 3 to 12, hands
-	// that range on p.k to the operator it probes, which forwards it to the
+	// Nested: an outer hash join, whose build keys are 3, 7 and 12, hands
+	// that list on p.k to the operator it probes, which forwards it to the
 	// recorder and never to side, the build side of a semi join (o.k, keys
-	// 1 and 4).
+	// 1 and 4); a hash join forwards none.
 	other := NewRelation(NewSchema(Column{Name: "o.k", Kind: KindInt}))
 	other.Append(Tuple{Int(1)})
 	other.Append(Tuple{Int(4)})
 	for _, c := range []struct {
 		name  string
 		under func(rec, side Iterator) Iterator
-		want  [][3]int64
+		want  []string
 	}{
 		{"filter", func(rec, side Iterator) Iterator { return NewFilter(rec, Cmp(GE, Col("p.k2"), ConstInt(0))) },
-			[][3]int64{{0, 3, 12}}},
+			[]string{list}},
 		{"projection", func(rec, side Iterator) Iterator { return NewProject(rec, []string{"p.v", "p.k"}) },
-			[][3]int64{{0, 3, 12}}},
+			[]string{list}},
+		{"rename", func(rec, side Iterator) Iterator { return NewRename(rec, []string{"p.k", "r.k2", "r.s", "r.v"}) },
+			[]string{list}},
 		{"semi join", func(rec, side Iterator) Iterator {
 			return NewSemiJoin(rec, side, []EquiPair{{L: "p.k2", R: "o.k"}}, nil)
-		}, [][3]int64{{1, 1, 4}, {0, 3, 12}}},
+		}, []string{"1:1…4 [1 4]", list}},
 		{"traced filter", func(rec, side Iterator) Iterator {
 			return newTraceIter(NewFilter(rec, Cmp(GE, Col("p.k2"), ConstInt(0))), obs.NewSpan("filter"))
-		}, [][3]int64{{0, 3, 12}}},
+		}, []string{list}},
+		{"hash join", func(rec, side Iterator) Iterator {
+			return NewHashJoin(side, rec, []EquiPair{{L: "o.k", R: "p.k2"}}, nil, []string{"p.v", "p.k"})
+		}, []string{"1:1…4 [1 4]"}},
 	} {
 		rec := &narrowRecorder{colSource: newColSource(probe, 64)}
 		side := &narrowRecorder{colSource: newColSource(other, 8)}
 		mustDrain(t, NewHashJoin(newColSource(build, 2), c.under(rec, side), on, nil, nil))
-		if fmt.Sprint(rec.ranges) != fmt.Sprint(c.want) || side.ranges != nil {
-			t.Errorf("through a %s: ranges %v and on the other side %v, want %v and none", c.name, rec.ranges, side.ranges, c.want)
+		if fmt.Sprint(rec.keys) != fmt.Sprint(c.want) || side.keys != nil {
+			t.Errorf("through a %s: keys %v and on the other side %v, want %v and none", c.name, rec.keys, side.keys, c.want)
 		}
 	}
 }

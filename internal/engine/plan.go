@@ -83,9 +83,9 @@ type ValuesPlan struct {
 	Rel   *Relation
 	Batch *ColBatch
 	Name  string // display name for EXPLAIN
-	// Sorted names an int column of Batch whose cells ascend, "" none: a
-	// key range handed down on it (KeyRangeNarrower) narrows the scan to
-	// the window of rows inside it, found by binary search.
+	// Sorted names an int column of Batch whose cells ascend, "" none:
+	// keys handed down on it (KeyNarrower) narrow the scan to the window
+	// of rows inside their range, found by binary search.
 	Sorted string
 	// Stats, when non-nil, returns the data's statistics (never nil), by
 	// its columns' positions. A producer that already keeps statistics for

@@ -71,7 +71,7 @@ func (p *StitchPlan) WithChildren(ch []Plan) Plan {
 func (p *StitchPlan) Label() string { return "Merge Join on tid (driver " + p.TIDs[p.Driver] + ")" }
 
 // StitchIter is the physical stitch. It drains the driver first, leaving
-// out the rows a range handed down on its columns drops, and hands every
+// out the rows a key list handed down on its columns drops, and hands every
 // other input the tuple-id range of the rows it kept (a store scan then
 // skips the segments and rows outside it). Then it walks the inputs side
 // by side as Leapfrog Triejoin does (Veldhuizen, arXiv 1210.0481): each
@@ -95,7 +95,8 @@ type StitchIter struct {
 	shape   *joinShape
 	ins     []stitchIn // per input, its cursor
 	pick    []int      // per input, the row of its group in the combination
-	keep    []keyRange // ranges handed down on the driver's columns
+	keep    []ColKeys  // keys handed down on the driver's columns
+	kept    []int32    // reused selection of the driver rows keep lets through
 	pending int        // combinations not yet gathered
 	started bool
 	done    bool
@@ -187,9 +188,7 @@ func (s *StitchIter) Next() (*ColBatch, bool, error) {
 }
 
 // start drains the driver and hands the other inputs its tuple-id range;
-// an empty driver ends the stream without reading them. The pending
-// rows' refs are cut from one arena, as many per input as the driver
-// kept rows, DefaultBatchSize at most.
+// an empty driver ends the stream without reading them.
 func (s *StitchIter) start() error {
 	s.started = true
 	d := &s.ins[s.Driver]
@@ -205,20 +204,11 @@ func (s *StitchIter) start() error {
 	if d.fixed, s.done = true, len(d.held) == 0; s.done {
 		return nil
 	}
-	n := 0
-	for i := range d.held {
-		n += d.held[i].Rows()
-	}
-	n = min(n, DefaultBatchSize)
-	refs := make([]rowRef, len(s.ins)*n)
-	for i := range s.ins {
-		s.ins[i].refs = refs[i*n : i*n : (i+1)*n]
-	}
 	d.current(0)
 	lo := d.tidAt(0)
 	for i := range s.ins {
 		if in := &s.ins[i]; i != s.Driver {
-			narrowInput(in.it, in.tid, lo, d.last)
+			narrowInput(in.it, in.tid, Keys{Lo: lo, Hi: d.last})
 			if _, err := s.advance(i); err != nil {
 				return err
 			}
@@ -228,8 +218,8 @@ func (s *StitchIter) start() error {
 }
 
 // pull holds the header of input i's next batch — the driver's narrowed
-// to the rows the ranges in keep let through, and not held when none
-// is — after checking that its tuple ids are ints ascending from the
+// to the rows the keys in keep let through, and not held when none is —
+// after checking that its tuple ids are ints ascending from the
 // last one handed over. It reports false at the end of the input.
 func (s *StitchIter) pull(i int) (bool, error) {
 	in := &s.ins[i]
@@ -239,10 +229,11 @@ func (s *StitchIter) pull(i int) (bool, error) {
 	}
 	if i == s.Driver {
 		s.driverRows += int64(cb.Rows())
-		if len(s.keep) > 0 {
-			if cb = (&ColBatch{Sch: cb.Sch, Cols: cb.Cols, N: cb.N, Sel: keptRows(cb, s.keep)}); len(cb.Sel) == 0 {
+		if sel, dropped := SelectKeyed(s.keep, cb.Cols, cb.N, cb.Sel, &s.kept); dropped > 0 {
+			if len(sel) == 0 {
 				return true, nil
 			}
+			cb = &ColBatch{Sch: cb.Sch, Cols: cb.Cols, N: cb.N, Sel: sel}
 		}
 	}
 	v := &cb.Cols[in.tid]
@@ -378,6 +369,9 @@ func (s *StitchIter) group(i int, t int64) error {
 // d hold (joinCond); a combination of every input is pending output.
 func (s *StitchIter) combine(d int) {
 	if d == len(s.ins) {
+		if s.pending == cap(s.ins[0].refs) {
+			s.growRefs()
+		}
 		for i := range s.ins {
 			in := &s.ins[i]
 			in.refs = append(in.refs, in.grp[s.pick[i]])
@@ -394,6 +388,23 @@ func (s *StitchIter) combine(d int) {
 			}
 		}
 		s.combine(d + 1)
+	}
+}
+
+// growRefs moves the pending combinations' refs to an arena with room
+// for four times as many — at least 16, and no more than a batch until
+// a tuple id's combinations spill past one — cut into one slice per
+// input. The arena is kept across batches, so it grows with the most
+// combinations one batch holds, not with the driver's rows.
+func (s *StitchIter) growRefs() {
+	n := max(16, 4*s.pending)
+	if s.pending < DefaultBatchSize {
+		n = min(n, DefaultBatchSize)
+	}
+	arena := make([]rowRef, len(s.ins)*n)
+	for i := range s.ins {
+		in := &s.ins[i]
+		in.refs = append(arena[i*n:i*n:(i+1)*n], in.refs...)
 	}
 }
 
@@ -429,62 +440,26 @@ func (s *StitchIter) gather() {
 	}
 }
 
-// NarrowKeyRange (KeyRangeNarrower) forwards a range on a tuple-id
-// column to every input, and on any other column to the input it is
-// read from; a range on the driver's columns also drops, as the driver
-// is drained, its rows outside it. One handed later is ignored.
-func (s *StitchIter) NarrowKeyRange(col int, lo, hi int64) {
+// NarrowKeys (KeyNarrower) forwards keys on a tuple-id column to every
+// input, and on any other column to the input it is read from; a list
+// on the driver's columns also drops, as the driver is drained, its rows
+// whose key the list leaves out. Keys handed later are ignored.
+func (s *StitchIter) NarrowKeys(col int, keys Keys) {
 	if s.started || s.shape == nil {
 		return
 	}
 	c := s.shape.out[col]
 	if c.col != s.ins[c.in].tid {
-		narrowInput(s.ins[c.in].it, c.col, lo, hi)
+		narrowInput(s.ins[c.in].it, c.col, keys)
 		if c.in == s.Driver {
-			s.keep = append(s.keep, keyRange{col: c.col, lo: lo, hi: hi})
+			s.keep = append(s.keep, ColKeys{Col: c.col, Keys: keys})
 		}
 		return
 	}
 	for i := range s.ins {
-		narrowInput(s.ins[i].it, s.ins[i].tid, lo, hi)
+		narrowInput(s.ins[i].it, s.ins[i].tid, keys)
 	}
-	s.keep = append(s.keep, keyRange{col: s.ins[s.Driver].tid, lo: lo, hi: hi})
-}
-
-// keyRange is a range handed down on column col.
-type keyRange struct {
-	col    int
-	lo, hi int64
-}
-
-// drops reports whether the range lets its consumer drop row i of cols:
-// the row's cell is NULL or an int outside the range.
-func (r keyRange) drops(cols []ColVec, i int) bool {
-	v := &cols[r.col]
-	if v.IsNull(i) {
-		return true
-	}
-	x, ok := intCell(v, i)
-	if v.Vals != nil && v.Vals[i].K == KindInt {
-		x, ok = v.Vals[i].I, true
-	}
-	return ok && (x < r.lo || x > r.hi)
-}
-
-// keptRows lists the live rows of cb that no range in keep drops.
-func keptRows(cb *ColBatch, keep []keyRange) []int32 {
-	sel := make([]int32, 0, cb.Rows())
-rows:
-	for k, n := 0, cb.Rows(); k < n; k++ {
-		i := cb.RowID(k)
-		for _, r := range keep {
-			if r.drops(cb.Cols, i) {
-				continue rows
-			}
-		}
-		sel = append(sel, int32(i))
-	}
-	return sel
+	s.keep = append(s.keep, ColKeys{Col: s.ins[s.Driver].tid, Keys: keys})
 }
 
 // OperatorStats reports the rows drained from the driver, the rows the

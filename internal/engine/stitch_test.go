@@ -11,8 +11,8 @@ import (
 // pairs p<p>.d<j>v, p<p>.d<j>r — variables from a small set, so one
 // repeats within a descriptor and meets its namesake across partitions,
 // and now and then a NULL or a float for an int, which ψ cannot compare
-// as ints — the tuple id p<p>.tid and an attribute p<p>.a that is NULL now and
-// then. A tuple id has no row in a partition, or one to three
+// as ints — the tuple id p<p>.tid and an attribute p<p>.a that is NULL,
+// or a float equal to an int, now and then. A tuple id has no row in a partition, or one to three
 // alternatives; with straddle every tuple id has three in every
 // partition, so 1 024-row batches cut through them.
 func stitchParts(rng *rand.Rand, k, n int, straddle bool) []*Relation {
@@ -46,8 +46,11 @@ func stitchParts(rng *rand.Rand, k, n int, straddle bool) []*Relation {
 					row = append(row, cell(3), cell(2))
 				}
 				a := Int(int64(rng.Intn(20)))
-				if rng.Intn(8) == 0 {
+				switch rng.Intn(24) {
+				case 0, 1, 2:
 					a = Null()
+				case 3:
+					a = Float(float64(rng.Intn(20)))
 				}
 				rel.Append(append(row, Int(int64(tid)), a))
 			}
@@ -73,17 +76,23 @@ func stitchPsi(parts []*Relation, p, q int) []Expr {
 
 // FuzzStitch holds the stitch to the hash-join chain it replaces: on
 // 1–5 tid-ordered partitions (stitchParts), each under a random filter
-// and served in batches of a random size, the stitch driven by a random
-// input and handed a random tid range gives, within that range, the bag
-// of rows a left-deep fold of NewHashJoin on α (the tuple ids) gives,
-// each step filtered by its ψ — judged row by row by a filter, so the
-// reference shares no condition code with the stitch — and its tuple
-// ids ascend. With straddle every
-// tuple id has three alternatives, served whole in 1 024-row batches
-// that cut through them.
+// and served in batches of a random size or as an in-memory scan, the
+// stitch driven by a random input gives the bag of rows a left-deep fold
+// of NewHashJoin on α (the tuple ids) gives, each step filtered by its ψ
+// — judged row by row by a filter, so the reference shares no condition
+// code with the stitch — and its tuple ids ascend. Half of the time the
+// stitch is handed a random tid range, and is held to the chain within
+// it; otherwise it is the probe side of a hash join whose build keys —
+// with duplicates and NULLs, on the driver's column or another input's,
+// or none at all — it receives as a list, and the join must give what
+// it gives over the same stitch with narrowing hidden, and over the
+// chain. With straddle every tuple id has three alternatives, served
+// whole in 1 024-row batches that cut through them.
 func FuzzStitch(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint16(300), false) // two partitions
-	f.Add(int64(2), uint8(2), uint16(700), true)  // alternatives straddle 1 024-row batches
+	f.Add(int64(1), uint8(1), uint16(300), false)  // two partitions
+	f.Add(int64(2), uint8(2), uint16(700), true)   // alternatives straddle 1 024-row batches
+	f.Add(int64(5), uint8(3), uint16(400), false)  // a key list
+	f.Add(int64(-68), uint8(1), uint16(664), true) // a list on a column with floats equal to keys
 	f.Fuzz(func(t *testing.T, seed int64, k uint8, n uint16, straddle bool) {
 		rng := rand.New(rand.NewSource(seed))
 		parts := stitchParts(rng, 1+int(k%5), int(n%1500), straddle)
@@ -92,9 +101,11 @@ func FuzzStitch(f *testing.F) {
 			chunk = DefaultBatchSize
 		}
 		filters := make([]Expr, len(parts))
+		inMemory := make([]bool, len(parts))
 		for p := range filters {
+			inMemory[p] = rng.Intn(2) == 0
 			if straddle {
-				break
+				continue
 			}
 			switch rng.Intn(3) {
 			case 0:
@@ -105,47 +116,69 @@ func FuzzStitch(f *testing.F) {
 		}
 		input := func(p int) Iterator {
 			var in Iterator = newColSource(parts[p], chunk)
+			if inMemory[p] {
+				in = memScan(parts[p], fmt.Sprintf("p%d.tid", p))
+			}
 			if filters[p] != nil {
 				in = NewFilter(in, filters[p])
 			}
 			return in
 		}
-		var ins []Iterator
 		var tids []string
 		var psi []Expr
-		ref := input(0)
+		chain := func() Iterator { // its inputs narrow nothing, so it shares no narrowing with the stitch
+			ref := Iterator(struct{ Iterator }{input(0)})
+			for p := 1; p < len(parts); p++ {
+				ref = NewHashJoin(ref, struct{ Iterator }{input(p)}, []EquiPair{{L: "p0.tid", R: tids[p]}}, nil, nil)
+				if step := psi[p]; step != nil {
+					ref = NewFilter(ref, step)
+				}
+			}
+			return ref
+		}
+		var all []Expr
 		for p := range parts {
-			ins, tids = append(ins, input(p)), append(tids, fmt.Sprintf("p%d.tid", p))
+			tids = append(tids, fmt.Sprintf("p%d.tid", p))
 			var step []Expr
 			for q := 0; q < p; q++ {
 				step = append(step, stitchPsi(parts, q, p)...)
 			}
-			psi = append(psi, step...)
-			if p > 0 {
-				ref = NewHashJoin(ref, input(p), []EquiPair{{L: "p0.tid", R: tids[p]}}, nil, nil)
-			}
+			all = append(all, step...)
+			psi = append(psi, nil)
 			if len(step) > 0 {
-				ref = NewFilter(ref, And(step...))
+				psi[p] = And(step...)
 			}
 		}
 		var cond Expr
-		if len(psi) > 0 {
-			cond = And(psi...)
+		if len(all) > 0 {
+			cond = And(all...)
 		}
-		stitch := NewStitch(ins, tids, cond, rng.Intn(len(parts)), nil)
+		driver := rng.Intn(len(parts))
+		stitch := func() *StitchIter {
+			ins := make([]Iterator, len(parts))
+			for p := range ins {
+				ins[p] = input(p)
+			}
+			return NewStitch(ins, tids, cond, driver, nil)
+		}
+		if rng.Intn(2) == 0 {
+			checkStitchUnderList(t, rng, parts, driver, stitch, chain)
+			return
+		}
 		lo, hi := int64(-1), int64(n)
 		if !straddle && rng.Intn(2) == 0 {
 			lo = rng.Int63n(int64(n) + 1)
 			hi = lo + rng.Int63n(int64(n)/4+1)
 		}
-		if err := stitch.Open(); err != nil {
+		st := stitch()
+		if err := st.Open(); err != nil {
 			t.Fatal(err)
 		}
-		tidCol := stitch.Schema().IndexOf("p0.tid")
-		stitch.NarrowKeyRange(tidCol, lo, hi)
-		got := NewRelation(stitch.Schema())
+		tidCol := st.Schema().IndexOf("p0.tid")
+		st.NarrowKeys(tidCol, Keys{Lo: lo, Hi: hi})
+		got := NewRelation(st.Schema())
 		for {
-			cb, ok, err := stitch.Next()
+			cb, ok, err := st.Next()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,11 +187,11 @@ func FuzzStitch(f *testing.F) {
 			}
 			got.Rows = cb.Materialize(got.Rows)
 		}
-		if err := stitch.Close(); err != nil {
+		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
 		want := NewRelation(got.Sch)
-		for _, row := range mustDrain(t, ref).Rows {
+		for _, row := range mustDrain(t, chain()).Rows {
 			if x := row[tidCol].I; x >= lo && x <= hi {
 				want.Append(row)
 			}
@@ -173,7 +206,54 @@ func FuzzStitch(f *testing.F) {
 			}
 		}
 		if !inRange.EqualAsBag(want) {
-			t.Fatalf("%d partitions, driver %d, tids [%d, %d]: the stitch gives %d rows, the hash chain %d", len(parts), stitch.Driver, lo, hi, inRange.Len(), want.Len())
+			t.Fatalf("%d partitions, driver %d, tids [%d, %d]: the stitch gives %d rows, the hash chain %d", len(parts), driver, lo, hi, inRange.Len(), want.Len())
 		}
 	})
+}
+
+// checkStitchUnderList joins build keys drawn on one column of the
+// stitch — an attribute of a random partition, the driver's or
+// another's, or the tuple id — with duplicates and NULLs and now and
+// then none at all, to a stitch, which receives them as a list, and to
+// the same stitch with narrowing hidden and to the hash chain; the
+// three must give one bag of rows.
+func checkStitchUnderList(t *testing.T, rng *rand.Rand, parts []*Relation, driver int, stitch func() *StitchIter, chain func() Iterator) {
+	t.Helper()
+	q := rng.Intn(len(parts))
+	key := fmt.Sprintf("p%d.a", q)
+	if rng.Intn(4) == 0 {
+		key = fmt.Sprintf("p%d.tid", q)
+	}
+	build := NewRelation(NewSchema(Column{Name: "b.k", Kind: KindInt}))
+	for i := rng.Intn(12); i > 0; i-- {
+		k := Int(int64(rng.Intn(25)))
+		if rng.Intn(8) == 0 {
+			k = Null()
+		}
+		build.Append(Tuple{k})
+		if rng.Intn(3) == 0 {
+			build.Append(Tuple{k}) // a duplicate
+		}
+	}
+	on := []EquiPair{{L: "b.k", R: key}}
+	join := func(probe Iterator) (*Relation, *HashJoinIter) {
+		j := NewHashJoin(newColSource(build, 1+rng.Intn(4)), probe, on, nil, nil)
+		return mustDrain(t, j), j
+	}
+	got, j := join(stitch())
+	hidden, _ := join(struct{ Iterator }{stitch()})
+	want, _ := join(chain())
+	if !got.EqualAsBag(hidden) || !got.EqualAsBag(want) {
+		t.Fatalf("%d partitions, driver %d, %d build keys on %s (%d handed): the join over the stitch gives %d rows, with narrowing hidden %d, over the hash chain %d",
+			len(parts), driver, build.Len(), key, j.keysHanded, got.Len(), hidden.Len(), want.Len())
+	}
+}
+
+// memScan is the in-memory scan of rel, sorted on its column tid.
+func memScan(rel *Relation, tid string) *colScanIter {
+	cols := make([]ColVec, rel.Sch.Len())
+	for c := range cols {
+		cols[c] = BuildColVec(rel.Len(), func(i int) Value { return rel.Rows[i][c] })
+	}
+	return &colScanIter{src: &ColBatch{Sch: rel.Sch, Cols: cols, N: rel.Len()}, sorted: rel.Sch.IndexOf(tid)}
 }

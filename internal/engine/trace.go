@@ -47,8 +47,14 @@ func (t *traceIter) Next() (*ColBatch, bool, error) {
 	return cb, ok, err
 }
 
-// NarrowKeyRange forwards a key range to the wrapped operator.
-func (t *traceIter) NarrowKeyRange(col int, lo, hi int64) { narrowInput(t.in, col, lo, hi) }
+// NarrowKeys forwards keys to the wrapped operator and, when it takes
+// keys and they are a list, counts the list as keys_in.
+func (t *traceIter) NarrowKeys(col int, keys Keys) {
+	if _, ok := t.in.(KeyNarrower); ok && keys.List != nil {
+		t.sp.AddStat("keys_in", int64(len(keys.List)))
+	}
+	narrowInput(t.in, col, keys)
+}
 
 func (t *traceIter) Close() error {
 	start := time.Now()

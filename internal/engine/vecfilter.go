@@ -10,6 +10,8 @@ package engine
 // still selection-vector driven, so no batch is ever materialized just
 // to be filtered.
 
+import "slices"
+
 // vecPred is a compiled predicate over column batches.
 type vecPred struct {
 	conjuncts []vecConjunct
@@ -40,7 +42,7 @@ func compileVecPred(bound Expr, sch Schema) *vecPred {
 // selBuf as scratch, and returns the surviving physical row indices.
 func (p *vecPred) filter(cb *ColBatch, selBuf []int32) []int32 {
 	n := cb.Rows()
-	sel := selBuf[:0]
+	sel := slices.Grow(selBuf[:0], n)
 	for k := 0; k < n; k++ {
 		sel = append(sel, int32(cb.RowID(k)))
 	}

@@ -56,22 +56,23 @@
 //     delta) are merged by tid inside the window
 //     the ranges leave, each batch a zero-copy window of the run with
 //     the least tuple id, up to the next run's, behind a selection
-//     vector. The operators above may hand the scan key ranges
-//     (engine.KeyRangeNarrower): a stitch hands every input but its
-//     driver the driver's tid range, a hash or semi join whose probe
-//     side it is hands it the range of its build keys, and a join
-//     higher up hands its own range down through the semi joins,
-//     stitches, filters and projections between. The scan
-//     keeps every range it is handed: one per column, two on the same
-//     column narrowed to their intersection. It leaves
-//     unread every segment whose tid bounds — or, for an int value
-//     column, zone map — miss any one of them: a stitch driven by an
-//     index probe of a few tuples decodes the one segment of each
-//     other partition they are in, and a selective join's range on an
-//     attribute skips the segments of the partition that holds it. Of
-//     a segment it reads it serves only the window of rows in the tid
-//     range, windows of every vector, found by binary search, so a
-//     stitch reads the rows its driver can reach. Its planning half,
+//     vector. The operators above may hand the scan keys
+//     (engine.KeyNarrower): a stitch hands every input but its driver
+//     the driver's tid range, a hash or semi join whose probe side it
+//     is hands it the sorted list of its build keys, and a join higher
+//     up hands its own list down through the semi joins, stitches,
+//     filters, renames and projections between. The scan keeps all the
+//     keys it is handed, side by side. It leaves unread every segment
+//     whose tid bounds — or, for an int value column, zone map — hold
+//     no key of any one of them, found in a list by binary search: a
+//     stitch driven by an index probe of a few tuples decodes the one
+//     segment of each other partition they are in, and a selective
+//     join's list on an attribute skips the segments of the partition
+//     that holds it. Of a segment it reads — and of the delta — it
+//     serves only the window of rows in the tid range, windows of every
+//     vector, found by binary search, so a stitch reads the rows its
+//     driver can reach, and of those only the rows whose int key each
+//     list holds. Its planning half,
 //     StoreScanPlan, implements engine.SourcePlan and
 //     engine.FilterAdvisor: selection predicates evaluated directly
 //     above a scan (the σ of the paper's Figure 4 translation) prune

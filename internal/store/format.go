@@ -31,7 +31,7 @@ import (
 // column, then one value column per attribute (null bitmap + payload).
 // A writer lays rows out in stable tuple-id order, so each segment's
 // tid bounds cover a slice of the partition's tuples and a scan handed
-// a key range skips the segments they miss.
+// keys skips the segments whose bounds hold none.
 //
 // A v1 file (fileMagicV1) has neither the tid bounds nor the footer
 // checksum (its tail is 16 bytes); it still opens, with every segment's
@@ -453,7 +453,7 @@ func encodeSegment(b []byte, rows rowSeq, width int, kinds []byte) ([]byte, segM
 // tidLo and tidHi bound the tuple ids (lo > hi when empty): a
 // tombstone filter is narrowed to the batches that meet them. The rows
 // are in tid order (decodeSegment sorts them when the file's are not),
-// so a narrowed scan binary-searches them for a key range. dvar, drng
+// so a narrowed scan binary-searches them for a tid range. dvar, drng
 // and tid are windows of one slab (dvar and drng are nil when the
 // segment has no rows).
 type segment struct {

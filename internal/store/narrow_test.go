@@ -14,17 +14,18 @@ import (
 	"urel/internal/ws"
 )
 
-// unnarrowed is a scan without NarrowKeyRange: the same plan with
+// unnarrowed is a scan without NarrowKeys: the same plan with
 // narrowing off.
 type unnarrowed struct{ engine.Iterator }
 
-// narrowCounts is what the narrowed scans of some layouts skipped, how
+// narrowCounts is what the narrowed scans of some layouts skipped — of
+// those rows, the ones a key list on the value column dropped — how
 // many joins whose build side held in-memory delta rows narrowed their
-// probe, the segments the scans of the stitched chains skipped, and how
-// often the chains' layouts were drawn (chainLayouts).
+// probe, the segments and rows the scans of the stitched chains skipped,
+// and how often the chains' layouts were drawn (chainLayouts).
 type narrowCounts struct {
-	segments, rows, memBuilds, chainSegments int64
-	layouts                                  chainLayouts
+	segments, rows, listRows, memBuilds, chainSegments, chainRows int64
+	layouts                                                       chainLayouts
 }
 
 // chainLayouts counts the stitched chains whose partitions held several
@@ -95,8 +96,10 @@ func TestNarrowedJoinsMatchUnnarrowed(t *testing.T) {
 			c := checkNarrowLayout(t, rand.New(rand.NewSource(seed)))
 			total.segments += c.segments
 			total.rows += c.rows
+			total.listRows += c.listRows
 			total.memBuilds += c.memBuilds
 			total.chainSegments += c.chainSegments
+			total.chainRows += c.chainRows
 			l := &total.layouts
 			l.severalLayers += c.layouts.severalLayers
 			l.tailReinserts += c.layouts.tailReinserts
@@ -105,13 +108,13 @@ func TestNarrowedJoinsMatchUnnarrowed(t *testing.T) {
 			l.straddles += c.layouts.straddles
 		})
 	}
-	t.Logf("narrowed scans skipped %d segments and %d rows of segments read and of deltas; %d joins built on delta rows narrowed; stitched chain layouts %+v",
-		total.segments, total.rows, total.memBuilds, total.layouts)
-	if total.segments == 0 || total.rows == 0 {
-		t.Errorf("the joins skipped %d segments and %d rows of segments read: narrowing was never exercised", total.segments, total.rows)
+	t.Logf("narrowed scans skipped %d segments and %d rows of segments read and of deltas, %d of them by a key list on the value column; %d joins built on delta rows narrowed; stitched chains skipped %d segments and %d rows; stitched chain layouts %+v",
+		total.segments, total.rows, total.listRows, total.memBuilds, total.chainSegments, total.chainRows, total.layouts)
+	if total.segments == 0 || total.rows == 0 || total.listRows == 0 {
+		t.Errorf("the joins skipped %d segments and %d rows of segments read, %d by a list: narrowing was never exercised", total.segments, total.rows, total.listRows)
 	}
-	if total.chainSegments == 0 {
-		t.Error("no scan of a merge chain skipped a segment: the range never reached it through the merge")
+	if total.chainSegments == 0 || total.chainRows == 0 {
+		t.Errorf("the scans of the merge chains skipped %d segments and %d rows: the keys never reached them through the merge", total.chainSegments, total.chainRows)
 	}
 	if total.memBuilds == 0 {
 		t.Error("no join whose build side held delta rows narrowed its probe side")
@@ -359,6 +362,9 @@ func checkNarrowLayout(t *testing.T, rng *rand.Rand) narrowCounts {
 				if s := scan.(*StoreScanIter); narrow {
 					counts.segments += s.SegmentsSkippedByJoin
 					counts.rows += s.RowsSkippedByJoin
+					if on.col == "r.a" {
+						counts.listRows += s.RowsSkippedByJoin
+					}
 					if memBuild && s.SegmentsSkippedByJoin+s.RowsSkippedByJoin > 0 {
 						counts.memBuilds++
 					}
@@ -367,20 +373,22 @@ func checkNarrowLayout(t *testing.T, rng *rand.Rand) narrowCounts {
 		}
 	}
 	counts.layouts.add(t, src, unsortedV1)
-	counts.chainSegments = checkChain(t, rng, dir, src, live, w, maxTID, &counts.layouts)
+	counts.chainSegments, counts.chainRows = checkChain(t, rng, dir, src, live, w, maxTID, &counts.layouts)
 	return counts
 }
 
 // checkChain joins a selective build side — keys from a window of three
-// values, a NULL now and then — on r.a to the stitch, with ψ, of src
-// and a second stored partition over its tuple ids: the outer join hands
-// the stitch the range of its keys, which the stitch forwards to src's
-// scan, and the driver's tid range — src's or the other's, drawn —
-// then narrows the other scan. The rows must be those of the same plan
-// with narrowing hidden and of the join evaluated row by row; it returns
-// the segments the stitch's two scans skipped, and counts the second
-// partition's layout into layouts.
-func checkChain(t *testing.T, rng *rand.Rand, dir string, src *PartSource, live []core.URow, w int, maxTID int64, layouts *chainLayouts) int64 {
+// values, with duplicates, a NULL now and then, or none at all — on r.a
+// or on s.b to the stitch, with ψ, of src and a second stored partition
+// over its tuple ids: the outer join hands the stitch the list of its
+// keys, which the stitch forwards to the scan of the partition that
+// owns the column — the driver's or the other's, as the driver is drawn
+// — and the driver's tid range then narrows the other scan. The rows
+// must be those of the same plan with narrowing hidden and of the join
+// evaluated row by row; it returns the segments and rows the stitch's
+// two scans skipped, and counts the second partition's layout into
+// layouts.
+func checkChain(t *testing.T, rng *rand.Rand, dir string, src *PartSource, live []core.URow, w int, maxTID int64, layouts *chainLayouts) (int64, int64) {
 	t.Helper()
 	// The other partition, s.b: one or two alternatives per tuple id, in
 	// one or two layers, under wildcard tombstones half of the time, and
@@ -453,7 +461,8 @@ func checkChain(t *testing.T, rng *rand.Rand, dir string, src *PartSource, live 
 	lo := rng.Int63n(41)
 	var keys []int64
 	var nulls []bool
-	for n := 1 + rng.Intn(4); n > 0; n-- {
+	onB := rng.Intn(2) == 0
+	for n := rng.Intn(5); n > 0; n-- {
 		keys = append(keys, lo+rng.Int63n(3))
 		nulls = append(nulls, rng.Intn(8) == 0)
 	}
@@ -462,15 +471,22 @@ func checkChain(t *testing.T, rng *rand.Rand, dir string, src *PartSource, live 
 		Cols: []engine.ColVec{engine.IntVec(keys, nulls)},
 		N:    len(keys),
 	}, Name: "b"}
-	var want []string
-	for _, a := range live {
+	matches := func(v engine.Value) int {
 		n := 0
 		for i, k := range keys {
-			if !nulls[i] && !a.Vals[0].IsNull() && engine.Compare(engine.Int(k), a.Vals[0]) == 0 {
+			if !nulls[i] && !v.IsNull() && engine.Compare(engine.Int(k), v) == 0 {
 				n++
 			}
 		}
+		return n
+	}
+	var want []string
+	for _, a := range live {
 		for _, b := range live2 {
+			n := matches(a.Vals[0])
+			if onB {
+				n = matches(b.Vals[0])
+			}
 			if n > 0 && b.TID == a.TID && a.D.ConsistentWith(b.D) {
 				for i := 0; i < n; i++ {
 					want = append(want, uRowKey(a)+" ⋈ "+uRowKey(b))
@@ -480,8 +496,11 @@ func checkChain(t *testing.T, rng *rand.Rand, dir string, src *PartSource, live 
 	}
 	sort.Strings(want)
 
-	var skipped int64
-	driver := rng.Intn(2)
+	var skipped, rows int64
+	driver, key := rng.Intn(2), "r.a"
+	if onB {
+		key = "s.b"
+	}
 	for _, narrow := range []bool{true, false} {
 		scan := func(s *PartSource, sch engine.Schema, width int, name string) *StoreScanIter {
 			it, err := s.ScanPlan(sch, width, []int{0}, name).(*StoreScanPlan).BuildIter(engine.ExecConfig{})
@@ -502,7 +521,7 @@ func checkChain(t *testing.T, rng *rand.Rand, dir string, src *PartSource, live 
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel, err := engine.Drain(engine.NewHashJoin(build, hide(merge), []engine.EquiPair{{L: "b.k", R: "r.a"}}, nil, nil))
+		rel, err := engine.Drain(engine.NewHashJoin(build, hide(merge), []engine.EquiPair{{L: "b.k", R: key}}, nil, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -512,21 +531,22 @@ func checkChain(t *testing.T, rng *rand.Rand, dir string, src *PartSource, live 
 		}
 		sort.Strings(got)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("chain on r.a, keys %v (nulls %v), driver %d, narrowed %v: %d rows, row by row %d:\n%v\n%v", keys, nulls, driver, narrow, len(got), len(want), got, want)
+			t.Fatalf("chain on %s, keys %v (nulls %v), driver %d, narrowed %v: %d rows, row by row %d:\n%v\n%v", key, keys, nulls, driver, narrow, len(got), len(want), got, want)
 		}
 		if narrow {
-			skipped = a.SegmentsSkippedByJoin + b.SegmentsSkippedByJoin
+			skipped, rows = a.SegmentsSkippedByJoin+b.SegmentsSkippedByJoin, a.RowsSkippedByJoin+b.RowsSkippedByJoin
 		}
 	}
-	return skipped
+	return skipped, rows
 }
 
-// TestScanKeepsEveryRange: a scan handed ranges on two columns skips
-// every segment either misses, and one handed two ranges on one column
-// keeps their intersection — as a probe scan is handed a value range from
-// above and then its own join's tid range, and the second must not erase
-// the first. The partition holds tuple ids 1…400 in segments of 50, with
-// r.a equal to the tid.
+// TestScanKeepsEveryRange: a scan handed keys on two columns skips
+// every segment either holds no key of, and one handed keys twice on one
+// column serves only the rows both let through — as a probe scan is
+// handed a value list from above and then its own join's tid range, and
+// the second must not erase the first. A list skips the segments between its keys and
+// serves only the rows that hold one. The partition holds tuple ids
+// 1…400 in segments of 50, with r.a equal to the tid.
 func TestScanKeepsEveryRange(t *testing.T) {
 	var rows []core.URow
 	for tid := int64(1); tid <= 400; tid++ {
@@ -543,14 +563,19 @@ func TestScanKeepsEveryRange(t *testing.T) {
 	defer h.Close()
 	src := &PartSource{Layers: []*PartHandle{h}}
 	const tid, val = 2, 3 // the columns of widthSchema(1)
+	list := func(xs ...int64) engine.Keys { return engine.Keys{Lo: xs[0], Hi: xs[len(xs)-1], List: xs} }
 	for _, c := range []struct {
 		name         string
-		ranges       [][3]int64 // col, lo, hi, in the order handed down
-		lo, hi       int64      // the tuple ids every range lets through
+		cols         []int         // the columns keys are handed down on…
+		keys         []engine.Keys // …and the keys, in that order
+		lo, hi       int64         // the tuple ids every range lets through
 		read, served int
 	}{
-		{"two columns", [][3]int64{{val, 1, 200}, {tid, 151, 400}}, 151, 200, 1, 50},
-		{"one column twice", [][3]int64{{tid, 1, 220}, {tid, 180, 400}}, 180, 220, 2, 41},
+		{"two columns", []int{val, tid}, []engine.Keys{{Lo: 1, Hi: 200}, {Lo: 151, Hi: 400}}, 151, 200, 1, 50},
+		{"one column twice", []int{tid, tid}, []engine.Keys{{Lo: 1, Hi: 220}, {Lo: 180, Hi: 400}}, 180, 220, 2, 41},
+		{"a list and a range", []int{val, tid}, []engine.Keys{list(120, 130, 380), {Lo: 1, Hi: 200}}, 120, 130, 1, 2},
+		{"a list with every key of its range", []int{val}, []engine.Keys{list(150, 151, 152)}, 150, 152, 2, 3},
+		{"two lists on one column", []int{val, val}, []engine.Keys{list(5, 120, 130, 380), list(120, 130, 380, 390)}, 120, 380, 2, 3},
 	} {
 		it, err := src.ScanPlan(widthSchema(1), 1, []int{0}, "u_r_a").(*StoreScanPlan).BuildIter(engine.ExecConfig{})
 		if err != nil {
@@ -560,8 +585,8 @@ func TestScanKeepsEveryRange(t *testing.T) {
 		if err := s.Open(); err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range c.ranges {
-			s.NarrowKeyRange(int(r[0]), r[1], r[2])
+		for i, col := range c.cols {
+			s.NarrowKeys(col, c.keys[i])
 		}
 		served, in := 0, 0
 		for {
@@ -580,9 +605,9 @@ func TestScanKeepsEveryRange(t *testing.T) {
 			}
 		}
 		s.Close()
-		if in != int(c.hi-c.lo+1) || served != c.served || s.SegmentsRead != c.read || s.SegmentsSkippedByJoin != int64(8-c.read) {
-			t.Errorf("%s: served %d rows, %d of tuple ids %d…%d, read %d segments and skipped %d; want %d rows, all %d, %d read and %d skipped",
-				c.name, served, in, c.lo, c.hi, s.SegmentsRead, s.SegmentsSkippedByJoin, c.served, c.hi-c.lo+1, c.read, 8-c.read)
+		if in != min(int(c.hi-c.lo+1), c.served) || served != c.served || s.SegmentsRead != c.read || s.SegmentsSkippedByJoin != int64(8-c.read) {
+			t.Errorf("%s: served %d rows, %d of tuple ids %d…%d, read %d segments and skipped %d; want %d rows, all inside, %d read and %d skipped",
+				c.name, served, in, c.lo, c.hi, s.SegmentsRead, s.SegmentsSkippedByJoin, c.served, c.read, 8-c.read)
 		}
 	}
 }

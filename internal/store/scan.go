@@ -260,10 +260,11 @@ func segmentRefutes(st colStats, op engine.CmpOp, cst engine.Value) bool {
 // shared; only live row indices are listed) in one pass beside the
 // tombstones in the batch's tuple ids (tombWindow), so a partition
 // without deletes, and a segment none of them touched, pays nothing per
-// row. The operators above may hand the scan key ranges
-// (NarrowKeyRange), one or more: the segments whose bounds miss one are
-// not read at all, and of a segment read only the window of rows in a
-// tid range is served, and of the delta only the rows in that range.
+// row. The operators above may hand the scan keys (NarrowKeys), on one
+// column or more: the segments whose bounds hold no key are not read at
+// all, of a segment read — and of the delta — only the window of rows in
+// the tid column's range is served, and of those only the rows whose key
+// a list holds.
 type StoreScanIter struct {
 	Src     *PartSource
 	Sch     engine.Schema
@@ -286,10 +287,10 @@ type StoreScanIter struct {
 	TombRowsChecked     int64
 	TombSegmentsSkipped int64
 	// SegmentsSkippedByJoin counts file segments none of whose rows the
-	// key range a join above handed down lets through: left unread
-	// because their bounds miss it, or read and found to hold no tuple id
-	// in it. RowsSkippedByJoin counts the rows of the segments read that
-	// a tid window left out, and the delta rows outside a tid range.
+	// keys an operator above handed down let through: left unread
+	// because their bounds hold no key, or read and found to serve no
+	// row. RowsSkippedByJoin counts the rows of the segments read, and
+	// of the delta, that a tid window or a key list left out.
 	SegmentsSkippedByJoin int64
 	RowsSkippedByJoin     int64
 	// A probe's effects: runs looked up and rejected by their bloom
@@ -300,8 +301,8 @@ type StoreScanIter struct {
 	FallbackLayers  int64
 	StaleRuns       int64
 
-	ranges  []keyRange // the key ranges handed down, one per column (NarrowKeyRange)
-	started bool       // runs is set up
+	keys    []engine.ColKeys // the keys handed down (NarrowKeys)
+	started bool             // runs is set up
 	runs    []scanRun
 	ids     []int32 // 0, 1, 2, …: the selection of a window of a run without one
 	cb      engine.ColBatch
@@ -317,6 +318,7 @@ type scanRun struct {
 	layer, next, end int
 	hits             []probeHit // a probed layer's segments, read and checked
 	tombs            tombWindow // the layer's tombstones in the piece's tuple ids
+	keyed            []int32    // reused selection of the rows a key list keeps
 	cols             []engine.ColVec
 	n                int
 	sel              []int32
@@ -339,7 +341,7 @@ func (r *scanRun) tid(width, k int) int64 {
 	return r.cols[2*width].Ints[k]
 }
 
-var _ engine.KeyRangeNarrower = (*StoreScanIter)(nil)
+var _ engine.KeyNarrower = (*StoreScanIter)(nil)
 
 // probeHit is a segment a probe's run locates rows in, and those rows,
 // in ascending order.
@@ -360,62 +362,40 @@ func (s *StoreScanIter) Open() error {
 	s.SegmentsSkippedByJoin = 0
 	s.RowsSkippedByJoin = 0
 	s.RunsConsulted, s.BloomRejections, s.FallbackLayers, s.StaleRuns = 0, 0, 0, 0
-	s.ranges = s.ranges[:0]
+	s.keys = s.keys[:0]
 	return nil
 }
 
-// NarrowKeyRange (engine.KeyRangeNarrower) makes the scan skip every
-// file segment whose bounds on column col miss [lo, hi]: the footer's
-// tid bounds for the tuple-id column, the zone map of a value column
-// whose layer stores it as ints. On the tid column it also serves, of
-// a segment read (its tuple ids ascend), only the window of rows with a
-// tid in [lo, hi], found by binary search; every alternative of a tuple
-// in range lies inside it. Of the in-memory delta it serves only the
-// rows with a tid in range. Descriptor columns and columns of any other
-// kind skip nothing, nor does the tid column of a v1 file (whose tid
-// bounds are unknown) skip a segment; on a value column the delta is
-// read whole: the operator above drops what does not match.
+// NarrowKeys (engine.KeyNarrower) makes the scan skip every file
+// segment whose bounds on column col hold no key: the footer's tid
+// bounds for the tuple-id column, the zone map of a value column whose
+// layer stores it as ints, each searched in a list by binary search. On
+// the tid column it also serves, of a segment read (its tuple ids
+// ascend) and of the delta, only the window of rows with a tid in the
+// keys' range, found by binary search; every alternative of a tuple in
+// range lies inside it. Of the rows served it drops those whose typed
+// int key a list leaves out. Descriptor columns and columns of any other
+// kind skip no segment, nor does the tid column of a v1 file (whose tid
+// bounds are unknown); the operator above drops what does not match.
 //
-// The scan keeps every range it is handed: ranges on two columns both
-// skip segments, and two on one column narrow it to their intersection.
-func (s *StoreScanIter) NarrowKeyRange(col int, lo, hi int64) {
-	for i := range s.ranges {
-		if r := &s.ranges[i]; r.col == col {
-			r.lo, r.hi = max(r.lo, lo), min(r.hi, hi)
-			return
-		}
-	}
-	s.ranges = append(s.ranges, keyRange{col: col, lo: lo, hi: hi})
+// The scan keeps all the keys it is handed: it skips a segment, and
+// drops a row, that any of them lets it.
+func (s *StoreScanIter) NarrowKeys(col int, keys engine.Keys) {
+	s.keys = append(s.keys, engine.ColKeys{Col: col, Keys: keys})
 }
 
-// keyRange is a range handed down on column col of the scan.
-type keyRange struct {
-	col    int
-	lo, hi int64
-}
-
-// tidRange returns the range handed down on the tid column, if any.
-func (s *StoreScanIter) tidRange() (keyRange, bool) {
-	for _, r := range s.ranges {
-		if r.col == 2*s.Width {
-			return r, true
-		}
-	}
-	return keyRange{}, false
-}
-
-// missesKeyRange reports whether segment i of h holds no row whose key
-// column lies in some range handed down.
-func (s *StoreScanIter) missesKeyRange(h *PartHandle, i int) bool {
+// missesKeys reports whether segment i of h holds no row whose key
+// column holds a key handed down.
+func (s *StoreScanIter) missesKeys(h *PartHandle, i int) bool {
 	sm := &h.meta.Segs[i]
-	for _, r := range s.ranges {
-		switch a := r.col - (2*s.Width + 1); {
+	for _, k := range s.keys {
+		switch a := k.Col - (2*s.Width + 1); {
 		case a == -1:
-			if sm.TidHi < r.lo || sm.TidLo > r.hi {
+			if !k.Meets(sm.TidLo, sm.TidHi) {
 				return true
 			}
 		case a >= 0 && a < len(s.AttrIdx) && h.meta.Kinds[s.AttrIdx[a]] == byte(engine.KindInt):
-			if st := &sm.Stats[s.AttrIdx[a]]; st.NonNull == 0 || st.Max.I < r.lo || st.Min.I > r.hi {
+			if st := &sm.Stats[s.AttrIdx[a]]; st.NonNull == 0 || !k.Meets(st.Min.I, st.Max.I) {
 				return true
 			}
 		}
@@ -464,12 +444,12 @@ func (s *StoreScanIter) startRuns() error {
 }
 
 // skips reports whether the scan leaves segment i of layer li unread:
-// pruned by the filter's zone maps, or missing a join's key range.
+// pruned by the filter's zone maps, or holding no key handed down.
 func (s *StoreScanIter) skips(li, i int) bool {
 	if s.Pruned != nil && s.Pruned[li] != nil && s.Pruned[li][i] {
 		return true
 	}
-	if s.missesKeyRange(s.Src.Layers[li], i) {
+	if s.missesKeys(s.Src.Layers[li], i) {
 		s.SegmentsSkippedByJoin++
 		return true
 	}
@@ -554,8 +534,8 @@ func (s *StoreScanIter) stale(h *PartHandle, key string) ([]probeHit, bool, erro
 }
 
 // load makes the run's next segment with a live row that the pruning,
-// the probe and the key ranges let through its piece; a run without one
-// is left empty.
+// the probe and the keys let through its piece; a run without one is
+// left empty.
 func (s *StoreScanIter) load(r *scanRun) error {
 	r.n, r.sel, r.pos = 0, nil, 0
 	for r.next < r.end {
@@ -594,24 +574,37 @@ func (s *StoreScanIter) load(r *scanRun) error {
 		if sel != nil && len(sel) == 0 {
 			continue
 		}
-		r.cols, r.n, r.sel = s.segCols(r.cols, seg, fw, lo, hi), hi-lo, sel
+		r.cols = s.segCols(r.cols, seg, fw, lo, hi)
+		sel, dropped := engine.SelectKeyed(s.keys, r.cols, hi-lo, sel, &r.keyed)
+		if s.RowsSkippedByJoin += int64(dropped); sel != nil && len(sel) == 0 {
+			if r.layer < len(s.Src.Layers) {
+				s.SegmentsSkippedByJoin++
+			}
+			continue
+		}
+		r.n, r.sel = hi-lo, sel
 		return nil
 	}
 	return nil
 }
 
 // tidWindow returns the rows of a decoded segment to serve: all of
-// them, or, when a join narrowed the tid column, those from the first
-// with a tid ≥ the range's low end to the first with a tid > its high
-// end.
+// them, or, when keys were handed down on the tid column, those from the
+// first with a tid ≥ the greatest low end of their ranges to the first
+// with a tid > the least high end.
 func (s *StoreScanIter) tidWindow(seg *segment) (lo, hi int) {
-	r, ok := s.tidRange()
+	klo, khi, ok := int64(math.MinInt64), int64(math.MaxInt64), false
+	for _, k := range s.keys {
+		if k.Col == 2*s.Width {
+			klo, khi, ok = max(klo, k.Lo), min(khi, k.Hi), true
+		}
+	}
 	if !ok {
 		return 0, seg.n
 	}
 	tid := seg.tid
-	lo = sort.Search(len(tid), func(i int) bool { return tid[i] >= r.lo })
-	hi = lo + sort.Search(len(tid)-lo, func(i int) bool { return tid[lo+i] > r.hi })
+	lo = sort.Search(len(tid), func(i int) bool { return tid[i] >= klo })
+	hi = lo + sort.Search(len(tid)-lo, func(i int) bool { return tid[lo+i] > khi })
 	s.RowsSkippedByJoin += int64(seg.n - (hi - lo))
 	return lo, hi
 }
@@ -781,14 +774,14 @@ func (s *StoreScanIter) release() {
 // OperatorStats reports the scan's store-side effects to a trace span
 // (engine.OperatorStats): segments fetched, segments skipped by
 // min/max pruning, shared-cache hits, bytes this scan fetched and
-// decoded itself, the segments and rows a join's key range skipped, when a join handed one down,
+// decoded itself, the segments and rows a join's keys skipped, when keys were handed down,
 // over a tombstoned partition the tombstone filter's work, and a
 // probe's runs, bloom rejections and degraded layers.
 func (s *StoreScanIter) OperatorStats(emit func(key string, v int64)) {
 	emit("segments_read", int64(s.SegmentsRead))
 	emit("cache_hits", s.CacheHits)
 	emit("bytes_decoded", s.BytesDecoded)
-	if len(s.ranges) > 0 {
+	if len(s.keys) > 0 {
 		emit("segments_skipped_by_join", s.SegmentsSkippedByJoin)
 		emit("rows_skipped_by_join", s.RowsSkippedByJoin)
 	}

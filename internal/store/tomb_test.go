@@ -100,7 +100,7 @@ func scanKeys(t *testing.T, src *PartSource, w int, win *[2]int64) ([]string, *S
 		t.Fatal(err)
 	}
 	if win != nil {
-		s.NarrowKeyRange(2*w, win[0], win[1])
+		s.NarrowKeys(2*w, engine.Keys{Lo: win[0], Hi: win[1]})
 	}
 	var keys []string
 	last := int64(math.MinInt64)

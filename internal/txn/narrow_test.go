@@ -11,7 +11,7 @@ import (
 	"urel/internal/store"
 )
 
-// wideOpen is a store scan leaf whose iterator hides NarrowKeyRange: the
+// wideOpen is a store scan leaf whose iterator hides NarrowKeys: the
 // same leaf with narrowing off.
 type wideOpen struct{ *store.StoreScanPlan }
 

@@ -543,10 +543,10 @@ func TestMergeStartsAtTheSelectivePartition(t *testing.T) {
 const selectiveJoinSQL = "possible select o_orderkey, l_quantity from orders, lineitem where o_orderkey = l_orderkey and o_orderkey < 113"
 
 // TestSelectiveJoinNarrowsTheMergeChain: the outer hash join of
-// selectiveJoinSQL hands the range of its build keys (the orders below
+// selectiveJoinSQL hands the list of its build keys (the orders below
 // 113) to lineitem's stitch, which forwards it to the input l_orderkey
-// is read from — whose zone maps skip the segments it misses — its
-// driver, whose rows outside it it drops as it drains them; the
+// is read from — whose zone maps skip the segments that hold none — its
+// driver, whose rows without a key it drops as it drains them; the
 // driver's tid range then narrows l_quantity. So each lineitem scan
 // reads one segment and skips three by join, and the outer join probes
 // exactly the rows the stitch joined, where it probed every lineitem.

@@ -25,8 +25,10 @@ import (
 // materializer, the row output arena or the row window. The hash join
 // declares Next, and neither it nor the join table holds a row slice —
 // there is no row-keyed table and no row probe. The hash join declares
-// no NarrowKeyRange — a join on another join's probe side (join trees
-// may be bushy, TestChainsAreStitched) is handed no range — and
+// no NarrowKeys — a join on another join's probe side (join trees may
+// be bushy, TestChainsAreStitched) takes no keys — and the range hint
+// that sat beside it (KeyRangeNarrower, NarrowKeyRange) is not declared
+// again: keys flow down one interface, KeyNarrower. And
 // package engine declares no anti join again (AntiJoin or Anti as a
 // function, constant, type or field).
 // There is one engine path, too: the parallel operators that lost to
@@ -38,7 +40,7 @@ import (
 func TestOneRowProtocol(t *testing.T) {
 	banned := map[string]bool{"Batched": true, "Columnar": true, "batchAdapter": true, "rowColAdapter": true,
 		"ParallelHashJoinIter": true, "ParallelFilterIter": true, "NewParallelHashJoin": true, "NewParallelFilter": true,
-		"parallelWorthwhile": true}
+		"parallelWorthwhile": true, "KeyRangeNarrower": true, "NarrowKeyRange": true}
 	indexJoin := map[string]bool{"IndexJoinIter": true, "NewIndexJoin": true, "JoinIndex": true, "ProbeCost": true,
 		"cachedProbeRows": true, "uncachedDecodeShare": true}
 	rowProtocol := map[string]bool{"NextBatch": true, "NextColBatch": true, "ColumnarNative": true, "ColBatchIterator": true,
@@ -163,8 +165,8 @@ func TestOneRowProtocol(t *testing.T) {
 			t.Errorf("engine.%s does not declare Next", join)
 		}
 	}
-	if joins["HashJoinIter"]["NarrowKeyRange"] {
-		t.Error("engine.HashJoinIter declares NarrowKeyRange again: no join hands it a range")
+	if joins["HashJoinIter"]["NarrowKeys"] {
+		t.Error("engine.HashJoinIter declares NarrowKeys: no join hands it keys")
 	}
 }
 

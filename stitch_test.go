@@ -43,7 +43,7 @@ var servedMixShapes = []string{
 // exactly one stitch, and every inner hash join builds on its smaller
 // side: its L is estimated no larger than its R (engine.EstimateStats).
 // Trees may be bushy; a join on another join's probe side is handed no
-// key range, because HashJoinIter does not narrow (TestOneRowProtocol).
+// keys, because HashJoinIter does not narrow (TestOneRowProtocol).
 // On BenchmarkMergeChain's relations the stitch
 // gathers, per output row, as many cells as the row is wide — 3k + 1
 // for k partitions, linear in k — where the chain of tid hash joins
@@ -154,4 +154,62 @@ func TestChainsAreStitched(t *testing.T) {
 func tidAlias(col string) string {
 	s := strings.TrimPrefix(col, "tid:")
 	return s[:strings.LastIndex(s, ".p")]
+}
+
+// TestKeySetsCutTheStitch: a hash join hands its probe side the list of
+// its build keys, and a stitch under it gathers only the rows that can
+// join. In memory (s 0.05, x 0.01), every stitch of Q1 (seed 1) and Q3
+// (seeds 1 and 42) that a list reaches gathers at most a quarter of the
+// cells it gathers drained alone, with no join above it — what it
+// gathered under a key range, which an in-memory scan of an unsorted
+// column cannot use. At seed 1 that pins Q1's orders stitch to a quarter
+// of 4 170 cells and its lineitem stitch to a quarter of 4 422.
+func TestKeySetsCutTheStitch(t *testing.T) {
+	for _, c := range []struct {
+		query string
+		seed  int64
+		alone map[string]int64 // per stitch label, the cells it gathers alone
+	}{
+		{"Q1", 1, map[string]int64{"Merge Join on tid (driver tid:orders.p4)": 4170, "Merge Join on tid (driver tid:lineitem.p8)": 4422}},
+		{"Q3", 1, nil},
+		{"Q3", 42, nil},
+	} {
+		what := fmt.Sprintf("%s at seed %d", c.query, c.seed)
+		p := tpch.DefaultParams(0.05, 0.01, 0.25)
+		p.Seed = c.seed
+		db, _, err := tpch.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, cat, root, text := analyzePlan(t, what, db, tpch.Queries()[c.query])
+		cut := 0
+		var walk func(p engine.Plan, s *obs.Span)
+		walk = func(p engine.Plan, s *obs.Span) {
+			kids := planKids(t, p, s)
+			for i, k := range s.Children() {
+				walk(kids[i], k)
+			}
+			if !strings.HasPrefix(s.Op(), "Merge Join on tid") || s.Stat("keys_in") == 0 {
+				return
+			}
+			sch, err := p.Schema(cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alone := rowsAlone(t, p, cat) * int64(sch.Len())
+			if want, ok := c.alone[s.Op()]; ok && alone != want {
+				t.Errorf("%s: %q gathers %d cells alone, want %d", what, s.Op(), alone, want)
+			}
+			delete(c.alone, s.Op())
+			cut++
+			t.Logf("%s: %q gathered %d cells under %d keys, %d alone", what, s.Op(), s.Stat("cells_gathered"), s.Stat("keys_in"), alone)
+			if got := s.Stat("cells_gathered"); 4*got > alone {
+				t.Errorf("%s: %q gathered %d cells under its key list, over a quarter of the %d it gathers alone:\n%s", what, s.Op(), got, alone, text)
+			}
+		}
+		walk(plan, root)
+		if cut == 0 || len(c.alone) > 0 {
+			t.Errorf("%s: %d stitches took a key list, and %v none:\n%s", what, cut, c.alone, text)
+		}
+	}
 }
