@@ -216,7 +216,7 @@ func BenchmarkSegmentDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range payloads {
-			if _, err := decodeSegment(p.data, &p.sm, p.width, p.kinds); err != nil {
+			if _, err := decodeSegment(p.data, &p.sm, p.width, p.kinds, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

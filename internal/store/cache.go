@@ -199,19 +199,22 @@ func (c *SegCache) invalidateHandle(handle uint64) {
 	}
 }
 
-// segmentCost estimates the resident size of a decoded segment: the
-// descriptor and tid columns are int64 arrays, values carry their own
-// footprint.
+// segmentCost is the resident size of a decoded segment, read off its
+// vectors' lengths: the int64 slab of descriptor and tid columns, 8 bytes
+// per int, bool or float cell, 1 per null mark, a string cell's 16-byte
+// header and its bytes, a mixed cell's 40-byte Value and its string's
+// bytes; never below 1.
 func segmentCost(seg *segment) int64 {
-	cost := int64(seg.n) * int64(2*len(seg.dvar)+1) * 8
+	cost := 8 * int64(len(seg.tid)) * int64(2*len(seg.dvar)+1)
 	for ci := range seg.cols {
-		col := &seg.cols[ci]
-		for i := 0; i < seg.n; i++ {
-			cost += int64(col.Value(i).SizeBytes())
+		v := &seg.cols[ci]
+		cost += 8*int64(len(v.Ints)+len(v.Floats)) + int64(len(v.Nulls)) + 16*int64(len(v.Strs)) + 40*int64(len(v.Vals))
+		for _, x := range v.Strs {
+			cost += int64(len(x))
+		}
+		for _, x := range v.Vals {
+			cost += int64(len(x.S))
 		}
 	}
-	if cost < 1 {
-		cost = 1
-	}
-	return cost
+	return max(cost, 1)
 }

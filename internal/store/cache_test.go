@@ -5,7 +5,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"urel/internal/core"
 	"urel/internal/engine"
+	"urel/internal/ws"
 )
 
 // drainScan runs a full scan over the handle and returns the tuples.
@@ -181,7 +183,7 @@ func TestSegCacheCloseDuringLoad(t *testing.T) {
 	cache := NewSegCache(64 << 20)
 	h.SetCache(cache)
 
-	seg, err := h.readSegment(0)
+	seg, err := h.readSegment(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,5 +207,33 @@ func TestSegCacheDisabled(t *testing.T) {
 	drainScan(t, h, nil)
 	if len(tr.reads()) == 0 {
 		t.Fatal("disabled cache should not retain segments")
+	}
+}
+
+// TestSegmentCost pins what the cache charges for one decoded segment
+// holding a column of each kind: three rows of descriptor width 1.
+func TestSegmentCost(t *testing.T) {
+	d := ws.MustDescriptor(ws.A(ws.Var(1), ws.Val(1)))
+	rows := []core.URow{
+		{D: d, TID: 1, Vals: []engine.Value{engine.Int(1), engine.Float(0.5), engine.Str("a"), engine.Bool(true), engine.Int(7), engine.Null()}},
+		{D: d, TID: 2, Vals: []engine.Value{engine.Null(), engine.Float(1), engine.Str("bc"), engine.Bool(false), engine.Str("xyz"), engine.Null()}},
+		{D: d, TID: 3, Vals: []engine.Value{engine.Int(3), engine.Float(2), engine.Str(""), engine.Bool(true), engine.Null(), engine.Null()}},
+	}
+	kinds := deriveKinds(rows, 6)
+	want := []byte{byte(engine.KindInt), byte(engine.KindFloat), byte(engine.KindString), byte(engine.KindBool), kindMixed, byte(engine.KindNull)}
+	if string(kinds) != string(want) {
+		t.Fatalf("column kinds %v, want %v", kinds, want)
+	}
+	b, sm := encodeSegment(nil, rowSeq{rows: rows}, 1, kinds)
+	seg, err := decodeSegment(b, &sm, 1, kinds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The slab 3·(2·1+1)·8 = 72; the int column 3·8 and 3 null marks;
+	// the float column 3·8; the string column 3·16 and 3 bytes; the bool
+	// column 3·8; the mixed column three 40-byte Values and 3 bytes; the
+	// all-null column 3 null marks.
+	if got := segmentCost(seg); got != 72+27+24+51+24+123+3 {
+		t.Errorf("segmentCost = %d, want %d", got, 72+27+24+51+24+123+3)
 	}
 }

@@ -571,7 +571,8 @@ func DecodeWorldTable(b []byte) (*ws.WorldTable, error) {
 		}
 		var probs []float64
 		if hasProbs != 0 {
-			if probs, err = c.floats(nd); err != nil {
+			probs = make([]float64, nd)
+			if err := c.floats(probs); err != nil {
 				return nil, err
 			}
 		}

@@ -28,7 +28,12 @@
 //     nothing of: its descriptor and tid columns share one int64 slab,
 //     every int column goes through one varint loop, floats are read
 //     straight from the payload and a string column's cells are slices
-//     of one string. Every count a decoder reads — rows, widths,
+//     of one string. A segment the segment cache keeps, or ReadSegment
+//     returns (Load, compaction, index builds), is decoded into fresh
+//     memory and never recycled; a scan over a partition with no cache
+//     owns what it decodes: its vectors but a string column's text come
+//     from process-wide pools (recycle.go), and the scan hands them back
+//     when it closes. Every count a decoder reads — rows, widths,
 //     lengths, the world table's variables — is checked against the
 //     bytes left before it sizes an allocation, and decoded tuple ids
 //     against the footer's bounds, so a corrupt file is ErrCorrupt,

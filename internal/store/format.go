@@ -178,17 +178,16 @@ func (c *cursor) fixed32() (uint32, error) {
 	return binary.LittleEndian.Uint32(v), nil
 }
 
-// floats decodes n fixed little-endian float64s.
-func (c *cursor) floats(n int) ([]float64, error) {
-	raw, err := c.bytes(8 * n)
+// floats decodes len(xs) fixed little-endian float64s into xs.
+func (c *cursor) floats(xs []float64) error {
+	raw, err := c.bytes(8 * len(xs))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	xs := make([]float64, n)
 	for i := range xs {
 		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
-	return xs, nil
+	return nil
 }
 
 func (c *cursor) fixed64() (uint64, error) {
@@ -469,12 +468,20 @@ type segment struct {
 // pass. The descriptor and tid columns share one int64 slab, laid out as
 // they are encoded; they and the int and bool columns go through one
 // varint loop, floats are read straight from the payload, and the cells
-// of a string column are slices of one string. A decoded segment lives
-// as a whole (in a scan or the SegCache), so sharing its allocations
-// keeps nothing alive that it did not already keep, and it keeps nothing
-// of data. Tuple ids outside sm's bounds are corrupt: the bounds decide
-// which segments a narrowed scan reads.
-func decodeSegment(data []byte, sm *segMeta, width int, kinds []byte) (*segment, error) {
+// of a string column are slices of one string. It keeps nothing of data.
+// Tuple ids outside sm's bounds are corrupt: the bounds decide which
+// segments a narrowed scan reads.
+//
+// With owned nil, every vector is a fresh allocation and the segment is
+// the caller's for good: the SegCache keeps such segments, as do
+// ReadSegment's callers (Load, compaction, index builds). Otherwise the
+// slab, the int, bool and float columns, the string headers and the null
+// marks are taken from process-wide pools (take) and listed in *owned:
+// the caller owns the segment and hands the list back (recycle) once
+// nothing reads it. Every pooled cell is overwritten here, so none but
+// a null mark is zeroed. A string column's text is never pooled: the
+// Values a query makes of its cells slice it.
+func decodeSegment(data []byte, sm *segMeta, width int, kinds []byte, owned *recycler) (*segment, error) {
 	n := sm.Rows
 	// Every int cell takes at least a byte: a row count or width the
 	// payload cannot hold is refused before it sizes the slab.
@@ -482,7 +489,7 @@ func decodeSegment(data []byte, sm *segMeta, width int, kinds []byte) (*segment,
 		return nil, corruptf("segment of %d rows and %d int columns in %d bytes", n, ints, len(data))
 	}
 	c := &cursor{b: data}
-	slab := make([]int64, (2*width+1)*n)
+	slab := take(&intBufs, (2*width+1)*n, owned)
 	if err := varints(c, slab); err != nil {
 		return nil, err
 	}
@@ -505,17 +512,17 @@ func decodeSegment(data []byte, sm *segMeta, width int, kinds []byte) (*segment,
 		if err != nil {
 			return nil, err
 		}
-		nulls := nullMarks(bm, n)
+		nulls := nullMarks(bm, n, owned)
 		switch k {
 		case byte(engine.KindNull):
 			// All-null column: no payload beyond the bitmap.
-			all := make([]bool, n)
+			all := take(&nullBufs, n, owned)
 			for i := range all {
 				all[i] = true
 			}
 			s.cols[ci] = engine.ColVec{Nulls: all}
 		case byte(engine.KindInt), byte(engine.KindBool):
-			xs := make([]int64, n)
+			xs := take(&intBufs, n, owned)
 			if err := varints(c, xs); err != nil {
 				return nil, err
 			}
@@ -525,14 +532,14 @@ func decodeSegment(data []byte, sm *segMeta, width int, kinds []byte) (*segment,
 				s.cols[ci] = engine.IntVec(xs, nulls)
 			}
 		case byte(engine.KindFloat):
-			xs, err := c.floats(n)
-			if err != nil {
+			xs := take(&floatBufs, n, owned)
+			if err := c.floats(xs); err != nil {
 				return nil, err
 			}
 			s.cols[ci] = engine.FloatVec(xs, nulls)
 		case byte(engine.KindString):
-			xs, err := c.strings(n)
-			if err != nil {
+			xs := take(&strBufs, n, owned)
+			if err := c.strings(xs); err != nil {
 				return nil, err
 			}
 			s.cols[ci] = engine.StrVec(xs, nulls)
@@ -598,9 +605,9 @@ func permute[T any](xs []T, perm []int32) {
 	}
 }
 
-// nullMarks returns the null markers of a bitmap over n rows, or nil
-// when no row is null.
-func nullMarks(bm []byte, n int) []bool {
+// nullMarks returns the null markers of a bitmap over n rows, taken as
+// decodeSegment takes its vectors, or nil when no row is null.
+func nullMarks(bm []byte, n int, owned *recycler) []bool {
 	var nulls []bool
 	for j, x := range bm {
 		if x == 0 {
@@ -609,7 +616,8 @@ func nullMarks(bm []byte, n int) []bool {
 		for i := 8 * j; i < min(8*j+8, n); i++ {
 			if x&(1<<(i%8)) != 0 {
 				if nulls == nil {
-					nulls = make([]bool, n)
+					nulls = take(&nullBufs, n, owned)
+					clear(nulls)
 				}
 				nulls[i] = true
 			}
@@ -618,20 +626,19 @@ func nullMarks(bm []byte, n int) []bool {
 	return nulls
 }
 
-// strings decodes n length-prefixed strings as slices of one string
-// holding all of them: the first pass checks the lengths and finds the
-// end, the second cuts the cells.
-func (c *cursor) strings(n int) ([]string, error) {
+// strings decodes len(xs) length-prefixed strings into xs as slices of
+// one string holding all of them: the first pass checks the lengths and
+// finds the end, the second cuts the cells.
+func (c *cursor) strings(xs []string) error {
 	start := c.pos
-	for i := 0; i < n; i++ {
+	for range xs {
 		ln, err := c.countOf(1)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c.pos += ln
 	}
 	text := string(c.b[start:c.pos])
-	xs := make([]string, n)
 	p := 0
 	for i := range xs {
 		ln, w := binary.Uvarint(c.b[start+p:])
@@ -639,7 +646,7 @@ func (c *cursor) strings(n int) ([]string, error) {
 		xs[i] = text[p : p+int(ln)]
 		p += int(ln)
 	}
-	return xs, nil
+	return nil
 }
 
 // tidBounds returns the least and greatest of tids (lo > hi when empty)

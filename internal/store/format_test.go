@@ -401,13 +401,13 @@ func TestSegmentTidsOutsideFooterBoundsAreCorrupt(t *testing.T) {
 	if sm.TidLo != 0 || sm.TidHi != 49 {
 		t.Fatalf("bounds [%d, %d], want [0, 49]", sm.TidLo, sm.TidHi)
 	}
-	if _, err := decodeSegment(payload, &sm, 2, kinds); err != nil {
+	if _, err := decodeSegment(payload, &sm, 2, kinds, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range [][2]int64{{1, 49}, {0, 48}, {20, 30}} {
 		narrow := sm
 		narrow.TidLo, narrow.TidHi = b[0], b[1]
-		if _, err := decodeSegment(payload, &narrow, 2, kinds); !errors.Is(err, ErrCorrupt) {
+		if _, err := decodeSegment(payload, &narrow, 2, kinds, nil); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("bounds %v: err = %v, want ErrCorrupt", b, err)
 		}
 	}
@@ -439,14 +439,14 @@ func TestDecodedSegmentOutlivesItsBuffer(t *testing.T) {
 	defer h.Close()
 	for i := 0; i < h.NumSegments(); i++ {
 		buf := make([]byte, h.meta.Segs[i].Len)
-		got, err := h.readSegmentInto(i, buf)
+		got, err := h.readSegmentInto(i, buf, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j := range buf {
 			buf[j] = 0xA5
 		}
-		want, err := h.readSegment(i)
+		want, err := h.readSegment(i, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -303,10 +303,12 @@ func TestIndexLookupSpeedup(t *testing.T) {
 // floats equal to ints, tuple ids that repeat within and across layers,
 // descriptors, tombstone batches scoped to some layers, memtable rows and
 // the probe key; some layers' runs locate each key one row off, so they
-// point at rows without it and miss rows with it. Run it with
+// point at rows without it and miss rows with it. Every buffer a scan
+// hands back is poisoned (PoisonRecycled). Run it with
 //
 //	go test -run=NONE -fuzz='^FuzzIndexProbe$' -fuzztime=10s -fuzzminimizetime=1s ./internal/store
 func FuzzIndexProbe(f *testing.F) {
+	defer PoisonRecycled()()
 	f.Add([]byte{2, 40, 7, 3, 1, 2, 5, 9, 4, 3, 3, 0, 1, 2, 8, 6, 3, 2, 1, 1, 4, 0, 5, 3, 2})
 	f.Add([]byte{3, 20, 2, 1, 9, 3, 3, 3, 0, 2, 4, 7, 1, 30, 5, 1, 6, 2, 8, 8, 3, 1, 0, 4, 2, 2, 6, 1, 3})
 	f.Add([]byte{1, 60, 15, 0, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 1, 3, 3})

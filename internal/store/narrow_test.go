@@ -88,8 +88,10 @@ func (c *chainLayouts) add(t *testing.T, src *PartSource, unsortedV1 int) {
 // evaluated row by row over the partition's live rows. Each layout is
 // also the build side of a two-level case (checkChain): a selective
 // value-column build joined to its tid-merge with a second stored
-// partition, whose scans must skip segments over the seeds.
+// partition, whose scans must skip segments over the seeds. Every buffer
+// a scan hands back is poisoned (PoisonRecycled) meanwhile.
 func TestNarrowedJoinsMatchUnnarrowed(t *testing.T) {
+	defer PoisonRecycled()()
 	var total narrowCounts
 	for seed := int64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {

@@ -1,0 +1,131 @@
+package store
+
+import (
+	"fmt"
+	"testing"
+
+	"urel/internal/core"
+	"urel/internal/engine"
+	"urel/internal/tpch"
+)
+
+// TestRecycledSegmentsAreNeverRead runs the stored workloads' queries on
+// the s 0.25 directory with every buffer a scan hands back overwritten
+// (PoisonRecycled): Q1–Q3, point lookups without the l_orderkey index
+// and with it, a nested loop over store scans, the same over URSEGv1
+// files whose segments are sorted by tuple id as they are decoded, and
+// over a segment cache, twice. Each answer must be the in-memory one:
+// no cell of a segment is read after the scan that owns it recycled it,
+// and no segment a cache keeps is recycled. A scan opened again before
+// it is closed must keep the batches it served: a consumer may hold
+// them until it closes the scan.
+func TestRecycledSegmentsAreNeverRead(t *testing.T) {
+	defer PoisonRecycled()()
+	p := tpch.DefaultParams(0.25, 0.01, 0.25)
+	p.Seed = 1
+	mem, _, err := tpch.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := map[string]core.Query{"Q1": tpch.Q1(), "Q2": tpch.Q2(), "Q3": tpch.Q3(),
+		"nested loop": core.Poss(core.Project(core.Join(core.Rel("nation"),
+			core.Select(core.Rel("orders"), engine.Cmp(engine.LT, engine.Col("o_orderkey"), engine.ConstInt(200))),
+			engine.Cmp(engine.LT, engine.Col("n_nationkey"), engine.Col("o_custkey"))), "n_name", "o_orderkey"))}
+	for _, key := range []int64{1, 77, 1000, 3000} {
+		queries[fmt.Sprintf("point %d", key)] = pointLookup(key)
+	}
+	want := map[string]*engine.Relation{}
+	for name, q := range queries {
+		if want[name], err = mem.EvalPoss(q, engine.ExecConfig{}); err != nil {
+			t.Fatalf("%s in memory: %v", name, err)
+		}
+	}
+	check := func(layout string, db *core.UDB) {
+		t.Helper()
+		for name, q := range queries {
+			got, err := db.EvalPoss(q, engine.ExecConfig{})
+			if err != nil {
+				t.Fatalf("%s over %s: %v", name, layout, err)
+			}
+			if !got.EqualAsSet(want[name]) {
+				t.Errorf("%s over %s: %d answers, in memory %d", name, layout, got.Len(), want[name].Len())
+			}
+		}
+	}
+	open := func(dir string, cache *SegCache) *core.UDB {
+		t.Helper()
+		db, err := OpenCached(dir, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		return db
+	}
+
+	dir, v1Dir := t.TempDir(), t.TempDir()
+	if err := Save(mem, dir); err != nil {
+		t.Fatal(err)
+	}
+	check("unindexed files", open(dir, nil))
+	m, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ri := range m.Relations {
+		if m.Relations[ri].Name == "lineitem" {
+			m.Relations[ri].Indexes = []string{"l_orderkey"}
+		}
+	}
+	if err := WriteManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	buildOrderKeyRun(t, dir)
+	db := open(dir, nil)
+	check("indexed files", db)
+	saveV1(t, mem, v1Dir, 512)
+	check("v1 files", open(v1Dir, nil))
+	cached := open(dir, NewSegCache(256<<20))
+	check("a segment cache", cached)
+	check("a warm segment cache", cached)
+
+	src := db.Rels["orders"].Parts[0].Back.(*PartSource)
+	w := src.DescriptorWidth()
+	it := &StoreScanIter{Src: src, Sch: widthSchema(w), Width: w, AttrIdx: []int{0}}
+	if err := it.Open(); err != nil {
+		t.Fatal(err)
+	}
+	var held []engine.ColBatch
+	var first []engine.Tuple
+	for {
+		cb, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		held = append(held, engine.ColBatch{Sch: cb.Sch, Cols: append([]engine.ColVec(nil), cb.Cols...), N: cb.N, Sel: append([]int32(nil), cb.Sel...)})
+		first = cb.Materialize(first)
+	}
+	read := it.SegmentsRead
+	if err := it.Open(); err != nil {
+		t.Fatal(err)
+	}
+	var again []engine.Tuple
+	for _, cb := range held {
+		again = cb.Materialize(again)
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if read == 0 || len(again) != len(first) {
+		t.Fatalf("the scan read %d segments, its batches held %d rows of %d", read, len(again), len(first))
+	}
+	for i := range first {
+		for c := range first[i] {
+			if engine.Compare(first[i][c], again[i][c]) != 0 {
+				t.Fatalf("row %d of a scan opened again changed: %v, served as %v", i, again[i], first[i])
+			}
+		}
+	}
+}

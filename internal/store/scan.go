@@ -306,7 +306,8 @@ type StoreScanIter struct {
 	runs    []scanRun
 	ids     []int32 // 0, 1, 2, …: the selection of a window of a run without one
 	cb      engine.ColBatch
-	pad     []int64 // shared zero column for width padding
+	pad     []int64  // shared zero column for width padding
+	owned   recycler // the buffers of the segments it decoded for itself
 }
 
 // scanRun is one run of rows in tid order that a scan merges: segments
@@ -456,9 +457,11 @@ func (s *StoreScanIter) skips(li, i int) bool {
 	return false
 }
 
-// readSeg fetches and decodes segment i of h, counting it.
+// readSeg fetches and decodes segment i of h, counting it. Without a
+// cache that keeps it the scan owns the segment: it decodes into pooled
+// buffers, which Close hands back.
 func (s *StoreScanIter) readSeg(h *PartHandle, i int) (*segment, error) {
-	seg, hit, err := h.ReadSegmentStats(i)
+	seg, hit, err := h.ReadSegmentStats(i, &s.owned)
 	if err != nil {
 		return nil, err
 	}
@@ -757,10 +760,15 @@ func (s *StoreScanIter) zeroPad(n int) []int64 {
 	return s.pad[:n]
 }
 
-// Close releases the scan's references (the shared handles stay open).
-// The stat counters survive Close so tracing can collect them.
+// Close releases the scan's references (the shared handles stay open)
+// and recycles the buffers of the segments it owns — not Open: a
+// consumer may keep a scan's vectors until it closes the scan. The stat
+// counters survive Close so tracing can collect them.
 func (s *StoreScanIter) Close() error {
 	s.release()
+	for b := s.owned; b != nil; b = b.recycle() {
+	}
+	s.owned = nil
 	return nil
 }
 

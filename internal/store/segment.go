@@ -248,22 +248,23 @@ func (h *PartHandle) AttrKinds() []engine.Kind {
 // (and populates the cache). Decoded segments are immutable, so one
 // copy is safely shared by every concurrent scan.
 func (h *PartHandle) ReadSegment(i int) (*segment, error) {
-	seg, _, err := h.ReadSegmentStats(i)
+	seg, _, err := h.ReadSegmentStats(i, nil)
 	return seg, err
 }
 
 // ReadSegmentStats is ReadSegment plus attribution: cacheHit reports
 // whether the fetch+decode was avoided (shared-cache hit or a ride on
 // a concurrent load). Scans use it to charge cache hits and decoded
-// bytes to their trace span.
-func (h *PartHandle) ReadSegmentStats(i int) (seg *segment, cacheHit bool, err error) {
-	if h.cache != nil {
-		return h.cache.getOrLoad(segKey{handle: h.id, seg: i}, func() (*segment, error) {
-			return h.readSegment(i)
-		})
+// bytes to their trace span. Where no cache keeps the segment, it is
+// decoded as decodeSegment does for owned.
+func (h *PartHandle) ReadSegmentStats(i int, owned *recycler) (seg *segment, cacheHit bool, err error) {
+	if h.cache.disabled() {
+		seg, err = h.readSegment(i, owned)
+		return seg, false, err
 	}
-	seg, err = h.readSegment(i)
-	return seg, false, err
+	return h.cache.getOrLoad(segKey{handle: h.id, seg: i}, func() (*segment, error) {
+		return h.readSegment(i, nil)
+	})
 }
 
 // SegmentBytes returns the on-disk encoded size of segment i (what a
@@ -272,22 +273,23 @@ func (h *PartHandle) SegmentBytes(i int) int64 { return int64(h.meta.Segs[i].Len
 
 // segBufs pools the payload buffers of uncached segment reads: a decoded
 // segment keeps nothing of its payload, so the buffer is free again as
-// soon as decodeSegment returns.
+// soon as decodeSegment returns (whose own pools are recycle.go's).
 var segBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// readSegment is the uncached fetch+checksum+decode path.
-func (h *PartHandle) readSegment(i int) (*segment, error) {
+// readSegment is the uncached fetch+checksum+decode path; owned is
+// decodeSegment's.
+func (h *PartHandle) readSegment(i int, owned *recycler) (*segment, error) {
 	bp := segBufs.Get().(*[]byte)
 	defer segBufs.Put(bp)
 	if n := h.meta.Segs[i].Len; cap(*bp) < n {
 		*bp = make([]byte, n)
 	}
-	return h.readSegmentInto(i, (*bp)[:h.meta.Segs[i].Len])
+	return h.readSegmentInto(i, (*bp)[:h.meta.Segs[i].Len], owned)
 }
 
 // readSegmentInto fetches segment i's payload into buf, which is exactly
 // its length, and checksums and decodes it.
-func (h *PartHandle) readSegmentInto(i int, buf []byte) (*segment, error) {
+func (h *PartHandle) readSegmentInto(i int, buf []byte, owned *recycler) (*segment, error) {
 	m := &h.meta.Segs[i]
 	if _, err := h.src.ReadAt(buf, m.Off); err != nil {
 		return nil, corruptf("reading segment %d: %v", i, err)
@@ -295,5 +297,5 @@ func (h *PartHandle) readSegmentInto(i int, buf []byte) (*segment, error) {
 	if crc := crc32.ChecksumIEEE(buf); crc != m.CRC {
 		return nil, corruptf("segment %d checksum mismatch (stored %08x, computed %08x)", i, m.CRC, crc)
 	}
-	return decodeSegment(buf, m, h.meta.Width, h.meta.Kinds)
+	return decodeSegment(buf, m, h.meta.Width, h.meta.Kinds, owned)
 }
