@@ -146,8 +146,12 @@ func BenchmarkAblation_Optimizer(b *testing.B) {
 // inner side, pulled as the scan's column batches, at a build side
 // holding 0.1 %, 10 % and all of the inner keys.
 //
+// The keyless/… cases take the hash join of a condition without an equi
+// pair (benchKeyless): every pair of two 400-row relations is tried.
+//
 //	go test -run=NONE -bench=BenchmarkJoinStrategy -benchtime=15x -count=3 .
 func BenchmarkJoinStrategy(b *testing.B) {
+	benchKeyless(b)
 	const n = 20000
 	outers := []int{10, 20, 100, 1000, n/8 - 1}
 	db := core.NewUDB()
@@ -242,6 +246,47 @@ func BenchmarkJoinStrategy(b *testing.B) {
 		if err := d.Close(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchKeyless runs BenchmarkJoinStrategy's keyless/… cases: the hash
+// join without an equi pair of two in-memory relations of 400 rows
+// (k, v, w), v drawn from [0, 10 000) and w = v + 100, under a dense
+// condition (l.v < r.v, about half the pairs) and a selective band
+// (l.v <= r.v < l.w, about 1 %). Every pair lands on the one chain and
+// is checked by the residual.
+func benchKeyless(b *testing.B) {
+	const n = 400
+	rng := rand.New(rand.NewSource(1))
+	rel := func(p string) *engine.Relation {
+		r := engine.NewRelation(engine.NewSchema(engine.Column{Name: p + ".k", Kind: engine.KindInt},
+			engine.Column{Name: p + ".v", Kind: engine.KindInt}, engine.Column{Name: p + ".w", Kind: engine.KindInt}))
+		for i := 0; i < n; i++ {
+			v := rng.Int63n(10000)
+			r.Append(engine.Tuple{engine.Int(int64(i)), engine.Int(v), engine.Int(v + 100)})
+		}
+		return r
+	}
+	l, r := rel("l"), rel("r")
+	for _, c := range []struct {
+		name string
+		cond engine.Expr
+	}{
+		{"dense", engine.Cmp(engine.LT, engine.Col("l.v"), engine.Col("r.v"))},
+		{"selective", engine.And(engine.Cmp(engine.LE, engine.Col("l.v"), engine.Col("r.v")), engine.Cmp(engine.LT, engine.Col("r.v"), engine.Col("l.w")))},
+	} {
+		b.Run("keyless/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rows := 0
+			for i := 0; i < b.N; i++ {
+				rel, err := engine.Drain(engine.NewHashJoin(engine.NewScan(l), engine.NewScan(r), nil, c.cond, nil))
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows = rel.Len()
+			}
+			b.ReportMetric(float64(rows), "rows")
+		})
 	}
 }
 

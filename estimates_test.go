@@ -171,7 +171,7 @@ func rowsAlone(t *testing.T, p engine.Plan, cat *engine.Catalog) int64 {
 // heldToEstimate reports whether a span's operator is a join, a stitch
 // or a filter.
 func heldToEstimate(op string) bool {
-	for _, prefix := range []string{"Hash Join", "Nested Loop", "Merge Join on tid", "Filter"} {
+	for _, prefix := range []string{"Hash Join", "Merge Join on tid", "Filter"} {
 		if strings.HasPrefix(op, prefix) {
 			return true
 		}

@@ -60,8 +60,10 @@ func shuffleJoins(t *testing.T, rng *rand.Rand, p engine.Plan) engine.Plan {
 	cat := engine.NewCatalog()
 	cur := leaves[0]
 	for _, leaf := range leaves[1:] {
-		joined := engine.Join(cur, leaf, nil)
-		sch, err := joined.Schema(cat)
+		// The pair's schema is read off a condition-less probe node; the
+		// join is built afresh with its condition, since a plan node is
+		// never written once built.
+		sch, err := engine.Join(cur, leaf, nil).Schema(cat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +75,7 @@ func shuffleJoins(t *testing.T, rng *rand.Rand, p engine.Plan) engine.Plan {
 				rest = append(rest, pr)
 			}
 		}
-		joined.Cond, preds, cur = engine.And(conds...), rest, joined
+		cur, preds = engine.Join(cur, leaf, engine.And(conds...)), rest
 	}
 	if len(preds) > 0 {
 		t.Fatalf("shuffled join tree covers no input of %v", preds)

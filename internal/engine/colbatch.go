@@ -10,8 +10,8 @@ package engine
 // projections above them, the joins and the duplicate elimination take
 // and give column batches (a hash join gathers its output column by
 // column). Tuples are made at the sink — Drain, the server's row-capped
-// loop, the certain-answer query — through ColBatch.Materialize, and
-// below it only by the nested loop, which must hold its inputs.
+// loop, the certain-answer query — through ColBatch.Materialize; below
+// it no operator makes one.
 
 // ColVec is one column of a ColBatch. It has two layouts:
 //

@@ -130,8 +130,8 @@ func TestBatchContract(t *testing.T) {
 		"NewRename":   func(l, r Iterator) Iterator { return NewRename(l, []string{"a", "b", "c"}) },
 		"NewDistinct": func(l, r Iterator) Iterator { return NewDistinct(l) },
 		"NewHashJoin": func(l, r Iterator) Iterator { return NewHashJoin(l, r, pairs, ne, []string{"r.v", "l.k"}) },
-		"NewNestedLoopJoin": func(l, r Iterator) Iterator {
-			return NewNestedLoopJoin(NewFilter(l, Cmp(LT, Col("l.k"), ConstInt(2))), r, Cmp(LT, Col("l.v"), Col("r.v")), nil)
+		"NewHashJoinKeyless": func(l, r Iterator) Iterator {
+			return NewHashJoin(NewFilter(l, Cmp(LT, Col("l.k"), ConstInt(2))), r, nil, Cmp(LT, Col("l.v"), Col("r.v")), nil)
 		},
 		"NewStitch": func(l, r Iterator) Iterator {
 			nonNull := func(in Iterator, k string) Iterator { return NewFilter(in, Cmp(GE, Col(k), ConstInt(0))) }
@@ -215,8 +215,8 @@ func projected(join Iterator, out []string) Iterator {
 	return NewProject(join, out)
 }
 
-// TestJoinOutIsProjection: every inner join strategy, emitting through
-// a random Out, produces the rows, in the order and under the schema
+// TestJoinOutIsProjection: the hash join, keyed or keyless, emitting
+// through a random Out, produces the rows, in the order and under the schema
 // that a Project over the same join emitting its full row does — with and without a residual, which must
 // keep seeing the columns Out drops.
 func TestJoinOutIsProjection(t *testing.T) {
@@ -230,8 +230,8 @@ func TestJoinOutIsProjection(t *testing.T) {
 		"hash": func(res Expr, out []string) Iterator {
 			return NewHashJoin(NewScan(lrel), NewScan(rrel), pairs, res, out)
 		},
-		"nested loop": func(res Expr, out []string) Iterator {
-			return NewNestedLoopJoin(NewScan(small), NewScan(rrel), And(EqCols("l.k", "r.k"), res), out)
+		"no key": func(res Expr, out []string) Iterator {
+			return NewHashJoin(NewScan(small), NewScan(rrel), nil, And(EqCols("l.k", "r.k"), res), out)
 		},
 	}
 	for name, mk := range joins {

@@ -4,8 +4,8 @@
 // column batches, logical plans, a rule- and cost-based optimizer with
 // table statistics, and an EXPLAIN facility. Its algebra is exactly what
 // the U-relation translation emits: scan, values, filter, project,
-// rename, extend, stitch, hash, semi and nested-loop join, union,
-// difference and distinct.
+// rename, extend, stitch, hash and semi join, union, difference and
+// distinct.
 //
 // The engine plays the role PostgreSQL plays in the U-relations paper
 // (Antova, Jansen, Koch, Olteanu: "Fast and Simple Relational Processing
@@ -44,13 +44,13 @@
 // hash join and the semi join resolve their output and bind their
 // condition one way (joinShape) and evaluate it one way (joinCond): on
 // the inputs' cells in place, ψ compared on ints, each conjunct checked
-// once the last input it reads has its row. An operator whose algorithm
-// holds rows — a catalog relation's scan, the nested loop — serves them
-// through HeldRows, which transposes them a window at a time; stored
-// rows never become rows before the sink, an index probe included. Tuples are made at the sink — Drain, the server's
-// row-capped loop, the certain-answer query — through
-// ColBatch.Materialize; below it only the nested loop, which must hold
-// its inputs, makes them, and it reports them as rows_materialized.
+// once the last input it reads has its row. A join without an equi pair
+// is the hash join on the empty key: one chain holds every build row,
+// and the whole condition is checked per pair. A catalog relation's scan
+// lays its rows out as one column batch at Open and serves it as the
+// scan of an in-memory image does. Tuples are made at the sink — Drain,
+// the server's row-capped loop, the certain-answer query — through
+// ColBatch.Materialize, and in this package only by Drain.
 //
 // Keys flow down the plan (KeyNarrower), after Open and before the
 // first pull: a range, or a sorted list of distinct keys within it.
@@ -87,13 +87,13 @@
 // the partition estimated smallest — the one the selection cut — and
 // estimated as the tree of binary tid joins it replaces. Every operator runs on its
 // caller's goroutine: a query is one serial pipeline, and concurrency
-// comes from serving many queries at once. There are two strategies for
-// a join of two relations, chosen from the join's schemas alone
-// (chooseJoin): the hash join for every join with an equi pair, and the
-// nested loop exactly for the joins without one. An index is the storage
-// leaf's business: advised of the filter above it (FilterAdvisor), a
-// store scan probes its runs for an equality, and the filter stays; no
-// plan node or operator of this package knows of indexes. EXPLAIN and the
+// comes from serving many queries at once. There is one operator for a
+// join of two relations, the hash join, keyed on the equi pairs Build
+// splits from its condition (ExtractEquiJoin) over the inputs' schemas
+// alone. An index is the storage leaf's business: advised of the filter
+// above it (FilterAdvisor), a store scan probes its runs for an
+// equality, and the filter stays; no plan node or operator of this
+// package knows of indexes. EXPLAIN and the
 // est= of every EXPLAIN ANALYZE span read one estimator — the
 // optimizer's (stats.go) — so est-drift is a statement about the numbers
 // the plan was actually chosen on; an untraced Build reads none.

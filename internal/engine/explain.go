@@ -34,20 +34,20 @@ func explainNode(b *strings.Builder, p Plan, est *estimator, depth int, root boo
 	st := est.stats(p)
 	switch n := p.(type) {
 	case *JoinPlan:
-		// The decision Build makes under the default configuration. (A
-		// join whose input schemas do not resolve prints as a bare nested
-		// loop; Build reports the error.)
-		c, _ := chooseJoin(n, est.cat)
-		fmt.Fprintf(b, "%s%s  (rows=%.0f)\n", head, c.label(n.Kind), st.Rows)
-		if len(c.pairs) > 0 {
-			conds := make([]string, len(c.pairs))
-			for i, pr := range c.pairs {
+		// The key and residual Build splits the condition into. (A join
+		// whose input schemas do not resolve prints neither; Build
+		// reports the error.)
+		pairs, residual, _ := n.split(est.cat)
+		fmt.Fprintf(b, "%s%s  (rows=%.0f)\n", head, n.Label(), st.Rows)
+		if len(pairs) > 0 {
+			conds := make([]string, len(pairs))
+			for i, pr := range pairs {
 				conds[i] = fmt.Sprintf("(%s = %s)", pr.L, pr.R)
 			}
 			fmt.Fprintf(b, "%s      Hash Cond: %s\n", indent, strings.Join(conds, " AND "))
 		}
-		if c.residual != nil {
-			fmt.Fprintf(b, "%s      Join Filter: %s\n", indent, c.residual)
+		if residual != nil {
+			fmt.Fprintf(b, "%s      Join Filter: %s\n", indent, residual)
 		}
 		if n.Out != nil {
 			fmt.Fprintf(b, "%s      Output: %s\n", indent, strings.Join(n.Out, ", "))

@@ -108,9 +108,9 @@ func TestFilterBindError(t *testing.T) {
 	if err := pr.Open(); err == nil {
 		t.Fatal("bad projection must fail at Open")
 	}
-	hj := NewHashJoin(NewScan(r), NewScan(r), nil, nil, nil)
+	hj := NewHashJoin(NewScan(r), NewScan(r), nil, Cmp(EQ, Col("zzz"), ConstInt(1)), nil)
 	if err := hj.Open(); err == nil {
-		t.Fatal("hash join without pairs must fail")
+		t.Fatal("bad keyless join condition must fail at Open")
 	}
 }
 
@@ -160,8 +160,8 @@ func TestLabelStrings(t *testing.T) {
 		{DistinctOf(Scan("t")), "HashAggregate (distinct)"},
 		{Union(Scan("t"), Scan("t")), "Append"},
 		{Diff(Scan("t"), Scan("t")), "Except"},
-		{Join(Scan("t"), Scan("t"), nil), "Nested Loop (cross)"},
-		{Semi(Scan("t"), Scan("t"), EqCols("a", "b")), "Semi Join"},
+		{Join(Scan("t"), Scan("t"), nil), "Hash Join"},
+		{Semi(Scan("t"), Scan("t"), EqCols("a", "b")), "Hash Join (semi)"},
 		{Rename(Scan("t"), []string{"x"}), "Rename"},
 	}
 	for _, l := range labels {

@@ -45,8 +45,8 @@ type rowRef struct{ batch, row int32 }
 
 // buildJoinTable drains the opened iterator it into a table keyed by
 // its keyIdx columns. Rows with a NULL key never join and are left out.
-// keyIdx may be empty, in which case every row shares one key (used by
-// key-less semi joins).
+// keyIdx may be empty, in which case every row shares one key and one
+// chain (a join without an equi pair).
 func buildJoinTable(it Iterator, keyIdx []int) (*joinTable, error) {
 	// Drain first, then lay the stored rows out at their exact count.
 	t := &joinTable{keyIdx: keyIdx}

@@ -6,9 +6,8 @@ import (
 )
 
 // DefaultBatchSize is the most rows an operator that makes its batches
-// (a hash join's output, the windows of held rows or of an in-memory
-// column batch) puts in one; 1024 rows of a handful of vectors fit
-// comfortably in L2.
+// (a hash join's output, the windows of an in-memory column batch) puts
+// in one; 1024 rows of a handful of vectors fit comfortably in L2.
 const DefaultBatchSize = 1024
 
 // Iterator is the physical operator interface: a pull pipeline that
@@ -57,57 +56,21 @@ func drainRows(it Iterator) ([]Tuple, error) {
 	}
 }
 
-// HeldRows serves rows an operator holds — a catalog relation, a nested
-// loop's output — as column batches
-// of at most DefaultBatchSize rows, each window transposed into fresh
-// vectors (BuildColVec), so a consumer may keep their payloads.
-type HeldRows struct {
-	Rows []Tuple
-	Sch  Schema
-
-	pos int
-	cb  ColBatch // reused header
+// NewScan builds a scan over r: Open lays its rows out as one column
+// batch (relBatch), which is served as a ValuesPlan's batch is.
+func NewScan(r *Relation) Iterator {
+	return &colScanIter{src: &ColBatch{Sch: r.Sch}, rel: r, sorted: -1}
 }
-
-// Next serves the next window of Rows, or ok=false once they are
-// exhausted.
-func (h *HeldRows) Next() (*ColBatch, bool, error) {
-	if h.pos >= len(h.Rows) {
-		return nil, false, nil
-	}
-	end := min(h.pos+DefaultBatchSize, len(h.Rows))
-	rows := h.Rows[h.pos:end]
-	h.pos = end
-	cols := h.cb.Cols[:0]
-	for c := range h.Sch.Cols {
-		cols = append(cols, BuildColVec(len(rows), func(i int) Value { return rows[i][c] }))
-	}
-	h.cb = ColBatch{Sch: h.Sch, Cols: cols, N: len(rows)}
-	return &h.cb, true, nil
-}
-
-// ScanIter scans a materialized relation, serving its rows as column
-// batches.
-type ScanIter struct {
-	Rel  *Relation
-	held HeldRows
-}
-
-// NewScan builds a scan over r.
-func NewScan(r *Relation) *ScanIter { return &ScanIter{Rel: r} }
-
-func (s *ScanIter) Open() error                    { s.held = HeldRows{Rows: s.Rel.Rows, Sch: s.Rel.Sch}; return nil }
-func (s *ScanIter) Next() (*ColBatch, bool, error) { return s.held.Next() }
-func (s *ScanIter) Close() error                   { s.held = HeldRows{}; return nil }
-func (s *ScanIter) Schema() Schema                 { return s.Rel.Sch }
 
 // colScanIter scans a column batch held in memory (a ValuesPlan's
-// Batch), handing out windows of DefaultBatchSize rows that share its
-// vectors — of the rows [pos, end), which keys on its sorted column
-// narrow — each behind a selection of the rows no key list drops.
+// Batch, or a relation laid out at Open), handing out windows of
+// DefaultBatchSize rows that share its vectors — of the rows [pos, end),
+// which keys on its sorted column narrow — each behind a selection of
+// the rows no key list drops.
 type colScanIter struct {
-	src      *ColBatch
-	sorted   int // the ascending int column, -1 none
+	src      *ColBatch // before a relation's Open, its schema alone
+	rel      *Relation // when set, laid out into src at Open
+	sorted   int       // the ascending int column, -1 none
 	pos, end int
 	keys     []ColKeys // the keys handed down (NarrowKeys)
 	cols     []ColVec  // reused window headers
@@ -118,6 +81,9 @@ type colScanIter struct {
 }
 
 func (s *colScanIter) Open() error {
+	if s.rel != nil {
+		s.src = relBatch(s.rel)
+	}
 	s.pos, s.end, s.keys, s.skipped = 0, s.src.N, s.keys[:0], 0
 	return nil
 }

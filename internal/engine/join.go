@@ -132,11 +132,14 @@ func narrowProbeInput(in Iterator, probeIdx []int, t *joinTable) int {
 	return len(list)
 }
 
-// HashJoinIter is an equi-join on extracted key pairs with an optional
-// residual predicate over the concatenated row: the join of two
-// relations, ψ (descriptor consistency) in its residual — the join
-// filter of the paper's Figure 13. The merge of one relation's
-// partitions on the tuple id is the stitch's (StitchIter).
+// HashJoinIter is the inner join: an equi-join on extracted key pairs
+// with an optional residual predicate over the concatenated row — the
+// join of two relations, ψ (descriptor consistency) in its residual, the
+// join filter of the paper's Figure 13. A join without an equi pair is
+// the same operator with an empty key: every build row hashes alike and
+// lands on one chain, which each probe row walks with the whole
+// condition as its residual. The merge of one relation's partitions on
+// the tuple id is the stitch's (StitchIter).
 //
 // The build side L is drained into a joinTable that keeps its batches
 // and refers to its rows; the probe side R is pulled batch by batch,
@@ -167,17 +170,15 @@ type HashJoinIter struct {
 	probeRows, cellsGathered, keysHanded int64 // OperatorStats
 }
 
-// NewHashJoin builds a hash join; pairs must be non-empty. out names the
-// columns of the concatenated row to emit, in order (nil = all of them);
-// the residual still sees the whole row.
+// NewHashJoin builds a hash join; pairs may be empty (every pair of rows
+// is a candidate). out names the columns of the concatenated row to
+// emit, in order (nil = all of them); the residual still sees the whole
+// row.
 func NewHashJoin(l, r Iterator, pairs []EquiPair, residual Expr, out []string) *HashJoinIter {
 	return &HashJoinIter{L: l, R: r, Pairs: pairs, Residual: residual, outCols: out}
 }
 
 func (j *HashJoinIter) Open() error {
-	if len(j.Pairs) == 0 {
-		return fmt.Errorf("engine: hash join requires at least one equi pair")
-	}
 	if err := j.L.Open(); err != nil {
 		return err
 	}
@@ -623,18 +624,6 @@ func gatherRefs(batches []ColBatch, c int, refs []rowRef, dst *ColVec) {
 	}
 }
 
-// residualHolds evaluates a join's bound residual predicate (nil = none)
-// on the concatenated row l ++ r, assembled in the reused full-width
-// buffer scratch: a rejected candidate costs no allocation.
-func residualHolds(bound Expr, scratch, l, r Tuple) bool {
-	if bound == nil {
-		return true
-	}
-	copy(scratch, l)
-	copy(scratch[len(l):], r)
-	return bound.Eval(scratch).Truth()
-}
-
 // joinSchema is the schema an inner join of l and r reports before it
 // is opened: best effort, like ProjectIter's.
 func joinSchema(l, r Schema, out []string) Schema {
@@ -661,130 +650,6 @@ func bindOut(full Schema, out []string) (Schema, []int, error) {
 		pick[i] = full.IndexOf(name)
 	}
 	return sch, pick, nil
-}
-
-// NestedLoopJoinIter evaluates an arbitrary (possibly empty = cross
-// product) predicate over the concatenated row, row by row: the join for
-// a condition without an equi pair, and the property tests' reference
-// for the hash join. It holds its right input as tuples and makes each
-// left batch into tuples, and reports those as rows_materialized; its
-// output rows are served as column batches (HeldRows).
-type NestedLoopJoinIter struct {
-	L, R Iterator
-	Cond Expr
-
-	outCols []string // output projection of the concatenated row (nil = all)
-	pick    []int
-
-	right   []Tuple
-	left    []Tuple // the current left batch's rows
-	lpos    int
-	cur     Tuple // left row being joined against right[rpos:]
-	rpos    int
-	bound   Expr
-	sch     Schema
-	scratch Tuple // predicate evaluation buffer
-	out     HeldRows
-	made    int64
-}
-
-// NewNestedLoopJoin builds a nested-loop join (cond may be nil for a
-// cross product); out is NewHashJoin's.
-func NewNestedLoopJoin(l, r Iterator, cond Expr, out []string) *NestedLoopJoinIter {
-	return &NestedLoopJoinIter{L: l, R: r, Cond: cond, outCols: out}
-}
-
-func (j *NestedLoopJoinIter) Open() error {
-	if err := j.L.Open(); err != nil {
-		return err
-	}
-	if err := j.R.Open(); err != nil {
-		return err
-	}
-	full := j.L.Schema().Concat(j.R.Schema())
-	var err error
-	if j.sch, j.pick, err = bindOut(full, j.outCols); err != nil {
-		return err
-	}
-	if j.Cond != nil {
-		if j.bound, err = j.Cond.Bind(full); err != nil {
-			return err
-		}
-	}
-	if j.right, err = drainRows(j.R); err != nil {
-		return err
-	}
-	j.made = int64(len(j.right))
-	j.scratch = make(Tuple, full.Len())
-	j.left, j.lpos = nil, 0
-	j.rpos = len(j.right) // no current left row yet
-	return nil
-}
-
-// Next joins up to DefaultBatchSize rows, resuming from the (left row,
-// right position) cursor the previous call stopped at.
-func (j *NestedLoopJoinIter) Next() (*ColBatch, bool, error) {
-	var out []Tuple
-	for len(out) < DefaultBatchSize {
-		if j.rpos < len(j.right) {
-			r := j.right[j.rpos]
-			j.rpos++
-			if residualHolds(j.bound, j.scratch, j.cur, r) {
-				out = append(out, joinedRow(j.cur, r, j.pick))
-			}
-			continue
-		}
-		if j.lpos >= len(j.left) {
-			cb, ok, err := j.L.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				break
-			}
-			j.left, j.lpos = cb.Materialize(j.left[:0]), 0
-			j.made += int64(len(j.left))
-		}
-		j.cur = j.left[j.lpos]
-		j.lpos++
-		j.rpos = 0
-	}
-	j.out = HeldRows{Rows: out, Sch: j.sch}
-	return j.out.Next()
-}
-
-// joinedRow is the join row l ++ r narrowed to the columns pick selects
-// from it, in pick's order; a nil pick keeps the whole row.
-func joinedRow(l, r Tuple, pick []int) Tuple {
-	if pick == nil {
-		return append(append(make(Tuple, 0, len(l)+len(r)), l...), r...)
-	}
-	t := make(Tuple, len(pick))
-	for i, c := range pick {
-		if c < len(l) {
-			t[i] = l[c]
-		} else {
-			t[i] = r[c-len(l)]
-		}
-	}
-	return t
-}
-
-// OperatorStats reports the rows the join made into tuples.
-func (j *NestedLoopJoinIter) OperatorStats(emit func(key string, v int64)) {
-	emit("rows_materialized", j.made)
-}
-
-func (j *NestedLoopJoinIter) Close() error {
-	j.right, j.left, j.out = nil, nil, HeldRows{}
-	return closePair(j.L, j.R)
-}
-
-func (j *NestedLoopJoinIter) Schema() Schema {
-	if j.sch.Len() > 0 {
-		return j.sch
-	}
-	return joinSchema(j.L.Schema(), j.R.Schema(), j.outCols)
 }
 
 // SemiJoinIter emits left rows that have at least one match on the
@@ -888,42 +753,4 @@ func (j *SemiJoinIter) NarrowKeys(col int, keys Keys) { narrowInput(j.L, col, ke
 // OperatorStats reports how many keys the semi join handed L (0: none).
 func (j *SemiJoinIter) OperatorStats(emit func(key string, v int64)) {
 	emit("keys_handed", j.keysHanded)
-}
-
-// joinChoice is the physical join decision shared by Build, its trace
-// spans and EXPLAIN, so the plan printed is the plan executed.
-// The nested loop is chosen exactly when the condition has no equi pair.
-type joinChoice struct {
-	pairs    []EquiPair // the condition's equi pairs…
-	residual Expr       // …and what is left of it
-}
-
-// label names the join operator the choice lowers to.
-func (c joinChoice) label(kind JoinKind) string {
-	s := "Nested Loop"
-	if len(c.pairs) > 0 {
-		s = "Hash Join"
-	}
-	if kind == SemiJoin {
-		s += " (semi)"
-	}
-	return s
-}
-
-// chooseJoin picks the physical strategy for a join from its input
-// schemas alone: the nested loop when the condition has no equi pair,
-// the hash join otherwise. A semi join has one operator, which hashes
-// on whatever pairs there are; for it the choice only names it.
-func chooseJoin(n *JoinPlan, cat *Catalog) (joinChoice, error) {
-	ls, err := n.L.Schema(cat)
-	if err != nil {
-		return joinChoice{}, err
-	}
-	rs, err := n.R.Schema(cat)
-	if err != nil {
-		return joinChoice{}, err
-	}
-	var c joinChoice
-	c.pairs, c.residual = ExtractEquiJoin(n.Cond, ls, rs)
-	return c, nil
 }

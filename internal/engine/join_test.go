@@ -160,7 +160,8 @@ func joinInput(rng *rand.Rand, rel *Relation) (Iterator, string) {
 // equals, NULL keys, mixed-kind and generic columns, an empty side, a
 // build side larger than the probe side — every input in a random shape,
 // outputs straddling DefaultBatchSize. The hash join gives refJoin's
-// rows in refJoin's order at every step; the nested loop the same bag.
+// rows in refJoin's order at every step; the keyless hash join, the
+// whole condition its residual, the same bag.
 func TestHashJoinColumnarEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	straddled := 0
@@ -232,12 +233,12 @@ func TestHashJoinColumnarEquivalence(t *testing.T) {
 		rs, rshape := joinInput(rng, r)
 		name := fmt.Sprintf("iter %d: %d ⋈ %d rows on %v, %s ⋈ %s", iter, l.Len(), r.Len(), pairs, lshape, rshape)
 		checkJoinRows(t, name, cross, mustDrain(t, NewHashJoin(ls, rs, pairs, residual, out)), true)
-		if l.Len()*r.Len() < 400000 { // the nested loop tries every pair
+		if l.Len()*r.Len() < 400000 { // the keyless join tries every pair
 			cond := []Expr{residual}
 			for _, p := range pairs {
 				cond = append(cond, EqCols(p.L, p.R))
 			}
-			checkJoinRows(t, name+" (nested loop)", cross, mustDrain(t, NewNestedLoopJoin(NewScan(l), NewScan(r), And(cond...), out)), false)
+			checkJoinRows(t, name+" (no key)", cross, mustDrain(t, NewHashJoin(NewScan(l), NewScan(r), nil, And(cond...), out)), false)
 		}
 		if want.Len() > DefaultBatchSize {
 			straddled++
@@ -245,6 +246,39 @@ func TestHashJoinColumnarEquivalence(t *testing.T) {
 	}
 	if straddled < 5 {
 		t.Fatalf("only %d merges output more than one batch", straddled)
+	}
+}
+
+// TestKeylessHashJoin holds the hash join without an equi pair — every
+// build row on one chain, the whole condition its residual — to refJoin
+// without pairs, in its order: over an empty build side, which leaves
+// the probe side unread; under conditions reading NULL cells; and with
+// chains yielding more than DefaultBatchSize rows to one probe row, so
+// the cursor resumes mid-chain.
+func TestKeylessHashJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	big := randJoinInput(rng, 1500, 30, "l")
+	none := randJoinInput(rng, 0, 30, "l")
+	r := randJoinInput(rng, 40, 30, "r")
+	conds := []Expr{
+		nil, // the cross product
+		Cmp(LT, Col("l.k"), Col("r.k")),
+		Or(Cmp(GT, Col("l.k"), Col("r.k")), Cmp(EQ, Col("l.s"), Col("r.s"))),
+	}
+	for _, cond := range conds {
+		for _, l := range []*Relation{none, big} {
+			name := fmt.Sprintf("%v over %d build rows", cond, l.Len())
+			out := randOut(rng, l.Sch.Concat(r.Sch).Names())
+			want := refJoin(t, l, r, nil, cond, out)
+			if l == big && want.Len() <= DefaultBatchSize {
+				t.Fatalf("%s: the fixture joins to %d rows, not several batches", name, want.Len())
+			}
+			src := newColSource(r, 16)
+			checkJoinRows(t, name, want, mustDrain(t, NewHashJoin(NewScan(l), src, nil, cond, out)), true)
+			if l == none && src.pulls != 0 {
+				t.Fatalf("%s: the probe side was pulled %d times", name, src.pulls)
+			}
+		}
 	}
 }
 

@@ -246,9 +246,9 @@ func TestFoldProjections(t *testing.T) {
 	}{
 		{"project over project", Project(Project(Scan("orders"), "o.total", "o.custkey", "o.orderkey"), "o.custkey", "o.total"),
 			"Project: o.custkey, o.total"},
-		{"project over inner join", Project(join(), "o.total", "c.name"), "Join out=[o.total c.name]"},
+		{"project over inner join", Project(join(), "o.total", "c.name"), "Hash Join out=[o.total c.name]"},
 		{"two projections over an inner join", Project(Project(join(), "c.name", "o.total", "o.orderkey"), "total", "c.name"),
-			"Join out=[total c.name]"},
+			"Hash Join out=[total c.name]"},
 		{"suffix that is ambiguous beneath", Project(Project(join(), "c.custkey", "o.total"), "custkey"), "Project: custkey"},
 		{"projection to no columns", Project(join()), "Project: "},
 		{"project over semi join", Project(Semi(Scan("customer"), Scan("orders"), Eq(Col("c.custkey"), Col("o.custkey"))), "c.name"),
@@ -295,7 +295,9 @@ func TestFoldProjections(t *testing.T) {
 // The statistics are real (scanned), missing (a row count and no
 // column) or adversarial (a billion rows, or one, of NDV 1), as in
 // core's property suite. The optimized plan's answer bag must be the
-// unoptimized plan's. Bushy trees put a join on another join's probe
+// unoptimized plan's, and — both plans running through the one hash
+// join — the unoptimized plan's must be loopJoin's, which shares no join
+// code with the engine. Bushy trees put a join on another join's probe
 // side, which no plan did while the orderer built left-deep trees.
 func FuzzJoinOrder(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0))
@@ -306,7 +308,7 @@ func FuzzJoinOrder(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		k := 2 + int(n%6)
 		col := func(i int, c string) string { return fmt.Sprintf("r%d.%s", i, c) }
-		forest := make([]Plan, k)
+		forest, rels := make([]Plan, k), make([]*Relation, k)
 		for i := range forest {
 			rel := NewRelation(Schema{Cols: []Column{{Name: col(i, "k"), Kind: KindInt}, {Name: col(i, "v"), Kind: KindInt}}})
 			rows := rng.Intn(4 + 16/k)
@@ -333,7 +335,7 @@ func FuzzJoinOrder(f *testing.F) {
 				}
 				v.Stats = func() *TableStats { return ts }
 			}
-			forest[i] = v
+			forest[i], rels[i] = v, rel
 		}
 		var conjs []Expr
 		for i := 1; i < k; i++ {
@@ -376,7 +378,8 @@ func FuzzJoinOrder(f *testing.F) {
 		}
 		plan := forest[0]
 		if rng.Intn(2) == 0 {
-			plan = Filter(plan, Cmp(NE, Col(col(rng.Intn(k), "k")), ConstInt(rng.Int63n(5))))
+			sel := Cmp(NE, Col(col(rng.Intn(k), "k")), ConstInt(rng.Int63n(5)))
+			plan, conjs = Filter(plan, sel), append(conjs, sel)
 		}
 		if rng.Intn(2) == 0 {
 			sch, _ := plan.Schema(nil)
@@ -395,6 +398,10 @@ func FuzzJoinOrder(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if ref := loopJoin(t, rels, conjs, want.Sch); !want.EqualAsBag(ref) {
+			text, _ := Explain(plan, cat, false)
+			t.Fatalf("the plan as written answers %d rows, a row-at-a-time loop %d:\n%s", want.Len(), ref.Len(), text)
+		}
 		opt, err := Optimize(plan, cat)
 		if err != nil {
 			t.Fatal(err)
@@ -409,4 +416,55 @@ func FuzzJoinOrder(f *testing.F) {
 			t.Fatalf("optimized plan answers %d rows, the plan as written %d:\n%s", got.Len(), want.Len(), text)
 		}
 	})
+}
+
+// loopJoin is the answer of the join of rels under conds, made row at a
+// time with no join code of the engine: every combination of one row
+// per relation, each condition checked (interpret) once the last
+// relation it reads has its row, each surviving combination picked by
+// name to sch's columns.
+func loopJoin(t *testing.T, rels []*Relation, conds []Expr, sch Schema) *Relation {
+	var full Schema
+	offs := make([]int, len(rels)) // where each relation's cells start in the combination
+	for d, r := range rels {
+		offs[d], full = full.Len(), full.Concat(r.Sch)
+	}
+	at := make([][]Expr, len(rels)) // the conditions checked once relation d has its row
+	for _, c := range conds {
+		last := 0
+		for _, name := range ExprColumns(c) {
+			i := full.IndexOf(name)
+			for d := range offs {
+				if i >= offs[d] {
+					last = max(last, d)
+				}
+			}
+		}
+		at[last] = append(at[last], c)
+	}
+	out := NewRelation(sch)
+	row := make(Tuple, full.Len())
+	var walk func(d int)
+	walk = func(d int) {
+		if d == len(rels) {
+			picked := make(Tuple, sch.Len())
+			for i, c := range sch.Cols {
+				picked[i] = row[full.IndexOf(c.Name)]
+			}
+			out.Append(picked)
+			return
+		}
+	rows:
+		for _, r := range rels[d].Rows {
+			copy(row[offs[d]:], r)
+			for _, c := range at[d] {
+				if !interpret(t, c, full, row) {
+					continue rows
+				}
+			}
+			walk(d + 1)
+		}
+	}
+	walk(0)
+	return out
 }

@@ -74,13 +74,12 @@ func (p *ScanPlan) Children() []Plan         { return nil }
 func (p *ScanPlan) WithChildren([]Plan) Plan { c := *p; return &c }
 func (p *ScanPlan) Label() string            { return "Seq Scan on " + p.Name }
 
-// ValuesPlan scans an anonymous, already materialized relation: rows
-// (Rel), or columns (Batch, whose N rows it serves in windows that share
-// its vectors; exactly one of the two is set, and Batch has no Sel). The
-// U-relation layer uses it to evaluate over representations that are
-// not registered in a catalog — an in-memory partition as columns.
+// ValuesPlan scans an anonymous column batch held in memory (Batch,
+// whose N rows it serves in windows that share its vectors; it has no
+// Sel). The U-relation layer uses it to evaluate over representations
+// that are not registered in a catalog — an in-memory partition as
+// columns.
 type ValuesPlan struct {
-	Rel   *Relation
 	Batch *ColBatch
 	Name  string // display name for EXPLAIN
 	// Sorted names an int column of Batch whose cells ascend, "" none:
@@ -91,23 +90,19 @@ type ValuesPlan struct {
 	// its columns' positions. A producer that already keeps statistics for
 	// the data sets it so they travel with the plan; it is only called
 	// when an estimate is asked for. Without it the estimator scans the
-	// data (ComputeStats), once per planning pass.
+	// data (ComputeBatchStats), once per planning pass.
 	Stats func() *TableStats
 }
 
-// Values builds a scan over an unregistered relation.
+// Values builds a scan over an unregistered relation, laid out once as
+// a column batch.
 func Values(rel *Relation, name string) *ValuesPlan {
-	return &ValuesPlan{Rel: rel, Name: name}
+	return &ValuesPlan{Batch: relBatch(rel), Name: name}
 }
 
-func (p *ValuesPlan) Schema(*Catalog) (Schema, error) {
-	if p.Batch != nil {
-		return p.Batch.Sch, nil
-	}
-	return p.Rel.Sch, nil
-}
-func (p *ValuesPlan) Children() []Plan         { return nil }
-func (p *ValuesPlan) WithChildren([]Plan) Plan { c := *p; return &c }
+func (p *ValuesPlan) Schema(*Catalog) (Schema, error) { return p.Batch.Sch, nil }
+func (p *ValuesPlan) Children() []Plan                { return nil }
+func (p *ValuesPlan) WithChildren([]Plan) Plan        { c := *p; return &c }
 func (p *ValuesPlan) Label() string {
 	n := p.Name
 	if n == "" {
@@ -217,12 +212,8 @@ const (
 	SemiJoin
 )
 
-func (k JoinKind) String() string {
-	return [...]string{"Join", "Semi Join"}[k]
-}
-
 // JoinPlan joins two inputs under an arbitrary predicate (nil = cross
-// product). The physical algorithm is chosen at Build time.
+// product). Build lowers it to the hash join, or the semi join.
 type JoinPlan struct {
 	Kind JoinKind
 	L, R Plan
@@ -285,11 +276,30 @@ func (p *JoinPlan) WithChildren(ch []Plan) Plan {
 	return &JoinPlan{Kind: p.Kind, L: ch[0], R: ch[1], Cond: p.Cond, Out: p.Out}
 }
 
+// Label names the operator the join lowers to: every join is a hash
+// join, keyed on its condition's equi pairs (split) — with none, on the
+// empty key.
 func (p *JoinPlan) Label() string {
-	if p.Cond == nil {
-		return "Nested Loop (cross)"
+	if p.Kind == SemiJoin {
+		return "Hash Join (semi)"
 	}
-	return p.Kind.String()
+	return "Hash Join"
+}
+
+// split is the join's condition split over its inputs' schemas
+// (ExtractEquiJoin): the equi pairs its hash join keys on, and the
+// residual it evaluates on each pair of rows of equal key.
+func (p *JoinPlan) split(cat *Catalog) ([]EquiPair, Expr, error) {
+	ls, err := p.L.Schema(cat)
+	if err != nil {
+		return nil, nil, err
+	}
+	rs, err := p.R.Schema(cat)
+	if err != nil {
+		return nil, nil, err
+	}
+	pairs, residual := ExtractEquiJoin(p.Cond, ls, rs)
+	return pairs, residual, nil
 }
 
 // UnionPlan is bag union (UNION ALL) of two width-compatible inputs.
@@ -345,10 +355,10 @@ type ExecConfig struct {
 }
 
 // Build lowers a logical plan to a physical iterator tree, one operator
-// per node: a filter lowers to FilterIter, an inner equi-join to
-// HashJoinIter and a join without an equi pair to NestedLoopJoinIter.
-// The join strategy reads schemas only, so an untraced Build takes no
-// estimate.
+// per node: a filter lowers to FilterIter and every inner join to
+// HashJoinIter, keyed on the equi pairs of its condition — a join
+// without one on the empty key. The split reads schemas only, so an
+// untraced Build takes no estimate.
 // With cfg.Trace set, every node also gets a span recording its actuals
 // next to the estimate Optimize and Explain read — one estimator, the
 // same type — and the recursion threads each node's span through cfg so
@@ -388,22 +398,12 @@ func adviseFilters(p Plan) {
 }
 
 // lower is build plus, when tracing, the node's span: labelled with the
-// operator actually chosen and carrying the node's estimate. (chooseJoin
-// depends only on the plan's schemas, so build reaches the same choice
-// the label was taken from.)
+// node's operator and carrying the node's estimate.
 func (b *lowering) lower(p Plan, cfg ExecConfig) (Iterator, error) {
 	if cfg.Trace == nil {
 		return b.build(p, cfg)
 	}
-	label := p.Label()
-	if j, ok := p.(*JoinPlan); ok {
-		c, err := chooseJoin(j, b.cat)
-		if err != nil {
-			return nil, err
-		}
-		label = c.label(j.Kind)
-	}
-	sp := cfg.Trace.Child(label, b.est.stats(p).Rows)
+	sp := cfg.Trace.Child(p.Label(), b.est.stats(p).Rows)
 	cfg.Trace = sp
 	it, err := b.build(p, cfg)
 	if err != nil {
@@ -421,10 +421,7 @@ func (b *lowering) build(p Plan, cfg ExecConfig) (Iterator, error) {
 		}
 		return NewScan(r), nil
 	case *ValuesPlan:
-		if n.Batch != nil {
-			return &colScanIter{src: n.Batch, sorted: n.Batch.Sch.IndexOf(n.Sorted)}, nil
-		}
-		return NewScan(n.Rel), nil
+		return &colScanIter{src: n.Batch, sorted: n.Batch.Sch.IndexOf(n.Sorted)}, nil
 	case *FilterPlan:
 		return b.unary(cfg, n.Child, func(in Iterator) Iterator { return NewFilter(in, n.Cond) })
 	case *ProjectPlan:
@@ -432,18 +429,15 @@ func (b *lowering) build(p Plan, cfg ExecConfig) (Iterator, error) {
 	case *RenamePlan:
 		return b.unary(cfg, n.Child, func(in Iterator) Iterator { return NewRename(in, n.Names) })
 	case *JoinPlan:
-		c, err := chooseJoin(n, b.cat)
+		pairs, residual, err := n.split(b.cat)
 		if err != nil {
 			return nil, err
 		}
 		return b.binary(cfg, n.L, n.R, func(l, r Iterator) Iterator {
-			switch {
-			case n.Kind == SemiJoin:
-				return NewSemiJoin(l, r, c.pairs, c.residual)
-			case len(c.pairs) == 0:
-				return NewNestedLoopJoin(l, r, n.Cond, n.Out)
+			if n.Kind == SemiJoin {
+				return NewSemiJoin(l, r, pairs, residual)
 			}
-			return NewHashJoin(l, r, c.pairs, c.residual, n.Out)
+			return NewHashJoin(l, r, pairs, residual, n.Out)
 		})
 	case *StitchPlan:
 		ins := make([]Iterator, len(n.Inputs))

@@ -36,6 +36,16 @@ func (r *Relation) AppendVals(vals ...Value) { r.Append(Tuple(vals)) }
 // Len returns the number of rows.
 func (r *Relation) Len() int { return len(r.Rows) }
 
+// relBatch lays r's rows out as one column batch, each column as
+// BuildColVec lays it out.
+func relBatch(r *Relation) *ColBatch {
+	cols := make([]ColVec, r.Sch.Len())
+	for c := range cols {
+		cols[c] = BuildColVec(len(r.Rows), func(i int) Value { return r.Rows[i][c] })
+	}
+	return &ColBatch{Sch: r.Sch, Cols: cols, N: len(r.Rows)}
+}
+
 // Clone returns a deep copy of the relation.
 func (r *Relation) Clone() *Relation {
 	out := &Relation{Sch: r.Sch, Rows: make([]Tuple, len(r.Rows))}

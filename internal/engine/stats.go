@@ -238,13 +238,10 @@ func (est *estimator) tableStats(p Plan) *TableStats {
 	case *ScanPlan:
 		ts = est.cat.Stats(n.Name)
 	case *ValuesPlan:
-		switch {
-		case n.Stats != nil:
+		if n.Stats != nil {
 			ts = n.Stats()
-		case n.Batch != nil:
+		} else {
 			ts = ComputeBatchStats(n.Batch)
-		default:
-			ts = ComputeStats(n.Rel)
 		}
 	case StatsSource:
 		ts = n.SourceStats()

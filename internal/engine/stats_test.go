@@ -270,7 +270,7 @@ func TestPlanningPassScansEachAdHocLeafOnce(t *testing.T) {
 	p, leaves = build()
 	asked := 0
 	for _, lf := range leaves {
-		ts := ComputeStats(lf.Rel)
+		ts := ComputeBatchStats(lf.Batch)
 		lf.Stats = func() *TableStats { asked++; return ts }
 	}
 	before = StatsScans()

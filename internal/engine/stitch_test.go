@@ -251,9 +251,5 @@ func checkStitchUnderList(t *testing.T, rng *rand.Rand, parts []*Relation, drive
 
 // memScan is the in-memory scan of rel, sorted on its column tid.
 func memScan(rel *Relation, tid string) *colScanIter {
-	cols := make([]ColVec, rel.Sch.Len())
-	for c := range cols {
-		cols[c] = BuildColVec(rel.Len(), func(i int) Value { return rel.Rows[i][c] })
-	}
-	return &colScanIter{src: &ColBatch{Sch: rel.Sch, Cols: cols, N: rel.Len()}, sorted: rel.Sch.IndexOf(tid)}
+	return &colScanIter{src: relBatch(rel), sorted: rel.Sch.IndexOf(tid)}
 }

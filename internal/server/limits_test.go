@@ -20,11 +20,11 @@ func (l *faultyLeaf) WithChildren([]engine.Plan) engine.Plan        { return l }
 func (l *faultyLeaf) Label() string                                 { return "faulty scan" }
 func (l *faultyLeaf) EstimateRowCount() float64                     { return float64(l.rel.Len()) }
 func (l *faultyLeaf) BuildIter(engine.ExecConfig) (engine.Iterator, error) {
-	return &faultyIter{ScanIter: engine.NewScan(l.rel)}, nil
+	return &faultyIter{Iterator: engine.NewScan(l.rel)}, nil
 }
 
 type faultyIter struct {
-	*engine.ScanIter
+	engine.Iterator
 	pulls int
 }
 
@@ -32,7 +32,7 @@ func (f *faultyIter) Next() (*engine.ColBatch, bool, error) {
 	if f.pulls++; f.pulls > 1 {
 		return nil, false, errScanFault
 	}
-	return f.ScanIter.Next()
+	return f.Iterator.Next()
 }
 
 // TestRunLimitedReportsLookAheadError: when the first batch lands

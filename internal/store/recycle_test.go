@@ -12,9 +12,10 @@ import (
 // TestRecycledSegmentsAreNeverRead runs the stored workloads' queries on
 // the s 0.25 directory with every buffer a scan hands back overwritten
 // (PoisonRecycled): Q1–Q3, point lookups without the l_orderkey index
-// and with it, a nested loop over store scans, the same over URSEGv1
-// files whose segments are sorted by tuple id as they are decoded, and
-// over a segment cache, twice. Each answer must be the in-memory one:
+// and with it, a join without an equi pair over store scans (the hash
+// join on the empty key), the same over URSEGv1 files whose segments
+// are sorted by tuple id as they are decoded, and over a segment cache,
+// twice. Each answer must be the in-memory one:
 // no cell of a segment is read after the scan that owns it recycled it,
 // and no segment a cache keeps is recycled. A scan opened again before
 // it is closed must keep the batches it served: a consumer may hold
@@ -28,7 +29,7 @@ func TestRecycledSegmentsAreNeverRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := map[string]core.Query{"Q1": tpch.Q1(), "Q2": tpch.Q2(), "Q3": tpch.Q3(),
-		"nested loop": core.Poss(core.Project(core.Join(core.Rel("nation"),
+		"keyless join": core.Poss(core.Project(core.Join(core.Rel("nation"),
 			core.Select(core.Rel("orders"), engine.Cmp(engine.LT, engine.Col("o_orderkey"), engine.ConstInt(200))),
 			engine.Cmp(engine.LT, engine.Col("n_nationkey"), engine.Col("o_custkey"))), "n_name", "o_orderkey"))}
 	for _, key := range []int64{1, 77, 1000, 3000} {

@@ -243,7 +243,7 @@ func planEstimates(text, key string) []string {
 func joinLabel(t *testing.T, text string) string {
 	t.Helper()
 	for _, line := range strings.Split(text, "\n") {
-		for _, name := range []string{"Hash Join", "Nested Loop"} {
+		for _, name := range []string{"Hash Join", "Hash Join (semi)"} {
 			if strings.Contains(line, name+"  (") {
 				return name
 			}

@@ -34,13 +34,18 @@ import (
 // There is one engine path, too: the parallel operators that lost to
 // the serial ones are banned, and an operator runs on its caller's
 // goroutine — no non-test file of package engine has a go statement.
-// And there is one equi-join: no non-test file of package engine or
+// And there is one join operator: no non-test file of package engine or
 // store names the index-nested-loop join or the probe-cost model that
-// chose it.
+// chose it, and the nested-loop join, the row server it made its output
+// through (HeldRows) and the choice between it and the hash join
+// (joinChoice, chooseJoin) are not declared again. Tuples are made at
+// the sink: in package engine only drainRows calls
+// ColBatch.Materialize.
 func TestOneRowProtocol(t *testing.T) {
 	banned := map[string]bool{"Batched": true, "Columnar": true, "batchAdapter": true, "rowColAdapter": true,
 		"ParallelHashJoinIter": true, "ParallelFilterIter": true, "NewParallelHashJoin": true, "NewParallelFilter": true,
-		"parallelWorthwhile": true, "KeyRangeNarrower": true, "NarrowKeyRange": true}
+		"parallelWorthwhile": true, "KeyRangeNarrower": true, "NarrowKeyRange": true,
+		"NestedLoopJoinIter": true, "NewNestedLoopJoin": true, "HeldRows": true, "joinChoice": true, "chooseJoin": true}
 	indexJoin := map[string]bool{"IndexJoinIter": true, "NewIndexJoin": true, "JoinIndex": true, "ProbeCost": true,
 		"cachedProbeRows": true, "uncachedDecodeShare": true}
 	rowProtocol := map[string]bool{"NextBatch": true, "NextColBatch": true, "ColumnarNative": true, "ColBatchIterator": true,
@@ -70,6 +75,16 @@ func TestOneRowProtocol(t *testing.T) {
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
+				if file.Name.Name == "engine" && d.Name.Name != "drainRows" {
+					ast.Inspect(d, func(n ast.Node) bool {
+						if call, ok := n.(*ast.CallExpr); ok {
+							if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Materialize" {
+								t.Errorf("%s: %s calls Materialize: tuples are made at the sink (drainRows)", fset.Position(call.Pos()), d.Name.Name)
+							}
+						}
+						return true
+					})
+				}
 				if banned[d.Name.Name] {
 					t.Errorf("%s: %s is declared again", fset.Position(d.Pos()), d.Name.Name)
 				}
@@ -240,24 +255,20 @@ func TestEveryOperatorHasACaller(t *testing.T) {
 // TestStoreMakesNoRows pins that the store's read path makes no rows:
 // a stored row reaches its consumer as a cell of a column batch the
 // store scan serves, never as an engine.Tuple. No non-test file of
-// package store names engine.Tuple or engine.HeldRows, and no package
-// but engine names HeldRows, the server of rows an operator holds.
+// package store names engine.Tuple.
 func TestStoreMakesNoRows(t *testing.T) {
 	fset, files := moduleSources(t)
 	for _, file := range files {
+		if file.Name.Name != "store" {
+			continue
+		}
 		pkg := engineName(file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			if x, ok := sel.X.(*ast.Ident); !ok || x.Name != pkg {
-				return true
-			}
-			switch {
-			case sel.Sel.Name == "HeldRows":
-				t.Errorf("%s: package %s names engine.HeldRows", fset.Position(sel.Pos()), file.Name.Name)
-			case sel.Sel.Name == "Tuple" && file.Name.Name == "store":
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == pkg && sel.Sel.Name == "Tuple" {
 				t.Errorf("%s: package store names engine.Tuple: its read path makes rows", fset.Position(sel.Pos()))
 			}
 			return true
