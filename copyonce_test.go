@@ -119,7 +119,7 @@ func TestTranslatedPlansProjectOnce(t *testing.T) {
 // does; and run in memory or stored the stitch gathers its output column
 // by column, no more than its output rows × its output width cells: 755
 // rows and 3 020 cells. (No operator makes a tuple below the sink:
-// TestOneRowProtocol holds drainRows to be the only caller of
+// TestOneRowProtocol holds DrainLimited to be the only caller of
 // ColBatch.Materialize in package engine.) These are counts: they repeat exactly, where a clock on a
 // shared machine does not.
 func TestRowsAreMadeOnce(t *testing.T) {

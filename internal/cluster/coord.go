@@ -345,7 +345,7 @@ func (c *Coordinator) Relay(shard int, req QueryRequest) (status int, body []byt
 // of failing the whole scatter; any other shard error, and the case of
 // every shard missing, still fail. So does a shard that answers other
 // columns than the first shard did: the merges line rows up by column.
-func (c *Coordinator) scatter(targets []int, req QueryRequest, span *obs.Span, allowPartial bool) (resps []*shardResponse, missing []int, err *Error) {
+func (c *Coordinator) scatter(targets []int, req QueryRequest, span *obs.Span, allowPartial bool) (resps []*QueryResponse, missing []int, err *Error) {
 	req.DB = c.catalog
 	req.Limit = 0     // limits cannot push below a union; applied after merging
 	req.Trace = false // shard-internal traces are not gathered; spans carry latency
@@ -354,7 +354,7 @@ func (c *Coordinator) scatter(targets []int, req QueryRequest, span *obs.Span, a
 		return nil, nil, Errorf(500, "cluster: %v", merr)
 	}
 	type slot struct {
-		resp *shardResponse
+		resp *QueryResponse
 		call *shardCall
 		err  *Error
 	}
@@ -366,7 +366,7 @@ func (c *Coordinator) scatter(targets []int, req QueryRequest, span *obs.Span, a
 			defer wg.Done()
 			sc, err := c.call(shard, "/query", body, false, 0)
 			if err == nil {
-				var sr shardResponse
+				var sr QueryResponse
 				if err = c.decode(shard, sc, &sr); err == nil {
 					slots[i] = slot{resp: &sr, call: sc}
 					return
@@ -376,7 +376,7 @@ func (c *Coordinator) scatter(targets []int, req QueryRequest, span *obs.Span, a
 		}(i, shard)
 	}
 	wg.Wait()
-	out := make([]*shardResponse, len(targets))
+	out := make([]*QueryResponse, len(targets))
 	var lastMissing *Error
 	first := -1
 	for i, sl := range slots {
@@ -421,35 +421,21 @@ func (c *Coordinator) missingNames(targets, missing []int) []string {
 	return out
 }
 
-// Merged is a coordinator-merged row-mode result. Partial marks a
-// degraded answer: MissingShards did not contribute, so row modes are
-// a sound subset and bounds are widened to stay sound.
-type Merged struct {
-	Columns       []string
-	Rows          []json.RawMessage
-	Truncated     bool
-	Estimator     string
-	Degraded      bool
-	Partial       bool
-	MissingShards []string
-}
-
 // ScatterRows runs a possible- or plain-mode query on every target and
 // merges: possible answers union with cross-shard dedup (each shard
 // already returns a set); plain representation rows concatenate. With
 // req.Partial, unreachable shards are skipped and reported in
 // MissingShards — the merged rows are then a subset of the full
-// answer (sound for possible/plain, which are unions over shards).
-func (c *Coordinator) ScatterRows(targets []int, req QueryRequest, dedup bool, span *obs.Span) (*Merged, *Error) {
+// answer (sound for possible/plain, which are unions over shards). The
+// dedup keys on a row's bytes: every node writes its rows with
+// AppendRow, so equal rows are equal bytes.
+func (c *Coordinator) ScatterRows(targets []int, req QueryRequest, dedup bool, span *obs.Span) (*QueryResponse, *Error) {
 	resps, missing, err := c.scatter(targets, req, span, req.Partial)
 	if err != nil {
 		return nil, err
 	}
-	m := &Merged{Partial: len(missing) > 0, MissingShards: c.missingNames(targets, missing)}
-	var seen map[string]bool
-	if dedup {
-		seen = make(map[string]bool)
-	}
+	m := &QueryResponse{Rows: []json.RawMessage{}, Partial: len(missing) > 0, MissingShards: c.missingNames(targets, missing)}
+	seen := map[string]bool{}
 	for _, sr := range resps {
 		if sr == nil {
 			continue
@@ -460,11 +446,10 @@ func (c *Coordinator) ScatterRows(targets []int, req QueryRequest, dedup bool, s
 		m.Truncated = m.Truncated || sr.Truncated
 		for _, row := range sr.Rows {
 			if dedup {
-				k := string(row)
-				if seen[k] {
+				if seen[string(row)] {
 					continue
 				}
-				seen[k] = true
+				seen[string(row)] = true
 			}
 			m.Rows = append(m.Rows, row)
 		}
@@ -487,7 +472,7 @@ func (c *Coordinator) ScatterRows(targets []int, req QueryRequest, dedup bool, s
 // while lowers stay sound — a max over fewer shards can only
 // underestimate, and a lower bound may be low. The result sandwiches
 // the exact confidence of every tuple it lists.
-func (c *Coordinator) ScatterBounds(targets []int, req QueryRequest, span *obs.Span) (*Merged, *Error) {
+func (c *Coordinator) ScatterBounds(targets []int, req QueryRequest, span *obs.Span) (*QueryResponse, *Error) {
 	req.Accuracy = "bounds"
 	resps, missing, err := c.scatter(targets, req, span, req.Partial)
 	if err != nil {
@@ -516,33 +501,26 @@ func (c *Coordinator) ScatterBounds(targets []int, req QueryRequest, span *obs.S
 		nvals := len(columns) - 2 // trailing _p_lo, _p_hi
 		for _, raw := range sr.Rows {
 			var cells []json.RawMessage
-			if uerr := json.Unmarshal(raw, &cells); uerr != nil || len(cells) != nvals+2 {
+			var lo, hi float64
+			if json.Unmarshal(raw, &cells) != nil || len(cells) != nvals+2 ||
+				json.Unmarshal(cells[nvals], &lo) != nil || json.Unmarshal(cells[nvals+1], &hi) != nil {
 				return nil, Errorf(502, "cluster: bad shard bounds row %s", raw)
 			}
-			var lo, hi float64
-			if uerr := json.Unmarshal(cells[nvals], &lo); uerr != nil {
-				return nil, Errorf(502, "cluster: bad bounds row lower %s", cells[nvals])
+			var kb []byte // the cells, each closed by a 0 byte, which sorts first
+			for _, c := range cells[:nvals] {
+				kb = append(append(kb, c...), 0)
 			}
-			if uerr := json.Unmarshal(cells[nvals+1], &hi); uerr != nil {
-				return nil, Errorf(502, "cluster: bad bounds row upper %s", cells[nvals+1])
-			}
-			key := string(bytes.Join(rawBytes(cells[:nvals]), []byte{0}))
+			key := string(kb)
 			b := merged[key]
 			if b == nil {
 				b = &bound{vals: cells[:nvals]}
 				merged[key] = b
 				order = append(order, key)
 			}
-			if lo > b.lo {
-				b.lo = lo
-			}
-			b.hi += hi
-			if hi >= 1 {
-				b.clamped = true
-			}
+			b.lo, b.hi, b.clamped = max(b.lo, lo), b.hi+hi, b.clamped || hi >= 1
 		}
 	}
-	m := &Merged{
+	m := &QueryResponse{
 		Columns:       columns,
 		Estimator:     "bounds",
 		Degraded:      degraded,
@@ -550,35 +528,19 @@ func (c *Coordinator) ScatterBounds(targets []int, req QueryRequest, span *obs.S
 		MissingShards: c.missingNames(targets, missing),
 	}
 	sort.Strings(order) // deterministic cross-shard output order
+	w := RowWriter{Rows: make([]json.RawMessage, 0, len(order))}
 	for _, key := range order {
 		b := merged[key]
 		if b.hi > 1 || b.clamped || m.Partial {
 			b.hi = 1
 		}
-		if b.lo > b.hi {
-			b.lo = b.hi // max-certain from one shard cannot exceed the clamped possible
+		b.lo = min(b.lo, b.hi) // max-certain from one shard cannot exceed the clamped possible
+		if aerr := w.Add(b.vals, nil, b.lo, b.hi); aerr != nil {
+			return nil, Errorf(502, "cluster: %v", aerr)
 		}
-		cells := append(append([]json.RawMessage{}, b.vals...), jsonNum(b.lo), jsonNum(b.hi))
-		row, merr := json.Marshal(cells)
-		if merr != nil {
-			return nil, Errorf(500, "cluster: %v", merr)
-		}
-		m.Rows = append(m.Rows, json.RawMessage(row))
 	}
+	m.Rows = w.Rows
 	return m, nil
-}
-
-func rawBytes(cells []json.RawMessage) [][]byte {
-	out := make([][]byte, len(cells))
-	for i, c := range cells {
-		out[i] = []byte(c)
-	}
-	return out
-}
-
-func jsonNum(f float64) json.RawMessage {
-	b, _ := json.Marshal(f)
-	return json.RawMessage(b)
 }
 
 // GatherRepr runs the query on every target with "wire": "repr" and

@@ -38,12 +38,13 @@
 // The server runs local and coordinator catalogs through one request
 // path: where a local catalog evaluates a plan, a Coordinator supplies
 // merged rows (ScatterRows), the union of the shard representations
-// (GatherRepr) or merged bounds (ScatterBounds), and the certain-answer
-// and confidence steps then run on the result either way. When routing
-// resolves to a single shard, its response is the answer and is
-// relayed verbatim (Relay). Nodes and coordinators speak the same wire
-// types — QueryRequest, ExecRequest, ExecResponse, and Error for every
-// refusal — so a shard cannot drift from what the coordinator expects.
+// (GatherRepr) or merged bounds (ScatterBounds), and the row cap and the
+// certain-answer and confidence steps run on the result either way. A
+// row is written once, by AppendRow on its shard; a merged bounds row
+// keeps those cells and appends its bounds. A single shard's answer is
+// relayed verbatim (Relay). Nodes and coordinators speak one set of
+// wire types — QueryRequest, QueryResponse, ExecRequest, ExecResponse
+// and Error — so a shard cannot drift from what the coordinator expects.
 //
 // Read replicas (Replica) are physical clones kept current by shipping
 // the primary's write-ahead log: a follower bootstraps by fetching the

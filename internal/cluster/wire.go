@@ -3,11 +3,14 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
+	"unicode/utf8"
 
 	"urel/internal/core"
 	"urel/internal/engine"
+	"urel/internal/obs"
 	"urel/internal/ws"
 )
 
@@ -87,23 +90,113 @@ func Errorf(status int, format string, args ...any) *Error {
 	return &Error{Status: status, Msg: fmt.Sprintf(format, args...)}
 }
 
-// shardResponse is the subset of a shard's /query response the
-// coordinator inspects. Result rows stay raw JSON: merged row modes
-// (possible union, plain concat) pass them through byte-identical —
-// no float re-encoding — and the possible-mode dedup keys on the raw
-// bytes, which is sound because every shard renders values through the
-// same encoder.
-type shardResponse struct {
-	Mode      string            `json:"mode"`
-	Columns   []string          `json:"columns"`
+// QueryResponse is the POST /query body: a node writes it, and a
+// coordinator reads it of its shards and writes it in turn.
+type QueryResponse struct {
+	DB      string   `json:"db"`
+	Mode    string   `json:"mode"`
+	Columns []string `json:"columns"`
+	// Rows are the answer rows, each as AppendRow wrote it.
 	Rows      []json.RawMessage `json:"rows"`
 	RowCount  int               `json:"row_count"`
-	Truncated bool              `json:"truncated"`
-	Estimator string            `json:"estimator"`
-	Degraded  bool              `json:"degraded"`
-	ElapsedMS float64           `json:"elapsed_ms"`
-	Plan      string            `json:"plan"`
-	Repr      *Repr             `json:"repr"`
+	Truncated bool              `json:"truncated,omitempty"`
+	Estimator string            `json:"estimator,omitempty"` // conf: "read-once", "exact", "monte-carlo", or "bounds"
+	Degraded  bool              `json:"degraded,omitempty"`  // conf auto: exact missed the deadline, bounds returned
+	// Partial marks a coordinator answer some shards did not contribute
+	// to ("partial": true requests only): possible/plain rows are a
+	// sound subset, conf bounds are widened. MissingShards names them.
+	Partial       bool      `json:"partial,omitempty"`
+	MissingShards []string  `json:"missing_shards,omitempty"`
+	PlanCached    bool      `json:"plan_cached"` // the node that evaluated ran a cached physical plan (a coordinator's merge never does)
+	ElapsedMS     float64   `json:"elapsed_ms"`
+	Plan          string    `json:"plan,omitempty"`  // EXPLAIN [ANALYZE]: the rendered plan
+	Trace         *obs.Span `json:"trace,omitempty"` // operator trace ("trace": true)
+	Repr          *Repr     `json:"repr,omitempty"`  // "wire": "repr": the result representation
+}
+
+// AppendRow, the one encoder of answer rows, appends a row to dst as a
+// JSON array: the raw cells as they are, the values, then the trailing
+// float cells (_p, _p_lo, _p_hi). Equal rows are equal bytes on every
+// node. NaN and the infinities are refused, as encoding/json refuses
+// them.
+func AppendRow(dst []byte, raw []json.RawMessage, vals []engine.Value, floats ...float64) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, '[')
+	for _, c := range raw {
+		dst = append(append(dst, c...), ',')
+	}
+	var err error
+	for i, n := 0, len(vals); i < n+len(floats); i++ {
+		v := engine.Float(0)
+		if i < n {
+			v = vals[i]
+		} else {
+			v.F = floats[i-n]
+		}
+		if dst, err = appendValue(dst, v); err != nil {
+			return dst[:start], err
+		}
+		dst = append(dst, ',')
+	}
+	if dst[len(dst)-1] == ',' {
+		dst[len(dst)-1] = ']'
+		return dst, nil
+	}
+	return append(dst, ']'), nil
+}
+
+// appendValue writes a cell as encoding/json writes its Go value (a
+// float in its shortest round-trip form); a string that is not plain
+// ASCII goes through encoding/json, which escapes it.
+func appendValue(dst []byte, v engine.Value) ([]byte, error) {
+	switch v.K {
+	case engine.KindNull:
+		return append(dst, "null"...), nil
+	case engine.KindInt:
+		return strconv.AppendInt(dst, v.I, 10), nil
+	case engine.KindBool:
+		return strconv.AppendBool(dst, v.I != 0), nil
+	case engine.KindString:
+		for i := 0; i < len(v.S); i++ {
+			if c := v.S[i]; c < 0x20 || c == '"' || c == '\\' || c >= utf8.RuneSelf {
+				b, _ := json.Marshal(v.S)
+				return append(dst, b...), nil
+			}
+		}
+		return append(append(append(dst, '"'), v.S...), '"'), nil
+	case engine.KindFloat:
+		if math.IsNaN(v.F) || math.IsInf(v.F, 0) {
+			return dst, fmt.Errorf("cluster: unsupported float value %v", v.F)
+		}
+		if abs := math.Abs(v.F); abs == 0 || 1e-6 <= abs && abs < 1e21 {
+			return strconv.AppendFloat(dst, v.F, 'f', -1, 64), nil
+		}
+		dst = strconv.AppendFloat(dst, v.F, 'e', -1, 64)
+		if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2], dst = dst[n-1], dst[:n-1] // e-07 -> e-7
+		}
+		return dst, nil
+	}
+	return dst, fmt.Errorf("cluster: unencodable value kind %v", v.K)
+}
+
+// RowWriter writes answer rows into chunks: a chunk short of room
+// starts one twice its size, so no row written is copied.
+type RowWriter struct {
+	Rows []json.RawMessage
+	buf  []byte
+}
+
+// Add writes one row with AppendRow and keeps it.
+func (w *RowWriter) Add(raw []json.RawMessage, vals []engine.Value, floats ...float64) (err error) {
+	if cap(w.buf)-len(w.buf) < 64 {
+		w.buf = make([]byte, 0, max(2*cap(w.buf), 16*cap(w.Rows), 64))
+	}
+	start := len(w.buf)
+	if w.buf, err = AppendRow(w.buf, raw, vals, floats...); err == nil {
+		w.Rows = append(w.Rows, w.buf[start:len(w.buf):len(w.buf)])
+	}
+	return err
 }
 
 // ExecResponse is the POST /exec body of a successful DML statement —
@@ -144,22 +237,21 @@ type ReprRow struct {
 // ids.
 type WireValue struct{ engine.Value }
 
-// MarshalJSON implements the kind-tagged encoding.
+// MarshalJSON implements the kind-tagged encoding, written by
+// AppendRow.
 func (v WireValue) MarshalJSON() ([]byte, error) {
-	switch v.K {
-	case engine.KindNull:
-		return []byte(`["n"]`), nil
-	case engine.KindInt:
-		return json.Marshal([]any{"i", strconv.FormatInt(v.I, 10)})
-	case engine.KindFloat:
-		return json.Marshal([]any{"f", v.F})
-	case engine.KindString:
-		return json.Marshal([]any{"s", v.S})
-	case engine.KindBool:
-		return json.Marshal([]any{"b", v.I != 0})
-	default:
+	const tags = "nifsb"
+	if int(v.K) >= len(tags) {
 		return nil, fmt.Errorf("cluster: unencodable value kind %v", v.K)
 	}
+	cells := []engine.Value{engine.Str(tags[v.K : v.K+1]), v.Value}
+	switch v.K {
+	case engine.KindNull:
+		cells = cells[:1]
+	case engine.KindInt:
+		cells[1] = engine.Str(strconv.FormatInt(v.I, 10))
+	}
+	return AppendRow(nil, nil, cells)
 }
 
 // UnmarshalJSON decodes the kind-tagged encoding.
@@ -168,12 +260,9 @@ func (v *WireValue) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &parts); err != nil {
 		return err
 	}
-	if len(parts) == 0 {
-		return fmt.Errorf("cluster: empty wire value")
-	}
-	var tag string
-	if err := json.Unmarshal(parts[0], &tag); err != nil {
-		return err
+	var tag, s string
+	if len(parts) == 0 || json.Unmarshal(parts[0], &tag) != nil {
+		return fmt.Errorf("cluster: wire value %s has no tag", data)
 	}
 	if tag == "n" {
 		v.Value = engine.Null()
@@ -182,39 +271,31 @@ func (v *WireValue) UnmarshalJSON(data []byte) error {
 	if len(parts) != 2 {
 		return fmt.Errorf("cluster: wire value %q wants a payload", tag)
 	}
+	var err error
 	switch tag {
 	case "i":
-		var s string
-		if err := json.Unmarshal(parts[1], &s); err != nil {
-			return err
-		}
-		i, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return fmt.Errorf("cluster: bad wire int %q", s)
+		var i int64
+		if err = json.Unmarshal(parts[1], &s); err == nil {
+			if i, err = strconv.ParseInt(s, 10, 64); err != nil {
+				return fmt.Errorf("cluster: bad wire int %q", s)
+			}
 		}
 		v.Value = engine.Int(i)
 	case "f":
 		var f float64
-		if err := json.Unmarshal(parts[1], &f); err != nil {
-			return err
-		}
+		err = json.Unmarshal(parts[1], &f)
 		v.Value = engine.Float(f)
 	case "s":
-		var s string
-		if err := json.Unmarshal(parts[1], &s); err != nil {
-			return err
-		}
+		err = json.Unmarshal(parts[1], &s)
 		v.Value = engine.Str(s)
 	case "b":
 		var b bool
-		if err := json.Unmarshal(parts[1], &b); err != nil {
-			return err
-		}
+		err = json.Unmarshal(parts[1], &b)
 		v.Value = engine.Bool(b)
 	default:
-		return fmt.Errorf("cluster: unknown wire value tag %q", tag)
+		err = fmt.Errorf("cluster: unknown wire value tag %q", tag)
 	}
-	return nil
+	return err
 }
 
 // EncodeRepr renders a decoded result as the gather wire form.

@@ -3,6 +3,9 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -132,4 +135,80 @@ func TestErrorBodyBytes(t *testing.T) {
 			t.Errorf("body %s, want %s", got, c.want)
 		}
 	}
+}
+
+// FuzzRowEncoder holds AppendRow to encoding/json. A row of drawn cells
+// — a raw cell, then one value per kind byte (the j-th of kind k%5),
+// then a trailing float — decodes, numbers read as json.Number, to
+// what encoding/json's encoding of the same cells as []any decodes to;
+// and a row encoding/json refuses (a NaN or an infinity) AppendRow
+// refuses too, leaving dst as it was.
+//
+//	go test -run=NONE -fuzz='^FuzzRowEncoder$' -fuzztime=10s -fuzzminimizetime=1s ./internal/cluster
+func FuzzRowEncoder(f *testing.F) {
+	if b, err := AppendRow(nil, nil, nil); err != nil || string(b) != "[]" {
+		f.Fatalf("the empty row is %q, %v", b, err)
+	}
+	for _, s := range []string{"", "plain", `quo"te`, `back\slash`, "ctl\x00\x01\x1f\b\f\n\r\t\x7f",
+		"bad\xffutf8\xc3", "line\u2028sep\u2029", "<a>&amp;", "é ü 中"} {
+		f.Add([]byte{0, 1, 2, 3, 4}, int64(7), 0.5, s, 0.25)
+	}
+	for _, i := range []int64{math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1, 1<<53 + 1} {
+		f.Add([]byte{1, 6}, i, 1.0, "", 1.0)
+	}
+	for _, x := range []float64{math.Copysign(0, -1), 5e-324, 2.2250738585072014e-308, 1e21, 1e-7, 1e-6,
+		999999999999999e6, 1.5e-300, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f.Add([]byte{2, 7}, int64(1), x, "s", x)
+		f.Add([]byte{8}, int64(1), 0.0, "s", x)
+	}
+	f.Fuzz(func(t *testing.T, kinds []byte, i int64, x float64, s string, p float64) {
+		raw, _ := json.Marshal(s)
+		row := []any{json.RawMessage(raw)} // the cells as the server once held them
+		var vals []engine.Value
+		for j, k := range kinds {
+			switch k % 5 {
+			case 0:
+				vals, row = append(vals, engine.Null()), append(row, nil)
+			case 1:
+				vals, row = append(vals, engine.Int(i+int64(j))), append(row, i+int64(j))
+			case 2:
+				vals, row = append(vals, engine.Float(x)), append(row, x)
+			case 3:
+				vals, row = append(vals, engine.Str(s)), append(row, s)
+			case 4:
+				vals, row = append(vals, engine.Bool(j%2 == 0)), append(row, j%2 == 0)
+			}
+		}
+		row = append(row, p)
+		want, werr := json.Marshal(row)
+		got, gerr := AppendRow([]byte("dst"), []json.RawMessage{raw}, vals, p)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("encoding/json: %v; AppendRow: %v", werr, gerr)
+		}
+		if !bytes.HasPrefix(got, []byte("dst")) || gerr != nil && len(got) != 3 {
+			t.Fatalf("AppendRow wrote %q over dst", got)
+		}
+		if gerr != nil {
+			return
+		}
+		if g, w := decodeNumbers(t, got[3:]), decodeNumbers(t, want); !reflect.DeepEqual(g, w) {
+			t.Fatalf("AppendRow wrote %s, which reads %#v; encoding/json %s, which reads %#v", got[3:], g, want, w)
+		}
+	})
+}
+
+// decodeNumbers decodes one JSON value, numbers as json.Number, and
+// fails on anything after it.
+func decodeNumbers(t *testing.T, b []byte) any {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		t.Fatalf("%s: %v", b, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		t.Fatalf("%s: data after the value (%v)", b, err)
+	}
+	return v
 }

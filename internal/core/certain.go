@@ -84,7 +84,7 @@ func (n *NormalizedResult) CertainTuplesRA() (*engine.Relation, error) {
 }
 
 // certainRA runs the Lemma 4.3 plan, probing the deadline (zero = none)
-// between output batches.
+// before every pull.
 func (n *NormalizedResult) certainRA(deadline time.Time) (*engine.Relation, error) {
 	plan, cat := n.lemma43Plan()
 	plan, err := engine.Optimize(plan, cat)
@@ -95,24 +95,11 @@ func (n *NormalizedResult) certainRA(deadline time.Time) (*engine.Relation, erro
 	if err != nil {
 		return nil, err
 	}
-	if err := it.Open(); err != nil {
-		return nil, err
+	out, _, err := engine.DrainLimited(it, 0, deadline)
+	if errors.Is(err, engine.ErrDeadline) {
+		return nil, ErrCertainDeadline
 	}
-	defer it.Close()
-	out := engine.NewRelation(it.Schema())
-	for {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return nil, ErrCertainDeadline
-		}
-		cb, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out.Rows = cb.Materialize(out.Rows)
-	}
+	return out, err
 }
 
 // lemma43Plan builds CertainTuplesRA's query over a catalog holding U

@@ -9,9 +9,8 @@ package engine
 // vectors upward with no transposition at all; the filters and
 // projections above them, the joins and the duplicate elimination take
 // and give column batches (a hash join gathers its output column by
-// column). Tuples are made at the sink — Drain, the server's row-capped
-// loop, the certain-answer query — through ColBatch.Materialize; below
-// it no operator makes one.
+// column). Tuples are made at the one sink, DrainLimited, through
+// ColBatch.Materialize; below it no operator makes one.
 
 // ColVec is one column of a ColBatch. It has two layouts:
 //

@@ -48,9 +48,10 @@
 // is the hash join on the empty key: one chain holds every build row,
 // and the whole condition is checked per pair. A catalog relation's scan
 // lays its rows out as one column batch at Open and serves it as the
-// scan of an in-memory image does. Tuples are made at the sink — Drain,
-// the server's row-capped loop, the certain-answer query — through
-// ColBatch.Materialize, and in this package only by Drain.
+// scan of an in-memory image does. Tuples are made at one sink,
+// DrainLimited — the server's answers and the certain-answer query
+// drain through it under a row cap and a deadline, Drain under neither
+// — and only it calls ColBatch.Materialize.
 //
 // Keys flow down the plan (KeyNarrower), after Open and before the
 // first pull: a range, or a sorted list of distinct keys within it.

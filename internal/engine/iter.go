@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"time"
 )
 
 // DefaultBatchSize is the most rows an operator that makes its batches
@@ -25,34 +27,51 @@ type Iterator interface {
 	Schema() Schema
 }
 
+// ErrDeadline is what DrainLimited returns once its deadline has
+// passed.
+var ErrDeadline = errors.New("engine: query deadline exceeded")
+
 // Drain runs an iterator to completion and makes its result into rows:
 // the sink, where tuples are made.
 func Drain(it Iterator) (*Relation, error) {
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	rows, err := drainRows(it)
-	if err != nil {
-		return nil, err
-	}
-	out := NewRelation(it.Schema())
-	out.Rows = rows
-	return out, nil
+	out, _, err := DrainLimited(it, 0, time.Time{})
+	return out, err
 }
 
-// drainRows makes the remaining rows of an opened iterator into tuples.
-func drainRows(it Iterator) ([]Tuple, error) {
-	var rows []Tuple
+// DrainLimited is Drain under a row cap (0 = none) and a deadline (zero
+// = none), the one loop that makes tuples. It checks the deadline
+// before every pull, so a runaway query stops materializing instead of
+// exhausting memory. It returns the rows cut at the cap and whether a
+// row lay past it; only when a batch ends exactly on the cap does it
+// pull once more to learn that, and that pull's error is the query's.
+func DrainLimited(it Iterator, maxRows int, deadline time.Time) (*Relation, bool, error) {
+	if err := it.Open(); err != nil {
+		return nil, false, err
+	}
+	defer it.Close()
+	out := NewRelation(it.Schema())
 	for {
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			return nil, false, ErrDeadline
+		}
 		cb, ok, err := it.Next()
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if !ok {
-			return rows, nil
+			return out, false, nil
 		}
-		rows = cb.Materialize(rows)
+		out.Rows = cb.Materialize(out.Rows)
+		if maxRows > 0 && len(out.Rows) >= maxRows {
+			over := len(out.Rows) > maxRows
+			out.Rows = out.Rows[:maxRows]
+			if !over {
+				if _, over, err = it.Next(); err != nil {
+					return nil, false, err
+				}
+			}
+			return out, over, nil
+		}
 	}
 }
 

@@ -157,11 +157,11 @@ func TestPropertyCertainServedAndSharded(t *testing.T) {
 			if err != nil {
 				t.Fatalf("iter %d: %s: %v", iter, sql, err)
 			}
-			want := map[string]int{}
-			for _, row := range jsonRows(gt) {
-				b, _ := json.Marshal(row)
-				want[string(b)]++
+			resp, herr := single.tupleAnswer(gt, false)
+			if herr != nil {
+				t.Fatal(herr)
 			}
+			want := encodedRowSet(t, resp.Rows)
 			answers += len(want)
 			for where, ts := range map[string]*httptest.Server{"one node": singleTS, "the coordinator": coord} {
 				code, body := post(t, ts, queryRequest{SQL: sql, DB: "demo"})

@@ -94,6 +94,21 @@ func rowSet(t *testing.T, body map[string]any) map[string]int {
 	return out
 }
 
+// encodedRowSet is the rowSet of rows the server's encoder wrote, read
+// back as a client reads them.
+func encodedRowSet(t *testing.T, rows []json.RawMessage) map[string]int {
+	t.Helper()
+	b, err := json.Marshal(map[string]any{"rows": rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]any
+	if err := json.Unmarshal(b, &body); err != nil {
+		t.Fatal(err)
+	}
+	return rowSet(t, body)
+}
+
 // TestClusterDifferential: for every uncertainty mode, the coordinator's
 // merged answer over 2 shards equals the single-node answer over the
 // unsplit database — the scatter-gather semantics are exact, not
@@ -159,6 +174,41 @@ func TestClusterDifferential(t *testing.T) {
 			if gs[k] != n {
 				t.Errorf("%+v: row %s: coordinator ×%d, single node ×%d", req, k, gs[k], n)
 			}
+		}
+	}
+}
+
+// TestClusterRowCap: a coordinator holds what it merges to its own row
+// cap, as a node holds what it evaluates: possible and plain rows are
+// cut at the cap and flagged truncated, and a certain answer whose
+// gathered representation passes the cap fails 413 with the node's body.
+func TestClusterRowCap(t *testing.T) {
+	tc := newTestCluster(t, 2, false)
+	_, coord := newTestServer(t, Config{MaxRows: 1, Cluster: map[string]cluster.CatalogSpec{
+		"demo": {Sharded: []string{"readings"}, Shards: tc.nodes},
+	}})
+	single, singleTS := newTestServer(t, Config{MaxRows: 1})
+	if err := single.AddDB("demo", clusterDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sql       string
+		status    int
+		truncated any
+	}{
+		{"POSSIBLE SELECT sid, temp FROM readings", 200, true},
+		{"SELECT sid, temp FROM readings", 200, true},
+		{"CERTAIN SELECT sid, temp FROM readings", 413, nil},
+	} {
+		req := queryRequest{SQL: c.sql, DB: "demo"}
+		code, got := post(t, coord, req)
+		wcode, want := post(t, singleTS, req)
+		if wcode != c.status || want["truncated"] != c.truncated {
+			t.Fatalf("%s on one node: status %d, want %d: %v", c.sql, wcode, c.status, want)
+		}
+		if code != wcode || got["error"] != want["error"] || got["truncated"] != want["truncated"] ||
+			got["row_count"] != want["row_count"] {
+			t.Errorf("%s: the coordinator answers %d %v, one node %d %v", c.sql, code, got, wcode, want)
 		}
 	}
 }

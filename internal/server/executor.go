@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"net/http"
 	"strings"
@@ -89,7 +90,7 @@ func (s *Server) executeExplain(entry *catalogEntry, dbName string, req queryReq
 		return nil, cluster.Errorf(400, "server: statement is not EXPLAIN")
 	}
 	start := time.Now()
-	resp := &queryResponse{DB: dbName, Mode: ex.Query.Mode.String(), Columns: []string{}, Rows: []any{}}
+	resp := &queryResponse{DB: dbName, Mode: ex.Query.Mode.String(), Columns: []string{}, Rows: []json.RawMessage{}}
 	switch db := entry.snapshot(); {
 	case entry.coord != nil:
 		targets, scatter, herr := entry.coord.Route(core.Relations(ex.Query.Query))
@@ -160,9 +161,7 @@ type source interface {
 // union of the shards' representations.
 func (s *Server) answer(src source, mode sqlparse.Mode, req queryRequest, deadline time.Time) (*queryResponse, *cluster.Error) {
 	if req.Wire == "repr" {
-		switch mode {
-		case sqlparse.ModeCertain, sqlparse.ModeConf, sqlparse.ModeConfBounds:
-		default:
+		if mode == sqlparse.ModePossible || mode == sqlparse.ModePlain {
 			return nil, cluster.Errorf(400,
 				`server: "wire": "repr" applies to CERTAIN and CONF statements (possible and plain answers merge row-wise; no representation exchange is needed)`)
 		}
@@ -218,9 +217,10 @@ func (s *Server) answer(src source, mode sqlparse.Mode, req queryRequest, deadli
 		if err != nil {
 			// accuracy=auto degrades to bounds instead of timing out.
 			if req.Accuracy == "auto" && errors.Is(err, core.ErrConfDeadline) {
-				resp = s.confBounds(res)
-				resp.Degraded = true
-				return resp, nil
+				if resp, herr = s.confBounds(res); herr == nil {
+					resp.Degraded = true
+				}
+				return resp, herr
 			}
 			return nil, s.execError(err)
 		}
@@ -242,13 +242,24 @@ type localSource struct {
 	deadline time.Time
 }
 
+// run builds the plan and drains it under the row cap and the deadline.
+// The plan is only read, so a cached plan runs here as often, and as
+// concurrently, as it is asked to.
+func (l localSource) run() (*engine.Relation, bool, error) {
+	it, err := engine.Build(l.prep.plan, engine.NewCatalog(), l.cfg)
+	if err != nil {
+		return nil, false, err
+	}
+	return engine.DrainLimited(it, l.s.cfg.MaxRows, l.deadline)
+}
+
 func (l localSource) rows(plain bool) (*queryResponse, *cluster.Error) {
-	rel, truncated, err := runLimited(l.prep.plan, engine.NewCatalog(), l.cfg, l.s.cfg.MaxRows, l.deadline, true)
+	rel, truncated, err := l.run()
 	if err != nil {
 		return nil, l.s.execError(err)
 	}
 	if !plain {
-		return &queryResponse{Columns: rel.Sch.Names(), Rows: jsonRows(rel), Truncated: truncated}, nil
+		return l.s.tupleAnswer(rel, truncated)
 	}
 	// The representation: descriptor, contributing tuple ids, values.
 	res, err := core.Decode(l.db.W, rel, l.prep.lay)
@@ -257,27 +268,26 @@ func (l localSource) rows(plain bool) (*queryResponse, *cluster.Error) {
 	}
 	cols := append([]string{"_d"}, res.TIDCols...)
 	cols = append(cols, res.Attrs...)
-	rows := make([]any, 0, res.Len())
+	w := cluster.RowWriter{Rows: make([]json.RawMessage, 0, res.Len())}
+	var row engine.Tuple
 	for _, r := range res.Rows {
-		row := make([]any, 0, len(cols))
-		row = append(row, r.D.StringNamed(res.W))
-		for _, v := range r.TIDs {
-			row = append(row, jsonValue(v))
+		row = append(append(append(row[:0], engine.Str(r.D.StringNamed(res.W))), r.TIDs...), r.Vals...)
+		if err := w.Add(nil, row); err != nil {
+			return nil, l.s.execError(err)
 		}
-		for _, v := range r.Vals {
-			row = append(row, jsonValue(v))
-		}
-		rows = append(rows, row)
 	}
-	return &queryResponse{Columns: cols, Rows: rows, Truncated: truncated}, nil
+	return &queryResponse{Columns: cols, Rows: w.Rows, Truncated: truncated}, nil
 }
 
 // result runs the plan of a poss-free query and decodes the result
 // representation whose descriptors the certain-answer and confidence
-// pipelines read. Hitting the row cap is an error here: answers
+// pipelines read. A row past the cap is an error here: answers
 // derived from a truncated representation would be wrong.
 func (l localSource) result() (*core.UResult, *cluster.Error) {
-	rel, _, err := runLimited(l.prep.plan, engine.NewCatalog(), l.cfg, l.s.cfg.MaxRows, l.deadline, false)
+	rel, over, err := l.run()
+	if err == nil && over {
+		err = errRowLimit
+	}
 	if err != nil {
 		return nil, l.s.execError(err)
 	}
@@ -296,13 +306,15 @@ func (l localSource) bounds() (*queryResponse, *cluster.Error) {
 	if err := checkDeadline(l.deadline); err != nil {
 		return nil, l.s.execError(err)
 	}
-	return l.s.confBounds(res), nil
+	return l.s.confBounds(res)
 }
 
 // shardSource fans a statement out over a coordinator's target shards
 // and merges their answers with the per-mode semantics of the cluster
-// package comment. span, when non-nil, gets a child per shard.
+// package comment, under the coordinator's row cap. span, when non-nil,
+// gets a child per shard.
 type shardSource struct {
+	s       *Server
 	coord   *cluster.Coordinator
 	targets []int
 	req     queryRequest
@@ -310,30 +322,23 @@ type shardSource struct {
 }
 
 func (r shardSource) rows(plain bool) (*queryResponse, *cluster.Error) {
-	return merged(r.coord.ScatterRows(r.targets, r.req, !plain, r.span))
+	resp, herr := r.coord.ScatterRows(r.targets, r.req, !plain, r.span)
+	if max := r.s.cfg.MaxRows; herr == nil && len(resp.Rows) > max {
+		resp.Rows, resp.Truncated = resp.Rows[:max], true
+	}
+	return resp, herr
 }
 
 func (r shardSource) result() (*core.UResult, *cluster.Error) {
-	return r.coord.GatherRepr(r.targets, r.req, r.span)
+	res, herr := r.coord.GatherRepr(r.targets, r.req, r.span)
+	if herr == nil && res.Len() > r.s.cfg.MaxRows {
+		return nil, r.s.execError(errRowLimit)
+	}
+	return res, herr
 }
 
 func (r shardSource) bounds() (*queryResponse, *cluster.Error) {
-	return merged(r.coord.ScatterBounds(r.targets, r.req, r.span))
-}
-
-// merged lifts a coordinator-merged result into a response. Its rows
-// are raw shard bytes and marshal verbatim, so merged rows are
-// byte-identical to what the owning shard rendered.
-func merged(m *cluster.Merged, err *cluster.Error) (*queryResponse, *cluster.Error) {
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]any, len(m.Rows))
-	for i, r := range m.Rows {
-		rows[i] = r
-	}
-	return &queryResponse{Columns: m.Columns, Rows: rows, Truncated: m.Truncated, Estimator: m.Estimator,
-		Degraded: m.Degraded, Partial: m.Partial, MissingShards: m.MissingShards}, nil
+	return r.coord.ScatterBounds(r.targets, r.req, r.span)
 }
 
 // certainFromResult computes the certain answers of a decoded result
@@ -352,7 +357,7 @@ func (s *Server) certainFromResult(res *core.UResult, deadline time.Time) (*quer
 	}
 	s.certainLabelled.Add(int64(stats.Labelled))
 	s.certainPipeline.Add(int64(stats.Pipeline))
-	return &queryResponse{Columns: rel.Sch.Names(), Rows: jsonRows(rel)}, nil
+	return s.tupleAnswer(rel, false)
 }
 
 // confExact runs the confidence dispatcher and renders the `_p` column,
@@ -369,35 +374,46 @@ func (s *Server) confExact(res *core.UResult, deadline time.Time) (*queryRespons
 	s.confReadOnce.Add(int64(stats.ReadOnce))
 	s.confEnum.Add(int64(stats.Enum))
 	s.confMC.Add(int64(stats.MC))
-	cols := append(append([]string{}, res.Attrs...), "_p")
-	rows := make([]any, 0, len(confs))
+	w := cluster.RowWriter{Rows: make([]json.RawMessage, 0, len(confs))}
 	for _, tc := range confs {
-		row := make([]any, 0, len(cols))
-		for _, v := range tc.Vals {
-			row = append(row, jsonValue(v))
+		if err := w.Add(nil, tc.Vals, tc.P); err != nil {
+			return nil, err
 		}
-		row = append(row, tc.P)
-		rows = append(rows, row)
 	}
-	return &queryResponse{Columns: cols, Rows: rows, Estimator: stats.Estimator()}, nil
+	return &queryResponse{Columns: append(append([]string{}, res.Attrs...), "_p"), Rows: w.Rows,
+		Estimator: stats.Estimator()}, nil
 }
 
 // confBounds renders one-pass certain/possible confidence bounds as
 // `_p_lo` / `_p_hi` columns.
-func (s *Server) confBounds(res *core.UResult) *queryResponse {
+func (s *Server) confBounds(res *core.UResult) (*queryResponse, *cluster.Error) {
 	bounds := res.ConfidenceBounds()
 	s.confBoundsTuples.Add(int64(len(bounds)))
-	cols := append(append([]string{}, res.Attrs...), "_p_lo", "_p_hi")
-	rows := make([]any, 0, len(bounds))
+	w := cluster.RowWriter{Rows: make([]json.RawMessage, 0, len(bounds))}
 	for _, tb := range bounds {
-		row := make([]any, 0, len(cols))
-		for _, v := range tb.Vals {
-			row = append(row, jsonValue(v))
+		if err := w.Add(nil, tb.Vals, tb.Certain, tb.Possible); err != nil {
+			return nil, s.execError(err)
 		}
-		row = append(row, tb.Certain, tb.Possible)
-		rows = append(rows, row)
 	}
-	return &queryResponse{Columns: cols, Rows: rows, Estimator: "bounds"}
+	return &queryResponse{Columns: append(append([]string{}, res.Attrs...), "_p_lo", "_p_hi"), Rows: w.Rows,
+		Estimator: "bounds"}, nil
+}
+
+// Sentinel failures of a query past the row cap or its deadline;
+// execError maps them to 413 and 504.
+var (
+	errRowLimit = errors.New("server: result exceeds the row limit")
+	errTimeout  = errors.New("server: query deadline exceeded")
+)
+
+// checkDeadline returns errTimeout once the deadline has passed; used
+// between the plan and the certain-answer or confidence computation
+// over its result, each of which probes the deadline itself from there.
+func checkDeadline(deadline time.Time) error {
+	if !deadline.IsZero() && time.Now().After(deadline) {
+		return errTimeout
+	}
+	return nil
 }
 
 // execError maps execution failures to HTTP statuses.
@@ -405,9 +421,7 @@ func (s *Server) execError(err error) *cluster.Error {
 	switch {
 	case errors.Is(err, errRowLimit):
 		return cluster.Errorf(413, "%v (limit %d rows)", err, s.cfg.MaxRows)
-	case errors.Is(err, errTimeout):
-		return cluster.Errorf(504, "%v", err)
-	case errors.Is(err, core.ErrCertainDeadline):
+	case errors.Is(err, errTimeout), errors.Is(err, engine.ErrDeadline), errors.Is(err, core.ErrCertainDeadline):
 		return cluster.Errorf(504, "%v", errTimeout)
 	case errors.Is(err, core.ErrConfDeadline):
 		return cluster.Errorf(504, "%v (retry with \"accuracy\": \"bounds\" or \"auto\")", err)
@@ -416,34 +430,13 @@ func (s *Server) execError(err error) *cluster.Error {
 	}
 }
 
-// jsonValue converts an engine value to its JSON form. Dates are
-// stored as day-number integers by the engine and are returned as
-// such.
-func jsonValue(v engine.Value) any {
-	switch v.K {
-	case engine.KindNull:
-		return nil
-	case engine.KindInt:
-		return v.I
-	case engine.KindFloat:
-		return v.F
-	case engine.KindString:
-		return v.S
-	case engine.KindBool:
-		return v.I != 0
-	default:
-		return v.String()
-	}
-}
-
-func jsonRows(rel *engine.Relation) []any {
-	rows := make([]any, len(rel.Rows))
-	for i, t := range rel.Rows {
-		row := make([]any, len(t))
-		for j, v := range t {
-			row[j] = jsonValue(v)
+// tupleAnswer answers with rel's tuples.
+func (s *Server) tupleAnswer(rel *engine.Relation, truncated bool) (*queryResponse, *cluster.Error) {
+	w := cluster.RowWriter{Rows: make([]json.RawMessage, 0, rel.Len())}
+	for _, t := range rel.Rows {
+		if err := w.Add(nil, t); err != nil {
+			return nil, s.execError(err)
 		}
-		rows[i] = row
 	}
-	return rows
+	return &queryResponse{Columns: rel.Sch.Names(), Rows: w.Rows, Truncated: truncated}, nil
 }

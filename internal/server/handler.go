@@ -223,22 +223,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.queries.Inc()
 	s.active.Add(1)
 	defer s.active.Add(-1)
-	resp, herr := s.execute(req)
+	resp, rel, herr := s.execute(req)
 	if herr != nil {
 		s.failed.Inc()
 		writeErr(w, herr)
 		return
 	}
-	if resp.raw != nil {
+	if rel != nil {
 		// Coordinator single-shard relay: the shard's response bytes
 		// pass through verbatim (status included — a shard-side error
 		// body is already in the documented error shape).
-		if resp.rawStatus != http.StatusOK {
+		if rel.status != http.StatusOK {
 			s.failed.Inc()
 		}
 		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(resp.rawStatus)
-		_, _ = w.Write(resp.raw)
+		w.WriteHeader(rel.status)
+		_, _ = w.Write(rel.body)
 		return
 	}
 	writeJSON(w, 200, resp)

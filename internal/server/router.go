@@ -11,44 +11,21 @@ import (
 	"urel/internal/sqlparse"
 )
 
-// queryRequest and execRequest are the cluster wire types, shared by
-// single-node serving, shard nodes, and the coordinator — the
-// coordinator forwards exactly what clients send, so the two roles
+// queryRequest, queryResponse and execRequest are the cluster wire
+// types, shared by single-node serving, shard nodes, and the
+// coordinator — the coordinator forwards exactly what clients send and
+// reads its shards' answers as the type it writes, so the two roles
 // cannot drift apart. See cluster.QueryRequest for field semantics.
 type (
-	queryRequest = cluster.QueryRequest
-	execRequest  = cluster.ExecRequest
+	queryRequest  = cluster.QueryRequest
+	queryResponse = cluster.QueryResponse
+	execRequest   = cluster.ExecRequest
 )
 
-// queryResponse is the POST /query result.
-type queryResponse struct {
-	DB      string   `json:"db"`
-	Mode    string   `json:"mode"`
-	Columns []string `json:"columns"`
-	// Rows holds the result rows. Each element is either a []any built
-	// by local evaluation or a json.RawMessage passed through verbatim
-	// from a shard by the coordinator — the two marshal identically.
-	Rows      []any  `json:"rows"`
-	RowCount  int    `json:"row_count"`
-	Truncated bool   `json:"truncated,omitempty"`
-	Estimator string `json:"estimator,omitempty"` // conf: "read-once", "exact", "monte-carlo", or "bounds"
-	Degraded  bool   `json:"degraded,omitempty"`  // conf auto: exact missed the deadline, bounds returned
-	// Partial marks a coordinator answer some shards did not contribute
-	// to ("partial": true requests only): possible/plain rows are a
-	// sound subset, conf bounds are widened. MissingShards names them.
-	Partial       bool          `json:"partial,omitempty"`
-	MissingShards []string      `json:"missing_shards,omitempty"`
-	PlanCached    bool          `json:"plan_cached"` // the node that evaluated ran a cached physical plan (a coordinator's merge never does)
-	ElapsedMS     float64       `json:"elapsed_ms"`
-	Plan          string        `json:"plan,omitempty"`  // EXPLAIN [ANALYZE]: the rendered plan
-	Trace         *obs.Span     `json:"trace,omitempty"` // operator trace ("trace": true)
-	Repr          *cluster.Repr `json:"repr,omitempty"`  // "wire": "repr": the result representation
-
-	// raw short-circuits rendering: when set, the handler writes these
-	// bytes (a shard's verbatim response) with rawStatus instead of
-	// marshaling this struct — the coordinator's single-shard relay.
-	raw       []byte
-	rawStatus int
+// relayed is a shard's /query reply, written as it came (Relay).
+type relayed struct {
+	status int
+	body   []byte
 }
 
 // execute runs one admitted query end to end. A local catalog — a
@@ -59,11 +36,12 @@ type queryResponse struct {
 // deadline, tracing, the slow log, the certain-answer and confidence
 // computations and the response are one path, and a client cannot tell
 // a coordinator from a single node except by the "shard …" spans in a
-// trace.
-func (s *Server) execute(req queryRequest) (*queryResponse, *cluster.Error) {
+// trace. A coordinator statement one shard answers whole returns that
+// shard's reply as relayed instead.
+func (s *Server) execute(req queryRequest) (*queryResponse, *relayed, *cluster.Error) {
 	entry, dbName, err := s.lookup(req.DB)
 	if err != nil {
-		return nil, cluster.Errorf(404, "%v", err)
+		return nil, nil, cluster.Errorf(404, "%v", err)
 	}
 	timeout := s.cfg.Timeout
 	if t := time.Duration(req.TimeoutMS) * time.Millisecond; t > 0 && t < timeout {
@@ -73,14 +51,15 @@ func (s *Server) execute(req queryRequest) (*queryResponse, *cluster.Error) {
 	// steps over their answers run under.
 	req.TimeoutMS = int(timeout / time.Millisecond)
 	if isExplain(req.SQL) {
-		return s.executeExplain(entry, dbName, req)
+		resp, herr := s.executeExplain(entry, dbName, req)
+		return resp, nil, herr
 	}
 	st, herr := s.statement(entry, dbName, req.SQL)
 	if herr != nil {
-		return nil, herr
+		return nil, nil, herr
 	}
 	if herr := validate(req); herr != nil {
-		return nil, herr
+		return nil, nil, herr
 	}
 
 	// Tracing costs a wrapper iterator per operator; pay it only when
@@ -92,9 +71,9 @@ func (s *Server) execute(req queryRequest) (*queryResponse, *cluster.Error) {
 	}
 	deadline := time.Now().Add(timeout)
 	start := time.Now()
-	src, relayed, herr := st.open(req, root, deadline)
-	if relayed != nil {
-		return relayed, nil
+	src, rel, herr := st.open(req, root, deadline)
+	if rel != nil {
+		return nil, rel, nil
 	}
 	var resp *queryResponse
 	if herr == nil {
@@ -116,7 +95,7 @@ func (s *Server) execute(req queryRequest) (*queryResponse, *cluster.Error) {
 		}
 		line.Error = herr.Msg
 		s.slow.Record(line)
-		return nil, herr
+		return nil, nil, herr
 	}
 	resp.DB = dbName
 	resp.Mode = line.Mode
@@ -135,7 +114,7 @@ func (s *Server) execute(req queryRequest) (*queryResponse, *cluster.Error) {
 	line.RowCount, line.Truncated = resp.RowCount, resp.Truncated
 	line.Estimator, line.Degraded = resp.Estimator, resp.Degraded
 	s.slow.Record(line)
-	return resp, nil
+	return resp, nil, nil
 }
 
 // statement is a query parsed on one catalog kind.
@@ -145,8 +124,8 @@ type statement struct {
 	cached bool   // the plan cache held its plan
 	// open returns the statement's source, tracing into root (nil: no
 	// trace). On a coordinator whose statement one shard answers whole,
-	// it returns that shard's response instead.
-	open func(req queryRequest, root *obs.Span, deadline time.Time) (source, *queryResponse, *cluster.Error)
+	// it returns that shard's reply instead.
+	open func(req queryRequest, root *obs.Span, deadline time.Time) (source, *relayed, *cluster.Error)
 }
 
 // statement parses sql for entry's catalog: the one place a query
@@ -160,7 +139,7 @@ func (s *Server) statement(entry *catalogEntry, dbName, sql string) (*statement,
 		if err != nil {
 			return nil, cluster.Errorf(400, "%v", err)
 		}
-		open := func(req queryRequest, root *obs.Span, _ time.Time) (source, *queryResponse, *cluster.Error) {
+		open := func(req queryRequest, root *obs.Span, _ time.Time) (source, *relayed, *cluster.Error) {
 			targets, _, herr := coord.Route(core.Relations(parsed.Query))
 			if herr != nil {
 				return nil, nil, herr
@@ -175,7 +154,7 @@ func (s *Server) statement(entry *catalogEntry, dbName, sql string) (*statement,
 				resp, herr := s.relay(coord, targets[0], parsed.Mode, req)
 				return nil, resp, herr
 			}
-			return shardSource{coord: coord, targets: targets, req: req, span: root}, nil, nil
+			return shardSource{s: s, coord: coord, targets: targets, req: req, span: root}, nil, nil
 		}
 		return &statement{parsed: parsed, span: "scatter-gather", open: open}, nil
 	}
@@ -184,7 +163,7 @@ func (s *Server) statement(entry *catalogEntry, dbName, sql string) (*statement,
 	if err != nil {
 		return nil, cluster.Errorf(400, "%v", err)
 	}
-	open := func(_ queryRequest, root *obs.Span, deadline time.Time) (source, *queryResponse, *cluster.Error) {
+	open := func(_ queryRequest, root *obs.Span, deadline time.Time) (source, *relayed, *cluster.Error) {
 		if prep == nil {
 			var herr *cluster.Error
 			if prep, herr = s.prepare(db, parsed.Query); herr != nil {
@@ -215,7 +194,7 @@ func validate(req queryRequest) *cluster.Error {
 
 // relay answers a query with one shard's response bytes, status
 // included: a shard-side error body is already in the error shape.
-func (s *Server) relay(coord *cluster.Coordinator, shard int, mode sqlparse.Mode, req queryRequest) (*queryResponse, *cluster.Error) {
+func (s *Server) relay(coord *cluster.Coordinator, shard int, mode sqlparse.Mode, req queryRequest) (*relayed, *cluster.Error) {
 	start := time.Now()
 	status, body, err := coord.Relay(shard, req)
 	if err != nil {
@@ -226,7 +205,7 @@ func (s *Server) relay(coord *cluster.Coordinator, shard int, mode sqlparse.Mode
 	} else if status == http.StatusGatewayTimeout {
 		s.timeouts.Inc()
 	}
-	return &queryResponse{raw: body, rawStatus: status}, nil
+	return &relayed{status: status, body: body}, nil
 }
 
 // executeDML runs one admitted DML statement: coordinator catalogs

@@ -258,30 +258,29 @@ func TestCachedPlansFollowTheSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		db := entry.snapshot()
-		var rows []any
+		var resp *queryResponse
+		var herr *cluster.Error
 		if parsed.Mode == sqlparse.ModePossible {
 			rel, err := db.EvalPoss(parsed.Query, engine.ExecConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows = jsonRows(rel)
+			resp, herr = s.tupleAnswer(rel, false)
 		} else {
 			res, err := db.Eval(parsed.Query, engine.ExecConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var resp *queryResponse
 			if parsed.Mode == sqlparse.ModeCertain {
-				var herr *cluster.Error
-				if resp, herr = s.certainFromResult(res, time.Time{}); herr != nil {
-					t.Fatal(herr)
-				}
+				resp, herr = s.certainFromResult(res, time.Time{})
 			} else if resp, err = s.confExact(res, time.Time{}); err != nil {
 				t.Fatal(err)
 			}
-			rows = resp.Rows
 		}
-		return rowSet(t, map[string]any{"rows": rows})
+		if herr != nil {
+			t.Fatal(herr)
+		}
+		return encodedRowSet(t, resp.Rows)
 	}
 	for _, step := range steps {
 		if err := step.run(); err != nil {

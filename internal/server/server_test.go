@@ -18,7 +18,7 @@ import (
 
 // vehiclesDB is the paper's running example: vehicle 1 is certainly a
 // Tank, vehicle 2 is a Tank or a Transport depending on x.
-func vehiclesDB(t *testing.T) *core.UDB {
+func vehiclesDB(t testing.TB) *core.UDB {
 	t.Helper()
 	db := core.NewUDB()
 	db.MustAddRelation("r", "id", "typ")
@@ -206,6 +206,26 @@ func TestServerConfMCFallback(t *testing.T) {
 	}
 }
 
+// TestServerRefusesUnencodableValues: JSON has no NaN, so an answer
+// holding one is a 500 with an error body, not a 200 whose body breaks
+// off where encoding failed.
+func TestServerRefusesUnencodableValues(t *testing.T) {
+	db := core.NewUDB()
+	db.MustAddRelation("m", "x")
+	u := db.MustAddPartition("m", "u_x", "x")
+	u.Add(nil, 1, engine.Float(1.5))
+	u.Add(nil, 2, engine.Float(math.NaN()))
+	s, ts := newTestServer(t, Config{})
+	if err := s.AddDB("m", db); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{"POSSIBLE SELECT x FROM m", "SELECT x FROM m", "CONF SELECT x FROM m"} {
+		if code, body := post(t, ts, queryRequest{SQL: sql}); code != 500 || body["error"] == nil {
+			t.Errorf("%s: status %d, want 500 with an error: %v", sql, code, body)
+		}
+	}
+}
+
 func TestServerErrors(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	if err := s.AddDB("vehicles", vehiclesDB(t)); err != nil {
@@ -291,6 +311,21 @@ func TestServerRowLimitAndTimeout(t *testing.T) {
 	code, body = post(t, ts, queryRequest{SQL: "CERTAIN SELECT id, typ FROM r"})
 	if code != 413 {
 		t.Fatalf("certain over the row cap: status %d, want 413: %v", code, body)
+	}
+
+	// Exactly at the cap nothing is cut: r's representation has 3 rows
+	// for (id, typ), so under a cap of 3 the certain answer is computed
+	// and the plain one is whole.
+	sAt, tsAt := newTestServer(t, Config{MaxRows: 3})
+	if err := sAt.AddDB("vehicles", vehiclesDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	if code, body = post(t, tsAt, queryRequest{SQL: "CERTAIN SELECT id, typ FROM r"}); code != 200 {
+		t.Fatalf("certain at exactly the row cap: status %d, want 200: %v", code, body)
+	}
+	code, body = post(t, tsAt, queryRequest{SQL: "SELECT id, typ FROM r"})
+	if code != 200 || body["truncated"] != nil || body["row_count"] != float64(3) {
+		t.Fatalf("plain at exactly the row cap: status %d, want 200 with 3 rows, not truncated: %v", code, body)
 	}
 
 	// A negative client timeout is ignored.

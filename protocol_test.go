@@ -39,7 +39,7 @@ import (
 // chose it, and the nested-loop join, the row server it made its output
 // through (HeldRows) and the choice between it and the hash join
 // (joinChoice, chooseJoin) are not declared again. Tuples are made at
-// the sink: in package engine only drainRows calls
+// the sink: in package engine only the one drain, DrainLimited, calls
 // ColBatch.Materialize.
 func TestOneRowProtocol(t *testing.T) {
 	banned := map[string]bool{"Batched": true, "Columnar": true, "batchAdapter": true, "rowColAdapter": true,
@@ -75,11 +75,11 @@ func TestOneRowProtocol(t *testing.T) {
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				if file.Name.Name == "engine" && d.Name.Name != "drainRows" {
+				if file.Name.Name == "engine" && d.Name.Name != "DrainLimited" {
 					ast.Inspect(d, func(n ast.Node) bool {
 						if call, ok := n.(*ast.CallExpr); ok {
 							if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Materialize" {
-								t.Errorf("%s: %s calls Materialize: tuples are made at the sink (drainRows)", fset.Position(call.Pos()), d.Name.Name)
+								t.Errorf("%s: %s calls Materialize: tuples are made at the sink (DrainLimited)", fset.Position(call.Pos()), d.Name.Name)
 							}
 						}
 						return true
