@@ -62,9 +62,11 @@ var driftExceptions = []struct {
 // reached (its span reports keys_in) emits only the rows that can join,
 // which no estimate of the node knows: it is held to the rows its
 // subplan makes built and drained alone, with no join above it, and its
-// actual rows must be no more than those. Scans are not held: a
-// stitch's driver hands the other inputs its tid range at run time,
-// which the estimate of a scan cannot know.
+// actual rows must be no more than those. So is a node a stitch looked
+// its rows up in (its span reports tids_looked_up): it makes only the
+// rows of the driver's tuple ids. Scans are not held: a stitch asks the
+// other inputs for the driver's tuple ids, or hands them its tid range,
+// at run time, which the estimate of a scan cannot know.
 func TestEstimatesTrackActuals(t *testing.T) {
 	limit := func(what, op string) (worst float64, why string) {
 		for _, e := range driftExceptions {
@@ -87,12 +89,12 @@ func TestEstimatesTrackActuals(t *testing.T) {
 				return pulled
 			}
 			rows, held := s.Rows(), "made"
-			if s.Stat("keys_in") > 0 {
+			if under := underWhat(s); under != "" {
 				alone := rowsAlone(t, p, cat)
 				if rows > alone {
-					t.Errorf("%s: %q made %d rows under its key list and %d alone:\n%s", what, s.Op(), rows, alone, text)
+					t.Errorf("%s: %q made %d rows %s and %d alone:\n%s", what, s.Op(), rows, under, alone, text)
 				}
-				t.Logf("%s: %q held to the %d rows it makes alone (%d under its key list)", what, s.Op(), alone, rows)
+				t.Logf("%s: %q held to the %d rows it makes alone (%d %s)", what, s.Op(), alone, rows, under)
 				rows, held = alone, "made alone"
 			}
 			max, why := limit(what, s.Op())
@@ -166,6 +168,20 @@ func rowsAlone(t *testing.T, p engine.Plan, cat *engine.Catalog) int64 {
 		t.Fatalf("%s alone: %v", p.Label(), err)
 	}
 	return int64(rel.Len())
+}
+
+// underWhat says what cut the rows of the node whose span is s below
+// what it makes alone — a join's key list (keys_in), or a stitch that
+// looked its rows up by tuple id (tids_looked_up) — or "" when nothing
+// did.
+func underWhat(s *obs.Span) string {
+	switch {
+	case s.Stat("keys_in") > 0:
+		return "under its key list"
+	case s.Stat("tids_looked_up") > 0:
+		return "looked up by tuple id"
+	}
+	return ""
 }
 
 // heldToEstimate reports whether a span's operator is a join, a stitch

@@ -471,7 +471,8 @@ func (c *Coordinator) ScatterRows(targets []int, req QueryRequest, dedup bool, s
 // tuples we cannot list), so every returned upper is clamped to 1,
 // while lowers stay sound — a max over fewer shards can only
 // underestimate, and a lower bound may be low. The result sandwiches
-// the exact confidence of every tuple it lists.
+// the exact confidence of every tuple it lists. Its ReprRows sums the
+// shards', the rows of the union of their representations.
 func (c *Coordinator) ScatterBounds(targets []int, req QueryRequest, span *obs.Span) (*QueryResponse, *Error) {
 	req.Accuracy = "bounds"
 	resps, missing, err := c.scatter(targets, req, span, req.Partial)
@@ -485,7 +486,7 @@ func (c *Coordinator) ScatterBounds(targets []int, req QueryRequest, span *obs.S
 	}
 	var order []string
 	merged := map[string]*bound{}
-	degraded := len(missing) > 0
+	degraded, reprRows := len(missing) > 0, 0
 	var columns []string
 	for _, sr := range resps {
 		if sr == nil {
@@ -498,6 +499,7 @@ func (c *Coordinator) ScatterBounds(targets []int, req QueryRequest, span *obs.S
 			}
 		}
 		degraded = degraded || sr.Degraded
+		reprRows += sr.ReprRows
 		nvals := len(columns) - 2 // trailing _p_lo, _p_hi
 		for _, raw := range sr.Rows {
 			var cells []json.RawMessage
@@ -524,6 +526,7 @@ func (c *Coordinator) ScatterBounds(targets []int, req QueryRequest, span *obs.S
 		Columns:       columns,
 		Estimator:     "bounds",
 		Degraded:      degraded,
+		ReprRows:      reprRows,
 		Partial:       len(missing) > 0,
 		MissingShards: c.missingNames(targets, missing),
 	}

@@ -28,6 +28,9 @@ type QueryRequest struct {
 	Limit int `json:"limit"`
 	// TimeoutMS lowers the server's per-query deadline.
 	TimeoutMS int `json:"timeout_ms"`
+	// MaxRows lowers the server's row cap for this query: a coordinator
+	// relaying a statement one shard answers whole passes its own.
+	MaxRows int `json:"max_rows,omitempty"`
 	// Accuracy selects the confidence evaluation policy for CONF
 	// queries: "exact" (default — read-once fast path, enumeration,
 	// Monte-Carlo past the cap), "bounds" (one-pass certain/possible
@@ -102,6 +105,7 @@ type QueryResponse struct {
 	Truncated bool              `json:"truncated,omitempty"`
 	Estimator string            `json:"estimator,omitempty"` // conf: "read-once", "exact", "monte-carlo", or "bounds"
 	Degraded  bool              `json:"degraded,omitempty"`  // conf auto: exact missed the deadline, bounds returned
+	ReprRows  int               `json:"repr_rows,omitempty"` // conf bounds: the representation rows they were computed from
 	// Partial marks a coordinator answer some shards did not contribute
 	// to ("partial": true requests only): possible/plain rows are a
 	// sound subset, conf bounds are widened. MissingShards names them.

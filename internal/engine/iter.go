@@ -3,6 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -81,15 +83,88 @@ func NewScan(r *Relation) Iterator {
 	return &colScanIter{src: &ColBatch{Sch: r.Sch}, rel: r, sorted: -1}
 }
 
+// Positions locates the rows of each tuple id in a column batch whose
+// rows ascend by tuple id: tid t's rows are [t−Base, t−Base+1) when Off
+// is nil — every tid from Base to Base+Len−1 has exactly one row — and
+// [Off[t−Base], Off[t−Base+1]) otherwise, empty for a tid without rows.
+type Positions struct {
+	Base int64
+	Len  int
+	Off  []int32
+}
+
+// PositionsOf records where each of the ascending tids lies; nil when
+// they do not ascend, or span more than four times their count (and a
+// batch), where the offsets would outweigh the rows.
+func PositionsOf(tids []int64) *Positions {
+	n := len(tids)
+	if n == 0 {
+		return &Positions{}
+	}
+	span := uint64(tids[n-1]) - uint64(tids[0])
+	if n > math.MaxInt32/4 || span >= uint64(4*n+DefaultBatchSize) || !slices.IsSorted(tids) {
+		return nil
+	}
+	p := &Positions{Base: tids[0], Len: int(span) + 1, Off: make([]int32, span+2)}
+	for _, t := range tids {
+		p.Off[t-p.Base+1]++
+	}
+	dense := p.Len == n
+	for i := 1; i < len(p.Off); i++ {
+		dense = dense && p.Off[i] == 1
+		p.Off[i] += p.Off[i-1]
+	}
+	if dense {
+		p.Off = nil
+	}
+	return p
+}
+
+// RowLookup is an optional Iterator method, of an input that finds its
+// rows by their int key in column col without scanning: the in-memory
+// scan with Positions on its tuple-id column, and a filter, projection,
+// rename or trace wrapper over one. Lookup, asked after Open, returns
+// nil when the input cannot. Otherwise the function it returns gives
+// the rows whose cell in col is one of keys[sel[0]], keys[sel[1]], … —
+// ascending, a key repeated asked once — in key order, as a selection
+// over the input's vectors, the same ones on every call, and honours
+// the keys handed down (KeyNarrower) as Next would; nil when there is
+// none. The batch is borrowed until the next call, whose caller may
+// narrow its selection in place; Next is not called.
+type RowLookup interface {
+	Lookup(col int) func(keys []int64, sel []int32) *ColBatch
+}
+
+// lookupOf is in's lookup on its column col, nil when it has none, with
+// then, when not nil, applied to the rows it finds.
+func lookupOf(in Iterator, col int, then func(*ColBatch) *ColBatch) func([]int64, []int32) *ColBatch {
+	l, ok := in.(RowLookup)
+	if !ok {
+		return nil
+	}
+	find := l.Lookup(col)
+	if find == nil || then == nil {
+		return find
+	}
+	return func(keys []int64, sel []int32) *ColBatch {
+		if cb := find(keys, sel); cb != nil {
+			return then(cb)
+		}
+		return nil
+	}
+}
+
 // colScanIter scans a column batch held in memory (a ValuesPlan's
 // Batch, or a relation laid out at Open), handing out windows of
 // DefaultBatchSize rows that share its vectors — of the rows [pos, end),
 // which keys on its sorted column narrow — each behind a selection of
-// the rows no key list drops.
+// the rows no key list drops. With positions on its sorted column it
+// finds the same rows by tuple id (RowLookup).
 type colScanIter struct {
 	src      *ColBatch // before a relation's Open, its schema alone
 	rel      *Relation // when set, laid out into src at Open
 	sorted   int       // the ascending int column, -1 none
+	at       *Positions
 	pos, end int
 	keys     []ColKeys // the keys handed down (NarrowKeys)
 	cols     []ColVec  // reused window headers
@@ -121,6 +196,54 @@ func (s *colScanIter) NarrowKeys(col int, keys Keys) {
 	s.pos = max(s.pos, sort.Search(s.end, func(i int) bool { return xs[i] >= keys.Lo }))
 	s.end = max(s.pos, min(s.end, sort.Search(s.end, func(i int) bool { return xs[i] > keys.Hi })))
 	s.skipped += int64(n - (s.end - s.pos))
+}
+
+// Lookup (RowLookup) answers on the sorted column, given positions.
+func (s *colScanIter) Lookup(col int) func([]int64, []int32) *ColBatch {
+	if s.at == nil || col != s.sorted || s.src.Cols[col].Vals != nil || s.src.Cols[col].Kind != KindInt {
+		return nil
+	}
+	return s.lookup
+}
+
+// lookup finds the keys' rows by their positions, within the window
+// [pos, end) and without the rows a key list drops.
+func (s *colScanIter) lookup(keys []int64, of []int32) *ColBatch {
+	sel, n := s.sel[:0], 0
+	for pass := 0; pass < 2; pass++ { // count, then find
+		sel = slices.Grow(sel, n)
+		for k, i := range of {
+			if k == 0 || keys[i] != keys[of[k-1]] {
+				lo, hi := s.at.rows(keys[i])
+				for r := max(lo, s.pos); r < min(hi, s.end); r++ {
+					if pass == 0 {
+						n++
+					} else {
+						sel = append(sel, int32(r))
+					}
+				}
+			}
+		}
+	}
+	s.sel = sel
+	sel, dropped := SelectKeyed(s.keys, s.src.Cols, s.src.N, sel, &s.sel)
+	if s.skipped += int64(dropped); len(sel) == 0 {
+		return nil
+	}
+	s.cb = ColBatch{Sch: s.src.Sch, Cols: s.src.Cols, N: s.src.N, Sel: sel}
+	return &s.cb
+}
+
+// rows returns the rows [lo, hi) of tid t.
+func (p *Positions) rows(t int64) (int, int) {
+	switch i := uint64(t - p.Base); {
+	case i >= uint64(p.Len):
+		return 0, 0
+	case p.Off == nil:
+		return int(i), int(i) + 1
+	default:
+		return int(p.Off[i]), int(p.Off[i+1])
+	}
 }
 
 func (s *colScanIter) Next() (*ColBatch, bool, error) {
@@ -202,6 +325,18 @@ func (f *FilterIter) Schema() Schema { return f.In.Schema() }
 // filter passes through.
 func (f *FilterIter) NarrowKeys(col int, keys Keys) { narrowInput(f.In, col, keys) }
 
+// Lookup (RowLookup) narrows the rows the input finds by the predicate,
+// in place.
+func (f *FilterIter) Lookup(col int) func([]int64, []int32) *ColBatch {
+	return lookupOf(f.In, col, func(in *ColBatch) *ColBatch {
+		if sel := f.vp.narrow(in, in.Sel); len(sel) > 0 {
+			f.cb = ColBatch{Sch: in.Sch, Cols: in.Cols, N: in.N, Sel: sel}
+			return &f.cb
+		}
+		return nil
+	})
+}
+
 // ProjectIter projects to named columns (and may rename via "src AS dst"
 // entries handled by the logical layer; physically it is index-based)
 // by re-slicing the input batch's column headers: projection over
@@ -245,13 +380,26 @@ func (p *ProjectIter) Next() (*ColBatch, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
+	return p.project(in), true, nil
+}
+
+func (p *ProjectIter) project(in *ColBatch) *ColBatch {
 	cols := p.cols[:0]
 	for _, j := range p.idx {
 		cols = append(cols, in.Cols[j])
 	}
 	p.cols = cols
 	p.cb = ColBatch{Sch: p.sch, Cols: cols, N: in.N, Sel: in.Sel}
-	return &p.cb, true, nil
+	return &p.cb
+}
+
+// Lookup (RowLookup) projects the rows the input finds by the column
+// the projection picks for col.
+func (p *ProjectIter) Lookup(col int) func([]int64, []int32) *ColBatch {
+	if col >= len(p.idx) {
+		return nil
+	}
+	return lookupOf(p.In, p.idx[col], p.project)
 }
 
 func (p *ProjectIter) Close() error { return p.In.Close() }
@@ -314,9 +462,18 @@ func (r *RenameIter) Next() (*ColBatch, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
+	return r.relabel(in), true, nil
+}
+
+func (r *RenameIter) relabel(in *ColBatch) *ColBatch {
 	r.cb = *in
 	r.cb.Sch = r.sch
-	return &r.cb, true, nil
+	return &r.cb
+}
+
+// Lookup (RowLookup) relabels the rows the input finds.
+func (r *RenameIter) Lookup(col int) func([]int64, []int32) *ColBatch {
+	return lookupOf(r.In, col, r.relabel)
 }
 
 func (r *RenameIter) Close() error { return r.In.Close() }

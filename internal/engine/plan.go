@@ -86,6 +86,10 @@ type ValuesPlan struct {
 	// keys handed down on it (KeyNarrower) narrow the scan to the window
 	// of rows inside their range, found by binary search.
 	Sorted string
+	// Pos, when not nil, locates the rows of each value of Sorted, a
+	// tuple-id column (Positions): a stitch finds its rows by them
+	// instead of scanning (RowLookup).
+	Pos *Positions
 	// Stats, when non-nil, returns the data's statistics (never nil), by
 	// its columns' positions. A producer that already keeps statistics for
 	// the data sets it so they travel with the plan; it is only called
@@ -421,7 +425,7 @@ func (b *lowering) build(p Plan, cfg ExecConfig) (Iterator, error) {
 		}
 		return NewScan(r), nil
 	case *ValuesPlan:
-		return &colScanIter{src: n.Batch, sorted: n.Batch.Sch.IndexOf(n.Sorted)}, nil
+		return &colScanIter{src: n.Batch, sorted: n.Batch.Sch.IndexOf(n.Sorted), at: n.Pos}, nil
 	case *FilterPlan:
 		return b.unary(cfg, n.Child, func(in Iterator) Iterator { return NewFilter(in, n.Cond) })
 	case *ProjectPlan:

@@ -14,9 +14,10 @@ import (
 // encoded in it, a store scan merges its runs by it (an index probe
 // only narrows them). TIDs names each input's tuple-id column; Cond, ψ over the
 // inputs' descriptor columns, is evaluated on each combination of rows
-// sharing a tuple id. Driver is the input drained first, whose tuple-id
-// range every other input is handed: Optimize makes it the input it
-// estimates smallest. Out is JoinPlan's. Its estimate is that of the
+// sharing a tuple id. Driver is the input the stitch reads first, whose
+// tuple ids it looks up in the other inputs or whose tuple-id range it
+// hands them (StitchIter): Optimize makes it the input it estimates
+// smallest. Out is JoinPlan's. Its estimate is that of the
 // tree of binary joins on α ∧ ψ it replaces, as the join orderer
 // (joinOrderer) would lay it out.
 type StitchPlan struct {
@@ -70,21 +71,36 @@ func (p *StitchPlan) WithChildren(ch []Plan) Plan {
 }
 func (p *StitchPlan) Label() string { return "Merge Join on tid (driver " + p.TIDs[p.Driver] + ")" }
 
-// StitchIter is the physical stitch. It drains the driver first, leaving
-// out the rows a key list handed down on its columns drops, and hands every
-// other input the tuple-id range of the rows it kept (a store scan then
-// skips the segments and rows outside it). Then it walks the inputs side
-// by side as Leapfrog Triejoin does (Veldhuizen, arXiv 1210.0481): each
-// is advanced by galloping search to the greatest tuple id any of them
-// stands on, until all stand on one. The rows of that tuple id — its
-// alternatives, however many batches they straddle — are combined
+// StitchIter is the physical stitch. It finds a tuple id's rows in the
+// inputs one of two ways, picked at Open.
+//
+// By position, when every input but the driver answers lookups on its
+// tuple-id column (RowLookup: an in-memory image with Positions, under
+// filters and projections). It streams the driver a batch at a time,
+// leaving out the rows a key list handed down on its columns drops, and
+// asks the other inputs in turn (one handed a key list first) for the
+// rows of the tuple ids it kept, each for the ids the one before found;
+// they come back as selections
+// over the inputs' own vectors, and no input is scanned or handed a
+// range. A combination is kept as one row per input, and each output
+// column is gathered once per driver batch (or DefaultBatchSize rows).
+//
+// By galloping merge otherwise (a stored input). It drains the driver
+// first and hands every other input the tuple-id range of the rows it
+// kept (a store scan then skips the segments and rows outside it). Then
+// it walks the inputs side by side as Leapfrog Triejoin does
+// (Veldhuizen, arXiv 1210.0481): each is advanced by galloping search
+// to the greatest tuple id any of them stands on, until all stand on
+// one. Payloads are immutable (Iterator), so an input's batches are held
+// by their headers until the rows pointing into them are gathered; an
+// output batch ends with the tuple id that fills it to DefaultBatchSize
+// rows.
+//
+// Either way the rows of a tuple id — its alternatives — are combined
 // across the inputs, ψ compared on the int cells in place by the
 // condition evaluator the hash join uses (joinCond), and each output
-// column is gathered once, from the input that owns it. Payloads are immutable (Iterator), so an input's batches are
-// held by their headers until the rows pointing into them are gathered;
-// an output batch ends with the tuple id that fills it to
-// DefaultBatchSize rows. An input whose tuple ids are not ascending ints
-// is an error.
+// column is gathered from the input that owns it. An input whose tuple
+// ids are not ascending ints is an error.
 type StitchIter struct {
 	Ins    []Iterator
 	TIDs   []string
@@ -100,11 +116,13 @@ type StitchIter struct {
 	pending int        // combinations not yet gathered
 	started bool
 	done    bool
+	byPos   bool     // every input but the driver answers lookups
+	order   []int    // by position, the other inputs in the order asked
 	cols    []ColVec // reused output batch header
 	lays    []vecLayout
 	cb      ColBatch
 
-	driverRows, galloped, cellsGathered int64 // OperatorStats
+	driverRows, galloped, lookedUp, cellsGathered int64 // OperatorStats
 }
 
 // stitchIn is the cursor over one input: the batches rows still point
@@ -123,6 +141,14 @@ type stitchIn struct {
 	last   int64    // the greatest tuple id handed over
 	refs   []rowRef // per pending combination, its row of this input
 	grp    []rowRef // the rows of the tuple id being combined
+
+	// By position: the input's lookup, its current batch (what the
+	// lookup found, the driver's pulled batch) whose selection sel is,
+	// the rows of the tuple id being combined and, per pending
+	// combination, its row of the batch.
+	find      func([]int64, []int32) *ColBatch
+	cur       *ColBatch
+	run, rows []int32
 }
 
 // NewStitch builds the stitch of ins on their tuple-id columns tids;
@@ -149,14 +175,25 @@ func (s *StitchIter) Open() error {
 	}
 	n := len(s.shape.out)
 	s.pick, s.cols, s.lays = make([]int, len(s.Ins)), make([]ColVec, n), make([]vecLayout, n)
-	s.keep, s.pending, s.started, s.done = nil, 0, false, false
-	s.driverRows, s.galloped, s.cellsGathered = 0, 0, 0
+	s.keep, s.pending, s.started, s.done, s.byPos = nil, 0, false, false, true
+	s.driverRows, s.galloped, s.lookedUp, s.cellsGathered = 0, 0, 0, 0
+	s.order = s.order[:0]
+	for i := range s.ins {
+		if in := &s.ins[i]; i != s.Driver {
+			in.find = lookupOf(in.it, in.tid, nil)
+			s.byPos, s.order = s.byPos && in.find != nil, append(s.order, i)
+		}
+	}
 	return nil
 }
 
 // Next combines tuple ids until DefaultBatchSize rows are pending, and
-// gathers them. The first call drains the driver.
+// gathers them. The first call of the galloping merge drains the
+// driver.
 func (s *StitchIter) Next() (*ColBatch, bool, error) {
+	if s.byPos {
+		return s.nextByPos()
+	}
 	if !s.started {
 		if err := s.start(); err != nil {
 			return nil, false, err
@@ -185,6 +222,146 @@ func (s *StitchIter) Next() (*ColBatch, bool, error) {
 	}
 	s.gather()
 	return &s.cb, true, nil
+}
+
+// nextByPos is Next by position: it combines the driver's kept rows, a
+// tuple id at a time, with the rows the other inputs found of it, until
+// DefaultBatchSize rows are pending or the driver batch is used up.
+func (s *StitchIter) nextByPos() (*ColBatch, bool, error) {
+	s.started = true
+	d := &s.ins[s.Driver]
+	for !s.done && s.pending < DefaultBatchSize && (d.pos < d.n || s.pending == 0) {
+		if d.pos == d.n {
+			ok, err := s.lookUp()
+			if s.done = !ok; err != nil {
+				return nil, false, err
+			}
+			continue
+		}
+		t := d.tidAt(d.pos)
+		for i := range s.ins {
+			in := &s.ins[i]
+			for in.pos < in.n && in.tidAt(in.pos) < t {
+				in.pos++
+			}
+			lo := in.pos
+			for in.pos < in.n && in.tidAt(in.pos) == t {
+				in.pos++
+			}
+			in.run = in.sel[lo:in.pos]
+		}
+		s.combineRows(0)
+	}
+	if s.pending == 0 {
+		return nil, false, nil
+	}
+	out := s.shape.out
+	for o, c := range out {
+		s.lays[o] = layoutOf(&s.ins[c.in].cur.Cols[c.col])
+	}
+	layOut(s.cols, s.lays, s.pending)
+	for o, c := range out {
+		in := &s.ins[c.in]
+		gatherCol(&in.cur.Cols[c.col], in.rows, &s.cols[o])
+	}
+	for i := range s.ins {
+		s.ins[i].rows = s.ins[i].rows[:0]
+	}
+	return s.emit(), true, nil
+}
+
+// rowIDs are the rows 0 … DefaultBatchSize−1: the selection of every
+// row of a batch no longer.
+var rowIDs = func() []int32 {
+	ids := make([]int32, DefaultBatchSize)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
+}()
+
+// lookUp makes the driver's next batch with a row keep lets through its
+// current one, and asks the other inputs in turn (order) for the rows of
+// its tuple ids, each for the ids the one before found, which become
+// their current batches; a batch some input finds none of is passed
+// over. It reports false at the end of the driver.
+func (s *StitchIter) lookUp() (bool, error) {
+	d := &s.ins[s.Driver]
+batches:
+	for {
+		cb, ok, err := d.it.Next()
+		if err != nil || !ok {
+			return false, err
+		}
+		s.driverRows += int64(cb.Rows())
+		if err := s.ascending(s.Driver, cb); err != nil {
+			return false, err
+		}
+		sel, _ := SelectKeyed(s.keep, cb.Cols, cb.N, cb.Sel, &s.kept)
+		if sel == nil && cb.N <= DefaultBatchSize {
+			sel = rowIDs[:cb.N]
+		} else if sel == nil {
+			for sel = s.kept[:0]; len(sel) < cb.N; {
+				sel = append(sel, int32(len(sel)))
+			}
+			s.kept = sel
+		}
+		prev := d
+		prev.found(cb, sel)
+		for _, i := range s.order {
+			in := &s.ins[i]
+			f := in.find(prev.tids, prev.sel)
+			if f == nil {
+				continue batches
+			}
+			in.found(f, f.Sel)
+			s.lookedUp += int64(in.n)
+			prev = in
+		}
+		for i := range s.ins { // room for about the combinations the batch makes
+			if in := &s.ins[i]; cap(in.rows) < prev.n {
+				in.rows = make([]int32, 0, prev.n)
+			}
+		}
+		return true, nil
+	}
+}
+
+// found makes cb, whose live rows are sel, input in's current batch by
+// position.
+func (in *stitchIn) found(cb *ColBatch, sel []int32) {
+	in.cur, in.tids, in.sel, in.n, in.pos = cb, cb.Cols[in.tid].Ints, sel, len(sel), 0
+}
+
+// combineRows is combine by position: it extends the combination
+// picked for inputs [0, d) by each row of input d's run on which the
+// conjuncts filed under d hold.
+func (s *StitchIter) combineRows(d int) {
+	if d == len(s.ins) {
+		for i := range s.ins {
+			in := &s.ins[i]
+			in.rows = append(in.rows, in.run[s.pick[i]])
+		}
+		s.pending++
+		return
+	}
+	in, cond := &s.ins[d], s.shape.cond
+	for j, r := range in.run {
+		s.pick[d] = j
+		if cond != nil {
+			if cond.set(d, in.cur.Cols, int(r)); !cond.holds(d) {
+				continue
+			}
+		}
+		s.combineRows(d + 1)
+	}
+}
+
+// emit makes the gathered columns the output batch.
+func (s *StitchIter) emit() *ColBatch {
+	s.cellsGathered += int64(s.pending * len(s.shape.out))
+	s.cb, s.pending = ColBatch{Sch: s.shape.sch, Cols: s.cols, N: s.pending}, 0
+	return &s.cb
 }
 
 // start drains the driver and hands the other inputs its tuple-id range;
@@ -236,16 +413,8 @@ func (s *StitchIter) pull(i int) (bool, error) {
 			cb = &ColBatch{Sch: cb.Sch, Cols: cb.Cols, N: cb.N, Sel: sel}
 		}
 	}
-	v := &cb.Cols[in.tid]
-	if v.Vals != nil || v.Kind != KindInt {
-		return false, fmt.Errorf("engine: stitch: input %d: tuple ids of kind %v", i, v.Kind)
-	}
-	for k, n := 0, cb.Rows(); k < n; k++ {
-		r := cb.RowID(k)
-		if v.Nulls != nil && v.Nulls[r] || v.Ints[r] < in.last {
-			return false, fmt.Errorf("engine: stitch: input %d is not in tuple-id order (%v after %d)", i, v.Value(r), in.last)
-		}
-		in.last = v.Ints[r]
+	if err := s.ascending(i, cb); err != nil {
+		return false, err
 	}
 	n := len(in.held)
 	in.held = slices.Grow(in.held, 1)[:n+1] // a slot let go of keeps its buffers
@@ -256,6 +425,24 @@ func (s *StitchIter) pull(i int) (bool, error) {
 	}
 	*h = ColBatch{Sch: cb.Sch, Cols: append(h.Cols[:0], cb.Cols...), N: cb.N, Sel: sel}
 	return true, nil
+}
+
+// ascending checks that input i's live rows of cb hold int tuple ids
+// that ascend from the last one handed over.
+func (s *StitchIter) ascending(i int, cb *ColBatch) error {
+	in := &s.ins[i]
+	v := &cb.Cols[in.tid]
+	if v.Vals != nil || v.Kind != KindInt {
+		return fmt.Errorf("engine: stitch: input %d: tuple ids of kind %v", i, v.Kind)
+	}
+	for k, n := 0, cb.Rows(); k < n; k++ {
+		r := cb.RowID(k)
+		if v.Nulls != nil && v.Nulls[r] || v.Ints[r] < in.last {
+			return fmt.Errorf("engine: stitch: input %d is not in tuple-id order (%v after %d)", i, v.Value(r), in.last)
+		}
+		in.last = v.Ints[r]
+	}
+	return nil
 }
 
 // advance makes input i's next batch current, pulling it unless the
@@ -421,8 +608,7 @@ func (s *StitchIter) gather() {
 	for o, c := range out {
 		gatherRefs(s.ins[c.in].held, c.col, s.ins[c.in].refs, &s.cols[o])
 	}
-	s.cellsGathered += int64(s.pending * len(out))
-	s.cb, s.pending = ColBatch{Sch: s.shape.sch, Cols: s.cols, N: s.pending}, 0
+	s.emit()
 	for i := range s.ins {
 		in := &s.ins[i]
 		if in.refs = in.refs[:0]; in.b == 0 {
@@ -441,9 +627,11 @@ func (s *StitchIter) gather() {
 }
 
 // NarrowKeys (KeyNarrower) forwards keys on a tuple-id column to every
-// input, and on any other column to the input it is read from; a list
-// on the driver's columns also drops, as the driver is drained, its rows
-// whose key the list leaves out. Keys handed later are ignored.
+// input — by position to the driver alone, whose tuple ids are all the
+// others are asked for — and on any other column to the input it is
+// read from; a list on the driver's columns also drops, as the driver is
+// read, its rows whose key the list leaves out; by position, an input
+// handed a list is asked first. Keys handed later are ignored.
 func (s *StitchIter) NarrowKeys(col int, keys Keys) {
 	if s.started || s.shape == nil {
 		return
@@ -451,23 +639,30 @@ func (s *StitchIter) NarrowKeys(col int, keys Keys) {
 	c := s.shape.out[col]
 	if c.col != s.ins[c.in].tid {
 		narrowInput(s.ins[c.in].it, c.col, keys)
-		if c.in == s.Driver {
+		if k := slices.Index(s.order, c.in); c.in == s.Driver {
 			s.keep = append(s.keep, ColKeys{Col: c.col, Keys: keys})
+		} else if keys.List != nil { // its lookups find fewer: ask it first
+			copy(s.order[1:k+1], s.order[:k])
+			s.order[0] = c.in
 		}
 		return
 	}
 	for i := range s.ins {
-		narrowInput(s.ins[i].it, s.ins[i].tid, keys)
+		if i == s.Driver || !s.byPos {
+			narrowInput(s.ins[i].it, s.ins[i].tid, keys)
+		}
 	}
 	s.keep = append(s.keep, ColKeys{Col: s.ins[s.Driver].tid, Keys: keys})
 }
 
-// OperatorStats reports the rows drained from the driver, the rows the
+// OperatorStats reports the rows read from the driver, the rows the
 // galloping search passed over (their tuple id is missing from some
-// input) and the cells gathered into the output.
+// input), the rows the other inputs found by position and the cells
+// gathered into the output.
 func (s *StitchIter) OperatorStats(emit func(key string, v int64)) {
 	emit("driver_rows", s.driverRows)
 	emit("rows_galloped", s.galloped)
+	emit("rows_looked_up", s.lookedUp)
 	emit("cells_gathered", s.cellsGathered)
 }
 

@@ -14,7 +14,8 @@ import (
 // as ints — the tuple id p<p>.tid and an attribute p<p>.a that is NULL,
 // or a float equal to an int, now and then. A tuple id has no row in a partition, or one to three
 // alternatives; with straddle every tuple id has three in every
-// partition, so 1 024-row batches cut through them.
+// partition, so 1 024-row batches cut through them. Now and then a
+// partition is empty.
 func stitchParts(rng *rand.Rand, k, n int, straddle bool) []*Relation {
 	parts := make([]*Relation, k)
 	for p := range parts {
@@ -55,6 +56,9 @@ func stitchParts(rng *rand.Rand, k, n int, straddle bool) []*Relation {
 				rel.Append(append(row, Int(int64(tid)), a))
 			}
 		}
+		if !straddle && rng.Intn(10) == 0 {
+			rel.Rows = nil
+		}
 		parts[p] = rel
 	}
 	return parts
@@ -75,24 +79,31 @@ func stitchPsi(parts []*Relation, p, q int) []Expr {
 }
 
 // FuzzStitch holds the stitch to the hash-join chain it replaces: on
-// 1–5 tid-ordered partitions (stitchParts), each under a random filter
-// and served in batches of a random size or as an in-memory scan, the
-// stitch driven by a random input gives the bag of rows a left-deep fold
-// of NewHashJoin on α (the tuple ids) gives, each step filtered by its ψ
-// — judged row by row by a filter, so the reference shares no condition
-// code with the stitch — and its tuple ids ascend. Half of the time the
-// stitch is handed a random tid range, and is held to the chain within
-// it; otherwise it is the probe side of a hash join whose build keys —
-// with duplicates and NULLs, on the driver's column or another input's,
-// or none at all — it receives as a list, and the join must give what
-// it gives over the same stitch with narrowing hidden, and over the
-// chain. With straddle every tuple id has three alternatives, served
-// whole in 1 024-row batches that cut through them.
+// 1–5 tid-ordered partitions (stitchParts: tid holes, repeated tids,
+// empty partitions), each under a random filter and served in batches
+// of a random size or as an in-memory scan, the stitch driven by a
+// random input gives the bag of rows a left-deep fold of NewHashJoin on
+// α (the tuple ids) gives, each step filtered by its ψ — judged row by
+// row by a filter, so the reference shares no condition code with the
+// stitch — and its tuple ids ascend. It is differential: the same
+// inputs go through the stitch by position, the in-memory scans
+// carrying Positions (half of the time all inputs are in memory, so
+// every other input answers lookups), and with the positions hidden
+// through the galloping merge, and both are held to the chain. Half of
+// the time the stitch is handed a random tid range, and is held to the
+// chain within it; otherwise it is the probe side of a hash join whose
+// build keys — with duplicates and NULLs, on the driver's column or
+// another input's, a value column or a tuple id, or none at all — it
+// receives as a list, and the join must give what it gives over the
+// same stitch with narrowing hidden, and over the chain. With straddle
+// every tuple id has three alternatives, served whole in 1 024-row
+// batches that cut through them.
 func FuzzStitch(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint16(300), false)  // two partitions
 	f.Add(int64(2), uint8(2), uint16(700), true)   // alternatives straddle 1 024-row batches
 	f.Add(int64(5), uint8(3), uint16(400), false)  // a key list
 	f.Add(int64(-68), uint8(1), uint16(664), true) // a list on a column with floats equal to keys
+	f.Add(int64(9), uint8(4), uint16(1400), false) // five partitions
 	f.Fuzz(func(t *testing.T, seed int64, k uint8, n uint16, straddle bool) {
 		rng := rand.New(rand.NewSource(seed))
 		parts := stitchParts(rng, 1+int(k%5), int(n%1500), straddle)
@@ -102,8 +113,9 @@ func FuzzStitch(f *testing.F) {
 		}
 		filters := make([]Expr, len(parts))
 		inMemory := make([]bool, len(parts))
+		allInMemory := rng.Intn(2) == 0
 		for p := range filters {
-			inMemory[p] = rng.Intn(2) == 0
+			inMemory[p] = allInMemory || rng.Intn(2) == 0
 			if straddle {
 				continue
 			}
@@ -114,10 +126,10 @@ func FuzzStitch(f *testing.F) {
 				filters[p] = Cmp(NE, Col(fmt.Sprintf("p%d.tid", p)), ConstInt(int64(rng.Intn(int(n)+1))))
 			}
 		}
-		input := func(p int) Iterator {
+		input := func(p int, positions bool) Iterator {
 			var in Iterator = newColSource(parts[p], chunk)
 			if inMemory[p] {
-				in = memScan(parts[p], fmt.Sprintf("p%d.tid", p))
+				in = memScan(parts[p], fmt.Sprintf("p%d.tid", p), positions)
 			}
 			if filters[p] != nil {
 				in = NewFilter(in, filters[p])
@@ -127,9 +139,9 @@ func FuzzStitch(f *testing.F) {
 		var tids []string
 		var psi []Expr
 		chain := func() Iterator { // its inputs narrow nothing, so it shares no narrowing with the stitch
-			ref := Iterator(struct{ Iterator }{input(0)})
+			ref := Iterator(struct{ Iterator }{input(0, false)})
 			for p := 1; p < len(parts); p++ {
-				ref = NewHashJoin(ref, struct{ Iterator }{input(p)}, []EquiPair{{L: "p0.tid", R: tids[p]}}, nil, nil)
+				ref = NewHashJoin(ref, struct{ Iterator }{input(p, false)}, []EquiPair{{L: "p0.tid", R: tids[p]}}, nil, nil)
 				if step := psi[p]; step != nil {
 					ref = NewFilter(ref, step)
 				}
@@ -154,10 +166,14 @@ func FuzzStitch(f *testing.F) {
 			cond = And(all...)
 		}
 		driver := rng.Intn(len(parts))
-		stitch := func() *StitchIter {
+		byPos := true // whether the stitch over positions should find rows by them
+		for p := range parts {
+			byPos = byPos && (p == driver || inMemory[p])
+		}
+		stitch := func(positions bool) *StitchIter {
 			ins := make([]Iterator, len(parts))
 			for p := range ins {
-				ins[p] = input(p)
+				ins[p] = input(p, positions)
 			}
 			return NewStitch(ins, tids, cond, driver, nil)
 		}
@@ -170,43 +186,51 @@ func FuzzStitch(f *testing.F) {
 			lo = rng.Int63n(int64(n) + 1)
 			hi = lo + rng.Int63n(int64(n)/4+1)
 		}
-		st := stitch()
-		if err := st.Open(); err != nil {
-			t.Fatal(err)
-		}
-		tidCol := st.Schema().IndexOf("p0.tid")
-		st.NarrowKeys(tidCol, Keys{Lo: lo, Hi: hi})
-		got := NewRelation(st.Schema())
-		for {
-			cb, ok, err := st.Next()
-			if err != nil {
+		var want *Relation
+		for _, positions := range []bool{true, false} {
+			st := stitch(positions)
+			if err := st.Open(); err != nil {
 				t.Fatal(err)
 			}
-			if !ok {
-				break
+			if st.byPos != (positions && byPos || len(parts) == 1) { // one input has none to ask
+				t.Fatalf("positions %v, all but the driver in memory %v: the stitch finds rows by position %v", positions, byPos, st.byPos)
 			}
-			got.Rows = cb.Materialize(got.Rows)
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		want := NewRelation(got.Sch)
-		for _, row := range mustDrain(t, chain()).Rows {
-			if x := row[tidCol].I; x >= lo && x <= hi {
-				want.Append(row)
+			tidCol := st.Schema().IndexOf("p0.tid")
+			st.NarrowKeys(tidCol, Keys{Lo: lo, Hi: hi})
+			got := NewRelation(st.Schema())
+			for {
+				cb, ok, err := st.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				got.Rows = cb.Materialize(got.Rows)
 			}
-		}
-		inRange := NewRelation(got.Sch)
-		for i, row := range got.Rows {
-			if i > 0 && row[tidCol].I < got.Rows[i-1][tidCol].I {
-				t.Fatalf("tuple id %d after %d", row[tidCol].I, got.Rows[i-1][tidCol].I)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
 			}
-			if x := row[tidCol].I; x >= lo && x <= hi {
-				inRange.Append(row)
+			if want == nil {
+				want = NewRelation(got.Sch)
+				for _, row := range mustDrain(t, chain()).Rows {
+					if x := row[tidCol].I; x >= lo && x <= hi {
+						want.Append(row)
+					}
+				}
 			}
-		}
-		if !inRange.EqualAsBag(want) {
-			t.Fatalf("%d partitions, driver %d, tids [%d, %d]: the stitch gives %d rows, the hash chain %d", len(parts), driver, lo, hi, inRange.Len(), want.Len())
+			inRange := NewRelation(got.Sch)
+			for i, row := range got.Rows {
+				if i > 0 && row[tidCol].I < got.Rows[i-1][tidCol].I {
+					t.Fatalf("tuple id %d after %d", row[tidCol].I, got.Rows[i-1][tidCol].I)
+				}
+				if x := row[tidCol].I; x >= lo && x <= hi {
+					inRange.Append(row)
+				}
+			}
+			if !inRange.EqualAsBag(want) {
+				t.Fatalf("%d partitions, driver %d, by position %v, tids [%d, %d]: the stitch gives %d rows, the hash chain %d", len(parts), driver, st.byPos, lo, hi, inRange.Len(), want.Len())
+			}
 		}
 	})
 }
@@ -214,10 +238,10 @@ func FuzzStitch(f *testing.F) {
 // checkStitchUnderList joins build keys drawn on one column of the
 // stitch — an attribute of a random partition, the driver's or
 // another's, or the tuple id — with duplicates and NULLs and now and
-// then none at all, to a stitch, which receives them as a list, and to
-// the same stitch with narrowing hidden and to the hash chain; the
-// three must give one bag of rows.
-func checkStitchUnderList(t *testing.T, rng *rand.Rand, parts []*Relation, driver int, stitch func() *StitchIter, chain func() Iterator) {
+// then none at all, to a stitch by position and by galloping merge,
+// which receive them as a list, and to the same stitch with narrowing
+// hidden and to the hash chain; all must give one bag of rows.
+func checkStitchUnderList(t *testing.T, rng *rand.Rand, parts []*Relation, driver int, stitch func(positions bool) *StitchIter, chain func() Iterator) {
 	t.Helper()
 	q := rng.Intn(len(parts))
 	key := fmt.Sprintf("p%d.a", q)
@@ -240,16 +264,26 @@ func checkStitchUnderList(t *testing.T, rng *rand.Rand, parts []*Relation, drive
 		j := NewHashJoin(newColSource(build, 1+rng.Intn(4)), probe, on, nil, nil)
 		return mustDrain(t, j), j
 	}
-	got, j := join(stitch())
-	hidden, _ := join(struct{ Iterator }{stitch()})
+	got, j := join(stitch(true))
+	galloped, _ := join(stitch(false))
+	hidden, _ := join(struct{ Iterator }{stitch(true)})
 	want, _ := join(chain())
-	if !got.EqualAsBag(hidden) || !got.EqualAsBag(want) {
-		t.Fatalf("%d partitions, driver %d, %d build keys on %s (%d handed): the join over the stitch gives %d rows, with narrowing hidden %d, over the hash chain %d",
-			len(parts), driver, build.Len(), key, j.keysHanded, got.Len(), hidden.Len(), want.Len())
+	if !got.EqualAsBag(hidden) || !galloped.EqualAsBag(hidden) || !got.EqualAsBag(want) {
+		t.Fatalf("%d partitions, driver %d, %d build keys on %s (%d handed): the join over the stitch by position gives %d rows, by galloping %d, with narrowing hidden %d, over the hash chain %d",
+			len(parts), driver, build.Len(), key, j.keysHanded, got.Len(), galloped.Len(), hidden.Len(), want.Len())
 	}
 }
 
-// memScan is the in-memory scan of rel, sorted on its column tid.
-func memScan(rel *Relation, tid string) *colScanIter {
-	return &colScanIter{src: relBatch(rel), sorted: rel.Sch.IndexOf(tid)}
+// memScan is the in-memory scan of rel, sorted on its column tid, with
+// the Positions of its tuple ids when positions is set.
+func memScan(rel *Relation, tid string, positions bool) *colScanIter {
+	src, c := relBatch(rel), rel.Sch.IndexOf(tid)
+	if rel.Len() == 0 {
+		src.Cols[c] = IntVec(nil, nil) // as an image lays out no rows
+	}
+	s := &colScanIter{src: src, sorted: c}
+	if positions {
+		s.at = PositionsOf(src.Cols[c].Ints)
+	}
+	return s
 }

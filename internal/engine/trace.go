@@ -56,6 +56,33 @@ func (t *traceIter) NarrowKeys(col int, keys Keys) {
 	narrowInput(t.in, col, keys)
 }
 
+// Lookup forwards a lookup, counting the distinct keys asked as
+// tids_looked_up and the rows found as the rows and a batch the
+// operator made.
+func (t *traceIter) Lookup(col int) func([]int64, []int32) *ColBatch {
+	find := lookupOf(t.in, col, nil)
+	if find == nil {
+		return nil
+	}
+	return func(keys []int64, sel []int32) *ColBatch {
+		start := time.Now()
+		cb := find(keys, sel)
+		t.sp.AddNanos(int64(time.Since(start)))
+		asked := 0
+		for k, i := range sel {
+			if k == 0 || keys[i] != keys[sel[k-1]] {
+				asked++
+			}
+		}
+		t.sp.AddStat("tids_looked_up", int64(asked))
+		if cb != nil {
+			t.sp.AddRows(int64(cb.Rows()))
+			t.sp.AddBatches(1)
+		}
+		return cb
+	}
+}
+
 func (t *traceIter) Close() error {
 	start := time.Now()
 	err := t.in.Close()

@@ -46,6 +46,12 @@ func (p *vecPred) filter(cb *ColBatch, selBuf []int32) []int32 {
 	for k := 0; k < n; k++ {
 		sel = append(sel, int32(cb.RowID(k)))
 	}
+	return p.narrow(cb, sel)
+}
+
+// narrow narrows sel, physical rows of cb, through every conjunct in
+// place, and returns the surviving prefix.
+func (p *vecPred) narrow(cb *ColBatch, sel []int32) []int32 {
 	for _, c := range p.conjuncts {
 		if len(sel) == 0 {
 			return sel

@@ -180,8 +180,10 @@ func TestClusterDifferential(t *testing.T) {
 
 // TestClusterRowCap: a coordinator holds what it merges to its own row
 // cap, as a node holds what it evaluates: possible and plain rows are
-// cut at the cap and flagged truncated, and a certain answer whose
-// gathered representation passes the cap fails 413 with the node's body.
+// cut at the cap and flagged truncated, and a certain answer or conf
+// bounds whose gathered representation passes the cap fail 413 with the
+// node's body. A statement one shard answers whole, which the
+// coordinator relays, comes back under the coordinator's cap too.
 func TestClusterRowCap(t *testing.T) {
 	tc := newTestCluster(t, 2, false)
 	_, coord := newTestServer(t, Config{MaxRows: 1, Cluster: map[string]cluster.CatalogSpec{
@@ -199,6 +201,8 @@ func TestClusterRowCap(t *testing.T) {
 		{"POSSIBLE SELECT sid, temp FROM readings", 200, true},
 		{"SELECT sid, temp FROM readings", 200, true},
 		{"CERTAIN SELECT sid, temp FROM readings", 413, nil},
+		{"CONF BOUNDS SELECT sid FROM readings", 413, nil},
+		{"POSSIBLE SELECT sensor, name FROM sensors", 200, true}, // one shard answers it whole: relayed
 	} {
 		req := queryRequest{SQL: c.sql, DB: "demo"}
 		code, got := post(t, coord, req)

@@ -240,6 +240,7 @@ type localSource struct {
 	prep     *preparedPlan
 	cfg      engine.ExecConfig
 	deadline time.Time
+	maxRows  int // the row cap (Server.maxRows)
 }
 
 // run builds the plan and drains it under the row cap and the deadline.
@@ -250,7 +251,7 @@ func (l localSource) run() (*engine.Relation, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	return engine.DrainLimited(it, l.s.cfg.MaxRows, l.deadline)
+	return engine.DrainLimited(it, l.maxRows, l.deadline)
 }
 
 func (l localSource) rows(plain bool) (*queryResponse, *cluster.Error) {
@@ -286,7 +287,7 @@ func (l localSource) rows(plain bool) (*queryResponse, *cluster.Error) {
 func (l localSource) result() (*core.UResult, *cluster.Error) {
 	rel, over, err := l.run()
 	if err == nil && over {
-		err = errRowLimit
+		return nil, rowLimit(l.maxRows)
 	}
 	if err != nil {
 		return nil, l.s.execError(err)
@@ -332,13 +333,19 @@ func (r shardSource) rows(plain bool) (*queryResponse, *cluster.Error) {
 func (r shardSource) result() (*core.UResult, *cluster.Error) {
 	res, herr := r.coord.GatherRepr(r.targets, r.req, r.span)
 	if herr == nil && res.Len() > r.s.cfg.MaxRows {
-		return nil, r.s.execError(errRowLimit)
+		return nil, rowLimit(r.s.cfg.MaxRows)
 	}
 	return res, herr
 }
 
+// bounds merges the shards' bounds, and refuses them as a node does
+// when the representations they were computed from exceed the cap.
 func (r shardSource) bounds() (*queryResponse, *cluster.Error) {
-	return r.coord.ScatterBounds(r.targets, r.req, r.span)
+	resp, herr := r.coord.ScatterBounds(r.targets, r.req, r.span)
+	if herr == nil && resp.ReprRows > r.s.cfg.MaxRows {
+		return nil, rowLimit(r.s.cfg.MaxRows)
+	}
+	return resp, herr
 }
 
 // certainFromResult computes the certain answers of a decoded result
@@ -396,15 +403,29 @@ func (s *Server) confBounds(res *core.UResult) (*queryResponse, *cluster.Error) 
 		}
 	}
 	return &queryResponse{Columns: append(append([]string{}, res.Attrs...), "_p_lo", "_p_hi"), Rows: w.Rows,
-		Estimator: "bounds"}, nil
+		Estimator: "bounds", ReprRows: res.Len()}, nil
 }
 
-// Sentinel failures of a query past the row cap or its deadline;
-// execError maps them to 413 and 504.
+// Sentinel failures of a query past the row cap, which rowLimit
+// answers 413, or its deadline, which execError maps to 504.
 var (
 	errRowLimit = errors.New("server: result exceeds the row limit")
 	errTimeout  = errors.New("server: query deadline exceeded")
 )
+
+// rowLimit is the 413 of a result representation past max rows.
+func rowLimit(max int) *cluster.Error {
+	return cluster.Errorf(413, "%v (limit %d rows)", errRowLimit, max)
+}
+
+// maxRows is the row cap of req: the server's, lowered by the request's
+// max_rows.
+func (s *Server) maxRows(req queryRequest) int {
+	if req.MaxRows > 0 {
+		return min(req.MaxRows, s.cfg.MaxRows)
+	}
+	return s.cfg.MaxRows
+}
 
 // checkDeadline returns errTimeout once the deadline has passed; used
 // between the plan and the certain-answer or confidence computation
@@ -419,8 +440,6 @@ func checkDeadline(deadline time.Time) error {
 // execError maps execution failures to HTTP statuses.
 func (s *Server) execError(err error) *cluster.Error {
 	switch {
-	case errors.Is(err, errRowLimit):
-		return cluster.Errorf(413, "%v (limit %d rows)", err, s.cfg.MaxRows)
 	case errors.Is(err, errTimeout), errors.Is(err, engine.ErrDeadline), errors.Is(err, core.ErrCertainDeadline):
 		return cluster.Errorf(504, "%v", errTimeout)
 	case errors.Is(err, core.ErrConfDeadline):

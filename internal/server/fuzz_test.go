@@ -35,6 +35,7 @@ func FuzzRequestBodies(f *testing.F) {
 		`{"sql":"delete from r where id = 1","db":"vehicles"}`,
 		`{"sql":"possible select id from r","db":"nope","partial":true}`,
 		`{"sql":5}`, `{"sql":"select"}`, `{}`, `[]`, `null`, ``, `{"sql":"possible select id from r"} trailing`,
+		`{"sql":"possible select id from r"} {"sql":"certain select id from r"} garbage`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -50,4 +51,39 @@ func FuzzRequestBodies(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRequestBodyIsOneValue holds /query and /exec to bodies of one JSON
+// value: white space may follow it, anything else — a second value,
+// garbage — is a 400, and the statement is not run.
+func TestRequestBodyIsOneValue(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.AddDB("vehicles", vehiclesDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	serve := func(path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader([]byte(body))))
+		return rec
+	}
+	if rec := serve("/query", "{\"sql\":\"possible select id from r\"} \n\t"); rec.Code != http.StatusOK {
+		t.Errorf("a body with white space after its value: status %d: %s", rec.Code, rec.Body)
+	}
+	for _, body := range []string{
+		`{"sql":"possible select id from r"} {"sql":"certain select id from r"} garbage`,
+		`{"sql":"possible select id from r"} {"sql":"certain select id from r"}`,
+		`{"sql":"possible select id from r"} }`,
+		`{"sql":"delete from r where id = 1"}x`,
+	} {
+		for _, path := range []string{"/query", "/exec"} {
+			if rec := serve(path, body); rec.Code != http.StatusBadRequest || !bytes.Contains(rec.Body.Bytes(), []byte("after the JSON value")) {
+				t.Errorf("%s %q: status %d, want 400 for data after the value: %s", path, body, rec.Code, rec.Body)
+			}
+		}
+	}
 }

@@ -148,14 +148,23 @@ const maxBodyBytes = 16 << 20
 
 // decodeRequest decodes a POSTed JSON request body into req. When the
 // request is not one, it answers the client itself and returns false:
-// 405 for another method, 413 past maxBodyBytes, 400 for bad JSON.
+// 405 for another method, 413 past maxBodyBytes, 400 for bad JSON or
+// anything but white space after it.
 func decodeRequest(w http.ResponseWriter, r *http.Request, req any) bool {
 	if r.Method != http.MethodPost {
 		writeErr(w, cluster.Errorf(http.StatusMethodNotAllowed, "POST a JSON body to %s", r.URL.Path))
 		return false
 	}
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(req)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	err := dec.Decode(req)
 	var tooBig *http.MaxBytesError
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if !errors.As(err, &tooBig) {
+			err = errors.New("data after the JSON value")
+		}
+	}
 	switch {
 	case errors.As(err, &tooBig):
 		writeErr(w, cluster.Errorf(http.StatusRequestEntityTooLarge, "server: request body exceeds %d bytes", maxBodyBytes))

@@ -163,7 +163,7 @@ func (s *Server) statement(entry *catalogEntry, dbName, sql string) (*statement,
 	if err != nil {
 		return nil, cluster.Errorf(400, "%v", err)
 	}
-	open := func(_ queryRequest, root *obs.Span, deadline time.Time) (source, *relayed, *cluster.Error) {
+	open := func(req queryRequest, root *obs.Span, deadline time.Time) (source, *relayed, *cluster.Error) {
 		if prep == nil {
 			var herr *cluster.Error
 			if prep, herr = s.prepare(db, parsed.Query); herr != nil {
@@ -171,7 +171,7 @@ func (s *Server) statement(entry *catalogEntry, dbName, sql string) (*statement,
 			}
 			s.plans.keep(key, dbName, db, prep)
 		}
-		return localSource{s: s, db: db, prep: prep, cfg: engine.ExecConfig{Trace: root}, deadline: deadline}, nil, nil
+		return localSource{s: s, db: db, prep: prep, cfg: engine.ExecConfig{Trace: root}, deadline: deadline, maxRows: s.maxRows(req)}, nil, nil
 	}
 	return &statement{parsed: parsed, span: "query", cached: prep != nil, open: open}, nil
 }
@@ -193,9 +193,11 @@ func validate(req queryRequest) *cluster.Error {
 }
 
 // relay answers a query with one shard's response bytes, status
-// included: a shard-side error body is already in the error shape.
+// included: a shard-side error body is already in the error shape. The
+// shard answers under this server's row cap, as the scatter path would.
 func (s *Server) relay(coord *cluster.Coordinator, shard int, mode sqlparse.Mode, req queryRequest) (*relayed, *cluster.Error) {
 	start := time.Now()
+	req.MaxRows = s.maxRows(req)
 	status, body, err := coord.Relay(shard, req)
 	if err != nil {
 		return nil, err

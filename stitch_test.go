@@ -213,3 +213,84 @@ func TestKeySetsCutTheStitch(t *testing.T) {
 		}
 	}
 }
+
+// TestPositionalStitchConcurrent runs Q1–Q3 from four goroutines over
+// one in-memory database whose partitions no query has encoded yet, so
+// the goroutines build the images and their Positions and read them
+// shared, and holds each answer to the one the same query gives run
+// alone. CI runs it under the race detector, repeated.
+func TestPositionalStitchConcurrent(t *testing.T) {
+	gen := func() *core.UDB {
+		p := tpch.DefaultParams(0.05, 0.1, 0.25)
+		p.Seed = 1
+		db, _, err := tpch.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	names := []string{"Q1", "Q2", "Q3"}
+	serial, shared := gen(), gen()
+	want := map[string]*engine.Relation{}
+	for _, name := range names {
+		rel, err := serial.EvalPoss(tpch.Queries()[name], engine.ExecConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = rel
+	}
+	errs := make(chan error, 4*len(names))
+	for g := 0; g < 4; g++ {
+		go func(g int) {
+			for k := range names {
+				name := names[(g+k)%len(names)]
+				rel, err := shared.EvalPoss(tpch.Queries()[name], engine.ExecConfig{})
+				if err == nil && !rel.EqualAsBag(want[name]) {
+					err = fmt.Errorf("%s: %d rows, %d run alone", name, rel.Len(), want[name].Len())
+				}
+				errs <- err
+			}
+		}(g)
+	}
+	for i := 0; i < cap(errs); i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestStitchFindsRowsByPosition pins which way each stitch finds a tuple
+// id's rows: in memory every stitch of Q1–Q3 looks them up by position —
+// none gallops, and every input but its driver is asked for tuple ids
+// rather than scanned — and over stored partitions, which offer no
+// positions, Q1's and Q2's stitches run the galloping merge.
+func TestStitchFindsRowsByPosition(t *testing.T) {
+	mem, stored, _ := indexedPlanningData(t, 0.25)
+	for _, name := range []string{"Q1", "Q2", "Q3"} {
+		for where, db := range map[string]*core.UDB{"in memory": mem, "stored": stored} {
+			if where == "stored" && name == "Q3" {
+				continue
+			}
+			_, _, root, text := analyzePlan(t, name, db, tpch.Queries()[name])
+			var walk func(s *obs.Span)
+			walk = func(s *obs.Span) {
+				if strings.HasPrefix(s.Op(), "Merge Join on tid") && s.Stat("driver_rows") > 0 {
+					looked := 0
+					for _, c := range s.Children() {
+						if c.Stat("tids_looked_up") > 0 {
+							looked++
+						}
+					}
+					byPos := s.Stat("rows_galloped") == 0 && looked == len(s.Children())-1
+					if byPos != (where == "in memory") {
+						t.Errorf("%s %s: %q galloped %d rows and looked rows up in %d of its %d inputs:\n%s", name, where, s.Op(), s.Stat("rows_galloped"), looked, len(s.Children()), text)
+					}
+				}
+				for _, c := range s.Children() {
+					walk(c)
+				}
+			}
+			walk(root)
+		}
+	}
+}
