@@ -4,8 +4,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
-	"strings"
 	"time"
 
 	"urel/internal/cluster"
@@ -73,25 +73,11 @@ func (s *Server) handleStoreFile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.URL.Query().Get("name")
-	if name == "" || name != filepath.Base(name) || strings.HasPrefix(name, ".") {
+	if store.CheckFileName(name) != nil {
 		writeErr(w, cluster.Errorf(400, "server: bad file name"))
 		return
 	}
-	man := entry.mut.Manifest()
-	referenced := false
-	for _, mr := range man.Relations {
-		for _, mp := range mr.Parts {
-			if mp.File == name {
-				referenced = true
-			}
-			for _, d := range mp.Deltas {
-				if d.File == name {
-					referenced = true
-				}
-			}
-		}
-	}
-	if !referenced {
+	if !slices.Contains(entry.mut.Manifest().Files(), name) {
 		writeErr(w, cluster.Errorf(404,
 			"server: %q is not referenced by the current manifest (superseded by a flush or compaction? refetch the manifest)", name))
 		return

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 
 	"urel/internal/core"
 	"urel/internal/ws"
@@ -30,15 +31,15 @@ import (
 const (
 	CatalogName = "catalog.json"
 	WorldsName  = "worlds.bin"
-	// FormatVersion is bumped on incompatible layout changes. Version 1
-	// (read-only snapshots, single file per partition) still opens;
-	// version 2 adds per-partition delta files, per-relation max tuple
-	// ids, and the write-ahead log reference; version 3 writes segment
-	// files as URSEGv2 (rows in tid order, per-segment tid bounds and a
-	// footer checksum). URSEGv1 files still open under any version: a
-	// flush over an older directory layers new files on its old ones.
+	// FormatVersion is bumped on incompatible layout changes, and is the
+	// only version a store opens. Version 3 writes every segment file as
+	// URSEGv2 (rows in tid order, per-segment tid bounds and a footer
+	// checksum); versions 1 and 2, and URSEGv1 files, are refused.
 	FormatVersion = 3
 )
+
+// resaveHint is how an older build's directory is brought up to date.
+const resaveHint = "open the directory with an earlier build that still reads it and store.Save it to a new one"
 
 const worldsMagic = "URWSv1\n\x00"
 
@@ -145,6 +146,21 @@ func (m *Manifest) Clone() *Manifest {
 	return &out
 }
 
+// Files lists every segment file the manifest references: each
+// partition's base, then its deltas in flush order.
+func (m *Manifest) Files() []string {
+	var files []string
+	for _, mr := range m.Relations {
+		for _, mp := range mr.Parts {
+			files = append(files, mp.File)
+			for _, d := range mp.Deltas {
+				files = append(files, d.File)
+			}
+		}
+	}
+	return files
+}
+
 // partFileName names partition files by position, keeping arbitrary
 // relation/partition names out of the filesystem.
 func partFileName(ri, pi int) string { return fmt.Sprintf("r%d_p%d.useg", ri, pi) }
@@ -176,7 +192,7 @@ func ReadManifest(dir string) (*Manifest, error) {
 	}
 	m, err := ParseManifest(buf)
 	if err != nil {
-		return nil, fmt.Errorf("store: open %s: %w", dir, err)
+		return nil, fmt.Errorf("store: open %s: %w", filepath.Join(dir, CatalogName), err)
 	}
 	return m, nil
 }
@@ -188,10 +204,28 @@ func ParseManifest(buf []byte) (*Manifest, error) {
 	if err := json.Unmarshal(buf, &m); err != nil {
 		return nil, fmt.Errorf("bad catalog: %w", err)
 	}
-	if m.Version < 1 || m.Version > FormatVersion {
-		return nil, fmt.Errorf("format version %d, want <= %d", m.Version, FormatVersion)
+	if m.Version != FormatVersion {
+		return nil, corruptf("format version %d, want %d: %s", m.Version, FormatVersion, resaveHint)
+	}
+	files := m.Files()
+	if m.WAL != "" {
+		files = append(files, m.WAL)
+	}
+	for _, f := range files {
+		if err := CheckFileName(f); err != nil {
+			return nil, err
+		}
 	}
 	return &m, nil
+}
+
+// CheckFileName refuses a manifest's or a replication request's file
+// name unless it is non-empty, its own base name, and starts with no dot.
+func CheckFileName(name string) error {
+	if name == "" || name != filepath.Base(name) || strings.HasPrefix(name, ".") {
+		return corruptf("file name %q is not a plain name in the directory", name)
+	}
+	return nil
 }
 
 // ErrManifestUnsynced reports that the manifest rename itself
@@ -441,11 +475,11 @@ func OpenPartLayers(dir string, mp ManifestPart, cache *SegCache) (*PartSource, 
 			return err
 		}
 		h.SetCache(cache)
-		if h.NumRows() != rows || h.Width() != width {
+		if h.NumRows() != rows || h.Width() != width || len(h.meta.Kinds) != len(mp.Attrs) {
 			h.Close()
 			return fmt.Errorf("%s: %w", file,
-				corruptf("file has %d rows width %d, catalog says %d rows width %d",
-					h.NumRows(), h.Width(), rows, width))
+				corruptf("file has %d rows width %d and %d attributes, catalog says %d rows width %d and %d",
+					h.NumRows(), h.Width(), len(h.meta.Kinds), rows, width, len(mp.Attrs)))
 		}
 		src.Layers = append(src.Layers, h)
 		return nil

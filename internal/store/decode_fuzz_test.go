@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"testing"
 
 	"urel/internal/engine"
@@ -119,16 +118,17 @@ func fileFooter(f *testing.F, path string) footerSeed {
 	if err != nil {
 		f.Fatal(err)
 	}
-	off := int64(binary.LittleEndian.Uint64(b[len(b)-tailLenV1:]))
+	off := int64(binary.LittleEndian.Uint64(b[len(b)-tailLen+4:]))
 	return footerSeed{b[off : len(b)-tailLen], off}
 }
 
-// FuzzDecodeFooter feeds decodeFooter footers of either version directly
-// — through a whole file the tail's checksum would refuse nearly every
-// mutation first — seeded with the footers of a saved s 0.02 directory
-// and the same footers re-encoded as v1. A footer is refused with
-// ErrCorrupt or decodes to segments inside the payload region whose
-// rows add up, with tid bounds lo <= hi (the whole int64 range for v1),
+// FuzzDecodeFooter feeds decodeFooter footers directly — through a whole
+// file the tail's checksum would refuse nearly every mutation first —
+// seeded with the footers of a saved s 0.02 directory and the same
+// footers with their segments listed in reverse, which a footer of more
+// than one segment may not be. A footer is refused with ErrCorrupt or
+// decodes to segments inside the payload region whose rows add up, with
+// tid bounds lo <= hi that never go back from one segment to the next,
 // and re-encodes to a footer that decodes to the same thing.
 func FuzzDecodeFooter(f *testing.F) {
 	dir, _ := savedTPCH(f, 0.02)
@@ -139,17 +139,18 @@ func FuzzDecodeFooter(f *testing.F) {
 	for _, mr := range m.Relations {
 		for _, mp := range mr.Parts {
 			s := fileFooter(f, filepath.Join(dir, mp.File))
-			f.Add(s.footer, false, uint32(s.off))
-			meta, err := decodeFooter(s.footer, int64(len(fileMagic)), s.off, false)
+			f.Add(s.footer, uint32(s.off))
+			meta, err := decodeFooter(s.footer, int64(len(fileMagic)), s.off)
 			if err != nil {
 				f.Fatal(err)
 			}
-			f.Add(appendV1Footer(nil, meta), true, uint32(s.off))
+			slices.Reverse(meta.Segs)
+			f.Add(appendFooter(nil, meta), uint32(s.off))
 		}
 	}
-	f.Fuzz(func(t *testing.T, footer []byte, v1 bool, payloadEnd uint32) {
+	f.Fuzz(func(t *testing.T, footer []byte, payloadEnd uint32) {
 		start, end := int64(len(fileMagic)), int64(payloadEnd)
-		m, err := decodeFooter(footer, start, end, v1)
+		m, err := decodeFooter(footer, start, end)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("refusal %v is not ErrCorrupt", err)
@@ -161,8 +162,8 @@ func FuzzDecodeFooter(f *testing.F) {
 			if s.Off < start || s.Off+int64(s.Len) > end {
 				t.Fatalf("segment %d at [%d, %d) outside the payload [%d, %d)", i, s.Off, s.Off+int64(s.Len), start, end)
 			}
-			if s.TidLo > s.TidHi || v1 && (s.TidLo != math.MinInt64 || s.TidHi != math.MaxInt64) {
-				t.Fatalf("segment %d: tid bounds [%d, %d] (v1 %v)", i, s.TidLo, s.TidHi, v1)
+			if s.TidLo > s.TidHi || i > 0 && s.TidLo < m.Segs[i-1].TidHi {
+				t.Fatalf("segment %d: tid bounds [%d, %d] after %+v", i, s.TidLo, s.TidHi, m.Segs[:i])
 			}
 			if len(s.Stats) != len(m.Kinds) {
 				t.Fatalf("segment %d: %d column statistics for %d columns", i, len(s.Stats), len(m.Kinds))
@@ -172,11 +173,7 @@ func FuzzDecodeFooter(f *testing.F) {
 		if rows != m.Rows {
 			t.Fatalf("segments hold %d rows, the footer %d", rows, m.Rows)
 		}
-		again := appendFooter(nil, m)
-		if v1 {
-			again = appendV1Footer(nil, m)
-		}
-		m2, err := decodeFooter(again, start, end, v1)
+		m2, err := decodeFooter(appendFooter(nil, m), start, end)
 		if err != nil {
 			t.Fatalf("re-encoded footer refused: %v", err)
 		}
@@ -307,8 +304,8 @@ func FuzzDecodeWorldTable(f *testing.F) {
 }
 
 // refDecodeSegment is the segment decoder as it was before the one-pass
-// decoder: one cursor call per cell and one allocation per column, the
-// rows then put in stable tid order row by row (refSortByTID).
+// decoder: one cursor call per cell and one allocation per column; a
+// segment whose tuple ids descend anywhere is refused.
 func refDecodeSegment(data []byte, n, width int, kinds []byte) (*segment, error) {
 	c := &cursor{b: data}
 	s := &segment{
@@ -340,6 +337,11 @@ func refDecodeSegment(data []byte, n, width int, kinds []byte) (*segment, error)
 	}
 	if s.tid, err = readInts(); err != nil {
 		return nil, err
+	}
+	for i := 1; i < n; i++ {
+		if s.tid[i] < s.tid[i-1] {
+			return nil, corruptf("tuple id %d after %d", s.tid[i], s.tid[i-1])
+		}
 	}
 	s.tidLo, s.tidHi, _ = tidBounds(s.tid)
 	for ci, k := range kinds {
@@ -422,50 +424,7 @@ func refDecodeSegment(data []byte, n, width int, kinds []byte) (*segment, error)
 	if c.pos != len(data) {
 		return nil, corruptf("%d trailing bytes in segment", len(data)-c.pos)
 	}
-	refSortByTID(s)
 	return s, nil
-}
-
-// refSortByTID puts a decoded segment's rows in stable tid order, one
-// row at a time: row i of the result is row order[i] of the segment.
-func refSortByTID(s *segment) {
-	order := make([]int, s.n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return s.tid[order[a]] < s.tid[order[b]] })
-	tid := append([]int64(nil), s.tid...)
-	dvar, drng := make([][]int64, len(s.dvar)), make([][]int64, len(s.drng))
-	for k := range s.dvar {
-		dvar[k], drng[k] = append([]int64(nil), s.dvar[k]...), append([]int64(nil), s.drng[k]...)
-	}
-	cols := make([]engine.ColVec, len(s.cols))
-	for ci, v := range s.cols {
-		cols[ci] = engine.ColVec{Kind: v.Kind, Ints: slices.Clone(v.Ints), Floats: slices.Clone(v.Floats),
-			Strs: slices.Clone(v.Strs), Nulls: slices.Clone(v.Nulls), Vals: slices.Clone(v.Vals)}
-	}
-	for i, r := range order {
-		s.tid[i] = tid[r]
-		for k := range s.dvar {
-			s.dvar[k][i], s.drng[k][i] = dvar[k][r], drng[k][r]
-		}
-		for ci := range s.cols {
-			src, dst := &cols[ci], &s.cols[ci]
-			if src.Nulls != nil {
-				dst.Nulls[i] = src.Nulls[r]
-			}
-			switch {
-			case src.Vals != nil:
-				dst.Vals[i] = src.Vals[r]
-			case src.Ints != nil:
-				dst.Ints[i] = src.Ints[r]
-			case src.Floats != nil:
-				dst.Floats[i] = src.Floats[r]
-			case src.Strs != nil:
-				dst.Strs[i] = src.Strs[r]
-			}
-		}
-	}
 }
 
 // refVar is one variable as the reference world-table decoder gives it.

@@ -20,10 +20,9 @@
 //     null bitmap. Every writer lays the rows out in stable tuple-id
 //     order (URSEGv2), and a footer records per-segment row counts,
 //     CRC32 checksums, the least and greatest tuple id, and per-column
-//     min/max statistics, under a checksum of its own; URSEGv1 files,
-//     without the tid bounds, still open and are read whole, each
-//     segment whose tuple ids do not ascend sorted by them once, as it
-//     is decoded (the segment cache keeps the sorted copy). A segment
+//     min/max statistics, under a checksum of its own. It is the one
+//     format a store opens: a URSEGv1 file, or a manifest of another
+//     FormatVersion, is refused with ErrCorrupt. A segment
 //     decodes in one typed pass, from a pooled read buffer it keeps
 //     nothing of: its descriptor and tid columns share one int64 slab,
 //     every int column goes through one varint loop, floats are read
@@ -35,9 +34,11 @@
 //     from process-wide pools (recycle.go), and the scan hands them back
 //     when it closes. Every count a decoder reads — rows, widths,
 //     lengths, the world table's variables — is checked against the
-//     bytes left before it sizes an allocation, and decoded tuple ids
-//     against the footer's bounds, so a corrupt file is ErrCorrupt,
-//     never an out-of-memory crash or a skipped segment.
+//     bytes left before it sizes an allocation, decoded tuple ids
+//     against the footer's bounds and tid order, and the footer's
+//     bounds against each other, so a corrupt file is ErrCorrupt,
+//     never an out-of-memory crash, a skipped segment or a row out of
+//     order.
 //
 //   - Catalog (catalog.go). Save snapshots a whole UDB — the world
 //     table W (Section 2's W(Var, Rng) plus the Section 7 probability
@@ -55,10 +56,10 @@
 //     vectors), and every operator above runs on the stored columns;
 //     tuples are made at the sink. A scan delivers its rows in tuple-id
 //     order, the order the engine's stitch merges a relation's
-//     partitions in: one run — a single URSEGv2 layer and no delta rows
-//     in range — is served a segment per batch, as it is stored; several
-//     runs (delta layers, each segment of a v1 layer, the in-memory
-//     delta) are merged by tid inside the window
+//     partitions in: one run — a single file layer and no delta rows in
+//     range — is served a segment per batch, as it is stored; several
+//     runs (delta layers, the in-memory delta) are merged by tid inside
+//     the window
 //     the ranges leave, each batch a zero-copy window of the run with
 //     the least tuple id, up to the next run's, behind a selection
 //     vector. The operators above may hand the scan keys

@@ -31,17 +31,16 @@ import (
 // column, then one value column per attribute (null bitmap + payload).
 // A writer lays rows out in stable tuple-id order, so each segment's
 // tid bounds cover a slice of the partition's tuples and a scan handed
-// keys skips the segments whose bounds hold none.
+// keys skips the segments whose bounds hold none. A reader relies on
+// that order: a segment whose tids descend, or a footer whose segment
+// bounds go backwards, is corrupt.
 //
-// A v1 file (fileMagicV1) has neither the tid bounds nor the footer
-// checksum (its tail is 16 bytes); it still opens, with every segment's
-// tid bounds unknown — the whole int64 range — so nothing is skipped.
+// This is the only segment format a store opens: a URSEGv1 file, the
+// format before tid order and tid bounds, is refused (NewPartHandle).
 const (
-	fileMagic   = "URSEGv2\n"
-	fileMagicV1 = "URSEGv1\n"
-	tailMagic   = "URSEGend"
-	tailLenV1   = 8 + len(tailMagic)
-	tailLen     = 4 + tailLenV1
+	fileMagic = "URSEGv2\n"
+	tailMagic = "URSEGend"
+	tailLen   = 4 + 8 + len(tailMagic)
 )
 
 // kindMixed marks a column whose non-null values do not share a single
@@ -257,8 +256,7 @@ type colStats struct {
 }
 
 // segMeta locates and describes one segment. TidLo and TidHi bound its
-// tuple ids: the least and greatest, or the whole int64 range when the
-// file does not say (v1).
+// tuple ids: the least and greatest.
 type segMeta struct {
 	Off          int64
 	Len          int
@@ -270,7 +268,6 @@ type segMeta struct {
 
 // fileMeta is the decoded footer of a partition file.
 type fileMeta struct {
-	V1    bool   // a URSEGv1 file: no tid bounds, segments in write order
 	Width int    // padded descriptor width
 	Kinds []byte // engine.Kind per value attribute, or kindMixed
 	Segs  []segMeta
@@ -451,8 +448,8 @@ func encodeSegment(b []byte, rows rowSeq, width int, kinds []byte) ([]byte, segM
 // columnar scan hands them to the engine with no per-cell work at all.
 // tidLo and tidHi bound the tuple ids (lo > hi when empty): a
 // tombstone filter is narrowed to the batches that meet them. The rows
-// are in tid order (decodeSegment sorts them when the file's are not),
-// so a narrowed scan binary-searches them for a tid range. dvar, drng
+// are in tid order (decodeSegment refuses a segment whose are not), so
+// a narrowed scan binary-searches them for a tid range. dvar, drng
 // and tid are windows of one slab (dvar and drng are nil when the
 // segment has no rows).
 type segment struct {
@@ -470,7 +467,8 @@ type segment struct {
 // varint loop, floats are read straight from the payload, and the cells
 // of a string column are slices of one string. It keeps nothing of data.
 // Tuple ids outside sm's bounds are corrupt: the bounds decide which
-// segments a narrowed scan reads.
+// segments a narrowed scan reads. So are tuple ids that descend: a scan
+// serves rows, and merges layers, in tid order.
 //
 // With owned nil, every vector is a fresh allocation and the segment is
 // the caller's for good: the SegCache keeps such segments, as do
@@ -506,6 +504,9 @@ func decodeSegment(data []byte, sm *segMeta, width int, kinds []byte, owned *rec
 	s.tidLo, s.tidHi, asc = tidBounds(s.tid)
 	if n > 0 && (s.tidLo < sm.TidLo || s.tidHi > sm.TidHi) {
 		return nil, corruptf("tuple ids [%d, %d] outside the footer's [%d, %d]", s.tidLo, s.tidHi, sm.TidLo, sm.TidHi)
+	}
+	if !asc {
+		return nil, corruptf("tuple ids of a segment descend")
 	}
 	for ci, k := range kinds {
 		bm, err := c.bytes((n + 7) / 8)
@@ -562,47 +563,7 @@ func decodeSegment(data []byte, sm *segMeta, width int, kinds []byte, owned *rec
 	if c.pos != len(data) {
 		return nil, corruptf("%d trailing bytes in segment", len(data)-c.pos)
 	}
-	if !asc {
-		s.sortByTID()
-	}
 	return s, nil
-}
-
-// sortByTID puts the rows of a segment whose tuple ids do not ascend —
-// a v1 file's — in tid order, stably, so a tuple's alternatives keep
-// theirs. It runs once, on the freshly decoded segment, which the cache
-// then keeps: every segment is served in the order a stitch merges in.
-func (s *segment) sortByTID() {
-	perm := make([]int32, s.n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	slices.SortStableFunc(perm, func(a, b int32) int { return cmp.Compare(s.tid[a], s.tid[b]) })
-	for k := range s.dvar {
-		permute(s.dvar[k], perm)
-		permute(s.drng[k], perm)
-	}
-	permute(s.tid, perm)
-	for ci := range s.cols {
-		v := &s.cols[ci]
-		permute(v.Ints, perm)
-		permute(v.Floats, perm)
-		permute(v.Strs, perm)
-		permute(v.Nulls, perm)
-		permute(v.Vals, perm)
-	}
-}
-
-// permute rearranges xs (nil or of len(perm) cells) to xs[perm[0]],
-// xs[perm[1]], …
-func permute[T any](xs []T, perm []int32) {
-	if xs == nil {
-		return
-	}
-	old := slices.Clone(xs)
-	for i, p := range perm {
-		xs[i] = old[p]
-	}
 }
 
 // nullMarks returns the null markers of a bitmap over n rows, taken as
@@ -695,12 +656,14 @@ func appendTail(b, footer []byte, off int64) []byte {
 	return append(b, tailMagic...)
 }
 
-// decodeFooter decodes the footer region of a v2 file, or of a v1 file
-// when v1, and sanity-checks segment bounds against the payload region
-// [payloadStart, payloadEnd).
-func decodeFooter(data []byte, payloadStart, payloadEnd int64, v1 bool) (*fileMeta, error) {
+// decodeFooter decodes the footer region of a file and sanity-checks
+// segment bounds against the payload region [payloadStart, payloadEnd),
+// and each segment's tid bounds against the one before it: the segments
+// of a file follow one another in tid order, a tuple's alternatives at
+// most straddling two.
+func decodeFooter(data []byte, payloadStart, payloadEnd int64) (*fileMeta, error) {
 	c := &cursor{b: data}
-	m := &fileMeta{V1: v1}
+	m := &fileMeta{}
 	w, err := c.count(1 << 20)
 	if err != nil {
 		return nil, err
@@ -723,7 +686,7 @@ func decodeFooter(data []byte, payloadStart, payloadEnd int64, v1 bool) (*fileMe
 	}
 	m.Segs = make([]segMeta, 0, ns)
 	for i := 0; i < ns; i++ {
-		s := segMeta{TidLo: math.MinInt64, TidHi: math.MaxInt64}
+		var s segMeta
 		off, err := c.count(math.MaxInt64)
 		if err != nil {
 			return nil, err
@@ -742,18 +705,19 @@ func decodeFooter(data []byte, payloadStart, payloadEnd int64, v1 bool) (*fileMe
 			return nil, corruptf("segment %d range [%d, %d) outside payload [%d, %d)",
 				i, s.Off, s.Off+int64(s.Len), payloadStart, payloadEnd)
 		}
-		if !v1 {
-			if s.TidLo, err = c.int(); err != nil {
-				return nil, err
-			}
-			span, err := c.uint()
-			if err != nil {
-				return nil, err
-			}
-			if span > uint64(math.MaxInt64)-uint64(s.TidLo) {
-				return nil, corruptf("segment %d tid bounds overflow (%d + %d)", i, s.TidLo, span)
-			}
-			s.TidHi = s.TidLo + int64(span)
+		if s.TidLo, err = c.int(); err != nil {
+			return nil, err
+		}
+		span, err := c.uint()
+		if err != nil {
+			return nil, err
+		}
+		if span > uint64(math.MaxInt64)-uint64(s.TidLo) {
+			return nil, corruptf("segment %d tid bounds overflow (%d + %d)", i, s.TidLo, span)
+		}
+		s.TidHi = s.TidLo + int64(span)
+		if i > 0 && s.TidLo < m.Segs[i-1].TidHi {
+			return nil, corruptf("segment %d starts at tid %d, before segment %d ends (%d)", i, s.TidLo, i-1, m.Segs[i-1].TidHi)
 		}
 		s.Stats = make([]colStats, na)
 		for ci := range s.Stats {

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -197,7 +198,7 @@ func TestBadMagicAndFooterOffset(t *testing.T) {
 	badOff := append([]byte(nil), buf...)
 	// Overwrite the tail's footer offset, the eight bytes before its
 	// magic, with an out-of-range value.
-	copy(badOff[len(badOff)-tailLenV1:], appendFixed64(nil, uint64(len(badOff)*2)))
+	copy(badOff[len(badOff)-tailLen+4:], appendFixed64(nil, uint64(len(badOff)*2)))
 	p2 := filepath.Join(dir, "off.useg")
 	os.WriteFile(p2, badOff, 0o644)
 	if _, err := OpenPart(p2); !errors.Is(err, ErrCorrupt) {
@@ -209,7 +210,7 @@ func TestBadMagicAndFooterOffset(t *testing.T) {
 		garbageFooter[i] ^= 0xFF
 	}
 	// Point the footer offset at the (now garbage) payload start.
-	copy(garbageFooter[len(garbageFooter)-tailLenV1:], appendFixed64(nil, uint64(len(fileMagic))))
+	copy(garbageFooter[len(garbageFooter)-tailLen+4:], appendFixed64(nil, uint64(len(fileMagic))))
 	p3 := filepath.Join(dir, "footer.useg")
 	os.WriteFile(p3, garbageFooter, 0o644)
 	if _, err := OpenPart(p3); !errors.Is(err, ErrCorrupt) {
@@ -381,7 +382,7 @@ func TestFooterChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	footerOff := int(binary.LittleEndian.Uint64(buf[len(buf)-tailLenV1:]))
+	footerOff := int(binary.LittleEndian.Uint64(buf[len(buf)-tailLen+4:]))
 	for i := footerOff; i < len(buf)-tailLen; i++ {
 		bad := append([]byte(nil), buf...)
 		bad[i] ^= 0x01
@@ -424,6 +425,57 @@ func TestSegmentTidsOutsideFooterBoundsAreCorrupt(t *testing.T) {
 	}
 	if _, err := h.ReadSegment(0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestTidOrderIsEnforced: readers rely on rows in tid order, so a file
+// that breaks it fails with ErrCorrupt instead of being reordered: a
+// segment whose tuple ids descend anywhere, and a footer whose segments'
+// tid bounds overlap or go backwards. A tuple whose alternatives
+// straddle two segments — the least tid of one the greatest of the one
+// before — opens and reads.
+func TestTidOrderIsEnforced(t *testing.T) {
+	rows := mixedRows(20) // tids 0..19
+	kinds := deriveKinds(rows, 5)
+	open := func(segs ...[]core.URow) (*PartHandle, error) {
+		b := []byte(fileMagic)
+		m := &fileMeta{Width: 2, Kinds: kinds}
+		for _, rs := range segs {
+			off := len(b)
+			var sm segMeta
+			b, sm = encodeSegment(b, rowSeq{rows: rs}, 2, kinds)
+			sm.Off, sm.Len, sm.CRC = int64(off), len(b)-off, crc32.ChecksumIEEE(b[off:])
+			m.Segs = append(m.Segs, sm)
+			m.Rows += sm.Rows
+		}
+		footerOff := len(b)
+		b = appendFooter(b, m)
+		b = appendTail(b, b[footerOff:], int64(footerOff))
+		return NewPartHandle(bytes.NewReader(b), int64(len(b)))
+	}
+	swapped := slices.Clone(rows)
+	swapped[7], swapped[8] = swapped[8], swapped[7]
+	h, err := open(swapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.ReadSegment(0); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("a segment whose tuple ids descend: err = %v, want ErrCorrupt", err)
+	}
+	for name, segs := range map[string][][]core.URow{
+		"overlapping": {rows[:10], rows[5:15]},
+		"backwards":   {rows[10:], rows[:10]},
+	} {
+		if _, err := open(segs...); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s segment bounds: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+	h, err = open(rows[:10], rows[9:])
+	if err != nil {
+		t.Fatalf("a tuple straddling two segments: %v", err)
+	}
+	if got, err := (&PartSource{Layers: []*PartHandle{h}}).Load(); err != nil || len(got) != 21 {
+		t.Fatalf("a tuple straddling two segments: %d rows, %v", len(got), err)
 	}
 }
 

@@ -30,14 +30,12 @@ type narrowCounts struct {
 
 // chainLayouts counts the stitched chains whose partitions held several
 // file layers, a memtable tail reinserting tuple ids inside a file
-// layer's range, tombstones, a URSEGv1 layer written with its tuple ids
-// out of order, and a tuple whose alternatives straddle a segment
-// boundary.
-type chainLayouts struct{ severalLayers, tailReinserts, tombs, unsortedV1, straddles int }
+// layer's range, tombstones, and a tuple whose alternatives straddle a
+// segment boundary.
+type chainLayouts struct{ severalLayers, tailReinserts, tombs, straddles int }
 
-// add counts the layouts of src, whose v1 layers were written with
-// unsortedV1 segments out of tid order, into c.
-func (c *chainLayouts) add(t *testing.T, src *PartSource, unsortedV1 int) {
+// add counts the layouts of src into c.
+func (c *chainLayouts) add(t *testing.T, src *PartSource) {
 	t.Helper()
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	straddles := 0
@@ -65,16 +63,12 @@ func (c *chainLayouts) add(t *testing.T, src *PartSource, unsortedV1 int) {
 	if src.Tomb != nil {
 		c.tombs++
 	}
-	if unsortedV1 > 0 {
-		c.unsortedV1++
-	}
 	c.straddles += straddles
 }
 
 // TestNarrowedJoinsMatchUnnarrowed draws random layered partitions —
-// base and delta files written from rows out of tid order, some as
-// URSEGv1 (whose segments keep that order), under tombstones inside and
-// outside the joins' tid range, with an in-memory delta, NULL keys and
+// base and delta files written from rows out of tid order, under
+// tombstones inside and outside the joins' tid range, with an in-memory delta, NULL keys and
 // the odd float among the ints — and joins each with a small build side
 // of keys from one window of tuple ids or values, on the tid column and
 // on the value column. The build side is a batch of keys, or, half of
@@ -106,7 +100,6 @@ func TestNarrowedJoinsMatchUnnarrowed(t *testing.T) {
 			l.severalLayers += c.layouts.severalLayers
 			l.tailReinserts += c.layouts.tailReinserts
 			l.tombs += c.layouts.tombs
-			l.unsortedV1 += c.layouts.unsortedV1
 			l.straddles += c.layouts.straddles
 		})
 	}
@@ -121,7 +114,7 @@ func TestNarrowedJoinsMatchUnnarrowed(t *testing.T) {
 	if total.memBuilds == 0 {
 		t.Error("no join whose build side held delta rows narrowed its probe side")
 	}
-	if l := total.layouts; l.severalLayers == 0 || l.tailReinserts == 0 || l.tombs == 0 || l.unsortedV1 == 0 || l.straddles == 0 {
+	if l := total.layouts; l.severalLayers == 0 || l.tailReinserts == 0 || l.tombs == 0 || l.straddles == 0 {
 		t.Errorf("a layout of the stitched chains was never drawn: %+v", l)
 	}
 }
@@ -183,14 +176,9 @@ func checkNarrowLayout(t *testing.T, rng *rand.Rand) narrowCounts {
 	src := &PartSource{}
 	var batches []TombBatch
 	var counts narrowCounts
-	unsortedV1 := 0
 	for li, rows := range layers {
 		path := filepath.Join(dir, fmt.Sprintf("l%d.useg", li))
-		segRows := 4 + rng.Intn(40)
-		if rng.Intn(3) == 0 {
-			writeV1Partition(t, path, rows, 1, segRows)
-			unsortedV1 += unsortedChunks(rows, segRows)
-		} else if _, err := WritePartition(path, rows, 1, segRows); err != nil {
+		if _, err := WritePartition(path, rows, 1, 4+rng.Intn(40)); err != nil {
 			t.Fatal(err)
 		}
 		h, err := OpenPart(path)
@@ -374,7 +362,7 @@ func checkNarrowLayout(t *testing.T, rng *rand.Rand) narrowCounts {
 			}
 		}
 	}
-	counts.layouts.add(t, src, unsortedV1)
+	counts.layouts.add(t, src)
 	counts.chainSegments, counts.chainRows = checkChain(t, rng, dir, src, live, w, maxTID, &counts.layouts)
 	return counts
 }
@@ -438,7 +426,7 @@ func checkChain(t *testing.T, rng *rand.Rand, dir string, src *PartSource, live 
 	if err != nil {
 		t.Fatal(err)
 	}
-	layouts.add(t, src2, 0)
+	layouts.add(t, src2)
 	w2 := src2.DescriptorWidth()
 	var cols2 []engine.Column
 	for k := 0; k < w2; k++ {

@@ -2,10 +2,12 @@ package store
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"urel/internal/core"
 	"urel/internal/engine"
+	"urel/internal/obs"
 	"urel/internal/tpch"
 )
 
@@ -13,9 +15,9 @@ import (
 // the s 0.25 directory with every buffer a scan hands back overwritten
 // (PoisonRecycled): Q1–Q3, point lookups without the l_orderkey index
 // and with it, a join without an equi pair over store scans (the hash
-// join on the empty key), the same over URSEGv1 files whose segments
-// are sorted by tuple id as they are decoded, and over a segment cache,
-// twice. Each answer must be the in-memory one:
+// join on the empty key), and the same over a segment cache, twice.
+// Each answer must be the in-memory one, and the indexed point lookups
+// must skip segments by the stitch's keys:
 // no cell of a segment is read after the scan that owns it recycled it,
 // and no segment a cache keeps is recycled. A scan opened again before
 // it is closed must keep the batches it served: a consumer may hold
@@ -63,7 +65,7 @@ func TestRecycledSegmentsAreNeverRead(t *testing.T) {
 		return db
 	}
 
-	dir, v1Dir := t.TempDir(), t.TempDir()
+	dir := t.TempDir()
 	if err := Save(mem, dir); err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +85,17 @@ func TestRecycledSegmentsAreNeverRead(t *testing.T) {
 	buildOrderKeyRun(t, dir)
 	db := open(dir, nil)
 	check("indexed files", db)
-	saveV1(t, mem, v1Dir, 512)
-	check("v1 files", open(v1Dir, nil))
+	var skipped int64
+	for _, key := range []int64{1, 77, 1000, 3000} {
+		res, err := db.ExplainAnalyze(pointLookup(key), false, engine.ExecConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		skipped += skippedByJoin(res.Trace)
+	}
+	if skipped == 0 {
+		t.Error("no indexed point lookup skipped a segment by a join's keys")
+	}
 	cached := open(dir, NewSegCache(256<<20))
 	check("a segment cache", cached)
 	check("a warm segment cache", cached)
@@ -129,4 +140,49 @@ func TestRecycledSegmentsAreNeverRead(t *testing.T) {
 			}
 		}
 	}
+}
+
+// buildOrderKeyRun builds the run of l_orderkey beside its partition
+// file in dir.
+func buildOrderKeyRun(t *testing.T, dir string) {
+	t.Helper()
+	m, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mr := range m.Relations {
+		for _, mp := range mr.Parts {
+			for ai, a := range mp.Attrs {
+				if a != "l_orderkey" {
+					continue
+				}
+				h, err := OpenPart(filepath.Join(dir, mp.File))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer h.Close()
+				if err := BuildLayerIndex(h, ai); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("no l_orderkey partition")
+}
+
+// pointLookup is the stored workloads' point class: two attributes of
+// the lineitems of one order, found through the l_orderkey index.
+func pointLookup(key int64) core.Query {
+	return core.Poss(core.Project(core.Select(core.Rel("lineitem"),
+		engine.Eq(engine.Col("l_orderkey"), engine.ConstInt(key))), "l_extendedprice", "l_quantity"))
+}
+
+// skippedByJoin sums segments_skipped_by_join over a span tree.
+func skippedByJoin(s *obs.Span) int64 {
+	n := s.Stat("segments_skipped_by_join")
+	for _, c := range s.Children() {
+		n += skippedByJoin(c)
+	}
+	return n
 }

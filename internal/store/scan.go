@@ -247,16 +247,14 @@ func segmentRefutes(st colStats, op engine.CmpOp, cst engine.Value) bool {
 // in tuple-id order, the order a stitch merges partitions in. Its file
 // segments are already columnar, so Next wraps the decoded
 // descriptor/tid/value vectors into an engine.ColBatch with no
-// transposition at all. Every URSEGv2 layer is one run in tid order (a
-// v1 segment is sorted when it is decoded, and is a run of its own),
-// and so is the source's in-memory delta, a segment encoded once per
-// source (PartSource.memSegment). One run
-// is served a segment per batch; several are merged by tid, each batch
-// a window of the run with the least tuple id up to the next run's,
-// zero-copy behind a selection vector. A probed scan (indexProbe) reads
-// of each layer only the segments its run locates rows in, and selects
-// only those rows. Tombstones narrow file batches
-// through the selection vector (the decoded vectors stay zero-copy and
+// transposition at all. Every file layer is one run in tid order, and
+// so is the source's in-memory delta, a segment encoded once per source
+// (PartSource.memSegment). One run is served a segment per batch;
+// several are merged by tid, each batch a window of the run with the
+// least tuple id up to the next run's, zero-copy behind a selection
+// vector. A probed scan (indexProbe) reads of each layer only the
+// segments its run locates rows in, and selects only those rows.
+// Tombstones narrow file batches through the selection vector (the decoded vectors stay zero-copy and
 // shared; only live row indices are listed) in one pass beside the
 // tombstones in the batch's tuple ids (tombWindow), so a partition
 // without deletes, and a segment none of them touched, pays nothing per
@@ -376,8 +374,7 @@ func (s *StoreScanIter) Open() error {
 // keys' range, found by binary search; every alternative of a tuple in
 // range lies inside it. Of the rows served it drops those whose typed
 // int key a list leaves out. Descriptor columns and columns of any other
-// kind skip no segment, nor does the tid column of a v1 file (whose tid
-// bounds are unknown); the operator above drops what does not match.
+// kind skip no segment; the operator above drops what does not match.
 //
 // The scan keeps all the keys it is handed: it skips a segment, and
 // drops a row, that any of them lets it.
@@ -404,9 +401,8 @@ func (s *StoreScanIter) missesKeys(h *PartHandle, i int) bool {
 	return false
 }
 
-// startRuns sets the scan's runs up: one per URSEGv2 layer, one per
-// segment of a v1 layer (of a probed layer, per segment its run
-// locates), and one for the delta.
+// startRuns sets the scan's runs up: one per file layer (of a probed
+// layer, over the segments its run locates) and one for the delta.
 func (s *StoreScanIter) startRuns() error {
 	s.started = true
 	if s.Probe != nil {
@@ -419,22 +415,11 @@ func (s *StoreScanIter) startRuns() error {
 				return err
 			}
 			if ok {
-				for len(hits) > 0 {
-					n := len(hits)
-					if h.meta.V1 {
-						n = 1
-					}
-					s.runs = append(s.runs, scanRun{layer: li, hits: hits[:n:n], end: n})
-					hits = hits[n:]
+				if len(hits) > 0 {
+					s.runs = append(s.runs, scanRun{layer: li, hits: hits, end: len(hits)})
 				}
 				continue
 			}
-		}
-		if h.meta.V1 {
-			for i := range h.meta.Segs {
-				s.runs = append(s.runs, scanRun{layer: li, next: i, end: i + 1})
-			}
-			continue
 		}
 		s.runs = append(s.runs, scanRun{layer: li, end: h.NumSegments()})
 	}

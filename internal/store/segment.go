@@ -138,36 +138,29 @@ func (h *PartHandle) Path() string { return h.path }
 // NewPartHandle opens a partition over an arbitrary ReaderAt (used by
 // tests to observe exactly which byte ranges a scan touches).
 func NewPartHandle(src io.ReaderAt, size int64) (*PartHandle, error) {
-	if size < int64(len(fileMagic)+tailLenV1) {
+	if size < int64(len(fileMagic)+tailLen) {
 		return nil, corruptf("file too small (%d bytes)", size)
 	}
 	head := make([]byte, len(fileMagic))
 	if _, err := src.ReadAt(head, 0); err != nil {
 		return nil, corruptf("reading header: %v", err)
 	}
-	v1 := string(head) == fileMagicV1
-	if !v1 && string(head) != fileMagic {
+	if string(head) == "URSEGv1\n" {
+		return nil, corruptf("a URSEGv1 file, written before format version 3: %s", resaveHint)
+	}
+	if string(head) != fileMagic {
 		return nil, corruptf("bad magic %q", head)
 	}
 	tl := int64(tailLen)
-	if v1 {
-		tl = int64(tailLenV1)
-	}
-	if size < int64(len(fileMagic))+tl {
-		return nil, corruptf("file too small (%d bytes)", size)
-	}
 	tail := make([]byte, tl)
 	if _, err := src.ReadAt(tail, size-tl); err != nil {
 		return nil, corruptf("reading tail: %v", err)
 	}
-	if magic := tail[tl-int64(len(tailMagic)):]; string(magic) != tailMagic {
+	if magic := tail[tailLen-len(tailMagic):]; string(magic) != tailMagic {
 		return nil, corruptf("bad tail magic %q (truncated file?)", magic)
 	}
 	c := &cursor{b: tail}
-	var sum uint32
-	if !v1 {
-		sum, _ = c.fixed32()
-	}
+	sum, _ := c.fixed32()
 	footerOff64, _ := c.fixed64()
 	footerOff := int64(footerOff64)
 	if footerOff < int64(len(fileMagic)) || footerOff > size-tl {
@@ -179,10 +172,10 @@ func NewPartHandle(src io.ReaderAt, size int64) (*PartHandle, error) {
 	}
 	// The footer decides which segments a narrowed scan reads, so a
 	// flipped byte in it must fail the open, not skip a segment.
-	if !v1 && crc32.ChecksumIEEE(footer) != sum {
+	if crc32.ChecksumIEEE(footer) != sum {
 		return nil, corruptf("footer checksum mismatch")
 	}
-	meta, err := decodeFooter(footer, int64(len(fileMagic)), footerOff, v1)
+	meta, err := decodeFooter(footer, int64(len(fileMagic)), footerOff)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -161,32 +160,20 @@ func TestTombstonesCheckOnlyTheirSegments(t *testing.T) {
 			c := checkTombLayout(t, rand.New(rand.NewSource(seed)))
 			total.repeatedVars += c.repeatedVars
 			total.splitTIDs += c.splitTIDs
-			total.unsortedV1 += c.unsortedV1
+			total.unindexed += c.unindexed
 			total.cutWindows += c.cutWindows
 		})
 	}
-	t.Logf("%d stored rows repeated a variable, %d tombstones deleted one alternative of a tid and kept another, %d v1 segments were written with tuple ids out of order, %d narrowed scans cut a segment",
-		total.repeatedVars, total.splitTIDs, total.unsortedV1, total.cutWindows)
-	if total.repeatedVars == 0 || total.splitTIDs == 0 || total.unsortedV1 == 0 || total.cutWindows == 0 {
+	t.Logf("%d stored rows repeated a variable, %d tombstones deleted one alternative of a tid and kept another, %d delta layers had no run, %d narrowed scans cut a segment",
+		total.repeatedVars, total.splitTIDs, total.unindexed, total.cutWindows)
+	if total.repeatedVars == 0 || total.splitTIDs == 0 || total.unindexed == 0 || total.cutWindows == 0 {
 		t.Errorf("a case was never drawn: %+v", total)
 	}
 }
 
 // tombCounts is how often the layouts drew the cases checkTombLayout
 // exists for.
-type tombCounts struct{ repeatedVars, splitTIDs, unsortedV1, cutWindows int }
-
-// unsortedChunks counts the segments of segRows rows that a v1 writer
-// makes of rows whose tuple ids do not ascend: the ones decoding sorts.
-func unsortedChunks(rows []core.URow, segRows int) int {
-	n := 0
-	for lo := 0; lo < len(rows); lo += segRows {
-		if !slices.IsSortedFunc(rows[lo:min(lo+segRows, len(rows))], func(a, b core.URow) int { return cmp.Compare(a.TID, b.TID) }) {
-			n++
-		}
-	}
-	return n
-}
+type tombCounts struct{ repeatedVars, splitTIDs, unindexed, cutWindows int }
 
 // collapse is a stored row's descriptor as segDescriptor reads it: the
 // trivial variable and a repeated variable dropped (the first
@@ -205,9 +192,8 @@ func collapse(d ws.Descriptor) ws.Descriptor {
 // compares every read path with the per-row reference (refLive). The
 // layouts hold: an ascending base whose tuple ids have one or two
 // alternatives; deltas in the unsorted order UPDATE reinserts leave,
-// some written as URSEGv1 files, whose segments keep that order until
-// they are decoded;
-// stored descriptors that repeat a variable, with the same value or
+// some without their run, whose layers a probe scans whole; stored
+// descriptors that repeat a variable, with the same value or
 // another; batches of mixed gens with wildcard tombstones, tombstones of
 // stored rows and of no row, and ones that delete one alternative of a
 // tuple id but not another. Each layout is scanned at its width and a
@@ -321,23 +307,19 @@ func checkTombLayout(t *testing.T, rng *rand.Rand) tombCounts {
 			src.Layers = append(src.Layers, indexedLayer(t, dir, file, rows, segRows))
 			continue
 		}
-		// A v1 delta, in its rows' order, with a run built over its
-		// decoded segments or without one: a layout with a layer without
-		// its run is scanned, not probed.
+		// A delta without its run: a layout with such a layer is
+		// scanned, not probed.
 		path := filepath.Join(dir, file)
-		writeV1Partition(t, path, rows, 1, segRows)
+		if _, err := WritePartition(path, rows, 1, segRows); err != nil {
+			t.Fatal(err)
+		}
 		h, err := OpenPart(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { h.Close() })
-		if rng.Intn(2) == 0 {
-			if err := BuildLayerIndex(h, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
 		src.Layers = append(src.Layers, h)
-		counts.unsortedV1 += unsortedChunks(rows, segRows)
+		counts.unindexed++
 	}
 	for i := rng.Intn(5); i > 0; i-- {
 		maxTID++
@@ -419,10 +401,10 @@ func checkTombLayout(t *testing.T, rng *rand.Rand) tombCounts {
 // the per-row reference, segDescriptor and TombBatch.Matches, on a
 // segment and batches built from the fuzz bytes: descriptor columns that
 // repeat a variable with any value, trivial and negative variables,
-// tuple ids in any order, and entries that are wildcards, a row's own
-// descriptor, or any descriptor at all, normalized or not. Each row is
-// checked in row order over the whole segment, in reverse order (as a
-// reader whose tids go backwards re-seeks), and over a window of rows.
+// tuple ids that ascend, as a decoded segment's do, and entries that are
+// wildcards, a row's own descriptor, or any descriptor at all,
+// normalized or not. Each row is checked in row order over the whole
+// segment and over a window of rows.
 func FuzzTombstoneFilter(f *testing.F) {
 	f.Add([]byte{2, 12, 1, 3, 1, 2, 0, 0, 1, 4, 3, 2, 2, 1, 1, 1, 0, 5, 3, 2, 1, 0, 2, 7, 4, 1, 2, 0, 3, 1, 1})
 	f.Add([]byte{3, 40, 0, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 11, 12, 13, 14, 15, 4, 6, 1, 2, 3, 0, 1, 5, 6, 7, 2, 3, 9})
@@ -449,9 +431,7 @@ func FuzzTombstoneFilter(f *testing.F) {
 				seg.dvar[k][r], seg.drng[k][r] = int64(next(5)-1), int64(next(3))
 			}
 		}
-		if next(2) == 0 {
-			slices.Sort(seg.tid)
-		}
+		slices.Sort(seg.tid)
 		seg.tidLo, seg.tidHi, _ = tidBounds(seg.tid)
 
 		var tf TombFilter
@@ -505,7 +485,5 @@ func FuzzTombstoneFilter(f *testing.F) {
 		check(rows)
 		a := next(n + 1)
 		check(rows[a : a+next(n-a+1)])
-		slices.Reverse(rows)
-		check(rows)
 	})
 }

@@ -127,10 +127,27 @@ func FuzzParseManifest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(mutable)
+	m.Relations[0].Parts[0].Deltas[0].File = "../" + DeltaFileName(0, 0, 7)
+	escaping, err := manifestJSON(m)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(escaping)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := ParseManifest(b)
 		if err != nil {
 			return
+		}
+		// Every name is a plain file in the directory (a read-only
+		// snapshot names no log).
+		names := m.Files()
+		if m.WAL != "" {
+			names = append(names, m.WAL)
+		}
+		for _, name := range names {
+			if name == "" || strings.HasPrefix(name, ".") || strings.ContainsRune(name, '/') {
+				t.Fatalf("an accepted manifest names %q", name)
+			}
 		}
 		out, err := manifestJSON(m)
 		if err != nil {

@@ -454,13 +454,11 @@ func (v *TombView) Layer(li int) TombFilter {
 type TombFilter []TombBatch
 
 // tombWindow is a layer's tombstones in a window of a segment and a
-// cursor walking them beside its rows: rows in tid order cost one pass
-// over both; a tid that goes backwards (v1 segments) re-seeks by binary
-// search.
+// cursor walking them beside its rows, which ascend in tid: one pass
+// over both.
 type tombWindow struct {
-	*tombBuf       // from tombBufs, from reset until release
-	next     int   // the first entry whose tid is at least last
-	last     int64 // the tid looked up last
+	*tombBuf     // from tombBufs, from reset until release
+	next     int // the first entry whose tid is at least the last looked up
 }
 
 // tombBuf is a tombWindow's buffers, pooled: a reader lives for a statement.
@@ -477,7 +475,7 @@ func (w *tombWindow) reset(f TombFilter, lo, hi int64) bool {
 	if w.tombBuf == nil {
 		w.tombBuf = tombBufs.Get().(*tombBuf)
 	}
-	w.es, w.next, w.last = w.es[:0], 0, math.MinInt64
+	w.es, w.next = w.es[:0], 0
 	for i := range f {
 		if f[i].lo > hi || f[i].hi < lo {
 			continue
@@ -508,16 +506,12 @@ func (w *tombWindow) release() {
 
 // dead reports whether row r of seg, stored at descriptor width fw, is
 // deleted: by a wildcard entry of its tid, or one with its descriptor.
+// The rows asked about since reset ascend in tid.
 func (w *tombWindow) dead(seg *segment, fw, r int) bool {
 	tid := seg.tid[r]
-	if tid < w.last {
-		w.next, _ = slices.BinarySearchFunc(w.es, tid, func(e *WALTomb, tid int64) int { return cmp.Compare(e.TID, tid) })
-	} else {
-		for w.next < len(w.es) && w.es[w.next].TID < tid {
-			w.next++
-		}
+	for w.next < len(w.es) && w.es[w.next].TID < tid {
+		w.next++
 	}
-	w.last = tid
 	for i := w.next; i < len(w.es) && w.es[i].TID == tid; i++ {
 		if e := w.es[i]; e.Wild || storedDescriptorIs(seg, fw, r, e.D) {
 			return true

@@ -133,7 +133,6 @@ func (d *DB) compactLocked() error {
 	}
 	man.Epoch = gen
 	man.WAL = store.WALFileName(gen)
-	man.Version = store.FormatVersion
 	for i := range man.Relations {
 		man.Relations[i].MaxTID = d.maxTID[man.Relations[i].Name]
 	}

@@ -199,17 +199,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		}
 		d.maxTID[mr.Name] = mr.MaxTID
 	}
-	// Version-1 snapshots predate the manifest's max_tid field; derive
-	// it from the stored tuple ids once, here.
-	for _, mr := range man.Relations {
-		if d.maxTID[mr.Name] == 0 {
-			m, err := d.scanMaxTIDLocked(mr.Name)
-			if err != nil {
-				return nil, fmt.Errorf("txn: open %s: %w", dir, err)
-			}
-			d.maxTID[mr.Name] = m
-		}
-	}
 	if man.WAL == "" {
 		// First writable open of a read-only snapshot: adopt it by
 		// creating the log and recording it in the manifest.
@@ -220,7 +209,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		}
 		man.WAL = store.WALFileName(gen)
 		man.Epoch = gen
-		man.Version = store.FormatVersion
 		d.syncManifestTIDs()
 		if err := store.WriteManifest(dir, man); err != nil {
 			nw.Close()
@@ -261,13 +249,8 @@ func Open(dir string, opts Options) (*DB, error) {
 // rename.
 func removeOrphans(dir string, man *store.Manifest) error {
 	referenced := map[string]bool{}
-	for _, mr := range man.Relations {
-		for _, mp := range mr.Parts {
-			referenced[mp.File] = true
-			for _, md := range mp.Deltas {
-				referenced[md.File] = true
-			}
-		}
+	for _, f := range man.Files() {
+		referenced[f] = true
 	}
 	if man.WAL != "" {
 		referenced[man.WAL] = true
@@ -299,30 +282,6 @@ func removeOrphans(dir string, man *store.Manifest) error {
 		}
 	}
 	return nil
-}
-
-// scanMaxTIDLocked derives a relation's maximum stored tuple id by
-// scanning its first partition's layers (every partition of a relation
-// carries the same tuple-id set).
-func (d *DB) scanMaxTIDLocked(rel string) (int64, error) {
-	for _, mr := range d.man.Relations {
-		if mr.Name != rel || len(mr.Parts) == 0 {
-			continue
-		}
-		src := &store.PartSource{Layers: d.layers[partKey{rel, 0}]}
-		rows, err := src.Load()
-		if err != nil {
-			return 0, err
-		}
-		max := int64(0)
-		for _, r := range rows {
-			if r.TID > max {
-				max = r.TID
-			}
-		}
-		return max, nil
-	}
-	return 0, nil
 }
 
 // syncManifestTIDs copies the live max-tid map into the manifest.

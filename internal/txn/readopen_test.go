@@ -1,6 +1,10 @@
 package txn
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"urel/internal/core"
@@ -43,4 +47,92 @@ func TestReadOnlyOpenSeesWALCommits(t *testing.T) {
 	}
 	defer d2.Close()
 	requireSame(t, d2, ref, "writable reopen after read-only open")
+}
+
+// TestOnlyTheCurrentLayoutOpens: a store opens a version-3 manifest over
+// URSEGv2 files whose value columns match the manifest's attributes, all
+// named plainly inside the directory, and nothing else. A URSEGv1 file
+// under a version-3 manifest, a version-1 or version-2 manifest, a file
+// with fewer value columns than its partition's attributes, and a base,
+// delta or log name reaching out of the directory each fail store.Open
+// and Open with an ErrCorrupt that names the file — the catalog, or the
+// partition file — and, for an older format, says how to bring it up to
+// date; nothing outside the directory is created.
+func TestOnlyTheCurrentLayoutOpens(t *testing.T) {
+	for _, c := range []struct {
+		name, want string // want: the file the error names
+		older      bool   // an older format: the error names the way out
+		edit       func(t *testing.T, dir string, m *store.Manifest)
+	}{
+		{"URSEGv1 file", "r0_p0.useg", true, func(t *testing.T, dir string, m *store.Manifest) {
+			path := filepath.Join(dir, m.Relations[0].Parts[0].File)
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, append([]byte("URSEGv1\n"), b[8:]...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"version 1", store.CatalogName, true, func(t *testing.T, dir string, m *store.Manifest) { m.Version = 1 }},
+		{"version 2", store.CatalogName, true, func(t *testing.T, dir string, m *store.Manifest) { m.Version = 2 }},
+		{"an attribute the file lacks", "r1_p0.useg", false, func(t *testing.T, dir string, m *store.Manifest) {
+			s := &m.Relations[1]
+			s.Attrs = append(s.Attrs, "bogus")
+			s.Parts[0].Attrs = append(s.Parts[0].Attrs, "bogus")
+		}},
+		{"base outside", "../outside.useg", false, func(t *testing.T, dir string, m *store.Manifest) {
+			m.Relations[0].Parts[0].File = "../outside.useg"
+		}},
+		{"delta outside", "../outside.useg", false, func(t *testing.T, dir string, m *store.Manifest) {
+			mp := &m.Relations[0].Parts[0]
+			mp.Deltas = []store.ManifestDelta{{File: "../outside.useg", Rows: mp.Rows, Width: mp.Width}}
+		}},
+		{"log outside", "../outside.log", false, func(t *testing.T, dir string, m *store.Manifest) { m.WAL = "../outside.log" }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			root := t.TempDir()
+			dir := filepath.Join(root, "db")
+			if err := store.Save(fixtureDB(), dir); err != nil {
+				t.Fatal(err)
+			}
+			m, err := store.ReadManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A valid partition file outside the directory, where an
+			// escaping name would find it.
+			b, err := os.ReadFile(filepath.Join(dir, m.Relations[0].Parts[0].File))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(root, "outside.useg"), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c.edit(t, dir, m)
+			if err := store.WriteManifest(dir, m); err != nil {
+				t.Fatal(err)
+			}
+			check := func(how string, err error) {
+				t.Helper()
+				if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), c.want) ||
+					c.older && !strings.Contains(err.Error(), "store.Save") {
+					t.Errorf("%s: err = %v, want ErrCorrupt naming %s", how, err, c.want)
+				}
+			}
+			db, err := store.Open(dir)
+			if err == nil {
+				db.Close()
+			}
+			check("store.Open", err)
+			d, err := Open(dir, Options{DisableAutoFlush: true})
+			if err == nil {
+				d.Close()
+			}
+			check("txn.Open", err)
+			if ents, _ := os.ReadDir(root); len(ents) != 2 {
+				t.Errorf("%d entries beside the directory, want the directory and outside.useg", len(ents))
+			}
+		})
+	}
 }
