@@ -38,9 +38,6 @@ func sameImage(kept, fresh *image) error {
 			return fmt.Errorf("attribute %d of kind %v, now %v", ai, kept.kinds[ai], k)
 		}
 	}
-	if kp, fp := kept.pos, fresh.pos; (kp == nil) != (fp == nil) || kp != nil && (kp.Base != fp.Base || kp.Len != fp.Len || !slices.Equal(kp.Off, fp.Off)) {
-		return fmt.Errorf("positions %+v, now %+v", kp, fp)
-	}
 	for c := range fresh.cols {
 		for i := 0; i < fresh.n; i++ {
 			if v, w := kept.cols[c].Value(i), fresh.cols[c].Value(i); v != w {

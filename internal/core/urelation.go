@@ -81,9 +81,6 @@ type image struct {
 	// partition; like all column payloads the engine moves they are
 	// read-only.
 	cols []engine.ColVec
-	// pos locates each tuple id's rows in cols, nil when the ids are too
-	// sparse for it (engine.PositionsOf): a stitch looks them up by it.
-	pos *engine.Positions
 
 	statsOnce sync.Once
 	stats     *engine.TableStats // per column of cols; see tableStats
@@ -133,7 +130,6 @@ func (u *URelation) buildImage() *image {
 		}
 	}
 	img.cols = EncodeRows(u.Rows, img.width, len(u.Attrs))
-	img.pos = engine.PositionsOf(img.cols[2*img.width].Ints)
 	return img
 }
 

@@ -133,9 +133,9 @@ func TestBatchContract(t *testing.T) {
 		"NewHashJoinKeyless": func(l, r Iterator) Iterator {
 			return NewHashJoin(NewFilter(l, Cmp(LT, Col("l.k"), ConstInt(2))), r, nil, Cmp(LT, Col("l.v"), Col("r.v")), nil)
 		},
-		"NewStitch": func(l, r Iterator) Iterator {
+		"NewStitch": func(l, r Iterator) Iterator { // its driver r; l, which it asks for rows, must answer lookups
 			nonNull := func(in Iterator, k string) Iterator { return NewFilter(in, Cmp(GE, Col(k), ConstInt(0))) }
-			return NewStitch([]Iterator{nonNull(l, "l.k"), nonNull(r, "r.k")}, []string{"l.k", "r.k"}, ne, 1, []string{"r.v", "l.k"})
+			return NewStitch([]Iterator{nonNull(memScan(lrel, "l.k"), "l.k"), nonNull(r, "r.k")}, []string{"l.k", "r.k"}, ne, 1, []string{"r.v", "l.k"})
 		},
 		"NewSemiJoin": func(l, r Iterator) Iterator { return NewSemiJoin(l, r, pairs, ne) },
 		"NewUnion":    func(l, r Iterator) Iterator { return NewUnion(l, r) },

@@ -32,15 +32,13 @@
 // its vectors. The stitch
 // (StitchPlan, StitchIter) is the merge of one relation's vertical
 // partitions — Figure 13's merge join on the tuple id, ψ its join
-// filter: its inputs arrive in tuple-id order. When every input but
-// the one it drives by answers lookups (RowLookup: the scan of an
-// in-memory image, which carries its tuple ids' Positions, and the
-// filters and projections over it), it streams the driver and asks the
-// others for the rows of the driver's tuple ids, found by offset;
-// otherwise (a stored input) it drains the driver and advances all
-// inputs to the next tuple id they share by galloping search. Either
-// way it combines a tuple id's rows where ψ holds and gathers each
-// output column once, from the input that owns it. A hash
+// filter: its inputs hold their rows in tuple-id order. It streams the
+// input it drives by and asks every other for the rows of the driver's
+// tuple ids (RowLookup: the scan of an in-memory image or of a stored
+// partition, and the filters and projections over it), which each finds
+// by galloping forward over its tuple ids; it combines a tuple id's rows
+// where ψ holds and gathers each output column once, from the input
+// that owns it. A hash
 // join — every join of two relations — drains its build side into a
 // joinTable that keeps the batches' payload vectors and refers to build
 // rows as (batch, row), looks every probe row up from its key vectors
@@ -60,27 +58,25 @@
 //
 // Keys flow down the plan (KeyNarrower), after Open and before the
 // first pull: a range, or a sorted list of distinct keys within it.
-// Three operators originate them: the hash join hands its probe input
+// Two operators originate them: the hash join hands its probe input
 // the list of its build keys and the semi join its left input, once
 // their build side is drained and when the key is one int column (its
-// span reports keys_handed); the galloping stitch hands every input but
-// its driver the tuple-id range of the driver's rows. Operators whose output
-// column is an input's column forward keys on it: a filter to its
-// input, a projection to the column it picks, a rename and a semi join
-// to their input, a trace wrapper to the operator it wraps (counting a
-// list as keys_in), and a stitch keys on a tid column to every input (by
-// position to its driver alone) and any other to the input that owns
-// the column, dropping, as it reads its driver, the driver's rows a list
-// leaves out; an in-memory scan honours its keys on the rows it finds
-// by position as on the rows it serves. A hash join forwards
-// none (keys are a hint), so a join on another join's probe side reads
-// its inputs whole. Keys end at a leaf: the store scan skips the
-// segments whose bounds hold none and serves a tid range as a window of
-// the segment it reads; the scan of an in-memory partition image, which
-// is in tid order, serves a tid range as the window binary search finds;
-// and both drop the rows whose int key a list leaves out, reporting
-// them as rows_skipped_by_join. So a stitch under a join gathers only
-// the rows that can join.
+// span reports keys_handed). Operators whose output column is an
+// input's column forward keys on it: a filter to its input, a
+// projection to the column it picks, a rename and a semi join to their
+// input, a trace wrapper to the operator it wraps (counting a list as
+// keys_in), and a stitch keys on a tid column to its driver and any
+// other to the input that owns the column, dropping, as it reads its
+// driver, the driver's rows a list leaves out; a scan honours its keys
+// on the rows it finds by lookup as on the rows it serves. A hash join
+// forwards none (keys are a hint), so a join on another join's probe
+// side reads its inputs whole. Keys end at a leaf: the store scan skips
+// the segments whose bounds hold none and serves a tid range as a
+// window of the segment it reads; the scan of an in-memory partition
+// image, in tid order, serves one as the window binary search finds;
+// both drop the rows whose int key a list leaves out, reporting them as
+// rows_skipped_by_join. So a stitch under a join gathers only the rows
+// that can join.
 //
 // A plan node is immutable once built: a rewrite builds a new node and
 // never writes to one, so what a node derives from its inputs — its

@@ -24,7 +24,7 @@ type joinTable struct {
 	batches []ColBatch  // the build input
 	lays    []vecLayout // per build column: the layout its batches agree on
 
-	refs    []rowRef // stored rows, in insertion order
+	refs    []RowRef // stored rows, in insertion order
 	hashes  []uint64 // per stored row
 	next    []int32  // per stored row: next row with equal key, -1 ends
 	intKeys []int64  // per stored row its key, when that is one int column; else nil
@@ -40,8 +40,9 @@ type slot struct {
 	head, tail int32
 }
 
-// rowRef is a stored build row: physical row row of batch batch.
-type rowRef struct{ batch, row int32 }
+// RowRef names physical row Row of batch Batch of a list of batches: a
+// hash join's stored build row, a row a store scan's lookup found.
+type RowRef struct{ Batch, Row int32 }
 
 // buildJoinTable drains the opened iterator it into a table keyed by
 // its keyIdx columns. Rows with a NULL key never join and are left out.
@@ -71,7 +72,7 @@ func buildJoinTable(it Iterator, keyIdx []int) (*joinTable, error) {
 			intKey = v.Vals == nil && v.Kind == KindInt
 		}
 	}
-	t.refs, t.hashes = make([]rowRef, 0, live), make([]uint64, 0, live)
+	t.refs, t.hashes = make([]RowRef, 0, live), make([]uint64, 0, live)
 	if intKey {
 		t.intKeys = make([]int64, 0, live)
 	}
@@ -96,7 +97,7 @@ func buildJoinTable(it Iterator, keyIdx []int) (*joinTable, error) {
 					continue
 				}
 			}
-			t.refs = append(t.refs, rowRef{batch: int32(b), row: int32(i)})
+			t.refs = append(t.refs, RowRef{Batch: int32(b), Row: int32(i)})
 			t.hashes = append(t.hashes, h)
 		}
 	}
@@ -148,7 +149,7 @@ func (t *joinTable) link(r int32, h uint64) {
 // physical row there.
 func (t *joinTable) cols(m int32) ([]ColVec, int) {
 	ref := t.refs[m]
-	return t.batches[ref.batch].Cols, int(ref.row)
+	return t.batches[ref.Batch].Cols, int(ref.Row)
 }
 
 // sameKey reports whether two stored rows agree on the key columns.

@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"time"
@@ -83,61 +82,25 @@ func NewScan(r *Relation) Iterator {
 	return &colScanIter{src: &ColBatch{Sch: r.Sch}, rel: r, sorted: -1}
 }
 
-// Positions locates the rows of each tuple id in a column batch whose
-// rows ascend by tuple id: tid t's rows are [t−Base, t−Base+1) when Off
-// is nil — every tid from Base to Base+Len−1 has exactly one row — and
-// [Off[t−Base], Off[t−Base+1]) otherwise, empty for a tid without rows.
-type Positions struct {
-	Base int64
-	Len  int
-	Off  []int32
-}
-
-// PositionsOf records where each of the ascending tids lies; nil when
-// they do not ascend, or span more than four times their count (and a
-// batch), where the offsets would outweigh the rows.
-func PositionsOf(tids []int64) *Positions {
-	n := len(tids)
-	if n == 0 {
-		return &Positions{}
-	}
-	span := uint64(tids[n-1]) - uint64(tids[0])
-	if n > math.MaxInt32/4 || span >= uint64(4*n+DefaultBatchSize) || !slices.IsSorted(tids) {
-		return nil
-	}
-	p := &Positions{Base: tids[0], Len: int(span) + 1, Off: make([]int32, span+2)}
-	for _, t := range tids {
-		p.Off[t-p.Base+1]++
-	}
-	dense := p.Len == n
-	for i := 1; i < len(p.Off); i++ {
-		dense = dense && p.Off[i] == 1
-		p.Off[i] += p.Off[i-1]
-	}
-	if dense {
-		p.Off = nil
-	}
-	return p
-}
-
 // RowLookup is an optional Iterator method, of an input that finds its
 // rows by their int key in column col without scanning: the in-memory
-// scan with Positions on its tuple-id column, and a filter, projection,
-// rename or trace wrapper over one. Lookup, asked after Open, returns
-// nil when the input cannot. Otherwise the function it returns gives
-// the rows whose cell in col is one of keys[sel[0]], keys[sel[1]], … —
-// ascending, a key repeated asked once — in key order, as a selection
-// over the input's vectors, the same ones on every call, and honours
+// scan on its sorted column, the store's scan on its tuple ids, and a
+// filter, projection, rename or trace wrapper over one. Lookup, asked
+// after Open, returns nil when the input cannot. Otherwise the function
+// it returns gives the rows whose cell in col is one of keys[sel[0]],
+// keys[sel[1]], … — ascending, a key repeated asked once, and ascending
+// across calls, whose last key the next may ask again — in key order,
+// as a selection over vectors borrowed until the next call, and honours
 // the keys handed down (KeyNarrower) as Next would; nil when there is
-// none. The batch is borrowed until the next call, whose caller may
-// narrow its selection in place; Next is not called.
+// none. The caller may narrow the selection in place; Next is not
+// called.
 type RowLookup interface {
-	Lookup(col int) func(keys []int64, sel []int32) *ColBatch
+	Lookup(col int) func(keys []int64, sel []int32) (*ColBatch, error)
 }
 
 // lookupOf is in's lookup on its column col, nil when it has none, with
 // then, when not nil, applied to the rows it finds.
-func lookupOf(in Iterator, col int, then func(*ColBatch) *ColBatch) func([]int64, []int32) *ColBatch {
+func lookupOf(in Iterator, col int, then func(*ColBatch) *ColBatch) func([]int64, []int32) (*ColBatch, error) {
 	l, ok := in.(RowLookup)
 	if !ok {
 		return nil
@@ -146,25 +109,47 @@ func lookupOf(in Iterator, col int, then func(*ColBatch) *ColBatch) func([]int64
 	if find == nil || then == nil {
 		return find
 	}
-	return func(keys []int64, sel []int32) *ColBatch {
-		if cb := find(keys, sel); cb != nil {
-			return then(cb)
+	return func(keys []int64, sel []int32) (*ColBatch, error) {
+		cb, err := find(keys, sel)
+		if cb != nil {
+			cb = then(cb)
 		}
-		return nil
+		return cb, err
 	}
+}
+
+// Gallop returns the first i in [lo, hi) with xs[i] ≥ t, hi when there
+// is none; xs ascends. Probing lo, lo+1, lo+3, lo+7, … and halving the
+// last step, it finds a row near lo in few probes: a lookup's forward
+// search over an ascending column.
+func Gallop(xs []int64, lo, hi int, t int64) int {
+	if lo >= hi || xs[lo] >= t {
+		return lo
+	}
+	step := 1
+	for lo+step < hi && xs[lo+step] < t {
+		lo, step = lo+step, 2*step
+	}
+	for hi = min(lo+step, hi); hi-lo > 1; { // xs[lo] < t, the answer in (lo, hi]
+		if mid := int(uint(lo+hi) >> 1); xs[mid] < t {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
 }
 
 // colScanIter scans a column batch held in memory (a ValuesPlan's
 // Batch, or a relation laid out at Open), handing out windows of
 // DefaultBatchSize rows that share its vectors — of the rows [pos, end),
 // which keys on its sorted column narrow — each behind a selection of
-// the rows no key list drops. With positions on its sorted column it
-// finds the same rows by tuple id (RowLookup).
+// the rows no key list drops. It finds the same rows by their key in its
+// sorted column (RowLookup).
 type colScanIter struct {
 	src      *ColBatch // before a relation's Open, its schema alone
 	rel      *Relation // when set, laid out into src at Open
 	sorted   int       // the ascending int column, -1 none
-	at       *Positions
 	pos, end int
 	keys     []ColKeys // the keys handed down (NarrowKeys)
 	cols     []ColVec  // reused window headers
@@ -198,52 +183,35 @@ func (s *colScanIter) NarrowKeys(col int, keys Keys) {
 	s.skipped += int64(n - (s.end - s.pos))
 }
 
-// Lookup (RowLookup) answers on the sorted column, given positions.
-func (s *colScanIter) Lookup(col int) func([]int64, []int32) *ColBatch {
-	if s.at == nil || col != s.sorted || s.src.Cols[col].Vals != nil || s.src.Cols[col].Kind != KindInt {
+// Lookup (RowLookup) answers on the sorted column, when it holds ints.
+func (s *colScanIter) Lookup(col int) func([]int64, []int32) (*ColBatch, error) {
+	if col != s.sorted || s.src.Cols[col].Vals != nil || s.src.Cols[col].Kind != KindInt {
 		return nil
 	}
 	return s.lookup
 }
 
-// lookup finds the keys' rows by their positions, within the window
-// [pos, end) and without the rows a key list drops.
-func (s *colScanIter) lookup(keys []int64, of []int32) *ColBatch {
-	sel, n := s.sel[:0], 0
-	for pass := 0; pass < 2; pass++ { // count, then find
-		sel = slices.Grow(sel, n)
-		for k, i := range of {
-			if k == 0 || keys[i] != keys[of[k-1]] {
-				lo, hi := s.at.rows(keys[i])
-				for r := max(lo, s.pos); r < min(hi, s.end); r++ {
-					if pass == 0 {
-						n++
-					} else {
-						sel = append(sel, int32(r))
-					}
-				}
+// lookup finds each key's rows by galloping forward over the sorted
+// column, within the window [pos, end) and without the rows a key list
+// drops. It leaves pos, where Next, not called, would serve from, at the
+// last key's first row: the next call may ask that key again.
+func (s *colScanIter) lookup(keys []int64, of []int32) (*ColBatch, error) {
+	xs, sel := s.src.Cols[s.sorted].Ints, slices.Grow(s.sel[:0], len(of))
+	for k, at := 0, s.pos; k < len(of); k++ {
+		if t := keys[of[k]]; k == 0 || t != keys[of[k-1]] {
+			s.pos = Gallop(xs, at, s.end, t)
+			for at = s.pos; at < s.end && xs[at] == t; at++ {
+				sel = append(sel, int32(at))
 			}
 		}
 	}
 	s.sel = sel
 	sel, dropped := SelectKeyed(s.keys, s.src.Cols, s.src.N, sel, &s.sel)
 	if s.skipped += int64(dropped); len(sel) == 0 {
-		return nil
+		return nil, nil
 	}
 	s.cb = ColBatch{Sch: s.src.Sch, Cols: s.src.Cols, N: s.src.N, Sel: sel}
-	return &s.cb
-}
-
-// rows returns the rows [lo, hi) of tid t.
-func (p *Positions) rows(t int64) (int, int) {
-	switch i := uint64(t - p.Base); {
-	case i >= uint64(p.Len):
-		return 0, 0
-	case p.Off == nil:
-		return int(i), int(i) + 1
-	default:
-		return int(p.Off[i]), int(p.Off[i+1])
-	}
+	return &s.cb, nil
 }
 
 func (s *colScanIter) Next() (*ColBatch, bool, error) {
@@ -327,7 +295,7 @@ func (f *FilterIter) NarrowKeys(col int, keys Keys) { narrowInput(f.In, col, key
 
 // Lookup (RowLookup) narrows the rows the input finds by the predicate,
 // in place.
-func (f *FilterIter) Lookup(col int) func([]int64, []int32) *ColBatch {
+func (f *FilterIter) Lookup(col int) func([]int64, []int32) (*ColBatch, error) {
 	return lookupOf(f.In, col, func(in *ColBatch) *ColBatch {
 		if sel := f.vp.narrow(in, in.Sel); len(sel) > 0 {
 			f.cb = ColBatch{Sch: in.Sch, Cols: in.Cols, N: in.N, Sel: sel}
@@ -395,7 +363,7 @@ func (p *ProjectIter) project(in *ColBatch) *ColBatch {
 
 // Lookup (RowLookup) projects the rows the input finds by the column
 // the projection picks for col.
-func (p *ProjectIter) Lookup(col int) func([]int64, []int32) *ColBatch {
+func (p *ProjectIter) Lookup(col int) func([]int64, []int32) (*ColBatch, error) {
 	if col >= len(p.idx) {
 		return nil
 	}
@@ -472,7 +440,7 @@ func (r *RenameIter) relabel(in *ColBatch) *ColBatch {
 }
 
 // Lookup (RowLookup) relabels the rows the input finds.
-func (r *RenameIter) Lookup(col int) func([]int64, []int32) *ColBatch {
+func (r *RenameIter) Lookup(col int) func([]int64, []int32) (*ColBatch, error) {
 	return lookupOf(r.In, col, r.relabel)
 }
 

@@ -16,14 +16,13 @@ import (
 // Only an operator that drops such rows anyway originates keys: the
 // hash join and the semi join hand their probe input the sorted
 // distinct list of their build keys, once the build side is drained,
-// when the key is one int column, and the stitch hands every input but
-// its driver the tuple-id range of the driver's rows. An operator whose
-// output column is an input's column forwards keys on it to that input:
-// a filter to its input, a projection to the column it picks, a rename
-// and a semi join to the input whose rows they pass through, and a
-// stitch to the input that owns the column (keys on a tuple-id column to
-// every input) — dropping, while it drains its driver, the driver rows
-// a list leaves out. A hash join forwards nothing (keys are a hint), so
+// when the key is one int column. An operator whose output column is an
+// input's column forwards keys on it to that input: a filter to its
+// input, a projection to the column it picks, a rename and a semi join
+// to the input whose rows they pass through, and a stitch to the input
+// that owns the column (keys on a tuple-id column to its driver) —
+// dropping, while it reads its driver, the driver rows a list leaves
+// out. A hash join forwards nothing (keys are a hint), so
 // a join on another join's probe side reads its inputs whole. A scan
 // narrows to the window of rows a range spans on a column it is sorted
 // on, a store scan skips the file segments whose bounds hold no key, and
@@ -477,7 +476,7 @@ func (c *joinCond) pair(build int, t *joinTable, m int32, pcb *ColBatch, i int32
 type joinCursor struct {
 	hit   int   // index in hits of the probe row whose chain is walked
 	match int32 // next build row of that chain; -1 = take the next hit
-	bsel  []rowRef
+	bsel  []RowRef
 	psel  []int32 // the collected pairs: build row, physical probe row
 	lays  []vecLayout
 }
@@ -596,19 +595,19 @@ func gatherCol(src *ColVec, sel []int32, dst *ColVec) {
 
 // gatherRefs fills dst, laid out as column c of batches merges to
 // (batchLayout), with that column's cells of the rows refs.
-func gatherRefs(batches []ColBatch, c int, refs []rowRef, dst *ColVec) {
+func gatherRefs(batches []ColBatch, c int, refs []RowRef, dst *ColVec) {
 	if dst.Ints != nil {
 		for k, ref := range refs {
-			if src := &batches[ref.batch].Cols[c]; src.Nulls != nil && src.Nulls[ref.row] {
+			if src := &batches[ref.Batch].Cols[c]; src.Nulls != nil && src.Nulls[ref.Row] {
 				dst.Nulls[k] = true
 			} else {
-				dst.Ints[k] = src.Ints[ref.row]
+				dst.Ints[k] = src.Ints[ref.Row]
 			}
 		}
 		return
 	}
 	for k, ref := range refs {
-		src, i := &batches[ref.batch].Cols[c], int(ref.row)
+		src, i := &batches[ref.Batch].Cols[c], int(ref.Row)
 		switch {
 		case src.IsNull(i):
 			if dst.Nulls != nil {
@@ -622,6 +621,37 @@ func gatherRefs(batches []ColBatch, c int, refs []rowRef, dst *ColVec) {
 			dst.Strs[k] = src.Strs[i]
 		}
 	}
+}
+
+// GatherRows lays the rows refs name out in cols, a vector per column of
+// batches in the layout their vectors agree on (batchLayout), and
+// returns them. Unlike layOut it reuses the payloads cols holds: the
+// vectors are the caller's until it gathers into them again.
+func GatherRows(cols []ColVec, batches []ColBatch, refs []RowRef) []ColVec {
+	n, w := len(refs), len(batches[0].Cols)
+	cols = slices.Grow(cols[:0], w)[:w]
+	for c := range cols {
+		l, v := batchLayout(batches, c), &cols[c]
+		old := *v
+		*v = ColVec{Kind: l.kind}
+		if l.nulls {
+			v.Nulls = slices.Grow(old.Nulls[:0], n)[:n]
+			clear(v.Nulls)
+		}
+		switch l.payload() {
+		case 0:
+			v.Ints = slices.Grow(old.Ints[:0], n)[:n]
+		case 1:
+			v.Floats = slices.Grow(old.Floats[:0], n)[:n]
+		case 2:
+			v.Strs = slices.Grow(old.Strs[:0], n)[:n]
+		case 3:
+			v.Vals = slices.Grow(old.Vals[:0], n)[:n]
+			clear(v.Vals)
+		}
+		gatherRefs(batches, c, refs, v)
+	}
+	return cols
 }
 
 // joinSchema is the schema an inner join of l and r reports before it

@@ -84,12 +84,9 @@ type ValuesPlan struct {
 	Name  string // display name for EXPLAIN
 	// Sorted names an int column of Batch whose cells ascend, "" none:
 	// keys handed down on it (KeyNarrower) narrow the scan to the window
-	// of rows inside their range, found by binary search.
+	// of rows inside their range, found by binary search, and a stitch
+	// finds rows by their key in it (RowLookup).
 	Sorted string
-	// Pos, when not nil, locates the rows of each value of Sorted, a
-	// tuple-id column (Positions): a stitch finds its rows by them
-	// instead of scanning (RowLookup).
-	Pos *Positions
 	// Stats, when non-nil, returns the data's statistics (never nil), by
 	// its columns' positions. A producer that already keeps statistics for
 	// the data sets it so they travel with the plan; it is only called
@@ -425,7 +422,7 @@ func (b *lowering) build(p Plan, cfg ExecConfig) (Iterator, error) {
 		}
 		return NewScan(r), nil
 	case *ValuesPlan:
-		return &colScanIter{src: n.Batch, sorted: n.Batch.Sch.IndexOf(n.Sorted), at: n.Pos}, nil
+		return &colScanIter{src: n.Batch, sorted: n.Batch.Sch.IndexOf(n.Sorted)}, nil
 	case *FilterPlan:
 		return b.unary(cfg, n.Child, func(in Iterator) Iterator { return NewFilter(in, n.Cond) })
 	case *ProjectPlan:

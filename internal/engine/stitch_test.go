@@ -80,24 +80,22 @@ func stitchPsi(parts []*Relation, p, q int) []Expr {
 
 // FuzzStitch holds the stitch to the hash-join chain it replaces: on
 // 1–5 tid-ordered partitions (stitchParts: tid holes, repeated tids,
-// empty partitions), each under a random filter and served in batches
-// of a random size or as an in-memory scan, the stitch driven by a
-// random input gives the bag of rows a left-deep fold of NewHashJoin on
-// α (the tuple ids) gives, each step filtered by its ψ — judged row by
-// row by a filter, so the reference shares no condition code with the
-// stitch — and its tuple ids ascend. It is differential: the same
-// inputs go through the stitch by position, the in-memory scans
-// carrying Positions (half of the time all inputs are in memory, so
-// every other input answers lookups), and with the positions hidden
-// through the galloping merge, and both are held to the chain. Half of
-// the time the stitch is handed a random tid range, and is held to the
-// chain within it; otherwise it is the probe side of a hash join whose
-// build keys — with duplicates and NULLs, on the driver's column or
-// another input's, a value column or a tuple id, or none at all — it
-// receives as a list, and the join must give what it gives over the
-// same stitch with narrowing hidden, and over the chain. With straddle
-// every tuple id has three alternatives, served whole in 1 024-row
-// batches that cut through them.
+// empty partitions), each under a random filter, the stitch driven by a
+// random input — served in batches of a random size or as an in-memory
+// scan — gives the bag of rows a left-deep fold of NewHashJoin on α (the
+// tuple ids) gives, each step filtered by its ψ — judged row by row by a
+// filter, so the reference shares no condition code with the stitch —
+// and its tuple ids ascend. Every other input is an in-memory scan,
+// which the stitch asks for rows by tuple id; one served in batches
+// instead is an error at Open. Half of the time the stitch is handed a
+// random tid range, and is held to the chain within it; otherwise it is
+// the probe side of a hash join whose build keys — with duplicates and
+// NULLs, on the driver's column or another input's, a value column or a
+// tuple id, or none at all — it receives as a list, and the join must
+// give what it gives over the same stitch with narrowing hidden, and
+// over the chain. With straddle every tuple id has three alternatives,
+// served whole in 1 024-row batches that cut through them, so a lookup
+// is asked again for the last tuple id it was asked.
 func FuzzStitch(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint16(300), false)  // two partitions
 	f.Add(int64(2), uint8(2), uint16(700), true)   // alternatives straddle 1 024-row batches
@@ -112,10 +110,7 @@ func FuzzStitch(f *testing.F) {
 			chunk = DefaultBatchSize
 		}
 		filters := make([]Expr, len(parts))
-		inMemory := make([]bool, len(parts))
-		allInMemory := rng.Intn(2) == 0
 		for p := range filters {
-			inMemory[p] = allInMemory || rng.Intn(2) == 0
 			if straddle {
 				continue
 			}
@@ -126,10 +121,12 @@ func FuzzStitch(f *testing.F) {
 				filters[p] = Cmp(NE, Col(fmt.Sprintf("p%d.tid", p)), ConstInt(int64(rng.Intn(int(n)+1))))
 			}
 		}
-		input := func(p int, positions bool) Iterator {
-			var in Iterator = newColSource(parts[p], chunk)
-			if inMemory[p] {
-				in = memScan(parts[p], fmt.Sprintf("p%d.tid", p), positions)
+		driver := rng.Intn(len(parts))
+		inBatches := rng.Intn(2) == 0 // the driver is served in batches of chunk rows
+		input := func(p int, batches bool) Iterator {
+			var in Iterator = memScan(parts[p], fmt.Sprintf("p%d.tid", p))
+			if batches {
+				in = newColSource(parts[p], chunk)
 			}
 			if filters[p] != nil {
 				in = NewFilter(in, filters[p])
@@ -139,9 +136,9 @@ func FuzzStitch(f *testing.F) {
 		var tids []string
 		var psi []Expr
 		chain := func() Iterator { // its inputs narrow nothing, so it shares no narrowing with the stitch
-			ref := Iterator(struct{ Iterator }{input(0, false)})
+			ref := Iterator(struct{ Iterator }{input(0, true)})
 			for p := 1; p < len(parts); p++ {
-				ref = NewHashJoin(ref, struct{ Iterator }{input(p, false)}, []EquiPair{{L: "p0.tid", R: tids[p]}}, nil, nil)
+				ref = NewHashJoin(ref, struct{ Iterator }{input(p, true)}, []EquiPair{{L: "p0.tid", R: tids[p]}}, nil, nil)
 				if step := psi[p]; step != nil {
 					ref = NewFilter(ref, step)
 				}
@@ -165,17 +162,21 @@ func FuzzStitch(f *testing.F) {
 		if len(all) > 0 {
 			cond = And(all...)
 		}
-		driver := rng.Intn(len(parts))
-		byPos := true // whether the stitch over positions should find rows by them
-		for p := range parts {
-			byPos = byPos && (p == driver || inMemory[p])
-		}
-		stitch := func(positions bool) *StitchIter {
+		stitch := func() *StitchIter {
 			ins := make([]Iterator, len(parts))
 			for p := range ins {
-				ins[p] = input(p, positions)
+				ins[p] = input(p, p == driver && inBatches)
 			}
 			return NewStitch(ins, tids, cond, driver, nil)
+		}
+		if other := (driver + 1) % len(parts); other != driver {
+			ins := make([]Iterator, len(parts))
+			for p := range ins {
+				ins[p] = input(p, p == other)
+			}
+			if err := NewStitch(ins, tids, cond, driver, nil).Open(); err == nil {
+				t.Fatalf("input %d, served in batches, is not the driver %d: Open gives no error", other, driver)
+			}
 		}
 		if rng.Intn(2) == 0 {
 			checkStitchUnderList(t, rng, parts, driver, stitch, chain)
@@ -186,51 +187,43 @@ func FuzzStitch(f *testing.F) {
 			lo = rng.Int63n(int64(n) + 1)
 			hi = lo + rng.Int63n(int64(n)/4+1)
 		}
-		var want *Relation
-		for _, positions := range []bool{true, false} {
-			st := stitch(positions)
-			if err := st.Open(); err != nil {
+		st := stitch()
+		if err := st.Open(); err != nil {
+			t.Fatal(err)
+		}
+		tidCol := st.Schema().IndexOf("p0.tid")
+		st.NarrowKeys(tidCol, Keys{Lo: lo, Hi: hi})
+		got := NewRelation(st.Schema())
+		for {
+			cb, ok, err := st.Next()
+			if err != nil {
 				t.Fatal(err)
 			}
-			if st.byPos != (positions && byPos || len(parts) == 1) { // one input has none to ask
-				t.Fatalf("positions %v, all but the driver in memory %v: the stitch finds rows by position %v", positions, byPos, st.byPos)
+			if !ok {
+				break
 			}
-			tidCol := st.Schema().IndexOf("p0.tid")
-			st.NarrowKeys(tidCol, Keys{Lo: lo, Hi: hi})
-			got := NewRelation(st.Schema())
-			for {
-				cb, ok, err := st.Next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				got.Rows = cb.Materialize(got.Rows)
+			got.Rows = cb.Materialize(got.Rows)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want := NewRelation(got.Sch)
+		for _, row := range mustDrain(t, chain()).Rows {
+			if x := row[tidCol].I; x >= lo && x <= hi {
+				want.Append(row)
 			}
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
+		}
+		inRange := NewRelation(got.Sch)
+		for i, row := range got.Rows {
+			if i > 0 && row[tidCol].I < got.Rows[i-1][tidCol].I {
+				t.Fatalf("tuple id %d after %d", row[tidCol].I, got.Rows[i-1][tidCol].I)
 			}
-			if want == nil {
-				want = NewRelation(got.Sch)
-				for _, row := range mustDrain(t, chain()).Rows {
-					if x := row[tidCol].I; x >= lo && x <= hi {
-						want.Append(row)
-					}
-				}
+			if x := row[tidCol].I; x >= lo && x <= hi {
+				inRange.Append(row)
 			}
-			inRange := NewRelation(got.Sch)
-			for i, row := range got.Rows {
-				if i > 0 && row[tidCol].I < got.Rows[i-1][tidCol].I {
-					t.Fatalf("tuple id %d after %d", row[tidCol].I, got.Rows[i-1][tidCol].I)
-				}
-				if x := row[tidCol].I; x >= lo && x <= hi {
-					inRange.Append(row)
-				}
-			}
-			if !inRange.EqualAsBag(want) {
-				t.Fatalf("%d partitions, driver %d, by position %v, tids [%d, %d]: the stitch gives %d rows, the hash chain %d", len(parts), driver, st.byPos, lo, hi, inRange.Len(), want.Len())
-			}
+		}
+		if !inRange.EqualAsBag(want) {
+			t.Fatalf("%d partitions, driver %d in batches %v, tids [%d, %d]: the stitch gives %d rows, the hash chain %d", len(parts), driver, inBatches, lo, hi, inRange.Len(), want.Len())
 		}
 	})
 }
@@ -238,10 +231,10 @@ func FuzzStitch(f *testing.F) {
 // checkStitchUnderList joins build keys drawn on one column of the
 // stitch — an attribute of a random partition, the driver's or
 // another's, or the tuple id — with duplicates and NULLs and now and
-// then none at all, to a stitch by position and by galloping merge,
-// which receive them as a list, and to the same stitch with narrowing
-// hidden and to the hash chain; all must give one bag of rows.
-func checkStitchUnderList(t *testing.T, rng *rand.Rand, parts []*Relation, driver int, stitch func(positions bool) *StitchIter, chain func() Iterator) {
+// then none at all, to the stitch, which receives them as a list, and to
+// the same stitch with narrowing hidden and to the hash chain; all must
+// give one bag of rows.
+func checkStitchUnderList(t *testing.T, rng *rand.Rand, parts []*Relation, driver int, stitch func() *StitchIter, chain func() Iterator) {
 	t.Helper()
 	q := rng.Intn(len(parts))
 	key := fmt.Sprintf("p%d.a", q)
@@ -264,26 +257,20 @@ func checkStitchUnderList(t *testing.T, rng *rand.Rand, parts []*Relation, drive
 		j := NewHashJoin(newColSource(build, 1+rng.Intn(4)), probe, on, nil, nil)
 		return mustDrain(t, j), j
 	}
-	got, j := join(stitch(true))
-	galloped, _ := join(stitch(false))
-	hidden, _ := join(struct{ Iterator }{stitch(true)})
+	got, j := join(stitch())
+	hidden, _ := join(struct{ Iterator }{stitch()})
 	want, _ := join(chain())
-	if !got.EqualAsBag(hidden) || !galloped.EqualAsBag(hidden) || !got.EqualAsBag(want) {
-		t.Fatalf("%d partitions, driver %d, %d build keys on %s (%d handed): the join over the stitch by position gives %d rows, by galloping %d, with narrowing hidden %d, over the hash chain %d",
-			len(parts), driver, build.Len(), key, j.keysHanded, got.Len(), galloped.Len(), hidden.Len(), want.Len())
+	if !got.EqualAsBag(hidden) || !got.EqualAsBag(want) {
+		t.Fatalf("%d partitions, driver %d, %d build keys on %s (%d handed): the join over the stitch gives %d rows, with narrowing hidden %d, over the hash chain %d",
+			len(parts), driver, build.Len(), key, j.keysHanded, got.Len(), hidden.Len(), want.Len())
 	}
 }
 
-// memScan is the in-memory scan of rel, sorted on its column tid, with
-// the Positions of its tuple ids when positions is set.
-func memScan(rel *Relation, tid string, positions bool) *colScanIter {
+// memScan is the in-memory scan of rel, sorted on its column tid.
+func memScan(rel *Relation, tid string) *colScanIter {
 	src, c := relBatch(rel), rel.Sch.IndexOf(tid)
 	if rel.Len() == 0 {
 		src.Cols[c] = IntVec(nil, nil) // as an image lays out no rows
 	}
-	s := &colScanIter{src: src, sorted: c}
-	if positions {
-		s.at = PositionsOf(src.Cols[c].Ints)
-	}
-	return s
+	return &colScanIter{src: src, sorted: c}
 }

@@ -59,14 +59,14 @@ func (t *traceIter) NarrowKeys(col int, keys Keys) {
 // Lookup forwards a lookup, counting the distinct keys asked as
 // tids_looked_up and the rows found as the rows and a batch the
 // operator made.
-func (t *traceIter) Lookup(col int) func([]int64, []int32) *ColBatch {
+func (t *traceIter) Lookup(col int) func([]int64, []int32) (*ColBatch, error) {
 	find := lookupOf(t.in, col, nil)
 	if find == nil {
 		return nil
 	}
-	return func(keys []int64, sel []int32) *ColBatch {
+	return func(keys []int64, sel []int32) (*ColBatch, error) {
 		start := time.Now()
-		cb := find(keys, sel)
+		cb, err := find(keys, sel)
 		t.sp.AddNanos(int64(time.Since(start)))
 		asked := 0
 		for k, i := range sel {
@@ -79,7 +79,7 @@ func (t *traceIter) Lookup(col int) func([]int64, []int32) *ColBatch {
 			t.sp.AddRows(int64(cb.Rows()))
 			t.sp.AddBatches(1)
 		}
-		return cb
+		return cb, err
 	}
 }
 

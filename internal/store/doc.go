@@ -62,24 +62,24 @@
 //     the window
 //     the ranges leave, each batch a zero-copy window of the run with
 //     the least tuple id, up to the next run's, behind a selection
-//     vector. The operators above may hand the scan keys
-//     (engine.KeyNarrower): a stitch hands every input but its driver
-//     the driver's tid range, a hash or semi join whose probe side it
-//     is hands it the sorted list of its build keys, and a join higher
-//     up hands its own list down through the semi joins, stitches,
-//     filters, renames and projections between. The scan keeps all the
-//     keys it is handed, side by side. It leaves unread every segment
-//     whose tid bounds — or, for an int value column, zone map — hold
-//     no key of any one of them, found in a list by binary search: a
-//     stitch driven by an index probe of a few tuples decodes the one
-//     segment of each other partition they are in, and a selective
-//     join's list on an attribute skips the segments of the partition
-//     that holds it. Of a segment it reads — and of the delta — it
-//     serves only the window of rows in the tid range, windows of every
-//     vector, found by binary search, so a stitch reads the rows its
-//     driver can reach, and of those only the rows whose int key each
-//     list holds. Its planning half,
-//     StoreScanPlan, implements engine.SourcePlan and
+//     vector. A stitch that does not drive by the scan asks it for the
+//     rows of tuple ids instead (engine.RowLookup): the ids ascend, so
+//     each run walks forward beside them, reading a segment only when
+//     its footer's tid bounds hold an id asked, and at most once, and
+//     finding an id's rows in it by galloping search. The operators
+//     above may hand the scan keys (engine.KeyNarrower): a hash or semi
+//     join whose probe side it is hands it the sorted list of its build
+//     keys, and a join higher up hands its own list down through the
+//     semi joins, stitches, filters, renames and projections between.
+//     The scan keeps all the keys it is handed, side by side. It leaves
+//     unread every segment whose tid bounds — or, for an int value
+//     column, zone map — hold no key of any one of them, found in a
+//     list by binary search, and a selective join's list on an
+//     attribute skips the segments of the partition that holds it. Of a
+//     segment it reads — and of the delta — it serves only the window
+//     of rows in the keys' tid range, and of those only the rows whose
+//     int key each list holds, as of the rows a lookup finds. Its
+//     planning half, StoreScanPlan, implements engine.SourcePlan and
 //     engine.FilterAdvisor: selection predicates evaluated directly
 //     above a scan (the σ of the paper's Figure 4 translation) prune
 //     segments whose min/max statistics refute them (ORs of refuted

@@ -49,9 +49,11 @@ const (
 // beyond the bitmap.
 const kindMixed byte = 0xFF
 
-// ErrCorrupt reports a structurally invalid, truncated, or
-// checksum-failing segment file.
-var ErrCorrupt = errors.New("store: corrupt segment file")
+// ErrCorrupt reports stored data that is structurally invalid,
+// truncated or checksum-failing, or in a layout this build does not
+// open: a segment file, the catalog, the world table. The error that
+// wraps it names the file.
+var ErrCorrupt = errors.New("store: corrupt data")
 
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)

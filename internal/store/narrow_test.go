@@ -15,8 +15,15 @@ import (
 )
 
 // unnarrowed is a scan without NarrowKeys: the same plan with
-// narrowing off.
+// narrowing off. It forwards lookups, which a stitch finds rows by.
 type unnarrowed struct{ engine.Iterator }
+
+func (u unnarrowed) Lookup(col int) func([]int64, []int32) (*engine.ColBatch, error) {
+	if l, ok := u.Iterator.(engine.RowLookup); ok {
+		return l.Lookup(col)
+	}
+	return nil
+}
 
 // narrowCounts is what the narrowed scans of some layouts skipped — of
 // those rows, the ones a key list on the value column dropped — how

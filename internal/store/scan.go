@@ -243,26 +243,20 @@ func segmentRefutes(st colStats, op engine.CmpOp, cst engine.Value) bool {
 	}
 }
 
-// StoreScanIter is the cold-scan physical operator. It serves its rows
-// in tuple-id order, the order a stitch merges partitions in. Its file
-// segments are already columnar, so Next wraps the decoded
-// descriptor/tid/value vectors into an engine.ColBatch with no
-// transposition at all. Every file layer is one run in tid order, and
-// so is the source's in-memory delta, a segment encoded once per source
-// (PartSource.memSegment). One run is served a segment per batch;
-// several are merged by tid, each batch a window of the run with the
-// least tuple id up to the next run's, zero-copy behind a selection
-// vector. A probed scan (indexProbe) reads of each layer only the
-// segments its run locates rows in, and selects only those rows.
-// Tombstones narrow file batches through the selection vector (the decoded vectors stay zero-copy and
-// shared; only live row indices are listed) in one pass beside the
-// tombstones in the batch's tuple ids (tombWindow), so a partition
-// without deletes, and a segment none of them touched, pays nothing per
-// row. The operators above may hand the scan keys (NarrowKeys), on one
-// column or more: the segments whose bounds hold no key are not read at
-// all, of a segment read — and of the delta — only the window of rows in
-// the tid column's range is served, and of those only the rows whose key
-// a list holds.
+// StoreScanIter is the cold-scan physical operator. Every file layer is
+// one run in tid order, and so is the source's in-memory delta, a
+// segment encoded once per source (PartSource.memSegment). Next serves
+// one run a segment per batch and merges several by tid, each batch a
+// window of the run with the least tuple id up to the next run's; a
+// stitch asks the scan for the rows of tuple ids instead (Lookup). The
+// decoded vectors are served zero-copy behind a selection vector of the
+// live rows: a probed scan (indexProbe) reads of each layer only the
+// segments its run locates rows in and selects only those rows, and
+// tombstones drop rows in one pass beside the tombstones in their tuple
+// ids (tombWindow), so a segment none of them touched pays nothing per
+// row. Keys handed down (NarrowKeys) leave unread the segments whose
+// bounds hold none, narrow a segment read to the window of the tid
+// column's range and drop the rows whose key a list leaves out.
 type StoreScanIter struct {
 	Src     *PartSource
 	Sch     engine.Schema
@@ -306,22 +300,45 @@ type StoreScanIter struct {
 	cb      engine.ColBatch
 	pad     []int64  // shared zero column for width padding
 	owned   recycler // the buffers of the segments it decoded for itself
+
+	// Lookups answered, and the last one's pieces laid out as batches,
+	// rows found, the vectors it gathered them into and its selection.
+	calls int
+	bats  []engine.ColBatch
+	refs  []engine.RowRef
+	found []engine.ColVec
+	sel   []int32
 }
 
 // scanRun is one run of rows in tid order that a scan merges: segments
-// [next, end) of a file layer still to read — of hits, when the layer is
-// probed — or the delta (layer = len(Layers), one segment). Its rows are
+// [next, end) of a file layer still to read, or of hits — a probed
+// layer's, or the delta (layer = len(Layers), one segment). Its rows are
 // served from a piece — a window of a segment — whose vectors cols hold
 // n rows, sel the live ones (nil = all), pos the next live one to serve.
 type scanRun struct {
 	layer, next, end int
-	hits             []probeHit // a probed layer's segments, read and checked
+	hits             []probeHit // segments in memory: a probe's, read and checked, or the delta
 	tombs            tombWindow // the layer's tombstones in the piece's tuple ids
 	keyed            []int32    // reused selection of the rows a key list keeps
 	cols             []engine.ColVec
-	n                int
 	sel              []int32
-	pos              int
+	n, pos           int
+	held             []piece // by lookup: the segments read that ids still to come may lie in
+}
+
+// piece is a segment a lookup read: the tuple ids of its rows — of a
+// probed segment the located ones — from at, the first that no id asked
+// has passed, and its layer's tombstones in those tuple ids.
+type piece struct {
+	seg     *segment
+	fw      int
+	tids    []int64 // of its rows
+	located []int32 // nil: every row
+	at      int
+	tombs   tombWindow
+	dead    bool  // tombs holds some
+	stamp   int   // the lookup that last found a row in it…
+	batch   int32 // …and its batch in that lookup's answer
 }
 
 func (r *scanRun) rows() int {
@@ -340,12 +357,17 @@ func (r *scanRun) tid(width, k int) int64 {
 	return r.cols[2*width].Ints[k]
 }
 
-var _ engine.KeyNarrower = (*StoreScanIter)(nil)
+var (
+	_ engine.KeyNarrower = (*StoreScanIter)(nil)
+	_ engine.RowLookup   = (*StoreScanIter)(nil)
+)
 
-// probeHit is a segment a probe's run locates rows in, and those rows,
-// in ascending order.
+// probeHit is a segment in memory, stored at descriptor width fw: one a
+// probe's run locates rows in, and those rows in ascending order, or the
+// delta (rows nil: all of them).
 type probeHit struct {
 	seg  *segment
+	fw   int
 	rows []int32
 }
 
@@ -353,31 +375,21 @@ type probeHit struct {
 func (s *StoreScanIter) Open() error {
 	s.release()
 	s.started, s.runs = false, s.runs[:0]
-	s.SegmentsRead = 0
-	s.CacheHits = 0
-	s.BytesDecoded = 0
-	s.TombRowsChecked = 0
-	s.TombSegmentsSkipped = 0
-	s.SegmentsSkippedByJoin = 0
-	s.RowsSkippedByJoin = 0
+	s.SegmentsRead, s.CacheHits, s.BytesDecoded = 0, 0, 0
+	s.TombRowsChecked, s.TombSegmentsSkipped, s.SegmentsSkippedByJoin, s.RowsSkippedByJoin = 0, 0, 0, 0
 	s.RunsConsulted, s.BloomRejections, s.FallbackLayers, s.StaleRuns = 0, 0, 0, 0
-	s.keys = s.keys[:0]
+	s.keys, s.calls = s.keys[:0], 0
 	return nil
 }
 
 // NarrowKeys (engine.KeyNarrower) makes the scan skip every file
-// segment whose bounds on column col hold no key: the footer's tid
-// bounds for the tuple-id column, the zone map of a value column whose
-// layer stores it as ints, each searched in a list by binary search. On
-// the tid column it also serves, of a segment read (its tuple ids
-// ascend) and of the delta, only the window of rows with a tid in the
-// keys' range, found by binary search; every alternative of a tuple in
-// range lies inside it. Of the rows served it drops those whose typed
-// int key a list leaves out. Descriptor columns and columns of any other
-// kind skip no segment; the operator above drops what does not match.
-//
-// The scan keeps all the keys it is handed: it skips a segment, and
-// drops a row, that any of them lets it.
+// segment whose bounds on column col hold no key — the footer's tid
+// bounds for the tuple-id column, the zone map of a value column its
+// layer stores as ints, searched in a list by binary search — serve of a
+// segment read, and of the delta, only the window of rows with a tid in
+// the keys' range, and drop the rows whose int key a list leaves out.
+// Other columns skip nothing; the operator above drops what does not
+// match. The scan keeps every key it is handed.
 func (s *StoreScanIter) NarrowKeys(col int, keys engine.Keys) {
 	s.keys = append(s.keys, engine.ColKeys{Col: col, Keys: keys})
 }
@@ -424,7 +436,8 @@ func (s *StoreScanIter) startRuns() error {
 		s.runs = append(s.runs, scanRun{layer: li, end: h.NumSegments()})
 	}
 	if len(s.Src.Mem) > 0 {
-		s.runs = append(s.runs, scanRun{layer: len(s.Src.Layers), end: 1})
+		delta := []probeHit{{seg: s.Src.memSegment(), fw: s.Src.memWidth()}}
+		s.runs = append(s.runs, scanRun{layer: len(s.Src.Layers), hits: delta, end: 1})
 	}
 	return nil
 }
@@ -506,7 +519,7 @@ func (s *StoreScanIter) probe(li int, h *PartHandle) (hits []probeHit, ok bool, 
 			}
 			rows[j] = int32(l.Row)
 		}
-		hits = append(hits, probeHit{seg: seg, rows: rows})
+		hits = append(hits, probeHit{seg: seg, fw: h.Width(), rows: rows})
 	}
 	return hits, true, nil
 }
@@ -527,28 +540,12 @@ func (s *StoreScanIter) stale(h *PartHandle, key string) ([]probeHit, bool, erro
 func (s *StoreScanIter) load(r *scanRun) error {
 	r.n, r.sel, r.pos = 0, nil, 0
 	for r.next < r.end {
-		i := r.next
 		r.next++
-		var seg *segment
-		var fw int
-		var located []int32
-		switch {
-		case r.layer == len(s.Src.Layers):
-			seg, fw = s.Src.memSegment(), s.Src.memWidth()
-		case r.hits != nil:
-			seg, fw, located = r.hits[i].seg, s.Src.Layers[r.layer].Width(), r.hits[i].rows
-		default:
-			if s.skips(r.layer, i) {
-				continue
-			}
-			h := s.Src.Layers[r.layer]
-			var err error
-			if seg, err = s.readSeg(h, i); err != nil {
-				return err
-			}
-			fw = h.Width()
+		seg, fw, located, err := s.fetch(r, r.next-1)
+		if err != nil {
+			return err
 		}
-		if seg.n == 0 {
+		if seg == nil || seg.n == 0 {
 			continue
 		}
 		lo, hi := s.tidWindow(seg)
@@ -576,20 +573,27 @@ func (s *StoreScanIter) load(r *scanRun) error {
 	return nil
 }
 
+// fetch reads segment i of the run — the delta, a probed segment and
+// the rows its run located, or a file segment — and gives its
+// descriptor width; nil when the scan skips it.
+func (s *StoreScanIter) fetch(r *scanRun, i int) (seg *segment, fw int, located []int32, err error) {
+	switch {
+	case r.hits != nil:
+		return r.hits[i].seg, r.hits[i].fw, r.hits[i].rows, nil
+	case s.skips(r.layer, i):
+		return nil, 0, nil, nil
+	}
+	h := s.Src.Layers[r.layer]
+	seg, err = s.readSeg(h, i)
+	return seg, h.Width(), nil, err
+}
+
 // tidWindow returns the rows of a decoded segment to serve: all of
 // them, or, when keys were handed down on the tid column, those from the
 // first with a tid ≥ the greatest low end of their ranges to the first
 // with a tid > the least high end.
 func (s *StoreScanIter) tidWindow(seg *segment) (lo, hi int) {
-	klo, khi, ok := int64(math.MinInt64), int64(math.MaxInt64), false
-	for _, k := range s.keys {
-		if k.Col == 2*s.Width {
-			klo, khi, ok = max(klo, k.Lo), min(khi, k.Hi), true
-		}
-	}
-	if !ok {
-		return 0, seg.n
-	}
+	klo, khi := s.tidRange()
 	tid := seg.tid
 	lo = sort.Search(len(tid), func(i int) bool { return tid[i] >= klo })
 	hi = lo + sort.Search(len(tid)-lo, func(i int) bool { return tid[lo+i] > khi })
@@ -597,22 +601,40 @@ func (s *StoreScanIter) tidWindow(seg *segment) (lo, hi int) {
 	return lo, hi
 }
 
+// tidRange is the range of tuple ids every key handed down on the tid
+// column lets through.
+func (s *StoreScanIter) tidRange() (lo, hi int64) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	for _, k := range s.keys {
+		if k.Col == 2*s.Width {
+			lo, hi = max(lo, k.Lo), min(hi, k.Hi)
+		}
+	}
+	return lo, hi
+}
+
+// tombs sets w to layer li's tombstones in the tuple ids [lo, hi] and
+// reports whether there are any, counting a tombstoned layer's segment
+// without any as skipped. The delta is never filtered: commits remove
+// deleted memtable rows eagerly.
+func (s *StoreScanIter) tombs(li int, w *tombWindow, lo, hi int64) bool {
+	if li == len(s.Src.Layers) || s.Src.Tomb.Layer(li) == nil {
+		return false
+	}
+	if w.reset(s.Src.Tomb.Layer(li), lo, hi) {
+		return true
+	}
+	s.TombSegmentsSkipped++
+	return false
+}
+
 // liveSel builds the selection vector of the rows of window [lo, hi) of
 // a decoded segment of the run's layer to serve — of a probed segment
 // only its located rows — in one pass beside the layer's tombstones that
 // fall in those rows' tuple ids, or nil when every row of the window is
-// served. The selection counts from lo. The delta is never
-// tombstone-filtered: commits remove deleted memtable rows eagerly, so
-// whatever remains is live by construction.
+// served. The selection counts from lo.
 func (s *StoreScanIter) liveSel(run *scanRun, seg *segment, width, lo, hi int, located []int32) []int32 {
-	var tf TombFilter
-	if run.layer < len(s.Src.Layers) {
-		tf = s.Src.Tomb.Layer(run.layer)
-	}
-	tombs := tf != nil && run.tombs.reset(tf, seg.tid[lo], seg.tid[hi-1])
-	if tf != nil && !tombs {
-		s.TombSegmentsSkipped++
-	}
+	tombs := s.tombs(run.layer, &run.tombs, seg.tid[lo], seg.tid[hi-1])
 	if located != nil {
 		// The located rows are the scan's own: select in place.
 		sel := located[:0]
@@ -708,6 +730,144 @@ func (s *StoreScanIter) Next() (*engine.ColBatch, bool, error) {
 	return &s.cb, true, nil
 }
 
+// Lookup (engine.RowLookup) answers on the tuple-id column.
+func (s *StoreScanIter) Lookup(col int) func([]int64, []int32) (*engine.ColBatch, error) {
+	if col != 2*s.Width {
+		return nil
+	}
+	return s.lookup
+}
+
+// lookup finds the rows of the ids asked in each run (find), dropping,
+// as Next does, those outside the keys' tid range, the deleted ones and
+// those a key list leaves out. They come back as a selection over the
+// vectors of the one piece holding them all, or else gathered in tid
+// order — an id's rows run by run — into vectors the scan reuses.
+func (s *StoreScanIter) lookup(keys []int64, of []int32) (*engine.ColBatch, error) {
+	if !s.started {
+		if err := s.startRuns(); err != nil {
+			return nil, err
+		}
+	}
+	s.calls++
+	s.bats, s.refs = s.bats[:0], slices.Grow(s.refs[:0], len(of))
+	klo, khi := s.tidRange()
+	for k, i := range of {
+		if t := keys[i]; (k == 0 || t != keys[of[k-1]]) && t >= klo && t <= khi {
+			for ri := range s.runs {
+				if err := s.find(&s.runs[ri], t); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	if len(s.refs) == 0 {
+		return nil, nil
+	}
+	cb, sel := s.bats[0], slices.Grow(s.sel[:0], len(s.refs))
+	for k, ref := range s.refs {
+		if len(s.bats) > 1 {
+			ref.Row = int32(k)
+		}
+		sel = append(sel, ref.Row)
+	}
+	if s.sel = sel; len(s.bats) > 1 {
+		s.found = engine.GatherRows(s.found, s.bats, s.refs)
+		cb = engine.ColBatch{Cols: s.found, N: len(s.refs)}
+	}
+	sel, dropped := engine.SelectKeyed(s.keys, cb.Cols, cb.N, sel, &s.sel)
+	if s.RowsSkippedByJoin += int64(dropped); len(sel) == 0 {
+		return nil, nil
+	}
+	s.cb = engine.ColBatch{Sch: s.Sch, Cols: cb.Cols, N: cb.N, Sel: sel}
+	return &s.cb, nil
+}
+
+// find adds the live rows of tuple id t in run r to the answer. The ids
+// ascend across calls, so the run walks forward beside them: it lets go
+// of the held pieces whose tuple ids end below t, reads — at most once —
+// the segments whose footer's tid bounds hold t, leaving those that end
+// below it unread, and finds t's rows in each piece that may hold them by
+// galloping search from where the id before stopped (engine.Gallop).
+func (s *StoreScanIter) find(r *scanRun, t int64) error {
+	for len(r.held) > 0 && r.held[0].seg.tidHi < t {
+		r.held[0].tombs.release()
+		r.held = append(r.held[:0], r.held[1:]...)
+	}
+	for r.next < r.end {
+		lo, hi := s.bounds(r, r.next)
+		if lo > t {
+			break
+		}
+		if r.next++; hi < t {
+			s.pass(r, r.next-1)
+		} else if err := s.hold(r, r.next-1); err != nil {
+			return err
+		}
+	}
+	for j := 0; j < len(r.held) && r.held[j].seg.tidLo <= t; j++ {
+		p := &r.held[j]
+		p.at = engine.Gallop(p.tids, p.at, len(p.tids), t)
+		for k := p.at; k < len(p.tids) && p.tids[k] == t; k++ {
+			row := int32(k) // the segment's row
+			if p.located != nil {
+				row = p.located[k]
+			}
+			if p.dead {
+				if s.TombRowsChecked++; p.tombs.dead(p.seg, p.fw, int(row)) {
+					continue
+				}
+			}
+			if p.stamp != s.calls { // the first row found in it: lay it out
+				p.stamp, p.batch = s.calls, int32(len(s.bats))
+				s.bats = slices.Grow(s.bats, 1)[:p.batch+1]
+				b := &s.bats[p.batch]
+				b.Cols, b.N = s.segCols(b.Cols, p.seg, p.fw, 0, p.seg.n), p.seg.n
+			}
+			s.refs = append(s.refs, engine.RowRef{Batch: p.batch, Row: row})
+		}
+	}
+	return nil
+}
+
+// pass counts file segment i of the run, which a lookup leaves unread
+// because its tuple ids hold no id asked, as skipped by the join, unless
+// the filter pruned it.
+func (s *StoreScanIter) pass(r *scanRun, i int) {
+	if r.hits == nil && (s.Pruned == nil || s.Pruned[r.layer] == nil || !s.Pruned[r.layer][i]) {
+		s.SegmentsSkippedByJoin++
+	}
+}
+
+// bounds are the tuple ids segment i of the run holds at most: its
+// footer's, or of a segment already read, its own.
+func (s *StoreScanIter) bounds(r *scanRun, i int) (lo, hi int64) {
+	if r.hits != nil {
+		return r.hits[i].seg.tidLo, r.hits[i].seg.tidHi
+	}
+	sm := &s.Src.Layers[r.layer].meta.Segs[i]
+	return sm.TidLo, sm.TidHi
+}
+
+// hold reads segment i of the run, unless the scan skips it (pruned,
+// or holding no key handed down), and holds it as a piece.
+func (s *StoreScanIter) hold(r *scanRun, i int) error {
+	seg, fw, located, err := s.fetch(r, i)
+	if err != nil || seg == nil || seg.n == 0 {
+		return err
+	}
+	p := piece{seg: seg, fw: fw, tids: seg.tid, located: located}
+	if located != nil {
+		p.tids = make([]int64, len(located))
+		for k, row := range located {
+			p.tids[k] = seg.tid[row]
+		}
+	}
+	p.dead = s.tombs(r.layer, &p.tombs, seg.tidLo, seg.tidHi)
+	r.held = append(r.held, p)
+	return nil
+}
+
 // segCols lays rows [lo, hi) of a decoded segment stored at descriptor
 // width fw out in cols as the scan's columns, sharing the segment's
 // vectors: descriptor and tid columns as typed int vectors (a short
@@ -750,6 +910,11 @@ func (s *StoreScanIter) zeroPad(n int) []int64 {
 // consumer may keep a scan's vectors until it closes the scan. The stat
 // counters survive Close so tracing can collect them.
 func (s *StoreScanIter) Close() error {
+	for i := range s.runs { // by lookup, the segments past the last id asked
+		for r := &s.runs[i]; s.calls > 0 && r.next < r.end; r.next++ {
+			s.pass(r, r.next)
+		}
+	}
 	s.release()
 	for b := s.owned; b != nil; b = b.recycle() {
 	}
@@ -757,10 +922,14 @@ func (s *StoreScanIter) Close() error {
 	return nil
 }
 
-// release returns the runs' tombstone buffers.
+// release returns the runs' and their pieces' tombstone buffers.
 func (s *StoreScanIter) release() {
 	for i := range s.runs {
-		s.runs[i].tombs.release()
+		r := &s.runs[i]
+		for j := range r.held {
+			r.held[j].tombs.release()
+		}
+		r.tombs.release()
 	}
 }
 
@@ -774,8 +943,10 @@ func (s *StoreScanIter) OperatorStats(emit func(key string, v int64)) {
 	emit("segments_read", int64(s.SegmentsRead))
 	emit("cache_hits", s.CacheHits)
 	emit("bytes_decoded", s.BytesDecoded)
-	if len(s.keys) > 0 {
+	if len(s.keys) > 0 || s.calls > 0 {
 		emit("segments_skipped_by_join", s.SegmentsSkippedByJoin)
+	}
+	if len(s.keys) > 0 {
 		emit("rows_skipped_by_join", s.RowsSkippedByJoin)
 	}
 	if s.Src.Tomb != nil {

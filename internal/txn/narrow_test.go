@@ -12,7 +12,8 @@ import (
 )
 
 // wideOpen is a store scan leaf whose iterator hides NarrowKeys: the
-// same leaf with narrowing off.
+// same leaf with narrowing off. It forwards lookups, which a stitch
+// finds rows by.
 type wideOpen struct{ *store.StoreScanPlan }
 
 func (w wideOpen) BuildIter(cfg engine.ExecConfig) (engine.Iterator, error) {
@@ -20,7 +21,15 @@ func (w wideOpen) BuildIter(cfg engine.ExecConfig) (engine.Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return struct{ engine.Iterator }{it}, nil
+	return lookupOnly{it}, nil
+}
+
+// lookupOnly is a store scan that answers Next and lookups, and takes no
+// keys.
+type lookupOnly struct{ engine.Iterator }
+
+func (l lookupOnly) Lookup(col int) func([]int64, []int32) (*engine.ColBatch, error) {
+	return l.Iterator.(engine.RowLookup).Lookup(col)
 }
 
 // wrapScans returns p with every store scan leaf replaced by wrap's.

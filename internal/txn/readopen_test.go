@@ -57,7 +57,8 @@ func TestReadOnlyOpenSeesWALCommits(t *testing.T) {
 // delta or log name reaching out of the directory each fail store.Open
 // and Open with an ErrCorrupt that names the file — the catalog, or the
 // partition file — and, for an older format, says how to bring it up to
-// date; nothing outside the directory is created.
+// date; a refused catalog's error says nothing of segments. Nothing
+// outside the directory is created.
 func TestOnlyTheCurrentLayoutOpens(t *testing.T) {
 	for _, c := range []struct {
 		name, want string // want: the file the error names
@@ -116,8 +117,9 @@ func TestOnlyTheCurrentLayoutOpens(t *testing.T) {
 			check := func(how string, err error) {
 				t.Helper()
 				if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), c.want) ||
-					c.older && !strings.Contains(err.Error(), "store.Save") {
-					t.Errorf("%s: err = %v, want ErrCorrupt naming %s", how, err, c.want)
+					c.older && !strings.Contains(err.Error(), "store.Save") ||
+					c.want == store.CatalogName && strings.Contains(err.Error(), "segment") {
+					t.Errorf("%s: err = %v, want ErrCorrupt naming %s (and, for the catalog, no segment)", how, err, c.want)
 				}
 			}
 			db, err := store.Open(dir)

@@ -9,6 +9,7 @@ import (
 	"urel/internal/engine"
 	"urel/internal/obs"
 	"urel/internal/sqlparse"
+	"urel/internal/store"
 	"urel/internal/tpch"
 )
 
@@ -215,10 +216,13 @@ func TestKeySetsCutTheStitch(t *testing.T) {
 }
 
 // TestPositionalStitchConcurrent runs Q1–Q3 from four goroutines over
-// one in-memory database whose partitions no query has encoded yet, so
-// the goroutines build the images and their Positions and read them
-// shared, and holds each answer to the one the same query gives run
-// alone. CI runs it under the race detector, repeated.
+// one database and holds each answer to the one the same query gives in
+// memory run alone. In memory no query has encoded the partitions yet,
+// so the goroutines build the images and read them shared. Stored, they
+// share one opened store twice: behind a segment cache, whose decoded
+// segments every lookup reads, and without one, where each scan decodes
+// into pooled buffers that its lookups hold until Close hands them
+// back. CI runs it under the race detector, repeated.
 func TestPositionalStitchConcurrent(t *testing.T) {
 	gen := func() *core.UDB {
 		p := tpch.DefaultParams(0.05, 0.1, 0.25)
@@ -230,7 +234,7 @@ func TestPositionalStitchConcurrent(t *testing.T) {
 		return db
 	}
 	names := []string{"Q1", "Q2", "Q3"}
-	serial, shared := gen(), gen()
+	serial := gen()
 	want := map[string]*engine.Relation{}
 	for _, name := range names {
 		rel, err := serial.EvalPoss(tpch.Queries()[name], engine.ExecConfig{})
@@ -239,58 +243,83 @@ func TestPositionalStitchConcurrent(t *testing.T) {
 		}
 		want[name] = rel
 	}
-	errs := make(chan error, 4*len(names))
-	for g := 0; g < 4; g++ {
-		go func(g int) {
-			for k := range names {
-				name := names[(g+k)%len(names)]
-				rel, err := shared.EvalPoss(tpch.Queries()[name], engine.ExecConfig{})
-				if err == nil && !rel.EqualAsBag(want[name]) {
-					err = fmt.Errorf("%s: %d rows, %d run alone", name, rel.Len(), want[name].Len())
-				}
-				errs <- err
-			}
-		}(g)
+	dir := t.TempDir()
+	if err := store.Save(serial, dir); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < cap(errs); i++ {
-		if err := <-errs; err != nil {
-			t.Error(err)
+	cached, err := store.OpenCached(dir, store.NewSegCache(64<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cached.Close()
+	uncached, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer uncached.Close()
+	for where, shared := range map[string]*core.UDB{"in memory": gen(), "stored, cached": cached, "stored, uncached": uncached} {
+		errs := make(chan error, 4*len(names))
+		for g := 0; g < 4; g++ {
+			go func(g int) {
+				for k := range names {
+					name := names[(g+k)%len(names)]
+					rel, err := shared.EvalPoss(tpch.Queries()[name], engine.ExecConfig{})
+					if err == nil && !rel.EqualAsBag(want[name]) {
+						err = fmt.Errorf("%s %s: %d rows, %d run alone in memory", where, name, rel.Len(), want[name].Len())
+					}
+					errs <- err
+				}
+			}(g)
+		}
+		for i := 0; i < cap(errs); i++ {
+			if err := <-errs; err != nil {
+				t.Error(err)
+			}
 		}
 	}
 }
 
-// TestStitchFindsRowsByPosition pins which way each stitch finds a tuple
-// id's rows: in memory every stitch of Q1–Q3 looks them up by position —
-// none gallops, and every input but its driver is asked for tuple ids
-// rather than scanned — and over stored partitions, which offer no
-// positions, Q1's and Q2's stitches run the galloping merge.
+// TestStitchFindsRowsByPosition pins how a stitch finds a tuple id's
+// rows, in memory and over stored partitions alike: every stitch of
+// Q1–Q3 that emits a row asks each input but its driver for tuple ids
+// (tids_looked_up) rather than reading it, and reads its driver alone;
+// and no store scan under a stitch reads more segments than its
+// partition has.
 func TestStitchFindsRowsByPosition(t *testing.T) {
 	mem, stored, _ := indexedPlanningData(t, 0.25)
 	for _, name := range []string{"Q1", "Q2", "Q3"} {
 		for where, db := range map[string]*core.UDB{"in memory": mem, "stored": stored} {
-			if where == "stored" && name == "Q3" {
-				continue
-			}
-			_, _, root, text := analyzePlan(t, name, db, tpch.Queries()[name])
-			var walk func(s *obs.Span)
-			walk = func(s *obs.Span) {
-				if strings.HasPrefix(s.Op(), "Merge Join on tid") && s.Stat("driver_rows") > 0 {
-					looked := 0
-					for _, c := range s.Children() {
-						if c.Stat("tids_looked_up") > 0 {
-							looked++
+			plan, _, root, text := analyzePlan(t, name, db, tpch.Queries()[name])
+			stitches := 0
+			var walk func(p engine.Plan, s *obs.Span, under bool)
+			walk = func(p engine.Plan, s *obs.Span, under bool) {
+				kids := planKids(t, p, s)
+				st, ok := p.(*engine.StitchPlan)
+				if ok && s.Rows() > 0 {
+					stitches++
+					for i, c := range s.Children() {
+						if asked := c.Stat("tids_looked_up"); (asked > 0) == (i == st.Driver) {
+							t.Errorf("%s %s: %q: input %d (the driver is %d) was asked for %d tuple ids:\n%s", name, where, s.Op(), i, st.Driver, asked, text)
 						}
 					}
-					byPos := s.Stat("rows_galloped") == 0 && looked == len(s.Children())-1
-					if byPos != (where == "in memory") {
-						t.Errorf("%s %s: %q galloped %d rows and looked rows up in %d of its %d inputs:\n%s", name, where, s.Op(), s.Stat("rows_galloped"), looked, len(s.Children()), text)
+				}
+				if op := s.Op(); under && strings.HasPrefix(op, "Store Scan") {
+					var unpruned, total int64
+					if _, err := fmt.Sscanf(op[strings.Index(op, "(")+1:], "%d/%d segments", &unpruned, &total); err != nil {
+						t.Fatal(err)
+					}
+					if s.Stat("segments_read") > total {
+						t.Errorf("%s %s: %q read %d segments of %d:\n%s", name, where, op, s.Stat("segments_read"), total, text)
 					}
 				}
-				for _, c := range s.Children() {
-					walk(c)
+				for i, c := range s.Children() {
+					walk(kids[i], c, under || ok)
 				}
 			}
-			walk(root)
+			walk(plan, root, false)
+			if stitches == 0 {
+				t.Errorf("%s %s: no stitch emitted a row:\n%s", name, where, text)
+			}
 		}
 	}
 }
