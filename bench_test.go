@@ -544,13 +544,7 @@ func storedScan(b *testing.B, rel *engine.Relation, alias string) engine.Plan {
 // semijoin-based relational reduction.
 func BenchmarkReduction(b *testing.B) {
 	b.ReportAllocs()
-	mk := func() *core.UDB {
-		db, _, err := tpch.Generate(tpch.DefaultParams(0.005, 0.05, 0.25))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return db
-	}
+	mk := func() *core.UDB { return tpchDB(b, 0.005, 0.05, 42) }
 	b.Run("exact", func(b *testing.B) {
 		b.ReportAllocs()
 		db := mk()
@@ -712,12 +706,7 @@ func servedResult(db *core.UDB, q core.Query) (*core.UResult, error) {
 // its served workloads hold it: behind a 256 MiB segment cache.
 func servedData(tb testing.TB) *core.UDB {
 	tb.Helper()
-	p := tpch.DefaultParams(0.25, 0.01, 0.25)
-	p.Seed = 1
-	mem, _, err := tpch.Generate(p)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	mem := tpchDB(tb, 0.25, 0.01, 1)
 	dir := tb.TempDir()
 	if err := store.Save(mem, dir); err != nil {
 		tb.Fatal(err)
@@ -931,12 +920,7 @@ func BenchmarkTombstoneScan(b *testing.B) {
 //
 //	go test -run=NONE -bench=BenchmarkCompact -benchmem .
 func BenchmarkCompact(b *testing.B) {
-	p := tpch.DefaultParams(0.1, 0.01, 0.25)
-	p.Seed = 1
-	mem, _, err := tpch.Generate(p)
-	if err != nil {
-		b.Fatal(err)
-	}
+	mem := tpchDB(b, 0.1, 0.01, 1)
 	dir := b.TempDir()
 	if err := store.Save(mem, dir); err != nil {
 		b.Fatal(err)

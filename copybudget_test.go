@@ -88,12 +88,7 @@ import (
 // were merged by a stitch; 0.318 while the stitch gathered the tuple
 // ids and descriptors no one above it read.
 func TestCopyBudget(t *testing.T) {
-	p := tpch.DefaultParams(0.05, 0.1, 0.25)
-	p.Seed = 1
-	db, _, err := tpch.Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := tpchDB(t, 0.05, 0.1, 1)
 	for _, c := range []struct {
 		name    string
 		q       core.Query
@@ -323,12 +318,7 @@ func TestPlanBudget(t *testing.T) {
 		name string
 		x    float64
 	}{{"lo", 0.01}, {"hi", 0.1}} {
-		p := tpch.DefaultParams(0.05, d.x, 0.25)
-		p.Seed = 1
-		db, _, err := tpch.Generate(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		db := tpchDB(t, 0.05, d.x, 1)
 		for _, name := range []string{"Q1", "Q2", "Q3"} {
 			name, q := name+"_"+d.name, tpch.Queries()[name]
 			plan := func() {

@@ -22,12 +22,7 @@ import (
 // plan rewrite; done while lowering it would see trace wrappers under
 // EXPLAIN ANALYZE and quietly not happen.)
 func TestTranslatedPlansProjectOnce(t *testing.T) {
-	p := tpch.DefaultParams(0.02, 0.05, 0.25)
-	p.Seed = 1
-	db, _, err := tpch.Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := tpchDB(t, 0.02, 0.05, 1)
 	cat := engine.NewCatalog()
 	var checkShape func(what string, p engine.Plan) (joins int)
 	checkShape = func(what string, p engine.Plan) (joins int) {

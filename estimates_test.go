@@ -107,12 +107,7 @@ func TestEstimatesTrackActuals(t *testing.T) {
 	}
 	for _, x := range []float64{0.01, 0.1} {
 		for _, seed := range []int64{1, 42} {
-			p := tpch.DefaultParams(0.05, x, 0.25)
-			p.Seed = seed
-			db, _, err := tpch.Generate(p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			db := tpchDB(t, 0.05, x, seed)
 			for _, name := range []string{"Q1", "Q2", "Q3"} {
 				check(fmt.Sprintf("%s at x %g, seed %d", name, x, seed), db, tpch.Queries()[name])
 			}
@@ -146,6 +141,19 @@ func analyzePlan(t *testing.T, what string, db *core.UDB, q core.Query) (engine.
 		t.Fatalf("%s: %v", what, err)
 	}
 	return plan, cat, root.Children()[0], text
+}
+
+// tpchDB generates the uncertain TPC-H database of one seed at scale s
+// and uncertainty ratio x, correlation 0.25.
+func tpchDB(tb testing.TB, s, x float64, seed int64) *core.UDB {
+	tb.Helper()
+	p := tpch.DefaultParams(s, x, 0.25)
+	p.Seed = seed
+	db, _, err := tpch.Generate(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return db
 }
 
 // planKids returns the children of plan node p, whose span is s: the

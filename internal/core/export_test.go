@@ -15,7 +15,7 @@ import (
 // partition is encoded again, and any difference — a change of Rows that
 // did not say RowsChanged, a consumer that wrote into a shared row —
 // stops the run, and so does an image whose tuple ids do not ascend (a
-// stitch merges in that order).
+// stitch merges in that order) or a kept run that is not a fresh sort.
 func TestMain(m *testing.M) {
 	auditImage = func(u *URelation, img *image) {
 		fresh := u.buildImage()
@@ -24,6 +24,13 @@ func TestMain(m *testing.M) {
 		}
 		if tids := img.cols[2*img.width].Ints; !slices.IsSorted(tids) {
 			panic(fmt.Sprintf("core: %s: the image is not in tuple-id order", u.Name))
+		}
+		img.runMu.Lock()
+		defer img.runMu.Unlock()
+		for c, run := range img.runs {
+			if run != nil && !slices.Equal(run, engine.ValueOrder(&fresh.cols[c])) {
+				panic(fmt.Sprintf("core: %s: the kept run of column %d is not the value order of its rows now", u.Name, c))
+			}
 		}
 	}
 	os.Exit(m.Run())

@@ -345,7 +345,7 @@ func (tr *translator) encodePartition(u *URelation, alias string, pidx int, cont
 	}
 	whole := len(attrIdx) == len(u.Attrs)
 	sch := engine.Schema{Cols: cols}
-	leaf := &engine.ValuesPlan{Batch: &engine.ColBatch{Sch: sch, Cols: img.cols, N: img.n}, Name: name, Stats: img.tableStats, Sorted: tidCol}
+	leaf := &engine.ValuesPlan{Batch: &engine.ColBatch{Sch: sch, Cols: img.cols, N: img.n}, Name: name, Stats: img.tableStats, Runs: img.run, Sorted: tidCol}
 	if whole {
 		return leaf, lay
 	}

@@ -84,6 +84,22 @@ type image struct {
 
 	statsOnce sync.Once
 	stats     *engine.TableStats // per column of cols; see tableStats
+
+	runMu sync.Mutex
+	runs  [][]int32 // per column of cols, nil until built; see run
+}
+
+// run returns the value-order run of column c (engine.ValueOrder),
+// which the first query whose key list reaches the column builds and
+// the image keeps: it is built once per image, not per query, and
+// dropped with it. The lock makes concurrent queries share one build.
+func (img *image) run(c int) []int32 {
+	img.runMu.Lock()
+	defer img.runMu.Unlock()
+	if img.runs[c] == nil {
+		img.runs[c] = engine.ValueOrder(&img.cols[c])
+	}
+	return img.runs[c]
 }
 
 // describes reports whether the image was built from rows as they are
@@ -130,6 +146,7 @@ func (u *URelation) buildImage() *image {
 		}
 	}
 	img.cols = EncodeRows(u.Rows, img.width, len(u.Attrs))
+	img.runs = make([][]int32, len(img.cols))
 	return img
 }
 

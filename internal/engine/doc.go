@@ -33,12 +33,12 @@
 // (StitchPlan, StitchIter) is the merge of one relation's vertical
 // partitions — Figure 13's merge join on the tuple id, ψ its join
 // filter: its inputs hold their rows in tuple-id order. It streams the
-// input it drives by and asks every other for the rows of the driver's
-// tuple ids (RowLookup: the scan of an in-memory image or of a stored
-// partition, and the filters and projections over it), which each finds
-// by galloping forward over its tuple ids; it combines a tuple id's rows
-// where ψ holds and gathers each output column once, from the input
-// that owns it. A hash
+// input it drives by and asks the others — keyed, filtered, unfiltered —
+// for the rows of the driver's tuple ids (RowLookup: the scan of an
+// in-memory image or of a stored partition, and the filters and
+// projections over it), which each finds by galloping forward over its
+// tuple ids; it combines a tuple id's rows where ψ holds and gathers
+// each output column once, from the input that owns it. A hash
 // join — every join of two relations — drains its build side into a
 // joinTable that keeps the batches' payload vectors and refers to build
 // rows as (batch, row), looks every probe row up from its key vectors
@@ -66,17 +66,20 @@
 // projection to the column it picks, a rename and a semi join to their
 // input, a trace wrapper to the operator it wraps (counting a list as
 // keys_in), and a stitch keys on a tid column to its driver and any
-// other to the input that owns the column, dropping, as it reads its
-// driver, the driver's rows a list leaves out; a scan honours its keys
-// on the rows it finds by lookup as on the rows it serves. A hash join
+// other to the input that owns the column; a scan honours its keys on
+// the rows it finds by lookup as on the rows it serves. A hash join
 // forwards none (keys are a hint), so a join on another join's probe
 // side reads its inputs whole. Keys end at a leaf: the store scan skips
 // the segments whose bounds hold none and serves a tid range as a
 // window of the segment it reads; the scan of an in-memory partition
 // image, in tid order, serves one as the window binary search finds;
 // both drop the rows whose int key a list leaves out, reporting them as
-// rows_skipped_by_join. So a stitch under a join gathers only the rows
-// that can join.
+// rows_skipped_by_join — but an image scan handed a list on a column
+// with a value-order run (ValuesPlan.Runs) finds the list's rows in it
+// instead (rows_found_by_keys), and a stitch drives from such a scan
+// when it finds fewer rows than the planned driver is estimated to
+// serve (driven_by_keys). So a stitch under a join reads and gathers
+// only the rows that can join.
 //
 // A plan node is immutable once built: a rewrite builds a new node and
 // never writes to one, so what a node derives from its inputs — its

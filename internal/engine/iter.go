@@ -144,14 +144,19 @@ func Gallop(xs []int64, lo, hi int, t int64) int {
 // Batch, or a relation laid out at Open), handing out windows of
 // DefaultBatchSize rows that share its vectors — of the rows [pos, end),
 // which keys on its sorted column narrow — each behind a selection of
-// the rows no key list drops. It finds the same rows by their key in its
-// sorted column (RowLookup).
+// the rows no key list drops, or of the rows a list's value-order run
+// finds (settle). It finds the same rows by their key in its sorted
+// column (RowLookup).
 type colScanIter struct {
 	src      *ColBatch // before a relation's Open, its schema alone
 	rel      *Relation // when set, laid out into src at Open
 	sorted   int       // the ascending int column, -1 none
+	runs     func(col int) []int32
 	pos, end int
 	keys     []ColKeys // the keys handed down (NarrowKeys)
+	settled  bool      // rows is decided
+	rows     []int32   // when not nil, the rows a run found, ascending, of which [pos, end) are left
+	tids     []int64   // the sorted column's cells of rows, for lookups
 	cols     []ColVec  // reused window headers
 	sel      []int32   // reused selection
 	cb       ColBatch
@@ -163,7 +168,7 @@ func (s *colScanIter) Open() error {
 	if s.rel != nil {
 		s.src = relBatch(s.rel)
 	}
-	s.pos, s.end, s.keys, s.skipped = 0, s.src.N, s.keys[:0], 0
+	s.pos, s.end, s.keys, s.skipped, s.settled, s.rows, s.tids = 0, s.src.N, s.keys[:0], 0, false, nil, nil
 	return nil
 }
 func (s *colScanIter) Close() error   { return nil }
@@ -171,16 +176,54 @@ func (s *colScanIter) Schema() Schema { return s.src.Sch }
 
 // NarrowKeys (KeyNarrower) narrows the rows not yet served to those
 // whose sorted column lies in the keys' range, and has Next drop the
-// rows whose typed int column col holds no key of a list.
+// rows whose typed int column col holds no key of a list. Keys handed
+// once the rows a run found are served are ignored.
 func (s *colScanIter) NarrowKeys(col int, keys Keys) {
 	s.keys = append(s.keys, ColKeys{Col: col, Keys: keys})
-	if col != s.sorted {
+	if col != s.sorted || s.rows != nil {
 		return
 	}
 	xs, n := s.src.Cols[col].Ints, s.end-s.pos
 	s.pos = max(s.pos, sort.Search(s.end, func(i int) bool { return xs[i] >= keys.Lo }))
 	s.end = max(s.pos, min(s.end, sort.Search(s.end, func(i int) bool { return xs[i] > keys.Hi })))
 	s.skipped += int64(n - (s.end - s.pos))
+}
+
+// settle, at the first pull, looks the keys of the first list on a
+// column with a run up in the run — keys × log n + the rows it finds —
+// and makes the rows of [pos, end) it finds that no list drops the rows
+// the scan serves, in row order. It returns how many, -1 when the scan
+// reads its rows.
+func (s *colScanIter) settle() int {
+	for k := 0; !s.settled && s.runs != nil && k < len(s.keys); k++ {
+		h := s.keys[k]
+		if h.List == nil || h.Col == s.sorted || s.runs(h.Col) == nil {
+			continue
+		}
+		run, xs := s.runs(h.Col), s.src.Cols[h.Col].Ints
+		spans := func(of func(lo, hi int)) { // the span of each key in run
+			for at, j := 0, 0; j < len(h.List); j++ {
+				lo := at + sort.Search(len(run)-at, func(i int) bool { return xs[run[at+i]] >= h.List[j] })
+				for at = lo; at < len(run) && xs[run[at]] == h.List[j]; at++ {
+				}
+				of(lo, at)
+			}
+		}
+		n := 0
+		spans(func(lo, hi int) { n += hi - lo })
+		rows := make([]int32, 0, n)
+		spans(func(lo, hi int) { rows = append(rows, run[lo:hi]...) })
+		slices.Sort(rows)
+		lo := sort.Search(n, func(i int) bool { return int(rows[i]) >= s.pos })
+		rows = rows[lo:sort.Search(n, func(i int) bool { return int(rows[i]) >= s.end })]
+		s.rows, _ = SelectKeyed(s.keys, s.src.Cols, s.src.N, rows, &rows)
+		s.settled, s.skipped = true, s.skipped+int64(s.end-s.pos-len(s.rows))
+		s.pos, s.end = 0, len(s.rows)
+	}
+	if s.settled = true; s.rows == nil {
+		return -1
+	}
+	return len(s.rows)
 }
 
 // Lookup (RowLookup) answers on the sorted column, when it holds ints.
@@ -193,10 +236,21 @@ func (s *colScanIter) Lookup(col int) func([]int64, []int32) (*ColBatch, error) 
 
 // lookup finds each key's rows by galloping forward over the sorted
 // column, within the window [pos, end) and without the rows a key list
-// drops. It leaves pos, where Next, not called, would serve from, at the
-// last key's first row: the next call may ask that key again.
+// drops — or over the rows a run found. It leaves pos, where Next, not
+// called, would serve from, at the last key's first row: the next call
+// may ask that key again.
 func (s *colScanIter) lookup(keys []int64, of []int32) (*ColBatch, error) {
-	xs, sel := s.src.Cols[s.sorted].Ints, slices.Grow(s.sel[:0], len(of))
+	xs := s.src.Cols[s.sorted].Ints
+	if s.settle(); s.rows != nil {
+		if s.tids == nil {
+			s.tids = make([]int64, len(s.rows))
+			for i, r := range s.rows {
+				s.tids[i] = xs[r]
+			}
+		}
+		xs = s.tids
+	}
+	sel := slices.Grow(s.sel[:0], len(of))
 	for k, at := 0, s.pos; k < len(of); k++ {
 		if t := keys[of[k]]; k == 0 || t != keys[of[k-1]] {
 			s.pos = Gallop(xs, at, s.end, t)
@@ -206,8 +260,16 @@ func (s *colScanIter) lookup(keys []int64, of []int32) (*ColBatch, error) {
 		}
 	}
 	s.sel = sel
-	sel, dropped := SelectKeyed(s.keys, s.src.Cols, s.src.N, sel, &s.sel)
-	if s.skipped += int64(dropped); len(sel) == 0 {
+	if s.rows != nil {
+		for i, j := range sel {
+			sel[i] = s.rows[j]
+		}
+	} else {
+		var dropped int
+		sel, dropped = SelectKeyed(s.keys, s.src.Cols, s.src.N, sel, &s.sel)
+		s.skipped += int64(dropped)
+	}
+	if len(sel) == 0 {
 		return nil, nil
 	}
 	s.cb = ColBatch{Sch: s.src.Sch, Cols: s.src.Cols, N: s.src.N, Sel: sel}
@@ -215,28 +277,52 @@ func (s *colScanIter) lookup(keys []int64, of []int32) (*ColBatch, error) {
 }
 
 func (s *colScanIter) Next() (*ColBatch, bool, error) {
+	if s.settle(); s.rows != nil {
+		if s.pos == s.end {
+			return nil, false, nil
+		}
+		found := s.rows[s.pos:min(s.pos+DefaultBatchSize, s.end)]
+		s.pos += len(found)
+		lo, hi := int(found[0]), int(found[len(found)-1])+1
+		s.sel = slices.Grow(s.sel[:0], len(found))
+		for _, r := range found {
+			s.sel = append(s.sel, r-int32(lo))
+		}
+		return s.window(lo, hi, s.sel), true, nil
+	}
 	for s.pos < s.end {
 		lo, hi := s.pos, min(s.pos+DefaultBatchSize, s.end)
 		s.pos = hi
-		s.cols = s.cols[:0]
-		for c := range s.src.Cols {
-			s.cols = append(s.cols, s.src.Cols[c].Slice(lo, hi))
-		}
+		cb := s.window(lo, hi, nil)
 		sel, dropped := SelectKeyed(s.keys, s.cols, hi-lo, nil, &s.sel)
 		if s.skipped += int64(dropped); sel != nil && len(sel) == 0 {
 			continue
 		}
-		s.cb = ColBatch{Sch: s.src.Sch, Cols: s.cols, N: hi - lo, Sel: sel}
-		return &s.cb, true, nil
+		cb.Sel = sel
+		return cb, true, nil
 	}
 	return nil, false, nil
 }
 
+// window is the batch of rows [lo, hi), sharing the source's vectors,
+// behind sel.
+func (s *colScanIter) window(lo, hi int, sel []int32) *ColBatch {
+	s.cols = s.cols[:0]
+	for c := range s.src.Cols {
+		s.cols = append(s.cols, s.src.Cols[c].Slice(lo, hi))
+	}
+	s.cb = ColBatch{Sch: s.src.Sch, Cols: s.cols, N: hi - lo, Sel: sel}
+	return &s.cb
+}
+
 // OperatorStats reports, when keys were handed down, the rows they left
-// out.
+// out, and the rows a run found.
 func (s *colScanIter) OperatorStats(emit func(key string, v int64)) {
 	if len(s.keys) > 0 {
 		emit("rows_skipped_by_join", s.skipped)
+	}
+	if s.rows != nil {
+		emit("rows_found_by_keys", int64(len(s.rows)))
 	}
 }
 

@@ -20,13 +20,14 @@ import (
 // input's column forwards keys on it to that input: a filter to its
 // input, a projection to the column it picks, a rename and a semi join
 // to the input whose rows they pass through, and a stitch to the input
-// that owns the column (keys on a tuple-id column to its driver) —
-// dropping, while it reads its driver, the driver rows a list leaves
-// out. A hash join forwards nothing (keys are a hint), so
-// a join on another join's probe side reads its inputs whole. A scan
-// narrows to the window of rows a range spans on a column it is sorted
-// on, a store scan skips the file segments whose bounds hold no key, and
-// both drop the rows whose key a list leaves out.
+// that owns the column (keys on a tuple-id column to its planned
+// driver). A hash join forwards nothing (keys are a hint), so a join on
+// another join's probe side reads its inputs whole. A scan narrows to
+// the window of rows a range spans on a column it is sorted on, a store
+// scan skips the file segments whose bounds hold no key, and both drop
+// the rows whose key a list leaves out — unless the in-memory scan has
+// a value-order run of the list's column, in which it finds the list's
+// rows instead of reading the others.
 type KeyNarrower interface {
 	NarrowKeys(col int, keys Keys)
 }
@@ -486,7 +487,12 @@ func (c *joinCursor) reset() { c.hit, c.match = -1, -1 }
 // fill collects up to max pairs into bsel/psel; it reports false once
 // every chain of h is walked.
 func (c *joinCursor) fill(t *joinTable, cond *joinCond, pcb *ColBatch, h *probeHits, max int) bool {
-	c.bsel, c.psel = c.bsel[:0], c.psel[:0]
+	n := 0 // room for the build rows the chains left hold, up to max: not grown by doubling
+	for k := c.hit + 1; k < len(h.heads) && n < max; k++ {
+		for m := h.heads[k]; m >= 0 && n < max; m, n = t.next[m], n+1 {
+		}
+	}
+	c.bsel, c.psel = slices.Grow(c.bsel[:0], n), slices.Grow(c.psel[:0], n)
 	for len(c.bsel) < max {
 		if c.match < 0 {
 			if c.hit+1 >= len(h.sel) {

@@ -70,7 +70,7 @@ func foldProjections(p Plan, cat *Catalog) Plan {
 		}
 	case *StitchPlan:
 		if c.Out == nil || throughProjection(top.Names, c.Out, c.derive(cat).full) {
-			return &StitchPlan{Inputs: c.Inputs, TIDs: c.TIDs, Cond: c.Cond, Driver: c.Driver, Out: top.Names}
+			return &StitchPlan{Inputs: c.Inputs, TIDs: c.TIDs, Cond: c.Cond, Driver: c.Driver, Out: top.Names, Est: c.Est}
 		}
 	}
 	return p
@@ -289,15 +289,13 @@ func orderJoins(p Plan, est *estimator) (Plan, error) {
 		return nil, err
 	}
 	if s, ok := p.(*StitchPlan); ok {
-		driver := 0
+		rows, driver := make([]float64, len(s.Inputs)), 0
 		for i, in := range s.Inputs {
-			if est.stats(in).Rows < est.stats(s.Inputs[driver]).Rows {
+			if rows[i] = est.stats(in).Rows; rows[i] < rows[driver] {
 				driver = i
 			}
 		}
-		if driver != s.Driver {
-			p = &StitchPlan{Inputs: s.Inputs, TIDs: s.TIDs, Cond: s.Cond, Driver: driver, Out: s.Out}
-		}
+		p = &StitchPlan{Inputs: s.Inputs, TIDs: s.TIDs, Cond: s.Cond, Driver: driver, Out: s.Out, Est: rows}
 	}
 	return p, nil
 }

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"unsafe"
@@ -93,6 +95,33 @@ type ValuesPlan struct {
 	// when an estimate is asked for. Without it the estimator scans the
 	// data (ComputeBatchStats), once per planning pass.
 	Stats func() *TableStats
+	// Runs, when non-nil, returns the value-order run (ValueOrder) of an
+	// int column of Batch, nil for none: a key list on the column finds
+	// its rows in it. A producer that keeps the data sets it, and keeps
+	// each run it builds with the data, as it keeps Stats.
+	Runs func(col int) []int32
+}
+
+// ValueOrder is the value-order run of v, a typed int column: its rows
+// that are not NULL, by value and, among equal values, by row. Nil when
+// v holds anything but typed ints.
+func ValueOrder(v *ColVec) []int32 {
+	if v.Vals != nil || v.Kind != KindInt {
+		return nil
+	}
+	run := make([]int32, 0, len(v.Ints))
+	for i := range v.Ints {
+		if !v.IsNull(i) {
+			run = append(run, int32(i))
+		}
+	}
+	slices.SortFunc(run, func(a, b int32) int {
+		if c := cmp.Compare(v.Ints[a], v.Ints[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return run
 }
 
 // Values builds a scan over an unregistered relation, laid out once as
@@ -422,7 +451,7 @@ func (b *lowering) build(p Plan, cfg ExecConfig) (Iterator, error) {
 		}
 		return NewScan(r), nil
 	case *ValuesPlan:
-		return &colScanIter{src: n.Batch, sorted: n.Batch.Sch.IndexOf(n.Sorted)}, nil
+		return &colScanIter{src: n.Batch, sorted: n.Batch.Sch.IndexOf(n.Sorted), runs: n.Runs}, nil
 	case *FilterPlan:
 		return b.unary(cfg, n.Child, func(in Iterator) Iterator { return NewFilter(in, n.Cond) })
 	case *ProjectPlan:
@@ -448,7 +477,9 @@ func (b *lowering) build(p Plan, cfg ExecConfig) (Iterator, error) {
 				return nil, err
 			}
 		}
-		return NewStitch(ins, n.TIDs, n.Cond, n.Driver, n.Out), nil
+		st := NewStitch(ins, n.TIDs, n.Cond, n.Driver, n.Out)
+		st.Est = n.Est
+		return st, nil
 	case *UnionPlan:
 		return b.binary(cfg, n.L, n.R, func(l, r Iterator) Iterator { return NewUnion(l, r) })
 	case *DiffPlan:

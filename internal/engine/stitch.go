@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -15,15 +16,18 @@ import (
 // over the inputs' descriptor columns, is evaluated on each combination
 // of rows sharing a tuple id. Driver is the input the stitch reads,
 // whose tuple ids it looks up in the other inputs (StitchIter):
-// Optimize makes it the input it estimates smallest. Out is JoinPlan's.
-// Its estimate is that of the tree of binary joins on α ∧ ψ it
-// replaces, as the join orderer (joinOrderer) would lay it out.
+// Optimize makes it the input it estimates smallest, and keeps each
+// input's estimated rows in Est, which the stitch orders its inputs by
+// at run time. Out is JoinPlan's. Its estimate is that of the tree of
+// binary joins on α ∧ ψ it replaces, as the join orderer (joinOrderer)
+// would lay it out.
 type StitchPlan struct {
 	Inputs []Plan
 	TIDs   []string
 	Cond   Expr
 	Driver int
 	Out    []string
+	Est    []float64 // nil in a plan Optimize did not order
 
 	d joinDerived
 }
@@ -65,16 +69,19 @@ func (p *StitchPlan) Schema(cat *Catalog) (Schema, error) {
 
 func (p *StitchPlan) Children() []Plan { return p.Inputs }
 func (p *StitchPlan) WithChildren(ch []Plan) Plan {
-	return &StitchPlan{Inputs: ch, TIDs: p.TIDs, Cond: p.Cond, Driver: p.Driver, Out: p.Out}
+	return &StitchPlan{Inputs: ch, TIDs: p.TIDs, Cond: p.Cond, Driver: p.Driver, Out: p.Out, Est: p.Est}
 }
 func (p *StitchPlan) Label() string { return "Merge Join on tid (driver " + p.TIDs[p.Driver] + ")" }
 
-// StitchIter is the physical stitch. It streams the driver a batch at a
-// time, leaving out the rows a key list handed down on its columns
-// drops, and asks the other inputs in turn (one handed a key list first)
-// for the rows of the tuple ids it kept, each for the ids the one before
-// found (RowLookup), as selections over their own vectors. The rows of a
-// tuple id — its alternatives — are combined across the inputs, ψ
+// StitchIter is the physical stitch. It streams its driver a batch at
+// a time and asks the other inputs in turn — keyed, then filtered by
+// their estimated rows (Est), then the rest — for the rows of the tuple
+// ids it read, each for the ids the one before found (RowLookup), as
+// selections over their own vectors. The driver is the plan's unless,
+// at the first pull, an in-memory scan's key list finds fewer rows in
+// a value-order run than the plan's driver is estimated to serve: the
+// one that finds fewest drives, and the plan's is looked up. The rows
+// of a tuple id — its alternatives — are combined across the inputs, ψ
 // compared on the int cells in place by the hash join's condition
 // evaluator (joinCond), a combination kept as one row per input, and
 // each output column is gathered once per driver batch (or
@@ -86,17 +93,19 @@ type StitchIter struct {
 	TIDs   []string
 	Cond   Expr
 	Driver int
+	Est    []float64 // per input, its estimated rows; nil when unplanned
 
 	outCols []string
 	shape   *joinShape
 	ins     []stitchIn // per input, its cursor
 	pick    []int      // per input, the row of its run in the combination
-	keep    []ColKeys  // keys handed down on the driver's columns
-	kept    []int32    // reused selection of the driver rows keep lets through
+	drv     int        // the input driving
+	kept    []int32    // reused selection of a whole driver batch
 	last    int64      // the greatest tuple id the driver handed over
 	pending int        // combinations not yet gathered
 	started bool
 	done    bool
+	byKeys  bool     // the driver serves the rows its key list finds
 	order   []int    // the other inputs in the order asked
 	cols    []ColVec // reused output batch header
 	lays    []vecLayout
@@ -105,8 +114,8 @@ type StitchIter struct {
 	driverRows, lookedUp, cellsGathered int64 // OperatorStats
 }
 
-// stitchIn is the cursor over one input: its lookup (nil for the
-// driver), its current batch — what the lookup found, the driver's
+// stitchIn is the cursor over one input: its lookup (unused while it
+// drives), its current batch — what the lookup found, the driver's
 // pulled batch — whose live rows sel are, the live position in it, the
 // rows of the tuple id being combined and, per pending combination, its
 // row of the batch.
@@ -114,6 +123,7 @@ type stitchIn struct {
 	it        Iterator
 	tid       int
 	find      func([]int64, []int32) (*ColBatch, error)
+	rank      float64 // where it is asked: -1 keyed, its Est when filtered, else +Inf
 	cur       *ColBatch
 	tids      []int64
 	sel       []int32
@@ -135,8 +145,12 @@ func (s *StitchIter) Open() error {
 			return err
 		}
 		schs[i] = it.Schema()
-		if s.ins[i] = (stitchIn{it: it, tid: schs[i].IndexOf(s.TIDs[i])}); s.ins[i].tid < 0 {
+		_, filtered := scanOf(it)
+		if s.ins[i] = (stitchIn{it: it, tid: schs[i].IndexOf(s.TIDs[i]), rank: math.Inf(1)}); s.ins[i].tid < 0 {
 			return fmt.Errorf("engine: stitch: no tuple-id column %q in %v", s.TIDs[i], schs[i].Names())
+		}
+		if filtered && s.Est != nil {
+			s.ins[i].rank = s.Est[i]
 		}
 	}
 	var err error
@@ -145,25 +159,75 @@ func (s *StitchIter) Open() error {
 	}
 	n := len(s.shape.out)
 	s.pick, s.cols, s.lays = make([]int, len(s.Ins)), make([]ColVec, n), make([]vecLayout, n)
-	s.keep, s.last, s.pending, s.started, s.done = nil, math.MinInt64, 0, false, false
-	s.driverRows, s.lookedUp, s.cellsGathered, s.order = 0, 0, 0, s.order[:0]
+	s.drv, s.byKeys, s.last, s.pending, s.started, s.done = s.Driver, false, math.MinInt64, 0, false, false
+	s.driverRows, s.lookedUp, s.cellsGathered = 0, 0, 0
 	for i := range s.ins {
 		if in := &s.ins[i]; i != s.Driver {
 			if in.find = lookupOf(in.it, in.tid, nil); in.find == nil {
 				return fmt.Errorf("engine: stitch: input %d cannot look rows up by its tuple ids %q", i, s.TIDs[i])
 			}
-			s.order = append(s.order, i)
 		}
 	}
 	return nil
+}
+
+// settle, at the first pull, picks the driver — the input whose key
+// list finds fewest rows, when they are fewer than the plan's driver is
+// estimated to serve (or finds) and that one can be looked up — and the
+// order the others are asked in.
+func (s *StitchIter) settle() {
+	found, best := s.pick, -1 // pick is free until the first combination
+	for i := range s.ins {
+		found[i] = -1
+		if sc, _ := scanOf(s.ins[i].it); sc != nil {
+			found[i] = sc.settle()
+		}
+		if found[i] >= 0 && (best < 0 || found[i] < found[best]) {
+			best = i
+		}
+	}
+	if d := &s.ins[s.drv]; best >= 0 && best != s.drv && (found[s.drv] >= 0 || s.Est != nil && float64(found[best]) < s.Est[s.drv]) {
+		if d.find = lookupOf(d.it, d.tid, nil); d.find != nil {
+			s.drv = best
+		}
+	}
+	s.byKeys, s.order = found[s.drv] >= 0, s.order[:0]
+	for i := range s.ins {
+		if i != s.drv {
+			s.order = append(s.order, i)
+		}
+	}
+	slices.SortStableFunc(s.order, func(a, b int) int { return cmp.Compare(s.ins[a].rank, s.ins[b].rank) })
+}
+
+// scanOf is the in-memory scan under it's filters, projections and
+// traces, nil when there is none, and whether a filter narrows it.
+func scanOf(it Iterator) (scan *colScanIter, filtered bool) {
+	for {
+		switch n := it.(type) {
+		case *colScanIter:
+			return n, filtered
+		case *FilterIter:
+			it, filtered = n.In, true
+		case *traceIter:
+			it = n.in
+		case *ProjectIter:
+			it = n.In
+		default:
+			return nil, filtered
+		}
+	}
 }
 
 // Next combines the driver's kept rows, a tuple id at a time, with the
 // rows the other inputs found of it, until DefaultBatchSize rows are
 // pending or the driver batch is used up, and gathers them.
 func (s *StitchIter) Next() (*ColBatch, bool, error) {
-	s.started = true
-	d := &s.ins[s.Driver]
+	if !s.started {
+		s.started = true
+		s.settle()
+	}
+	d := &s.ins[s.drv]
 	for !s.done && s.pending < DefaultBatchSize && (d.pos < d.n || s.pending == 0) {
 		if d.pos == d.n {
 			ok, err := s.lookUp()
@@ -216,13 +280,13 @@ var rowIDs = func() []int32 {
 	return ids
 }()
 
-// lookUp makes the driver's next batch with a row keep lets through its
-// current one, and asks the other inputs in turn (order) for the rows of
-// its tuple ids, each for the ids the one before found, which become
-// their current batches; a batch some input finds none of is passed
-// over. It reports false at the end of the driver.
+// lookUp makes the driver's next batch its current one, and asks the
+// other inputs in turn (order) for the rows of its tuple ids, each for
+// the ids the one before found, which become their current batches; a
+// batch some input finds none of is passed over. It reports false at
+// the end of the driver.
 func (s *StitchIter) lookUp() (bool, error) {
-	d := &s.ins[s.Driver]
+	d := &s.ins[s.drv]
 batches:
 	for {
 		cb, ok, err := d.it.Next()
@@ -233,7 +297,7 @@ batches:
 		if err := s.ascending(cb); err != nil {
 			return false, err
 		}
-		sel, _ := SelectKeyed(s.keep, cb.Cols, cb.N, cb.Sel, &s.kept)
+		sel := cb.Sel
 		if sel == nil && cb.N <= DefaultBatchSize {
 			sel = rowIDs[:cb.N]
 		} else if sel == nil {
@@ -269,14 +333,14 @@ batches:
 // ascending checks that the driver's live rows of cb hold int tuple ids
 // that ascend from the last one it handed over.
 func (s *StitchIter) ascending(cb *ColBatch) error {
-	v := &cb.Cols[s.ins[s.Driver].tid]
+	v := &cb.Cols[s.ins[s.drv].tid]
 	if v.Vals != nil || v.Kind != KindInt {
-		return fmt.Errorf("engine: stitch: input %d: tuple ids of kind %v", s.Driver, v.Kind)
+		return fmt.Errorf("engine: stitch: input %d: tuple ids of kind %v", s.drv, v.Kind)
 	}
 	for k, n := 0, cb.Rows(); k < n; k++ {
 		r := cb.RowID(k)
 		if v.Nulls != nil && v.Nulls[r] || v.Ints[r] < s.last {
-			return fmt.Errorf("engine: stitch: input %d is not in tuple-id order (%v after %d)", s.Driver, v.Value(r), s.last)
+			return fmt.Errorf("engine: stitch: input %d is not in tuple-id order (%v after %d)", s.drv, v.Value(r), s.last)
 		}
 		s.last = v.Ints[r]
 	}
@@ -316,37 +380,32 @@ func (s *StitchIter) combine(d int) {
 }
 
 // NarrowKeys (KeyNarrower) forwards keys on a tuple-id column to the
-// driver alone, whose tuple ids are all the others are asked for, and
-// keys on any other column to the input it is read from; a list on the
-// driver's columns also drops, as the driver is read, its rows whose
-// key the list leaves out, and an input handed a list is asked first.
-// Keys handed later are ignored.
+// plan's driver alone, whose tuple ids are all the others are asked for,
+// and keys on any other column to the input it is read from, which a
+// list marks keyed. Keys handed later are ignored.
 func (s *StitchIter) NarrowKeys(col int, keys Keys) {
 	if s.started || s.shape == nil {
 		return
 	}
 	c := s.shape.out[col]
 	if c.col == s.ins[c.in].tid {
-		d := &s.ins[s.Driver]
-		narrowInput(d.it, d.tid, keys)
-		s.keep = append(s.keep, ColKeys{Col: d.tid, Keys: keys})
-		return
+		c.in, c.col = s.Driver, s.ins[s.Driver].tid
+	} else if keys.List != nil {
+		s.ins[c.in].rank = -1
 	}
 	narrowInput(s.ins[c.in].it, c.col, keys)
-	if k := slices.Index(s.order, c.in); c.in == s.Driver {
-		s.keep = append(s.keep, ColKeys{Col: c.col, Keys: keys})
-	} else if keys.List != nil { // its lookups find fewer: ask it first
-		copy(s.order[1:k+1], s.order[:k])
-		s.order[0] = c.in
-	}
 }
 
 // OperatorStats reports the rows read from the driver, the rows the
-// other inputs found and the cells gathered into the output.
+// other inputs found and the cells gathered into the output, and
+// driven_by_keys when the driver served the rows its key list found.
 func (s *StitchIter) OperatorStats(emit func(key string, v int64)) {
 	emit("driver_rows", s.driverRows)
 	emit("rows_looked_up", s.lookedUp)
 	emit("cells_gathered", s.cellsGathered)
+	if s.byKeys {
+		emit("driven_by_keys", 1)
+	}
 }
 
 func (s *StitchIter) Close() error {

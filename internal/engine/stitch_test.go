@@ -11,8 +11,9 @@ import (
 // pairs p<p>.d<j>v, p<p>.d<j>r — variables from a small set, so one
 // repeats within a descriptor and meets its namesake across partitions,
 // and now and then a NULL or a float for an int, which ψ cannot compare
-// as ints — the tuple id p<p>.tid and an attribute p<p>.a that is NULL,
-// or a float equal to an int, now and then. A tuple id has no row in a partition, or one to three
+// as ints — the tuple id p<p>.tid and an attribute p<p>.a that is NULL
+// now and then, and in an even partition a float equal to an int. A
+// tuple id has no row in a partition, or one to three
 // alternatives; with straddle every tuple id has three in every
 // partition, so 1 024-row batches cut through them. Now and then a
 // partition is empty.
@@ -51,7 +52,9 @@ func stitchParts(rng *rand.Rand, k, n int, straddle bool) []*Relation {
 				case 0, 1, 2:
 					a = Null()
 				case 3:
-					a = Float(float64(rng.Intn(20)))
+					if f := float64(rng.Intn(20)); p%2 == 0 {
+						a = Float(f)
+					}
 				}
 				rel.Append(append(row, Int(int64(tid)), a))
 			}
@@ -92,8 +95,10 @@ func stitchPsi(parts []*Relation, p, q int) []Expr {
 // the probe side of a hash join whose build keys — with duplicates and
 // NULLs, on the driver's column or another input's, a value column or a
 // tuple id, or none at all — it receives as a list, and the join must
-// give what it gives over the same stitch with narrowing hidden, and
-// over the chain. With straddle every tuple id has three alternatives,
+// give what it gives over the same stitch with narrowing hidden, over
+// it with scans that have no value-order runs, and over the chain. The
+// scans have runs (ValueOrder) and the stitch drawn estimates (Est), or
+// none, so a keyed input drives it in some cases. With straddle every tuple id has three alternatives,
 // served whole in 1 024-row batches that cut through them, so a lookup
 // is asked again for the last tuple id it was asked.
 func FuzzStitch(f *testing.F) {
@@ -123,8 +128,12 @@ func FuzzStitch(f *testing.F) {
 		}
 		driver := rng.Intn(len(parts))
 		inBatches := rng.Intn(2) == 0 // the driver is served in batches of chunk rows
-		input := func(p int, batches bool) Iterator {
-			var in Iterator = memScan(parts[p], fmt.Sprintf("p%d.tid", p))
+		input := func(p int, batches, runs bool) Iterator {
+			sc := memScan(parts[p], fmt.Sprintf("p%d.tid", p))
+			if runs {
+				sc.runs = func(c int) []int32 { return ValueOrder(&sc.src.Cols[c]) }
+			}
+			var in Iterator = sc
 			if batches {
 				in = newColSource(parts[p], chunk)
 			}
@@ -136,9 +145,9 @@ func FuzzStitch(f *testing.F) {
 		var tids []string
 		var psi []Expr
 		chain := func() Iterator { // its inputs narrow nothing, so it shares no narrowing with the stitch
-			ref := Iterator(struct{ Iterator }{input(0, true)})
+			ref := Iterator(struct{ Iterator }{input(0, true, false)})
 			for p := 1; p < len(parts); p++ {
-				ref = NewHashJoin(ref, struct{ Iterator }{input(p, true)}, []EquiPair{{L: "p0.tid", R: tids[p]}}, nil, nil)
+				ref = NewHashJoin(ref, struct{ Iterator }{input(p, true, false)}, []EquiPair{{L: "p0.tid", R: tids[p]}}, nil, nil)
 				if step := psi[p]; step != nil {
 					ref = NewFilter(ref, step)
 				}
@@ -162,17 +171,26 @@ func FuzzStitch(f *testing.F) {
 		if len(all) > 0 {
 			cond = And(all...)
 		}
-		stitch := func() *StitchIter {
+		var est []float64 // the plan's estimates, or none
+		if rng.Intn(4) > 0 {
+			est = make([]float64, len(parts))
+			for p := range est {
+				est[p] = float64(rng.Intn(2*int(n) + 2))
+			}
+		}
+		stitch := func(runs bool) *StitchIter {
 			ins := make([]Iterator, len(parts))
 			for p := range ins {
-				ins[p] = input(p, p == driver && inBatches)
+				ins[p] = input(p, p == driver && inBatches, runs)
 			}
-			return NewStitch(ins, tids, cond, driver, nil)
+			st := NewStitch(ins, tids, cond, driver, nil)
+			st.Est = est
+			return st
 		}
 		if other := (driver + 1) % len(parts); other != driver {
 			ins := make([]Iterator, len(parts))
 			for p := range ins {
-				ins[p] = input(p, p == other)
+				ins[p] = input(p, p == other, false)
 			}
 			if err := NewStitch(ins, tids, cond, driver, nil).Open(); err == nil {
 				t.Fatalf("input %d, served in batches, is not the driver %d: Open gives no error", other, driver)
@@ -187,7 +205,7 @@ func FuzzStitch(f *testing.F) {
 			lo = rng.Int63n(int64(n) + 1)
 			hi = lo + rng.Int63n(int64(n)/4+1)
 		}
-		st := stitch()
+		st := stitch(true)
 		if err := st.Open(); err != nil {
 			t.Fatal(err)
 		}
@@ -232,9 +250,9 @@ func FuzzStitch(f *testing.F) {
 // stitch — an attribute of a random partition, the driver's or
 // another's, or the tuple id — with duplicates and NULLs and now and
 // then none at all, to the stitch, which receives them as a list, and to
-// the same stitch with narrowing hidden and to the hash chain; all must
-// give one bag of rows.
-func checkStitchUnderList(t *testing.T, rng *rand.Rand, parts []*Relation, driver int, stitch func() *StitchIter, chain func() Iterator) {
+// the same stitch with narrowing hidden, to it without value-order runs
+// and to the hash chain; all must give one bag of rows.
+func checkStitchUnderList(t *testing.T, rng *rand.Rand, parts []*Relation, driver int, stitch func(runs bool) *StitchIter, chain func() Iterator) {
 	t.Helper()
 	q := rng.Intn(len(parts))
 	key := fmt.Sprintf("p%d.a", q)
@@ -257,12 +275,13 @@ func checkStitchUnderList(t *testing.T, rng *rand.Rand, parts []*Relation, drive
 		j := NewHashJoin(newColSource(build, 1+rng.Intn(4)), probe, on, nil, nil)
 		return mustDrain(t, j), j
 	}
-	got, j := join(stitch())
-	hidden, _ := join(struct{ Iterator }{stitch()})
+	got, j := join(stitch(true))
+	hidden, _ := join(struct{ Iterator }{stitch(true)})
+	plain, _ := join(stitch(false))
 	want, _ := join(chain())
-	if !got.EqualAsBag(hidden) || !got.EqualAsBag(want) {
-		t.Fatalf("%d partitions, driver %d, %d build keys on %s (%d handed): the join over the stitch gives %d rows, with narrowing hidden %d, over the hash chain %d",
-			len(parts), driver, build.Len(), key, j.keysHanded, got.Len(), hidden.Len(), want.Len())
+	if !got.EqualAsBag(hidden) || !got.EqualAsBag(plain) || !got.EqualAsBag(want) {
+		t.Fatalf("%d partitions, driver %d, %d build keys on %s (%d handed): the join over the stitch gives %d rows, with narrowing hidden %d, without runs %d, over the hash chain %d",
+			len(parts), driver, build.Len(), key, j.keysHanded, got.Len(), hidden.Len(), plain.Len(), want.Len())
 	}
 }
 

@@ -19,12 +19,7 @@ import (
 // data at one scale and saves a copy of it into a fresh directory.
 func savedPlanningData(t *testing.T, scale float64) (mem *core.UDB, dir string) {
 	t.Helper()
-	p := tpch.DefaultParams(scale, 0.01, 0.25)
-	p.Seed = 1
-	mem, _, err := tpch.Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mem = tpchDB(t, scale, 0.01, 1)
 	dir = t.TempDir()
 	if err := store.Save(mem, dir); err != nil {
 		t.Fatal(err)
@@ -617,12 +612,7 @@ func hasLeaf(p engine.Plan, part string) bool {
 func TestQ3JoinsLineitemUnderASelection(t *testing.T) {
 	for _, x := range []float64{0.01, 0.1} {
 		for _, seed := range []int64{1, 42} {
-			p := tpch.DefaultParams(0.05, x, 0.25)
-			p.Seed = seed
-			db, _, err := tpch.Generate(p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			db := tpchDB(t, 0.05, x, seed)
 			what := fmt.Sprintf("Q3 at x %g, seed %d", x, seed)
 			if seed == 1 {
 				res, err := db.ExplainAnalyze(tpch.Q3(), false, engine.ExecConfig{})

@@ -2,6 +2,7 @@ package urel_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -176,12 +177,7 @@ func TestKeySetsCutTheStitch(t *testing.T) {
 		{"Q3", 42, nil},
 	} {
 		what := fmt.Sprintf("%s at seed %d", c.query, c.seed)
-		p := tpch.DefaultParams(0.05, 0.01, 0.25)
-		p.Seed = c.seed
-		db, _, err := tpch.Generate(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		db := tpchDB(t, 0.05, 0.01, c.seed)
 		plan, cat, root, text := analyzePlan(t, what, db, tpch.Queries()[c.query])
 		cut := 0
 		var walk func(p engine.Plan, s *obs.Span)
@@ -218,23 +214,15 @@ func TestKeySetsCutTheStitch(t *testing.T) {
 // TestPositionalStitchConcurrent runs Q1–Q3 from four goroutines over
 // one database and holds each answer to the one the same query gives in
 // memory run alone. In memory no query has encoded the partitions yet,
-// so the goroutines build the images and read them shared. Stored, they
-// share one opened store twice: behind a segment cache, whose decoded
-// segments every lookup reads, and without one, where each scan decodes
-// into pooled buffers that its lookups hold until Close hands them
-// back. CI runs it under the race detector, repeated.
+// so the goroutines build the images, and the value-order runs of the
+// columns key lists reach, and read them shared. Stored, they share one
+// opened store twice: behind a segment cache, whose decoded segments
+// every lookup reads, and without one, where each scan decodes into
+// pooled buffers that its lookups hold until Close hands them back. CI
+// runs it under the race detector, repeated.
 func TestPositionalStitchConcurrent(t *testing.T) {
-	gen := func() *core.UDB {
-		p := tpch.DefaultParams(0.05, 0.1, 0.25)
-		p.Seed = 1
-		db, _, err := tpch.Generate(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
 	names := []string{"Q1", "Q2", "Q3"}
-	serial := gen()
+	serial := tpchDB(t, 0.05, 0.1, 1)
 	want := map[string]*engine.Relation{}
 	for _, name := range names {
 		rel, err := serial.EvalPoss(tpch.Queries()[name], engine.ExecConfig{})
@@ -257,7 +245,7 @@ func TestPositionalStitchConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer uncached.Close()
-	for where, shared := range map[string]*core.UDB{"in memory": gen(), "stored, cached": cached, "stored, uncached": uncached} {
+	for where, shared := range map[string]*core.UDB{"in memory": tpchDB(t, 0.05, 0.1, 1), "stored, cached": cached, "stored, uncached": uncached} {
 		errs := make(chan error, 4*len(names))
 		for g := 0; g < 4; g++ {
 			go func(g int) {
@@ -281,25 +269,40 @@ func TestPositionalStitchConcurrent(t *testing.T) {
 
 // TestStitchFindsRowsByPosition pins how a stitch finds a tuple id's
 // rows, in memory and over stored partitions alike: every stitch of
-// Q1–Q3 that emits a row asks each input but its driver for tuple ids
-// (tids_looked_up) rather than reading it, and reads its driver alone;
-// and no store scan under a stitch reads more segments than its
-// partition has.
+// Q1–Q3 that emits a row asks each input but the one it drives by for
+// tuple ids (tids_looked_up) rather than reading it, and reads that one
+// alone — the plan's driver, or in memory an input whose key list found
+// its rows in a value-order run (driven_by_keys), which reads no more
+// driver rows than the list found (rows_found_by_keys), as some stitch
+// of Q1 and of Q3 does; and no store scan under a stitch reads more
+// segments than its partition has.
 func TestStitchFindsRowsByPosition(t *testing.T) {
 	mem, stored, _ := indexedPlanningData(t, 0.25)
 	for _, name := range []string{"Q1", "Q2", "Q3"} {
 		for where, db := range map[string]*core.UDB{"in memory": mem, "stored": stored} {
 			plan, _, root, text := analyzePlan(t, name, db, tpch.Queries()[name])
-			stitches := 0
+			stitches, byKeys := 0, 0
 			var walk func(p engine.Plan, s *obs.Span, under bool)
 			walk = func(p engine.Plan, s *obs.Span, under bool) {
 				kids := planKids(t, p, s)
 				st, ok := p.(*engine.StitchPlan)
 				if ok && s.Rows() > 0 {
 					stitches++
+					driver := st.Driver
+					if s.Stat("driven_by_keys") > 0 {
+						byKeys++
+						var found int64
+						driver = slices.IndexFunc(s.Children(), func(c *obs.Span) bool { return c.Stat("tids_looked_up") == 0 })
+						for c := s.Children()[max(driver, 0):]; len(c) > 0; c = c[0].Children() {
+							found = max(found, c[0].Stat("rows_found_by_keys"))
+						}
+						if driver < 0 || s.Stat("driver_rows") > found {
+							t.Errorf("%s %s: %q drove by input %d's keys, reading %d driver rows, and its list found %d:\n%s", name, where, s.Op(), driver, s.Stat("driver_rows"), found, text)
+						}
+					}
 					for i, c := range s.Children() {
-						if asked := c.Stat("tids_looked_up"); (asked > 0) == (i == st.Driver) {
-							t.Errorf("%s %s: %q: input %d (the driver is %d) was asked for %d tuple ids:\n%s", name, where, s.Op(), i, st.Driver, asked, text)
+						if asked := c.Stat("tids_looked_up"); (asked > 0) == (i == driver) {
+							t.Errorf("%s %s: %q: input %d (the driver is %d) was asked for %d tuple ids:\n%s", name, where, s.Op(), i, driver, asked, text)
 						}
 					}
 				}
@@ -317,8 +320,8 @@ func TestStitchFindsRowsByPosition(t *testing.T) {
 				}
 			}
 			walk(plan, root, false)
-			if stitches == 0 {
-				t.Errorf("%s %s: no stitch emitted a row:\n%s", name, where, text)
+			if stitches == 0 || (byKeys > 0) != (where == "in memory" && name != "Q2") {
+				t.Errorf("%s %s: %d stitches emitted a row, %d driven by keys:\n%s", name, where, stitches, byKeys, text)
 			}
 		}
 	}
