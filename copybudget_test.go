@@ -12,7 +12,6 @@ import (
 
 	"urel/internal/core"
 	"urel/internal/engine"
-	"urel/internal/index"
 	"urel/internal/sqlparse"
 	"urel/internal/store"
 	"urel/internal/tpch"
@@ -172,7 +171,8 @@ func TestCopyBudget(t *testing.T) {
 // directory (s 0.25, x 0.01, z 0.25, seed 1, lineitem(l_orderkey)
 // indexed) — the manifest, the world table of 1 091 variables and every
 // partition's footer — and the first load of the l_orderkey run, which
-// every cold point lookup pays. Each sits a quarter above what it takes
+// every cold point lookup pays (opened as a probe opens it: the layer's
+// footer, then the run). Each sits a quarter above what it takes
 // when the world table loads into slices and a run holds its keys as an
 // int vector.
 //
@@ -187,16 +187,23 @@ func TestColdOpenBudget(t *testing.T) {
 		}
 		db.Close()
 	})
-	run := orderKeyRun(t, dir)
+	file, ai := orderKeyLayer(t, dir)
 	checkBudget(t, "l_orderkey run load", 0.48, func() { // 0.38
-		if _, err := index.Load(run); err != nil {
+		h, err := store.OpenPart(file)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if !h.RunsSound([]int{ai}) {
+			t.Fatal("the l_orderkey run did not load")
+		}
+		h.Close()
 	})
 }
 
-// orderKeyRun returns the run file of l_orderkey in a saved directory.
-func orderKeyRun(t *testing.T, dir string) string {
+// orderKeyLayer returns the layer file of l_orderkey in a saved
+// directory and the column's ordinal in it. Opening the layer decodes
+// its footer, and RunsSound loads its run.
+func orderKeyLayer(t *testing.T, dir string) (string, int) {
 	m, err := store.ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -205,13 +212,13 @@ func orderKeyRun(t *testing.T, dir string) string {
 		for _, mp := range mr.Parts {
 			for ai, a := range mp.Attrs {
 				if a == "l_orderkey" {
-					return store.IdxFileName(filepath.Join(dir, mp.File), store.IdxKeyAttr(ai))
+					return filepath.Join(dir, mp.File), ai
 				}
 			}
 		}
 	}
 	t.Fatal("no l_orderkey partition")
-	return ""
+	return "", 0
 }
 
 // checkBudget fails the test if one call of op allocates more than

@@ -313,7 +313,7 @@ func (r *Replica) openLocal() error {
 	for _, rec := range records {
 		ops, err := store.DecodeWALRecord(rec)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", man.WAL, err)
 		}
 		if err := r.applyOps(man, ops); err != nil {
 			return err

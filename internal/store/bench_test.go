@@ -7,7 +7,6 @@ import (
 
 	"urel/internal/core"
 	"urel/internal/engine"
-	"urel/internal/index"
 	"urel/internal/tpch"
 )
 
@@ -228,8 +227,9 @@ func BenchmarkSegmentDecode(b *testing.B) {
 func BenchmarkRunLoad(b *testing.B) {
 	_, run := savedTPCH(b, 0.25)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := index.Load(run); err != nil {
+		if _, err := loadRun(run); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -241,6 +241,7 @@ func BenchmarkRunLoad(b *testing.B) {
 func BenchmarkOpen(b *testing.B) {
 	dir, _ := savedTPCH(b, 0.25)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db, err := Open(dir)
 		if err != nil {

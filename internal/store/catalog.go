@@ -1,11 +1,9 @@
 package store
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -432,7 +430,7 @@ func openCachedOnce(dir string, cache *SegCache) (*core.UDB, error) {
 		for _, rec := range records {
 			ops, err := DecodeWALRecord(rec)
 			if err != nil {
-				return nil, fmt.Errorf("store: open %s: %w", dir, err)
+				return nil, fmt.Errorf("store: open %s: %s: %w", dir, man.WAL, err)
 			}
 			for _, o := range ops {
 				if o.ClearsExistence {
@@ -516,8 +514,7 @@ func EncodeWorldTable(w *ws.WorldTable) []byte {
 	for _, x := range vars {
 		name, dom, probs := w.Name(x), w.Domain(x), w.Probs(x)
 		b = appendInt(b, int64(x))
-		b = appendUint(b, uint64(len(name)))
-		b = append(b, name...)
+		b = appendString(b, name)
 		b = appendUint(b, uint64(len(dom)))
 		for _, v := range dom {
 			b = appendInt(b, int64(v))
@@ -531,8 +528,7 @@ func EncodeWorldTable(w *ws.WorldTable) []byte {
 			}
 		}
 	}
-	b = appendFixed32(b, crc32.ChecksumIEEE(b))
-	return b
+	return seal(b)
 }
 
 // readWorlds deserializes the world table.
@@ -551,17 +547,10 @@ func readWorlds(path string) (*ws.WorldTable, error) {
 // not exactly 1..n, in order, with next id n+1, is corrupt; every count
 // is bounded by the bytes left before anything is allocated for it.
 func DecodeWorldTable(b []byte) (*ws.WorldTable, error) {
-	if len(b) < len(worldsMagic)+4 {
-		return nil, corruptf("world table file too small")
+	c, err := openSealed(b, worldsMagic, "world table")
+	if err != nil {
+		return nil, err
 	}
-	if string(b[:len(worldsMagic)]) != worldsMagic {
-		return nil, corruptf("bad world table magic")
-	}
-	body, tail := b[:len(b)-4], b[len(b)-4:]
-	if crc := crc32.ChecksumIEEE(body); crc != binary.LittleEndian.Uint32(tail) {
-		return nil, corruptf("world table checksum mismatch")
-	}
-	c := &cursor{b: body, pos: len(worldsMagic)}
 	next, err := c.uint()
 	if err != nil {
 		return nil, err
@@ -575,7 +564,7 @@ func DecodeWorldTable(b []byte) (*ws.WorldTable, error) {
 	if next != uint64(n)+1 {
 		return nil, corruptf("world table of %d variables says next id %d", n, next)
 	}
-	text := string(body)
+	text := string(c.b)
 	w := ws.NewWorldTableSized(n)
 	for i := 1; i <= n; i++ {
 		x, err := c.int()
@@ -596,7 +585,7 @@ func DecodeWorldTable(b []byte) (*ws.WorldTable, error) {
 			return nil, err
 		}
 		dom := make([]ws.Val, nd)
-		if err := varints(c, dom); err != nil {
+		if err := varints(&c, dom); err != nil {
 			return nil, err
 		}
 		hasProbs, err := c.byte()
@@ -614,8 +603,8 @@ func DecodeWorldTable(b []byte) (*ws.WorldTable, error) {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 	}
-	if c.pos != len(body) {
-		return nil, corruptf("%d trailing bytes in world table", len(body)-c.pos)
+	if c.left() != 0 {
+		return nil, corruptf("%d trailing bytes in world table", c.left())
 	}
 	return w, nil
 }

@@ -18,7 +18,9 @@ import (
 
 // Differential fuzz targets of the cold-read decoders: each runs the
 // decoder and a reference — the decoder as it was before it became one
-// typed pass, kept here verbatim — on the same bytes, with the checksum
+// typed pass, kept here over refCursor, a copy of the cursor as it was
+// then, so that no fault of the one cursor every store decoder reads
+// through hides in the reference — on the same bytes, with the checksum
 // re-sealed so that mutations reach the decoder. Both must decode the
 // same thing or both refuse, and neither may panic. FuzzDecodeFooter,
 // whose decoder has no predecessor to compare with, checks a round trip
@@ -307,7 +309,7 @@ func FuzzDecodeWorldTable(f *testing.F) {
 // decoder: one cursor call per cell and one allocation per column; a
 // segment whose tuple ids descend anywhere is refused.
 func refDecodeSegment(data []byte, n, width int, kinds []byte) (*segment, error) {
-	c := &cursor{b: data}
+	c := &refCursor{b: data}
 	s := &segment{
 		n:    n,
 		dvar: make([][]int64, width),
@@ -450,12 +452,12 @@ func refDecodeWorldTable(b []byte) (ws.Var, uint64, []refVar, error) {
 		return 0, 0, nil, corruptf("bad world table magic")
 	}
 	body, tail := b[:len(b)-4], b[len(b)-4:]
-	tc := &cursor{b: tail}
+	tc := &refCursor{b: tail}
 	want, _ := tc.fixed32()
 	if crc := crc32.ChecksumIEEE(body); crc != want {
 		return 0, 0, nil, corruptf("world table checksum mismatch")
 	}
-	c := &cursor{b: body, pos: len(worldsMagic)}
+	c := &refCursor{b: body, pos: len(worldsMagic)}
 	next, err := c.uint()
 	if err != nil {
 		return 0, 0, nil, err
@@ -550,4 +552,109 @@ func refDecodeWorldTable(b []byte) (ws.Var, uint64, []refVar, error) {
 		top = ws.Var(next)
 	}
 	return top, next, vars, nil
+}
+
+// refCursor is the store's cursor as it was before every store decoder
+// read through it: no one-byte fast paths. The references above and
+// refUnmarshal read through it.
+type refCursor struct {
+	b   []byte
+	pos int
+}
+
+func (c *refCursor) int() (int64, error) {
+	v, n := binary.Varint(c.b[c.pos:])
+	if n <= 0 {
+		return 0, corruptf("bad varint at offset %d", c.pos)
+	}
+	c.pos += n
+	return v, nil
+}
+
+func (c *refCursor) uint() (uint64, error) {
+	v, n := binary.Uvarint(c.b[c.pos:])
+	if n <= 0 {
+		return 0, corruptf("bad uvarint at offset %d", c.pos)
+	}
+	c.pos += n
+	return v, nil
+}
+
+// count decodes a uvarint bounded by max (guarding allocations against
+// corrupt length fields).
+func (c *refCursor) count(max uint64) (int, error) {
+	v, err := c.uint()
+	if err != nil {
+		return 0, err
+	}
+	if v > max {
+		return 0, corruptf("count %d exceeds bound %d", v, max)
+	}
+	return int(v), nil
+}
+
+func (c *refCursor) byte() (byte, error) {
+	if c.pos >= len(c.b) {
+		return 0, corruptf("truncated at offset %d", c.pos)
+	}
+	v := c.b[c.pos]
+	c.pos++
+	return v, nil
+}
+
+func (c *refCursor) bytes(n int) ([]byte, error) {
+	if n < 0 || c.pos+n > len(c.b) {
+		return nil, corruptf("truncated at offset %d (need %d bytes)", c.pos, n)
+	}
+	v := c.b[c.pos : c.pos+n]
+	c.pos += n
+	return v, nil
+}
+
+func (c *refCursor) fixed32() (uint32, error) {
+	v, err := c.bytes(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(v), nil
+}
+
+func (c *refCursor) fixed64() (uint64, error) {
+	v, err := c.bytes(8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(v), nil
+}
+
+func (c *refCursor) value() (engine.Value, error) {
+	k, err := c.byte()
+	if err != nil {
+		return engine.Null(), err
+	}
+	switch engine.Kind(k) {
+	case engine.KindNull:
+		return engine.Null(), nil
+	case engine.KindInt:
+		i, err := c.int()
+		return engine.Int(i), err
+	case engine.KindBool:
+		i, err := c.int()
+		return engine.Bool(i != 0), err
+	case engine.KindFloat:
+		bits, err := c.fixed64()
+		return engine.Float(math.Float64frombits(bits)), err
+	case engine.KindString:
+		n, err := c.count(uint64(len(c.b)))
+		if err != nil {
+			return engine.Null(), err
+		}
+		s, err := c.bytes(n)
+		if err != nil {
+			return engine.Null(), err
+		}
+		return engine.Str(string(s)), nil
+	default:
+		return engine.Null(), corruptf("unknown value kind %d", k)
+	}
 }

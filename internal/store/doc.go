@@ -40,6 +40,17 @@
 //     never an out-of-memory crash, a skipped segment or a row out of
 //     order.
 //
+//   - One byte codec (format.go). Every file the store writes is read
+//     by the one cursor and written by the one family of append
+//     helpers: segment payloads; footers and their tails; the world
+//     table (worlds.bin); WAL frames and the commit records in them;
+//     index runs (*.idx). Varints are the default encoding, fixed-width
+//     little-endian integers sit where a checksum or offset must have a
+//     known size, and the world table and the runs share one trailer
+//     (magic, body, CRC32 of both). The cursor bounds every read and
+//     every count by the bytes left, so a corrupt byte of any file is
+//     ErrCorrupt, never a panic or an out-of-memory crash.
+//
 //   - Catalog (catalog.go). Save snapshots a whole UDB — the world
 //     table W (Section 2's W(Var, Rng) plus the Section 7 probability
 //     extension), the relation schemas, and every partition — into a
@@ -98,6 +109,30 @@
 //     partition's image, and served like any other: typed vectors, a
 //     tid window when the tid column was narrowed. The read path makes
 //     no engine.Tuple.
+//
+//   - Index runs (run.go, index.go). A U-relation's vertical partition
+//     U[D; T; A] is an ordinary table, so a secondary index over any
+//     value column is an ordinary secondary index, with no
+//     uncertainty-specific structure at all: per-layer sorted runs (key
+//     → segment/row locators) plus one bloom filter per segment.
+//     Uncertainty stays where the representation puts it, in the
+//     descriptor columns the scan carries along untouched, which is why
+//     an index hit composes with tombstones, the in-memory delta and
+//     confidence computation for free. The runs serve equality filters,
+//     as the store scan's probe: they decide which rows the scan reads,
+//     and the filter above it stays. They serve no join: a join is a
+//     hash join that hands its probe scan its build keys, and, as
+//     Magnani & Montesi's "Joining relations under discrete
+//     uncertainty" keeps a join strategy only where it measurably wins,
+//     an index-nested-loop join won no region any workload reaches
+//     (docs/ARCHITECTURE.md, "Join strategies"). A run holds its sorted
+//     keys as one typed engine.ColVec, an int vector for int columns,
+//     which the decoder fills directly and an int probe binary-searches.
+//     A run is immutable, built beside a layer file at flush,
+//     compaction or CREATE INDEX time: a layer file F with an index on
+//     stored column i owns F.a<i>.idx, which recovery treats like any
+//     other unreferenced file, and a missing or corrupt run makes a
+//     probe read that layer whole — never a wrong answer.
 //
 //   - Layered sources and deltas (source.go, walops.go, wal.go). A
 //     partition is a PartSource: one or more immutable file layers

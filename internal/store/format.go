@@ -51,8 +51,8 @@ const kindMixed byte = 0xFF
 
 // ErrCorrupt reports stored data that is structurally invalid,
 // truncated or checksum-failing, or in a layout this build does not
-// open: a segment file, the catalog, the world table. The error that
-// wraps it names the file.
+// open: a segment file, the catalog, the world table, a WAL record or
+// frame, an index run. The error that wraps it names the file.
 var ErrCorrupt = errors.New("store: corrupt data")
 
 func corruptf(format string, args ...any) error {
@@ -64,6 +64,9 @@ func corruptf(format string, args ...any) error {
 func appendInt(b []byte, v int64) []byte   { return binary.AppendVarint(b, v) }
 func appendUint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
 
+// appendString appends a length-prefixed string.
+func appendString(b []byte, s string) []byte { return append(appendUint(b, uint64(len(s))), s...) }
+
 func appendFixed32(b []byte, v uint32) []byte {
 	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
@@ -74,13 +77,42 @@ func appendFixed64(b []byte, v uint64) []byte {
 	return append(b, x[:]...)
 }
 
+// seal appends the CRC32 of b, the trailer of a world table or an
+// index run.
+func seal(b []byte) []byte { return appendFixed32(b, crc32.ChecksumIEEE(b)) }
+
+// openSealed checks a file laid out as seal leaves it, magic first,
+// and returns a cursor over what the trailer covers, past the magic.
+func openSealed(b []byte, magic, what string) (cursor, error) {
+	if len(b) < len(magic)+4 {
+		return cursor{}, corruptf("%s of %d bytes is too small", what, len(b))
+	}
+	if string(b[:len(magic)]) != magic {
+		return cursor{}, corruptf("bad %s magic", what)
+	}
+	body := b[:len(b)-4]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(b[len(body):]) {
+		return cursor{}, corruptf("%s checksum mismatch", what)
+	}
+	return cursor{b: body, pos: len(magic)}, nil
+}
+
 // cursor decodes a byte slice, turning every overrun into ErrCorrupt.
+// It is the one reader of every file the store writes: segment
+// payloads, footers and tails, the world table, WAL records and index
+// runs. A one-byte varint, most counts, descriptor cells and small
+// values, is decoded in place; longer ones go through encoding/binary.
 type cursor struct {
 	b   []byte
 	pos int
 }
 
 func (c *cursor) int() (int64, error) {
+	if c.pos < len(c.b) && c.b[c.pos] < 0x80 {
+		u := c.b[c.pos]
+		c.pos++
+		return int64(u>>1) ^ -int64(u&1), nil
+	}
 	v, n := binary.Varint(c.b[c.pos:])
 	if n <= 0 {
 		return 0, corruptf("bad varint at offset %d", c.pos)
@@ -118,6 +150,10 @@ func varints[T ~int64](c *cursor, dst []T) error {
 func (c *cursor) left() int { return len(c.b) - c.pos }
 
 func (c *cursor) uint() (uint64, error) {
+	if c.pos < len(c.b) && c.b[c.pos] < 0x80 {
+		c.pos++
+		return uint64(c.b[c.pos-1]), nil
+	}
 	v, n := binary.Uvarint(c.b[c.pos:])
 	if n <= 0 {
 		return 0, corruptf("bad uvarint at offset %d", c.pos)
@@ -129,13 +165,18 @@ func (c *cursor) uint() (uint64, error) {
 // count decodes a uvarint bounded by max (guarding allocations against
 // corrupt length fields).
 func (c *cursor) count(max uint64) (int, error) {
-	v, err := c.uint()
-	if err != nil {
-		return 0, err
+	if c.pos < len(c.b) && c.b[c.pos] < 0x80 && uint64(c.b[c.pos]) <= max {
+		c.pos++
+		return int(c.b[c.pos-1]), nil
+	}
+	v, n := binary.Uvarint(c.b[c.pos:])
+	if n <= 0 {
+		return 0, corruptf("bad uvarint at offset %d", c.pos)
 	}
 	if v > max {
 		return 0, corruptf("count %d exceeds bound %d", v, max)
 	}
+	c.pos += n
 	return int(v), nil
 }
 
@@ -151,6 +192,16 @@ func (c *cursor) countOf(unit int) (int, error) {
 		return 0, corruptf("count %d of %d-byte items exceeds the %d bytes left", v, unit, c.left())
 	}
 	return int(v), nil
+}
+
+// str decodes a length-prefixed string.
+func (c *cursor) str() (string, error) {
+	n, err := c.countOf(1)
+	if err != nil {
+		return "", err
+	}
+	c.pos += n
+	return string(c.b[c.pos-n : c.pos]), nil
 }
 
 func (c *cursor) byte() (byte, error) {
@@ -209,8 +260,7 @@ func appendValue(b []byte, v engine.Value) []byte {
 	case engine.KindFloat:
 		b = appendFixed64(b, math.Float64bits(v.F))
 	case engine.KindString:
-		b = appendUint(b, uint64(len(v.S)))
-		b = append(b, v.S...)
+		b = appendString(b, v.S)
 	}
 	return b
 }
@@ -233,15 +283,8 @@ func (c *cursor) value() (engine.Value, error) {
 		bits, err := c.fixed64()
 		return engine.Float(math.Float64frombits(bits)), err
 	case engine.KindString:
-		n, err := c.count(uint64(len(c.b)))
-		if err != nil {
-			return engine.Null(), err
-		}
-		s, err := c.bytes(n)
-		if err != nil {
-			return engine.Null(), err
-		}
-		return engine.Str(string(s)), nil
+		s, err := c.str()
+		return engine.Str(s), err
 	default:
 		return engine.Null(), corruptf("unknown value kind %d", k)
 	}
@@ -435,8 +478,7 @@ func encodeSegment(b []byte, rows rowSeq, width int, kinds []byte) ([]byte, segM
 			case byte(engine.KindFloat):
 				b = appendFixed64(b, math.Float64bits(v.F))
 			case byte(engine.KindString):
-				b = appendUint(b, uint64(len(v.S)))
-				b = append(b, v.S...)
+				b = appendString(b, v.S)
 			default: // kindMixed
 				b = appendValue(b, v)
 			}

@@ -8,7 +8,6 @@ import (
 
 	"urel/internal/core"
 	"urel/internal/engine"
-	"urel/internal/index"
 )
 
 // Index-run file naming. A layer file F with an index on stored value
@@ -31,7 +30,7 @@ func IdxFileName(layerFile, key string) string { return layerFile + "." + key + 
 // run whose segment count disagrees with the file is treated as stale
 // (debris from an interrupted rewrite) and rejected here; row-level
 // verification at fetch time catches anything subtler.
-func (h *PartHandle) indexRun(key string) *index.Run { return h.runEntry(key).run }
+func (h *PartHandle) indexRun(key string) *idxRun { return h.runEntry(key).run }
 
 func (h *PartHandle) runEntry(key string) runEntry {
 	if h.path == "" {
@@ -43,7 +42,7 @@ func (h *PartHandle) runEntry(key string) runEntry {
 		return e
 	}
 	var e runEntry
-	if r, err := index.Load(IdxFileName(h.path, key)); err == nil && r.Segments() == h.NumSegments() {
+	if r, err := loadRun(IdxFileName(h.path, key)); err == nil && len(r.blooms) == h.NumSegments() {
 		e.run = r
 	} else if err == nil || !os.IsNotExist(err) {
 		idxStaleTotal.Inc()
@@ -98,17 +97,28 @@ func WritePartIndexes(dir, file string, rows []core.URow, ords []int, segRows in
 		for i := range keys {
 			keys[i] = seq.at(i).Vals[ai]
 		}
-		if err := writeRun(filepath.Join(dir, IdxFileName(file, IdxKeyAttr(ai))), keys, segRows); err != nil {
+		if err := writeRun(filepath.Join(dir, IdxFileName(file, IdxKeyAttr(ai))), buildRun(keys, segRows), time.Now()); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func writeRun(path string, keys []engine.Value, segRows int) error {
-	start := time.Now()
-	run := index.BuildRun(keys, segRows)
-	if err := run.WriteFile(path); err != nil {
+// writeRun writes a run built since start to path and syncs it, so a
+// manifest committed afterwards never references a torn run.
+func writeRun(path string, r *idxRun, start time.Time) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(r.encode())
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(path) // never leave a torn run beside a live layer
 		return err
 	}
@@ -125,7 +135,7 @@ func BuildLayerIndex(h *PartHandle, ai int) error {
 		return fmt.Errorf("store: cannot index a pathless partition handle")
 	}
 	start := time.Now()
-	b := index.NewBuilder()
+	var b runBuilder
 	var keys []engine.Value
 	for i := 0; i < h.NumSegments(); i++ {
 		seg, err := h.ReadSegment(i)
@@ -136,16 +146,12 @@ func BuildLayerIndex(h *PartHandle, ai int) error {
 		for r := 0; r < seg.n; r++ {
 			keys = append(keys, seg.cols[ai].Value(r))
 		}
-		b.Segment(keys)
+		b.segment(keys)
 	}
 	key := IdxKeyAttr(ai)
-	path := IdxFileName(h.path, key)
-	if err := b.Run().WriteFile(path); err != nil {
-		os.Remove(path)
+	if err := writeRun(IdxFileName(h.path, key), b.run(), start); err != nil {
 		return err
 	}
-	idxRunsBuiltTotal.Inc()
-	idxBuildSeconds.Observe(time.Since(start).Seconds())
 	// Invalidate the cached (likely nil) run so the new file is seen.
 	h.idxMu.Lock()
 	delete(h.idxRuns, key)

@@ -1,4 +1,4 @@
-package index_test
+package store
 
 import (
 	"bytes"
@@ -11,31 +11,27 @@ import (
 	"testing"
 
 	"urel/internal/engine"
-	"urel/internal/index"
-	"urel/internal/store"
-	"urel/internal/tpch"
 )
 
-// FuzzUnmarshalRun runs index.Unmarshal and a reference — the decoder as
-// it was before runs held typed keys, kept here — on the same bytes,
-// with the checksum re-sealed so that mutations reach the decoder. Both
-// must decode the same run (compared through what it encodes back to,
-// its distinct-key count and its probes) or both refuse, and neither may
-// panic. Run it with
+// FuzzUnmarshalRun runs decodeRun and a reference — the decoder as it
+// was before runs held typed keys, kept here over a cursor of its own —
+// on the same bytes, with the checksum re-sealed so that mutations reach
+// the decoder. Both must decode the same run (compared through what it
+// encodes back to, its distinct-key count and its probes) or both
+// refuse, and neither may panic. Run it with
 //
-//	go test -run=NONE -fuzz=FuzzUnmarshalRun -fuzztime=10s -fuzzminimizetime=1s ./internal/index
+//	go test -run=NONE -fuzz=FuzzUnmarshalRun -fuzztime=10s -fuzzminimizetime=1s ./internal/store
 func FuzzUnmarshalRun(f *testing.F) {
 	for _, run := range savedRuns(f) {
 		f.Add(run)
 	}
 	mixed := []engine.Value{engine.Int(3), engine.Str("a"), engine.Float(2.5), engine.Null(), engine.Bool(true), engine.Int(3)}
-	f.Add(index.BuildRun(mixed, 2).Marshal())
+	f.Add(buildRun(mixed, 2).encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= 4 {
-			body := data[: len(data)-4 : len(data)-4]
-			data = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+			data = seal(data[: len(data)-4 : len(data)-4])
 		}
-		got, err := index.Unmarshal(data)
+		got, err := decodeRun(data)
 		want, refErr := refUnmarshal(data)
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("decoder: %v; reference: %v", err, refErr)
@@ -43,20 +39,20 @@ func FuzzUnmarshalRun(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if got.Len() != len(want.keys) || got.Segments() != len(want.blooms) || got.NDV() != want.ndv {
+		if len(got.locs) != len(want.keys) || len(got.blooms) != len(want.blooms) || got.ndv != want.ndv {
 			t.Fatalf("len %d segments %d ndv %d, reference %d %d %d",
-				got.Len(), got.Segments(), got.NDV(), len(want.keys), len(want.blooms), want.ndv)
+				len(got.locs), len(got.blooms), got.ndv, len(want.keys), len(want.blooms), want.ndv)
 		}
-		if !bytes.Equal(got.Marshal(), want.marshal()) {
+		if !bytes.Equal(got.encode(), want.marshal()) {
 			t.Fatal("the decoded run encodes back to other bytes than the reference's")
 		}
 		for i, k := range want.keys {
 			if i == 64 {
 				break
 			}
-			got.Lookup(k, nil)
+			got.lookup(k)
 			if k.K == engine.KindInt {
-				got.Lookup(engine.Float(float64(k.I)), nil)
+				got.lookup(engine.Float(float64(k.I)))
 			}
 		}
 	})
@@ -66,17 +62,8 @@ func FuzzUnmarshalRun(f *testing.F) {
 // partition's tuple ids and the run files CREATE INDEX would build beside
 // the partitions of l_orderkey (ints) and l_shipmode (strings).
 func savedRuns(f *testing.F) [][]byte {
-	p := tpch.DefaultParams(0.02, 0.01, 0.25)
-	p.Seed = 1
-	db, _, err := tpch.Generate(p)
-	if err != nil {
-		f.Fatal(err)
-	}
-	dir := f.TempDir()
-	if err := store.Save(db, dir); err != nil {
-		f.Fatal(err)
-	}
-	m, err := store.ReadManifest(dir)
+	dir, _ := savedTPCH(f, 0.02)
+	m, err := ReadManifest(dir)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -86,13 +73,13 @@ func savedRuns(f *testing.F) [][]byte {
 			continue
 		}
 		for _, mp := range mr.Parts {
-			h, err := store.OpenPart(filepath.Join(dir, mp.File))
+			h, err := OpenPart(filepath.Join(dir, mp.File))
 			if err != nil {
 				f.Fatal(err)
 			}
 			// A run of the partition's tuple ids: ascending int keys, as the
 			// tuple-id runs older versions wrote beside every layer.
-			rows, err := (&store.PartSource{Layers: []*store.PartHandle{h}}).Load()
+			rows, err := (&PartSource{Layers: []*PartHandle{h}}).Load()
 			if err != nil {
 				f.Fatal(err)
 			}
@@ -100,15 +87,15 @@ func savedRuns(f *testing.F) [][]byte {
 			for i, r := range rows {
 				tids[i] = engine.Int(r.TID)
 			}
-			runs = append(runs, index.BuildRun(tids, store.DefaultSegmentRows).Marshal())
+			runs = append(runs, buildRun(tids, DefaultSegmentRows).encode())
 			for ai, a := range mp.Attrs {
 				if a != "l_orderkey" && a != "l_shipmode" {
 					continue
 				}
-				if err := store.BuildLayerIndex(h, ai); err != nil {
+				if err := BuildLayerIndex(h, ai); err != nil {
 					f.Fatal(err)
 				}
-				b, err := os.ReadFile(store.IdxFileName(h.Path(), store.IdxKeyAttr(ai)))
+				b, err := os.ReadFile(IdxFileName(h.Path(), IdxKeyAttr(ai)))
 				if err != nil {
 					f.Fatal(err)
 				}
@@ -124,18 +111,19 @@ func savedRuns(f *testing.F) [][]byte {
 type refRun struct {
 	blooms [][]uint64
 	keys   []engine.Value
-	locs   []index.Loc
+	locs   []idxLoc
 	ndv    int
 }
 
 const refMagic = "URIDXv1\n"
 
-// refUnmarshal is index.Unmarshal as it was before runs held typed keys.
-// One thing is added: a count larger than the whole input is refused
-// before it sizes an allocation, which the reference would otherwise do
-// and die of. Such a count can never be met, as every bloom filter,
-// word and entry takes at least a byte, so the reference refuses the
-// same inputs as before.
+// refUnmarshal is the run decoder as it was before runs held typed keys,
+// over refCursor. Two things are added. A count larger than the whole
+// input is refused before it sizes an allocation, which the reference
+// would otherwise do and die of; such a count can never be met, as every
+// bloom filter, word and entry takes at least a byte. And a locator of
+// 2³¹, which no int32 holds, is refused: the old decoder took it for a
+// negative segment or row, which a probe then indexed with.
 func refUnmarshal(data []byte) (*refRun, error) {
 	if len(data) < len(refMagic)+4 {
 		return nil, fmt.Errorf("truncated")
@@ -171,20 +159,20 @@ func refUnmarshal(data []byte) (*refRun, error) {
 		return nil, err
 	}
 	r.keys = make([]engine.Value, n)
-	r.locs = make([]index.Loc, n)
+	r.locs = make([]idxLoc, n)
 	for i := 0; i < n; i++ {
 		if r.keys[i], err = c.value(); err != nil {
 			return nil, err
 		}
-		seg, err := c.count(1 << 31)
+		seg, err := c.count(math.MaxInt32)
 		if err != nil {
 			return nil, err
 		}
-		row, err := c.count(1 << 31)
+		row, err := c.count(math.MaxInt32)
 		if err != nil {
 			return nil, err
 		}
-		r.locs[i] = index.Loc{Seg: int32(seg), Row: int32(row)}
+		r.locs[i] = idxLoc{int32(seg), int32(row)}
 	}
 	if c.pos != len(body) {
 		return nil, fmt.Errorf("%d trailing bytes", len(body)-c.pos)
@@ -219,28 +207,11 @@ func (r *refRun) marshal() []byte {
 			b = binary.AppendUvarint(b, uint64(len(v.S)))
 			b = append(b, v.S...)
 		}
-		b = binary.AppendUvarint(b, uint64(r.locs[i].Seg))
-		b = binary.AppendUvarint(b, uint64(r.locs[i].Row))
+		b = binary.AppendUvarint(b, uint64(r.locs[i].seg))
+		b = binary.AppendUvarint(b, uint64(r.locs[i].row))
 	}
 	crc := crc32.ChecksumIEEE(b)
 	return binary.LittleEndian.AppendUint32(b, crc)
-}
-
-type refCursor struct {
-	b   []byte
-	pos int
-}
-
-func (c *refCursor) count(max uint64) (int, error) {
-	v, n := binary.Uvarint(c.b[c.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("bad uvarint at offset %d", c.pos)
-	}
-	if v > max {
-		return 0, fmt.Errorf("count %d exceeds bound %d", v, max)
-	}
-	c.pos += n
-	return int(v), nil
 }
 
 // size is count for a count that sizes an allocation, with the guard
@@ -250,56 +221,4 @@ func (c *refCursor) size(max uint64) (int, error) {
 		return 0, fmt.Errorf("count %d exceeds the input", v)
 	}
 	return c.count(max)
-}
-
-func (c *refCursor) varint() (int64, error) {
-	v, n := binary.Varint(c.b[c.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("bad varint at offset %d", c.pos)
-	}
-	c.pos += n
-	return v, nil
-}
-
-func (c *refCursor) fixed64() (uint64, error) {
-	if c.pos+8 > len(c.b) {
-		return 0, fmt.Errorf("truncated at offset %d", c.pos)
-	}
-	v := binary.LittleEndian.Uint64(c.b[c.pos:])
-	c.pos += 8
-	return v, nil
-}
-
-func (c *refCursor) value() (engine.Value, error) {
-	if c.pos >= len(c.b) {
-		return engine.Null(), fmt.Errorf("truncated key at offset %d", c.pos)
-	}
-	k := engine.Kind(c.b[c.pos])
-	c.pos++
-	switch k {
-	case engine.KindNull:
-		return engine.Null(), nil
-	case engine.KindInt:
-		i, err := c.varint()
-		return engine.Int(i), err
-	case engine.KindBool:
-		i, err := c.varint()
-		return engine.Bool(i != 0), err
-	case engine.KindFloat:
-		bits, err := c.fixed64()
-		return engine.Float(math.Float64frombits(bits)), err
-	case engine.KindString:
-		n, err := c.count(uint64(len(c.b)))
-		if err != nil {
-			return engine.Null(), err
-		}
-		if c.pos+n > len(c.b) {
-			return engine.Null(), fmt.Errorf("truncated string key at offset %d", c.pos)
-		}
-		s := string(c.b[c.pos : c.pos+n])
-		c.pos += n
-		return engine.Str(s), nil
-	default:
-		return engine.Null(), fmt.Errorf("unknown key kind %d", k)
-	}
 }

@@ -1,4 +1,4 @@
-package index
+package store
 
 import (
 	"encoding/binary"
@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"urel/internal/engine"
 )
@@ -27,34 +28,35 @@ func TestRunLookupRoundTrip(t *testing.T) {
 			keys[i] = engine.Int(int64(rng.Intn(3000)))
 		}
 	}
-	run := BuildRun(keys, segRows)
+	run := buildRun(keys, segRows)
 
 	// Round-trip through the file format.
 	path := filepath.Join(t.TempDir(), "r.idx")
-	if err := run.WriteFile(path); err != nil {
+	if err := writeRun(path, run, time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(path)
+	loaded, err := loadRun(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	probe := func(r *Run, key engine.Value) map[Loc]bool {
-		got := map[Loc]bool{}
-		for _, loc := range r.Lookup(key, nil) {
+	probe := func(r *idxRun, key engine.Value) map[idxLoc]bool {
+		got := map[idxLoc]bool{}
+		locs, _ := r.lookup(key)
+		for _, loc := range locs {
 			got[loc] = true
 		}
 		return got
 	}
 	for trial := 0; trial < 500; trial++ {
 		key := engine.Int(int64(rng.Intn(3500)))
-		want := map[Loc]bool{}
+		want := map[idxLoc]bool{}
 		for i, k := range keys {
 			if engine.Compare(k, key) == 0 {
-				want[Loc{Seg: int32(i / segRows), Row: int32(i % segRows)}] = true
+				want[idxLoc{int32(i / segRows), int32(i % segRows)}] = true
 			}
 		}
-		for name, r := range map[string]*Run{"built": run, "loaded": loaded} {
+		for name, r := range map[string]*idxRun{"built": run, "loaded": loaded} {
 			got := probe(r, key)
 			if len(got) != len(want) {
 				t.Fatalf("%s: key %v: got %d locs, want %d", name, key, len(got), len(want))
@@ -68,7 +70,7 @@ func TestRunLookupRoundTrip(t *testing.T) {
 	}
 
 	// NULL never matches.
-	if locs := run.Lookup(engine.Null(), nil); len(locs) != 0 {
+	if locs, _ := run.lookup(engine.Null()); len(locs) != 0 {
 		t.Fatalf("NULL probe returned %d locs", len(locs))
 	}
 }
@@ -78,30 +80,29 @@ func TestRunBloomRejections(t *testing.T) {
 	for i := range keys {
 		keys[i] = engine.Int(int64(i * 2)) // evens only
 	}
-	run := BuildRun(keys, 1024)
-	var st LookupStats
-	misses := 0
+	run := buildRun(keys, 1024)
+	misses, rejections := 0, 0
 	for k := int64(1); k < 20001; k += 2 { // odd probes: all absent
-		if locs := run.Lookup(engine.Int(k), &st); len(locs) != 0 {
+		locs, rejected := run.lookup(engine.Int(k))
+		if len(locs) != 0 {
 			t.Fatalf("absent key %d returned %d locs", k, len(locs))
 		}
 		misses++
-	}
-	if st.RunsConsulted != int64(misses) {
-		t.Fatalf("RunsConsulted = %d, want %d", st.RunsConsulted, misses)
+		if rejected {
+			rejections++
+		}
 	}
 	// ~1% false-positive rate at 10 bits/key: the overwhelming majority
 	// of absent probes must be rejected by the blooms alone.
-	if st.BloomRejections < int64(misses)*9/10 {
-		t.Fatalf("bloom rejected %d of %d absent probes, want ≥ 90%%", st.BloomRejections, misses)
+	if rejections < misses*9/10 {
+		t.Fatalf("bloom rejected %d of %d absent probes, want ≥ 90%%", rejections, misses)
 	}
 }
 
 func TestRunCorruptionDetected(t *testing.T) {
 	keys := []engine.Value{engine.Int(1), engine.Int(2), engine.Str("x")}
-	run := BuildRun(keys, 2)
-	data := run.Marshal()
-	if _, err := Unmarshal(data); err != nil {
+	data := buildRun(keys, 2).encode()
+	if _, err := decodeRun(data); err != nil {
 		t.Fatal(err)
 	}
 	for _, mut := range []func([]byte) []byte{
@@ -110,8 +111,8 @@ func TestRunCorruptionDetected(t *testing.T) {
 		func(b []byte) []byte { b[0] = 'X'; return b },          // bad magic
 	} {
 		b := mut(append([]byte(nil), data...))
-		if _, err := Unmarshal(b); err == nil {
-			t.Fatal("corrupt run decoded without error")
+		if _, err := decodeRun(b); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("corrupt run: err = %v, want ErrCorrupt", err)
 		}
 	}
 	// A corrupt file on disk surfaces the same way.
@@ -119,15 +120,16 @@ func TestRunCorruptionDetected(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); err == nil {
-		t.Fatal("corrupt run file loaded without error")
+	if _, err := loadRun(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("corrupt run file: err = %v, want ErrCorrupt", err)
 	}
 }
 
 // TestRunHugeCountIsCorrupt: a 21-byte run with a valid checksum that
 // claims 2³¹−1 entries must be refused before anything is allocated for
 // them (each entry takes at least three bytes), not size a 2³¹-entry
-// key array.
+// key array. Nor may a locator of 2³¹, which no int32 holds, decode
+// as a negative segment for a probe to index with.
 func TestRunHugeCountIsCorrupt(t *testing.T) {
 	b := []byte(runMagic)
 	b = binary.AppendUvarint(b, 0)            // no bloom filters
@@ -137,8 +139,12 @@ func TestRunHugeCountIsCorrupt(t *testing.T) {
 	if len(b) != 21 {
 		t.Fatalf("crafted run is %d bytes, want 21", len(b))
 	}
-	if _, err := Unmarshal(b); !errors.Is(err, ErrCorruptRun) {
-		t.Fatalf("err = %v, want ErrCorruptRun", err)
+	if _, err := decodeRun(b); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	b = appendValue(appendUint(appendUint([]byte(runMagic), 0), 1), engine.Int(1))
+	if _, err := decodeRun(seal(appendUint(appendUint(b, 1<<31), 0))); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("segment 2³¹: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -146,32 +152,35 @@ func TestRunHugeCountIsCorrupt(t *testing.T) {
 // probe of any kind that equals an int key finds it.
 func TestRunKeysAreTyped(t *testing.T) {
 	keys := []engine.Value{engine.Int(5), engine.Int(3), engine.Int(5), engine.Null(), engine.Int(-2)}
-	for name, r := range map[string]*Run{"built": BuildRun(keys, 2), "loaded": mustUnmarshal(t, BuildRun(keys, 2).Marshal())} {
+	for name, r := range map[string]*idxRun{"built": buildRun(keys, 2), "loaded": mustDecodeRun(t, buildRun(keys, 2).encode())} {
 		if _, ok := r.intKeys(); !ok {
 			t.Fatalf("%s: int keys not held as an int vector: %+v", name, r.keys)
 		}
-		if r.Len() != 4 || r.NDV() != 3 {
-			t.Fatalf("%s: Len %d NDV %d, want 4 and 3", name, r.Len(), r.NDV())
+		if len(r.locs) != 4 || r.ndv != 3 {
+			t.Fatalf("%s: %d keys, %d distinct, want 4 and 3", name, len(r.locs), r.ndv)
 		}
-		want := []Loc{{Seg: 0, Row: 0}, {Seg: 1, Row: 0}}
+		want := []idxLoc{{0, 0}, {1, 0}}
 		for _, probe := range []engine.Value{engine.Int(5), engine.Float(5)} {
-			if got := r.Lookup(probe, nil); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: Lookup(%v) = %v, want %v", name, probe, got, want)
+			if got, _ := r.lookup(probe); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: lookup(%v) = %v, want %v", name, probe, got, want)
 			}
 		}
-		if got := r.Lookup(engine.Int(4), nil); got != nil {
-			t.Fatalf("%s: Lookup(4) = %v, want none", name, got)
+		if got, _ := r.lookup(engine.Int(4)); got != nil {
+			t.Fatalf("%s: lookup(4) = %v, want none", name, got)
 		}
 	}
-	mixed := BuildRun([]engine.Value{engine.Int(1), engine.Str("a")}, 4)
-	if _, ok := mixed.intKeys(); ok || mixed.NDV() != 2 || len(mixed.Lookup(engine.Str("a"), nil)) != 1 {
-		t.Fatalf("mixed run: keys %+v, NDV %d", mixed.keys, mixed.NDV())
+	mixed := buildRun([]engine.Value{engine.Int(1), engine.Str("a")}, 4)
+	if got, _ := mixed.lookup(engine.Str("a")); len(got) != 1 || mixed.ndv != 2 {
+		t.Fatalf("mixed run: keys %+v, NDV %d", mixed.keys, mixed.ndv)
+	}
+	if _, ok := mixed.intKeys(); ok {
+		t.Fatalf("mixed run: keys %+v held as ints", mixed.keys)
 	}
 }
 
-func mustUnmarshal(t *testing.T, b []byte) *Run {
+func mustDecodeRun(t *testing.T, b []byte) *idxRun {
 	t.Helper()
-	r, err := Unmarshal(b)
+	r, err := decodeRun(b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"urel/internal/engine"
-	"urel/internal/index"
 )
 
 // StoreScanPlan is the leaf plan over one stored partition (all of its
@@ -96,8 +95,8 @@ func (p *StoreScanPlan) EstimateRowCount() float64 {
 	if p.probe != nil {
 		est := float64(len(p.Src.Mem)) / 100
 		for _, h := range p.Src.Layers {
-			if run := h.indexRun(IdxKeyAttr(p.probe.Ai)); run != nil && run.NDV() > 0 {
-				est += float64(run.Len()) / float64(run.NDV())
+			if run := h.indexRun(IdxKeyAttr(p.probe.Ai)); run != nil && run.ndv > 0 {
+				est += float64(len(run.locs)) / float64(run.ndv)
 			}
 		}
 		return math.Max(1, est)
@@ -486,18 +485,17 @@ func (s *StoreScanIter) probe(li int, h *PartHandle) (hits []probeHit, ok bool, 
 		s.FallbackLayers++
 		return nil, false, nil
 	}
-	var st index.LookupStats
-	locs := run.Lookup(s.Probe.Key, &st)
-	s.RunsConsulted += st.RunsConsulted
-	s.BloomRejections += st.BloomRejections
-	if st.BloomRejections > 0 {
+	locs, rejected := run.lookup(s.Probe.Key)
+	s.RunsConsulted++
+	if rejected {
+		s.BloomRejections++
 		idxBloomMissesTotal.Inc()
 	} else {
 		idxBloomHitsTotal.Inc()
 	}
 	for len(locs) > 0 {
-		i, k := int(locs[0].Seg), 1
-		for k < len(locs) && locs[k].Seg == locs[0].Seg {
+		i, k := int(locs[0].seg), 1
+		for k < len(locs) && locs[k].seg == locs[0].seg {
 			k++
 		}
 		at := locs[:k]
@@ -514,10 +512,10 @@ func (s *StoreScanIter) probe(li int, h *PartHandle) (hits []probeHit, ok bool, 
 		}
 		rows := make([]int32, len(at))
 		for j, l := range at {
-			if int(l.Row) >= seg.n || engine.Compare(seg.cols[s.Probe.Ai].Value(int(l.Row)), s.Probe.Key) != 0 {
+			if int(l.row) >= seg.n || engine.Compare(seg.cols[s.Probe.Ai].Value(int(l.row)), s.Probe.Key) != 0 {
 				return s.stale(h, key)
 			}
-			rows[j] = int32(l.Row)
+			rows[j] = int32(l.row)
 		}
 		hits = append(hits, probeHit{seg: seg, fw: h.Width(), rows: rows})
 	}

@@ -10,7 +10,6 @@ import (
 
 	"urel/internal/core"
 	"urel/internal/engine"
-	"urel/internal/index"
 )
 
 // DefaultSegmentRows is the row-group size of written partition files:
@@ -102,8 +101,8 @@ type PartHandle struct {
 
 // runEntry is one cached index-run outcome.
 type runEntry struct {
-	run   *index.Run // nil when the layer has no usable run for the key
-	stale bool       // a run file exists but disagrees with the layer
+	run   *idxRun // nil when the layer has no usable run for the key
+	stale bool    // a run file exists but disagrees with the layer
 }
 
 // handleIDs allocates process-unique handle ids for cache keying.

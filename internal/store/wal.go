@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -54,68 +53,55 @@ func CreateWAL(path string) (*WAL, error) {
 	return &WAL{f: f, path: path, size: int64(len(walMagic))}, nil
 }
 
-// parseWALFrames returns every intact record of a log image and the
-// byte offset where the intact prefix ends. The first torn or corrupt
-// frame ends the log: everything from it onward is discarded (a crash
-// can only tear the tail, since Append syncs before acknowledging).
-func parseWALFrames(buf []byte, path string) ([][]byte, int, error) {
-	if len(buf) < len(walMagic) || string(buf[:len(walMagic)]) != walMagic {
-		return nil, 0, fmt.Errorf("store: %s: bad WAL header", path)
-	}
-	var records [][]byte
-	pos := len(walMagic)
-	for {
-		if pos+frameHeaderLen > len(buf) {
-			break // torn or absent frame header
-		}
-		n := int(binary.LittleEndian.Uint32(buf[pos:]))
-		crc := binary.LittleEndian.Uint32(buf[pos+4:])
-		if n > maxWALRecord || pos+frameHeaderLen+n > len(buf) {
-			break // torn payload
-		}
-		payload := buf[pos+frameHeaderLen : pos+frameHeaderLen+n]
-		if crc32.ChecksumIEEE(payload) != crc {
-			break // torn (partially written) payload
-		}
-		records = append(records, payload)
-		pos += frameHeaderLen + n
-	}
-	return records, pos, nil
-}
-
 // WALHeaderLen is the length of the fixed file header that precedes
 // the first frame of every WAL file (replication streams ship byte
 // ranges of the file, so followers need to know where frames start).
 const WALHeaderLen = len(walMagic)
 
-// ParseWALChunk parses a headerless run of WAL frames — the byte form
-// shipped by the /wal/stream replication endpoint, which serves the
-// durable suffix of the leader's log starting at an arbitrary frame
-// boundary. It returns every intact record and the count of bytes they
-// span. Because the leader only ever ships fsync-acknowledged bytes, a
-// trailing partial frame means the HTTP read was cut short, not a torn
-// log; consumed tells the follower where to resume.
+// ParseWALChunk walks a headerless run of WAL frames: the frames of a
+// log file after its header, or the durable suffix of a leader's log
+// that the /wal/stream replication endpoint ships, starting at a frame
+// boundary. It returns every intact record in order, the count of bytes
+// they span, and why the walk stopped there: nil when the bytes ran
+// out, at the end or inside a frame cut short, and ErrCorrupt for a
+// frame whose length is over the limit or whose payload fails its
+// checksum. A replica resumes at consumed and refuses a corrupt chunk;
+// a log file ends at its first frame that is not intact (readWAL).
 func ParseWALChunk(buf []byte) (records [][]byte, consumed int, err error) {
-	pos := 0
-	for {
-		if pos+frameHeaderLen > len(buf) {
-			return records, pos, nil
-		}
-		n := int(binary.LittleEndian.Uint32(buf[pos:]))
-		crc := binary.LittleEndian.Uint32(buf[pos+4:])
+	c := &cursor{b: buf}
+	for c.left() >= frameHeaderLen {
+		n, _ := c.fixed32()
+		sum, _ := c.fixed32()
 		if n > maxWALRecord {
-			return records, pos, fmt.Errorf("store: WAL chunk: frame length %d exceeds limit", n)
+			return records, consumed, corruptf("WAL frame at offset %d: length %d over the limit", consumed, n)
 		}
-		if pos+frameHeaderLen+n > len(buf) {
-			return records, pos, nil
+		payload, err := c.bytes(int(n))
+		if err != nil {
+			return records, consumed, nil
 		}
-		payload := buf[pos+frameHeaderLen : pos+frameHeaderLen+n]
-		if crc32.ChecksumIEEE(payload) != crc {
-			return records, pos, fmt.Errorf("store: WAL chunk: frame checksum mismatch at offset %d", pos)
+		if crc32.ChecksumIEEE(payload) != sum {
+			return records, consumed, corruptf("WAL frame at offset %d: checksum mismatch", consumed)
 		}
 		records = append(records, payload)
-		pos += frameHeaderLen + n
+		consumed = c.pos
 	}
+	return records, consumed, nil
+}
+
+// readWAL reads the log file at path: every intact record, where the
+// intact prefix ends and the file's size. The first torn or corrupt
+// frame ends the log: everything from it onward is discarded (a crash
+// can only tear the tail, since Append syncs before acknowledging).
+func readWAL(path string) (records [][]byte, end, size int, err error) {
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	if len(buf) < len(walMagic) || string(buf[:len(walMagic)]) != walMagic {
+		return nil, 0, 0, fmt.Errorf("%s: %w", path, corruptf("bad WAL header"))
+	}
+	records, end, _ = ParseWALChunk(buf[len(walMagic):])
+	return records, len(walMagic) + end, len(buf), nil
 }
 
 // ReadWALRecords replays a log read-only: every intact record in
@@ -123,11 +109,7 @@ func ParseWALChunk(buf []byte) (records [][]byte, consumed int, err error) {
 // untouched. Read-only opens use it to make unflushed commits visible
 // without requiring write access to the directory.
 func ReadWALRecords(path string) ([][]byte, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	records, _, err := parseWALFrames(buf, path)
+	records, _, _, err := readWAL(path)
 	return records, err
 }
 
@@ -135,11 +117,7 @@ func ReadWALRecords(path string) ([][]byte, error) {
 // record in order. The file is truncated back to the intact prefix so
 // subsequent appends extend a clean log.
 func OpenWAL(path string) (*WAL, [][]byte, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	records, pos, err := parseWALFrames(buf, path)
+	records, pos, size, err := readWAL(path)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -147,7 +125,7 @@ func OpenWAL(path string) (*WAL, [][]byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if int64(pos) < int64(len(buf)) {
+	if pos < size {
 		if err := f.Truncate(int64(pos)); err != nil {
 			f.Close()
 			return nil, nil, err
@@ -177,10 +155,8 @@ func (w *WAL) Append(payload []byte) error {
 		return err
 	}
 	start := time.Now()
-	frame := make([]byte, frameHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeaderLen:], payload)
+	frame := appendFixed32(make([]byte, 0, frameHeaderLen+len(payload)), uint32(len(payload)))
+	frame = append(appendFixed32(frame, crc32.ChecksumIEEE(payload)), payload...)
 	if _, err := w.f.Write(frame); err != nil {
 		w.rollback()
 		return err

@@ -2,8 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,12 +17,14 @@ import (
 	"urel/internal/ws"
 )
 
-// Round-trip fuzz targets of the two decoders that carry the
-// existence-complete bit: the WAL record, whose clear op clears it, and
-// the manifest, whose "existence_complete" field holds it. On arbitrary
-// bytes each returns a value or an error, never a panic, and allocates
-// only for what the input holds; what decodes re-encodes to a form that
-// decodes to itself. Run one with
+// Fuzz targets of the two decoders that carry the existence-complete
+// bit: the WAL record, whose clear op clears it, and the manifest, whose
+// "existence_complete" field holds it. On arbitrary bytes each returns a
+// value or an error, never a panic, and allocates only for what the
+// input holds; what decodes re-encodes to a form that decodes to itself.
+// The WAL record's decoder must also agree with a reference, the decoder
+// as it was before it read through the store's cursor, kept below over
+// a cursor of its own: the same ops, or both refuse. Run one with
 //
 //	go test -run=NONE -fuzz='^FuzzDecodeWALRecord$' -fuzztime=10s -fuzzminimizetime=1s ./internal/store
 
@@ -67,10 +72,20 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		ops, err := DecodeWALRecord(b)
+		want, refErr := refDecodeWALRecord(b)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decoder: %v; reference: %v", err, refErr)
+		}
 		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("refusal %v is not ErrCorrupt", err)
+			}
 			return
 		}
 		enc := EncodeWALRecord(ops)
+		if len(ops) != len(want) || !bytes.Equal(enc, EncodeWALRecord(want)) {
+			t.Fatal("the decoded record differs from the reference's")
+		}
 		again, err := DecodeWALRecord(enc)
 		if err != nil {
 			t.Fatalf("a decoded record re-encodes to bytes that do not decode: %v", err)
@@ -84,6 +99,216 @@ func FuzzDecodeWALRecord(f *testing.F) {
 			}
 		}
 	})
+}
+
+// walRefCursor is the WAL record's own cursor as it was then.
+// --- decoding ---------------------------------------------------------
+
+type walRefCursor struct {
+	b   []byte
+	pos int
+}
+
+func (c *walRefCursor) errf(format string, args ...any) error {
+	return fmt.Errorf("store: corrupt WAL record at byte %d: %s", c.pos, fmt.Sprintf(format, args...))
+}
+
+func (c *walRefCursor) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(c.b[c.pos:])
+	if n <= 0 {
+		return 0, c.errf("bad uvarint")
+	}
+	c.pos += n
+	return v, nil
+}
+
+func (c *walRefCursor) varint() (int64, error) {
+	v, n := binary.Varint(c.b[c.pos:])
+	if n <= 0 {
+		return 0, c.errf("bad varint")
+	}
+	c.pos += n
+	return v, nil
+}
+
+// countOf reads a count of elements that take at least min bytes each
+// and refuses one the rest of the record cannot hold, so nothing is
+// allocated for elements that are not there.
+func (c *walRefCursor) countOf(min int) (int, error) {
+	v, err := c.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if v > uint64((len(c.b)-c.pos)/min) {
+		return 0, c.errf("count %d exceeds the record's %d remaining bytes", v, len(c.b)-c.pos)
+	}
+	return int(v), nil
+}
+
+func (c *walRefCursor) byte() (byte, error) {
+	if c.pos >= len(c.b) {
+		return 0, c.errf("truncated")
+	}
+	v := c.b[c.pos]
+	c.pos++
+	return v, nil
+}
+
+func (c *walRefCursor) bytes(n int) ([]byte, error) {
+	if n < 0 || c.pos+n > len(c.b) {
+		return nil, c.errf("truncated (need %d bytes)", n)
+	}
+	v := c.b[c.pos : c.pos+n]
+	c.pos += n
+	return v, nil
+}
+
+func (c *walRefCursor) str() (string, error) {
+	n, err := c.countOf(1)
+	if err != nil {
+		return "", err
+	}
+	b, err := c.bytes(n)
+	return string(b), err
+}
+
+func (c *walRefCursor) value() (engine.Value, error) {
+	k, err := c.byte()
+	if err != nil {
+		return engine.Null(), err
+	}
+	switch engine.Kind(k) {
+	case engine.KindNull:
+		return engine.Null(), nil
+	case engine.KindInt:
+		i, err := c.varint()
+		return engine.Int(i), err
+	case engine.KindBool:
+		i, err := c.varint()
+		return engine.Bool(i != 0), err
+	case engine.KindFloat:
+		b, err := c.bytes(8)
+		if err != nil {
+			return engine.Null(), err
+		}
+		return engine.Float(math.Float64frombits(binary.LittleEndian.Uint64(b))), nil
+	case engine.KindString:
+		s, err := c.str()
+		return engine.Str(s), err
+	default:
+		return engine.Null(), c.errf("unknown value kind %d", k)
+	}
+}
+
+func (c *walRefCursor) descriptor() (ws.Descriptor, error) {
+	n, err := c.countOf(2) // a (var, value) pair of varints
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	assigns := make([]ws.Assignment, n)
+	for i := range assigns {
+		x, err := c.varint()
+		if err != nil {
+			return nil, err
+		}
+		v, err := c.varint()
+		if err != nil {
+			return nil, err
+		}
+		assigns[i] = ws.A(ws.Var(x), ws.Val(v))
+	}
+	d, err := ws.NewDescriptor(assigns...)
+	if err != nil {
+		return nil, c.errf("%v", err)
+	}
+	return d, nil
+}
+
+// refDecodeWALRecord is DecodeWALRecord as it was before it read through
+// the store's cursor, over a cursor of its own.
+func refDecodeWALRecord(payload []byte) ([]WALOp, error) {
+	c := &walRefCursor{b: payload}
+	// An op takes at least five bytes: relation name length, partition,
+	// row count, tombstone count and generation.
+	nops, err := c.countOf(5)
+	if err != nil {
+		return nil, err
+	}
+	ops := make([]WALOp, 0, nops)
+	for i := 0; i < nops; i++ {
+		var o WALOp
+		if o.Rel, err = c.str(); err != nil {
+			return nil, err
+		}
+		part, err := c.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		o.Part = int(part)
+		nrows, err := c.countOf(3) // descriptor length, tid, value count
+		if err != nil {
+			return nil, err
+		}
+		for r := 0; r < nrows; r++ {
+			var row core.URow
+			if row.D, err = c.descriptor(); err != nil {
+				return nil, err
+			}
+			if row.TID, err = c.varint(); err != nil {
+				return nil, err
+			}
+			nvals, err := c.countOf(1)
+			if err != nil {
+				return nil, err
+			}
+			row.Vals = make([]engine.Value, nvals)
+			for vi := range row.Vals {
+				if row.Vals[vi], err = c.value(); err != nil {
+					return nil, err
+				}
+			}
+			o.Rows = append(o.Rows, row)
+		}
+		ntombs, err := c.countOf(2) // tid, wildcard flag
+		if err != nil {
+			return nil, err
+		}
+		gen, err := c.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		o.Gen = int(gen)
+		for t := 0; t < ntombs; t++ {
+			var tb WALTomb
+			if tb.TID, err = c.varint(); err != nil {
+				return nil, err
+			}
+			wild, err := c.byte()
+			if err != nil {
+				return nil, err
+			}
+			if wild != 0 {
+				tb.Wild = true
+			} else if tb.D, err = c.descriptor(); err != nil {
+				return nil, err
+			}
+			o.Tombs = append(o.Tombs, tb)
+		}
+		if part == clearOpPart {
+			if nrows != 0 || ntombs != 0 || gen != 0 {
+				return nil, c.errf("clear op of %q carries rows or tombstones", o.Rel)
+			}
+			o.Part, o.ClearsExistence = 0, true
+		}
+		ops = append(ops, o)
+	}
+	if c.pos != len(payload) {
+		return nil, c.errf("%d trailing bytes", len(payload)-c.pos)
+	}
+	return ops, nil
 }
 
 // TestServedRWRecordsRoundTrip: the fuzz seeds are canonical — each

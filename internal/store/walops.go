@@ -2,8 +2,6 @@ package store
 
 import (
 	"cmp"
-	"encoding/binary"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -58,69 +56,45 @@ type WALTomb struct {
 
 // --- encoding ---------------------------------------------------------
 
-func walAppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-func walAppendVarint(b []byte, v int64) []byte   { return binary.AppendVarint(b, v) }
-
-func walAppendString(b []byte, s string) []byte {
-	b = walAppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func walAppendValue(b []byte, v engine.Value) []byte {
-	b = append(b, byte(v.K))
-	switch v.K {
-	case engine.KindNull:
-	case engine.KindInt, engine.KindBool:
-		b = walAppendVarint(b, v.I)
-	case engine.KindFloat:
-		var x [8]byte
-		binary.LittleEndian.PutUint64(x[:], math.Float64bits(v.F))
-		b = append(b, x[:]...)
-	case engine.KindString:
-		b = walAppendString(b, v.S)
-	}
-	return b
-}
-
-func walAppendDescriptor(b []byte, d ws.Descriptor) []byte {
-	b = walAppendUvarint(b, uint64(len(d)))
+func appendDescriptor(b []byte, d ws.Descriptor) []byte {
+	b = appendUint(b, uint64(len(d)))
 	for _, a := range d {
-		b = walAppendVarint(b, int64(a.Var))
-		b = walAppendVarint(b, int64(a.Val))
+		b = appendInt(b, int64(a.Var))
+		b = appendInt(b, int64(a.Val))
 	}
 	return b
 }
 
 // EncodeWALRecord serializes one commit's ops as a WAL record payload.
 func EncodeWALRecord(ops []WALOp) []byte {
-	b := walAppendUvarint(nil, uint64(len(ops)))
+	b := appendUint(nil, uint64(len(ops)))
 	for _, o := range ops {
-		b = walAppendString(b, o.Rel)
+		b = appendString(b, o.Rel)
 		if o.ClearsExistence {
 			// No rows, no tombstones, generation 0.
-			b = walAppendUvarint(b, clearOpPart)
+			b = appendUint(b, clearOpPart)
 			b = append(b, 0, 0, 0)
 			continue
 		}
-		b = walAppendUvarint(b, uint64(o.Part))
-		b = walAppendUvarint(b, uint64(len(o.Rows)))
+		b = appendUint(b, uint64(o.Part))
+		b = appendUint(b, uint64(len(o.Rows)))
 		for _, r := range o.Rows {
-			b = walAppendDescriptor(b, r.D)
-			b = walAppendVarint(b, r.TID)
-			b = walAppendUvarint(b, uint64(len(r.Vals)))
+			b = appendDescriptor(b, r.D)
+			b = appendInt(b, r.TID)
+			b = appendUint(b, uint64(len(r.Vals)))
 			for _, v := range r.Vals {
-				b = walAppendValue(b, v)
+				b = appendValue(b, v)
 			}
 		}
-		b = walAppendUvarint(b, uint64(len(o.Tombs)))
-		b = walAppendUvarint(b, uint64(o.Gen))
+		b = appendUint(b, uint64(len(o.Tombs)))
+		b = appendUint(b, uint64(o.Gen))
 		for _, t := range o.Tombs {
-			b = walAppendVarint(b, t.TID)
+			b = appendInt(b, t.TID)
 			if t.Wild {
 				b = append(b, 1)
 			} else {
 				b = append(b, 0)
-				b = walAppendDescriptor(b, t.D)
+				b = appendDescriptor(b, t.D)
 			}
 		}
 	}
@@ -129,117 +103,18 @@ func EncodeWALRecord(ops []WALOp) []byte {
 
 // --- decoding ---------------------------------------------------------
 
-type recCursor struct {
-	b   []byte
-	pos int
-}
-
-func (c *recCursor) errf(format string, args ...any) error {
-	return fmt.Errorf("store: corrupt WAL record at byte %d: %s", c.pos, fmt.Sprintf(format, args...))
-}
-
-func (c *recCursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.b[c.pos:])
-	if n <= 0 {
-		return 0, c.errf("bad uvarint")
-	}
-	c.pos += n
-	return v, nil
-}
-
-func (c *recCursor) varint() (int64, error) {
-	v, n := binary.Varint(c.b[c.pos:])
-	if n <= 0 {
-		return 0, c.errf("bad varint")
-	}
-	c.pos += n
-	return v, nil
-}
-
-// countOf reads a count of elements that take at least min bytes each
-// and refuses one the rest of the record cannot hold, so nothing is
-// allocated for elements that are not there.
-func (c *recCursor) countOf(min int) (int, error) {
-	v, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64((len(c.b)-c.pos)/min) {
-		return 0, c.errf("count %d exceeds the record's %d remaining bytes", v, len(c.b)-c.pos)
-	}
-	return int(v), nil
-}
-
-func (c *recCursor) byte() (byte, error) {
-	if c.pos >= len(c.b) {
-		return 0, c.errf("truncated")
-	}
-	v := c.b[c.pos]
-	c.pos++
-	return v, nil
-}
-
-func (c *recCursor) bytes(n int) ([]byte, error) {
-	if n < 0 || c.pos+n > len(c.b) {
-		return nil, c.errf("truncated (need %d bytes)", n)
-	}
-	v := c.b[c.pos : c.pos+n]
-	c.pos += n
-	return v, nil
-}
-
-func (c *recCursor) str() (string, error) {
-	n, err := c.countOf(1)
-	if err != nil {
-		return "", err
-	}
-	b, err := c.bytes(n)
-	return string(b), err
-}
-
-func (c *recCursor) value() (engine.Value, error) {
-	k, err := c.byte()
-	if err != nil {
-		return engine.Null(), err
-	}
-	switch engine.Kind(k) {
-	case engine.KindNull:
-		return engine.Null(), nil
-	case engine.KindInt:
-		i, err := c.varint()
-		return engine.Int(i), err
-	case engine.KindBool:
-		i, err := c.varint()
-		return engine.Bool(i != 0), err
-	case engine.KindFloat:
-		b, err := c.bytes(8)
-		if err != nil {
-			return engine.Null(), err
-		}
-		return engine.Float(math.Float64frombits(binary.LittleEndian.Uint64(b))), nil
-	case engine.KindString:
-		s, err := c.str()
-		return engine.Str(s), err
-	default:
-		return engine.Null(), c.errf("unknown value kind %d", k)
-	}
-}
-
-func (c *recCursor) descriptor() (ws.Descriptor, error) {
+func (c *cursor) descriptor() (ws.Descriptor, error) {
 	n, err := c.countOf(2) // a (var, value) pair of varints
-	if err != nil {
+	if err != nil || n == 0 {
 		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
 	}
 	assigns := make([]ws.Assignment, n)
 	for i := range assigns {
-		x, err := c.varint()
+		x, err := c.int()
 		if err != nil {
 			return nil, err
 		}
-		v, err := c.varint()
+		v, err := c.int()
 		if err != nil {
 			return nil, err
 		}
@@ -247,16 +122,16 @@ func (c *recCursor) descriptor() (ws.Descriptor, error) {
 	}
 	d, err := ws.NewDescriptor(assigns...)
 	if err != nil {
-		return nil, c.errf("%v", err)
+		return nil, corruptf("descriptor before offset %d: %v", c.pos, err)
 	}
 	return d, nil
 }
 
 // DecodeWALRecord parses one WAL record payload back into ops. Every
 // count is bounded by the bytes left before anything is allocated for
-// it, so arbitrary bytes decode or fail cleanly.
+// it, so arbitrary bytes decode or fail cleanly, with ErrCorrupt.
 func DecodeWALRecord(payload []byte) ([]WALOp, error) {
-	c := &recCursor{b: payload}
+	c := &cursor{b: payload}
 	// An op takes at least five bytes: relation name length, partition,
 	// row count, tombstone count and generation.
 	nops, err := c.countOf(5)
@@ -269,7 +144,7 @@ func DecodeWALRecord(payload []byte) ([]WALOp, error) {
 		if o.Rel, err = c.str(); err != nil {
 			return nil, err
 		}
-		part, err := c.uvarint()
+		part, err := c.uint()
 		if err != nil {
 			return nil, err
 		}
@@ -283,7 +158,7 @@ func DecodeWALRecord(payload []byte) ([]WALOp, error) {
 			if row.D, err = c.descriptor(); err != nil {
 				return nil, err
 			}
-			if row.TID, err = c.varint(); err != nil {
+			if row.TID, err = c.int(); err != nil {
 				return nil, err
 			}
 			nvals, err := c.countOf(1)
@@ -302,14 +177,14 @@ func DecodeWALRecord(payload []byte) ([]WALOp, error) {
 		if err != nil {
 			return nil, err
 		}
-		gen, err := c.uvarint()
+		gen, err := c.uint()
 		if err != nil {
 			return nil, err
 		}
 		o.Gen = int(gen)
 		for t := 0; t < ntombs; t++ {
 			var tb WALTomb
-			if tb.TID, err = c.varint(); err != nil {
+			if tb.TID, err = c.int(); err != nil {
 				return nil, err
 			}
 			wild, err := c.byte()
@@ -325,14 +200,14 @@ func DecodeWALRecord(payload []byte) ([]WALOp, error) {
 		}
 		if part == clearOpPart {
 			if nrows != 0 || ntombs != 0 || gen != 0 {
-				return nil, c.errf("clear op of %q carries rows or tombstones", o.Rel)
+				return nil, corruptf("clear op of %q carries rows or tombstones", o.Rel)
 			}
 			o.Part, o.ClearsExistence = 0, true
 		}
 		ops = append(ops, o)
 	}
-	if c.pos != len(payload) {
-		return nil, c.errf("%d trailing bytes", len(payload)-c.pos)
+	if c.left() != 0 {
+		return nil, corruptf("%d trailing bytes in WAL record", c.left())
 	}
 	return ops, nil
 }

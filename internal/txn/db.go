@@ -225,7 +225,7 @@ func Open(dir string, opts Options) (*DB, error) {
 			ops, err := store.DecodeWALRecord(rec)
 			if err != nil {
 				nw.Close()
-				return nil, fmt.Errorf("txn: open %s: %w", dir, err)
+				return nil, fmt.Errorf("txn: open %s: %s: %w", dir, man.WAL, err)
 			}
 			if err := d.applyOpsLocked(ops); err != nil {
 				nw.Close()

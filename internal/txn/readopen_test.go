@@ -53,12 +53,13 @@ func TestReadOnlyOpenSeesWALCommits(t *testing.T) {
 // URSEGv2 files whose value columns match the manifest's attributes, all
 // named plainly inside the directory, and nothing else. A URSEGv1 file
 // under a version-3 manifest, a version-1 or version-2 manifest, a file
-// with fewer value columns than its partition's attributes, and a base,
-// delta or log name reaching out of the directory each fail store.Open
-// and Open with an ErrCorrupt that names the file — the catalog, or the
-// partition file — and, for an older format, says how to bring it up to
-// date; a refused catalog's error says nothing of segments. Nothing
-// outside the directory is created.
+// with fewer value columns than its partition's attributes, a base,
+// delta or log name reaching out of the directory, and a log record that
+// passes its frame checksum but does not decode each fail store.Open and
+// Open with an ErrCorrupt that names the file — the catalog, the
+// partition file or the log — and, for an older format, says how to
+// bring it up to date; a refused catalog's error says nothing of
+// segments. Nothing outside the directory is created.
 func TestOnlyTheCurrentLayoutOpens(t *testing.T) {
 	for _, c := range []struct {
 		name, want string // want: the file the error names
@@ -90,6 +91,17 @@ func TestOnlyTheCurrentLayoutOpens(t *testing.T) {
 			mp.Deltas = []store.ManifestDelta{{File: "../outside.useg", Rows: mp.Rows, Width: mp.Width}}
 		}},
 		{"log outside", "../outside.log", false, func(t *testing.T, dir string, m *store.Manifest) { m.WAL = "../outside.log" }},
+		{"undecodable log record", store.WALFileName(1), false, func(t *testing.T, dir string, m *store.Manifest) {
+			w, err := store.CreateWAL(filepath.Join(dir, store.WALFileName(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if err := w.Append([]byte{0xFF}); err != nil { // a count cut short
+				t.Fatal(err)
+			}
+			m.WAL = store.WALFileName(1)
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			root := t.TempDir()

@@ -24,16 +24,15 @@ func TestSizeBudget(t *testing.T) {
 		"internal/cluster":  2442,
 		"internal/core":     3721,
 		"internal/engine":   6628,
-		"internal/index":    619,
 		"internal/obs":      815,
 		"internal/server":   2161,
 		"internal/sqlparse": 879,
-		"internal/store":    4645,
+		"internal/store":    4911,
 		"internal/tpch":     774,
 		"internal/txn":      1899,
 		"internal/ws":       635,
 		"cluster + server":  4603,
-		"test lines":        26908,
+		"test lines":        27187,
 	}
 	lines := func(path string) int {
 		b, err := os.ReadFile(path)
