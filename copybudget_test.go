@@ -166,29 +166,37 @@ func TestCopyBudget(t *testing.T) {
 	checkBudget(t, "selective join", 0.37, join) // 0.289
 }
 
-// TestColdOpenBudget puts a ceiling on the bytes of the two decodes a
-// cold op pays before any segment: store.Open of the stored workloads'
+// TestColdOpenBudget puts a ceiling on the bytes of the decodes a cold
+// op pays before any segment: store.Open of the stored workloads'
 // directory (s 0.25, x 0.01, z 0.25, seed 1, lineitem(l_orderkey)
 // indexed) — the manifest, the world table of 1 091 variables and every
-// partition's footer — and the first load of the l_orderkey run, which
-// every cold point lookup pays (opened as a probe opens it: the layer's
-// footer, then the run). Each sits a quarter above what it takes
-// when the world table loads into slices and a run holds its keys as an
-// int vector.
+// partition's footer — the world table read alone, and the first load
+// of the l_orderkey run, which every cold point lookup pays (opened as a
+// probe opens it: the layer's footer, then the run). Each sits about a
+// quarter above what it takes when a whole file is read into a pooled
+// buffer, the world table decodes its 1..k domains as windows of one
+// slab, and a run holds its keys as an int vector.
 //
 // While the world table loaded through maps and a run held its keys as
-// 40-byte Values, the two took 0.64 and 0.87 MB.
+// 40-byte Values, Open and the run load took 0.64 and 0.87 MB; while
+// each file was read into a buffer of its own and the world table
+// allocated per variable, 0.25, 0.157 (the world table) and 0.38 MB.
 func TestColdOpenBudget(t *testing.T) {
 	_, _, dir := indexedPlanningData(t, 0.25)
-	checkBudget(t, "store.Open", 0.31, func() { // 0.25
+	checkBudget(t, "store.Open", 0.15, func() { // 0.11
 		db, err := store.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		db.Close()
 	})
+	checkBudget(t, "world table read", 0.04, func() { // 0.028
+		if _, err := store.ReadWorldTable(dir); err != nil {
+			t.Fatal(err)
+		}
+	})
 	file, ai := orderKeyLayer(t, dir)
-	checkBudget(t, "l_orderkey run load", 0.48, func() { // 0.38
+	checkBudget(t, "l_orderkey run load", 0.36, func() { // 0.29
 		h, err := store.OpenPart(file)
 		if err != nil {
 			t.Fatal(err)

@@ -229,7 +229,7 @@ func BenchmarkRunLoad(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := loadRun(run); err != nil {
+		if _, err := readFile(run, decodeRun); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -248,5 +248,18 @@ func BenchmarkOpen(b *testing.B) {
 			b.Fatal(err)
 		}
 		db.Close()
+	}
+}
+
+// BenchmarkReadWorldTable reads and decodes the world table of the
+// saved s 0.25 directory, 1 091 variables, as every cold open does.
+func BenchmarkReadWorldTable(b *testing.B) {
+	dir, _ := savedTPCH(b, 0.25)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadWorldTable(dir); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

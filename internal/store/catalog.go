@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 
 	"urel/internal/core"
@@ -184,13 +186,9 @@ func WALFileName(gen uint64) string { return fmt.Sprintf("wal_%d.log", gen) }
 
 // ReadManifest loads and validates the manifest of a saved database.
 func ReadManifest(dir string) (*Manifest, error) {
-	buf, err := os.ReadFile(filepath.Join(dir, CatalogName))
+	m, err := readFile(filepath.Join(dir, CatalogName), ParseManifest)
 	if err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
-	}
-	m, err := ParseManifest(buf)
-	if err != nil {
-		return nil, fmt.Errorf("store: open %s: %w", filepath.Join(dir, CatalogName), err)
 	}
 	return m, nil
 }
@@ -252,19 +250,7 @@ func WriteManifest(dir string, m *Manifest) error {
 		return err
 	}
 	tmp := filepath.Join(dir, CatalogName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(buf, '\n')); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFile(tmp, append(buf, '\n')); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, CatalogName)); err != nil {
@@ -304,7 +290,7 @@ func Save(db *core.UDB, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := writeWorlds(filepath.Join(dir, WorldsName), db.W); err != nil {
+	if err := writeFile(filepath.Join(dir, WorldsName), EncodeWorldTable(db.W)); err != nil {
 		return fmt.Errorf("store: save world table: %w", err)
 	}
 	man := &Manifest{Version: FormatVersion}
@@ -386,7 +372,7 @@ func openCachedOnce(dir string, cache *SegCache) (*core.UDB, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := readWorlds(filepath.Join(dir, WorldsName))
+	w, err := ReadWorldTable(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
@@ -495,12 +481,6 @@ func OpenPartLayers(dir string, mp ManifestPart, cache *SegCache) (*PartSource, 
 	return src, nil
 }
 
-// writeWorlds serializes the world table: magic, next id, variable
-// definitions, and a trailing CRC32 of everything before it.
-func writeWorlds(path string, w *ws.WorldTable) error {
-	return os.WriteFile(path, EncodeWorldTable(w), 0o644)
-}
-
 // EncodeWorldTable renders the world table in the worlds.bin format
 // (the coordinator and WAL-shipping replicas fetch it over HTTP, so
 // the byte form is part of the replication protocol): magic, next id,
@@ -531,21 +511,13 @@ func EncodeWorldTable(w *ws.WorldTable) []byte {
 	return seal(b)
 }
 
-// readWorlds deserializes the world table.
-func readWorlds(path string) (*ws.WorldTable, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeWorldTable(b)
-}
-
 // DecodeWorldTable parses the worlds.bin byte format produced by
-// EncodeWorldTable, validating magic and checksum, in one pass: each
-// domain is read into the slice the table keeps, and the names share
-// one string. Ids are dense by construction, so a table whose ids are
-// not exactly 1..n, in order, with next id n+1, is corrupt; every count
-// is bounded by the bytes left before anything is allocated for it.
+// EncodeWorldTable, validating magic and checksum, in one pass and a
+// few allocations however many variables it holds: a domain 1..k is a
+// window of one slab, and only a name other than c<id> is kept, a slice
+// of one copy of the body. Ids are dense by construction, so a table
+// whose ids are not 1..n, in order, with next id n+1, is corrupt; every
+// count is bounded by the bytes left before anything is allocated.
 func DecodeWorldTable(b []byte) (*ws.WorldTable, error) {
 	c, err := openSealed(b, worldsMagic, "world table")
 	if err != nil {
@@ -564,7 +536,8 @@ func DecodeWorldTable(b []byte) (*ws.WorldTable, error) {
 	if next != uint64(n)+1 {
 		return nil, corruptf("world table of %d variables says next id %d", n, next)
 	}
-	text := string(c.b)
+	var text string // the body, copied once a name is kept
+	slab, deflt := make([]ws.Val, 0, 64), [24]byte{}
 	w := ws.NewWorldTableSized(n)
 	for i := 1; i <= n; i++ {
 		x, err := c.int()
@@ -578,14 +551,20 @@ func DecodeWorldTable(b []byte) (*ws.WorldTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		name := text[c.pos : c.pos+nl]
+		var name string
+		if raw := c.b[c.pos : c.pos+nl]; nl > 0 && !bytes.Equal(raw, strconv.AppendInt(append(deflt[:0], 'c'), x, 10)) {
+			if text == "" {
+				text = string(c.b)
+			}
+			name = text[c.pos : c.pos+nl]
+		}
 		c.pos += nl
 		nd, err := c.countOf(1)
 		if err != nil {
 			return nil, err
 		}
-		dom := make([]ws.Val, nd)
-		if err := varints(&c, dom); err != nil {
+		dom, err := decodeDomain(&c, nd, &slab)
+		if err != nil {
 			return nil, err
 		}
 		hasProbs, err := c.byte()
@@ -609,8 +588,29 @@ func DecodeWorldTable(b []byte) (*ws.WorldTable, error) {
 	return w, nil
 }
 
+// decodeDomain decodes a domain of n values. One that is exactly 1..n
+// is a capacity-limited window of *slab, 1, 2, …, grown as it must be:
+// a domain is never changed once added, and an append to it copies it.
+func decodeDomain(c *cursor, n int, slab *[]ws.Val) ([]ws.Val, error) {
+	at, k := c.pos, 0
+	for ; k < n; k++ {
+		if v, err := c.int(); err != nil || v != int64(k+1) {
+			break
+		}
+	}
+	if k < n {
+		c.pos = at
+		dom := make([]ws.Val, n)
+		return dom, varints(c, dom)
+	}
+	for len(*slab) < n {
+		*slab = append(*slab, ws.Val(len(*slab)+1))
+	}
+	return (*slab)[:n:n], nil
+}
+
 // ReadWorldTable loads the world table of a saved database (the write
 // path opens it directly so snapshots can share one table).
 func ReadWorldTable(dir string) (*ws.WorldTable, error) {
-	return readWorlds(filepath.Join(dir, WorldsName))
+	return readFile(filepath.Join(dir, WorldsName), DecodeWorldTable)
 }

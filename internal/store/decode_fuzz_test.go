@@ -256,6 +256,18 @@ func FuzzDecodeWorldTable(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(EncodeWorldTable(w))
+	// Default names and 1..k domains, which decode as windows of one
+	// slab, then a domain that is not 1..k, then a named variable with
+	// a distribution.
+	w = ws.NewWorldTable()
+	w.MustNewVar("", 1, 2, 3)
+	w.MustNewVar("", 1, 2)
+	w.MustNewVar("", 1, 3, 2)
+	z := w.MustNewVar("z", 1, 2)
+	if err := w.SetProbs(z, []float64{0.25, 0.75}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(EncodeWorldTable(w))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= len(worldsMagic)+4 {
 			body := data[: len(data)-4 : len(data)-4]

@@ -56,9 +56,10 @@
 //     extension), the relation schemas, and every partition — into a
 //     directory; Open reopens it with partitions lazily backed by
 //     their segment files (core.Backing), so a database is queryable
-//     without materializing anything. The world table decodes in one
-//     pass into the slices ws.WorldTable keeps, each domain read once
-//     into the slice the table holds.
+//     without materializing anything. Open reads the manifest, the
+//     world table and index runs whole into pooled buffers that the
+//     decoders copy out of (readFile), not the WAL, whose records alias
+//     theirs; Save lands each file by one synced write (writeFile).
 //
 //   - StoreScanIter (scan.go). The cold-scan operator: its segments
 //     decode straight into typed engine.ColVec vectors, so Next hands

@@ -15,6 +15,7 @@ import (
 
 	"urel/internal/core"
 	"urel/internal/engine"
+	"urel/internal/tpch"
 	"urel/internal/ws"
 )
 
@@ -218,6 +219,64 @@ func TestBadMagicAndFooterOffset(t *testing.T) {
 	}
 }
 
+// TestDecodedWorldTableKeepsItsDomains: a decode hands every domain
+// that is exactly 1..k a window of one slab. After Clone and NewVar on
+// the decoded table and on its clone, each keeps its own domains, and
+// an append to a returned domain never writes a neighbour's. A name
+// stored as its default c<id> reads back as c<id>, and the trivial
+// variable's as ⊤.
+func TestDecodedWorldTableKeepsItsDomains(t *testing.T) {
+	w := ws.NewWorldTable()
+	a := w.MustNewVar("", 1, 2, 3)
+	b := w.MustNewVar("c2", 1, 2)
+	c := w.MustNewVar("", 1, 2, 3, 4)
+	got, err := DecodeWorldTable(EncodeWorldTable(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := got.Clone()
+	x, y := got.MustNewVar("", 7, 8), clone.MustNewVar("", 9)
+	if x != y || !slices.Equal(got.Domain(x), []ws.Val{7, 8}) || !slices.Equal(clone.Domain(y), []ws.Val{9}) {
+		t.Fatalf("after NewVar on both: %v and %v", got.Domain(x), clone.Domain(y))
+	}
+	_ = append(got.Domain(a), 99)
+	_ = append(clone.Domain(b), 98)
+	for _, tab := range []*ws.WorldTable{got, clone} {
+		if !slices.Equal(tab.Domain(a), []ws.Val{1, 2, 3}) || !slices.Equal(tab.Domain(b), []ws.Val{1, 2}) ||
+			!slices.Equal(tab.Domain(c), []ws.Val{1, 2, 3, 4}) {
+			t.Fatalf("an append to a domain wrote a neighbour's: %v %v %v", tab.Domain(a), tab.Domain(b), tab.Domain(c))
+		}
+	}
+	if got.Name(ws.TrivialVar) != "⊤" || got.Name(a) != "c1" || got.Name(b) != "c2" {
+		t.Fatalf("names %q %q %q", got.Name(ws.TrivialVar), got.Name(a), got.Name(b))
+	}
+}
+
+// TestWorldTableDecodesInConstantAllocations decodes the world tables
+// of the stored workloads' data (s 0.25, z 0.25, seed 1) at x 0.01 and
+// x 0.1, 1 091 and 11 206 variables of unnamed 1..k domains: each takes
+// the same handful of allocations, however many variables it holds.
+func TestWorldTableDecodesInConstantAllocations(t *testing.T) {
+	for _, x := range []float64{0.01, 0.1} {
+		p := tpch.DefaultParams(0.25, x, 0.25)
+		p.Seed = 1
+		db, _, err := tpch.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := EncodeWorldTable(db.W)
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := DecodeWorldTable(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("x %g: %d variables in %.0f allocations", x, db.W.NextID()-1, allocs)
+		if allocs > 16 {
+			t.Errorf("x %g: %d variables take %.0f allocations, want at most 16", x, db.W.NextID()-1, allocs)
+		}
+	}
+}
+
 func TestWorldTableRoundTrip(t *testing.T) {
 	w := ws.NewWorldTable()
 	x := w.MustNewVar("x", 1, 2)
@@ -226,10 +285,10 @@ func TestWorldTableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "worlds.bin")
-	if err := writeWorlds(path, w); err != nil {
+	if err := writeFile(path, EncodeWorldTable(w)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readWorlds(path)
+	got, err := ReadWorldTable(filepath.Dir(path))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +312,7 @@ func TestWorldTableRoundTrip(t *testing.T) {
 	buf[len(worldsMagic)+2] ^= 0x10
 	bad := filepath.Join(t.TempDir(), "bad.bin")
 	os.WriteFile(bad, buf, 0o644)
-	if _, err := readWorlds(bad); !errors.Is(err, ErrCorrupt) {
+	if _, err := readFile(bad, DecodeWorldTable); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt world table: err = %v, want ErrCorrupt", err)
 	}
 }

@@ -42,7 +42,7 @@ func (h *PartHandle) runEntry(key string) runEntry {
 		return e
 	}
 	var e runEntry
-	if r, err := loadRun(IdxFileName(h.path, key)); err == nil && len(r.blooms) == h.NumSegments() {
+	if r, err := readFile(IdxFileName(h.path, key), decodeRun); err == nil && len(r.blooms) == h.NumSegments() {
 		e.run = r
 	} else if err == nil || !os.IsNotExist(err) {
 		idxStaleTotal.Inc()
@@ -107,19 +107,7 @@ func WritePartIndexes(dir, file string, rows []core.URow, ords []int, segRows in
 // writeRun writes a run built since start to path and syncs it, so a
 // manifest committed afterwards never references a torn run.
 func writeRun(path string, r *idxRun, start time.Time) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(r.encode())
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(path) // never leave a torn run beside a live layer
+	if err := writeFile(path, r.encode()); err != nil {
 		return err
 	}
 	idxRunsBuiltTotal.Inc()

@@ -67,7 +67,7 @@ var poisoning atomic.Bool
 
 // PoisonRecycled has every buffer handed back until restore is called
 // overwritten — int and bool cells with a sentinel, floats with NaN, null
-// marks set — so a read of a recycled cell shows in an answer. For tests.
+// marks set, bytes 0xa5 — so a read of a recycled cell shows. For tests.
 func PoisonRecycled() (restore func()) {
 	prev := poisoning.Swap(true)
 	return func() { poisoning.Store(prev) }
@@ -86,6 +86,10 @@ func poison(xs any) {
 	case []bool:
 		for i := range xs {
 			xs[i] = true
+		}
+	case []byte:
+		for i := range xs {
+			xs[i] = 0xa5
 		}
 	}
 }

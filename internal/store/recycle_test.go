@@ -1,14 +1,19 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 
 	"urel/internal/core"
 	"urel/internal/engine"
 	"urel/internal/obs"
 	"urel/internal/tpch"
+	"urel/internal/ws"
 )
 
 // TestRecycledSegmentsAreNeverRead runs the stored workloads' queries on
@@ -185,4 +190,116 @@ func skippedByJoin(s *obs.Span) int64 {
 		n += skippedByJoin(c)
 	}
 	return n
+}
+
+// TestWholeFileReadsKeepNoPooledBytes opens one directory from four
+// goroutines at once, with every read buffer poisoned when it goes back
+// to the pool (PoisonRecycled). The directory holds an index run, a live
+// WAL and a world table with a named variable, a distribution and a
+// domain that is not 1..k. Every manifest, world table and run the
+// goroutines decode must still equal the file it was read from, read
+// afresh: no decoder keeps a byte of the pooled buffer. CI runs it under
+// -race, ten times.
+func TestWholeFileReadsKeepNoPooledBytes(t *testing.T) {
+	dir, run := savedTPCH(t, 0.05)
+	w, err := ReadWorldTable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.AppendVar("guard", []ws.Val{3, 1, 2}, []float64{0.5, 0.25, 0.25}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFile(filepath.Join(dir, WorldsName), EncodeWorldTable(w)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr := m.Relations[0]
+	src, err := OpenPartLayers(dir, mr.Parts[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := src.Load()
+	src.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := rows[0]
+	row.TID = mr.MaxTID + 1
+	m.WAL = WALFileName(1)
+	wal, err := CreateWAL(filepath.Join(dir, m.WAL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Append(EncodeWALRecord([]WALOp{{Rel: mr.Name, Rows: []core.URow{row}}})); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	file := func(name string) []byte {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	wantMan, err := ParseManifest(file(filepath.Join(dir, CatalogName)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	worlds, runFile := file(filepath.Join(dir, WorldsName)), file(run)
+
+	defer PoisonRecycled()()
+	type decoded struct {
+		m *Manifest
+		w *ws.WorldTable
+		r *idxRun
+	}
+	got := make([][]decoded, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				db, err := Open(dir)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				db.Close()
+				m, err := ReadManifest(dir)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				r, err := readFile(run, decodeRun)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g] = append(got[g], decoded{m, db.W, r})
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		for _, d := range got[g] {
+			if !reflect.DeepEqual(d.m, wantMan) {
+				t.Fatalf("goroutine %d: a manifest changed after its read buffer went back to the pool", g)
+			}
+			if !bytes.Equal(EncodeWorldTable(d.w), worlds) {
+				t.Fatalf("goroutine %d: a world table changed after its read buffer went back to the pool", g)
+			}
+			if !bytes.Equal(d.r.encode(), runFile) {
+				t.Fatalf("goroutine %d: a run changed after its read buffer went back to the pool", g)
+			}
+		}
+	}
 }

@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"math"
-	"os"
 	"sort"
 
 	"urel/internal/engine"
@@ -259,15 +258,6 @@ func decodeRun(data []byte) (*idxRun, error) {
 	}
 	r.deriveNDV()
 	return r, nil
-}
-
-// loadRun reads and decodes a run file.
-func loadRun(path string) (*idxRun, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return decodeRun(data)
 }
 
 // bloomBitsPerKey and bloomHashes size the per-segment filters at

@@ -35,7 +35,7 @@ func TestRunLookupRoundTrip(t *testing.T) {
 	if err := writeRun(path, run, time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := loadRun(path)
+	loaded, err := readFile(path, decodeRun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRunCorruptionDetected(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadRun(path); !errors.Is(err, ErrCorrupt) {
+	if _, err := readFile(path, decodeRun); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt run file: err = %v, want ErrCorrupt", err)
 	}
 }

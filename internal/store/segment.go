@@ -263,16 +263,73 @@ func (h *PartHandle) ReadSegmentStats(i int, owned *recycler) (seg *segment, cac
 // cache miss reads and decodes).
 func (h *PartHandle) SegmentBytes(i int) int64 { return int64(h.meta.Segs[i].Len) }
 
-// segBufs pools the payload buffers of uncached segment reads: a decoded
-// segment keeps nothing of its payload, so the buffer is free again as
-// soon as decodeSegment returns (whose own pools are recycle.go's).
+// segBufs pools the buffers of uncached segment reads and of readFile:
+// a decoder keeps nothing of the bytes it is handed. putSegBuf hands one
+// back, poisoned under PoisonRecycled.
 var segBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+func putSegBuf(bp *[]byte) {
+	if poisoning.Load() {
+		poison(*bp)
+	}
+	segBufs.Put(bp)
+}
+
+// readFile reads the whole file at path into a buffer of segBufs and
+// returns what decode, which must copy out whatever it keeps, makes of
+// it, a decode error naming the file: the manifest, the world table and
+// index runs are read so. The WAL is not, since ParseWALChunk's records
+// alias the buffer they are in.
+func readFile[T any](path string, decode func([]byte) (T, error)) (v T, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return v, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return v, err
+	}
+	bp := segBufs.Get().(*[]byte)
+	defer putSegBuf(bp)
+	if n := int(fi.Size()); cap(*bp) < n {
+		*bp = make([]byte, n)
+	}
+	if _, err := io.ReadFull(f, (*bp)[:fi.Size()]); err != nil {
+		return v, fmt.Errorf("read %s: %w", path, err)
+	}
+	if v, err = decode((*bp)[:fi.Size()]); err != nil {
+		err = fmt.Errorf("%s: %w", path, err)
+	}
+	return v, err
+}
+
+// writeFile writes b to a new file at path and syncs it, so a manifest
+// committed afterwards never names a torn file, and removes it on
+// failure: index runs, world tables, a WAL's header and the manifest's
+// temporary file are written so.
+func writeFile(path string, b []byte) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(b); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+	}
+	return err
+}
 
 // readSegment is the uncached fetch+checksum+decode path; owned is
 // decodeSegment's.
 func (h *PartHandle) readSegment(i int, owned *recycler) (*segment, error) {
 	bp := segBufs.Get().(*[]byte)
-	defer segBufs.Put(bp)
+	defer putSegBuf(bp)
 	if n := h.meta.Segs[i].Len; cap(*bp) < n {
 		*bp = make([]byte, n)
 	}

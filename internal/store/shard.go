@@ -88,7 +88,7 @@ func ShardedSave(db *core.UDB, dirs []string, sharded []string) error {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
-		if err := os.WriteFile(filepath.Join(dir, WorldsName), worlds, 0o644); err != nil {
+		if err := writeFile(filepath.Join(dir, WorldsName), worlds); err != nil {
 			return fmt.Errorf("store: sharded save world table: %w", err)
 		}
 		man := &Manifest{

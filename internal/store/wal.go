@@ -36,21 +36,14 @@ type WAL struct {
 	poisoned bool
 }
 
-// CreateWAL creates (or truncates) a log at path and syncs the header.
+// CreateWAL creates (or truncates) a log at path, syncs the header and
+// opens the log for appending.
 func CreateWAL(path string) (*WAL, error) {
-	f, err := os.Create(path)
-	if err != nil {
+	if err := writeFile(path, []byte(walMagic)); err != nil {
 		return nil, err
 	}
-	if _, err := f.WriteString(walMagic); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &WAL{f: f, path: path, size: int64(len(walMagic))}, nil
+	w, _, err := OpenWAL(path)
+	return w, err
 }
 
 // WALHeaderLen is the length of the fixed file header that precedes

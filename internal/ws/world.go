@@ -25,11 +25,12 @@ const TrivialVar Var = 0
 // 1, 2, … in the order NewVar allocates them, so every per-variable
 // attribute is a slice indexed by Var. A domain and a distribution are
 // never changed once added (SetProbs replaces the distribution), which
-// lets clones and decoded tables share them.
+// lets clones and decoded tables share them. probs and names stop at the
+// last variable that has one, so unnamed uniform variables cost neither.
 type WorldTable struct {
 	doms  [][]Val
-	probs [][]float64 // nil entry = uniform
-	names []string    // "" = the default name c<id>
+	probs [][]float64 // nil entry or none = uniform
+	names []string    // "" or none = the default name c<id>
 }
 
 // NewWorldTable creates a world table containing only the trivial
@@ -39,14 +40,7 @@ func NewWorldTable() *WorldTable { return NewWorldTableSized(0) }
 // NewWorldTableSized is NewWorldTable with room for n variables beside
 // the trivial one.
 func NewWorldTableSized(n int) *WorldTable {
-	w := &WorldTable{
-		doms:  make([][]Val, 1, n+1),
-		probs: make([][]float64, 1, n+1),
-		names: make([]string, 1, n+1),
-	}
-	w.doms[TrivialVar] = []Val{0}
-	w.names[TrivialVar] = "⊤"
-	return w
+	return &WorldTable{doms: append(make([][]Val, 0, n+1), []Val{0})}
 }
 
 // NewVar allocates a fresh variable with the given domain (order is
@@ -74,9 +68,22 @@ func (w *WorldTable) AppendVar(name string, dom []Val, probs []float64) (Var, er
 		}
 	}
 	w.doms = append(w.doms, dom)
-	w.probs = append(w.probs, probs)
-	w.names = append(w.names, name)
+	if probs != nil {
+		w.probs = put(w.probs, id, probs)
+	}
+	if name != "" {
+		w.names = put(w.names, id, name)
+	}
 	return id, nil
+}
+
+// put sets xs[x] to v, growing xs to reach x.
+func put[T any](xs []T, x Var, v T) []T {
+	for len(xs) <= int(x) {
+		xs = append(xs, *new(T))
+	}
+	xs[x] = v
+	return xs
 }
 
 // duplicate returns a value dom holds twice. One pass clears a domain
@@ -141,10 +148,10 @@ func (w *WorldTable) Has(x Var, v Val) bool {
 
 // Name returns the display name of x.
 func (w *WorldTable) Name(x Var) string {
-	if w.known(x) && w.names[x] != "" {
+	if x > 0 && int(x) < len(w.names) && w.names[x] != "" {
 		return w.names[x]
 	}
-	return fmt.Sprintf("c%d", x)
+	return x.String()
 }
 
 // Vars returns all variables in ascending id order, including the
@@ -167,7 +174,7 @@ func (w *WorldTable) SetProbs(x Var, p []float64) error {
 	if err := checkProbs(w.Name(x), p, w.DomainSize(x)); err != nil {
 		return err
 	}
-	w.probs[x] = append([]float64(nil), p...)
+	w.probs = put(w.probs, x, append([]float64(nil), p...))
 	return nil
 }
 
@@ -192,7 +199,7 @@ func checkProbs(name string, p []float64, n int) error {
 // Probs returns the explicit distribution of x, parallel to its domain,
 // or nil when x is uniform. The slice belongs to the table.
 func (w *WorldTable) Probs(x Var) []float64 {
-	if !w.known(x) {
+	if x < 0 || int(x) >= len(w.probs) {
 		return nil
 	}
 	return w.probs[x]
@@ -205,7 +212,7 @@ func (w *WorldTable) Prob(x Var, v Val) float64 {
 	if len(dom) == 0 {
 		return 0
 	}
-	if p := w.probs[x]; p != nil {
+	if p := w.Probs(x); p != nil {
 		for i, d := range dom {
 			if d == v {
 				return p[i]
@@ -317,7 +324,7 @@ func (w *WorldTable) CountWorlds(max int64) (int64, error) {
 func (w *WorldTable) SampleWorld(rng *rand.Rand, vars []Var, f Valuation) {
 	for _, x := range vars {
 		dom := w.doms[x]
-		if p := w.probs[x]; p != nil {
+		if p := w.Probs(x); p != nil {
 			u := rng.Float64()
 			acc := 0.0
 			chosen := dom[len(dom)-1]

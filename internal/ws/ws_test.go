@@ -297,3 +297,51 @@ func TestDescriptorStrings(t *testing.T) {
 		t.Fatal("ValidIn must reject values outside W")
 	}
 }
+
+// TestSparseTable: a table keeps no names or distributions until some
+// variable has one. The trivial variable is named ⊤ and an unnamed one
+// c<id>; a distribution on a later variable leaves the earlier ones
+// uniform in Prob, Probs, WorldProb and SampleWorld.
+func TestSparseTable(t *testing.T) {
+	w := NewWorldTable()
+	x := w.MustNewVar("", 1, 2)
+	if len(w.names)+len(w.probs) != 0 {
+		t.Fatal("a table of unnamed uniform variables keeps names or distributions")
+	}
+	if w.Name(TrivialVar) != "⊤" || w.Name(x) != "c1" {
+		t.Fatalf("names %q %q, want ⊤ c1", w.Name(TrivialVar), w.Name(x))
+	}
+	y, err := w.AppendVar("y", []Val{3, 1, 2}, []float64{0.5, 0.25, 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := w.MustNewVar("", 1, 2)
+	if w.Name(TrivialVar) != "⊤" || w.Name(x) != "c1" || w.Name(y) != "y" || w.Name(z) != "c3" {
+		t.Fatalf("names %q %q %q %q", w.Name(TrivialVar), w.Name(x), w.Name(y), w.Name(z))
+	}
+	if w.Probs(x) != nil || w.Probs(z) != nil || len(w.Probs(y)) != 3 {
+		t.Fatalf("distributions %v %v %v", w.Probs(x), w.Probs(y), w.Probs(z))
+	}
+	if w.Prob(x, 2) != 0.5 || w.Prob(y, 3) != 0.5 || w.Prob(y, 2) != 0.25 || w.Prob(z, 1) != 0.5 {
+		t.Fatal("Prob")
+	}
+	if p := w.WorldProb(Valuation{TrivialVar: 0, x: 1, y: 1, z: 2}); math.Abs(p-0.0625) > 1e-12 {
+		t.Fatalf("WorldProb %g, want 0.0625", p)
+	}
+	rng := rand.New(rand.NewSource(1))
+	f := Valuation{}
+	n3 := 0
+	const N = 20000
+	for i := 0; i < N; i++ {
+		w.SampleWorld(rng, []Var{x, y}, f)
+		if !w.Has(x, f[x]) || !w.Has(y, f[y]) {
+			t.Fatalf("sampled %v outside the domains", f)
+		}
+		if f[y] == 3 {
+			n3++
+		}
+	}
+	if frac := float64(n3) / N; math.Abs(frac-0.5) > 0.02 {
+		t.Fatalf("sampled y=3 at %.3f, want 0.5", frac)
+	}
+}
