@@ -170,17 +170,20 @@ func TestCopyBudget(t *testing.T) {
 // op pays before any segment: store.Open of the stored workloads'
 // directory (s 0.25, x 0.01, z 0.25, seed 1, lineitem(l_orderkey)
 // indexed) — the manifest, the world table of 1 091 variables and every
-// partition's footer — the world table read alone, and the first load
-// of the l_orderkey run, which every cold point lookup pays (opened as a
-// probe opens it: the layer's footer, then the run). Each sits about a
-// quarter above what it takes when a whole file is read into a pooled
-// buffer, the world table decodes its 1..k domains as windows of one
-// slab, and a run holds its keys as an int vector.
+// partition's footer — the world table read alone, a cold point lookup
+// of order 77 (open, the lookup, close: stored_cold's point op), and the
+// first load of the l_orderkey run, which an unclustered probe pays
+// (opened as a probe opens it: the layer's footer, then the run). Each
+// sits about a quarter above what it takes when a whole file is read
+// into a pooled buffer, the world table decodes its 1..k domains as
+// windows of one slab, a run holds its keys as an int vector, and a
+// point lookup the zone maps narrow to one segment loads no run.
 //
 // While the world table loaded through maps and a run held its keys as
 // 40-byte Values, Open and the run load took 0.64 and 0.87 MB; while
 // each file was read into a buffer of its own and the world table
-// allocated per variable, 0.25, 0.157 (the world table) and 0.38 MB.
+// allocated per variable, 0.25, 0.157 (the world table) and 0.38 MB;
+// while every point lookup probed the run, the lookup took 0.50 MB.
 func TestColdOpenBudget(t *testing.T) {
 	_, _, dir := indexedPlanningData(t, 0.25)
 	checkBudget(t, "store.Open", 0.15, func() { // 0.11
@@ -194,6 +197,16 @@ func TestColdOpenBudget(t *testing.T) {
 		if _, err := store.ReadWorldTable(dir); err != nil {
 			t.Fatal(err)
 		}
+	})
+	checkBudget(t, "cold point lookup", 0.33, func() { // 0.243, once 0.302 (pooled buffers a GC emptied)
+		db, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel, err := db.EvalPoss(pointLookup(77), engine.ExecConfig{}); err != nil || rel.Len() == 0 {
+			t.Fatalf("point lookup of 77: %v, %v", rel, err)
+		}
+		db.Close()
 	})
 	file, ai := orderKeyLayer(t, dir)
 	checkBudget(t, "l_orderkey run load", 0.36, func() { // 0.29

@@ -19,8 +19,9 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// The Persistence snippet's two uncertain readings, plus enough
-	// certain sensors that scanning for one of them means real work.
+	// The Persistence snippet's two uncertain readings, plus certain
+	// readings of 1 000 sensors taken in turn, so each sensor's readings
+	// lie in every segment and the zone maps cannot find them.
 	db := urel.New()
 	db.MustAddRelation("sensor", "id", "temp")
 	x := db.W.NewBoolVar("x")
@@ -28,7 +29,7 @@ func main() {
 	u.Add(urel.D(urel.A(x, 1)), 1, urel.Int(1), urel.Float(21.5))
 	u.Add(urel.D(urel.A(x, 2)), 1, urel.Int(1), urel.Float(24.0))
 	for i := int64(2); i <= 5000; i++ {
-		u.Add(nil, i, urel.Int(i), urel.Float(20+float64(i%10)))
+		u.Add(nil, i, urel.Int(2+i%1000), urel.Float(20+float64(i%7)))
 	}
 	if err := urel.Save(db, dir); err != nil {
 		log.Fatal(err)

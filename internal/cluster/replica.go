@@ -361,9 +361,10 @@ func firstLine(b []byte) string {
 // generation: fetch the manifest, download every referenced segment
 // file not already present (file names are generation-unique and their
 // content immutable once written, so presence implies currency), fetch
-// worlds.bin on first sync, start a fresh local WAL for the new
-// generation, and commit by manifest rename — the same write-files-
-// then-rename discipline every state transition in the store uses.
+// worlds.bin on first sync — each landed synced, by store.InstallFile —
+// start a fresh local WAL for the new generation, and commit by manifest
+// rename: the same write-files-then-rename discipline every state
+// transition in the store uses.
 func (r *Replica) resync() error {
 	q := url.Values{"db": {r.db}}
 	rawMan, err := r.fetch("/store/manifest", q)
@@ -386,7 +387,7 @@ func (r *Replica) resync() error {
 		if err != nil {
 			return err
 		}
-		if err := writeAtomic(filepath.Join(r.dir, store.WorldsName), wb); err != nil {
+		if err := store.InstallFile(filepath.Join(r.dir, store.WorldsName), wb); err != nil {
 			return err
 		}
 		r.w = w
@@ -428,7 +429,7 @@ func (r *Replica) resync() error {
 					if err != nil {
 						return fail(err)
 					}
-					if err := writeAtomic(local, b); err != nil {
+					if err := store.InstallFile(local, b); err != nil {
 						return fail(err)
 					}
 				}
@@ -473,16 +474,6 @@ func (r *Replica) resync() error {
 	r.mem = map[repPartKey]*store.PartDelta{}
 	r.resyncs.Add(1)
 	return nil
-}
-
-// writeAtomic lands content via tmp+rename so a crashed download never
-// leaves a torn file the next open would trust.
-func writeAtomic(path string, b []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 func (r *Replica) applyOps(man *store.Manifest, ops []store.WALOp) error {

@@ -249,11 +249,7 @@ func WriteManifest(dir string, m *Manifest) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, CatalogName+".tmp")
-	if err := writeFile(tmp, append(buf, '\n')); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, CatalogName)); err != nil {
+	if err := InstallFile(filepath.Join(dir, CatalogName), append(buf, '\n')); err != nil {
 		return err
 	}
 	if err := syncDir(dir); err != nil {
@@ -274,7 +270,9 @@ func syncDir(dir string) error {
 	if err != nil {
 		return err
 	}
-	err = df.Sync()
+	if err = ioFault("sync", dir); err == nil {
+		err = df.Sync()
+	}
 	if cerr := df.Close(); err == nil {
 		err = cerr
 	}

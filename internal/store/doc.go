@@ -59,7 +59,8 @@
 //     without materializing anything. Open reads the manifest, the
 //     world table and index runs whole into pooled buffers that the
 //     decoders copy out of (readFile), not the WAL, whose records alias
-//     theirs; Save lands each file by one synced write (writeFile).
+//     theirs; Save lands each file by one synced write (writeFile), a
+//     replica's resync by one renamed into place (InstallFile).
 //
 //   - StoreScanIter (scan.go). The cold-scan operator: its segments
 //     decode straight into typed engine.ColVec vectors, so Next hands
@@ -98,11 +99,13 @@
 //     arms too), and the surviving row count is what the engine's
 //     estimator sees. The same advice makes the scan an index probe
 //     when a conjunct is an equality on a declared index column whose
-//     every layer has a run: before serving a row the scan looks each
-//     layer's run up, reads the segments it locates rows in, checks
+//     every layer has a run and the zone maps leave the scan more than
+//     one segment (one left is read without decoding a run, so a
+//     clustered key never probes): before serving a row the scan looks
+//     each layer's run up, reads the segments it locates rows in, checks
 //     that those rows carry the key and serves only them, the located
-//     rows being the batch's selection within the tid window and
-//     without the tombstoned. A run pointing at a row without the key
+//     rows being the batch's selection within the tid window and without
+//     the tombstoned. A run pointing at a row without the key
 //     is marked stale and its layer is read whole; the filter stays
 //     above the scan, so an index costs time, never an answer. The
 //     in-memory delta is one more segment (PartSource.memSegment),

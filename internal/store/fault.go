@@ -6,11 +6,12 @@ package store
 // part-open interceptor that can wrap the ReaderAt of every partition
 // file opened via OpenPart (short reads, ReadAt errors, bit flips —
 // seen by store, txn, and replica opens alike, since they all funnel
-// through OpenPart), and a WAL fault hook consulted by WAL.Append
-// before the frame write and before the fsync (write/fsync errors;
-// post-write crashes are simulated with CloseAbrupt or by killing the
-// process). Both hooks are process-global, nil by default, and cost
-// one atomic load when unset.
+// through OpenPart), and an I/O fault hook consulted by WAL.Append
+// before the frame write, and before every fsync the store makes
+// (write/fsync errors, or a log of the syncs in order; post-write
+// crashes are simulated with CloseAbrupt or by killing the process).
+// Both hooks are process-global, nil by default, and cost one atomic
+// load when unset.
 
 import (
 	"fmt"
@@ -22,14 +23,15 @@ import (
 // it is opened. Returning src unchanged leaves the open unaffected.
 type PartOpenInterceptor func(path string, src io.ReaderAt) io.ReaderAt
 
-// WALFaultHook is consulted by WAL.Append with op "append" (before the
-// frame write) and "sync" (before the fsync). A non-nil return is
-// surfaced as the corresponding I/O failure.
-type WALFaultHook func(op, path string) error
+// IOFaultHook is consulted by WAL.Append with op "append" (before the
+// frame write), and with "sync" before every fsync of a WAL, a file the
+// store writes (writeFile) or a directory (syncDir), path naming what is
+// synced. A non-nil return is surfaced as the corresponding I/O failure.
+type IOFaultHook func(op, path string) error
 
 var (
 	partInterceptor atomic.Pointer[PartOpenInterceptor]
-	walFaultHook    atomic.Pointer[WALFaultHook]
+	ioFaultHook     atomic.Pointer[IOFaultHook]
 )
 
 // SetPartOpenInterceptor installs f (nil clears) and returns a restore
@@ -45,16 +47,16 @@ func SetPartOpenInterceptor(f PartOpenInterceptor) (restore func()) {
 	return func() { partInterceptor.Store(prev) }
 }
 
-// SetWALFaultHook installs f (nil clears) and returns a restore
+// SetIOFaultHook installs f (nil clears) and returns a restore
 // function. Intended for tests.
-func SetWALFaultHook(f WALFaultHook) (restore func()) {
-	var prev *WALFaultHook
+func SetIOFaultHook(f IOFaultHook) (restore func()) {
+	var prev *IOFaultHook
 	if f != nil {
-		prev = walFaultHook.Swap(&f)
+		prev = ioFaultHook.Swap(&f)
 	} else {
-		prev = walFaultHook.Swap(nil)
+		prev = ioFaultHook.Swap(nil)
 	}
-	return func() { walFaultHook.Store(prev) }
+	return func() { ioFaultHook.Store(prev) }
 }
 
 func interceptPartOpen(path string, src io.ReaderAt) io.ReaderAt {
@@ -64,8 +66,8 @@ func interceptPartOpen(path string, src io.ReaderAt) io.ReaderAt {
 	return src
 }
 
-func walFault(op, path string) error {
-	if f := walFaultHook.Load(); f != nil {
+func ioFault(op, path string) error {
+	if f := ioFaultHook.Load(); f != nil {
 		return (*f)(op, path)
 	}
 	return nil

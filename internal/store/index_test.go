@@ -74,6 +74,17 @@ func probeScan(t *testing.T, src *PartSource, w int, col string, k engine.Value)
 	return rel, it.(*StoreScanIter)
 }
 
+// segmentsLeft is the number of file segments of layers that pruned
+// leaves a scan to read, summed over the layers: a scan probes its index
+// only where it is more than one.
+func segmentsLeft(layers []*PartHandle, pruned [][]bool) int {
+	n := -numPruned(pruned)
+	for _, h := range layers {
+		n += h.NumSegments()
+	}
+	return n
+}
+
 // relKeys is the sorted column col of rel.
 func relKeys(rel *engine.Relation, col int) []int64 {
 	out := make([]int64, 0, rel.Len())
@@ -86,13 +97,15 @@ func relKeys(rel *engine.Relation, col int) []int64 {
 
 // TestIndexLookupMatchesScan compares the probed scan against the
 // scan of the same layers without an index declared, over a
-// multi-layer source with a memtable on top: every probed key must
-// return the same rows, and the probe must read only the segments its
-// runs locate rows in.
+// multi-layer source with a memtable on top: every key must return the
+// same rows. Where the zone maps leave two segments or more the scan
+// probes, reading only the segments its runs locate rows in; where they
+// leave one or none (900 and 901 lie past the base layer's bounds) it
+// consults no run.
 func TestIndexLookupMatchesScan(t *testing.T) {
 	dir := t.TempDir()
 	h1 := indexedLayer(t, dir, "l1.useg", intRows(shuffledKeys(500), 0), 64)
-	h2 := indexedLayer(t, dir, "l2.useg", intRows([]int64{3, 3, 7, 900}, 500), 64)
+	h2 := indexedLayer(t, dir, "l2.useg", intRows([]int64{0, 3, 3, 7, 900}, 500), 64)
 	src := &PartSource{
 		Layers:   []*PartHandle{h1, h2},
 		Mem:      intRows([]int64{3, 901}, 600),
@@ -106,7 +119,11 @@ func TestIndexLookupMatchesScan(t *testing.T) {
 		if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
 			t.Fatalf("k=%d: probe %v, scan %v", k, got.Rows, want.Rows)
 		}
-		if it.Probe == nil || it.RunsConsulted != 2 || it.SegmentsRead > got.Len() {
+		if left := segmentsLeft(it.Src.Layers, it.Pruned); left < 2 {
+			if it.Probe != nil || it.RunsConsulted != 0 || k < 900 {
+				t.Fatalf("k=%d: %d segments left, probe %v consulted %d runs", k, left, it.Probe, it.RunsConsulted)
+			}
+		} else if it.Probe == nil || it.RunsConsulted != 2 || it.SegmentsRead > got.Len() {
 			t.Fatalf("k=%d: probe %v consulted %d runs and read %d segments for %d rows", k, it.Probe, it.RunsConsulted, it.SegmentsRead, got.Len())
 		}
 	}
@@ -298,7 +315,8 @@ func TestIndexLookupSpeedup(t *testing.T) {
 // FuzzIndexProbe holds the probed scan to the scan of the same layers
 // without their runs: Filter(r.a = k, scan) returns the same rows, in the
 // same tid order, whether the scan reads only the rows the runs locate or
-// every row. The fuzz bytes draw one to three layers, each with its own
+// every row, and it probes exactly when k is not NULL, every layer has its
+// run and the zone maps leave two segments or more. The fuzz bytes draw one to three layers, each with its own
 // segment size, keys from a small domain with duplicates, NULLs and
 // floats equal to ints, tuple ids that repeat within and across layers,
 // descriptors, tombstone batches scoped to some layers, memtable rows and
@@ -312,6 +330,17 @@ func FuzzIndexProbe(f *testing.F) {
 	f.Add([]byte{2, 40, 7, 3, 1, 2, 5, 9, 4, 3, 3, 0, 1, 2, 8, 6, 3, 2, 1, 1, 4, 0, 5, 3, 2})
 	f.Add([]byte{3, 20, 2, 1, 9, 3, 3, 3, 0, 2, 4, 7, 1, 30, 5, 1, 6, 2, 8, 8, 3, 1, 0, 4, 2, 2, 6, 1, 3})
 	f.Add([]byte{1, 60, 15, 0, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 1, 3, 3})
+	// Two layers holding key 3 in most segments, so the scan probes; the
+	// second layer's run is off by a row, and a tombstone batch and the
+	// delta hold the key too.
+	f.Add([]byte{1, 3, 2, 12, 0, 0, 2, 1, 3, 1, 2, 1, 6, 2, 2, 1, 9, 3, 2, 1, 12, 4, 2, 1, 15, 5, 2, 1,
+		18, 0, 2, 1, 21, 1, 2, 1, 24, 2, 2, 1, 27, 3, 2, 1, 30, 4, 2, 1, 33, 5, 2, 1, 3, 1, 6, 0, 3, 2, 0,
+		1, 0, 7, 4, 2, 0, 1, 0, 14, 5, 2, 0, 1, 0, 21, 0, 2, 0, 1, 0, 28, 1, 2, 0, 1, 0, 35, 2, 2, 0, 1,
+		0, 1, 0, 1, 2, 5, 3, 2, 1, 0, 9, 3, 2, 1, 1, 0, 2, 4, 3, 2, 1, 11, 1, 2, 1})
+	// One layer in ascending keys: key 5 lies in its last segment only,
+	// so the scan reads that segment and consults no run.
+	f.Add([]byte{0, 5, 2, 9, 0, 0, 2, 1, 1, 1, 2, 1, 2, 1, 2, 1, 3, 2, 2, 1, 4, 2, 2, 1, 5, 3, 2, 1,
+		6, 4, 2, 1, 7, 5, 2, 1, 8, 5, 2, 1, 2, 1, 0, 1, 5, 5, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func(n int) int {
 			if len(data) == 0 {
@@ -406,8 +435,10 @@ func FuzzIndexProbe(f *testing.F) {
 		if !inTIDOrder || !got.EqualAsBag(want) {
 			t.Fatalf("probe of r.a = %v (%d stale runs): %v, without the runs %v", probe, it.StaleRuns, got.Rows, want.Rows)
 		}
-		if probe.IsNull() == (it.Probe != nil) {
-			t.Fatalf("probe of r.a = %v planned %v", probe, it.Probe)
+		runs := !slices.ContainsFunc(src.Layers, func(h *PartHandle) bool { return h.indexRun(IdxKeyAttr(0)) == nil })
+		left := segmentsLeft(src.Layers, it.Pruned)
+		if rule := !probe.IsNull() && runs && left >= 2; rule != (it.Probe != nil) || it.Probe == nil && it.RunsConsulted != 0 {
+			t.Fatalf("probe of r.a = %v over %d segments left (runs on every layer: %v) planned %v and consulted %d runs", probe, left, runs, it.Probe, it.RunsConsulted)
 		}
 	})
 }

@@ -31,6 +31,7 @@ type StoreScanPlan struct {
 	advised bool        // AdviseFilter ran: the plan is advised once
 	pruned  [][]bool    // per layer, per segment; nil until pruning bites
 	probe   *indexProbe // the equality the layers' runs serve; nil = none
+	eq      *indexProbe // the probe's, or an unprobed int equality; nil = none
 }
 
 // indexProbe is an equality conjunct Col = Key of the filter on a scan
@@ -117,17 +118,27 @@ func (p *StoreScanPlan) EstimateRowCount() float64 {
 // close to a key — one row per tuple and alternative — so a tid-merge of
 // two partitions of one relation is estimated as the key join it is,
 // not divided by a default NDV. A probed column holds one value, so the
-// equality above a probe selects every row the probe reads.
+// equality above a probe selects every row the probe reads; an int
+// column an equality leaves to the zone maps holds, in each surviving
+// segment, at most min(non-nulls, max − min + 1) values.
 func (p *StoreScanPlan) SourceStats() *engine.TableStats {
 	rows := p.EstimateRowCount()
 	n := 2*p.Width + 1 // up to the tuple id, the last column known…
-	if p.probe != nil {
-		n = max(n, p.Sch.IndexOf(p.probe.Col)+1) // …or the probed one
+	if p.eq != nil {
+		n = max(n, p.Sch.IndexOf(p.eq.Col)+1) // …or the equality's
 	}
 	cols := make([]engine.ColStats, n)
 	cols[2*p.Width].NDV = math.Max(1, rows)
-	if p.probe != nil {
-		cols[p.Sch.IndexOf(p.probe.Col)].NDV = 1
+	if p.eq != nil {
+		ndv := 0.0 // under a probe, 1: it reads only the key's rows
+		for li, h := range p.Src.Layers {
+			for i := range h.meta.Segs {
+				if st := h.meta.Segs[i].Stats[p.eq.Ai]; p.probe == nil && (p.pruned == nil || p.pruned[li] == nil || !p.pruned[li][i]) && st.NonNull > 0 {
+					ndv += math.Min(float64(st.NonNull), float64(st.Max.I)-float64(st.Min.I)+1)
+				}
+			}
+		}
+		cols[p.Sch.IndexOf(p.eq.Col)].NDV = math.Max(1, ndv)
 	}
 	return &engine.TableStats{Rows: rows, Cols: cols}
 }
@@ -144,7 +155,11 @@ func (p *StoreScanPlan) BuildIter(engine.ExecConfig) (engine.Iterator, error) {
 // engine.Compare, the evaluator's own order — bound every row that
 // could pass, and an OR none of whose arms can be TRUE is not TRUE.
 // The first conjunct col = k (k not NULL) on a declared index column
-// whose every layer has a run becomes the scan's probe.
+// becomes the scan's probe where the zone maps leave it more than one
+// segment, summed over the layers, and every layer has a run. Where they
+// leave one, a probe would read that segment after decoding a whole run,
+// so the scan reads it without one (a clustered key never probes), and
+// the zone maps bound its int column's NDV for the estimate (eq).
 // The plan takes advice once (engine.FilterAdvisor): a later call, such
 // as the Build of a plan Optimize advised, reads nothing and writes
 // nothing, so concurrent executions share the plan and the bitmaps it
@@ -154,40 +169,48 @@ func (p *StoreScanPlan) AdviseFilter(cond engine.Expr) {
 		return
 	}
 	p.advised = true
+	left := 0
+	for li, h := range p.Src.Layers {
+		for i := range h.meta.Segs {
+			if !p.refutes(cond, h.meta.Segs[i].Stats) {
+				left++
+				continue
+			}
+			if p.pruned == nil {
+				p.pruned = make([][]bool, len(p.Src.Layers))
+			}
+			if p.pruned[li] == nil {
+				p.pruned[li] = make([]bool, len(h.meta.Segs))
+			}
+			p.pruned[li][i] = true
+		}
+	}
 	for _, c := range engine.SplitConjuncts(cond) {
 		if cmp, ok := c.(*engine.CmpExpr); ok && cmp.Op == engine.EQ {
 			col, cst, _, ok := engine.NormalizeColCmp(cmp)
-			if ai, indexed := p.indexedAttr(col); ok && indexed && !cst.IsNull() {
-				p.probe = &indexProbe{Col: p.Sch.Cols[p.Sch.IndexOf(col)].Name, Ai: ai, Key: cst}
+			if ai, indexed := p.indexedAttr(col, left > 1); ok && indexed && !cst.IsNull() {
+				eq := &indexProbe{Col: p.Sch.Cols[p.Sch.IndexOf(col)].Name, Ai: ai, Key: cst}
+				if left > 1 {
+					p.probe, p.eq = eq, eq
+				} else if p.Sch.Cols[p.Sch.IndexOf(col)].Kind == engine.KindInt {
+					p.eq = eq
+				}
 				break
-			}
-		}
-	}
-	for li, h := range p.Src.Layers {
-		for i := range h.meta.Segs {
-			if p.refutes(cond, h.meta.Segs[i].Stats) {
-				if p.pruned == nil {
-					p.pruned = make([][]bool, len(p.Src.Layers))
-				}
-				if p.pruned[li] == nil {
-					p.pruned[li] = make([]bool, len(h.meta.Segs))
-				}
-				p.pruned[li][i] = true
 			}
 		}
 	}
 }
 
 // indexedAttr resolves a value column of the scan to its stored ordinal
-// when the relation declares an index on it and every file layer (one
-// at least) carries its run.
-func (p *StoreScanPlan) indexedAttr(col string) (int, bool) {
+// when the relation declares an index on it, the scan has a file layer
+// and, if runs is set, every layer carries its run (which loads them).
+func (p *StoreScanPlan) indexedAttr(col string, runs bool) (int, bool) {
 	a := p.Sch.IndexOf(col) - (2*p.Width + 1)
 	if a < 0 || a >= len(p.AttrIdx) || len(p.Src.Layers) == 0 || !slices.Contains(p.Src.IdxCols, p.AttrIdx[a]) {
 		return 0, false
 	}
 	for _, h := range p.Src.Layers {
-		if h.indexRun(IdxKeyAttr(p.AttrIdx[a])) == nil {
+		if runs && h.indexRun(IdxKeyAttr(p.AttrIdx[a])) == nil {
 			return 0, false
 		}
 	}

@@ -306,15 +306,17 @@ func readFile[T any](path string, decode func([]byte) (T, error)) (v T, err erro
 
 // writeFile writes b to a new file at path and syncs it, so a manifest
 // committed afterwards never names a torn file, and removes it on
-// failure: index runs, world tables, a WAL's header and the manifest's
-// temporary file are written so.
+// failure: index runs, world tables, a WAL's header and the temporary
+// files InstallFile renames are written so.
 func writeFile(path string, b []byte) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	if _, err = f.Write(b); err == nil {
-		err = f.Sync()
+		if err = ioFault("sync", path); err == nil {
+			err = f.Sync()
+		}
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -323,6 +325,16 @@ func writeFile(path string, b []byte) error {
 		os.Remove(path)
 	}
 	return err
+}
+
+// InstallFile lands b at path through a synced temporary file renamed
+// over it, so a crash leaves no torn file there; the directory sync of
+// the manifest committed next makes the rename durable.
+func InstallFile(path string, b []byte) error {
+	if err := writeFile(path+".tmp", b); err != nil {
+		return err
+	}
+	return os.Rename(path+".tmp", path)
 }
 
 // readSegment is the uncached fetch+checksum+decode path; owned is

@@ -21,7 +21,8 @@ import (
 // rows straddle segment boundaries — with a run of its value column,
 // tombstone batches and an in-memory delta. Each input is read under a
 // drawn filter, an equality on its value column among them, which the
-// scan serves as an index probe; the driver is drawn too. Half of the
+// scan serves as an index probe where the zone maps leave two segments or
+// more; the driver is drawn too. Half of the
 // time the stitch is the probe side of a hash join whose build keys —
 // on a partition's value column or tuple id — it receives as a list.
 // Every buffer a scan hands back is poisoned (PoisonRecycled). Run it
@@ -75,7 +76,7 @@ func FuzzStoredStitch(f *testing.F) {
 			if pt.cond != nil {
 				plan.AdviseFilter(pt.cond)
 			}
-			if (plan.probe != nil) != (pt.probe && len(pt.src.Layers) > 0) {
+			if (plan.probe != nil) != (pt.probe && segmentsLeft(pt.src.Layers, plan.pruned) > 1) {
 				t.Fatalf("partition %d under %v: probe %v", p, pt.cond, plan.probe)
 			}
 			it, err := plan.BuildIter(engine.ExecConfig{})

@@ -129,14 +129,16 @@ func scanKeys(t *testing.T, src *PartSource, w int, win *[2]int64) ([]string, *S
 // in the segments its tuple id falls in. A three-segment base with
 // deletes confined to its middle segment checks that segment's rows and
 // no others (every row was checked against every batch before), and a
-// segment no tombstone falls in is skipped whole. The property leg
+// segment no tombstone falls in is skipped whole: the probe of a key of
+// the first and last segments skips both, and a key of the middle one
+// alone is read by the scan, which consults no run. The property leg
 // draws random layouts (checkTombLayout) and holds the scan, the index
 // probe and Load to the per-row reference.
 func TestTombstonesCheckOnlyTheirSegments(t *testing.T) {
 	dir := t.TempDir()
 	base := make([]int64, 192)
 	for i := range base {
-		base[i] = int64(i)
+		base[i] = int64(i % 128) // keys 0…63 in the first and last segments
 	}
 	h := indexedLayer(t, dir, "base.useg", intRows(base, 1), 64) // tids 1..192, 64 per segment
 	src := &PartSource{Layers: []*PartHandle{h}, IdxCols: []int{0}, Tomb: NewTombView([]TombBatch{
@@ -150,8 +152,11 @@ func TestTombstonesCheckOnlyTheirSegments(t *testing.T) {
 	if s.TombRowsChecked != 64 || s.TombSegmentsSkipped != 2 {
 		t.Fatalf("tomb_rows_checked=%d tomb_segments_skipped=%d, want 64 and 2", s.TombRowsChecked, s.TombSegmentsSkipped)
 	}
-	if got, it := probeScan(t, src, 0, "r.a", engine.Int(3)); got.Len() != 1 || it.Probe == nil || it.TombSegmentsSkipped != 1 || it.TombRowsChecked != 0 {
-		t.Fatalf("probe of a key in an untouched segment: %v, %+v", got.Rows, it)
+	if got, it := probeScan(t, src, 0, "r.a", engine.Int(3)); got.Len() != 2 || it.Probe == nil || it.TombSegmentsSkipped != 2 || it.TombRowsChecked != 0 {
+		t.Fatalf("probe of a key in untouched segments: %v, %+v", got.Rows, it)
+	}
+	if got, it := probeScan(t, src, 0, "r.a", engine.Int(99)); got.Len() != 0 || it.Probe != nil || it.RunsConsulted != 0 || it.TombRowsChecked != 64 {
+		t.Fatalf("lookup of a deleted key in the middle segment: %v, %+v", got.Rows, it)
 	}
 
 	var total tombCounts

@@ -144,7 +144,7 @@ func (w *WAL) Append(payload []byte) error {
 	if w.poisoned {
 		return fmt.Errorf("store: %s: WAL poisoned by an earlier failed append; rotate the log", w.path)
 	}
-	if err := walFault("append", w.path); err != nil {
+	if err := ioFault("append", w.path); err != nil {
 		return err
 	}
 	start := time.Now()
@@ -156,7 +156,7 @@ func (w *WAL) Append(payload []byte) error {
 	}
 	syncStart := time.Now()
 	walAppendSeconds.ObserveDuration(syncStart.Sub(start))
-	if err := walFault("sync", w.path); err != nil {
+	if err := ioFault("sync", w.path); err != nil {
 		w.rollback()
 		return err
 	}

@@ -71,13 +71,16 @@ func partFiles(d *DB, rel string) []string {
 // and orders keep their files and handles, and a warm scan of them
 // reads nothing from disk, so their decoded segments stayed cached. A
 // partition whose base carries a corrupt run, or a run a lookup found
-// stale, is rewritten too, and the rewrite heals it. A crash after the
+// stale, is rewritten too, and the rewrite heals it: a lookup meets
+// lineitem's stale l_orderkey run only where the zone maps leave two
+// segments (an order straddling a boundary), and one they narrow to a
+// segment consults no run and records nothing. A crash after the
 // compactions reopens to the same answers as a reference that applied
 // the same statements. (A replica bootstrapping after such a
 // compaction is TestReplicaBootstrapAfterPartialCompaction in
 // internal/server.)
 func TestCompactRewritesOnlyDirtyPartitions(t *testing.T) {
-	p := tpch.DefaultParams(0.05, 0.01, 0.25)
+	p := tpch.DefaultParams(0.15, 0.01, 0.25) // lineitem's partitions span segments
 	p.Seed = 1
 	base, _, err := tpch.Generate(p)
 	if err != nil {
@@ -209,6 +212,15 @@ func TestCompactRewritesOnlyDirtyPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	straddle := int64(-1) // l_orderkey ascends with the tuple ids
+	for i := store.DefaultSegmentRows; i < len(rows) && straddle < 0; i += store.DefaultSegmentRows {
+		if k := rows[i].Vals[ai].I; k == rows[i-1].Vals[ai].I {
+			straddle = k
+		}
+	}
+	if straddle < 0 {
+		t.Fatal("no order straddles a segment boundary of lineitem's l_orderkey")
+	}
 	for i := range rows {
 		rows[i].Vals = append([]engine.Value(nil), rows[i].Vals...)
 		rows[i].Vals[ai] = engine.Int(rows[i].Vals[ai].I + 1)
@@ -223,6 +235,13 @@ func TestCompactRewritesOnlyDirtyPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	lookup := core.Select(core.Rel("lineitem"), engine.Eq(engine.Col("l_orderkey"), engine.ConstInt(7)))
+	if got, want := possRows(t, d.Snapshot(), lookup), possRows(t, ref.db, lookup); len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("point lookup in one segment: %v, want %v", got, want)
+	}
+	if !d.layers[li][0].RunsSound([]int{ai}) {
+		t.Fatal("a lookup the zone maps narrowed to one segment consulted the run")
+	}
+	lookup = core.Select(core.Rel("lineitem"), engine.Eq(engine.Col("l_orderkey"), engine.ConstInt(straddle)))
 	if got, want := possRows(t, d.Snapshot(), lookup), possRows(t, ref.db, lookup); len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("point lookup over a stale run: %v, want %v", got, want)
 	}

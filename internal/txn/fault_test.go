@@ -35,7 +35,7 @@ func TestWALFaultRollback(t *testing.T) {
 
 	for _, op := range []string{"append", "sync"} {
 		op := op
-		restore := store.SetWALFaultHook(func(o, path string) error {
+		restore := store.SetIOFaultHook(func(o, path string) error {
 			if o == op {
 				return errors.New("injected " + op + " failure")
 			}

@@ -1,8 +1,10 @@
 package urel_test
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -326,10 +328,39 @@ func indexedPlanningData(t *testing.T, scale float64) (mem, stored *core.UDB, di
 }
 
 // pointLookup is the benchmark's point class: two attributes of the
-// lineitems of one order, found through the index.
+// lineitems of one order, found by the zone maps of the clustered
+// l_orderkey (through its index where the order straddles two segments).
 func pointLookup(key int64) core.Query {
 	return core.Poss(core.Project(core.Select(core.Rel("lineitem"),
 		engine.Eq(engine.Col("l_orderkey"), engine.ConstInt(key))), "l_extendedprice", "l_quantity"))
+}
+
+// straddlingKey is an order whose lineitems straddle a boundary of
+// lineitem's l_orderkey segments: the key of the first row of a segment
+// that the row before it holds too.
+func straddlingKey(t *testing.T, mem *core.UDB) int64 {
+	t.Helper()
+	rows := sortedPart(mem, "l_orderkey")
+	for i := store.DefaultSegmentRows; i < len(rows); i += store.DefaultSegmentRows {
+		if k := rows[i].Vals[0].AsInt(); k == rows[i-1].Vals[0].AsInt() {
+			return k
+		}
+	}
+	t.Fatal("no order straddles a segment boundary of lineitem's l_orderkey")
+	return 0
+}
+
+// sortedPart is the partition of lineitem storing attr, in tuple-id
+// order: the order it is stored in.
+func sortedPart(mem *core.UDB, attr string) []core.URow {
+	for _, p := range mem.Rels["lineitem"].Parts {
+		if p.Attrs[0] == attr {
+			rows := slices.Clone(p.Rows)
+			slices.SortStableFunc(rows, func(a, b core.URow) int { return cmp.Compare(a.TID, b.TID) })
+			return rows
+		}
+	}
+	return nil
 }
 
 // planLeaves lists the leaves of p, each under the filter pushed onto
@@ -394,17 +425,18 @@ func keyTIDRows(mem *core.UDB, key int64, attrs ...string) int64 {
 // cut — its filtered or index-probed partition, the stitch's smallest
 // estimated input — and every hash join that runs builds on the side
 // estimated no larger than the side it probes. What then runs is
-// counted, not timed: the probed scan of the point lookup reads the one
-// segment its run locates the order's rows in, each other scan reads the
-// one segment of its partition that holds the order's tuple ids and skips
-// the other three (the stitch hands it its driver's tid range), and of
-// that segment serves only the window of the order's tuple ids, so the
-// stitch reads exactly the rows of those tuple ids from the inputs it
-// narrowed, where a merge once probed all 32 000; each scan hands over
-// one column batch per segment; and a
-// lookup of a key no order has reads no segment at all: the probe finds
-// no row, so the stitch reads nothing of the partitions it would have
-// merged.
+// counted, not timed: the l_orderkey scan of the point lookup reads the
+// one segment the zone maps leave it, consulting no run, and that of an
+// order whose lineitems straddle a segment boundary probes its run and
+// reads the two segments it locates the order's rows in; each other scan
+// reads the segments of its partition that hold the order's tuple ids and
+// skips the rest (the stitch hands it its driver's tid range), and of
+// those serves only the window of the order's tuple ids, so the stitch
+// reads exactly the rows of those tuple ids from the inputs it narrowed,
+// where a merge once probed all 32 000; each scan hands over one column
+// batch per segment; and a lookup of a key no order has reads at most
+// the one segment the zone maps leave the l_orderkey scan, so the stitch
+// reads nothing of the partitions it would have merged.
 func TestMergeStartsAtTheSelectivePartition(t *testing.T) {
 	mem, stored, _ := indexedPlanningData(t, 0.25)
 	keys, err := mem.EvalPoss(core.Poss(core.Project(core.Rel("lineitem"), "l_orderkey")), engine.ExecConfig{})
@@ -421,7 +453,8 @@ func TestMergeStartsAtTheSelectivePartition(t *testing.T) {
 		absent++ // inside the key range, so no min/max refutes it
 	}
 	cat := engine.NewCatalog()
-	for name, q := range map[string]core.Query{"Q1": tpch.Q1(), "Q2": tpch.Q2(), "point": pointLookup(key)} {
+	straddle := straddlingKey(t, mem)
+	for name, q := range map[string]core.Query{"Q1": tpch.Q1(), "Q2": tpch.Q2(), "point": pointLookup(key), "straddle": pointLookup(straddle)} {
 		plan := optimizedPoss(t, stored, q)
 		perRel := map[string]int{}
 		for _, rel := range leafRelations(plan) {
@@ -465,16 +498,24 @@ func TestMergeStartsAtTheSelectivePartition(t *testing.T) {
 				t.Errorf("%s: a hash join builds on est=%.0f rows and probes est=%.0f:\n%s", name, kids[0].Est(), kids[1].Est(), res.Text)
 			}
 			if strings.HasPrefix(s.Op(), "Store Scan") {
-				if s.Batches() != s.Stat("segments_read") {
+				driver := strings.Contains(s.Op(), "l_orderkey")
+				// A stitch asks the scans it drives once per driver batch,
+				// and the straddling order's driver hands two.
+				if s.Batches() != s.Stat("segments_read") && (name != "straddle" || driver) {
 					t.Errorf("%s: %q read %d segments and moved %d batches:\n%s", name, s.Op(), s.Stat("segments_read"), s.Batches(), res.Text)
 				}
-				skipped := int64(3) // by the stitch's tid range; the probed scan drives it
-				if strings.Contains(s.Op(), ", index ") {
-					skipped = 0
+				read, skipped, runs := s.Stat("segments_read"), s.Stat("segments_skipped_by_join"), s.Stat("index_runs_consulted")
+				wantSkipped := int64(3) // by the stitch's tid range; the l_orderkey scan drives it
+				if driver {
+					wantSkipped = 0
 				}
-				if name == "point" && (s.Stat("segments_read") != 1 || s.Stat("segments_skipped_by_join") != skipped) {
-					t.Errorf("point lookup of %d: %q read %d segments and skipped %d, want 1 and %d:\n%s",
-						key, s.Op(), s.Stat("segments_read"), s.Stat("segments_skipped_by_join"), skipped, res.Text)
+				switch {
+				case name == "point" && (read != 1 || skipped != wantSkipped || runs != 0):
+					t.Errorf("point lookup of %d: %q read %d segments, skipped %d and consulted %d runs, want 1, %d and 0:\n%s", key, s.Op(), read, skipped, runs, wantSkipped, res.Text)
+				case name == "straddle" && driver && (read != 2 || skipped != 0 || runs != 1):
+					t.Errorf("lookup of %d: %q read %d segments, skipped %d and consulted %d runs, want 2, 0 and 1:\n%s", straddle, s.Op(), read, skipped, runs, res.Text)
+				case name == "straddle" && !driver && (read == 0 || read+skipped != 4 || runs != 0):
+					t.Errorf("lookup of %d: %q read %d segments and skipped %d of 4, consulting %d runs:\n%s", straddle, s.Op(), read, skipped, runs, res.Text)
 				}
 			}
 			for _, c := range kids {
@@ -483,7 +524,7 @@ func TestMergeStartsAtTheSelectivePartition(t *testing.T) {
 		}
 		walk(res.Trace.Children()[0])
 		probed = probedRows(res.Trace)
-		if name != "point" {
+		if name != "point" && name != "straddle" {
 			continue
 		}
 		got, err := stored.EvalPoss(q, engine.ExecConfig{})
@@ -495,10 +536,14 @@ func TestMergeStartsAtTheSelectivePartition(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want.Len() == 0 || !got.EqualAsSet(want) {
-			t.Fatalf("point lookup of %d: %d answers, in memory %d", key, got.Len(), want.Len())
+			t.Fatalf("%s lookup: %d answers, in memory %d", name, got.Len(), want.Len())
 		}
-		if want := keyTIDRows(mem, key, "l_extendedprice", "l_quantity"); probed != want {
-			t.Errorf("point lookup of %d: %d probed, want %d:\n%s", key, probed, want, res.Text)
+		k := key
+		if name == "straddle" {
+			k = straddle
+		}
+		if want := keyTIDRows(mem, k, "l_extendedprice", "l_quantity"); probed != want {
+			t.Errorf("%s lookup of %d: %d probed, want %d:\n%s", name, k, probed, want, res.Text)
 		}
 	}
 
@@ -514,7 +559,11 @@ func TestMergeStartsAtTheSelectivePartition(t *testing.T) {
 	walk = func(s *obs.Span) {
 		if strings.HasPrefix(s.Op(), "Store Scan") {
 			scans++
-			if n := s.Stat("segments_read"); n != 0 {
+			most := int64(0)
+			if strings.Contains(s.Op(), "l_orderkey") {
+				most = 1
+			}
+			if n := s.Stat("segments_read"); n > most || s.Stat("index_runs_consulted") != 0 {
 				t.Errorf("lookup of the absent key %d: %q read %d segments to join with nothing:\n%s", absent, s.Op(), n, res.Text)
 			}
 		}
@@ -524,7 +573,7 @@ func TestMergeStartsAtTheSelectivePartition(t *testing.T) {
 	}
 	walk(res.Trace)
 	if scans != 3 {
-		t.Errorf("lookup of the absent key %d: %d store scans in the plan, want the probed partition and the two it drives:\n%s", absent, scans, res.Text)
+		t.Errorf("lookup of the absent key %d: %d store scans in the plan, want the selected partition and the two it drives:\n%s", absent, scans, res.Text)
 	}
 }
 
