@@ -4,6 +4,7 @@ package urel_test
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -170,23 +171,30 @@ func TestCopyBudget(t *testing.T) {
 // op pays before any segment: store.Open of the stored workloads'
 // directory (s 0.25, x 0.01, z 0.25, seed 1, lineitem(l_orderkey)
 // indexed) — the manifest, the world table of 1 091 variables and every
-// partition's footer — the world table read alone, a cold point lookup
-// of order 77 (open, the lookup, close: stored_cold's point op), and the
-// first load of the l_orderkey run, which an unclustered probe pays
-// (opened as a probe opens it: the layer's footer, then the run). Each
-// sits about a quarter above what it takes when a whole file is read
-// into a pooled buffer, the world table decodes its 1..k domains as
-// windows of one slab, a run holds its keys as an int vector, and a
-// point lookup the zone maps narrow to one segment loads no run.
+// partition's footer — the world table read alone, the manifest decoded
+// alone, a cold point lookup of order 77 (open, the lookup, close:
+// stored_cold's point op), and the first load of the l_orderkey run,
+// which an unclustered probe pays (opened as a probe opens it: the
+// layer's footer, then the run). Each sits about a quarter above what it
+// takes when a whole file is read into a pooled buffer, the world table
+// decodes its 1..k domains as windows of one slab, the manifest is
+// decoded by hand, a partition's attributes a window of its relation's,
+// a footer's column statistics one slab, a run holds its keys as an int
+// vector, a point lookup the zone maps narrow to one segment loads no
+// run, and a filter's selection grows only by the rows it keeps. The
+// point lookup's reading depends on what the segment pools hold when it
+// starts, each P's pool filling as the opener's goroutines use it.
 //
 // While the world table loaded through maps and a run held its keys as
 // 40-byte Values, Open and the run load took 0.64 and 0.87 MB; while
 // each file was read into a buffer of its own and the world table
 // allocated per variable, 0.25, 0.157 (the world table) and 0.38 MB;
-// while every point lookup probed the run, the lookup took 0.50 MB.
+// while every point lookup probed the run, the lookup took 0.50 MB;
+// while encoding/json decoded the manifest, Open took 0.11 MB and the
+// manifest 0.021.
 func TestColdOpenBudget(t *testing.T) {
 	_, _, dir := indexedPlanningData(t, 0.25)
-	checkBudget(t, "store.Open", 0.15, func() { // 0.11
+	checkBudget(t, "store.Open", 0.12, func() { // 0.087–0.097
 		db, err := store.Open(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -198,7 +206,16 @@ func TestColdOpenBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	checkBudget(t, "cold point lookup", 0.33, func() { // 0.243, once 0.302 (pooled buffers a GC emptied)
+	catalog, err := os.ReadFile(filepath.Join(dir, store.CatalogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBudget(t, "manifest decode", 0.01, func() { // 0.008
+		if _, err := store.ParseManifest(catalog); err != nil {
+			t.Fatal(err)
+		}
+	})
+	checkBudget(t, "cold point lookup", 0.33, func() { // 0.208–0.264; 0.243–0.302 while the open ran on one goroutine
 		db, err := store.Open(dir)
 		if err != nil {
 			t.Fatal(err)

@@ -289,18 +289,19 @@ func (r *Replica) openLocal() error {
 	if err != nil {
 		return err
 	}
+	wait := store.OpenLayers(r.dir, man, r.opts.Cache)
 	w, err := store.ReadWorldTable(r.dir)
+	srcs, lerr := wait()
+	for ri, ps := range srcs { // closed by closeHandles if this fails
+		for pi, src := range ps {
+			r.layers[repPartKey{man.Relations[ri].Name, pi}] = src.Layers
+		}
+	}
 	if err != nil {
 		return err
 	}
-	for _, mr := range man.Relations {
-		for pi, mp := range mr.Parts {
-			src, err := store.OpenPartLayers(r.dir, mp, r.opts.Cache)
-			if err != nil {
-				return err
-			}
-			r.layers[repPartKey{mr.Name, pi}] = src.Layers
-		}
+	if lerr != nil {
+		return lerr
 	}
 	if man.WAL == "" {
 		return fmt.Errorf("catalog has no WAL (not a mutable-format snapshot)")

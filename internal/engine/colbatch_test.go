@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -311,6 +312,39 @@ func TestRowEvalConjunctReadsOnlyItsColumns(t *testing.T) {
 		if got := fmt.Sprint(compileVecPred(bound, sch).filter(cb, nil)); got != tc.want {
 			t.Fatalf("%s over sel %v keeps rows %s, want %s", tc.pred, tc.sel, got, tc.want)
 		}
+	}
+}
+
+// TestFilterGrowsOnlyByKeptRows: a filter that keeps 3 rows of a
+// 4 096-row batch, a point lookup's segment, allocates what those rows
+// take, not a selection of the whole batch (16 KB while it wrote every
+// live row into the selection before narrowing it).
+func TestFilterGrowsOnlyByKeptRows(t *testing.T) {
+	const n = 4096
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(i / 3)
+	}
+	sch := NewSchema(Column{Name: "k", Kind: KindInt})
+	bound, err := Cmp(EQ, Col("k"), ConstInt(77)).Bind(sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb := &ColBatch{Sch: sch, N: n, Cols: []ColVec{IntVec(keys, nil)}}
+	p := compileVecPred(bound, sch)
+	const runs = 100
+	var sel []int32
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sel = p.filter(cb, nil)
+	}
+	runtime.ReadMemStats(&after)
+	if fmt.Sprint(sel) != "[231 232 233]" {
+		t.Fatalf("kept rows %v, want [231 232 233]", sel)
+	}
+	if kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024; kb > 1 {
+		t.Fatalf("filtering %d rows to 3 allocates %.1f KB, want at most 1", n, kb)
 	}
 }
 

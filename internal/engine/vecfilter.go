@@ -12,6 +12,9 @@ package engine
 
 import "slices"
 
+// filterChunk is the least room filter grows its selection by.
+const filterChunk = 256
+
 // vecPred is a compiled predicate over column batches.
 type vecPred struct {
 	conjuncts []vecConjunct
@@ -38,15 +41,24 @@ func compileVecPred(bound Expr, sch Schema) *vecPred {
 	return p
 }
 
-// filter narrows the batch's live rows through every conjunct, using
-// selBuf as scratch, and returns the surviving physical row indices.
+// filter narrows the batch's live rows through every conjunct, as many
+// as fit past the rows kept so far at a time, and returns the survivors
+// in selBuf's array, grown by a chunk or by the rows kept at the rate so
+// far: a selective filter never holds the whole batch.
 func (p *vecPred) filter(cb *ColBatch, selBuf []int32) []int32 {
-	n := cb.Rows()
-	sel := slices.Grow(selBuf[:0], n)
-	for k := 0; k < n; k++ {
-		sel = append(sel, int32(cb.RowID(k)))
+	n, sel := cb.Rows(), selBuf[:0]
+	for lo := 0; lo < n; {
+		if cap(sel)-len(sel) < min(n-lo, filterChunk/2) {
+			sel = slices.Grow(sel, max(min(n-lo, filterChunk), len(sel)*(n-lo)/max(lo, 1)))
+		}
+		chunk := sel[len(sel) : len(sel)+min(n-lo, cap(sel)-len(sel))]
+		for k := range chunk {
+			chunk[k] = int32(cb.RowID(lo + k))
+		}
+		lo += len(chunk)
+		sel = append(sel, p.narrow(cb, chunk)...)
 	}
-	return p.narrow(cb, sel)
+	return sel
 }
 
 // narrow narrows sel, physical rows of cb, through every conjunct in

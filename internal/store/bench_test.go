@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -248,6 +249,23 @@ func BenchmarkOpen(b *testing.B) {
 			b.Fatal(err)
 		}
 		db.Close()
+	}
+}
+
+// BenchmarkParseManifest decodes the manifest of the saved s 0.25
+// directory, as every cold open does after reading it.
+func BenchmarkParseManifest(b *testing.B) {
+	dir, _ := savedTPCH(b, 0.25)
+	buf, err := os.ReadFile(filepath.Join(dir, CatalogName))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseManifest(buf); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -11,6 +11,8 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"urel/internal/core"
 	"urel/internal/ws"
@@ -196,23 +198,31 @@ func ReadManifest(dir string) (*Manifest, error) {
 // ParseManifest decodes and validates manifest bytes — the catalog file
 // on disk, or the /store/manifest response a replica bootstraps from.
 func ParseManifest(buf []byte) (*Manifest, error) {
-	var m Manifest
-	if err := json.Unmarshal(buf, &m); err != nil {
-		return nil, fmt.Errorf("bad catalog: %w", err)
+	m, err := decodeManifest(buf)
+	if err != nil {
+		return nil, err
 	}
 	if m.Version != FormatVersion {
 		return nil, corruptf("format version %d, want %d: %s", m.Version, FormatVersion, resaveHint)
 	}
-	files := m.Files()
-	if m.WAL != "" {
-		files = append(files, m.WAL)
+	for _, mr := range m.Relations {
+		for _, mp := range mr.Parts {
+			if err := CheckFileName(mp.File); err != nil {
+				return nil, err
+			}
+			for _, d := range mp.Deltas {
+				if err := CheckFileName(d.File); err != nil {
+					return nil, err
+				}
+			}
+		}
 	}
-	for _, f := range files {
-		if err := CheckFileName(f); err != nil {
+	if m.WAL != "" {
+		if err := CheckFileName(m.WAL); err != nil {
 			return nil, err
 		}
 	}
-	return &m, nil
+	return m, nil
 }
 
 // CheckFileName refuses a manifest's or a replication request's file
@@ -370,39 +380,45 @@ func openCachedOnce(dir string, cache *SegCache) (*core.UDB, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The partitions' files open while this goroutine reads the world
+	// table and declares the schema.
+	wait := OpenLayers(dir, man, cache)
 	w, err := ReadWorldTable(dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: open %s: %w", dir, err)
-	}
 	db := core.NewUDB()
 	db.W = w
+	var us []*core.URelation
+	for _, mr := range man.Relations {
+		if err == nil {
+			err = db.AddRelation(mr.Name, mr.Attrs...)
+		}
+		for _, mp := range mr.Parts {
+			if err == nil {
+				var u *core.URelation
+				u, err = db.AddPartition(mr.Name, mp.Name, mp.Attrs...)
+				us = append(us, u)
+			}
+		}
+	}
+	srcs, lerr := wait()
+	if err == nil {
+		err = lerr
+	}
 	ok := false
 	defer func() {
 		if !ok {
 			db.Close()
+			CloseLayers(srcs)
 		}
 	}()
-	type walPartKey struct {
-		rel  string
-		part int
+	if err != nil {
+		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	srcs := map[walPartKey]*PartSource{}
-	for _, mr := range man.Relations {
-		if err := db.AddRelation(mr.Name, mr.Attrs...); err != nil {
-			return nil, fmt.Errorf("store: open %s: %w", dir, err)
-		}
-		for pi, mp := range mr.Parts {
-			u, err := db.AddPartition(mr.Name, mp.Name, mp.Attrs...)
-			if err != nil {
-				return nil, fmt.Errorf("store: open %s: %w", dir, err)
-			}
-			src, err := OpenPartLayers(dir, mp, cache)
-			if err != nil {
-				return nil, fmt.Errorf("store: open %s: %w", dir, err)
-			}
-			src.IdxCols = DeclaredIdxOrds(mr.Indexes, mp.Attrs)
-			u.Back = src
-			srcs[walPartKey{mr.Name, pi}] = src
+	rels := make(map[string]int, len(man.Relations))
+	for ri, mr := range man.Relations {
+		rels[mr.Name] = ri
+		for pi, src := range srcs[ri] {
+			src.IdxCols = DeclaredIdxOrds(mr.Indexes, mr.Parts[pi].Attrs)
+			us[0].Back, us = src, us[1:]
 		}
 	}
 	if man.WAL != "" {
@@ -410,7 +426,7 @@ func openCachedOnce(dir string, cache *SegCache) (*core.UDB, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: open %s: %w", dir, err)
 		}
-		deltas := map[walPartKey]*PartDelta{}
+		deltas := map[*PartSource]*PartDelta{}
 		for _, rec := range records {
 			ops, err := DecodeWALRecord(rec)
 			if err != nil {
@@ -423,20 +439,21 @@ func openCachedOnce(dir string, cache *SegCache) (*core.UDB, error) {
 					}
 					continue
 				}
-				k := walPartKey{o.Rel, o.Part}
-				if _, known := srcs[k]; !known {
+				ri, known := rels[o.Rel]
+				if !known || o.Part < 0 || o.Part >= len(srcs[ri]) {
 					return nil, fmt.Errorf("store: open %s: WAL op targets unknown partition %s/%d", dir, o.Rel, o.Part)
 				}
-				pd := deltas[k]
+				src := srcs[ri][o.Part]
+				pd := deltas[src]
 				if pd == nil {
 					pd = &PartDelta{}
-					deltas[k] = pd
+					deltas[src] = pd
 				}
 				pd.ApplyOp(o)
 			}
 		}
-		for k, pd := range deltas {
-			pd.Freeze(srcs[k])
+		for src, pd := range deltas {
+			pd.Freeze(src)
 		}
 	}
 	for _, mr := range man.Relations {
@@ -446,37 +463,120 @@ func openCachedOnce(dir string, cache *SegCache) (*core.UDB, error) {
 	return db, nil
 }
 
+// OpenLayers starts opening every segment file of man, each
+// partition's base, then its deltas in flush order, with cache
+// attached, and returns at once: the caller reads the world table in
+// the meantime, then calls wait, once, for the layered sources,
+// [relation][partition] in manifest order. min(GOMAXPROCS, files)
+// goroutines open the files, each taking the next in manifest order.
+// After a failure none takes another, and wait closes what was opened
+// and returns the error of the first file in manifest order that
+// failed: every file before it was taken, so which error that is does
+// not depend on scheduling.
+func OpenLayers(dir string, man *Manifest, cache *SegCache) (wait func() ([][]*PartSource, error)) {
+	nparts, nfiles := 0, 0
+	for _, mr := range man.Relations {
+		nparts += len(mr.Parts)
+		for _, mp := range mr.Parts {
+			nfiles += 1 + len(mp.Deltas)
+		}
+	}
+	layers := make([]layer, 0, nfiles)
+	for _, mr := range man.Relations {
+		for _, mp := range mr.Parts {
+			layers = append(layers, layer{mp.File, mp.Rows, mp.Width, len(mp.Attrs)})
+			for _, d := range mp.Deltas {
+				layers = append(layers, layer{d.File, d.Rows, d.Width, len(mp.Attrs)})
+			}
+		}
+	}
+	handles := make([]*PartHandle, len(layers))
+	errs := make([]error, len(layers))
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	workers := min(runtime.GOMAXPROCS(0), len(layers))
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(layers) {
+					return
+				}
+				if handles[i], errs[i] = openLayer(dir, layers[i], cache); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	return func() ([][]*PartSource, error) {
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				for _, h := range handles {
+					if h != nil {
+						h.Close()
+					}
+				}
+				return nil, errs[i]
+			}
+		}
+		srcs, flat, slab := make([][]*PartSource, len(man.Relations)), make([]*PartSource, nparts), make([]PartSource, nparts)
+		for ri, mr := range man.Relations {
+			srcs[ri], flat = flat[:len(mr.Parts):len(mr.Parts)], flat[len(mr.Parts):]
+			for pi, mp := range mr.Parts {
+				n := 1 + len(mp.Deltas)
+				slab[0].Layers, handles = handles[:n:n], handles[n:]
+				srcs[ri][pi], slab = &slab[0], slab[1:]
+			}
+		}
+		return srcs, nil
+	}
+}
+
+// layer is one segment file of a partition of cols attributes that the
+// manifest says holds rows rows at descriptor width width.
+type layer struct {
+	file              string
+	rows, width, cols int
+}
+
+// openLayer opens l in dir and checks it against the manifest.
+func openLayer(dir string, l layer, cache *SegCache) (*PartHandle, error) {
+	h, err := OpenPart(filepath.Join(dir, l.file))
+	if err != nil {
+		return nil, err
+	}
+	h.SetCache(cache)
+	if h.NumRows() != l.rows || h.Width() != l.width || len(h.meta.Kinds) != l.cols {
+		h.Close()
+		return nil, fmt.Errorf("%s: %w", l.file,
+			corruptf("file has %d rows width %d and %d attributes, catalog says %d rows width %d and %d",
+				h.NumRows(), h.Width(), len(h.meta.Kinds), l.rows, l.width, l.cols))
+	}
+	return h, nil
+}
+
+// CloseLayers closes every source OpenLayers returned.
+func CloseLayers(srcs [][]*PartSource) {
+	for _, ps := range srcs {
+		for _, src := range ps {
+			src.Close()
+		}
+	}
+}
+
 // OpenPartLayers opens every segment file of one manifest partition —
 // base first, then the delta files in flush order — as a layered
 // PartSource with the given cache attached.
 func OpenPartLayers(dir string, mp ManifestPart, cache *SegCache) (*PartSource, error) {
-	src := &PartSource{}
-	open := func(file string, rows, width int) error {
-		h, err := OpenPart(filepath.Join(dir, file))
-		if err != nil {
-			return err
-		}
-		h.SetCache(cache)
-		if h.NumRows() != rows || h.Width() != width || len(h.meta.Kinds) != len(mp.Attrs) {
-			h.Close()
-			return fmt.Errorf("%s: %w", file,
-				corruptf("file has %d rows width %d and %d attributes, catalog says %d rows width %d and %d",
-					h.NumRows(), h.Width(), len(h.meta.Kinds), rows, width, len(mp.Attrs)))
-		}
-		src.Layers = append(src.Layers, h)
-		return nil
-	}
-	if err := open(mp.File, mp.Rows, mp.Width); err != nil {
-		src.Close()
+	srcs, err := OpenLayers(dir, &Manifest{Relations: []ManifestRel{{Parts: []ManifestPart{mp}}}}, cache)()
+	if err != nil {
 		return nil, err
 	}
-	for _, d := range mp.Deltas {
-		if err := open(d.File, d.Rows, d.Width); err != nil {
-			src.Close()
-			return nil, err
-		}
-	}
-	return src, nil
+	return srcs[0][0], nil
 }
 
 // EncodeWorldTable renders the world table in the worlds.bin format

@@ -60,7 +60,18 @@
 //     world table and index runs whole into pooled buffers that the
 //     decoders copy out of (readFile), not the WAL, whose records alias
 //     theirs; Save lands each file by one synced write (writeFile), a
-//     replica's resync by one renamed into place (InstallFile).
+//     replica's resync by one renamed into place (InstallFile). The
+//     manifest is decoded by hand (manifest.go): the JSON that
+//     json.MarshalIndent writes, unknown keys skipped at every level,
+//     escapes decoded, no reflection, and nothing accepted that
+//     encoding/json would refuse or decode differently. Every file is
+//     opened by openRead: one open(2), one fstat(2) and os.NewFile's
+//     one fcntl(2), where os.Open would spend five more system calls
+//     on a poller registration a regular file refuses. OpenLayers opens
+//     a manifest's segment files on min(GOMAXPROCS, files) goroutines
+//     while the caller reads the world table, and reports the first
+//     failure in manifest order; store.Open, txn.Open and a replica's
+//     openLocal all open through it.
 //
 //   - StoreScanIter (scan.go). The cold-scan operator: its segments
 //     decode straight into typed engine.ColVec vectors, so Next hands

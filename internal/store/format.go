@@ -722,13 +722,14 @@ func decodeFooter(data []byte, payloadStart, payloadEnd int64) (*fileMeta, error
 		return nil, err
 	}
 	m.Kinds = append([]byte(nil), kb...)
-	// A segment entry takes at least seven bytes: offset, length, the
-	// checksum and the row count.
-	ns, err := c.countOf(7)
+	// A segment entry takes at least seven bytes, offset, length, the
+	// checksum and the row count, and one more per attribute.
+	ns, err := c.countOf(7 + na)
 	if err != nil {
 		return nil, err
 	}
 	m.Segs = make([]segMeta, 0, ns)
+	stats := make([]colStats, ns*na)
 	for i := 0; i < ns; i++ {
 		var s segMeta
 		off, err := c.count(math.MaxInt64)
@@ -763,7 +764,7 @@ func decodeFooter(data []byte, payloadStart, payloadEnd int64) (*fileMeta, error
 		if i > 0 && s.TidLo < m.Segs[i-1].TidHi {
 			return nil, corruptf("segment %d starts at tid %d, before segment %d ends (%d)", i, s.TidLo, i-1, m.Segs[i-1].TidHi)
 		}
-		s.Stats = make([]colStats, na)
+		s.Stats = stats[i*na : (i+1)*na : (i+1)*na]
 		for ci := range s.Stats {
 			nn, err := c.count(1 << 31)
 			if err != nil {

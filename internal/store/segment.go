@@ -111,16 +111,11 @@ var handleIDs atomic.Uint64
 // OpenPart opens a partition file and decodes its footer. The file
 // stays open until Close.
 func OpenPart(path string) (*PartHandle, error) {
-	f, err := os.Open(path)
+	f, size, err := openRead(path)
 	if err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	h, err := NewPartHandle(interceptPartOpen(path, f), st.Size())
+	h, err := NewPartHandle(interceptPartOpen(path, f), size)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
@@ -134,15 +129,37 @@ func OpenPart(path string) (*PartHandle, error) {
 // built over an arbitrary reader.
 func (h *PartHandle) Path() string { return h.path }
 
+// footWindow is how many bytes from a file's end NewPartHandle reads
+// at once: the tail and, unless the file has very many segments or
+// columns, the whole footer.
+const footWindow = 4096
+
 // NewPartHandle opens a partition over an arbitrary ReaderAt (used by
-// tests to observe exactly which byte ranges a scan touches).
+// tests to observe exactly which byte ranges a scan touches). It reads
+// the file's last footWindow bytes, all of a smaller file, into a
+// buffer of segBufs with one ReadAt, the magic with another unless that
+// read held it, and the footer again only where it starts before the
+// window; decodeFooter copies out what it keeps.
 func NewPartHandle(src io.ReaderAt, size int64) (*PartHandle, error) {
 	if size < int64(len(fileMagic)+tailLen) {
 		return nil, corruptf("file too small (%d bytes)", size)
 	}
-	head := make([]byte, len(fileMagic))
-	if _, err := src.ReadAt(head, 0); err != nil {
-		return nil, corruptf("reading header: %v", err)
+	bp := segBufs.Get().(*[]byte)
+	defer putSegBuf(bp)
+	win := int64(min(size, footWindow))
+	if cap(*bp) < int(win)+len(fileMagic) {
+		*bp = make([]byte, win+int64(len(fileMagic)))
+	}
+	buf := (*bp)[:win]
+	if _, err := src.ReadAt(buf, size-win); err != nil {
+		return nil, corruptf("reading tail: %v", err)
+	}
+	head := buf[:len(fileMagic)]
+	if win < size {
+		head = (*bp)[win : win+int64(len(fileMagic))]
+		if _, err := src.ReadAt(head, 0); err != nil {
+			return nil, corruptf("reading header: %v", err)
+		}
 	}
 	if string(head) == "URSEGv1\n" {
 		return nil, corruptf("a URSEGv1 file, written before format version 3: %s", resaveHint)
@@ -151,10 +168,7 @@ func NewPartHandle(src io.ReaderAt, size int64) (*PartHandle, error) {
 		return nil, corruptf("bad magic %q", head)
 	}
 	tl := int64(tailLen)
-	tail := make([]byte, tl)
-	if _, err := src.ReadAt(tail, size-tl); err != nil {
-		return nil, corruptf("reading tail: %v", err)
-	}
+	tail := buf[win-tl:]
 	if magic := tail[tailLen-len(tailMagic):]; string(magic) != tailMagic {
 		return nil, corruptf("bad tail magic %q (truncated file?)", magic)
 	}
@@ -165,9 +179,17 @@ func NewPartHandle(src io.ReaderAt, size int64) (*PartHandle, error) {
 	if footerOff < int64(len(fileMagic)) || footerOff > size-tl {
 		return nil, corruptf("footer offset %d out of range", footerOff)
 	}
-	footer := make([]byte, size-tl-footerOff)
-	if _, err := src.ReadAt(footer, footerOff); err != nil {
-		return nil, corruptf("reading footer: %v", err)
+	var footer []byte
+	if start := size - win; footerOff >= start {
+		footer = buf[footerOff-start : win-tl]
+	} else {
+		if n := size - tl - footerOff; int64(cap(*bp)) < n {
+			*bp = make([]byte, n)
+		}
+		footer = (*bp)[:size-tl-footerOff]
+		if _, err := src.ReadAt(footer, footerOff); err != nil {
+			return nil, corruptf("reading footer: %v", err)
+		}
 	}
 	// The footer decides which segments a narrowed scan reads, so a
 	// flipped byte in it must fail the open, not skip a segment.
@@ -281,24 +303,20 @@ func putSegBuf(bp *[]byte) {
 // index runs are read so. The WAL is not, since ParseWALChunk's records
 // alias the buffer they are in.
 func readFile[T any](path string, decode func([]byte) (T, error)) (v T, err error) {
-	f, err := os.Open(path)
+	f, size, err := openRead(path)
 	if err != nil {
 		return v, err
 	}
 	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return v, err
-	}
 	bp := segBufs.Get().(*[]byte)
 	defer putSegBuf(bp)
-	if n := int(fi.Size()); cap(*bp) < n {
+	if n := int(size); cap(*bp) < n {
 		*bp = make([]byte, n)
 	}
-	if _, err := io.ReadFull(f, (*bp)[:fi.Size()]); err != nil {
+	if _, err := io.ReadFull(f, (*bp)[:size]); err != nil {
 		return v, fmt.Errorf("read %s: %w", path, err)
 	}
-	if v, err = decode((*bp)[:fi.Size()]); err != nil {
+	if v, err = decode((*bp)[:size]); err != nil {
 		err = fmt.Errorf("%s: %w", path, err)
 	}
 	return v, err

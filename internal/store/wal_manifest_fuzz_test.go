@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -329,14 +330,38 @@ func TestServedRWRecordsRoundTrip(t *testing.T) {
 // manifestJSON renders a manifest the way WriteManifest does.
 func manifestJSON(m *Manifest) ([]byte, error) { return json.MarshalIndent(m, "", "  ") }
 
+// handManifests are manifests no writer of this build writes: an
+// unknown key at every level, escaped names, odd whitespace, and a
+// mutable, sharded, fenced store's manifest with deltas and indexes.
+var handManifests = []string{
+	`{"version": 3, "future": {"k": [1, -0.5e-3, 2E+7, true, false, null, "s\u00e9"]}, "wal": "wal_7.log", "epoch": 7,
+	  "relations": [{"name": "r", "later": [], "attrs": ["a", "b"], "partitions": [
+	    {"name": "u_r_a", "attrs": ["a"], "file": "r0_p0.useg", "rows": 3, "width": 1, "x": null,
+	     "deltas": [{"file": "r0_p0_d7.useg", "rows": 1, "width": 1, "y": "z"}]},
+	    {"name": "u_r_b", "attrs": ["b", "a"], "file": "r0_p1.useg", "rows": 3, "width": 0}],
+	   "max_tid": 3, "indexes": ["b"], "existence_complete": true}],
+	  "shard": {"index": 1, "count": 2, "sharded": ["r"], "hash": {"kind": "fib"}}, "fence": 2, "fenced_by": 3}`,
+	`{"version":3,"relations":[{"name":"r\u003cs\"\\\/\t\ud83d\ude00","attrs":["\u0061"],"partitions":[{"name":"\u00e9","attrs":["a"],"file":"r0_p0.useg","rows":0,"width":0}]}]}`,
+	"\r\n\t {\t\"version\"\r:\n3 ,\"relations\" :\t[ ] , \"epoch\":0\n}\r\n",
+	`{"version": 3, "relations": null, "shard": {}, "fence": 18446744073709551615}`,
+}
+
+// FuzzParseManifest holds the manifest's decoder to encoding/json on two
+// kinds of input. On arbitrary bytes, what the decoder accepts
+// json.Unmarshal accepts too and decodes to a reflect.DeepEqual
+// Manifest, and a refusal is ErrCorrupt; what ParseManifest accepts
+// names only plain files, renders and survives a round trip. And every
+// manifest manifestJSON renders from the fuzzed field values (names
+// with escapes and invalid UTF-8, nil and empty lists, deltas, indexes,
+// a shard) decodes as json.Unmarshal decodes it.
 func FuzzParseManifest(f *testing.F) {
 	dir, _ := savedTPCH(f, 0.02)
 	saved, err := os.ReadFile(filepath.Join(dir, CatalogName))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(saved)
-	f.Add(withoutExistenceField(f, saved))
+	f.Add(saved, "r0_p0.useg", int64(3), uint64(0), uint8(0))
+	f.Add(withoutExistenceField(f, saved), "c_custkey", int64(-1), uint64(7), uint8(0xff))
 	// A mutable store's manifest: deltas, a WAL, an index, a shard, fences.
 	m, err := ParseManifest(saved)
 	if err != nil {
@@ -351,14 +376,27 @@ func FuzzParseManifest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(mutable)
+	f.Add(mutable, "a<b>&\"\x01\xff", int64(math.MaxInt64), uint64(math.MaxUint64), uint8(0x55))
 	m.Relations[0].Parts[0].Deltas[0].File = "../" + DeltaFileName(0, 0, 7)
 	escaping, err := manifestJSON(m)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(escaping)
-	f.Fuzz(func(t *testing.T, b []byte) {
+	f.Add(escaping, "", int64(math.MinInt64), uint64(1), uint8(0xaa))
+	for i, hand := range handManifests {
+		if _, err := decodeManifest([]byte(hand)); err != nil {
+			f.Fatalf("hand manifest %d: %v", i, err)
+		}
+		f.Add([]byte(hand), "\u2028\U0001F600", int64(i), uint64(i), uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, b []byte, name string, n int64, u uint64, flags uint8) {
+		sameAsJSON(t, b, false)
+		out, err := manifestJSON(fuzzedManifest(name, n, u, flags))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAsJSON(t, out, true)
+
 		m, err := ParseManifest(b)
 		if err != nil {
 			return
@@ -374,8 +412,7 @@ func FuzzParseManifest(f *testing.F) {
 				t.Fatalf("an accepted manifest names %q", name)
 			}
 		}
-		out, err := manifestJSON(m)
-		if err != nil {
+		if out, err = manifestJSON(m); err != nil {
 			t.Fatalf("a parsed manifest does not render: %v", err)
 		}
 		again, err := ParseManifest(out)
@@ -391,6 +428,66 @@ func FuzzParseManifest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameAsJSON checks that where decodeManifest accepts b, json.Unmarshal
+// accepts it and decodes it to an equal Manifest, and that a refusal is
+// ErrCorrupt; must says decodeManifest has to accept.
+func sameAsJSON(t *testing.T, b []byte, must bool) {
+	t.Helper()
+	got, err := decodeManifest(b)
+	if err != nil {
+		if must || !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("decodeManifest refuses %q: %v", b, err)
+		}
+		return
+	}
+	var want Manifest
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatalf("decodeManifest accepts what encoding/json refuses (%v): %q", err, b)
+	}
+	if !reflect.DeepEqual(*got, want) {
+		t.Fatalf("decodeManifest and encoding/json differ on %q:\n got %+v\nwant %+v", b, *got, want)
+	}
+}
+
+// fuzzedManifest builds a manifest of two relations from fuzzed values:
+// name in every string, n in every int, u in every uint64, and flags
+// choosing nil or empty lists, deltas, indexes and a shard.
+func fuzzedManifest(name string, n int64, u uint64, flags uint8) *Manifest {
+	bit := func(i uint) bool { return flags&(1<<i) != 0 }
+	list := func(i uint, xs ...string) []string {
+		if bit(i) {
+			return xs
+		}
+		if bit(i + 1) {
+			return []string{}
+		}
+		return nil
+	}
+	m := &Manifest{Version: int(n), WAL: name, Epoch: u, Fence: u / 3, FencedBy: u >> 7}
+	for ri := 0; ri < 2; ri++ {
+		mr := ManifestRel{Name: name + "r", Attrs: list(0, name, "a", name+"b"), MaxTID: n, ExistenceComplete: bit(2)}
+		if bit(3) {
+			mr.Indexes = list(4, name)
+		}
+		mr.Parts = []ManifestPart{
+			{Name: name, Attrs: list(5, name), File: name, Rows: int(n), Width: int(u)},
+			{Name: "p", Attrs: list(6, "a", name+"b"), File: "f" + name, Rows: -int(n), Width: 0},
+			{Attrs: list(7, name+"b", name)},
+		}
+		if bit(1) {
+			mr.Parts[0].Deltas = []ManifestDelta{{File: name, Rows: int(n), Width: int(u >> 1)}, {}}
+		}
+		if ri == 1 && bit(7) {
+			mr.Parts = nil
+		}
+		m.Relations = append(m.Relations, mr)
+	}
+	if bit(4) {
+		m.Shard = &ShardSpec{Index: int(n), Count: int(u >> 2), Sharded: list(5, name, "r")}
+	}
+	return m
 }
 
 // withoutExistenceField is a manifest as a binary that predates the

@@ -153,12 +153,17 @@ func Open(dir string, opts Options) (*DB, error) {
 		lock.release()
 		return nil, err
 	}
+	wait := store.OpenLayers(dir, man, opts.Cache)
 	w, err := store.ReadWorldTable(dir)
-	if err != nil {
-		lock.release()
-		return nil, fmt.Errorf("txn: open %s: %w", dir, err)
+	if err == nil {
+		err = removeOrphans(dir, man)
 	}
-	if err := removeOrphans(dir, man); err != nil {
+	srcs, lerr := wait()
+	if err == nil {
+		err = lerr
+	}
+	if err != nil {
+		store.CloseLayers(srcs)
 		lock.release()
 		return nil, fmt.Errorf("txn: open %s: %w", dir, err)
 	}
@@ -189,12 +194,8 @@ func Open(dir string, opts Options) (*DB, error) {
 			d.lock.release()
 		}
 	}()
-	for _, mr := range man.Relations {
-		for pi, mp := range mr.Parts {
-			src, err := store.OpenPartLayers(dir, mp, opts.Cache)
-			if err != nil {
-				return nil, fmt.Errorf("txn: open %s: %w", dir, err)
-			}
+	for ri, mr := range man.Relations {
+		for pi, src := range srcs[ri] {
 			d.layers[partKey{mr.Name, pi}] = src.Layers
 		}
 		d.maxTID[mr.Name] = mr.MaxTID

@@ -2,14 +2,18 @@ package txn
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"urel/internal/core"
 	"urel/internal/engine"
 	"urel/internal/store"
+	"urel/internal/tpch"
 )
 
 // TestReadOnlyOpenSeesWALCommits: a plain store.Open of a directory a
@@ -148,5 +152,105 @@ func TestOnlyTheCurrentLayoutOpens(t *testing.T) {
 				t.Errorf("%d entries beside the directory, want the directory and outside.useg", len(ents))
 			}
 		})
+	}
+}
+
+// TestConcurrentOpenCorruptNamesFirstFile: the opener's goroutines take
+// a manifest's files in any interleaving, yet with two partition files
+// corrupt, store.Open and Open fail on every try with an ErrCorrupt
+// naming the first of the two in manifest order, and leave no file
+// open. A successful open hands each file to the part-open interceptor
+// exactly once.
+func TestConcurrentOpenCorruptNamesFirstFile(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	p := tpch.DefaultParams(0.01, 0.01, 0.25)
+	p.Seed = 1
+	db, _, err := tpch.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := store.Save(db, dir); err != nil {
+		t.Fatal(err)
+	}
+	man, err := store.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := man.Files()
+	var mu sync.Mutex
+	seen := map[string]int{}
+	restore := store.SetPartOpenInterceptor(func(path string, src io.ReaderAt) io.ReaderAt {
+		mu.Lock()
+		seen[filepath.Base(path)]++
+		mu.Unlock()
+		return src
+	})
+	defer restore()
+	openedOnce := func(how string) {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		if len(seen) != len(files) {
+			t.Fatalf("%s opened %d files of %d", how, len(seen), len(files))
+		}
+		for _, f := range files {
+			if seen[f] != 1 {
+				t.Fatalf("%s opened %s %d times", how, f, seen[f])
+			}
+		}
+		clear(seen)
+	}
+	ro, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro.Close()
+	openedOnce("store.Open")
+	d, err := Open(dir, Options{DisableAutoFlush: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	openedOnce("Open")
+
+	first, second := files[5], files[len(files)-3]
+	for _, f := range []string{first, second} {
+		path := filepath.Join(dir, f)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append([]byte("URSEGv0\n"), b[8:]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fds := func() int {
+		entries, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			return -1
+		}
+		return len(entries)
+	}
+	before := fds()
+	for try := 0; try < 20; try++ {
+		ro, err := store.Open(dir)
+		if err == nil {
+			ro.Close()
+		}
+		d, derr := Open(dir, Options{DisableAutoFlush: true})
+		if derr == nil {
+			d.Close()
+		}
+		for how, err := range map[string]error{"store.Open": err, "Open": derr} {
+			if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), first) || strings.Contains(err.Error(), second) {
+				t.Fatalf("try %d: %s: err = %v, want ErrCorrupt naming %s alone", try, how, err, first)
+			}
+		}
+	}
+	if after := fds(); after != before {
+		t.Fatalf("%d open files before 20 failed opens of each kind, %d after", before, after)
 	}
 }

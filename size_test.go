@@ -21,18 +21,18 @@ import (
 func TestSizeBudget(t *testing.T) {
 	ceilings := map[string]int{
 		"internal/bench":    554,
-		"internal/cluster":  2433,
+		"internal/cluster":  2434,
 		"internal/core":     3721,
-		"internal/engine":   6628,
+		"internal/engine":   6640,
 		"internal/obs":      815,
 		"internal/server":   2161,
 		"internal/sqlparse": 879,
-		"internal/store":    4982,
+		"internal/store":    5699,
 		"internal/tpch":     774,
-		"internal/txn":      1899,
+		"internal/txn":      1900,
 		"internal/ws":       642,
-		"cluster + server":  4594,
-		"test lines":        27768,
+		"cluster + server":  4595,
+		"test lines":        28038,
 	}
 	lines := func(path string) int {
 		b, err := os.ReadFile(path)
