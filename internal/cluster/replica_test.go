@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -33,10 +32,7 @@ func fakePrimary(t *testing.T, db *core.UDB, edit func(*store.Manifest), anyName
 	first := m.Relations[0].Parts[0].File
 	m.WAL, m.Epoch = store.WALFileName(1), 1
 	edit(m)
-	man, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	man := store.EncodeManifest(m)
 	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch name := filepath.Base(r.URL.Query().Get("name")); r.URL.Path {
 		case "/store/manifest":

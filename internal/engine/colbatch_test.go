@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -318,7 +319,10 @@ func TestRowEvalConjunctReadsOnlyItsColumns(t *testing.T) {
 // TestFilterGrowsOnlyByKeptRows: a filter that keeps 3 rows of a
 // 4 096-row batch, a point lookup's segment, allocates what those rows
 // take, not a selection of the whole batch (16 KB while it wrote every
-// live row into the selection before narrowing it).
+// live row into the selection before narrowing it). TotalAlloc counts
+// every goroutine of the process, and a foreign allocation can only
+// raise a round's reading, so the least of five rounds is what the
+// filter takes.
 func TestFilterGrowsOnlyByKeptRows(t *testing.T) {
 	const n = 4096
 	keys := make([]int64, n)
@@ -334,16 +338,20 @@ func TestFilterGrowsOnlyByKeptRows(t *testing.T) {
 	p := compileVecPred(bound, sch)
 	const runs = 100
 	var sel []int32
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		sel = p.filter(cb, nil)
+	kb := math.Inf(1)
+	for round := 0; round < 5; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			sel = p.filter(cb, nil)
+		}
+		runtime.ReadMemStats(&after)
+		kb = min(kb, float64(after.TotalAlloc-before.TotalAlloc)/runs/1024)
 	}
-	runtime.ReadMemStats(&after)
 	if fmt.Sprint(sel) != "[231 232 233]" {
 		t.Fatalf("kept rows %v, want [231 232 233]", sel)
 	}
-	if kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024; kb > 1 {
+	if kb > 1 {
 		t.Fatalf("filtering %d rows to 3 allocates %.1f KB, want at most 1", n, kb)
 	}
 }

@@ -28,7 +28,7 @@ import (
 //	GET  /metrics        the same state as Prometheus text exposition format
 //	GET  /healthz        liveness
 //	GET  /worlds         the catalog's world table (worlds.bin bytes)
-//	GET  /store/manifest the writable catalog's current manifest
+//	GET  /store/manifest the writable catalog's current manifest (catalog bytes)
 //	GET  /store/file     one manifest-referenced segment file
 //	GET  /wal/stream     long-poll for durable WAL frames (replication)
 //

@@ -51,16 +51,15 @@ func (s *Server) walSource(w http.ResponseWriter, r *http.Request) (*catalogEntr
 	return entry, true
 }
 
-// handleStoreManifest serves the current manifest. The files it
-// references exist on disk when it is rendered; a follower that loses
-// the race against a later compaction's file deletion gets a clean 404
-// from /store/file and simply resyncs.
+// handleStoreManifest serves the current manifest as EncodeManifest
+// writes it. The files it references exist on disk when it is rendered;
+// a follower that loses the race against a later compaction's file
+// deletion gets a clean 404 from /store/file and simply resyncs.
 func (s *Server) handleStoreManifest(w http.ResponseWriter, r *http.Request) {
-	entry, ok := s.walSource(w, r)
-	if !ok {
-		return
+	if entry, ok := s.walSource(w, r); ok {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		_, _ = w.Write(store.EncodeManifest(entry.mut.Manifest()))
 	}
-	writeJSON(w, 200, entry.mut.Manifest())
 }
 
 // handleStoreFile serves one manifest-referenced segment file verbatim.

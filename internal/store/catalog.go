@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,9 +21,10 @@ import (
 
 // Directory layout of a saved database:
 //
-//	catalog.json   schema manifest (written last: its presence marks a
-//	               complete snapshot; rewritten via tmp+rename so every
-//	               mutation of the directory is crash-atomic)
+//	catalog.json   the manifest, in the catalog layout below (written
+//	               last: its presence marks a complete snapshot;
+//	               rewritten via tmp+rename so every mutation of the
+//	               directory is crash-atomic)
 //	worlds.bin     the world table W
 //	r<i>_p<j>.useg one base segment file per vertical partition
 //	r<i>_p<j>_d<g>.useg
@@ -30,24 +32,52 @@ import (
 //	               (internal/txn), layered on top of the base
 //	wal_<n>.log    the write-ahead log of commits not yet folded into
 //	               segment files (mutable stores only)
+//
+// Catalog layout (varints unless noted; strings and lists
+// length-prefixed):
+//
+//	catalogMagic
+//	version, WAL name, epoch, fence, fenced-by
+//	shard: 0, or 1 then index, count, sharded relation names
+//	relations, each: name, attribute names, max tid,
+//	  existence-complete (one byte, 0 or 1), declared indexes,
+//	  partitions, each: name, attributes, file, rows, width,
+//	    deltas, each: file, rows, width
+//	crc32 (fixed32) of everything before it
+//
+// A partition's attributes and a relation's indexes are positions in
+// the relation's attribute names.
 const (
+	// CatalogName keeps the name of the JSON manifest that format
+	// version 3 wrote: a new name would need both names looked up on
+	// open and the stale file removed, which go with the version 3
+	// reader.
 	CatalogName = "catalog.json"
 	WorldsName  = "worlds.bin"
 	// FormatVersion is bumped on incompatible layout changes, and is the
-	// only version a store opens. Version 3 writes every segment file as
-	// URSEGv2 (rows in tid order, per-segment tid bounds and a footer
-	// checksum); versions 1 and 2, and URSEGv1 files, are refused.
-	FormatVersion = 3
+	// only version a store writes. Version 4 writes the manifest in the
+	// binary catalog layout; every segment file is URSEGv2 (rows in tid
+	// order, per-segment tid bounds and a footer checksum). A version 3
+	// manifest, JSON, still opens and is rewritten as version 4 at the
+	// store's next manifest write; versions 1 and 2, and URSEGv1 files,
+	// are refused.
+	FormatVersion = 4
 )
 
 // resaveHint is how an older build's directory is brought up to date.
 const resaveHint = "open the directory with an earlier build that still reads it and store.Save it to a new one"
 
-const worldsMagic = "URWSv1\n\x00"
+const (
+	worldsMagic  = "URWSv1\n\x00"
+	catalogMagic = "URCATLG\n"
+)
 
-// Manifest is the JSON manifest of a saved database. It is exported so
-// the write path (internal/txn) can extend a snapshot with delta
-// segment files and a WAL reference; read-only callers never mutate it.
+// Manifest is the manifest of a saved database. It is exported so the
+// write path (internal/txn) can extend a snapshot with delta segment
+// files and a WAL reference; read-only callers never mutate it. The
+// catalog layout has no room for a field it does not name, so adding or
+// changing a field bumps FormatVersion. The JSON tags read version 3
+// manifests.
 type Manifest struct {
 	Version int `json:"version"`
 	// WAL names the write-ahead log whose records are not yet reflected
@@ -60,14 +90,12 @@ type Manifest struct {
 	Relations []ManifestRel `json:"relations"`
 	// Shard marks the directory as one hash-shard of a larger catalog
 	// (written by ShardedSave); nil for whole-catalog directories.
-	// Older readers ignore the field, so it is not a format bump.
 	Shard *ShardSpec `json:"shard,omitempty"`
 	// Fence is the write-authority epoch of this directory. Promoting a
 	// replica bumps it past its upstream's, and coordinated writes carry
 	// the coordinator's view of it — a primary asked to write under a
 	// HIGHER epoch has been superseded and must refuse (split-brain
-	// fencing). Zero on never-promoted catalogs. Older readers ignore
-	// both fields, so they are not a format bump.
+	// fencing). Zero on never-promoted catalogs.
 	Fence uint64 `json:"fence,omitempty"`
 	// FencedBy records the highest foreign epoch this directory has
 	// witnessed; persisted before refusing the triggering write, so a
@@ -87,13 +115,13 @@ type ManifestRel struct {
 	// Indexes lists the declared secondary-index value columns (from
 	// CREATE INDEX). Run files live beside each layer file by naming
 	// convention; tuple-id runs are always built and never listed here.
-	// Older readers ignore the field, so it is not a format bump.
 	Indexes []string `json:"indexes,omitempty"`
-	// ExistenceComplete carries core.URelSet.ExistenceComplete. Absent
-	// means clear: a directory written before the field, or rewritten by
-	// a binary that predates it, merges every partition of the relation
-	// in every query, which is always exact. A WAL clear op (WALOp)
-	// clears it at commit; flush and compaction write the cleared bit.
+	// ExistenceComplete carries core.URelSet.ExistenceComplete. A
+	// version 3 manifest without the field, written before it or
+	// rewritten by a binary that predates it, reads it clear: its store
+	// merges every partition of the relation in every query, which is
+	// always exact. A WAL clear op (WALOp) clears it at commit; flush and
+	// compaction write the cleared bit.
 	ExistenceComplete bool `json:"existence_complete,omitempty"`
 }
 
@@ -197,8 +225,17 @@ func ReadManifest(dir string) (*Manifest, error) {
 
 // ParseManifest decodes and validates manifest bytes — the catalog file
 // on disk, or the /store/manifest response a replica bootstraps from.
+// It accepts the catalog layout at FormatVersion, and a version 3
+// manifest, JSON, which it returns as a version 4 one: the store's next
+// manifest write rewrites it in the catalog layout.
 func ParseManifest(buf []byte) (*Manifest, error) {
-	m, err := decodeManifest(buf)
+	var m *Manifest
+	var err error
+	if len(buf) > 0 && buf[0] == '{' {
+		m, err = parseManifestV3(buf)
+	} else {
+		m, err = decodeManifest(buf)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -223,6 +260,255 @@ func ParseManifest(buf []byte) (*Manifest, error) {
 		}
 	}
 	return m, nil
+}
+
+// parseManifestV3 reads a JSON manifest, which only format version 3
+// and earlier wrote, as a version 4 one if it is at version 3: each
+// partition's attributes and each declared index must then be among
+// its relation's attributes, as the catalog layout writes them.
+func parseManifestV3(buf []byte) (*Manifest, error) {
+	m := &Manifest{}
+	if err := json.Unmarshal(buf, m); err != nil {
+		return nil, corruptf("catalog: %v", err)
+	}
+	if m.Version != 3 {
+		return nil, corruptf("JSON catalog at format version %d, want 3: %s", m.Version, resaveHint)
+	}
+	for _, mr := range m.Relations {
+		lists := [][]string{mr.Indexes}
+		for _, mp := range mr.Parts {
+			lists = append(lists, mp.Attrs)
+		}
+		for _, names := range lists {
+			for _, a := range names {
+				if !slices.Contains(mr.Attrs, a) {
+					return nil, corruptf("catalog: relation %q has no attribute %q", mr.Name, a)
+				}
+			}
+		}
+	}
+	m.Version = FormatVersion
+	return m, nil
+}
+
+// EncodeManifest renders m in the catalog layout; the /store/manifest
+// response a replica bootstraps from is these bytes too. Every
+// partition attribute and declared index of a relation must be among
+// its attributes: core refuses a partition over an attribute its
+// relation lacks, CREATE INDEX a column it lacks, and ParseManifest a
+// catalog that names one.
+func EncodeManifest(m *Manifest) []byte {
+	b := appendUint([]byte(catalogMagic), uint64(m.Version))
+	b = appendString(b, m.WAL)
+	b = appendUint(appendUint(appendUint(b, m.Epoch), m.Fence), m.FencedBy)
+	if s := m.Shard; s == nil {
+		b = append(b, 0)
+	} else {
+		b = appendInt(appendInt(append(b, 1), int64(s.Index)), int64(s.Count))
+		b = appendStrings(b, s.Sharded)
+	}
+	b = appendUint(b, uint64(len(m.Relations)))
+	for _, mr := range m.Relations {
+		b = appendStrings(appendString(b, mr.Name), mr.Attrs)
+		b = appendInt(b, mr.MaxTID)
+		if mr.ExistenceComplete {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+		b = appendPositions(b, mr.Indexes, mr.Attrs)
+		b = appendUint(b, uint64(len(mr.Parts)))
+		for _, mp := range mr.Parts {
+			b = appendPositions(appendString(b, mp.Name), mp.Attrs, mr.Attrs)
+			b = appendInt(appendInt(appendString(b, mp.File), int64(mp.Rows)), int64(mp.Width))
+			b = appendUint(b, uint64(len(mp.Deltas)))
+			for _, d := range mp.Deltas {
+				b = appendInt(appendInt(appendString(b, d.File), int64(d.Rows)), int64(d.Width))
+			}
+		}
+	}
+	return seal(b)
+}
+
+// appendStrings appends a list of strings.
+func appendStrings(b []byte, xs []string) []byte {
+	b = appendUint(b, uint64(len(xs)))
+	for _, x := range xs {
+		b = appendString(b, x)
+	}
+	return b
+}
+
+// appendPositions appends the list of names as their positions in attrs.
+func appendPositions(b []byte, names, attrs []string) []byte {
+	b = appendUint(b, uint64(len(names)))
+	for _, a := range names {
+		i := slices.Index(attrs, a)
+		if i < 0 {
+			panic(fmt.Sprintf("store: manifest names attribute %q outside its relation's %q", a, attrs))
+		}
+		b = appendUint(b, uint64(i))
+	}
+	return b
+}
+
+// decodeManifest parses the catalog layout EncodeManifest writes in a
+// few allocations: every name is a window of one copy of the body, and
+// a list of consecutive positions a capacity-limited window of the
+// relation's attributes, its strings shared. Every count is bounded by
+// the bytes left before anything is allocated for it; an empty list
+// decodes as nil. What it accepts re-encodes to the bytes it was given:
+// a varint longer than it need be, or a flag byte other than 0 or 1, is
+// corrupt.
+func decodeManifest(b []byte) (*Manifest, error) {
+	c, err := openSealed(b, catalogMagic, "catalog")
+	if err != nil {
+		return nil, err
+	}
+	r := &catalogReader{c: c, text: string(c.b)}
+	m := &Manifest{Version: int(r.uint()), WAL: r.name(), Epoch: r.uint(), Fence: r.uint(), FencedBy: r.uint()}
+	if r.flag() {
+		m.Shard = &ShardSpec{Index: int(r.int()), Count: int(r.int()), Sharded: r.names()}
+	}
+	// A relation takes at least six bytes: its name, attributes, max tid,
+	// flag, indexes and partitions; a partition six: its name,
+	// attributes, file, rows, width and deltas; a delta three.
+	m.Relations = listOf[ManifestRel](r.count(6))
+	for i := range m.Relations {
+		mr := &m.Relations[i]
+		mr.Name, mr.Attrs, mr.MaxTID, mr.ExistenceComplete = r.name(), r.names(), r.int(), r.flag()
+		mr.Indexes = r.positions(mr.Attrs)
+		mr.Parts = listOf[ManifestPart](r.count(6))
+		for j := range mr.Parts {
+			mp := &mr.Parts[j]
+			mp.Name, mp.Attrs, mp.File, mp.Rows, mp.Width = r.name(), r.positions(mr.Attrs), r.name(), int(r.int()), int(r.int())
+			mp.Deltas = listOf[ManifestDelta](r.count(3))
+			for k := range mp.Deltas {
+				mp.Deltas[k] = ManifestDelta{File: r.name(), Rows: int(r.int()), Width: int(r.int())}
+			}
+		}
+	}
+	if r.err == nil && r.c.left() != 0 {
+		r.err = corruptf("%d trailing bytes in catalog", r.c.left())
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return m, nil
+}
+
+// catalogReader decodes a catalog through the cursor, keeping the first
+// error: once there is one, every read returns a zero value and every
+// count 0, so a decode runs to its end and returns that error.
+type catalogReader struct {
+	c    cursor
+	text string // the body, of which every name is a window
+	err  error
+}
+
+func (r *catalogReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+// check fails on err, or on a varint read from at that is longer than
+// it need be: its last byte is then 0.
+func (r *catalogReader) check(at int, err error) {
+	if err == nil && (r.c.pos-at < 2 || r.c.b[r.c.pos-1] != 0) {
+		return
+	}
+	if err == nil {
+		err = corruptf("overlong varint at offset %d", at)
+	}
+	r.fail(err)
+}
+
+func (r *catalogReader) uint() uint64 {
+	at := r.c.pos
+	v, err := r.c.uint()
+	r.check(at, err)
+	return v
+}
+
+func (r *catalogReader) int() int64 {
+	at := r.c.pos
+	v, err := r.c.int()
+	r.check(at, err)
+	return v
+}
+
+// count decodes the count of a list of items that take at least unit
+// bytes each, 0 past an error or beyond what the bytes left could hold.
+func (r *catalogReader) count(unit int) int {
+	n := r.uint()
+	if left := uint64(r.c.left()); n > left || n*uint64(unit) > left {
+		r.fail(corruptf("count %d of %d-byte items exceeds the %d bytes left", n, unit, r.c.left()))
+		return 0
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+func (r *catalogReader) flag() bool {
+	v, err := r.c.byte()
+	if err == nil && v > 1 {
+		err = corruptf("flag byte %d at offset %d", v, r.c.pos-1)
+	}
+	if err != nil {
+		r.fail(err)
+	}
+	return v == 1
+}
+
+func (r *catalogReader) name() string {
+	n := r.count(1)
+	r.c.pos += n
+	return r.text[r.c.pos-n : r.c.pos]
+}
+
+func (r *catalogReader) names() []string {
+	xs := listOf[string](r.count(1))
+	for i := range xs {
+		xs[i] = r.name()
+	}
+	return xs
+}
+
+// positions decodes a list of positions in attrs as the names there.
+func (r *catalogReader) positions(attrs []string) []string {
+	n := r.count(1)
+	if n == 0 {
+		return nil
+	}
+	at := r.c.pos
+	first, run := r.uint(), true
+	for k := 1; k < n; k++ {
+		run = run && r.uint() == first+uint64(k)
+	}
+	if end := first + uint64(n); run && first < end && end <= uint64(len(attrs)) {
+		return attrs[first:end:end]
+	}
+	r.c.pos = at
+	xs := make([]string, n)
+	for k := range xs {
+		if p := r.uint(); p < uint64(len(attrs)) {
+			xs[k] = attrs[p]
+		} else {
+			r.fail(corruptf("attribute position %d of a relation of %d", p, len(attrs)))
+		}
+	}
+	return xs
+}
+
+// listOf returns a list of n zero items, nil when n is 0.
+func listOf[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, n)
 }
 
 // CheckFileName refuses a manifest's or a replication request's file
@@ -255,11 +541,7 @@ var ErrManifestUnsynced = errors.New("store: manifest renamed but directory sync
 // (the new manifest is in place); any other error means the old
 // manifest is still authoritative.
 func WriteManifest(dir string, m *Manifest) error {
-	buf, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := InstallFile(filepath.Join(dir, CatalogName), append(buf, '\n')); err != nil {
+	if err := InstallFile(filepath.Join(dir, CatalogName), EncodeManifest(m)); err != nil {
 		return err
 	}
 	if err := syncDir(dir); err != nil {

@@ -42,12 +42,15 @@
 //
 //   - One byte codec (format.go). Every file the store writes is read
 //     by the one cursor and written by the one family of append
-//     helpers: segment payloads; footers and their tails; the world
-//     table (worlds.bin); WAL frames and the commit records in them;
-//     index runs (*.idx). Varints are the default encoding, fixed-width
-//     little-endian integers sit where a checksum or offset must have a
-//     known size, and the world table and the runs share one trailer
-//     (magic, body, CRC32 of both). The cursor bounds every read and
+//     helpers: segment payloads; footers and their tails; the manifest
+//     (catalog.json); the world table (worlds.bin); WAL frames and the
+//     commit records in them; index runs (*.idx). Varints are the
+//     default encoding, fixed-width little-endian integers sit where a
+//     checksum or offset must have a known size, and the manifest, the
+//     world table and the runs share one trailer (magic, body, CRC32 of
+//     both). A manifest of format version 3, JSON, is the one file read
+//     otherwise: json.Unmarshal reads it, and the store's next manifest
+//     write replaces it. The cursor bounds every read and
 //     every count by the bytes left, so a corrupt byte of any file is
 //     ErrCorrupt, never a panic or an out-of-memory crash.
 //
@@ -61,17 +64,16 @@
 //     decoders copy out of (readFile), not the WAL, whose records alias
 //     theirs; Save lands each file by one synced write (writeFile), a
 //     replica's resync by one renamed into place (InstallFile). The
-//     manifest is decoded by hand (manifest.go): the JSON that
-//     json.MarshalIndent writes, unknown keys skipped at every level,
-//     escapes decoded, no reflection, and nothing accepted that
-//     encoding/json would refuse or decode differently. Every file is
-//     opened by openRead: one open(2), one fstat(2) and os.NewFile's
-//     one fcntl(2), where os.Open would spend five more system calls
-//     on a poller registration a regular file refuses. OpenLayers opens
-//     a manifest's segment files on min(GOMAXPROCS, files) goroutines
-//     while the caller reads the world table, and reports the first
-//     failure in manifest order; store.Open, txn.Open and a replica's
-//     openLocal all open through it.
+//     manifest decodes in a few allocations: its names are windows of
+//     one copy of its body, and a partition's attributes, written as
+//     positions in its relation's, a window of the relation's list.
+//     Every file is opened by openRead: one open(2), one fstat(2) and
+//     os.NewFile's one fcntl(2), where os.Open would spend five more
+//     system calls on a poller registration a regular file refuses.
+//     OpenLayers opens a manifest's segment files on min(GOMAXPROCS,
+//     files) goroutines while the caller reads the world table, and
+//     reports the first failure in manifest order; store.Open, txn.Open
+//     and a replica's openLocal all open through it.
 //
 //   - StoreScanIter (scan.go). The cold-scan operator: its segments
 //     decode straight into typed engine.ColVec vectors, so Next hands

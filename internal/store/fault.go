@@ -25,8 +25,8 @@ type PartOpenInterceptor func(path string, src io.ReaderAt) io.ReaderAt
 
 // IOFaultHook is consulted by WAL.Append with op "append" (before the
 // frame write), and with "sync" before every fsync of a WAL, a file the
-// store writes (writeFile) or a directory (syncDir), path naming what is
-// synced. A non-nil return is surfaced as the corresponding I/O failure.
+// store writes (writeFile, WritePartition) or a directory (syncDir),
+// path naming what is synced; a non-nil return is that I/O's failure.
 type IOFaultHook func(op, path string) error
 
 var (

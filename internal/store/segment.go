@@ -65,6 +65,9 @@ func WritePartition(path string, rows []core.URow, nattrs, segRows int) (int, er
 	if _, err := f.Write(appendTail(footer, footer, off)); err != nil {
 		return 0, err
 	}
+	if err := ioFault("sync", path); err != nil {
+		return 0, err
+	}
 	return width, f.Sync()
 }
 

@@ -20,7 +20,7 @@ import (
 
 // Fuzz targets of the two decoders that carry the existence-complete
 // bit: the WAL record, whose clear op clears it, and the manifest, whose
-// "existence_complete" field holds it. On arbitrary bytes each returns a
+// relations hold it. On arbitrary bytes each returns a
 // value or an error, never a panic, and allocates only for what the
 // input holds; what decodes re-encodes to a form that decodes to itself.
 // The WAL record's decoder must also agree with a reference, the decoder
@@ -327,154 +327,121 @@ func TestServedRWRecordsRoundTrip(t *testing.T) {
 	}
 }
 
-// manifestJSON renders a manifest the way WriteManifest does.
-func manifestJSON(m *Manifest) ([]byte, error) { return json.MarshalIndent(m, "", "  ") }
-
-// handManifests are manifests no writer of this build writes: an
-// unknown key at every level, escaped names, odd whitespace, and a
-// mutable, sharded, fenced store's manifest with deltas and indexes.
-var handManifests = []string{
-	`{"version": 3, "future": {"k": [1, -0.5e-3, 2E+7, true, false, null, "s\u00e9"]}, "wal": "wal_7.log", "epoch": 7,
-	  "relations": [{"name": "r", "later": [], "attrs": ["a", "b"], "partitions": [
-	    {"name": "u_r_a", "attrs": ["a"], "file": "r0_p0.useg", "rows": 3, "width": 1, "x": null,
-	     "deltas": [{"file": "r0_p0_d7.useg", "rows": 1, "width": 1, "y": "z"}]},
-	    {"name": "u_r_b", "attrs": ["b", "a"], "file": "r0_p1.useg", "rows": 3, "width": 0}],
-	   "max_tid": 3, "indexes": ["b"], "existence_complete": true}],
-	  "shard": {"index": 1, "count": 2, "sharded": ["r"], "hash": {"kind": "fib"}}, "fence": 2, "fenced_by": 3}`,
-	`{"version":3,"relations":[{"name":"r\u003cs\"\\\/\t\ud83d\ude00","attrs":["\u0061"],"partitions":[{"name":"\u00e9","attrs":["a"],"file":"r0_p0.useg","rows":0,"width":0}]}]}`,
-	"\r\n\t {\t\"version\"\r:\n3 ,\"relations\" :\t[ ] , \"epoch\":0\n}\r\n",
-	`{"version": 3, "relations": null, "shard": {}, "fence": 18446744073709551615}`,
-}
-
-// FuzzParseManifest holds the manifest's decoder to encoding/json on two
-// kinds of input. On arbitrary bytes, what the decoder accepts
-// json.Unmarshal accepts too and decodes to a reflect.DeepEqual
-// Manifest, and a refusal is ErrCorrupt; what ParseManifest accepts
-// names only plain files, renders and survives a round trip. And every
-// manifest manifestJSON renders from the fuzzed field values (names
-// with escapes and invalid UTF-8, nil and empty lists, deltas, indexes,
-// a shard) decodes as json.Unmarshal decodes it.
-func FuzzParseManifest(f *testing.F) {
+// FuzzDecodeManifest holds the catalog decoder to its encoder. On
+// arbitrary bytes, taken as they are and as the body of a sealed
+// catalog, ParseManifest returns ErrCorrupt or a manifest that names
+// only plain files and re-encodes to the bytes it was given (a JSON
+// version 3 manifest, to bytes that re-encode to themselves). And every
+// manifest fuzzedManifest builds from the fuzzed field values, its
+// attribute lists drawn from its relations', decodes to itself.
+func FuzzDecodeManifest(f *testing.F) {
 	dir, _ := savedTPCH(f, 0.02)
 	saved, err := os.ReadFile(filepath.Join(dir, CatalogName))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(saved, "r0_p0.useg", int64(3), uint64(0), uint8(0))
-	f.Add(withoutExistenceField(f, saved), "c_custkey", int64(-1), uint64(7), uint8(0xff))
-	// A mutable store's manifest: deltas, a WAL, an index, a shard, fences.
 	m, err := ParseManifest(saved)
 	if err != nil {
 		f.Fatal(err)
 	}
+	body := func(b []byte) []byte { return b[len(catalogMagic) : len(b)-4] }
+	f.Add(saved, "r0_p0.useg", int64(3), uint64(0), uint8(0))
+	f.Add(body(saved), "c_custkey", int64(-1), uint64(7), uint8(0xff))
+	f.Add(manifestV3(f, m, false), "", int64(0), uint64(1), uint8(1))
+	// The version as a two-byte varint: a catalog that re-encodes shorter.
+	f.Add(append([]byte{0x80 | FormatVersion, 0}, body(saved)[1:]...), "", int64(1), uint64(2), uint8(2))
+	// A mutable store's manifest: deltas, a WAL, an index, a shard, fences.
 	m.WAL, m.Epoch, m.Fence, m.FencedBy = WALFileName(7), 7, 2, 3
 	m.Shard = &ShardSpec{Index: 1, Count: 2, Sharded: []string{"lineitem"}}
 	m.Relations[0].Indexes = []string{m.Relations[0].Attrs[0]}
 	m.Relations[0].ExistenceComplete = false
 	m.Relations[0].Parts[0].Deltas = []ManifestDelta{{File: DeltaFileName(0, 0, 7), Rows: 3, Width: 1}}
-	mutable, err := manifestJSON(m)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(mutable, "a<b>&\"\x01\xff", int64(math.MaxInt64), uint64(math.MaxUint64), uint8(0x55))
+	f.Add(body(EncodeManifest(m)), "a<b>&\"\x01\xff", int64(math.MaxInt64), uint64(math.MaxUint64), uint8(0x55))
+	f.Add(manifestV3(f, m, true), "r", int64(2), uint64(3), uint8(0x0f))
 	m.Relations[0].Parts[0].Deltas[0].File = "../" + DeltaFileName(0, 0, 7)
-	escaping, err := manifestJSON(m)
+	f.Add(EncodeManifest(m), "", int64(math.MinInt64), uint64(1), uint8(0xaa))
+	v4, err := json.Marshal(m) // JSON at version 4, which no build wrote
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(escaping, "", int64(math.MinInt64), uint64(1), uint8(0xaa))
-	for i, hand := range handManifests {
-		if _, err := decodeManifest([]byte(hand)); err != nil {
-			f.Fatalf("hand manifest %d: %v", i, err)
-		}
-		f.Add([]byte(hand), "\u2028\U0001F600", int64(i), uint64(i), uint8(i))
-	}
+	f.Add(v4, "p", int64(4), uint64(5), uint8(0xf0))
 	f.Fuzz(func(t *testing.T, b []byte, name string, n int64, u uint64, flags uint8) {
-		sameAsJSON(t, b, false)
-		out, err := manifestJSON(fuzzedManifest(name, n, u, flags))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameAsJSON(t, out, true)
-
-		m, err := ParseManifest(b)
-		if err != nil {
-			return
-		}
-		// Every name is a plain file in the directory (a read-only
-		// snapshot names no log).
-		names := m.Files()
-		if m.WAL != "" {
-			names = append(names, m.WAL)
-		}
-		for _, name := range names {
-			if name == "" || strings.HasPrefix(name, ".") || strings.ContainsRune(name, '/') {
-				t.Fatalf("an accepted manifest names %q", name)
+		for _, in := range [][]byte{b, seal(append([]byte(catalogMagic), b...))} {
+			m, err := ParseManifest(in)
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("a refusal is not ErrCorrupt: %v", err)
+				}
+				continue
+			}
+			// Every name is a plain file in the directory (a read-only
+			// snapshot names no log).
+			names := m.Files()
+			if m.WAL != "" {
+				names = append(names, m.WAL)
+			}
+			for _, name := range names {
+				if name == "" || strings.HasPrefix(name, ".") || strings.ContainsRune(name, '/') {
+					t.Fatalf("an accepted manifest names %q", name)
+				}
+			}
+			out := EncodeManifest(m)
+			if in[0] == '{' {
+				again, err := ParseManifest(out)
+				if err != nil {
+					t.Fatalf("an encoded JSON manifest does not parse: %v", err)
+				}
+				in = EncodeManifest(again)
+			}
+			if !bytes.Equal(out, in) {
+				t.Fatalf("an accepted catalog re-encodes to other bytes:\n got %x\nwant %x", out, in)
 			}
 		}
-		if out, err = manifestJSON(m); err != nil {
-			t.Fatalf("a parsed manifest does not render: %v", err)
-		}
-		again, err := ParseManifest(out)
+		want := fuzzedManifest(name, n, u, flags)
+		got, err := decodeManifest(EncodeManifest(want))
 		if err != nil {
-			t.Fatalf("a rendered manifest does not parse: %v", err)
+			t.Fatalf("an encoded manifest does not decode: %v", err)
 		}
-		if again2, _ := manifestJSON(again); !bytes.Equal(again2, out) {
-			t.Fatal("a parsed manifest does not survive a round trip")
-		}
-		for i := range m.Relations {
-			if m.Relations[i].ExistenceComplete != again.Relations[i].ExistenceComplete {
-				t.Fatalf("relation %d lost its existence-complete bit", i)
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("a manifest does not survive a round trip:\n got %+v\nwant %+v", got, want)
 		}
 	})
 }
 
-// sameAsJSON checks that where decodeManifest accepts b, json.Unmarshal
-// accepts it and decodes it to an equal Manifest, and that a refusal is
-// ErrCorrupt; must says decodeManifest has to accept.
-func sameAsJSON(t *testing.T, b []byte, must bool) {
-	t.Helper()
-	got, err := decodeManifest(b)
-	if err != nil {
-		if must || !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("decodeManifest refuses %q: %v", b, err)
-		}
-		return
-	}
-	var want Manifest
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatalf("decodeManifest accepts what encoding/json refuses (%v): %q", err, b)
-	}
-	if !reflect.DeepEqual(*got, want) {
-		t.Fatalf("decodeManifest and encoding/json differ on %q:\n got %+v\nwant %+v", b, *got, want)
-	}
-}
-
 // fuzzedManifest builds a manifest of two relations from fuzzed values:
 // name in every string, n in every int, u in every uint64, and flags
-// choosing nil or empty lists, deltas, indexes and a shard.
+// choosing attributes, deltas, indexes and a shard. A partition's
+// attributes and the indexes are drawn from the relation's, some a run
+// of them and some not; every empty list is nil, as the decoder makes it.
 func fuzzedManifest(name string, n int64, u uint64, flags uint8) *Manifest {
 	bit := func(i uint) bool { return flags&(1<<i) != 0 }
-	list := func(i uint, xs ...string) []string {
-		if bit(i) {
-			return xs
-		}
-		if bit(i + 1) {
-			return []string{}
-		}
-		return nil
-	}
 	m := &Manifest{Version: int(n), WAL: name, Epoch: u, Fence: u / 3, FencedBy: u >> 7}
 	for ri := 0; ri < 2; ri++ {
-		mr := ManifestRel{Name: name + "r", Attrs: list(0, name, "a", name+"b"), MaxTID: n, ExistenceComplete: bit(2)}
-		if bit(3) {
-			mr.Indexes = list(4, name)
+		mr := ManifestRel{Name: name + "r", MaxTID: n, ExistenceComplete: bit(2)}
+		var a []string
+		if bit(0) {
+			a = []string{name, "a", name + "b"}
+			mr.Attrs = a
+			if bit(3) {
+				mr.Indexes = []string{a[2]}
+			}
+			if bit(4) {
+				mr.Indexes = append(mr.Indexes, a[1], a[0])
+			}
+		}
+		pick := func(lo, hi int) []string {
+			if a == nil {
+				return nil
+			}
+			return a[lo:hi:hi]
 		}
 		mr.Parts = []ManifestPart{
-			{Name: name, Attrs: list(5, name), File: name, Rows: int(n), Width: int(u)},
-			{Name: "p", Attrs: list(6, "a", name+"b"), File: "f" + name, Rows: -int(n), Width: 0},
-			{Attrs: list(7, name+"b", name)},
+			{Name: name, Attrs: pick(0, 1), File: name, Rows: int(n), Width: int(u)},
+			{Name: "p", Attrs: pick(1, 3), File: "f" + name, Rows: -int(n), Width: 0},
+			{},
+		}
+		if a != nil {
+			mr.Parts[2].Attrs = []string{a[2], a[0]}
 		}
 		if bit(1) {
 			mr.Parts[0].Deltas = []ManifestDelta{{File: name, Rows: int(n), Width: int(u >> 1)}, {}}
@@ -484,60 +451,134 @@ func fuzzedManifest(name string, n int64, u uint64, flags uint8) *Manifest {
 		}
 		m.Relations = append(m.Relations, mr)
 	}
-	if bit(4) {
-		m.Shard = &ShardSpec{Index: int(n), Count: int(u >> 2), Sharded: list(5, name, "r")}
+	if bit(5) {
+		m.Shard = &ShardSpec{Index: int(n), Count: int(u >> 2)}
+		if bit(6) {
+			m.Shard.Sharded = []string{name, "r"}
+		}
 	}
 	return m
 }
 
-// withoutExistenceField is a manifest as a binary that predates the
-// existence-complete bit writes it.
-func withoutExistenceField(tb testing.TB, manifest []byte) []byte {
+// manifestV3 renders m as format version 3 wrote it, JSON; without the
+// existence-complete field unless existence is set, as a build that
+// predates the field wrote it.
+func manifestV3(tb testing.TB, m *Manifest, existence bool) []byte {
 	tb.Helper()
-	var m map[string]any
-	if err := json.Unmarshal(manifest, &m); err != nil {
-		tb.Fatal(err)
+	v3 := m.Clone()
+	v3.Version = 3
+	for i := range v3.Relations {
+		v3.Relations[i].ExistenceComplete = existence && v3.Relations[i].ExistenceComplete
 	}
-	for _, r := range m["relations"].([]any) {
-		delete(r.(map[string]any), "existence_complete")
-	}
-	out, err := json.MarshalIndent(m, "", "  ")
+	out, err := json.MarshalIndent(v3, "", "  ")
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return out
 }
 
-// TestManifestWithoutExistenceField: a manifest written before the
-// field — or rewritten by a binary that predates it — opens with every
-// bit clear, so every relation of several partitions merges fully; with
-// the field, the bits Save wrote come back.
+// TestManifestWithoutExistenceField: a version 3 manifest, JSON, opens.
+// With the field the bits Save wrote come back; without it — a manifest
+// written before the field, or rewritten by a binary that predates it —
+// every bit is clear, so every relation of several partitions merges
+// fully.
 func TestManifestWithoutExistenceField(t *testing.T) {
 	dir, _ := savedTPCH(t, 0.02)
-	path := filepath.Join(dir, CatalogName)
-	saved, err := os.ReadFile(path)
+	m, err := ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(string(saved), `"existence_complete": true`); n != 8 {
-		t.Fatalf("Save wrote the bit for %d of 8 relations", n)
+	set := 0
+	for _, mr := range m.Relations {
+		if mr.ExistenceComplete {
+			set++
+		}
 	}
-	db, err := Open(dir)
+	if set != 8 {
+		t.Fatalf("Save wrote the bit for %d of 8 relations", set)
+	}
+	for _, c := range []struct {
+		existence bool
+		want      string
+	}{
+		{true, "[]"},
+		{false, "[region nation supplier part partsupp customer orders lineitem]"},
+	} {
+		if err := os.WriteFile(filepath.Join(dir, CatalogName), manifestV3(t, m, c.existence), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprint(db.FullMergeRels())
+		db.Close()
+		if got != c.want {
+			t.Fatalf("with the field %v, FullMergeRels = %s, want %s", c.existence, got, c.want)
+		}
+	}
+}
+
+// TestManifestVersions: ParseManifest accepts the catalog layout at
+// version 4 and JSON at version 3, read as version 4, and refuses every
+// other version of either, and a JSON manifest whose partition names an
+// attribute its relation lacks, as ErrCorrupt.
+func TestManifestVersions(t *testing.T) {
+	dir, _ := savedTPCH(t, 0.02)
+	m, err := ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.FullMergeRels(); len(got) != 0 {
-		t.Fatalf("with the field, %v merge fully", got)
+	for v := 1; v <= 5; v++ {
+		vm := m.Clone()
+		vm.Version = v
+		js, err := json.Marshal(vm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			layout string
+			b      []byte
+			ok     bool
+		}{{"catalog", EncodeManifest(vm), v == 4}, {"JSON", js, v == 3}} {
+			got, err := ParseManifest(c.b)
+			switch {
+			case !c.ok && !errors.Is(err, ErrCorrupt):
+				t.Errorf("%s at version %d: err = %v, want ErrCorrupt", c.layout, v, err)
+			case c.ok && err != nil:
+				t.Errorf("%s at version %d: %v", c.layout, v, err)
+			case c.ok && got.Version != FormatVersion:
+				t.Errorf("%s at version %d parses as version %d", c.layout, v, got.Version)
+			}
+		}
 	}
-	db.Close()
-	if err := os.WriteFile(path, withoutExistenceField(t, saved), 0o644); err != nil {
+	m.Version = 3
+	m.Relations[0].Parts[0].Attrs = []string{"bogus"}
+	js, err := json.Marshal(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if db, err = Open(dir); err != nil {
+	if _, err := ParseManifest(js); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("a JSON manifest naming an attribute its relation lacks: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestCatalogByteFlipIsCorrupt: a saved catalog with any one byte
+// flipped — in a name, a count, a row count, the magic or the checksum —
+// is ErrCorrupt.
+func TestCatalogByteFlipIsCorrupt(t *testing.T) {
+	dir, _ := savedTPCH(t, 0.02)
+	saved, err := os.ReadFile(filepath.Join(dir, CatalogName))
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-	if got := fmt.Sprint(db.FullMergeRels()); got != "[region nation supplier part partsupp customer orders lineitem]" {
-		t.Fatalf("without the field, FullMergeRels = %s", got)
+	for i := range saved {
+		for _, mask := range []byte{0x01, 0x80, 0xff} {
+			b := bytes.Clone(saved)
+			b[i] ^= mask
+			if _, err := ParseManifest(b); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("byte %d of %d flipped by %#x: err = %v, want ErrCorrupt", i, len(saved), mask, err)
+			}
+		}
 	}
 }
